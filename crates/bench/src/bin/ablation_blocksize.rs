@@ -8,7 +8,7 @@
 //! ```
 
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig, FastaSplitReader};
-use mrmc_mapreduce::{ClusterSpec, JobCostModel};
+use mrmc_mapreduce::{ClusterSpec, JobCostModel, RecoveryCounters, ShuffleVolume};
 use mrmc_seqio::write_fasta;
 use mrmc_simulate::{whole_metagenome_samples, ErrorModel};
 
@@ -45,12 +45,16 @@ fn main() {
             .map(|s| FastaSplitReader::records(s).len())
             .collect();
         let costs: Vec<f64> = records.iter().map(|&r| r as f64 * per_read_cost).collect();
-        let t4 = ClusterSpec::m1_large(4)
-            .simulate_job(&model, &costs, dataset.len() as u64, &[])
-            .total();
-        let t12 = ClusterSpec::m1_large(12)
-            .simulate_job(&model, &costs, dataset.len() as u64, &[])
-            .total();
+        let volume = ShuffleVolume {
+            records: dataset.len() as u64,
+            ..Default::default()
+        };
+        let simulate = |nodes| {
+            ClusterSpec::m1_large(nodes)
+                .simulate_job(&model, &costs, volume, &[], RecoveryCounters::new())
+                .total()
+        };
+        let (t4, t12) = (simulate(4), simulate(12));
         let mean_records = records.iter().sum::<usize>() as f64 / records.len() as f64;
         println!(
             "{:>10}kB {:>8} {:>14.1} {:>11.1}s {:>11.1}s",

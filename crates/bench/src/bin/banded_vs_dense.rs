@@ -23,9 +23,10 @@
 //! cargo run -p mrmc-bench --release --bin banded_vs_dense -- --scale 0.01
 //! ```
 
+use std::sync::Arc;
 use std::time::Instant;
 
-use mrmc::banded::{banded_graph_stage, banded_graph_stage_with};
+use mrmc::banded::banded_graph_stage;
 use mrmc::stages::{sketch_similarity, sketch_stage};
 use mrmc::{CandidateGen, Mode, MrMcConfig, MrMcMinH};
 use mrmc_bench::HarnessArgs;
@@ -170,8 +171,8 @@ fn chaos_probe(args: &HarnessArgs, failures: &mut Vec<String>) {
         .task_panic(1, Phase::Reduce, 1, 1)
         .task_panic(2, Phase::Map, 0, 1)
         .injector();
-    let mut chaotic_p = Pipeline::new("chaos-faulty");
-    let faulty = banded_graph_stage_with(&sketches, &cfg, &mut chaotic_p, &inj);
+    let mut chaotic_p = Pipeline::new("chaos-faulty").with_faults(Arc::new(inj));
+    let faulty = banded_graph_stage(&sketches, &cfg, &mut chaotic_p);
     match faulty {
         Ok(g) if g == clean => {
             let rec = chaotic_p.total_recovery();

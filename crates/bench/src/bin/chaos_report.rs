@@ -31,10 +31,15 @@ use mrmc_bench::json::Json;
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{ChaosProfile, FaultPlan, Phase};
 use mrmc_mapreduce::{
-    run_job_with_faults, Dfs, DfsConfig, JobConfig, Mapper, NoFaults, RecoveryCounters, Reducer,
-    ShuffleSized, TaskContext,
+    run_job, Dfs, DfsConfig, JobConfig, Mapper, Pipeline, RecoveryCounters, Reducer, ShuffleSized,
+    TaskContext,
 };
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
+
+/// A pipeline whose every stage runs under `plan`'s faults.
+fn chaos_pipeline(plan: FaultPlan) -> Pipeline {
+    Pipeline::new("chaos").with_faults(Arc::new(plan.injector()))
+}
 
 /// One entry of the recovery matrix.
 struct Cell {
@@ -149,7 +154,7 @@ fn pipeline_cell(
 ) -> Cell {
     let runner = MrMcMinH::new(mrmc_config());
     let t = Instant::now();
-    let run = runner.run_with_injector(reads, &plan.injector());
+    let run = runner.run_on(reads, chaos_pipeline(plan));
     let secs = t.elapsed().as_secs_f64();
     let (completed, identical, recovery, counters) = match &run {
         Ok(r) => (
@@ -205,7 +210,7 @@ fn banded_cell(
     );
 
     let t = Instant::now();
-    let run = runner.run_with_injector(reads, &plan.injector());
+    let run = runner.run_on(reads, chaos_pipeline(plan));
     let secs = t.elapsed().as_secs_f64();
     let (completed, identical, recovery, counters) = match &run {
         Ok(r) => (
@@ -287,27 +292,19 @@ fn wordcount_config() -> JobConfig {
 fn shuffle_cell(fault: &'static str, intensity: impl Into<String>, plan: FaultPlan) -> Cell {
     let input = wordcount_input();
     let t = Instant::now();
-    let clean = run_job_with_faults(
-        input.clone(),
-        8,
-        &Tokenize,
-        &Sum,
-        &wordcount_config(),
-        &NoFaults,
-    )
-    .expect("clean word count");
+    let clean =
+        run_job(input.clone(), 8, &Tokenize, &Sum, &wordcount_config()).expect("clean word count");
     let clean_secs = t.elapsed().as_secs_f64();
     let mut expect = clean.output;
     expect.sort();
 
     let t = Instant::now();
-    let run = run_job_with_faults(
+    let run = run_job(
         input,
         8,
         &Tokenize,
         &Sum,
-        &wordcount_config(),
-        &plan.injector(),
+        &wordcount_config().with_faults(Arc::new(plan.injector())),
     );
     let secs = t.elapsed().as_secs_f64();
     let (completed, identical, recovery, shuffle_bytes, shuffle_runs) = match run {
@@ -539,7 +536,7 @@ fn main() {
     // pins every counter and histogram bucket).
     let snapshot_of = |plan: FaultPlan| {
         let run = MrMcMinH::new(mrmc_config())
-            .run_with_injector(&reads, &plan.injector())
+            .run_on(&reads, chaos_pipeline(plan))
             .expect("seeded chaos run for metrics snapshot");
         let registry = mrmc_obs::MetricsRegistry::new();
         run.pipeline.export_metrics(&registry);
@@ -606,7 +603,7 @@ fn main() {
             .task_slowdown(1, Phase::Map, 0, 15)
             .node_death_after_map(0, 2);
         let traced = MrMcMinH::new(mrmc_config())
-            .run_traced(&reads, &plan.injector(), tracer.clone())
+            .run_on(&reads, chaos_pipeline(plan).traced(tracer.clone()))
             .expect("traced combined-fault run");
         assert_eq!(
             traced.assignment, clean.assignment,

@@ -20,11 +20,13 @@
 //! cargo run -p mrmc-bench --release --bin figure2
 //! ```
 
+use std::sync::Arc;
+
 use mrmc::{CostCalibration, Mode, MrMcConfig, MrMcMinH};
 use mrmc_bench::json::{write_file, Json};
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
-use mrmc_mapreduce::{chrome_trace, ClusterSpec, JobCostModel, Tracer};
+use mrmc_mapreduce::{chrome_trace, ClusterSpec, JobCostModel, Pipeline, Tracer};
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
 fn main() {
@@ -213,7 +215,12 @@ fn chaos_section(nodes: &[usize], model: &JobCostModel, args: &HarnessArgs) -> J
         .task_slowdown(0, Phase::Map, 2, 40)
         .task_slowdown(1, Phase::Map, 5, 40)
         .injector();
-    let chaotic = runner.run_with_injector(&reads, &inj).expect("chaotic run");
+    let chaotic = runner
+        .run_on(
+            &reads,
+            Pipeline::new("stragglers").with_faults(Arc::new(inj)),
+        )
+        .expect("chaotic run");
     assert_eq!(
         chaotic.assignment, clean.assignment,
         "stragglers must not change the clustering"

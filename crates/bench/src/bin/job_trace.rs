@@ -33,7 +33,7 @@ use mrmc_bench::json::{write_file, Json};
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::{
-    chrome_trace, critical_path, render_gantt, ClusterSpec, JobCostModel, NoFaults, Tracer,
+    chrome_trace, critical_path, render_gantt, ClusterSpec, JobCostModel, Pipeline, Tracer,
 };
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
@@ -109,14 +109,14 @@ fn main() {
 
     let tracer = Arc::new(Tracer::new());
     let traced = runner
-        .run_traced(&reads, &NoFaults, tracer.clone())
+        .run_on(&reads, Pipeline::new("dense").traced(tracer.clone()))
         .expect("traced dense run");
     if traced.assignment != baseline.assignment || traced.dendrogram != baseline.dendrogram {
         failures.push("tracing changed the dense clustering output".into());
     }
     let repeat = Arc::new(Tracer::new());
     runner
-        .run_traced(&reads, &NoFaults, repeat.clone())
+        .run_on(&reads, Pipeline::new("dense").traced(repeat.clone()))
         .expect("repeat traced dense run");
     if tracer.ledger().signature() != repeat.ledger().signature() {
         failures.push("dense span ledger differs across identical runs".into());
@@ -140,7 +140,12 @@ fn main() {
     let chaos_tracers = [Arc::new(Tracer::new()), Arc::new(Tracer::new())];
     for t in &chaos_tracers {
         let run = runner
-            .run_traced(&reads, &plan.clone().injector(), t.clone())
+            .run_on(
+                &reads,
+                Pipeline::new("chaos")
+                    .traced(t.clone())
+                    .with_faults(Arc::new(plan.clone().injector())),
+            )
             .expect("traced chaotic run");
         if run.assignment != baseline.assignment {
             failures.push("chaotic traced run not bit-identical to clean output".into());
@@ -171,7 +176,10 @@ fn main() {
     let banded_baseline = banded_runner.run(&reads).expect("untraced banded run");
     let banded_tracer = Arc::new(Tracer::new());
     let banded = banded_runner
-        .run_traced(&reads, &NoFaults, banded_tracer.clone())
+        .run_on(
+            &reads,
+            Pipeline::new("banded").traced(banded_tracer.clone()),
+        )
         .expect("traced banded run");
     if banded.assignment != banded_baseline.assignment {
         failures.push("tracing changed the banded clustering output".into());

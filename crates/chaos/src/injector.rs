@@ -41,8 +41,9 @@ pub enum TaskFault {
 /// worker threads consult the injector concurrently. Answers must
 /// depend only on the arguments (plus per-job state advanced by
 /// [`FaultInjector::begin_job`]), never on timing, or recovery
-/// counters stop being reproducible.
-pub trait FaultInjector: Send + Sync {
+/// counters stop being reproducible. `Debug` is required so the
+/// configs that carry an injector stay `Debug` themselves.
+pub trait FaultInjector: Send + Sync + std::fmt::Debug {
     /// Called by the engine once at the start of each job, in
     /// submission order. Plan-driven injectors use it to advance
     /// their job ordinal.

@@ -7,7 +7,7 @@
 //! work onto a virtual 2–12 node cluster.
 //!
 //! The data plane mirrors Hadoop's spill/merge design (see DESIGN.md
-//! §3a): map tasks read their input through `Arc`-shared chunks (so
+//! §3a): map tasks borrow their input chunks from the job (so
 //! retries and speculative backups never re-clone the chunk buffer)
 //! and hash-group their emissions into per-key value blocks, so each
 //! pair is touched once instead of sort-moved `log n` times and the
@@ -24,9 +24,10 @@
 //!
 //! # Fault tolerance
 //!
-//! Every entry point has a `*_with_faults` variant taking a
-//! [`FaultInjector`] (see [`mrmc_chaos`]). The plain variants run with
-//! [`NoFaults`]. The recovery mechanics are *real*, not accounting:
+//! Every entry point consults the [`FaultInjector`] attached to its
+//! [`JobConfig`] (see [`JobConfig::with_faults`] and [`mrmc_chaos`]);
+//! a config without one runs with [`mrmc_chaos::NoFaults`]. The
+//! recovery mechanics are *real*, not accounting:
 //!
 //! * a panicking task attempt (injected or genuine) is retried up to
 //!   [`crate::job::JobConfig::max_attempts`] times; exhausted budgets
@@ -49,10 +50,10 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
-use mrmc_chaos::{FaultInjector, NoFaults, Phase, RecoveryCounters, TaskFault};
+use mrmc_chaos::{FaultInjector, Phase, RecoveryCounters, TaskFault};
 use mrmc_obs::{Category, SpanDraft, SpanId, Tracer};
 
 use crate::error::MrError;
@@ -172,6 +173,25 @@ struct PhaseSpec<'a> {
     attempt_offset: usize,
     speculate: bool,
     injector: &'a dyn FaultInjector,
+}
+
+impl<'a> PhaseSpec<'a> {
+    /// The spec `config` prescribes for one pass of `phase`.
+    fn of(
+        config: &'a JobConfig,
+        threads: usize,
+        phase: Phase,
+        attempt_offset: usize,
+    ) -> PhaseSpec<'a> {
+        PhaseSpec {
+            phase,
+            threads,
+            attempts: config.max_attempts,
+            attempt_offset,
+            speculate: config.speculative,
+            injector: config.injector(),
+        }
+    }
 }
 
 /// Run the tasks in `task_ids` on the spec's workers, consulting its
@@ -572,7 +592,6 @@ fn recover_node_deaths<T, F>(
     recovery: &mut RecoveryCounters,
     config: &JobConfig,
     workers: usize,
-    injector: &dyn FaultInjector,
     trace: &mut Option<TraceCtx<'_>>,
     f: F,
 ) -> Result<(), MrError>
@@ -581,7 +600,8 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let nodes = config.virtual_nodes.max(1);
-    let mut deaths: Vec<usize> = injector
+    let mut deaths: Vec<usize> = config
+        .injector()
         .node_deaths_after_map()
         .into_iter()
         .filter(|&d| d < nodes)
@@ -611,14 +631,7 @@ where
     // apart.
     let attempt_offset = config.max_attempts + 2;
     let redo = run_phase(
-        &PhaseSpec {
-            phase: Phase::Map,
-            threads: workers,
-            attempts: config.max_attempts,
-            attempt_offset,
-            speculate: config.speculative,
-            injector,
-        },
+        &PhaseSpec::of(config, workers, Phase::Map, attempt_offset),
         &lost,
         f,
     )?;
@@ -724,9 +737,9 @@ fn merge_groups<K: Ord + Clone, V: Clone>(runs: &[Vec<(K, Vec<V>)>], mut f: impl
     }
 }
 
-/// An input chunk shared by every attempt of a map task (retries,
+/// An input chunk, borrowed by every attempt of its map task (retries,
 /// speculative backups, post-death re-executions).
-type SharedChunk<M> = Arc<[(<M as Mapper>::InKey, <M as Mapper>::InValue)]>;
+type Chunk<M> = Vec<(<M as Mapper>::InKey, <M as Mapper>::InValue)>;
 
 /// One map-side sorted run: distinct keys, each with its value block
 /// in the map task's emission order.
@@ -748,9 +761,92 @@ struct MapTaskOutput<K, V> {
     counters: Counters,
 }
 
+/// The map side of a job, up to and including node-death recovery at
+/// the map→reduce barrier — the part map-only and full jobs share.
+struct MapPhase<'a, M: Mapper, T> {
+    /// Kept so later passes (lost shuffle output) can re-run a task.
+    chunks: Vec<Chunk<M>>,
+    /// One output per map task, in task order.
+    outputs: Vec<T>,
+    recovery: RecoveryCounters,
+    trace: Option<TraceCtx<'a>>,
+    workers: usize,
+}
+
+/// Announce the job to the injector, chunk `input`, run `task` over
+/// every chunk and re-execute what node deaths took. `reducers` is
+/// `None` for map-only jobs (it only labels the setup span).
+fn run_map_phase<'a, M, T, F>(
+    input: Vec<(M::InKey, M::InValue)>,
+    num_map_tasks: usize,
+    reducers: Option<usize>,
+    config: &'a JobConfig,
+    task: F,
+) -> Result<MapPhase<'a, M, T>, MrError>
+where
+    M: Mapper,
+    M::InKey: Sync,
+    M::InValue: Sync,
+    T: Send,
+    F: Fn(usize, &[(M::InKey, M::InValue)]) -> T + Sync,
+{
+    let injector = config.injector();
+    injector.begin_job(&config.name);
+    let workers = config.worker_threads.unwrap_or_else(default_workers);
+    let mut trace = config
+        .tracer
+        .as_deref()
+        .map(|t| TraceCtx::begin(t, &config.name));
+    let setup_start = trace.as_ref().map(|ctx| ctx.tracer.now_ns());
+    // Every attempt (retry, speculative backup, post-death
+    // re-execution) borrows the same chunk instead of cloning it.
+    let chunks: Vec<Chunk<M>> = chunk_input(input, num_map_tasks);
+    if let (Some(ctx), Some(t0)) = (&trace, setup_start) {
+        let now = ctx.tracer.now_ns();
+        let mut setup = SpanDraft::new(ctx.job, "job:setup", Category::Overhead)
+            .at(t0, now.saturating_sub(t0))
+            .meta("map_tasks", chunks.len());
+        if let Some(reducers) = reducers {
+            setup = setup.meta("reducers", reducers);
+        }
+        ctx.tracer.add_span(setup);
+    }
+
+    let map_task = |i: usize| task(i, &chunks[i]);
+    let ids: Vec<usize> = (0..chunks.len()).collect();
+    let primary = run_phase(
+        &PhaseSpec::of(config, workers, Phase::Map, 0),
+        &ids,
+        map_task,
+    )?;
+    let mut outputs = primary.results;
+    let mut recovery = primary.recovery;
+    if let Some(ctx) = &mut trace {
+        ctx.emit_phase(Phase::Map, None, 0, &primary.attempts, &[]);
+    }
+    recover_node_deaths(
+        &mut outputs,
+        &mut recovery,
+        config,
+        workers,
+        &mut trace,
+        map_task,
+    )?;
+    Ok(MapPhase {
+        chunks,
+        outputs,
+        recovery,
+        trace,
+        workers,
+    })
+}
+
 /// Run the map phase only; returns the concatenated mapper output in
 /// task order (no shuffle, no reduce). Useful for `FOREACH`-style
-/// record-parallel transforms that Pig lowers to map-only jobs.
+/// record-parallel transforms that Pig lowers to map-only jobs. Map
+/// outputs count as node-local until the job commits, so a node death
+/// at the end of the map phase re-executes that node's tasks even in a
+/// map-only job.
 pub fn run_map_only<M>(
     input: Vec<(M::InKey, M::InValue)>,
     num_map_tasks: usize,
@@ -762,53 +858,11 @@ where
     M::InKey: Clone + Sync,
     M::InValue: Clone + Sync,
 {
-    run_map_only_with_faults(input, num_map_tasks, mapper, config, &NoFaults)
-}
-
-/// [`run_map_only`] under a fault injector. Map outputs count as
-/// node-local until the job commits, so a node death at the end of the
-/// map phase re-executes that node's tasks even in a map-only job.
-pub fn run_map_only_with_faults<M>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    config: &JobConfig,
-    injector: &dyn FaultInjector,
-) -> Result<JobResult<M::OutKey, M::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-{
-    injector.begin_job(&config.name);
-    let workers = config.worker_threads.unwrap_or_else(default_workers);
-    let mut trace = config
-        .tracer
-        .as_deref()
-        .map(|t| TraceCtx::begin(t, &config.name));
-    let setup_start = trace.as_ref().map(|ctx| ctx.tracer.now_ns());
-    // Chunks are Arc-shared: every attempt (retry, speculative backup,
-    // post-death re-execution) reads the same buffer through its own
-    // handle instead of cloning the chunk.
-    let chunks: Vec<SharedChunk<M>> = chunk_input(input, num_map_tasks)
-        .into_iter()
-        .map(Arc::from)
-        .collect();
-    if let (Some(ctx), Some(t0)) = (&trace, setup_start) {
-        let now = ctx.tracer.now_ns();
-        ctx.tracer.add_span(
-            SpanDraft::new(ctx.job, "job:setup", Category::Overhead)
-                .at(t0, now.saturating_sub(t0))
-                .meta("map_tasks", chunks.len()),
-        );
-    }
-
-    let map_task = |i: usize| {
-        let chunk = Arc::clone(&chunks[i]);
+    let map_task = |i: usize, chunk: &[(M::InKey, M::InValue)]| {
         let start = Instant::now();
         let records_in = chunk.len() as u64;
         let mut ctx = TaskContext::new();
-        for (k, v) in chunk.iter() {
+        for (k, v) in chunk {
             mapper.map(k.clone(), v.clone(), &mut ctx);
         }
         let (pairs, counters) = ctx.into_parts();
@@ -820,34 +874,9 @@ where
         };
         (pairs, stats, counters)
     };
-
-    let ids: Vec<usize> = (0..chunks.len()).collect();
-    let map_phase = run_phase(
-        &PhaseSpec {
-            phase: Phase::Map,
-            threads: workers,
-            attempts: config.max_attempts,
-            attempt_offset: 0,
-            speculate: config.speculative,
-            injector,
-        },
-        &ids,
-        map_task,
-    )?;
-    let mut outputs = map_phase.results;
-    let mut recovery = map_phase.recovery;
-    if let Some(ctx) = &mut trace {
-        ctx.emit_phase(Phase::Map, None, 0, &map_phase.attempts, &[]);
-    }
-    recover_node_deaths(
-        &mut outputs,
-        &mut recovery,
-        config,
-        workers,
-        injector,
-        &mut trace,
-        map_task,
-    )?;
+    let MapPhase {
+        outputs, recovery, ..
+    } = run_map_phase::<M, _, _>(input, num_map_tasks, None, config, map_task)?;
 
     let counters = Counters::new();
     counters.add("TASK_RETRIES", recovery.tasks_retried);
@@ -899,33 +928,6 @@ where
         None::<&NoCombiner<M::OutKey, M::OutValue>>,
         reducer,
         config,
-        &NoFaults,
-    )
-}
-
-/// [`run_job`] under a fault injector.
-pub fn run_job_with_faults<M, R>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    reducer: &R,
-    config: &JobConfig,
-    injector: &dyn FaultInjector,
-) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    run_job_impl(
-        input,
-        num_map_tasks,
-        mapper,
-        None::<&NoCombiner<M::OutKey, M::OutValue>>,
-        reducer,
-        config,
-        injector,
     )
 }
 
@@ -953,35 +955,6 @@ where
         Some(combiner),
         reducer,
         config,
-        &NoFaults,
-    )
-}
-
-/// [`run_job_with_combiner`] under a fault injector.
-pub fn run_job_with_combiner_and_faults<M, C, R>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    combiner: &C,
-    reducer: &R,
-    config: &JobConfig,
-    injector: &dyn FaultInjector,
-) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    run_job_impl(
-        input,
-        num_map_tasks,
-        mapper,
-        Some(combiner),
-        reducer,
-        config,
-        injector,
     )
 }
 
@@ -995,8 +968,6 @@ impl<K: crate::job::MrKey, V: crate::job::MrValue> Combiner for NoCombiner<K, V>
         values
     }
 }
-// PhantomData<(K,V)> is not Send/Sync-friendly for raw pointers, but
-// K/V here are Send so the auto-impls apply.
 
 /// Map-side spill-buffer pool: emit buffers and grouping maps from
 /// finished map tasks are recycled into later tasks on the same job,
@@ -1043,7 +1014,6 @@ fn run_job_impl<M, C, R>(
     combiner: Option<&C>,
     reducer: &R,
     config: &JobConfig,
-    injector: &dyn FaultInjector,
 ) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
 where
     M: Mapper,
@@ -1055,40 +1025,16 @@ where
     if config.num_reducers == 0 {
         return Err(MrError::BadConfig("num_reducers must be ≥ 1".into()));
     }
-    injector.begin_job(&config.name);
+    let injector = config.injector();
     let reducers = config.num_reducers;
-    let workers = config.worker_threads.unwrap_or_else(default_workers);
-    let mut trace = config
-        .tracer
-        .as_deref()
-        .map(|t| TraceCtx::begin(t, &config.name));
-    let setup_start = trace.as_ref().map(|ctx| ctx.tracer.now_ns());
 
-    // ---- Map phase ----
-    // Chunks are Arc-shared: every attempt (retry, speculative backup,
-    // post-death re-execution) reads the same buffer through its own
-    // handle instead of cloning the chunk.
-    let chunks: Vec<SharedChunk<M>> = chunk_input(input, num_map_tasks)
-        .into_iter()
-        .map(Arc::from)
-        .collect();
-    if let (Some(ctx), Some(t0)) = (&trace, setup_start) {
-        let now = ctx.tracer.now_ns();
-        ctx.tracer.add_span(
-            SpanDraft::new(ctx.job, "job:setup", Category::Overhead)
-                .at(t0, now.saturating_sub(t0))
-                .meta("map_tasks", chunks.len())
-                .meta("reducers", reducers),
-        );
-    }
-
+    // ---- Map phase (incl. node deaths at the map→reduce barrier) ----
     let spill_pool: SpillPool<M::OutKey, M::OutValue> = SpillPool::new();
-    let map_task = |i: usize| {
-        let chunk = Arc::clone(&chunks[i]);
+    let map_task = |i: usize, chunk: &[(M::InKey, M::InValue)]| {
         let start = Instant::now();
         let records_in = chunk.len() as u64;
         let mut ctx = TaskContext::with_buffer(spill_pool.take_emit_buf());
-        for (k, v) in chunk.iter() {
+        for (k, v) in chunk {
             mapper.map(k.clone(), v.clone(), &mut ctx);
         }
         let (mut pairs, counters) = ctx.into_parts();
@@ -1156,35 +1102,13 @@ where
         }
     };
 
-    let ids: Vec<usize> = (0..chunks.len()).collect();
-    let map_phase = run_phase(
-        &PhaseSpec {
-            phase: Phase::Map,
-            threads: workers,
-            attempts: config.max_attempts,
-            attempt_offset: 0,
-            speculate: config.speculative,
-            injector,
-        },
-        &ids,
-        map_task,
-    )?;
-    let mut map_outputs = map_phase.results;
-    let mut recovery = map_phase.recovery;
-    if let Some(ctx) = &mut trace {
-        ctx.emit_phase(Phase::Map, None, 0, &map_phase.attempts, &[]);
-    }
-
-    // ---- Node deaths at the map→reduce barrier ----
-    recover_node_deaths(
-        &mut map_outputs,
-        &mut recovery,
-        config,
+    let MapPhase {
+        chunks,
+        outputs: mut map_outputs,
+        mut recovery,
+        mut trace,
         workers,
-        injector,
-        &mut trace,
-        map_task,
-    )?;
+    } = run_map_phase::<M, _, _>(input, num_map_tasks, Some(reducers), config, map_task)?;
 
     // ---- Shuffle fetch failures ----
     // Each (map, partition) fetch is retried; past the limit the map
@@ -1220,16 +1144,9 @@ where
     for m in lost_maps {
         let attempt_offset = config.max_attempts + 8;
         let redo = run_phase(
-            &PhaseSpec {
-                phase: Phase::Map,
-                threads: workers,
-                attempts: config.max_attempts,
-                attempt_offset,
-                speculate: config.speculative,
-                injector,
-            },
+            &PhaseSpec::of(config, workers, Phase::Map, attempt_offset),
             &[m],
-            map_task,
+            |i| map_task(i, &chunks[i]),
         )?;
         if let Some(ctx) = &mut trace {
             ctx.event(
@@ -1347,14 +1264,7 @@ where
 
     let reduce_ids: Vec<usize> = (0..reducers).collect();
     let reduce_phase = run_phase(
-        &PhaseSpec {
-            phase: Phase::Reduce,
-            threads: workers,
-            attempts: config.max_attempts,
-            attempt_offset: 0,
-            speculate: config.speculative,
-            injector,
-        },
+        &PhaseSpec::of(config, workers, Phase::Reduce, 0),
         &reduce_ids,
         reduce_task,
     )?;
@@ -1392,6 +1302,7 @@ mod tests {
     use super::*;
     use mrmc_chaos::FaultPlan;
     use std::sync::atomic::Ordering;
+    use std::sync::Arc;
 
     /// Classic word count over (line_no, line) records.
     struct WcMapper;
@@ -1703,8 +1614,14 @@ mod tests {
             .task_panic(0, Phase::Map, 2, 1)
             .task_panic(0, Phase::Reduce, 1, 1)
             .injector();
-        let chaotic =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let chaotic = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            &SumReducer,
+            &cfg.with_faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.tasks_retried, 4);
         assert_eq!(chaotic.counters.get("TASK_RETRIES"), 4);
@@ -1716,7 +1633,13 @@ mod tests {
         let inj = FaultPlan::new()
             .task_panic(0, Phase::Map, 1, usize::MAX)
             .injector();
-        match run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj) {
+        match run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            &SumReducer,
+            &cfg.with_faults(Arc::new(inj)),
+        ) {
             Err(MrError::TaskFailed {
                 phase,
                 task,
@@ -1739,23 +1662,16 @@ mod tests {
         // Node 1 held map task 1 (task % 3 nodes); killing it at the
         // barrier forces one re-execution.
         let inj = FaultPlan::new().node_death_after_map(0, 1).injector();
-        let chaotic =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let chaotic = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            &SumReducer,
+            &cfg.with_faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.maps_reexecuted_node_loss, 1);
-    }
-
-    #[test]
-    fn all_nodes_dead_is_an_error() {
-        let cfg = JobConfig::named("wc").reducers(1).workers(2).nodes(2);
-        let inj = FaultPlan::new()
-            .node_death_after_map(0, 0)
-            .node_death_after_map(0, 1)
-            .injector();
-        assert!(matches!(
-            run_job_with_faults(wc_input(), 2, &WcMapper, &SumReducer, &cfg, &inj),
-            Err(MrError::BadConfig(_))
-        ));
     }
 
     #[test]
@@ -1765,8 +1681,14 @@ mod tests {
         let inj = FaultPlan::new()
             .task_slowdown(0, Phase::Map, 1, 30)
             .injector();
-        let chaotic =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let chaotic = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            &SumReducer,
+            &cfg.with_faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.speculative_wins, 1);
     }
@@ -1780,8 +1702,14 @@ mod tests {
         let inj = FaultPlan::new()
             .task_slowdown(0, Phase::Map, 1, 10)
             .injector();
-        let result =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let result = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            &SumReducer,
+            &cfg.with_faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(result.output), expected_wc());
         assert_eq!(result.recovery.speculative_wins, 0);
     }
@@ -1796,8 +1724,14 @@ mod tests {
             .shuffle_fetch_fail(0, 0, 1, 2)
             .shuffle_fetch_fail(0, 1, 0, 5)
             .injector();
-        let chaotic =
-            run_job_with_faults(wc_input(), 3, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+        let chaotic = run_job(
+            wc_input(),
+            3,
+            &WcMapper,
+            &SumReducer,
+            &cfg.with_faults(Arc::new(inj)),
+        )
+        .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.shuffle_fetch_retries, 2 + 3);
         assert_eq!(chaotic.recovery.maps_reexecuted_fetch_fail, 1);
@@ -1818,8 +1752,14 @@ mod tests {
                 .attempts(3)
                 .nodes(4);
             let inj = plan.clone().injector();
-            let result =
-                run_job_with_faults(wc_input(), 4, &WcMapper, &SumReducer, &cfg, &inj).unwrap();
+            let result = run_job(
+                wc_input(),
+                4,
+                &WcMapper,
+                &SumReducer,
+                &cfg.with_faults(Arc::new(inj)),
+            )
+            .unwrap();
             assert_eq!(sorted(result.output), expected_wc());
             ledgers.push(result.recovery);
         }

@@ -9,8 +9,10 @@
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 use std::time::Duration;
 
+use mrmc_chaos::{FaultInjector, NoFaults};
 use parking_lot::Mutex;
 
 /// Requirements on intermediate keys: hashed for partitioning, ordered
@@ -237,8 +239,6 @@ pub struct TaskContext<K, V> {
     /// the fully generic `emit`/`into_parts` can drain pending runs
     /// without knowing `V = IdRun`.
     pub(crate) flush_pending: Option<fn(&mut TaskContext<K, V>)>,
-    /// Chunk size for the lazily-created arena.
-    pub(crate) arena_chunk_bytes: usize,
 }
 
 impl<K, V> TaskContext<K, V> {
@@ -258,14 +258,7 @@ impl<K, V> TaskContext<K, V> {
             arena: None,
             pending_keys: Vec::new(),
             flush_pending: None,
-            arena_chunk_bytes: crate::wire::DEFAULT_ARENA_CHUNK_BYTES,
         }
-    }
-
-    /// Override the arena chunk size used by `emit_singleton_run`
-    /// (bytes of encoded runs per shared allocation).
-    pub fn set_arena_chunk_bytes(&mut self, bytes: usize) {
-        self.arena_chunk_bytes = bytes.max(16);
     }
 
     /// Emit one pair.
@@ -334,7 +327,11 @@ pub struct JobConfig {
     /// task attempt lifecycle, shuffle runs, combiner activity and
     /// recovery actions into the shared ledger (our JobHistory
     /// analogue — see `mrmc_obs`).
-    pub tracer: Option<std::sync::Arc<mrmc_obs::Tracer>>,
+    pub tracer: Option<Arc<mrmc_obs::Tracer>>,
+    /// Optional fault source the engine consults at every hook point
+    /// (task attempts, the map→reduce barrier, shuffle fetches).
+    /// Absent ≡ [`NoFaults`].
+    pub injector: Option<Arc<dyn FaultInjector>>,
 }
 
 impl JobConfig {
@@ -349,6 +346,7 @@ impl JobConfig {
             virtual_nodes: 8,
             speculative: true,
             tracer: None,
+            injector: None,
         }
     }
 
@@ -383,9 +381,20 @@ impl JobConfig {
     }
 
     /// Builder-style trace sink.
-    pub fn traced(mut self, tracer: std::sync::Arc<mrmc_obs::Tracer>) -> JobConfig {
+    pub fn traced(mut self, tracer: Arc<mrmc_obs::Tracer>) -> JobConfig {
         self.tracer = Some(tracer);
         self
+    }
+
+    /// Builder-style fault injector.
+    pub fn with_faults(mut self, injector: Arc<dyn FaultInjector>) -> JobConfig {
+        self.injector = Some(injector);
+        self
+    }
+
+    /// The injector jobs under this config consult.
+    pub(crate) fn injector(&self) -> &dyn FaultInjector {
+        self.injector.as_deref().unwrap_or(&NoFaults)
     }
 }
 

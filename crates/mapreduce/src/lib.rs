@@ -27,12 +27,14 @@
 //! onto a virtual 2–12 node Hadoop deployment.
 //!
 //! Fault injection and recovery live in the [`mrmc_chaos`] crate
-//! (re-exported here as [`chaos`]): every entry point has a
-//! `*_with_faults` variant taking a [`FaultInjector`], and the engine
-//! and DFS implement the *real* recovery Hadoop would perform — task
-//! retries, speculative backups, lost-map-output re-execution after a
-//! node death, checksum fallback and re-replication — with the tally
-//! surfaced as [`RecoveryCounters`] on job results.
+//! (re-exported here as [`chaos`]): attach a [`FaultInjector`] via
+//! [`JobConfig::with_faults`](job::JobConfig::with_faults) or
+//! [`Pipeline::with_faults`](pipeline::Pipeline::with_faults) (absent
+//! ≡ [`NoFaults`]), and the engine and DFS implement the *real*
+//! recovery Hadoop would perform — task retries, speculative backups,
+//! lost-map-output re-execution after a node death, checksum fallback
+//! and re-replication — with the tally surfaced as
+//! [`RecoveryCounters`] on job results.
 //!
 //! Structured tracing lives in the [`mrmc_obs`] crate (re-exported
 //! here as [`obs`]): attach a [`Tracer`] via
@@ -55,9 +57,7 @@ pub use mrmc_chaos as chaos;
 pub use mrmc_obs as obs;
 
 pub use dfs::{Dfs, DfsConfig, FastaSplitReader, InputSplit};
-pub use engine::{
-    chunk_ranges, run_job, run_job_with_faults, run_map_only, run_map_only_with_faults,
-};
+pub use engine::{chunk_ranges, run_job, run_job_with_combiner, run_map_only};
 pub use error::MrError;
 pub use job::{
     Combiner, Counters, JobConfig, JobResult, Mapper, MrKey, MrValue, Reducer, ShuffleSized,

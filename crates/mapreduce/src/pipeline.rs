@@ -6,16 +6,16 @@
 //! cluster ([`ClusterSpec`]) for the Figure 2 scaling study.
 
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use mrmc_chaos::{FaultInjector, NoFaults, RecoveryCounters};
+use mrmc_chaos::{FaultInjector, RecoveryCounters};
 use mrmc_obs::{MetricsRegistry, Tracer};
 
-use crate::engine::{
-    run_job_with_combiner_and_faults, run_job_with_faults, run_map_only_with_faults,
-};
+use crate::engine::{run_job, run_job_with_combiner, run_map_only};
 use crate::error::MrError;
-use crate::job::{Combiner, JobConfig, Mapper, MrKey, MrValue, Reducer, TaskContext, TaskStats};
+use crate::job::{
+    Combiner, JobConfig, JobResult, Mapper, MrKey, MrValue, Reducer, TaskContext, TaskStats,
+};
 use crate::simcluster::{ClusterSpec, JobCostModel, ShuffleVolume, SimJobReport};
 
 /// Statistics for one executed stage.
@@ -125,6 +125,7 @@ pub struct Pipeline {
     pub name: String,
     stages: Vec<StageReport>,
     tracer: Option<Arc<Tracer>>,
+    injector: Option<Arc<dyn FaultInjector>>,
 }
 
 impl Pipeline {
@@ -132,8 +133,7 @@ impl Pipeline {
     pub fn new(name: impl Into<String>) -> Pipeline {
         Pipeline {
             name: name.into(),
-            stages: Vec::new(),
-            tracer: None,
+            ..Pipeline::default()
         }
     }
 
@@ -149,14 +149,47 @@ impl Pipeline {
         self.tracer.as_ref()
     }
 
-    /// The stage's effective config: the pipeline's tracer is injected
-    /// unless the caller already attached one of their own.
+    /// Attach a fault injector: every stage's job consults it, in
+    /// stage order, so a plan's job ordinals address the chain's
+    /// stages.
+    pub fn with_faults(mut self, injector: Arc<dyn FaultInjector>) -> Pipeline {
+        self.injector = Some(injector);
+        self
+    }
+
+    /// The stage's effective config: the pipeline's tracer and
+    /// injector are attached unless the caller already attached their
+    /// own to the stage.
     fn stage_config(&self, config: &JobConfig) -> JobConfig {
         let mut config = config.clone();
         if config.tracer.is_none() {
             config.tracer = self.tracer.clone();
         }
+        if config.injector.is_none() {
+            config.injector = self.injector.clone();
+        }
         config
+    }
+
+    /// Record a finished job as the next stage and hand its output on.
+    fn record<K, V>(
+        &mut self,
+        name: String,
+        start: Instant,
+        result: JobResult<K, V>,
+    ) -> StageOutput<K, V> {
+        self.stages.push(StageReport {
+            name,
+            map_stats: result.map_stats,
+            reduce_stats: result.reduce_stats,
+            shuffled_pairs: result.shuffled_pairs,
+            shuffled_bytes: result.shuffled_bytes,
+            shuffle_runs: result.shuffle_runs,
+            counters: result.counters.snapshot(),
+            wall: start.elapsed(),
+            recovery: result.recovery,
+        });
+        result.output
     }
 
     /// Run a full map/shuffle/reduce stage, recording its report, and
@@ -175,40 +208,10 @@ impl Pipeline {
         M::InValue: Clone + Sync,
         R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
     {
-        self.run_stage_with_faults(input, num_map_tasks, mapper, reducer, config, &NoFaults)
-    }
-
-    /// [`Pipeline::run_stage`] under a fault injector.
-    pub fn run_stage_with_faults<M, R>(
-        &mut self,
-        input: Vec<(M::InKey, M::InValue)>,
-        num_map_tasks: usize,
-        mapper: &M,
-        reducer: &R,
-        config: &JobConfig,
-        injector: &dyn FaultInjector,
-    ) -> Result<StageOutput<R::OutKey, R::OutValue>, MrError>
-    where
-        M: Mapper,
-        M::InKey: Clone + Sync,
-        M::InValue: Clone + Sync,
-        R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-    {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let config = self.stage_config(config);
-        let result = run_job_with_faults(input, num_map_tasks, mapper, reducer, &config, injector)?;
-        self.stages.push(StageReport {
-            name: config.name.clone(),
-            map_stats: result.map_stats,
-            reduce_stats: result.reduce_stats,
-            shuffled_pairs: result.shuffled_pairs,
-            shuffled_bytes: result.shuffled_bytes,
-            shuffle_runs: result.shuffle_runs,
-            counters: result.counters.snapshot(),
-            wall: start.elapsed(),
-            recovery: result.recovery,
-        });
-        Ok(result.output)
+        let result = run_job(input, num_map_tasks, mapper, reducer, &config)?;
+        Ok(self.record(config.name, start, result))
     }
 
     /// Run a full stage with a combiner applied to each map task's
@@ -229,59 +232,11 @@ impl Pipeline {
         C: Combiner<Key = M::OutKey, Value = M::OutValue>,
         R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
     {
-        self.run_stage_with_combiner_and_faults(
-            input,
-            num_map_tasks,
-            mapper,
-            combiner,
-            reducer,
-            config,
-            &NoFaults,
-        )
-    }
-
-    /// [`Pipeline::run_stage_with_combiner`] under a fault injector.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_stage_with_combiner_and_faults<M, C, R>(
-        &mut self,
-        input: Vec<(M::InKey, M::InValue)>,
-        num_map_tasks: usize,
-        mapper: &M,
-        combiner: &C,
-        reducer: &R,
-        config: &JobConfig,
-        injector: &dyn FaultInjector,
-    ) -> Result<StageOutput<R::OutKey, R::OutValue>, MrError>
-    where
-        M: Mapper,
-        M::InKey: Clone + Sync,
-        M::InValue: Clone + Sync,
-        C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-        R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-    {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let config = self.stage_config(config);
-        let result = run_job_with_combiner_and_faults(
-            input,
-            num_map_tasks,
-            mapper,
-            combiner,
-            reducer,
-            &config,
-            injector,
-        )?;
-        self.stages.push(StageReport {
-            name: config.name.clone(),
-            map_stats: result.map_stats,
-            reduce_stats: result.reduce_stats,
-            shuffled_pairs: result.shuffled_pairs,
-            shuffled_bytes: result.shuffled_bytes,
-            shuffle_runs: result.shuffle_runs,
-            counters: result.counters.snapshot(),
-            wall: start.elapsed(),
-            recovery: result.recovery,
-        });
-        Ok(result.output)
+        let result =
+            run_job_with_combiner(input, num_map_tasks, mapper, combiner, reducer, &config)?;
+        Ok(self.record(config.name, start, result))
     }
 
     /// Run a group-by stage: map, shuffle, and hand back each key's
@@ -319,38 +274,10 @@ impl Pipeline {
         M::InKey: Clone + Sync,
         M::InValue: Clone + Sync,
     {
-        self.run_map_stage_with_faults(input, num_map_tasks, mapper, config, &NoFaults)
-    }
-
-    /// [`Pipeline::run_map_stage`] under a fault injector.
-    pub fn run_map_stage_with_faults<M>(
-        &mut self,
-        input: Vec<(M::InKey, M::InValue)>,
-        num_map_tasks: usize,
-        mapper: &M,
-        config: &JobConfig,
-        injector: &dyn FaultInjector,
-    ) -> Result<StageOutput<M::OutKey, M::OutValue>, MrError>
-    where
-        M: Mapper,
-        M::InKey: Clone + Sync,
-        M::InValue: Clone + Sync,
-    {
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         let config = self.stage_config(config);
-        let result = run_map_only_with_faults(input, num_map_tasks, mapper, &config, injector)?;
-        self.stages.push(StageReport {
-            name: config.name.clone(),
-            map_stats: result.map_stats,
-            reduce_stats: Vec::new(),
-            shuffled_pairs: result.shuffled_pairs,
-            shuffled_bytes: result.shuffled_bytes,
-            shuffle_runs: result.shuffle_runs,
-            counters: result.counters.snapshot(),
-            wall: start.elapsed(),
-            recovery: result.recovery,
-        });
-        Ok(result.output)
+        let result = run_map_only(input, num_map_tasks, mapper, &config)?;
+        Ok(self.record(config.name, start, result))
     }
 
     /// Reports for all executed stages, in order.
@@ -384,7 +311,7 @@ impl Pipeline {
         self.stages
             .iter()
             .map(|s| {
-                cluster.simulate_job_shuffle(
+                cluster.simulate_job(
                     model,
                     &s.map_costs(),
                     s.shuffle_volume(),
@@ -704,15 +631,14 @@ mod tests {
             .task_panic(0, Phase::Map, 0, 1)
             .node_death_after_map(0, 1)
             .injector();
-        let mut chaotic = Pipeline::new("chaotic");
+        let mut chaotic = Pipeline::new("chaotic").with_faults(Arc::new(inj));
         let mut got = chaotic
-            .run_stage_with_faults(
+            .run_stage(
                 input,
                 2,
                 &Tokenize,
                 &Sum,
                 &JobConfig::named("wc").reducers(2).attempts(4).nodes(2),
-                &inj,
             )
             .unwrap();
         got.sort();

@@ -206,82 +206,19 @@ pub fn lpt_makespan(costs: &[f64], slots: usize) -> f64 {
 }
 
 impl ClusterSpec {
-    /// Simulate one job: map task costs, shuffled record count, reduce
-    /// task costs → phase times and total on this cluster.
+    /// Simulate one job: map task costs, shuffle volume, reduce task
+    /// costs → phase times and total on this cluster. The shuffle is
+    /// priced on all three axes of `volume` against per-node aggregate
+    /// bandwidth (per record, per payload byte, and
+    /// [`JobCostModel::shuffle_run_cost`] per sorted run a reducer
+    /// fetches — the engine's [`crate::JobResult::shuffle_runs`]).
+    /// Recovery work is charged too: every retried or re-executed map
+    /// attempt in `recovery` is scheduled as an extra mean-cost map
+    /// task (the cluster really ran it), and the ledger is carried on
+    /// the report. Synthetic callers pass
+    /// `ShuffleVolume { records, ..Default::default() }` and a clean
+    /// ledger.
     pub fn simulate_job(
-        &self,
-        model: &JobCostModel,
-        map_costs: &[f64],
-        shuffled_records: u64,
-        reduce_costs: &[f64],
-    ) -> SimJobReport {
-        self.simulate_job_recovered(
-            model,
-            map_costs,
-            shuffled_records,
-            reduce_costs,
-            mrmc_chaos::RecoveryCounters::new(),
-        )
-    }
-
-    /// [`ClusterSpec::simulate_job`] for a job that performed recovery
-    /// work: every retried or re-executed map attempt is scheduled as
-    /// an extra mean-cost map task (the cluster really ran it), and the
-    /// ledger is carried on the report. Shuffle volume is charged per
-    /// record only; see [`ClusterSpec::simulate_job_bytes`] for the
-    /// bandwidth-aware variant.
-    pub fn simulate_job_recovered(
-        &self,
-        model: &JobCostModel,
-        map_costs: &[f64],
-        shuffled_records: u64,
-        reduce_costs: &[f64],
-        recovery: mrmc_chaos::RecoveryCounters,
-    ) -> SimJobReport {
-        self.simulate_job_bytes(
-            model,
-            map_costs,
-            shuffled_records,
-            0,
-            reduce_costs,
-            recovery,
-        )
-    }
-
-    /// Full-fidelity simulation: like
-    /// [`ClusterSpec::simulate_job_recovered`] but also charges the
-    /// shuffle's byte volume against per-node aggregate bandwidth, so
-    /// stages that move many narrow records price differently from
-    /// stages that move few wide ones.
-    pub fn simulate_job_bytes(
-        &self,
-        model: &JobCostModel,
-        map_costs: &[f64],
-        shuffled_records: u64,
-        shuffled_bytes: u64,
-        reduce_costs: &[f64],
-        recovery: mrmc_chaos::RecoveryCounters,
-    ) -> SimJobReport {
-        self.simulate_job_shuffle(
-            model,
-            map_costs,
-            ShuffleVolume {
-                records: shuffled_records,
-                bytes: shuffled_bytes,
-                runs: 0,
-            },
-            reduce_costs,
-            recovery,
-        )
-    }
-
-    /// Like [`ClusterSpec::simulate_job_bytes`] but also charges the
-    /// per-fetch overhead of the copy phase: each sorted map-side run a
-    /// reducer pulls costs [`JobCostModel::shuffle_run_cost`] seconds of
-    /// aggregate cluster bandwidth on top of the record and byte terms.
-    /// This is the entry point fed by the engine's per-run accounting
-    /// ([`crate::JobResult::shuffle_runs`]).
-    pub fn simulate_job_shuffle(
         &self,
         model: &JobCostModel,
         map_costs: &[f64],
@@ -358,7 +295,7 @@ impl ClusterSpec {
         }
     }
 
-    /// [`ClusterSpec::simulate_job_shuffle`] that also emits a
+    /// [`ClusterSpec::simulate_job`] that also emits a
     /// *simulated-time* trace into `tracer`: per-job overhead as an
     /// explicit span, one launch-overhead + body span pair per
     /// scheduled task slot (recovery re-executions categorized as
@@ -367,7 +304,7 @@ impl ClusterSpec {
     /// seconds rendered as nanoseconds since `start_s` — fully
     /// deterministic, and the spans tile every loaded lane without
     /// gaps, so the critical path reconstructs the report's makespan
-    /// exactly. Returns the same report `simulate_job_shuffle` would.
+    /// exactly. Returns the same report `simulate_job` would.
     #[allow(clippy::too_many_arguments)]
     pub fn simulate_job_traced(
         &self,
@@ -610,6 +547,15 @@ impl ClusterSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrmc_chaos::RecoveryCounters;
+
+    /// A shuffle of `n` records priced on the record axis only.
+    fn records(n: u64) -> ShuffleVolume {
+        ShuffleVolume {
+            records: n,
+            ..Default::default()
+        }
+    }
 
     #[test]
     fn lpt_basics() {
@@ -643,7 +589,13 @@ mod tests {
         let mut prev = f64::INFINITY;
         for nodes in 2..=12 {
             let t = ClusterSpec::m1_large(nodes)
-                .simulate_job(&model, &map_costs, 1_000_000, &reduce_costs)
+                .simulate_job(
+                    &model,
+                    &map_costs,
+                    records(1_000_000),
+                    &reduce_costs,
+                    RecoveryCounters::new(),
+                )
                 .total();
             assert!(t <= prev + 1e-9, "nodes={nodes}: {t} > {prev}");
             prev = t;
@@ -656,10 +608,22 @@ mod tests {
         // 1000-read line).
         let model = JobCostModel::default();
         let t2 = ClusterSpec::m1_large(2)
-            .simulate_job(&model, &[0.5], 100, &[0.1])
+            .simulate_job(
+                &model,
+                &[0.5],
+                records(100),
+                &[0.1],
+                RecoveryCounters::new(),
+            )
             .total();
         let t12 = ClusterSpec::m1_large(12)
-            .simulate_job(&model, &[0.5], 100, &[0.1])
+            .simulate_job(
+                &model,
+                &[0.5],
+                records(100),
+                &[0.1],
+                RecoveryCounters::new(),
+            )
             .total();
         assert!((t2 - t12).abs() < 0.01, "t2={t2} t12={t12}");
     }
@@ -667,7 +631,13 @@ mod tests {
     #[test]
     fn overhead_floors_runtime() {
         let model = JobCostModel::default();
-        let r = ClusterSpec::m1_large(12).simulate_job(&model, &[], 0, &[]);
+        let r = ClusterSpec::m1_large(12).simulate_job(
+            &model,
+            &[],
+            records(0),
+            &[],
+            RecoveryCounters::new(),
+        );
         assert!((r.total() - model.job_overhead).abs() < 1e-12);
     }
 
@@ -677,8 +647,20 @@ mod tests {
             shuffle_record_cost: 1e-3,
             ..Default::default()
         };
-        let r4 = ClusterSpec::m1_large(4).simulate_job(&model, &[], 10_000, &[]);
-        let r8 = ClusterSpec::m1_large(8).simulate_job(&model, &[], 10_000, &[]);
+        let r4 = ClusterSpec::m1_large(4).simulate_job(
+            &model,
+            &[],
+            records(10_000),
+            &[],
+            RecoveryCounters::new(),
+        );
+        let r8 = ClusterSpec::m1_large(8).simulate_job(
+            &model,
+            &[],
+            records(10_000),
+            &[],
+            RecoveryCounters::new(),
+        );
         assert!((r4.shuffle_time / r8.shuffle_time - 2.0).abs() < 1e-9);
     }
 
@@ -748,9 +730,27 @@ mod tests {
         };
         let costs = vec![5.0; 16];
         let cluster = ClusterSpec::m1_large(4);
-        let clean = cluster.simulate_job(&base, &costs, 0, &[]).total();
-        let slow = cluster.simulate_job(&straggling, &costs, 0, &[]).total();
-        let rescued = cluster.simulate_job(&speculative, &costs, 0, &[]).total();
+        let clean = cluster
+            .simulate_job(&base, &costs, records(0), &[], RecoveryCounters::new())
+            .total();
+        let slow = cluster
+            .simulate_job(
+                &straggling,
+                &costs,
+                records(0),
+                &[],
+                RecoveryCounters::new(),
+            )
+            .total();
+        let rescued = cluster
+            .simulate_job(
+                &speculative,
+                &costs,
+                records(0),
+                &[],
+                RecoveryCounters::new(),
+            )
+            .total();
         assert!(
             slow > clean * 1.5,
             "straggler must dominate: {slow} vs {clean}"
@@ -770,8 +770,16 @@ mod tests {
         let costs = vec![2.0, 3.0, 1.0];
         let c = ClusterSpec::m1_large(2);
         assert_eq!(
-            c.simulate_job(&base, &costs, 10, &[]).total(),
-            c.simulate_job(&with_spec, &costs, 10, &[]).total()
+            c.simulate_job(&base, &costs, records(10), &[], RecoveryCounters::new())
+                .total(),
+            c.simulate_job(
+                &with_spec,
+                &costs,
+                records(10),
+                &[],
+                RecoveryCounters::new()
+            )
+            .total()
         );
     }
 
@@ -780,28 +788,19 @@ mod tests {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(2);
         let costs = vec![2.0; 8];
-        let clean = cluster.simulate_job(&model, &costs, 0, &[]);
-        let recovery = mrmc_chaos::RecoveryCounters {
+        let clean = cluster.simulate_job(&model, &costs, records(0), &[], RecoveryCounters::new());
+        let recovery = RecoveryCounters {
             tasks_retried: 2,
             maps_reexecuted_node_loss: 4,
-            ..mrmc_chaos::RecoveryCounters::new()
+            ..RecoveryCounters::new()
         };
-        let recovered = cluster.simulate_job_recovered(&model, &costs, 0, &[], recovery);
+        let recovered = cluster.simulate_job(&model, &costs, records(0), &[], recovery);
         assert!(
             recovered.map_time > clean.map_time,
             "6 extra executions on 4 slots must lengthen the map phase"
         );
         assert_eq!(recovered.recovery, recovery);
         assert!(clean.recovery.is_clean());
-        // Zero recovery must be the identity.
-        let same = cluster.simulate_job_recovered(
-            &model,
-            &costs,
-            0,
-            &[],
-            mrmc_chaos::RecoveryCounters::new(),
-        );
-        assert_eq!(same, clean);
     }
 
     #[test]
@@ -812,12 +811,16 @@ mod tests {
             ..Default::default()
         };
         let cluster = ClusterSpec::m1_large(4);
-        let clean = mrmc_chaos::RecoveryCounters::new();
-        let narrow = cluster.simulate_job_bytes(&model, &[], 1_000, 8_000, &[], clean);
-        let wide = cluster.simulate_job_bytes(&model, &[], 1_000, 80_000, &[], clean);
+        let vol = |bytes| ShuffleVolume {
+            records: 1_000,
+            bytes,
+            runs: 0,
+        };
+        let narrow = cluster.simulate_job(&model, &[], vol(8_000), &[], RecoveryCounters::new());
+        let wide = cluster.simulate_job(&model, &[], vol(80_000), &[], RecoveryCounters::new());
         assert!((wide.shuffle_time / narrow.shuffle_time - 10.0).abs() < 1e-9);
-        // Zero bytes reduces to the record-only model.
-        let record_only = cluster.simulate_job(&model, &[], 1_000, &[]);
+        // Zero bytes leaves only the (here free) record term.
+        let record_only = cluster.simulate_job(&model, &[], vol(0), &[], RecoveryCounters::new());
         assert_eq!(record_only.shuffle_time, 0.0);
     }
 
@@ -830,21 +833,22 @@ mod tests {
             ..Default::default()
         };
         let cluster = ClusterSpec::m1_large(4);
-        let clean = mrmc_chaos::RecoveryCounters::new();
         let vol = |runs| ShuffleVolume {
             records: 1_000,
             bytes: 8_000,
             runs,
         };
-        let few = cluster.simulate_job_shuffle(&model, &[], vol(8), &[], clean);
-        let many = cluster.simulate_job_shuffle(&model, &[], vol(80), &[], clean);
+        let few = cluster.simulate_job(&model, &[], vol(8), &[], RecoveryCounters::new());
+        let many = cluster.simulate_job(&model, &[], vol(80), &[], RecoveryCounters::new());
         assert!((many.shuffle_time / few.shuffle_time - 10.0).abs() < 1e-9);
-        // Zero runs reduces exactly to the bytes-aware model.
-        let zero = cluster.simulate_job_shuffle(&model, &[], vol(0), &[], clean);
-        let bytes_only = cluster.simulate_job_bytes(&model, &[], 1_000, 8_000, &[], clean);
-        assert_eq!(zero, bytes_only);
         // The run term shares aggregate bandwidth: more nodes, faster copy.
-        let wide = ClusterSpec::m1_large(8).simulate_job_shuffle(&model, &[], vol(80), &[], clean);
+        let wide = ClusterSpec::m1_large(8).simulate_job(
+            &model,
+            &[],
+            vol(80),
+            &[],
+            RecoveryCounters::new(),
+        );
         assert!((many.shuffle_time / wide.shuffle_time - 2.0).abs() < 1e-9);
     }
 

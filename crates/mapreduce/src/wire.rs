@@ -670,10 +670,7 @@ impl RunArena {
 impl<K> TaskContext<K, IdRun> {
     /// Emit `(key, IdRun::singleton(id))` through the per-task arena.
     pub fn emit_singleton_run(&mut self, key: K, id: u32) {
-        let chunk_bytes = self.arena_chunk_bytes;
-        let arena = self
-            .arena
-            .get_or_insert_with(|| RunArena::with_chunk_size(chunk_bytes));
+        let arena = self.arena.get_or_insert_with(RunArena::new);
         arena.push_singleton(id);
         self.pending_keys.push(key);
         self.flush_pending = Some(TaskContext::<K, IdRun>::flush_arena_runs);

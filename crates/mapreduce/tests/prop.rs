@@ -6,9 +6,17 @@ use bytes::Bytes;
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig, FastaSplitReader};
 use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
 use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
-use mrmc_mapreduce::simcluster::{lpt_makespan, ClusterSpec, JobCostModel};
-use mrmc_mapreduce::RecoveryCounters;
+use mrmc_mapreduce::simcluster::{lpt_makespan, ClusterSpec, JobCostModel, ShuffleVolume};
+use mrmc_mapreduce::{RecoveryCounters, Tracer};
 use std::collections::HashMap;
+
+/// A shuffle of `n` records priced on the record axis only.
+fn records(n: u64) -> ShuffleVolume {
+    ShuffleVolume {
+        records: n,
+        ..Default::default()
+    }
+}
 
 struct WcMapper;
 impl Mapper for WcMapper {
@@ -162,7 +170,9 @@ proptest! {
     ) {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(nodes);
-        let report = cluster.simulate_job(&model, &map_costs, shuffled, &reduce_costs);
+        let report = cluster.simulate_job(
+            &model, &map_costs, records(shuffled), &reduce_costs, RecoveryCounters::new(),
+        );
 
         let max_map = map_costs.iter().cloned().fold(0.0, f64::max);
         let map_work: f64 =
@@ -193,36 +203,51 @@ proptest! {
         let mut prev = f64::INFINITY;
         for nodes in 1..=12 {
             let total = ClusterSpec::m1_large(nodes)
-                .simulate_job(&model, &map_costs, shuffled, &reduce_costs)
+                .simulate_job(
+                    &model, &map_costs, records(shuffled), &reduce_costs, RecoveryCounters::new(),
+                )
                 .total();
             prop_assert!(total <= prev + 1e-9, "{nodes} nodes: {total} > {prev}");
             prev = total;
         }
     }
 
-    /// Recovery work is never free: a job that retried or re-executed
-    /// maps takes at least as long as its clean counterpart, and a
-    /// clean ledger changes nothing.
+    /// Nothing the cost model prices is free: adding recovery work,
+    /// shuffle bytes or shuffle runs to a job never makes it cheaper,
+    /// and the traced simulation reports exactly what the untraced one
+    /// does.
     #[test]
-    fn sim_job_recovery_never_cheaper(
+    fn sim_job_monotone_in_recovery_bytes_and_runs(
         map_costs in proptest::collection::vec(0.01f64..20.0, 1..30),
         nodes in 1usize..13,
         retried in 0u64..6,
         reexecuted in 0u64..6,
+        bytes in 0u64..50_000_000,
+        runs in 0u64..500,
     ) {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(nodes);
-        let clean = cluster.simulate_job(&model, &map_costs, 0, &[]);
+        let base = cluster.simulate_job(
+            &model, &map_costs, records(1_000), &[], RecoveryCounters::new(),
+        );
         let ledger = RecoveryCounters {
             tasks_retried: retried,
             maps_reexecuted_node_loss: reexecuted,
             ..RecoveryCounters::new()
         };
-        let recovered = cluster.simulate_job_recovered(&model, &map_costs, 0, &[], ledger);
-        prop_assert!(recovered.total() >= clean.total() - 1e-9);
-        let idle = cluster.simulate_job_recovered(
-            &model, &map_costs, 0, &[], RecoveryCounters::new(),
+        let recovered = cluster.simulate_job(&model, &map_costs, records(1_000), &[], ledger);
+        prop_assert!(recovered.total() >= base.total() - 1e-9);
+
+        let wide = ShuffleVolume { bytes, ..records(1_000) };
+        let widened = cluster.simulate_job(&model, &map_costs, wide, &[], ledger);
+        prop_assert!(widened.total() >= recovered.total() - 1e-9);
+        let fetched = ShuffleVolume { runs, ..wide };
+        let full = cluster.simulate_job(&model, &map_costs, fetched, &[], ledger);
+        prop_assert!(full.total() >= widened.total() - 1e-9);
+
+        let traced = cluster.simulate_job_traced(
+            &model, &map_costs, fetched, &[], ledger, &Tracer::new(), "prop", 0.0,
         );
-        prop_assert!((idle.total() - clean.total()).abs() < 1e-12);
+        prop_assert_eq!(traced, full);
     }
 }

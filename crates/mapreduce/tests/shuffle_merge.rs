@@ -10,10 +10,12 @@
 //! key distributions, skewed partitions, and empty partitions, with
 //! and without a combiner, and under injected faults.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use mrmc_chaos::{FaultPlan, Phase};
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner, run_job_with_faults};
+use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
 use mrmc_mapreduce::job::{partition_of, Combiner, JobConfig, Mapper, Reducer, TaskContext};
 
 /// The pre-sort-merge data plane, run sequentially: chunk exactly like
@@ -236,9 +238,8 @@ proptest! {
             .task_slowdown(0, Phase::Map, (panicking_map + 1) % num_maps, 20)
             .node_death_after_map(0, dead_node)
             .shuffle_fetch_fail(0, lost_map, 1, 5);
-        let got = run_job_with_faults(
-            input, num_maps, &mapper, &CollectReducer, &cfg, &plan.injector(),
-        ).unwrap();
+        let cfg = cfg.with_faults(Arc::new(plan.injector()));
+        let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
         prop_assert_eq!(got.output, expect);
         prop_assert!(got.recovery.tasks_retried >= 1);
         prop_assert_eq!(got.recovery.maps_reexecuted_fetch_fail, 1);

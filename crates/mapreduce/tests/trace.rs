@@ -18,11 +18,11 @@
 use std::sync::Arc;
 
 use mrmc_chaos::{FaultPlan, Phase};
-use mrmc_mapreduce::engine::run_job_with_faults;
+use mrmc_mapreduce::engine::run_job;
 use mrmc_mapreduce::job::{Counters, JobConfig, Mapper, Reducer, ShuffleSized, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::simcluster::{ClusterSpec, JobCostModel, ShuffleVolume};
-use mrmc_mapreduce::{critical_path, NoFaults, RecoveryCounters, Tracer};
+use mrmc_mapreduce::{critical_path, RecoveryCounters, Tracer};
 
 struct Tokenize;
 impl Mapper for Tokenize {
@@ -89,10 +89,10 @@ fn hush_injected_panics() {
 #[test]
 fn tracing_is_passive() {
     let config = JobConfig::named("wc").reducers(4).nodes(6);
-    let plain = run_job_with_faults(input(), 6, &Tokenize, &Sum, &config, &NoFaults).unwrap();
+    let plain = run_job(input(), 6, &Tokenize, &Sum, &config).unwrap();
     let tracer = Arc::new(Tracer::new());
     let traced_cfg = config.traced(tracer.clone());
-    let traced = run_job_with_faults(input(), 6, &Tokenize, &Sum, &traced_cfg, &NoFaults).unwrap();
+    let traced = run_job(input(), 6, &Tokenize, &Sum, &traced_cfg).unwrap();
     assert_eq!(plain.output, traced.output);
     assert_eq!(plain.counters.snapshot(), traced.counters.snapshot());
     assert_eq!(plain.recovery, traced.recovery);
@@ -119,16 +119,9 @@ fn ledger_signature_stable_across_worker_counts_under_faults() {
             .nodes(6)
             .attempts(4)
             .workers(workers)
-            .traced(tracer.clone());
-        let run = run_job_with_faults(
-            input(),
-            6,
-            &Tokenize,
-            &Sum,
-            &config,
-            &chaotic_plan().injector(),
-        )
-        .unwrap();
+            .traced(tracer.clone())
+            .with_faults(Arc::new(chaotic_plan().injector()));
+        let run = run_job(input(), 6, &Tokenize, &Sum, &config).unwrap();
         let mut output = run.output;
         output.sort();
         outputs.push(output);
@@ -161,9 +154,9 @@ fn seeded_chaos_plan_pins_the_metrics_snapshot() {
     hush_injected_panics();
     let snapshot_text = |seed: u64| {
         let plan = FaultPlan::random(seed, &mrmc_chaos::ChaosProfile::default());
-        let mut pipeline = Pipeline::new("chaos-metrics");
+        let mut pipeline = Pipeline::new("chaos-metrics").with_faults(Arc::new(plan.injector()));
         pipeline
-            .run_stage_with_faults(
+            .run_stage(
                 input(),
                 5,
                 &Tokenize,
@@ -172,7 +165,6 @@ fn seeded_chaos_plan_pins_the_metrics_snapshot() {
                     .reducers(3)
                     .nodes(6)
                     .attempts(4),
-                &plan.injector(),
             )
             .unwrap();
         let metrics = mrmc_obs::MetricsRegistry::new();
@@ -197,16 +189,9 @@ fn repeated_chaotic_runs_yield_identical_ledgers() {
             .reducers(3)
             .nodes(6)
             .attempts(4)
-            .traced(tracer.clone());
-        run_job_with_faults(
-            input(),
-            5,
-            &Tokenize,
-            &Sum,
-            &config,
-            &chaotic_plan().injector(),
-        )
-        .unwrap();
+            .traced(tracer.clone())
+            .with_faults(Arc::new(chaotic_plan().injector()));
+        run_job(input(), 5, &Tokenize, &Sum, &config).unwrap();
         tracer.ledger().signature()
     };
     assert_eq!(run(), run());
@@ -230,8 +215,7 @@ fn critical_path_matches_simulated_makespan_on_synthetic_schedules() {
 
     for nodes in [2, 4, 6, 12] {
         let cluster = ClusterSpec::m1_large(nodes);
-        let untraced =
-            cluster.simulate_job_shuffle(&model, &map_costs, volume, &reduce_costs, recovery);
+        let untraced = cluster.simulate_job(&model, &map_costs, volume, &reduce_costs, recovery);
         let tracer = Tracer::new();
         let traced = cluster.simulate_job_traced(
             &model,

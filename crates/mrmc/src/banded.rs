@@ -39,7 +39,6 @@
 //! clustering built from it) bit-identical across formats.
 
 use mrmc_cluster::SparseSimGraph;
-use mrmc_mapreduce::chaos::{FaultInjector, NoFaults};
 use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::wire::{uvarint_len, BandKeyCodec, IdRun};
@@ -353,37 +352,25 @@ pub fn banded_candidates(
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<Vec<(u32, u32)>, MrError> {
-    banded_candidates_with(sketches, config, pipeline, &NoFaults)
-}
-
-/// [`banded_candidates`] under a fault injector.
-pub fn banded_candidates_with(
-    sketches: &[Sketch],
-    config: &MrMcConfig,
-    pipeline: &mut Pipeline,
-    injector: &dyn FaultInjector,
-) -> Result<Vec<(u32, u32)>, MrError> {
     ensure_read_ids_fit(sketches.len())?;
     let scheme = config.banding_scheme();
     let input: Vec<(usize, ())> = (0..sketches.len()).map(|i| (i, ())).collect();
     let deduped = match config.wire {
         WireFormat::Raw => {
             let mapper = BandSignatureMapper { scheme, sketches };
-            let bucket_pairs = pipeline.run_stage_with_faults(
+            let bucket_pairs = pipeline.run_stage(
                 input,
                 config.map_tasks,
                 &mapper,
                 &BucketPairReducer,
                 &job_for(config, "band-signatures"),
-                injector,
             )?;
-            pipeline.run_stage_with_faults(
+            pipeline.run_stage(
                 bucket_pairs,
                 config.map_tasks,
                 &PairIdentityMapper,
                 &DedupReducer,
                 &job_for(config, "candidate-dedup"),
-                injector,
             )?
         }
         WireFormat::Compact { sig_bits } => {
@@ -393,21 +380,20 @@ pub fn banded_candidates_with(
                 codec,
                 sketches,
             };
-            let mut bucket_pairs = pipeline.run_stage_with_combiner_and_faults(
+            let mut bucket_pairs = pipeline.run_stage_with_combiner(
                 input,
                 config.map_tasks,
                 &mapper,
                 &IdRunCombiner,
                 &CompactBucketReducer,
                 &job_for(config, "band-signatures"),
-                injector,
             )?;
             // Total-order handoff: sorting the pair stream makes
             // cross-band duplicates of the same pair adjacent, so the
             // stage-2 input splits hand them to one map task and the
             // combiner eliminates them before they reach the wire.
             bucket_pairs.sort_unstable();
-            pipeline.run_stage_with_combiner_and_faults(
+            pipeline.run_stage_with_combiner(
                 bucket_pairs,
                 config.map_tasks,
                 &NeighborRunMapper {
@@ -416,7 +402,6 @@ pub fn banded_candidates_with(
                 &IdRunCombinerU32,
                 &NeighborDedupReducer,
                 &job_for(config, "candidate-dedup"),
-                injector,
             )?
         }
     };
@@ -434,17 +419,7 @@ pub fn banded_graph_stage(
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<SparseSimGraph, MrError> {
-    banded_graph_stage_with(sketches, config, pipeline, &NoFaults)
-}
-
-/// [`banded_graph_stage`] under a fault injector.
-pub fn banded_graph_stage_with(
-    sketches: &[Sketch],
-    config: &MrMcConfig,
-    pipeline: &mut Pipeline,
-    injector: &dyn FaultInjector,
-) -> Result<SparseSimGraph, MrError> {
-    let candidates = banded_candidates_with(sketches, config, pipeline, injector)?;
+    let candidates = banded_candidates(sketches, config, pipeline)?;
     let mapper = VerifyMapper {
         sketches,
         config: *config,
@@ -453,13 +428,8 @@ pub fn banded_graph_stage_with(
     // More, smaller tasks than the banding stages — verification is
     // the compute-heavy step, like the dense row blocks.
     let tasks = (config.map_tasks * 4).min(input.len().max(1));
-    let edges = pipeline.run_map_stage_with_faults(
-        input,
-        tasks,
-        &mapper,
-        &job_for(config, "candidate-verify"),
-        injector,
-    )?;
+    let edges =
+        pipeline.run_map_stage(input, tasks, &mapper, &job_for(config, "candidate-verify"))?;
     Ok(SparseSimGraph::from_edges(
         sketches.len(),
         edges.into_iter().map(|((i, j), s)| (i, j, s)),

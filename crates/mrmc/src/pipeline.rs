@@ -6,14 +6,14 @@ use mrmc_cluster::{
     agglomerative, agglomerative_sparse, greedy_cluster, greedy_cluster_sparse, ClusterAssignment,
     Dendrogram,
 };
-use mrmc_mapreduce::chaos::{FaultInjector, NoFaults, RecoveryCounters};
+use mrmc_mapreduce::chaos::RecoveryCounters;
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
 use mrmc_seqio::SeqRecord;
 
-use crate::banded::banded_graph_stage_with;
+use crate::banded::banded_graph_stage;
 use crate::config::{CandidateGen, Mode, MrMcConfig};
-use crate::stages::{similarity_matrix_stage_with, sketch_similarity, sketch_stage_with};
+use crate::stages::{similarity_matrix_stage, sketch_similarity, sketch_stage};
 
 /// Result of a MrMC-MinH run.
 #[derive(Debug)]
@@ -96,53 +96,31 @@ impl MrMcMinH {
         &self.config
     }
 
-    /// Cluster the reads.
+    /// Cluster the reads on a fresh pipeline: no faults, no tracing.
     pub fn run(&self, reads: &[SeqRecord]) -> Result<MrMcResult, MrError> {
-        self.run_with_injector(reads, &NoFaults)
-    }
-
-    /// Cluster the reads while a [`FaultInjector`] disrupts the
-    /// Map-Reduce substrate. The clustering output must be bit-identical
-    /// to a fault-free run whenever recovery succeeds; the price paid
-    /// is visible in [`MrMcResult::recovery`].
-    pub fn run_with_injector(
-        &self,
-        reads: &[SeqRecord],
-        injector: &dyn FaultInjector,
-    ) -> Result<MrMcResult, MrError> {
-        self.run_inner(reads, injector, None)
-    }
-
-    /// Cluster the reads while recording a structured trace of every
-    /// Map-Reduce stage into `tracer` (task attempts, shuffle runs,
-    /// combiner activity, recovery actions). Tracing is passive: the
-    /// clustering output is bit-identical to an untraced run.
-    pub fn run_traced(
-        &self,
-        reads: &[SeqRecord],
-        injector: &dyn FaultInjector,
-        tracer: std::sync::Arc<mrmc_mapreduce::Tracer>,
-    ) -> Result<MrMcResult, MrError> {
-        self.run_inner(reads, injector, Some(tracer))
-    }
-
-    fn run_inner(
-        &self,
-        reads: &[SeqRecord],
-        injector: &dyn FaultInjector,
-        tracer: Option<std::sync::Arc<mrmc_mapreduce::Tracer>>,
-    ) -> Result<MrMcResult, MrError> {
-        let start = Instant::now();
-        let mut pipeline = Pipeline::new(match self.config.mode {
+        let name = match self.config.mode {
             Mode::Greedy => "mrmc-minh-g",
             Mode::Hierarchical => "mrmc-minh-h",
-        });
-        if let Some(tracer) = tracer {
-            pipeline = pipeline.traced(tracer);
-        }
+        };
+        self.run_on(reads, Pipeline::new(name))
+    }
+
+    /// Cluster the reads, running every Map-Reduce stage on `pipeline`.
+    /// Attach a tracer ([`Pipeline::traced`]) to record a structured
+    /// trace of every stage, and/or a fault injector
+    /// ([`Pipeline::with_faults`]) to disrupt the substrate. Both are
+    /// invisible in the output: the clustering is bit-identical to
+    /// [`MrMcMinH::run`] whenever recovery succeeds, and the price paid
+    /// is visible in [`MrMcResult::recovery`].
+    pub fn run_on(
+        &self,
+        reads: &[SeqRecord],
+        mut pipeline: Pipeline,
+    ) -> Result<MrMcResult, MrError> {
+        let start = Instant::now();
 
         // Stage 1: minwise sketches (map-only over records).
-        let sketches = sketch_stage_with(reads, &self.config, &mut pipeline, injector)?;
+        let sketches = sketch_stage(reads, &self.config, &mut pipeline)?;
 
         let cluster_start = Instant::now();
         let (assignment, dendrogram) = match (self.config.mode, self.config.candidates) {
@@ -160,8 +138,7 @@ impl MrMcMinH {
                 // tests `sim ≥ θ`, so the sparse run is identical to
                 // dense whenever the graph holds every θ-pair (the
                 // auto-tuned scheme's guarantee).
-                let graph =
-                    banded_graph_stage_with(&sketches, &self.config, &mut pipeline, injector)?;
+                let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
                 (
                     greedy_cluster_sparse(&graph, self.config.theta).compact(),
                     None,
@@ -170,8 +147,7 @@ impl MrMcMinH {
             (Mode::Hierarchical, CandidateGen::Dense) => {
                 // Algorithm 2 — all-pairs matrix via row partitioning,
                 // then agglomerative clustering with θ cutoff.
-                let matrix =
-                    similarity_matrix_stage_with(sketches, &self.config, &mut pipeline, injector)?;
+                let matrix = similarity_matrix_stage(sketches, &self.config, &mut pipeline)?;
                 let (assignment, dendro) =
                     agglomerative(&matrix, self.config.linkage, self.config.theta);
                 (assignment.compact(), Some(dendro))
@@ -181,8 +157,7 @@ impl MrMcMinH {
                 // as similarity 0): the θ-cut matches dense on corpora
                 // whose clusters are θ-separated; sub-θ merges follow
                 // single-linkage-at-θ semantics.
-                let graph =
-                    banded_graph_stage_with(&sketches, &self.config, &mut pipeline, injector)?;
+                let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
                 let (assignment, dendro) =
                     agglomerative_sparse(&graph, self.config.linkage, self.config.theta);
                 (assignment.compact(), Some(dendro))
@@ -411,6 +386,7 @@ mod tests {
     #[test]
     fn chaos_run_bit_identical_to_clean_run() {
         use mrmc_mapreduce::chaos::{FaultPlan, Phase};
+        use std::sync::Arc;
 
         let (reads, _) = two_species(40, 8);
         let runner = MrMcMinH::new(config(Mode::Hierarchical, 0.55));
@@ -423,7 +399,9 @@ mod tests {
             .task_slowdown(1, Phase::Map, 0, 15)
             .node_death_after_map(0, 2)
             .injector();
-        let chaotic = runner.run_with_injector(&reads, &inj).unwrap();
+        let chaotic = runner
+            .run_on(&reads, Pipeline::new("chaos").with_faults(Arc::new(inj)))
+            .unwrap();
         assert_eq!(chaotic.assignment, clean.assignment);
         assert_eq!(chaotic.dendrogram, clean.dendrogram);
         let rec = chaotic.recovery();
@@ -435,7 +413,7 @@ mod tests {
 
     #[test]
     fn traced_run_bit_identical_with_deterministic_ledger() {
-        use mrmc_mapreduce::chaos::{FaultPlan, NoFaults, Phase};
+        use mrmc_mapreduce::chaos::{FaultPlan, Phase};
         use mrmc_mapreduce::Tracer;
         use std::sync::Arc;
 
@@ -445,11 +423,15 @@ mod tests {
 
         // Tracing a clean run is passive and its ledger replays.
         let t1 = Arc::new(Tracer::new());
-        let traced = runner.run_traced(&reads, &NoFaults, t1.clone()).unwrap();
+        let traced = runner
+            .run_on(&reads, Pipeline::new("traced").traced(t1.clone()))
+            .unwrap();
         assert_eq!(traced.assignment, plain.assignment);
         assert_eq!(traced.dendrogram, plain.dendrogram);
         let t2 = Arc::new(Tracer::new());
-        runner.run_traced(&reads, &NoFaults, t2.clone()).unwrap();
+        runner
+            .run_on(&reads, Pipeline::new("traced").traced(t2.clone()))
+            .unwrap();
         assert_eq!(t1.ledger().signature(), t2.ledger().signature());
         // One ledger job per MR stage (sketch + similarity).
         assert_eq!(t1.ledger().jobs.len(), 2);
@@ -460,15 +442,17 @@ mod tests {
             .task_panic(0, Phase::Map, 1, 2)
             .task_slowdown(1, Phase::Map, 0, 15)
             .node_death_after_map(0, 2);
+        let chaotic_traced = |tracer: &Arc<Tracer>| {
+            let pipeline = Pipeline::new("chaos")
+                .traced(tracer.clone())
+                .with_faults(Arc::new(plan.clone().injector()));
+            runner.run_on(&reads, pipeline).unwrap()
+        };
         let c1 = Arc::new(Tracer::new());
-        let chaotic = runner
-            .run_traced(&reads, &plan.clone().injector(), c1.clone())
-            .unwrap();
+        let chaotic = chaotic_traced(&c1);
         assert_eq!(chaotic.assignment, plain.assignment);
         let c2 = Arc::new(Tracer::new());
-        runner
-            .run_traced(&reads, &plan.injector(), c2.clone())
-            .unwrap();
+        chaotic_traced(&c2);
         assert_eq!(c1.ledger().signature(), c2.ledger().signature());
         // The chaotic ledger differs from the clean one (it carries
         // the recovery spans) but shares the job structure.

@@ -11,7 +11,7 @@
 
 use std::time::Instant;
 
-use mrmc_mapreduce::{ClusterSpec, JobCostModel};
+use mrmc_mapreduce::{ClusterSpec, JobCostModel, RecoveryCounters, ShuffleVolume};
 use mrmc_minhash::{positional_similarity, MinHasher};
 use mrmc_seqio::SeqRecord;
 
@@ -94,14 +94,7 @@ impl CostCalibration {
         let total_sketch = num_reads as f64 * self.sketch_per_read;
         let sketch_costs = vec![total_sketch / map_tasks as f64; map_tasks];
         let sketch_bytes = (num_reads as f64 * self.shuffle_bytes_per_read) as u64;
-        let job1 = cluster.simulate_job_bytes(
-            model,
-            &sketch_costs,
-            num_reads,
-            sketch_bytes,
-            &[],
-            mrmc_mapreduce::chaos::RecoveryCounters::new(),
-        );
+        let job1 = job_seconds(&cluster, model, &sketch_costs, num_reads, sketch_bytes);
 
         // Job 2: all-pairs similarity, row-partitioned. The real stage
         // cuts row blocks on pair counts (`balanced_row_blocks` in
@@ -111,9 +104,9 @@ impl CostCalibration {
         let total_sim = pairs * self.sim_per_pair;
         let sim_tasks = (map_tasks * 4).max(1);
         let sim_costs = vec![total_sim / sim_tasks as f64; sim_tasks];
-        let job2 = cluster.simulate_job(model, &sim_costs, num_reads, &[]);
+        let job2 = job_seconds(&cluster, model, &sim_costs, num_reads, 0);
 
-        job1.total() + job2.total()
+        job1 + job2
     }
 
     /// Simulated total runtime (seconds) of the *banded* hierarchical
@@ -131,15 +124,13 @@ impl CostCalibration {
         model: &JobCostModel,
     ) -> f64 {
         let cluster = ClusterSpec::m1_large(nodes);
-        let clean = mrmc_mapreduce::chaos::RecoveryCounters::new;
         let map_tasks = ((num_reads / 65_536).max(1) as usize).max(cluster.map_slots() * 2);
 
         // Job 1: sketching (as in the dense pipeline).
         let total_sketch = num_reads as f64 * self.sketch_per_read;
         let sketch_costs = vec![total_sketch / map_tasks as f64; map_tasks];
         let sketch_bytes = (num_reads as f64 * self.shuffle_bytes_per_read) as u64;
-        let job1 =
-            cluster.simulate_job_bytes(model, &sketch_costs, num_reads, sketch_bytes, &[], clean());
+        let job1 = job_seconds(&cluster, model, &sketch_costs, num_reads, sketch_bytes);
 
         // Job 2: band signatures — `bands` narrow records per read
         // cross the shuffle (a (band, signature) key plus a read id,
@@ -147,38 +138,43 @@ impl CostCalibration {
         let sig_records = num_reads * bands.max(1) as u64;
         let total_sig = num_reads as f64 * self.sig_per_read;
         let sig_costs = vec![total_sig / map_tasks as f64; map_tasks];
-        let job2 = cluster.simulate_job_bytes(
-            model,
-            &sig_costs,
-            sig_records,
-            sig_records * 16,
-            &[],
-            clean(),
-        );
+        let job2 = job_seconds(&cluster, model, &sig_costs, sig_records, sig_records * 16);
 
         // Job 3: candidate dedup — shuffle-bound, one narrow record
         // per bucket pair (duplicates across bands included; the
         // candidate count is the post-dedup floor, so this is a mild
         // underestimate biased *against* the banded path's win).
         let dedup_costs = vec![0.0; map_tasks];
-        let job3 = cluster.simulate_job_bytes(
-            model,
-            &dedup_costs,
-            candidates,
-            candidates * 8,
-            &[],
-            clean(),
-        );
+        let job3 = job_seconds(&cluster, model, &dedup_costs, candidates, candidates * 8);
 
         // Job 4: verification — the dense similarity kernel, but only
         // over candidates (map-only, no shuffle).
         let total_verify = candidates as f64 * self.sim_per_pair;
         let verify_tasks = (map_tasks * 4).max(1);
         let verify_costs = vec![total_verify / verify_tasks as f64; verify_tasks];
-        let job4 = cluster.simulate_job(model, &verify_costs, 0, &[]);
+        let job4 = job_seconds(&cluster, model, &verify_costs, 0, 0);
 
-        job1.total() + job2.total() + job3.total() + job4.total()
+        job1 + job2 + job3 + job4
     }
+}
+
+/// Simulated seconds of one fault-free job whose cost is its map tasks
+/// plus a shuffle of `records` records occupying `bytes` bytes.
+fn job_seconds(
+    cluster: &ClusterSpec,
+    model: &JobCostModel,
+    map_costs: &[f64],
+    records: u64,
+    bytes: u64,
+) -> f64 {
+    let volume = ShuffleVolume {
+        records,
+        bytes,
+        ..Default::default()
+    };
+    cluster
+        .simulate_job(model, map_costs, volume, &[], RecoveryCounters::new())
+        .total()
 }
 
 /// One point of the Figure 2 grid.

@@ -11,7 +11,6 @@
 //! rows of the condensed matrix.
 
 use mrmc_cluster::CondensedMatrix;
-use mrmc_mapreduce::chaos::{FaultInjector, NoFaults};
 use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
@@ -48,22 +47,12 @@ impl Mapper for SketchMapper<'_> {
 }
 
 /// Run the sketching stage on the Map-Reduce substrate. Output order
-/// matches input order.
+/// matches input order. Tasks get the Hadoop default attempt budget
+/// (4), so faults injected through the pipeline are survivable.
 pub fn sketch_stage(
     reads: &[SeqRecord],
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
-) -> Result<Vec<Sketch>, MrError> {
-    sketch_stage_with(reads, config, pipeline, &NoFaults)
-}
-
-/// [`sketch_stage`] under a fault injector. Tasks get the Hadoop
-/// default attempt budget (4), so injected panics are survivable.
-pub fn sketch_stage_with(
-    reads: &[SeqRecord],
-    config: &MrMcConfig,
-    pipeline: &mut Pipeline,
-    injector: &dyn FaultInjector,
 ) -> Result<Vec<Sketch>, MrError> {
     let mut hasher = MinHasher::for_kmer_size(config.kmer, config.num_hashes, config.seed);
     if config.canonical {
@@ -75,8 +64,7 @@ pub fn sketch_stage_with(
     if let Some(w) = config.workers {
         job = job.workers(w);
     }
-    let out =
-        pipeline.run_map_stage_with_faults(input, config.map_tasks, &mapper, &job, injector)?;
+    let out = pipeline.run_map_stage(input, config.map_tasks, &mapper, &job)?;
     Ok(out.into_iter().map(|(_, s)| s).collect())
 }
 
@@ -168,21 +156,11 @@ impl Mapper for RowBlockMapper<'_> {
 }
 
 /// Run the all-pairs stage: one map task per pair-balanced row block.
+/// Tasks get the Hadoop default attempt budget (4).
 pub fn similarity_matrix_stage(
     sketches: Vec<Sketch>,
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
-) -> Result<CondensedMatrix, MrError> {
-    similarity_matrix_stage_with(sketches, config, pipeline, &NoFaults)
-}
-
-/// [`similarity_matrix_stage`] under a fault injector. Tasks get the
-/// Hadoop default attempt budget (4).
-pub fn similarity_matrix_stage_with(
-    sketches: Vec<Sketch>,
-    config: &MrMcConfig,
-    pipeline: &mut Pipeline,
-    injector: &dyn FaultInjector,
 ) -> Result<CondensedMatrix, MrError> {
     let n = sketches.len();
     let mapper = RowBlockMapper {
@@ -199,7 +177,7 @@ pub fn similarity_matrix_stage_with(
     let blocks = balanced_row_blocks(n, tasks);
     let input: Vec<(usize, (usize, usize))> = blocks.into_iter().enumerate().collect();
     let num_tasks = input.len().max(1);
-    let rows = pipeline.run_map_stage_with_faults(input, num_tasks, &mapper, &job, injector)?;
+    let rows = pipeline.run_map_stage(input, num_tasks, &mapper, &job)?;
 
     // Assemble the condensed matrix from row strips, keyed by row (the
     // engine preserves task order, but keying by row makes assembly

@@ -3,10 +3,9 @@
 //! oracle, dedup completeness, and fault recovery through the banding
 //! reducers.
 
-use mrmc::banded::{
-    banded_candidates, banded_candidates_with, banded_graph_stage, banded_graph_stage_with,
-    ensure_read_ids_fit,
-};
+use std::sync::Arc;
+
+use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
 use mrmc::stages::{sketch_similarity, sketch_stage};
 use mrmc::{Mode, MrMcConfig, MrMcMinH, WireFormat};
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
@@ -135,8 +134,8 @@ fn reducer_faults_recover_bit_identical() {
         .injector();
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
-    let mut faulty_p = Pipeline::new("test-faulty");
-    let faulty = banded_graph_stage_with(&sketches, &cfg, &mut faulty_p, &inj);
+    let mut faulty_p = Pipeline::new("test-faulty").with_faults(Arc::new(inj));
+    let faulty = banded_graph_stage(&sketches, &cfg, &mut faulty_p);
     std::panic::set_hook(hook);
 
     let faulty = faulty.expect("faults within the retry budget must recover");
@@ -204,9 +203,9 @@ fn fetch_failures_recover_bit_identical_with_compact_wire() {
         .shuffle_fetch_fail(0, 1, 0, 5)
         .shuffle_fetch_fail(1, 0, 1, 5)
         .injector();
-    let mut faulty_p = Pipeline::new("test-faulty-fetch");
-    let faulty = banded_graph_stage_with(&sketches, &cfg, &mut faulty_p, &inj)
-        .expect("fetch failures must recover");
+    let mut faulty_p = Pipeline::new("test-faulty-fetch").with_faults(Arc::new(inj));
+    let faulty =
+        banded_graph_stage(&sketches, &cfg, &mut faulty_p).expect("fetch failures must recover");
     assert_eq!(faulty, clean, "recovered graph must be bit-identical");
     assert_eq!(
         faulty_p.total_recovery().maps_reexecuted_fetch_fail,
@@ -229,7 +228,7 @@ fn read_id_guard() {
     // here; the guard sits on the entry path of both formats).
     let cfg = MrMcConfig::sixteen_s().banded();
     let mut p = Pipeline::new("test-guard");
-    assert!(banded_candidates_with(&[], &cfg, &mut p, &mrmc_mapreduce::chaos::NoFaults).is_ok());
+    assert!(banded_candidates(&[], &cfg, &mut p).is_ok());
 }
 
 /// Degenerate inputs: empty and single-read corpora produce empty

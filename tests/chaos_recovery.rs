@@ -4,8 +4,11 @@
 //! identical [`FaultPlan`] must yield identical recovery counters on
 //! every run.
 
+use std::sync::Arc;
+
 use mrmc::{Mode, MrMcConfig, MrMcMinH, MrMcResult};
 use mrmc_mapreduce::chaos::{FaultPlan, Phase, RecoveryCounters};
+use mrmc_mapreduce::Pipeline;
 use mrmc_seqio::SeqRecord;
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
@@ -41,6 +44,12 @@ fn runner() -> MrMcMinH {
     })
 }
 
+/// Cluster `reads` with `plan`'s faults injected into every stage.
+fn run_under(r: &MrMcMinH, reads: &[SeqRecord], plan: FaultPlan) -> MrMcResult {
+    let pipeline = Pipeline::new("chaos").with_faults(Arc::new(plan.injector()));
+    r.run_on(reads, pipeline).unwrap()
+}
+
 fn assert_identical(chaotic: &MrMcResult, clean: &MrMcResult) {
     assert_eq!(
         chaotic.assignment, clean.assignment,
@@ -58,8 +67,8 @@ fn single_node_death_yields_identical_clustering() {
     // must be absorbed by map re-execution. Tasks are placed on node
     // `task % nodes`, so with 4 map tasks only nodes 0–3 hold outputs.
     for (job, node) in [(0usize, 2usize), (1, 1)] {
-        let inj = FaultPlan::new().node_death_after_map(job, node).injector();
-        let chaotic = r.run_with_injector(&reads, &inj).unwrap();
+        let plan = FaultPlan::new().node_death_after_map(job, node);
+        let chaotic = run_under(&r, &reads, plan);
         assert_identical(&chaotic, &clean);
         assert!(
             chaotic.recovery().maps_reexecuted_node_loss >= 1,
@@ -73,13 +82,12 @@ fn two_panics_per_stage_yield_identical_clustering() {
     let reads = two_species(40, 12);
     let r = runner();
     let clean = r.run(&reads).unwrap();
-    let inj = FaultPlan::new()
+    let plan = FaultPlan::new()
         .task_panic(0, Phase::Map, 0, 2)
         .task_panic(0, Phase::Map, 3, 1)
         .task_panic(1, Phase::Map, 1, 2)
-        .task_panic(1, Phase::Map, 2, 2)
-        .injector();
-    let chaotic = r.run_with_injector(&reads, &inj).unwrap();
+        .task_panic(1, Phase::Map, 2, 2);
+    let chaotic = run_under(&r, &reads, plan);
     assert_identical(&chaotic, &clean);
     // 2 + 1 + 2 + 2 failed attempts, each retried.
     assert_eq!(chaotic.recovery().tasks_retried, 7);
@@ -91,10 +99,8 @@ fn straggler_speculation_yields_identical_clustering() {
     let reads = two_species(40, 13);
     let r = runner();
     let clean = r.run(&reads).unwrap();
-    let inj = FaultPlan::new()
-        .task_slowdown(0, Phase::Map, 2, 25)
-        .injector();
-    let chaotic = r.run_with_injector(&reads, &inj).unwrap();
+    let plan = FaultPlan::new().task_slowdown(0, Phase::Map, 2, 25);
+    let chaotic = run_under(&r, &reads, plan);
     assert_identical(&chaotic, &clean);
     assert_eq!(chaotic.recovery().speculative_wins, 1);
 }
@@ -111,9 +117,7 @@ fn identical_plan_gives_identical_counters_across_runs() {
     let mut ledgers: Vec<RecoveryCounters> = Vec::new();
     let mut outputs = Vec::new();
     for _ in 0..3 {
-        let run = r
-            .run_with_injector(&reads, &plan.clone().injector())
-            .unwrap();
+        let run = run_under(&r, &reads, plan.clone());
         ledgers.push(run.recovery());
         outputs.push(run.assignment);
     }
