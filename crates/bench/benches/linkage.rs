@@ -1,14 +1,29 @@
 //! Hierarchical-clustering kernels: SLINK vs NN-chain, per linkage
-//! policy, plus matrix construction (sequential vs row-parallel).
+//! policy, on a dense matrix and on a sparse θ-graph, plus matrix
+//! construction (sequential vs row-parallel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrmc_cluster::{agglomerative, CondensedMatrix, Linkage};
+use mrmc_cluster::{agglomerative, agglomerative_sparse, CondensedMatrix, Linkage, SparseSimGraph};
 
 fn synthetic_matrix(n: usize) -> CondensedMatrix {
     CondensedMatrix::build(n, |i, j| {
         let x = ((i * 2654435761 + j * 40503) % 1000) as f64 / 1000.0;
         0.2 + 0.6 * x
     })
+}
+
+/// A θ-graph shaped like the banded route's: disjoint cliques of 50
+/// (the amplicon workload's mean degree) with varied edge weights.
+fn planted_cliques(n: usize) -> SparseSimGraph {
+    const CLIQUE: usize = 50;
+    let edges = (0..n).flat_map(|i| {
+        let end = (i / CLIQUE + 1) * CLIQUE;
+        ((i + 1)..end.min(n)).map(move |j| {
+            let x = ((i * 2654435761 + j * 40503) % 1000) as f32 / 1000.0;
+            (i as u32, j as u32, 0.9 + 0.1 * x)
+        })
+    });
+    SparseSimGraph::from_edges(n, edges)
 }
 
 fn bench_linkage(c: &mut Criterion) {
@@ -18,6 +33,17 @@ fn bench_linkage(c: &mut Criterion) {
         for linkage in [Linkage::Single, Linkage::Average, Linkage::Complete] {
             group.bench_function(BenchmarkId::new(format!("{linkage:?}"), n), |b| {
                 b.iter(|| agglomerative(std::hint::black_box(&m), linkage, 0.6))
+            });
+        }
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("linkage-sparse");
+    for n in [2000usize, 8000] {
+        let g = planted_cliques(n);
+        for linkage in [Linkage::Single, Linkage::Average] {
+            group.bench_function(BenchmarkId::new(format!("{linkage:?}"), n), |b| {
+                b.iter(|| agglomerative_sparse(std::hint::black_box(&g), linkage, 0.9))
             });
         }
     }

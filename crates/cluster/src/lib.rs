@@ -10,7 +10,10 @@
 //! * [`linkage`] — dendrogram construction: SLINK for single linkage
 //!   (O(N²) time, O(N) memory) and the nearest-neighbour chain
 //!   algorithm with Lance–Williams updates for complete and average
-//!   linkage; θ-cutoff extraction of flat clusters.
+//!   linkage; θ-cutoff extraction of flat clusters;
+//! * [`sparse`] — the CSR θ-graph of the banded pipeline, and both
+//!   algorithms on it in memory linear in its edges (the NN-chain on
+//!   adjacency lists reproduces the dense dendrogram bit for bit).
 //!
 //! All algorithms are generic over a similarity oracle so they work
 //! identically on minhash sketches, alignment identities, or k-mer

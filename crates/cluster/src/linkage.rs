@@ -100,7 +100,7 @@ impl Dendrogram {
         // Apply merges from most similar (lowest) to least similar so
         // subtree heights grow monotonically.
         let mut merges = self.merges.clone();
-        merges.sort_by(|a, b| b.similarity.partial_cmp(&a.similarity).expect("no NaN"));
+        sort_bottom_up(&mut merges);
         for m in &merges {
             let (ra, rb) = (find(&mut parent, m.a), find(&mut parent, m.b));
             if ra == rb {
@@ -153,12 +153,22 @@ pub fn build_dendrogram(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogra
         };
     }
     let mut merges = match linkage {
-        Linkage::Single => slink(matrix),
+        Linkage::Single => slink(n, |i, m| {
+            for (j, slot) in m.iter_mut().enumerate() {
+                *slot = 1.0 - matrix.get(i, j);
+            }
+        }),
         Linkage::Complete | Linkage::Average => nn_chain(matrix, linkage),
     };
-    // Bottom-up order: most similar first.
-    merges.sort_by(|x, y| y.similarity.partial_cmp(&x.similarity).expect("no NaN"));
+    sort_bottom_up(&mut merges);
     Dendrogram { n, merges }
+}
+
+/// Bottom-up order: most similar first, ties in production order
+/// (stable). `total_cmp` orders exactly as `partial_cmp` on the values
+/// merges carry (`1.0 − d`: never NaN, never −0.0) and cannot panic.
+pub(crate) fn sort_bottom_up(merges: &mut [Merge]) {
+    merges.sort_by(|x, y| y.similarity.total_cmp(&x.similarity));
 }
 
 /// Cut a dendrogram at similarity threshold `theta`: apply every merge
@@ -200,12 +210,13 @@ pub fn agglomerative(
 }
 
 /// SLINK: pointer-representation single-linkage in O(N²)/O(N).
-/// Distances are `1 − similarity`.
+/// `fill_row(i, m)` writes the distances (`1 − similarity`) from item
+/// `i` to items `0..i` into `m` (length `i`) — the only access to the
+/// input, so a matrix row and a sparse adjacency row serve alike.
 // Index-based loops mirror Sibson's published pseudocode; iterator
 // forms obscure the pointer-machine updates.
 #[allow(clippy::needless_range_loop)]
-fn slink(matrix: &CondensedMatrix) -> Vec<Merge> {
-    let n = matrix.len();
+pub(crate) fn slink(n: usize, mut fill_row: impl FnMut(usize, &mut [f64])) -> Vec<Merge> {
     let mut pi = vec![0usize; n];
     let mut lambda = vec![f64::INFINITY; n];
     let mut m = vec![0f64; n];
@@ -213,9 +224,7 @@ fn slink(matrix: &CondensedMatrix) -> Vec<Merge> {
     for i in 0..n {
         pi[i] = i;
         lambda[i] = f64::INFINITY;
-        for j in 0..i {
-            m[j] = 1.0 - matrix.get(i, j);
-        }
+        fill_row(i, &mut m[..i]);
         for j in 0..i {
             if lambda[j] >= m[j] {
                 let t = m[pi[j]];
@@ -245,7 +254,10 @@ fn slink(matrix: &CondensedMatrix) -> Vec<Merge> {
 }
 
 /// Nearest-neighbour chain with Lance–Williams updates, on a mutable
-/// condensed *distance* copy. O(N²) time, O(N²) memory.
+/// condensed *distance* copy: O(N²) time and O(N²) memory, the price
+/// of genuinely dense input. A θ-graph goes through
+/// [`crate::sparse::agglomerative_sparse`], which emulates this
+/// function merge for merge on adjacency lists.
 #[allow(clippy::needless_range_loop)] // scans skip inactive clusters by index
 fn nn_chain(matrix: &CondensedMatrix, linkage: Linkage) -> Vec<Merge> {
     let n = matrix.len();
@@ -443,7 +455,7 @@ mod tests {
         let s = build_dendrogram(&m, Linkage::Single);
         let via_chain = {
             let mut merges = nn_chain(&m, Linkage::Single);
-            merges.sort_by(|x, y| y.similarity.partial_cmp(&x.similarity).unwrap());
+            sort_bottom_up(&mut merges);
             merges
         };
         // Same merge heights (the trees may differ in representatives).

@@ -7,11 +7,17 @@
 //! 0.0, which is exactly the single-linkage-at-θ semantics the banded
 //! pipeline promises: edges at or above θ are exact, everything below
 //! θ is indistinguishable from "no edge" for a θ-cut.
+//!
+//! Both clusterers work on the edges alone. Greedy binary-searches
+//! rows; [`agglomerative_sparse`] runs Algorithm 2 on per-cluster
+//! adjacency lists in which an absent pair *is* distance 1.0, and
+//! reproduces, merge for merge, the dendrogram the dense
+//! [`agglomerative`](crate::linkage::agglomerative) builds on the
+//! zero-filled matrix — without ever allocating that matrix.
 
 use crate::assignment::ClusterAssignment;
 use crate::greedy::greedy_cluster;
-use crate::linkage::{agglomerative, Dendrogram, Linkage};
-use crate::matrix::CondensedMatrix;
+use crate::linkage::{cut_dendrogram, slink, sort_bottom_up, Dendrogram, Linkage, Merge};
 
 /// An undirected similarity graph over `n` items, CSR layout, missing
 /// edges read as 0.0.
@@ -131,18 +137,6 @@ impl SparseSimGraph {
                 .map(move |(&j, &s)| (i as u32, j, s))
         })
     }
-
-    /// Materialize the condensed matrix this graph represents, with
-    /// 0.0 for every missing pair. O(n²/2) memory — only for the
-    /// hierarchical path, whose dendrogram construction is O(n²)
-    /// anyway; the greedy path never calls this.
-    pub fn to_condensed(&self) -> CondensedMatrix {
-        let mut m = CondensedMatrix::build(self.n, |_, _| 0.0);
-        for (i, j, s) in self.edges() {
-            m.set(i as usize, j as usize, f64::from(s));
-        }
-        m
-    }
 }
 
 /// Algorithm 1 over a sparse graph: identical to the dense run
@@ -153,23 +147,202 @@ pub fn greedy_cluster_sparse(graph: &SparseSimGraph, theta: f64) -> ClusterAssig
     greedy_cluster(graph.len(), theta, |i, j| graph.sim(i, j))
 }
 
-/// Algorithm 2 over a sparse graph: builds the dendrogram on the
-/// zero-filled matrix (missing pairs = 0.0 similarity). Cuts at or
-/// above θ match the dense run on corpora whose clusters are
-/// θ-separated; merges *below* θ use 0 for pruned pairs, so the
-/// sub-θ portion of the dendrogram follows single-linkage-at-θ
-/// semantics rather than the dense averages.
+/// Algorithm 2 over a sparse graph, in memory linear in its edges:
+/// the dendrogram — merges, representatives, f32-rounded heights,
+/// order — is exactly the one [`agglomerative`] builds on the
+/// zero-filled matrix (missing pairs = 0.0 similarity), for edge
+/// similarities in `[0, 1]`. Cuts at or above θ match the dense run on
+/// corpora whose clusters are θ-separated; merges *below* θ use 0 for
+/// pruned pairs, so the sub-θ portion of the dendrogram follows
+/// single-linkage-at-θ semantics rather than the dense averages.
+///
+/// Average and complete linkage run the nearest-neighbour chain on
+/// adjacency lists, each merge costing the summed degree of the two
+/// merged rows' neighbours; single linkage runs SLINK (O(n²) time,
+/// O(n) memory) with each row filled from the CSR row.
+///
+/// [`agglomerative`]: crate::linkage::agglomerative
 pub fn agglomerative_sparse(
     graph: &SparseSimGraph,
     linkage: Linkage,
     theta: f64,
 ) -> (ClusterAssignment, Dendrogram) {
-    agglomerative(&graph.to_condensed(), linkage, theta)
+    let n = graph.len();
+    let mut merges = match linkage {
+        Linkage::Single => slink(n, |i, m| {
+            m.fill(1.0);
+            for (j, s) in graph.neighbors(i).take_while(|&(j, _)| j < i) {
+                m[j] = 1.0 - s;
+            }
+        }),
+        Linkage::Complete | Linkage::Average => nn_chain_sparse(graph, linkage),
+    };
+    sort_bottom_up(&mut merges);
+    let dendro = Dendrogram { n, merges };
+    let assignment = cut_dendrogram(&dendro, theta);
+    (assignment, dendro)
+}
+
+/// One live cluster's stored distances `(neighbour, d)`, ascending by
+/// neighbour, every `d < 1.0`, symmetric across rows. A pair that is
+/// not stored is at distance exactly 1.0.
+type Row = Vec<(u32, f32)>;
+
+/// Distance from the cluster owning `row` to cluster `c`.
+fn stored(row: &[(u32, f32)], c: usize) -> f32 {
+    match row.binary_search_by_key(&(c as u32), |e| e.0) {
+        Ok(k) => row[k].1,
+        Err(_) => 1.0,
+    }
+}
+
+/// Consume `c` from the head of a row walked in step with another:
+/// its stored distance, or 1.0 when this row skips `c`.
+fn take(row: &[(u32, f32)], at: &mut usize, c: u32) -> f64 {
+    match row.get(*at) {
+        Some(&(head, d)) if head == c => {
+            *at += 1;
+            f64::from(d)
+        }
+        _ => 1.0,
+    }
+}
+
+/// After `keep` absorbed `drop`: forget `drop` in a neighbour's row and
+/// set its distance to `keep` to `d` (unstored when `d` reached 1.0).
+/// The row never grows: a new `keep` entry takes the slot `drop` left.
+fn relink(row: &mut Row, keep: u32, drop: u32, d: f32) {
+    if let Ok(k) = row.binary_search_by_key(&drop, |e| e.0) {
+        row.remove(k);
+    }
+    match (row.binary_search_by_key(&keep, |e| e.0), d < 1.0) {
+        (Ok(k), true) => row[k].1 = d,
+        (Ok(k), false) => {
+            row.remove(k);
+        }
+        (Err(k), true) => row.insert(k, (keep, d)),
+        (Err(_), false) => {}
+    }
+}
+
+/// The dense `nn_chain` of [`crate::linkage`], replayed on adjacency
+/// lists. What makes the replay exact:
+///
+/// * a stored distance is `(1 − sim) as f32`, what the dense distance
+///   copy holds, and Lance–Williams is the same f64 expression with
+///   the same `as f32` rounding, 1.0 standing in for an unstored
+///   operand. Two unstored operands give exactly 1.0, so a merge only
+///   touches the union of the two merged rows; correctly rounded
+///   arithmetic never exceeds 1.0, and a result that rounds to 1.0 is
+///   unstored again;
+/// * the nearest neighbour is the strict minimum over the stored row
+///   in ascending index — the dense scan's smallest-index tie rule.
+///   A cluster with nothing stored sees everyone at 1.0, and the dense
+///   scan then answers the smallest live index other than itself;
+/// * a merge drops the larger index, so cluster 0 never dies: it is
+///   every chain restart and that smallest live index for everyone but
+///   itself, for which a monotone cursor tracks the next one.
+fn nn_chain_sparse(graph: &SparseSimGraph, linkage: Linkage) -> Vec<Merge> {
+    let n = graph.len();
+    let mut rows: Vec<Row> = (0..n)
+        .map(|i| {
+            let edges = graph.neighbors(i);
+            let mut row = Row::with_capacity(edges.size_hint().0);
+            row.extend(
+                edges
+                    .map(|(j, s)| (j as u32, (1.0 - s) as f32))
+                    .filter(|&(_, d)| d < 1.0),
+            );
+            row
+        })
+        .collect();
+    // Members per cluster; 0 once merged away.
+    let mut size: Vec<usize> = vec![1; n];
+    // Smallest live index ≥ 1.
+    let mut next_live = 1usize;
+    let mut merges = Vec::with_capacity(n.saturating_sub(1));
+    let mut chain: Vec<usize> = Vec::with_capacity(n);
+    // The merged row is built here and swapped in, so its allocation
+    // is recycled from merge to merge.
+    let mut scratch = Row::new();
+
+    for _ in 1..n {
+        if chain.is_empty() {
+            chain.push(0);
+        }
+        let (a, prev, d_ab) = loop {
+            let a = chain[chain.len() - 1];
+            let mut best = if a == 0 { next_live } else { 0 };
+            let mut best_d = 1.0f32;
+            for &(c, d) in &rows[a] {
+                if d < best_d {
+                    best_d = d;
+                    best = c as usize;
+                }
+            }
+            // Reciprocal pair check: prefer the chain predecessor on
+            // equal distance (guarantees termination).
+            if chain.len() >= 2 {
+                let prev = chain[chain.len() - 2];
+                let d_ab = stored(&rows[a], prev);
+                if best == prev || d_ab <= best_d {
+                    chain.truncate(chain.len() - 2);
+                    break (a, prev, d_ab);
+                }
+            }
+            chain.push(best);
+        };
+        let (keep, drop) = (a.min(prev), a.max(prev));
+        merges.push(Merge {
+            a: keep,
+            b: drop,
+            similarity: 1.0 - f64::from(d_ab),
+        });
+
+        // Lance–Williams over the union of the two sorted rows.
+        let (sk, sd) = (size[keep] as f64, size[drop] as f64);
+        let (row_k, row_d) = (&rows[keep], &rows[drop]);
+        scratch.clear();
+        scratch.reserve(row_k.len() + row_d.len());
+        let (mut ik, mut id) = (0, 0);
+        loop {
+            let c = match (row_k.get(ik), row_d.get(id)) {
+                (Some(k), Some(d)) => k.0.min(d.0),
+                (Some(e), None) | (None, Some(e)) => e.0,
+                (None, None) => break,
+            };
+            let dk = take(row_k, &mut ik, c);
+            let dd = take(row_d, &mut id, c);
+            if c as usize == keep || c as usize == drop {
+                continue;
+            }
+            let updated = match linkage {
+                Linkage::Single => dk.min(dd),
+                Linkage::Complete => dk.max(dd),
+                Linkage::Average => (sk * dk + sd * dd) / (sk + sd),
+            };
+            scratch.push((c, updated as f32));
+        }
+        for &(c, d) in &scratch {
+            relink(&mut rows[c as usize], keep as u32, drop as u32, d);
+        }
+        scratch.retain(|&(_, d)| d < 1.0);
+        std::mem::swap(&mut rows[keep], &mut scratch);
+        rows[drop] = Row::new();
+        size[keep] += size[drop];
+        size[drop] = 0;
+        while next_live < n && size[next_live] == 0 {
+            next_live += 1;
+        }
+    }
+    merges
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linkage::agglomerative;
+    use crate::matrix::CondensedMatrix;
 
     fn diamond() -> SparseSimGraph {
         // 0–1 strong, 1–2 strong, 2–3 weak, 3–0 absent.
@@ -209,12 +382,19 @@ mod tests {
     }
 
     #[test]
-    fn to_condensed_zero_fills() {
+    fn agglomerative_sparse_replays_zero_filled_dense_run() {
         let g = diamond();
-        let m = g.to_condensed();
+        // The dense oracle's input: 0.0 for every missing pair.
+        let m = CondensedMatrix::build(g.len(), |i, j| g.sim(i, j));
         assert_eq!(m.get(0, 1), f64::from(0.9f32));
         assert_eq!(m.get(0, 3), 0.0);
-        assert_eq!(m.get(0, 2), 0.0);
+        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+            assert_eq!(
+                agglomerative_sparse(&g, linkage, 0.75),
+                agglomerative(&m, linkage, 0.75),
+                "{linkage:?}"
+            );
+        }
     }
 
     #[test]

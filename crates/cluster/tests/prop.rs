@@ -3,9 +3,11 @@
 use proptest::prelude::*;
 
 use mrmc_cluster::{
-    agglomerative, cut_dendrogram, cut_levels, greedy_cluster, linkage::build_dendrogram,
-    ClusterAssignment, CondensedMatrix, Linkage,
+    agglomerative, agglomerative_sparse, cut_dendrogram, cut_levels, greedy_cluster,
+    linkage::build_dendrogram, ClusterAssignment, CondensedMatrix, Linkage, SparseSimGraph,
 };
+
+const LINKAGES: [Linkage; 3] = [Linkage::Single, Linkage::Average, Linkage::Complete];
 
 /// Strategy: a random symmetric similarity oracle over n items, as a
 /// seeded deterministic function.
@@ -21,7 +23,109 @@ fn sim_fn(seed: u64) -> impl Fn(usize, usize) -> f64 + Copy {
     }
 }
 
+/// The dense oracle's input: the matrix a sparse graph stands for,
+/// 0.0 for every missing pair.
+fn zero_filled(g: &SparseSimGraph) -> CondensedMatrix {
+    CondensedMatrix::build(g.len(), |i, j| g.sim(i, j))
+}
+
+/// A θ-graph in miniature: `groups` planted groups with most of their
+/// internal edges, rare weak cross edges, about one node in eight
+/// isolated. Similarities sit on coarse grids so equal distances —
+/// and equal Lance–Williams results — are common; the grids include
+/// 1.0 (distance 0) and 0.0 (an edge that stores distance 1.0).
+fn planted_graph(n: usize, groups: usize, seed: u64) -> SparseSimGraph {
+    const WITHIN: [f32; 4] = [0.5, 0.75, 0.9, 1.0];
+    const ACROSS: [f32; 4] = [0.0, 0.1, 0.3, 0.5];
+    let pick = |salt: u64, i: usize, j: usize| (sim_fn(seed ^ salt)(i, j) * 1000.0) as usize;
+    let group = |i: usize| pick(1, i, i) % groups;
+    let isolated = |i: usize| pick(2, i, i) % 8 == 0;
+    let mut edges = Vec::new();
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if isolated(i) || isolated(j) {
+                continue;
+            }
+            let (grid, percent) = if group(i) == group(j) {
+                (WITHIN, 70)
+            } else {
+                (ACROSS, 3)
+            };
+            if pick(3, i, j) % 100 < percent {
+                edges.push((i as u32, j as u32, grid[pick(4, i, j) % 4]));
+            }
+        }
+    }
+    SparseSimGraph::from_edges(n, edges)
+}
+
+/// The whole result — every merge, representative, height and their
+/// order, and the θ-cut — equals the dense run on the zero-filled
+/// matrix.
+fn assert_replays_dense(g: &SparseSimGraph, theta: f64, what: &str) {
+    let m = zero_filled(g);
+    for linkage in LINKAGES {
+        assert_eq!(
+            agglomerative_sparse(g, linkage, theta),
+            agglomerative(&m, linkage, theta),
+            "{what}, {linkage:?}, θ={theta}"
+        );
+    }
+}
+
+#[test]
+fn sparse_linkage_directed_cases() {
+    let clique = |lo: u32, hi: u32, s: f32| {
+        (lo..hi).flat_map(move |i| ((i + 1)..hi).map(move |j| (i, j, s)))
+    };
+    for n in 0..=2 {
+        assert_replays_dense(&SparseSimGraph::from_edges(n, vec![]), 0.5, "no edges");
+    }
+    assert_replays_dense(
+        &SparseSimGraph::from_edges(2, vec![(0, 1, 0.8)]),
+        0.5,
+        "n = 2",
+    );
+    assert_replays_dense(&SparseSimGraph::from_edges(9, vec![]), 0.5, "all isolated");
+    assert_replays_dense(
+        &SparseSimGraph::from_edges(7, clique(0, 7, 0.9)),
+        0.5,
+        "one clique",
+    );
+    let mut joined: Vec<_> = clique(0, 4, 0.9).chain(clique(4, 9, 0.8)).collect();
+    joined.push((3, 4, 0.1));
+    assert_replays_dense(
+        &SparseSimGraph::from_edges(9, joined),
+        0.5,
+        "two components, one weak edge",
+    );
+    // Item 0 starts every chain; here it has no edge at all.
+    assert_replays_dense(
+        &SparseSimGraph::from_edges(6, clique(1, 6, 0.7)),
+        0.5,
+        "isolated chain start",
+    );
+    // Identical items, and edges that carry no similarity.
+    assert_replays_dense(
+        &SparseSimGraph::from_edges(5, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 0.0), (3, 4, 1.0)]),
+        1.0,
+        "distance 0 and distance 1 edges",
+    );
+}
+
 proptest! {
+    /// Algorithm 2 on the CSR graph replays the dense run on the
+    /// zero-filled matrix, for every linkage.
+    #[test]
+    fn sparse_linkage_replays_zero_filled_dense(
+        n in 0usize..=64,
+        groups in 1usize..6,
+        seed in any::<u64>(),
+        theta in proptest::sample::select(vec![0.0, 0.3, 0.5, 0.75, 0.9, 1.0]),
+    ) {
+        assert_replays_dense(&planted_graph(n, groups, seed), theta, "planted graph");
+    }
+
     /// Greedy assigns every item exactly one in-range label.
     #[test]
     fn greedy_total_assignment(n in 0usize..60, theta in 0.0f64..1.0, seed in any::<u64>()) {
@@ -68,7 +172,7 @@ proptest! {
     /// θ = 0 gives one cluster, θ > max-similarity gives singletons.
     #[test]
     fn dendrogram_structure(n in 2usize..40, seed in any::<u64>(), linkage_idx in 0usize..3) {
-        let linkage = [Linkage::Single, Linkage::Average, Linkage::Complete][linkage_idx];
+        let linkage = LINKAGES[linkage_idx];
         let m = CondensedMatrix::build(n, sim_fn(seed));
         let d = build_dendrogram(&m, linkage);
         prop_assert_eq!(d.merges.len(), n - 1);
@@ -79,7 +183,7 @@ proptest! {
     /// Cutting is monotone in θ for every linkage.
     #[test]
     fn cut_monotone_in_theta(n in 2usize..35, seed in any::<u64>(), linkage_idx in 0usize..3) {
-        let linkage = [Linkage::Single, Linkage::Average, Linkage::Complete][linkage_idx];
+        let linkage = LINKAGES[linkage_idx];
         let m = CondensedMatrix::build(n, sim_fn(seed));
         let d = build_dendrogram(&m, linkage);
         let mut prev = 0usize;
@@ -143,7 +247,7 @@ proptest! {
     /// (monotone linkages have no inversions).
     #[test]
     fn heights_monotone(n in 2usize..35, seed in any::<u64>(), linkage_idx in 0usize..3) {
-        let linkage = [Linkage::Single, Linkage::Average, Linkage::Complete][linkage_idx];
+        let linkage = LINKAGES[linkage_idx];
         let m = CondensedMatrix::build(n, sim_fn(seed));
         let d = build_dendrogram(&m, linkage);
         let h = d.heights();
@@ -172,7 +276,7 @@ proptest! {
     /// wholly inside one coarse cluster).
     #[test]
     fn cut_levels_nested_refinement(n in 2usize..30, seed in any::<u64>(), linkage_idx in 0usize..3) {
-        let linkage = [Linkage::Single, Linkage::Average, Linkage::Complete][linkage_idx];
+        let linkage = LINKAGES[linkage_idx];
         let m = CondensedMatrix::build(n, sim_fn(seed));
         let d = build_dendrogram(&m, linkage);
         let levels = cut_levels(&d, &[0.9, 0.6, 0.3]); // fine → coarse

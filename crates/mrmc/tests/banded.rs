@@ -7,11 +7,14 @@ use std::sync::Arc;
 
 use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
 use mrmc::stages::{sketch_similarity, sketch_stage};
-use mrmc::{Mode, MrMcConfig, MrMcMinH, WireFormat};
+use mrmc::{MrMcConfig, MrMcMinH, WireFormat};
+use mrmc_cluster::{agglomerative, cut_dendrogram, CondensedMatrix, Linkage};
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_minhash::Sketch;
 use mrmc_simulate::huse_16s;
+
+const LINKAGES: [Linkage; 3] = [Linkage::Single, Linkage::Average, Linkage::Complete];
 
 fn corpus(reads: f64, seed: u64) -> Vec<mrmc_seqio::SeqRecord> {
     huse_16s(0.03, reads / 345_000.0, seed).reads
@@ -24,31 +27,56 @@ fn sketches_of(reads: &[mrmc_seqio::SeqRecord], cfg: &MrMcConfig) -> Vec<Sketch>
 
 /// The tentpole contract: on the seed 16S corpus, the banded pipeline
 /// produces *bit-identical* cluster assignments to the dense oracle in
-/// both clustering modes, at the default auto-tuned scheme.
+/// both clustering modes and under every linkage, at the default
+/// auto-tuned scheme.
 #[test]
 fn banded_clustering_identical_to_dense() {
     let reads = corpus(280.0, 9);
-    for mode in [Mode::Greedy, Mode::Hierarchical] {
-        let dense = MrMcMinH::new(MrMcConfig {
-            mode,
-            ..MrMcConfig::sixteen_s()
-        })
-        .run(&reads)
-        .expect("dense run");
-        let banded = MrMcMinH::new(
-            MrMcConfig {
-                mode,
-                ..MrMcConfig::sixteen_s()
-            }
-            .banded(),
-        )
-        .run(&reads)
-        .expect("banded run");
+    let hierarchical = LINKAGES.map(|linkage| MrMcConfig {
+        linkage,
+        ..MrMcConfig::sixteen_s().hierarchical()
+    });
+    for cfg in [MrMcConfig::sixteen_s().greedy()]
+        .into_iter()
+        .chain(hierarchical)
+    {
+        let what = (cfg.mode, cfg.linkage);
+        let dense = MrMcMinH::new(cfg).run(&reads).expect("dense run");
+        let banded = MrMcMinH::new(cfg.banded()).run(&reads).expect("banded run");
         assert_eq!(
             banded.assignment, dense.assignment,
-            "{mode:?}: banded assignments must match dense"
+            "{what:?}: banded assignments must match dense"
         );
         assert_eq!(banded.num_clusters(), dense.num_clusters());
+    }
+}
+
+/// Banded + hierarchical clusters the θ-graph without densifying it,
+/// and still returns the dendrogram of the zero-filled dense run:
+/// every merge, height and their order, so any sub-θ cut agrees too.
+#[test]
+fn banded_dendrogram_equals_zero_filled_dense_oracle() {
+    let reads = corpus(280.0, 9);
+    for linkage in LINKAGES {
+        let cfg = MrMcConfig {
+            linkage,
+            ..MrMcConfig::sixteen_s().hierarchical().banded()
+        };
+        let mut p = Pipeline::new("test-oracle");
+        let graph =
+            banded_graph_stage(&sketches_of(&reads, &cfg), &cfg, &mut p).expect("banded stages");
+        let zero_filled = CondensedMatrix::build(graph.len(), |i, j| graph.sim(i, j));
+        let (assignment, dendrogram) = agglomerative(&zero_filled, linkage, cfg.theta);
+
+        let banded = MrMcMinH::new(cfg).run(&reads).expect("banded run");
+        assert_eq!(banded.dendrogram.as_ref(), Some(&dendrogram), "{linkage:?}");
+        assert_eq!(banded.assignment, assignment.compact(), "{linkage:?}");
+        let below = cfg.theta / 2.0;
+        assert_eq!(
+            banded.cut_at(below),
+            Some(cut_dendrogram(&dendrogram, below).compact()),
+            "{linkage:?}: sub-θ cut"
+        );
     }
 }
 
