@@ -1,7 +1,7 @@
 //! Configuration of a MrMC-MinH run.
 
 use mrmc_cluster::Linkage;
-use mrmc_minhash::BandingScheme;
+use mrmc_minhash::{BandingScheme, MinHasher};
 
 /// Which clustering algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -213,6 +213,18 @@ impl MrMcConfig {
         match self.candidates {
             CandidateGen::Banded { bands, rows } => BandingScheme::new(bands, rows),
             CandidateGen::Dense => BandingScheme::tune(self.num_hashes, self.theta),
+        }
+    }
+
+    /// The sketcher this config implies — the one place the `canonical`
+    /// knob is applied, so the batch stages, θ suggestion and streaming
+    /// sessions all hash the same k-mers.
+    pub fn hasher(&self) -> MinHasher {
+        let hasher = MinHasher::for_kmer_size(self.kmer, self.num_hashes, self.seed);
+        if self.canonical {
+            hasher.canonical()
+        } else {
+            hasher
         }
     }
 

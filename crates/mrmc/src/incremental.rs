@@ -8,12 +8,28 @@
 //! representative sketch clears θ, or founds a new cluster. Seeding
 //! from a finished batch run makes it the "assign new data to
 //! yesterday's clusters" operation.
+//!
+//! # Representative index
+//!
+//! That rule does not need a scan of every representative. Under the
+//! positional estimator a pair at or above θ has, in the
+//! [`BandingScheme::tune`] layout, at least one byte-identical band
+//! (the pigeonhole argument of `mrmc_minhash::banding`, "Exactness
+//! contract"; two degenerate sketches meet too, since all-`EMPTY_SLOT`
+//! bands hash alike). So founders are filed under their `b` band
+//! signatures, and a read verifies only the labels in its own `≤ b`
+//! buckets — same similarity test — and takes the lowest that passes:
+//! the scan's label, for every input. Where the guarantee does not hold
+//! (set-based estimator, θ = 0) every sketch is filed under one constant
+//! signature, so the same lookup walks all labels in order.
+
+use std::collections::HashMap;
 
 use mrmc_cluster::ClusterAssignment;
-use mrmc_minhash::{MinHasher, Sketch};
+use mrmc_minhash::{BandingScheme, MinHasher, Sketch};
 use mrmc_seqio::{SeqIoError, SeqRecord};
 
-use crate::config::MrMcConfig;
+use crate::config::{Estimator, MrMcConfig};
 use crate::pipeline::MrMcResult;
 use crate::stages::sketch_similarity;
 
@@ -26,6 +42,16 @@ pub struct IncrementalClusterer {
     representatives: Vec<Sketch>,
     /// Label assigned to each pushed read, in push order.
     labels: Vec<usize>,
+    /// The exact-recall banding for `(num_hashes, θ)`, or `None` when
+    /// no banding is exact for this config (see the module docs).
+    scheme: Option<BandingScheme>,
+    /// Band signature → labels of the representatives carrying it,
+    /// ascending (labels are handed out in founding order). One map
+    /// serves all bands: the band index is mixed into the signature's
+    /// seed.
+    buckets: HashMap<u64, Vec<u32>>,
+    /// Signatures of the sketch being placed (reused buffer).
+    sigs: Vec<u64>,
 }
 
 impl IncrementalClusterer {
@@ -34,12 +60,19 @@ impl IncrementalClusterer {
         if let Err(e) = config.validate() {
             panic!("invalid MrMcConfig: {e}");
         }
-        let hasher = MinHasher::for_kmer_size(config.kmer, config.num_hashes, config.seed);
+        // Always the tuned scheme, never `config.candidates`: that knob
+        // may be set off the exact point for the batch route.
+        let scheme = BandingScheme::tune(config.num_hashes, config.theta);
+        let exact = config.estimator == Estimator::Positional
+            && scheme.guarantees_recall(config.num_hashes, config.theta);
         IncrementalClusterer {
             config,
-            hasher,
+            hasher: config.hasher(),
             representatives: Vec::new(),
             labels: Vec::new(),
+            scheme: exact.then_some(scheme),
+            buckets: HashMap::new(),
+            sigs: Vec::new(),
         }
     }
 
@@ -56,7 +89,7 @@ impl IncrementalClusterer {
         let mut inc = IncrementalClusterer::new(config);
         for rep in result.representatives() {
             let sketch = inc.hasher.sketch_sequence(&batch_reads[rep].seq)?;
-            inc.representatives.push(sketch);
+            inc.place(sketch, false);
         }
         Ok(inc)
     }
@@ -65,16 +98,7 @@ impl IncrementalClusterer {
     /// the next free label.
     pub fn push(&mut self, read: &SeqRecord) -> Result<usize, SeqIoError> {
         let sketch = self.hasher.sketch_sequence(&read.seq)?;
-        let label = self
-            .representatives
-            .iter()
-            .position(|rep| {
-                sketch_similarity(&sketch, rep, self.config.estimator) >= self.config.theta
-            })
-            .unwrap_or_else(|| {
-                self.representatives.push(sketch.clone());
-                self.representatives.len() - 1
-            });
+        let label = self.place(sketch, true);
         self.labels.push(label);
         Ok(label)
     }
@@ -93,22 +117,55 @@ impl IncrementalClusterer {
             .iter()
             .map(|r| self.hasher.sketch_sequence(&r.seq))
             .collect::<Result<Vec<Sketch>, SeqIoError>>()?;
-        let mut out = Vec::with_capacity(sketches.len());
+        let at = self.labels.len();
         for sketch in sketches {
-            let label = self
-                .representatives
-                .iter()
-                .position(|rep| {
-                    sketch_similarity(&sketch, rep, self.config.estimator) >= self.config.theta
-                })
-                .unwrap_or_else(|| {
-                    self.representatives.push(sketch.clone());
-                    self.representatives.len() - 1
-                });
+            let label = self.place(sketch, true);
             self.labels.push(label);
-            out.push(label);
         }
-        Ok(out)
+        Ok(self.labels[at..].to_vec())
+    }
+
+    /// The one assignment routine: the label of the lowest-numbered
+    /// representative clearing θ against `sketch`, or — when none does,
+    /// or when `join` is false (seeding) — the fresh label `sketch`
+    /// founds, filed under its signatures.
+    fn place(&mut self, sketch: Sketch, join: bool) -> usize {
+        match self.scheme {
+            Some(scheme) => scheme.signatures_into(&sketch, &mut self.sigs),
+            None => {
+                self.sigs.clear();
+                self.sigs.push(0);
+            }
+        }
+        if join {
+            if let Some(label) = self.lowest_match(&sketch) {
+                return label;
+            }
+        }
+        let label = self.representatives.len();
+        let id = u32::try_from(label).expect("fewer than 2^32 representatives");
+        for &sig in &self.sigs {
+            self.buckets.entry(sig).or_default().push(id);
+        }
+        self.representatives.push(sketch);
+        label
+    }
+
+    /// Lowest label in the buckets of `self.sigs` whose representative
+    /// clears θ against `sketch`. Bucket lists ascend, so each walk
+    /// stops at its first hit or once it reaches the best so far.
+    fn lowest_match(&self, sketch: &Sketch) -> Option<usize> {
+        let (estimator, theta) = (self.config.estimator, self.config.theta);
+        let none = self.representatives.len();
+        let mut best = none;
+        for bucket in self.sigs.iter().filter_map(|sig| self.buckets.get(sig)) {
+            let labels = bucket.iter().map(|&label| label as usize);
+            let hit = labels.take_while(|&label| label < best).find(|&label| {
+                sketch_similarity(sketch, &self.representatives[label], estimator) >= theta
+            });
+            best = hit.unwrap_or(best);
+        }
+        (best < none).then_some(best)
     }
 
     /// Current cluster count (including seeded clusters).
@@ -133,6 +190,158 @@ mod tests {
     use crate::config::Mode;
     use crate::pipeline::MrMcMinH;
     use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    /// The assignment rule as it was before the index, kept as the
+    /// oracle: scan every representative in label order, first one to
+    /// clear θ wins.
+    struct LinearScan {
+        config: MrMcConfig,
+        hasher: MinHasher,
+        representatives: Vec<Sketch>,
+        labels: Vec<usize>,
+    }
+
+    impl LinearScan {
+        fn seeded(config: MrMcConfig, seeds: &[&SeqRecord]) -> LinearScan {
+            let hasher = config.hasher();
+            let representatives = seeds
+                .iter()
+                .map(|r| hasher.sketch_sequence(&r.seq).unwrap())
+                .collect();
+            LinearScan {
+                config,
+                hasher,
+                representatives,
+                labels: Vec::new(),
+            }
+        }
+
+        fn push(&mut self, read: &SeqRecord) -> usize {
+            let sketch = self.hasher.sketch_sequence(&read.seq).unwrap();
+            let label = self
+                .representatives
+                .iter()
+                .position(|rep| {
+                    sketch_similarity(&sketch, rep, self.config.estimator) >= self.config.theta
+                })
+                .unwrap_or_else(|| {
+                    self.representatives.push(sketch.clone());
+                    self.representatives.len() - 1
+                });
+            self.labels.push(label);
+            label
+        }
+    }
+
+    /// A seeded read set built to sit on the θ boundary: a few random
+    /// templates, exact copies and copies with 1–6 substitutions of
+    /// them, unrelated reads, and reads shorter than k (degenerate
+    /// sketches, the empty read included).
+    fn boundary_reads(seed: u64, kmer: usize) -> Vec<SeqRecord> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dna = |rng: &mut StdRng, len: usize| -> Vec<u8> {
+            (0..len)
+                .map(|_| b"ACGT"[rng.random_range(0..4usize)])
+                .collect()
+        };
+        let templates: Vec<Vec<u8>> = (0..rng.random_range(1..5))
+            .map(|_| {
+                let len = rng.random_range(40..120);
+                dna(&mut rng, len)
+            })
+            .collect();
+        (0..rng.random_range(0..48))
+            .map(|i| {
+                let seq = match rng.random_range(0..10) {
+                    0 => {
+                        let len = rng.random_range(0..kmer);
+                        dna(&mut rng, len)
+                    }
+                    1 => dna(&mut rng, 80),
+                    _ => {
+                        let mut seq = templates[rng.random_range(0..templates.len())].clone();
+                        for _ in 0..rng.random_range(0..7) {
+                            let at = rng.random_range(0..seq.len());
+                            seq[at] = b"ACGT"[rng.random_range(0..4usize)];
+                        }
+                        seq
+                    }
+                };
+                SeqRecord::new(format!("r{i}"), seq)
+            })
+            .collect()
+    }
+
+    proptest! {
+        /// The index is invisible: over θ on and off the guarantee, both
+        /// estimators, sketch lengths the tuned bands do not divide
+        /// (50 → 3 × 16 at θ = 0.95, 26 × 1 at θ = 0.5), a batch-side
+        /// banding knob off the exact point, fresh and `from_run`-seeded
+        /// sessions and arbitrary micro-batch splits, every label equals
+        /// the linear scan's.
+        #[test]
+        fn indexed_assignment_equals_linear_scan(
+            seed in any::<u64>(),
+            num_hashes in proptest::sample::select(vec![50usize, 64, 7]),
+            seed_len in 0usize..12,
+            hierarchical_seed in any::<bool>(),
+            off_exact_knob in any::<bool>(),
+            batch_sizes in proptest::collection::vec(0usize..9, 0..12),
+        ) {
+            let reads = boundary_reads(seed, 5);
+            let (batch, stream) = reads.split_at(seed_len.min(reads.len()));
+            for theta in [0.0, 0.5, 0.9, 0.95, 1.0] {
+                for estimator in [Estimator::Positional, Estimator::SetBased] {
+                    let mut cfg = MrMcConfig {
+                        num_hashes,
+                        estimator,
+                        mode: if hierarchical_seed { Mode::Hierarchical } else { Mode::Greedy },
+                        ..config(theta)
+                    };
+                    if off_exact_knob {
+                        cfg = cfg.banded_with(2, 3);
+                    }
+                    let what = (theta, estimator);
+
+                    let (mut indexed, mut oracle) = if batch.is_empty() {
+                        (IncrementalClusterer::new(cfg), LinearScan::seeded(cfg, &[]))
+                    } else {
+                        let result = MrMcMinH::new(cfg).run(batch).unwrap();
+                        let seeds: Vec<&SeqRecord> =
+                            result.representatives().iter().map(|&r| &batch[r]).collect();
+                        (
+                            IncrementalClusterer::from_run(cfg, batch, &result).unwrap(),
+                            LinearScan::seeded(cfg, &seeds),
+                        )
+                    };
+                    prop_assert_eq!(indexed.num_clusters(), oracle.representatives.len());
+
+                    let mut got = Vec::new();
+                    let mut at = 0;
+                    for &size in &batch_sizes {
+                        let end = (at + size).min(stream.len());
+                        got.extend(indexed.push_batch(&stream[at..end]).unwrap());
+                        at = end;
+                    }
+                    for read in &stream[at..] {
+                        got.push(indexed.push(read).unwrap());
+                    }
+                    let expect: Vec<usize> = stream.iter().map(|r| oracle.push(r)).collect();
+
+                    prop_assert_eq!(&got, &expect, "{:?}", what);
+                    prop_assert_eq!(indexed.labels(), &oracle.labels[..], "{:?}", what);
+                    prop_assert_eq!(indexed.num_clusters(), oracle.representatives.len());
+                    prop_assert_eq!(
+                        indexed.assignment(),
+                        ClusterAssignment::from_labels(oracle.labels),
+                        "{:?}", what
+                    );
+                }
+            }
+        }
+    }
 
     fn two_species(n: usize, seed: u64) -> (Vec<SeqRecord>, Vec<usize>) {
         let spec = CommunitySpec {
@@ -250,6 +459,36 @@ mod tests {
         // the *same* batch (all reads at once) still matches.
         let mut whole = IncrementalClusterer::new(config(theta));
         assert_eq!(whole.push_batch(&reads).unwrap(), expect);
+    }
+
+    #[test]
+    fn canonical_session_streams_canonical_sketches() {
+        use mrmc_seqio::alphabet::reverse_complement;
+        let (reads, _) = two_species(20, 6);
+        for canonical in [true, false] {
+            let cfg = MrMcConfig {
+                canonical,
+                ..config(0.9).greedy()
+            };
+            let result = MrMcMinH::new(cfg).run(&reads).unwrap();
+            let mut inc = IncrementalClusterer::from_run(cfg, &reads, &result).unwrap();
+            let seeded = inc.num_clusters();
+            // Greedy representatives are pairwise below θ, so a copy of
+            // the last one can only land in that one's cluster.
+            let rep = *result.representatives().last().unwrap();
+            let flipped = SeqRecord::new("rc", reverse_complement(&reads[rep].seq));
+            let label = inc.push_batch(&[flipped]).unwrap()[0];
+            if canonical {
+                assert_eq!(
+                    label,
+                    seeded - 1,
+                    "opposite strand joins its read's cluster"
+                );
+                assert_eq!(inc.num_clusters(), seeded);
+            } else {
+                assert_eq!(label, seeded, "strand-sensitive: a new cluster");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use mrmc_mapreduce::{ClusterSpec, JobCostModel, RecoveryCounters, ShuffleVolume};
-use mrmc_minhash::{positional_similarity, MinHasher};
+use mrmc_minhash::positional_similarity;
 use mrmc_seqio::SeqRecord;
 
 use crate::config::MrMcConfig;
@@ -33,7 +33,7 @@ pub struct CostCalibration {
 impl CostCalibration {
     /// Measure the kernels on synthetic reads of `read_len` bases.
     pub fn measure(config: &MrMcConfig, read_len: usize) -> CostCalibration {
-        let hasher = MinHasher::for_kmer_size(config.kmer, config.num_hashes, config.seed);
+        let hasher = config.hasher();
         // A deterministic pseudo-random read (no RNG dependency here).
         let make_read = |salt: usize| -> SeqRecord {
             let seq: Vec<u8> = (0..read_len)

@@ -54,11 +54,10 @@ pub fn sketch_stage(
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<Vec<Sketch>, MrError> {
-    let mut hasher = MinHasher::for_kmer_size(config.kmer, config.num_hashes, config.seed);
-    if config.canonical {
-        hasher = hasher.canonical();
-    }
-    let mapper = SketchMapper { hasher, reads };
+    let mapper = SketchMapper {
+        hasher: config.hasher(),
+        reads,
+    };
     let input: Vec<(usize, ())> = (0..reads.len()).map(|i| (i, ())).collect();
     let mut job = JobConfig::named("minwise-sketch").attempts(4);
     if let Some(w) = config.workers {

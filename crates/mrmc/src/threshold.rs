@@ -11,7 +11,6 @@
 
 use crate::config::MrMcConfig;
 use crate::stages::sketch_similarity;
-use mrmc_minhash::MinHasher;
 use mrmc_seqio::SeqRecord;
 
 /// Otsu's method on a slice of values in `[0, 1]`: the threshold
@@ -81,10 +80,7 @@ pub fn suggest_theta(reads: &[SeqRecord], config: &MrMcConfig, sample: usize) ->
     }
     let stride = (reads.len() / sample).max(1);
     let subset: Vec<&SeqRecord> = reads.iter().step_by(stride).take(sample).collect();
-    let mut hasher = MinHasher::for_kmer_size(config.kmer, config.num_hashes, config.seed);
-    if config.canonical {
-        hasher = hasher.canonical();
-    }
+    let hasher = config.hasher();
     let sketches: Vec<_> = subset
         .iter()
         .map(|r| hasher.sketch_sequence(&r.seq).expect("k validated"))

@@ -12,7 +12,9 @@
 //!   step that holds only its own session's lock.
 //! * A fixed **worker pool** drains the queue: lock the batch's
 //!   session, [`crate::session::Session::assign`] via
-//!   `IncrementalClusterer::push_batch`, reply. Different tenants
+//!   `IncrementalClusterer::push_batch` (per read: one sketch, one
+//!   representative-index lookup — the time spent under the session
+//!   lock), reply. Different tenants
 //!   proceed concurrently; one tenant's batches serialize on its
 //!   session lock in admission order.
 //!

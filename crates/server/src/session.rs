@@ -13,8 +13,10 @@
 //!    labels are indexed for `Query`.
 //! 3. **Serving** — admitted micro-batches stream through
 //!    [`IncrementalClusterer::push_batch`]; every new read is
-//!    assigned in one sketch + representative scan, never by
-//!    re-running a Map-Reduce job.
+//!    assigned in one sketch + one lookup of its band-signature
+//!    buckets in the clusterer's representative index (exactly the
+//!    label a scan of every representative would give — see
+//!    `mrmc::incremental`), never by re-running a Map-Reduce job.
 
 use std::collections::HashMap;
 
