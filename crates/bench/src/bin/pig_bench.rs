@@ -17,7 +17,10 @@
 //! The engines are interleaved best-of-N, STORE outputs are asserted
 //! byte-identical every iteration, and the per-stage shuffle
 //! accounting is asserted equal (the index shuffle prices itself at
-//! the boxed rows' wire size by construction). `--min-speedup <s>`
+//! the boxed rows' wire size by construction). Each run's heap
+//! allocations are counted (`row_allocs`, `columnar_allocs`, one
+//! entry per iteration): boxing that creeps back into the columnar
+//! plane shows there before it shows in seconds. `--min-speedup <s>`
 //! turns the wall-clock ratio into a CI gate: the process exits
 //! non-zero if the columnar engine drops below `s`× the row engine.
 //! `--trace <path>` re-runs the columnar engine with a tracer and
@@ -33,6 +36,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mrmc::{algorithm3_script, register_mrmc_udfs};
+use mrmc_bench::alloc::count_allocs;
 use mrmc_bench::json::{write_file, Json};
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig};
@@ -86,6 +90,8 @@ fn synth_fasta(n: usize, rng: &mut StdRng) -> Vec<u8> {
 
 struct RunResult {
     secs: f64,
+    /// Heap allocations inside `PigRunner::run`, worker threads included.
+    allocs: u64,
     /// Concatenated STORE outputs, in script order.
     output: Vec<u8>,
     /// `(stage name, shuffled pairs, shuffled bytes)` per shuffle stage.
@@ -114,7 +120,7 @@ fn run_engine(
         runner = runner.traced(t);
     }
     let t = Instant::now();
-    let report = runner.run(script).expect("Algorithm 3 run");
+    let (report, allocs) = count_allocs(|| runner.run(script).expect("Algorithm 3 run"));
     let secs = t.elapsed().as_secs_f64();
     let mut output = Vec::new();
     for path in OUTPUTS {
@@ -129,6 +135,7 @@ fn run_engine(
         .collect();
     RunResult {
         secs,
+        allocs,
         output,
         shuffle,
     }
@@ -172,6 +179,8 @@ fn main() {
     let mut col_best = f64::INFINITY;
     let mut row_last = None;
     let mut col_last = None;
+    let mut row_allocs = Vec::with_capacity(ITERS);
+    let mut col_allocs = Vec::with_capacity(ITERS);
     for iter in 0..ITERS {
         let row = run_engine(&fasta, &script, PigEngine::Row, workers, None);
         row_best = row_best.min(row.secs);
@@ -186,9 +195,11 @@ fn main() {
             "engines must agree on per-stage shuffle accounting"
         );
         eprintln!(
-            "iter {iter}: row {:.3}s, columnar {:.3}s",
-            row.secs, col.secs
+            "iter {iter}: row {:.3}s {} allocs, columnar {:.3}s {} allocs",
+            row.secs, row.allocs, col.secs, col.allocs
         );
+        row_allocs.push(row.allocs);
+        col_allocs.push(col.allocs);
         row_last = Some(row);
         col_last = Some(col);
     }
@@ -198,21 +209,23 @@ fn main() {
 
     println!("\npig engine bench — Algorithm 3, row vs columnar data plane\n");
     println!(
-        "{:>10} {:>12} {:>14} {:>9}",
-        "engine", "best (s)", "output (B)", "speedup"
+        "{:>10} {:>12} {:>14} {:>12} {:>9}",
+        "engine", "best (s)", "output (B)", "allocs", "speedup"
     );
     println!(
-        "{:>10} {:>12.3} {:>14} {:>9}",
+        "{:>10} {:>12.3} {:>14} {:>12} {:>9}",
         "row",
         row_best,
         row.output.len(),
+        row.allocs,
         ""
     );
     println!(
-        "{:>10} {:>12.3} {:>14} {:>8.2}x",
+        "{:>10} {:>12.3} {:>14} {:>12} {:>8.2}x",
         "columnar",
         col_best,
         col.output.len(),
+        col.allocs,
         speedup
     );
     println!("\nshuffle accounting (identical across engines):");
@@ -266,6 +279,14 @@ fn main() {
         ("row_secs", Json::fixed(row_best, 6)),
         ("columnar_secs", Json::fixed(col_best, 6)),
         ("speedup", Json::fixed(speedup, 3)),
+        (
+            "row_allocs",
+            Json::arr(row_allocs.into_iter().map(Json::from)),
+        ),
+        (
+            "columnar_allocs",
+            Json::arr(col_allocs.into_iter().map(Json::from)),
+        ),
         ("identical", true.into()),
         ("output_bytes", row.output.len().into()),
         (

@@ -16,19 +16,20 @@
 //! grouped bag, which is the semantically equivalent, side-effect-free
 //! formulation.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mrmc_cluster::{agglomerative, greedy_cluster, CondensedMatrix, Linkage};
 use mrmc_minhash::hash::UniversalHashFamily;
-use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytesBuilder};
+use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
 use mrmc_pig::udf::{BatchArg, BatchOut, BatchUdf, UdfError};
 use mrmc_pig::{Udf, UdfRegistry, Value};
 use mrmc_seqio::encode::KmerIter;
 use mrmc_seqio::fasta::read_fasta_bytes;
 
 /// Register every Algorithm 3 UDF, scalar implementations plus the
-/// native batch kernels for the three hot per-row transforms
-/// (everything else goes through the registry's scalar-lift adapter).
+/// native batch kernels for the five hot transforms (the loader and
+/// `GreedyClustering` go through the registry's scalar-lift adapter).
 pub fn register_mrmc_udfs(registry: &mut UdfRegistry) {
     registry.register(Arc::new(FastaStorage));
     registry.register(Arc::new(StringGenerator));
@@ -40,6 +41,8 @@ pub fn register_mrmc_udfs(registry: &mut UdfRegistry) {
     registry.register_batch(Arc::new(BatchStringGenerator));
     registry.register_batch(Arc::new(BatchTranslateToKmer));
     registry.register_batch(Arc::new(BatchCalculateMinwiseHash));
+    registry.register_batch(Arc::new(BatchCalculatePairwiseSimilarity));
+    registry.register_batch(Arc::new(BatchAgglomerativeHierarchicalClustering));
 }
 
 /// Our canonical version of the paper's Algorithm 3 script.
@@ -81,7 +84,7 @@ pub fn suggest_theta_pig(
     let sample = sample.clamp(2, reads.len());
     let stride = (reads.len() / sample).max(1);
     let family = family_for(numhash, div);
-    let sketches: Vec<Vec<u64>> = reads
+    let sketches: Vec<Vec<i64>> = reads
         .iter()
         .step_by(stride)
         .take(sample)
@@ -97,7 +100,7 @@ pub fn suggest_theta_pig(
                     }
                 }
             }
-            mins
+            mins.into_iter().map(|v| v as i64).collect()
         })
         .collect();
     let mut sims = Vec::with_capacity(sketches.len() * (sketches.len() - 1) / 2);
@@ -278,28 +281,32 @@ impl Udf for CalculateMinwiseHash {
     }
 }
 
-/// Decode a sketch bag back into minwise values.
-fn sketch_values(udf: &str, v: &Value) -> Result<Vec<u64>, UdfError> {
+/// A sketch slot no k-mer reached: `u64::MAX`, as the `long` that
+/// carries it through the Pig data model.
+const EMPTY_SLOT: i64 = u64::MAX as i64;
+
+/// Decode a sketch bag into its minwise values, as the longs it holds.
+fn sketch_values(udf: &str, v: &Value) -> Result<Vec<i64>, UdfError> {
     v.as_bag()
         .ok_or_else(|| UdfError::new(udf, "sketch must be a bag of longs"))?
         .iter()
         .map(|x| {
             x.as_i64()
-                .map(|v| v as u64)
                 .ok_or_else(|| UdfError::new(udf, "sketch entries must be longs"))
         })
         .collect()
 }
 
-/// Positional agreement of two raw sketches.
-fn raw_similarity(a: &[u64], b: &[u64]) -> f64 {
+/// Positional agreement of two raw sketches — the one similarity
+/// every Pig-route UDF and kernel computes.
+fn raw_similarity(a: &[i64], b: &[i64]) -> f64 {
     if a.is_empty() || a.len() != b.len() {
         return 0.0;
     }
     let agree = a
         .iter()
         .zip(b)
-        .filter(|(x, y)| x == y && **x != u64::MAX)
+        .filter(|(x, y)| x == y && **x != EMPTY_SLOT)
         .count();
     agree as f64 / a.len() as f64
 }
@@ -346,10 +353,38 @@ impl Udf for CalculatePairwiseSimilarity {
     }
 }
 
-/// Rebuild a dense id-indexed matrix from `(seqid, [(other, sim)])`
-/// rows, returning the ids in index order.
-fn matrix_from_rows(udf: &str, rows: &[Value]) -> Result<(Vec<String>, CondensedMatrix), UdfError> {
-    let mut ids: Vec<String> = Vec::with_capacity(rows.len());
+/// Fill the dense matrix over `ids` (index order) from
+/// `(row, other id, similarity)` entries — written once; the scalar
+/// UDF and the batch kernel only decode their arguments into it.
+/// Duplicate ids resolve to their first row, entries naming an unknown
+/// id or the row itself are skipped, and a later entry for a pair
+/// overwrites an earlier one.
+fn fill_matrix<Id: Copy + Eq + std::hash::Hash>(
+    ids: &[Id],
+    entries: impl IntoIterator<Item = (usize, Id, f64)>,
+) -> CondensedMatrix {
+    let mut index_of: HashMap<Id, usize> = HashMap::with_capacity(ids.len());
+    for (i, &id) in ids.iter().enumerate() {
+        index_of.entry(id).or_insert(i);
+    }
+    let mut matrix = CondensedMatrix::build(ids.len(), |_, _| 0.0);
+    for (i, other, sim) in entries {
+        if let Some(&j) = index_of.get(&other) {
+            if i != j {
+                matrix.set(i, j, sim);
+            }
+        }
+    }
+    matrix
+}
+
+/// Decode boxed `(seqid, [(other, sim)])` rows into [`fill_matrix`],
+/// returning the ids in index order.
+fn matrix_from_rows<'a>(
+    udf: &str,
+    rows: &'a [Value],
+) -> Result<(Vec<&'a str>, CondensedMatrix), UdfError> {
+    let mut ids: Vec<&str> = Vec::with_capacity(rows.len());
     for row in rows {
         let t = row
             .as_tuple()
@@ -358,17 +393,17 @@ fn matrix_from_rows(udf: &str, rows: &[Value]) -> Result<(Vec<String>, Condensed
             .first()
             .and_then(Value::as_str)
             .ok_or_else(|| UdfError::new(udf, "row field 0 must be the seqid"))?;
-        ids.push(id.to_string());
+        ids.push(id);
     }
-    let index_of = |id: &str| ids.iter().position(|x| x == id);
-    let mut matrix = CondensedMatrix::build(ids.len(), |_, _| 0.0);
+    let mut entries: Vec<(usize, &str, f64)> = Vec::new();
     for (i, row) in rows.iter().enumerate() {
         let t = row.as_tuple().expect("checked above");
-        let entries = t
+        let bag = t
             .get(1)
             .and_then(Value::as_bag)
             .ok_or_else(|| UdfError::new(udf, "row field 1 must be the similarity bag"))?;
-        for e in entries {
+        entries.reserve(bag.len());
+        for e in bag {
             let et = e
                 .as_tuple()
                 .ok_or_else(|| UdfError::new(udf, "similarity entries must be tuples"))?;
@@ -380,13 +415,10 @@ fn matrix_from_rows(udf: &str, rows: &[Value]) -> Result<(Vec<String>, Condensed
                 .get(1)
                 .and_then(Value::as_f64)
                 .ok_or_else(|| UdfError::new(udf, "entry field 1 must be the similarity"))?;
-            if let Some(j) = index_of(other) {
-                if i != j {
-                    matrix.set(i, j, sim);
-                }
-            }
+            entries.push((i, other, sim));
         }
     }
+    let matrix = fill_matrix(&ids, entries);
     Ok((ids, matrix))
 }
 
@@ -412,7 +444,7 @@ impl Udf for AgglomerativeHierarchicalClustering {
                 .enumerate()
                 .map(|(i, id)| {
                     Value::tuple([
-                        Value::CharArray(id.clone()),
+                        Value::CharArray(id.to_string()),
                         Value::Int(assignment.label(i) as i32),
                     ])
                 })
@@ -478,6 +510,15 @@ fn window_valid(validity: &Option<Bitmap>, start: usize, len: usize) -> bool {
         .is_none_or(|v| (start..start + len).all(|i| v.get(i)))
 }
 
+/// The packed strings of rows `start..start + len` of a chararray
+/// column with no null among them (`None`: scalar fallback).
+fn str_window(col: &Column, start: usize, len: usize) -> Option<&VarBytes> {
+    match col {
+        Column::Str { data, validity } if window_valid(validity, start, len) => Some(data),
+        _ => None,
+    }
+}
+
 /// Row-at-a-time fallback (mirrors the registry's scalar adapter).
 fn scalar_rows(udf: &dyn Udf, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
     let mut buf: Vec<Value> = args
@@ -499,10 +540,7 @@ fn scalar_rows(udf: &dyn Udf, args: &[BatchArg<'_>], rows: usize) -> Result<Batc
 /// A chararray argument window usable byte-wise: `(bytes of row i)`.
 /// Returns `None` when the layout needs the scalar fallback.
 enum StrArg<'a> {
-    Col {
-        data: &'a mrmc_pig::batch::VarBytes,
-        start: usize,
-    },
+    Col { data: &'a VarBytes, start: usize },
     Broadcast(&'a str),
 }
 
@@ -517,15 +555,12 @@ impl StrArg<'_> {
 
 fn str_arg<'a>(arg: &BatchArg<'a>, len: usize) -> Option<StrArg<'a>> {
     match arg {
-        BatchArg::Column { col, start, .. } => match col {
-            Column::Str { data, validity } if window_valid(validity, *start, len) => {
-                Some(StrArg::Col {
-                    data,
-                    start: *start,
-                })
-            }
-            _ => None,
-        },
+        BatchArg::Column { col, start, .. } => {
+            str_window(col, *start, len).map(|data| StrArg::Col {
+                data,
+                start: *start,
+            })
+        }
         BatchArg::Scalar { value, .. } => value.as_str().map(StrArg::Broadcast),
     }
 }
@@ -551,7 +586,7 @@ impl BatchUdf for BatchStringGenerator {
     }
     fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         // Sequences arrive as bytearray or chararray columns.
-        let seq: Option<(&mrmc_pig::batch::VarBytes, usize)> = match args.first() {
+        let seq: Option<(&VarBytes, usize)> = match args.first() {
             Some(BatchArg::Column { col, start, .. }) => match col {
                 Column::Bin { data, validity } | Column::Str { data, validity }
                     if window_valid(validity, *start, rows) =>
@@ -750,6 +785,262 @@ impl BatchUdf for BatchCalculateMinwiseHash {
             ],
             rows,
         )))
+    }
+}
+
+/// The broadcast sketch relation (`I.E`) decoded into one packed
+/// buffer: row `r` has id `ids[r]` and sketch
+/// `sketches[r * width..][..width]`.
+struct PackedSketches<'a> {
+    ids: Vec<&'a str>,
+    sketches: Vec<i64>,
+    width: usize,
+}
+
+/// Pack a bag of `(sketch:bag(long), seqid)` tuples; `None` on any
+/// other shape, empty relations and unequal or zero sketch widths
+/// included (scalar fallback).
+fn pack_sketches(all: &Value) -> Option<PackedSketches<'_>> {
+    let rows = all.as_bag()?;
+    let width = rows.first()?.as_tuple()?.first()?.as_bag()?.len();
+    if width == 0 {
+        return None;
+    }
+    let mut ids = Vec::with_capacity(rows.len());
+    let mut sketches = Vec::with_capacity(rows.len() * width);
+    for row in rows {
+        let t = row.as_tuple()?;
+        let sketch = t.first()?.as_bag()?;
+        if sketch.len() != width {
+            return None;
+        }
+        for v in sketch {
+            sketches.push(v.as_i64()?);
+        }
+        ids.push(t.get(1)?.as_str()?);
+    }
+    Some(PackedSketches {
+        ids,
+        sketches,
+        width,
+    })
+}
+
+/// Native `CalculatePairwiseSimilarity`: decodes the broadcast
+/// relation once per chunk instead of once per row, reads each row's
+/// sketch straight out of the sketch bag column's packed `long` child
+/// and emits the `(seqid, bag of (other, sim))` rows as columns, so
+/// the n² relation is never boxed.
+pub struct BatchCalculatePairwiseSimilarity;
+impl BatchUdf for BatchCalculatePairwiseSimilarity {
+    fn name(&self) -> &str {
+        "CalculatePairwiseSimilarity"
+    }
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        let fallback = || scalar_rows(&CalculatePairwiseSimilarity, args, rows);
+        let (
+            Some(BatchArg::Column {
+                col: Column::Bag(bag),
+                start,
+                ..
+            }),
+            Some(my_ids),
+            Some(all),
+        ) = (
+            args.first(),
+            args.get(1).and_then(|a| str_arg(a, rows)),
+            args.get(2)
+                .and_then(BatchArg::as_scalar)
+                .and_then(pack_sketches),
+        )
+        else {
+            return fallback();
+        };
+        let start = *start;
+        let (elem_lo, elem_hi) = (
+            bag.offsets[start] as usize,
+            bag.offsets[start + rows] as usize,
+        );
+        let [Column::Long {
+            data: slots,
+            validity,
+        }] = bag.elems.cols()
+        else {
+            return fallback();
+        };
+        if bag.tuple_elems
+            || !window_valid(&bag.validity, start, rows)
+            || !window_valid(validity, elem_lo, elem_hi - elem_lo)
+            || (0..rows).any(|i| bag.bag_len(start + i) != all.width)
+        {
+            return fallback();
+        }
+        let mut out_ids = VarBytesBuilder::with_capacity(rows);
+        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        let mut others = VarBytesBuilder::with_capacity(rows * all.ids.len());
+        let mut sims: Vec<f64> = Vec::with_capacity(rows * all.ids.len());
+        for i in 0..rows {
+            let me = &slots[bag.offsets[start + i] as usize..][..all.width];
+            let my_id = my_ids.get(i);
+            for (other_id, other) in all.ids.iter().zip(all.sketches.chunks_exact(all.width)) {
+                if other_id.as_bytes() != my_id {
+                    others.push(other_id.as_bytes());
+                    sims.push(raw_similarity(me, other));
+                }
+            }
+            offsets.push(sims.len() as u32);
+            out_ids.push(my_id);
+        }
+        let entries = sims.len();
+        let row_col = Column::Bag(BagCol::new(
+            offsets,
+            ColumnBatch::from_cols(
+                vec![
+                    Column::Str {
+                        data: others.finish(),
+                        validity: None,
+                    },
+                    Column::Double {
+                        data: sims,
+                        validity: None,
+                    },
+                ],
+                entries,
+            ),
+            true,
+            None,
+        ));
+        Ok(BatchOut::Tup(ColumnBatch::from_cols(
+            vec![
+                Column::Str {
+                    data: out_ids.finish(),
+                    validity: None,
+                },
+                row_col,
+            ],
+            rows,
+        )))
+    }
+}
+
+/// Native `AgglomerativeHierarchicalClustering`: fills the condensed
+/// matrix straight from the grouped similarity relation's nested
+/// `bag(seqid, bag(other, sim))` column and emits the
+/// `(seqid, label)` bag as columns.
+pub struct BatchAgglomerativeHierarchicalClustering;
+impl BatchUdf for BatchAgglomerativeHierarchicalClustering {
+    fn name(&self) -> &str {
+        "AgglomerativeHierarchicalClustering"
+    }
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        let fallback = || scalar_rows(&AgglomerativeHierarchicalClustering, args, rows);
+        let scalar = |idx: usize| args.get(idx).and_then(BatchArg::as_scalar);
+        let (
+            Some(BatchArg::Column {
+                col: Column::Bag(outer),
+                start,
+                ..
+            }),
+            Some(linkage),
+            Some(_numhash),
+            Some(cutoff),
+        ) = (
+            args.first(),
+            scalar(1)
+                .and_then(Value::as_str)
+                .and_then(|l| l.parse::<Linkage>().ok()),
+            scalar(2).and_then(Value::as_i64),
+            scalar(3).and_then(Value::as_f64),
+        )
+        else {
+            return fallback();
+        };
+        let start = *start;
+        // Relation rows `(seqid, simrow)` of the window's bags.
+        let (row_lo, row_hi) = (
+            outer.offsets[start] as usize,
+            outer.offsets[start + rows] as usize,
+        );
+        if !outer.tuple_elems
+            || outer.elems.widths().is_some()
+            || outer.elems.num_cols() < 2
+            || !window_valid(&outer.validity, start, rows)
+        {
+            return fallback();
+        }
+        let (Some(ids), Column::Bag(inner)) = (
+            str_window(outer.elems.col(0), row_lo, row_hi - row_lo),
+            outer.elems.col(1),
+        ) else {
+            return fallback();
+        };
+        // Entries `(other, sim)` of those rows' similarity bags.
+        let (entry_lo, entry_hi) = (
+            inner.offsets[row_lo] as usize,
+            inner.offsets[row_hi] as usize,
+        );
+        if !inner.tuple_elems
+            || inner.elems.widths().is_some()
+            || inner.elems.num_cols() < 2
+            || !window_valid(&inner.validity, row_lo, row_hi - row_lo)
+        {
+            return fallback();
+        }
+        let (
+            Some(others),
+            Column::Double {
+                data: sims,
+                validity,
+            },
+        ) = (
+            str_window(inner.elems.col(0), entry_lo, entry_hi - entry_lo),
+            inner.elems.col(1),
+        )
+        else {
+            return fallback();
+        };
+        if !window_valid(validity, entry_lo, entry_hi - entry_lo) {
+            return fallback();
+        }
+        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        let mut out_ids = VarBytesBuilder::with_capacity(row_hi - row_lo);
+        let mut labels: Vec<i32> = Vec::with_capacity(row_hi - row_lo);
+        for r in start..start + rows {
+            let members = outer.offsets[r] as usize..outer.offsets[r + 1] as usize;
+            let row_ids: Vec<&[u8]> = members.clone().map(|m| ids.get(m)).collect();
+            let entries = members.enumerate().flat_map(|(i, m)| {
+                (inner.offsets[m] as usize..inner.offsets[m + 1] as usize)
+                    .map(move |e| (i, others.get(e), sims[e]))
+            });
+            let matrix = fill_matrix(&row_ids, entries);
+            let (assignment, _) = agglomerative(&matrix, linkage, cutoff);
+            for (i, id) in row_ids.iter().enumerate() {
+                out_ids.push(id);
+                labels.push(assignment.label(i) as i32);
+            }
+            offsets.push(labels.len() as u32);
+        }
+        let members = labels.len();
+        Ok(BatchOut::Col(Column::Bag(BagCol::new(
+            offsets,
+            ColumnBatch::from_cols(
+                vec![
+                    Column::Str {
+                        data: out_ids.finish(),
+                        validity: None,
+                    },
+                    Column::Int {
+                        data: labels,
+                        validity: None,
+                    },
+                ],
+                members,
+            ),
+            true,
+            None,
+        ))))
     }
 }
 
@@ -995,6 +1286,334 @@ mod tests {
                 .unwrap();
             assert_eq!(batch.row_value(i), scalar);
         }
+    }
+
+    /// A relation row `(sketch, seqid)` as `CalculateMinwiseHash` emits it.
+    fn sketch_row(vals: &[i64], id: &str) -> Value {
+        Value::tuple([
+            Value::bag(vals.iter().map(|&v| Value::Long(v)).collect::<Vec<_>>()),
+            Value::CharArray(id.into()),
+        ])
+    }
+
+    fn has_dyn(b: &ColumnBatch) -> bool {
+        b.cols().iter().any(|c| match c {
+            Column::Dyn(_) => true,
+            Column::Bag(bag) => has_dyn(&bag.elems),
+            _ => false,
+        })
+    }
+
+    /// Run `kernel` over `args` and hold it to the scalar UDF row by
+    /// row — errors included — and to the path (`native` columnar
+    /// output vs scalar fallback) the input shape must take, so a
+    /// silent drop to the fallback fails here, not only in a benchmark.
+    fn assert_kernel_matches(
+        kernel: &dyn BatchUdf,
+        scalar: &dyn Udf,
+        args: &[BatchArg<'_>],
+        rows: usize,
+        native: bool,
+        what: &str,
+    ) -> Option<ColumnBatch> {
+        let want: Result<Vec<Value>, UdfError> = (0..rows)
+            .map(|i| scalar.exec(&args.iter().map(|a| a.value_at(i)).collect::<Vec<_>>()))
+            .collect();
+        let out = kernel.eval_batch(args, rows);
+        assert_eq!(
+            native,
+            matches!(out, Ok(BatchOut::Tup(_) | BatchOut::Col(_))),
+            "{what}: wrong path"
+        );
+        let (got, batch) = match out {
+            Ok(BatchOut::Tup(b)) => (Ok(b.to_rows()), Some(b)),
+            Ok(BatchOut::Col(c)) => {
+                let b = ColumnBatch::single(c);
+                (Ok((0..rows).map(|i| b.value_at(i, 0)).collect()), Some(b))
+            }
+            Ok(BatchOut::Rows(v)) => (Ok(v), None),
+            Err(e) => (Err(e), None),
+        };
+        assert_eq!(got, want, "{what}");
+        if let Some(b) = &batch {
+            assert!(!has_dyn(b), "{what}: native output holds a Dyn column");
+        }
+        batch
+    }
+
+    /// `CalculatePairwiseSimilarity` over relation `E` (every row of
+    /// `rows[window]` against the broadcast `all`).
+    fn check_pairwise(
+        rows: &[Value],
+        all: &[Value],
+        window: std::ops::Range<usize>,
+        native: bool,
+        what: &str,
+    ) -> Option<ColumnBatch> {
+        let field = |j: usize| {
+            Column::from_values(
+                rows.iter()
+                    .map(|r| r.as_tuple().map_or(Value::Null, |t| t[j].clone()))
+                    .collect(),
+            )
+        };
+        let (sketches, ids, all) = (field(0), field(1), Value::bag(all.to_vec()));
+        let (start, len) = (window.start, window.len());
+        let args = [
+            BatchArg::Column {
+                col: &sketches,
+                start,
+                len,
+            },
+            BatchArg::Column {
+                col: &ids,
+                start,
+                len,
+            },
+            BatchArg::Scalar { value: &all, len },
+        ];
+        assert_kernel_matches(
+            &BatchCalculatePairwiseSimilarity,
+            &CalculatePairwiseSimilarity,
+            &args,
+            len,
+            native,
+            what,
+        )
+    }
+
+    /// The J kernel equals the scalar UDF on the Algorithm-3 shape
+    /// (natively, all columns typed) and on every shape that must
+    /// take the fallback.
+    #[test]
+    fn pairwise_similarity_kernel_matches_scalar() {
+        // -1 is the `u64::MAX` empty-slot sentinel: agreeing on it
+        // must not count as agreement.
+        let e = vec![
+            sketch_row(&[1, 2, -1, 4], "r1"),
+            sketch_row(&[1, 2, -1, 9], "r2"),
+            sketch_row(&[7, 2, 3, 4], "r3"),
+            sketch_row(&[-1, -1, -1, -1], "r4"),
+        ];
+        let out = check_pairwise(&e, &e, 0..4, true, "algorithm-3 shape").unwrap();
+        assert_eq!(
+            out.value_at(0, 1),
+            Value::bag([
+                Value::tuple([Value::CharArray("r2".into()), Value::Double(0.5)]),
+                Value::tuple([Value::CharArray("r3".into()), Value::Double(0.5)]),
+                Value::tuple([Value::CharArray("r4".into()), Value::Double(0.0)]),
+            ])
+        );
+        // A chunk is a window into the columns, not their start.
+        check_pairwise(&e, &e, 1..3, true, "mid-column window");
+
+        // Duplicate read ids: rows are skipped by id, not by position.
+        let dup = vec![
+            sketch_row(&[1, 2], "a"),
+            sketch_row(&[1, 3], "b"),
+            sketch_row(&[1, 2], "a"),
+        ];
+        let out = check_pairwise(&dup, &dup, 0..3, true, "duplicate ids").unwrap();
+        assert_eq!(
+            out.value_at(0, 1),
+            Value::bag([Value::tuple([
+                Value::CharArray("b".into()),
+                Value::Double(0.5)
+            ])])
+        );
+
+        // One read: an empty similarity bag, still typed.
+        let one = vec![sketch_row(&[5, 6], "only")];
+        let out = check_pairwise(&one, &one, 0..1, true, "one read").unwrap();
+        assert_eq!(out.value_at(0, 1), Value::bag([]));
+
+        // Fallbacks. Unequal sketch widths, in the relation or the row.
+        let ragged = vec![sketch_row(&[1, 2], "a"), sketch_row(&[1, 2, 3], "b")];
+        check_pairwise(&ragged, &ragged, 0..2, false, "unequal widths");
+        check_pairwise(&ragged[1..], &dup, 0..1, false, "row wider than relation");
+        // A null row (the scalar errors; so must the kernel).
+        let with_null = vec![sketch_row(&[1, 2], "a"), Value::Null];
+        check_pairwise(&with_null, &dup, 0..2, false, "null row");
+        // Relation shapes the packer does not know.
+        check_pairwise(&dup, &[], 0..3, false, "empty relation");
+        check_pairwise(
+            &dup,
+            &[Value::Long(3)],
+            0..3,
+            false,
+            "relation of non-tuples",
+        );
+    }
+
+    /// The id index keeps what the linear `position` scan it replaced
+    /// did: first row wins among duplicate ids, unknown ids and the
+    /// diagonal are skipped, a later entry overwrites an earlier one.
+    #[test]
+    fn fill_matrix_resolves_ids_to_their_first_row() {
+        let ids = ["a", "b", "a", "c"];
+        let entries = [
+            (0, "b", 0.75),
+            (1, "a", 0.25),    // same pair again: overwrites 0.75
+            (3, "a", 0.5),     // "a" is row 0, never row 2
+            (2, "c", 0.125),   // entries *of* the duplicate row keep its index
+            (0, "ghost", 1.0), // unknown id
+            (1, "b", 1.0),     // the row itself
+        ];
+        let m = fill_matrix(&ids, entries);
+        let want = [
+            ((0, 1), 0.25),
+            ((0, 2), 0.0),
+            ((0, 3), 0.5),
+            ((1, 2), 0.0),
+            ((1, 3), 0.0),
+            ((2, 3), 0.125),
+        ];
+        for ((i, j), sim) in want {
+            assert_eq!(m.get(i, j), sim, "({i}, {j})");
+        }
+    }
+
+    /// `AgglomerativeHierarchicalClustering` over a column of grouped
+    /// similarity relations (one bag of `(seqid, simrow)` per row).
+    fn check_hierarchical(
+        relations: Column,
+        link: &str,
+        native: bool,
+        what: &str,
+    ) -> Option<ColumnBatch> {
+        let rows = relations.len();
+        let (link, numhash, cutoff) = (
+            Value::CharArray(link.into()),
+            Value::Long(4),
+            Value::Double(0.6),
+        );
+        let args = [
+            BatchArg::Column {
+                col: &relations,
+                start: 0,
+                len: rows,
+            },
+            BatchArg::Scalar {
+                value: &link,
+                len: rows,
+            },
+            BatchArg::Scalar {
+                value: &numhash,
+                len: rows,
+            },
+            BatchArg::Scalar {
+                value: &cutoff,
+                len: rows,
+            },
+        ];
+        assert_kernel_matches(
+            &BatchAgglomerativeHierarchicalClustering,
+            &AgglomerativeHierarchicalClustering,
+            &args,
+            rows,
+            native,
+            what,
+        )
+    }
+
+    /// The K kernel equals the scalar UDF on what the J kernel emits
+    /// (natively) and on every shape that must take the fallback.
+    #[test]
+    fn hierarchical_kernel_matches_scalar() {
+        // `II = GROUP J ALL` over the J kernel's own output: one row
+        // whose bag is the whole similarity relation.
+        let grouped = |e: &[Value]| {
+            let j = check_pairwise(e, e, 0..e.len(), true, "J for K").unwrap();
+            Column::Bag(BagCol::new(vec![0, e.len() as u32], j, true, None))
+        };
+        let e = vec![
+            sketch_row(&[1, 2, 3, 4], "r1"),
+            sketch_row(&[1, 2, 3, 9], "r2"),
+            sketch_row(&[7, 7, 7, 7], "r3"),
+            sketch_row(&[1, 2, 3, 4], "r1"),
+        ];
+        let out = check_hierarchical(grouped(&e), "average", true, "J kernel output").unwrap();
+        let Value::Bag(labels) = out.value_at(0, 0) else {
+            panic!("expected a label bag")
+        };
+        let label = |i: usize| labels[i].as_tuple().unwrap()[1].clone();
+        assert_eq!(label(0), label(1), "r1 and r2 agree on 3 of 4 slots");
+        assert_ne!(label(0), label(2));
+        check_hierarchical(
+            grouped(&[sketch_row(&[5, 6], "only")]),
+            "single",
+            true,
+            "one read",
+        );
+
+        // Hand-made relations: an entry naming an unknown id, a row
+        // naming itself, a duplicate id (resolves to its first row)
+        // and a pair set twice (the later entry wins) — two relations
+        // in one window.
+        let entry =
+            |id: &str, sim: f64| Value::tuple([Value::CharArray(id.into()), Value::Double(sim)]);
+        let row = |id: &str, entries: Vec<Value>| {
+            Value::tuple([Value::CharArray(id.into()), Value::bag(entries)])
+        };
+        let odd = Value::bag([
+            row(
+                "a",
+                vec![entry("b", 0.9), entry("ghost", 1.0), entry("a", 1.0)],
+            ),
+            row("b", vec![entry("a", 0.1), entry("c", 0.7)]),
+            row("c", vec![entry("b", 0.7), entry("a", 0.2)]),
+            row("a", vec![entry("c", 0.8)]),
+        ]);
+        let plain = Value::bag([
+            row("x", vec![entry("y", 1.0)]),
+            row("y", vec![entry("x", 1.0)]),
+        ]);
+        for link in ["single", "average", "complete"] {
+            check_hierarchical(
+                Column::from_values(vec![odd.clone(), plain.clone()]),
+                link,
+                true,
+                "odd entries",
+            );
+        }
+
+        // Fallbacks: a null relation, a null similarity bag, integer
+        // similarities, an unknown linkage (the scalar's error).
+        check_hierarchical(
+            Column::from_values(vec![plain.clone(), Value::Null]),
+            "average",
+            false,
+            "null row",
+        );
+        let null_bag = Value::bag([
+            row("x", vec![entry("y", 1.0)]),
+            Value::tuple([Value::CharArray("y".into()), Value::Null]),
+        ]);
+        check_hierarchical(
+            Column::from_values(vec![null_bag]),
+            "average",
+            false,
+            "null bag",
+        );
+        let long_sims = Value::bag([
+            row(
+                "x",
+                vec![Value::tuple([Value::CharArray("y".into()), Value::Long(1)])],
+            ),
+            row("y", vec![]),
+        ]);
+        check_hierarchical(
+            Column::from_values(vec![long_sims]),
+            "average",
+            false,
+            "long sims",
+        );
+        check_hierarchical(
+            Column::from_values(vec![plain]),
+            "centroid",
+            false,
+            "bad linkage",
+        );
     }
 
     /// The full Algorithm 3 script must store byte-identical outputs

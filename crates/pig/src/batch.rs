@@ -116,6 +116,48 @@ fn normalize(validity: Option<Bitmap>) -> Option<Bitmap> {
     }
 }
 
+/// Validities of `(validity, rows)` parts laid end to end.
+fn concat_validity(parts: &[(Option<Bitmap>, usize)]) -> Option<Bitmap> {
+    if parts.iter().all(|(v, _)| v.is_none()) {
+        return None;
+    }
+    let mut out = Bitmap::default();
+    for (v, rows) in parts {
+        for i in 0..*rows {
+            out.push(valid_at(v, i));
+        }
+    }
+    normalize(Some(out))
+}
+
+/// Offset vectors of parts laid end to end: each rebased from its own
+/// first offset (a window need not start at 0) onto the running total.
+fn concat_offsets<'a>(parts: impl Iterator<Item = &'a [u32]> + Clone) -> Vec<u32> {
+    let rows: usize = parts.clone().map(|o| o.len() - 1).sum();
+    let mut out = Vec::with_capacity(rows + 1);
+    out.push(0u32);
+    for o in parts {
+        let shift = out[out.len() - 1];
+        assert!(
+            shift.checked_add(o[o.len() - 1] - o[0]).is_some(),
+            "column exceeds u32 offsets"
+        );
+        out.extend(o[1..].iter().map(|&x| x - o[0] + shift));
+    }
+    out
+}
+
+/// Drop zero-row parts before a concat — an empty chunk sniffs as an
+/// all-null `Int` column (or a zero-column batch) and would make the
+/// merge look mixed or ragged — keeping one when every part is empty.
+fn drop_empty<T>(parts: &mut Vec<T>, rows: impl Fn(&T) -> usize) {
+    if parts.iter().any(|p| rows(p) > 0) {
+        parts.retain(|p| rows(p) > 0);
+    } else {
+        parts.truncate(1);
+    }
+}
+
 // ---------------------------------------------------------------- varbytes
 
 /// Variable-width byte storage: `offsets[i]..offsets[i + 1]` into a
@@ -184,6 +226,21 @@ impl VarBytes {
             .data
             .slice(base as usize..self.offsets[start + len] as usize);
         VarBytes { offsets, data }
+    }
+
+    /// Entries of every part end to end: one copy of each part's live
+    /// byte range (a `slice` keeps its window, whatever its first
+    /// offset), offsets rebased onto the joined buffer.
+    pub fn concat(parts: &[VarBytes]) -> VarBytes {
+        let offsets = concat_offsets(parts.iter().map(|p| &p.offsets[..]));
+        let mut data: Vec<u8> = Vec::with_capacity(offsets[offsets.len() - 1] as usize);
+        for p in parts {
+            data.extend_from_slice(&p.data[p.offsets[0] as usize..p.offsets[p.len()] as usize]);
+        }
+        VarBytes {
+            offsets,
+            data: data.into(),
+        }
     }
 }
 
@@ -388,6 +445,32 @@ impl BagCol {
             elems: Box::new(elems),
             tuple_elems: self.tuple_elems,
             validity: normalize(self.validity.as_ref().map(|b| b.slice(start, len))),
+        }
+    }
+
+    /// Bags of every part end to end (all parts share `tuple_elems`):
+    /// offsets rebased onto the concatenated child batch. A part whose
+    /// offsets do not span its whole child contributes only the
+    /// elements they cover.
+    fn concat(parts: Vec<BagCol>) -> BagCol {
+        let tuple_elems = parts[0].tuple_elems;
+        let offsets = concat_offsets(parts.iter().map(|p| &p.offsets[..]));
+        let mut children = Vec::with_capacity(parts.len());
+        let mut valid = Vec::with_capacity(parts.len());
+        for p in parts {
+            let (lo, hi) = (p.offsets[0], p.offsets[p.len()]);
+            valid.push((p.validity, p.offsets.len() - 1));
+            children.push(if lo == 0 && hi as usize == p.elems.rows() {
+                *p.elems
+            } else {
+                p.elems.slice(lo as usize, (hi - lo) as usize)
+            });
+        }
+        BagCol {
+            offsets,
+            elems: Box::new(ColumnBatch::concat(children)),
+            tuple_elems,
+            validity: concat_validity(&valid),
         }
     }
 
@@ -667,107 +750,91 @@ impl Column {
         }
     }
 
-    /// Concatenate columns end to end. Same variants merge natively;
-    /// mixed variants degrade to [`Column::Dyn`].
-    pub fn concat(parts: Vec<Column>) -> Column {
-        fn same_variant(a: &Column, b: &Column) -> bool {
-            std::mem::discriminant(a) == std::mem::discriminant(b)
+    /// Concatenate columns end to end. Same variants append their
+    /// buffers (offsets rebased, validity merged, bag children
+    /// concatenated recursively); mixed variants degrade to
+    /// [`Column::Dyn`].
+    pub fn concat(mut parts: Vec<Column>) -> Column {
+        /// Append the fixed-width parts of one variant.
+        macro_rules! concat_fixed {
+            ($variant:ident, $parts:expr, $rows:expr) => {{
+                let mut data = Vec::with_capacity($rows);
+                let mut valid = Vec::with_capacity($parts.len());
+                for p in $parts {
+                    let Column::$variant { data: d, validity } = p else {
+                        unreachable!("uniform variants")
+                    };
+                    valid.push((validity, d.len()));
+                    data.extend(d);
+                }
+                Column::$variant {
+                    data,
+                    validity: concat_validity(&valid),
+                }
+            }};
         }
-        if parts.is_empty() {
-            return Column::nulls(0);
+        /// Append the `Str`/`Bin` parts' byte storage.
+        fn concat_var(parts: Vec<Column>) -> (VarBytes, Option<Bitmap>) {
+            let mut pieces = Vec::with_capacity(parts.len());
+            let mut valid = Vec::with_capacity(parts.len());
+            for p in parts {
+                let (Column::Str { data, validity } | Column::Bin { data, validity }) = p else {
+                    unreachable!("uniform variants")
+                };
+                valid.push((validity, data.len()));
+                pieces.push(data);
+            }
+            (VarBytes::concat(&pieces), concat_validity(&valid))
         }
-        if parts.len() == 1 {
-            return parts.into_iter().next().unwrap();
+
+        drop_empty(&mut parts, Column::len);
+        if parts.len() <= 1 {
+            return parts.pop().unwrap_or_else(|| Column::nulls(0));
         }
-        let uniform = parts.windows(2).all(|w| same_variant(&w[0], &w[1]));
-        let bag_ok = uniform
-            && match &parts[0] {
-                Column::Bag(first) => parts
-                    .iter()
-                    .all(|p| matches!(p, Column::Bag(b) if b.tuple_elems == first.tuple_elems)),
-                _ => true,
-            };
-        if !uniform || !bag_ok {
+        let uniform = parts.iter().all(|p| match (&parts[0], p) {
+            (Column::Bag(a), Column::Bag(b)) => a.tuple_elems == b.tuple_elems,
+            (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
+        });
+        if !uniform {
             let vals = parts
                 .iter()
                 .flat_map(|p| (0..p.len()).map(|i| p.value_at(i)))
                 .collect();
             return Column::Dyn(vals);
         }
-        // Values-first fallback keeps this simple for the layouts
-        // where an append is not a plain extend.
+        let rows: usize = parts.iter().map(Column::len).sum();
         match &parts[0] {
-            Column::Int { .. } | Column::Long { .. } | Column::Double { .. } => concat_fixed(parts),
-            Column::Str { .. } | Column::Bin { .. } | Column::Bag(_) | Column::Dyn(_) => {
-                concat_rebuild(parts)
+            Column::Int { .. } => concat_fixed!(Int, parts, rows),
+            Column::Long { .. } => concat_fixed!(Long, parts, rows),
+            Column::Double { .. } => concat_fixed!(Double, parts, rows),
+            Column::Str { .. } => {
+                let (data, validity) = concat_var(parts);
+                Column::Str { data, validity }
             }
+            Column::Bin { .. } => {
+                let (data, validity) = concat_var(parts);
+                Column::Bin { data, validity }
+            }
+            Column::Bag(_) => Column::Bag(BagCol::concat(
+                parts
+                    .into_iter()
+                    .map(|p| match p {
+                        Column::Bag(b) => b,
+                        _ => unreachable!("uniform variants"),
+                    })
+                    .collect(),
+            )),
+            Column::Dyn(_) => Column::Dyn(
+                parts
+                    .into_iter()
+                    .flat_map(|p| match p {
+                        Column::Dyn(v) => v,
+                        _ => unreachable!("uniform variants"),
+                    })
+                    .collect(),
+            ),
         }
     }
-}
-
-/// Concatenate fixed-width columns of one shared variant.
-fn concat_fixed(parts: Vec<Column>) -> Column {
-    let total: usize = parts.iter().map(Column::len).sum();
-    let mut validity = Bitmap::new(total, true);
-    let mut at = 0usize;
-    for p in &parts {
-        for i in 0..p.len() {
-            let ok = match p {
-                Column::Int { validity, .. }
-                | Column::Long { validity, .. }
-                | Column::Double { validity, .. } => valid_at(validity, i),
-                _ => unreachable!(),
-            };
-            validity.set(at + i, ok);
-        }
-        at += p.len();
-    }
-    let validity = normalize(Some(validity));
-    match &parts[0] {
-        Column::Int { .. } => Column::Int {
-            data: parts
-                .iter()
-                .flat_map(|p| match p {
-                    Column::Int { data, .. } => data.iter().copied(),
-                    _ => unreachable!(),
-                })
-                .collect(),
-            validity,
-        },
-        Column::Long { .. } => Column::Long {
-            data: parts
-                .iter()
-                .flat_map(|p| match p {
-                    Column::Long { data, .. } => data.iter().copied(),
-                    _ => unreachable!(),
-                })
-                .collect(),
-            validity,
-        },
-        Column::Double { .. } => Column::Double {
-            data: parts
-                .iter()
-                .flat_map(|p| match p {
-                    Column::Double { data, .. } => data.iter().copied(),
-                    _ => unreachable!(),
-                })
-                .collect(),
-            validity,
-        },
-        _ => unreachable!(),
-    }
-}
-
-/// Concatenate variable-width columns by rebuilding through values.
-/// Str/Bin could append buffers directly; chunk concat happens once
-/// per stage, so the rebuild keeps the edge cases (nested bags,
-/// dyn) on one audited path.
-fn concat_rebuild(parts: Vec<Column>) -> Column {
-    let vals: Vec<Value> = parts
-        .iter()
-        .flat_map(|p| (0..p.len()).map(|i| p.value_at(i)))
-        .collect();
-    Column::from_values(vals)
 }
 
 /// Build a [`BagCol`] from bag-or-null values; `None` when element
@@ -966,12 +1033,15 @@ impl ColumnBatch {
         }
     }
 
-    /// Concatenate batches vertically. Parts may differ in column
-    /// count (ragged chunks from a fallback path); narrower parts'
-    /// missing columns become padding nulls tracked by widths.
-    pub fn concat(parts: Vec<ColumnBatch>) -> ColumnBatch {
-        if parts.len() == 1 {
-            return parts.into_iter().next().unwrap();
+    /// Concatenate batches vertically, consuming the parts (their
+    /// buffers are appended or moved, never cloned first). Parts may
+    /// differ in column count (ragged chunks from a fallback path);
+    /// narrower parts' missing columns become padding nulls tracked
+    /// by widths.
+    pub fn concat(mut parts: Vec<ColumnBatch>) -> ColumnBatch {
+        drop_empty(&mut parts, ColumnBatch::rows);
+        if parts.len() <= 1 {
+            return parts.pop().unwrap_or_default();
         }
         let rows: usize = parts.iter().map(|p| p.rows).sum();
         let width = parts.iter().map(|p| p.cols.len()).max().unwrap_or(0);
@@ -984,20 +1054,20 @@ impl ColumnBatch {
                 .flat_map(|p| (0..p.rows).map(|i| p.width_of(i) as u32))
                 .collect()
         });
-        let mut cols = Vec::with_capacity(width);
-        for j in 0..width {
-            let pieces: Vec<Column> = parts
-                .iter()
-                .map(|p| {
-                    if j < p.cols.len() {
-                        p.cols[j].clone()
-                    } else {
-                        Column::nulls(p.rows)
-                    }
-                })
-                .collect();
-            cols.push(Column::concat(pieces));
-        }
+        let mut part_cols: Vec<(usize, std::vec::IntoIter<Column>)> = parts
+            .into_iter()
+            .map(|p| (p.rows, p.cols.into_iter()))
+            .collect();
+        let cols = (0..width)
+            .map(|_| {
+                Column::concat(
+                    part_cols
+                        .iter_mut()
+                        .map(|(rows, cols)| cols.next().unwrap_or_else(|| Column::nulls(*rows)))
+                        .collect(),
+                )
+            })
+            .collect();
         ColumnBatch { cols, rows, widths }
     }
 }
@@ -1178,6 +1248,110 @@ mod tests {
             c.to_rows(),
             vec![t([Value::Int(1), Value::Int(2)]), t([Value::Int(3)])]
         );
+    }
+
+    fn has_dyn(b: &ColumnBatch) -> bool {
+        b.cols().iter().any(|c| match c {
+            Column::Dyn(_) => true,
+            Column::Bag(bag) => has_dyn(&bag.elems),
+            _ => false,
+        })
+    }
+
+    #[test]
+    fn concat_appends_typed_parts_without_degrading() {
+        let rows: Vec<Value> = (0..6i64)
+            .map(|i| {
+                t([
+                    if i % 3 == 0 {
+                        Value::Null
+                    } else {
+                        Value::CharArray(format!("s{i}"))
+                    },
+                    if i % 4 == 1 {
+                        Value::Null
+                    } else {
+                        Value::ByteArray(vec![i as u8; i as usize].into())
+                    },
+                    if i == 2 {
+                        Value::Null
+                    } else {
+                        Value::bag(
+                            (0..i)
+                                .map(|e| t([Value::Long(e), Value::CharArray(format!("e{e}"))]))
+                                .collect::<Vec<_>>(),
+                        )
+                    },
+                    Value::bag([
+                        Value::bag([Value::Long(i)]),
+                        Value::bag((0..i).map(Value::Long).collect::<Vec<_>>()),
+                    ]),
+                ])
+            })
+            .collect();
+        let b = ColumnBatch::from_rows(&rows).unwrap();
+        // An empty chunk (zero columns) in the middle must not make
+        // the result ragged or mixed.
+        let empty = ColumnBatch::from_rows(&[]).unwrap();
+        let c = ColumnBatch::concat(vec![b.slice(1, 3), empty, b.slice(4, 2), b.clone()]);
+        assert!(matches!(
+            c.col(0),
+            Column::Str {
+                validity: Some(_),
+                ..
+            }
+        ));
+        assert!(matches!(
+            c.col(1),
+            Column::Bin {
+                validity: Some(_),
+                ..
+            }
+        ));
+        assert!(matches!(c.col(2), Column::Bag(bag) if bag.validity.is_some()));
+        assert!(!has_dyn(&c) && c.widths().is_none());
+        assert_eq!(c.to_rows(), [&rows[1..4], &rows[4..6], &rows[..]].concat());
+        for (i, row) in c.to_rows().iter().enumerate() {
+            assert_eq!(c.row_shuffle_size(i), row.shuffle_size(), "row {i}");
+        }
+    }
+
+    #[test]
+    fn concat_honours_non_zero_base_offsets() {
+        // String storage whose first offset is not 0 and a bag whose
+        // offsets start inside its child — `from_parts`/`BagCol::new`
+        // admit both.
+        let strs = VarBytes::from_parts(vec![2, 3, 5], Bytes::from_static(b"xxabcyy"));
+        let bags = BagCol::new(
+            vec![1, 2, 4],
+            ColumnBatch::single(Column::Long {
+                data: vec![9, 1, 2, 3],
+                validity: None,
+            }),
+            false,
+            None,
+        );
+        let part = ColumnBatch::from_cols(
+            vec![
+                Column::Str {
+                    data: strs,
+                    validity: None,
+                },
+                Column::Bag(bags),
+            ],
+            2,
+        );
+        let rows = part.to_rows();
+        assert_eq!(
+            rows[1],
+            t([
+                Value::CharArray("bc".into()),
+                Value::bag([Value::Long(2), Value::Long(3)])
+            ])
+        );
+        let c = ColumnBatch::concat(vec![part.clone(), part]);
+        assert!(!has_dyn(&c));
+        assert_eq!(c.to_rows(), [&rows[..], &rows[..]].concat());
     }
 
     #[test]

@@ -143,14 +143,6 @@ impl Relation {
         }
     }
 
-    /// Row `i` as a boxed value (materializes from columns).
-    fn row(&self, i: usize) -> Value {
-        match &self.store {
-            Store::Rows { data, .. } => data[i].clone(),
-            Store::Batch { data, .. } => data.row_value(i),
-        }
-    }
-
     /// All live rows, boxed (the row-path entry format).
     fn rows_vec(&self) -> Vec<Value> {
         match &self.store {
@@ -1448,12 +1440,15 @@ impl PigRunner {
             });
         }
         let idx = field_index(&rel.schema, relation, field)?;
-        Ok(rel
-            .row(0)
-            .as_tuple()
-            .and_then(|t| t.get(idx))
-            .cloned()
-            .unwrap_or(Value::Null))
+        // Only the referenced field is materialized, not the whole row.
+        Ok(match &rel.store {
+            Store::Rows { data, .. } => data[0]
+                .as_tuple()
+                .and_then(|t| t.get(idx))
+                .cloned()
+                .unwrap_or(Value::Null),
+            Store::Batch { data, .. } => data.value_at(0, idx),
+        })
     }
 }
 

@@ -54,18 +54,125 @@ fn rows() -> impl Strategy<Value = Vec<Value>> {
     )
 }
 
+/// `batch` holds exactly `rows`, and prices each like the boxed row.
+fn assert_batch_holds(batch: &ColumnBatch, rows: &[Value]) {
+    assert_eq!(batch.rows(), rows.len());
+    assert_eq!(batch.to_rows(), rows);
+    for (i, row) in rows.iter().enumerate() {
+        assert_eq!(batch.row_value(i), row.clone());
+        assert_eq!(batch.row_shuffle_size(i), row.shuffle_size(), "row {i}");
+    }
+}
+
+/// One row of the fixed shape `(chararray, bytearray,
+/// bag{(long, chararray, bag{chararray})}, bag{bag{long}}, double)`,
+/// decoded from a seed whose bits pick nulls, lengths and how many
+/// trailing fields a ragged row drops. Parts built from these rows
+/// share one typed layout, so `concat` appends their buffers instead
+/// of degrading to `Dyn`.
+fn typed_row(seed: u64) -> Value {
+    let mut state = seed;
+    let mut next = |n: u64| {
+        // splitmix64 step
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    };
+    let word = |next: &mut dyn FnMut(u64) -> u64| -> String {
+        (0..next(5))
+            .map(|_| (b'a' + next(26) as u8) as char)
+            .collect()
+    };
+    let mut fields = Vec::new();
+    fields.push(match next(4) {
+        0 => Value::Null,
+        _ => Value::CharArray(word(&mut next)),
+    });
+    fields.push(match next(4) {
+        0 => Value::Null,
+        _ => Value::ByteArray(word(&mut next).into_bytes().into()),
+    });
+    fields.push(match next(5) {
+        0 => Value::Null,
+        n => Value::Bag(
+            (1..n)
+                .map(|_| {
+                    let id = match next(3) {
+                        0 => Value::Null,
+                        _ => Value::CharArray(word(&mut next)),
+                    };
+                    let inner = (0..next(3))
+                        .map(|_| Value::tuple([Value::CharArray(word(&mut next))]))
+                        .collect::<Vec<_>>();
+                    Value::tuple([Value::Long(next(100) as i64), id, Value::Bag(inner)])
+                })
+                .collect(),
+        ),
+    });
+    fields.push(match next(5) {
+        0 => Value::Null,
+        n => Value::Bag(
+            (1..n)
+                .map(|_| Value::Bag((0..next(3)).map(|_| Value::Long(next(9) as i64)).collect()))
+                .collect(),
+        ),
+    });
+    fields.push(Value::Double(next(1000) as f64 / 8.0));
+    // One row in four is ragged: it keeps only a prefix of its fields.
+    if next(4) == 0 {
+        fields.truncate(next(5) as usize);
+    }
+    Value::Tuple(fields)
+}
+
 proptest! {
     /// from_rows → to_rows is the identity, and the columnar shuffle
     /// pricing matches the boxed pricing row for row.
     #[test]
     fn batch_round_trips_rows(rows in rows()) {
         let batch = ColumnBatch::from_rows(&rows).expect("all rows are tuples");
-        prop_assert_eq!(batch.rows(), rows.len());
-        prop_assert_eq!(batch.to_rows(), rows.clone());
-        for (i, row) in rows.iter().enumerate() {
-            prop_assert_eq!(batch.row_value(i), row.clone());
-            prop_assert_eq!(batch.row_shuffle_size(i), row.shuffle_size());
+        assert_batch_holds(&batch, &rows);
+    }
+
+    /// `concat` is row concatenation, whatever the parts look like:
+    /// windows cut by `slice` (a shared buffer of which the part owns
+    /// a sub-range), nullable string/bytes/bag columns, bags of bags,
+    /// ragged rows, all-null parts, empty parts, and arbitrary
+    /// (mostly `Dyn`) parts mixed in between the typed ones.
+    #[test]
+    fn concat_appends_part_rows(
+        typed in proptest::collection::vec(proptest::collection::vec(any::<u64>(), 0..7), 0..5),
+        wild in proptest::collection::vec(rows(), 0..3),
+        modes in proptest::collection::vec(any::<u8>(), 5),
+        cuts in proptest::collection::vec(0usize..8, 10),
+    ) {
+        let mut parts: Vec<ColumnBatch> = Vec::new();
+        let mut expect: Vec<Value> = Vec::new();
+        let mut wild = wild.into_iter();
+        for (k, seeds) in typed.iter().enumerate() {
+            let mut rows: Vec<Value> = seeds.iter().map(|&s| typed_row(s)).collect();
+            if modes[k] % 4 == 0 {
+                // An all-null part: every column sniffs as null-only.
+                for row in &mut rows {
+                    let Value::Tuple(fields) = row else { unreachable!() };
+                    fields.iter_mut().for_each(|f| *f = Value::Null);
+                }
+            }
+            let lo = cuts[2 * k] % (rows.len() + 1);
+            let len = cuts[2 * k + 1] % (rows.len() - lo + 1);
+            let whole = ColumnBatch::from_rows(&rows).expect("all rows are tuples");
+            parts.push(whole.slice(lo, len));
+            expect.extend_from_slice(&rows[lo..lo + len]);
+            if modes[k] % 2 == 1 {
+                if let Some(rows) = wild.next() {
+                    parts.push(ColumnBatch::from_rows(&rows).expect("all rows are tuples"));
+                    expect.extend(rows);
+                }
+            }
         }
+        assert_batch_holds(&ColumnBatch::concat(parts), &expect);
     }
 
     /// Slices and gathers of a batch reproduce the corresponding rows.
