@@ -116,7 +116,6 @@ fn banded_section(
     let mrmc::CandidateGen::Banded { bands, .. } = config.candidates else {
         unreachable!("banded() config");
     };
-    let wire = config.wire;
     let reads = mrmc_simulate::huse_16s(0.03, 2_000.0 / 345_000.0, seed).reads;
     let run = MrMcMinH::new(config).run(&reads).expect("banded run");
     let candidates = run.pipeline.counter_total("CANDIDATES_EMITTED");
@@ -124,12 +123,11 @@ fn banded_section(
     eprintln!(
         "\nbanded calibration: {} reads → {candidates} candidates \
          ({cand_per_read:.1}/read), {} pairs verified, {} B shuffled \
-         across {} sorted runs ({:?} wire)",
+         across {} sorted runs",
         reads.len(),
         run.pipeline.counter_total("PAIRS_COMPUTED"),
         run.pipeline.counter_total("SHUFFLE_BYTES"),
         run.pipeline.counter_total("SHUFFLE_RUNS"),
-        wire,
     );
 
     println!(

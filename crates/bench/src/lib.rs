@@ -27,8 +27,8 @@ use mrmc_metrics::{weighted_accuracy, weighted_similarity, SimilarityOptions};
 use mrmc_seqio::SeqRecord;
 use mrmc_simulate::Dataset;
 
-/// Minimal CLI: `--scale`, `--seed`, `--samples`, `--json`, `--trace`,
-/// `--min-banded-ratio`.
+/// Minimal CLI shared by the bench binaries: one `--kebab-case` flag
+/// per field.
 #[derive(Debug, Clone)]
 pub struct HarnessArgs {
     /// Dataset shrink factor in (0, 1].
@@ -42,10 +42,6 @@ pub struct HarnessArgs {
     /// Optional path for a Chrome trace of the run (binaries that run
     /// the real engine attach a [`mrmc_mapreduce::Tracer`] when set).
     pub trace: Option<String>,
-    /// Regression gate for `shuffle_bench`: exit non-zero if the
-    /// banded pipeline's raw/compact shuffle-byte ratio drops below
-    /// this floor.
-    pub min_banded_ratio: Option<f64>,
     /// Regression gate for `pig_bench`: exit non-zero if the columnar
     /// engine's wall-clock speedup over the row engine drops below
     /// this floor.
@@ -69,7 +65,6 @@ impl HarnessArgs {
             samples: None,
             json: None,
             trace: None,
-            min_banded_ratio: None,
             min_speedup: None,
             max_merge_allocs_per_run: None,
             max_metrics_overhead_pct: None,
@@ -110,14 +105,6 @@ impl HarnessArgs {
                     args.trace = Some(argv.get(i + 1).expect("--trace needs a file path").clone());
                     i += 2;
                 }
-                "--min-banded-ratio" => {
-                    args.min_banded_ratio = Some(
-                        argv.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .expect("--min-banded-ratio needs a number"),
-                    );
-                    i += 2;
-                }
                 "--min-speedup" => {
                     args.min_speedup = Some(
                         argv.get(i + 1)
@@ -145,7 +132,7 @@ impl HarnessArgs {
                 other => panic!(
                     "unknown argument {other:?} \
                      (supported: --scale, --seed, --samples, --json, --trace, \
-                     --min-banded-ratio, --min-speedup, --max-merge-allocs-per-run, \
+                     --min-speedup, --max-merge-allocs-per-run, \
                      --max-metrics-overhead-pct)"
                 ),
             }
@@ -473,7 +460,6 @@ mod tests {
             samples: Some(vec!["S1".into(), "S3".into()]),
             json: None,
             trace: None,
-            min_banded_ratio: None,
             min_speedup: None,
             max_merge_allocs_per_run: None,
             max_metrics_overhead_pct: None,

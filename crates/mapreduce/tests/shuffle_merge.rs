@@ -333,6 +333,53 @@ fn string_keys_bit_identical_with_payload_bytes() {
     }
 }
 
+/// The `shuffle_bench` CI shape (`--scale 0.02`): 20 000 records over
+/// 16 map tasks, 8 reducers and 78 keys — hundreds of values per reduce
+/// group and every `(map, partition)` run populated, two orders of
+/// magnitude past the property tests above — with and without the
+/// order-sensitive combiner.
+#[test]
+fn bench_shape_bit_identical_with_and_without_combiner() {
+    let (num_maps, reducers) = (16, 8);
+    let mapper = TagMapper { key_space: 78 };
+    let payloads: Vec<u32> = (0..20_000u32).map(|i| i.wrapping_mul(2654435761)).collect();
+    let input = tagged(&payloads);
+    let cfg = JobConfig::named("merge-bench-shape")
+        .reducers(reducers)
+        .workers(2);
+
+    let expect = oracle_run(
+        &input,
+        num_maps,
+        &mapper,
+        None::<&TakeTwoCombiner>,
+        &CollectReducer,
+        reducers,
+    );
+    let got = run_job(input.clone(), num_maps, &mapper, &CollectReducer, &cfg).unwrap();
+    assert_eq!(got.output, expect);
+    assert_eq!(got.shuffle_runs, (num_maps * reducers) as u64);
+
+    let expect = oracle_run(
+        &input,
+        num_maps,
+        &mapper,
+        Some(&TakeTwoCombiner),
+        &CollectReducer,
+        reducers,
+    );
+    let got = run_job_with_combiner(
+        input,
+        num_maps,
+        &mapper,
+        &TakeTwoCombiner,
+        &CollectReducer,
+        &cfg,
+    )
+    .unwrap();
+    assert_eq!(got.output, expect);
+}
+
 #[test]
 fn empty_input_and_single_key_edge_cases() {
     let mapper = TagMapper { key_space: 1 };

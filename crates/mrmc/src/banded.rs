@@ -4,11 +4,17 @@
 //! Replaces the O(n²) all-pairs stage with three Map-Reduce stages:
 //!
 //! 1. **band-signatures** — each mapper cuts a read's sketch into `b`
-//!    bands of `r` rows and emits `(band, signature) → read_id`; the
-//!    *real* hash-partitioned shuffle groups reads by bucket, and the
+//!    bands of `r` rows and emits `(band, signature) → read_id`, the
+//!    key bit-packed by a [`BandKeyCodec`] (band index in the top bits,
+//!    signature truncated to its low `SIG_BITS` bits) and the id a
+//!    delta/varint-encoded [`IdRun`] that a map-side combiner merges
+//!    per bucket; the *real* shuffle groups reads by bucket, and the
 //!    reducer emits every in-bucket pair;
 //! 2. **candidate-dedup** — pairs found by several bands are collapsed
-//!    to one candidate by a second shuffle keyed on the pair itself;
+//!    to one candidate by a second shuffle keyed on the pair's *lower
+//!    read id* and range-partitioned, partners again travelling as
+//!    combiner-merged [`IdRun`]s, so a read's whole similarity
+//!    neighborhood lands on one reducer as a single compressed run;
 //! 3. **candidate-verify** — a map-only stage evaluates the exact
 //!    sketch similarity of each candidate and keeps only edges with
 //!    `sim ≥ θ`, yielding a [`SparseSimGraph`].
@@ -17,35 +23,20 @@
 //! or above θ shares at least one literally-equal band, so the graph
 //! holds *exactly* the pairs a dense run would accept — pruning is
 //! lossless at the θ cut and clustering results match bit for bit.
-//!
-//! # Wire formats
-//!
-//! The stages run in one of two shuffle encodings, selected by
-//! [`WireFormat`] on the config (DESIGN.md §3a "wire format"):
-//!
-//! * **Raw** — the stages above, shuffling `(band u32, sig u64)` keys,
-//!   raw `u32` ids and `(u32, u32)` pairs at fixed widths;
-//! * **Compact** (default) — bucket keys bit-packed by a
-//!   [`BandKeyCodec`] (band index in the top bits, signature truncated
-//!   to `sig_bits` low bits), read ids and candidate partners carried
-//!   as delta/varint-encoded [`IdRun`] payloads merged by a map-side
-//!   combiner, and the candidate-dedup stage re-keyed on the *lower
-//!   read id* with range partitioning, so a read's whole similarity
-//!   neighborhood lands on one reducer as a single compressed run.
-//!
 //! Signature truncation can only merge buckets, never split them, so
-//! compact recall is still exactly 1.0; spurious merges add candidates
-//! which the verify stage discards, leaving the final graph (and the
-//! clustering built from it) bit-identical across formats.
+//! recall stays exactly 1.0; the spurious merges add candidates which
+//! the verify stage discards (DESIGN.md §3a "wire format").
+
+use std::marker::PhantomData;
 
 use mrmc_cluster::SparseSimGraph;
-use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
+use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, MrKey, Reducer, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::wire::{uvarint_len, BandKeyCodec, IdRun};
 use mrmc_mapreduce::MrError;
 use mrmc_minhash::{BandingScheme, Sketch};
 
-use crate::config::{MrMcConfig, WireFormat};
+use crate::config::MrMcConfig;
 use crate::stages::sketch_similarity;
 
 /// Read indices travel the banded shuffle as `u32`; reject inputs the
@@ -59,87 +50,10 @@ pub fn ensure_read_ids_fit(num_reads: usize) -> Result<(), MrError> {
     Ok(())
 }
 
-/// Stage-1 mapper: read index → `(band, signature) → read_id` pairs.
-/// Borrows the sketch list (scoped-thread engine), so map input is
-/// just the index even across task retries.
-struct BandSignatureMapper<'a> {
-    scheme: BandingScheme,
-    sketches: &'a [Sketch],
-}
-
-impl Mapper for BandSignatureMapper<'_> {
-    type InKey = usize;
-    type InValue = ();
-    type OutKey = (u32, u64);
-    type OutValue = u32;
-
-    fn map(&self, key: usize, _v: (), ctx: &mut TaskContext<(u32, u64), u32>) {
-        let values = self.sketches[key].values();
-        for band in 0..self.scheme.bands {
-            let sig = self.scheme.signature(band, values);
-            ctx.emit((band as u32, sig), key as u32);
-        }
-        ctx.count("BAND_SIGNATURES", self.scheme.bands as u64);
-    }
-}
-
-/// Stage-1 reducer: one bucket's reads → all in-bucket pairs. Ids are
-/// sorted and deduped first (a retried map attempt must not double a
-/// read), so output is deterministic regardless of shuffle arrival
-/// order.
-struct BucketPairReducer;
-
-impl Reducer for BucketPairReducer {
-    type InKey = (u32, u64);
-    type InValue = u32;
-    type OutKey = (u32, u32);
-    type OutValue = ();
-
-    fn reduce(&self, _key: (u32, u64), mut ids: Vec<u32>, ctx: &mut TaskContext<(u32, u32), ()>) {
-        ids.sort_unstable();
-        ids.dedup();
-        let mut pairs = 0u64;
-        for (a, &i) in ids.iter().enumerate() {
-            for &j in &ids[a + 1..] {
-                ctx.emit((i, j), ());
-                pairs += 1;
-            }
-        }
-        ctx.count("BUCKET_PAIRS", pairs);
-    }
-}
-
-/// Stage-2 mapper: identity on pairs — the work is the shuffle, which
-/// regroups by pair so duplicates across bands land in one reducer.
-struct PairIdentityMapper;
-
-impl Mapper for PairIdentityMapper {
-    type InKey = (u32, u32);
-    type InValue = ();
-    type OutKey = (u32, u32);
-    type OutValue = ();
-
-    fn map(&self, key: (u32, u32), _v: (), ctx: &mut TaskContext<(u32, u32), ()>) {
-        ctx.emit(key, ());
-    }
-}
-
-/// Stage-2 reducer: collapse a pair's occurrences (one per colliding
-/// band) to a single candidate.
-struct DedupReducer;
-
-impl Reducer for DedupReducer {
-    type InKey = (u32, u32);
-    type InValue = ();
-    type OutKey = (u32, u32);
-    type OutValue = ();
-
-    fn reduce(&self, key: (u32, u32), hits: Vec<()>, ctx: &mut TaskContext<(u32, u32), ()>) {
-        ctx.emit(key, ());
-        ctx.count("CANDIDATES_EMITTED", 1);
-        ctx.count("CANDIDATE_DUPLICATES", hits.len() as u64 - 1);
-    }
-}
+/// Signature bits kept in the packed bucket key: with ≤ 4 bands the
+/// key fits in 3 bytes, while the spurious bucket-merge probability
+/// per same-band pair stays at 2⁻²².
+const SIG_BITS: u32 = 22;
 
 /// Stage-3 mapper: verify one candidate with the exact sketch
 /// estimator, emitting the edge only when it clears θ.
@@ -168,7 +82,7 @@ impl Mapper for VerifyMapper<'_> {
     }
 }
 
-/// Compact stage-1 mapper: read index → packed bucket key with a
+/// Stage-1 mapper: read index → packed bucket key with a
 /// singleton [`IdRun`] payload. Key bytes are the packed width, value
 /// bytes the exact run encoding — so SHUFFLE_BYTES is the true
 /// compact-wire volume.
@@ -214,33 +128,22 @@ impl Mapper for CompactBandMapper<'_> {
     }
 }
 
-/// Map-side combiner for [`IdRun`] payloads: collapse a key's local
+/// Map-side combiner for [`IdRun`] payloads, whatever the key (packed
+/// bucket in stage 1, read id in stage 2): collapse a key's local
 /// singleton runs into one sorted, deduped run before the shuffle.
 /// Idempotent with the reducers, which re-merge across map tasks.
-struct IdRunCombiner;
+struct IdRunCombiner<K>(PhantomData<K>);
 
-impl Combiner for IdRunCombiner {
-    type Key = u64;
+impl<K: MrKey> Combiner for IdRunCombiner<K> {
+    type Key = K;
     type Value = IdRun;
 
-    fn combine(&self, _key: &u64, values: Vec<IdRun>) -> Vec<IdRun> {
+    fn combine(&self, _key: &K, values: Vec<IdRun>) -> Vec<IdRun> {
         vec![IdRun::merge(&values).expect("combiner input runs are well-formed")]
     }
 }
 
-/// [`IdRunCombiner`] keyed by a `u32` read id (stage 2).
-struct IdRunCombinerU32;
-
-impl Combiner for IdRunCombinerU32 {
-    type Key = u32;
-    type Value = IdRun;
-
-    fn combine(&self, _key: &u32, values: Vec<IdRun>) -> Vec<IdRun> {
-        vec![IdRun::merge(&values).expect("combiner input runs are well-formed")]
-    }
-}
-
-/// Compact stage-1 reducer: decode and merge one bucket's id runs,
+/// Stage-1 reducer: decode and merge one bucket's id runs,
 /// then emit every in-bucket pair — the fetch-retry path re-fetches
 /// these *encoded* runs, and a re-executed map re-encodes them
 /// deterministically, so a retry decodes to identical groups.
@@ -270,7 +173,7 @@ impl Reducer for CompactBucketReducer {
     }
 }
 
-/// Compact stage-2 mapper: re-key each bucket pair `(i, j)` on its
+/// Stage-2 mapper: re-key each bucket pair `(i, j)` on its
 /// lower read id, carrying the partner as a singleton run. With the
 /// combiner this turns a read's candidate list into one delta-encoded
 /// run per map task instead of a raw `(u32, u32)` per occurrence.
@@ -304,10 +207,10 @@ impl Mapper for NeighborRunMapper {
     }
 }
 
-/// Compact stage-2 reducer: merge a read's partner runs, dedup, and
+/// Stage-2 reducer: merge a read's partner runs, dedup, and
 /// emit one candidate per distinct partner. The duplicate count is the
 /// cross-band collisions the combiner could not see (different map
-/// tasks), matching the raw path's CANDIDATE_DUPLICATES semantics.
+/// tasks).
 struct NeighborDedupReducer;
 
 impl Reducer for NeighborDedupReducer {
@@ -355,58 +258,40 @@ pub fn banded_candidates(
     ensure_read_ids_fit(sketches.len())?;
     let scheme = config.banding_scheme();
     let input: Vec<(usize, ())> = (0..sketches.len()).map(|i| (i, ())).collect();
-    let deduped = match config.wire {
-        WireFormat::Raw => {
-            let mapper = BandSignatureMapper { scheme, sketches };
-            let bucket_pairs = pipeline.run_stage(
-                input,
-                config.map_tasks,
-                &mapper,
-                &BucketPairReducer,
-                &job_for(config, "band-signatures"),
-            )?;
-            pipeline.run_stage(
-                bucket_pairs,
-                config.map_tasks,
-                &PairIdentityMapper,
-                &DedupReducer,
-                &job_for(config, "candidate-dedup"),
-            )?
-        }
-        WireFormat::Compact { sig_bits } => {
-            let codec = BandKeyCodec::new(scheme.bands, sig_bits).map_err(MrError::BadConfig)?;
-            let mapper = CompactBandMapper {
-                scheme,
-                codec,
-                sketches,
-            };
-            let mut bucket_pairs = pipeline.run_stage_with_combiner(
-                input,
-                config.map_tasks,
-                &mapper,
-                &IdRunCombiner,
-                &CompactBucketReducer,
-                &job_for(config, "band-signatures"),
-            )?;
-            // Total-order handoff: sorting the pair stream makes
-            // cross-band duplicates of the same pair adjacent, so the
-            // stage-2 input splits hand them to one map task and the
-            // combiner eliminates them before they reach the wire.
-            bucket_pairs.sort_unstable();
-            pipeline.run_stage_with_combiner(
-                bucket_pairs,
-                config.map_tasks,
-                &NeighborRunMapper {
-                    total_reads: sketches.len(),
-                },
-                &IdRunCombinerU32,
-                &NeighborDedupReducer,
-                &job_for(config, "candidate-dedup"),
-            )?
-        }
+    let codec = BandKeyCodec::new(scheme.bands, SIG_BITS).map_err(MrError::BadConfig)?;
+    let mapper = CompactBandMapper {
+        scheme,
+        codec,
+        sketches,
     };
-    let mut candidates: Vec<(u32, u32)> = deduped.into_iter().map(|(p, ())| p).collect();
-    candidates.sort_unstable();
+    let mut bucket_pairs = pipeline.run_stage_with_combiner(
+        input,
+        config.map_tasks,
+        &mapper,
+        &IdRunCombiner(PhantomData),
+        &CompactBucketReducer,
+        &job_for(config, "band-signatures"),
+    )?;
+    // Total-order handoff: sorting the pair stream makes cross-band
+    // duplicates of the same pair adjacent, so the stage-2 input
+    // splits hand them to one map task and the combiner eliminates
+    // them before they reach the wire.
+    bucket_pairs.sort_unstable();
+    let deduped = pipeline.run_stage_with_combiner(
+        bucket_pairs,
+        config.map_tasks,
+        &NeighborRunMapper {
+            total_reads: sketches.len(),
+        },
+        &IdRunCombiner(PhantomData),
+        &NeighborDedupReducer,
+        &job_for(config, "candidate-dedup"),
+    )?;
+    let candidates: Vec<(u32, u32)> = deduped.into_iter().map(|(p, ())| p).collect();
+    // Range partitioning by `i` plus each reducer's sorted keys and
+    // ascending partner walk: reduce output concatenated in partition
+    // order is already strictly `(i, j)`-ordered.
+    debug_assert!(candidates.windows(2).all(|w| w[0] < w[1]));
     Ok(candidates)
 }
 

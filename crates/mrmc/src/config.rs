@@ -43,42 +43,6 @@ pub enum CandidateGen {
     },
 }
 
-/// How the banded stages serialize their shuffle payloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFormat {
-    /// Plain typed records: `(band u32, signature u64)` keys and raw
-    /// `u32`/`(u32, u32)` ids and pairs, priced at their fixed widths.
-    /// Kept for byte-accounting comparisons (`shuffle_bench` runs the
-    /// banded pipeline under both formats).
-    Raw,
-    /// Compact encoding (the default): bucket keys bit-packed to
-    /// `band_bits + sig_bits` bits, read ids and candidate partners
-    /// delta/varint-encoded as sorted [`mrmc_mapreduce::wire::IdRun`]
-    /// payloads, combiner-side run merging, and similarity-aware
-    /// partitioning (candidate pairs range-partitioned by their lower
-    /// read id). Signature truncation to `sig_bits` can only merge
-    /// buckets, so banding recall stays 1.0; the verify stage discards
-    /// the (rare) extra candidates and clustering output is
-    /// bit-identical to [`WireFormat::Raw`].
-    Compact {
-        /// Signature bits kept in the packed bucket key (1..=62).
-        sig_bits: u32,
-    },
-}
-
-/// Default signature width for [`WireFormat::Compact`]: with ≤ 4
-/// bands the packed bucket key fits in 3 bytes, while the spurious
-/// bucket-merge probability per same-band pair stays at 2⁻²².
-pub const DEFAULT_SIG_BITS: u32 = 22;
-
-impl Default for WireFormat {
-    fn default() -> Self {
-        WireFormat::Compact {
-            sig_bits: DEFAULT_SIG_BITS,
-        }
-    }
-}
-
 /// All knobs of a run. The paper's defaults: k = 5 and n = 100 for
 /// whole metagenomes (Table III), k = 15 and n = 50 for 16S
 /// (Table V), θ = 0.95.
@@ -109,9 +73,6 @@ pub struct MrMcConfig {
     /// Candidate generation: dense all-pairs (default, the paper's
     /// stage 2) or banded-LSH pruning.
     pub candidates: CandidateGen,
-    /// Shuffle wire format for the banded stages (ignored by the
-    /// dense path, which shuffles similarity rows, not buckets).
-    pub wire: WireFormat,
 }
 
 impl Default for MrMcConfig {
@@ -128,7 +89,6 @@ impl Default for MrMcConfig {
             map_tasks: 16,
             workers: None,
             candidates: CandidateGen::Dense,
-            wire: WireFormat::default(),
         }
     }
 }
@@ -193,19 +153,6 @@ impl MrMcConfig {
         self
     }
 
-    /// Use the raw (uncompressed) shuffle wire format for the banded
-    /// stages — the byte-accounting baseline.
-    pub fn raw_wire(mut self) -> MrMcConfig {
-        self.wire = WireFormat::Raw;
-        self
-    }
-
-    /// Use the compact wire format with an explicit signature width.
-    pub fn compact_wire(mut self, sig_bits: u32) -> MrMcConfig {
-        self.wire = WireFormat::Compact { sig_bits };
-        self
-    }
-
     /// The banding scheme this config implies: the configured
     /// `(bands, rows)` in banded mode, the auto-tuned exact scheme
     /// otherwise.
@@ -252,12 +199,6 @@ impl MrMcConfig {
                     self.num_hashes
                 ));
             }
-            if let WireFormat::Compact { sig_bits } = self.wire {
-                // The packed key must fit band_bits + sig_bits in 64
-                // bits; the codec itself re-checks, but failing at
-                // validate() gives a better error.
-                mrmc_mapreduce::wire::BandKeyCodec::new(bands, sig_bits)?;
-            }
         }
         Ok(())
     }
@@ -302,29 +243,6 @@ mod tests {
             CandidateGen::Banded { bands: 5, rows: 10 }
         );
         assert!(manual.validate().is_ok());
-    }
-
-    #[test]
-    fn wire_knobs() {
-        let c = MrMcConfig::sixteen_s().banded();
-        assert_eq!(
-            c.wire,
-            WireFormat::Compact {
-                sig_bits: DEFAULT_SIG_BITS
-            }
-        );
-        assert!(c.validate().is_ok());
-        assert_eq!(c.raw_wire().wire, WireFormat::Raw);
-        let c = MrMcConfig::sixteen_s().banded().compact_wire(30);
-        assert_eq!(c.wire, WireFormat::Compact { sig_bits: 30 });
-        assert!(c.validate().is_ok());
-        // Degenerate signature widths are rejected at validate():
-        // 0 bits carries no bucket identity, and 3 bands need 2 band
-        // bits so 64 signature bits cannot fit the packed key.
-        let zero = MrMcConfig::sixteen_s().banded().compact_wire(0);
-        assert!(zero.validate().is_err());
-        let wide = MrMcConfig::sixteen_s().banded().compact_wire(64);
-        assert!(wide.validate().is_err());
     }
 
     #[test]

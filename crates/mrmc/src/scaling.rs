@@ -133,8 +133,11 @@ impl CostCalibration {
         let job1 = job_seconds(&cluster, model, &sketch_costs, num_reads, sketch_bytes);
 
         // Job 2: band signatures — `bands` narrow records per read
-        // cross the shuffle (a (band, signature) key plus a read id,
-        // ~16 B), in place of the dense stage's O(n²) compute.
+        // cross the shuffle, in place of the dense stage's O(n²)
+        // compute. 16 B per record here and 8 B per candidate in job 3
+        // are fixed-width upper bounds on what `crate::banded`'s packed
+        // keys and delta-encoded id runs ship, kept deliberately
+        // conservative against the banded path.
         let sig_records = num_reads * bands.max(1) as u64;
         let total_sig = num_reads as f64 * self.sig_per_read;
         let sig_costs = vec![total_sig / map_tasks as f64; map_tasks];

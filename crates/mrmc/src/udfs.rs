@@ -22,7 +22,7 @@ use std::sync::Arc;
 use mrmc_cluster::{agglomerative, greedy_cluster, CondensedMatrix, Linkage};
 use mrmc_minhash::hash::UniversalHashFamily;
 use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
-use mrmc_pig::udf::{BatchArg, BatchOut, BatchUdf, UdfError};
+use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, BatchUdf, UdfError};
 use mrmc_pig::{Udf, UdfRegistry, Value};
 use mrmc_seqio::encode::KmerIter;
 use mrmc_seqio::fasta::read_fasta_bytes;
@@ -92,12 +92,7 @@ pub fn suggest_theta_pig(
             let mut mins = vec![u64::MAX; numhash];
             if let Ok(iter) = KmerIter::new(&r.seq, kmer) {
                 for km in iter {
-                    for (i, slot) in mins.iter_mut().enumerate() {
-                        let h = family.hash(i, km);
-                        if h < *slot {
-                            *slot = h;
-                        }
-                    }
+                    min_fold(&family, &mut mins, km);
                 }
             }
             mins.into_iter().map(|v| v as i64).collect()
@@ -187,13 +182,7 @@ impl Udf for StringGenerator {
             .and_then(Value::as_bytes)
             .ok_or_else(|| UdfError::new("StringGenerator", "argument 0 must be the sequence"))?;
         let id = arg_str("StringGenerator", args, 1, "the read id")?;
-        let norm: String = seq
-            .iter()
-            .map(|&c| match c.to_ascii_uppercase() {
-                b'U' => 'T',
-                up => up as char,
-            })
-            .collect();
+        let norm: String = seq.iter().map(|&c| norm_base(c) as char).collect();
         Ok(Value::tuple([
             Value::CharArray(norm),
             Value::CharArray(id.to_string()),
@@ -230,6 +219,17 @@ fn family_for(numhash: usize, div: u64) -> UniversalHashFamily {
     UniversalHashFamily::new(numhash, div, div)
 }
 
+/// Eq. 5's min-fold: lower every sketch slot that `kmer` hashes below.
+#[inline]
+fn min_fold(family: &UniversalHashFamily, mins: &mut [u64], kmer: u64) {
+    for (i, slot) in mins.iter_mut().enumerate() {
+        let h = family.hash(i, kmer);
+        if h < *slot {
+            *slot = h;
+        }
+    }
+}
+
 /// `CalculateMinwiseHash(kmer_bag, numhash, div)` — the grouped bag of
 /// `(kmer, seqid)` rows for one sequence → `(sketch:bag(long), seqid)`.
 pub struct CalculateMinwiseHash;
@@ -261,12 +261,7 @@ impl Udf for CalculateMinwiseHash {
             if seqid.is_none() {
                 seqid = t.get(1).and_then(Value::as_str).map(str::to_string);
             }
-            for (i, slot) in mins.iter_mut().enumerate() {
-                let h = family.hash(i, kmer);
-                if h < *slot {
-                    *slot = h;
-                }
-            }
+            min_fold(&family, &mut mins, kmer);
         }
         let seqid =
             seqid.ok_or_else(|| UdfError::new("CalculateMinwiseHash", "empty k-mer group"))?;
@@ -519,24 +514,6 @@ fn str_window(col: &Column, start: usize, len: usize) -> Option<&VarBytes> {
     }
 }
 
-/// Row-at-a-time fallback (mirrors the registry's scalar adapter).
-fn scalar_rows(udf: &dyn Udf, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-    let mut buf: Vec<Value> = args
-        .iter()
-        .map(|a| a.as_scalar().cloned().unwrap_or(Value::Null))
-        .collect();
-    let mut out = Vec::with_capacity(rows);
-    for i in 0..rows {
-        for (slot, arg) in buf.iter_mut().zip(args) {
-            if let Some((col, start, _)) = arg.as_column() {
-                *slot = col.value_at(start + i);
-            }
-        }
-        out.push(udf.exec(&buf)?);
-    }
-    Ok(BatchOut::Rows(out))
-}
-
 /// A chararray argument window usable byte-wise: `(bytes of row i)`.
 /// Returns `None` when the layout needs the scalar fallback.
 enum StrArg<'a> {
@@ -565,7 +542,7 @@ fn str_arg<'a>(arg: &BatchArg<'a>, len: usize) -> Option<StrArg<'a>> {
     }
 }
 
-/// Normalize one DNA byte the way `StringGenerator` does.
+/// Normalize one DNA byte for `StringGenerator`: upper-case, `U`→`T`.
 #[inline]
 fn norm_base(c: u8) -> u8 {
     let up = c.to_ascii_uppercase();
@@ -752,13 +729,7 @@ impl BatchUdf for BatchCalculateMinwiseHash {
             );
             mins.iter_mut().for_each(|m| *m = u64::MAX);
             for &km in &kmers[lo..hi] {
-                let km = km as u64;
-                for (h, slot) in mins.iter_mut().enumerate() {
-                    let v = family.hash(h, km);
-                    if v < *slot {
-                        *slot = v;
-                    }
-                }
+                min_fold(&family, &mut mins, km as u64);
             }
             sketch.extend(mins.iter().map(|&v| v as i64));
             offsets.push(sketch.len() as u32);

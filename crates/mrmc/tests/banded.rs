@@ -3,11 +3,12 @@
 //! oracle, dedup completeness, and fault recovery through the banding
 //! reducers.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
 use mrmc::stages::{sketch_similarity, sketch_stage};
-use mrmc::{MrMcConfig, MrMcMinH, WireFormat};
+use mrmc::{MrMcConfig, MrMcMinH};
 use mrmc_cluster::{agglomerative, cut_dendrogram, CondensedMatrix, Linkage};
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
@@ -174,51 +175,51 @@ fn reducer_faults_recover_bit_identical() {
     );
 }
 
-/// The two wire formats are interchangeable where it matters: same
-/// candidate set, same verified graph — while the compact encoding
-/// moves strictly fewer shuffle bytes through both banding stages.
+/// Each banding stage ships less than the least its traffic could cost
+/// at fixed widths: stage 1 undercuts one `(band u32, signature u64)`
+/// key, a count byte and a `u32` per member for every full-signature
+/// bucket (grouped once globally, which no map-side grouping beats),
+/// and stage 2 undercuts one `(u32, u32)` key plus a count byte per
+/// distinct candidate.
 #[test]
-fn raw_and_compact_wire_agree_with_fewer_bytes() {
-    let reads = corpus(220.0, 21);
-    let compact_cfg = MrMcConfig::sixteen_s().banded();
-    assert!(matches!(compact_cfg.wire, WireFormat::Compact { .. }));
-    let raw_cfg = compact_cfg.raw_wire();
-    let sketches = sketches_of(&reads, &compact_cfg);
+fn banding_stages_undercut_fixed_width_floor() {
+    let cfg = MrMcConfig::sixteen_s().banded();
+    let sketches = sketches_of(&corpus(220.0, 21), &cfg);
+    let mut p = Pipeline::new("test-wire-bytes");
+    banded_candidates(&sketches, &cfg, &mut p).expect("banded stages");
 
-    let mut raw_p = Pipeline::new("test-raw-wire");
-    let raw = banded_candidates(&sketches, &raw_cfg, &mut raw_p).expect("raw run");
-    let mut compact_p = Pipeline::new("test-compact-wire");
-    let compact = banded_candidates(&sketches, &compact_cfg, &mut compact_p).expect("compact run");
-    assert_eq!(raw, compact, "candidate sets must agree across formats");
+    let scheme = cfg.banding_scheme();
+    let mut buckets: HashMap<(usize, u64), u64> = HashMap::new();
+    for sketch in &sketches {
+        for band in 0..scheme.bands {
+            *buckets
+                .entry((band, scheme.signature(band, sketch.values())))
+                .or_default() += 1;
+        }
+    }
+    let bucket_floor: u64 = buckets.values().map(|members| 12 + 1 + 4 * members).sum();
+    let pair_floor = 9 * p.counter_total("CANDIDATES_EMITTED");
 
-    // Stages 0–1 of each pipeline are band-signatures/candidate-dedup.
-    for stage in 0..2 {
-        let (r, c) = (&raw_p.stages()[stage], &compact_p.stages()[stage]);
+    // Stages 0–1 of the pipeline are band-signatures/candidate-dedup.
+    for (stage, floor) in [(0, bucket_floor), (1, pair_floor)] {
+        let stage = &p.stages()[stage];
         assert!(
-            c.shuffled_bytes < r.shuffled_bytes,
-            "stage {stage}: compact {} bytes must undercut raw {}",
-            c.shuffled_bytes,
-            r.shuffled_bytes
+            stage.shuffled_bytes < floor,
+            "{}: {} shuffled bytes must undercut the fixed-width floor {floor}",
+            stage.name,
+            stage.shuffled_bytes
         );
     }
-
-    let mut raw_g = Pipeline::new("g-raw");
-    let mut compact_g = Pipeline::new("g-compact");
-    let graph_raw = banded_graph_stage(&sketches, &raw_cfg, &mut raw_g).expect("raw graph");
-    let graph_compact =
-        banded_graph_stage(&sketches, &compact_cfg, &mut compact_g).expect("compact graph");
-    assert_eq!(graph_raw, graph_compact, "graphs bit-identical");
 }
 
 /// Shuffle fetch failures past the retry limit force map re-execution;
 /// the re-executed maps re-encode their id runs deterministically, so
 /// the retried fetch decodes to identical groups and the final graph
-/// is bit-identical — the chaos contract with the compact wire format
-/// enabled (both banding stages lose an output).
+/// is bit-identical — the chaos contract on the compact wire plane
+/// (both banding stages lose an output).
 #[test]
-fn fetch_failures_recover_bit_identical_with_compact_wire() {
+fn fetch_failures_recover_bit_identical() {
     let cfg = MrMcConfig::sixteen_s().banded();
-    assert!(matches!(cfg.wire, WireFormat::Compact { .. }));
     let reads = corpus(150.0, 23);
     let sketches = sketches_of(&reads, &cfg);
 
@@ -253,7 +254,7 @@ fn read_id_guard() {
     assert!(err.to_string().contains("u32 read-id space"), "{err}");
 
     // The pipeline surfaces the same guard (trivially satisfiable
-    // here; the guard sits on the entry path of both formats).
+    // here; the guard sits on the entry path).
     let cfg = MrMcConfig::sixteen_s().banded();
     let mut p = Pipeline::new("test-guard");
     assert!(banded_candidates(&[], &cfg, &mut p).is_ok());

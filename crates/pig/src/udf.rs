@@ -163,22 +163,33 @@ impl BatchUdf for ScalarBatchUdf {
     }
 
     fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        // Scalar slots are cloned once here and reused for every row.
-        let mut buf: Vec<Value> = args
-            .iter()
-            .map(|a| a.as_scalar().cloned().unwrap_or(Value::Null))
-            .collect();
-        let mut out = Vec::with_capacity(rows);
-        for i in 0..rows {
-            for (slot, arg) in buf.iter_mut().zip(args) {
-                if let Some((col, start, _)) = arg.as_column() {
-                    *slot = col.value_at(start + i);
-                }
-            }
-            out.push(self.udf.exec(&buf)?);
-        }
-        Ok(BatchOut::Rows(out))
+        scalar_rows(self.udf.as_ref(), args, rows)
     }
+}
+
+/// Evaluate a scalar [`Udf`] row by row over batch arguments — the
+/// body of [`ScalarBatchUdf`], and the fallback a native kernel takes
+/// for an argument layout it does not vectorize.
+pub fn scalar_rows(
+    udf: &dyn Udf,
+    args: &[BatchArg<'_>],
+    rows: usize,
+) -> Result<BatchOut, UdfError> {
+    // Scalar slots are cloned once here and reused for every row.
+    let mut buf: Vec<Value> = args
+        .iter()
+        .map(|a| a.as_scalar().cloned().unwrap_or(Value::Null))
+        .collect();
+    let mut out = Vec::with_capacity(rows);
+    for i in 0..rows {
+        for (slot, arg) in buf.iter_mut().zip(args) {
+            if let Some((col, start, _)) = arg.as_column() {
+                *slot = col.value_at(start + i);
+            }
+        }
+        out.push(udf.exec(&buf)?);
+    }
+    Ok(BatchOut::Rows(out))
 }
 
 /// Case-insensitive UDF name → implementation map, holding both the
