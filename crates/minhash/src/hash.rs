@@ -22,11 +22,13 @@ pub struct HashParams {
 
 /// A family of `n` universal hash functions sharing `p` and `m`.
 ///
-/// Construction precomputes a Barrett constant for `p`, so the hot
+/// Construction precomputes two Barrett constants for `p`, so the hot
 /// [`Self::hash`] path evaluates `((a·x + b) mod p) mod m` with
-/// multiplies and conditional subtracts only — no 128-bit division.
-/// The result is bit-identical to the textbook double-`%` form (the
-/// `reference` module keeps that form as an oracle).
+/// multiplies and conditional subtracts only — no 128-bit division:
+/// a word-sized reduction for every `x` whose `a·x + b` fits a `u64`
+/// whatever the parameter draw, the 127-bit form
+/// above that. The result is bit-identical to the textbook double-`%`
+/// form (the `reference` module keeps that form as an oracle).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniversalHashFamily {
     params: Vec<HashParams>,
@@ -37,6 +39,14 @@ pub struct UniversalHashFamily {
     /// `⌊2^127 / p⌋` when `p ≤ 2^63` (Barrett constant); 0 selects the
     /// plain-division fallback for oversized primes.
     mu: u128,
+    /// `⌊2^64 / p⌋`, the word-sized Barrett constant.
+    mu64: u64,
+    /// Largest `x` with `(p−1)·x + (p−1) ≤ u64::MAX`: up to here
+    /// `a·x + b` fits a word for every `a, b < p`, and
+    /// [`Self::eval_word`] applies. Every k-mer of `k ≤ 15` sits below
+    /// it under both k-mer families (`p ≈ 2^31` at most there); from
+    /// `k = 16` on `p > 2^32` and the largest features do not.
+    pub(crate) word_max: u64,
 }
 
 /// Barrett shift: `t = a·x + b < 2^63 · 2^64 = 2^127` whenever
@@ -60,6 +70,24 @@ fn barrett_mod(t: u128, p: u64, mu: u128) -> u64 {
     }
     debug_assert!(r < p as u128);
     r as u64
+}
+
+/// `t mod p` for a word-sized `t`, with `µ = ⌊2^64/p⌋`: one mul-high,
+/// one multiply, one conditional subtract.
+///
+/// The same argument as [`barrett_mod`] one word down: writing
+/// `µ = (2^64 − r₀)/p` with `r₀ < p`, the estimate `q̂ = ⌊t·µ / 2^64⌋`
+/// is `⌊t/p − t·r₀/(p·2^64)⌋`, and the subtracted term is
+/// `< t/2^64 < 1`, so `q̂ ∈ {q−1, q}` and `t − q̂·p < 2p`.
+#[inline]
+fn barrett_mod_word(t: u64, p: u64, mu64: u64) -> u64 {
+    let qhat = ((t as u128 * mu64 as u128) >> 64) as u64;
+    let mut r = t - qhat * p;
+    if r >= p {
+        r -= p;
+    }
+    debug_assert!(r < p);
+    r
 }
 
 /// `⌊t·µ / 2^127⌋` via a 256-bit product kept in four u64 limbs.
@@ -99,7 +127,14 @@ impl UniversalHashFamily {
                 b: rng.random_range(0..p),
             })
             .collect();
-        UniversalHashFamily { params, p, m, mu }
+        UniversalHashFamily {
+            params,
+            p,
+            m,
+            mu,
+            mu64: ((1u128 << 64) / p as u128) as u64,
+            word_max: (u64::MAX - (p - 1)) / (p - 1),
+        }
     }
 
     /// Family for k-mer features.
@@ -147,13 +182,30 @@ impl UniversalHashFamily {
     /// [`Self::params`] directly and skip the per-call index lookup.
     #[inline]
     pub fn eval(&self, hp: HashParams, x: u64) -> u64 {
+        if x <= self.word_max {
+            return self.eval_word(hp, x);
+        }
         let t = hp.a as u128 * x as u128 + hp.b as u128;
         let v = if self.mu != 0 {
             barrett_mod(t, self.p, self.mu)
         } else {
             (t % self.p as u128) as u64
         };
-        // v < p < 2m, so one conditional subtract completes `mod m`.
+        self.fold_m(v)
+    }
+
+    /// [`Self::eval`] for `x ≤ word_max`, where `a·x + b` cannot leave
+    /// a `u64`. The sketcher's blocked loop tests its largest feature
+    /// once and calls this directly.
+    #[inline]
+    pub(crate) fn eval_word(&self, hp: HashParams, x: u64) -> u64 {
+        debug_assert!(x <= self.word_max);
+        self.fold_m(barrett_mod_word(hp.a * x + hp.b, self.p, self.mu64))
+    }
+
+    /// `v mod m` for `v < p`: `p < 2m`, so one conditional subtract.
+    #[inline]
+    fn fold_m(&self, v: u64) -> u64 {
         if v >= self.m {
             v - self.m
         } else {
@@ -250,9 +302,19 @@ mod tests {
 
     #[test]
     fn barrett_bit_identical_to_division() {
-        // Mixed operating points: tiny paper-literal ranges, the 2^31
-        // floor, a non-power-of-two m, and the k = 31 ceiling (2^62).
-        for m in [16u64, 1 << 10, 1 << 31, (1 << 31) + 12345, 1 << 62] {
+        // Mixed operating points: tiny paper-literal ranges, the Pig
+        // script's `$DIV`, the 2^31 floor, a non-power-of-two m, the
+        // first range whose prime leaves a word for some k-mers (2^32)
+        // and the k = 31 ceiling (2^62).
+        for m in [
+            16u64,
+            1 << 10,
+            1_048_583,
+            1 << 31,
+            (1 << 31) + 12345,
+            1 << 32,
+            1 << 62,
+        ] {
             let f = UniversalHashFamily::new(4, m, m ^ 0xA5A5);
             let mut x = 0x9E37_79B9_7F4A_7C15u64;
             for _ in 0..2_000 {
@@ -267,9 +329,18 @@ mod tests {
                     );
                 }
             }
-            for x in [0, 1, m - 1, m, m + 1, u64::MAX] {
+            // Both sides of the word-sized reduction's bound, where
+            // `a·x + b` first can leave a u64.
+            let edge = f.word_max;
+            assert!((f.p - 1) as u128 * (edge as u128 + 1) <= u64::MAX as u128);
+            assert!((f.p - 1) as u128 * (edge as u128 + 2) > u64::MAX as u128);
+            for x in [0, 1, m - 1, m, m + 1, edge - 1, edge, edge + 1, u64::MAX] {
                 for i in 0..f.len() {
-                    assert_eq!(f.hash(i, x), crate::reference::hash(&f, i, x));
+                    assert_eq!(
+                        f.hash(i, x),
+                        crate::reference::hash(&f, i, x),
+                        "m = {m}, i = {i}, x = {x}"
+                    );
                 }
             }
         }

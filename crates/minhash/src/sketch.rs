@@ -1,28 +1,32 @@
 //! Fixed-size minwise sketches (Eqs. 4 & 6).
 
+use std::sync::{Arc, OnceLock};
+
 use mrmc_seqio::encode::{CanonicalKmerIter, KmerIter};
 use mrmc_seqio::SeqIoError;
 
-use crate::hash::UniversalHashFamily;
+use crate::hash::{HashParams, UniversalHashFamily};
 
 /// A fixed-size minwise sketch: `values[i] = min_{x ∈ I} h_i(x)`.
 ///
 /// `u64::MAX` marks positions for which the feature set was empty
 /// (sequence shorter than k); two empty positions never "agree".
 ///
-/// Construction caches two derived facts the similarity kernels need
-/// on every pair: the count of non-empty positions (degeneracy checks
-/// become O(1) instead of an O(n) rescan per call) and the sorted,
-/// deduplicated non-empty values (the set-based estimator becomes a
-/// pure allocation-free merge). Equality and hashing remain defined by
-/// the raw values alone — the caches are functions of them.
+/// Two derived facts the similarity kernels need on every pair are
+/// cached: the count of non-empty positions, at construction
+/// (degeneracy checks become O(1) instead of an O(n) rescan per call),
+/// and the sorted, deduplicated non-empty values, on first use (the
+/// set-based estimator becomes a pure allocation-free merge; the
+/// positional one never pays for them). Equality and hashing remain
+/// defined by the raw values alone — the caches are functions of them.
 #[derive(Debug, Clone)]
 pub struct Sketch {
     values: Vec<u64>,
     /// Number of positions with a real minwise value (`!= EMPTY_SLOT`).
     non_empty: usize,
-    /// Sorted, deduplicated non-empty values.
-    sorted: Vec<u64>,
+    /// Sorted, deduplicated non-empty values, filled by the first
+    /// [`Sketch::sorted_values`] call.
+    sorted: OnceLock<Vec<u64>>,
 }
 
 impl PartialEq for Sketch {
@@ -43,20 +47,13 @@ impl std::hash::Hash for Sketch {
 pub const EMPTY_SLOT: u64 = u64::MAX;
 
 impl Sketch {
-    /// Construct from raw minwise values (computes the caches).
+    /// Construct from raw minwise values.
     pub fn from_values(values: Vec<u64>) -> Sketch {
-        let mut sorted: Vec<u64> = values
-            .iter()
-            .copied()
-            .filter(|&v| v != EMPTY_SLOT)
-            .collect();
-        let non_empty = sorted.len();
-        sorted.sort_unstable();
-        sorted.dedup();
+        let non_empty = values.iter().filter(|&&v| v != EMPTY_SLOT).count();
         Sketch {
             values,
             non_empty,
-            sorted,
+            sorted: OnceLock::new(),
         }
     }
 
@@ -90,11 +87,16 @@ impl Sketch {
         &self.values
     }
 
-    /// Sorted, deduplicated non-empty values (cached) — the operand of
-    /// the set-based estimator.
-    #[inline]
+    /// Sorted, deduplicated non-empty values (cached by the first
+    /// call) — the operand of the set-based estimator.
     pub fn sorted_values(&self) -> &[u64] {
-        &self.sorted
+        self.sorted.get_or_init(|| {
+            let mut sorted = Vec::with_capacity(self.non_empty);
+            sorted.extend(self.values.iter().copied().filter(|&v| v != EMPTY_SLOT));
+            sorted.sort_unstable();
+            sorted.dedup();
+            sorted
+        })
     }
 
     /// Borrow the sketch as a [`SketchView`].
@@ -126,6 +128,54 @@ impl SketchView<'_> {
     }
 }
 
+/// Largest feature space (`4^k`) the rank-table kernel covers: k ≤ 7.
+/// Set by the table's one-off build cost, which grows as
+/// `n · 4^k · log 4^k` against a per-read saving that stays near
+/// `n · d` evaluations: at n = 100 the k = 7 table (3.3 MB, 44 ms)
+/// repays itself within ~300 long reads, a k = 8 one (13 MB, 185 ms)
+/// would need over a thousand (EXPERIMENTS.md "Sketch kernels").
+const RANK_TABLE_MAX_SPACE: usize = 1 << 14;
+
+/// Words in a [`Presence`] set.
+const PRESENCE_WORDS: usize = RANK_TABLE_MAX_SPACE / 64;
+
+/// Upper limit on the k-mer buffer's up-front reservation: a size hint
+/// is the caller's claim, not a measurement, and must not be able to
+/// ask for more memory than a long read needs.
+const MAX_PRESIZE: usize = 1 << 16;
+
+/// The distinct k-mers of one read at small k, as a `4^k`-bit set on
+/// the stack: filled straight off the k-mer stream, it is already the
+/// deduplicated, ordered feature set.
+struct Presence([u64; PRESENCE_WORDS]);
+
+impl Presence {
+    #[inline]
+    fn insert(&mut self, x: usize) {
+        self.0[x >> 6] |= 1 << (x & 63);
+    }
+
+    #[inline]
+    fn contains(&self, x: usize) -> bool {
+        self.0[x >> 6] >> (x & 63) & 1 != 0
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Append the members in increasing order.
+    fn append_to(&self, out: &mut Vec<u64>) {
+        for (i, &word) in self.0.iter().enumerate() {
+            let mut rest = word;
+            while rest != 0 {
+                out.push((i as u64) << 6 | u64::from(rest.trailing_zeros()));
+                rest &= rest - 1;
+            }
+        }
+    }
+}
+
 /// Builds sketches for k-mer feature sets with a shared hash family, so
 /// that sketches are comparable across sequences.
 #[derive(Debug, Clone)]
@@ -133,6 +183,11 @@ pub struct MinHasher {
     family: UniversalHashFamily,
     k: usize,
     canonical: bool,
+    /// The rank table, for `4^k ≤ RANK_TABLE_MAX_SPACE` only: per hash
+    /// function, all `4^k` k-mers ordered by `(h_i(x), x)`. Built by
+    /// the first read dense enough to use it; clones (one per stage,
+    /// per session) share the one copy.
+    ranks: Option<Arc<OnceLock<Vec<u16>>>>,
 }
 
 impl MinHasher {
@@ -140,11 +195,7 @@ impl MinHasher {
     /// `seed` fixes the hash parameter draws (paper: `a_i, b_i` chosen
     /// uniformly at random once per run).
     pub fn for_kmer_size(k: usize, n: usize, seed: u64) -> MinHasher {
-        MinHasher {
-            family: UniversalHashFamily::for_kmer_size(k, n, seed),
-            k,
-            canonical: false,
-        }
+        MinHasher::with_family(k, UniversalHashFamily::for_kmer_size(k, n, seed))
     }
 
     /// Switch to canonical (strand-independent) k-mers: each k-mer is
@@ -176,10 +227,12 @@ impl MinHasher {
             "family range {} too small for 4^{k} features — sized for different k",
             family.m
         );
+        let small = 1usize << (2 * k) <= RANK_TABLE_MAX_SPACE;
         MinHasher {
             family,
             k,
             canonical: false,
+            ranks: small.then(Arc::default),
         }
     }
 
@@ -204,41 +257,118 @@ impl MinHasher {
     /// harmless (min is idempotent), so callers may feed raw k-mer
     /// streams without deduplicating.
     ///
-    /// The feature stream is buffered and deduplicated once — a sketch
-    /// depends only on the *set* of k-mers, and reads repeat k-mers
-    /// freely (low-complexity stretches; any k well below log₄(len)) —
-    /// then the hash family is walked in blocks: each block's running
-    /// minima live in a small stack array while the (cache-resident)
-    /// k-mer buffer streams past, instead of re-touching all `n` sketch
-    /// slots per k-mer. Results are bit-identical to
-    /// [`crate::reference::sketch_kmers`] (min is order-independent and
-    /// idempotent, so reordering and deduplication cannot change it).
+    /// A sketch depends only on the *set* of k-mers, and reads repeat
+    /// k-mers freely (low-complexity stretches; any k well below
+    /// log₄(len)), so the stream is first reduced to its `d` distinct
+    /// features, then one of two exact kernels runs, chosen from `k`
+    /// and `d` alone:
+    ///
+    /// * **Rank table** (`k ≤ 7` and `d² ≥ 4^k`). The stream sets
+    ///   bits in a `4^k`-bit presence set — no buffer, sort or
+    ///   dedup — and slot `i` is `h_i` of the first
+    ///   present k-mer in the table's `h_i` order: about `4^k/d`
+    ///   probes and one evaluation instead of `d` evaluations. Ties in
+    ///   `h_i` are harmless: whichever tied k-mer is met first carries
+    ///   the same minimum. The two kernels measure equal at
+    ///   `d ≈ 2^k/2`; the rule waits for `d = 2^k`, where the table is
+    ///   twice as fast, because the first read across it also pays
+    ///   for the build.
+    /// * **Blocked family walk** (every other read). The sorted
+    ///   distinct features stream past the hash family in blocks whose
+    ///   running minima live in a small stack array, instead of
+    ///   re-touching all `n` sketch slots per k-mer.
+    ///
+    /// Both are bit-identical to [`crate::reference::sketch_kmers`]
+    /// (min is order-independent and idempotent, so reordering and
+    /// deduplication cannot change it).
     pub fn sketch_kmers(&self, kmers: impl IntoIterator<Item = u64>) -> Sketch {
-        const BLOCK: usize = 8;
-        let n = self.family.len();
-        let mut values = vec![EMPTY_SLOT; n];
-        let mut buf: Vec<u64> = kmers.into_iter().collect();
-        if buf.is_empty() {
-            return Sketch::from_values(values);
-        }
-        // Each duplicate dropped here saves `n` hash evaluations; the
-        // sort pays for itself whenever the stream has any repetition.
-        buf.sort_unstable();
-        buf.dedup();
-        let params = self.family.params();
-        for (vals, hps) in values.chunks_mut(BLOCK).zip(params.chunks(BLOCK)) {
-            let mut minima = [EMPTY_SLOT; BLOCK];
-            for &x in &buf {
-                for (slot, &hp) in minima.iter_mut().zip(hps) {
-                    let h = self.family.eval(hp, x);
-                    if h < *slot {
-                        *slot = h;
+        let mut kmers = kmers.into_iter();
+        let mut values = vec![EMPTY_SLOT; self.family.len()];
+        let buf = match &self.ranks {
+            Some(ranks) => {
+                let space = 1usize << (2 * self.k);
+                let mut present = Presence([0; PRESENCE_WORDS]);
+                // A feature outside the k-mer space (only the public
+                // entry point can pass one) ends the small-k route.
+                let mut stray = None;
+                for x in kmers.by_ref() {
+                    if x >= space as u64 {
+                        stray = Some(x);
+                        break;
                     }
+                    present.insert(x as usize);
                 }
+                let d = present.len();
+                if stray.is_none() && d * d >= space {
+                    let order = ranks.get_or_init(|| self.build_rank_table());
+                    self.fold_ranked(&mut values, order, &present);
+                    return Sketch::from_values(values);
+                }
+                let mut buf = Vec::with_capacity(d);
+                present.append_to(&mut buf);
+                if let Some(x) = stray {
+                    buf.push(x);
+                    buf.extend(kmers);
+                    buf.sort_unstable();
+                    buf.dedup();
+                }
+                buf
             }
-            vals.copy_from_slice(&minima[..vals.len()]);
+            None => {
+                let (lower, upper) = kmers.size_hint();
+                let mut buf = Vec::with_capacity(upper.unwrap_or(lower).min(MAX_PRESIZE));
+                buf.extend(kmers);
+                // Each duplicate dropped here saves `n` hash
+                // evaluations; the sort pays for itself whenever the
+                // stream has any repetition.
+                buf.sort_unstable();
+                buf.dedup();
+                buf
+            }
+        };
+        // `buf` is sorted: its last element decides for all of them
+        // whether Eq. 5 fits a word.
+        let family = &self.family;
+        if buf.last().is_some_and(|&x| x <= family.word_max) {
+            fold_blocked(&mut values, family.params(), &buf, |hp, x| {
+                family.eval_word(hp, x)
+            });
+        } else {
+            fold_blocked(&mut values, family.params(), &buf, |hp, x| {
+                family.eval(hp, x)
+            });
         }
         Sketch::from_values(values)
+    }
+
+    /// For each hash function, the ids of all `4^k` k-mers in
+    /// increasing `(h_i(x), x)` order, concatenated.
+    fn build_rank_table(&self) -> Vec<u16> {
+        let space = 1usize << (2 * self.k);
+        let mut order = Vec::with_capacity(space * self.family.len());
+        let mut keyed: Vec<(u64, u16)> = Vec::with_capacity(space);
+        for &hp in self.family.params() {
+            keyed.clear();
+            keyed.extend((0..space).map(|x| (self.family.eval(hp, x as u64), x as u16)));
+            keyed.sort_unstable();
+            order.extend(keyed.iter().map(|&(_, x)| x));
+        }
+        order
+    }
+
+    /// The rank-table kernel: slot `i` is `h_i` of the first k-mer of
+    /// `order`'s `i`-th run that `present` holds. `present` must be
+    /// non-empty.
+    fn fold_ranked(&self, values: &mut [u64], order: &[u16], present: &Presence) {
+        let space = 1usize << (2 * self.k);
+        let runs = order.chunks_exact(space);
+        for ((slot, &hp), run) in values.iter_mut().zip(self.family.params()).zip(runs) {
+            let first = run
+                .iter()
+                .find(|&&x| present.contains(usize::from(x)))
+                .expect("a non-empty presence set meets every ordering of the k-mer space");
+            *slot = self.family.eval(hp, u64::from(*first));
+        }
     }
 
     /// Sketch a DNA sequence directly (k-mer extraction + hashing in
@@ -251,6 +381,30 @@ impl MinHasher {
             let iter = KmerIter::new(seq, self.k)?;
             Ok(self.sketch_kmers(iter))
         }
+    }
+}
+
+/// The blocked kernel: min-fold `eval` over `features` into `values`,
+/// one block of hash functions at a time so the running minima stay in
+/// registers while the (cache-resident) features stream past.
+fn fold_blocked(
+    values: &mut [u64],
+    params: &[HashParams],
+    features: &[u64],
+    eval: impl Fn(HashParams, u64) -> u64,
+) {
+    const BLOCK: usize = 8;
+    for (vals, hps) in values.chunks_mut(BLOCK).zip(params.chunks(BLOCK)) {
+        let mut minima = [EMPTY_SLOT; BLOCK];
+        for &x in features {
+            for (slot, &hp) in minima.iter_mut().zip(hps) {
+                let h = eval(hp, x);
+                if h < *slot {
+                    *slot = h;
+                }
+            }
+        }
+        vals.copy_from_slice(&minima[..vals.len()]);
     }
 }
 
@@ -393,6 +547,40 @@ mod tests {
         assert!(d.is_degenerate());
         assert_eq!(d.non_empty(), 0);
         assert!(d.sorted_values().is_empty());
+    }
+
+    #[test]
+    fn rank_table_is_lazy_shared_and_built_once() {
+        let hasher = MinHasher::for_kmer_size(5, 100, 3);
+        let table = |h: &MinHasher| {
+            let ranks = h.ranks.as_ref().expect("k = 5 is in the table's range");
+            ranks.get().map(|order| order.as_ptr())
+        };
+        // Nothing is built at construction, nor by a read too sparse
+        // for the table to pay (d² < 4^k).
+        assert_eq!(table(&hasher), None);
+        hasher.sketch_kmers(0..31);
+        assert_eq!(table(&hasher), None);
+        // Two threads make first use of one hasher and a clone of it
+        // at the same moment: one table, the same sketch.
+        let clone = hasher.clone().canonical();
+        let start = std::sync::Barrier::new(2);
+        let dense = |h: &MinHasher| {
+            start.wait();
+            h.sketch_kmers((0..1024).step_by(3))
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| dense(&hasher));
+            let b = s.spawn(|| dense(&clone));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a.values(), b.values());
+        let expect = crate::reference::sketch_kmers(&hasher, (0..1024).step_by(3));
+        assert_eq!(a.values(), expect.values());
+        assert!(table(&hasher).is_some());
+        assert_eq!(table(&hasher), table(&clone));
+        // Above the cap there is no table to build.
+        assert!(MinHasher::for_kmer_size(8, 4, 3).ranks.is_none());
     }
 
     #[test]

@@ -3,15 +3,81 @@
 use proptest::prelude::*;
 
 use mrmc_minhash::{
-    exact_jaccard, is_prime, next_prime, positional_similarity, set_similarity, BandingScheme,
-    MinHasher, Sketch, UniversalHashFamily,
+    exact_jaccard, is_prime, next_prime, positional_similarity, reference, set_similarity,
+    BandingScheme, MinHasher, Sketch, UniversalHashFamily,
 };
+use mrmc_seqio::encode::{CanonicalKmerIter, KmerIter};
 
 fn dna(min_len: usize, max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
         proptest::sample::select(vec![b'A', b'C', b'G', b'T']),
         min_len..max_len,
     )
+}
+
+/// The k on either side of every choice the sketcher makes: the rank
+/// table's range (1..=7) and the first k above it, the 16S setting,
+/// the first k whose prime lets `a·x + b` leave a word (16), and the
+/// ceiling.
+const KS: [usize; 11] = [1, 2, 3, 4, 5, 6, 7, 8, 15, 16, 31];
+
+/// `ACGT` with an `N` once in 61 draws: enough clean runs for 31-mers.
+fn bases_with_n() -> Vec<u8> {
+    let mut alphabet = b"ACGT".repeat(15);
+    alphabet.push(b'N');
+    alphabet
+}
+
+/// The default (`m = max(4^k, 2^31)`) or the paper-literal (`m = 4^k`,
+/// so `h_i` ties constantly at small k) sketcher.
+fn hasher_for(k: usize, n: usize, seed: u64, literal: bool) -> MinHasher {
+    if literal {
+        let family = UniversalHashFamily::for_kmer_size_paper_literal(k, n, seed);
+        MinHasher::with_family(k, family)
+    } else {
+        MinHasher::for_kmer_size(k, n, seed)
+    }
+}
+
+/// `sketch_kmers` against the textbook loop, whose sketch is returned.
+fn assert_matches_reference(hasher: &MinHasher, kmers: &[u64], what: &str) -> Sketch {
+    let expect = reference::sketch_kmers(hasher, kmers.iter().copied());
+    let got = hasher.sketch_kmers(kmers.iter().copied());
+    assert_eq!(got.values(), expect.values(), "{what}");
+    assert_eq!(got.non_empty(), expect.non_empty(), "{what}");
+    expect
+}
+
+/// The edges of the small-k kernel and of the rule that selects it,
+/// each against the textbook loop, under both families.
+#[test]
+fn sketch_kernel_edges_match_reference() {
+    for k in 1..=8usize {
+        let space = 1u64 << (2 * k);
+        let root = 1u64 << k;
+        for literal in [false, true] {
+            let hasher = hasher_for(k, 9, 5, literal);
+            let check = |kmers: Vec<u64>, what: &str| {
+                assert_matches_reference(&hasher, &kmers, &format!("{what}, k = {k}"));
+            };
+            check((0..space).collect(), "every k-mer present");
+            check(vec![0], "one k-mer");
+            check(vec![space - 1; 40], "one k-mer, repeated");
+            // d distinct k-mers spread over the space (an odd
+            // multiplier permutes it), either side of d² = 4^k.
+            for d in [root - 1, root, root + 1] {
+                let spread = (0..d).map(|i| i.wrapping_mul(0x9E37_79B1) % space);
+                check(spread.collect(), &format!("d = {d}"));
+            }
+            // A feature outside the k-mer space, amid enough k-mers to
+            // take the rank table without it.
+            for stray in [space, u64::MAX] {
+                let mut kmers: Vec<u64> = (0..space).collect();
+                kmers.insert(kmers.len() / 2, stray);
+                check(kmers, &format!("stray feature {stray}"));
+            }
+        }
+    }
 }
 
 /// Trial-division reference for primality.
@@ -55,6 +121,40 @@ proptest! {
         let family = UniversalHashFamily::new(4, m, seed);
         for i in 0..family.len() {
             prop_assert!(family.hash(i, x) < m);
+        }
+    }
+
+    /// Whichever kernel a read lands on — rank table or blocked walk,
+    /// word-sized or 127-bit Eq. 5 — `sketch_sequence` and
+    /// `sketch_kmers` equal the textbook loop: random reads with `N`s
+    /// and low-complexity ones, both strands' conventions, both
+    /// families, sketch widths around the block size.
+    #[test]
+    fn sketch_kernels_match_reference(
+        bases in proptest::collection::vec(proptest::sample::select(bases_with_n()), 0..1500),
+        period in proptest::sample::select(vec![0usize, 0, 3, 11]),
+        n in proptest::sample::select(vec![1usize, 7, 8, 9, 100]),
+        canonical in any::<bool>(),
+        literal in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        // A non-zero period repeats the read's first bases: few
+        // distinct k-mers however long it is.
+        let read: Vec<u8> = match period {
+            0 => bases,
+            _ => (0..bases.len()).map(|i| bases[i % period]).collect(),
+        };
+        for k in KS {
+            let mut hasher = hasher_for(k, n, seed, literal);
+            let kmers: Vec<u64> = if canonical {
+                hasher = hasher.canonical();
+                CanonicalKmerIter::new(&read, k).unwrap().collect()
+            } else {
+                KmerIter::new(&read, k).unwrap().collect()
+            };
+            let expect = assert_matches_reference(&hasher, &kmers, &format!("k = {k}"));
+            let got = hasher.sketch_sequence(&read).unwrap();
+            prop_assert_eq!(got.values(), expect.values(), "k = {}", k);
         }
     }
 

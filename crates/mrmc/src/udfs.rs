@@ -222,8 +222,8 @@ fn family_for(numhash: usize, div: u64) -> UniversalHashFamily {
 /// Eq. 5's min-fold: lower every sketch slot that `kmer` hashes below.
 #[inline]
 fn min_fold(family: &UniversalHashFamily, mins: &mut [u64], kmer: u64) {
-    for (i, slot) in mins.iter_mut().enumerate() {
-        let h = family.hash(i, kmer);
+    for (slot, &hp) in mins.iter_mut().zip(family.params()) {
+        let h = family.eval(hp, kmer);
         if h < *slot {
             *slot = h;
         }

@@ -144,6 +144,10 @@ impl Iterator for CanonicalKmerIter<'_> {
         let k = self.inner.k();
         self.inner.next().map(|km| canonical_kmer(km, k))
     }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.inner.size_hint()
+    }
 }
 
 /// Decode a packed k-mer back into its ASCII string (for debugging and
@@ -338,5 +342,9 @@ mod tests {
         let (_, upper) = it.size_hint();
         let count = it.by_ref().count();
         assert!(count <= upper.unwrap());
+        // The canonical iterator forwards the same bound.
+        let canonical = CanonicalKmerIter::new(b"ACGTNACGT", 3).unwrap();
+        assert_eq!(canonical.size_hint(), (0, Some(9)));
+        assert_eq!(canonical.count(), 4);
     }
 }
