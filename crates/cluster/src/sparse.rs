@@ -34,8 +34,10 @@ pub struct SparseSimGraph {
 
 impl SparseSimGraph {
     /// Build from undirected edges `(i, j, sim)`. Self-loops are
-    /// dropped; duplicate pairs keep their first similarity. Panics if
-    /// an endpoint is ≥ `n`.
+    /// dropped; a pair given more than once, in either orientation,
+    /// keeps its largest similarity, so the graph is symmetric and does
+    /// not depend on the order of `edges`. Panics if an endpoint is
+    /// ≥ `n`.
     pub fn from_edges(
         n: usize,
         edges: impl IntoIterator<Item = (u32, u32, f32)>,
@@ -54,7 +56,15 @@ impl SparseSimGraph {
             directed.push((j, i, s));
         }
         directed.sort_unstable_by_key(|&(i, j, _)| (i, j));
-        directed.dedup_by_key(|&mut (i, j, _)| (i, j));
+        // Which duplicate the unstable sort leaves first differs between
+        // row i and row j; the maximum is the same whichever it is.
+        directed.dedup_by(|dup, kept| {
+            let same = (dup.0, dup.1) == (kept.0, kept.1);
+            if same {
+                kept.2 = kept.2.max(dup.2);
+            }
+            same
+        });
 
         let mut offsets = vec![0usize; n + 1];
         for &(i, _, _) in &directed {
@@ -367,9 +377,9 @@ mod tests {
         let g =
             SparseSimGraph::from_edges(3, vec![(0, 1, 0.5), (1, 0, 0.7), (0, 1, 0.9), (2, 2, 1.0)]);
         assert_eq!(g.num_edges(), 1);
-        // First occurrence wins, in both directions.
-        assert_eq!(g.sim(0, 1), f64::from(0.5f32));
-        assert_eq!(g.sim(1, 0), f64::from(0.5f32));
+        // The largest similarity wins, in both directions.
+        assert_eq!(g.sim(0, 1), f64::from(0.9f32));
+        assert_eq!(g.sim(1, 0), f64::from(0.9f32));
     }
 
     #[test]

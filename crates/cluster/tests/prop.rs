@@ -126,6 +126,33 @@ proptest! {
         assert_replays_dense(&planted_graph(n, groups, seed), theta, "planted graph");
     }
 
+    /// Most pairs arrive many times, in both orientations and with
+    /// different similarities: each keeps its largest, so the graph is
+    /// symmetric and blind to the order of the edge list.
+    #[test]
+    fn from_edges_many_duplicates_symmetric(seed in any::<u64>()) {
+        const N: usize = 64;
+        let pick = |salt: u64, e: usize| (sim_fn(seed ^ salt)(e, e) * 1000.0) as u32;
+        let mut edges: Vec<(u32, u32, f32)> = (0..2000)
+            .map(|e| (pick(1, e) % N as u32, pick(2, e) % N as u32, pick(3, e) as f32 / 1000.0))
+            .collect();
+        let g = SparseSimGraph::from_edges(N, edges.clone());
+        let mut want = std::collections::BTreeMap::new();
+        for &(i, j, s) in edges.iter().filter(|e| e.0 != e.1) {
+            let best = want.entry((i.min(j), i.max(j))).or_insert(s);
+            *best = best.max(s);
+        }
+        let want: Vec<(u32, u32, f32)> = want.into_iter().map(|((i, j), s)| (i, j, s)).collect();
+        prop_assert_eq!(g.edges().collect::<Vec<_>>(), want);
+        for i in 0..N {
+            for j in 0..N {
+                prop_assert_eq!(g.sim(i, j), g.sim(j, i), "({}, {})", i, j);
+            }
+        }
+        edges.reverse();
+        prop_assert_eq!(SparseSimGraph::from_edges(N, edges), g);
+    }
+
     /// Greedy assigns every item exactly one in-range label.
     #[test]
     fn greedy_total_assignment(n in 0usize..60, theta in 0.0f64..1.0, seed in any::<u64>()) {

@@ -878,7 +878,7 @@ where
         outputs, recovery, ..
     } = run_map_phase::<M, _, _>(input, num_map_tasks, None, config, map_task)?;
 
-    let counters = Counters::new();
+    let mut counters = Counters::new();
     counters.add("TASK_RETRIES", recovery.tasks_retried);
     let mut all = Vec::new();
     let mut map_stats = Vec::new();
@@ -1173,7 +1173,7 @@ where
     // ---- Shuffle barrier: move each map's runs into reducer slots ----
     // No concatenation, no copy: a run Vec is *moved* into its
     // reducer's slot list, keeping map order (the merge's tie-break).
-    let counters = Counters::new();
+    let mut counters = Counters::new();
     let mut map_stats = Vec::with_capacity(map_outputs.len());
     let num_maps = map_outputs.len();
     let mut partition_slots: Vec<Vec<SortedRun<M::OutKey, M::OutValue>>> = (0..reducers)

@@ -7,13 +7,12 @@
 //! each map task's local output before the shuffle, cutting shuffle
 //! volume exactly like Hadoop's combiner.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 use std::time::Duration;
 
 use mrmc_chaos::{FaultInjector, NoFaults};
-use parking_lot::Mutex;
 
 /// Requirements on intermediate keys: hashed for partitioning, ordered
 /// for the sort-based group-by, cloned into combiner runs.
@@ -177,10 +176,14 @@ pub trait Combiner: Send + Sync {
     fn combine(&self, key: &Self::Key, values: Vec<Self::Value>) -> Vec<Self::Value>;
 }
 
-/// Shared job counters (Hadoop-style named counters).
+/// Named counters (Hadoop-style), ordered by name. Plain data: each
+/// task attempt owns the set inside its [`TaskContext`] and the driver
+/// merges the finished tasks' sets single-threaded after the phase, so
+/// nothing is ever shared. Bumping an existing counter allocates
+/// nothing; a name is copied once, the first time it is seen.
 #[derive(Debug, Default)]
 pub struct Counters {
-    inner: Mutex<HashMap<String, u64>>,
+    inner: BTreeMap<String, u64>,
 }
 
 impl Counters {
@@ -190,55 +193,37 @@ impl Counters {
     }
 
     /// Add `delta` to a named counter.
-    pub fn add(&self, name: &str, delta: u64) {
-        *self.inner.lock().entry(name.to_string()).or_insert(0) += delta;
+    pub fn add(&mut self, name: &str, delta: u64) {
+        match self.inner.get_mut(name) {
+            Some(n) => *n += delta,
+            None => {
+                self.inner.insert(name.to_string(), delta);
+            }
+        }
     }
 
     /// Read a counter (0 when never written).
     pub fn get(&self, name: &str) -> u64 {
-        self.inner.lock().get(name).copied().unwrap_or(0)
+        self.inner.get(name).copied().unwrap_or(0)
     }
 
     /// Snapshot all counters, sorted by name.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .inner
-            .lock()
-            .iter()
-            .map(|(k, &n)| (k.clone(), n))
-            .collect();
-        v.sort();
-        v
+        self.inner.iter().map(|(k, &n)| (k.clone(), n)).collect()
     }
 
     /// Merge another counter set into this one.
-    pub fn merge(&self, other: &Counters) {
-        let other = other.inner.lock();
-        let mut mine = self.inner.lock();
-        for (k, &v) in other.iter() {
-            *mine.entry(k.clone()).or_insert(0) += v;
+    pub fn merge(&mut self, other: &Counters) {
+        for (k, &v) in &other.inner {
+            self.add(k, v);
         }
     }
 }
 
 /// Per-task emit buffer + local counters, handed to map/reduce calls.
-///
-/// Mappers whose value type is [`crate::wire::IdRun`] additionally get
-/// the arena-backed `emit_singleton_run` fast path (see
-/// `crate::wire`): runs accumulate in a per-task [`crate::wire::RunArena`]
-/// and are flushed — in emission order — before any plain `emit`, at
-/// chunk boundaries, and at [`TaskContext::into_parts`].
 pub struct TaskContext<K, V> {
-    pub(crate) emitted: Vec<(K, V)>,
-    pub(crate) counters: Counters,
-    /// Lazily-created arena for `emit_singleton_run` (wire.rs).
-    pub(crate) arena: Option<crate::wire::RunArena>,
-    /// Keys of arena runs appended since the last flush, in order.
-    pub(crate) pending_keys: Vec<K>,
-    /// Monomorphic flush hook installed by the arena emit path, so
-    /// the fully generic `emit`/`into_parts` can drain pending runs
-    /// without knowing `V = IdRun`.
-    pub(crate) flush_pending: Option<fn(&mut TaskContext<K, V>)>,
+    emitted: Vec<(K, V)>,
+    counters: Counters,
 }
 
 impl<K, V> TaskContext<K, V> {
@@ -255,43 +240,28 @@ impl<K, V> TaskContext<K, V> {
         TaskContext {
             emitted: buf,
             counters: Counters::new(),
-            arena: None,
-            pending_keys: Vec::new(),
-            flush_pending: None,
         }
     }
 
     /// Emit one pair.
     #[inline]
     pub fn emit(&mut self, key: K, value: V) {
-        if !self.pending_keys.is_empty() {
-            self.flush_runs();
-        }
         self.emitted.push((key, value));
     }
 
-    /// Drain pending arena runs into the emit buffer.
-    fn flush_runs(&mut self) {
-        if let Some(flush) = self.flush_pending {
-            flush(self);
-        }
-    }
-
     /// Bump a named counter.
-    pub fn count(&self, name: &str, delta: u64) {
+    pub fn count(&mut self, name: &str, delta: u64) {
         self.counters.add(name, delta);
     }
 
     /// Consume the context.
-    pub fn into_parts(mut self) -> (Vec<(K, V)>, Counters) {
-        self.flush_runs();
+    pub fn into_parts(self) -> (Vec<(K, V)>, Counters) {
         (self.emitted, self.counters)
     }
 
-    /// Number of pairs emitted so far (including arena runs not yet
-    /// flushed into the buffer).
+    /// Number of pairs emitted so far.
     pub fn emitted_len(&self) -> usize {
-        self.emitted.len() + self.pending_keys.len()
+        self.emitted.len()
     }
 }
 
@@ -457,13 +427,13 @@ mod tests {
 
     #[test]
     fn counters_add_get_merge() {
-        let c = Counters::new();
+        let mut c = Counters::new();
         c.add("x", 2);
         c.add("x", 3);
         assert_eq!(c.get("x"), 5);
         assert_eq!(c.get("missing"), 0);
 
-        let d = Counters::new();
+        let mut d = Counters::new();
         d.add("x", 1);
         d.add("y", 7);
         c.merge(&d);

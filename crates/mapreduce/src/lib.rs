@@ -73,4 +73,4 @@ pub use simcluster::{
     lpt_makespan, lpt_schedule, ClusterSpec, JobCostModel, LocalitySchedule, LocalityTask,
     ScheduledTask, ShuffleVolume, SimJobReport,
 };
-pub use wire::{BandKeyCodec, IdRun, IdRunCursor, RunArena, WireError};
+pub use wire::{BandKeyCodec, IdRun, IdRunCursor, WireError};

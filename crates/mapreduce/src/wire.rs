@@ -18,15 +18,16 @@
 //!   bits, signature truncated to the low bits) and prices it at the
 //!   packed byte width.
 //!
-//! The hot path is allocation-free (DESIGN.md §3a.1 addendum):
-//! map-side emission goes through a per-task [`RunArena`] (runs become
-//! O(1) slices of a shared chunk via [`TaskContext::emit_singleton_run`]),
-//! reduce-side consumption walks the varint stream in place with
-//! [`IdRunCursor`], and combiner/reducer merges stream N cursors into
-//! one output buffer ([`IdRun::merge_cursors`]) instead of decoding to
-//! `Vec<u32>` and re-encoding. The encoded bytes these paths produce
-//! are bit-identical to the materializing paths they replaced, which
-//! the property tests in `tests/wire.rs` pin against the retained
+//! The hot path is allocation-free (DESIGN.md §3a.1 addendum): a
+//! singleton run — what the banded mappers emit once per
+//! `(bucket, read)` and per `(read, partner)` — is at most six encoded
+//! bytes and lives inline in the [`IdRun`] itself, reduce-side
+//! consumption walks the varint stream in place with [`IdRunCursor`],
+//! and combiner/reducer merges stream N cursors into one output buffer
+//! ([`IdRun::merge_cursors`]) instead of decoding to `Vec<u32>` and
+//! re-encoding. The encoded bytes these paths produce are bit-identical
+//! to the materializing paths they replaced, which the property tests
+//! in `tests/wire.rs` pin against the retained
 //! [`IdRun::merge_via_decode`] oracle.
 //!
 //! Pricing rule: every encoder here reports its size through
@@ -37,9 +38,7 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use bytes::Bytes;
-
-use crate::job::{ShuffleSized, TaskContext};
+use crate::job::ShuffleSized;
 
 /// Decode errors. Encoding is infallible; decoding validates framing
 /// so a corrupted or mis-typed payload fails loudly instead of
@@ -85,6 +84,19 @@ pub fn put_uvarint(buf: &mut Vec<u8>, mut v: u64) -> usize {
     n + 1
 }
 
+/// Write `v` as a LEB128 varint over the front of `dst`, which must be
+/// at least [`uvarint_len`]`(v)` long. Returns the encoded width.
+fn write_uvarint(dst: &mut [u8], mut v: u64) -> usize {
+    let mut n = 0;
+    while v >= 0x80 {
+        dst[n] = (v as u8) | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    dst[n] = v as u8;
+    n + 1
+}
+
 /// Decode one LEB128 varint from the front of `buf`, returning the
 /// value and the bytes consumed.
 pub fn get_uvarint(buf: &[u8]) -> Result<(u64, usize), WireError> {
@@ -108,15 +120,19 @@ pub fn uvarint_len(v: u64) -> usize {
     (64 - v.max(1).leading_zeros() as usize).div_ceil(7)
 }
 
-/// Storage behind an [`IdRun`]: either a run-owned buffer (wire
-/// ingress, merge outputs) or an O(1) window into a shared
-/// [`RunArena`] chunk (map-side emission). Both views hold exactly the
-/// encoded bytes; every comparison/hash below goes through the byte
-/// slice so the two reprs are indistinguishable to consumers.
+/// Widest singleton encoding: `varint(1)` is one byte and a `u32` id
+/// is at most five.
+const INLINE_CAP: usize = 6;
+
+/// Storage behind an [`IdRun`]: a heap buffer (wire ingress, merge
+/// outputs, multi-id encoders) or, for a singleton, the encoded bytes
+/// held inline. Both hold exactly the encoded bytes; every
+/// comparison/hash below goes through the byte slice so the two reprs
+/// are indistinguishable to consumers.
 #[derive(Clone)]
 enum Repr {
     Owned(Vec<u8>),
-    Shared(Bytes),
+    Inline { len: u8, buf: [u8; INLINE_CAP] },
 }
 
 /// A delta/varint-encoded run of strictly-increasing `u32` ids — the
@@ -172,13 +188,17 @@ impl std::hash::Hash for IdRun {
 const COUNT_GAP: usize = 10;
 
 impl IdRun {
-    /// A run holding the single id `id`.
+    /// A run holding the single id `id`. Never allocates: the bytes
+    /// `varint(1) · varint(id)` are stored in the value itself.
     pub fn singleton(id: u32) -> IdRun {
-        let mut buf = Vec::with_capacity(1 + uvarint_len(u64::from(id)));
-        put_uvarint(&mut buf, 1);
-        put_uvarint(&mut buf, u64::from(id));
+        let mut buf = [0u8; INLINE_CAP];
+        buf[0] = 1;
+        let len = 1 + write_uvarint(&mut buf[1..], u64::from(id));
         IdRun {
-            repr: Repr::Owned(buf),
+            repr: Repr::Inline {
+                len: len as u8,
+                buf,
+            },
         }
     }
 
@@ -227,7 +247,7 @@ impl IdRun {
     fn bytes(&self) -> &[u8] {
         match &self.repr {
             Repr::Owned(buf) => buf,
-            Repr::Shared(bytes) => bytes,
+            Repr::Inline { len, buf } => &buf[..usize::from(*len)],
         }
     }
 
@@ -441,14 +461,7 @@ impl IdRun {
     /// of the [`COUNT_GAP`] headroom and drop the unused prefix.
     fn backfill_count(mut out: Vec<u8>, count: u64) -> IdRun {
         let width = uvarint_len(count);
-        let mut at = COUNT_GAP - width;
-        let mut v = count;
-        while v >= 0x80 {
-            out[at] = (v as u8) | 0x80;
-            v >>= 7;
-            at += 1;
-        }
-        out[at] = v as u8;
+        write_uvarint(&mut out[COUNT_GAP - width..], count);
         out.drain(..COUNT_GAP - width);
         IdRun {
             repr: Repr::Owned(out),
@@ -550,155 +563,6 @@ impl Iterator for IdRunCursor<'_> {
 
     fn next(&mut self) -> Option<Result<u32, WireError>> {
         self.try_next().transpose()
-    }
-}
-
-/// Default [`RunArena`] chunk size. Big enough that a map task sealing
-/// thousands of singleton runs amortizes to ~2 allocations per chunk,
-/// small enough that a task with a handful of emissions doesn't hold
-/// pages it never touches.
-pub const DEFAULT_ARENA_CHUNK_BYTES: usize = 16 * 1024;
-
-/// Per-map-task append-only byte arena for run emission.
-///
-/// Emitting a run is a bump-pointer write into the current chunk plus
-/// an end-offset mark; [`RunArena::seal`] freezes the chunk into one
-/// shared [`Bytes`] allocation and hands back each marked run as an
-/// O(1) slice of it. A map task emitting N singleton runs therefore
-/// costs ~2 allocations per `chunk_size` bytes of encoded output
-/// instead of N `Vec` allocations.
-///
-/// The encoded bytes of a sealed run are exactly what
-/// [`IdRun::singleton`] (or [`IdRun::from_sorted`]) would have
-/// produced — only the allocation strategy differs.
-#[derive(Debug, Default)]
-pub struct RunArena {
-    chunk: Vec<u8>,
-    /// End offset in `chunk` of each pending (not yet sealed) run.
-    marks: Vec<usize>,
-    chunk_size: usize,
-}
-
-impl RunArena {
-    /// Arena with the default chunk size.
-    pub fn new() -> RunArena {
-        RunArena::with_chunk_size(DEFAULT_ARENA_CHUNK_BYTES)
-    }
-
-    /// Arena sealing chunks once they reach `chunk_size` bytes.
-    pub fn with_chunk_size(chunk_size: usize) -> RunArena {
-        RunArena {
-            chunk: Vec::new(),
-            marks: Vec::new(),
-            chunk_size: chunk_size.max(16),
-        }
-    }
-
-    /// Append a singleton run for `id`.
-    pub fn push_singleton(&mut self, id: u32) {
-        self.reserve_chunk();
-        put_uvarint(&mut self.chunk, 1);
-        put_uvarint(&mut self.chunk, u64::from(id));
-        self.marks.push(self.chunk.len());
-    }
-
-    /// Append a run of strictly-increasing ids; rejects unsorted or
-    /// duplicated ids (the chunk is left unchanged on error).
-    pub fn push_sorted(&mut self, ids: &[u32]) -> Result<(), WireError> {
-        if ids.windows(2).any(|w| w[0] >= w[1]) {
-            return Err(WireError::NonMonotonic);
-        }
-        self.reserve_chunk();
-        put_uvarint(&mut self.chunk, ids.len() as u64);
-        let mut prev = 0u64;
-        for (i, &id) in ids.iter().enumerate() {
-            let id = u64::from(id);
-            if i == 0 {
-                put_uvarint(&mut self.chunk, id);
-            } else {
-                put_uvarint(&mut self.chunk, id - prev);
-            }
-            prev = id;
-        }
-        self.marks.push(self.chunk.len());
-        Ok(())
-    }
-
-    /// Runs appended since the last [`RunArena::seal`].
-    pub fn pending(&self) -> usize {
-        self.marks.len()
-    }
-
-    /// Whether the current chunk is due for sealing.
-    pub fn is_full(&self) -> bool {
-        self.chunk.len() >= self.chunk_size
-    }
-
-    /// Freeze the current chunk into one shared allocation and emit
-    /// each pending run, in append order, as an O(1) slice of it.
-    pub fn seal(&mut self, mut sink: impl FnMut(IdRun)) {
-        if self.marks.is_empty() {
-            return;
-        }
-        let shared = Bytes::from(std::mem::take(&mut self.chunk));
-        let mut start = 0usize;
-        for &end in &self.marks {
-            sink(IdRun {
-                repr: Repr::Shared(shared.slice(start..end)),
-            });
-            start = end;
-        }
-        self.marks.clear();
-    }
-
-    fn reserve_chunk(&mut self) {
-        if self.chunk.capacity() == 0 {
-            self.chunk.reserve(self.chunk_size);
-        }
-    }
-}
-
-/// Arena-backed emission for mappers whose value type is [`IdRun`].
-///
-/// [`TaskContext::emit`] stays fully generic; this inherent impl adds
-/// the hot-path entry point the banded mappers use. Pending arena runs
-/// are flushed (in emission order) before any interleaved plain
-/// `emit`, at chunk-full boundaries, and at `into_parts`, so the
-/// emitted pair sequence is identical to calling
-/// `emit(key, IdRun::singleton(id))` — only the allocation count
-/// differs.
-impl<K> TaskContext<K, IdRun> {
-    /// Emit `(key, IdRun::singleton(id))` through the per-task arena.
-    pub fn emit_singleton_run(&mut self, key: K, id: u32) {
-        let arena = self.arena.get_or_insert_with(RunArena::new);
-        arena.push_singleton(id);
-        self.pending_keys.push(key);
-        self.flush_pending = Some(TaskContext::<K, IdRun>::flush_arena_runs);
-        if self.arena.as_ref().is_some_and(RunArena::is_full) {
-            TaskContext::<K, IdRun>::flush_arena_runs(self);
-        }
-    }
-
-    /// Seal the arena and move `(key, run)` pairs into the emitted
-    /// buffer. Installed as the monomorphic `flush_pending` hook so
-    /// fully generic code (`emit`, `into_parts`) can trigger it.
-    fn flush_arena_runs(ctx: &mut TaskContext<K, IdRun>) {
-        if ctx.pending_keys.is_empty() {
-            return;
-        }
-        let TaskContext {
-            emitted,
-            pending_keys,
-            arena,
-            ..
-        } = ctx;
-        let arena = arena.as_mut().expect("pending keys imply an arena");
-        let mut keys = pending_keys.drain(..);
-        arena.seal(|run| {
-            let key = keys.next().expect("one pending key per arena run");
-            emitted.push((key, run));
-        });
-        debug_assert!(keys.next().is_none(), "one arena run per pending key");
     }
 }
 
@@ -1035,62 +899,16 @@ mod tests {
     }
 
     #[test]
-    fn arena_runs_are_byte_identical_to_singletons() {
-        let mut arena = RunArena::with_chunk_size(16);
-        let ids = [0u32, 7, 300, 1 << 20, u32::MAX];
-        let mut sealed = Vec::new();
-        for &id in &ids {
-            arena.push_singleton(id);
-            if arena.is_full() {
-                arena.seal(|run| sealed.push(run));
-            }
-        }
-        arena.seal(|run| sealed.push(run));
-        assert_eq!(arena.pending(), 0);
-        assert_eq!(sealed.len(), ids.len());
-        for (&id, run) in ids.iter().zip(&sealed) {
-            let direct = IdRun::singleton(id);
-            assert_eq!(run.as_bytes(), direct.as_bytes());
-            assert_eq!(run, &direct, "repr-independent equality");
-            assert_eq!(run.shuffle_size(), direct.shuffle_size());
-        }
-    }
-
-    #[test]
-    fn arena_push_sorted_matches_from_sorted() {
-        let mut arena = RunArena::new();
-        arena.push_sorted(&[2, 9, 10]).unwrap();
+    fn singleton_is_inline_and_idrun_stays_three_words() {
+        assert!(std::mem::size_of::<IdRun>() <= 24);
+        // The widest id fills the inline buffer exactly.
+        let widest = IdRun::singleton(u32::MAX);
+        assert!(matches!(widest.repr, Repr::Inline { .. }));
+        assert_eq!(widest.wire_len(), INLINE_CAP);
         assert_eq!(
-            arena.push_sorted(&[5, 5]).unwrap_err(),
-            WireError::NonMonotonic
+            widest.as_bytes(),
+            IdRun::from_sorted(&[u32::MAX]).unwrap().as_bytes()
         );
-        let mut sealed = Vec::new();
-        arena.seal(|run| sealed.push(run));
-        assert_eq!(sealed.len(), 1, "rejected push leaves no run behind");
-        assert_eq!(
-            sealed[0].as_bytes(),
-            IdRun::from_sorted(&[2, 9, 10]).unwrap().as_bytes()
-        );
-    }
-
-    #[test]
-    fn context_arena_emission_matches_plain_emit() {
-        let mut arena_ctx: TaskContext<u64, IdRun> = TaskContext::new();
-        let mut plain_ctx: TaskContext<u64, IdRun> = TaskContext::new();
-        for i in 0..2000u32 {
-            arena_ctx.emit_singleton_run(u64::from(i % 17), i);
-            plain_ctx.emit(u64::from(i % 17), IdRun::singleton(i));
-        }
-        // Interleave a plain emit: pending arena runs must flush first
-        // so global emission order is preserved.
-        arena_ctx.emit(99, IdRun::from_sorted(&[1, 2]).unwrap());
-        plain_ctx.emit(99, IdRun::from_sorted(&[1, 2]).unwrap());
-        arena_ctx.emit_singleton_run(100, 5);
-        plain_ctx.emit(100, IdRun::singleton(5));
-        assert_eq!(arena_ctx.emitted_len(), plain_ctx.emitted_len());
-        let (arena_pairs, _) = arena_ctx.into_parts();
-        let (plain_pairs, _) = plain_ctx.into_parts();
-        assert_eq!(arena_pairs, plain_pairs);
     }
 
     #[test]

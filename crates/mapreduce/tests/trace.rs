@@ -252,10 +252,10 @@ fn critical_path_matches_simulated_makespan_on_synthetic_schedules() {
 
 #[test]
 fn counters_merge_accumulates_and_snapshot_sorts() {
-    let a = Counters::new();
+    let mut a = Counters::new();
     a.add("B_SECOND", 2);
     a.add("A_FIRST", 1);
-    let b = Counters::new();
+    let mut b = Counters::new();
     b.add("B_SECOND", 40);
     b.add("C_THIRD", 7);
     a.merge(&b);

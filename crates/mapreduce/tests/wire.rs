@@ -7,7 +7,9 @@
 use proptest::prelude::*;
 
 use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
-use mrmc_mapreduce::job::{partition_of, Combiner, JobConfig, Mapper, Reducer, TaskContext};
+use mrmc_mapreduce::job::{
+    partition_of, Combiner, JobConfig, Mapper, Reducer, ShuffleSized, TaskContext,
+};
 use mrmc_mapreduce::wire::{get_uvarint, put_uvarint, uvarint_len};
 use mrmc_mapreduce::{BandKeyCodec, IdRun};
 
@@ -105,10 +107,7 @@ impl Mapper for RunMapper {
     type OutKey = u32;
     type OutValue = IdRun;
     fn map(&self, _k: u32, id: u32, ctx: &mut TaskContext<u32, IdRun>) {
-        // Arena-backed emission: byte-identical to
-        // `ctx.emit(key, IdRun::singleton(id))`, so the pricing replay
-        // below also pins the arena path against the raw plane.
-        ctx.emit_singleton_run(id % self.key_space.max(1), id);
+        ctx.emit(id % self.key_space.max(1), IdRun::singleton(id));
     }
     fn key_wire_size(&self, key: &u32) -> usize {
         uvarint_len(u64::from(*key))
@@ -279,14 +278,19 @@ fn cursor_walk(run: &IdRun) -> Result<Vec<u32>, mrmc_mapreduce::WireError> {
 proptest! {
     /// Tentpole contract: the streaming k-way merge produces the exact
     /// bytes of the legacy decode-concat-sort-reencode merge over
-    /// arbitrary run sets — overlapping, disjoint, empty and singleton
-    /// runs alike — and so does the dispatching `IdRun::merge`.
+    /// arbitrary run sets — overlapping, disjoint, empty and (inline)
+    /// singleton runs alike — and so does the dispatching `IdRun::merge`.
     #[test]
     fn streaming_merge_matches_decode_merge_oracle(
         parts in proptest::collection::vec(
-            proptest::collection::vec(0u32..5_000, 0..60), 0..7)
+            proptest::collection::vec(0u32..5_000, 0..60), 0..7),
+        singles in proptest::collection::vec(0u32..5_000, 0..7),
+        rotate in any::<usize>(),
     ) {
-        let runs: Vec<IdRun> = parts.iter().map(|p| IdRun::from_ids(p.clone())).collect();
+        let mut runs: Vec<IdRun> = parts.iter().map(|p| IdRun::from_ids(p.clone())).collect();
+        runs.extend(singles.iter().map(|&id| IdRun::singleton(id)));
+        let mid = rotate % runs.len().max(1);
+        runs.rotate_left(mid);
         let legacy = IdRun::merge_via_decode(&runs).expect("oracle merge");
         let streamed = IdRun::merge_cursors(&runs).expect("streaming merge");
         prop_assert_eq!(streamed.as_bytes(), legacy.as_bytes());
@@ -295,17 +299,60 @@ proptest! {
         // Re-split the union into consecutive slices: disjoint ordered
         // runs, the splice fast path's shape. Bytes must still match.
         let mut union: Vec<u32> = parts.concat();
+        union.extend(&singles);
         union.sort_unstable();
         union.dedup();
         let splits: Vec<IdRun> = union
             .chunks(7)
-            .map(|c| IdRun::from_sorted(c).expect("sorted slice"))
+            .map(|c| match c {
+                [id] => IdRun::singleton(*id),
+                _ => IdRun::from_sorted(c).expect("sorted slice"),
+            })
             .collect();
         let spliced = IdRun::merge_cursors(&splits).expect("splice merge");
         prop_assert_eq!(
             spliced.as_bytes(),
             IdRun::from_sorted(&union).expect("sorted union").as_bytes()
         );
+    }
+
+    /// Callers cannot tell the representations apart: an inline
+    /// singleton and a heap run holding the same bytes are equal,
+    /// ordered, hashed, priced and decoded alike, and the bytes are the
+    /// ones `from_sorted` encodes — at every varint width boundary.
+    #[test]
+    fn inline_singleton_indistinguishable_from_heap_run(
+        random in proptest::collection::vec(any::<u32>(), 1..20),
+        other in any::<u32>(),
+    ) {
+        use std::hash::{Hash, Hasher};
+        fn hash_of(run: &IdRun) -> u64 {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            run.hash(&mut h);
+            h.finish()
+        }
+        let edges = [
+            0, 127, 128, 16_383, 16_384, (1 << 21) - 1, (1 << 21) + 1,
+            (1 << 28) - 1, (1 << 28) + 1, u32::MAX,
+        ];
+        for &id in edges.iter().chain(&random) {
+            let inline = IdRun::singleton(id);
+            let heap = IdRun::from_encoded_unchecked(inline.as_bytes().to_vec());
+            let encoded = IdRun::from_sorted(&[id]).expect("one id");
+            prop_assert_eq!(inline.as_bytes(), encoded.as_bytes());
+            prop_assert_eq!(&inline, &heap);
+            prop_assert_eq!(inline.cmp(&heap), std::cmp::Ordering::Equal);
+            prop_assert_eq!(hash_of(&inline), hash_of(&heap));
+            prop_assert_eq!(inline.shuffle_size(), heap.shuffle_size());
+            prop_assert_eq!(inline.wire_len(), 1 + uvarint_len(u64::from(id)));
+            prop_assert_eq!(inline.decode().expect("valid"), vec![id]);
+            prop_assert_eq!(cursor_walk(&inline), cursor_walk(&heap));
+            prop_assert_eq!(inline.try_count(), Ok(1));
+            // Ordering against a different run is the byte order too.
+            let rhs = IdRun::from_sorted(&[other]).expect("one id");
+            prop_assert_eq!(inline.cmp(&rhs), heap.cmp(&rhs));
+            prop_assert_eq!(inline.clone(), heap);
+        }
     }
 
     /// `IdRunCursor` is id-for-id equivalent to `decode()` on valid

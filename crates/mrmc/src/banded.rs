@@ -103,10 +103,7 @@ impl Mapper for CompactBandMapper<'_> {
         let values = self.sketches[key].values();
         for band in 0..self.scheme.bands {
             let sig = self.scheme.signature(band, values);
-            // Arena-backed: the singleton run is a bump-pointer write
-            // into the task's shared chunk, byte-identical to
-            // `IdRun::singleton(id)`.
-            ctx.emit_singleton_run(self.codec.pack(band as u32, sig), id);
+            ctx.emit(self.codec.pack(band as u32, sig), IdRun::singleton(id));
         }
         ctx.count("BAND_SIGNATURES", self.scheme.bands as u64);
     }
@@ -188,7 +185,7 @@ impl Mapper for NeighborRunMapper {
     type OutValue = IdRun;
 
     fn map(&self, (i, j): (u32, u32), _v: (), ctx: &mut TaskContext<u32, IdRun>) {
-        ctx.emit_singleton_run(i, j);
+        ctx.emit(i, IdRun::singleton(j));
     }
 
     fn key_wire_size(&self, key: &u32) -> usize {
@@ -239,13 +236,9 @@ impl Reducer for NeighborDedupReducer {
 }
 
 fn job_for(config: &MrMcConfig, name: &str) -> JobConfig {
-    let mut job = JobConfig::named(name)
+    JobConfig::named(name)
         .attempts(4)
-        .reducers(config.map_tasks);
-    if let Some(w) = config.workers {
-        job = job.workers(w);
-    }
-    job
+        .reducers(config.map_tasks)
 }
 
 /// Run stages 1–2: band the sketches and return the deduped candidate

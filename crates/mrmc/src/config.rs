@@ -68,8 +68,6 @@ pub struct MrMcConfig {
     pub canonical: bool,
     /// Map tasks for the sketching stage.
     pub map_tasks: usize,
-    /// Worker threads (None = machine parallelism).
-    pub workers: Option<usize>,
     /// Candidate generation: dense all-pairs (default, the paper's
     /// stage 2) or banded-LSH pruning.
     pub candidates: CandidateGen,
@@ -87,7 +85,6 @@ impl Default for MrMcConfig {
             seed: 0x6d72_6d63, // "mrmc"
             canonical: false,
             map_tasks: 16,
-            workers: None,
             candidates: CandidateGen::Dense,
         }
     }

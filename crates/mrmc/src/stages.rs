@@ -59,10 +59,7 @@ pub fn sketch_stage(
         reads,
     };
     let input: Vec<(usize, ())> = (0..reads.len()).map(|i| (i, ())).collect();
-    let mut job = JobConfig::named("minwise-sketch").attempts(4);
-    if let Some(w) = config.workers {
-        job = job.workers(w);
-    }
+    let job = JobConfig::named("minwise-sketch").attempts(4);
     let out = pipeline.run_map_stage(input, config.map_tasks, &mapper, &job)?;
     Ok(out.into_iter().map(|(_, s)| s).collect())
 }
@@ -166,10 +163,7 @@ pub fn similarity_matrix_stage(
         sketches: &sketches,
         estimator: config.estimator,
     };
-    let mut job = JobConfig::named("pairwise-similarity").attempts(4);
-    if let Some(w) = config.workers {
-        job = job.workers(w);
-    }
+    let job = JobConfig::named("pairwise-similarity").attempts(4);
     // More, smaller tasks than the sketch stage, balanced by pair
     // count rather than row count.
     let tasks = (config.map_tasks * 4).min(n.max(1));
