@@ -42,10 +42,6 @@ pub struct HarnessArgs {
     /// Optional path for a Chrome trace of the run (binaries that run
     /// the real engine attach a [`mrmc_mapreduce::Tracer`] when set).
     pub trace: Option<String>,
-    /// Regression gate for `pig_bench`: exit non-zero if the columnar
-    /// engine's wall-clock speedup over the row engine drops below
-    /// this floor.
-    pub min_speedup: Option<f64>,
     /// Regression gate for `shuffle_bench`: exit non-zero if the
     /// streaming merge path performs more than this many allocations
     /// per input run (fractional; the legacy decode-merge costs ≥ 1).
@@ -65,7 +61,6 @@ impl HarnessArgs {
             samples: None,
             json: None,
             trace: None,
-            min_speedup: None,
             max_merge_allocs_per_run: None,
             max_metrics_overhead_pct: None,
         };
@@ -105,14 +100,6 @@ impl HarnessArgs {
                     args.trace = Some(argv.get(i + 1).expect("--trace needs a file path").clone());
                     i += 2;
                 }
-                "--min-speedup" => {
-                    args.min_speedup = Some(
-                        argv.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .expect("--min-speedup needs a number"),
-                    );
-                    i += 2;
-                }
                 "--max-merge-allocs-per-run" => {
                     args.max_merge_allocs_per_run = Some(
                         argv.get(i + 1)
@@ -132,7 +119,7 @@ impl HarnessArgs {
                 other => panic!(
                     "unknown argument {other:?} \
                      (supported: --scale, --seed, --samples, --json, --trace, \
-                     --min-speedup, --max-merge-allocs-per-run, \
+                     --max-merge-allocs-per-run, \
                      --max-metrics-overhead-pct)"
                 ),
             }
@@ -460,7 +447,6 @@ mod tests {
             samples: Some(vec!["S1".into(), "S3".into()]),
             json: None,
             trace: None,
-            min_speedup: None,
             max_merge_allocs_per_run: None,
             max_metrics_overhead_pct: None,
         };

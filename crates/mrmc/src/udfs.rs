@@ -1587,12 +1587,12 @@ mod tests {
         );
     }
 
-    /// The full Algorithm 3 script must store byte-identical outputs
-    /// on the row and columnar engines.
+    /// The full Algorithm 3 script must store byte-identical outputs,
+    /// and shuffle the same traffic, whether each UDF runs as its
+    /// scalar body lifted row by row (`ScalarBatchUdf`) or as its
+    /// native batch kernel.
     #[test]
-    fn algorithm3_row_and_columnar_engines_agree() {
-        use mrmc_pig::exec::PigEngine;
-
+    fn algorithm3_scalar_lifted_and_native_kernels_agree() {
         let fasta = b">a1\nACGTACGTACGTACGTACGT\n>a2\nACGTACGTACGTACGTACGT\n\
                       >b1\nGGTTCCAAGGTTCCAAGGTT\n>b2\nGGTTCCAAGGTTCCAAGGTT\n\
                       >c1\nTTTTAAAACCCCGGGGTTTT\n";
@@ -1611,9 +1611,18 @@ mod tests {
         }
         let script = parse_script(algorithm3_script(), &params).unwrap();
 
-        let mut outputs: Vec<Vec<u8>> = Vec::new();
-        for engine in [PigEngine::Row, PigEngine::Columnar] {
-            let dfs = std::sync::Arc::new(
+        // Scalar registrations only: `get_batch` lifts each one.
+        let mut scalar_only = UdfRegistry::with_builtins();
+        scalar_only.register(Arc::new(FastaStorage));
+        scalar_only.register(Arc::new(StringGenerator));
+        scalar_only.register(Arc::new(TranslateToKmer));
+        scalar_only.register(Arc::new(CalculateMinwiseHash));
+        scalar_only.register(Arc::new(CalculatePairwiseSimilarity));
+        scalar_only.register(Arc::new(AgglomerativeHierarchicalClustering));
+        scalar_only.register(Arc::new(GreedyClustering));
+
+        let run = |registry: UdfRegistry| {
+            let dfs = Arc::new(
                 Dfs::new(DfsConfig {
                     block_size: 4096,
                     replication: 1,
@@ -1622,19 +1631,31 @@ mod tests {
                 .unwrap(),
             );
             dfs.put("/in.fa", Bytes::from_static(fasta), false).unwrap();
-            let runner =
-                PigRunner::new(std::sync::Arc::clone(&dfs), registry()).with_engine(engine);
-            runner.run(&script).unwrap();
+            let report = PigRunner::new(Arc::clone(&dfs), registry)
+                .run(&script)
+                .unwrap();
             let mut blob = Vec::new();
             for path in ["/out/hier", "/out/greedy"] {
                 blob.extend_from_slice(&dfs.read(path).unwrap());
             }
-            outputs.push(blob);
-        }
+            let shuffles: Vec<(u64, u64, u64)> = report
+                .pipeline
+                .stages()
+                .iter()
+                .filter(|s| s.shuffled_pairs > 0)
+                .map(|s| (s.shuffled_pairs, s.shuffled_bytes, s.shuffle_runs))
+                .collect();
+            (blob, shuffles)
+        };
+        let (lifted_out, lifted_shuffles) = run(scalar_only);
+        let (native_out, native_shuffles) = run(registry());
         assert_eq!(
-            outputs[0], outputs[1],
-            "row and columnar engines diverged on Algorithm 3"
+            lifted_out, native_out,
+            "scalar-lifted and native kernels diverged on Algorithm 3"
         );
+        assert_eq!(lifted_shuffles, native_shuffles);
+        // GROUP C BY seqid2, GROUP E ALL, GROUP J ALL.
+        assert_eq!(native_shuffles, [(80, 1776, 12), (5, 1570, 5), (5, 550, 5)]);
     }
 
     #[test]

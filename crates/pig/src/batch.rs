@@ -7,16 +7,16 @@
 //! bitmaps for nulls; nested bags are an offsets array over a child
 //! batch ([`BagCol`]); anything that does not fit a single type
 //! degrades honestly to a boxed [`Column::Dyn`] column rather than
-//! coercing. Ragged tuples (rows of differing arity — legal in the
-//! row engine, which stores plain `Vec<Value>` tuples) are captured
-//! by an optional per-row width vector.
+//! coercing. Ragged tuples (rows of differing arity — legal in
+//! Pig's data model, where a tuple is a plain `Vec<Value>`) are
+//! captured by an optional per-row width vector.
 //!
 //! The invariant every constructor and kernel preserves:
 //! `ColumnBatch::from_rows(rows).to_rows() == rows` bit-for-bit —
 //! including the exact `Value` variant of every field, null
-//! positions, bag element order and tuple arity. The vectorized
-//! executor leans on this to stay provably identical to the
-//! row-at-a-time engine (see `tests/columnar.rs`).
+//! positions, bag element order and tuple arity. The executor leans
+//! on this to stay identical to the boxed-row reference interpreter
+//! it is tested against (see `tests/columnar.rs`).
 
 use bytes::Bytes;
 use mrmc_mapreduce::ShuffleSized;
@@ -335,8 +335,7 @@ pub enum Column {
     },
     /// Nested bags (offsets over a child batch).
     Bag(BagCol),
-    /// Fallback for mixed-type or tuple-valued columns: boxed values,
-    /// exactly as the row engine stores them.
+    /// Fallback for mixed-type or tuple-valued columns: boxed values.
     Dyn(Vec<Value>),
 }
 
@@ -910,8 +909,9 @@ impl ColumnBatch {
     }
 
     /// Columnarize tuple rows. Returns `None` unless **every** row is
-    /// a [`Value::Tuple`] — relations of bare values stay in the row
-    /// representation rather than pretending to be 1-column tuples.
+    /// a [`Value::Tuple`]: a bare value is not silently read as a
+    /// 1-column tuple here (the executor's `LOAD` wraps one, on
+    /// purpose, before it gets this far).
     pub fn from_rows(rows: &[Value]) -> Option<ColumnBatch> {
         let tuples: Vec<&[Value]> = rows
             .iter()
@@ -974,8 +974,8 @@ impl ColumnBatch {
     }
 
     /// Field `(row, col)` as a [`Value`] (`Null` past the row's
-    /// width — the same out-of-range semantics the row engine's
-    /// `row.get(i)` lookup has).
+    /// width — the out-of-range semantics of a boxed row's
+    /// `row.get(i)` lookup).
     pub fn value_at(&self, row: usize, col: usize) -> Value {
         if col >= self.cols.len() {
             return Value::Null;

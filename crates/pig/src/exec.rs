@@ -9,21 +9,20 @@
 //!   reduce job** producing `(group, bag)` tuples;
 //! * `STORE` serializes a relation back to the DFS.
 //!
-//! Two execution engines share this lowering ([`PigEngine`]):
-//!
-//! * **Row** — the original row-at-a-time interpreter over boxed
-//!   [`Value`] tuples;
-//! * **Columnar** (default) — relations held as [`ColumnBatch`]es,
-//!   operators evaluated on column windows through the batch UDF ABI
-//!   ([`crate::udf::BatchUdf`]), `FLATTEN` expanded with gather
-//!   vectors, and `GROUP` shuffling 4-byte **row indices** instead of
-//!   cloned row trees — the grouped runs come back through
-//!   [`Pipeline::run_group_stage`] and one columnar gather builds the
-//!   result bags. Chunks that the vectorizer cannot keep aligned
-//!   (mixed-type flatten inputs, ragged bag-element tuples) fall back
-//!   to the exact row-engine logic per chunk, so both engines are
-//!   bit-identical by construction *and* by the property tests in
-//!   `tests/columnar.rs`.
+//! There is one execution plane. A relation is a [`ColumnBatch`];
+//! operators evaluate on column windows through the batch UDF ABI
+//! ([`crate::udf::BatchUdf`]), `FLATTEN` expands with gather vectors,
+//! and `GROUP` shuffles 4-byte **row indices** instead of cloned row
+//! trees — the grouped runs come back through
+//! [`Pipeline::run_group_stage`] and one columnar gather builds the
+//! result bags. Boxed [`Value`] rows exist only at the edges: what a
+//! loader returns, what `STORE` prints, shuffle keys, and the chunks
+//! the vectorizer cannot keep aligned (mixed-type flatten inputs,
+//! ragged bag-element tuples), which [`expand_row`] expands row by
+//! row. The semantics are pinned from outside the crate: an
+//! engine-free reference interpreter in `tests/columnar.rs` must
+//! agree with this executor on stored bytes and shuffle accounting
+//! over randomized scripts.
 //!
 //! Every stage's task statistics are recorded in a
 //! [`mrmc_mapreduce::Pipeline`], so a whole script run can afterwards
@@ -46,7 +45,7 @@ use mrmc_mapreduce::MrError;
 
 use crate::batch::{BagCol, Column, ColumnBatch};
 use crate::parser::{CmpOp, Cond, Expr, GenItem, GroupBy, Operator, Script, Statement};
-use crate::udf::{BatchArg, BatchOut, BatchUdf, Udf, UdfError, UdfRegistry};
+use crate::udf::{BatchArg, BatchOut, BatchUdf, UdfError, UdfRegistry};
 use crate::value::Value;
 
 /// Executor failure.
@@ -106,57 +105,31 @@ impl From<UdfError> for PigError {
     }
 }
 
-/// Which execution engine the runner uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PigEngine {
-    /// Row-at-a-time over boxed [`Value`] tuples (the reference
-    /// semantics; kept as the bit-identity oracle).
-    Row,
-    /// Columnar batches with vectorized operators (default).
-    #[default]
-    Columnar,
-}
-
-/// Relation storage. Both representations carry a logical `len` so
-/// `LIMIT` is a zero-copy prefix view over shared storage instead of
-/// a deep row copy.
-#[derive(Debug, Clone)]
-enum Store {
-    /// Boxed rows (the row engine, and any relation whose rows are
-    /// not tuples — columnarization never pretends).
-    Rows { data: Arc<Vec<Value>>, len: usize },
-    /// Columnar batch.
-    Batch { data: Arc<ColumnBatch>, len: usize },
-}
-
-/// A materialized relation: rows plus field names.
+/// A materialized relation: a shared columnar batch plus field
+/// names. `len` is the logical row count, so `LIMIT` is a zero-copy
+/// prefix view over shared storage instead of a deep row copy.
 #[derive(Debug, Clone)]
 struct Relation {
-    store: Store,
+    batch: Arc<ColumnBatch>,
+    len: usize,
     schema: Vec<String>,
 }
 
 impl Relation {
-    fn len(&self) -> usize {
-        match &self.store {
-            Store::Rows { len, .. } | Store::Batch { len, .. } => *len,
+    /// A relation over the whole of `batch`.
+    fn new(batch: ColumnBatch, schema: Vec<String>) -> Relation {
+        Relation {
+            len: batch.rows(),
+            batch: Arc::new(batch),
+            schema,
         }
     }
 
-    /// All live rows, boxed (the row-path entry format).
-    fn rows_vec(&self) -> Vec<Value> {
-        match &self.store {
-            Store::Rows { data, len } => data[..*len].to_vec(),
-            Store::Batch { data, len } => (0..*len).map(|i| data.row_value(i)).collect(),
-        }
-    }
-
-    /// The columnar view, when this relation has one.
-    fn batch(&self) -> Option<(&Arc<ColumnBatch>, usize)> {
-        match &self.store {
-            Store::Batch { data, len } => Some((data, *len)),
-            Store::Rows { .. } => None,
-        }
+    /// Columnarize boxed tuple rows (what a loader or a reducer hands
+    /// back).
+    fn from_rows(rows: &[Value], schema: Vec<String>) -> Relation {
+        let batch = ColumnBatch::from_rows(rows).expect("relation rows are tuples");
+        Relation::new(batch, schema)
     }
 }
 
@@ -169,46 +142,14 @@ pub struct RunReport {
     pub pipeline: Pipeline,
 }
 
-// ------------------------------------------------------------ row engine
-
-/// Expression with names resolved to indices and UDFs to handles.
-#[derive(Clone)]
-enum RExpr {
-    Field(usize),
-    Const(Value),
-    Udf { udf: Arc<dyn Udf>, args: Vec<RExpr> },
-}
-
-impl RExpr {
-    fn eval(&self, row: &[Value]) -> Result<Value, UdfError> {
-        match self {
-            RExpr::Field(i) => Ok(row.get(*i).cloned().unwrap_or(Value::Null)),
-            RExpr::Const(v) => Ok(v.clone()),
-            RExpr::Udf { udf, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(a.eval(row)?);
-                }
-                udf.exec(&vals)
-            }
-        }
-    }
-}
-
-/// Resolved generate item.
-#[derive(Clone)]
-struct RGenItem {
-    expr: RExpr,
-    flatten: bool,
-}
+// ------------------------------------------------- boxed rows at the edges
 
 /// Expand one row's evaluated items into output rows — the single
 /// definition of FOREACH/FLATTEN semantics. Bags under FLATTEN
 /// multiply rows (cross product, later items varying fastest);
 /// flattened tuples append their fields; everything else appends one
-/// field. The columnar engine's slow path calls this with
-/// pre-evaluated item values, so both engines share the semantics by
-/// construction.
+/// field. Only chunks the gather assembly cannot keep aligned come
+/// here, with pre-evaluated item values.
 fn expand_row(evaled: Vec<(bool, Value)>) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> = vec![Vec::new()];
     for (flatten, v) in evaled {
@@ -242,33 +183,6 @@ fn expand_row(evaled: Vec<(bool, Value)>) -> Vec<Vec<Value>> {
     rows
 }
 
-/// The map task for `FOREACH`: evaluates the generate items per row.
-struct ForeachMapper {
-    items: Vec<RGenItem>,
-}
-
-impl Mapper for ForeachMapper {
-    type InKey = usize;
-    type InValue = Value;
-    type OutKey = usize;
-    type OutValue = Value;
-
-    fn map(&self, key: usize, value: Value, ctx: &mut TaskContext<usize, Value>) {
-        let row: &[Value] = value.as_tuple().unwrap_or(std::slice::from_ref(&value));
-        let evaled: Vec<(bool, Value)> = self
-            .items
-            .iter()
-            .map(|item| match item.expr.eval(row) {
-                Ok(v) => (item.flatten, v),
-                Err(e) => panic!("{e}"),
-            })
-            .collect();
-        for r in expand_row(evaled) {
-            ctx.emit(key, Value::Tuple(r));
-        }
-    }
-}
-
 /// Compare two values the way `FILTER` does: numeric comparisons
 /// coerce int/long/double; everything else falls back to the
 /// `Value` total order.
@@ -291,48 +205,20 @@ fn cmp_matches(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     }
 }
 
-/// The map task for `FILTER`: evaluates the predicate per row.
-struct FilterMapper {
-    lhs: RExpr,
-    op: CmpOp,
-    rhs: RExpr,
+/// Map side of `DISTINCT`: the whole row, boxed from its index,
+/// becomes the shuffle key.
+struct DistinctMapper {
+    batch: Arc<ColumnBatch>,
 }
-
-impl FilterMapper {
-    fn matches(&self, row: &[Value]) -> Result<bool, UdfError> {
-        let l = self.lhs.eval(row)?;
-        let r = self.rhs.eval(row)?;
-        Ok(cmp_matches(self.op, filter_cmp(&l, &r)))
-    }
-}
-
-impl Mapper for FilterMapper {
-    type InKey = usize;
-    type InValue = Value;
-    type OutKey = usize;
-    type OutValue = Value;
-
-    fn map(&self, key: usize, value: Value, ctx: &mut TaskContext<usize, Value>) {
-        let row: &[Value] = value.as_tuple().unwrap_or(std::slice::from_ref(&value));
-        match self.matches(row) {
-            Ok(true) => ctx.emit(key, value),
-            Ok(false) => ctx.count("FILTERED_OUT", 1),
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
-/// Map side of `DISTINCT`: the whole row becomes the shuffle key.
-struct DistinctMapper;
 
 impl Mapper for DistinctMapper {
     type InKey = usize;
-    type InValue = Value;
+    type InValue = u32;
     type OutKey = Value;
     type OutValue = ();
 
-    fn map(&self, _key: usize, value: Value, ctx: &mut TaskContext<Value, ()>) {
-        ctx.emit(value, ());
+    fn map(&self, _key: usize, row: u32, ctx: &mut TaskContext<Value, ()>) {
+        ctx.emit(self.batch.row_value(row as usize), ());
     }
 
     fn key_wire_size(&self, key: &Value) -> usize {
@@ -359,56 +245,7 @@ impl Reducer for DistinctReducer {
     }
 }
 
-/// Map side of `GROUP`: key extraction.
-struct GroupMapper {
-    /// Field index to key on; `None` = GROUP ALL.
-    key_field: Option<usize>,
-}
-
-impl Mapper for GroupMapper {
-    type InKey = usize;
-    type InValue = Value;
-    type OutKey = Value;
-    type OutValue = Value;
-
-    fn map(&self, _key: usize, value: Value, ctx: &mut TaskContext<Value, Value>) {
-        let key = match self.key_field {
-            None => Value::CharArray("all".to_string()),
-            Some(i) => value
-                .as_tuple()
-                .and_then(|t| t.get(i))
-                .cloned()
-                .unwrap_or(Value::Null),
-        };
-        ctx.emit(key, value);
-    }
-
-    fn key_wire_size(&self, key: &Value) -> usize {
-        use mrmc_mapreduce::ShuffleSized;
-        key.shuffle_size()
-    }
-
-    fn value_wire_size(&self, value: &Value) -> usize {
-        use mrmc_mapreduce::ShuffleSized;
-        value.shuffle_size()
-    }
-}
-
-/// Reduce side of `GROUP`: bag construction.
-struct GroupReducer;
-
-impl Reducer for GroupReducer {
-    type InKey = Value;
-    type InValue = Value;
-    type OutKey = Value;
-    type OutValue = Value;
-
-    fn reduce(&self, key: Value, values: Vec<Value>, ctx: &mut TaskContext<Value, Value>) {
-        ctx.emit(key.clone(), Value::tuple([key, Value::Bag(values)]));
-    }
-}
-
-// ------------------------------------------------------- columnar engine
+// ------------------------------------------------------- columnar plane
 
 /// Expression resolved against the batch ABI.
 #[derive(Clone)]
@@ -421,7 +258,7 @@ enum BExpr {
     },
 }
 
-/// Resolved generate item, columnar flavor.
+/// Resolved generate item.
 #[derive(Clone)]
 struct BGenItem {
     expr: BExpr,
@@ -529,8 +366,7 @@ enum ItemPlan<'a> {
 
 /// Vectorized FOREACH over one chunk. Returns `None` when the chunk
 /// needs the row-at-a-time fallback (the caller then uses
-/// [`expand_row`] per row — bit-identical by sharing the row
-/// engine's expansion code).
+/// [`expand_row`] per row).
 #[allow(clippy::too_many_lines)]
 fn foreach_chunk_fast(
     start: usize,
@@ -592,8 +428,8 @@ fn foreach_chunk_fast(
     }
 
     // Build the gather vectors: one pass over input rows, odometer
-    // over the flatten bags (later items vary fastest, matching the
-    // row engine's sequential expansion).
+    // over the flatten bags (later items vary fastest, matching
+    // `expand_row`'s sequential expansion).
     struct FlatRef<'b> {
         bag: &'b BagCol,
         global: bool,
@@ -705,7 +541,7 @@ fn copy_item_ref<'a>(col: &ItemCol<'a>) -> ItemCol<'a> {
 }
 
 /// Full FOREACH over one chunk: fast vectorized assembly when
-/// possible, else the shared row-expansion fallback.
+/// possible, else the row-expansion fallback.
 fn foreach_chunk(
     batch: &ColumnBatch,
     start: usize,
@@ -713,8 +549,7 @@ fn foreach_chunk(
     items: &[BGenItem],
 ) -> Result<ColumnBatch, UdfError> {
     if len == 0 {
-        // The row engine never invokes a UDF for zero rows; neither
-        // may the batch path.
+        // A UDF is never invoked for zero rows.
         return Ok(ColumnBatch::from_rows(&[]).expect("empty batch"));
     }
     let evaled: Vec<ItemCol<'_>> = items
@@ -724,8 +559,8 @@ fn foreach_chunk(
     if let Some(out) = foreach_chunk_fast(start, len, &evaled, items) {
         return Ok(out);
     }
-    // Slow path: exact row-engine expansion per row, reusing the
-    // already-evaluated item values.
+    // Slow path: per-row expansion, reusing the already-evaluated
+    // item values.
     let mut rows: Vec<Value> = Vec::with_capacity(len);
     for i in 0..len {
         let evaled_row: Vec<(bool, Value)> = items
@@ -740,7 +575,7 @@ fn foreach_chunk(
     Ok(ColumnBatch::from_rows(&rows).expect("tuple rows"))
 }
 
-/// The columnar map task for `FOREACH`: one chunk of rows per call.
+/// The map task for `FOREACH`: one chunk of rows per call.
 struct BatchForeachMapper {
     batch: Arc<ColumnBatch>,
     items: Vec<BGenItem>,
@@ -760,7 +595,7 @@ impl Mapper for BatchForeachMapper {
     }
 }
 
-/// The columnar map task for `FILTER`: selection vector + gather.
+/// The map task for `FILTER`: selection vector + gather.
 struct BatchFilterMapper {
     batch: Arc<ColumnBatch>,
     lhs: BExpr,
@@ -808,10 +643,10 @@ impl Mapper for BatchFilterMapper {
     }
 }
 
-/// The columnar map side of `GROUP`: shuffles `(key, row index)` —
-/// 4-byte values instead of cloned row trees — while charging
+/// The map side of `GROUP`: shuffles `(key, row index)` — 4-byte
+/// values instead of cloned row trees — while charging
 /// `SHUFFLE_BYTES` for the full row via the wire-size hook, so the
-/// accounting stays bit-identical to the value shuffle.
+/// accounting is that of shuffling the rows themselves.
 struct BatchGroupMapper {
     batch: Arc<ColumnBatch>,
     key_field: Option<usize>,
@@ -853,9 +688,6 @@ pub struct PigRunner {
     pub num_reducers: usize,
     /// Worker threads (None = machine parallelism).
     pub workers: Option<usize>,
-    /// Execution engine (columnar by default; `Row` keeps the boxed
-    /// row-at-a-time reference path).
-    pub engine: PigEngine,
     tracer: Option<Arc<Tracer>>,
 }
 
@@ -868,15 +700,8 @@ impl PigRunner {
             num_map_tasks: 8,
             num_reducers: 4,
             workers: None,
-            engine: PigEngine::default(),
             tracer: None,
         }
-    }
-
-    /// Select the execution engine.
-    pub fn with_engine(mut self, engine: PigEngine) -> PigRunner {
-        self.engine = engine;
-        self
     }
 
     /// Attach a trace sink: every engine stage's spans accumulate in
@@ -896,33 +721,14 @@ impl PigRunner {
         cfg
     }
 
-    fn columnar(&self) -> bool {
-        self.engine == PigEngine::Columnar
-    }
-
-    /// Wrap row output into the engine's preferred representation.
-    fn make_relation(&self, rows: Vec<Value>, schema: Vec<String>) -> Relation {
-        let store = if self.columnar() {
-            match ColumnBatch::from_rows(&rows) {
-                Some(batch) => {
-                    let len = batch.rows();
-                    Store::Batch {
-                        data: Arc::new(batch),
-                        len,
-                    }
-                }
-                None => Store::Rows {
-                    len: rows.len(),
-                    data: Arc::new(rows),
-                },
-            }
-        } else {
-            Store::Rows {
-                len: rows.len(),
-                data: Arc::new(rows),
-            }
-        };
-        Relation { store, schema }
+    /// One `(task, (start, len))` window per map task, along the
+    /// engine's own chunk boundaries.
+    fn chunk_windows(&self, len: usize) -> Vec<(usize, (u32, u32))> {
+        chunk_ranges(len, self.num_map_tasks)
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| (i, (r.start as u32, (r.end - r.start) as u32)))
+            .collect()
     }
 
     /// Execute a parsed script against the DFS.
@@ -966,21 +772,15 @@ impl PigRunner {
                                 .get(input)
                                 .ok_or_else(|| PigError::UnknownRelation(input.clone()))?;
                             // Zero-copy prefix view: shares the Arc'd
-                            // storage, only the logical length drops.
-                            let mut store = rel.store.clone();
-                            match &mut store {
-                                Store::Rows { len, .. } | Store::Batch { len, .. } => {
-                                    *len = (*len).min(*n);
-                                }
-                            }
+                            // batch, only the logical length drops.
                             Relation {
-                                store,
-                                schema: rel.schema.clone(),
+                                len: rel.len.min(*n),
+                                ..rel.clone()
                             }
                         }
                     };
                     let name = format!("{}:{alias}", op_kind(op));
-                    let rows_out = rel.len();
+                    let rows_out = rel.len;
                     env.insert(alias.clone(), rel);
                     (name, rows_out)
                 }
@@ -989,23 +789,13 @@ impl PigRunner {
                         .get(alias)
                         .ok_or_else(|| PigError::UnknownRelation(alias.clone()))?;
                     let mut text = String::new();
-                    match &rel.store {
-                        Store::Rows { data, len } => {
-                            for row in &data[..*len] {
-                                text.push_str(&row.to_string());
-                                text.push('\n');
-                            }
-                        }
-                        Store::Batch { data, len } => {
-                            for i in 0..*len {
-                                text.push_str(&data.row_value(i).to_string());
-                                text.push('\n');
-                            }
-                        }
+                    for i in 0..rel.len {
+                        text.push_str(&rel.batch.row_value(i).to_string());
+                        text.push('\n');
                     }
                     self.dfs.put(path, text.into_bytes(), true)?;
                     stored.push(path.clone());
-                    (format!("store:{alias}"), rel.len())
+                    (format!("store:{alias}"), rel.len)
                 }
             };
             if let (Some(t), Some(job)) = (&self.tracer, pig_job) {
@@ -1023,6 +813,10 @@ impl PigRunner {
         Ok(RunReport { stored, pipeline })
     }
 
+    /// `LOAD`: run the loader UDF over the file's bytes. Pig's data
+    /// model is a bag of tuples, so a loader value that is not a
+    /// tuple loads as a 1-field tuple: every relation is columnar and
+    /// `STORE` prints such a row as `(v)`.
     fn exec_load(
         &self,
         path: &str,
@@ -1038,16 +832,21 @@ impl PigRunner {
         // window, not a per-load heap copy.
         let bytes = self.dfs.read(path)?;
         let out = udf.exec(&[Value::ByteArray(bytes)])?;
-        let rows = match out {
+        let mut rows = match out {
             Value::Bag(rows) => rows,
             other => vec![other],
         };
+        for row in &mut rows {
+            if row.as_tuple().is_none() {
+                *row = Value::tuple([std::mem::replace(row, Value::Null)]);
+            }
+        }
         let schema_names = if schema.is_empty() {
             default_schema(&rows)
         } else {
             schema.iter().map(|f| f.name.clone()).collect()
         };
-        Ok(self.make_relation(rows, schema_names))
+        Ok(Relation::from_rows(&rows, schema_names))
     }
 
     fn exec_foreach(
@@ -1078,62 +877,27 @@ impl PigRunner {
             }
         }
 
-        if let Some((batch, len)) = rel.batch() {
-            let resolved: Vec<BGenItem> = items
-                .iter()
-                .map(|it| {
-                    Ok(BGenItem {
-                        expr: self.resolve_batch(env, &rel.schema, &it.expr)?,
-                        flatten: it.flatten,
-                    })
-                })
-                .collect::<Result<_, PigError>>()?;
-            let chunks: Vec<(usize, (u32, u32))> = chunk_ranges(len, self.num_map_tasks)
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (i, (r.start as u32, (r.end - r.start) as u32)))
-                .collect();
-            let mapper = BatchForeachMapper {
-                batch: Arc::clone(batch),
-                items: resolved,
-            };
-            let out = pipeline.run_map_stage(
-                chunks,
-                self.num_map_tasks,
-                &mapper,
-                &self.job_config(&format!("foreach:{alias}")),
-            )?;
-            let parts: Vec<ColumnBatch> = out.into_iter().map(|(_, b)| b).collect();
-            let merged = ColumnBatch::concat(parts);
-            let len = merged.rows();
-            return Ok(Relation {
-                store: Store::Batch {
-                    data: Arc::new(merged),
-                    len,
-                },
-                schema,
-            });
-        }
-
-        let resolved: Vec<RGenItem> = items
+        let resolved: Vec<BGenItem> = items
             .iter()
             .map(|it| {
-                Ok(RGenItem {
-                    expr: self.resolve(env, &rel.schema, &it.expr)?,
+                Ok(BGenItem {
+                    expr: self.resolve_batch(env, input, &rel.schema, &it.expr)?,
                     flatten: it.flatten,
                 })
             })
             .collect::<Result<_, PigError>>()?;
-        let input_rows: Vec<(usize, Value)> = rel.rows_vec().into_iter().enumerate().collect();
-        let mapper = ForeachMapper { items: resolved };
+        let mapper = BatchForeachMapper {
+            batch: Arc::clone(&rel.batch),
+            items: resolved,
+        };
         let out = pipeline.run_map_stage(
-            input_rows,
+            self.chunk_windows(rel.len),
             self.num_map_tasks,
             &mapper,
             &self.job_config(&format!("foreach:{alias}")),
         )?;
-        let rows: Vec<Value> = out.into_iter().map(|(_, v)| v).collect();
-        Ok(self.make_relation(rows, schema))
+        let merged = ColumnBatch::concat(out.into_iter().map(|(_, b)| b).collect());
+        Ok(Relation::new(merged, schema))
     }
 
     fn exec_group(
@@ -1151,71 +915,43 @@ impl PigRunner {
             GroupBy::All => None,
             GroupBy::Field(name) => Some(field_index(&rel.schema, input, name)?),
         };
-        let schema = vec!["group".to_string(), input.to_string()];
 
-        if let Some((batch, len)) = rel.batch() {
-            // Shuffle row *indices*; the wire-size hook prices the
-            // full row so SHUFFLE_BYTES matches the value shuffle.
-            let input_rows: Vec<(usize, u32)> = (0..len).map(|i| (i, i as u32)).collect();
-            let mapper = BatchGroupMapper {
-                batch: Arc::clone(batch),
-                key_field,
-            };
-            let groups = pipeline.run_group_stage(
-                input_rows,
-                self.num_map_tasks,
-                &mapper,
-                &self.job_config(&format!("group:{alias}")),
-            )?;
-            // Deterministic group order (keys are unique, so sorting
-            // by key equals the row engine's whole-row sort).
-            let mut groups = groups;
-            groups.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut offsets = Vec::with_capacity(groups.len() + 1);
-            offsets.push(0u32);
-            let mut elem_idx: Vec<u32> = Vec::with_capacity(len);
-            let mut keys: Vec<Value> = Vec::with_capacity(groups.len());
-            for (key, rows) in groups {
-                keys.push(key);
-                elem_idx.extend(rows);
-                offsets.push(elem_idx.len() as u32);
-            }
-            // One gather materializes every group's member rows into
-            // the bag column's child batch — the grouped runs were
-            // moved, not cloned, all the way from the reducers.
-            let child = batch.gather(&elem_idx);
-            let rows = keys.len();
-            let key_col = Column::from_values(keys);
-            let bag_col = Column::Bag(BagCol::new(offsets, child, true, None));
-            let out = ColumnBatch::from_cols(vec![key_col, bag_col], rows);
-            return Ok(Relation {
-                store: Store::Batch {
-                    data: Arc::new(out),
-                    len: rows,
-                },
-                schema,
-            });
-        }
-
-        let input_rows: Vec<(usize, Value)> = rel.rows_vec().into_iter().enumerate().collect();
-        let out = pipeline.run_stage(
+        // Shuffle row *indices*; the wire-size hook prices the full
+        // row, so SHUFFLE_BYTES is that of shuffling the rows.
+        let input_rows: Vec<(usize, u32)> = (0..rel.len).map(|i| (i, i as u32)).collect();
+        let mapper = BatchGroupMapper {
+            batch: Arc::clone(&rel.batch),
+            key_field,
+        };
+        let mut groups = pipeline.run_group_stage(
             input_rows,
             self.num_map_tasks,
-            &GroupMapper { key_field },
-            &GroupReducer,
+            &mapper,
             &self.job_config(&format!("group:{alias}")),
         )?;
-        let mut rows: Vec<Value> = out.into_iter().map(|(_, v)| v).collect();
-        // Deterministic group order.
-        rows.sort();
-        Ok(Relation {
-            store: Store::Rows {
-                len: rows.len(),
-                data: Arc::new(rows),
-            },
+        // Deterministic group order (keys are unique).
+        groups.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut offsets = Vec::with_capacity(groups.len() + 1);
+        offsets.push(0u32);
+        let mut elem_idx: Vec<u32> = Vec::with_capacity(rel.len);
+        let mut keys: Vec<Value> = Vec::with_capacity(groups.len());
+        for (key, rows) in groups {
+            keys.push(key);
+            elem_idx.extend(rows);
+            offsets.push(elem_idx.len() as u32);
+        }
+        // One gather materializes every group's member rows into
+        // the bag column's child batch — the grouped runs were
+        // moved, not cloned, all the way from the reducers.
+        let child = rel.batch.gather(&elem_idx);
+        let rows = keys.len();
+        let key_col = Column::from_values(keys);
+        let bag_col = Column::Bag(BagCol::new(offsets, child, true, None));
+        Ok(Relation::new(
+            ColumnBatch::from_cols(vec![key_col, bag_col], rows),
             // Pig names the bag field after the grouped relation.
-            schema,
-        })
+            vec!["group".to_string(), input.to_string()],
+        ))
     }
 
     fn exec_filter(
@@ -1229,55 +965,20 @@ impl PigRunner {
         let rel = env
             .get(input)
             .ok_or_else(|| PigError::UnknownRelation(input.to_string()))?;
-
-        if let Some((batch, len)) = rel.batch() {
-            let mapper = BatchFilterMapper {
-                batch: Arc::clone(batch),
-                lhs: self.resolve_batch(env, &rel.schema, &cond.lhs)?,
-                op: cond.op,
-                rhs: self.resolve_batch(env, &rel.schema, &cond.rhs)?,
-            };
-            let chunks: Vec<(usize, (u32, u32))> = chunk_ranges(len, self.num_map_tasks)
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (i, (r.start as u32, (r.end - r.start) as u32)))
-                .collect();
-            let out = pipeline.run_map_stage(
-                chunks,
-                self.num_map_tasks,
-                &mapper,
-                &self.job_config(&format!("filter:{alias}")),
-            )?;
-            let merged = ColumnBatch::concat(out.into_iter().map(|(_, b)| b).collect());
-            let len = merged.rows();
-            return Ok(Relation {
-                store: Store::Batch {
-                    data: Arc::new(merged),
-                    len,
-                },
-                schema: rel.schema.clone(),
-            });
-        }
-
-        let mapper = FilterMapper {
-            lhs: self.resolve(env, &rel.schema, &cond.lhs)?,
+        let mapper = BatchFilterMapper {
+            batch: Arc::clone(&rel.batch),
+            lhs: self.resolve_batch(env, input, &rel.schema, &cond.lhs)?,
             op: cond.op,
-            rhs: self.resolve(env, &rel.schema, &cond.rhs)?,
+            rhs: self.resolve_batch(env, input, &rel.schema, &cond.rhs)?,
         };
-        let input_rows: Vec<(usize, Value)> = rel.rows_vec().into_iter().enumerate().collect();
         let out = pipeline.run_map_stage(
-            input_rows,
+            self.chunk_windows(rel.len),
             self.num_map_tasks,
             &mapper,
             &self.job_config(&format!("filter:{alias}")),
         )?;
-        Ok(Relation {
-            store: Store::Rows {
-                len: out.len(),
-                data: Arc::new(out.into_iter().map(|(_, v)| v).collect()),
-            },
-            schema: rel.schema.clone(),
-        })
+        let merged = ColumnBatch::concat(out.into_iter().map(|(_, b)| b).collect());
+        Ok(Relation::new(merged, rel.schema.clone()))
     }
 
     fn exec_distinct(
@@ -1290,17 +991,20 @@ impl PigRunner {
         let rel = env
             .get(input)
             .ok_or_else(|| PigError::UnknownRelation(input.to_string()))?;
-        let input_rows: Vec<(usize, Value)> = rel.rows_vec().into_iter().enumerate().collect();
+        let input_rows: Vec<(usize, u32)> = (0..rel.len).map(|i| (i, i as u32)).collect();
+        let mapper = DistinctMapper {
+            batch: Arc::clone(&rel.batch),
+        };
         let out = pipeline.run_stage(
             input_rows,
             self.num_map_tasks,
-            &DistinctMapper,
+            &mapper,
             &DistinctReducer,
             &self.job_config(&format!("distinct:{alias}")),
         )?;
         let mut rows: Vec<Value> = out.into_iter().map(|(k, ())| k).collect();
         rows.sort();
-        Ok(self.make_relation(rows, rel.schema.clone()))
+        Ok(Relation::from_rows(&rows, rel.schema.clone()))
     }
 
     /// `ORDER BY` runs on the driver: real Pig samples the key space
@@ -1317,86 +1021,27 @@ impl PigRunner {
             .get(input)
             .ok_or_else(|| PigError::UnknownRelation(input.to_string()))?;
         let idx = field_index(&rel.schema, input, field)?;
-
-        if let Some((batch, len)) = rel.batch() {
-            // Stable argsort on the key column, then one gather —
-            // no row materialization, no per-comparison key clones.
-            let keys: Vec<Value> = (0..len).map(|i| batch.value_at(i, idx)).collect();
-            let mut order: Vec<u32> = (0..len as u32).collect();
-            order.sort_by(|&a, &b| {
-                let ord = keys[a as usize].cmp(&keys[b as usize]);
-                if desc {
-                    ord.reverse()
-                } else {
-                    ord
-                }
-            });
-            let sorted = batch.gather(&order);
-            return Ok(Relation {
-                store: Store::Batch {
-                    data: Arc::new(sorted),
-                    len,
-                },
-                schema: rel.schema.clone(),
-            });
-        }
-
-        let mut rows: Vec<Value> = rel.rows_vec();
-        let key = |v: &Value| -> Value {
-            v.as_tuple()
-                .and_then(|t| t.get(idx))
-                .cloned()
-                .unwrap_or(Value::Null)
-        };
-        rows.sort_by(|a, b| {
-            let ord = key(a).cmp(&key(b));
+        // Stable argsort on the key column, then one gather — no row
+        // materialization, no per-comparison key clones.
+        let keys: Vec<Value> = (0..rel.len).map(|i| rel.batch.value_at(i, idx)).collect();
+        let mut order: Vec<u32> = (0..rel.len as u32).collect();
+        order.sort_by(|&a, &b| {
+            let ord = keys[a as usize].cmp(&keys[b as usize]);
             if desc {
                 ord.reverse()
             } else {
                 ord
             }
         });
-        Ok(Relation {
-            store: Store::Rows {
-                len: rows.len(),
-                data: Arc::new(rows),
-            },
-            schema: rel.schema.clone(),
-        })
+        Ok(Relation::new(rel.batch.gather(&order), rel.schema.clone()))
     }
 
-    fn resolve(
-        &self,
-        env: &HashMap<String, Relation>,
-        schema: &[String],
-        expr: &Expr,
-    ) -> Result<RExpr, PigError> {
-        Ok(match expr {
-            Expr::LitLong(v) => RExpr::Const(Value::Long(*v)),
-            Expr::LitDouble(v) => RExpr::Const(Value::Double(*v)),
-            Expr::LitString(s) => RExpr::Const(Value::CharArray(s.clone())),
-            Expr::Field(name) => RExpr::Field(field_index(schema, "<current>", name)?),
-            Expr::Dotted { relation, field } => {
-                RExpr::Const(self.resolve_scalar_ref(env, relation, field)?)
-            }
-            Expr::Udf { name, args } => {
-                let udf = self
-                    .registry
-                    .get(name)
-                    .ok_or_else(|| PigError::UnknownUdf(name.clone()))?;
-                let args = args
-                    .iter()
-                    .map(|a| self.resolve(env, schema, a))
-                    .collect::<Result<_, PigError>>()?;
-                RExpr::Udf { udf, args }
-            }
-        })
-    }
-
-    /// Resolve an expression against the batch ABI ([`BExpr`]).
+    /// Resolve an expression of a statement over `relation` (whose
+    /// fields are `schema`) against the batch ABI ([`BExpr`]).
     fn resolve_batch(
         &self,
         env: &HashMap<String, Relation>,
+        relation: &str,
         schema: &[String],
         expr: &Expr,
     ) -> Result<BExpr, PigError> {
@@ -1404,7 +1049,7 @@ impl PigRunner {
             Expr::LitLong(v) => BExpr::Const(Value::Long(*v)),
             Expr::LitDouble(v) => BExpr::Const(Value::Double(*v)),
             Expr::LitString(s) => BExpr::Const(Value::CharArray(s.clone())),
-            Expr::Field(name) => BExpr::Field(field_index(schema, "<current>", name)?),
+            Expr::Field(name) => BExpr::Field(field_index(schema, relation, name)?),
             Expr::Dotted { relation, field } => {
                 BExpr::Const(self.resolve_scalar_ref(env, relation, field)?)
             }
@@ -1415,7 +1060,7 @@ impl PigRunner {
                     .ok_or_else(|| PigError::UnknownUdf(name.clone()))?;
                 let args = args
                     .iter()
-                    .map(|a| self.resolve_batch(env, schema, a))
+                    .map(|a| self.resolve_batch(env, relation, schema, a))
                     .collect::<Result<_, PigError>>()?;
                 BExpr::Udf { udf, args }
             }
@@ -1433,22 +1078,15 @@ impl PigRunner {
         let rel = env
             .get(relation)
             .ok_or_else(|| PigError::UnknownRelation(relation.to_string()))?;
-        if rel.len() != 1 {
+        if rel.len != 1 {
             return Err(PigError::NotScalar {
                 relation: relation.to_string(),
-                rows: rel.len(),
+                rows: rel.len,
             });
         }
         let idx = field_index(&rel.schema, relation, field)?;
         // Only the referenced field is materialized, not the whole row.
-        Ok(match &rel.store {
-            Store::Rows { data, .. } => data[0]
-                .as_tuple()
-                .and_then(|t| t.get(idx))
-                .cloned()
-                .unwrap_or(Value::Null),
-            Store::Batch { data, .. } => data.value_at(0, idx),
-        })
+        Ok(rel.batch.value_at(0, idx))
     }
 }
 
@@ -1509,10 +1147,6 @@ mod tests {
         r
     }
 
-    fn row_runner(dfs: &Arc<Dfs>) -> PigRunner {
-        runner(dfs).with_engine(PigEngine::Row)
-    }
-
     #[test]
     fn load_foreach_store_word_upper() {
         let dfs = dfs();
@@ -1530,37 +1164,6 @@ mod tests {
         assert_eq!(out.as_ref(), b"(HELLO)\n(WORLD)\n");
         // One FOREACH stage recorded.
         assert_eq!(report.pipeline.stages().len(), 1);
-    }
-
-    #[test]
-    fn both_engines_store_identical_bytes() {
-        for script_src in [
-            "A = LOAD '/in.txt' AS (line:chararray);\
-             B = FOREACH A GENERATE UPPER(line);\
-             STORE B INTO '/out.txt';",
-            "A = LOAD '/in.txt' AS (line:chararray);\
-             W = FOREACH A GENERATE FLATTEN(TOKENIZE(line)) AS (word:chararray);\
-             G = GROUP W BY word;\
-             C = FOREACH G GENERATE group, COUNT(W);\
-             O = ORDER C BY group;\
-             L = LIMIT O 3;\
-             STORE L INTO '/out.txt';",
-        ] {
-            let script = parse_script(script_src, &Map::new()).unwrap();
-            let mut outs = Vec::new();
-            for columnar in [false, true] {
-                let dfs = dfs();
-                dfs.put("/in.txt", &b"c a b\nb a\nz\n"[..], false).unwrap();
-                let r = if columnar {
-                    runner(&dfs)
-                } else {
-                    row_runner(&dfs)
-                };
-                r.run(&script).unwrap();
-                outs.push(dfs.read("/out.txt").unwrap());
-            }
-            assert_eq!(outs[0], outs[1], "engines diverged on: {script_src}");
-        }
     }
 
     #[test]
@@ -1650,10 +1253,12 @@ mod tests {
             &Map::new(),
         )
         .unwrap();
-        assert!(matches!(
-            runner(&dfs).run(&script),
-            Err(PigError::UnknownField { .. })
-        ));
+        match runner(&dfs).run(&script) {
+            Err(PigError::UnknownField { relation, field }) => {
+                assert_eq!((relation.as_str(), field.as_str()), ("A", "nope"));
+            }
+            other => panic!("expected UnknownField, got {other:?}"),
+        }
     }
 
     #[test]
@@ -1794,10 +1399,8 @@ mod tests {
             &Map::new(),
         )
         .unwrap();
-        for r in [runner(&dfs), row_runner(&dfs)] {
-            r.run(&script).unwrap();
-            assert_eq!(dfs.read("/two.txt").unwrap().as_ref(), b"(a)\n(b)\n");
-        }
+        runner(&dfs).run(&script).unwrap();
+        assert_eq!(dfs.read("/two.txt").unwrap().as_ref(), b"(a)\n(b)\n");
     }
 
     #[test]
@@ -1816,7 +1419,7 @@ mod tests {
     }
 
     #[test]
-    fn group_stage_stats_identical_across_engines() {
+    fn group_stage_shuffle_stats_pinned() {
         let dfs = dfs();
         dfs.put("/kv.txt", &b"a 1\nb 2\na 3\nc 9\nb 4\n"[..], false)
             .unwrap();
@@ -1827,14 +1430,21 @@ mod tests {
             &Map::new(),
         )
         .unwrap();
-        let col = runner(&dfs).run(&script).unwrap();
-        let row = row_runner(&dfs).run(&script).unwrap();
-        let (cs, rs) = (&col.pipeline.stages()[1], &row.pipeline.stages()[1]);
-        assert_eq!(cs.shuffled_pairs, rs.shuffled_pairs);
-        // The index shuffle must charge the same SHUFFLE_BYTES as the
-        // value shuffle (wire-size hook prices the full row).
-        assert_eq!(cs.shuffled_bytes, rs.shuffled_bytes);
-        assert_eq!(cs.shuffle_runs, rs.shuffle_runs);
+        let report = runner(&dfs).run(&script).unwrap();
+        let group = &report.pipeline.stages()[1];
+        // The index shuffle charges SHUFFLE_BYTES for the full rows
+        // (wire-size hook), not for the 4-byte indices it moves: ten
+        // one-character tokens, no key repeated inside a map task's
+        // chunk, so ten groups of key (6) + count (1) + row (11); and
+        // every (map task, reducer) cell of the 3 × 2 is non-empty.
+        assert_eq!(
+            (
+                group.shuffled_pairs,
+                group.shuffled_bytes,
+                group.shuffle_runs
+            ),
+            (10, 180, 6)
+        );
     }
 
     #[test]

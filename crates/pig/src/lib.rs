@@ -16,8 +16,8 @@
 //! ```
 //!
 //! * [`batch`] — the columnar data plane: typed column vectors with
-//!   validity bitmaps and offset-based nested bags, behind the
-//!   vectorized executor (`PigEngine::Columnar`, the default);
+//!   validity bitmaps and offset-based nested bags, the one
+//!   representation the executor holds relations in;
 //! * [`value`] — Pig's dynamic data model (int, long, double,
 //!   chararray, bytearray, tuple, bag) with total ordering so values
 //!   can serve as shuffle keys;
@@ -26,10 +26,11 @@
 //! * [`udf`] — the `Udf` trait and registry; domain UDFs
 //!   (`FastaStorage`, `CalculateMinwiseHash`, …) are registered by the
 //!   `mrmc` crate, generic builtins (`TOKENIZE`, `COUNT`) live here;
-//! * [`exec`] — the executor: `FOREACH` becomes a map-only job,
-//!   `GROUP` a full shuffle, `LOAD`/`STORE` read and write the DFS;
-//!   per-stage task statistics feed the simulated-cluster scaling
-//!   model.
+//! * [`exec`] — the executor: `FOREACH` becomes a map-only job over
+//!   column windows, `GROUP` a full shuffle of row indices,
+//!   `LOAD`/`STORE` read and write the DFS, boxing values only at
+//!   those edges; per-stage task statistics feed the
+//!   simulated-cluster scaling model.
 
 pub mod batch;
 pub mod exec;
@@ -39,7 +40,7 @@ pub mod udf;
 pub mod value;
 
 pub use batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
-pub use exec::{PigEngine, PigRunner, RunReport};
+pub use exec::{PigRunner, RunReport};
 pub use parser::{parse_script, ParseError, Script, Statement};
 pub use udf::{BatchArg, BatchOut, BatchUdf, Udf, UdfRegistry};
 pub use value::Value;

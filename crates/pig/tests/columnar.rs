@@ -1,17 +1,21 @@
 //! Property tests for the columnar data plane.
 //!
-//! Two invariants back the columnar engine's correctness claim:
+//! Two invariants back the executor's correctness claim:
 //!
 //! 1. **Representation fidelity** — `ColumnBatch::from_rows(rows)`
 //!    followed by `to_rows()` reproduces the input *exactly* (variant,
 //!    nulls, nested bag order, tuple arity), and the columnar shuffle
 //!    pricing `row_shuffle_size(i)` equals the boxed row's
 //!    `shuffle_size()`. Slicing and gathering preserve both.
-//! 2. **Engine bit-identity** — randomized scripts over randomized
-//!    inputs store byte-identical outputs and record identical shuffle
-//!    statistics on the row and columnar engines, including the nasty
-//!    FLATTEN corners (empty bags, bare non-tuple bag elements,
-//!    mixed bag/scalar expression outputs, nulls, ragged tuples).
+//! 2. **Bit-identity with a reference** — randomized scripts over
+//!    randomized inputs store the bytes, and record the per-stage
+//!    `(shuffled_pairs, shuffled_bytes)`, that the engine-free
+//!    [`reference`] interpreter below computes, including the nasty
+//!    FLATTEN corners (empty bags, bare non-tuple bag elements, mixed
+//!    bag/scalar expression outputs, nulls, ragged tuples). The
+//!    reference runs no job and shares no code with `exec.rs`: boxed
+//!    `Vec<Value>` rows over the parser's public AST, scalar
+//!    `Udf::exec`, and the shuffle pricing `engine.rs` documents.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -20,7 +24,6 @@ use proptest::prelude::*;
 
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig};
 use mrmc_mapreduce::ShuffleSized;
-use mrmc_pig::exec::PigEngine;
 use mrmc_pig::udf::{Udf, UdfError};
 use mrmc_pig::{parse_script, ColumnBatch, PigRunner, UdfRegistry, Value};
 
@@ -190,6 +193,311 @@ proptest! {
     }
 }
 
+// ------------------------------------------------- reference interpreter
+
+/// An engine-free interpreter of the supported Pig subset: the oracle
+/// the executor is compared against. Relations are `Vec<Value>` of
+/// tuples, UDFs are called one row at a time through the scalar
+/// `Udf::exec`, nothing is chunked, shuffled or run as a job.
+mod reference {
+    use std::cmp::Ordering;
+    use std::collections::{BTreeMap, HashMap};
+
+    use mrmc_mapreduce::wire::uvarint_len;
+    use mrmc_mapreduce::{chunk_ranges, ShuffleSized};
+    use mrmc_pig::parser::{CmpOp, Expr, GenItem, GroupBy, Operator};
+    use mrmc_pig::{Script, Statement, UdfRegistry, Value};
+
+    struct Rel {
+        rows: Vec<Value>,
+        schema: Vec<String>,
+    }
+
+    /// What a script run leaves behind.
+    #[derive(Debug, PartialEq)]
+    pub struct Outcome {
+        /// `(path, text)` per `STORE`, in script order.
+        pub stored: Vec<(String, String)>,
+        /// `(shuffled_pairs, shuffled_bytes)` per job the executor
+        /// runs: FOREACH and FILTER are map-only (nothing shuffled),
+        /// GROUP and DISTINCT shuffle, the rest run on the driver.
+        pub stages: Vec<(u64, u64)>,
+    }
+
+    /// What shuffling `rows` keyed by `key` costs, as `engine.rs`
+    /// documents it: each of the `map_tasks` map tasks groups its own
+    /// contiguous chunk, and a group is the key once, a varint value
+    /// count, then each value.
+    fn shuffle_bytes(
+        rows: &[Value],
+        map_tasks: usize,
+        key: impl Fn(&Value) -> Value,
+        value_size: impl Fn(&Value) -> usize,
+    ) -> u64 {
+        let mut bytes = 0;
+        for task in chunk_ranges(rows.len(), map_tasks) {
+            let mut groups: BTreeMap<Value, (u64, usize)> = BTreeMap::new();
+            for row in &rows[task] {
+                let group = groups.entry(key(row)).or_default();
+                group.0 += 1;
+                group.1 += value_size(row);
+            }
+            for (key, (count, values)) in groups {
+                bytes += (key.shuffle_size() + uvarint_len(count) + values) as u64;
+            }
+        }
+        bytes
+    }
+
+    fn fields(row: &Value) -> &[Value] {
+        row.as_tuple().expect("relation rows are tuples")
+    }
+
+    fn field(row: &Value, schema: &[String], name: &str) -> Value {
+        let i = schema
+            .iter()
+            .position(|f| f == name)
+            .unwrap_or_else(|| panic!("no field {name} in {schema:?}"));
+        fields(row).get(i).cloned().unwrap_or(Value::Null)
+    }
+
+    struct Interp<'a> {
+        registry: &'a UdfRegistry,
+        env: HashMap<String, Rel>,
+    }
+
+    impl Interp<'_> {
+        fn rel(&self, alias: &str) -> &Rel {
+            self.env
+                .get(alias)
+                .unwrap_or_else(|| panic!("unknown relation {alias}"))
+        }
+
+        fn eval(&self, expr: &Expr, row: &Value, schema: &[String]) -> Value {
+            match expr {
+                Expr::LitLong(v) => Value::Long(*v),
+                Expr::LitDouble(v) => Value::Double(*v),
+                Expr::LitString(s) => Value::CharArray(s.clone()),
+                Expr::Field(name) => field(row, schema, name),
+                Expr::Dotted { relation, field: f } => {
+                    let rel = self.rel(relation);
+                    assert_eq!(rel.rows.len(), 1, "{relation} is not a scalar");
+                    field(&rel.rows[0], &rel.schema, f)
+                }
+                Expr::Udf { name, args } => {
+                    let args: Vec<Value> = args.iter().map(|a| self.eval(a, row, schema)).collect();
+                    let udf = self.registry.get(name).expect("registered UDF");
+                    udf.exec(&args).unwrap_or_else(|e| panic!("{e}"))
+                }
+            }
+        }
+
+        /// One input row through `GENERATE`: every item contributes a
+        /// list of alternatives (a flattened bag one per element, in
+        /// order; anything else exactly one), each alternative a run
+        /// of fields, and the output is their cross product with the
+        /// first item varying slowest.
+        fn generate(&self, items: &[GenItem], row: &Value, schema: &[String]) -> Vec<Value> {
+            let mut out: Vec<Vec<Value>> = vec![Vec::new()];
+            for item in items {
+                let alternatives: Vec<Vec<Value>> = match self.eval(&item.expr, row, schema) {
+                    Value::Bag(elems) if item.flatten => elems
+                        .into_iter()
+                        .map(|e| match e {
+                            Value::Tuple(fields) => fields,
+                            bare => vec![bare],
+                        })
+                        .collect(),
+                    Value::Tuple(fields) if item.flatten => vec![fields],
+                    v => vec![vec![v]],
+                };
+                out = out
+                    .iter()
+                    .flat_map(|base| {
+                        alternatives
+                            .iter()
+                            .map(move |alt| [&base[..], alt].concat())
+                    })
+                    .collect();
+            }
+            out.into_iter().map(Value::Tuple).collect()
+        }
+    }
+
+    /// `FILTER`'s comparison: numbers compare as doubles whatever
+    /// their width, anything else by the `Value` total order.
+    fn compare(l: &Value, r: &Value) -> Ordering {
+        match (l.as_f64(), r.as_f64()) {
+            (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+            _ => l.cmp(r),
+        }
+    }
+
+    /// Interpret `script`, every `LOAD` reading `input`.
+    pub fn run(script: &Script, input: &[u8], registry: &UdfRegistry, map_tasks: usize) -> Outcome {
+        let mut interp = Interp {
+            registry,
+            env: HashMap::new(),
+        };
+        let mut outcome = Outcome {
+            stored: Vec::new(),
+            stages: Vec::new(),
+        };
+        for stmt in &script.statements {
+            let (alias, op) = match stmt {
+                Statement::Store { alias, path } => {
+                    let text = interp
+                        .rel(alias)
+                        .rows
+                        .iter()
+                        .map(|r| format!("{r}\n"))
+                        .collect();
+                    outcome.stored.push((path.clone(), text));
+                    continue;
+                }
+                Statement::Assign { alias, op } => (alias, op),
+            };
+            let rel = match op {
+                Operator::Load { loader, schema, .. } => {
+                    let loader = loader.as_deref().unwrap_or("TextLoader");
+                    let udf = registry.get(loader).expect("registered loader");
+                    let loaded = udf
+                        .exec(&[Value::ByteArray(input.to_vec().into())])
+                        .unwrap_or_else(|e| panic!("{e}"));
+                    // A relation is a bag of tuples: a bare value is
+                    // a tuple of one field.
+                    let rows: Vec<Value> = match loaded {
+                        Value::Bag(rows) => rows,
+                        one => vec![one],
+                    }
+                    .into_iter()
+                    .map(|r| match r {
+                        Value::Tuple(_) => r,
+                        bare => Value::Tuple(vec![bare]),
+                    })
+                    .collect();
+                    let schema = if schema.is_empty() {
+                        let width = rows.first().map_or(1, |r| fields(r).len());
+                        (0..width).map(|i| format!("f{i}")).collect()
+                    } else {
+                        schema.iter().map(|f| f.name.clone()).collect()
+                    };
+                    Rel { rows, schema }
+                }
+                Operator::Foreach { input, items } => {
+                    let rel = interp.rel(input);
+                    let rows = rel
+                        .rows
+                        .iter()
+                        .flat_map(|row| interp.generate(items, row, &rel.schema))
+                        .collect();
+                    // Declared names win; an undeclared plain field
+                    // keeps its name; anything else is `f<position>`.
+                    let schema = items
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(i, item)| match (&item.schema[..], &item.expr) {
+                            ([], Expr::Field(name)) => vec![name.clone()],
+                            ([], _) => vec![format!("f{i}")],
+                            (decls, _) => decls.iter().map(|d| d.name.clone()).collect(),
+                        })
+                        .collect();
+                    outcome.stages.push((0, 0));
+                    Rel { rows, schema }
+                }
+                Operator::Filter { input, cond } => {
+                    let rel = interp.rel(input);
+                    let keep = |row: &&Value| {
+                        let l = interp.eval(&cond.lhs, row, &rel.schema);
+                        let r = interp.eval(&cond.rhs, row, &rel.schema);
+                        let ord = compare(&l, &r);
+                        match cond.op {
+                            CmpOp::Eq => ord.is_eq(),
+                            CmpOp::Ne => ord.is_ne(),
+                            CmpOp::Lt => ord.is_lt(),
+                            CmpOp::Le => ord.is_le(),
+                            CmpOp::Gt => ord.is_gt(),
+                            CmpOp::Ge => ord.is_ge(),
+                        }
+                    };
+                    outcome.stages.push((0, 0));
+                    Rel {
+                        rows: rel.rows.iter().filter(keep).cloned().collect(),
+                        schema: rel.schema.clone(),
+                    }
+                }
+                Operator::Group { input, by } => {
+                    let rel = interp.rel(input);
+                    let key = |row: &Value| match by {
+                        GroupBy::All => Value::CharArray("all".into()),
+                        GroupBy::Field(name) => field(row, &rel.schema, name),
+                    };
+                    let mut groups: BTreeMap<Value, Vec<Value>> = BTreeMap::new();
+                    for row in &rel.rows {
+                        groups.entry(key(row)).or_default().push(row.clone());
+                    }
+                    outcome.stages.push((
+                        rel.rows.len() as u64,
+                        shuffle_bytes(&rel.rows, map_tasks, key, Value::shuffle_size),
+                    ));
+                    Rel {
+                        rows: groups
+                            .into_iter()
+                            .map(|(k, bag)| Value::Tuple(vec![k, Value::Bag(bag)]))
+                            .collect(),
+                        schema: vec!["group".into(), input.clone()],
+                    }
+                }
+                Operator::Distinct { input } => {
+                    let rel = interp.rel(input);
+                    let mut rows = rel.rows.clone();
+                    rows.sort();
+                    rows.dedup();
+                    // The whole row is the key; the values are empty.
+                    outcome.stages.push((
+                        rel.rows.len() as u64,
+                        shuffle_bytes(&rel.rows, map_tasks, Value::clone, |_| 0),
+                    ));
+                    Rel {
+                        rows,
+                        schema: rel.schema.clone(),
+                    }
+                }
+                Operator::OrderBy {
+                    input,
+                    field: by,
+                    desc,
+                } => {
+                    let rel = interp.rel(input);
+                    let mut rows = rel.rows.clone();
+                    // Stable either way: ties keep their input order.
+                    rows.sort_by(|a, b| {
+                        let ord = field(a, &rel.schema, by).cmp(&field(b, &rel.schema, by));
+                        if *desc {
+                            ord.reverse()
+                        } else {
+                            ord
+                        }
+                    });
+                    Rel {
+                        rows,
+                        schema: rel.schema.clone(),
+                    }
+                }
+                Operator::Limit { input, n } => {
+                    let rel = interp.rel(input);
+                    Rel {
+                        rows: rel.rows.iter().take(*n).cloned().collect(),
+                        schema: rel.schema.clone(),
+                    }
+                }
+            };
+            interp.env.insert(alias.clone(), rel);
+        }
+        outcome
+    }
+}
+
 // ------------------------------------------------- script bit-identity
 
 /// `Nullify(s)` → the string back, or `Null` when its length is even
@@ -260,11 +568,33 @@ impl Udf for MixBag {
     }
 }
 
+/// `BareLines` → a loader that returns a bag of *bare* chararrays,
+/// one per line, instead of 1-field tuples.
+struct BareLines;
+impl Udf for BareLines {
+    fn name(&self) -> &str {
+        "BareLines"
+    }
+    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
+        let bytes = args
+            .first()
+            .and_then(Value::as_bytes)
+            .ok_or_else(|| UdfError::new("BareLines", "expected file bytes"))?;
+        Ok(Value::bag(
+            String::from_utf8_lossy(bytes)
+                .lines()
+                .map(|l| Value::CharArray(l.to_string()))
+                .collect::<Vec<_>>(),
+        ))
+    }
+}
+
 fn test_registry() -> UdfRegistry {
     let mut r = UdfRegistry::with_builtins();
     r.register(Arc::new(Nullify));
     r.register(Arc::new(Chars));
     r.register(Arc::new(MixBag));
+    r.register(Arc::new(BareLines));
     r
 }
 
@@ -277,7 +607,7 @@ fn build_script(ops: &[u8], limit: usize) -> String {
     let mut maybe_null = false;
     for (i, &op) in ops.iter().enumerate() {
         let next = format!("R{i}");
-        let op = if maybe_null && matches!(op, 0 | 1 | 2 | 3 | 8) {
+        let op = if maybe_null && matches!(op, 0 | 1 | 2 | 3 | 8 | 13) {
             4 // string UDFs would error on null; filter instead
         } else {
             op
@@ -307,12 +637,37 @@ fn build_script(ops: &[u8], limit: usize) -> String {
                 script.push_str(&format!("O{i} = ORDER {cur} BY f0 DESC;\n"));
                 script.push_str(&format!("{next} = LIMIT O{i} {limit};\n"));
             }
-            _ => {
+            8 => {
                 script.push_str(&format!(
                     "{next} = FOREACH {cur} GENERATE Nullify(f0) AS (f0:chararray);\n"
                 ));
                 maybe_null = true;
             }
+            // LIMIT of whatever order the relation happens to have.
+            9 => script.push_str(&format!("{next} = LIMIT {cur} {limit};\n")),
+            // One global bag, flattened back into its rows.
+            10 => {
+                script.push_str(&format!("G{i} = GROUP {cur} ALL;\n"));
+                script.push_str(&format!(
+                    "{next} = FOREACH G{i} GENERATE FLATTEN({cur}) AS (f0:chararray);\n"
+                ));
+            }
+            // Keyed bags flattened beside their key: rows come back
+            // in key order, one trailing field wider.
+            11 => {
+                script.push_str(&format!("G{i} = GROUP {cur} BY f0;\n"));
+                script.push_str(&format!(
+                    "{next} = FOREACH G{i} GENERATE FLATTEN({cur}) AS (f0:chararray), group;\n"
+                ));
+            }
+            // Constants broadcast beside a field.
+            12 => script.push_str(&format!("{next} = FOREACH {cur} GENERATE f0, 'k', 7;\n")),
+            // Two bags flattened in one GENERATE: a cross product
+            // whose row order the odometer decides.
+            _ => script.push_str(&format!(
+                "{next} = FOREACH {cur} GENERATE FLATTEN(TOKENIZE(f0)) AS (f0:chararray), \
+                 FLATTEN(Chars(f0)) AS (f1:chararray);\n"
+            )),
         }
         cur = next;
     }
@@ -320,9 +675,13 @@ fn build_script(ops: &[u8], limit: usize) -> String {
     script
 }
 
-/// Run one script on one engine; return the stored bytes and the
-/// per-stage shuffle statistics.
-fn run_engine(script_src: &str, input: &str, engine: PigEngine) -> (Vec<u8>, Vec<(u64, u64, u64)>) {
+/// Map tasks per stage: the executor's setting, and the chunking the
+/// reference prices shuffles by.
+const MAP_TASKS: usize = 3;
+
+/// Run one script on the executor; return what it stored and the
+/// per-stage `(shuffled_pairs, shuffled_bytes)`.
+fn run_engine(script_src: &str, input: &str) -> reference::Outcome {
     let dfs = Arc::new(
         Dfs::new(DfsConfig {
             block_size: 1024,
@@ -334,64 +693,60 @@ fn run_engine(script_src: &str, input: &str, engine: PigEngine) -> (Vec<u8>, Vec
     dfs.put("/in.txt", input.as_bytes().to_vec(), false)
         .unwrap();
     let script = parse_script(script_src, &HashMap::new()).unwrap();
-    let mut runner = PigRunner::new(Arc::clone(&dfs), test_registry()).with_engine(engine);
-    runner.num_map_tasks = 3;
+    let mut runner = PigRunner::new(Arc::clone(&dfs), test_registry());
+    runner.num_map_tasks = MAP_TASKS;
     runner.num_reducers = 2;
     runner.workers = Some(2);
     let report = runner.run(&script).unwrap();
-    let stats = report
-        .pipeline
-        .stages()
-        .iter()
-        .map(|s| (s.shuffled_pairs, s.shuffled_bytes, s.shuffle_runs))
-        .collect();
-    (dfs.read("/out.txt").unwrap().to_vec(), stats)
+    reference::Outcome {
+        stored: report
+            .stored
+            .iter()
+            .map(|path| {
+                let text = String::from_utf8(dfs.read(path).unwrap().to_vec()).unwrap();
+                (path.clone(), text)
+            })
+            .collect(),
+        stages: report
+            .pipeline
+            .stages()
+            .iter()
+            .map(|s| (s.shuffled_pairs, s.shuffled_bytes))
+            .collect(),
+    }
+}
+
+/// One script through the executor and the reference; asserts equal
+/// stored bytes and shuffle statistics and returns the stored text,
+/// `STORE` after `STORE`.
+fn assert_matches_reference(script_src: &str, input: &str) -> String {
+    let script = parse_script(script_src, &HashMap::new()).unwrap();
+    let expect = reference::run(&script, input.as_bytes(), &test_registry(), MAP_TASKS);
+    let got = run_engine(script_src, input);
+    assert_eq!(got, expect, "executor left the reference on:\n{script_src}");
+    got.stored.into_iter().map(|(_, text)| text).collect()
 }
 
 proptest! {
-    /// Randomized scripts over randomized inputs: the two engines
-    /// must store byte-identical output and record identical shuffle
-    /// statistics (pairs, bytes, runs) stage for stage.
+    /// Randomized scripts over randomized inputs: the executor must
+    /// store the reference's bytes and record its shuffle statistics
+    /// (pairs, bytes) stage for stage.
     #[test]
     fn engines_bit_identical_on_random_scripts(
         lines in proptest::collection::vec("[a-o ]{0,6}", 0..10),
-        ops in proptest::collection::vec(0u8..9, 0..5),
+        ops in proptest::collection::vec(0u8..14, 0..5),
         limit in 0usize..7,
     ) {
-        let input = lines.join("\n");
-        let script = build_script(&ops, limit);
-        let (row_out, row_stats) = run_engine(&script, &input, PigEngine::Row);
-        let (col_out, col_stats) = run_engine(&script, &input, PigEngine::Columnar);
-        prop_assert_eq!(
-            String::from_utf8_lossy(&row_out),
-            String::from_utf8_lossy(&col_out),
-            "stored bytes diverged for script:\n{}",
-            script
-        );
-        prop_assert_eq!(row_stats, col_stats, "shuffle stats diverged for script:\n{}", script);
+        assert_matches_reference(&build_script(&ops, limit), &lines.join("\n"));
     }
 }
 
 // ------------------------------------------------ directed flatten edges
 
-/// One fixed script through both engines, with inputs chosen to hit a
-/// specific edge; asserts byte identity and (optionally) the exact
-/// expected output.
-fn assert_engines_agree(script_src: &str, input: &str) -> String {
-    let (row_out, _) = run_engine(script_src, input, PigEngine::Row);
-    let (col_out, _) = run_engine(script_src, input, PigEngine::Columnar);
-    assert_eq!(
-        String::from_utf8_lossy(&row_out),
-        String::from_utf8_lossy(&col_out),
-        "engines diverged on:\n{script_src}"
-    );
-    String::from_utf8(col_out).unwrap()
-}
-
 #[test]
 fn flatten_empty_bags_drop_rows() {
     // TOKENIZE('') is an empty bag: FLATTEN must drop the row.
-    let out = assert_engines_agree(
+    let out = assert_matches_reference(
         "A = LOAD '/in.txt' AS (f0:chararray);\n\
          B = FOREACH A GENERATE FLATTEN(TOKENIZE(f0)) AS (f0:chararray);\n\
          STORE B INTO '/out.txt';",
@@ -402,7 +757,7 @@ fn flatten_empty_bags_drop_rows() {
 
 #[test]
 fn flatten_bare_elements_append_single_field() {
-    let out = assert_engines_agree(
+    let out = assert_matches_reference(
         "A = LOAD '/in.txt' AS (f0:chararray);\n\
          B = FOREACH A GENERATE FLATTEN(Chars(f0)) AS (f0:chararray);\n\
          STORE B INTO '/out.txt';",
@@ -415,7 +770,7 @@ fn flatten_bare_elements_append_single_field() {
 fn flatten_mixed_outputs_produce_ragged_rows() {
     // 'ab' flattens to (char, pos) pairs; 'xy' stays a bare string —
     // output rows have arity 2 and 1 in the same relation.
-    let out = assert_engines_agree(
+    let out = assert_matches_reference(
         "A = LOAD '/in.txt' AS (f0:chararray);\n\
          B = FOREACH A GENERATE FLATTEN(MixBag(f0)) AS (f0:chararray, f1:long);\n\
          STORE B INTO '/out.txt';",
@@ -427,7 +782,7 @@ fn flatten_mixed_outputs_produce_ragged_rows() {
 #[test]
 fn flatten_cross_product_order_is_row_major() {
     // Two flattened bags in one GENERATE: later items vary fastest.
-    let out = assert_engines_agree(
+    let out = assert_matches_reference(
         "A = LOAD '/in.txt' AS (f0:chararray);\n\
          B = FOREACH A GENERATE FLATTEN(TOKENIZE(f0)) AS (f0:chararray), FLATTEN(TOKENIZE('x y')) AS (f1:chararray);\n\
          STORE B INTO '/out.txt';",
@@ -438,9 +793,9 @@ fn flatten_cross_product_order_is_row_major() {
 
 #[test]
 fn nulls_survive_group_and_store() {
-    // Nullify makes every even-length string Null; grouping by a
-    // nullable key and storing must agree between engines.
-    let out = assert_engines_agree(
+    // Nullify makes every even-length string Null; nulls group
+    // together and display as the empty string.
+    let out = assert_matches_reference(
         "A = LOAD '/in.txt' AS (f0:chararray);\n\
          N = FOREACH A GENERATE Nullify(f0) AS (f0:chararray);\n\
          G = GROUP N BY f0;\n\
@@ -448,17 +803,57 @@ fn nulls_survive_group_and_store() {
          STORE C INTO '/out.txt';",
         "aa\nbcd\nee\nbcd\n",
     );
-    // Null displays as the empty string; nulls group together.
     assert_eq!(out, "(,2)\n(bcd,2)\n");
 }
 
 #[test]
 fn flatten_constant_tuple_appends_fields() {
-    let out = assert_engines_agree(
+    let out = assert_matches_reference(
         "A = LOAD '/in.txt' AS (f0:chararray);\n\
          B = FOREACH A GENERATE f0, FLATTEN(TOKENIZE('k v')) AS (f1:chararray, f2:chararray);\n\
          STORE B INTO '/out.txt';",
         "r\n",
     );
     assert_eq!(out, "(r,k)\n(r,v)\n");
+}
+
+#[test]
+fn word_count_order_limit() {
+    let out = assert_matches_reference(
+        "A = LOAD '/in.txt' AS (line:chararray);\n\
+         W = FOREACH A GENERATE FLATTEN(TOKENIZE(line)) AS (word:chararray);\n\
+         G = GROUP W BY word;\n\
+         C = FOREACH G GENERATE group, COUNT(W);\n\
+         O = ORDER C BY group;\n\
+         L = LIMIT O 3;\n\
+         STORE L INTO '/out.txt';",
+        "c a b\nb a\nz\n",
+    );
+    assert_eq!(out, "(a,2)\n(b,2)\n(c,1)\n");
+}
+
+#[test]
+fn bare_loader_values_load_as_one_column() {
+    // A loader that returns bare values, not tuples: each loads as a
+    // 1-field tuple, so the untransformed relation stores as `(v)`
+    // and every operator sees field `f0`.
+    let out = assert_matches_reference(
+        "A = LOAD '/in.txt' USING BareLines;\n\
+         U = FOREACH A GENERATE UPPER(f0), f0;\n\
+         G = GROUP A BY f0;\n\
+         C = FOREACH G GENERATE group, COUNT(A);\n\
+         D = DISTINCT A;\n\
+         STORE U INTO '/upper.txt';\n\
+         STORE C INTO '/counts.txt';\n\
+         STORE D INTO '/distinct.txt';\n\
+         STORE A INTO '/out.txt';",
+        "b\na\nb\nc\n",
+    );
+    assert_eq!(
+        out,
+        "(B,b)\n(A,a)\n(B,b)\n(C,c)\n\
+         (a,1)\n(b,2)\n(c,1)\n\
+         (a)\n(b)\n(c)\n\
+         (b)\n(a)\n(b)\n(c)\n"
+    );
 }
