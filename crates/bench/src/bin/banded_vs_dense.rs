@@ -27,11 +27,12 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mrmc::banded::banded_graph_stage;
-use mrmc::stages::{sketch_similarity, sketch_stage};
-use mrmc::{CandidateGen, Mode, MrMcConfig, MrMcMinH};
+use mrmc::stages::sketch_stage;
+use mrmc::{Mode, MrMcConfig, MrMcMinH};
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
+use mrmc_minhash::positional_similarity;
 use mrmc_simulate::huse_16s;
 use rayon::prelude::*;
 
@@ -62,7 +63,7 @@ fn dense_truth(sketches: &[mrmc_minhash::Sketch], cfg: &MrMcConfig) -> u64 {
         .map(|i| {
             let mut c = 0u64;
             for j in i + 1..n {
-                if sketch_similarity(&sketches[i], &sketches[j], cfg.estimator) >= cfg.theta {
+                if positional_similarity(&sketches[i], &sketches[j]) >= cfg.theta {
                     c += 1;
                 }
             }
@@ -209,9 +210,7 @@ fn main() {
     let args = HarnessArgs::parse(1.0);
     let cfg = config();
     let scheme = cfg.banding_scheme();
-    let CandidateGen::Banded { bands, rows } = cfg.candidates else {
-        unreachable!("config() is banded");
-    };
+    let (bands, rows) = (scheme.bands, scheme.rows);
     eprintln!(
         "banded_vs_dense: θ = {}, n = {} hashes, scheme {bands} bands × {rows} rows \
          (exact-recall threshold {:.4}), seed {}",

@@ -113,9 +113,7 @@ fn banded_section(
         ..MrMcConfig::sixteen_s()
     }
     .banded();
-    let mrmc::CandidateGen::Banded { bands, .. } = config.candidates else {
-        unreachable!("banded() config");
-    };
+    let bands = config.banding_scheme().bands;
     let reads = mrmc_simulate::huse_16s(0.03, 2_000.0 / 345_000.0, seed).reads;
     let run = MrMcMinH::new(config).run(&reads).expect("banded run");
     let candidates = run.pipeline.counter_total("CANDIDATES_EMITTED");

@@ -9,11 +9,13 @@
 //! θ is indistinguishable from "no edge" for a θ-cut.
 //!
 //! Both clusterers work on the edges alone. Greedy binary-searches
-//! rows; [`agglomerative_sparse`] runs Algorithm 2 on per-cluster
-//! adjacency lists in which an absent pair *is* distance 1.0, and
-//! reproduces, merge for merge, the dendrogram the dense
-//! [`agglomerative`](crate::linkage::agglomerative) builds on the
-//! zero-filled matrix — without ever allocating that matrix.
+//! rows (comparing the `f32`-stored edge with θ rounded the same way,
+//! so every stored edge that cleared θ is a match — see
+//! [`greedy_cluster_sparse`]); [`agglomerative_sparse`] runs
+//! Algorithm 2 on per-cluster adjacency lists in which an absent pair
+//! *is* distance 1.0, and reproduces, merge for merge, the dendrogram
+//! the dense [`agglomerative`](crate::linkage::agglomerative) builds
+//! on the zero-filled matrix — without ever allocating that matrix.
 
 use crate::assignment::ClusterAssignment;
 use crate::greedy::greedy_cluster;
@@ -153,7 +155,15 @@ impl SparseSimGraph {
 /// whenever the graph holds every pair at or above θ (the banded
 /// pipeline's exactness contract), because greedy only ever tests
 /// `sim ≥ θ` and missing edges read 0.0 < θ.
+///
+/// Edges are stored as `f32`, so the test is made against θ rounded
+/// the same way when that rounds down (`θ.min(θ as f32)`): rounding is
+/// monotone, so every edge whose `f64` similarity cleared θ stores at
+/// least `θ as f32`, and a pair sitting exactly on θ (45/50 at
+/// θ = 0.9 stores 0.89999998) stays the match the verify stage said
+/// it was.
 pub fn greedy_cluster_sparse(graph: &SparseSimGraph, theta: f64) -> ClusterAssignment {
+    let theta = theta.min(f64::from(theta as f32));
     greedy_cluster(graph.len(), theta, |i, j| graph.sim(i, j))
 }
 
@@ -414,6 +424,20 @@ mod tests {
         let dense = greedy_cluster(4, 0.75, |i, j| g.sim(i, j)).compact();
         assert_eq!(sparse, dense);
         assert_eq!(sparse.labels(), &[0, 0, 1, 2]);
+    }
+
+    #[test]
+    fn greedy_sparse_accepts_an_edge_sitting_on_theta() {
+        // 0.9 rounds down in f32, 0.8 rounds up; an edge that cleared
+        // the f64 θ is a match either way.
+        for theta in [0.9f64, 0.8] {
+            let g = SparseSimGraph::from_edges(2, vec![(0, 1, theta as f32)]);
+            assert_eq!(
+                greedy_cluster_sparse(&g, theta).num_clusters(),
+                1,
+                "{theta}"
+            );
+        }
     }
 
     #[test]

@@ -171,7 +171,6 @@ struct PhaseSpec<'a> {
     threads: usize,
     attempts: usize,
     attempt_offset: usize,
-    speculate: bool,
     injector: &'a dyn FaultInjector,
 }
 
@@ -188,7 +187,6 @@ impl<'a> PhaseSpec<'a> {
             threads,
             attempts: config.max_attempts,
             attempt_offset,
-            speculate: config.speculative,
             injector: config.injector(),
         }
     }
@@ -211,7 +209,6 @@ where
         threads,
         attempts,
         attempt_offset,
-        speculate,
         injector,
     } = *spec;
     let n = task_ids.len();
@@ -283,7 +280,7 @@ where
                 let exec_start = Instant::now();
                 let mut spawned_backup = false;
                 if let Some(TaskFault::Slowdown(delay)) = &fault {
-                    if !item.backup && speculate {
+                    if !item.backup {
                         let mut g = state.lock().expect("pool lock");
                         let mut launch = None;
                         {
@@ -1691,27 +1688,6 @@ mod tests {
         .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.recovery.speculative_wins, 1);
-    }
-
-    #[test]
-    fn speculation_disabled_still_completes() {
-        let cfg = JobConfig::named("wc")
-            .reducers(2)
-            .workers(4)
-            .speculative(false);
-        let inj = FaultPlan::new()
-            .task_slowdown(0, Phase::Map, 1, 10)
-            .injector();
-        let result = run_job(
-            wc_input(),
-            3,
-            &WcMapper,
-            &SumReducer,
-            &cfg.with_faults(Arc::new(inj)),
-        )
-        .unwrap();
-        assert_eq!(sorted(result.output), expected_wc());
-        assert_eq!(result.recovery.speculative_wins, 0);
     }
 
     #[test]

@@ -290,9 +290,6 @@ pub struct JobConfig {
     /// for the fault model: a node death at the map→reduce barrier
     /// loses its tasks' uncommitted output.
     pub virtual_nodes: usize,
-    /// Launch speculative backup attempts for straggling tasks
-    /// (Hadoop's `mapreduce.map.speculative`, on by default there too).
-    pub speculative: bool,
     /// Optional structured trace sink. When set, the engine records
     /// task attempt lifecycle, shuffle runs, combiner activity and
     /// recovery actions into the shared ledger (our JobHistory
@@ -314,7 +311,6 @@ impl JobConfig {
             worker_threads: None,
             max_attempts: 1,
             virtual_nodes: 8,
-            speculative: true,
             tracer: None,
             injector: None,
         }
@@ -341,12 +337,6 @@ impl JobConfig {
     /// Builder-style virtual node count (≥ 1).
     pub fn nodes(mut self, n: usize) -> JobConfig {
         self.virtual_nodes = n.max(1);
-        self
-    }
-
-    /// Builder-style speculative-execution toggle.
-    pub fn speculative(mut self, on: bool) -> JobConfig {
-        self.speculative = on;
         self
     }
 
@@ -470,9 +460,6 @@ mod tests {
         assert_eq!(c.num_reducers, 9);
         assert_eq!(c.worker_threads, Some(3));
         assert_eq!(c.virtual_nodes, 8);
-        assert!(c.speculative);
-        let c = c.nodes(0).speculative(false);
-        assert_eq!(c.virtual_nodes, 1, "node count floors at 1");
-        assert!(!c.speculative);
+        assert_eq!(c.nodes(0).virtual_nodes, 1, "node count floors at 1");
     }
 }

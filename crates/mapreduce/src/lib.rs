@@ -70,7 +70,7 @@ pub use mrmc_chaos::{
 pub use mrmc_obs::{chrome_trace, critical_path, render_gantt, CriticalPath, TraceLedger, Tracer};
 pub use pipeline::{Gather, Pipeline};
 pub use simcluster::{
-    lpt_makespan, lpt_schedule, ClusterSpec, JobCostModel, LocalitySchedule, LocalityTask,
-    ScheduledTask, ShuffleVolume, SimJobReport,
+    lpt_makespan, lpt_schedule, ClusterSpec, JobCostModel, ScheduledTask, ShuffleVolume,
+    SimJobReport,
 };
 pub use wire::{BandKeyCodec, IdRun, IdRunCursor, WireError};

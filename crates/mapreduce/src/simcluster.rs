@@ -455,95 +455,6 @@ struct EffectiveCosts {
     reduce_costs: Vec<f64>,
 }
 
-/// A map task for locality-aware scheduling: its compute cost and the
-/// datanodes holding its input block (from
-/// [`crate::dfs::InputSplit::preferred_nodes`]).
-#[derive(Debug, Clone)]
-pub struct LocalityTask {
-    /// Nominal compute cost, seconds.
-    pub cost: f64,
-    /// Nodes with a local replica of the input.
-    pub preferred_nodes: Vec<usize>,
-}
-
-/// Result of a locality-aware schedule.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LocalitySchedule {
-    /// Makespan of the map phase, seconds.
-    pub makespan: f64,
-    /// Fraction of tasks that ran data-local (Hadoop's
-    /// `DATA_LOCAL_MAPS / TOTAL_MAPS`).
-    pub local_fraction: f64,
-}
-
-impl ClusterSpec {
-    /// Schedule map tasks onto *named nodes* honouring data locality:
-    /// a task running on a node without a local replica pays
-    /// `remote_penalty ×` its cost (the input streams over the
-    /// network — Hadoop's rack-remote case). Greedy LPT over per-node
-    /// slots, choosing for each task the placement with the earliest
-    /// finish time. An empty `preferred_nodes` means "local anywhere"
-    /// (e.g. generated input).
-    pub fn schedule_with_locality(
-        &self,
-        tasks: &[LocalityTask],
-        remote_penalty: f64,
-    ) -> LocalitySchedule {
-        assert!(remote_penalty >= 1.0, "penalty must be ≥ 1");
-        if tasks.is_empty() {
-            return LocalitySchedule {
-                makespan: 0.0,
-                local_fraction: 1.0,
-            };
-        }
-        // Slot loads per node.
-        let slots = self.map_slots_per_node.max(1);
-        let mut loads: Vec<Vec<f64>> = vec![vec![0.0; slots]; self.nodes.max(1)];
-
-        let mut order: Vec<usize> = (0..tasks.len()).collect();
-        order.sort_by(|&a, &b| {
-            tasks[b]
-                .cost
-                .partial_cmp(&tasks[a].cost)
-                .expect("finite costs")
-        });
-
-        let mut local = 0usize;
-        let mut makespan = 0.0f64;
-        for &t in &order {
-            let task = &tasks[t];
-            // (finish, node, slot, was_local) of the best placement.
-            let mut best: Option<(f64, usize, usize, bool)> = None;
-            for (node, node_loads) in loads.iter().enumerate() {
-                let is_local =
-                    task.preferred_nodes.contains(&node) || task.preferred_nodes.is_empty();
-                let eff = if is_local {
-                    task.cost
-                } else {
-                    task.cost * remote_penalty
-                };
-                let (slot, load) = node_loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
-                    .expect("slots ≥ 1");
-                let finish = load + eff;
-                if best.map(|(f, ..)| finish < f).unwrap_or(true) {
-                    best = Some((finish, node, slot, is_local));
-                }
-            }
-            let (finish, node, slot, is_local) = best.expect("nodes ≥ 1");
-            loads[node][slot] = finish;
-            makespan = makespan.max(finish);
-            local += usize::from(is_local);
-        }
-        LocalitySchedule {
-            makespan,
-            local_fraction: local as f64 / tasks.len() as f64,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -662,59 +573,6 @@ mod tests {
             RecoveryCounters::new(),
         );
         assert!((r4.shuffle_time / r8.shuffle_time - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn locality_schedule_prefers_replicas() {
-        let cluster = ClusterSpec::m1_large(4);
-        // Every task's block lives on nodes 0 and 1 (replication 2).
-        let tasks: Vec<LocalityTask> = (0..8)
-            .map(|_| LocalityTask {
-                cost: 4.0,
-                preferred_nodes: vec![0, 1],
-            })
-            .collect();
-        // Harsh remote penalty: the scheduler should still use remote
-        // nodes once local slots are saturated, trading penalty for
-        // parallelism — but most tasks stay local.
-        let sched = cluster.schedule_with_locality(&tasks, 3.0);
-        assert!(sched.local_fraction >= 0.5, "{sched:?}");
-        // With zero penalty, locality is irrelevant and the makespan
-        // equals plain LPT over all slots.
-        let free = cluster.schedule_with_locality(&tasks, 1.0);
-        assert!((free.makespan - 4.0).abs() < 1e-9, "{free:?}");
-        assert!(sched.makespan >= free.makespan);
-    }
-
-    #[test]
-    fn locality_well_replicated_input_runs_fully_local() {
-        let cluster = ClusterSpec::m1_large(3);
-        // Blocks replicated on every node — everything is local.
-        let tasks: Vec<LocalityTask> = (0..6)
-            .map(|i| LocalityTask {
-                cost: 1.0 + i as f64 * 0.1,
-                preferred_nodes: vec![0, 1, 2],
-            })
-            .collect();
-        let sched = cluster.schedule_with_locality(&tasks, 10.0);
-        assert_eq!(sched.local_fraction, 1.0);
-    }
-
-    #[test]
-    fn locality_empty_tasks_and_empty_preference() {
-        let cluster = ClusterSpec::m1_large(2);
-        let empty = cluster.schedule_with_locality(&[], 2.0);
-        assert_eq!(empty.makespan, 0.0);
-        assert_eq!(empty.local_fraction, 1.0);
-        let anywhere = cluster.schedule_with_locality(
-            &[LocalityTask {
-                cost: 2.0,
-                preferred_nodes: vec![],
-            }],
-            5.0,
-        );
-        assert_eq!(anywhere.local_fraction, 1.0);
-        assert!((anywhere.makespan - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -28,7 +28,12 @@
 //! recall 1.0 by construction, checked by
 //! [`BandingScheme::guarantees_recall`]. Bucket collisions below θ are
 //! false positives only; the verify stage filters them with the exact
-//! similarity kernels.
+//! similarity kernel.
+//!
+//! The clustering pipeline only ever bands under the tuned scheme for
+//! its own `(n, θ)` — a run's config cannot carry another — so the
+//! contract is unconditional there. Other layouts
+//! ([`BandingScheme::new`]) exist to study the S-curve off that point.
 //!
 //! `EMPTY_SLOT` positions hash like any other value, so two sketches
 //! that are both empty at a position still agree at the band level.

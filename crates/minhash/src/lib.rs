@@ -12,10 +12,12 @@
 //!   fraction of agreeing sketch positions estimates the Jaccard
 //!   similarity of the underlying k-mer sets.
 //!
-//! Two estimators are provided ([`jaccard`]): the *positional* one just
-//! described, and the *set-based* one the paper's Algorithm 1 line 9
-//! writes (`|s̄_a ∩ s̄_b| / |s̄_a ∪ s̄_b|` on sketch values). Benches in
-//! `crates/bench` compare their estimation error as an ablation.
+//! That *positional* estimator ([`positional_similarity`]) is the one
+//! similarity the pipeline clusters on. The *set-based* form the
+//! paper's Algorithm 1 line 9 writes (`|s̄_a ∩ s̄_b| / |s̄_a ∪ s̄_b|` on
+//! sketch values) is kept as [`set_similarity`] for the
+//! `ablation_estimator` bin in `crates/bench`, which compares the two
+//! estimators' error.
 
 pub mod banding;
 pub mod hash;
@@ -28,7 +30,7 @@ pub use banding::BandingScheme;
 pub use hash::{HashParams, UniversalHashFamily};
 pub use jaccard::{exact_jaccard, positional_similarity, set_similarity};
 pub use prime::{is_prime, next_prime};
-pub use sketch::{MinHasher, Sketch, SketchView};
+pub use sketch::{MinHasher, Sketch};
 
 #[cfg(test)]
 mod tests {
@@ -37,7 +39,7 @@ mod tests {
 
     /// End-to-end: sketch similarity approximates true k-mer Jaccard.
     #[test]
-    fn sketch_similarity_tracks_exact_jaccard() {
+    fn sketch_estimate_tracks_exact_jaccard() {
         let a = b"ACGTACGTAAGGTTCCACGTACGTAAGGTTCCACGTTGCA".repeat(4);
         // Perturb a copy lightly.
         let mut b = a.clone();

@@ -7,7 +7,6 @@
 //! `crates/bench` measures the before/after gap against them.
 
 use crate::hash::UniversalHashFamily;
-use crate::jaccard::exact_jaccard;
 use crate::sketch::{MinHasher, Sketch, EMPTY_SLOT};
 
 /// Eq. 5 exactly as written: `((a·x + b) mod p) mod m` by division.
@@ -55,31 +54,4 @@ pub fn positional_similarity(a: &Sketch, b: &Sketch) -> f64 {
         .filter(|(&x, &y)| x == y && x != EMPTY_SLOT)
         .count();
     agree as f64 / a.len() as f64
-}
-
-/// Set-based estimator that filters, sorts and dedups per call
-/// (Algorithm 1 line 9 as first implemented — two allocations per
-/// pair).
-pub fn set_similarity(a: &Sketch, b: &Sketch) -> f64 {
-    assert_eq!(a.len(), b.len(), "sketches of different length");
-    let mut va: Vec<u64> = a
-        .values()
-        .iter()
-        .copied()
-        .filter(|&v| v != EMPTY_SLOT)
-        .collect();
-    let mut vb: Vec<u64> = b
-        .values()
-        .iter()
-        .copied()
-        .filter(|&v| v != EMPTY_SLOT)
-        .collect();
-    if va.is_empty() && vb.is_empty() {
-        return 1.0;
-    }
-    va.sort_unstable();
-    va.dedup();
-    vb.sort_unstable();
-    vb.dedup();
-    exact_jaccard(&va, &vb)
 }

@@ -12,35 +12,15 @@ use crate::hash::{HashParams, UniversalHashFamily};
 /// `u64::MAX` marks positions for which the feature set was empty
 /// (sequence shorter than k); two empty positions never "agree".
 ///
-/// Two derived facts the similarity kernels need on every pair are
-/// cached: the count of non-empty positions, at construction
-/// (degeneracy checks become O(1) instead of an O(n) rescan per call),
-/// and the sorted, deduplicated non-empty values, on first use (the
-/// set-based estimator becomes a pure allocation-free merge; the
-/// positional one never pays for them). Equality and hashing remain
-/// defined by the raw values alone — the caches are functions of them.
-#[derive(Debug, Clone)]
+/// The count of non-empty positions is cached at construction, so the
+/// degeneracy check the similarity kernel makes on every pair is O(1)
+/// instead of an O(n) rescan. It is a function of the values, which is
+/// why equality and hashing can be derived.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Sketch {
     values: Vec<u64>,
     /// Number of positions with a real minwise value (`!= EMPTY_SLOT`).
     non_empty: usize,
-    /// Sorted, deduplicated non-empty values, filled by the first
-    /// [`Sketch::sorted_values`] call.
-    sorted: OnceLock<Vec<u64>>,
-}
-
-impl PartialEq for Sketch {
-    fn eq(&self, other: &Sketch) -> bool {
-        self.values == other.values
-    }
-}
-
-impl Eq for Sketch {}
-
-impl std::hash::Hash for Sketch {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.values.hash(state);
-    }
 }
 
 /// Sentinel for "no feature seen".
@@ -50,11 +30,7 @@ impl Sketch {
     /// Construct from raw minwise values.
     pub fn from_values(values: Vec<u64>) -> Sketch {
         let non_empty = values.iter().filter(|&&v| v != EMPTY_SLOT).count();
-        Sketch {
-            values,
-            non_empty,
-            sorted: OnceLock::new(),
-        }
+        Sketch { values, non_empty }
     }
 
     /// Sketch length (the number of hash functions `n`).
@@ -85,46 +61,6 @@ impl Sketch {
     #[inline]
     pub fn values(&self) -> &[u64] {
         &self.values
-    }
-
-    /// Sorted, deduplicated non-empty values (cached by the first
-    /// call) — the operand of the set-based estimator.
-    pub fn sorted_values(&self) -> &[u64] {
-        self.sorted.get_or_init(|| {
-            let mut sorted = Vec::with_capacity(self.non_empty);
-            sorted.extend(self.values.iter().copied().filter(|&v| v != EMPTY_SLOT));
-            sorted.sort_unstable();
-            sorted.dedup();
-            sorted
-        })
-    }
-
-    /// Borrow the sketch as a [`SketchView`].
-    #[inline]
-    pub fn view(&self) -> SketchView<'_> {
-        SketchView {
-            values: &self.values,
-            non_empty: self.non_empty,
-        }
-    }
-}
-
-/// A borrowed sketch with its cached degeneracy metadata: what the
-/// batch similarity kernels (the row mapper's strip loops) carry so
-/// they never rescan a sketch to rediscover emptiness.
-#[derive(Debug, Clone, Copy)]
-pub struct SketchView<'a> {
-    /// The minwise values.
-    pub values: &'a [u64],
-    /// Number of positions holding a real minwise value.
-    pub non_empty: usize,
-}
-
-impl SketchView<'_> {
-    /// Whether the underlying feature set was empty.
-    #[inline]
-    pub fn is_degenerate(&self) -> bool {
-        self.non_empty == 0
     }
 }
 
@@ -533,20 +469,10 @@ mod tests {
             s.non_empty(),
             s.values().iter().filter(|&&v| v != EMPTY_SLOT).count()
         );
-        let mut expect: Vec<u64> = s
-            .values()
-            .iter()
-            .copied()
-            .filter(|&v| v != EMPTY_SLOT)
-            .collect();
-        expect.sort_unstable();
-        expect.dedup();
-        assert_eq!(s.sorted_values(), &expect[..]);
-        // Degenerate sketch: empty caches.
+        // Degenerate sketch: nothing counted.
         let d = h.sketch_sequence(b"AC").unwrap();
         assert!(d.is_degenerate());
         assert_eq!(d.non_empty(), 0);
-        assert!(d.sorted_values().is_empty());
     }
 
     #[test]

@@ -19,10 +19,11 @@
 //!    sketch similarity of each candidate and keeps only edges with
 //!    `sim ≥ θ`, yielding a [`SparseSimGraph`].
 //!
-//! With the auto-tuned scheme ([`BandingScheme::tune`]) every pair at
-//! or above θ shares at least one literally-equal band, so the graph
-//! holds *exactly* the pairs a dense run would accept — pruning is
-//! lossless at the θ cut and clustering results match bit for bit.
+//! The scheme is always the tuned one ([`MrMcConfig::banding_scheme`],
+//! i.e. [`BandingScheme::tune`]): every pair at or above θ shares at
+//! least one literally-equal band, so the graph holds *exactly* the
+//! pairs a dense run would accept — pruning is lossless at the θ cut
+//! and clustering results match bit for bit.
 //! Signature truncation can only merge buckets, never split them, so
 //! recall stays exactly 1.0; the spurious merges add candidates which
 //! the verify stage discards (DESIGN.md §3a "wire format").
@@ -34,10 +35,9 @@ use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, MrKey, Reducer, TaskConte
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::wire::{uvarint_len, BandKeyCodec, IdRun};
 use mrmc_mapreduce::MrError;
-use mrmc_minhash::{BandingScheme, Sketch};
+use mrmc_minhash::{positional_similarity, BandingScheme, Sketch};
 
 use crate::config::MrMcConfig;
-use crate::stages::sketch_similarity;
 
 /// Read indices travel the banded shuffle as `u32`; reject inputs the
 /// packing cannot represent instead of silently truncating them.
@@ -59,7 +59,7 @@ const SIG_BITS: u32 = 22;
 /// estimator, emitting the edge only when it clears θ.
 struct VerifyMapper<'a> {
     sketches: &'a [Sketch],
-    config: MrMcConfig,
+    theta: f64,
 }
 
 impl Mapper for VerifyMapper<'_> {
@@ -69,13 +69,9 @@ impl Mapper for VerifyMapper<'_> {
     type OutValue = f32;
 
     fn map(&self, _k: usize, (i, j): (u32, u32), ctx: &mut TaskContext<(u32, u32), f32>) {
-        let sim = sketch_similarity(
-            &self.sketches[i as usize],
-            &self.sketches[j as usize],
-            self.config.estimator,
-        );
+        let sim = positional_similarity(&self.sketches[i as usize], &self.sketches[j as usize]);
         ctx.count("PAIRS_COMPUTED", 1);
-        if sim >= self.config.theta {
+        if sim >= self.theta {
             ctx.emit((i, j), sim as f32);
             ctx.count("EDGES_EMITTED", 1);
         }
@@ -300,7 +296,7 @@ pub fn banded_graph_stage(
     let candidates = banded_candidates(sketches, config, pipeline)?;
     let mapper = VerifyMapper {
         sketches,
-        config: *config,
+        theta: config.theta,
     };
     let input: Vec<(usize, (u32, u32))> = candidates.into_iter().enumerate().collect();
     // More, smaller tasks than the banding stages — verification is

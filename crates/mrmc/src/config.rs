@@ -12,38 +12,26 @@ pub enum Mode {
     Hierarchical,
 }
 
-/// Sketch-similarity estimator (the ablation of DESIGN.md §4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Estimator {
-    /// Fraction of agreeing sketch positions (Eq. 3's collision
-    /// probability; unbiased).
-    Positional,
-    /// `|values_a ∩ values_b| / |values_a ∪ values_b|` on sketch
-    /// values, as literally written in Algorithm 1 line 9.
-    SetBased,
-}
-
 /// How the pipeline finds the pairs whose similarity it evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateGen {
     /// Evaluate every pair (the paper's all-pairs stage). Exact by
     /// construction; O(n²) similarity evaluations.
     Dense,
-    /// Banded-LSH pruning: sketches are cut into `bands` bands of
-    /// `rows` hash values, reads sharing any band signature become
-    /// candidates, and only candidates are verified. With the
-    /// auto-tuned `(bands, rows)` (see [`BandingScheme::tune`]) every
-    /// pair at or above θ is guaranteed to collide, so the pruning is
-    /// lossless at the θ cut.
-    Banded {
-        /// Number of bands `b`.
-        bands: usize,
-        /// Hash values per band `r` (`b·r ≤ num_hashes`).
-        rows: usize,
-    },
+    /// Banded-LSH pruning: sketches are cut into bands of hash values,
+    /// reads sharing any band signature become candidates, and only
+    /// candidates are verified. The layout is always
+    /// [`MrMcConfig::banding_scheme`] — the pigeonhole tuning of
+    /// [`BandingScheme::tune`] for the run's `num_hashes` and θ — so
+    /// every pair at or above θ is guaranteed to collide and the
+    /// pruning is lossless at the θ cut.
+    Banded,
 }
 
-/// All knobs of a run. The paper's defaults: k = 5 and n = 100 for
+/// All knobs of a run: *what* to compute. How — the hash family, the
+/// band layout — is derived from these on demand ([`MrMcConfig::hasher`],
+/// [`MrMcConfig::banding_scheme`]), so no field can go stale when
+/// another is changed. The paper's defaults: k = 5 and n = 100 for
 /// whole metagenomes (Table III), k = 15 and n = 50 for 16S
 /// (Table V), θ = 0.95.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -58,8 +46,6 @@ pub struct MrMcConfig {
     pub mode: Mode,
     /// Linkage policy for hierarchical mode (`$LINK`).
     pub linkage: Linkage,
-    /// Similarity estimator.
-    pub estimator: Estimator,
     /// Seed for the universal hash parameter draws.
     pub seed: u64,
     /// Use canonical (strand-independent) k-mers — the Mash-style
@@ -81,7 +67,6 @@ impl Default for MrMcConfig {
             theta: 0.95,
             mode: Mode::Hierarchical,
             linkage: Linkage::Average,
-            estimator: Estimator::Positional,
             seed: 0x6d72_6d63, // "mrmc"
             canonical: false,
             map_tasks: 16,
@@ -125,22 +110,10 @@ impl MrMcConfig {
         self
     }
 
-    /// Switch to banded-LSH candidate pruning with `(bands, rows)`
-    /// auto-tuned from `num_hashes` and θ so that recall at the θ cut
-    /// is exactly 1 (the pigeonhole rule of [`BandingScheme::tune`]).
+    /// Switch to banded-LSH candidate pruning (exact at the θ cut; the
+    /// band layout follows `num_hashes` and θ, whenever they are set).
     pub fn banded(mut self) -> MrMcConfig {
-        let scheme = BandingScheme::tune(self.num_hashes, self.theta);
-        self.candidates = CandidateGen::Banded {
-            bands: scheme.bands,
-            rows: scheme.rows,
-        };
-        self
-    }
-
-    /// Switch to banded-LSH pruning with explicit `(bands, rows)` —
-    /// for studying the recall/pruning trade-off off the exact point.
-    pub fn banded_with(mut self, bands: usize, rows: usize) -> MrMcConfig {
-        self.candidates = CandidateGen::Banded { bands, rows };
+        self.candidates = CandidateGen::Banded;
         self
     }
 
@@ -150,14 +123,12 @@ impl MrMcConfig {
         self
     }
 
-    /// The banding scheme this config implies: the configured
-    /// `(bands, rows)` in banded mode, the auto-tuned exact scheme
-    /// otherwise.
+    /// The banding scheme this config implies: the pigeonhole tuning of
+    /// [`BandingScheme::tune`] for the current `num_hashes` and θ,
+    /// derived on every call. The banded route buckets under it and the
+    /// streaming index files representatives under it.
     pub fn banding_scheme(&self) -> BandingScheme {
-        match self.candidates {
-            CandidateGen::Banded { bands, rows } => BandingScheme::new(bands, rows),
-            CandidateGen::Dense => BandingScheme::tune(self.num_hashes, self.theta),
-        }
+        BandingScheme::tune(self.num_hashes, self.theta)
     }
 
     /// The sketcher this config implies — the one place the `canonical`
@@ -186,17 +157,6 @@ impl MrMcConfig {
         if self.map_tasks == 0 {
             return Err("map_tasks must be ≥ 1".to_string());
         }
-        if let CandidateGen::Banded { bands, rows } = self.candidates {
-            if bands == 0 || rows == 0 {
-                return Err("banding needs bands ≥ 1 and rows ≥ 1".to_string());
-            }
-            if bands * rows > self.num_hashes {
-                return Err(format!(
-                    "banding {bands}×{rows} exceeds the {} sketch positions",
-                    self.num_hashes
-                ));
-            }
-        }
         Ok(())
     }
 }
@@ -223,40 +183,64 @@ mod tests {
     }
 
     #[test]
-    fn banded_builders_and_scheme() {
+    fn banded_builder_and_scheme() {
         assert_eq!(MrMcConfig::default().candidates, CandidateGen::Dense);
         // 16S preset: n = 50, θ = 0.95 → the exact pigeonhole scheme
         // is b = 3, r = 16.
         let c = MrMcConfig::sixteen_s().banded();
-        assert_eq!(c.candidates, CandidateGen::Banded { bands: 3, rows: 16 });
-        let s = c.banding_scheme();
-        assert!(s.guarantees_recall(c.num_hashes, c.theta));
+        assert_eq!(c.candidates, CandidateGen::Banded);
+        assert_eq!(c.banding_scheme(), BandingScheme::new(3, 16));
         assert!(c.validate().is_ok());
         assert_eq!(c.dense().candidates, CandidateGen::Dense);
-
-        let manual = MrMcConfig::sixteen_s().banded_with(5, 10);
-        assert_eq!(
-            manual.candidates,
-            CandidateGen::Banded { bands: 5, rows: 10 }
-        );
-        assert!(manual.validate().is_ok());
     }
 
+    /// The scheme follows θ and `num_hashes` however and whenever they
+    /// are set — a builder after `.banded()`, a struct update — and is
+    /// the same on the dense route (the streaming index uses it there).
     #[test]
-    fn banded_validation() {
-        // b·r beyond the sketch length is rejected.
-        assert!(MrMcConfig::sixteen_s()
-            .banded_with(10, 6)
-            .validate()
-            .is_err());
-        assert!(MrMcConfig::sixteen_s()
-            .banded_with(0, 5)
-            .validate()
-            .is_err());
-        assert!(MrMcConfig::sixteen_s()
-            .banded_with(5, 0)
-            .validate()
-            .is_err());
+    fn banding_scheme_is_always_the_tuned_one() {
+        let cfg = MrMcConfig::sixteen_s().greedy();
+        for theta in [0.95, 0.90, 0.85, 0.80, 0.5, 1.0] {
+            let tuned = BandingScheme::tune(cfg.num_hashes, theta);
+            let after = cfg.banded().with_theta(theta);
+            let before = cfg.with_theta(theta).banded();
+            let update = MrMcConfig {
+                theta,
+                ..cfg.banded()
+            };
+            assert_eq!(after, before, "θ = {theta}");
+            assert_eq!(after, update, "θ = {theta}");
+            assert_eq!(after.banding_scheme(), tuned, "θ = {theta}");
+            assert_eq!(after.dense().banding_scheme(), tuned, "θ = {theta}");
+            assert!(tuned.guarantees_recall(cfg.num_hashes, theta));
+        }
+        let wide = MrMcConfig {
+            num_hashes: 100,
+            ..cfg.banded()
+        };
+        assert_eq!(wide.banding_scheme(), BandingScheme::tune(100, 0.95));
+    }
+
+    /// Knob-shape pin: both patterns are exhaustive, so a tenth field
+    /// or a payload on `Banded` cannot land without editing the test
+    /// that counts them (9 independently settable values).
+    #[test]
+    fn knob_shape_is_nine_fields_and_a_bare_tag() {
+        let MrMcConfig {
+            kmer: _,
+            num_hashes: _,
+            theta: _,
+            mode: _,
+            linkage: _,
+            seed: _,
+            canonical: _,
+            map_tasks: _,
+            candidates,
+        } = MrMcConfig::default();
+        match candidates {
+            CandidateGen::Dense => {}
+            CandidateGen::Banded => {}
+        }
     }
 
     #[test]

@@ -11,27 +11,28 @@
 //!
 //! # Representative index
 //!
-//! That rule does not need a scan of every representative. Under the
-//! positional estimator a pair at or above θ has, in the
-//! [`BandingScheme::tune`] layout, at least one byte-identical band
+//! That rule does not need a scan of every representative. A pair at
+//! or above θ has, in the [`MrMcConfig::banding_scheme`] layout (the
+//! batch route's own, [`BandingScheme::tune`]), at least one
+//! byte-identical band
 //! (the pigeonhole argument of `mrmc_minhash::banding`, "Exactness
 //! contract"; two degenerate sketches meet too, since all-`EMPTY_SLOT`
 //! bands hash alike). So founders are filed under their `b` band
 //! signatures, and a read verifies only the labels in its own `≤ b`
 //! buckets — same similarity test — and takes the lowest that passes:
 //! the scan's label, for every input. Where the guarantee does not hold
-//! (set-based estimator, θ = 0) every sketch is filed under one constant
-//! signature, so the same lookup walks all labels in order.
+//! (θ = 0: a pair agreeing nowhere still clears it) every sketch is
+//! filed under one constant signature, so the same lookup walks all
+//! labels in order.
 
 use std::collections::HashMap;
 
 use mrmc_cluster::ClusterAssignment;
-use mrmc_minhash::{BandingScheme, MinHasher, Sketch};
+use mrmc_minhash::{positional_similarity, BandingScheme, MinHasher, Sketch};
 use mrmc_seqio::{SeqIoError, SeqRecord};
 
-use crate::config::{Estimator, MrMcConfig};
+use crate::config::MrMcConfig;
 use crate::pipeline::MrMcResult;
-use crate::stages::sketch_similarity;
 
 /// Streaming greedy clusterer over minhash sketches.
 #[derive(Debug, Clone)]
@@ -60,11 +61,8 @@ impl IncrementalClusterer {
         if let Err(e) = config.validate() {
             panic!("invalid MrMcConfig: {e}");
         }
-        // Always the tuned scheme, never `config.candidates`: that knob
-        // may be set off the exact point for the batch route.
-        let scheme = BandingScheme::tune(config.num_hashes, config.theta);
-        let exact = config.estimator == Estimator::Positional
-            && scheme.guarantees_recall(config.num_hashes, config.theta);
+        let scheme = config.banding_scheme();
+        let exact = scheme.guarantees_recall(config.num_hashes, config.theta);
         IncrementalClusterer {
             config,
             hasher: config.hasher(),
@@ -155,13 +153,13 @@ impl IncrementalClusterer {
     /// clears θ against `sketch`. Bucket lists ascend, so each walk
     /// stops at its first hit or once it reaches the best so far.
     fn lowest_match(&self, sketch: &Sketch) -> Option<usize> {
-        let (estimator, theta) = (self.config.estimator, self.config.theta);
+        let theta = self.config.theta;
         let none = self.representatives.len();
         let mut best = none;
         for bucket in self.sigs.iter().filter_map(|sig| self.buckets.get(sig)) {
             let labels = bucket.iter().map(|&label| label as usize);
             let hit = labels.take_while(|&label| label < best).find(|&label| {
-                sketch_similarity(sketch, &self.representatives[label], estimator) >= theta
+                positional_similarity(sketch, &self.representatives[label]) >= theta
             });
             best = hit.unwrap_or(best);
         }
@@ -223,9 +221,7 @@ mod tests {
             let label = self
                 .representatives
                 .iter()
-                .position(|rep| {
-                    sketch_similarity(&sketch, rep, self.config.estimator) >= self.config.theta
-                })
+                .position(|rep| positional_similarity(&sketch, rep) >= self.config.theta)
                 .unwrap_or_else(|| {
                     self.representatives.push(sketch.clone());
                     self.representatives.len() - 1
@@ -275,70 +271,65 @@ mod tests {
     }
 
     proptest! {
-        /// The index is invisible: over θ on and off the guarantee, both
-        /// estimators, sketch lengths the tuned bands do not divide
-        /// (50 → 3 × 16 at θ = 0.95, 26 × 1 at θ = 0.5), a batch-side
-        /// banding knob off the exact point, fresh and `from_run`-seeded
-        /// sessions and arbitrary micro-batch splits, every label equals
-        /// the linear scan's.
+        /// The index is invisible: over θ on and off the guarantee,
+        /// sketch lengths the tuned bands do not divide (50 → 3 × 16 at
+        /// θ = 0.95, 26 × 1 at θ = 0.5), dense and banded seeding runs,
+        /// fresh and `from_run`-seeded sessions and arbitrary micro-batch
+        /// splits, every label equals the linear scan's.
         #[test]
         fn indexed_assignment_equals_linear_scan(
             seed in any::<u64>(),
             num_hashes in proptest::sample::select(vec![50usize, 64, 7]),
             seed_len in 0usize..12,
             hierarchical_seed in any::<bool>(),
-            off_exact_knob in any::<bool>(),
+            banded_seed in any::<bool>(),
             batch_sizes in proptest::collection::vec(0usize..9, 0..12),
         ) {
             let reads = boundary_reads(seed, 5);
             let (batch, stream) = reads.split_at(seed_len.min(reads.len()));
             for theta in [0.0, 0.5, 0.9, 0.95, 1.0] {
-                for estimator in [Estimator::Positional, Estimator::SetBased] {
-                    let mut cfg = MrMcConfig {
-                        num_hashes,
-                        estimator,
-                        mode: if hierarchical_seed { Mode::Hierarchical } else { Mode::Greedy },
-                        ..config(theta)
-                    };
-                    if off_exact_knob {
-                        cfg = cfg.banded_with(2, 3);
-                    }
-                    let what = (theta, estimator);
-
-                    let (mut indexed, mut oracle) = if batch.is_empty() {
-                        (IncrementalClusterer::new(cfg), LinearScan::seeded(cfg, &[]))
-                    } else {
-                        let result = MrMcMinH::new(cfg).run(batch).unwrap();
-                        let seeds: Vec<&SeqRecord> =
-                            result.representatives().iter().map(|&r| &batch[r]).collect();
-                        (
-                            IncrementalClusterer::from_run(cfg, batch, &result).unwrap(),
-                            LinearScan::seeded(cfg, &seeds),
-                        )
-                    };
-                    prop_assert_eq!(indexed.num_clusters(), oracle.representatives.len());
-
-                    let mut got = Vec::new();
-                    let mut at = 0;
-                    for &size in &batch_sizes {
-                        let end = (at + size).min(stream.len());
-                        got.extend(indexed.push_batch(&stream[at..end]).unwrap());
-                        at = end;
-                    }
-                    for read in &stream[at..] {
-                        got.push(indexed.push(read).unwrap());
-                    }
-                    let expect: Vec<usize> = stream.iter().map(|r| oracle.push(r)).collect();
-
-                    prop_assert_eq!(&got, &expect, "{:?}", what);
-                    prop_assert_eq!(indexed.labels(), &oracle.labels[..], "{:?}", what);
-                    prop_assert_eq!(indexed.num_clusters(), oracle.representatives.len());
-                    prop_assert_eq!(
-                        indexed.assignment(),
-                        ClusterAssignment::from_labels(oracle.labels),
-                        "{:?}", what
-                    );
+                let mut cfg = MrMcConfig {
+                    num_hashes,
+                    mode: if hierarchical_seed { Mode::Hierarchical } else { Mode::Greedy },
+                    ..config(theta)
+                };
+                if banded_seed {
+                    cfg = cfg.banded();
                 }
+
+                let (mut indexed, mut oracle) = if batch.is_empty() {
+                    (IncrementalClusterer::new(cfg), LinearScan::seeded(cfg, &[]))
+                } else {
+                    let result = MrMcMinH::new(cfg).run(batch).unwrap();
+                    let seeds: Vec<&SeqRecord> =
+                        result.representatives().iter().map(|&r| &batch[r]).collect();
+                    (
+                        IncrementalClusterer::from_run(cfg, batch, &result).unwrap(),
+                        LinearScan::seeded(cfg, &seeds),
+                    )
+                };
+                prop_assert_eq!(indexed.num_clusters(), oracle.representatives.len());
+
+                let mut got = Vec::new();
+                let mut at = 0;
+                for &size in &batch_sizes {
+                    let end = (at + size).min(stream.len());
+                    got.extend(indexed.push_batch(&stream[at..end]).unwrap());
+                    at = end;
+                }
+                for read in &stream[at..] {
+                    got.push(indexed.push(read).unwrap());
+                }
+                let expect: Vec<usize> = stream.iter().map(|r| oracle.push(r)).collect();
+
+                prop_assert_eq!(&got, &expect, "θ = {}", theta);
+                prop_assert_eq!(indexed.labels(), &oracle.labels[..], "θ = {}", theta);
+                prop_assert_eq!(indexed.num_clusters(), oracle.representatives.len());
+                prop_assert_eq!(
+                    indexed.assignment(),
+                    ClusterAssignment::from_labels(oracle.labels),
+                    "θ = {}", theta
+                );
             }
         }
     }

@@ -49,7 +49,7 @@ pub mod threshold;
 pub mod udfs;
 
 pub use banded::{banded_candidates, banded_graph_stage};
-pub use config::{CandidateGen, Estimator, Mode, MrMcConfig};
+pub use config::{CandidateGen, Mode, MrMcConfig};
 pub use incremental::IncrementalClusterer;
 pub use pipeline::{MrMcMinH, MrMcResult};
 pub use scaling::{CostCalibration, ScalingPoint};

@@ -9,11 +9,12 @@ use mrmc_cluster::{
 use mrmc_mapreduce::chaos::RecoveryCounters;
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
+use mrmc_minhash::positional_similarity;
 use mrmc_seqio::SeqRecord;
 
 use crate::banded::banded_graph_stage;
 use crate::config::{CandidateGen, Mode, MrMcConfig};
-use crate::stages::{similarity_matrix_stage, sketch_similarity, sketch_stage};
+use crate::stages::{similarity_matrix_stage, sketch_stage};
 
 /// Result of a MrMC-MinH run.
 #[derive(Debug)]
@@ -129,15 +130,15 @@ impl MrMcMinH {
                 // on the driver like the paper's GreedyClustering UDF
                 // (invoked once on the grouped relation).
                 let assignment = greedy_cluster(sketches.len(), self.config.theta, |i, j| {
-                    sketch_similarity(&sketches[i], &sketches[j], self.config.estimator)
+                    positional_similarity(&sketches[i], &sketches[j])
                 });
                 (assignment.compact(), None)
             }
-            (Mode::Greedy, CandidateGen::Banded { .. }) => {
+            (Mode::Greedy, CandidateGen::Banded) => {
                 // Algorithm 1 over the pruned θ-graph: greedy only ever
                 // tests `sim ≥ θ`, so the sparse run is identical to
-                // dense whenever the graph holds every θ-pair (the
-                // auto-tuned scheme's guarantee).
+                // dense because the graph holds every θ-pair (the
+                // tuned scheme's guarantee).
                 let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
                 (
                     greedy_cluster_sparse(&graph, self.config.theta).compact(),
@@ -152,7 +153,7 @@ impl MrMcMinH {
                     agglomerative(&matrix, self.config.linkage, self.config.theta);
                 (assignment.compact(), Some(dendro))
             }
-            (Mode::Hierarchical, CandidateGen::Banded { .. }) => {
+            (Mode::Hierarchical, CandidateGen::Banded) => {
                 // Algorithm 2 over the pruned graph (missing pairs read
                 // as similarity 0): the θ-cut matches dense on corpora
                 // whose clusters are θ-separated; sub-θ merges follow
@@ -178,7 +179,6 @@ impl MrMcMinH {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Estimator;
     use mrmc_cluster::Linkage;
     use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
@@ -267,20 +267,6 @@ mod tests {
             let result = MrMcMinH::new(cfg).run(&reads).unwrap();
             assert!(result.num_clusters() >= 1);
         }
-    }
-
-    #[test]
-    fn set_based_estimator_runs() {
-        let (reads, _) = two_species(20, 4);
-        let cfg = MrMcConfig {
-            estimator: Estimator::SetBased,
-            ..config(Mode::Hierarchical, 0.5)
-        };
-        let result = MrMcMinH::new(cfg).run(&reads).unwrap();
-        // The set-based estimator is biased relative to positional
-        // agreement; just verify it produces a complete clustering.
-        assert_eq!(result.assignment.len(), reads.len());
-        assert!(result.num_clusters() >= 1);
     }
 
     #[test]

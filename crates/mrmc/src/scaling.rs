@@ -34,14 +34,9 @@ impl CostCalibration {
     /// Measure the kernels on synthetic reads of `read_len` bases.
     pub fn measure(config: &MrMcConfig, read_len: usize) -> CostCalibration {
         let hasher = config.hasher();
-        // A deterministic pseudo-random read (no RNG dependency here).
-        let make_read = |salt: usize| -> SeqRecord {
-            let seq: Vec<u8> = (0..read_len)
-                .map(|i| b"ACGT"[(i * 1103515245 + salt * 12345 + 7) % 4])
-                .collect();
-            SeqRecord::new(format!("cal{salt}"), seq)
-        };
-        let reads: Vec<SeqRecord> = (0..256).map(make_read).collect();
+        let reads: Vec<SeqRecord> = (0..CALIBRATION_READS)
+            .map(|salt| SeqRecord::new(format!("cal{salt}"), calibration_read(read_len, salt)))
+            .collect();
 
         let t0 = Instant::now();
         let sketches: Vec<_> = reads
@@ -159,6 +154,26 @@ impl CostCalibration {
 
         job1 + job2 + job3 + job4
     }
+}
+
+/// Reads [`CostCalibration::measure`] times its kernels on.
+const CALIBRATION_READS: u64 = 256;
+
+/// A deterministic pseudo-random read with no RNG dependency: one step
+/// of a 64-bit LCG (Knuth's MMIX constants) per base, the base taken
+/// from the state's top two bits. The low bits of a power-of-two LCG
+/// cycle with period ≤ 4, so `state % 4` would make every read `ACGT`
+/// repeated and every calibration sketch equal.
+fn calibration_read(len: usize, salt: u64) -> Vec<u8> {
+    let mut state = salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (0..len)
+        .map(|_| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            b"ACGT"[(state >> 62) as usize]
+        })
+        .collect()
 }
 
 /// Simulated seconds of one fault-free job whose cost is its map tasks
@@ -290,6 +305,26 @@ mod tests {
         let pts = figure2_grid(&calib(), &[2, 4, 8], &[1_000, 100_000], &model);
         assert_eq!(pts.len(), 6);
         assert!(pts.iter().all(|p| p.minutes > 0.0));
+    }
+
+    #[test]
+    fn calibration_reads_are_not_periodic() {
+        let distinct = mrmc_seqio::encode::kmer_set(&calibration_read(1000, 0), 5)
+            .unwrap()
+            .len();
+        assert!(distinct >= 200, "only {distinct} distinct 5-mers");
+        let hasher = MrMcConfig::whole_metagenome().hasher();
+        let sketches: Vec<_> = (0..CALIBRATION_READS)
+            .map(|salt| {
+                hasher
+                    .sketch_sequence(&calibration_read(1000, salt))
+                    .unwrap()
+            })
+            .collect();
+        assert!(
+            sketches.iter().any(|s| s != &sketches[0]),
+            "all {CALIBRATION_READS} calibration sketches are equal"
+        );
     }
 
     #[test]

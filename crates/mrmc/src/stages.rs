@@ -14,10 +14,10 @@ use mrmc_cluster::CondensedMatrix;
 use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
-use mrmc_minhash::{positional_similarity, set_similarity, MinHasher, Sketch};
+use mrmc_minhash::{positional_similarity, MinHasher, Sketch};
 use mrmc_seqio::SeqRecord;
 
-use crate::config::{Estimator, MrMcConfig};
+use crate::config::MrMcConfig;
 
 /// Stage-1 mapper: read index → sketch. Borrows the read slice (the
 /// engine runs mappers on scoped threads), so map input is just the
@@ -64,14 +64,6 @@ pub fn sketch_stage(
     Ok(out.into_iter().map(|(_, s)| s).collect())
 }
 
-/// Evaluate the configured estimator on a sketch pair.
-pub fn sketch_similarity(a: &Sketch, b: &Sketch, estimator: Estimator) -> f64 {
-    match estimator {
-        Estimator::Positional => positional_similarity(a, b),
-        Estimator::SetBased => set_similarity(a, b),
-    }
-}
-
 /// Partition rows `0..n` into `tasks` contiguous blocks with near-equal
 /// *pair* counts. Row `r` owns `n−1−r` pairs, so equal row counts give
 /// wildly unequal work (row 0 carries n−1 pairs, row n−1 none);
@@ -108,7 +100,6 @@ fn balanced_row_blocks(n: usize, tasks: usize) -> Vec<(usize, usize)> {
 /// streaming the entire sketch list once per row.
 struct RowBlockMapper<'a> {
     sketches: &'a [Sketch],
-    estimator: Estimator,
 }
 
 impl RowBlockMapper<'_> {
@@ -133,11 +124,8 @@ impl Mapper for RowBlockMapper<'_> {
             let jend = (jb + Self::JBLOCK).min(n);
             for (strip, row) in strips.iter_mut().zip(r0..r1) {
                 for j in jb.max(row + 1)..jend {
-                    strip.push(sketch_similarity(
-                        &self.sketches[row],
-                        &self.sketches[j],
-                        self.estimator,
-                    ) as f32);
+                    strip
+                        .push(positional_similarity(&self.sketches[row], &self.sketches[j]) as f32);
                 }
             }
             jb = jend;
@@ -161,7 +149,6 @@ pub fn similarity_matrix_stage(
     let n = sketches.len();
     let mapper = RowBlockMapper {
         sketches: &sketches,
-        estimator: config.estimator,
     };
     let job = JobConfig::named("pairwise-similarity").attempts(4);
     // More, smaller tasks than the sketch stage, balanced by pair
@@ -223,9 +210,8 @@ mod tests {
         let mut p = Pipeline::new("t");
         let cfg = config();
         let sketches = sketch_stage(&reads(), &cfg, &mut p).unwrap();
-        let direct = CondensedMatrix::build(3, |i, j| {
-            sketch_similarity(&sketches[i], &sketches[j], cfg.estimator)
-        });
+        let direct =
+            CondensedMatrix::build(3, |i, j| positional_similarity(&sketches[i], &sketches[j]));
         let via_mr = similarity_matrix_stage(sketches, &cfg, &mut p).unwrap();
         assert_eq!(via_mr, direct);
         assert_eq!(via_mr.get(0, 1), 1.0);
@@ -275,7 +261,7 @@ mod tests {
         let mut p = Pipeline::new("t");
         let sketches = sketch_stage(&reads, &cfg, &mut p).unwrap();
         let direct = CondensedMatrix::build(reads.len(), |i, j| {
-            sketch_similarity(&sketches[i], &sketches[j], cfg.estimator)
+            positional_similarity(&sketches[i], &sketches[j])
         });
         let via_mr = similarity_matrix_stage(sketches, &cfg, &mut p).unwrap();
         assert_eq!(via_mr, direct);
@@ -288,16 +274,6 @@ mod tests {
         let cfg = config();
         let s = sketch_stage(&short, &cfg, &mut p).unwrap();
         assert!(s[0].is_degenerate());
-    }
-
-    #[test]
-    fn estimators_differ_in_general() {
-        let mut p = Pipeline::new("t");
-        let cfg = config();
-        let s = sketch_stage(&reads(), &cfg, &mut p).unwrap();
-        // For identical sequences both estimators say 1.
-        assert_eq!(sketch_similarity(&s[0], &s[1], Estimator::Positional), 1.0);
-        assert_eq!(sketch_similarity(&s[0], &s[1], Estimator::SetBased), 1.0);
     }
 
     #[test]

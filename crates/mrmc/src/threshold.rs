@@ -10,7 +10,7 @@
 //! mode whenever the sample is separable at all.
 
 use crate::config::MrMcConfig;
-use crate::stages::sketch_similarity;
+use mrmc_minhash::positional_similarity;
 use mrmc_seqio::SeqRecord;
 
 /// Otsu's method on a slice of values in `[0, 1]`: the threshold
@@ -88,11 +88,7 @@ pub fn suggest_theta(reads: &[SeqRecord], config: &MrMcConfig, sample: usize) ->
     let mut sims = Vec::with_capacity(sketches.len() * (sketches.len() - 1) / 2);
     for i in 0..sketches.len() {
         for j in (i + 1)..sketches.len() {
-            sims.push(sketch_similarity(
-                &sketches[i],
-                &sketches[j],
-                config.estimator,
-            ));
+            sims.push(positional_similarity(&sketches[i], &sketches[j]));
         }
     }
     otsu_threshold(&sims)

@@ -67,7 +67,7 @@ STORE L INTO '$OUTPUT2';
 
 /// Suggest `$CUTOFF` for the Pig path. The Pig UDF family hashes into
 /// `Z_p` without the `mod m` range compression of Eq. 5 (see
-/// [`family_for`]), so its similarity estimates sit slightly *below*
+/// `family_for`), so its similarity estimates sit slightly *below*
 /// the native path's (which inherits Eq. 5's collision bias at small
 /// `4^k`); the threshold must be chosen on the same scale that the
 /// clustering UDFs will see.

@@ -7,12 +7,12 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
-use mrmc::stages::{sketch_similarity, sketch_stage};
+use mrmc::stages::sketch_stage;
 use mrmc::{MrMcConfig, MrMcMinH};
 use mrmc_cluster::{agglomerative, cut_dendrogram, CondensedMatrix, Linkage};
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
-use mrmc_minhash::Sketch;
+use mrmc_minhash::{positional_similarity, Sketch};
 use mrmc_simulate::huse_16s;
 
 const LINKAGES: [Linkage; 3] = [Linkage::Single, Linkage::Average, Linkage::Complete];
@@ -28,27 +28,60 @@ fn sketches_of(reads: &[mrmc_seqio::SeqRecord], cfg: &MrMcConfig) -> Vec<Sketch>
 
 /// The tentpole contract: on the seed 16S corpus, the banded pipeline
 /// produces *bit-identical* cluster assignments to the dense oracle in
-/// both clustering modes and under every linkage, at the default
-/// auto-tuned scheme.
+/// both clustering modes, at θ whose `f32` image rounds down (0.95,
+/// 0.90) and up (0.80), with θ·n integral at the last two so pairs sit
+/// exactly on the cut. Greedy, single and complete linkage depend only
+/// on the pairs at or above θ and hold at every θ; average linkage
+/// reads the pruned sub-θ pairs as 0, so it is held where the corpus is
+/// θ-separated (0.95) and not below (DESIGN.md §5c).
 #[test]
 fn banded_clustering_identical_to_dense() {
     let reads = corpus(280.0, 9);
-    let hierarchical = LINKAGES.map(|linkage| MrMcConfig {
-        linkage,
-        ..MrMcConfig::sixteen_s().hierarchical()
-    });
-    for cfg in [MrMcConfig::sixteen_s().greedy()]
-        .into_iter()
-        .chain(hierarchical)
-    {
-        let what = (cfg.mode, cfg.linkage);
-        let dense = MrMcMinH::new(cfg).run(&reads).expect("dense run");
-        let banded = MrMcMinH::new(cfg.banded()).run(&reads).expect("banded run");
-        assert_eq!(
-            banded.assignment, dense.assignment,
-            "{what:?}: banded assignments must match dense"
-        );
-        assert_eq!(banded.num_clusters(), dense.num_clusters());
+    for theta in [0.95, 0.90, 0.80] {
+        let hierarchical = LINKAGES
+            .into_iter()
+            .filter(|&linkage| linkage != Linkage::Average || theta == 0.95)
+            .map(|linkage| MrMcConfig {
+                linkage,
+                ..MrMcConfig::sixteen_s().hierarchical()
+            });
+        for cfg in [MrMcConfig::sixteen_s().greedy()]
+            .into_iter()
+            .chain(hierarchical)
+        {
+            let cfg = cfg.with_theta(theta);
+            let what = (theta, cfg.mode, cfg.linkage);
+            let dense = MrMcMinH::new(cfg).run(&reads).expect("dense run");
+            let banded = MrMcMinH::new(cfg.banded()).run(&reads).expect("banded run");
+            assert_eq!(
+                banded.assignment, dense.assignment,
+                "{what:?}: banded assignments must match dense"
+            );
+            assert_eq!(banded.num_clusters(), dense.num_clusters());
+        }
+    }
+}
+
+/// θ set before or after `.banded()` is the same run, and both are the
+/// dense run: the band layout is derived from the config's θ when the
+/// route asks for it, so no builder order can leave a stale one behind
+/// (`.banded().with_theta(0.9)` used to keep θ = 0.95's 3 × 16 bands
+/// and split clusters: 951 against dense's 922 on this corpus).
+#[test]
+fn builder_order_is_irrelevant() {
+    let reads = corpus(2000.0, 9);
+    let base = MrMcConfig::sixteen_s().greedy();
+    for theta in [0.90, 0.85, 0.80] {
+        let dense = MrMcMinH::new(base.with_theta(theta))
+            .run(&reads)
+            .expect("dense run");
+        for cfg in [
+            base.banded().with_theta(theta),
+            base.with_theta(theta).banded(),
+        ] {
+            let banded = MrMcMinH::new(cfg).run(&reads).expect("banded run");
+            assert_eq!(banded.assignment, dense.assignment, "θ = {theta}");
+        }
     }
 }
 
@@ -125,7 +158,7 @@ fn sparse_graph_equals_dense_truth() {
     let mut truth = 0usize;
     for i in 0..sketches.len() {
         for j in (i + 1)..sketches.len() {
-            let sim = sketch_similarity(&sketches[i], &sketches[j], cfg.estimator);
+            let sim = positional_similarity(&sketches[i], &sketches[j]);
             if sim >= cfg.theta {
                 truth += 1;
                 assert_eq!(

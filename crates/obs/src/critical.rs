@@ -4,7 +4,7 @@
 //! path is the dependency chain that *explains* that makespan: start
 //! from the latest-ending span and repeatedly hop to the
 //! latest-ending dependency, accumulating each span's duration into
-//! its [`Category`](crate::trace::Category) bucket. When a span has
+//! its [`Category`] bucket. When a span has
 //! no recorded dependencies but does not start at the origin, we fall
 //! back to the latest-ending span that finishes at or before its
 //! start (cross-job chaining: stage N's first span waits on stage

@@ -18,7 +18,7 @@
 //! result bags. Boxed [`Value`] rows exist only at the edges: what a
 //! loader returns, what `STORE` prints, shuffle keys, and the chunks
 //! the vectorizer cannot keep aligned (mixed-type flatten inputs,
-//! ragged bag-element tuples), which [`expand_row`] expands row by
+//! ragged bag-element tuples), which `expand_row` expands row by
 //! row. The semantics are pinned from outside the crate: an
 //! engine-free reference interpreter in `tests/columnar.rs` must
 //! agree with this executor on stored bytes and shuffle accounting
