@@ -11,12 +11,13 @@
 //!   guarantees 1.0; anything less is a failure);
 //! * wall-clock of both paths and the banded shuffle volume.
 //!
-//! Two probes guard the exactness contract: greedy and hierarchical
-//! clustering must be identical dense-vs-banded on a small corpus, and
-//! a chaos run (task panics in both banding *reducers*) must yield a
-//! bit-identical sparse graph. Any recall < 1, probe mismatch, or — at
-//! sizes ≥ 10 000 reads — pruning below 5× exits non-zero (the CI
-//! `banded-smoke` gate).
+//! Two probes guard the exactness contract: on a small corpus greedy
+//! clustering must equal the `greedy_cluster` scan under either
+//! `candidates` value and hierarchical clustering must be identical
+//! dense-vs-banded, and a chaos run (task panics in both banding
+//! *reducers*) must yield a bit-identical sparse graph. Any recall < 1,
+//! probe mismatch, or — at sizes ≥ 10 000 reads — pruning below 5×
+//! exits non-zero (the CI `banded-smoke` gate).
 //!
 //! ```sh
 //! cargo run -p mrmc-bench --release --bin banded_vs_dense
@@ -28,8 +29,9 @@ use std::time::Instant;
 
 use mrmc::banded::banded_graph_stage;
 use mrmc::stages::sketch_stage;
-use mrmc::{Mode, MrMcConfig, MrMcMinH};
+use mrmc::{MrMcConfig, MrMcMinH};
 use mrmc_bench::HarnessArgs;
+use mrmc_cluster::greedy_cluster;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_minhash::positional_similarity;
@@ -127,30 +129,45 @@ fn measure(size: usize, args: &HarnessArgs, failures: &mut Vec<String>) -> Row {
     }
 }
 
-/// Clustering bit-identity probe: greedy and hierarchical assignments
-/// must match dense-vs-banded on a small 16S corpus.
+/// Clustering bit-identity probe on a small 16S corpus: the greedy
+/// route (one code path under either `candidates` value) must give the
+/// `greedy_cluster` scan's labels, and the hierarchical assignments
+/// must match dense-vs-banded.
 fn identity_probe(args: &HarnessArgs, failures: &mut Vec<String>) {
-    let dataset = huse_16s(0.03, 400.0 / 345_000.0, args.seed);
-    for mode in [Mode::Greedy, Mode::Hierarchical] {
-        let dense = MrMcMinH::new(MrMcConfig {
-            mode,
-            ..config().dense()
-        })
-        .run(&dataset.reads)
-        .expect("dense run");
-        let banded = MrMcMinH::new(MrMcConfig { mode, ..config() })
-            .run(&dataset.reads)
-            .expect("banded run");
-        if banded.assignment != dense.assignment {
+    let reads = huse_16s(0.03, 400.0 / 345_000.0, args.seed).reads;
+    let run = |cfg: MrMcConfig| {
+        MrMcMinH::new(cfg)
+            .run(&reads)
+            .expect("probe run")
+            .assignment
+    };
+
+    let greedy = config().greedy();
+    let sketches = sketch_stage(&reads, &greedy, &mut Pipeline::new("probe-scan")).expect("sketch");
+    let scan = greedy_cluster(sketches.len(), greedy.theta, |i, j| {
+        positional_similarity(&sketches[i], &sketches[j])
+    })
+    .compact();
+    let dense = run(config().hierarchical().dense());
+    for (what, got, want) in [
+        ("greedy (dense) vs scan", run(greedy.dense()), &scan),
+        ("greedy (banded) vs scan", run(greedy), &scan),
+        (
+            "hierarchical banded vs dense",
+            run(config().hierarchical()),
+            &dense,
+        ),
+    ] {
+        if got != *want {
             failures.push(format!(
-                "{mode:?}: banded clustering differs from dense ({} vs {} clusters)",
-                banded.num_clusters(),
-                dense.num_clusters()
+                "{what}: clusterings differ ({} vs {} clusters)",
+                got.num_clusters(),
+                want.num_clusters()
             ));
         } else {
             eprintln!(
-                "identity probe [{mode:?}]: banded == dense ({} clusters)",
-                dense.num_clusters()
+                "identity probe [{what}]: identical ({} clusters)",
+                want.num_clusters()
             );
         }
     }

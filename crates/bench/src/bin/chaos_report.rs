@@ -185,29 +185,23 @@ fn pipeline_cell(
     }
 }
 
-/// The banded pipeline under faults aimed at its *reducers* (the
-/// dense MrMC stages are map-only, so this is the only subject with a
+/// The banded hierarchical pipeline under faults aimed at its
+/// *reducers* (the dense MrMC stages are map-only and a greedy run
+/// stops after the sketch stage, so this is the only subject with a
 /// reduce-phase recovery surface). The run must match its own clean
-/// banded baseline, which in greedy mode is itself bit-identical to
-/// dense (the exactness contract).
+/// banded baseline; that the baseline equals dense where the exactness
+/// contract says so is `banded_clustering_identical_to_dense`'s job
+/// (`crates/mrmc/tests/banded.rs`), not this report's.
 fn banded_cell(
     fault: &'static str,
     intensity: impl Into<String>,
     reads: &[mrmc_seqio::SeqRecord],
     plan: FaultPlan,
 ) -> Cell {
-    let cfg = mrmc_config().greedy().banded();
-    let runner = MrMcMinH::new(cfg);
+    let runner = MrMcMinH::new(mrmc_config().banded());
     let t = Instant::now();
     let clean = runner.run(reads).expect("clean banded run");
     let clean_secs = t.elapsed().as_secs_f64().max(1e-9);
-    let dense = MrMcMinH::new(mrmc_config().greedy())
-        .run(reads)
-        .expect("clean dense run");
-    assert_eq!(
-        clean.assignment, dense.assignment,
-        "banded greedy must match dense greedy bit-for-bit"
-    );
 
     let t = Instant::now();
     let run = runner.run_on(reads, chaos_pipeline(plan));
@@ -215,7 +209,7 @@ fn banded_cell(
     let (completed, identical, recovery, counters) = match &run {
         Ok(r) => (
             true,
-            r.assignment == clean.assignment,
+            r.assignment == clean.assignment && r.dendrogram == clean.dendrogram,
             r.recovery(),
             (
                 r.pipeline.counter_total("PAIRS_COMPUTED"),

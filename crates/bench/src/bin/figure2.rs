@@ -106,9 +106,11 @@ fn banded_section(
     model: &JobCostModel,
     seed: u64,
 ) -> Json {
+    // Hierarchical: a greedy run stops after the sketch stage and never
+    // enters the banded stages, so it would count no candidates.
     let config = MrMcConfig {
         theta: 0.95,
-        mode: Mode::Greedy,
+        mode: Mode::Hierarchical,
         map_tasks: 8,
         ..MrMcConfig::sixteen_s()
     }

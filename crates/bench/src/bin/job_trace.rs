@@ -8,8 +8,9 @@
 //!   bit-identical to an untraced run) and that the span ledger is
 //!   deterministic (identical signature across repeated runs of the
 //!   same seed and fault plan);
-//! * **real, banded** — the banded-LSH greedy pipeline (four MR
-//!   stages, with reduce phases and shuffle barriers on the trace);
+//! * **real, banded** — the banded-LSH hierarchical pipeline (four MR
+//!   stages, with reduce phases and shuffle barriers on the trace; a
+//!   greedy run has only the map-only sketch stage);
 //! * **simulated** — the dense run's measured tasks list-scheduled
 //!   onto virtual EMR clusters of 2–12 nodes
 //!   ([`Pipeline::simulate_on_traced`]), where the critical-path
@@ -171,8 +172,8 @@ fn main() {
         chaos_ledger.events.len(),
     );
 
-    // ---- Real run, banded greedy pipeline (reduce-bearing stages). ----
-    let banded_runner = MrMcMinH::new(dense_config().greedy().banded());
+    // ---- Real run, banded pipeline (reduce-bearing stages). ----
+    let banded_runner = MrMcMinH::new(dense_config().banded());
     let banded_baseline = banded_runner.run(&reads).expect("untraced banded run");
     let banded_tracer = Arc::new(Tracer::new());
     let banded = banded_runner
@@ -181,7 +182,9 @@ fn main() {
             Pipeline::new("banded").traced(banded_tracer.clone()),
         )
         .expect("traced banded run");
-    if banded.assignment != banded_baseline.assignment {
+    if banded.assignment != banded_baseline.assignment
+        || banded.dendrogram != banded_baseline.dendrogram
+    {
         failures.push("tracing changed the banded clustering output".into());
     }
     let banded_ledger = banded_tracer.ledger();

@@ -11,8 +11,8 @@
 //!   (O(N²) time, O(N) memory) and the nearest-neighbour chain
 //!   algorithm with Lance–Williams updates for complete and average
 //!   linkage; θ-cutoff extraction of flat clusters;
-//! * [`sparse`] — the CSR θ-graph of the banded pipeline, and both
-//!   algorithms on it in memory linear in its edges (the NN-chain on
+//! * [`sparse`] — the CSR θ-graph of the banded pipeline, and
+//!   Algorithm 2 on it in memory linear in its edges (the NN-chain on
 //!   adjacency lists reproduces the dense dendrogram bit for bit).
 //!
 //! All algorithms are generic over a similarity oracle so they work

@@ -8,10 +8,12 @@
 //! pipeline promises: edges at or above θ are exact, everything below
 //! θ is indistinguishable from "no edge" for a θ-cut.
 //!
-//! Both clusterers work on the edges alone. Greedy binary-searches
-//! rows (comparing the `f32`-stored edge with θ rounded the same way,
-//! so every stored edge that cleared θ is a match — see
-//! [`greedy_cluster_sparse`]); [`agglomerative_sparse`] runs
+//! The clusterers work on the edges alone. [`greedy_cluster_sparse`]
+//! binary-searches rows (comparing the `f32`-stored edge with θ
+//! rounded the same way, so every stored edge that cleared θ is a
+//! match) but is called by no route any more — a greedy run places
+//! reads through `mrmc`'s representative index and never builds this
+//! graph; [`agglomerative_sparse`] runs
 //! Algorithm 2 on per-cluster adjacency lists in which an absent pair
 //! *is* distance 1.0, and reproduces, merge for merge, the dendrogram
 //! the dense [`agglomerative`](crate::linkage::agglomerative) builds
@@ -162,6 +164,12 @@ impl SparseSimGraph {
 /// least `θ as f32`, and a pair sitting exactly on θ (45/50 at
 /// θ = 0.9 stores 0.89999998) stays the match the verify stage said
 /// it was.
+///
+/// Called by no route: `mrmc`'s greedy run goes through its
+/// representative index under either candidate generator. Kept,
+/// untouched, for the frozen `benchmark/` package, whose staged greedy
+/// arm (`perf-trace/staged.rs`) imports it; the next `[benchmark]` PR
+/// restages that arm and deletes this function.
 pub fn greedy_cluster_sparse(graph: &SparseSimGraph, theta: f64) -> ClusterAssignment {
     let theta = theta.min(f64::from(theta as f32));
     greedy_cluster(graph.len(), theta, |i, j| graph.sim(i, j))

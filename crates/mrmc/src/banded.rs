@@ -39,12 +39,13 @@ use mrmc_minhash::{positional_similarity, BandingScheme, Sketch};
 
 use crate::config::MrMcConfig;
 
-/// Read indices travel the banded shuffle as `u32`; reject inputs the
-/// packing cannot represent instead of silently truncating them.
+/// Read indices travel the banded shuffle, and cluster labels sit in
+/// the greedy representative index, as `u32`; reject inputs that
+/// cannot be represented instead of truncating them or panicking.
 pub fn ensure_read_ids_fit(num_reads: usize) -> Result<(), MrError> {
     if num_reads > u32::MAX as usize {
         return Err(MrError::BadConfig(format!(
-            "{num_reads} reads exceed the u32 read-id space of the banded shuffle"
+            "{num_reads} reads exceed the u32 read-id space (banded shuffle, greedy index)"
         )));
     }
     Ok(())

@@ -12,16 +12,19 @@ pub enum Mode {
     Hierarchical,
 }
 
-/// How the pipeline finds the pairs whose similarity it evaluates.
+/// How the *hierarchical* route finds the pairs whose similarity it
+/// evaluates. A greedy run ignores it: Algorithm 1 only compares reads
+/// with cluster representatives, so it is the sketch stage plus one
+/// pass through a [`crate::RepresentativeIndex`] under either value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CandidateGen {
-    /// Evaluate every pair (the paper's all-pairs stage). Exact by
-    /// construction; O(n²) similarity evaluations.
+    /// Evaluate every pair (the paper's all-pairs stage) into a dense
+    /// matrix. Exact by construction; O(n²) similarity evaluations.
     Dense,
-    /// Banded-LSH pruning: sketches are cut into bands of hash values,
-    /// reads sharing any band signature become candidates, and only
-    /// candidates are verified. The layout is always
-    /// [`MrMcConfig::banding_scheme`] — the pigeonhole tuning of
+    /// Banded-LSH pruning into a sparse θ-graph: sketches are cut into
+    /// bands of hash values, reads sharing any band signature become
+    /// candidates, and only candidates are verified. The layout is
+    /// always [`MrMcConfig::banding_scheme`] — the pigeonhole tuning of
     /// [`BandingScheme::tune`] for the run's `num_hashes` and θ — so
     /// every pair at or above θ is guaranteed to collide and the
     /// pruning is lossless at the θ cut.
@@ -54,8 +57,8 @@ pub struct MrMcConfig {
     pub canonical: bool,
     /// Map tasks for the sketching stage.
     pub map_tasks: usize,
-    /// Candidate generation: dense all-pairs (default, the paper's
-    /// stage 2) or banded-LSH pruning.
+    /// Candidate generation of the hierarchical route: dense all-pairs
+    /// (default, the paper's stage 2) or banded-LSH pruning.
     pub candidates: CandidateGen,
 }
 
@@ -125,8 +128,9 @@ impl MrMcConfig {
 
     /// The banding scheme this config implies: the pigeonhole tuning of
     /// [`BandingScheme::tune`] for the current `num_hashes` and θ,
-    /// derived on every call. The banded route buckets under it and the
-    /// streaming index files representatives under it.
+    /// derived on every call. The banded stages bucket under it and the
+    /// greedy representative index — batch and streaming — files
+    /// founders under it.
     pub fn banding_scheme(&self) -> BandingScheme {
         BandingScheme::tune(self.num_hashes, self.theta)
     }

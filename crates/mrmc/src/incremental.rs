@@ -1,26 +1,30 @@
-//! Streaming (incremental) greedy clustering.
+//! Algorithm 1 through a representative index — batch and streaming.
 //!
 //! The paper motivates binning as "a pre-processing step … within
 //! several workflows that analyze only cluster representatives"
-//! (§I). Those workflows receive reads continuously; this module keeps
-//! Algorithm 1's representative rule but processes reads *one at a
-//! time*: each new read joins the first existing cluster whose
-//! representative sketch clears θ, or founds a new cluster. Seeding
-//! from a finished batch run makes it the "assign new data to
-//! yesterday's clusters" operation.
+//! (§I). Algorithm 1 only ever asks whether a read clears θ against an
+//! existing *representative*: taken in input order, each read joins
+//! the first (lowest-labelled) cluster whose founder's sketch clears
+//! θ, or founds a new cluster. [`RepresentativeIndex`] is that rule,
+//! once. A batch greedy run ([`crate::MrMcMinH::run_on`]) hands it the
+//! sketch stage's whole output ([`RepresentativeIndex::place_all`]);
+//! [`IncrementalClusterer`] keeps one alive and feeds it reads as they
+//! arrive, and seeding it from a finished run makes that the "assign
+//! new data to yesterday's clusters" operation. Batch and streaming
+//! are one routine, so they cannot disagree.
 //!
 //! # Representative index
 //!
 //! That rule does not need a scan of every representative. A pair at
-//! or above θ has, in the [`MrMcConfig::banding_scheme`] layout (the
-//! batch route's own, [`BandingScheme::tune`]), at least one
-//! byte-identical band
+//! or above θ has, in the [`MrMcConfig::banding_scheme`] layout
+//! ([`BandingScheme::tune`]), at least one byte-identical band
 //! (the pigeonhole argument of `mrmc_minhash::banding`, "Exactness
 //! contract"; two degenerate sketches meet too, since all-`EMPTY_SLOT`
 //! bands hash alike). So founders are filed under their `b` band
 //! signatures, and a read verifies only the labels in its own `≤ b`
 //! buckets — same similarity test — and takes the lowest that passes:
-//! the scan's label, for every input. Where the guarantee does not hold
+//! the scan's label ([`mrmc_cluster::greedy_cluster`], the oracle in
+//! tests), for every input. Where the guarantee does not hold
 //! (θ = 0: a pair agreeing nowhere still clears it) every sketch is
 //! filed under one constant signature, so the same lookup walks all
 //! labels in order.
@@ -34,106 +38,59 @@ use mrmc_seqio::{SeqIoError, SeqRecord};
 use crate::config::MrMcConfig;
 use crate::pipeline::MrMcResult;
 
-/// Streaming greedy clusterer over minhash sketches.
+/// Algorithm 1's whole state: the founders' sketches, filed under
+/// their band signatures (see the module docs).
 #[derive(Debug, Clone)]
-pub struct IncrementalClusterer {
-    config: MrMcConfig,
-    hasher: MinHasher,
-    /// Representative sketch per cluster, indexed by label.
-    representatives: Vec<Sketch>,
-    /// Label assigned to each pushed read, in push order.
-    labels: Vec<usize>,
+pub struct RepresentativeIndex {
+    theta: f64,
     /// The exact-recall banding for `(num_hashes, θ)`, or `None` when
     /// no banding is exact for this config (see the module docs).
     scheme: Option<BandingScheme>,
+    /// Representative sketch per cluster, indexed by label.
+    representatives: Vec<Sketch>,
     /// Band signature → labels of the representatives carrying it,
     /// ascending (labels are handed out in founding order). One map
     /// serves all bands: the band index is mixed into the signature's
     /// seed.
     buckets: HashMap<u64, Vec<u32>>,
-    /// Signatures of the sketch being placed (reused buffer).
+    /// Signatures of the sketch being placed (reused buffer); without
+    /// a `scheme`, the one constant signature every sketch is filed
+    /// under.
     sigs: Vec<u64>,
+    evaluations: u64,
 }
 
-impl IncrementalClusterer {
-    /// Empty clusterer (panics on invalid config, like [`crate::MrMcMinH`]).
-    pub fn new(config: MrMcConfig) -> IncrementalClusterer {
-        if let Err(e) = config.validate() {
-            panic!("invalid MrMcConfig: {e}");
-        }
+impl RepresentativeIndex {
+    /// Empty index for `config`'s `num_hashes` and θ.
+    pub fn new(config: &MrMcConfig) -> RepresentativeIndex {
         let scheme = config.banding_scheme();
         let exact = scheme.guarantees_recall(config.num_hashes, config.theta);
-        IncrementalClusterer {
-            config,
-            hasher: config.hasher(),
-            representatives: Vec::new(),
-            labels: Vec::new(),
+        RepresentativeIndex {
+            theta: config.theta,
             scheme: exact.then_some(scheme),
+            representatives: Vec::new(),
             buckets: HashMap::new(),
-            sigs: Vec::new(),
+            sigs: vec![0],
+            evaluations: 0,
         }
     }
 
-    /// Seed from a finished batch run: the representatives of
-    /// `result`'s clusters (its [`MrMcResult::representatives`]) become
-    /// the live centroids, so subsequently pushed reads extend the
-    /// existing clustering. The batch reads themselves are *not*
-    /// re-recorded (their labels live in `result`).
-    pub fn from_run(
-        config: MrMcConfig,
-        batch_reads: &[SeqRecord],
-        result: &MrMcResult,
-    ) -> Result<IncrementalClusterer, SeqIoError> {
-        let mut inc = IncrementalClusterer::new(config);
-        for rep in result.representatives() {
-            let sketch = inc.hasher.sketch_sequence(&batch_reads[rep].seq)?;
-            inc.place(sketch, false);
-        }
-        Ok(inc)
-    }
-
-    /// Assign one read; returns its cluster label. New clusters take
-    /// the next free label.
-    pub fn push(&mut self, read: &SeqRecord) -> Result<usize, SeqIoError> {
-        let sketch = self.hasher.sketch_sequence(&read.seq)?;
-        let label = self.place(sketch, true);
-        self.labels.push(label);
-        Ok(label)
-    }
-
-    /// Assign a micro-batch of reads in one call, returning their
-    /// labels in input order. Semantically identical to calling
-    /// [`IncrementalClusterer::push`] once per read (reads earlier in
-    /// the batch can found clusters that later reads join), but the
-    /// batch entry point lets callers — the `mrmc-server` admission
-    /// path in particular — amortize per-read dispatch: sketches are
-    /// computed up front for the whole batch, then assignment runs
-    /// over the sketch slice without re-entering the codec per read.
-    /// On a sketching error nothing is recorded (all-or-nothing).
-    pub fn push_batch(&mut self, reads: &[SeqRecord]) -> Result<Vec<usize>, SeqIoError> {
-        let sketches = reads
-            .iter()
-            .map(|r| self.hasher.sketch_sequence(&r.seq))
-            .collect::<Result<Vec<Sketch>, SeqIoError>>()?;
-        let at = self.labels.len();
-        for sketch in sketches {
-            let label = self.place(sketch, true);
-            self.labels.push(label);
-        }
-        Ok(self.labels[at..].to_vec())
+    /// Algorithm 1 over a batch: place every sketch in input order and
+    /// return the labels. Founders move into the index, members are
+    /// dropped as they are placed. On an empty index the labels come
+    /// out `0..clusters` in first-appearance order, i.e. already
+    /// compact ([`ClusterAssignment::compact`]).
+    pub fn place_all(&mut self, sketches: Vec<Sketch>) -> Vec<usize> {
+        sketches.into_iter().map(|s| self.place(s, true)).collect()
     }
 
     /// The one assignment routine: the label of the lowest-numbered
     /// representative clearing θ against `sketch`, or — when none does,
     /// or when `join` is false (seeding) — the fresh label `sketch`
-    /// founds, filed under its signatures.
+    /// founds, filed under its signatures. Panics past 2³² founders.
     fn place(&mut self, sketch: Sketch, join: bool) -> usize {
-        match self.scheme {
-            Some(scheme) => scheme.signatures_into(&sketch, &mut self.sigs),
-            None => {
-                self.sigs.clear();
-                self.sigs.push(0);
-            }
+        if let Some(scheme) = self.scheme {
+            scheme.signatures_into(&sketch, &mut self.sigs);
         }
         if join {
             if let Some(label) = self.lowest_match(&sketch) {
@@ -152,23 +109,100 @@ impl IncrementalClusterer {
     /// Lowest label in the buckets of `self.sigs` whose representative
     /// clears θ against `sketch`. Bucket lists ascend, so each walk
     /// stops at its first hit or once it reaches the best so far.
-    fn lowest_match(&self, sketch: &Sketch) -> Option<usize> {
-        let theta = self.config.theta;
-        let none = self.representatives.len();
-        let mut best = none;
+    fn lowest_match(&mut self, sketch: &Sketch) -> Option<usize> {
+        let mut best = usize::MAX;
         for bucket in self.sigs.iter().filter_map(|sig| self.buckets.get(sig)) {
             let labels = bucket.iter().map(|&label| label as usize);
             let hit = labels.take_while(|&label| label < best).find(|&label| {
-                positional_similarity(sketch, &self.representatives[label]) >= theta
+                self.evaluations += 1;
+                positional_similarity(sketch, &self.representatives[label]) >= self.theta
             });
             best = hit.unwrap_or(best);
         }
-        (best < none).then_some(best)
+        (best != usize::MAX).then_some(best)
+    }
+
+    /// Similarity evaluations made so far — the deterministic cost of
+    /// the placements (a linear scan makes one per representative per
+    /// read).
+    pub fn evaluations(&self) -> u64 {
+        self.evaluations
+    }
+}
+
+/// Streaming greedy clusterer over minhash sketches: a live
+/// [`RepresentativeIndex`], the hasher that feeds it and the labels it
+/// has handed out.
+#[derive(Debug, Clone)]
+pub struct IncrementalClusterer {
+    hasher: MinHasher,
+    index: RepresentativeIndex,
+    /// Label assigned to each pushed read, in push order.
+    labels: Vec<usize>,
+}
+
+impl IncrementalClusterer {
+    /// Empty clusterer (panics on invalid config, like [`crate::MrMcMinH`]).
+    pub fn new(config: MrMcConfig) -> IncrementalClusterer {
+        if let Err(e) = config.validate() {
+            panic!("invalid MrMcConfig: {e}");
+        }
+        IncrementalClusterer {
+            hasher: config.hasher(),
+            index: RepresentativeIndex::new(&config),
+            labels: Vec::new(),
+        }
+    }
+
+    /// Seed from a finished batch run: the representatives of
+    /// `result`'s clusters (its [`MrMcResult::representatives`]) become
+    /// the live centroids, so subsequently pushed reads extend the
+    /// existing clustering. The batch reads themselves are *not*
+    /// re-recorded (their labels live in `result`).
+    pub fn from_run(
+        config: MrMcConfig,
+        batch_reads: &[SeqRecord],
+        result: &MrMcResult,
+    ) -> Result<IncrementalClusterer, SeqIoError> {
+        let mut inc = IncrementalClusterer::new(config);
+        for rep in result.representatives() {
+            let sketch = inc.hasher.sketch_sequence(&batch_reads[rep].seq)?;
+            inc.index.place(sketch, false);
+        }
+        Ok(inc)
+    }
+
+    /// Assign one read; returns its cluster label. New clusters take
+    /// the next free label.
+    pub fn push(&mut self, read: &SeqRecord) -> Result<usize, SeqIoError> {
+        let sketch = self.hasher.sketch_sequence(&read.seq)?;
+        let label = self.index.place(sketch, true);
+        self.labels.push(label);
+        Ok(label)
+    }
+
+    /// Assign a micro-batch of reads in one call, returning their
+    /// labels in input order. Semantically identical to calling
+    /// [`IncrementalClusterer::push`] once per read (reads earlier in
+    /// the batch can found clusters that later reads join), but the
+    /// batch entry point lets callers — the `mrmc-server` admission
+    /// path in particular — amortize per-read dispatch: sketches are
+    /// computed up front for the whole batch, then assignment runs
+    /// over the sketch slice without re-entering the codec per read.
+    /// On a sketching error nothing is recorded (all-or-nothing).
+    pub fn push_batch(&mut self, reads: &[SeqRecord]) -> Result<Vec<usize>, SeqIoError> {
+        let sketches = reads
+            .iter()
+            .map(|r| self.hasher.sketch_sequence(&r.seq))
+            .collect::<Result<Vec<Sketch>, SeqIoError>>()?;
+        let labels = self.index.place_all(sketches);
+        self.labels.extend_from_slice(&labels);
+        Ok(labels)
     }
 
     /// Current cluster count (including seeded clusters).
     pub fn num_clusters(&self) -> usize {
-        self.representatives.len()
+        self.index.representatives.len()
     }
 
     /// Labels of pushed reads, in push order.
@@ -187,6 +221,9 @@ mod tests {
     use super::*;
     use crate::config::Mode;
     use crate::pipeline::MrMcMinH;
+    use crate::stages::sketch_stage;
+    use mrmc_cluster::greedy_cluster;
+    use mrmc_mapreduce::pipeline::Pipeline;
     use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -330,6 +367,45 @@ mod tests {
                     ClusterAssignment::from_labels(oracle.labels),
                     "θ = {}", theta
                 );
+            }
+        }
+    }
+
+    proptest! {
+        /// The batch route is Algorithm 1: under both `candidates`
+        /// values a greedy run's labels are the `greedy_cluster` scan's
+        /// over the same sketches, its `representatives()` are the reads
+        /// whose sketches the index kept as founders, and a session
+        /// seeded from the run by `from_run` holds that very index.
+        #[test]
+        fn batch_run_equals_greedy_scan(
+            seed in any::<u64>(),
+            num_hashes in proptest::sample::select(vec![50usize, 64, 7]),
+            banded in any::<bool>(),
+        ) {
+            let reads = boundary_reads(seed, 5);
+            for theta in [0.0, 0.5, 0.9, 0.95, 1.0] {
+                let mut cfg = MrMcConfig { num_hashes, ..config(theta).greedy() };
+                if banded {
+                    cfg = cfg.banded();
+                }
+                let sketches = sketch_stage(&reads, &cfg, &mut Pipeline::new("oracle")).unwrap();
+                let scan = greedy_cluster(sketches.len(), theta, |i, j| {
+                    positional_similarity(&sketches[i], &sketches[j])
+                });
+                let mut index = RepresentativeIndex::new(&cfg);
+                let labels = index.place_all(sketches.clone());
+
+                let run = MrMcMinH::new(cfg).run(&reads).unwrap();
+                prop_assert_eq!(&run.assignment, &scan.compact(), "θ = {}", theta);
+                prop_assert_eq!(run.assignment.labels(), &labels[..], "θ = {}", theta);
+                let founders: Vec<&Sketch> =
+                    run.representatives().iter().map(|&r| &sketches[r]).collect();
+                prop_assert_eq!(&founders, &index.representatives.iter().collect::<Vec<_>>());
+
+                let seeded = IncrementalClusterer::from_run(cfg, &reads, &run).unwrap();
+                prop_assert_eq!(&seeded.index.representatives, &index.representatives);
+                prop_assert_eq!(&seeded.index.buckets, &index.buckets, "θ = {}", theta);
             }
         }
     }

@@ -50,7 +50,7 @@ pub mod udfs;
 
 pub use banded::{banded_candidates, banded_graph_stage};
 pub use config::{CandidateGen, Mode, MrMcConfig};
-pub use incremental::IncrementalClusterer;
+pub use incremental::{IncrementalClusterer, RepresentativeIndex};
 pub use pipeline::{MrMcMinH, MrMcResult};
 pub use scaling::{CostCalibration, ScalingPoint};
 pub use threshold::{otsu_threshold, suggest_theta};

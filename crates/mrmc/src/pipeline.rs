@@ -2,18 +2,15 @@
 
 use std::time::{Duration, Instant};
 
-use mrmc_cluster::{
-    agglomerative, agglomerative_sparse, greedy_cluster, greedy_cluster_sparse, ClusterAssignment,
-    Dendrogram,
-};
+use mrmc_cluster::{agglomerative, agglomerative_sparse, ClusterAssignment, Dendrogram};
 use mrmc_mapreduce::chaos::RecoveryCounters;
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
-use mrmc_minhash::positional_similarity;
 use mrmc_seqio::SeqRecord;
 
-use crate::banded::banded_graph_stage;
+use crate::banded::{banded_graph_stage, ensure_read_ids_fit};
 use crate::config::{CandidateGen, Mode, MrMcConfig};
+use crate::incremental::RepresentativeIndex;
 use crate::stages::{similarity_matrix_stage, sketch_stage};
 
 /// Result of a MrMC-MinH run.
@@ -107,6 +104,10 @@ impl MrMcMinH {
     }
 
     /// Cluster the reads, running every Map-Reduce stage on `pipeline`.
+    /// A greedy run is the sketch stage plus one serial pass through a
+    /// [`RepresentativeIndex`], whatever `candidates` says; a
+    /// hierarchical run follows the sketch stage with the dense
+    /// all-pairs matrix stage or the three banded θ-graph stages.
     /// Attach a tracer ([`Pipeline::traced`]) to record a structured
     /// trace of every stage, and/or a fault injector
     /// ([`Pipeline::with_faults`]) to disrupt the substrate. Both are
@@ -125,25 +126,15 @@ impl MrMcMinH {
 
         let cluster_start = Instant::now();
         let (assignment, dendrogram) = match (self.config.mode, self.config.candidates) {
-            (Mode::Greedy, CandidateGen::Dense) => {
+            (Mode::Greedy, _) => {
                 // Algorithm 1 — iterative, representative-based; runs
                 // on the driver like the paper's GreedyClustering UDF
-                // (invoked once on the grouped relation).
-                let assignment = greedy_cluster(sketches.len(), self.config.theta, |i, j| {
-                    positional_similarity(&sketches[i], &sketches[j])
-                });
-                (assignment.compact(), None)
-            }
-            (Mode::Greedy, CandidateGen::Banded) => {
-                // Algorithm 1 over the pruned θ-graph: greedy only ever
-                // tests `sim ≥ θ`, so the sparse run is identical to
-                // dense because the graph holds every θ-pair (the
-                // tuned scheme's guarantee).
-                let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
-                (
-                    greedy_cluster_sparse(&graph, self.config.theta).compact(),
-                    None,
-                )
+                // (invoked once on the grouped relation). It only asks
+                // about representatives, so no pair set is built under
+                // either `candidates` value; labels come out compact.
+                ensure_read_ids_fit(sketches.len())?;
+                let labels = RepresentativeIndex::new(&self.config).place_all(sketches);
+                (ClusterAssignment::from_labels(labels), None)
             }
             (Mode::Hierarchical, CandidateGen::Dense) => {
                 // Algorithm 2 — all-pairs matrix via row partitioning,
@@ -233,14 +224,22 @@ mod tests {
     #[test]
     fn greedy_runs_and_is_faster_shape() {
         let (reads, truth) = two_species(60, 2);
-        let result = MrMcMinH::new(config(Mode::Greedy, 0.55))
-            .run(&reads)
-            .unwrap();
-        let acc = mrmc_metrics::weighted_accuracy(&result.assignment, &truth, 1).unwrap();
-        assert!(acc > 80.0, "accuracy {acc}");
-        assert!(result.dendrogram.is_none());
-        // Only the sketch stage hits the MR substrate in greedy mode.
-        assert_eq!(result.pipeline.stages().len(), 1);
+        let dense = config(Mode::Greedy, 0.55);
+        for cfg in [dense, dense.banded()] {
+            let result = MrMcMinH::new(cfg).run(&reads).unwrap();
+            let acc = mrmc_metrics::weighted_accuracy(&result.assignment, &truth, 1).unwrap();
+            assert!(acc > 80.0, "accuracy {acc}");
+            assert!(result.dendrogram.is_none());
+            // Only the sketch stage hits the MR substrate in greedy
+            // mode, whichever way `candidates` points.
+            let stages: Vec<&str> = result
+                .pipeline
+                .stages()
+                .iter()
+                .map(|s| s.name.as_str())
+                .collect();
+            assert_eq!(stages, ["minwise-sketch"], "{:?}", cfg.candidates);
+        }
     }
 
     #[test]

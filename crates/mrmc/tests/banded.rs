@@ -9,7 +9,9 @@ use std::sync::Arc;
 use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
 use mrmc::stages::sketch_stage;
 use mrmc::{MrMcConfig, MrMcMinH};
-use mrmc_cluster::{agglomerative, cut_dendrogram, CondensedMatrix, Linkage};
+use mrmc_cluster::{
+    agglomerative, cut_dendrogram, greedy_cluster, ClusterAssignment, CondensedMatrix, Linkage,
+};
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_minhash::{positional_similarity, Sketch};
@@ -26,61 +28,73 @@ fn sketches_of(reads: &[mrmc_seqio::SeqRecord], cfg: &MrMcConfig) -> Vec<Sketch>
     sketch_stage(reads, cfg, &mut p).expect("sketch stage")
 }
 
-/// The tentpole contract: on the seed 16S corpus, the banded pipeline
-/// produces *bit-identical* cluster assignments to the dense oracle in
-/// both clustering modes, at θ whose `f32` image rounds down (0.95,
-/// 0.90) and up (0.80), with θ·n integral at the last two so pairs sit
-/// exactly on the cut. Greedy, single and complete linkage depend only
+/// Algorithm 1 as the `greedy_cluster` scan over `sketch_stage`'s
+/// output — the oracle of the greedy route, which runs the same code
+/// under either `candidates` value and so cannot be its own reference.
+fn greedy_scan(reads: &[mrmc_seqio::SeqRecord], cfg: &MrMcConfig) -> ClusterAssignment {
+    let sketches = sketches_of(reads, cfg);
+    greedy_cluster(sketches.len(), cfg.theta, |i, j| {
+        positional_similarity(&sketches[i], &sketches[j])
+    })
+    .compact()
+}
+
+/// The exactness contract: on the seed 16S corpus, `.banded()` gives
+/// *bit-identical* cluster assignments to the dense oracle in both
+/// clustering modes, at θ whose `f32` image rounds down (0.95, 0.90)
+/// and up (0.85, 0.80), with θ·n integral at 0.90 and 0.80 so pairs
+/// sit exactly on the cut. Greedy is held to the linear scan under
+/// both `candidates` values; single and complete linkage depend only
 /// on the pairs at or above θ and hold at every θ; average linkage
 /// reads the pruned sub-θ pairs as 0, so it is held where the corpus is
 /// θ-separated (0.95) and not below (DESIGN.md §5c).
 #[test]
 fn banded_clustering_identical_to_dense() {
     let reads = corpus(280.0, 9);
-    for theta in [0.95, 0.90, 0.80] {
-        let hierarchical = LINKAGES
-            .into_iter()
-            .filter(|&linkage| linkage != Linkage::Average || theta == 0.95)
-            .map(|linkage| MrMcConfig {
+    for theta in [0.95, 0.90, 0.85, 0.80] {
+        let greedy = MrMcConfig::sixteen_s().greedy().with_theta(theta);
+        let scan = greedy_scan(&reads, &greedy);
+        for cfg in [greedy, greedy.banded()] {
+            let run = MrMcMinH::new(cfg).run(&reads).expect("greedy run");
+            assert_eq!(run.assignment, scan, "θ = {theta}, {:?}", cfg.candidates);
+        }
+        for linkage in LINKAGES {
+            if linkage == Linkage::Average && theta != 0.95 {
+                continue;
+            }
+            let cfg = MrMcConfig {
                 linkage,
-                ..MrMcConfig::sixteen_s().hierarchical()
-            });
-        for cfg in [MrMcConfig::sixteen_s().greedy()]
-            .into_iter()
-            .chain(hierarchical)
-        {
-            let cfg = cfg.with_theta(theta);
-            let what = (theta, cfg.mode, cfg.linkage);
+                ..MrMcConfig::sixteen_s().hierarchical().with_theta(theta)
+            };
             let dense = MrMcMinH::new(cfg).run(&reads).expect("dense run");
             let banded = MrMcMinH::new(cfg.banded()).run(&reads).expect("banded run");
             assert_eq!(
                 banded.assignment, dense.assignment,
-                "{what:?}: banded assignments must match dense"
+                "θ = {theta}, {linkage:?}: banded assignments must match dense"
             );
-            assert_eq!(banded.num_clusters(), dense.num_clusters());
         }
     }
 }
 
-/// θ set before or after `.banded()` is the same run, and both are the
-/// dense run: the band layout is derived from the config's θ when the
-/// route asks for it, so no builder order can leave a stale one behind
-/// (`.banded().with_theta(0.9)` used to keep θ = 0.95's 3 × 16 bands
-/// and split clusters: 951 against dense's 922 on this corpus).
+/// θ set before or after `.banded()` is the same run, and both are
+/// Algorithm 1's scan: the band layout is derived from the config's θ
+/// when the route asks for it, so no builder order can leave a stale
+/// one behind (`.banded().with_theta(0.9)` used to keep θ = 0.95's
+/// 3 × 16 bands and split clusters: 951 against dense's 922 on this
+/// corpus).
 #[test]
 fn builder_order_is_irrelevant() {
     let reads = corpus(2000.0, 9);
     let base = MrMcConfig::sixteen_s().greedy();
-    for theta in [0.90, 0.85, 0.80] {
-        let dense = MrMcMinH::new(base.with_theta(theta))
-            .run(&reads)
-            .expect("dense run");
+    for theta in [0.95, 0.90, 0.85, 0.80] {
+        let scan = greedy_scan(&reads, &base.with_theta(theta));
         for cfg in [
+            base.with_theta(theta),
             base.banded().with_theta(theta),
             base.with_theta(theta).banded(),
         ] {
-            let banded = MrMcMinH::new(cfg).run(&reads).expect("banded run");
-            assert_eq!(banded.assignment, dense.assignment, "θ = {theta}");
+            let run = MrMcMinH::new(cfg).run(&reads).expect("greedy run");
+            assert_eq!(run.assignment, scan, "θ = {theta}, {:?}", cfg.candidates);
         }
     }
 }
