@@ -36,6 +36,12 @@ fn bench_linkage(c: &mut Criterion) {
             });
         }
     }
+    // The dense NN-chain at a size where the 8 MB distance buffer has
+    // left L2 (the ledger's dense workload runs it at n = 4 000).
+    let m = synthetic_matrix(2000);
+    group.bench_function(BenchmarkId::new("Average", 2000), |b| {
+        b.iter(|| agglomerative(std::hint::black_box(&m), Linkage::Average, 0.6))
+    });
     group.finish();
 
     let mut group = c.benchmark_group("linkage-sparse");

@@ -2,10 +2,13 @@
 //! (Eq. 3) vs the set-based estimator (Algorithm 1 line 9) vs exact
 //! Jaccard on the underlying k-mer sets, plus the positional
 //! estimator's before/after against the naive `reference` oracle
-//! (degeneracy rescan).
+//! (degeneracy rescan), and the all-pairs sweep through `&[Sketch]`
+//! against the same sweep through the packed `SketchPlane`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mrmc_minhash::{exact_jaccard, positional_similarity, reference, set_similarity, MinHasher};
+use mrmc_minhash::{
+    exact_jaccard, positional_similarity, reference, set_similarity, MinHasher, SketchPlane,
+};
 use mrmc_seqio::encode::kmer_set;
 
 fn synthetic_read(len: usize, salt: usize) -> Vec<u8> {
@@ -72,9 +75,60 @@ fn bench_reference_vs_optimized(c: &mut Criterion) {
     group.finish();
 }
 
+/// Before/after for the all-pairs stage's inner loop: every pair of
+/// 512 sketches (130 816 pairs) through `positional_similarity` on the
+/// sketch list, and through the packed plane (packing included).
+/// Asserted bit-equal on the benched set before timing.
+fn bench_all_pairs(c: &mut Criterion) {
+    const N: usize = 512;
+    let mut group = c.benchmark_group("similarity-all-pairs");
+    let hasher = MinHasher::for_kmer_size(5, 100, 7);
+    let sketches: Vec<_> = (0..N)
+        .map(|i| hasher.sketch_sequence(&synthetic_read(1000, i)).unwrap())
+        .collect();
+    let plane = SketchPlane::pack(&sketches).unwrap();
+    assert!(plane.is_narrow(), "k = 5 hashes below 2^31");
+    for i in 0..N {
+        for j in (i + 1)..N {
+            assert_eq!(
+                plane.similarity(i, j).to_bits(),
+                positional_similarity(&sketches[i], &sketches[j]).to_bits(),
+                "plane diverged at ({i}, {j})"
+            );
+        }
+    }
+
+    group.throughput(Throughput::Elements((N * (N - 1) / 2) as u64));
+    group.bench_function(BenchmarkId::new("positional", N), |bch| {
+        bch.iter(|| {
+            let sketches = std::hint::black_box(&sketches);
+            let mut sum = 0f32;
+            for i in 0..N {
+                for j in (i + 1)..N {
+                    sum += positional_similarity(&sketches[i], &sketches[j]) as f32;
+                }
+            }
+            sum
+        })
+    });
+    group.bench_function(BenchmarkId::new("plane", N), |bch| {
+        bch.iter(|| {
+            let plane = SketchPlane::pack(std::hint::black_box(&sketches)).unwrap();
+            let mut sum = 0f32;
+            for i in 0..N {
+                for j in (i + 1)..N {
+                    sum += plane.similarity(i, j) as f32;
+                }
+            }
+            sum
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30);
-    targets = bench_similarity, bench_reference_vs_optimized
+    targets = bench_similarity, bench_reference_vs_optimized, bench_all_pairs
 }
 criterion_main!(benches);

@@ -254,76 +254,106 @@ pub(crate) fn slink(n: usize, mut fill_row: impl FnMut(usize, &mut [f64])) -> Ve
 }
 
 /// Nearest-neighbour chain with Lance–Williams updates, on a mutable
-/// condensed *distance* copy: O(N²) time and O(N²) memory, the price
-/// of genuinely dense input. A θ-graph goes through
+/// flat *distance* copy of the condensed layout: O(N²) time and O(N²)
+/// memory, the price of genuinely dense input. A θ-graph goes through
 /// [`crate::sparse::agglomerative_sparse`], which emulates this
 /// function merge for merge on adjacency lists.
-#[allow(clippy::needless_range_loop)] // scans skip inactive clusters by index
+///
+/// Only live clusters are visited: their ids are kept as an ascending
+/// list, so a scan of cluster `a`'s neighbours is a walk down column
+/// `a` (rows `c < a`) followed by a walk along row `a` (`c > a`), and
+/// every cell is reached from its row's offset, computed once per row.
+/// Ties go to the smallest cluster id (strict `<` over ascending ids)
+/// except that the chain predecessor wins an equal distance, which is
+/// what makes the chain terminate.
 fn nn_chain(matrix: &CondensedMatrix, linkage: Linkage) -> Vec<Merge> {
     let n = matrix.len();
-    // Distance copy.
-    let mut dist = CondensedMatrix::build(n, |i, j| 1.0 - matrix.get(i, j));
-    let mut active: Vec<bool> = vec![true; n];
+    let mut dist: Vec<f32> = matrix
+        .as_slice()
+        .iter()
+        .map(|&s| (1.0 - f64::from(s)) as f32)
+        .collect();
+    // Cell `(i, j)`, `i < j`, lives at `base[i] + j − 1`: the first
+    // column of row `i` is `i + 1`.
+    let base: Vec<usize> = (0..n).map(|i| matrix.row_start(i) - i).collect();
+    let cell = |i: usize, j: usize| base[i.min(j)] + i.max(j) - 1;
+    let mut live: Vec<usize> = (0..n).collect();
     let mut size: Vec<usize> = vec![1; n];
-    // Representative item of each live cluster id (min item works for
-    // reporting merges).
     let mut merges = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
-    let mut remaining = n;
 
-    while remaining > 1 {
+    while live.len() > 1 {
         if chain.is_empty() {
-            let start = (0..n).find(|&c| active[c]).expect("remaining > 1");
-            chain.push(start);
+            chain.push(live[0]);
         }
         loop {
             let a = *chain.last().expect("chain nonempty");
-            // Nearest active neighbour of a (smallest index on ties).
+            let at = live.binary_search(&a).expect("chain holds live clusters");
+            // Nearest live neighbour of a (smallest id on ties).
             let mut best = usize::MAX;
-            let mut best_d = f64::INFINITY;
-            for c in 0..n {
-                if c != a && active[c] {
-                    let d = dist.get(a, c);
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
+            let mut best_d = f32::INFINITY;
+            for &c in &live[..at] {
+                let d = dist[base[c] + a - 1];
+                if d < best_d {
+                    best_d = d;
+                    best = c;
+                }
+            }
+            let row = base[a];
+            for &c in &live[at + 1..] {
+                let d = dist[row + c - 1];
+                if d < best_d {
+                    best_d = d;
+                    best = c;
                 }
             }
             // Reciprocal pair check: prefer the chain predecessor on
             // equal distance (guarantees termination).
             if chain.len() >= 2 {
                 let prev = chain[chain.len() - 2];
-                if best == prev || dist.get(a, prev) <= best_d {
+                let d_ab = dist[cell(a, prev)];
+                if best == prev || d_ab <= best_d {
                     // Merge a and prev.
                     chain.pop();
                     chain.pop();
-                    let d_ab = dist.get(a, prev);
                     let (keep, drop) = (a.min(prev), a.max(prev));
                     merges.push(Merge {
                         a: keep,
                         b: drop,
-                        similarity: 1.0 - d_ab,
+                        similarity: 1.0 - f64::from(d_ab),
                     });
-                    // Lance–Williams update of keep = a ∪ prev.
-                    for c in 0..n {
-                        if c != keep && c != drop && active[c] {
-                            let dk = dist.get(c, keep);
-                            let dd = dist.get(c, drop);
-                            let updated = match linkage {
-                                Linkage::Single => dk.min(dd),
-                                Linkage::Complete => dk.max(dd),
-                                Linkage::Average => {
-                                    let (sk, sd) = (size[keep] as f64, size[drop] as f64);
-                                    (sk * dk + sd * dd) / (sk + sd)
-                                }
-                            };
-                            dist.set(c, keep, updated);
-                        }
+                    live.remove(live.binary_search(&drop).expect("drop is live"));
+                    // Lance–Williams update of keep = a ∪ prev against
+                    // every other live cluster c: the pair (c, keep)
+                    // and the pair (c, drop) sit in row c while
+                    // c < keep, in rows keep and c while c < drop, in
+                    // rows keep and drop after that.
+                    let (sk, sd) = (size[keep] as f64, size[drop] as f64);
+                    let update = |dk: f32, dd: f32| -> f32 {
+                        let (dk, dd) = (f64::from(dk), f64::from(dd));
+                        let updated = match linkage {
+                            Linkage::Single => dk.min(dd),
+                            Linkage::Complete => dk.max(dd),
+                            Linkage::Average => (sk * dk + sd * dd) / (sk + sd),
+                        };
+                        updated as f32
+                    };
+                    let kept = live.binary_search(&keep).expect("keep is live");
+                    let below = live.partition_point(|&c| c < drop);
+                    let (keep_row, drop_row) = (base[keep], base[drop]);
+                    for &c in &live[..kept] {
+                        let ck = base[c] + keep - 1;
+                        dist[ck] = update(dist[ck], dist[base[c] + drop - 1]);
+                    }
+                    for &c in &live[kept + 1..below] {
+                        let ck = keep_row + c - 1;
+                        dist[ck] = update(dist[ck], dist[base[c] + drop - 1]);
+                    }
+                    for &c in &live[below..] {
+                        let ck = keep_row + c - 1;
+                        dist[ck] = update(dist[ck], dist[drop_row + c - 1]);
                     }
                     size[keep] += size[drop];
-                    active[drop] = false;
-                    remaining -= 1;
                     break;
                 }
             }
@@ -475,6 +505,135 @@ mod tests {
                 theta,
             );
             assert_eq!(ca.num_clusters(), cb.num_clusters(), "θ={theta}");
+        }
+    }
+
+    /// The NN-chain this module ran before the flat-buffer one, kept
+    /// verbatim as the oracle: every distance through `get`/`set`, every
+    /// scan over `0..n` skipping dead clusters.
+    #[allow(clippy::needless_range_loop)] // scans skip inactive clusters by index
+    fn reference_nn_chain(matrix: &CondensedMatrix, linkage: Linkage) -> Vec<Merge> {
+        let n = matrix.len();
+        // Distance copy.
+        let mut dist = CondensedMatrix::build(n, |i, j| 1.0 - matrix.get(i, j));
+        let mut active: Vec<bool> = vec![true; n];
+        let mut size: Vec<usize> = vec![1; n];
+        // Representative item of each live cluster id (min item works for
+        // reporting merges).
+        let mut merges = Vec::with_capacity(n - 1);
+        let mut chain: Vec<usize> = Vec::with_capacity(n);
+        let mut remaining = n;
+
+        while remaining > 1 {
+            if chain.is_empty() {
+                let start = (0..n).find(|&c| active[c]).expect("remaining > 1");
+                chain.push(start);
+            }
+            loop {
+                let a = *chain.last().expect("chain nonempty");
+                // Nearest active neighbour of a (smallest index on ties).
+                let mut best = usize::MAX;
+                let mut best_d = f64::INFINITY;
+                for c in 0..n {
+                    if c != a && active[c] {
+                        let d = dist.get(a, c);
+                        if d < best_d {
+                            best_d = d;
+                            best = c;
+                        }
+                    }
+                }
+                // Reciprocal pair check: prefer the chain predecessor on
+                // equal distance (guarantees termination).
+                if chain.len() >= 2 {
+                    let prev = chain[chain.len() - 2];
+                    if best == prev || dist.get(a, prev) <= best_d {
+                        // Merge a and prev.
+                        chain.pop();
+                        chain.pop();
+                        let d_ab = dist.get(a, prev);
+                        let (keep, drop) = (a.min(prev), a.max(prev));
+                        merges.push(Merge {
+                            a: keep,
+                            b: drop,
+                            similarity: 1.0 - d_ab,
+                        });
+                        // Lance–Williams update of keep = a ∪ prev.
+                        for c in 0..n {
+                            if c != keep && c != drop && active[c] {
+                                let dk = dist.get(c, keep);
+                                let dd = dist.get(c, drop);
+                                let updated = match linkage {
+                                    Linkage::Single => dk.min(dd),
+                                    Linkage::Complete => dk.max(dd),
+                                    Linkage::Average => {
+                                        let (sk, sd) = (size[keep] as f64, size[drop] as f64);
+                                        (sk * dk + sd * dd) / (sk + sd)
+                                    }
+                                };
+                                dist.set(c, keep, updated);
+                            }
+                        }
+                        size[keep] += size[drop];
+                        active[drop] = false;
+                        remaining -= 1;
+                        break;
+                    }
+                }
+                chain.push(best);
+            }
+        }
+        merges
+    }
+
+    /// The unsorted merge list — every pair, representative and height,
+    /// in production order — equals the oracle's.
+    fn assert_replays_reference(m: &CondensedMatrix, what: &str) {
+        for linkage in [Linkage::Complete, Linkage::Average, Linkage::Single] {
+            assert_eq!(
+                nn_chain(m, linkage),
+                reference_nn_chain(m, linkage),
+                "{what}, {linkage:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn flat_nn_chain_replays_reference_on_tie_heavy_matrices() {
+        for n in [2usize, 3, 7, 40] {
+            let all_equal = CondensedMatrix::build(n, |_, _| 0.35);
+            assert_replays_reference(&all_equal, &format!("all-equal, n={n}"));
+        }
+        // Items 3 and 11 have the same row: every neighbour of one is an
+        // equally near neighbour of the other.
+        let twin = |x: usize| if x == 11 { 3 } else { x };
+        let m = CondensedMatrix::build(16, |i, j| {
+            let (i, j) = (twin(i).min(twin(j)), twin(i).max(twin(j)));
+            if i == j {
+                1.0
+            } else {
+                ((i * 7 + j * 13) % 21) as f64 / 20.0
+            }
+        });
+        assert_replays_reference(&m, "duplicate row");
+    }
+
+    proptest::proptest! {
+        /// Similarities on the grid {0, 1/20, …, 1} — real sketch
+        /// similarities are multiples of `1/num_hashes` — so equal
+        /// distances, and equal Lance–Williams results, are everywhere.
+        #[test]
+        fn flat_nn_chain_replays_reference(n in 2usize..80, seed in proptest::prelude::any::<u64>()) {
+            let m = CondensedMatrix::build(n, |i, j| {
+                let mut h = seed
+                    ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15)
+                    ^ (j as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
+                h ^= h >> 33;
+                h = h.wrapping_mul(0xFF51AFD7ED558CCD);
+                h ^= h >> 33;
+                (h % 21) as f64 / 20.0
+            });
+            assert_replays_reference(&m, &format!("n={n}, seed={seed}"));
         }
     }
 

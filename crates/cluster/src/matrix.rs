@@ -6,6 +6,13 @@
 //! signal anyway. Construction is parallelized by *row partitioning*,
 //! matching the paper's "calculation of all pairwise similarity is
 //! performed in parallel by performing a row-wise partition".
+//!
+//! [`CondensedMatrix::get`] and [`CondensedMatrix::set`] are the
+//! random-access surface — Pig's `K` operator filling a matrix from
+//! pair tuples, SLINK reading one row at a time, tests. The bulk
+//! routes do not go through them: the all-pairs stage hands over the
+//! finished layout ([`CondensedMatrix::from_condensed`]) and the dense
+//! NN-chain works on its own copy of [`CondensedMatrix::as_slice`].
 
 use rayon::prelude::*;
 
@@ -86,6 +93,19 @@ impl CondensedMatrix {
         CondensedMatrix { n, data }
     }
 
+    /// Adopt `data` as the condensed layout of an `n`-item matrix:
+    /// row 0's `n − 1` entries `(0, 1..n)`, then row 1's `n − 2`, and
+    /// so on — what [`CondensedMatrix::as_slice`] returns. Panics
+    /// unless `data.len() == n·(n−1)/2`.
+    pub fn from_condensed(n: usize, data: Vec<f32>) -> CondensedMatrix {
+        assert_eq!(
+            data.len(),
+            n * n.saturating_sub(1) / 2,
+            "condensed layout of {n} items"
+        );
+        CondensedMatrix { n, data }
+    }
+
     /// Number of items.
     pub fn len(&self) -> usize {
         self.n
@@ -96,16 +116,23 @@ impl CondensedMatrix {
         self.n == 0
     }
 
+    /// Offset of row `i`'s first entry, `(i, i+1)`, in the condensed
+    /// layout: `sum_{r<i} (n−1−r) = i·n − i·(i+1)/2`.
+    #[inline]
+    pub(crate) fn row_start(&self, i: usize) -> usize {
+        i * self.n - i * (i + 1) / 2
+    }
+
     /// Condensed index of `(i, j)`, `i != j`.
     #[inline]
     fn index(&self, i: usize, j: usize) -> usize {
         debug_assert!(i != j, "diagonal not stored");
         let (i, j) = if i < j { (i, j) } else { (j, i) };
-        // Offset of row i = sum_{r<i} (n-1-r) = i·n − i·(i+1)/2.
-        i * self.n - i * (i + 1) / 2 + (j - i - 1)
+        self.row_start(i) + (j - i - 1)
     }
 
-    /// Value at `(i, j)`; panics on the diagonal or out of bounds.
+    /// Value at `(i, j)`; panics out of bounds, and on the diagonal in
+    /// debug builds.
     #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         assert!(i < self.n && j < self.n, "index out of bounds");
@@ -157,6 +184,26 @@ mod tests {
     }
 
     #[test]
+    fn from_condensed_adopts_the_layout() {
+        for n in [0usize, 1, 2, 5] {
+            let built = CondensedMatrix::build(n, |i, j| (i * 10 + j) as f64);
+            let adopted = CondensedMatrix::from_condensed(n, built.as_slice().to_vec());
+            assert_eq!(adopted, built, "n = {n}");
+            assert_eq!(adopted.len(), n);
+        }
+        let m = CondensedMatrix::from_condensed(5, (0..10).map(|x| x as f32).collect());
+        assert_eq!(m.get(0, 4), 3.0);
+        assert_eq!(m.get(1, 2), 4.0);
+        assert_eq!(m.get(4, 3), 9.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "condensed layout of 5 items")]
+    fn from_condensed_rejects_a_wrong_length() {
+        CondensedMatrix::from_condensed(5, vec![0.0; 9]);
+    }
+
+    #[test]
     fn tiny_sizes() {
         let m = CondensedMatrix::build(0, |_, _| 0.0);
         assert!(m.is_empty());
@@ -167,8 +214,9 @@ mod tests {
         assert_eq!(m.get(0, 1), 0.25);
     }
 
-    // The diagonal check is a debug_assert (get/set are the hottest
-    // loops in NN-chain), so it only fires in debug builds.
+    // The diagonal check is a debug_assert (Pig's K fill and SLINK's
+    // row fill call get/set once per pair), so it only fires in debug
+    // builds.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "diagonal")]

@@ -17,11 +17,14 @@
 //! paper's Algorithm 1 line 9 writes (`|s̄_a ∩ s̄_b| / |s̄_a ∪ s̄_b|` on
 //! sketch values) is kept as [`set_similarity`] for the
 //! `ablation_estimator` bin in `crates/bench`, which compares the two
-//! estimators' error.
+//! estimators' error. A stage that compares *every* pair packs its
+//! sketches into a [`SketchPlane`] first and reads the same estimator,
+//! bit for bit, off contiguous narrow lanes.
 
 pub mod banding;
 pub mod hash;
 pub mod jaccard;
+pub mod plane;
 pub mod prime;
 pub mod reference;
 pub mod sketch;
@@ -29,6 +32,7 @@ pub mod sketch;
 pub use banding::BandingScheme;
 pub use hash::{HashParams, UniversalHashFamily};
 pub use jaccard::{exact_jaccard, positional_similarity, set_similarity};
+pub use plane::{RaggedSketches, SketchPlane};
 pub use prime::{is_prime, next_prime};
 pub use sketch::{MinHasher, Sketch};
 

@@ -2,9 +2,10 @@
 
 use proptest::prelude::*;
 
+use mrmc_minhash::sketch::EMPTY_SLOT;
 use mrmc_minhash::{
     exact_jaccard, is_prime, next_prime, positional_similarity, reference, set_similarity,
-    BandingScheme, MinHasher, Sketch, UniversalHashFamily,
+    BandingScheme, MinHasher, Sketch, SketchPlane, UniversalHashFamily,
 };
 use mrmc_seqio::encode::{CanonicalKmerIter, KmerIter};
 
@@ -155,6 +156,71 @@ proptest! {
             let expect = assert_matches_reference(&hasher, &kmers, &format!("k = {k}"));
             let got = hasher.sketch_sequence(&read).unwrap();
             prop_assert_eq!(got.values(), expect.values(), "k = {}", k);
+        }
+    }
+
+    /// The packed plane is the textbook positional estimator, bit for
+    /// bit, on every pair — whichever lane the values select and
+    /// whichever of its two counts a pair takes. Each read contributes
+    /// its sketch (degenerate when shorter than k), a near copy's, and
+    /// a copy with positions knocked out, so full, partially empty and
+    /// fully empty rows all meet; `clash` plants a real `u32::MAX`.
+    #[test]
+    fn plane_matches_reference_similarity(
+        reads in proptest::collection::vec(dna(0, 90), 0..6),
+        k in proptest::sample::select(vec![5usize, 17, 24]),
+        n in proptest::sample::select(vec![1usize, 7, 8, 9, 50, 100]),
+        literal in any::<bool>(),
+        seed in any::<u64>(),
+        holes in any::<u64>(),
+        clash in any::<bool>(),
+    ) {
+        let hasher = hasher_for(k, n, seed, literal);
+        let mut sketches = Vec::new();
+        for (r, read) in reads.iter().enumerate() {
+            let full = hasher.sketch_sequence(read).unwrap();
+            let mut near = read.clone();
+            if let Some(base) = near.last_mut() {
+                *base = if *base == b'A' { b'C' } else { b'A' };
+            }
+            let punched = full
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(p, &v)| if holes >> ((r * 11 + p) % 64) & 1 == 1 { EMPTY_SLOT } else { v })
+                .collect();
+            sketches.push(hasher.sketch_sequence(&near).unwrap());
+            sketches.push(Sketch::from_values(punched));
+            sketches.push(full);
+        }
+        if clash {
+            // A real value that is the narrow lane's empty mark, shared
+            // by two rows so that it must also count as an agreement.
+            for s in sketches.iter_mut().take(2) {
+                let mut values = s.values().to_vec();
+                values[0] = u64::from(u32::MAX);
+                *s = Sketch::from_values(values);
+            }
+        }
+        let fits_narrow = sketches
+            .iter()
+            .flat_map(|s| s.values())
+            .all(|&v| v == EMPTY_SLOT || v < u64::from(u32::MAX));
+        let plane = SketchPlane::pack(&sketches).unwrap();
+        prop_assert_eq!(plane.len(), sketches.len());
+        prop_assert_eq!(plane.is_narrow(), fits_narrow, "k = {}", k);
+        if k == 5 && !clash {
+            prop_assert!(plane.is_narrow(), "both k = 5 families hash below 2^31");
+        }
+        for i in 0..sketches.len() {
+            for j in 0..sketches.len() {
+                let expect = reference::positional_similarity(&sketches[i], &sketches[j]);
+                prop_assert_eq!(
+                    plane.similarity(i, j).to_bits(),
+                    expect.to_bits(),
+                    "pair ({}, {}), k = {}, n = {}", i, j, k, n
+                );
+            }
         }
     }
 

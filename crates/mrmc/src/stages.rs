@@ -8,13 +8,16 @@
 //! Stage 2 (**all-pairs similarity**, map-only over *rows*): "the
 //! calculation of all pairwise similarity is performed in parallel by
 //! performing a row-wise partition" — each map task owns a strip of
-//! rows of the condensed matrix.
+//! rows of the condensed matrix. The sketches are packed once into a
+//! [`SketchPlane`] (contiguous `u32` lanes for every family the
+//! pipeline builds at k ≤ 16) that all tasks read, and the row strips
+//! the tasks emit are concatenated into the matrix.
 
 use mrmc_cluster::CondensedMatrix;
 use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
-use mrmc_minhash::{positional_similarity, MinHasher, Sketch};
+use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
 use mrmc_seqio::SeqRecord;
 
 use crate::config::MrMcConfig;
@@ -91,21 +94,13 @@ fn balanced_row_blocks(n: usize, tasks: usize) -> Vec<(usize, usize)> {
 }
 
 /// Stage-2 mapper: a contiguous block of matrix rows → one similarity
-/// strip per row. Borrows the sketch list (scoped-thread engine), so
-/// nothing is cloned into tasks.
-///
-/// Within a block the column range is walked in sub-blocks of
-/// [`RowBlockMapper::JBLOCK`] sketches: every row of the block scans a
-/// column sub-block while those sketches are hot in cache, instead of
-/// streaming the entire sketch list once per row.
+/// strip per row, read off the packed compare plane (borrowed — the
+/// engine runs mappers on scoped threads, so nothing is cloned into
+/// tasks). Every row streams the rows after it once; the whole plane
+/// of the largest dense workload is 1.6 MB, so there is no sub-block
+/// walk to keep operands in cache.
 struct RowBlockMapper<'a> {
-    sketches: &'a [Sketch],
-}
-
-impl RowBlockMapper<'_> {
-    /// Column sub-block width: at the default 100 hashes a sketch is
-    /// ~800 B of values, so 16 sketches (~13 KB) sit comfortably in L1.
-    const JBLOCK: usize = 16;
+    plane: &'a SketchPlane,
 }
 
 impl Mapper for RowBlockMapper<'_> {
@@ -115,23 +110,12 @@ impl Mapper for RowBlockMapper<'_> {
     type OutValue = Vec<f32>;
 
     fn map(&self, _block: usize, (r0, r1): (usize, usize), ctx: &mut TaskContext<usize, Vec<f32>>) {
-        let n = self.sketches.len();
-        let mut strips: Vec<Vec<f32>> = (r0..r1)
-            .map(|r| Vec::with_capacity(n.saturating_sub(r + 1)))
-            .collect();
-        let mut jb = r0 + 1;
-        while jb < n {
-            let jend = (jb + Self::JBLOCK).min(n);
-            for (strip, row) in strips.iter_mut().zip(r0..r1) {
-                for j in jb.max(row + 1)..jend {
-                    strip
-                        .push(positional_similarity(&self.sketches[row], &self.sketches[j]) as f32);
-                }
-            }
-            jb = jend;
-        }
+        let n = self.plane.len();
         let mut pairs = 0u64;
-        for (row, strip) in (r0..r1).zip(strips) {
+        for row in r0..r1 {
+            let strip: Vec<f32> = (row + 1..n)
+                .map(|j| self.plane.similarity(row, j) as f32)
+                .collect();
             pairs += strip.len() as u64;
             ctx.emit(row, strip);
         }
@@ -139,17 +123,25 @@ impl Mapper for RowBlockMapper<'_> {
     }
 }
 
-/// Run the all-pairs stage: one map task per pair-balanced row block.
-/// Tasks get the Hadoop default attempt budget (4).
+/// Run the all-pairs stage: one map task per pair-balanced row block,
+/// each emitting one strip per row. Tasks get the Hadoop default
+/// attempt budget (4). Sketches of unequal length are a
+/// [`MrError::BadConfig`] before any task runs.
+///
+/// Row `r`'s strip — its similarities to rows `r+1..n` — *is* row
+/// `r`'s slice of the condensed layout, so the driver assembles the
+/// matrix by putting the strips in row order, checking each one's
+/// length, and appending them.
 pub fn similarity_matrix_stage(
     sketches: Vec<Sketch>,
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<CondensedMatrix, MrError> {
     let n = sketches.len();
-    let mapper = RowBlockMapper {
-        sketches: &sketches,
-    };
+    let plane = SketchPlane::pack(&sketches)
+        .map_err(|ragged| MrError::BadConfig(format!("pairwise-similarity input: {ragged}")))?;
+    drop(sketches);
+    let mapper = RowBlockMapper { plane: &plane };
     let job = JobConfig::named("pairwise-similarity").attempts(4);
     // More, smaller tasks than the sketch stage, balanced by pair
     // count rather than row count.
@@ -157,23 +149,26 @@ pub fn similarity_matrix_stage(
     let blocks = balanced_row_blocks(n, tasks);
     let input: Vec<(usize, (usize, usize))> = blocks.into_iter().enumerate().collect();
     let num_tasks = input.len().max(1);
-    let rows = pipeline.run_map_stage(input, num_tasks, &mapper, &job)?;
+    let mut rows = pipeline.run_map_stage(input, num_tasks, &mapper, &job)?;
 
-    // Assemble the condensed matrix from row strips, keyed by row (the
-    // engine preserves task order, but keying by row makes assembly
-    // independent of emission order).
-    let mut matrix = CondensedMatrix::build(n, |_, _| 0.0);
-    for (row, strip) in rows {
-        for (k, v) in strip.into_iter().enumerate() {
-            matrix.set(row, row + 1 + k, f64::from(v));
-        }
+    // The engine preserves task order and tasks emit ascending rows,
+    // so the sort finds its input sorted; it is here so that assembly
+    // does not depend on either.
+    rows.sort_unstable_by_key(|&(row, _)| row);
+    assert_eq!(rows.len(), n, "one strip per row");
+    let mut data = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+    for (expected, (row, strip)) in rows.into_iter().enumerate() {
+        assert_eq!(row, expected, "one strip per row");
+        assert_eq!(strip.len(), n - 1 - row, "strip of row {row} of {n}");
+        data.extend_from_slice(&strip);
     }
-    Ok(matrix)
+    Ok(CondensedMatrix::from_condensed(n, data))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mrmc_minhash::positional_similarity;
 
     fn reads() -> Vec<SeqRecord> {
         vec![
@@ -247,8 +242,8 @@ mod tests {
     }
 
     #[test]
-    fn blocked_strips_match_direct_at_scale() {
-        // Enough rows to cross several column sub-blocks (JBLOCK = 16).
+    fn row_strips_match_direct_at_scale() {
+        // Enough rows for several multi-row blocks per task.
         let reads: Vec<SeqRecord> = (0..40)
             .map(|i| {
                 let seq: Vec<u8> = (0..60)
@@ -265,6 +260,23 @@ mod tests {
         });
         let via_mr = similarity_matrix_stage(sketches, &cfg, &mut p).unwrap();
         assert_eq!(via_mr, direct);
+    }
+
+    #[test]
+    fn ragged_sketches_are_a_typed_error_and_run_no_task() {
+        let ragged = vec![
+            Sketch::from_values(vec![1, 2, 3]),
+            Sketch::from_values(vec![1, 2, 3]),
+            Sketch::from_values(vec![1, 2]),
+        ];
+        let mut p = Pipeline::new("t");
+        match similarity_matrix_stage(ragged, &config(), &mut p) {
+            Err(MrError::BadConfig(msg)) => {
+                assert!(msg.contains("sketch 2 has 2 positions"), "{msg}")
+            }
+            other => panic!("expected BadConfig, got {other:?}"),
+        }
+        assert!(p.stages().is_empty(), "no stage, hence no task, ran");
     }
 
     #[test]
