@@ -1,11 +1,13 @@
 //! Sketching throughput: the `CalculateMinwiseHash` kernel at the
 //! paper's two operating points as the ledger's workloads run them
 //! (k = 5/n = 100 on 1 000 bp shotgun reads — the rank-table kernel;
-//! k = 15/n = 50 on 100 bp 16S reads — the blocked kernel), a
+//! k = 15/n = 50 on 100 bp 16S reads — the rolling kernel), a
 //! low-complexity read at k = 5 on the blocked side of the `d² ≥ 4^k`
 //! rule, and a sweep over sketch sizes, plus the before/after
 //! comparison against the naive `reference` oracle (per-(k-mer, i)
-//! double-`%` loop) the optimized kernels replaced.
+//! double-`%` loop) the optimized kernels replaced and, at k = 15,
+//! against the blocked walk over the k-mer stream that the rolling
+//! kernel replaced for sequences.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mrmc_minhash::{reference, MinHasher};
@@ -86,11 +88,13 @@ fn bench_sketching(c: &mut Criterion) {
     group.finish();
 }
 
-/// Before/after: the optimized kernels (rank table or blocked family
-/// walk, over Barrett-reduced Eq. 5) against the naive oracle they
-/// replaced. The two must be bit-identical — asserted here on the
-/// benched inputs before timing — so the only difference measured is
-/// speed.
+/// Before/after: the optimized kernels (rank table, blocked family
+/// walk over Barrett-reduced Eq. 5, or rolling residues) against the
+/// naive oracle they replaced, and above the rank table's range
+/// (k ≥ 8, where `sketch_sequence` rolls) against the blocked walk
+/// over the same read's k-mer stream. All must be bit-identical —
+/// asserted here on the benched inputs before timing — so the only
+/// difference measured is speed.
 fn bench_reference_vs_optimized(c: &mut Criterion) {
     let mut group = c.benchmark_group("sketching-before-after");
     for Case { k, n, read, label } in cases() {
@@ -107,6 +111,16 @@ fn bench_reference_vs_optimized(c: &mut Criterion) {
                 reference::sketch_kmers(&hasher, kmers)
             })
         });
+        if k >= 8 {
+            let blocked = hasher.sketch_kmers(KmerIter::new(&read, k).unwrap());
+            assert_eq!(optimized, blocked, "blocked walk diverged at {label}");
+            group.bench_function(BenchmarkId::new("blocked-walk", label), |b| {
+                b.iter(|| {
+                    let kmers = KmerIter::new(std::hint::black_box(&read[..]), k).unwrap();
+                    hasher.sketch_kmers(kmers)
+                })
+            });
+        }
         group.bench_function(BenchmarkId::new("optimized", label), |b| {
             b.iter(|| hasher.sketch_sequence(std::hint::black_box(&read)).unwrap())
         });

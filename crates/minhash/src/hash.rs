@@ -177,9 +177,12 @@ impl UniversalHashFamily {
         self.eval(self.params[i], x)
     }
 
-    /// Evaluate one parameter pair on `x` — the hot kernel. Callers
-    /// iterating the whole family (the sketcher's blocked loop) stream
-    /// [`Self::params`] directly and skip the per-call index lookup.
+    /// Evaluate one parameter pair on `x`. Callers iterating the whole
+    /// family (the blocked walk of [`crate::MinHasher::sketch_kmers`],
+    /// the rank table's build) stream [`Self::params`] directly and
+    /// skip the per-call index lookup. The rolling kernel of
+    /// [`crate::MinHasher::sketch_sequence`] does not call it: it steps
+    /// each residue from the previous k-mer's instead.
     #[inline]
     pub fn eval(&self, hp: HashParams, x: u64) -> u64 {
         if x <= self.word_max {
@@ -195,8 +198,8 @@ impl UniversalHashFamily {
     }
 
     /// [`Self::eval`] for `x ≤ word_max`, where `a·x + b` cannot leave
-    /// a `u64`. The sketcher's blocked loop tests its largest feature
-    /// once and calls this directly.
+    /// a `u64`. The blocked walk tests its largest feature once and
+    /// calls this directly.
     #[inline]
     pub(crate) fn eval_word(&self, hp: HashParams, x: u64) -> u64 {
         debug_assert!(x <= self.word_max);

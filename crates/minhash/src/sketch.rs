@@ -2,6 +2,7 @@
 
 use std::sync::{Arc, OnceLock};
 
+use mrmc_seqio::alphabet::encode_base;
 use mrmc_seqio::encode::{CanonicalKmerIter, KmerIter};
 use mrmc_seqio::SeqIoError;
 
@@ -124,6 +125,10 @@ pub struct MinHasher {
     /// the first read dense enough to use it; clones (one per stage,
     /// per session) share the one copy.
     ranks: Option<Arc<OnceLock<Vec<u16>>>>,
+    /// The rolling kernel's step constants, for families that allow it
+    /// above the rank table's range only (see [`rolling_steps`]); built
+    /// with the hasher and shared by its clones.
+    rolling: Option<Arc<[u64]>>,
 }
 
 impl MinHasher {
@@ -164,11 +169,13 @@ impl MinHasher {
             family.m
         );
         let small = 1usize << (2 * k) <= RANK_TABLE_MAX_SPACE;
+        let rolling = (!small && rolls(&family)).then(|| rolling_steps(k, &family));
         MinHasher {
             family,
             k,
             canonical: false,
             ranks: small.then(Arc::default),
+            rolling,
         }
     }
 
@@ -216,7 +223,9 @@ impl MinHasher {
     ///
     /// Both are bit-identical to [`crate::reference::sketch_kmers`]
     /// (min is order-independent and idempotent, so reordering and
-    /// deduplication cannot change it).
+    /// deduplication cannot change it). Features here are arbitrary
+    /// `u64`s, so the rolling kernel of [`Self::sketch_sequence`],
+    /// which needs consecutive k-mers of one sequence, never runs here.
     pub fn sketch_kmers(&self, kmers: impl IntoIterator<Item = u64>) -> Sketch {
         let mut kmers = kmers.into_iter();
         let mut values = vec![EMPTY_SLOT; self.family.len()];
@@ -309,15 +318,127 @@ impl MinHasher {
 
     /// Sketch a DNA sequence directly (k-mer extraction + hashing in
     /// one pass — what the `CalculateMinwiseHash` UDF does per record).
+    ///
+    /// A strand-sensitive hasher whose family allows it (`k ≥ 8`, `m`
+    /// a power of two with `5(p − m) < m`, `p < 2^32`: both k-mer
+    /// families at k = 8..=15) runs the **rolling kernel**: each base
+    /// steps every residue `(a_i·x + b_i) mod p` from the previous
+    /// k-mer's, with no k-mer buffer, sort or dedup and no Eq. 5
+    /// evaluation at all. Every other hasher — canonical, `k ≤ 7`,
+    /// `k ≥ 16`, other families — feeds the k-mer stream to
+    /// [`Self::sketch_kmers`]. All are bit-identical to
+    /// [`crate::reference::sketch_kmers`] over [`KmerIter`] (or
+    /// [`CanonicalKmerIter`]).
     pub fn sketch_sequence(&self, seq: &[u8]) -> Result<Sketch, SeqIoError> {
         if self.canonical {
             let iter = CanonicalKmerIter::new(seq, self.k)?;
-            Ok(self.sketch_kmers(iter))
-        } else {
-            let iter = KmerIter::new(seq, self.k)?;
-            Ok(self.sketch_kmers(iter))
+            return Ok(self.sketch_kmers(iter));
+        }
+        match &self.rolling {
+            Some(steps) => Ok(self.sketch_rolling(seq, steps)),
+            None => Ok(self.sketch_kmers(KmerIter::new(seq, self.k)?)),
         }
     }
+
+    /// The rolling kernel (see [`rolling_steps`] for the recurrence).
+    ///
+    /// `x` starts at 0 (`r_i = b_i`) and is the last `k` valid bases
+    /// packed, with the residues always `(a_i·x + b_i) mod p` for it. A
+    /// base [`encode_base`] rejects resets only the fill count, exactly
+    /// where [`KmerIter`] resets: `x` and the residues keep rolling
+    /// across it, and `k` valid bases later every base before it has
+    /// been shifted out, so the first window folded is `KmerIter`'s.
+    fn sketch_rolling(&self, seq: &[u8], steps: &[u64]) -> Sketch {
+        let family = &self.family;
+        let (n, p, m) = (family.len(), family.p, family.m);
+        let shift = m.trailing_zeros();
+        let top_shift = 2 * (self.k - 1);
+        let window = (1u64 << (2 * self.k)) - 1;
+        let mut residues: Vec<u64> = family.params().iter().map(|hp| hp.b).collect();
+        // `m` is above every `h_i`, so it doubles as "no window yet".
+        let mut minima = vec![m; n];
+        let mut x = 0u64;
+        let mut filled = 0;
+        for &base in seq {
+            let Some(c) = encode_base(base) else {
+                filled = 0;
+                continue;
+            };
+            let c = u64::from(c);
+            let row = &steps[(4 * (x >> top_shift) + c) as usize * n..][..n];
+            x = (x << 2 | c) & window;
+            filled += 1;
+            if filled < self.k {
+                for (r, &d) in residues.iter_mut().zip(row) {
+                    *r = roll(*r, d, p, shift);
+                }
+            } else {
+                for ((r, &d), lo) in residues.iter_mut().zip(row).zip(&mut minima) {
+                    *r = roll(*r, d, p, shift);
+                    *lo = lower(*lo, *r & (m - 1));
+                }
+            }
+        }
+        // A window fills every slot at once, so slot 0 speaks for all.
+        if minima[0] == m {
+            minima.fill(EMPTY_SLOT);
+        }
+        Sketch::from_values(minima)
+    }
+}
+
+/// Whether `family` admits the rolling step: `m` a power of two, so
+/// `s >> log₂m` estimates `⌊s/p⌋` to within one for `s < 5p` (that
+/// needs `5(p − m) < m`) and `r & (m − 1)` is `r mod m` (`p < 2m`),
+/// and `p < 2^32`, so the quotient estimate times `p` is a 32×32-bit
+/// product and `4r + D` fits a word.
+fn rolls(family: &UniversalHashFamily) -> bool {
+    let (p, m) = (family.p, family.m);
+    m.is_power_of_two() && p < 1 << 32 && 5 * (p - m) < m
+}
+
+/// The rolling kernel's constants. Appending base `c` to the k-mer `x`
+/// whose top base is `t = x >> 2(k−1)` gives `x' = 4x + c − t·4^k`, so
+/// with `r = (a_i·x + b_i) mod p`
+///
+/// `r' = (4r + D_i[t][c]) mod p`, `D_i[t][c] = (a_i·c − 3b_i − a_i·t·4^k) mod p`,
+///
+/// and a read starts from `x = 0` (`r = b_i`). Row `4t + c` of the
+/// result holds `D_i[t][c]` for `i = 0..n`, so one step reads one
+/// contiguous row.
+fn rolling_steps(k: usize, family: &UniversalHashFamily) -> Arc<[u64]> {
+    let params = family.params();
+    let n = params.len();
+    let p = i128::from(family.p);
+    let span = 1i128 << (2 * k);
+    (0..16 * n)
+        .map(|j| {
+            let (row, hp) = (j / n, params[j % n]);
+            let (top, c) = ((row / 4) as i128, (row % 4) as i128);
+            let (a, b) = (i128::from(hp.a), i128::from(hp.b));
+            (a * c - 3 * b - a * top * span).rem_euclid(p) as u64
+        })
+        .collect()
+}
+
+/// `(4r + d) mod p` for `r, d < p`, compare-free. `s = 4r + d < 5p`;
+/// `q̂ = s >> log₂m` is `⌊s/p⌋` or one more (see [`rolls`]), so
+/// `t = s − q̂·p` is the residue or the residue minus `p`, and its sign
+/// bit says which.
+#[inline(always)]
+fn roll(r: u64, d: u64, p: u64, shift: u32) -> u64 {
+    let s = 4 * r + d;
+    // q̂ ≤ 5 and p < 2^32: a 32×32→64-bit product.
+    let qp = u64::from((s >> shift) as u32) * u64::from(p as u32);
+    let t = s.wrapping_sub(qp);
+    t.wrapping_add(p & (t >> 63).wrapping_neg())
+}
+
+/// `min(lo, h)` for `lo, h < 2^63`, from the sign of `h − lo`.
+#[inline(always)]
+fn lower(lo: u64, h: u64) -> u64 {
+    let d = h.wrapping_sub(lo);
+    lo.wrapping_add(d & (d >> 63).wrapping_neg())
 }
 
 /// The blocked kernel: min-fold `eval` over `features` into `values`,
@@ -507,6 +628,45 @@ mod tests {
         assert_eq!(table(&hasher), table(&clone));
         // Above the cap there is no table to build.
         assert!(MinHasher::for_kmer_size(8, 4, 3).ranks.is_none());
+    }
+
+    #[test]
+    fn rolling_constants_follow_k_family_and_strand() {
+        use mrmc_seqio::encode::CanonicalKmerIter;
+        let literal = |k| {
+            MinHasher::with_family(k, UniversalHashFamily::for_kmer_size_paper_literal(k, 9, 3))
+        };
+        // `MrMcConfig::sixteen_s().hasher()` is k = 15, n = 50 on the
+        // default family; paper-literal k = 8 and 15 roll too.
+        let sixteen_s = MinHasher::for_kmer_size(15, 50, 42);
+        for h in [&sixteen_s, &literal(8), &literal(15)] {
+            assert_eq!(
+                h.rolling.as_ref().map(|s| s.len()),
+                Some(16 * h.num_hashes())
+            );
+        }
+        // The rank table's range and k = 31 (p > 2^32) do not.
+        for k in [1, 5, 7, 16, 31] {
+            assert!(
+                MinHasher::for_kmer_size(k, 9, 3).rolling.is_none(),
+                "k = {k}"
+            );
+            assert!(literal(k).rolling.is_none(), "literal k = {k}");
+        }
+        // Clones share one copy; a canonical clone keeps it but takes
+        // the k-mer path (a rolled forward-strand sketch would differ).
+        let clone = sixteen_s.clone();
+        let canonical = sixteen_s.clone().canonical();
+        let constants = |h: &MinHasher| h.rolling.as_ref().map(|s| s.as_ptr());
+        assert_eq!(constants(&clone), constants(&sixteen_s));
+        assert_eq!(constants(&canonical), constants(&sixteen_s));
+        let read = b"GATTACAGGCTTACCGATNNCATGCAAGTCCGATTAGGCTAC";
+        let expect =
+            crate::reference::sketch_kmers(&canonical, CanonicalKmerIter::new(read, 15).unwrap());
+        assert_eq!(canonical.sketch_sequence(read).unwrap(), expect);
+        let forward = crate::reference::sketch_kmers(&clone, KmerIter::new(read, 15).unwrap());
+        assert_eq!(clone.sketch_sequence(read).unwrap(), forward);
+        assert_ne!(expect, forward);
     }
 
     #[test]
