@@ -7,6 +7,19 @@
 //! `GreedyClustering`), so [`algorithm3_script`] runs end-to-end on
 //! the mini-Pig engine.
 //!
+//! Algorithm 3 is the native pipeline spelled in Pig: its UDFs sketch,
+//! compare and place through the kernels [`crate::MrMcMinH::run`]
+//! uses. `CalculateMinwiseHash` sketches with the
+//! [`MrMcConfig::hasher`] of `MrMcConfig { kmer: $KMER, num_hashes:
+//! $NUMHASH, seed: $DIV, .. }` (`$DIV` seeds the parameter draw; the
+//! range follows k, DESIGN.md §3b), `CalculatePairwiseSimilarity`
+//! reads a [`SketchPlane`], `AgglomerativeHierarchicalClustering` runs
+//! [`agglomerative`] and `GreedyClustering` places reads through a
+//! [`RepresentativeIndex`]. So at equal `(k, n, seed, θ, linkage)` both
+//! STORE outputs label the reads as a dense `MrMcMinH::run` over the
+//! reads in id order (the order `GROUP C BY seqid2` hands them on)
+//! does, up to label numbering.
+//!
 //! One documented deviation from the paper's listing: Algorithm 3
 //! computes minwise hashes with a bare `FOREACH` over *individual
 //! k-mer rows*, which cannot see a whole sequence's k-mer set — the
@@ -19,13 +32,16 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mrmc_cluster::{agglomerative, greedy_cluster, CondensedMatrix, Linkage};
-use mrmc_minhash::hash::UniversalHashFamily;
+use mrmc_cluster::{agglomerative, CondensedMatrix, Linkage};
+use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
 use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
 use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, BatchUdf, UdfError};
 use mrmc_pig::{Udf, UdfRegistry, Value};
 use mrmc_seqio::encode::KmerIter;
 use mrmc_seqio::fasta::read_fasta_bytes;
+
+use crate::config::MrMcConfig;
+use crate::incremental::RepresentativeIndex;
 
 /// Register every Algorithm 3 UDF, scalar implementations plus the
 /// native batch kernels for the five hot transforms (the loader and
@@ -54,7 +70,7 @@ A = LOAD '$INPUT' USING FastaStorage AS (readid:chararray, d:int, seq:bytearray,
 B = FOREACH A GENERATE FLATTEN(StringGenerator(seq, readid)) AS (seq:chararray, seqid:chararray);
 C = FOREACH B GENERATE FLATTEN(TranslateToKmer(seq, seqid, $KMER)) AS (seqkmer:long, seqid2:chararray);
 G = GROUP C BY seqid2;
-E = FOREACH G GENERATE FLATTEN(CalculateMinwiseHash(C, $NUMHASH, $DIV)) AS (minwise:bag, seqid3:chararray);
+E = FOREACH G GENERATE FLATTEN(CalculateMinwiseHash(C, $KMER, $NUMHASH, $DIV)) AS (minwise:bag, seqid3:chararray);
 I = GROUP E ALL;
 J = FOREACH E GENERATE FLATTEN(CalculatePairwiseSimilarity(minwise, seqid3, I.E)) AS (seqid4:chararray, simrow:bag);
 II = GROUP J ALL;
@@ -65,52 +81,16 @@ STORE L INTO '$OUTPUT2';
 "#
 }
 
-/// Suggest `$CUTOFF` for the Pig path. The Pig UDF family hashes into
-/// `Z_p` without the `mod m` range compression of Eq. 5 (see
-/// `family_for`), so its similarity estimates sit slightly *below*
-/// the native path's (which inherits Eq. 5's collision bias at small
-/// `4^k`); the threshold must be chosen on the same scale that the
-/// clustering UDFs will see.
-pub fn suggest_theta_pig(
-    reads: &[mrmc_seqio::SeqRecord],
-    kmer: usize,
-    numhash: usize,
-    div: u64,
-    sample: usize,
-) -> f64 {
-    if reads.len() < 2 {
-        return 0.5;
-    }
-    let sample = sample.clamp(2, reads.len());
-    let stride = (reads.len() / sample).max(1);
-    let family = family_for(numhash, div);
-    let sketches: Vec<Vec<i64>> = reads
-        .iter()
-        .step_by(stride)
-        .take(sample)
-        .map(|r| {
-            let mut mins = vec![u64::MAX; numhash];
-            if let Ok(iter) = KmerIter::new(&r.seq, kmer) {
-                for km in iter {
-                    min_fold(&family, &mut mins, km);
-                }
-            }
-            mins.into_iter().map(|v| v as i64).collect()
-        })
-        .collect();
-    let mut sims = Vec::with_capacity(sketches.len() * (sketches.len() - 1) / 2);
-    for i in 0..sketches.len() {
-        for j in (i + 1)..sketches.len() {
-            sims.push(raw_similarity(&sketches[i], &sketches[j]));
-        }
-    }
-    crate::threshold::otsu_threshold(&sims)
-}
-
 fn arg_i64(udf: &str, args: &[Value], idx: usize, what: &str) -> Result<i64, UdfError> {
     args.get(idx)
         .and_then(Value::as_i64)
         .ok_or_else(|| UdfError::new(udf, format!("argument {idx} must be {what} (integer)")))
+}
+
+/// A count argument (`$KMER`, `$NUMHASH`): a non-negative integer.
+fn arg_count(udf: &str, args: &[Value], idx: usize, what: &str) -> Result<usize, UdfError> {
+    let v = arg_i64(udf, args, idx, what)?;
+    usize::try_from(v).map_err(|_| UdfError::new(udf, format!("{what} is {v}, below 0")))
 }
 
 fn arg_f64(udf: &str, args: &[Value], idx: usize, what: &str) -> Result<f64, UdfError> {
@@ -167,10 +147,19 @@ impl Udf for FastaStorage {
     }
 }
 
-/// `StringGenerator(seq, readid)` — normalizes the DNA alphabet
-/// (upper-case, `U`→`T`) and passes the id through; the integer
-/// encoding itself happens inside `TranslateToKmer`, which packs
-/// each k-mer into a long.
+/// `StringGenerator`'s kernel: `seq` with its DNA alphabet normalized
+/// (upper-case, `U`→`T`), appended to `out`. The k-mer encoder reads
+/// either case and `U` as `T` anyway, so this changes no sketch.
+fn normalize_into(seq: &[u8], out: &mut Vec<u8>) {
+    out.extend(seq.iter().map(|&c| match c.to_ascii_uppercase() {
+        b'U' => b'T',
+        up => up,
+    }));
+}
+
+/// `StringGenerator(seq, readid)` — normalizes the DNA alphabet and
+/// passes the id through; the integer encoding itself happens inside
+/// `TranslateToKmer`, which packs each k-mer into a long.
 pub struct StringGenerator;
 impl Udf for StringGenerator {
     fn name(&self) -> &str {
@@ -182,12 +171,21 @@ impl Udf for StringGenerator {
             .and_then(Value::as_bytes)
             .ok_or_else(|| UdfError::new("StringGenerator", "argument 0 must be the sequence"))?;
         let id = arg_str("StringGenerator", args, 1, "the read id")?;
-        let norm: String = seq.iter().map(|&c| norm_base(c) as char).collect();
+        let mut norm = Vec::with_capacity(seq.len());
+        normalize_into(seq, &mut norm);
         Ok(Value::tuple([
-            Value::CharArray(norm),
+            Value::CharArray(String::from_utf8_lossy(&norm).into_owned()),
             Value::CharArray(id.to_string()),
         ]))
     }
+}
+
+/// `TranslateToKmer`'s kernel: the k-mers of `seq`, each packed into
+/// the long the Pig data model carries it in.
+fn translate(seq: &[u8], k: usize) -> Result<impl Iterator<Item = i64> + '_, UdfError> {
+    let iter =
+        KmerIter::new(seq, k).map_err(|e| UdfError::new("TranslateToKmer", e.to_string()))?;
+    Ok(iter.map(|km| km as i64))
 }
 
 /// `TranslateToKmer(seq, seqid, k)` — bag of `(kmer:long, seqid)`.
@@ -200,147 +198,160 @@ impl Udf for TranslateToKmer {
         let seq = arg_str("TranslateToKmer", args, 0, "the sequence")?;
         let id = arg_str("TranslateToKmer", args, 1, "the read id")?;
         let k = arg_i64("TranslateToKmer", args, 2, "the k-mer size")? as usize;
-        let iter = KmerIter::new(seq.as_bytes(), k)
-            .map_err(|e| UdfError::new("TranslateToKmer", e.to_string()))?;
         Ok(Value::bag(
-            iter.map(|km| Value::tuple([Value::Long(km as i64), Value::CharArray(id.to_string())]))
+            translate(seq.as_bytes(), k)?
+                .map(|km| Value::tuple([Value::Long(km), Value::CharArray(id.to_string())]))
                 .collect::<Vec<_>>(),
         ))
     }
 }
 
-/// Build the hash family for a given `$NUMHASH`/`$DIV`. The prime
-/// `$DIV` doubles as the deterministic parameter seed, mirroring how
-/// the paper's UDF takes only those two knobs. `(a·x + b) mod p` is a
-/// bijection on `Z_p`, so the extra `mod m` range-compression of
-/// Eq. 5 is unnecessary here (and skipping it removes avoidable
-/// collisions).
-fn family_for(numhash: usize, div: u64) -> UniversalHashFamily {
-    UniversalHashFamily::new(numhash, div, div)
+/// The sketcher of `CalculateMinwiseHash(_, $KMER, $NUMHASH, $DIV)`:
+/// the [`MrMcConfig::hasher`] of the config those arguments spell,
+/// `$DIV` seeding the hash parameter draw, validated as
+/// [`crate::MrMcMinH`] validates its config.
+fn script_hasher(args: &[Value]) -> Result<MinHasher, UdfError> {
+    let udf = "CalculateMinwiseHash";
+    let config = MrMcConfig {
+        kmer: arg_count(udf, args, 1, "$KMER")?,
+        num_hashes: arg_count(udf, args, 2, "$NUMHASH")?,
+        seed: arg_i64(udf, args, 3, "$DIV")? as u64,
+        ..MrMcConfig::default()
+    };
+    config.validate().map_err(|e| UdfError::new(udf, e))?;
+    Ok(config.hasher())
 }
 
-/// Eq. 5's min-fold: lower every sketch slot that `kmer` hashes below.
-#[inline]
-fn min_fold(family: &UniversalHashFamily, mins: &mut [u64], kmer: u64) {
-    for (slot, &hp) in mins.iter_mut().zip(family.params()) {
-        let h = family.eval(hp, kmer);
-        if h < *slot {
-            *slot = h;
-        }
-    }
+/// `CalculateMinwiseHash`'s kernel: the sketch of one group's k-mers,
+/// appended to `out` as longs (the empty slot `u64::MAX` is `-1`).
+fn minwise(hasher: &MinHasher, kmers: impl IntoIterator<Item = i64>, out: &mut Vec<i64>) {
+    let sketch = hasher.sketch_kmers(kmers.into_iter().map(|km| km as u64));
+    out.extend(sketch.values().iter().map(|&v| v as i64));
 }
 
-/// `CalculateMinwiseHash(kmer_bag, numhash, div)` — the grouped bag of
-/// `(kmer, seqid)` rows for one sequence → `(sketch:bag(long), seqid)`.
+/// `CalculateMinwiseHash(kmer_bag, k, numhash, div)` — the grouped bag
+/// of `(kmer, seqid)` rows for one sequence → `(sketch:bag(long), seqid)`.
 pub struct CalculateMinwiseHash;
 impl Udf for CalculateMinwiseHash {
     fn name(&self) -> &str {
         "CalculateMinwiseHash"
     }
     fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let rows = arg_bag("CalculateMinwiseHash", args, 0, "the grouped k-mer rows")?;
-        let numhash = arg_i64("CalculateMinwiseHash", args, 1, "$NUMHASH")? as usize;
-        let div = arg_i64("CalculateMinwiseHash", args, 2, "$DIV")? as u64;
-        if numhash == 0 {
-            return Err(UdfError::new(
-                "CalculateMinwiseHash",
-                "$NUMHASH must be ≥ 1",
-            ));
-        }
-        let family = family_for(numhash, div);
-
-        let mut seqid: Option<String> = None;
-        let mut mins = vec![u64::MAX; numhash];
+        let rows = arg_bag(self.name(), args, 0, "the grouped k-mer rows")?;
+        let hasher = script_hasher(args)?;
+        let mut kmers = Vec::with_capacity(rows.len());
         for row in rows {
             let t = row
                 .as_tuple()
-                .ok_or_else(|| UdfError::new("CalculateMinwiseHash", "rows must be tuples"))?;
-            let kmer = t.first().and_then(Value::as_i64).ok_or_else(|| {
-                UdfError::new("CalculateMinwiseHash", "row field 0 must be the k-mer")
-            })? as u64;
-            if seqid.is_none() {
-                seqid = t.get(1).and_then(Value::as_str).map(str::to_string);
-            }
-            min_fold(&family, &mut mins, kmer);
+                .ok_or_else(|| UdfError::new(self.name(), "rows must be tuples"))?;
+            let kmer = t
+                .first()
+                .and_then(Value::as_i64)
+                .ok_or_else(|| UdfError::new(self.name(), "row field 0 must be the k-mer"))?;
+            kmers.push(kmer);
         }
-        let seqid =
-            seqid.ok_or_else(|| UdfError::new("CalculateMinwiseHash", "empty k-mer group"))?;
+        let seqid = rows
+            .first()
+            .and_then(Value::as_tuple)
+            .and_then(|t| t.get(1))
+            .and_then(Value::as_str)
+            .ok_or_else(|| UdfError::new(self.name(), "empty k-mer group"))?;
+        let mut sketch = Vec::with_capacity(hasher.num_hashes());
+        minwise(&hasher, kmers, &mut sketch);
         Ok(Value::tuple([
-            Value::bag(
-                mins.into_iter()
-                    .map(|v| Value::Long(v as i64))
-                    .collect::<Vec<_>>(),
-            ),
-            Value::CharArray(seqid),
+            Value::bag(sketch.into_iter().map(Value::Long).collect::<Vec<_>>()),
+            Value::CharArray(seqid.to_string()),
         ]))
     }
 }
 
-/// A sketch slot no k-mer reached: `u64::MAX`, as the `long` that
-/// carries it through the Pig data model.
-const EMPTY_SLOT: i64 = u64::MAX as i64;
-
-/// Decode a sketch bag into its minwise values, as the longs it holds.
-fn sketch_values(udf: &str, v: &Value) -> Result<Vec<i64>, UdfError> {
-    v.as_bag()
-        .ok_or_else(|| UdfError::new(udf, "sketch must be a bag of longs"))?
-        .iter()
-        .map(|x| {
-            x.as_i64()
-                .ok_or_else(|| UdfError::new(udf, "sketch entries must be longs"))
-        })
-        .collect()
+/// A sketch as the Pig data model carries it: a bag of longs.
+fn sketch_of(udf: &str, v: &Value) -> Result<Sketch, UdfError> {
+    let bag = v
+        .as_bag()
+        .ok_or_else(|| UdfError::new(udf, "sketch must be a bag of longs"))?;
+    // Sized up front: a collect through `Result` would grow it.
+    let mut values = Vec::with_capacity(bag.len());
+    for x in bag {
+        let long = x
+            .as_i64()
+            .ok_or_else(|| UdfError::new(udf, "sketch entries must be longs"))?;
+        values.push(long as u64);
+    }
+    Ok(Sketch::from_values(values))
 }
 
-/// Positional agreement of two raw sketches — the one similarity
-/// every Pig-route UDF and kernel computes.
-fn raw_similarity(a: &[i64], b: &[i64]) -> f64 {
-    if a.is_empty() || a.len() != b.len() {
-        return 0.0;
+/// Decode `(sketch:bag(long), seqid)` rows — the `E` relation — into
+/// ids and sketches, in row order.
+fn sketch_rows<'a>(udf: &str, rows: &'a [Value]) -> Result<(Vec<&'a str>, Vec<Sketch>), UdfError> {
+    let mut ids = Vec::with_capacity(rows.len());
+    let mut sketches = Vec::with_capacity(rows.len());
+    for row in rows {
+        let t = row
+            .as_tuple()
+            .ok_or_else(|| UdfError::new(udf, "sketch rows must be tuples"))?;
+        sketches.push(sketch_of(udf, t.first().unwrap_or(&Value::Null))?);
+        let id = t
+            .get(1)
+            .and_then(Value::as_str)
+            .ok_or_else(|| UdfError::new(udf, "missing seqid"))?;
+        ids.push(id);
     }
-    let agree = a
-        .iter()
-        .zip(b)
-        .filter(|(x, y)| x == y && **x != EMPTY_SLOT)
-        .count();
-    agree as f64 / a.len() as f64
+    Ok((ids, sketches))
+}
+
+/// Every sketch must be `width` long; the error names the first that
+/// is not.
+fn check_widths(
+    udf: &str,
+    ids: &[&str],
+    sketches: &[Sketch],
+    width: usize,
+) -> Result<(), UdfError> {
+    match ids.iter().zip(sketches).find(|(_, s)| s.len() != width) {
+        Some((id, s)) => Err(UdfError::new(
+            udf,
+            format!("sketch of {id} has {} positions, expected {width}", s.len()),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// `CalculatePairwiseSimilarity`'s kernel: row `me` of `plane` against
+/// each relation row `0..ids.len()` whose id is not `my_id`.
+fn similarity_row<'p>(
+    plane: &'p SketchPlane,
+    ids: &'p [&'p str],
+    me: usize,
+    my_id: &'p [u8],
+) -> impl Iterator<Item = (&'p str, f64)> + 'p {
+    ids.iter()
+        .enumerate()
+        .filter(move |(_, id)| id.as_bytes() != my_id)
+        .map(move |(j, &id)| (id, plane.similarity(me, j)))
 }
 
 /// `CalculatePairwiseSimilarity(sketch, seqid, all_rows)` — one row of
 /// the similarity matrix: `(seqid, bag of (other_seqid, sim))`. The
 /// `all_rows` argument is the scalar `I.E` reference — the row-wise
 /// partition of Fig. 1: every invocation sees the whole relation but
-/// computes only its own row.
+/// computes only its own row. Sketches of unequal width are an error.
 pub struct CalculatePairwiseSimilarity;
 impl Udf for CalculatePairwiseSimilarity {
     fn name(&self) -> &str {
         "CalculatePairwiseSimilarity"
     }
     fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let me = sketch_values("CalculatePairwiseSimilarity", &args[0])?;
-        let my_id = arg_str("CalculatePairwiseSimilarity", args, 1, "the seqid")?;
-        let all = arg_bag("CalculatePairwiseSimilarity", args, 2, "the full relation")?;
-        let mut row = Vec::with_capacity(all.len().saturating_sub(1));
-        for other in all {
-            let t = other.as_tuple().ok_or_else(|| {
-                UdfError::new(
-                    "CalculatePairwiseSimilarity",
-                    "relation rows must be tuples",
-                )
-            })?;
-            let other_id = t
-                .get(1)
-                .and_then(Value::as_str)
-                .ok_or_else(|| UdfError::new("CalculatePairwiseSimilarity", "missing seqid"))?;
-            if other_id == my_id {
-                continue;
-            }
-            let vals = sketch_values("CalculatePairwiseSimilarity", &t[0])?;
-            row.push(Value::tuple([
-                Value::CharArray(other_id.to_string()),
-                Value::Double(raw_similarity(&me, &vals)),
-            ]));
-        }
+        let me = sketch_of(self.name(), args.first().unwrap_or(&Value::Null))?;
+        let my_id = arg_str(self.name(), args, 1, "the seqid")?;
+        let all = arg_bag(self.name(), args, 2, "the full relation")?;
+        let (ids, mut sketches) = sketch_rows(self.name(), all)?;
+        check_widths(self.name(), &ids, &sketches, me.len())?;
+        sketches.push(me);
+        let plane = SketchPlane::pack(&sketches).expect("widths checked");
+        let row = similarity_row(&plane, &ids, ids.len(), my_id.as_bytes())
+            .map(|(id, sim)| Value::tuple([Value::CharArray(id.to_string()), Value::Double(sim)]))
+            .collect::<Vec<_>>();
         Ok(Value::tuple([
             Value::CharArray(my_id.to_string()),
             Value::bag(row),
@@ -417,8 +428,20 @@ fn matrix_from_rows<'a>(
     Ok((ids, matrix))
 }
 
+/// The `(seqid, clusterlabel)` bag `K` and `L` return.
+fn label_bag<'a>(labelled: impl Iterator<Item = (&'a str, usize)>) -> Value {
+    Value::bag(
+        labelled
+            .map(|(id, label)| {
+                Value::tuple([Value::CharArray(id.to_string()), Value::Int(label as i32)])
+            })
+            .collect::<Vec<_>>(),
+    )
+}
+
 /// `AgglomerativeHierarchicalClustering(rows, link, numhash, cutoff)`
-/// — bag of `(seqid, clusterlabel)`.
+/// — bag of `(seqid, clusterlabel)`. `$NUMHASH` is accepted and
+/// unused: the similarity rows already carry the estimates.
 pub struct AgglomerativeHierarchicalClustering;
 impl Udf for AgglomerativeHierarchicalClustering {
     fn name(&self) -> &str {
@@ -434,22 +457,19 @@ impl Udf for AgglomerativeHierarchicalClustering {
             .map_err(|e: String| UdfError::new(self.name(), e))?;
         let (ids, matrix) = matrix_from_rows(self.name(), rows)?;
         let (assignment, _) = agglomerative(&matrix, linkage, cutoff);
-        Ok(Value::bag(
-            ids.iter()
+        Ok(label_bag(
+            ids.into_iter()
                 .enumerate()
-                .map(|(i, id)| {
-                    Value::tuple([
-                        Value::CharArray(id.to_string()),
-                        Value::Int(assignment.label(i) as i32),
-                    ])
-                })
-                .collect::<Vec<_>>(),
+                .map(|(i, id)| (id, assignment.label(i))),
         ))
     }
 }
 
 /// `GreedyClustering(sketch_rows, numhash, cutoff)` — Algorithm 1 on
-/// the grouped sketch relation; bag of `(seqid, clusterlabel)`.
+/// the grouped sketch relation, placed through the
+/// [`RepresentativeIndex`] a greedy [`crate::MrMcMinH`] run uses, its
+/// banding tuned for `$NUMHASH` and `$CUTOFF`; bag of
+/// `(seqid, clusterlabel)`. A sketch not `$NUMHASH` long is an error.
 pub struct GreedyClustering;
 impl Udf for GreedyClustering {
     fn name(&self) -> &str {
@@ -457,46 +477,29 @@ impl Udf for GreedyClustering {
     }
     fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
         let rows = arg_bag(self.name(), args, 0, "the sketch rows")?;
-        let _numhash = arg_i64(self.name(), args, 1, "$NUMHASH")?;
-        let cutoff = arg_f64(self.name(), args, 2, "$CUTOFF")?;
-        let mut ids = Vec::with_capacity(rows.len());
-        let mut sketches = Vec::with_capacity(rows.len());
-        for row in rows {
-            let t = row
-                .as_tuple()
-                .ok_or_else(|| UdfError::new(self.name(), "rows must be tuples"))?;
-            sketches.push(sketch_values(self.name(), &t[0])?);
-            let id = t
-                .get(1)
-                .and_then(Value::as_str)
-                .ok_or_else(|| UdfError::new(self.name(), "missing seqid"))?;
-            ids.push(id.to_string());
-        }
-        let assignment = greedy_cluster(sketches.len(), cutoff, |i, j| {
-            raw_similarity(&sketches[i], &sketches[j])
-        })
-        .compact();
-        Ok(Value::bag(
-            ids.iter()
-                .enumerate()
-                .map(|(i, id)| {
-                    Value::tuple([
-                        Value::CharArray(id.clone()),
-                        Value::Int(assignment.label(i) as i32),
-                    ])
-                })
-                .collect::<Vec<_>>(),
-        ))
+        let config = MrMcConfig {
+            num_hashes: arg_count(self.name(), args, 1, "$NUMHASH")?,
+            theta: arg_f64(self.name(), args, 2, "$CUTOFF")?,
+            ..MrMcConfig::default()
+        };
+        config
+            .validate()
+            .map_err(|e| UdfError::new(self.name(), e))?;
+        let (ids, sketches) = sketch_rows(self.name(), rows)?;
+        check_widths(self.name(), &ids, &sketches, config.num_hashes)?;
+        let labels = RepresentativeIndex::new(&config).place_all(sketches);
+        Ok(label_bag(ids.into_iter().zip(labels)))
     }
 }
 
 // ------------------------------------------------- native batch kernels
 //
-// Each kernel computes the exact per-row output of its scalar twin,
-// working directly on column storage (packed byte buffers, offset
-// vectors) instead of boxed `Value` trees. Any argument layout the
-// kernel does not vectorize falls back to the scalar implementation
-// row by row, so the batch path is bit-identical by construction.
+// Each kernel decodes column storage (packed byte buffers, offset
+// vectors) instead of boxed `Value` trees into the same core function
+// its scalar twin calls. Any argument layout the kernel does not
+// vectorize — and any argument the scalar would refuse — falls back to
+// the scalar implementation row by row, so the batch path is
+// bit-identical by construction, errors included.
 
 /// True when every row of the window `start..start + len` is valid.
 fn window_valid(validity: &Option<Bitmap>, start: usize, len: usize) -> bool {
@@ -542,17 +545,6 @@ fn str_arg<'a>(arg: &BatchArg<'a>, len: usize) -> Option<StrArg<'a>> {
     }
 }
 
-/// Normalize one DNA byte for `StringGenerator`: upper-case, `U`→`T`.
-#[inline]
-fn norm_base(c: u8) -> u8 {
-    let up = c.to_ascii_uppercase();
-    if up == b'U' {
-        b'T'
-    } else {
-        up
-    }
-}
-
 /// Native `StringGenerator`: normalizes sequences in one pass over
 /// the packed byte buffer and re-emits the id column, producing a
 /// columnar two-field tuple (no per-row `String`/`Vec` boxing).
@@ -582,9 +574,8 @@ impl BatchUdf for BatchStringGenerator {
         let mut out_ids = VarBytesBuilder::with_capacity(rows);
         let mut buf = Vec::new();
         for i in 0..rows {
-            let s = seq.get(seq_start + i);
             buf.clear();
-            buf.extend(s.iter().map(|&c| norm_base(c)));
+            normalize_into(seq.get(seq_start + i), &mut buf);
             norm.push(&buf);
             out_ids.push(ids.get(i));
         }
@@ -622,26 +613,23 @@ impl BatchUdf for BatchTranslateToKmer {
         ) else {
             return scalar_rows(&TranslateToKmer, args, rows);
         };
-        let k = k as usize;
         let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        let mut kmers: Vec<i64> = Vec::new();
+        let mut all: Vec<i64> = Vec::new();
         let mut out_ids = VarBytesBuilder::with_capacity(rows * 8);
         for i in 0..rows {
-            let iter = KmerIter::new(seq.get(i), k)
-                .map_err(|e| UdfError::new("TranslateToKmer", e.to_string()))?;
             let id = ids.get(i);
-            for km in iter {
-                kmers.push(km as i64);
+            for km in translate(seq.get(i), k as usize)? {
+                all.push(km);
                 out_ids.push(id);
             }
-            offsets.push(kmers.len() as u32);
+            offsets.push(all.len() as u32);
         }
-        let n = kmers.len();
+        let n = all.len();
         let child = ColumnBatch::from_cols(
             vec![
                 Column::Long {
-                    data: kmers,
+                    data: all,
                     validity: None,
                 },
                 Column::Str {
@@ -657,10 +645,10 @@ impl BatchUdf for BatchTranslateToKmer {
     }
 }
 
-/// Native `CalculateMinwiseHash`: reads each group's k-mers straight
-/// out of the grouped bag column's packed `long` child (no `Value`
-/// materialization of the k-mer rows at all) and emits the sketches
-/// as one packed bag column.
+/// Native `CalculateMinwiseHash`: builds the sketcher once per chunk,
+/// reads each group's k-mers straight out of the grouped bag column's
+/// packed `long` child (no `Value` materialization of the k-mer rows
+/// at all) and emits the sketches as one packed bag column.
 pub struct BatchCalculateMinwiseHash;
 impl BatchUdf for BatchCalculateMinwiseHash {
     fn name(&self) -> &str {
@@ -669,24 +657,26 @@ impl BatchUdf for BatchCalculateMinwiseHash {
     fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         let fallback = || scalar_rows(&CalculateMinwiseHash, args, rows);
         // The grouped `(kmer, seqid)` bag column.
-        let Some(BatchArg::Column { col, start, .. }) = args.first() else {
+        let Some(BatchArg::Column {
+            col: Column::Bag(bag),
+            start,
+            ..
+        }) = args.first()
+        else {
             return fallback();
         };
-        let Column::Bag(bag) = col else {
+        // `$KMER`, `$NUMHASH` and `$DIV` broadcast, as the scalar reads them.
+        let params: Vec<Value> = std::iter::once(Value::Null)
+            .chain(
+                args.iter()
+                    .skip(1)
+                    .map(|a| a.as_scalar().cloned().unwrap_or(Value::Null)),
+            )
+            .collect();
+        let Ok(hasher) = script_hasher(&params) else {
             return fallback();
         };
-        let (Some(numhash), Some(div)) = (
-            args.get(1)
-                .and_then(BatchArg::as_scalar)
-                .and_then(Value::as_i64),
-            args.get(2)
-                .and_then(BatchArg::as_scalar)
-                .and_then(Value::as_i64),
-        ) else {
-            return fallback();
-        };
-        if numhash < 1
-            || !bag.tuple_elems
+        if !bag.tuple_elems
             || bag.elems.num_cols() < 2
             || !window_valid(&bag.validity, *start, rows)
             || (0..rows).any(|i| bag.bag_len(start + i) == 0)
@@ -695,18 +685,16 @@ impl BatchUdf for BatchCalculateMinwiseHash {
         }
         let elem_lo = bag.offsets[*start] as usize;
         let elem_hi = bag.offsets[start + rows] as usize;
-        let (kmer_col, id_col) = (bag.elems.col(0), bag.elems.col(1));
-        let Column::Long {
-            data: kmers,
-            validity: kv,
-        } = kmer_col
-        else {
-            return fallback();
-        };
-        let Column::Str {
-            data: ids,
-            validity: iv,
-        } = id_col
+        let (
+            Column::Long {
+                data: kmers,
+                validity: kv,
+            },
+            Column::Str {
+                data: ids,
+                validity: iv,
+            },
+        ) = (bag.elems.col(0), bag.elems.col(1))
         else {
             return fallback();
         };
@@ -715,37 +703,28 @@ impl BatchUdf for BatchCalculateMinwiseHash {
         {
             return fallback();
         }
-        let numhash = numhash as usize;
-        let family = family_for(numhash, div as u64);
-        let mut sketch: Vec<i64> = Vec::with_capacity(rows * numhash);
+        let mut sketches: Vec<i64> = Vec::with_capacity(rows * hasher.num_hashes());
         let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
         offsets.push(0);
         let mut out_ids = VarBytesBuilder::with_capacity(rows);
-        let mut mins = vec![u64::MAX; numhash];
         for i in 0..rows {
             let (lo, hi) = (
                 bag.offsets[start + i] as usize,
                 bag.offsets[start + i + 1] as usize,
             );
-            mins.iter_mut().for_each(|m| *m = u64::MAX);
-            for &km in &kmers[lo..hi] {
-                min_fold(&family, &mut mins, km as u64);
-            }
-            sketch.extend(mins.iter().map(|&v| v as i64));
-            offsets.push(sketch.len() as u32);
+            minwise(&hasher, kmers[lo..hi].iter().copied(), &mut sketches);
+            offsets.push(sketches.len() as u32);
             out_ids.push(ids.get(lo));
         }
-        let n = sketch.len();
         let sketch_col = Column::Bag(BagCol::new(
             offsets,
             ColumnBatch::single(Column::Long {
-                data: sketch,
+                data: sketches,
                 validity: None,
             }),
             false,
             None,
         ));
-        debug_assert_eq!(n, rows * numhash);
         Ok(BatchOut::Tup(ColumnBatch::from_cols(
             vec![
                 sketch_col,
@@ -759,49 +738,12 @@ impl BatchUdf for BatchCalculateMinwiseHash {
     }
 }
 
-/// The broadcast sketch relation (`I.E`) decoded into one packed
-/// buffer: row `r` has id `ids[r]` and sketch
-/// `sketches[r * width..][..width]`.
-struct PackedSketches<'a> {
-    ids: Vec<&'a str>,
-    sketches: Vec<i64>,
-    width: usize,
-}
-
-/// Pack a bag of `(sketch:bag(long), seqid)` tuples; `None` on any
-/// other shape, empty relations and unequal or zero sketch widths
-/// included (scalar fallback).
-fn pack_sketches(all: &Value) -> Option<PackedSketches<'_>> {
-    let rows = all.as_bag()?;
-    let width = rows.first()?.as_tuple()?.first()?.as_bag()?.len();
-    if width == 0 {
-        return None;
-    }
-    let mut ids = Vec::with_capacity(rows.len());
-    let mut sketches = Vec::with_capacity(rows.len() * width);
-    for row in rows {
-        let t = row.as_tuple()?;
-        let sketch = t.first()?.as_bag()?;
-        if sketch.len() != width {
-            return None;
-        }
-        for v in sketch {
-            sketches.push(v.as_i64()?);
-        }
-        ids.push(t.get(1)?.as_str()?);
-    }
-    Some(PackedSketches {
-        ids,
-        sketches,
-        width,
-    })
-}
-
 /// Native `CalculatePairwiseSimilarity`: decodes the broadcast
-/// relation once per chunk instead of once per row, reads each row's
-/// sketch straight out of the sketch bag column's packed `long` child
-/// and emits the `(seqid, bag of (other, sim))` rows as columns, so
-/// the n² relation is never boxed.
+/// relation once per chunk instead of once per row and packs it, with
+/// the chunk's own sketches (read straight out of the sketch bag
+/// column's packed `long` child) behind it, into one [`SketchPlane`];
+/// emits the `(seqid, bag of (other, sim))` rows as columns, so the n²
+/// relation is never boxed.
 pub struct BatchCalculatePairwiseSimilarity;
 impl BatchUdf for BatchCalculatePairwiseSimilarity {
     fn name(&self) -> &str {
@@ -822,7 +764,7 @@ impl BatchUdf for BatchCalculatePairwiseSimilarity {
             args.get(1).and_then(|a| str_arg(a, rows)),
             args.get(2)
                 .and_then(BatchArg::as_scalar)
-                .and_then(pack_sketches),
+                .and_then(Value::as_bag),
         )
         else {
             return fallback();
@@ -842,23 +784,31 @@ impl BatchUdf for BatchCalculatePairwiseSimilarity {
         if bag.tuple_elems
             || !window_valid(&bag.validity, start, rows)
             || !window_valid(validity, elem_lo, elem_hi - elem_lo)
-            || (0..rows).any(|i| bag.bag_len(start + i) != all.width)
         {
             return fallback();
         }
+        let Ok((ids, mut sketches)) = sketch_rows(self.name(), all) else {
+            return fallback();
+        };
+        sketches.extend((start..start + rows).map(|r| {
+            let slots = &slots[bag.offsets[r] as usize..bag.offsets[r + 1] as usize];
+            Sketch::from_values(slots.iter().map(|&v| v as u64).collect())
+        }));
+        // Unequal widths: the scalar names the row.
+        let Ok(plane) = SketchPlane::pack(&sketches) else {
+            return fallback();
+        };
+        drop(sketches);
         let mut out_ids = VarBytesBuilder::with_capacity(rows);
         let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        let mut others = VarBytesBuilder::with_capacity(rows * all.ids.len());
-        let mut sims: Vec<f64> = Vec::with_capacity(rows * all.ids.len());
+        let mut others = VarBytesBuilder::with_capacity(rows * ids.len());
+        let mut sims: Vec<f64> = Vec::with_capacity(rows * ids.len());
         for i in 0..rows {
-            let me = &slots[bag.offsets[start + i] as usize..][..all.width];
             let my_id = my_ids.get(i);
-            for (other_id, other) in all.ids.iter().zip(all.sketches.chunks_exact(all.width)) {
-                if other_id.as_bytes() != my_id {
-                    others.push(other_id.as_bytes());
-                    sims.push(raw_similarity(me, other));
-                }
+            for (other, sim) in similarity_row(&plane, &ids, ids.len() + i, my_id) {
+                others.push(other.as_bytes());
+                sims.push(sim);
             }
             offsets.push(sims.len() as u32);
             out_ids.push(my_id);
@@ -1074,7 +1024,7 @@ mod tests {
             Value::tuple([Value::Long(5), Value::CharArray("r1".into())]),
             Value::tuple([Value::Long(9), Value::CharArray("r1".into())]),
         ]);
-        let args = [rows, Value::Long(8), Value::Long(1_048_583)];
+        let args = [rows, Value::Long(5), Value::Long(8), Value::Long(1_048_583)];
         let a = CalculateMinwiseHash.exec(&args).unwrap();
         let b = CalculateMinwiseHash.exec(&args).unwrap();
         assert_eq!(a, b);
@@ -1083,14 +1033,75 @@ mod tests {
         assert_eq!(t[1].as_str(), Some("r1"));
     }
 
+    /// `CalculateMinwiseHash(C, $KMER, $NUMHASH, $DIV)` over
+    /// `TranslateToKmer`'s rows is the native sketch of the read under
+    /// `MrMcConfig { kmer, num_hashes, seed: $DIV, .. }.hasher()`, bit
+    /// for bit, whichever native kernel that hasher runs: the rank
+    /// table (k = 5, a read dense enough for it), the rolling step
+    /// (k = 15) or the blocked walk past `p > 2^32` (k = 16).
+    #[test]
+    fn minwise_hash_is_the_native_sketch() {
+        let read = b"GATTACAGGCTTACCGATNNCATGCAAGTCCGATTAGGCTACGTACCGGTTAACGTCAGTGCATGCA".repeat(4);
+        for (k, n) in [(5, 64), (15, 50), (16, 32)] {
+            let native = MrMcConfig {
+                kmer: k,
+                num_hashes: n,
+                seed: 1_048_583,
+                ..MrMcConfig::default()
+            }
+            .hasher()
+            .sketch_sequence(&read)
+            .unwrap();
+            let rows = TranslateToKmer
+                .exec(&[
+                    Value::CharArray(String::from_utf8(read.clone()).unwrap()),
+                    Value::CharArray("r".into()),
+                    Value::Long(k as i64),
+                ])
+                .unwrap();
+            let args = [
+                rows,
+                Value::Long(k as i64),
+                Value::Long(n as i64),
+                Value::Long(1_048_583),
+            ];
+            let pig = CalculateMinwiseHash.exec(&args).unwrap();
+            let pig = sketch_of("test", &pig.as_tuple().unwrap()[0]).unwrap();
+            assert_eq!(pig, native, "k = {k}");
+        }
+    }
+
     #[test]
     fn udf_arg_errors_are_informative() {
         let err = CalculateMinwiseHash
-            .exec(&[Value::Int(1), Value::Long(8), Value::Long(11)])
+            .exec(&[
+                Value::Int(1),
+                Value::Long(5),
+                Value::Long(8),
+                Value::Long(11),
+            ])
             .unwrap_err();
         assert!(err.message.contains("bag"), "{err}");
         let err = TranslateToKmer.exec(&[]).unwrap_err();
         assert!(err.message.contains("argument 0"), "{err}");
+        // The sketcher's knobs are validated as `MrMcConfig` validates them.
+        let rows = Value::bag([Value::tuple([Value::Long(1), Value::CharArray("r".into())])]);
+        for (k, n, want) in [
+            (0, 8, "kmer 0"),
+            (40, 8, "kmer 40"),
+            (5, 0, "num_hashes"),
+            (5, -3, "below 0"),
+        ] {
+            let err = CalculateMinwiseHash
+                .exec(&[
+                    rows.clone(),
+                    Value::Long(k),
+                    Value::Long(n),
+                    Value::Long(11),
+                ])
+                .unwrap_err();
+            assert!(err.message.contains(want), "{err}");
+        }
     }
 
     /// End-to-end: the Algorithm 3 script on a small FASTA with two
@@ -1234,13 +1245,14 @@ mod tests {
             matches!(grouped, Column::Bag(_)),
             "test shapes a bag column"
         );
-        let (nh, div) = (Value::Long(8), Value::Long(1_048_583));
+        let (k, nh, div) = (Value::Long(5), Value::Long(8), Value::Long(1_048_583));
         let args = [
             BatchArg::Column {
                 col: &grouped,
                 start: 0,
                 len: 2,
             },
+            BatchArg::Scalar { value: &k, len: 2 },
             BatchArg::Scalar { value: &nh, len: 2 },
             BatchArg::Scalar {
                 value: &div,
@@ -1253,10 +1265,29 @@ mod tests {
         };
         for i in 0..2 {
             let scalar = CalculateMinwiseHash
-                .exec(&[grouped.value_at(i), Value::Long(8), Value::Long(1_048_583)])
+                .exec(&[grouped.value_at(i), k.clone(), nh.clone(), div.clone()])
                 .unwrap();
             assert_eq!(batch.row_value(i), scalar);
         }
+        // A knob the scalar refuses: the kernel returns its error.
+        let bad = Value::Long(0);
+        let args = [
+            args[0],
+            args[1],
+            BatchArg::Scalar {
+                value: &bad,
+                len: 2,
+            },
+            args[3],
+        ];
+        assert_kernel_matches(
+            &BatchCalculateMinwiseHash,
+            &CalculateMinwiseHash,
+            &args,
+            2,
+            false,
+            "$NUMHASH 0",
+        );
     }
 
     /// A relation row `(sketch, seqid)` as `CalculateMinwiseHash` emits it.
@@ -1397,16 +1428,30 @@ mod tests {
         let one = vec![sketch_row(&[5, 6], "only")];
         let out = check_pairwise(&one, &one, 0..1, true, "one read").unwrap();
         assert_eq!(out.value_at(0, 1), Value::bag([]));
+        // An empty relation: every row's bag is empty.
+        check_pairwise(&dup, &[], 0..3, true, "empty relation");
+        // Values past `u32::MAX` (k > 16 families): `u64` plane lanes.
+        let wide = vec![
+            sketch_row(&[1 << 40, 2, 3], "w1"),
+            sketch_row(&[1 << 40, 2, -1], "w2"),
+        ];
+        let out = check_pairwise(&wide, &wide, 0..2, true, "u64 lanes").unwrap();
+        assert_eq!(
+            out.value_at(1, 1),
+            Value::bag([Value::tuple([
+                Value::CharArray("w1".into()),
+                Value::Double(2.0 / 3.0)
+            ])])
+        );
 
-        // Fallbacks. Unequal sketch widths, in the relation or the row.
+        // Errors, which the kernel leaves to the scalar. Unequal sketch
+        // widths, in the relation or the row.
         let ragged = vec![sketch_row(&[1, 2], "a"), sketch_row(&[1, 2, 3], "b")];
         check_pairwise(&ragged, &ragged, 0..2, false, "unequal widths");
         check_pairwise(&ragged[1..], &dup, 0..1, false, "row wider than relation");
-        // A null row (the scalar errors; so must the kernel).
+        // A null row.
         let with_null = vec![sketch_row(&[1, 2], "a"), Value::Null];
         check_pairwise(&with_null, &dup, 0..2, false, "null row");
-        // Relation shapes the packer does not know.
-        check_pairwise(&dup, &[], 0..3, false, "empty relation");
         check_pairwise(
             &dup,
             &[Value::Long(3)],
@@ -1414,6 +1459,74 @@ mod tests {
             false,
             "relation of non-tuples",
         );
+    }
+
+    /// Two reads with no k-mer have identical (all-empty) sketches:
+    /// similarity 1.0, `positional_similarity`'s rule, on both the
+    /// scalar UDF and the kernel; against a real sketch they share
+    /// nothing.
+    #[test]
+    fn degenerate_sketches_are_identical() {
+        let e = vec![
+            sketch_row(&[-1, -1, -1], "short1"),
+            sketch_row(&[-1, -1, -1], "short2"),
+            sketch_row(&[4, 5, 6], "long"),
+        ];
+        let out = check_pairwise(&e, &e, 0..3, true, "degenerate pair").unwrap();
+        let sim = |row: &Value| -> Vec<f64> {
+            row.as_bag()
+                .unwrap()
+                .iter()
+                .map(|t| t.as_tuple().unwrap()[1].as_f64().unwrap())
+                .collect()
+        };
+        assert_eq!(sim(&out.value_at(0, 1)), [1.0, 0.0]);
+        assert_eq!(sim(&out.value_at(1, 1)), [1.0, 0.0]);
+        let empty = Sketch::from_values(vec![u64::MAX; 3]);
+        assert_eq!(
+            mrmc_minhash::positional_similarity(&empty, &empty.clone()),
+            1.0
+        );
+    }
+
+    /// Sketches of unequal width cannot be compared: `J` refuses them
+    /// with an error naming the row, as `L` refuses a sketch whose
+    /// width is not `$NUMHASH`.
+    #[test]
+    fn ragged_sketch_widths_are_an_error_naming_the_row() {
+        let e = vec![
+            sketch_row(&[1, 2, 3], "a"),
+            sketch_row(&[1, 2], "b"),
+            sketch_row(&[1, 2, 3], "c"),
+        ];
+        let err = CalculatePairwiseSimilarity
+            .exec(&[
+                e[0].as_tuple().unwrap()[0].clone(),
+                Value::CharArray("a".into()),
+                Value::bag(e.clone()),
+            ])
+            .unwrap_err();
+        assert!(err.message.contains("sketch of b has 2 positions"), "{err}");
+        check_pairwise(&e, &e, 0..3, false, "ragged relation");
+
+        let greedy = |numhash: i64| {
+            GreedyClustering.exec(&[
+                Value::bag(vec![e[0].clone(), e[2].clone()]),
+                Value::Long(numhash),
+                Value::Double(0.9),
+            ])
+        };
+        let err = greedy(4).unwrap_err();
+        assert!(
+            err.message
+                .contains("sketch of a has 3 positions, expected 4"),
+            "{err}"
+        );
+        assert!(greedy(3).is_ok());
+        let err = GreedyClustering
+            .exec(&[Value::bag(e.clone()), Value::Long(3), Value::Double(0.9)])
+            .unwrap_err();
+        assert!(err.message.contains("sketch of b"), "{err}");
     }
 
     /// The id index keeps what the linear `position` scan it replaced

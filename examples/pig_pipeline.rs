@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use mrmc::{algorithm3_script, register_mrmc_udfs};
+use mrmc::{algorithm3_script, register_mrmc_udfs, MrMcConfig};
 use mrmc_minh_suite::mapreduce::dfs::{Dfs, DfsConfig};
 use mrmc_minh_suite::mapreduce::{ClusterSpec, JobCostModel};
 use mrmc_minh_suite::pig::{parse_script, PigRunner, UdfRegistry};
@@ -55,23 +55,30 @@ fn main() {
         dfs.total_blocks()
     );
 
-    // 2. Parameterize and parse the paper's script. θ is selected
-    //    unsupervised on the Pig family's similarity scale.
-    let theta = mrmc::udfs::suggest_theta_pig(&dataset.reads, 12, 64, 1_048_583, 60);
+    // 2. Parameterize and parse the paper's script. The script computes
+    //    what this native config does ($DIV seeds the hash family), so
+    //    θ is selected unsupervised on it.
+    let config = MrMcConfig {
+        kmer: 12,
+        num_hashes: 64,
+        seed: 1_048_583,
+        ..MrMcConfig::default()
+    };
+    let theta = mrmc::suggest_theta(&dataset.reads, &config, 60);
     println!("suggested CUTOFF = {theta:.3}");
-    let mut params = HashMap::new();
-    for (k, v) in [
-        ("INPUT", "/data/reads.fa"),
-        ("KMER", "12"),
-        ("NUMHASH", "64"),
-        ("DIV", "1048583"),
-        ("LINK", "average"),
-        ("OUTPUT1", "/out/hierarchical"),
-        ("OUTPUT2", "/out/greedy"),
-    ] {
-        params.insert(k.to_string(), v.to_string());
-    }
-    params.insert("CUTOFF".to_string(), format!("{theta}"));
+    let params: HashMap<String, String> = [
+        ("INPUT", "/data/reads.fa".to_string()),
+        ("KMER", config.kmer.to_string()),
+        ("NUMHASH", config.num_hashes.to_string()),
+        ("DIV", config.seed.to_string()),
+        ("LINK", "average".to_string()),
+        ("CUTOFF", theta.to_string()),
+        ("OUTPUT1", "/out/hierarchical".to_string()),
+        ("OUTPUT2", "/out/greedy".to_string()),
+    ]
+    .into_iter()
+    .map(|(k, v)| (k.to_string(), v))
+    .collect();
     let script = parse_script(algorithm3_script(), &params).expect("script parses");
     println!(
         "parsed Algorithm 3 script: {} statements",
