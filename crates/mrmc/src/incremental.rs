@@ -7,7 +7,8 @@
 //! the first (lowest-labelled) cluster whose founder's sketch clears
 //! θ, or founds a new cluster. [`RepresentativeIndex`] is that rule,
 //! once. A batch greedy run ([`crate::MrMcMinH::run_on`]) hands it the
-//! sketch stage's whole output ([`RepresentativeIndex::place_all`]);
+//! sketch stage's whole output, one sketch per distinct sequence
+//! ([`RepresentativeIndex::place_all`]);
 //! [`IncrementalClusterer`] keeps one alive and feeds it reads as they
 //! arrive, and seeding it from a finished run makes that the "assign
 //! new data to yesterday's clusters" operation. Batch and streaming

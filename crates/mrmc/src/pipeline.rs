@@ -8,10 +8,10 @@ use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
 use mrmc_seqio::SeqRecord;
 
-use crate::banded::{banded_graph_stage, ensure_read_ids_fit};
+use crate::banded::banded_graph_stage;
 use crate::config::{CandidateGen, Mode, MrMcConfig};
 use crate::incremental::RepresentativeIndex;
-use crate::stages::{similarity_matrix_stage, sketch_stage};
+use crate::stages::{dereplicate, similarity_matrix_stage, sketch_distinct_stage};
 
 /// Result of a MrMC-MinH run.
 #[derive(Debug)]
@@ -104,10 +104,17 @@ impl MrMcMinH {
     }
 
     /// Cluster the reads, running every Map-Reduce stage on `pipeline`.
-    /// A greedy run is the sketch stage plus one serial pass through a
-    /// [`RepresentativeIndex`], whatever `candidates` says; a
-    /// hierarchical run follows the sketch stage with the dense
-    /// all-pairs matrix stage or the three banded θ-graph stages.
+    /// The driver first groups reads by exact sequence bytes
+    /// ([`dereplicate`]) and the sketch stage sketches each distinct
+    /// sequence once. A greedy run then places the distinct sketches
+    /// with one serial pass through a [`RepresentativeIndex`], whatever
+    /// `candidates` says, and a copy takes its first occurrence's
+    /// label. A hierarchical run follows with the dense all-pairs
+    /// matrix stage over one sketch per read, or with the three banded
+    /// θ-graph stages over the distinct sketches, whose graph
+    /// [`SparseSimGraph::lift`](mrmc_cluster::SparseSimGraph::lift)
+    /// expands back to reads. Each lift is exact (DESIGN.md §5d): labels
+    /// and dendrogram are those of the same route over every read.
     /// Attach a tracer ([`Pipeline::traced`]) to record a structured
     /// trace of every stage, and/or a fault injector
     /// ([`Pipeline::with_faults`]) to disrupt the substrate. Both are
@@ -121,8 +128,9 @@ impl MrMcMinH {
     ) -> Result<MrMcResult, MrError> {
         let start = Instant::now();
 
-        // Stage 1: minwise sketches (map-only over records).
-        let sketches = sketch_stage(reads, &self.config, &mut pipeline)?;
+        // Stage 1: minwise sketches of the distinct sequences (map-only).
+        let derep = dereplicate(reads)?;
+        let distinct = sketch_distinct_stage(reads, &derep, &self.config, &mut pipeline)?;
 
         let cluster_start = Instant::now();
         let (assignment, dendrogram) = match (self.config.mode, self.config.candidates) {
@@ -132,13 +140,17 @@ impl MrMcMinH {
                 // (invoked once on the grouped relation). It only asks
                 // about representatives, so no pair set is built under
                 // either `candidates` value; labels come out compact.
-                ensure_read_ids_fit(sketches.len())?;
-                let labels = RepresentativeIndex::new(&self.config).place_all(sketches);
-                (ClusterAssignment::from_labels(labels), None)
+                // A copy would fail every representative below its
+                // first occurrence's label and clear that one at 1.0.
+                let labels = RepresentativeIndex::new(&self.config).place_all(distinct);
+                (ClusterAssignment::from_labels(derep.lift(labels)), None)
             }
             (Mode::Hierarchical, CandidateGen::Dense) => {
                 // Algorithm 2 — all-pairs matrix via row partitioning,
-                // then agglomerative clustering with θ cutoff.
+                // then agglomerative clustering with θ cutoff. Stage 2
+                // stays per read: lifting a distinct matrix would hold
+                // two matrices at once.
+                let sketches = derep.lift(distinct);
                 let matrix = similarity_matrix_stage(sketches, &self.config, &mut pipeline)?;
                 let (assignment, dendro) =
                     agglomerative(&matrix, self.config.linkage, self.config.theta);
@@ -148,8 +160,11 @@ impl MrMcMinH {
                 // Algorithm 2 over the pruned graph (missing pairs read
                 // as similarity 0): the θ-cut matches dense on corpora
                 // whose clusters are θ-separated; sub-θ merges follow
-                // single-linkage-at-θ semantics.
-                let graph = banded_graph_stage(&sketches, &self.config, &mut pipeline)?;
+                // single-linkage-at-θ semantics. Copies share every
+                // band and score 1.0, so the lifted graph is the one
+                // the same stages build over every read.
+                let graph = banded_graph_stage(&distinct, &self.config, &mut pipeline)?
+                    .lift(derep.groups());
                 let (assignment, dendro) =
                     agglomerative_sparse(&graph, self.config.linkage, self.config.theta);
                 (assignment.compact(), Some(dendro))

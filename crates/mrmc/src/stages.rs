@@ -3,7 +3,11 @@
 //! Stage 1 (**sketching**, map-only): each mapper encodes the DNA
 //! alphabet, extracts k-mers, and computes the n minwise hash values —
 //! the fused equivalent of the `StringGenerator` → `TranslateToKmer` →
-//! `CalculateMinwiseHash` UDF chain.
+//! `CalculateMinwiseHash` UDF chain. It sketches each *distinct*
+//! sequence once: the driver first groups reads by their exact bytes
+//! ([`dereplicate`]), and a copy of a read takes its first
+//! occurrence's sketch, which is the same deterministic function of the
+//! same bytes (DESIGN.md §5d).
 //!
 //! Stage 2 (**all-pairs similarity**, map-only over *rows*): "the
 //! calculation of all pairwise similarity is performed in parallel by
@@ -13,6 +17,8 @@
 //! pipeline builds at k ≤ 16) that all tasks read, and the row strips
 //! the tasks emit are concatenated into the matrix.
 
+use std::collections::HashMap;
+
 use mrmc_cluster::CondensedMatrix;
 use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
@@ -20,12 +26,79 @@ use mrmc_mapreduce::MrError;
 use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
 use mrmc_seqio::SeqRecord;
 
+use crate::banded::ensure_read_ids_fit;
 use crate::config::MrMcConfig;
 
-/// Stage-1 mapper: read index → sketch. Borrows the read slice (the
-/// engine runs mappers on scoped threads), so map input is just the
-/// index — no `SeqRecord` is ever cloned into the job, even on task
-/// retry.
+/// Reads grouped by exact sequence bytes. Groups are numbered in order
+/// of first occurrence, so the first occurrences ascend.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Dereplicated {
+    /// Group of each read.
+    of: Vec<u32>,
+    /// First read of each group.
+    first: Vec<u32>,
+    /// Reads in each group.
+    size: Vec<u32>,
+}
+
+impl Dereplicated {
+    /// Group of each read, in read order.
+    pub fn groups(&self) -> &[u32] {
+        &self.of
+    }
+
+    /// Number of distinct sequences.
+    pub fn num_distinct(&self) -> usize {
+        self.first.len()
+    }
+
+    /// One value per read from one value per group: each first
+    /// occurrence takes its group's value by move, and only a copy
+    /// clones it (from the first occurrence, which comes earlier).
+    pub fn lift<T: Clone>(&self, distinct: Vec<T>) -> Vec<T> {
+        assert_eq!(distinct.len(), self.first.len(), "one value per group");
+        let mut distinct = distinct.into_iter();
+        let mut out: Vec<T> = Vec::with_capacity(self.of.len());
+        for (read, &g) in self.of.iter().enumerate() {
+            let first = self.first[g as usize] as usize;
+            let value = if first == read {
+                distinct.next().expect("one value per group")
+            } else {
+                out[first].clone()
+            };
+            out.push(value);
+        }
+        out
+    }
+}
+
+/// Group `reads` by exact sequence bytes on the driver (DESIGN.md
+/// §5d). The map's keys borrow the reads' bytes, so the pass allocates
+/// its three index vectors and the map's table, never per read. More
+/// than `u32::MAX` reads is a [`MrError::BadConfig`].
+pub fn dereplicate(reads: &[SeqRecord]) -> Result<Dereplicated, MrError> {
+    ensure_read_ids_fit(reads.len())?;
+    let mut group: HashMap<&[u8], u32> = HashMap::with_capacity(reads.len());
+    let mut of = Vec::with_capacity(reads.len());
+    let (mut first, mut size) = (Vec::new(), Vec::new());
+    for (i, read) in reads.iter().enumerate() {
+        let next = first.len() as u32;
+        let g = *group.entry(read.seq.as_slice()).or_insert(next);
+        if g == next {
+            first.push(i as u32);
+            size.push(0);
+        }
+        size[g as usize] += 1;
+        of.push(g);
+    }
+    Ok(Dereplicated { of, first, size })
+}
+
+/// Stage-1 mapper: a group's first read index and its size → sketch.
+/// Borrows the read slice (the engine runs mappers on scoped threads),
+/// so map input is two integers — no `SeqRecord` is ever cloned into
+/// the job, even on task retry. The size keeps `DEGENERATE_SKETCHES` a
+/// count of reads.
 struct SketchMapper<'a> {
     hasher: MinHasher,
     reads: &'a [SeqRecord],
@@ -33,27 +106,29 @@ struct SketchMapper<'a> {
 
 impl Mapper for SketchMapper<'_> {
     type InKey = usize;
-    type InValue = ();
+    type InValue = u32;
     type OutKey = usize;
     type OutValue = Sketch;
 
-    fn map(&self, key: usize, _v: (), ctx: &mut TaskContext<usize, Sketch>) {
+    fn map(&self, key: usize, copies: u32, ctx: &mut TaskContext<usize, Sketch>) {
         let sketch = self
             .hasher
             .sketch_sequence(&self.reads[key].seq)
             .expect("k validated by MrMcConfig");
         if sketch.is_degenerate() {
-            ctx.count("DEGENERATE_SKETCHES", 1);
+            ctx.count("DEGENERATE_SKETCHES", u64::from(copies));
         }
         ctx.emit(key, sketch);
     }
 }
 
-/// Run the sketching stage on the Map-Reduce substrate. Output order
-/// matches input order. Tasks get the Hadoop default attempt budget
-/// (4), so faults injected through the pipeline are survivable.
-pub fn sketch_stage(
+/// Run the sketching stage on the Map-Reduce substrate over the
+/// distinct sequences of `derep`: one sketch per group, in group order.
+/// Tasks get the Hadoop default attempt budget (4), so faults injected
+/// through the pipeline are survivable.
+pub fn sketch_distinct_stage(
     reads: &[SeqRecord],
+    derep: &Dereplicated,
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<Vec<Sketch>, MrError> {
@@ -61,10 +136,29 @@ pub fn sketch_stage(
         hasher: config.hasher(),
         reads,
     };
-    let input: Vec<(usize, ())> = (0..reads.len()).map(|i| (i, ())).collect();
+    let input: Vec<(usize, u32)> = derep
+        .first
+        .iter()
+        .zip(&derep.size)
+        .map(|(&read, &copies)| (read as usize, copies))
+        .collect();
     let job = JobConfig::named("minwise-sketch").attempts(4);
     let out = pipeline.run_map_stage(input, config.map_tasks, &mapper, &job)?;
     Ok(out.into_iter().map(|(_, s)| s).collect())
+}
+
+/// One sketch per read, in read order: [`dereplicate`], then
+/// [`sketch_distinct_stage`], then [`Dereplicated::lift`] — a copy's
+/// sketch is a clone of its first occurrence's, bit for bit the sketch
+/// its own bytes give.
+pub fn sketch_stage(
+    reads: &[SeqRecord],
+    config: &MrMcConfig,
+    pipeline: &mut Pipeline,
+) -> Result<Vec<Sketch>, MrError> {
+    let derep = dereplicate(reads)?;
+    let distinct = sketch_distinct_stage(reads, &derep, config, pipeline)?;
+    Ok(derep.lift(distinct))
 }
 
 /// Partition rows `0..n` into `tasks` contiguous blocks with near-equal
@@ -281,11 +375,28 @@ mod tests {
 
     #[test]
     fn degenerate_sketch_counted() {
-        let mut p = Pipeline::new("t");
-        let short = vec![SeqRecord::new("s", b"ACG".to_vec())]; // < k
+        // Shorter than k; copies are sketched once and counted as reads.
+        let short = SeqRecord::new("s", b"ACG".to_vec());
         let cfg = config();
-        let s = sketch_stage(&short, &cfg, &mut p).unwrap();
-        assert!(s[0].is_degenerate());
+        for copies in [1, 2] {
+            let mut p = Pipeline::new("t");
+            let s = sketch_stage(&vec![short.clone(); copies], &cfg, &mut p).unwrap();
+            assert_eq!(s.len(), copies);
+            assert!(s.iter().all(Sketch::is_degenerate));
+            assert_eq!(p.counter_total("DEGENERATE_SKETCHES"), copies as u64);
+            let records: u64 = p.stages()[0].map_stats.iter().map(|t| t.records_in).sum();
+            assert_eq!(records, 1, "{copies} copies, one map input record");
+        }
+    }
+
+    #[test]
+    fn lift_moves_first_occurrences_and_clones_copies() {
+        let derep = dereplicate(&reads()).unwrap();
+        assert_eq!(derep.groups(), &[0, 0, 1]);
+        assert_eq!(derep.first, [0, 2]);
+        assert_eq!(derep.size, [2, 1]);
+        assert_eq!(derep.num_distinct(), 2);
+        assert_eq!(derep.lift(vec!["a", "c"]), ["a", "a", "c"]);
     }
 
     #[test]
