@@ -29,8 +29,20 @@
 //! (θ = 0: a pair agreeing nowhere still clears it) every sketch is
 //! filed under one constant signature, so the same lookup walks all
 //! labels in order.
+//!
+//! # Copies
+//!
+//! [`IncrementalClusterer`] remembers the label of every sequence it
+//! has pushed, and a later byte-identical copy takes that label
+//! without being sketched or placed. That is the label the index would
+//! give it: the index only grows and new founders take higher labels,
+//! so every representative below the first occurrence's label `L`
+//! fails again for the same sketch, and `L` clears θ — it passed for
+//! that sketch, or it is that sketch (similarity 1.0, degenerate
+//! sketches included). Seed reads stay out of the memo: a hierarchical
+//! seed run's labels are not Algorithm 1 labels.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use mrmc_cluster::ClusterAssignment;
 use mrmc_minhash::{positional_similarity, BandingScheme, MinHasher, Sketch};
@@ -140,6 +152,9 @@ pub struct IncrementalClusterer {
     index: RepresentativeIndex,
     /// Label assigned to each pushed read, in push order.
     labels: Vec<usize>,
+    /// Sequence bytes → label, for every distinct pushed sequence (see
+    /// the module docs, "Copies").
+    memo: HashMap<Box<[u8]>, u32>,
 }
 
 impl IncrementalClusterer {
@@ -152,6 +167,7 @@ impl IncrementalClusterer {
             hasher: config.hasher(),
             index: RepresentativeIndex::new(&config),
             labels: Vec::new(),
+            memo: HashMap::new(),
         }
     }
 
@@ -176,27 +192,41 @@ impl IncrementalClusterer {
     /// Assign one read; returns its cluster label. New clusters take
     /// the next free label.
     pub fn push(&mut self, read: &SeqRecord) -> Result<usize, SeqIoError> {
-        let sketch = self.hasher.sketch_sequence(&read.seq)?;
-        let label = self.index.place(sketch, true);
-        self.labels.push(label);
-        Ok(label)
+        Ok(self.push_batch(std::slice::from_ref(read))?[0])
     }
 
     /// Assign a micro-batch of reads in one call, returning their
     /// labels in input order. Semantically identical to calling
     /// [`IncrementalClusterer::push`] once per read (reads earlier in
-    /// the batch can found clusters that later reads join), but the
-    /// batch entry point lets callers — the `mrmc-server` admission
-    /// path in particular — amortize per-read dispatch: sketches are
-    /// computed up front for the whole batch, then assignment runs
-    /// over the sketch slice without re-entering the codec per read.
-    /// On a sketching error nothing is recorded (all-or-nothing).
+    /// the batch can found clusters that later reads join). Every
+    /// sequence neither the memo nor an earlier read of the batch
+    /// holds is sketched first, then the reads are placed in order, so
+    /// on a sketching error nothing is recorded (all-or-nothing).
     pub fn push_batch(&mut self, reads: &[SeqRecord]) -> Result<Vec<usize>, SeqIoError> {
-        let sketches = reads
+        let mut seen = HashSet::new();
+        let mut fresh = Vec::new();
+        for read in reads {
+            let seq = read.seq.as_slice();
+            if !self.memo.contains_key(seq) && seen.insert(seq) {
+                fresh.push(self.hasher.sketch_sequence(seq)?);
+            }
+        }
+        // A read misses the memo here exactly when it was sketched
+        // above: its first occurrence in the batch, not seen before.
+        let mut fresh = fresh.into_iter();
+        let labels: Vec<usize> = reads
             .iter()
-            .map(|r| self.hasher.sketch_sequence(&r.seq))
-            .collect::<Result<Vec<Sketch>, SeqIoError>>()?;
-        let labels = self.index.place_all(sketches);
+            .map(|read| match self.memo.get(read.seq.as_slice()) {
+                Some(&label) => label as usize,
+                None => {
+                    let sketch = fresh.next().expect("one sketch per fresh sequence");
+                    let label = self.index.place(sketch, true);
+                    // `place` hands out at most 2^32 labels.
+                    self.memo.insert(read.seq.as_slice().into(), label as u32);
+                    label
+                }
+            })
+            .collect();
         self.labels.extend_from_slice(&labels);
         Ok(labels)
     }
@@ -498,8 +528,15 @@ mod tests {
 
     #[test]
     fn push_batch_matches_repeated_push() {
-        let (reads, _) = two_species(50, 4);
+        let (mut reads, _) = two_species(50, 4);
         let theta = 0.5;
+        // Copies land inside one batch of the schedule below (reads
+        // 12..15, batch 11..31) and across batches (reads 0, 3 and 9
+        // again at the end), next to the reads they copy and far from
+        // them.
+        for (at, of) in [(13, 12), (14, 12), (30, 20), (44, 0), (47, 3), (49, 9)] {
+            reads[at].seq = reads[of].seq.clone();
+        }
 
         // Oracle: one read at a time.
         let mut one = IncrementalClusterer::new(config(theta));
@@ -527,6 +564,68 @@ mod tests {
         // the *same* batch (all reads at once) still matches.
         let mut whole = IncrementalClusterer::new(config(theta));
         assert_eq!(whole.push_batch(&reads).unwrap(), expect);
+    }
+
+    #[test]
+    fn copies_take_the_first_label_without_evaluations() {
+        let (reads, _) = two_species(30, 5);
+        let mut inc = IncrementalClusterer::new(config(0.5));
+        let first = inc.push_batch(&reads).unwrap();
+        let evaluations = inc.index.evaluations();
+        let clusters = inc.num_clusters();
+
+        let copies: Vec<SeqRecord> = reads
+            .iter()
+            .rev()
+            .map(|r| SeqRecord::new(format!("{}-copy", r.id), r.seq.clone()))
+            .collect();
+        let expect: Vec<usize> = first.iter().rev().copied().collect();
+        assert_eq!(inc.push(&copies[0]).unwrap(), expect[0]);
+        assert_eq!(inc.push_batch(&copies[1..]).unwrap(), expect[1..]);
+        assert_eq!(
+            inc.index.evaluations(),
+            evaluations,
+            "copies are not placed"
+        );
+        assert_eq!(inc.num_clusters(), clusters, "copies found nothing");
+        assert_eq!(inc.labels().len(), 2 * reads.len());
+    }
+
+    #[test]
+    fn seed_reads_are_placed_not_remembered() {
+        // A hierarchical seed labels its reads by linkage, not by
+        // Algorithm 1, so a streamed copy of a seed read must take the
+        // index's answer (the linear scan's), whatever its seed label.
+        let (reads, _) = two_species(40, 7);
+        let (batch, stream) = reads.split_at(30);
+        let cfg = MrMcConfig {
+            mode: Mode::Hierarchical,
+            ..config(0.5)
+        };
+        let result = MrMcMinH::new(cfg).run(batch).unwrap();
+        let seeds: Vec<&SeqRecord> = result
+            .representatives()
+            .iter()
+            .map(|&r| &batch[r])
+            .collect();
+        let mut indexed = IncrementalClusterer::from_run(cfg, batch, &result).unwrap();
+        let mut oracle = LinearScan::seeded(cfg, &seeds);
+
+        let mut labels = Vec::new();
+        for read in batch.iter().chain(stream) {
+            let before = indexed.index.evaluations();
+            labels.push(indexed.push(read).unwrap());
+            assert_eq!(labels.last(), Some(&oracle.push(read)), "{}", read.id);
+            assert!(
+                indexed.index.evaluations() > before,
+                "{} was placed",
+                read.id
+            );
+        }
+        assert!(
+            (0..batch.len()).any(|i| labels[i] != result.assignment.label(i)),
+            "some seed read streams to a label other than its seed label"
+        );
     }
 
     #[test]

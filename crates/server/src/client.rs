@@ -6,6 +6,7 @@
 //! than errors, because backpressure is an expected answer, not a
 //! failure.
 
+use std::io::BufReader;
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -86,7 +87,11 @@ pub enum SubmitOutcome {
 
 /// A connected, handshaken session client.
 pub struct Client {
+    /// Requests go out here, one `write_all` per frame.
     stream: TcpStream,
+    /// Responses come in here: a buffer over a clone of `stream`, so a
+    /// small reply is one `read` call.
+    reader: BufReader<TcpStream>,
 }
 
 impl Client {
@@ -97,7 +102,8 @@ impl Client {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(Duration::from_secs(60))).ok();
-        let mut client = Client { stream };
+        let reader = BufReader::new(stream.try_clone()?);
+        let mut client = Client { stream, reader };
         let resp = client.call(&Request::Hello {
             version: PROTOCOL_VERSION,
             tenant: tenant.to_string(),
@@ -110,7 +116,7 @@ impl Client {
 
     fn call(&mut self, req: &Request) -> Result<Response, ClientError> {
         write_frame(&mut self.stream, &req.encode())?;
-        let body = read_frame(&mut self.stream)?.ok_or(ClientError::Protocol(
+        let body = read_frame(&mut self.reader)?.ok_or(ClientError::Protocol(
             ProtocolError::Io("server closed the connection".to_string()),
         ))?;
         Ok(Response::decode(&body)?)

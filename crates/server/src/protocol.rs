@@ -851,13 +851,19 @@ impl Response {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame: `varint(len) · body`.
+/// Write one frame, `varint(len) · body`, in one `write_all`, so a
+/// frame the socket takes whole leaves as one segment.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> io::Result<()> {
-    let mut header = Vec::with_capacity(10);
-    put_uvarint(&mut header, body.len() as u64);
-    w.write_all(&header)?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(10 + body.len());
+    put_uvarint(&mut frame, body.len() as u64);
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Whether `buf` starts with a whole frame, header and body.
+pub(crate) fn holds_whole_frame(buf: &[u8]) -> bool {
+    get_uvarint(buf).is_ok_and(|(len, header)| len <= (buf.len() - header) as u64)
 }
 
 /// Read one frame body. `Ok(None)` means the stream ended cleanly at
@@ -869,26 +875,16 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
         Ok(_) => {}
         Err(e) => return Err(e.into()),
     }
-    read_frame_after(first[0], r).map(Some)
-}
-
-/// Read the remainder of a frame whose first header byte has already
-/// been consumed (the daemon polls the first byte with a short timeout
-/// so it can observe shutdown between frames).
-pub fn read_frame_after(first: u8, r: &mut impl Read) -> Result<Vec<u8>, ProtocolError> {
     // Decode the varint length, first byte included.
-    let mut len = u64::from(first & 0x7f);
+    let mut len = u64::from(first[0] & 0x7f);
     let mut shift = 7u32;
-    let mut b = first;
+    let mut b = first[0];
     while b >= 0x80 {
         if shift >= 64 {
             return Err(ProtocolError::Overflow);
         }
         let mut next = [0u8; 1];
-        match r.read_exact(&mut next) {
-            Ok(()) => {}
-            Err(e) => return Err(e.into()),
-        }
+        r.read_exact(&mut next)?;
         b = next[0];
         if shift == 63 && b > 1 {
             return Err(ProtocolError::Overflow);
@@ -904,7 +900,7 @@ pub fn read_frame_after(first: u8, r: &mut impl Read) -> Result<Vec<u8>, Protoco
     }
     let mut body = vec![0u8; len as usize];
     r.read_exact(&mut body)?;
-    Ok(body)
+    Ok(Some(body))
 }
 
 #[cfg(test)]

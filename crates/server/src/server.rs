@@ -6,6 +6,8 @@
 //! * One **accept loop** (the thread that calls [`Server::run`])
 //!   spawns a handler thread per connection.
 //! * Connection threads do handshake, framing and admission control,
+//!   writing each response frame with one `write_all` and reading
+//!   requests through a buffer (see [`FrameReader`] for the timeouts),
 //!   then hand admitted micro-batches to the shared work queue and
 //!   block on the reply channel. Seeding (`SeedFromBatch`) runs
 //!   inline on the connection thread — it is a one-time heavyweight
@@ -20,7 +22,9 @@
 //!
 //! Lock order is always session → queue (connections) or queue-pop →
 //! session (workers, queue lock released before the session lock is
-//! taken), so the two never deadlock.
+//! taken), so the two never deadlock. Every lock goes through [`lock`],
+//! which takes over a poisoned mutex: a thread that panicked holding a
+//! session does not retire its tenant.
 //!
 //! # Shutdown
 //!
@@ -33,10 +37,10 @@
 //! explicit `ShuttingDown` error.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Read};
+use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -44,7 +48,7 @@ use mrmc_obs::{Category, MetricsRegistry, MetricsSnapshot, SpanDraft, Tracer};
 use mrmc_seqio::SeqRecord;
 
 use crate::protocol::{
-    read_frame, read_frame_after, write_frame, ErrorCode, ProtocolError, Request, Response,
+    holds_whole_frame, read_frame, write_frame, ErrorCode, ProtocolError, Request, Response,
     PROTOCOL_VERSION,
 };
 use crate::quota::{AdmissionLimits, AdmissionReject};
@@ -77,9 +81,53 @@ impl Default for ServerConfig {
     }
 }
 
+/// Lock `m`, taking the guard over if a panicking holder poisoned it.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One tenant: its session and the metric keys its requests record
+/// under, built once when the session is created.
+struct Tenant {
+    session: Mutex<Session>,
+    keys: TenantKeys,
+}
+
+/// The tenant's `serve.tenant.<tenant>.*` request-path metric keys.
+struct TenantKeys {
+    queue_us: String,
+    latency_us: String,
+    seed_us: String,
+    batch_reads: String,
+    batches_admitted: String,
+    reads_admitted: String,
+    bytes_admitted: String,
+    reads_rejected: String,
+    busy_rejections: String,
+    quota_rejections: String,
+}
+
+impl TenantKeys {
+    fn new(tenant: &str) -> TenantKeys {
+        let key = |name: &str| format!("serve.tenant.{tenant}.{name}");
+        TenantKeys {
+            queue_us: key("queue_us"),
+            latency_us: key("latency_us"),
+            seed_us: key("seed_us"),
+            batch_reads: key("batch_reads"),
+            batches_admitted: key("batches_admitted"),
+            reads_admitted: key("reads_admitted"),
+            bytes_admitted: key("bytes_admitted"),
+            reads_rejected: key("reads_rejected"),
+            busy_rejections: key("busy_rejections"),
+            quota_rejections: key("quota_rejections"),
+        }
+    }
+}
+
 /// One admitted micro-batch travelling queue → worker.
 struct WorkItem {
-    session: Arc<Mutex<Session>>,
+    tenant: Arc<Tenant>,
     reads: Vec<SeqRecord>,
     bytes: usize,
     reply: mpsc::Sender<Result<Vec<u64>, SessionError>>,
@@ -100,7 +148,7 @@ struct Shared {
     metrics: Option<Arc<MetricsRegistry>>,
     limits: AdmissionLimits,
     addr: Mutex<Option<SocketAddr>>,
-    sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
+    sessions: Mutex<HashMap<String, Arc<Tenant>>>,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
     drained_cv: Condvar,
@@ -109,13 +157,16 @@ struct Shared {
 }
 
 impl Shared {
-    fn session(&self, tenant: &str) -> Arc<Mutex<Session>> {
-        let mut sessions = self.sessions.lock().expect("sessions lock");
-        if let Some(s) = sessions.get(tenant) {
-            return Arc::clone(s);
+    fn tenant(&self, tenant: &str) -> Arc<Tenant> {
+        let mut sessions = lock(&self.sessions);
+        if let Some(t) = sessions.get(tenant) {
+            return Arc::clone(t);
         }
         let job = self.tracer.begin_job(&format!("session:{tenant}"));
-        let s = Arc::new(Mutex::new(Session::new(tenant, self.limits, job)));
+        let s = Arc::new(Tenant {
+            session: Mutex::new(Session::new(tenant, self.limits, job)),
+            keys: TenantKeys::new(tenant),
+        });
         sessions.insert(tenant.to_string(), Arc::clone(&s));
         if let Some(m) = &self.metrics {
             m.gauge_set("serve.sessions", sessions.len() as i64);
@@ -135,7 +186,7 @@ impl Shared {
     /// Enqueue an admitted batch unless the drain already began.
     /// Returns the item back on refusal so the caller can un-admit it.
     fn enqueue(&self, item: WorkItem) -> Result<(), WorkItem> {
-        let mut q = self.queue.lock().expect("queue lock");
+        let mut q = lock(&self.queue);
         if self.shutting_down.load(Ordering::SeqCst) {
             return Err(item);
         }
@@ -149,14 +200,14 @@ impl Shared {
     /// in-flight work to finish, then wake idle workers so they exit.
     /// Returns how many batches were still queued when drain began.
     fn drain(&self) -> u64 {
-        let mut q = self.queue.lock().expect("queue lock");
+        let mut q = lock(&self.queue);
         self.shutting_down.store(true, Ordering::SeqCst);
         let backlog = q.items.len() as u64;
         while !(q.items.is_empty() && q.in_flight == 0) {
             let (guard, _) = self
                 .drained_cv
                 .wait_timeout(q, Duration::from_millis(100))
-                .expect("drained cv");
+                .unwrap_or_else(PoisonError::into_inner);
             q = guard;
         }
         self.queue_cv.notify_all();
@@ -173,7 +224,7 @@ impl Shared {
 fn worker_loop(shared: Arc<Shared>) {
     loop {
         let item = {
-            let mut q = shared.queue.lock().expect("queue lock");
+            let mut q = lock(&shared.queue);
             loop {
                 if let Some(item) = q.items.pop_front() {
                     q.in_flight += 1;
@@ -183,12 +234,15 @@ fn worker_loop(shared: Arc<Shared>) {
                 if shared.shutting_down.load(Ordering::SeqCst) {
                     return;
                 }
-                q = shared.queue_cv.wait(q).expect("queue cv");
+                q = shared
+                    .queue_cv
+                    .wait(q)
+                    .unwrap_or_else(PoisonError::into_inner);
             }
         };
         let dequeued_ns = shared.tracer.now_ns();
         let result = {
-            let mut s = item.session.lock().expect("session lock");
+            let mut s = lock(&item.tenant.session);
             let result = s.assign(&item.reads);
             s.complete(item.bytes);
             let done_ns = shared.tracer.now_ns();
@@ -214,20 +268,20 @@ fn worker_loop(shared: Arc<Shared>) {
                     ),
             );
             if let Some(m) = &shared.metrics {
-                let t = s.tenant();
+                let keys = &item.tenant.keys;
                 m.observe(
-                    &format!("serve.tenant.{t}.queue_us"),
+                    &keys.queue_us,
                     dequeued_ns.saturating_sub(item.enqueued_ns) / 1_000,
                 );
                 m.observe(
-                    &format!("serve.tenant.{t}.latency_us"),
+                    &keys.latency_us,
                     done_ns.saturating_sub(item.enqueued_ns) / 1_000,
                 );
             }
             result
         };
         let _ = item.reply.send(result);
-        let mut q = shared.queue.lock().expect("queue lock");
+        let mut q = lock(&shared.queue);
         q.in_flight -= 1;
         shared.queue_gauges(&q);
         if q.items.is_empty() && q.in_flight == 0 {
@@ -253,31 +307,79 @@ fn error_response(e: &SessionError) -> Response {
     }
 }
 
-/// Wait for the first header byte of the next frame, polling the
-/// drain flag between read timeouts. `None` ends the connection
-/// (peer closed, transport error, or daemon drain while idle).
-fn poll_first_byte(shared: &Shared, stream: &mut TcpStream) -> Option<u8> {
-    let mut b = [0u8; 1];
-    loop {
-        match stream.read(&mut b) {
-            Ok(0) => return None,
-            Ok(_) => return Some(b[0]),
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shared.shutting_down.load(Ordering::SeqCst) {
-                    return None;
+/// Read timeout for the handshake frame.
+const HANDSHAKE_WAIT: Duration = Duration::from_secs(10);
+/// Read timeout between frames: short, so an idle connection sees a
+/// drain begin.
+const IDLE_POLL: Duration = Duration::from_millis(200);
+/// Read timeout once a frame has begun arriving: the peer is
+/// committed, so a slow one is waited for, not cut off.
+const MID_FRAME_WAIT: Duration = Duration::from_secs(30);
+
+/// The request side of a connection: a buffer over a clone of the
+/// stream, and the read timeout last set on the socket. The timeout
+/// changes only when the wait changes kind — to [`IDLE_POLL`] when
+/// nothing is buffered, to [`MID_FRAME_WAIT`] when a frame is only
+/// partly buffered — so a request that arrives whole costs one `read`
+/// and no `setsockopt`.
+struct FrameReader {
+    reader: BufReader<TcpStream>,
+    timeout: Duration,
+}
+
+impl FrameReader {
+    fn new(stream: &TcpStream) -> io::Result<FrameReader> {
+        stream.set_read_timeout(Some(HANDSHAKE_WAIT))?;
+        Ok(FrameReader {
+            reader: BufReader::new(stream.try_clone()?),
+            timeout: HANDSHAKE_WAIT,
+        })
+    }
+
+    fn wait(&mut self, timeout: Duration) {
+        if self.timeout != timeout {
+            let _ = self.reader.get_ref().set_read_timeout(Some(timeout));
+            self.timeout = timeout;
+        }
+    }
+
+    /// The next request frame, polling the drain flag while idle.
+    /// `None` ends the connection (peer closed, transport error, or
+    /// daemon drain while idle); `Some(Err)` means framing is lost.
+    fn next(&mut self, shared: &Shared) -> Option<Result<Vec<u8>, ProtocolError>> {
+        if self.reader.buffer().is_empty() {
+            self.wait(IDLE_POLL);
+            loop {
+                match self.reader.fill_buf() {
+                    Ok([]) => return None,
+                    Ok(_) => break,
+                    Err(e)
+                        if e.kind() == io::ErrorKind::WouldBlock
+                            || e.kind() == io::ErrorKind::TimedOut =>
+                    {
+                        if shared.shutting_down.load(Ordering::SeqCst) {
+                            return None;
+                        }
+                    }
+                    Err(_) => return None,
                 }
             }
-            Err(_) => return None,
         }
+        if !holds_whole_frame(self.reader.buffer()) {
+            self.wait(MID_FRAME_WAIT);
+        }
+        read_frame(&mut self.reader).transpose()
     }
 }
 
 /// Handshake: the first frame must be `Hello` with a matching
 /// version and non-empty tenant. Returns the bound session.
-fn handshake(shared: &Shared, stream: &mut TcpStream) -> Option<Arc<Mutex<Session>>> {
-    let body = match read_frame(stream) {
+fn handshake(
+    shared: &Shared,
+    stream: &mut TcpStream,
+    frames: &mut FrameReader,
+) -> Option<Arc<Tenant>> {
+    let body = match read_frame(&mut frames.reader) {
         Ok(Some(body)) => body,
         Ok(None) | Err(_) => return None,
     };
@@ -306,7 +408,7 @@ fn handshake(shared: &Shared, stream: &mut TcpStream) -> Option<Arc<Mutex<Sessio
                 );
                 None
             } else {
-                let session = shared.session(&tenant);
+                let session = shared.tenant(&tenant);
                 if let Some(m) = &shared.metrics {
                     m.counter_add("serve.requests.hello", 1);
                 }
@@ -347,7 +449,7 @@ fn handshake(shared: &Shared, stream: &mut TcpStream) -> Option<Arc<Mutex<Sessio
 
 fn handle_submit(
     shared: &Shared,
-    session: &Arc<Mutex<Session>>,
+    tenant: &Arc<Tenant>,
     reads: Vec<crate::protocol::WireRead>,
 ) -> Response {
     if shared.shutting_down.load(Ordering::SeqCst) {
@@ -359,7 +461,8 @@ fn handle_submit(
     let bytes: usize = reads.iter().map(|r| r.payload_bytes()).sum();
     let records: Vec<SeqRecord> = reads.into_iter().map(SeqRecord::from).collect();
     let rx = {
-        let mut s = session.lock().expect("session lock");
+        let mut s = lock(&tenant.session);
+        let keys = &tenant.keys;
         if let Some(m) = &shared.metrics {
             m.counter_add("serve.requests.submit", 1);
         }
@@ -378,12 +481,8 @@ fn handle_submit(
                     ],
                 );
                 if let Some(m) = &shared.metrics {
-                    let t = s.tenant();
-                    m.counter_add(&format!("serve.tenant.{t}.busy_rejections"), 1);
-                    m.counter_add(
-                        &format!("serve.tenant.{t}.reads_rejected"),
-                        records.len() as u64,
-                    );
+                    m.counter_add(&keys.busy_rejections, 1);
+                    m.counter_add(&keys.reads_rejected, records.len() as u64);
                 }
                 return Response::Busy { queue_depth, limit };
             }
@@ -398,32 +497,21 @@ fn handle_submit(
                     ],
                 );
                 if let Some(m) = &shared.metrics {
-                    let t = s.tenant();
-                    m.counter_add(&format!("serve.tenant.{t}.quota_rejections"), 1);
-                    m.counter_add(
-                        &format!("serve.tenant.{t}.reads_rejected"),
-                        records.len() as u64,
-                    );
+                    m.counter_add(&keys.quota_rejections, 1);
+                    m.counter_add(&keys.reads_rejected, records.len() as u64);
                 }
                 return Response::QuotaExceeded { would_use, quota };
             }
             Ok(()) => {
                 if let Some(m) = &shared.metrics {
-                    let t = s.tenant();
-                    m.counter_add(&format!("serve.tenant.{t}.batches_admitted"), 1);
-                    m.counter_add(
-                        &format!("serve.tenant.{t}.reads_admitted"),
-                        records.len() as u64,
-                    );
-                    m.counter_add(&format!("serve.tenant.{t}.bytes_admitted"), bytes as u64);
-                    m.observe(
-                        &format!("serve.tenant.{t}.batch_reads"),
-                        records.len() as u64,
-                    );
+                    m.counter_add(&keys.batches_admitted, 1);
+                    m.counter_add(&keys.reads_admitted, records.len() as u64);
+                    m.counter_add(&keys.bytes_admitted, bytes as u64);
+                    m.observe(&keys.batch_reads, records.len() as u64);
                 }
                 let (tx, rx) = mpsc::channel();
                 let item = WorkItem {
-                    session: Arc::clone(session),
+                    tenant: Arc::clone(tenant),
                     reads: records,
                     bytes,
                     reply: tx,
@@ -455,22 +543,15 @@ fn handle_submit(
 
 fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    // Generous timeout for the handshake frame, then short polls so
-    // the connection observes a drain while idle.
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
-    let session = match handshake(&shared, &mut stream) {
-        Some(s) => s,
+    let Ok(mut frames) = FrameReader::new(&stream) else {
+        return;
+    };
+    let tenant = match handshake(&shared, &mut stream, &mut frames) {
+        Some(t) => t,
         None => return,
     };
-    loop {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        let first = match poll_first_byte(&shared, &mut stream) {
-            Some(b) => b,
-            None => return,
-        };
-        // Mid-frame: the peer is committed, read the rest blocking-ish.
-        let _ = stream.set_read_timeout(Some(Duration::from_secs(30)));
-        let body = match read_frame_after(first, &mut stream) {
+    while let Some(frame) = frames.next(&shared) {
+        let body = match frame {
             Ok(body) => body,
             Err(e) => {
                 // Framing is lost — report and hang up.
@@ -502,7 +583,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                 } else {
                     let records: Vec<SeqRecord> = reads.into_iter().map(SeqRecord::from).collect();
                     let start_ns = shared.tracer.now_ns();
-                    let mut s = session.lock().expect("session lock");
+                    let mut s = lock(&tenant.session);
                     if let Some(m) = &shared.metrics {
                         m.counter_add("serve.requests.seed", 1);
                     }
@@ -517,7 +598,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                             );
                             if let Some(m) = &shared.metrics {
                                 m.observe(
-                                    &format!("serve.tenant.{}.seed_us", s.tenant()),
+                                    &tenant.keys.seed_us,
                                     done_ns.saturating_sub(start_ns) / 1_000,
                                 );
                             }
@@ -527,12 +608,12 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                     }
                 }
             }
-            Ok(Request::SubmitReads { reads }) => handle_submit(&shared, &session, reads),
+            Ok(Request::SubmitReads { reads }) => handle_submit(&shared, &tenant, reads),
             Ok(Request::Query { id }) => {
                 if let Some(m) = &shared.metrics {
                     m.counter_add("serve.requests.query", 1);
                 }
-                let s = session.lock().expect("session lock");
+                let s = lock(&tenant.session);
                 Response::QueryResult {
                     label: s.query(&id),
                 }
@@ -541,7 +622,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                 if let Some(m) = &shared.metrics {
                     m.counter_add("serve.requests.cluster_stats", 1);
                 }
-                let s = session.lock().expect("session lock");
+                let s = lock(&tenant.session);
                 Response::Stats(s.stats())
             }
             Ok(Request::ServerStats) => match &shared.metrics {
@@ -552,9 +633,9 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                     // the last submission. Lock order matches the
                     // handshake path: sessions map, then one session
                     // at a time.
-                    let sessions = shared.sessions.lock().expect("sessions lock");
-                    for s in sessions.values() {
-                        s.lock().expect("session lock").export_metrics(m);
+                    let sessions = lock(&shared.sessions);
+                    for t in sessions.values() {
+                        lock(&t.session).export_metrics(m);
                     }
                     drop(sessions);
                     Response::ServerStats(m.snapshot())
@@ -566,7 +647,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                 let resp = Response::ShutdownAck { drained };
                 send(&mut stream, &resp);
                 // Unblock the accept loop so run() can return.
-                if let Some(addr) = *shared.addr.lock().expect("addr lock") {
+                if let Some(addr) = *lock(&shared.addr) {
                     let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
                 }
                 return;
@@ -717,5 +798,49 @@ impl ServerHandle {
     /// Wait for the daemon to drain and exit.
     pub fn join(self) {
         let _ = self.join.join();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+    use crate::protocol::SeedConfig;
+
+    /// A thread that panics holding a tenant's session poisons its
+    /// mutex; the tenant keeps answering queries, stats and submits.
+    #[test]
+    fn poisoned_session_keeps_serving() {
+        let server = Server::bind(&ServerConfig::default(), Arc::new(Tracer::new())).unwrap();
+        let addr = server.local_addr();
+        let shared = Arc::clone(&server.shared);
+        let daemon = thread::spawn(move || server.run());
+
+        let read = |id: &str| SeqRecord::new(id, b"ACGTACGTACGTACGTTTTTACGTACGT".to_vec());
+        let mut client = Client::connect(addr, "t").unwrap();
+        let config = SeedConfig {
+            kmer: 5,
+            num_hashes: 64,
+            theta: 0.9,
+            greedy: true,
+            ..SeedConfig::default()
+        };
+        client.seed_from_batch(&config, &[read("a")]).unwrap();
+
+        let tenant = shared.tenant("t");
+        let holder = Arc::clone(&tenant);
+        let panicked = thread::spawn(move || {
+            let _session = holder.session.lock();
+            panic!("panics holding the session");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(tenant.session.is_poisoned());
+
+        assert_eq!(client.query("a").unwrap(), Some(0));
+        assert_eq!(client.stats().unwrap().tenant, "t");
+        assert_eq!(client.submit_labels(&[read("b")]).unwrap(), vec![0]);
+        client.shutdown().unwrap();
+        daemon.join().unwrap();
     }
 }

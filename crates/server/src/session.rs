@@ -12,10 +12,11 @@
 //!    ([`IncrementalClusterer::from_run`]), and the batch reads'
 //!    labels are indexed for `Query`.
 //! 3. **Serving** — admitted micro-batches stream through
-//!    [`IncrementalClusterer::push_batch`]; every new read is
+//!    [`IncrementalClusterer::push_batch`]; every new sequence is
 //!    assigned in one sketch + one lookup of its band-signature
-//!    buckets in the clusterer's representative index (exactly the
-//!    label a scan of every representative would give — see
+//!    buckets in the clusterer's representative index, and a byte
+//!    copy of a streamed read in one memo lookup (exactly the label a
+//!    scan of every representative would give — see
 //!    `mrmc::incremental`), never by re-running a Map-Reduce job.
 
 use std::collections::HashMap;

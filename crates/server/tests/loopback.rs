@@ -7,6 +7,7 @@
 //! — the daemon's ledger contains *only* `serve`-category spans, no
 //! Map-Reduce job spans.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::thread;
@@ -18,7 +19,7 @@ use mrmc_seqio::SeqRecord;
 use mrmc_server::protocol::{read_frame, write_frame};
 use mrmc_server::{
     AdmissionLimits, Client, ClientError, ErrorCode, Request, Response, SeedConfig, Server,
-    ServerConfig, ServerHandle, SubmitOutcome, PROTOCOL_VERSION,
+    ServerConfig, ServerHandle, SubmitOutcome, WireRead, PROTOCOL_VERSION,
 };
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
@@ -356,5 +357,108 @@ fn session_lifecycle_errors_are_typed() {
     );
 
     client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// A raw connection past the handshake, for tests that shape the bytes
+/// of a frame themselves.
+fn raw_session(handle: &ServerHandle, tenant: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+        tenant: tenant.to_string(),
+    };
+    write_frame(&mut stream, &hello.encode()).expect("write");
+    let body = read_frame(&mut stream).expect("read").expect("frame");
+    assert_eq!(
+        Response::decode(&body).expect("decode"),
+        Response::HelloAck {
+            version: PROTOCOL_VERSION
+        }
+    );
+    stream
+}
+
+fn frame(req: &Request) -> Vec<u8> {
+    let mut wire = Vec::new();
+    write_frame(&mut wire, &req.encode()).expect("write to a Vec");
+    wire
+}
+
+fn response(stream: &mut TcpStream) -> Response {
+    let body = read_frame(stream).expect("read").expect("frame");
+    Response::decode(&body).expect("decode")
+}
+
+/// A frame whose body arrives 300 ms after its header — longer than
+/// the daemon's idle poll — is waited for and answered.
+#[test]
+fn frame_split_by_a_pause_is_answered() {
+    let handle = spawn_server(AdmissionLimits::default());
+    let mut stream = raw_session(&handle, "t");
+    let wire = frame(&Request::Query { id: "r1".into() });
+    stream.write_all(&wire[..1]).expect("header");
+    thread::sleep(Duration::from_millis(300));
+    stream.write_all(&wire[1..]).expect("body");
+    assert_eq!(response(&mut stream), Response::QueryResult { label: None });
+    drop(stream);
+    Client::connect(handle.addr(), "t")
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    handle.join();
+}
+
+/// Two requests sent in one `write` are both answered, in order.
+#[test]
+fn requests_in_one_write_are_answered_in_order() {
+    let handle = spawn_server(AdmissionLimits::default());
+    let mut stream = raw_session(&handle, "t");
+    let mut wire = frame(&Request::Query { id: "r1".into() });
+    wire.extend(frame(&Request::ClusterStats));
+    stream.write_all(&wire).expect("write");
+    assert_eq!(response(&mut stream), Response::QueryResult { label: None });
+    match response(&mut stream) {
+        Response::Stats(stats) => assert_eq!(stats.tenant, "t"),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+    drop(stream);
+    Client::connect(handle.addr(), "t")
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    handle.join();
+}
+
+/// A peer that hangs up halfway through a frame costs only its own
+/// connection: the tenant keeps serving the others, old and new.
+#[test]
+fn hangup_mid_frame_leaves_the_tenant_serving() {
+    let handle = spawn_server(AdmissionLimits::default());
+    let reads = corpus(20, 8);
+    let mut client = Client::connect(handle.addr(), "t").expect("connect");
+    client
+        .seed_from_batch(&seed_cfg(), &reads[..10])
+        .expect("seed");
+
+    let mut quitter = raw_session(&handle, "t");
+    let wire = frame(&Request::SubmitReads {
+        reads: reads[10..15].iter().map(WireRead::from).collect(),
+    });
+    quitter
+        .write_all(&wire[..wire.len() / 2])
+        .expect("half a frame");
+    drop(quitter);
+
+    let labels = client.submit_labels(&reads[15..]).expect("submit");
+    assert_eq!(client.query(&reads[15].id).expect("query"), Some(labels[0]));
+    let mut late = Client::connect(handle.addr(), "t").expect("connect");
+    let stats = late.stats().expect("stats");
+    assert_eq!(stats.reads_admitted, 5, "the half frame admitted nothing");
+    assert_eq!(stats.queue_depth, 0);
+    late.shutdown().expect("shutdown");
     handle.join();
 }
