@@ -42,14 +42,6 @@ pub struct HarnessArgs {
     /// Optional path for a Chrome trace of the run (binaries that run
     /// the real engine attach a [`mrmc_mapreduce::Tracer`] when set).
     pub trace: Option<String>,
-    /// Regression gate for `shuffle_bench`: exit non-zero if the
-    /// streaming merge path performs more than this many allocations
-    /// per input run (fractional; the legacy decode-merge costs ≥ 1).
-    pub max_merge_allocs_per_run: Option<f64>,
-    /// Regression gate for the metrics plane (`server_report`,
-    /// `shuffle_bench`): exit non-zero if keeping the metrics registry
-    /// fed costs more than this percentage of the instrumented work.
-    pub max_metrics_overhead_pct: Option<f64>,
 }
 
 impl HarnessArgs {
@@ -61,8 +53,6 @@ impl HarnessArgs {
             samples: None,
             json: None,
             trace: None,
-            max_merge_allocs_per_run: None,
-            max_metrics_overhead_pct: None,
         };
         let argv: Vec<String> = std::env::args().collect();
         let mut i = 1;
@@ -100,27 +90,9 @@ impl HarnessArgs {
                     args.trace = Some(argv.get(i + 1).expect("--trace needs a file path").clone());
                     i += 2;
                 }
-                "--max-merge-allocs-per-run" => {
-                    args.max_merge_allocs_per_run = Some(
-                        argv.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .expect("--max-merge-allocs-per-run needs a number"),
-                    );
-                    i += 2;
-                }
-                "--max-metrics-overhead-pct" => {
-                    args.max_metrics_overhead_pct = Some(
-                        argv.get(i + 1)
-                            .and_then(|s| s.parse().ok())
-                            .expect("--max-metrics-overhead-pct needs a number"),
-                    );
-                    i += 2;
-                }
                 other => panic!(
                     "unknown argument {other:?} \
-                     (supported: --scale, --seed, --samples, --json, --trace, \
-                     --max-merge-allocs-per-run, \
-                     --max-metrics-overhead-pct)"
+                     (supported: --scale, --seed, --samples, --json, --trace)"
                 ),
             }
         }
@@ -447,8 +419,6 @@ mod tests {
             samples: Some(vec!["S1".into(), "S3".into()]),
             json: None,
             trace: None,
-            max_merge_allocs_per_run: None,
-            max_metrics_overhead_pct: None,
         };
         assert!(args.wants("S1"));
         assert!(!args.wants("S2"));

@@ -1,4 +1,5 @@
-//! Allocation budget of the banded shuffle plane (DESIGN.md §3a.1).
+//! Allocation budget of the banded shuffle plane and its run merge
+//! (DESIGN.md §3a.1).
 //!
 //! One `#[test]` on purpose, in a binary of its own: `mrmc_bench`'s
 //! counting allocator is process-global, so a test running in parallel
@@ -37,6 +38,33 @@ fn banded_plane_stays_inside_its_allocation_budget() {
         "{allocs} allocations for {} reads and {candidates} candidates, budget {budget}",
         reads.len()
     );
+
+    // The combine/reduce merge on its two hot shapes: one map task's
+    // ascending singletons for a hot bucket (the splice path), and
+    // post-combine runs whose id ranges interleave (the heap path).
+    // 1 and 4 allocations per merge, where decoding every run to ids
+    // cost 264 and 22.
+    let mut id = 0u32;
+    let singletons: Vec<IdRun> = (0..256u32)
+        .map(|i| {
+            id += 1 + i * 7_919 % 31;
+            IdRun::singleton(id)
+        })
+        .collect();
+    let strided: Vec<IdRun> = (0..16u32)
+        .map(|r| IdRun::from_ids((0..128u32).map(|t| r + 16 * t).collect()))
+        .collect();
+    for runs in [singletons, strided] {
+        let ids = runs.iter().flat_map(|r| r.decode().expect("valid run"));
+        let oracle = IdRun::from_ids(ids.collect());
+        let (merged, allocs) = count_allocs(|| IdRun::merge(&runs).expect("merge"));
+        assert_eq!(merged.as_bytes(), oracle.as_bytes());
+        assert!(
+            2 * allocs <= runs.len() as u64,
+            "{allocs} allocations merging {} runs",
+            runs.len()
+        );
+    }
 
     let ((), allocs) = count_allocs(|| {
         for i in 0..1_000u32 {

@@ -67,7 +67,7 @@ pub use mrmc_chaos::{
     ChaosProfile, FaultInjector, FaultPlan, NoFaults, Phase, PlanInjector, RecoveryCounters,
     TaskFault,
 };
-pub use mrmc_obs::{chrome_trace, critical_path, render_gantt, CriticalPath, TraceLedger, Tracer};
+pub use mrmc_obs::{chrome_trace, critical_path, CriticalPath, TraceLedger, Tracer};
 pub use pipeline::{Gather, Pipeline};
 pub use simcluster::{
     lpt_makespan, lpt_schedule, ClusterSpec, JobCostModel, ScheduledTask, ShuffleVolume,

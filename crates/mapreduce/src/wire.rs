@@ -27,8 +27,8 @@
 //! ([`IdRun::merge_cursors`]) instead of decoding to `Vec<u32>` and
 //! re-encoding. The encoded bytes these paths produce are bit-identical
 //! to the materializing paths they replaced, which the property tests
-//! in `tests/wire.rs` pin against the retained
-//! [`IdRun::merge_via_decode`] oracle.
+//! in `tests/wire.rs` pin against a decode-concat-sort oracle built from
+//! [`IdRun::decode`] and [`IdRun::from_ids`].
 //!
 //! Pricing rule: every encoder here reports its size through
 //! [`ShuffleSized`], so `SHUFFLE_BYTES` equals the *encoded* bytes of
@@ -333,17 +333,6 @@ impl IdRun {
         }
     }
 
-    /// The legacy merge: decode every run to `Vec<u32>`, concatenate,
-    /// sort, dedup, re-encode. Kept as the byte-identity oracle for
-    /// the streaming merge (property tests, `shuffle_bench`).
-    pub fn merge_via_decode(runs: &[IdRun]) -> Result<IdRun, WireError> {
-        let mut ids = Vec::new();
-        for run in runs {
-            ids.extend(run.decode()?);
-        }
-        Ok(IdRun::from_ids(ids))
-    }
-
     /// K-way streaming merge: heap-merges N cursors, writing
     /// `count · first · deltas` directly into one output buffer —
     /// no intermediate `Vec<u32>`, no re-sort. When the runs are
@@ -351,9 +340,10 @@ impl IdRun {
     /// shape: ascending singletons from one map task) a splice fast
     /// path copies each run's delta tail verbatim.
     ///
-    /// Output bytes are identical to [`IdRun::merge_via_decode`]: the
-    /// encoding of a sorted deduped id set is canonical, so any merge
-    /// that produces the same set produces the same bytes.
+    /// Output bytes are identical to decoding every run, sorting the
+    /// concatenated ids and re-encoding them with [`IdRun::from_ids`]:
+    /// the encoding of a sorted deduped id set is canonical, so any
+    /// merge that produces the same set produces the same bytes.
     pub fn merge_cursors(runs: &[IdRun]) -> Result<IdRun, WireError> {
         if let Some(spliced) = IdRun::try_splice(runs)? {
             return Ok(spliced);
@@ -874,11 +864,12 @@ mod tests {
         ];
         for runs in cases {
             let streamed = IdRun::merge_cursors(&runs).unwrap();
-            let legacy = IdRun::merge_via_decode(&runs).unwrap();
-            assert_eq!(streamed.as_bytes(), legacy.as_bytes(), "runs: {runs:?}");
+            let ids = runs.iter().flat_map(|r| r.decode().unwrap()).collect();
+            let oracle = IdRun::from_ids(ids);
+            assert_eq!(streamed.as_bytes(), oracle.as_bytes(), "runs: {runs:?}");
             assert_eq!(
                 IdRun::merge(&runs).unwrap().as_bytes(),
-                legacy.as_bytes(),
+                oracle.as_bytes(),
                 "merge() entry point, runs: {runs:?}"
             );
         }

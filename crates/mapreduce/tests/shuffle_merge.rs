@@ -333,11 +333,11 @@ fn string_keys_bit_identical_with_payload_bytes() {
     }
 }
 
-/// The `shuffle_bench` CI shape (`--scale 0.02`): 20 000 records over
-/// 16 map tasks, 8 reducers and 78 keys — hundreds of values per reduce
-/// group and every `(map, partition)` run populated, two orders of
-/// magnitude past the property tests above — with and without the
-/// order-sensitive combiner.
+/// A word-count shape: 20 000 records over 16 map tasks, 8 reducers
+/// and 78 keys — hundreds of values per reduce group and every
+/// `(map, partition)` run populated, two orders of magnitude past the
+/// property tests above — with and without the order-sensitive
+/// combiner.
 #[test]
 fn bench_shape_bit_identical_with_and_without_combiner() {
     let (num_maps, reducers) = (16, 8);

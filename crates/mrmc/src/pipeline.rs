@@ -414,7 +414,8 @@ mod tests {
     #[test]
     fn traced_run_bit_identical_with_deterministic_ledger() {
         use mrmc_mapreduce::chaos::{FaultPlan, Phase};
-        use mrmc_mapreduce::Tracer;
+        use mrmc_mapreduce::obs::trace::Category;
+        use mrmc_mapreduce::{critical_path, ClusterSpec, JobCostModel, Tracer};
         use std::sync::Arc;
 
         let (reads, _) = two_species(40, 8);
@@ -457,7 +458,54 @@ mod tests {
         // The chaotic ledger differs from the clean one (it carries
         // the recovery spans) but shares the job structure.
         assert_ne!(c1.ledger().signature(), t1.ledger().signature());
+        assert!(c1
+            .ledger()
+            .spans
+            .iter()
+            .any(|s| s.category == Category::Recovery));
         assert_eq!(c1.ledger().jobs, t1.ledger().jobs);
+
+        // The banded route's stages reduce, so its ledger carries
+        // shuffle barriers; tracing it is passive too.
+        let banded = MrMcMinH::new(config(Mode::Hierarchical, 0.55).banded());
+        let plain_banded = banded.run(&reads).unwrap();
+        let tb = Arc::new(Tracer::new());
+        let traced_banded = banded
+            .run_on(&reads, Pipeline::new("banded").traced(tb.clone()))
+            .unwrap();
+        assert_eq!(traced_banded.assignment, plain_banded.assignment);
+        assert_eq!(traced_banded.dendrogram, plain_banded.dendrogram);
+        let ledger = tb.ledger();
+        assert_eq!(
+            ledger.jobs,
+            [
+                "minwise-sketch",
+                "band-signatures",
+                "candidate-dedup",
+                "candidate-verify"
+            ]
+        );
+        assert!(ledger.spans.iter().any(|s| s.name == "shuffle"));
+
+        // Each traced pipeline replayed on simulated clusters: the
+        // critical path spans the simulated makespan and attributes
+        // nearly all of it.
+        let model = JobCostModel::default();
+        for pipeline in [&traced.pipeline, &traced_banded.pipeline] {
+            for nodes in [2, 6, 12] {
+                let cluster = ClusterSpec::m1_large(nodes);
+                let sim = Tracer::new();
+                pipeline.simulate_on_traced(&cluster, &model, &sim);
+                let cp = critical_path(&sim.ledger());
+                let total = pipeline.simulated_total(&cluster, &model);
+                let makespan = cp.makespan_ns as f64 / 1e9;
+                assert!(
+                    (makespan - total).abs() <= 1e-6 * total,
+                    "{nodes} nodes: makespan {makespan} s, simulated {total} s"
+                );
+                assert!(cp.coverage() >= 0.95, "{nodes} nodes: {}", cp.coverage());
+            }
+        }
     }
 
     #[test]

@@ -1,12 +1,11 @@
 //! ASCII dashboard rendering of a metrics snapshot.
 //!
-//! The Gantt view ([`crate::gantt`]) draws a finished trace; this is
-//! its live-serving sibling: given a [`MetricsSnapshot`] pulled from a
-//! running daemon it draws admission state (gauges), the counter
-//! table, and one bar chart per histogram — log2 buckets on the rows,
-//! `#` bars scaled to the fullest bucket, summary percentiles in the
-//! header. Pure function of the snapshot, so a deterministic snapshot
-//! renders to deterministic bytes.
+//! Given a [`MetricsSnapshot`] pulled from a running daemon it draws
+//! admission state (gauges), the counter table, and one bar chart per
+//! histogram — log2 buckets on the rows, `#` bars scaled to the
+//! fullest bucket, summary percentiles in the header. Pure function of
+//! the snapshot, so a deterministic snapshot renders to deterministic
+//! bytes.
 
 use crate::metrics::{bucket_hi, bucket_lo, MetricsSnapshot};
 

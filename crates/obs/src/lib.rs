@@ -23,25 +23,21 @@
 //!   barrier → reduce, plus retry edges and scheduling lanes) and
 //!   reports the longest chain with per-category attribution
 //!   (compute / shuffle / overhead / recovery).
-//! * [`render_gantt`] — an ASCII Gantt chart of the ledger, one row
-//!   per scheduling lane.
 //!
 //! The crate is dependency-free and sits *below* `mrmc-mapreduce` in
-//! the workspace graph: the engine, the simulated cluster and the
-//! bench binaries all emit into the same ledger types.
+//! the workspace graph: the engine, the simulated cluster, the daemon
+//! and the bench binaries all emit into the same ledger types.
 
 //! A second, live-serving observability surface sits alongside the
 //! ledger: [`metrics`] is a deterministic registry of counters, gauges
 //! and log2-bucketed histograms (exact-from-bucket percentiles,
 //! snapshot/delta semantics), [`dashboard`] renders a snapshot as an
-//! ASCII dashboard the way [`gantt`] renders a trace, and [`json`] is
-//! the shared JSON document builder both the metrics plane and the
-//! bench harness render through.
+//! ASCII dashboard, and [`json`] is the shared JSON document builder
+//! both the metrics plane and the bench harness render through.
 
 pub mod chrome;
 pub mod critical;
 pub mod dashboard;
-pub mod gantt;
 pub mod json;
 pub mod metrics;
 pub mod trace;
@@ -49,7 +45,6 @@ pub mod trace;
 pub use chrome::chrome_trace;
 pub use critical::{critical_path, CriticalPath, PathStep};
 pub use dashboard::render_dashboard;
-pub use gantt::render_gantt;
 pub use json::Json;
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use trace::{Category, Event, Span, SpanDraft, SpanId, TraceLedger, Tracer};

@@ -12,10 +12,11 @@
 //!   / JSON output. Engine metrics are exported from [`StageReport`]
 //!   counters *after* a run, so a fixed seed (and a fixed chaos plan)
 //!   pins the whole snapshot.
-//! * **Passive.** Recording is a single short mutex hold; the engine
-//!   hot paths never touch the registry — they keep their existing
-//!   per-task local counters and the pipeline exports the totals once
-//!   per run. The serving layer records per *request*, not per read.
+//! * **Passive.** Recording is a single short mutex hold that allocates
+//!   only the first time a key is seen; the engine hot paths never
+//!   touch the registry — they keep their existing per-task local
+//!   counters and the pipeline exports the totals once per run. The
+//!   serving layer records per *request*, not per read.
 //! * **Exact-from-bucket percentiles.** Histograms bucket values by
 //!   bit width (65 log2 buckets covering all of `u64`), so
 //!   `percentile` walks the cumulative counts and returns the upper
@@ -27,7 +28,7 @@
 //! [`StageReport`]: ../../mrmc_mapreduce/pipeline/struct.StageReport.html
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::json::Json;
@@ -227,6 +228,16 @@ struct Inner {
     histograms: BTreeMap<String, Histogram>,
 }
 
+/// Apply `f` to the metric under `name`, created from its default on
+/// first sight. Only that first call allocates the key, so recording
+/// into an existing metric allocates nothing.
+fn update<V: Default>(map: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match map.get_mut(name) {
+        Some(v) => f(v),
+        None => f(map.entry(name.to_string()).or_default()),
+    }
+}
+
 /// The registry: a named set of counters (monotone u64), gauges
 /// (instantaneous i64) and [`Histogram`]s behind one mutex.
 ///
@@ -245,38 +256,34 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner
+            .lock()
+            .expect("a thread panicked while recording a metric")
+    }
+
     /// Add to a counter (creating it at 0).
     pub fn counter_add(&self, name: &str, v: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        let c = inner.counters.entry(name.to_string()).or_insert(0);
-        *c = c.saturating_add(v);
+        update(&mut self.lock().counters, name, |c| {
+            *c = c.saturating_add(v)
+        });
     }
 
     /// Set a gauge to an absolute value.
     pub fn gauge_set(&self, name: &str, v: i64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .gauges
-            .insert(name.to_string(), v);
+        update(&mut self.lock().gauges, name, |g| *g = v);
     }
 
     /// Adjust a gauge by a signed delta (creating it at 0).
     pub fn gauge_add(&self, name: &str, delta: i64) {
-        let mut inner = self.inner.lock().unwrap();
-        let g = inner.gauges.entry(name.to_string()).or_insert(0);
-        *g = g.saturating_add(delta);
+        update(&mut self.lock().gauges, name, |g| {
+            *g = g.saturating_add(delta)
+        });
     }
 
     /// Record one value into a histogram (creating it empty).
     pub fn observe(&self, name: &str, v: u64) {
-        self.inner
-            .lock()
-            .unwrap()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+        update(&mut self.lock().histograms, name, |h| h.record(v));
     }
 
     /// Record a duration into a histogram, in whole microseconds.
@@ -286,19 +293,13 @@ impl MetricsRegistry {
 
     /// Fold a pre-aggregated histogram into a named histogram.
     pub fn merge_histogram(&self, name: &str, h: &Histogram) {
-        self.inner
-            .lock()
-            .unwrap()
-            .histograms
-            .entry(name.to_string())
-            .or_default()
-            .merge(h);
+        update(&mut self.lock().histograms, name, |m| m.merge(h));
     }
 
     /// A point-in-time copy of every metric, deterministically ordered
     /// by name within each kind.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.lock();
         MetricsSnapshot {
             counters: inner
                 .counters
@@ -316,7 +317,7 @@ impl MetricsRegistry {
 
     /// Drop every metric (for reuse across bench iterations).
     pub fn clear(&self) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.lock();
         inner.counters.clear();
         inner.gauges.clear();
         inner.histograms.clear();
@@ -554,6 +555,26 @@ mod tests {
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.count(), 2);
         assert_eq!(h.percentile(50.0), u64::MAX);
+    }
+
+    #[test]
+    fn recording_into_existing_keys_saturates_or_overwrites() {
+        let m = MetricsRegistry::new();
+        m.counter_add("c", u64::MAX);
+        m.counter_add("c", 1);
+        m.gauge_add("g", i64::MIN);
+        m.gauge_add("g", -1);
+        m.gauge_set("s", 5);
+        m.gauge_set("s", -5);
+        let mut h = Histogram::new();
+        h.record(3);
+        m.merge_histogram("h", &h);
+        m.merge_histogram("h", &h);
+        let snap = m.snapshot();
+        assert_eq!(snap.counter("c"), Some(u64::MAX));
+        assert_eq!(snap.gauge("g"), Some(i64::MIN));
+        assert_eq!(snap.gauge("s"), Some(-5));
+        assert_eq!(snap.histogram("h").map(Histogram::count), Some(2));
     }
 
     #[test]

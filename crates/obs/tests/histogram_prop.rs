@@ -1,4 +1,5 @@
-//! Property-based tests for the metrics plane's bucket math.
+//! Property-based tests for the metrics plane's bucket math and
+//! registry.
 //!
 //! The log2 histogram is the load-bearing primitive of the live
 //! metrics plane: every latency percentile the server reports and
@@ -7,10 +8,12 @@
 //! hold for *any* input, including the u64 overflow edges the unit
 //! tests only spot-check.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use mrmc_obs::metrics::{bucket_hi, bucket_index, bucket_lo, HISTOGRAM_BUCKETS};
-use mrmc_obs::Histogram;
+use mrmc_obs::{Histogram, MetricsRegistry, MetricsSnapshot};
 
 fn record_all(values: &[u64]) -> Histogram {
     let mut h = Histogram::new();
@@ -133,5 +136,53 @@ proptest! {
             sparse,
         ).expect("valid parts");
         prop_assert_eq!(rebuilt, h);
+    }
+
+    /// The registry records exactly what three plain maps would, in any
+    /// interleaving of the five recording calls over a few shared keys:
+    /// looking a key up before allocating it changes no snapshot byte.
+    #[test]
+    fn registry_matches_a_map_model(ops in proptest::collection::vec(any::<u64>(), 0..64)) {
+        let registry = MetricsRegistry::new();
+        let mut counters: BTreeMap<String, u64> = BTreeMap::new();
+        let mut gauges: BTreeMap<String, i64> = BTreeMap::new();
+        let mut histograms: BTreeMap<String, Histogram> = BTreeMap::new();
+        for op in ops {
+            let key = format!("k{}", (op >> 3) % 3);
+            let v = op >> 8;
+            match op % 5 {
+                0 => {
+                    registry.counter_add(&key, v);
+                    let c = counters.entry(key).or_insert(0);
+                    *c = c.saturating_add(v);
+                }
+                1 => {
+                    registry.gauge_set(&key, v as i64);
+                    gauges.insert(key, v as i64);
+                }
+                2 => {
+                    registry.gauge_add(&key, -(v as i64));
+                    let g = gauges.entry(key).or_insert(0);
+                    *g = g.saturating_add(-(v as i64));
+                }
+                3 => {
+                    registry.observe(&key, v);
+                    histograms.entry(key).or_default().record(v);
+                }
+                _ => {
+                    let h = record_all(&[v, v / 2]);
+                    registry.merge_histogram(&key, &h);
+                    histograms.entry(key).or_default().merge(&h);
+                }
+            }
+        }
+        let model = MetricsSnapshot {
+            counters: counters.into_iter().collect(),
+            gauges: gauges.into_iter().collect(),
+            histograms: histograms.into_iter().collect(),
+        };
+        let snap = registry.snapshot();
+        prop_assert_eq!(snap.render_text(), model.render_text());
+        prop_assert_eq!(snap, model);
     }
 }

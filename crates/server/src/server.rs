@@ -7,7 +7,7 @@
 //!   spawns a handler thread per connection.
 //! * Connection threads do handshake, framing and admission control,
 //!   writing each response frame with one `write_all` and reading
-//!   requests through a buffer (see [`FrameReader`] for the timeouts),
+//!   requests through a buffer (see `FrameReader` for the timeouts),
 //!   then hand admitted micro-batches to the shared work queue and
 //!   block on the reply channel. Seeding (`SeedFromBatch`) runs
 //!   inline on the connection thread — it is a one-time heavyweight
@@ -22,7 +22,7 @@
 //!
 //! Lock order is always session → queue (connections) or queue-pop →
 //! session (workers, queue lock released before the session lock is
-//! taken), so the two never deadlock. Every lock goes through [`lock`],
+//! taken), so the two never deadlock. Every lock goes through `lock`,
 //! which takes over a poisoned mutex: a thread that panicked holding a
 //! session does not retire its tenant.
 //!
@@ -143,8 +143,8 @@ struct QueueState {
 struct Shared {
     tracer: Arc<Tracer>,
     /// Live metrics registry; `None` when the daemon runs with
-    /// metrics disabled (the on/off overhead control in
-    /// `server_report`).
+    /// metrics disabled (`--no-metrics`; labels are identical either
+    /// way).
     metrics: Option<Arc<MetricsRegistry>>,
     limits: AdmissionLimits,
     addr: Mutex<Option<SocketAddr>>,

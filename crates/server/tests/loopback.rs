@@ -198,10 +198,11 @@ fn concurrent_sessions_match_oracle_and_ledger_is_all_serve() {
     assert_eq!(snap.gauge("serve.queue_depth"), Some(0));
     assert_eq!(snap.gauge("serve.sessions"), Some(2));
 
-    // Graceful drain: shutdown acks, the daemon thread exits, and a
-    // late connection is refused or dropped without an answer.
+    // Graceful drain: shutdown acks with nothing left to drain (every
+    // batch was answered), the daemon thread exits, and a late
+    // connection is refused or dropped without an answer.
     let mut closer = Client::connect(addr, "alpha").expect("connect for shutdown");
-    closer.shutdown().expect("shutdown ack");
+    assert_eq!(closer.shutdown().expect("shutdown ack"), 0, "idle drain");
     handle.join();
     assert!(
         Client::connect(addr, "late").is_err(),
