@@ -7,6 +7,14 @@
 //! `GreedyClustering`), so [`algorithm3_script`] runs end-to-end on
 //! the mini-Pig engine.
 //!
+//! Each UDF is one type. `TranslateToKmer`, `CalculateMinwiseHash`,
+//! `CalculatePairwiseSimilarity` and
+//! `AgglomerativeHierarchicalClustering` override
+//! [`Udf::eval_batch`] with a columnar kernel, because the
+//! `pig_algorithm3` benchmark measures each one paying; the loader,
+//! `StringGenerator` and `GreedyClustering` keep the provided
+//! row-by-row lift of `exec`.
+//!
 //! Algorithm 3 is the native pipeline spelled in Pig: its UDFs sketch,
 //! compare and place through the kernels [`crate::MrMcMinH::run`]
 //! uses. `CalculateMinwiseHash` sketches with the
@@ -35,7 +43,7 @@ use std::sync::Arc;
 use mrmc_cluster::{agglomerative, CondensedMatrix, Linkage};
 use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
 use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
-use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, BatchUdf, UdfError};
+use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, UdfError};
 use mrmc_pig::{Udf, UdfRegistry, Value};
 use mrmc_seqio::encode::KmerIter;
 use mrmc_seqio::fasta::read_fasta_bytes;
@@ -43,9 +51,7 @@ use mrmc_seqio::fasta::read_fasta_bytes;
 use crate::config::MrMcConfig;
 use crate::incremental::RepresentativeIndex;
 
-/// Register every Algorithm 3 UDF, scalar implementations plus the
-/// native batch kernels for the five hot transforms (the loader and
-/// `GreedyClustering` go through the registry's scalar-lift adapter).
+/// Register every Algorithm 3 UDF.
 pub fn register_mrmc_udfs(registry: &mut UdfRegistry) {
     registry.register(Arc::new(FastaStorage));
     registry.register(Arc::new(StringGenerator));
@@ -54,11 +60,6 @@ pub fn register_mrmc_udfs(registry: &mut UdfRegistry) {
     registry.register(Arc::new(CalculatePairwiseSimilarity));
     registry.register(Arc::new(AgglomerativeHierarchicalClustering));
     registry.register(Arc::new(GreedyClustering));
-    registry.register_batch(Arc::new(BatchStringGenerator));
-    registry.register_batch(Arc::new(BatchTranslateToKmer));
-    registry.register_batch(Arc::new(BatchCalculateMinwiseHash));
-    registry.register_batch(Arc::new(BatchCalculatePairwiseSimilarity));
-    registry.register_batch(Arc::new(BatchAgglomerativeHierarchicalClustering));
 }
 
 /// Our canonical version of the paper's Algorithm 3 script.
@@ -147,19 +148,11 @@ impl Udf for FastaStorage {
     }
 }
 
-/// `StringGenerator`'s kernel: `seq` with its DNA alphabet normalized
-/// (upper-case, `U`→`T`), appended to `out`. The k-mer encoder reads
-/// either case and `U` as `T` anyway, so this changes no sketch.
-fn normalize_into(seq: &[u8], out: &mut Vec<u8>) {
-    out.extend(seq.iter().map(|&c| match c.to_ascii_uppercase() {
-        b'U' => b'T',
-        up => up,
-    }));
-}
-
-/// `StringGenerator(seq, readid)` — normalizes the DNA alphabet and
-/// passes the id through; the integer encoding itself happens inside
-/// `TranslateToKmer`, which packs each k-mer into a long.
+/// `StringGenerator(seq, readid)` — normalizes the DNA alphabet
+/// (upper-case, `U`→`T`) and passes the id through; the integer
+/// encoding itself happens inside `TranslateToKmer`, which packs each
+/// k-mer into a long. The k-mer encoder reads either case and `U` as
+/// `T` anyway, so the normalization changes no sketch.
 pub struct StringGenerator;
 impl Udf for StringGenerator {
     fn name(&self) -> &str {
@@ -171,8 +164,13 @@ impl Udf for StringGenerator {
             .and_then(Value::as_bytes)
             .ok_or_else(|| UdfError::new("StringGenerator", "argument 0 must be the sequence"))?;
         let id = arg_str("StringGenerator", args, 1, "the read id")?;
-        let mut norm = Vec::with_capacity(seq.len());
-        normalize_into(seq, &mut norm);
+        let norm: Vec<u8> = seq
+            .iter()
+            .map(|&c| match c.to_ascii_uppercase() {
+                b'U' => b'T',
+                up => up,
+            })
+            .collect();
         Ok(Value::tuple([
             Value::CharArray(String::from_utf8_lossy(&norm).into_owned()),
             Value::CharArray(id.to_string()),
@@ -203,6 +201,50 @@ impl Udf for TranslateToKmer {
                 .map(|km| Value::tuple([Value::Long(km), Value::CharArray(id.to_string())]))
                 .collect::<Vec<_>>(),
         ))
+    }
+
+    /// Writes every row's k-mers straight into one packed `long`
+    /// column and builds the `(kmer, seqid)` bag column over it — no
+    /// per-k-mer tuple or bag allocation.
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        let (Some(seq), Some(ids), Some(k)) = (
+            args.first().and_then(|a| str_arg(a, rows)),
+            args.get(1).and_then(|a| str_arg(a, rows)),
+            args.get(2)
+                .and_then(BatchArg::as_scalar)
+                .and_then(Value::as_i64),
+        ) else {
+            return scalar_rows(self, args, rows);
+        };
+        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        let mut all: Vec<i64> = Vec::new();
+        let mut out_ids = VarBytesBuilder::with_capacity(rows * 8);
+        for i in 0..rows {
+            let id = ids.get(i);
+            for km in translate(seq.get(i), k as usize)? {
+                all.push(km);
+                out_ids.push(id);
+            }
+            offsets.push(all.len() as u32);
+        }
+        let n = all.len();
+        let child = ColumnBatch::from_cols(
+            vec![
+                Column::Long {
+                    data: all,
+                    validity: None,
+                },
+                Column::Str {
+                    data: out_ids.finish(),
+                    validity: None,
+                },
+            ],
+            n,
+        );
+        Ok(BatchOut::Col(Column::Bag(BagCol::new(
+            offsets, child, true, None,
+        ))))
     }
 }
 
@@ -262,6 +304,93 @@ impl Udf for CalculateMinwiseHash {
             Value::bag(sketch.into_iter().map(Value::Long).collect::<Vec<_>>()),
             Value::CharArray(seqid.to_string()),
         ]))
+    }
+
+    /// Builds the sketcher once per chunk, reads each group's k-mers
+    /// straight out of the grouped bag column's packed `long` child (no
+    /// `Value` materialization of the k-mer rows at all) and emits the
+    /// sketches as one packed bag column.
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        let fallback = || scalar_rows(self, args, rows);
+        // The grouped `(kmer, seqid)` bag column.
+        let Some(BatchArg::Column {
+            col: Column::Bag(bag),
+            start,
+            ..
+        }) = args.first()
+        else {
+            return fallback();
+        };
+        // `$KMER`, `$NUMHASH` and `$DIV` broadcast, as the scalar reads them.
+        let params: Vec<Value> = std::iter::once(Value::Null)
+            .chain(
+                args.iter()
+                    .skip(1)
+                    .map(|a| a.as_scalar().cloned().unwrap_or(Value::Null)),
+            )
+            .collect();
+        let Ok(hasher) = script_hasher(&params) else {
+            return fallback();
+        };
+        if !bag.tuple_elems
+            || bag.elems.num_cols() < 2
+            || !window_valid(&bag.validity, *start, rows)
+            || (0..rows).any(|i| bag.bag_len(start + i) == 0)
+        {
+            return fallback();
+        }
+        let elem_lo = bag.offsets[*start] as usize;
+        let elem_hi = bag.offsets[start + rows] as usize;
+        let (
+            Column::Long {
+                data: kmers,
+                validity: kv,
+            },
+            Column::Str {
+                data: ids,
+                validity: iv,
+            },
+        ) = (bag.elems.col(0), bag.elems.col(1))
+        else {
+            return fallback();
+        };
+        if !window_valid(kv, elem_lo, elem_hi - elem_lo)
+            || !window_valid(iv, elem_lo, elem_hi - elem_lo)
+        {
+            return fallback();
+        }
+        let mut sketches: Vec<i64> = Vec::with_capacity(rows * hasher.num_hashes());
+        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        let mut out_ids = VarBytesBuilder::with_capacity(rows);
+        for i in 0..rows {
+            let (lo, hi) = (
+                bag.offsets[start + i] as usize,
+                bag.offsets[start + i + 1] as usize,
+            );
+            minwise(&hasher, kmers[lo..hi].iter().copied(), &mut sketches);
+            offsets.push(sketches.len() as u32);
+            out_ids.push(ids.get(lo));
+        }
+        let sketch_col = Column::Bag(BagCol::new(
+            offsets,
+            ColumnBatch::single(Column::Long {
+                data: sketches,
+                validity: None,
+            }),
+            false,
+            None,
+        ));
+        Ok(BatchOut::Tup(ColumnBatch::from_cols(
+            vec![
+                sketch_col,
+                Column::Str {
+                    data: out_ids.finish(),
+                    validity: None,
+                },
+            ],
+            rows,
+        )))
     }
 }
 
@@ -357,11 +486,112 @@ impl Udf for CalculatePairwiseSimilarity {
             Value::bag(row),
         ]))
     }
+
+    /// Decodes the broadcast relation once per chunk instead of once
+    /// per row and packs it, with the chunk's own sketches (read
+    /// straight out of the sketch bag column's packed `long` child)
+    /// behind it, into one [`SketchPlane`]; emits the
+    /// `(seqid, bag of (other, sim))` rows as columns, so the n²
+    /// relation is never boxed.
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        let fallback = || scalar_rows(self, args, rows);
+        let (
+            Some(BatchArg::Column {
+                col: Column::Bag(bag),
+                start,
+                ..
+            }),
+            Some(my_ids),
+            Some(all),
+        ) = (
+            args.first(),
+            args.get(1).and_then(|a| str_arg(a, rows)),
+            args.get(2)
+                .and_then(BatchArg::as_scalar)
+                .and_then(Value::as_bag),
+        )
+        else {
+            return fallback();
+        };
+        let start = *start;
+        let (elem_lo, elem_hi) = (
+            bag.offsets[start] as usize,
+            bag.offsets[start + rows] as usize,
+        );
+        let [Column::Long {
+            data: slots,
+            validity,
+        }] = bag.elems.cols()
+        else {
+            return fallback();
+        };
+        if bag.tuple_elems
+            || !window_valid(&bag.validity, start, rows)
+            || !window_valid(validity, elem_lo, elem_hi - elem_lo)
+        {
+            return fallback();
+        }
+        let Ok((ids, mut sketches)) = sketch_rows(self.name(), all) else {
+            return fallback();
+        };
+        sketches.extend((start..start + rows).map(|r| {
+            let slots = &slots[bag.offsets[r] as usize..bag.offsets[r + 1] as usize];
+            Sketch::from_values(slots.iter().map(|&v| v as u64).collect())
+        }));
+        // Unequal widths: the scalar names the row.
+        let Ok(plane) = SketchPlane::pack(&sketches) else {
+            return fallback();
+        };
+        drop(sketches);
+        let mut out_ids = VarBytesBuilder::with_capacity(rows);
+        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
+        offsets.push(0);
+        let mut others = VarBytesBuilder::with_capacity(rows * ids.len());
+        let mut sims: Vec<f64> = Vec::with_capacity(rows * ids.len());
+        for i in 0..rows {
+            let my_id = my_ids.get(i);
+            for (other, sim) in similarity_row(&plane, &ids, ids.len() + i, my_id) {
+                others.push(other.as_bytes());
+                sims.push(sim);
+            }
+            offsets.push(sims.len() as u32);
+            out_ids.push(my_id);
+        }
+        let entries = sims.len();
+        let row_col = Column::Bag(BagCol::new(
+            offsets,
+            ColumnBatch::from_cols(
+                vec![
+                    Column::Str {
+                        data: others.finish(),
+                        validity: None,
+                    },
+                    Column::Double {
+                        data: sims,
+                        validity: None,
+                    },
+                ],
+                entries,
+            ),
+            true,
+            None,
+        ));
+        Ok(BatchOut::Tup(ColumnBatch::from_cols(
+            vec![
+                Column::Str {
+                    data: out_ids.finish(),
+                    validity: None,
+                },
+                row_col,
+            ],
+            rows,
+        )))
+    }
 }
 
 /// Fill the dense matrix over `ids` (index order) from
-/// `(row, other id, similarity)` entries — written once; the scalar
-/// UDF and the batch kernel only decode their arguments into it.
+/// `(row, other id, similarity)` entries — written once; `exec` and
+/// `eval_batch` only decode their arguments into it.
 /// Duplicate ids resolve to their first row, entries naming an unknown
 /// id or the row itself are skipped, and a later entry for a pair
 /// overwrites an earlier one.
@@ -463,399 +693,12 @@ impl Udf for AgglomerativeHierarchicalClustering {
                 .map(|(i, id)| (id, assignment.label(i))),
         ))
     }
-}
 
-/// `GreedyClustering(sketch_rows, numhash, cutoff)` — Algorithm 1 on
-/// the grouped sketch relation, placed through the
-/// [`RepresentativeIndex`] a greedy [`crate::MrMcMinH`] run uses, its
-/// banding tuned for `$NUMHASH` and `$CUTOFF`; bag of
-/// `(seqid, clusterlabel)`. A sketch not `$NUMHASH` long is an error.
-pub struct GreedyClustering;
-impl Udf for GreedyClustering {
-    fn name(&self) -> &str {
-        "GreedyClustering"
-    }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let rows = arg_bag(self.name(), args, 0, "the sketch rows")?;
-        let config = MrMcConfig {
-            num_hashes: arg_count(self.name(), args, 1, "$NUMHASH")?,
-            theta: arg_f64(self.name(), args, 2, "$CUTOFF")?,
-            ..MrMcConfig::default()
-        };
-        config
-            .validate()
-            .map_err(|e| UdfError::new(self.name(), e))?;
-        let (ids, sketches) = sketch_rows(self.name(), rows)?;
-        check_widths(self.name(), &ids, &sketches, config.num_hashes)?;
-        let labels = RepresentativeIndex::new(&config).place_all(sketches);
-        Ok(label_bag(ids.into_iter().zip(labels)))
-    }
-}
-
-// ------------------------------------------------- native batch kernels
-//
-// Each kernel decodes column storage (packed byte buffers, offset
-// vectors) instead of boxed `Value` trees into the same core function
-// its scalar twin calls. Any argument layout the kernel does not
-// vectorize — and any argument the scalar would refuse — falls back to
-// the scalar implementation row by row, so the batch path is
-// bit-identical by construction, errors included.
-
-/// True when every row of the window `start..start + len` is valid.
-fn window_valid(validity: &Option<Bitmap>, start: usize, len: usize) -> bool {
-    validity
-        .as_ref()
-        .is_none_or(|v| (start..start + len).all(|i| v.get(i)))
-}
-
-/// The packed strings of rows `start..start + len` of a chararray
-/// column with no null among them (`None`: scalar fallback).
-fn str_window(col: &Column, start: usize, len: usize) -> Option<&VarBytes> {
-    match col {
-        Column::Str { data, validity } if window_valid(validity, start, len) => Some(data),
-        _ => None,
-    }
-}
-
-/// A chararray argument window usable byte-wise: `(bytes of row i)`.
-/// Returns `None` when the layout needs the scalar fallback.
-enum StrArg<'a> {
-    Col { data: &'a VarBytes, start: usize },
-    Broadcast(&'a str),
-}
-
-impl StrArg<'_> {
-    fn get(&self, i: usize) -> &[u8] {
-        match self {
-            StrArg::Col { data, start } => data.get(start + i),
-            StrArg::Broadcast(s) => s.as_bytes(),
-        }
-    }
-}
-
-fn str_arg<'a>(arg: &BatchArg<'a>, len: usize) -> Option<StrArg<'a>> {
-    match arg {
-        BatchArg::Column { col, start, .. } => {
-            str_window(col, *start, len).map(|data| StrArg::Col {
-                data,
-                start: *start,
-            })
-        }
-        BatchArg::Scalar { value, .. } => value.as_str().map(StrArg::Broadcast),
-    }
-}
-
-/// Native `StringGenerator`: normalizes sequences in one pass over
-/// the packed byte buffer and re-emits the id column, producing a
-/// columnar two-field tuple (no per-row `String`/`Vec` boxing).
-pub struct BatchStringGenerator;
-impl BatchUdf for BatchStringGenerator {
-    fn name(&self) -> &str {
-        "StringGenerator"
-    }
+    /// Fills the condensed matrix straight from the grouped similarity
+    /// relation's nested `bag(seqid, bag(other, sim))` column and emits
+    /// the `(seqid, label)` bag as columns.
     fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        // Sequences arrive as bytearray or chararray columns.
-        let seq: Option<(&VarBytes, usize)> = match args.first() {
-            Some(BatchArg::Column { col, start, .. }) => match col {
-                Column::Bin { data, validity } | Column::Str { data, validity }
-                    if window_valid(validity, *start, rows) =>
-                {
-                    Some((data, *start))
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        let (Some((seq, seq_start)), Some(ids)) = (seq, args.get(1).and_then(|a| str_arg(a, rows)))
-        else {
-            return scalar_rows(&StringGenerator, args, rows);
-        };
-        let mut norm = VarBytesBuilder::with_capacity(rows);
-        let mut out_ids = VarBytesBuilder::with_capacity(rows);
-        let mut buf = Vec::new();
-        for i in 0..rows {
-            buf.clear();
-            normalize_into(seq.get(seq_start + i), &mut buf);
-            norm.push(&buf);
-            out_ids.push(ids.get(i));
-        }
-        Ok(BatchOut::Tup(ColumnBatch::from_cols(
-            vec![
-                Column::Str {
-                    data: norm.finish(),
-                    validity: None,
-                },
-                Column::Str {
-                    data: out_ids.finish(),
-                    validity: None,
-                },
-            ],
-            rows,
-        )))
-    }
-}
-
-/// Native `TranslateToKmer`: writes every row's k-mers straight into
-/// one packed `long` column and builds the `(kmer, seqid)` bag column
-/// over it — no per-k-mer tuple or bag allocation.
-pub struct BatchTranslateToKmer;
-impl BatchUdf for BatchTranslateToKmer {
-    fn name(&self) -> &str {
-        "TranslateToKmer"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        let (Some(seq), Some(ids), Some(k)) = (
-            args.first().and_then(|a| str_arg(a, rows)),
-            args.get(1).and_then(|a| str_arg(a, rows)),
-            args.get(2)
-                .and_then(BatchArg::as_scalar)
-                .and_then(Value::as_i64),
-        ) else {
-            return scalar_rows(&TranslateToKmer, args, rows);
-        };
-        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
-        offsets.push(0);
-        let mut all: Vec<i64> = Vec::new();
-        let mut out_ids = VarBytesBuilder::with_capacity(rows * 8);
-        for i in 0..rows {
-            let id = ids.get(i);
-            for km in translate(seq.get(i), k as usize)? {
-                all.push(km);
-                out_ids.push(id);
-            }
-            offsets.push(all.len() as u32);
-        }
-        let n = all.len();
-        let child = ColumnBatch::from_cols(
-            vec![
-                Column::Long {
-                    data: all,
-                    validity: None,
-                },
-                Column::Str {
-                    data: out_ids.finish(),
-                    validity: None,
-                },
-            ],
-            n,
-        );
-        Ok(BatchOut::Col(Column::Bag(BagCol::new(
-            offsets, child, true, None,
-        ))))
-    }
-}
-
-/// Native `CalculateMinwiseHash`: builds the sketcher once per chunk,
-/// reads each group's k-mers straight out of the grouped bag column's
-/// packed `long` child (no `Value` materialization of the k-mer rows
-/// at all) and emits the sketches as one packed bag column.
-pub struct BatchCalculateMinwiseHash;
-impl BatchUdf for BatchCalculateMinwiseHash {
-    fn name(&self) -> &str {
-        "CalculateMinwiseHash"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        let fallback = || scalar_rows(&CalculateMinwiseHash, args, rows);
-        // The grouped `(kmer, seqid)` bag column.
-        let Some(BatchArg::Column {
-            col: Column::Bag(bag),
-            start,
-            ..
-        }) = args.first()
-        else {
-            return fallback();
-        };
-        // `$KMER`, `$NUMHASH` and `$DIV` broadcast, as the scalar reads them.
-        let params: Vec<Value> = std::iter::once(Value::Null)
-            .chain(
-                args.iter()
-                    .skip(1)
-                    .map(|a| a.as_scalar().cloned().unwrap_or(Value::Null)),
-            )
-            .collect();
-        let Ok(hasher) = script_hasher(&params) else {
-            return fallback();
-        };
-        if !bag.tuple_elems
-            || bag.elems.num_cols() < 2
-            || !window_valid(&bag.validity, *start, rows)
-            || (0..rows).any(|i| bag.bag_len(start + i) == 0)
-        {
-            return fallback();
-        }
-        let elem_lo = bag.offsets[*start] as usize;
-        let elem_hi = bag.offsets[start + rows] as usize;
-        let (
-            Column::Long {
-                data: kmers,
-                validity: kv,
-            },
-            Column::Str {
-                data: ids,
-                validity: iv,
-            },
-        ) = (bag.elems.col(0), bag.elems.col(1))
-        else {
-            return fallback();
-        };
-        if !window_valid(kv, elem_lo, elem_hi - elem_lo)
-            || !window_valid(iv, elem_lo, elem_hi - elem_lo)
-        {
-            return fallback();
-        }
-        let mut sketches: Vec<i64> = Vec::with_capacity(rows * hasher.num_hashes());
-        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
-        offsets.push(0);
-        let mut out_ids = VarBytesBuilder::with_capacity(rows);
-        for i in 0..rows {
-            let (lo, hi) = (
-                bag.offsets[start + i] as usize,
-                bag.offsets[start + i + 1] as usize,
-            );
-            minwise(&hasher, kmers[lo..hi].iter().copied(), &mut sketches);
-            offsets.push(sketches.len() as u32);
-            out_ids.push(ids.get(lo));
-        }
-        let sketch_col = Column::Bag(BagCol::new(
-            offsets,
-            ColumnBatch::single(Column::Long {
-                data: sketches,
-                validity: None,
-            }),
-            false,
-            None,
-        ));
-        Ok(BatchOut::Tup(ColumnBatch::from_cols(
-            vec![
-                sketch_col,
-                Column::Str {
-                    data: out_ids.finish(),
-                    validity: None,
-                },
-            ],
-            rows,
-        )))
-    }
-}
-
-/// Native `CalculatePairwiseSimilarity`: decodes the broadcast
-/// relation once per chunk instead of once per row and packs it, with
-/// the chunk's own sketches (read straight out of the sketch bag
-/// column's packed `long` child) behind it, into one [`SketchPlane`];
-/// emits the `(seqid, bag of (other, sim))` rows as columns, so the n²
-/// relation is never boxed.
-pub struct BatchCalculatePairwiseSimilarity;
-impl BatchUdf for BatchCalculatePairwiseSimilarity {
-    fn name(&self) -> &str {
-        "CalculatePairwiseSimilarity"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        let fallback = || scalar_rows(&CalculatePairwiseSimilarity, args, rows);
-        let (
-            Some(BatchArg::Column {
-                col: Column::Bag(bag),
-                start,
-                ..
-            }),
-            Some(my_ids),
-            Some(all),
-        ) = (
-            args.first(),
-            args.get(1).and_then(|a| str_arg(a, rows)),
-            args.get(2)
-                .and_then(BatchArg::as_scalar)
-                .and_then(Value::as_bag),
-        )
-        else {
-            return fallback();
-        };
-        let start = *start;
-        let (elem_lo, elem_hi) = (
-            bag.offsets[start] as usize,
-            bag.offsets[start + rows] as usize,
-        );
-        let [Column::Long {
-            data: slots,
-            validity,
-        }] = bag.elems.cols()
-        else {
-            return fallback();
-        };
-        if bag.tuple_elems
-            || !window_valid(&bag.validity, start, rows)
-            || !window_valid(validity, elem_lo, elem_hi - elem_lo)
-        {
-            return fallback();
-        }
-        let Ok((ids, mut sketches)) = sketch_rows(self.name(), all) else {
-            return fallback();
-        };
-        sketches.extend((start..start + rows).map(|r| {
-            let slots = &slots[bag.offsets[r] as usize..bag.offsets[r + 1] as usize];
-            Sketch::from_values(slots.iter().map(|&v| v as u64).collect())
-        }));
-        // Unequal widths: the scalar names the row.
-        let Ok(plane) = SketchPlane::pack(&sketches) else {
-            return fallback();
-        };
-        drop(sketches);
-        let mut out_ids = VarBytesBuilder::with_capacity(rows);
-        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
-        offsets.push(0);
-        let mut others = VarBytesBuilder::with_capacity(rows * ids.len());
-        let mut sims: Vec<f64> = Vec::with_capacity(rows * ids.len());
-        for i in 0..rows {
-            let my_id = my_ids.get(i);
-            for (other, sim) in similarity_row(&plane, &ids, ids.len() + i, my_id) {
-                others.push(other.as_bytes());
-                sims.push(sim);
-            }
-            offsets.push(sims.len() as u32);
-            out_ids.push(my_id);
-        }
-        let entries = sims.len();
-        let row_col = Column::Bag(BagCol::new(
-            offsets,
-            ColumnBatch::from_cols(
-                vec![
-                    Column::Str {
-                        data: others.finish(),
-                        validity: None,
-                    },
-                    Column::Double {
-                        data: sims,
-                        validity: None,
-                    },
-                ],
-                entries,
-            ),
-            true,
-            None,
-        ));
-        Ok(BatchOut::Tup(ColumnBatch::from_cols(
-            vec![
-                Column::Str {
-                    data: out_ids.finish(),
-                    validity: None,
-                },
-                row_col,
-            ],
-            rows,
-        )))
-    }
-}
-
-/// Native `AgglomerativeHierarchicalClustering`: fills the condensed
-/// matrix straight from the grouped similarity relation's nested
-/// `bag(seqid, bag(other, sim))` column and emits the
-/// `(seqid, label)` bag as columns.
-pub struct BatchAgglomerativeHierarchicalClustering;
-impl BatchUdf for BatchAgglomerativeHierarchicalClustering {
-    fn name(&self) -> &str {
-        "AgglomerativeHierarchicalClustering"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        let fallback = || scalar_rows(&AgglomerativeHierarchicalClustering, args, rows);
+        let fallback = || scalar_rows(self, args, rows);
         let scalar = |idx: usize| args.get(idx).and_then(BatchArg::as_scalar);
         let (
             Some(BatchArg::Column {
@@ -962,6 +805,86 @@ impl BatchUdf for BatchAgglomerativeHierarchicalClustering {
             true,
             None,
         ))))
+    }
+}
+
+/// `GreedyClustering(sketch_rows, numhash, cutoff)` — Algorithm 1 on
+/// the grouped sketch relation, placed through the
+/// [`RepresentativeIndex`] a greedy [`crate::MrMcMinH`] run uses, its
+/// banding tuned for `$NUMHASH` and `$CUTOFF`; bag of
+/// `(seqid, clusterlabel)`. A sketch not `$NUMHASH` long is an error.
+pub struct GreedyClustering;
+impl Udf for GreedyClustering {
+    fn name(&self) -> &str {
+        "GreedyClustering"
+    }
+    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
+        let rows = arg_bag(self.name(), args, 0, "the sketch rows")?;
+        let config = MrMcConfig {
+            num_hashes: arg_count(self.name(), args, 1, "$NUMHASH")?,
+            theta: arg_f64(self.name(), args, 2, "$CUTOFF")?,
+            ..MrMcConfig::default()
+        };
+        config
+            .validate()
+            .map_err(|e| UdfError::new(self.name(), e))?;
+        let (ids, sketches) = sketch_rows(self.name(), rows)?;
+        check_widths(self.name(), &ids, &sketches, config.num_hashes)?;
+        let labels = RepresentativeIndex::new(&config).place_all(sketches);
+        Ok(label_bag(ids.into_iter().zip(labels)))
+    }
+}
+
+// ------------------------------------------- eval_batch override helpers
+//
+// Each `eval_batch` override above decodes column storage (packed byte
+// buffers, offset vectors) instead of boxed `Value` trees into the same
+// core function its `exec` calls. Any argument layout the override does
+// not vectorize — and any argument `exec` would refuse — falls back to
+// `scalar_rows(self, ..)`, so the batch path is bit-identical by
+// construction, errors included.
+
+/// True when every row of the window `start..start + len` is valid.
+fn window_valid(validity: &Option<Bitmap>, start: usize, len: usize) -> bool {
+    validity
+        .as_ref()
+        .is_none_or(|v| (start..start + len).all(|i| v.get(i)))
+}
+
+/// The packed strings of rows `start..start + len` of a chararray
+/// column with no null among them (`None`: row-by-row fallback).
+fn str_window(col: &Column, start: usize, len: usize) -> Option<&VarBytes> {
+    match col {
+        Column::Str { data, validity } if window_valid(validity, start, len) => Some(data),
+        _ => None,
+    }
+}
+
+/// A chararray argument window usable byte-wise: `(bytes of row i)`.
+/// Returns `None` when the layout needs the row-by-row fallback.
+enum StrArg<'a> {
+    Col { data: &'a VarBytes, start: usize },
+    Broadcast(&'a str),
+}
+
+impl StrArg<'_> {
+    fn get(&self, i: usize) -> &[u8] {
+        match self {
+            StrArg::Col { data, start } => data.get(start + i),
+            StrArg::Broadcast(s) => s.as_bytes(),
+        }
+    }
+}
+
+fn str_arg<'a>(arg: &BatchArg<'a>, len: usize) -> Option<StrArg<'a>> {
+    match arg {
+        BatchArg::Column { col, start, .. } => {
+            str_window(col, *start, len).map(|data| StrArg::Col {
+                data,
+                start: *start,
+            })
+        }
+        BatchArg::Scalar { value, .. } => value.as_str().map(StrArg::Broadcast),
     }
 }
 
@@ -1155,47 +1078,11 @@ mod tests {
         }
     }
 
-    /// Every native batch kernel must produce, per row, exactly the
-    /// scalar UDF's output (the BatchUdf contract).
+    /// The `TranslateToKmer` and `CalculateMinwiseHash` overrides equal
+    /// the provided row-by-row lift on the Algorithm 3 shapes.
     #[test]
     fn batch_kernels_match_scalar_udfs() {
-        use mrmc_pig::batch::Column;
-
-        // StringGenerator over a Bin sequence column + Str id column.
-        let seqs = Column::from_values(vec![
-            Value::ByteArray(Bytes::from_static(b"acgu")),
-            Value::ByteArray(Bytes::from_static(b"TTgA")),
-            Value::ByteArray(Bytes::from_static(b"")),
-        ]);
-        let ids = Column::from_values(vec![
-            Value::CharArray("r1".into()),
-            Value::CharArray("r2".into()),
-            Value::CharArray("r3".into()),
-        ]);
-        let args = [
-            BatchArg::Column {
-                col: &seqs,
-                start: 0,
-                len: 3,
-            },
-            BatchArg::Column {
-                col: &ids,
-                start: 0,
-                len: 3,
-            },
-        ];
-        let out = BatchStringGenerator.eval_batch(&args, 3).unwrap();
-        let BatchOut::Tup(batch) = out else {
-            panic!("expected columnar tuple output")
-        };
-        for i in 0..3 {
-            let scalar = StringGenerator
-                .exec(&[seqs.value_at(i), ids.value_at(i)])
-                .unwrap();
-            assert_eq!(batch.row_value(i), scalar);
-        }
-
-        // TranslateToKmer over a Str column; compare the bags.
+        // TranslateToKmer over a Str column.
         let seqs = Column::from_values(vec![
             Value::CharArray("ACGTT".into()),
             Value::CharArray("GGGG".into()),
@@ -1218,19 +1105,10 @@ mod tests {
             },
             BatchArg::Scalar { value: &k, len: 2 },
         ];
-        let out = BatchTranslateToKmer.eval_batch(&args, 2).unwrap();
-        let BatchOut::Col(col) = out else {
-            panic!("expected bag column output")
-        };
-        for i in 0..2 {
-            let scalar = TranslateToKmer
-                .exec(&[seqs.value_at(i), ids.value_at(i), Value::Long(3)])
-                .unwrap();
-            assert_eq!(col.value_at(i), scalar);
-        }
+        assert_kernel_matches(&TranslateToKmer, &args, 2, true, "TranslateToKmer");
 
         // CalculateMinwiseHash over the grouped bag column exactly as
-        // the TranslateToKmer kernel shapes it.
+        // the TranslateToKmer override shapes it.
         let grouped = Column::from_values(vec![
             Value::bag(vec![
                 Value::tuple([Value::Long(5), Value::CharArray("a".into())]),
@@ -1259,17 +1137,14 @@ mod tests {
                 len: 2,
             },
         ];
-        let out = BatchCalculateMinwiseHash.eval_batch(&args, 2).unwrap();
-        let BatchOut::Tup(batch) = out else {
-            panic!("expected columnar tuple output")
-        };
-        for i in 0..2 {
-            let scalar = CalculateMinwiseHash
-                .exec(&[grouped.value_at(i), k.clone(), nh.clone(), div.clone()])
-                .unwrap();
-            assert_eq!(batch.row_value(i), scalar);
-        }
-        // A knob the scalar refuses: the kernel returns its error.
+        assert_kernel_matches(
+            &CalculateMinwiseHash,
+            &args,
+            2,
+            true,
+            "CalculateMinwiseHash",
+        );
+        // A knob `exec` refuses: the override returns its error.
         let bad = Value::Long(0);
         let args = [
             args[0],
@@ -1280,14 +1155,7 @@ mod tests {
             },
             args[3],
         ];
-        assert_kernel_matches(
-            &BatchCalculateMinwiseHash,
-            &CalculateMinwiseHash,
-            &args,
-            2,
-            false,
-            "$NUMHASH 0",
-        );
+        assert_kernel_matches(&CalculateMinwiseHash, &args, 2, false, "$NUMHASH 0");
     }
 
     /// A relation row `(sketch, seqid)` as `CalculateMinwiseHash` emits it.
@@ -1306,22 +1174,23 @@ mod tests {
         })
     }
 
-    /// Run `kernel` over `args` and hold it to the scalar UDF row by
-    /// row — errors included — and to the path (`native` columnar
-    /// output vs scalar fallback) the input shape must take, so a
-    /// silent drop to the fallback fails here, not only in a benchmark.
+    /// Run `udf`'s `eval_batch` override over `args` and hold it to
+    /// [`scalar_rows`] on the same UDF — errors included — and to the
+    /// path (`native` columnar output vs row-by-row fallback) the input
+    /// shape must take, so a silent drop to the fallback fails here,
+    /// not only in a benchmark.
     fn assert_kernel_matches(
-        kernel: &dyn BatchUdf,
-        scalar: &dyn Udf,
+        udf: &dyn Udf,
         args: &[BatchArg<'_>],
         rows: usize,
         native: bool,
         what: &str,
     ) -> Option<ColumnBatch> {
-        let want: Result<Vec<Value>, UdfError> = (0..rows)
-            .map(|i| scalar.exec(&args.iter().map(|a| a.value_at(i)).collect::<Vec<_>>()))
-            .collect();
-        let out = kernel.eval_batch(args, rows);
+        let want = scalar_rows(udf, args, rows).map(|lifted| match lifted {
+            BatchOut::Rows(v) => v,
+            _ => unreachable!("the lift returns rows"),
+        });
+        let out = udf.eval_batch(args, rows);
         assert_eq!(
             native,
             matches!(out, Ok(BatchOut::Tup(_) | BatchOut::Col(_))),
@@ -1374,19 +1243,12 @@ mod tests {
             },
             BatchArg::Scalar { value: &all, len },
         ];
-        assert_kernel_matches(
-            &BatchCalculatePairwiseSimilarity,
-            &CalculatePairwiseSimilarity,
-            &args,
-            len,
-            native,
-            what,
-        )
+        assert_kernel_matches(&CalculatePairwiseSimilarity, &args, len, native, what)
     }
 
-    /// The J kernel equals the scalar UDF on the Algorithm-3 shape
-    /// (natively, all columns typed) and on every shape that must
-    /// take the fallback.
+    /// The J override equals the row-by-row lift on the Algorithm-3
+    /// shape (natively, all columns typed) and on every shape that
+    /// must take the fallback.
     #[test]
     fn pairwise_similarity_kernel_matches_scalar() {
         // -1 is the `u64::MAX` empty-slot sentinel: agreeing on it
@@ -1591,7 +1453,6 @@ mod tests {
             },
         ];
         assert_kernel_matches(
-            &BatchAgglomerativeHierarchicalClustering,
             &AgglomerativeHierarchicalClustering,
             &args,
             rows,
@@ -1600,8 +1461,9 @@ mod tests {
         )
     }
 
-    /// The K kernel equals the scalar UDF on what the J kernel emits
-    /// (natively) and on every shape that must take the fallback.
+    /// The K override equals the row-by-row lift on what the J
+    /// override emits (natively) and on every shape that must take the
+    /// fallback.
     #[test]
     fn hierarchical_kernel_matches_scalar() {
         // `II = GROUP J ALL` over the J kernel's own output: one row
@@ -1701,9 +1563,9 @@ mod tests {
     }
 
     /// The full Algorithm 3 script must store byte-identical outputs,
-    /// and shuffle the same traffic, whether each UDF runs as its
-    /// scalar body lifted row by row (`ScalarBatchUdf`) or as its
-    /// native batch kernel.
+    /// and shuffle the same traffic, whether each UDF runs through the
+    /// provided row-by-row lift of `exec` or through its `eval_batch`
+    /// override.
     #[test]
     fn algorithm3_scalar_lifted_and_native_kernels_agree() {
         let fasta = b">a1\nACGTACGTACGTACGTACGT\n>a2\nACGTACGTACGTACGTACGT\n\
@@ -1724,15 +1586,22 @@ mod tests {
         }
         let script = parse_script(algorithm3_script(), &params).unwrap();
 
-        // Scalar registrations only: `get_batch` lifts each one.
-        let mut scalar_only = UdfRegistry::with_builtins();
-        scalar_only.register(Arc::new(FastaStorage));
-        scalar_only.register(Arc::new(StringGenerator));
-        scalar_only.register(Arc::new(TranslateToKmer));
-        scalar_only.register(Arc::new(CalculateMinwiseHash));
-        scalar_only.register(Arc::new(CalculatePairwiseSimilarity));
-        scalar_only.register(Arc::new(AgglomerativeHierarchicalClustering));
-        scalar_only.register(Arc::new(GreedyClustering));
+        // Forwards `name` and `exec` only, so the wrapped UDF runs
+        // through the provided `eval_batch`.
+        struct Lifted(Arc<dyn Udf>);
+        impl Udf for Lifted {
+            fn name(&self) -> &str {
+                self.0.name()
+            }
+            fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
+                self.0.exec(args)
+            }
+        }
+        let native = registry();
+        let mut scalar_only = UdfRegistry::new();
+        for name in native.names() {
+            scalar_only.register(Arc::new(Lifted(native.get(&name).unwrap())));
+        }
 
         let run = |registry: UdfRegistry| {
             let dfs = Arc::new(
@@ -1761,7 +1630,7 @@ mod tests {
             (blob, shuffles)
         };
         let (lifted_out, lifted_shuffles) = run(scalar_only);
-        let (native_out, native_shuffles) = run(registry());
+        let (native_out, native_shuffles) = run(native);
         assert_eq!(
             lifted_out, native_out,
             "scalar-lifted and native kernels diverged on Algorithm 3"

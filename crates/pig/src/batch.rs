@@ -268,16 +268,6 @@ impl VarBytesBuilder {
         self.offsets.push(self.data.len() as u32);
     }
 
-    /// Entries appended so far.
-    pub fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    /// True when nothing was appended.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Freeze into shared storage.
     pub fn finish(self) -> VarBytes {
         if self.offsets.is_empty() {

@@ -10,8 +10,8 @@
 //! * `STORE` serializes a relation back to the DFS.
 //!
 //! There is one execution plane. A relation is a [`ColumnBatch`];
-//! operators evaluate on column windows through the batch UDF ABI
-//! ([`crate::udf::BatchUdf`]), `FLATTEN` expands with gather vectors,
+//! operators evaluate on column windows through
+//! [`crate::udf::Udf::eval_batch`], `FLATTEN` expands with gather vectors,
 //! and `GROUP` shuffles 4-byte **row indices** instead of cloned row
 //! trees — the grouped runs come back through
 //! [`Pipeline::run_group_stage`] and one columnar gather builds the
@@ -45,7 +45,7 @@ use mrmc_mapreduce::MrError;
 
 use crate::batch::{BagCol, Column, ColumnBatch};
 use crate::parser::{CmpOp, Cond, Expr, GenItem, GroupBy, Operator, Script, Statement};
-use crate::udf::{BatchArg, BatchOut, BatchUdf, UdfError, UdfRegistry};
+use crate::udf::{BatchArg, BatchOut, Udf, UdfError, UdfRegistry};
 use crate::value::Value;
 
 /// Executor failure.
@@ -252,10 +252,7 @@ impl Reducer for DistinctReducer {
 enum BExpr {
     Field(usize),
     Const(Value),
-    Udf {
-        udf: Arc<dyn BatchUdf>,
-        args: Vec<BExpr>,
-    },
+    Udf { udf: Arc<dyn Udf>, args: Vec<BExpr> },
 }
 
 /// Resolved generate item.
@@ -329,20 +326,20 @@ fn eval_bexpr<'a>(
                     ItemCol::Tup(_) => unreachable!("materialized above"),
                 })
                 .collect();
-            match udf.eval_batch(&call_args, len)? {
-                BatchOut::Col(c) => {
-                    debug_assert_eq!(c.len(), len);
-                    ItemCol::Owned(c)
-                }
-                BatchOut::Rows(v) => {
-                    debug_assert_eq!(v.len(), len);
-                    ItemCol::Owned(Column::from_values(v))
-                }
-                BatchOut::Tup(b) => {
-                    debug_assert_eq!(b.rows(), len);
-                    ItemCol::Tup(b)
-                }
+            let (got, out) = match udf.eval_batch(&call_args, len)? {
+                BatchOut::Col(c) => (c.len(), ItemCol::Owned(c)),
+                BatchOut::Rows(v) => (v.len(), ItemCol::Owned(Column::from_values(v))),
+                BatchOut::Tup(b) => (b.rows(), ItemCol::Tup(b)),
+            };
+            // An override owes one value per row; a short column would
+            // panic in the gather, a long one drop rows silently.
+            if got != len {
+                return Err(UdfError::new(
+                    udf.name(),
+                    format!("eval_batch returned {got} rows for {len} input rows"),
+                ));
             }
+            out
         }
     })
 }
@@ -1037,7 +1034,7 @@ impl PigRunner {
     }
 
     /// Resolve an expression of a statement over `relation` (whose
-    /// fields are `schema`) against the batch ABI ([`BExpr`]).
+    /// fields are `schema`) into a [`BExpr`].
     fn resolve_batch(
         &self,
         env: &HashMap<String, Relation>,
@@ -1056,7 +1053,7 @@ impl PigRunner {
             Expr::Udf { name, args } => {
                 let udf = self
                     .registry
-                    .get_batch(name)
+                    .get(name)
                     .ok_or_else(|| PigError::UnknownUdf(name.clone()))?;
                 let args = args
                     .iter()

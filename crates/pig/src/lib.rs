@@ -42,5 +42,5 @@ pub mod value;
 pub use batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
 pub use exec::{PigRunner, RunReport};
 pub use parser::{parse_script, ParseError, Script, Statement};
-pub use udf::{BatchArg, BatchOut, BatchUdf, Udf, UdfRegistry};
+pub use udf::{BatchArg, BatchOut, Udf, UdfRegistry};
 pub use value::Value;

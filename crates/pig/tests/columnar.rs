@@ -24,7 +24,7 @@ use proptest::prelude::*;
 
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig};
 use mrmc_mapreduce::ShuffleSized;
-use mrmc_pig::udf::{Udf, UdfError};
+use mrmc_pig::udf::{BatchArg, BatchOut, Udf, UdfError};
 use mrmc_pig::{parse_script, ColumnBatch, PigRunner, UdfRegistry, Value};
 
 // ----------------------------------------------------- value round-trips
@@ -855,5 +855,53 @@ fn bare_loader_values_load_as_one_column() {
          (a,1)\n(b,2)\n(c,1)\n\
          (a)\n(b)\n(c)\n\
          (b)\n(a)\n(b)\n(c)\n"
+    );
+}
+
+// ------------------------------------------------- batch result contract
+
+/// `OneRow(s)` → `s`, but its `eval_batch` override returns one row
+/// whatever the chunk's length: a broken override.
+struct OneRow;
+impl Udf for OneRow {
+    fn name(&self) -> &str {
+        "OneRow"
+    }
+    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
+        Ok(args.first().cloned().unwrap_or(Value::Null))
+    }
+    fn eval_batch(&self, _args: &[BatchArg<'_>], _rows: usize) -> Result<BatchOut, UdfError> {
+        Ok(BatchOut::Rows(vec![Value::Null]))
+    }
+}
+
+#[test]
+fn short_batch_result_is_an_error_naming_the_udf() {
+    let dfs = Arc::new(
+        Dfs::new(DfsConfig {
+            block_size: 1024,
+            replication: 1,
+            nodes: 2,
+        })
+        .unwrap(),
+    );
+    dfs.put("/in.txt", &b"a\nb\nc\n"[..], false).unwrap();
+    let script = parse_script(
+        "A = LOAD '/in.txt' AS (f0:chararray);\n\
+         B = FOREACH A GENERATE OneRow(f0);\n\
+         STORE B INTO '/out.txt';",
+        &HashMap::new(),
+    )
+    .unwrap();
+    let mut registry = test_registry();
+    registry.register(Arc::new(OneRow));
+    let mut runner = PigRunner::new(dfs, registry);
+    // One chunk of three rows.
+    runner.num_map_tasks = 1;
+    runner.workers = Some(1);
+    let err = runner.run(&script).unwrap_err().to_string();
+    assert!(
+        err.contains("UDF OneRow failed: eval_batch returned 1 rows for 3 input rows"),
+        "{err}"
     );
 }
