@@ -57,8 +57,7 @@ impl Clusterer for DoturLike {
         if reads.is_empty() {
             return ClusterAssignment::from_labels(Vec::new());
         }
-        let matrix = alignment_matrix(reads);
-        agglomerative(&matrix, Linkage::Complete, self.theta).0
+        agglomerative(alignment_matrix(reads), Linkage::Complete, self.theta).0
     }
 }
 
@@ -71,8 +70,7 @@ impl Clusterer for MothurLike {
         if reads.is_empty() {
             return ClusterAssignment::from_labels(Vec::new());
         }
-        let matrix = alignment_matrix(reads);
-        agglomerative(&matrix, Linkage::Average, self.theta).0
+        agglomerative(alignment_matrix(reads), Linkage::Average, self.theta).0
     }
 }
 

@@ -67,7 +67,7 @@ impl Clusterer for EspritLike {
             let d = if d > radius { 1.0 } else { d };
             1.0 - d
         });
-        let (assignment, _) = agglomerative(&matrix, Linkage::Complete, self.theta);
+        let (assignment, _) = agglomerative(matrix, Linkage::Complete, self.theta);
         assignment
     }
 }

@@ -12,6 +12,8 @@
 //! agglomeration would (NN-chain requires reducible linkages, which
 //! all three are).
 
+use std::borrow::Cow;
+
 use crate::assignment::ClusterAssignment;
 use crate::matrix::CondensedMatrix;
 
@@ -144,7 +146,14 @@ impl Dendrogram {
 }
 
 /// Build the dendrogram for a *similarity* matrix under a linkage.
-pub fn build_dendrogram(matrix: &CondensedMatrix, linkage: Linkage) -> Dendrogram {
+/// Pass the matrix by value to let complete and average linkage reuse
+/// its buffer for their distances; `&matrix` keeps it and costs one
+/// distance copy.
+pub fn build_dendrogram<'a>(
+    matrix: impl Into<Cow<'a, CondensedMatrix>>,
+    linkage: Linkage,
+) -> Dendrogram {
+    let matrix = matrix.into();
     let n = matrix.len();
     if n <= 1 {
         return Dendrogram {
@@ -198,9 +207,10 @@ pub fn cut_levels(dendrogram: &Dendrogram, thetas: &[f64]) -> Vec<ClusterAssignm
         .collect()
 }
 
-/// Algorithm 2 in one call: build + cut.
-pub fn agglomerative(
-    matrix: &CondensedMatrix,
+/// Algorithm 2 in one call: build + cut. The matrix goes in owned or
+/// borrowed, as in [`build_dendrogram`].
+pub fn agglomerative<'a>(
+    matrix: impl Into<Cow<'a, CondensedMatrix>>,
     linkage: Linkage,
     theta: f64,
 ) -> (ClusterAssignment, Dendrogram) {
@@ -254,10 +264,11 @@ pub(crate) fn slink(n: usize, mut fill_row: impl FnMut(usize, &mut [f64])) -> Ve
 }
 
 /// Nearest-neighbour chain with Lance–Williams updates, on a mutable
-/// flat *distance* copy of the condensed layout: O(N²) time and O(N²)
-/// memory, the price of genuinely dense input. A θ-graph goes through
-/// [`crate::sparse::agglomerative_sparse`], which emulates this
-/// function merge for merge on adjacency lists.
+/// flat *distance* buffer in the condensed layout: O(N²) time. An owned
+/// matrix becomes that buffer in place, so the extra space is O(N); a
+/// borrowed one is collected into a distance copy in one pass. A
+/// θ-graph goes through [`crate::sparse::agglomerative_sparse`], which
+/// emulates this function merge for merge on adjacency lists.
 ///
 /// Only live clusters are visited: their ids are kept as an ascending
 /// list, so a scan of cluster `a`'s neighbours is a walk down column
@@ -266,16 +277,22 @@ pub(crate) fn slink(n: usize, mut fill_row: impl FnMut(usize, &mut [f64])) -> Ve
 /// Ties go to the smallest cluster id (strict `<` over ascending ids)
 /// except that the chain predecessor wins an equal distance, which is
 /// what makes the chain terminate.
-fn nn_chain(matrix: &CondensedMatrix, linkage: Linkage) -> Vec<Merge> {
+fn nn_chain(matrix: Cow<'_, CondensedMatrix>, linkage: Linkage) -> Vec<Merge> {
     let n = matrix.len();
-    let mut dist: Vec<f32> = matrix
-        .as_slice()
-        .iter()
-        .map(|&s| (1.0 - f64::from(s)) as f32)
-        .collect();
     // Cell `(i, j)`, `i < j`, lives at `base[i] + j − 1`: the first
     // column of row `i` is `i + 1`.
     let base: Vec<usize> = (0..n).map(|i| matrix.row_start(i) - i).collect();
+    let distance = |s: f32| (1.0 - f64::from(s)) as f32;
+    let mut dist: Vec<f32> = match matrix {
+        Cow::Owned(matrix) => {
+            let mut dist = matrix.into_condensed();
+            for d in &mut dist {
+                *d = distance(*d);
+            }
+            dist
+        }
+        Cow::Borrowed(matrix) => matrix.as_slice().iter().map(|&s| distance(s)).collect(),
+    };
     let cell = |i: usize, j: usize| base[i.min(j)] + i.max(j) - 1;
     let mut live: Vec<usize> = (0..n).collect();
     let mut size: Vec<usize> = vec![1; n];
@@ -417,7 +434,14 @@ mod tests {
     #[test]
     fn all_linkages_recover_blocks() {
         for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            let (assign, dendro) = agglomerative(&two_blocks(), linkage, 0.5);
+            let m = two_blocks();
+            let borrowed = agglomerative(&m, linkage, 0.5);
+            let (assign, dendro) = agglomerative(m, linkage, 0.5);
+            assert_eq!(
+                (&assign, &dendro),
+                (&borrowed.0, &borrowed.1),
+                "{linkage:?}"
+            );
             assert_eq!(assign.num_clusters(), 2, "{linkage:?}");
             assert_eq!(dendro.merges.len(), 4, "{linkage:?}");
             assert_eq!(assign.label(0), assign.label(1));
@@ -484,7 +508,7 @@ mod tests {
         let m = CondensedMatrix::build(10, |i, j| ((i * 31 + j * 17) % 89) as f64 / 89.0);
         let s = build_dendrogram(&m, Linkage::Single);
         let via_chain = {
-            let mut merges = nn_chain(&m, Linkage::Single);
+            let mut merges = nn_chain(Cow::Borrowed(&m), Linkage::Single);
             sort_bottom_up(&mut merges);
             merges
         };
@@ -587,14 +611,19 @@ mod tests {
     }
 
     /// The unsorted merge list — every pair, representative and height,
-    /// in production order — equals the oracle's.
+    /// in production order — equals the oracle's, whether the chain
+    /// converts the matrix in place or collects a distance copy.
     fn assert_replays_reference(m: &CondensedMatrix, what: &str) {
         for linkage in [Linkage::Complete, Linkage::Average, Linkage::Single] {
-            assert_eq!(
-                nn_chain(m, linkage),
-                reference_nn_chain(m, linkage),
-                "{what}, {linkage:?}"
-            );
+            let expected = reference_nn_chain(m, linkage);
+            for input in [Cow::Borrowed(m), Cow::Owned(m.clone())] {
+                let owned = matches!(input, Cow::Owned(_));
+                assert_eq!(
+                    nn_chain(input, linkage),
+                    expected,
+                    "{what}, {linkage:?}, owned: {owned}"
+                );
+            }
         }
     }
 
@@ -650,7 +679,7 @@ mod tests {
 
     #[test]
     fn newick_structure() {
-        let (_, dendro) = agglomerative(&two_blocks(), Linkage::Average, 0.5);
+        let (_, dendro) = agglomerative(two_blocks(), Linkage::Average, 0.5);
         let newick = dendro.to_newick(&["a", "b", "c", "d", "e"]);
         // Well-formed: ends with ';', balanced parens, all leaves named.
         assert!(newick.ends_with(';'), "{newick}");

@@ -1,7 +1,7 @@
 //! Condensed all-pairs similarity matrices.
 //!
 //! Stores only the strict upper triangle (`n·(n−1)/2` entries, `f32`)
-//! — at 50 000 sequences that is ~5 GB as `f64` but 2.5 GB as `f32`,
+//! — at 50 000 sequences that is ~10 GB as `f64` but ~5 GB as `f32`,
 //! and sketch-estimated similarities carry far less than 24 bits of
 //! signal anyway. Construction is parallelized by *row partitioning*,
 //! matching the paper's "calculation of all pairwise similarity is
@@ -11,8 +11,14 @@
 //! random-access surface — Pig's `K` operator filling a matrix from
 //! pair tuples, SLINK reading one row at a time, tests. The bulk
 //! routes do not go through them: the all-pairs stage hands over the
-//! finished layout ([`CondensedMatrix::from_condensed`]) and the dense
-//! NN-chain works on its own copy of [`CondensedMatrix::as_slice`].
+//! finished layout ([`CondensedMatrix::from_condensed`]), and the dense
+//! NN-chain, handed the matrix by value (the `Cow` conversions below),
+//! turns its buffer into distances in place; a borrowed matrix is
+//! collected into one distance copy. The dense route therefore peaks
+//! at 1.5 matrices while Stage 2 assembles its `u16` count strips into
+//! the matrix, and holds one from then on.
+
+use std::borrow::Cow;
 
 use rayon::prelude::*;
 
@@ -150,6 +156,24 @@ impl CondensedMatrix {
     /// Raw condensed data (row-major upper triangle).
     pub fn as_slice(&self) -> &[f32] {
         &self.data
+    }
+
+    /// The condensed layout by value, the inverse of
+    /// [`CondensedMatrix::from_condensed`].
+    pub(crate) fn into_condensed(self) -> Vec<f32> {
+        self.data
+    }
+}
+
+impl<'a> From<&'a CondensedMatrix> for Cow<'a, CondensedMatrix> {
+    fn from(matrix: &'a CondensedMatrix) -> Self {
+        Cow::Borrowed(matrix)
+    }
+}
+
+impl From<CondensedMatrix> for Cow<'_, CondensedMatrix> {
+    fn from(matrix: CondensedMatrix) -> Self {
+        Cow::Owned(matrix)
     }
 }
 

@@ -14,8 +14,9 @@
 //!
 //! [`SketchPlane::similarity`] is bit-identical to
 //! [`positional_similarity`](crate::positional_similarity) on the
-//! packed sketches: the agreement count is the same integer, divided by
-//! the same width in `f64`.
+//! packed sketches: [`SketchPlane::count`] is the same integer, divided
+//! by the same width in `f64`. A stage that ships the count and divides
+//! later, as the all-pairs stage does, reproduces the same bits.
 
 use crate::sketch::{Sketch, EMPTY_SLOT};
 
@@ -176,16 +177,33 @@ impl SketchPlane {
         }
     }
 
+    /// Sketch length: the denominator of [`SketchPlane::similarity`].
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
+    /// The numerator of [`SketchPlane::similarity`]: the
+    /// [`agreement`](SketchPlane::agreement) of sketches `i` and `j`,
+    /// or [`width`](SketchPlane::width) when both are degenerate (two
+    /// sketches without a real value are identical). At most `width`.
+    #[inline]
+    pub fn count(&self, i: usize, j: usize) -> usize {
+        if self.non_empty[i] == 0 && self.non_empty[j] == 0 {
+            return self.width;
+        }
+        self.agreement(i, j)
+    }
+
     /// [`positional_similarity`](crate::positional_similarity) of
-    /// sketches `i` and `j`, bit for bit: zero-width sketches and two
-    /// degenerate sketches are identical (1.0), otherwise the agreeing
-    /// fraction of positions.
+    /// sketches `i` and `j`, bit for bit: zero-width sketches are
+    /// identical (1.0), otherwise [`count`](SketchPlane::count) over
+    /// the width.
     #[inline]
     pub fn similarity(&self, i: usize, j: usize) -> f64 {
-        if self.width == 0 || (self.non_empty[i] == 0 && self.non_empty[j] == 0) {
+        if self.width == 0 {
             return 1.0;
         }
-        self.agreement(i, j) as f64 / self.width as f64
+        self.count(i, j) as f64 / self.width as f64
     }
 }
 
@@ -204,6 +222,7 @@ mod tests {
                     positional_similarity(&sketches[i], &sketches[j]).to_bits(),
                     "pair ({i}, {j})"
                 );
+                assert!(plane.count(i, j) <= plane.width(), "pair ({i}, {j})");
             }
         }
         plane
@@ -234,6 +253,9 @@ mod tests {
         assert!(!plane.is_narrow());
         assert_eq!(plane.agreement(0, 1), 1);
         assert_eq!(plane.agreement(1, 2), 0);
+        // Two degenerate rows agree nowhere but count as identical.
+        assert_eq!(plane.agreement(2, 2), 0);
+        assert_eq!(plane.count(2, 2), plane.width());
         let big = [Sketch::from_values(vec![1 << 40, 5])];
         assert!(!assert_matches_oracle(&big).is_narrow());
     }

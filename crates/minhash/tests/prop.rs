@@ -224,6 +224,7 @@ proptest! {
                     expect.to_bits(),
                     "pair ({}, {}), k = {}, n = {}", i, j, k, n
                 );
+                prop_assert!(plane.count(i, j) <= plane.width());
             }
         }
     }

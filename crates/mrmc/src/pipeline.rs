@@ -149,11 +149,12 @@ impl MrMcMinH {
                 // Algorithm 2 — all-pairs matrix via row partitioning,
                 // then agglomerative clustering with θ cutoff. Stage 2
                 // stays per read: lifting a distinct matrix would hold
-                // two matrices at once.
+                // two matrices at once. The linkage takes the matrix
+                // and turns it into distances in place.
                 let sketches = derep.lift(distinct);
                 let matrix = similarity_matrix_stage(sketches, &self.config, &mut pipeline)?;
                 let (assignment, dendro) =
-                    agglomerative(&matrix, self.config.linkage, self.config.theta);
+                    agglomerative(matrix, self.config.linkage, self.config.theta);
                 (assignment.compact(), Some(dendro))
             }
             (Mode::Hierarchical, CandidateGen::Banded) => {

@@ -14,8 +14,12 @@
 //! performing a row-wise partition" — each map task owns a strip of
 //! rows of the condensed matrix. The sketches are packed once into a
 //! [`SketchPlane`] (contiguous `u32` lanes for every family the
-//! pipeline builds at k ≤ 16) that all tasks read, and the row strips
-//! the tasks emit are concatenated into the matrix.
+//! pipeline builds at k ≤ 16) that all tasks read. A task emits each
+//! row's agreement counts as a `u16` strip, half the bytes of `f32`
+//! similarities, and divides nothing; the driver turns each count into
+//! its similarity through a `width + 1`-entry table while appending the
+//! strips into the matrix. At its peak the stage holds the matrix plus
+//! the strips: 1.5 matrices.
 
 use std::collections::HashMap;
 
@@ -187,12 +191,12 @@ fn balanced_row_blocks(n: usize, tasks: usize) -> Vec<(usize, usize)> {
     blocks
 }
 
-/// Stage-2 mapper: a contiguous block of matrix rows → one similarity
-/// strip per row, read off the packed compare plane (borrowed — the
-/// engine runs mappers on scoped threads, so nothing is cloned into
-/// tasks). Every row streams the rows after it once; the whole plane
-/// of the largest dense workload is 1.6 MB, so there is no sub-block
-/// walk to keep operands in cache.
+/// Stage-2 mapper: a contiguous block of matrix rows → one strip of
+/// [`SketchPlane::count`]s per row, read off the packed compare plane
+/// (borrowed — the engine runs mappers on scoped threads, so nothing is
+/// cloned into tasks). Every row streams the rows after it once; the
+/// whole plane of the largest dense workload is 1.6 MB, so there is no
+/// sub-block walk to keep operands in cache.
 struct RowBlockMapper<'a> {
     plane: &'a SketchPlane,
 }
@@ -201,14 +205,16 @@ impl Mapper for RowBlockMapper<'_> {
     type InKey = usize;
     type InValue = (usize, usize);
     type OutKey = usize;
-    type OutValue = Vec<f32>;
+    type OutValue = Vec<u16>;
 
-    fn map(&self, _block: usize, (r0, r1): (usize, usize), ctx: &mut TaskContext<usize, Vec<f32>>) {
+    fn map(&self, _block: usize, (r0, r1): (usize, usize), ctx: &mut TaskContext<usize, Vec<u16>>) {
         let n = self.plane.len();
         let mut pairs = 0u64;
         for row in r0..r1 {
-            let strip: Vec<f32> = (row + 1..n)
-                .map(|j| self.plane.similarity(row, j) as f32)
+            // A count is at most the width, which the stage checked
+            // fits a `u16`.
+            let strip: Vec<u16> = (row + 1..n)
+                .map(|j| self.plane.count(row, j) as u16)
                 .collect();
             pairs += strip.len() as u64;
             ctx.emit(row, strip);
@@ -218,14 +224,14 @@ impl Mapper for RowBlockMapper<'_> {
 }
 
 /// Run the all-pairs stage: one map task per pair-balanced row block,
-/// each emitting one strip per row. Tasks get the Hadoop default
-/// attempt budget (4). Sketches of unequal length are a
-/// [`MrError::BadConfig`] before any task runs.
+/// each emitting one count strip per row. Tasks get the Hadoop default
+/// attempt budget (4). Sketches of unequal length, or longer than
+/// `u16::MAX`, are a [`MrError::BadConfig`] before any task runs.
 ///
-/// Row `r`'s strip — its similarities to rows `r+1..n` — *is* row
+/// Row `r`'s strip — its counts against rows `r+1..n` — maps onto row
 /// `r`'s slice of the condensed layout, so the driver assembles the
 /// matrix by putting the strips in row order, checking each one's
-/// length, and appending them.
+/// length, and appending each count's similarity.
 pub fn similarity_matrix_stage(
     sketches: Vec<Sketch>,
     config: &MrMcConfig,
@@ -235,6 +241,13 @@ pub fn similarity_matrix_stage(
     let plane = SketchPlane::pack(&sketches)
         .map_err(|ragged| MrError::BadConfig(format!("pairwise-similarity input: {ragged}")))?;
     drop(sketches);
+    let width = plane.width();
+    if width > usize::from(u16::MAX) {
+        return Err(MrError::BadConfig(format!(
+            "pairwise-similarity input: sketch width {width} exceeds the u16 count of {}",
+            u16::MAX
+        )));
+    }
     let mapper = RowBlockMapper { plane: &plane };
     let job = JobConfig::named("pairwise-similarity").attempts(4);
     // More, smaller tasks than the sketch stage, balanced by pair
@@ -244,7 +257,20 @@ pub fn similarity_matrix_stage(
     let input: Vec<(usize, (usize, usize))> = blocks.into_iter().enumerate().collect();
     let num_tasks = input.len().max(1);
     let mut rows = pipeline.run_map_stage(input, num_tasks, &mapper, &job)?;
+    // Free the plane before the matrix is allocated.
+    drop(plane);
 
+    // `similarity[c]` is `c / width` in `f64` rounded to `f32`: the two
+    // operations `plane.similarity(i, j) as f32` performs on the same
+    // integer, so every cell is bit-identical to a division per pair.
+    // Zero-width sketches are identical, and their count is 0.
+    let similarity: Vec<f32> = if width == 0 {
+        vec![1.0]
+    } else {
+        (0..=width)
+            .map(|c| (c as f64 / width as f64) as f32)
+            .collect()
+    };
     // The engine preserves task order and tasks emit ascending rows,
     // so the sort finds its input sorted; it is here so that assembly
     // does not depend on either.
@@ -254,7 +280,7 @@ pub fn similarity_matrix_stage(
     for (expected, (row, strip)) in rows.into_iter().enumerate() {
         assert_eq!(row, expected, "one strip per row");
         assert_eq!(strip.len(), n - 1 - row, "strip of row {row} of {n}");
-        data.extend_from_slice(&strip);
+        data.extend(strip.iter().map(|&c| similarity[usize::from(c)]));
     }
     Ok(CondensedMatrix::from_condensed(n, data))
 }
@@ -337,8 +363,9 @@ mod tests {
 
     #[test]
     fn row_strips_match_direct_at_scale() {
-        // Enough rows for several multi-row blocks per task.
-        let reads: Vec<SeqRecord> = (0..40)
+        // Enough rows for several multi-row blocks per task, and two
+        // reads shorter than k whose degenerate rows meet each other.
+        let mut reads: Vec<SeqRecord> = (0..40)
             .map(|i| {
                 let seq: Vec<u8> = (0..60)
                     .map(|j| b"ACGT"[(i * 7 + j * 3 + i * j) % 4])
@@ -346,14 +373,37 @@ mod tests {
                 SeqRecord::new(format!("r{i}"), seq)
             })
             .collect();
-        let cfg = config();
+        reads.insert(3, SeqRecord::new("short1", b"ACG".to_vec()));
+        reads.insert(17, SeqRecord::new("short2", b"TT".to_vec()));
+        // A width above 255 takes counts that need both bytes.
+        let wide = MrMcConfig {
+            num_hashes: 300,
+            ..config()
+        };
+        for cfg in [config(), wide] {
+            let mut p = Pipeline::new("t");
+            let sketches = sketch_stage(&reads, &cfg, &mut p).unwrap();
+            let direct = CondensedMatrix::build(reads.len(), |i, j| {
+                positional_similarity(&sketches[i], &sketches[j])
+            });
+            let via_mr = similarity_matrix_stage(sketches, &cfg, &mut p).unwrap();
+            let bits = |m: &CondensedMatrix| -> Vec<u32> {
+                m.as_slice().iter().map(|s| s.to_bits()).collect()
+            };
+            assert_eq!(bits(&via_mr), bits(&direct), "{} hashes", cfg.num_hashes);
+            assert_eq!(via_mr.get(3, 17), 1.0, "two degenerate sketches");
+        }
+    }
+
+    #[test]
+    fn width_beyond_u16_is_a_typed_error_and_runs_no_task() {
+        let wide = vec![Sketch::from_values(vec![7; 1 << 16]); 3];
         let mut p = Pipeline::new("t");
-        let sketches = sketch_stage(&reads, &cfg, &mut p).unwrap();
-        let direct = CondensedMatrix::build(reads.len(), |i, j| {
-            positional_similarity(&sketches[i], &sketches[j])
-        });
-        let via_mr = similarity_matrix_stage(sketches, &cfg, &mut p).unwrap();
-        assert_eq!(via_mr, direct);
+        match similarity_matrix_stage(wide, &config(), &mut p) {
+            Err(MrError::BadConfig(msg)) => assert!(msg.contains("width 65536"), "{msg}"),
+            other => panic!("expected BadConfig, got {other:?}"),
+        }
+        assert!(p.stages().is_empty(), "no stage, hence no task, ran");
     }
 
     #[test]

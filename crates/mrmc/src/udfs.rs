@@ -686,7 +686,7 @@ impl Udf for AgglomerativeHierarchicalClustering {
             .parse()
             .map_err(|e: String| UdfError::new(self.name(), e))?;
         let (ids, matrix) = matrix_from_rows(self.name(), rows)?;
-        let (assignment, _) = agglomerative(&matrix, linkage, cutoff);
+        let (assignment, _) = agglomerative(matrix, linkage, cutoff);
         Ok(label_bag(
             ids.into_iter()
                 .enumerate()
@@ -778,8 +778,7 @@ impl Udf for AgglomerativeHierarchicalClustering {
                 (inner.offsets[m] as usize..inner.offsets[m + 1] as usize)
                     .map(move |e| (i, others.get(e), sims[e]))
             });
-            let matrix = fill_matrix(&row_ids, entries);
-            let (assignment, _) = agglomerative(&matrix, linkage, cutoff);
+            let (assignment, _) = agglomerative(fill_matrix(&row_ids, entries), linkage, cutoff);
             for (i, id) in row_ids.iter().enumerate() {
                 out_ids.push(id);
                 labels.push(assignment.label(i) as i32);

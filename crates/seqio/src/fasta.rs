@@ -14,8 +14,15 @@ use crate::error::SeqIoError;
 use crate::record::SeqRecord;
 
 /// Iterator over FASTA records from any buffered reader.
+///
+/// A single-line record costs two allocations: its header line, which
+/// becomes the id when there is no description, and its sequence,
+/// reserved before each body line is appended. Lines are read into one
+/// buffer the reader keeps.
 pub struct FastaReader<R: BufRead> {
     reader: R,
+    /// The line last read, without its line ending.
+    line: String,
     /// Lookahead header line (without `>`), if one has been consumed.
     pending_header: Option<String>,
     line_no: usize,
@@ -27,37 +34,38 @@ impl<R: BufRead> FastaReader<R> {
     pub fn new(reader: R) -> Self {
         FastaReader {
             reader,
+            line: String::new(),
             pending_header: None,
             line_no: 0,
             done: false,
         }
     }
 
-    fn read_line(&mut self, buf: &mut String) -> io::Result<usize> {
-        buf.clear();
-        let n = self.reader.read_line(buf)?;
+    /// Read the next line into `self.line`; 0 at end of input.
+    fn read_line(&mut self) -> io::Result<usize> {
+        self.line.clear();
+        let n = self.reader.read_line(&mut self.line)?;
         if n > 0 {
             self.line_no += 1;
         }
         // Strip any trailing CR/LF.
-        while buf.ends_with('\n') || buf.ends_with('\r') {
-            buf.pop();
+        while self.line.ends_with('\n') || self.line.ends_with('\r') {
+            self.line.pop();
         }
         Ok(n)
     }
 
     fn next_record(&mut self) -> Result<Option<SeqRecord>, SeqIoError> {
-        let mut line = String::new();
         // Find the header: either the pending one or scan forward.
         let header = loop {
             if let Some(h) = self.pending_header.take() {
                 break h;
             }
-            let n = self.read_line(&mut line)?;
+            let n = self.read_line()?;
             if n == 0 {
                 return Ok(None);
             }
-            let trimmed = line.trim();
+            let trimmed = self.line.trim();
             if trimmed.is_empty() || trimmed.starts_with(';') {
                 continue; // blank line or old-style comment
             }
@@ -72,7 +80,7 @@ impl<R: BufRead> FastaReader<R> {
 
         let (id, description) = match header.split_once(char::is_whitespace) {
             Some((id, rest)) => (id.to_string(), rest.trim().to_string()),
-            None => (header.clone(), String::new()),
+            None => (header, String::new()),
         };
         if id.is_empty() {
             return Err(SeqIoError::Format {
@@ -83,12 +91,12 @@ impl<R: BufRead> FastaReader<R> {
 
         let mut seq = Vec::new();
         loop {
-            let n = self.read_line(&mut line)?;
+            let n = self.read_line()?;
             if n == 0 {
                 self.done = true;
                 break;
             }
-            let trimmed = line.trim();
+            let trimmed = self.line.trim();
             if trimmed.is_empty() || trimmed.starts_with(';') {
                 continue;
             }
@@ -96,6 +104,9 @@ impl<R: BufRead> FastaReader<R> {
                 self.pending_header = Some(rest.to_string());
                 break;
             }
+            // The filter hides the length from `extend`; an inner space
+            // only makes the reservation generous.
+            seq.reserve(trimmed.len());
             seq.extend(trimmed.bytes().filter(|b| !b.is_ascii_whitespace()));
         }
 
