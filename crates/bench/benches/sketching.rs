@@ -7,12 +7,17 @@
 //! comparison against the naive `reference` oracle (per-(k-mer, i)
 //! double-`%` loop) the optimized kernels replaced and, at k = 15,
 //! against the blocked walk over the k-mer stream that the rolling
-//! kernel replaced for sequences.
+//! kernel replaced for sequences. A batch arm times Stage 1's input,
+//! the distinct reads of a 16S draw, per read and through
+//! `sketch_sequences`.
+
+use std::collections::HashSet;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mrmc_minhash::{reference, MinHasher};
+use mrmc::MrMcConfig;
+use mrmc_minhash::{reference, MinHasher, Sketch};
 use mrmc_seqio::encode::{kmer_set, KmerIter};
-use mrmc_simulate::random_genome;
+use mrmc_simulate::{huse_16s, random_genome};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -128,9 +133,50 @@ fn bench_reference_vs_optimized(c: &mut Criterion) {
     group.finish();
 }
 
+/// Stage 1's batch: the distinct reads of the 2 000-read Huse draw at
+/// the 16S setting, sketched one by one against one
+/// `sketch_sequences` call, which rolls each prefix shared by
+/// neighbours in byte order once. The two must agree sketch for sketch
+/// — asserted before timing.
+fn bench_batch(c: &mut Criterion) {
+    let reads = huse_16s(0.03, 2_000.0 / 345_000.0, 42).reads;
+    let mut seen = HashSet::new();
+    let distinct: Vec<&[u8]> = reads
+        .iter()
+        .map(|r| r.seq.as_slice())
+        .filter(|seq| seen.insert(*seq))
+        .collect();
+    let hasher = MrMcConfig::sixteen_s().hasher();
+    let per_read: Vec<Sketch> = distinct
+        .iter()
+        .map(|seq| hasher.sketch_sequence(seq).unwrap())
+        .collect();
+    assert_eq!(hasher.sketch_sequences(&distinct).unwrap(), per_read);
+
+    let mut group = c.benchmark_group("sketching-batch");
+    group.throughput(Throughput::Elements(distinct.len() as u64));
+    let label = format!("huse-2000-distinct({})", distinct.len());
+    group.bench_function(BenchmarkId::new("per-read", &label), |b| {
+        b.iter(|| {
+            std::hint::black_box(&distinct)
+                .iter()
+                .map(|seq| hasher.sketch_sequence(seq).unwrap())
+                .collect::<Vec<_>>()
+        })
+    });
+    group.bench_function(BenchmarkId::new("sketch_sequences", &label), |b| {
+        b.iter(|| {
+            hasher
+                .sketch_sequences(std::hint::black_box(&distinct))
+                .unwrap()
+        })
+    });
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_sketching, bench_reference_vs_optimized
+    targets = bench_sketching, bench_reference_vs_optimized, bench_batch
 }
 criterion_main!(benches);

@@ -1,5 +1,7 @@
 //! Exact counts of dereplication on the banded hierarchical route
-//! (DESIGN.md §5d), and the allocation budget of the grouping pass.
+//! (DESIGN.md §5d) and of the bases Stage 1 rolls (§5a, "Shared
+//! prefixes"), and the allocation budgets of the grouping pass and of
+//! Stage 1.
 //!
 //! One `#[test]` on purpose, in a binary of its own: `mrmc_bench`'s
 //! counting allocator is process-global (see `alloc_budget.rs`).
@@ -28,12 +30,47 @@ fn dereplicated_counts_are_pinned() {
     );
     assert_eq!(derep.num_distinct(), 1_041);
 
-    // `run` sketches one record per distinct sequence.
+    // `run` sketches the distinct sequences in one record per block of
+    // their byte order, one block per map task. One batch of all of
+    // them would roll 61 953 of their 104 221 bases, the rest being
+    // prefixes a neighbour in that order already rolled; the stage
+    // rolls 63 209, because each of its 16 blocks starts empty.
     let run = MrMcMinH::new(config).run(&reads).expect("run");
     let sketch = &run.pipeline.stages()[0];
     assert_eq!(sketch.name, "minwise-sketch");
     let records: u64 = sketch.map_stats.iter().map(|t| t.records_in).sum();
-    assert_eq!(records, derep.num_distinct() as u64);
+    assert_eq!(records, config.map_tasks as u64);
+    assert_eq!(sketch.counter("SKETCH_BASES"), 104_221);
+    assert_eq!(sketch.counter("SKETCH_BASES_ROLLED"), 63_209);
+    let mut first: Vec<&[u8]> = Vec::new();
+    let mut seen = vec![false; derep.num_distinct()];
+    for (read, &g) in reads.iter().zip(derep.groups()) {
+        if !std::mem::replace(&mut seen[g as usize], true) {
+            first.push(&read.seq);
+        }
+    }
+    let bases: usize = first.iter().map(|s| s.len()).sum();
+    assert_eq!(sketch.counter("SKETCH_BASES"), bases as u64);
+    let (_, rolled) = config
+        .hasher()
+        .sketch_sequences_counted(&first)
+        .expect("valid k");
+    assert_eq!(rolled, 61_953);
+
+    // A distinct sequence costs one allocation, its sketch; the rest
+    // (1 802 in all here) is about 48 per block: the stack's states,
+    // the emitted pairs and the engine's task bookkeeping. Sketching
+    // one read at a time cost 2.01 per read.
+    let mut p = Pipeline::new("allocs");
+    let (_, allocs) = count_allocs(|| {
+        sketch_distinct_stage(&reads, &derep, &config, &mut p).expect("sketch stage")
+    });
+    let per_sequence = allocs as f64 / derep.num_distinct() as f64;
+    assert!(
+        per_sequence <= 2.1,
+        "{allocs} allocations sketching {} distinct sequences",
+        derep.num_distinct()
+    );
 
     // The ungrouped oracle bands and verifies every read: 13 410
     // candidates, against 121 between distinct sequences.

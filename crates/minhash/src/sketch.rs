@@ -1,4 +1,14 @@
 //! Fixed-size minwise sketches (Eqs. 4 & 6).
+//!
+//! [`MinHasher`] sketches k-mer streams ([`MinHasher::sketch_kmers`])
+//! and sequences ([`MinHasher::sketch_sequence`]) with one of three
+//! exact kernels, read off `k`, the family and the strand convention
+//! (DESIGN.md §5a). A batch of sequences
+//! ([`MinHasher::sketch_sequences`]) is one more entry, not a fourth
+//! kernel: a hasher that rolls visits the batch in byte order and
+//! resumes each sequence from the state its predecessor left at their
+//! common prefix, which the rolling kernel's left fold makes exact, so
+//! amplicon reads that share a primer-delimited start roll it once.
 
 use std::sync::{Arc, OnceLock};
 
@@ -335,31 +345,155 @@ impl MinHasher {
             return Ok(self.sketch_kmers(iter));
         }
         match &self.rolling {
-            Some(steps) => Ok(self.sketch_rolling(seq, steps)),
+            Some(steps) => {
+                let mut state = Rolling::new(&self.family);
+                state.advance(self, steps, seq);
+                Ok(finish(state.minima, self.family.m))
+            }
             None => Ok(self.sketch_kmers(KmerIter::new(seq, self.k)?)),
         }
     }
 
-    /// The rolling kernel (see [`rolling_steps`] for the recurrence).
+    /// [`Self::sketch_sequence`] of every sequence, in input order.
     ///
-    /// `x` starts at 0 (`r_i = b_i`) and is the last `k` valid bases
-    /// packed, with the residues always `(a_i·x + b_i) mod p` for it. A
-    /// base [`encode_base`] rejects resets only the fill count, exactly
-    /// where [`KmerIter`] resets: `x` and the residues keep rolling
-    /// across it, and `k` valid bases later every base before it has
-    /// been shifted out, so the first window folded is `KmerIter`'s.
-    fn sketch_rolling(&self, seq: &[u8], steps: &[u64]) -> Sketch {
-        let family = &self.family;
-        let (n, p, m) = (family.len(), family.p, family.m);
+    /// A hasher that rolls visits the sequences in byte order and starts
+    /// each one from the rolling state its predecessors left at their
+    /// common prefix, so a prefix shared by neighbours in that order is
+    /// rolled once (DESIGN.md §5a, "Shared prefixes"). Every other
+    /// hasher sketches them one by one.
+    pub fn sketch_sequences(&self, seqs: &[&[u8]]) -> Result<Vec<Sketch>, SeqIoError> {
+        Ok(self.sketch_sequences_counted(seqs)?.0)
+    }
+
+    /// [`Self::sketch_sequences`], with the number of bases the kernel
+    /// stepped: every base of every sequence for a hasher that does not
+    /// roll, and each sequence's bases past the state it resumed from
+    /// for one that does.
+    ///
+    /// The rolling kernel is a left fold over the bytes — the fill-count
+    /// reset at a base [`encode_base`] rejects included, and the
+    /// sentinel check comes after the fold — so its state after `l`
+    /// bytes is a function of those bytes, and two sequences sharing
+    /// them share it. In byte order no earlier sequence shares more of
+    /// sequence `i`'s prefix than its predecessor does. A stack holds
+    /// states of the current sequence's prefix at increasing positions:
+    /// sequence `i` pops to the deepest at or before `lcp(i − 1, i)`,
+    /// rolls from there, and leaves its state at `lcp(i, i + 1)` when
+    /// that lies past its start. The stack keeps its buffers, so a
+    /// sequence allocates only its sketch.
+    pub fn sketch_sequences_counted(
+        &self,
+        seqs: &[&[u8]],
+    ) -> Result<(Vec<Sketch>, u64), SeqIoError> {
+        let steps = match &self.rolling {
+            Some(steps) if !self.canonical => steps,
+            _ => {
+                let sketches = seqs.iter().map(|s| self.sketch_sequence(s));
+                let bases = seqs.iter().map(|s| s.len() as u64).sum();
+                return Ok((sketches.collect::<Result<_, _>>()?, bases));
+            }
+        };
+        let mut order: Vec<usize> = (0..seqs.len()).collect();
+        order.sort_unstable_by_key(|&i| seqs[i]);
+        // Empty placeholders: no allocation until each is replaced.
+        let mut out = vec![Sketch::from_values(Vec::new()); seqs.len()];
+        // The empty prefix sits at the bottom and is never popped.
+        let mut saved = vec![(0, Rolling::new(&self.family))];
+        let mut depth = 1;
+        let mut state = saved[0].1.clone();
+        let mut rolled = 0;
+        for (rank, &i) in order.iter().enumerate() {
+            let seq = seqs[i];
+            let shared = rank
+                .checked_sub(1)
+                .map_or(0, |r| common_prefix_len(seqs[order[r]], seq));
+            while saved[depth - 1].0 > shared {
+                depth -= 1;
+            }
+            let start = saved[depth - 1].0;
+            state.copy_from(&saved[depth - 1].1);
+            let mut at = start;
+            if let Some(&next) = order.get(rank + 1) {
+                let keep = common_prefix_len(seq, seqs[next]);
+                if keep > start {
+                    state.advance(self, steps, &seq[start..keep]);
+                    if depth == saved.len() {
+                        saved.push((keep, state.clone()));
+                    } else {
+                        saved[depth].0 = keep;
+                        saved[depth].1.copy_from(&state);
+                    }
+                    depth += 1;
+                    at = keep;
+                }
+            }
+            state.advance(self, steps, &seq[at..]);
+            rolled += (seq.len() - start) as u64;
+            out[i] = finish(state.minima.clone(), self.family.m);
+        }
+        Ok((out, rolled))
+    }
+}
+
+/// Length of the longest common prefix of `a` and `b`: how much of `b`
+/// [`MinHasher::sketch_sequences`] can resume from `a`'s rolling state
+/// when `a` precedes it in byte order.
+pub fn common_prefix_len(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
+
+/// The rolling kernel's state after a prefix of a sequence (see
+/// [`rolling_steps`] for the recurrence).
+///
+/// `x` starts at 0 (`r_i = b_i`) and is the last `k` valid bases
+/// packed, with the residues always `(a_i·x + b_i) mod p` for it. A
+/// base [`encode_base`] rejects resets only the fill count, exactly
+/// where [`KmerIter`] resets: `x` and the residues keep rolling across
+/// it, and `k` valid bases later every base before it has been shifted
+/// out, so the first window folded is `KmerIter`'s.
+#[derive(Debug, Clone)]
+struct Rolling {
+    x: u64,
+    /// Valid bases since the last reset; a window is folded once it
+    /// reaches `k`.
+    filled: usize,
+    residues: Vec<u64>,
+    /// Running minima; `m` is above every `h_i`, so it doubles as "no
+    /// window yet".
+    minima: Vec<u64>,
+}
+
+impl Rolling {
+    /// The state of the empty prefix.
+    fn new(family: &UniversalHashFamily) -> Rolling {
+        Rolling {
+            x: 0,
+            filled: 0,
+            residues: family.params().iter().map(|hp| hp.b).collect(),
+            minima: vec![family.m; family.len()],
+        }
+    }
+
+    /// Become `other` without allocating.
+    fn copy_from(&mut self, other: &Rolling) {
+        self.x = other.x;
+        self.filled = other.filled;
+        self.residues.copy_from_slice(&other.residues);
+        self.minima.copy_from_slice(&other.minima);
+    }
+
+    /// Roll the state over `bases`: the one body both
+    /// [`MinHasher::sketch_sequence`] and
+    /// [`MinHasher::sketch_sequences`] run.
+    fn advance(&mut self, hasher: &MinHasher, steps: &[u64], bases: &[u8]) {
+        let family = &hasher.family;
+        let (n, p, m, k) = (family.len(), family.p, family.m, hasher.k);
         let shift = m.trailing_zeros();
-        let top_shift = 2 * (self.k - 1);
-        let window = (1u64 << (2 * self.k)) - 1;
-        let mut residues: Vec<u64> = family.params().iter().map(|hp| hp.b).collect();
-        // `m` is above every `h_i`, so it doubles as "no window yet".
-        let mut minima = vec![m; n];
-        let mut x = 0u64;
-        let mut filled = 0;
-        for &base in seq {
+        let top_shift = 2 * (k - 1);
+        let window = (1u64 << (2 * k)) - 1;
+        let (mut x, mut filled) = (self.x, self.filled);
+        let (residues, minima) = (&mut self.residues[..], &mut self.minima[..]);
+        for &base in bases {
             let Some(c) = encode_base(base) else {
                 filled = 0;
                 continue;
@@ -368,23 +502,28 @@ impl MinHasher {
             let row = &steps[(4 * (x >> top_shift) + c) as usize * n..][..n];
             x = (x << 2 | c) & window;
             filled += 1;
-            if filled < self.k {
+            if filled < k {
                 for (r, &d) in residues.iter_mut().zip(row) {
                     *r = roll(*r, d, p, shift);
                 }
             } else {
-                for ((r, &d), lo) in residues.iter_mut().zip(row).zip(&mut minima) {
+                for ((r, &d), lo) in residues.iter_mut().zip(row).zip(minima.iter_mut()) {
                     *r = roll(*r, d, p, shift);
                     *lo = lower(*lo, *r & (m - 1));
                 }
             }
         }
-        // A window fills every slot at once, so slot 0 speaks for all.
-        if minima[0] == m {
-            minima.fill(EMPTY_SLOT);
-        }
-        Sketch::from_values(minima)
+        (self.x, self.filled) = (x, filled);
     }
+}
+
+/// The sketch a rolled sequence ends with, from its state's `minima`.
+fn finish(mut minima: Vec<u64>, m: u64) -> Sketch {
+    // A window fills every slot at once, so slot 0 speaks for all.
+    if minima[0] == m {
+        minima.fill(EMPTY_SLOT);
+    }
+    Sketch::from_values(minima)
 }
 
 /// Whether `family` admits the rolling step: `m` a power of two, so
@@ -667,6 +806,38 @@ mod tests {
         let forward = crate::reference::sketch_kmers(&clone, KmerIter::new(read, 15).unwrap());
         assert_eq!(clone.sketch_sequence(read).unwrap(), forward);
         assert_ne!(expect, forward);
+    }
+
+    #[test]
+    fn batch_resumes_shared_prefixes_and_pops_the_stack() {
+        // Byte order: short, a, b, b again, c, d. `a` resumes from the
+        // state `short` left at 3 and leaves its own at 15; `b` resumes
+        // there and leaves one at 20, where its copy ends; `c` shares
+        // only 11 with `b`, so both deeper states pop and it resumes at
+        // 3; `d` shares nothing and starts from the empty prefix.
+        let (a, b) = (b"ACGTACGTTTGGCCAAGGTT", b"ACGTACGTTTGGCCATTTAA");
+        let (c, d, short) = (b"ACGTACGTTTGTCCAT", b"GATTACAGATTACA", b"ACG");
+        let seqs: [&[u8]; 6] = [c, b, d, short, a, b];
+        let h = MinHasher::for_kmer_size(8, 16, 5);
+        assert!(h.rolling.is_some());
+        let (batch, rolled) = h.sketch_sequences_counted(&seqs).unwrap();
+        for (seq, got) in seqs.iter().zip(&batch) {
+            assert_eq!(got, &h.sketch_sequence(seq).unwrap());
+        }
+        assert!(batch[3].is_degenerate());
+        // Bases each one rolls, in byte order.
+        assert_eq!(rolled, [3, 17, 5, 0, 13, 14].iter().sum());
+        assert_eq!(h.sketch_sequences(&seqs).unwrap(), batch);
+        // A hasher that does not roll steps every base.
+        let every: u64 = seqs.iter().map(|s| s.len() as u64).sum();
+        for other in [MinHasher::for_kmer_size(5, 16, 5), h.clone().canonical()] {
+            let (batch, stepped) = other.sketch_sequences_counted(&seqs).unwrap();
+            assert_eq!(stepped, every);
+            for (seq, got) in seqs.iter().zip(&batch) {
+                assert_eq!(got, &other.sketch_sequence(seq).unwrap());
+            }
+        }
+        assert_eq!(h.sketch_sequences(&[]).unwrap(), Vec::new());
     }
 
     #[test]

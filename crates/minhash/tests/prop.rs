@@ -1,6 +1,8 @@
 //! Property-based tests for the minwise-hashing substrate.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use mrmc_minhash::sketch::EMPTY_SLOT;
 use mrmc_minhash::{
@@ -84,6 +86,44 @@ fn sketch_kernel_edges_match_reference() {
     }
 }
 
+/// Up to 24 reads drawn from one to four templates of mixed-case bases
+/// with ambiguous ones among them: point-mutated copies (which share
+/// prefixes), exact copies, and copies cut to under 40 bases (below
+/// most k, or empty), in random order.
+fn prefix_sharing_batch(seed: u64) -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let alphabet = bases_with_ambiguity();
+    let draw = |rng: &mut StdRng, len: usize| -> Vec<u8> {
+        (0..len)
+            .map(|_| alphabet[rng.random_range(0..alphabet.len())])
+            .collect()
+    };
+    let templates: Vec<Vec<u8>> = (0..rng.random_range(1..5))
+        .map(|_| {
+            let len = rng.random_range(0..160);
+            draw(&mut rng, len)
+        })
+        .collect();
+    (0..rng.random_range(0..24))
+        .map(|_| {
+            let mut read = templates[rng.random_range(0..templates.len())].clone();
+            match rng.random_range(0..8) {
+                0 => read.truncate(rng.random_range(0..40)),
+                1 => {}
+                _ => {
+                    for _ in 0..rng.random_range(1..4) {
+                        if !read.is_empty() {
+                            let at = rng.random_range(0..read.len());
+                            read[at] = draw(&mut rng, 1)[0];
+                        }
+                    }
+                }
+            }
+            read
+        })
+        .collect()
+}
+
 /// Trial-division reference for primality.
 fn is_prime_naive(n: u64) -> bool {
     if n < 2 {
@@ -160,6 +200,38 @@ proptest! {
             let expect = assert_matches_reference(&hasher, &kmers, &format!("k = {k}"));
             let got = hasher.sketch_sequence(&read).unwrap();
             prop_assert_eq!(got.values(), expect.values(), "k = {}", k);
+        }
+    }
+
+    /// A batch sketched in byte order, each sequence resuming from the
+    /// state its predecessor left at their common prefix, is the
+    /// per-sequence sketch of every member: near copies of one to four
+    /// templates (mixed case, ambiguous bases, point mutations), cut
+    /// short of k or to nothing, exact copies, in random order, at
+    /// every k of `KS`, both strands' conventions and both families.
+    #[test]
+    fn sketch_sequences_equal_per_read(
+        batch_seed in any::<u64>(),
+        n in proptest::sample::select(vec![1usize, 8, 50]),
+        canonical in any::<bool>(),
+        literal in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let batch = prefix_sharing_batch(batch_seed);
+        let seqs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+        let bases: u64 = seqs.iter().map(|s| s.len() as u64).sum();
+        for k in KS {
+            let mut hasher = hasher_for(k, n, seed, literal);
+            if canonical {
+                hasher = hasher.canonical();
+            }
+            let (got, stepped) = hasher.sketch_sequences_counted(&seqs).unwrap();
+            prop_assert_eq!(got.len(), seqs.len());
+            prop_assert!(stepped <= bases, "k = {}", k);
+            for (seq, sketch) in seqs.iter().zip(&got) {
+                let expect = hasher.sketch_sequence(seq).unwrap();
+                prop_assert_eq!(sketch.values(), expect.values(), "k = {}", k);
+            }
         }
     }
 

@@ -182,8 +182,12 @@ impl IncrementalClusterer {
         result: &MrMcResult,
     ) -> Result<IncrementalClusterer, SeqIoError> {
         let mut inc = IncrementalClusterer::new(config);
-        for rep in result.representatives() {
-            let sketch = inc.hasher.sketch_sequence(&batch_reads[rep].seq)?;
+        let seqs: Vec<&[u8]> = result
+            .representatives()
+            .iter()
+            .map(|&rep| batch_reads[rep].seq.as_slice())
+            .collect();
+        for sketch in inc.hasher.sketch_sequences(&seqs)? {
             inc.index.place(sketch, false);
         }
         Ok(inc)
@@ -200,20 +204,20 @@ impl IncrementalClusterer {
     /// [`IncrementalClusterer::push`] once per read (reads earlier in
     /// the batch can found clusters that later reads join). Every
     /// sequence neither the memo nor an earlier read of the batch
-    /// holds is sketched first, then the reads are placed in order, so
-    /// on a sketching error nothing is recorded (all-or-nothing).
+    /// holds is sketched first, in one
+    /// [`MinHasher::sketch_sequences`] call, then the reads are placed
+    /// in order, so on a sketching error nothing is recorded
+    /// (all-or-nothing).
     pub fn push_batch(&mut self, reads: &[SeqRecord]) -> Result<Vec<usize>, SeqIoError> {
         let mut seen = HashSet::new();
-        let mut fresh = Vec::new();
-        for read in reads {
-            let seq = read.seq.as_slice();
-            if !self.memo.contains_key(seq) && seen.insert(seq) {
-                fresh.push(self.hasher.sketch_sequence(seq)?);
-            }
-        }
-        // A read misses the memo here exactly when it was sketched
-        // above: its first occurrence in the batch, not seen before.
-        let mut fresh = fresh.into_iter();
+        let fresh: Vec<&[u8]> = reads
+            .iter()
+            .map(|read| read.seq.as_slice())
+            .filter(|seq| !self.memo.contains_key(*seq) && seen.insert(*seq))
+            .collect();
+        // A read misses the memo below exactly when it is in `fresh`:
+        // its first occurrence in the batch, not seen before.
+        let mut fresh = self.hasher.sketch_sequences(&fresh)?.into_iter();
         let labels: Vec<usize> = reads
             .iter()
             .map(|read| match self.memo.get(read.seq.as_slice()) {

@@ -7,7 +7,12 @@
 //! sequence once: the driver first groups reads by their exact bytes
 //! ([`dereplicate`]), and a copy of a read takes its first
 //! occurrence's sketch, which is the same deterministic function of the
-//! same bytes (DESIGN.md §5d).
+//! same bytes (DESIGN.md §5d). The driver then sorts the distinct
+//! sequences by their bytes and maps one block of that order per task;
+//! a task rolls each prefix its block's neighbours share once
+//! ([`MinHasher::sketch_sequences`], DESIGN.md §5a "Shared prefixes").
+//! Amplicon reads of one template start at the same primer-delimited
+//! base, so about half of their bases are such a prefix.
 //!
 //! Stage 2 (**all-pairs similarity**, map-only over *rows*): "the
 //! calculation of all pairwise similarity is performed in parallel by
@@ -27,6 +32,7 @@ use mrmc_cluster::CondensedMatrix;
 use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
+use mrmc_minhash::sketch::common_prefix_len;
 use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
 use mrmc_seqio::SeqRecord;
 
@@ -98,57 +104,104 @@ pub fn dereplicate(reads: &[SeqRecord]) -> Result<Dereplicated, MrError> {
     Ok(Dereplicated { of, first, size })
 }
 
-/// Stage-1 mapper: a group's first read index and its size → sketch.
-/// Borrows the read slice (the engine runs mappers on scoped threads),
-/// so map input is two integers — no `SeqRecord` is ever cloned into
-/// the job, even on task retry. The size keeps `DEGENERATE_SKETCHES` a
-/// count of reads.
-struct SketchMapper<'a> {
+/// Stage-1 mapper: a block of the distinct sequences in byte order →
+/// one `(group, sketch)` per sequence, from one
+/// [`MinHasher::sketch_sequences_counted`] call, so each prefix the
+/// block's neighbours share is rolled once. Borrows the reads and the
+/// order (the engine runs mappers on scoped threads), so map input is
+/// two integers — no `SeqRecord` is ever cloned into the job, even on
+/// task retry. Group sizes keep `DEGENERATE_SKETCHES` a count of reads.
+struct SketchBlockMapper<'a> {
     hasher: MinHasher,
     reads: &'a [SeqRecord],
+    derep: &'a Dereplicated,
+    /// Groups in the byte order of their sequences.
+    order: &'a [u32],
 }
 
-impl Mapper for SketchMapper<'_> {
+impl SketchBlockMapper<'_> {
+    fn seq(&self, group: u32) -> &[u8] {
+        &self.reads[self.derep.first[group as usize] as usize].seq
+    }
+}
+
+impl Mapper for SketchBlockMapper<'_> {
     type InKey = usize;
-    type InValue = u32;
+    type InValue = (usize, usize);
     type OutKey = usize;
     type OutValue = Sketch;
 
-    fn map(&self, key: usize, copies: u32, ctx: &mut TaskContext<usize, Sketch>) {
-        let sketch = self
+    fn map(&self, _block: usize, (b0, b1): (usize, usize), ctx: &mut TaskContext<usize, Sketch>) {
+        let groups = &self.order[b0..b1];
+        let seqs: Vec<&[u8]> = groups.iter().map(|&g| self.seq(g)).collect();
+        let (sketches, rolled) = self
             .hasher
-            .sketch_sequence(&self.reads[key].seq)
+            .sketch_sequences_counted(&seqs)
             .expect("k validated by MrMcConfig");
-        if sketch.is_degenerate() {
-            ctx.count("DEGENERATE_SKETCHES", u64::from(copies));
+        let bases: usize = seqs.iter().map(|s| s.len()).sum();
+        ctx.count("SKETCH_BASES", bases as u64);
+        ctx.count("SKETCH_BASES_ROLLED", rolled);
+        for (&g, sketch) in groups.iter().zip(sketches) {
+            if sketch.is_degenerate() {
+                ctx.count(
+                    "DEGENERATE_SKETCHES",
+                    u64::from(self.derep.size[g as usize]),
+                );
+            }
+            ctx.emit(g as usize, sketch);
         }
-        ctx.emit(key, sketch);
     }
 }
 
 /// Run the sketching stage on the Map-Reduce substrate over the
 /// distinct sequences of `derep`: one sketch per group, in group order.
-/// Tasks get the Hadoop default attempt budget (4), so faults injected
-/// through the pipeline are survivable.
+///
+/// The driver sorts the groups by their bytes and cuts that order into
+/// `config.map_tasks` contiguous blocks of near-equal work — the bases
+/// past each sequence's common prefix with its predecessor; a task
+/// sketches one block, resuming each sequence from the state its
+/// predecessor left at their common prefix (DESIGN.md §5a, "Shared
+/// prefixes"). `SKETCH_BASES` counts the distinct sequences' bases,
+/// `SKETCH_BASES_ROLLED` those the kernel stepped. Tasks get the Hadoop
+/// default attempt budget (4), so faults injected through the pipeline
+/// are survivable.
 pub fn sketch_distinct_stage(
     reads: &[SeqRecord],
     derep: &Dereplicated,
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<Vec<Sketch>, MrError> {
-    let mapper = SketchMapper {
+    let seq = |g: u32| reads[derep.first[g as usize] as usize].seq.as_slice();
+    let mut order: Vec<u32> = (0..derep.num_distinct() as u32).collect();
+    // Distinct sequences: no ties, so the order is the bytes' alone.
+    order.sort_unstable_by(|&a, &b| seq(a).cmp(seq(b)));
+    // A sequence weighs the bases the kernel rolls for it when it can
+    // resume from its predecessor: those past their common prefix.
+    let rolls: Vec<usize> = (0..order.len())
+        .map(|r| {
+            let s = seq(order[r]);
+            let shared = r
+                .checked_sub(1)
+                .map_or(0, |p| common_prefix_len(seq(order[p]), s));
+            s.len() - shared
+        })
+        .collect();
+    let blocks = balanced_blocks(rolls.iter().copied(), config.map_tasks);
+    let mapper = SketchBlockMapper {
         hasher: config.hasher(),
         reads,
+        derep,
+        order: &order,
     };
-    let input: Vec<(usize, u32)> = derep
-        .first
-        .iter()
-        .zip(&derep.size)
-        .map(|(&read, &copies)| (read as usize, copies))
-        .collect();
+    let input: Vec<(usize, (usize, usize))> = blocks.into_iter().enumerate().collect();
     let job = JobConfig::named("minwise-sketch").attempts(4);
-    let out = pipeline.run_map_stage(input, config.map_tasks, &mapper, &job)?;
-    Ok(out.into_iter().map(|(_, s)| s).collect())
+    let mut out = pipeline.run_map_stage(input, config.map_tasks, &mapper, &job)?;
+    out.sort_unstable_by_key(|&(g, _)| g);
+    assert!(
+        out.iter().map(|&(g, _)| g).eq(0..order.len()),
+        "one sketch per group"
+    );
+    Ok(out.into_iter().map(|(_, sketch)| sketch).collect())
 }
 
 /// One sketch per read, in read order: [`dereplicate`], then
@@ -165,30 +218,36 @@ pub fn sketch_stage(
     Ok(derep.lift(distinct))
 }
 
-/// Partition rows `0..n` into `tasks` contiguous blocks with near-equal
-/// *pair* counts. Row `r` owns `n−1−r` pairs, so equal row counts give
-/// wildly unequal work (row 0 carries n−1 pairs, row n−1 none);
-/// boundaries are instead cut when a block reaches ≈ `total/tasks`
-/// pairs, which is what makes the stage's task timings level for the
-/// Figure 2 makespan simulation.
-fn balanced_row_blocks(n: usize, tasks: usize) -> Vec<(usize, usize)> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let total = n * (n - 1) / 2;
+/// Partition items `0..weights.len()` into at most `tasks` contiguous
+/// blocks of near-equal total weight: a block closes once it reaches
+/// ≈ `total/tasks`. Stage 1 weighs a sequence by the bases it rolls,
+/// Stage 2 row `r` by its `n−1−r` pairs: equal item counts would give
+/// unequal work (row 0 carries n−1 pairs, row n−1 none), and level task
+/// timings are what the Figure 2 makespan simulation assumes.
+fn balanced_blocks(
+    weights: impl ExactSizeIterator<Item = usize> + Clone,
+    tasks: usize,
+) -> Vec<(usize, usize)> {
+    let n = weights.len();
+    let total: usize = weights.clone().sum();
     let target = total.div_ceil(tasks.max(1)).max(1);
     let mut blocks = Vec::new();
     let mut start = 0usize;
     let mut acc = 0usize;
-    for r in 0..n {
-        acc += n - 1 - r;
-        if acc >= target || r == n - 1 {
-            blocks.push((start, r + 1));
-            start = r + 1;
+    for (i, w) in weights.enumerate() {
+        acc += w;
+        if acc >= target || i == n - 1 {
+            blocks.push((start, i + 1));
+            start = i + 1;
             acc = 0;
         }
     }
     blocks
+}
+
+/// Stage 2's row blocks: rows `0..n` weighed by their pair counts.
+fn balanced_row_blocks(n: usize, tasks: usize) -> Vec<(usize, usize)> {
+    balanced_blocks((0..n).map(|r| n - 1 - r), tasks)
 }
 
 /// Stage-2 mapper: a contiguous block of matrix rows → one strip of

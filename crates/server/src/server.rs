@@ -18,7 +18,9 @@
 //!   representative-index lookup — the time spent under the session
 //!   lock), reply. Different tenants
 //!   proceed concurrently; one tenant's batches serialize on its
-//!   session lock in admission order.
+//!   session lock in admission order. A panic inside the assignment is
+//!   caught: the batch is answered `Internal`, its admission slot and
+//!   in-flight count are released, and the worker takes the next one.
 //!
 //! Lock order is always session → queue (connections) or queue-pop →
 //! session (workers, queue lock released before the session lock is
@@ -36,9 +38,11 @@
 //! before the ack; submissions arriving during the drain get an
 //! explicit `ShuttingDown` error.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
@@ -240,53 +244,79 @@ fn worker_loop(shared: Arc<Shared>) {
                     .unwrap_or_else(PoisonError::into_inner);
             }
         };
-        let dequeued_ns = shared.tracer.now_ns();
-        let result = {
-            let mut s = lock(&item.tenant.session);
-            let result = s.assign(&item.reads);
-            s.complete(item.bytes);
-            let done_ns = shared.tracer.now_ns();
-            shared.tracer.add_span(
-                SpanDraft::new(s.job, "serve:queue", Category::Serve)
-                    .at(
-                        item.enqueued_ns,
-                        dequeued_ns.saturating_sub(item.enqueued_ns),
-                    )
-                    .meta("reads", item.reads.len()),
+        serve_item(&shared, item, Session::assign);
+    }
+}
+
+/// The result a batch is answered with when `assign` panicked.
+fn panicked(payload: &(dyn Any + Send)) -> SessionError {
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("no message");
+    SessionError::Internal(format!("assignment panicked: {message}"))
+}
+
+/// Answer one dequeued batch: `assign` it under its session's lock,
+/// release its admission slot, reply, and drop its in-flight count. A
+/// panic inside `assign` is caught and answered as
+/// [`SessionError::Internal`], so the worker lives on and a later drain
+/// still sees the queue settle.
+fn serve_item(
+    shared: &Shared,
+    item: WorkItem,
+    assign: impl FnOnce(&mut Session, &[SeqRecord]) -> Result<Vec<u64>, SessionError>,
+) {
+    let dequeued_ns = shared.tracer.now_ns();
+    let result = {
+        let mut s = lock(&item.tenant.session);
+        // The guard lives outside the closure, so a panic does not
+        // poison the session.
+        let result = panic::catch_unwind(AssertUnwindSafe(|| assign(&mut s, &item.reads)))
+            .unwrap_or_else(|payload| Err(panicked(payload.as_ref())));
+        s.complete(item.bytes);
+        let done_ns = shared.tracer.now_ns();
+        shared.tracer.add_span(
+            SpanDraft::new(s.job, "serve:queue", Category::Serve)
+                .at(
+                    item.enqueued_ns,
+                    dequeued_ns.saturating_sub(item.enqueued_ns),
+                )
+                .meta("reads", item.reads.len()),
+        );
+        shared.tracer.add_span(
+            SpanDraft::new(s.job, "serve:assign", Category::Serve)
+                .at(dequeued_ns, done_ns.saturating_sub(dequeued_ns))
+                .meta("reads", item.reads.len())
+                .meta("queue_depth", s.queue_depth())
+                .meta(
+                    "ok",
+                    match &result {
+                        Ok(labels) => labels.len().to_string(),
+                        Err(e) => format!("error:{e}"),
+                    },
+                ),
+        );
+        if let Some(m) = &shared.metrics {
+            let keys = &item.tenant.keys;
+            m.observe(
+                &keys.queue_us,
+                dequeued_ns.saturating_sub(item.enqueued_ns) / 1_000,
             );
-            shared.tracer.add_span(
-                SpanDraft::new(s.job, "serve:assign", Category::Serve)
-                    .at(dequeued_ns, done_ns.saturating_sub(dequeued_ns))
-                    .meta("reads", item.reads.len())
-                    .meta("queue_depth", s.queue_depth())
-                    .meta(
-                        "ok",
-                        match &result {
-                            Ok(labels) => labels.len().to_string(),
-                            Err(e) => format!("error:{e}"),
-                        },
-                    ),
+            m.observe(
+                &keys.latency_us,
+                done_ns.saturating_sub(item.enqueued_ns) / 1_000,
             );
-            if let Some(m) = &shared.metrics {
-                let keys = &item.tenant.keys;
-                m.observe(
-                    &keys.queue_us,
-                    dequeued_ns.saturating_sub(item.enqueued_ns) / 1_000,
-                );
-                m.observe(
-                    &keys.latency_us,
-                    done_ns.saturating_sub(item.enqueued_ns) / 1_000,
-                );
-            }
-            result
-        };
-        let _ = item.reply.send(result);
-        let mut q = lock(&shared.queue);
-        q.in_flight -= 1;
-        shared.queue_gauges(&q);
-        if q.items.is_empty() && q.in_flight == 0 {
-            shared.drained_cv.notify_all();
         }
+        result
+    };
+    let _ = item.reply.send(result);
+    let mut q = lock(&shared.queue);
+    q.in_flight -= 1;
+    shared.queue_gauges(&q);
+    if q.items.is_empty() && q.in_flight == 0 {
+        shared.drained_cv.notify_all();
     }
 }
 
@@ -842,5 +872,39 @@ mod tests {
         assert_eq!(client.submit_labels(&[read("b")]).unwrap(), vec![0]);
         client.shutdown().unwrap();
         daemon.join().unwrap();
+    }
+
+    /// A batch whose assignment panics is answered, its slot and its
+    /// in-flight count are released, and a drain then returns.
+    #[test]
+    fn panicking_assignment_is_answered_and_drain_returns() {
+        let server = Server::bind(&ServerConfig::default(), Arc::new(Tracer::new())).unwrap();
+        let shared = Arc::clone(&server.shared);
+        let tenant = shared.tenant("t");
+        let reads = vec![SeqRecord::new("a", b"ACGTACGT".to_vec())];
+        lock(&tenant.session).try_admit(1, 8).unwrap();
+        // What a worker does when it pops the batch.
+        lock(&shared.queue).in_flight += 1;
+        let (reply, answer) = mpsc::channel();
+        let item = WorkItem {
+            tenant: Arc::clone(&tenant),
+            reads,
+            bytes: 8,
+            reply,
+            enqueued_ns: shared.tracer.now_ns(),
+        };
+        serve_item(&shared, item, |_, _| panic!("assignment blew up"));
+
+        match answer.recv().unwrap() {
+            Err(SessionError::Internal(m)) => assert!(m.contains("assignment blew up"), "{m}"),
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        assert_eq!(lock(&shared.queue).in_flight, 0);
+        assert!(!tenant.session.is_poisoned());
+        assert_eq!(lock(&tenant.session).queue_depth(), 0);
+        assert_eq!(shared.drain(), 0);
+        for worker in server.workers {
+            worker.join().unwrap();
+        }
     }
 }
