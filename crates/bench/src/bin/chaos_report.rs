@@ -164,8 +164,8 @@ fn pipeline_cell(
             (
                 r.pipeline.counter_total("PAIRS_COMPUTED"),
                 r.pipeline.counter_total("CANDIDATES_EMITTED"),
-                r.pipeline.counter_total("SHUFFLE_BYTES"),
-                r.pipeline.counter_total("SHUFFLE_RUNS"),
+                r.pipeline.total_shuffle().bytes,
+                r.pipeline.total_shuffle().runs,
             ),
         ),
         Err(_) => (false, false, RecoveryCounters::new(), (0, 0, 0, 0)),
@@ -214,8 +214,8 @@ fn banded_cell(
             (
                 r.pipeline.counter_total("PAIRS_COMPUTED"),
                 r.pipeline.counter_total("CANDIDATES_EMITTED"),
-                r.pipeline.counter_total("SHUFFLE_BYTES"),
-                r.pipeline.counter_total("SHUFFLE_RUNS"),
+                r.pipeline.total_shuffle().bytes,
+                r.pipeline.total_shuffle().runs,
             ),
         ),
         Err(_) => (false, false, RecoveryCounters::new(), (0, 0, 0, 0)),
@@ -308,9 +308,9 @@ fn shuffle_cell(fault: &'static str, intensity: impl Into<String>, plan: FaultPl
             (
                 true,
                 got == expect,
-                r.recovery,
-                r.shuffled_bytes,
-                r.shuffle_runs,
+                r.report.recovery,
+                r.report.shuffled_bytes,
+                r.report.shuffle_runs,
             )
         }
         Err(_) => (false, false, RecoveryCounters::new(), 0, 0),

@@ -132,8 +132,8 @@ fn banded_section(
          across {} sorted runs",
         reads.len(),
         run.pipeline.counter_total("PAIRS_COMPUTED"),
-        run.pipeline.counter_total("SHUFFLE_BYTES"),
-        run.pipeline.counter_total("SHUFFLE_RUNS"),
+        run.pipeline.total_shuffle().bytes,
+        run.pipeline.total_shuffle().runs,
     );
 
     println!(
@@ -263,13 +263,14 @@ fn chaos_section(nodes: &[usize], model: &JobCostModel, args: &HarnessArgs) -> J
             ("overhead", Json::fixed(t_faulty / t_clean - 1.0, 4)),
         ]));
     }
+    let shuffle = clean.pipeline.total_shuffle();
     println!(
-        "\ncounters (clean run): PAIRS_COMPUTED = {}, SHUFFLED_PAIRS = {}, \
-         SHUFFLE_BYTES = {}, SHUFFLE_RUNS = {}",
+        "\ncounters (clean run): PAIRS_COMPUTED = {}, shuffled pairs = {}, \
+         shuffled bytes = {}, shuffle runs = {}",
         clean.pipeline.counter_total("PAIRS_COMPUTED"),
-        clean.pipeline.counter_total("SHUFFLED_PAIRS"),
-        clean.pipeline.counter_total("SHUFFLE_BYTES"),
-        clean.pipeline.counter_total("SHUFFLE_RUNS"),
+        shuffle.records,
+        shuffle.bytes,
+        shuffle.runs,
     );
     println!(
         "\ncheck: output bit-identical under stragglers; overhead shrinks as\n\

@@ -20,8 +20,8 @@
 //!   counters* on every run;
 //! * [`RecoveryCounters`] — the ledger of what the runtime actually
 //!   did to survive (retries, re-executed maps after node loss,
-//!   speculative wins, re-replicated blocks), surfaced through
-//!   `JobResult`, `StageReport` and `SimJobReport`.
+//!   speculative wins, re-replicated blocks), kept once per job in
+//!   its `StageReport.recovery` and carried into `SimJobReport`.
 //!
 //! The recovery mechanics themselves (blacklisting, lost-map-output
 //! re-execution, first-finisher-wins speculation, checksum fallback

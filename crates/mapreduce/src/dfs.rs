@@ -8,23 +8,19 @@
 //!
 //! # Checksums and corruption
 //!
-//! Like HDFS, every block carries a checksum computed at write time,
-//! and every replica records the checksum of the bytes it holds. A
-//! read verifies the replica checksum against the recomputed content
-//! checksum; a mismatch means bit-rot on that replica. The reader then
-//! falls back to a surviving good replica, quarantines the corrupt
-//! copies, and re-replicates the block back to full strength on live
-//! nodes — only when *every* replica is corrupt does the read fail
-//! with [`MrError::CorruptBlock`]. Repairs are tallied in the DFS's
-//! [`RecoveryCounters`] (see [`Dfs::recovery`]).
+//! Like HDFS, every replica records the checksum of the bytes it holds,
+//! computed at write time. A read verifies each replica checksum
+//! against the recomputed content checksum; a mismatch means bit-rot
+//! on that replica. The reader then falls back to a surviving good
+//! replica, quarantines the corrupt copies, and re-replicates the block
+//! back to full strength — only when *every* replica is corrupt does
+//! the read fail with [`MrError::CorruptBlock`]. Repairs are tallied in
+//! the DFS's [`RecoveryCounters`] (see [`Dfs::recovery`]).
 //!
-//! Corruption arrives two ways: directly via
-//! [`Dfs::corrupt_replica`], or scheduled through a
-//! [`FaultInjector`] ([`Dfs::with_injector`]) whose
+//! Corruption is scheduled through a [`FaultInjector`]
+//! ([`Dfs::with_injector`], e.g. `FaultPlan::corrupt_replica`) whose
 //! `replica_corrupted` answers are applied once per block on first
-//! read. Node deaths ([`Dfs::kill_node`]) and whole-block loss
-//! ([`Dfs::drop_block`]) exercise the under-replication and data-loss
-//! paths.
+//! read.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,10 +54,6 @@ impl Default for DfsConfig {
     }
 }
 
-/// Globally unique block id.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct BlockId(pub u64);
-
 /// One replica of a block on one datanode.
 #[derive(Debug, Clone, Copy)]
 struct Replica {
@@ -76,8 +68,6 @@ struct Replica {
 struct BlockMeta {
     /// Byte range of this block within its file.
     range: std::ops::Range<usize>,
-    /// Checksum of the block's content, computed at write time.
-    checksum: u64,
     /// Replicas currently holding a copy.
     replicas: Vec<Replica>,
     /// Injector-scheduled corruption has been applied (it fires once
@@ -88,7 +78,7 @@ struct BlockMeta {
 #[derive(Debug, Clone)]
 struct FileMeta {
     content: Bytes,
-    blocks: Vec<BlockId>,
+    blocks: Vec<BlockMeta>,
 }
 
 /// One unit of map input: a block-aligned byte range of a file, with
@@ -113,17 +103,10 @@ pub struct InputSplit {
 pub struct Dfs {
     config: DfsConfig,
     files: RwLock<HashMap<String, FileMeta>>,
-    blocks: RwLock<HashMap<BlockId, BlockMeta>>,
-    next_block: AtomicU64,
-    /// Datanodes marked dead by fault injection.
-    dead_nodes: RwLock<Vec<bool>>,
     /// Scheduled corruption source (NoFaults by default).
     injector: Arc<dyn FaultInjector>,
     corrupt_detected: AtomicU64,
     blocks_rereplicated: AtomicU64,
-    /// Optional trace sink: checksum repairs are recorded as instant
-    /// events under a dedicated "dfs" job lane.
-    traced: RwLock<Option<(Arc<mrmc_obs::Tracer>, u32)>>,
 }
 
 impl Dfs {
@@ -154,30 +137,10 @@ impl Dfs {
         Ok(Dfs {
             config,
             files: RwLock::new(HashMap::new()),
-            blocks: RwLock::new(HashMap::new()),
-            next_block: AtomicU64::new(0),
-            dead_nodes: RwLock::new(vec![false; config.nodes]),
             injector,
             corrupt_detected: AtomicU64::new(0),
             blocks_rereplicated: AtomicU64::new(0),
-            traced: RwLock::new(None),
         })
-    }
-
-    /// Attach a trace sink. Subsequent corruption detections and
-    /// re-replications emit instant events into `tracer` under a
-    /// "dfs" job. Reads are sequenced by their callers, so event
-    /// order is as deterministic as the fault schedule.
-    pub fn set_tracer(&self, tracer: Arc<mrmc_obs::Tracer>) {
-        let job = tracer.begin_job("dfs");
-        *self.traced.write() = Some((tracer, job));
-    }
-
-    fn trace_event(&self, name: &str, meta: Vec<(String, String)>) {
-        if let Some((tracer, job)) = self.traced.read().as_ref() {
-            let ts = tracer.now_ns();
-            tracer.add_event(*job, name, ts, meta);
-        }
     }
 
     /// The configuration this DFS was built with.
@@ -210,54 +173,32 @@ impl Dfs {
         }
         // Compute block layout and replica placement. Placement is the
         // classic round-robin-from-hash scheme: replicas of block i go
-        // to consecutive live nodes starting at (hash(path) + i).
-        let mut blocks = self.blocks.write();
-        if let Some(old) = files.remove(path) {
-            for b in old.blocks {
-                blocks.remove(&b);
-            }
-        }
-        let dead = self.dead_nodes.read();
-        let live: Vec<usize> = (0..self.config.nodes).filter(|&n| !dead[n]).collect();
-        if live.len() < self.config.replication {
-            return Err(MrError::BadConfig(format!(
-                "only {} live nodes, replication {} impossible",
-                live.len(),
-                self.config.replication
-            )));
-        }
+        // to consecutive nodes starting at (hash(path) + i).
+        let DfsConfig {
+            block_size,
+            replication,
+            nodes,
+        } = self.config;
         let base = path_hash(path) as usize;
-        let n_blocks = content.len().div_ceil(self.config.block_size).max(1);
-        let mut ids = Vec::with_capacity(n_blocks);
-        for i in 0..n_blocks {
-            let start = i * self.config.block_size;
-            let end = ((i + 1) * self.config.block_size).min(content.len());
-            let id = BlockId(self.next_block.fetch_add(1, Ordering::Relaxed));
-            let checksum = content_checksum(&content[start..end]);
-            let replicas = (0..self.config.replication)
-                .map(|r| Replica {
-                    node: live[(base + i + r) % live.len()],
-                    checksum,
-                })
-                .collect();
-            blocks.insert(
-                id,
+        let n_blocks = content.len().div_ceil(block_size).max(1);
+        let blocks = (0..n_blocks)
+            .map(|i| {
+                let range = i * block_size..((i + 1) * block_size).min(content.len());
+                let checksum = content_checksum(&content[range.clone()]);
+                let replicas = (0..replication)
+                    .map(|r| Replica {
+                        node: base.wrapping_add(i + r) % nodes,
+                        checksum,
+                    })
+                    .collect();
                 BlockMeta {
-                    range: start..end,
-                    checksum,
+                    range,
                     replicas,
                     faults_applied: false,
-                },
-            );
-            ids.push(id);
-        }
-        files.insert(
-            path.to_string(),
-            FileMeta {
-                content,
-                blocks: ids,
-            },
-        );
+                }
+            })
+            .collect();
+        files.insert(path.to_string(), FileMeta { content, blocks });
         Ok(())
     }
 
@@ -265,31 +206,14 @@ impl Dfs {
     ///
     /// A replica whose checksum mismatches is quarantined; the read
     /// falls back to a surviving good replica and the block is
-    /// re-replicated onto live nodes. Fails with
-    /// [`MrError::MissingBlock`] when a block has lost all replicas,
-    /// [`MrError::CorruptBlock`] when every replica is corrupt.
+    /// re-replicated. Fails with [`MrError::CorruptBlock`] when every
+    /// replica of a block is corrupt.
     pub fn read(&self, path: &str) -> Result<Bytes, MrError> {
-        let (content, ids) = {
-            let files = self.files.read();
-            let meta = files
-                .get(path)
-                .ok_or_else(|| MrError::FileNotFound(path.to_string()))?;
-            (meta.content.clone(), meta.blocks.clone())
-        };
-        let dead = self.dead_nodes.read();
-        let live: Vec<usize> = (0..self.config.nodes).filter(|&n| !dead[n]).collect();
-        let mut blocks = self.blocks.write();
-        for (i, id) in ids.iter().enumerate() {
-            let b = blocks.get_mut(id).ok_or(MrError::MissingBlock {
-                path: path.to_string(),
-                block_index: i,
-            })?;
-            if b.replicas.is_empty() {
-                return Err(MrError::MissingBlock {
-                    path: path.to_string(),
-                    block_index: i,
-                });
-            }
+        let mut files = self.files.write();
+        let file = files
+            .get_mut(path)
+            .ok_or_else(|| MrError::FileNotFound(path.to_string()))?;
+        for (i, b) in file.blocks.iter_mut().enumerate() {
             // Scheduled bit-rot lands once per block, on first read.
             if !b.faults_applied {
                 b.faults_applied = true;
@@ -301,21 +225,13 @@ impl Dfs {
             }
             // Verify against the recomputed content checksum, like an
             // HDFS client checksumming what the datanode streamed.
-            let expected = content_checksum(&content[b.range.clone()]);
+            let expected = content_checksum(&file.content[b.range.clone()]);
             let corrupt = b.replicas.iter().filter(|r| r.checksum != expected).count();
             if corrupt == 0 {
                 continue;
             }
             self.corrupt_detected
                 .fetch_add(corrupt as u64, Ordering::Relaxed);
-            self.trace_event(
-                "dfs.corrupt_replica_detected",
-                vec![
-                    ("path".to_string(), path.to_string()),
-                    ("block".to_string(), i.to_string()),
-                    ("replicas".to_string(), corrupt.to_string()),
-                ],
-            );
             if corrupt == b.replicas.len() {
                 return Err(MrError::CorruptBlock {
                     path: path.to_string(),
@@ -324,59 +240,22 @@ impl Dfs {
             }
             // Fall back to a good replica (the content we already hold
             // stands in for its bytes), quarantine the corrupt copies,
-            // and restore full replication on live nodes.
+            // and restore full replication.
             b.replicas.retain(|r| r.checksum == expected);
-            replicate_onto_live(b, expected, &live, self.config.replication);
+            for node in 0..self.config.nodes {
+                if b.replicas.len() >= self.config.replication {
+                    break;
+                }
+                if b.replicas.iter().all(|r| r.node != node) {
+                    b.replicas.push(Replica {
+                        node,
+                        checksum: expected,
+                    });
+                }
+            }
             self.blocks_rereplicated.fetch_add(1, Ordering::Relaxed);
-            self.trace_event(
-                "dfs.rereplicate",
-                vec![
-                    ("path".to_string(), path.to_string()),
-                    ("block".to_string(), i.to_string()),
-                ],
-            );
         }
-        Ok(content)
-    }
-
-    /// Whether a path exists.
-    pub fn exists(&self, path: &str) -> bool {
-        self.files.read().contains_key(path)
-    }
-
-    /// Remove a file and its blocks.
-    pub fn delete(&self, path: &str) -> Result<(), MrError> {
-        let mut files = self.files.write();
-        let meta = files
-            .remove(path)
-            .ok_or_else(|| MrError::FileNotFound(path.to_string()))?;
-        let mut blocks = self.blocks.write();
-        for b in meta.blocks {
-            blocks.remove(&b);
-        }
-        Ok(())
-    }
-
-    /// List paths with a given prefix, sorted.
-    pub fn list(&self, prefix: &str) -> Vec<String> {
-        let mut v: Vec<String> = self
-            .files
-            .read()
-            .keys()
-            .filter(|p| p.starts_with(prefix))
-            .cloned()
-            .collect();
-        v.sort();
-        v
-    }
-
-    /// File length in bytes.
-    pub fn len_of(&self, path: &str) -> Result<usize, MrError> {
-        self.files
-            .read()
-            .get(path)
-            .map(|m| m.content.len())
-            .ok_or_else(|| MrError::FileNotFound(path.to_string()))
+        Ok(file.content.clone())
     }
 
     /// Compute the input splits (one per block) for a file.
@@ -385,152 +264,28 @@ impl Dfs {
         let meta = files
             .get(path)
             .ok_or_else(|| MrError::FileNotFound(path.to_string()))?;
-        let blocks = self.blocks.read();
-        meta.blocks
+        Ok(meta
+            .blocks
             .iter()
             .enumerate()
-            .map(|(i, id)| {
-                let b = blocks.get(id).ok_or(MrError::MissingBlock {
-                    path: path.to_string(),
-                    block_index: i,
-                })?;
-                Ok(InputSplit {
-                    path: path.to_string(),
-                    index: i,
-                    file: meta.content.clone(),
-                    range: b.range.clone(),
-                    preferred_nodes: b.replicas.iter().map(|r| r.node).collect(),
-                })
+            .map(|(i, b)| InputSplit {
+                path: path.to_string(),
+                index: i,
+                file: meta.content.clone(),
+                range: b.range.clone(),
+                preferred_nodes: b.replicas.iter().map(|r| r.node).collect(),
             })
-            .collect()
-    }
-
-    /// Fault injection: drop every replica of one block of a file.
-    pub fn drop_block(&self, path: &str, block_index: usize) -> Result<(), MrError> {
-        let files = self.files.read();
-        let meta = files
-            .get(path)
-            .ok_or_else(|| MrError::FileNotFound(path.to_string()))?;
-        let id = *meta.blocks.get(block_index).ok_or(MrError::MissingBlock {
-            path: path.to_string(),
-            block_index,
-        })?;
-        self.blocks
-            .write()
-            .get_mut(&id)
-            .expect("meta consistent")
-            .replicas
-            .clear();
-        Ok(())
-    }
-
-    /// Fault injection: flip the bits of replica `replica` (ordinal in
-    /// the block's current replica list) so its checksum no longer
-    /// matches. Detected — and repaired, if a good copy survives — on
-    /// the next read.
-    pub fn corrupt_replica(
-        &self,
-        path: &str,
-        block_index: usize,
-        replica: usize,
-    ) -> Result<(), MrError> {
-        let files = self.files.read();
-        let meta = files
-            .get(path)
-            .ok_or_else(|| MrError::FileNotFound(path.to_string()))?;
-        let id = *meta.blocks.get(block_index).ok_or(MrError::MissingBlock {
-            path: path.to_string(),
-            block_index,
-        })?;
-        let mut blocks = self.blocks.write();
-        let b = blocks.get_mut(&id).expect("meta consistent");
-        let r = b.replicas.get_mut(replica).ok_or(MrError::MissingBlock {
-            path: path.to_string(),
-            block_index,
-        })?;
-        r.checksum ^= CORRUPTION_MASK;
-        Ok(())
-    }
-
-    /// Fault injection: kill a datanode — its replicas vanish. Files
-    /// stay readable while any replica survives elsewhere.
-    pub fn kill_node(&self, node: usize) {
-        let mut dead = self.dead_nodes.write();
-        if node < dead.len() {
-            dead[node] = true;
-        }
-        drop(dead);
-        let mut blocks = self.blocks.write();
-        for b in blocks.values_mut() {
-            b.replicas.retain(|r| r.node != node);
-        }
-    }
-
-    /// Restore every under-replicated (but not lost) block to full
-    /// replication on live nodes — the namenode's background
-    /// re-replication sweep after a datanode death. Returns the number
-    /// of blocks repaired.
-    pub fn rereplicate_all(&self) -> usize {
-        let dead = self.dead_nodes.read();
-        let live: Vec<usize> = (0..self.config.nodes).filter(|&n| !dead[n]).collect();
-        let mut blocks = self.blocks.write();
-        let mut repaired = 0;
-        for b in blocks.values_mut() {
-            if b.replicas.is_empty() || b.replicas.len() >= self.config.replication {
-                continue;
-            }
-            let before = b.replicas.len();
-            let checksum = b.checksum;
-            replicate_onto_live(b, checksum, &live, self.config.replication);
-            if b.replicas.len() > before {
-                repaired += 1;
-            }
-        }
-        self.blocks_rereplicated
-            .fetch_add(repaired as u64, Ordering::Relaxed);
-        repaired
-    }
-
-    /// Number of blocks whose replica count is below the configured
-    /// replication factor (but nonzero).
-    pub fn under_replicated(&self) -> usize {
-        self.blocks
-            .read()
-            .values()
-            .filter(|b| !b.replicas.is_empty() && b.replicas.len() < self.config.replication)
-            .count()
-    }
-
-    /// Number of blocks with no replicas at all (data loss).
-    pub fn lost_blocks(&self) -> usize {
-        self.blocks
-            .read()
-            .values()
-            .filter(|b| b.replicas.is_empty())
-            .count()
+            .collect())
     }
 
     /// Total blocks stored.
     pub fn total_blocks(&self) -> usize {
-        self.blocks.read().len()
+        self.files.read().values().map(|f| f.blocks.len()).sum()
     }
 }
 
 /// XOR mask standing in for arbitrary bit-rot of a replica's bytes.
 const CORRUPTION_MASK: u64 = 0xDEAD_BEEF_0BAD_F00D;
-
-/// Add good replicas on live nodes until the block reaches
-/// `replication` copies (or live nodes run out).
-fn replicate_onto_live(b: &mut BlockMeta, checksum: u64, live: &[usize], replication: usize) {
-    for &n in live {
-        if b.replicas.len() >= replication {
-            break;
-        }
-        if b.replicas.iter().all(|r| r.node != n) {
-            b.replicas.push(Replica { node: n, checksum });
-        }
-    }
-}
 
 /// FNV-1a over block content — the write-time checksum.
 fn content_checksum(data: &[u8]) -> u64 {
@@ -596,11 +351,19 @@ mod tests {
     use mrmc_chaos::FaultPlan;
 
     fn small_dfs(block: usize) -> Dfs {
-        Dfs::new(DfsConfig {
-            block_size: block,
-            replication: 2,
-            nodes: 4,
-        })
+        dfs_with(block, FaultPlan::new())
+    }
+
+    /// A 4-node, replication-2 DFS whose reads apply `plan`'s rot.
+    fn dfs_with(block: usize, plan: FaultPlan) -> Dfs {
+        Dfs::with_injector(
+            DfsConfig {
+                block_size: block,
+                replication: 2,
+                nodes: 4,
+            },
+            Arc::new(plan.injector()),
+        )
         .unwrap()
     }
 
@@ -609,7 +372,6 @@ mod tests {
         let dfs = small_dfs(8);
         dfs.put("/a.fa", &b">r1\nACGT\n"[..], false).unwrap();
         assert_eq!(dfs.read("/a.fa").unwrap().as_ref(), b">r1\nACGT\n");
-        assert!(dfs.exists("/a.fa"));
         assert!(dfs.recovery().is_clean());
     }
 
@@ -623,6 +385,11 @@ mod tests {
         ));
         dfs.put("/f", &b"two"[..], true).unwrap();
         assert_eq!(dfs.read("/f").unwrap().as_ref(), b"two");
+        assert_eq!(
+            dfs.total_blocks(),
+            1,
+            "the old blocks went with the old file"
+        );
     }
 
     #[test]
@@ -631,6 +398,7 @@ mod tests {
         dfs.put("/f", &b"0123456789"[..], false).unwrap(); // 3 blocks: 4+4+2
         let splits = dfs.splits("/f").unwrap();
         assert_eq!(splits.len(), 3);
+        assert_eq!(dfs.total_blocks(), 3);
         assert_eq!(splits[0].range, 0..4);
         assert_eq!(splits[2].range, 8..10);
         for s in &splits {
@@ -644,53 +412,6 @@ mod tests {
         dfs.put("/e", &b""[..], false).unwrap();
         assert_eq!(dfs.splits("/e").unwrap().len(), 1);
         assert_eq!(dfs.read("/e").unwrap().len(), 0);
-    }
-
-    #[test]
-    fn delete_removes_blocks() {
-        let dfs = small_dfs(2);
-        dfs.put("/f", &b"abcdef"[..], false).unwrap();
-        assert_eq!(dfs.total_blocks(), 3);
-        dfs.delete("/f").unwrap();
-        assert_eq!(dfs.total_blocks(), 0);
-        assert!(matches!(dfs.read("/f"), Err(MrError::FileNotFound(_))));
-    }
-
-    #[test]
-    fn list_with_prefix() {
-        let dfs = small_dfs(8);
-        dfs.put("/in/a", &b"x"[..], false).unwrap();
-        dfs.put("/in/b", &b"y"[..], false).unwrap();
-        dfs.put("/out/c", &b"z"[..], false).unwrap();
-        assert_eq!(dfs.list("/in/"), vec!["/in/a".to_string(), "/in/b".into()]);
-    }
-
-    #[test]
-    fn kill_node_degrades_then_loses_data() {
-        let dfs = small_dfs(4);
-        dfs.put("/f", &b"0123456789"[..], false).unwrap();
-        // Kill nodes until replicas vanish.
-        dfs.kill_node(0);
-        // Replication 2 on 4 nodes: after one node dies some blocks are
-        // under-replicated but all still readable.
-        assert!(dfs.read("/f").is_ok());
-        dfs.kill_node(1);
-        dfs.kill_node(2);
-        dfs.kill_node(3);
-        assert!(dfs.lost_blocks() > 0);
-        assert!(matches!(dfs.read("/f"), Err(MrError::MissingBlock { .. })));
-    }
-
-    #[test]
-    fn drop_block_makes_file_unreadable() {
-        let dfs = small_dfs(4);
-        dfs.put("/f", &b"0123456789"[..], false).unwrap();
-        dfs.drop_block("/f", 1).unwrap();
-        match dfs.read("/f") {
-            Err(MrError::MissingBlock { block_index, .. }) => assert_eq!(block_index, 1),
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(dfs.lost_blocks(), 1);
     }
 
     #[test]
@@ -719,89 +440,32 @@ mod tests {
 
     #[test]
     fn corrupt_replica_repaired_from_survivor() {
-        let dfs = small_dfs(4);
+        let dfs = dfs_with(4, FaultPlan::new().corrupt_replica("/f", 1, 0));
         dfs.put("/f", &b"0123456789"[..], false).unwrap();
-        dfs.corrupt_replica("/f", 1, 0).unwrap();
         // The read detects the bad copy, serves from the survivor, and
         // restores full replication.
         assert_eq!(dfs.read("/f").unwrap().as_ref(), b"0123456789");
         let rec = dfs.recovery();
         assert_eq!(rec.corrupt_replicas_detected, 1);
         assert_eq!(rec.blocks_rereplicated, 1);
-        assert_eq!(dfs.under_replicated(), 0);
-        // The repair is durable: the next read is clean.
+        assert_eq!(dfs.splits("/f").unwrap()[1].preferred_nodes.len(), 2);
+        // Scheduled rot fires once per block and the repair is
+        // durable: the next read is clean.
         assert!(dfs.read("/f").is_ok());
         assert_eq!(dfs.recovery().corrupt_replicas_detected, 1);
     }
 
     #[test]
     fn all_replicas_corrupt_is_fatal() {
-        let dfs = small_dfs(4);
+        let plan = FaultPlan::new()
+            .corrupt_replica("/f", 2, 0)
+            .corrupt_replica("/f", 2, 1);
+        let dfs = dfs_with(4, plan);
         dfs.put("/f", &b"0123456789"[..], false).unwrap();
-        dfs.corrupt_replica("/f", 2, 0).unwrap();
-        dfs.corrupt_replica("/f", 2, 1).unwrap();
         match dfs.read("/f") {
             Err(MrError::CorruptBlock { path, block_index }) => {
                 assert_eq!(path, "/f");
                 assert_eq!(block_index, 2);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn injector_scheduled_corruption_detected_once() {
-        let inj = FaultPlan::new().corrupt_replica("/f", 0, 1).injector();
-        let dfs = Dfs::with_injector(
-            DfsConfig {
-                block_size: 4,
-                replication: 2,
-                nodes: 4,
-            },
-            Arc::new(inj),
-        )
-        .unwrap();
-        dfs.put("/f", &b"01234567"[..], false).unwrap();
-        assert_eq!(dfs.read("/f").unwrap().as_ref(), b"01234567");
-        let rec = dfs.recovery();
-        assert_eq!(rec.corrupt_replicas_detected, 1);
-        assert_eq!(rec.blocks_rereplicated, 1);
-        // Scheduled rot fires once per block: repeated reads stay clean.
-        assert!(dfs.read("/f").is_ok());
-        assert_eq!(dfs.recovery().corrupt_replicas_detected, 1);
-    }
-
-    #[test]
-    fn rereplicate_all_heals_node_death() {
-        let dfs = small_dfs(4);
-        dfs.put("/f", &b"0123456789abcdef"[..], false).unwrap();
-        dfs.kill_node(0);
-        let degraded = dfs.under_replicated();
-        assert!(degraded > 0, "killing a node should degrade some block");
-        let repaired = dfs.rereplicate_all();
-        assert_eq!(repaired, degraded);
-        assert_eq!(dfs.under_replicated(), 0);
-        assert_eq!(dfs.recovery().blocks_rereplicated, repaired as u64);
-        // Repaired replicas live only on live nodes.
-        for s in dfs.splits("/f").unwrap() {
-            assert!(!s.preferred_nodes.contains(&0));
-        }
-    }
-
-    // ---- Degenerate paths (satellite: zero replicas, exact edges) ----
-
-    #[test]
-    fn zero_replica_read_reports_path_and_block() {
-        let dfs = small_dfs(4);
-        dfs.put("/reads.fa", &b"0123456789"[..], false).unwrap();
-        dfs.drop_block("/reads.fa", 0).unwrap();
-        match dfs.read("/reads.fa") {
-            Err(MrError::MissingBlock { path, block_index }) => {
-                assert_eq!(path, "/reads.fa");
-                assert_eq!(block_index, 0);
-                assert!(MrError::MissingBlock { path, block_index }
-                    .to_string()
-                    .contains("/reads.fa"));
             }
             other => panic!("unexpected {other:?}"),
         }

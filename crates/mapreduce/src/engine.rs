@@ -46,7 +46,8 @@
 //!   the map output lost and re-executes that map task too.
 //!
 //! Everything the runtime did to survive is tallied in
-//! [`RecoveryCounters`] on the [`JobResult`].
+//! [`RecoveryCounters`] on the job's [`StageReport`], which the engine
+//! returns in [`JobResult::report`].
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -60,6 +61,7 @@ use crate::error::MrError;
 use crate::job::{
     Combiner, Counters, JobConfig, JobResult, Mapper, Reducer, TaskContext, TaskStats,
 };
+use crate::pipeline::StageReport;
 
 /// Shuffle fetches retried per (map, partition) before the map output
 /// is declared lost and the map task re-executed (Hadoop's
@@ -855,6 +857,7 @@ where
     M::InKey: Clone + Sync,
     M::InValue: Clone + Sync,
 {
+    let job_start = Instant::now();
     let map_task = |i: usize, chunk: &[(M::InKey, M::InValue)]| {
         let start = Instant::now();
         let records_in = chunk.len() as u64;
@@ -876,31 +879,26 @@ where
     } = run_map_phase::<M, _, _>(input, num_map_tasks, None, config, map_task)?;
 
     let mut counters = Counters::new();
-    counters.add("TASK_RETRIES", recovery.tasks_retried);
     let mut all = Vec::new();
     let mut map_stats = Vec::new();
     for (pairs, stats, task_counters) in outputs {
         counters.merge(&task_counters);
-        counters.add("MAP_INPUT_RECORDS", stats.records_in);
-        counters.add("MAP_OUTPUT_RECORDS", stats.records_out);
         map_stats.push(stats);
         all.extend(pairs);
     }
-    // Map-only jobs shuffle nothing, but report the shuffle counters
-    // anyway so every JobResult snapshot carries the same key set
-    // (consumers iterate counters uniformly across stage kinds).
-    counters.add("SHUFFLED_PAIRS", 0);
-    counters.add("SHUFFLE_BYTES", 0);
-    counters.add("SHUFFLE_RUNS", 0);
     Ok(JobResult {
         output: all,
-        counters,
-        map_stats,
-        reduce_stats: Vec::new(),
-        shuffled_pairs: 0,
-        shuffled_bytes: 0,
-        shuffle_runs: 0,
-        recovery,
+        report: StageReport {
+            name: config.name.clone(),
+            map_stats,
+            reduce_stats: Vec::new(),
+            shuffled_pairs: 0,
+            shuffled_bytes: 0,
+            shuffle_runs: 0,
+            counters: counters.snapshot(),
+            wall: job_start.elapsed(),
+            recovery,
+        },
     })
 }
 
@@ -1022,6 +1020,7 @@ where
     if config.num_reducers == 0 {
         return Err(MrError::BadConfig("num_reducers must be ≥ 1".into()));
     }
+    let job_start = Instant::now();
     let injector = config.injector();
     let reducers = config.num_reducers;
 
@@ -1064,7 +1063,7 @@ where
             // Price the group exactly as the sort-merge run frames it:
             // the key once, a varint value count, then each surviving
             // value. (The old per-pair pricing charged the key once per
-            // *value*, overstating SHUFFLE_BYTES for every multi-value
+            // *value*, overstating `shuffled_bytes` for every multi-value
             // group.)
             bytes += (mapper.key_wire_size(&k) + crate::wire::uvarint_len(vs.len() as u64)) as u64;
             for v in &vs {
@@ -1182,8 +1181,6 @@ where
     let shuffle_start = trace.as_ref().map(|ctx| ctx.tracer.now_ns());
     for out in map_outputs {
         counters.merge(&out.counters);
-        counters.add("MAP_INPUT_RECORDS", out.stats.records_in);
-        counters.add("MAP_OUTPUT_RECORDS", out.stats.records_out);
         shuffled_pairs += out.stats.records_out;
         shuffled_bytes += out.bytes;
         if let Some(ctx) = &trace {
@@ -1220,9 +1217,6 @@ where
             partition_slots[p].push(run);
         }
     }
-    counters.add("SHUFFLED_PAIRS", shuffled_pairs);
-    counters.add("SHUFFLE_BYTES", shuffled_bytes);
-    counters.add("SHUFFLE_RUNS", shuffle_runs);
     let shuffle_span = trace.as_ref().zip(shuffle_start).map(|(ctx, t0)| {
         let now = ctx.tracer.now_ns();
         ctx.tracer.add_span(
@@ -1271,26 +1265,27 @@ where
         ctx.emit_phase(Phase::Reduce, None, 0, &reduce_phase.attempts, &barrier);
     }
 
-    counters.add("TASK_RETRIES", recovery.tasks_retried);
     let mut output = Vec::new();
     let mut reduce_stats = Vec::with_capacity(reducers);
     for (out, stats, task_counters) in reduce_phase.results {
         counters.merge(&task_counters);
-        counters.add("REDUCE_INPUT_RECORDS", stats.records_in);
-        counters.add("REDUCE_OUTPUT_RECORDS", stats.records_out);
         reduce_stats.push(stats);
         output.extend(out);
     }
 
     Ok(JobResult {
         output,
-        counters,
-        map_stats,
-        reduce_stats,
-        shuffled_pairs,
-        shuffled_bytes,
-        shuffle_runs,
-        recovery,
+        report: StageReport {
+            name: config.name.clone(),
+            map_stats,
+            reduce_stats,
+            shuffled_pairs,
+            shuffled_bytes,
+            shuffle_runs,
+            counters: counters.snapshot(),
+            wall: job_start.elapsed(),
+            recovery,
+        },
     })
 }
 
@@ -1366,11 +1361,29 @@ mod tests {
         let cfg = JobConfig::named("wc").reducers(3).workers(4);
         let result = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
         assert_eq!(sorted(result.output), expected_wc());
-        assert_eq!(result.counters.get("lines"), 3);
-        assert_eq!(result.counters.get("MAP_INPUT_RECORDS"), 3);
-        assert_eq!(result.map_stats.len(), 2);
-        assert_eq!(result.reduce_stats.len(), 3);
-        assert!(result.recovery.is_clean());
+        let report = &result.report;
+        assert_eq!(report.name, "wc");
+        assert_eq!(report.counter("lines"), 3);
+        let records_in: u64 = report.map_stats.iter().map(|s| s.records_in).sum();
+        assert_eq!(records_in, 3);
+        assert_eq!(report.map_stats.len(), 2);
+        assert_eq!(report.reduce_stats.len(), 3);
+        assert!(report.recovery.is_clean());
+    }
+
+    /// A stage's counters are exactly what its tasks counted: record
+    /// counts, shuffle volume and retries have their own fields, and
+    /// appear nowhere in `counters`.
+    #[test]
+    fn counters_hold_only_what_tasks_counted() {
+        let cfg = JobConfig::named("wc").reducers(2).workers(2);
+        let lines = vec![("lines".to_string(), 3)];
+        let full = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
+        assert_eq!(full.report.counters, lines);
+        assert!(full.report.shuffled_pairs > 0);
+        let map_only = run_map_only(wc_input(), 2, &WcMapper, &cfg).unwrap();
+        assert_eq!(map_only.report.counters, lines);
+        assert_eq!(map_only.report.shuffle_volume(), Default::default());
     }
 
     #[test]
@@ -1382,10 +1395,10 @@ mod tests {
                 .unwrap();
         assert_eq!(sorted(plain.output), sorted(combined.output));
         assert!(
-            combined.shuffled_pairs <= plain.shuffled_pairs,
+            combined.report.shuffled_pairs <= plain.report.shuffled_pairs,
             "combiner must not inflate shuffle: {} vs {}",
-            combined.shuffled_pairs,
-            plain.shuffled_pairs
+            combined.report.shuffled_pairs,
+            plain.report.shuffled_pairs
         );
     }
 
@@ -1446,7 +1459,7 @@ mod tests {
         let result = run_map_only(input, 7, &Echo, &cfg).unwrap();
         let keys: Vec<usize> = result.output.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..100).collect::<Vec<_>>());
-        assert_eq!(result.map_stats.len(), 7);
+        assert_eq!(result.report.map_stats.len(), 7);
     }
 
     #[test]
@@ -1547,8 +1560,7 @@ mod tests {
         let cfg = JobConfig::named("flaky").reducers(2).workers(1).attempts(4);
         let result = run_job(wc_input(), 2, &flaky, &SumReducer, &cfg).unwrap();
         assert_eq!(sorted(result.output), expected_wc());
-        assert!(result.counters.get("TASK_RETRIES") >= 1);
-        assert!(result.recovery.tasks_retried >= 1);
+        assert!(result.report.recovery.tasks_retried >= 1);
     }
 
     #[test]
@@ -1620,8 +1632,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
-        assert_eq!(chaotic.recovery.tasks_retried, 4);
-        assert_eq!(chaotic.counters.get("TASK_RETRIES"), 4);
+        assert_eq!(chaotic.report.recovery.tasks_retried, 4);
     }
 
     #[test]
@@ -1668,7 +1679,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
-        assert_eq!(chaotic.recovery.maps_reexecuted_node_loss, 1);
+        assert_eq!(chaotic.report.recovery.maps_reexecuted_node_loss, 1);
     }
 
     #[test]
@@ -1687,7 +1698,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
-        assert_eq!(chaotic.recovery.speculative_wins, 1);
+        assert_eq!(chaotic.report.recovery.speculative_wins, 1);
     }
 
     #[test]
@@ -1709,8 +1720,8 @@ mod tests {
         )
         .unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
-        assert_eq!(chaotic.recovery.shuffle_fetch_retries, 2 + 3);
-        assert_eq!(chaotic.recovery.maps_reexecuted_fetch_fail, 1);
+        assert_eq!(chaotic.report.recovery.shuffle_fetch_retries, 2 + 3);
+        assert_eq!(chaotic.report.recovery.maps_reexecuted_fetch_fail, 1);
     }
 
     #[test]
@@ -1737,7 +1748,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(sorted(result.output), expected_wc());
-            ledgers.push(result.recovery);
+            ledgers.push(result.report.recovery);
         }
         assert!(
             ledgers.windows(2).all(|w| w[0] == w[1]),

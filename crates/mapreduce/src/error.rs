@@ -9,16 +9,8 @@ pub enum MrError {
     FileNotFound(String),
     /// Path already exists and overwrite was not requested.
     FileExists(String),
-    /// A block id was present in file metadata but missing from the
-    /// block store — indicates corruption (or an injected fault).
-    MissingBlock {
-        /// Owning file.
-        path: String,
-        /// Index of the missing block within the file.
-        block_index: usize,
-    },
     /// Every replica of a block failed its checksum — the data is
-    /// unrecoverable (all copies corrupted or lost).
+    /// unrecoverable (all copies corrupted).
     CorruptBlock {
         /// Owning file.
         path: String,
@@ -45,9 +37,6 @@ impl fmt::Display for MrError {
         match self {
             MrError::FileNotFound(p) => write!(f, "DFS file not found: {p}"),
             MrError::FileExists(p) => write!(f, "DFS file already exists: {p}"),
-            MrError::MissingBlock { path, block_index } => {
-                write!(f, "missing block {block_index} of {path}")
-            }
             MrError::CorruptBlock { path, block_index } => {
                 write!(
                     f,

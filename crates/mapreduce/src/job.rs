@@ -14,6 +14,8 @@ use std::time::Duration;
 
 use mrmc_chaos::{FaultInjector, NoFaults};
 
+use crate::pipeline::StageReport;
+
 /// Requirements on intermediate keys: hashed for partitioning, ordered
 /// for the sort-based group-by, cloned into combiner runs.
 pub trait MrKey: Clone + Ord + Hash + Send + Sync {}
@@ -371,36 +373,16 @@ pub struct TaskStats {
     pub records_out: u64,
 }
 
-/// The result of running a job.
+/// The result of running a job: its output and the one record of how
+/// it ran, which a [`crate::Pipeline`] keeps as the stage's report.
 #[derive(Debug)]
 pub struct JobResult<K, V> {
     /// All reducer outputs, concatenated (ordered by partition, then by
     /// key within the partition — the engine's sort guarantees this).
     pub output: Vec<(K, V)>,
-    /// Merged job counters.
-    pub counters: Counters,
-    /// Per-map-task stats.
-    pub map_stats: Vec<TaskStats>,
-    /// Per-reduce-task stats.
-    pub reduce_stats: Vec<TaskStats>,
-    /// Total intermediate pairs that crossed the shuffle (post-combine).
-    pub shuffled_pairs: u64,
-    /// Bytes the post-combine groups occupy on the wire, priced
-    /// exactly once per group as
-    /// `key_wire_size + varint(value_count) + Σ value_wire_size`
-    /// (the sort-merge run framing: each distinct key appears once,
-    /// followed by its length-prefixed value block). Jobs that
-    /// override the [`Mapper`] size hooks get real payload bytes;
-    /// the defaults charge shallow record widths.
-    pub shuffled_bytes: u64,
-    /// Sorted map-side runs moved through the shuffle barrier — one per
-    /// non-empty (map task, reducer) cell. Each run is a fetch on a
-    /// real cluster, so the count feeds the simulator's per-fetch
-    /// overhead term ([`crate::simcluster::JobCostModel::shuffle_run_cost`]).
-    pub shuffle_runs: u64,
-    /// Everything the runtime did to survive faults while producing
-    /// this result (all zero on a clean run).
-    pub recovery: mrmc_chaos::RecoveryCounters,
+    /// Task statistics, shuffle volume, the tasks' own counters and
+    /// the recovery ledger.
+    pub report: StageReport,
 }
 
 /// Default Hadoop-style partitioner: `hash(key) % reducers`.

@@ -211,7 +211,7 @@ impl ClusterSpec {
     /// priced on all three axes of `volume` against per-node aggregate
     /// bandwidth (per record, per payload byte, and
     /// [`JobCostModel::shuffle_run_cost`] per sorted run a reducer
-    /// fetches — the engine's [`crate::JobResult::shuffle_runs`]).
+    /// fetches — the engine's [`crate::pipeline::StageReport::shuffle_runs`]).
     /// Recovery work is charged too: every retried or re-executed map
     /// attempt in `recovery` is scheduled as an extra mean-cost map
     /// task (the cluster really ran it), and the ledger is carried on

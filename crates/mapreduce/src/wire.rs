@@ -31,7 +31,7 @@
 //! [`IdRun::decode`] and [`IdRun::from_ids`].
 //!
 //! Pricing rule: every encoder here reports its size through
-//! [`ShuffleSized`], so `SHUFFLE_BYTES` equals the *encoded* bytes of
+//! [`ShuffleSized`], so `shuffled_bytes` equals the *encoded* bytes of
 //! the post-combine groups — priced exactly once, at the moment the
 //! group enters its sorted run.
 
@@ -460,7 +460,7 @@ impl IdRun {
 }
 
 /// The encoded size *is* the shuffle size — this is what makes
-/// `SHUFFLE_BYTES` equal the sum of encoded run lengths.
+/// `shuffled_bytes` equal the sum of encoded run lengths.
 impl ShuffleSized for IdRun {
     fn shuffle_size(&self) -> usize {
         self.wire_len()

@@ -87,7 +87,7 @@ proptest! {
                 .unwrap();
         let got2: HashMap<String, u64> = combined.output.into_iter().collect();
         prop_assert_eq!(&got2, &expected);
-        prop_assert!(combined.shuffled_pairs <= plain.shuffled_pairs);
+        prop_assert!(combined.report.shuffled_pairs <= plain.report.shuffled_pairs);
     }
 
     /// DFS round-trips arbitrary content through any block size, and

@@ -160,9 +160,7 @@ proptest! {
         let cfg = JobConfig::named("merge-random").reducers(reducers).workers(workers);
         let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
         prop_assert_eq!(got.output, expect);
-        prop_assert!(got.shuffle_runs <= (num_maps * reducers) as u64);
-        prop_assert_eq!(got.counters.get("SHUFFLE_RUNS"), got.shuffle_runs);
-        prop_assert_eq!(got.counters.get("SHUFFLE_BYTES"), got.shuffled_bytes);
+        prop_assert!(got.report.shuffle_runs <= (num_maps * reducers) as u64);
     }
 
     /// Skewed keys (a 1–3 key universe) funnel nearly everything into
@@ -184,7 +182,7 @@ proptest! {
         let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
         prop_assert_eq!(got.output, expect);
         // At most `key_space` partitions can be non-empty.
-        prop_assert!(got.shuffle_runs <= key_space as u64 * num_maps as u64);
+        prop_assert!(got.report.shuffle_runs <= key_space as u64 * num_maps as u64);
     }
 
     /// The combiner path: map-side sort + slice-range grouping must
@@ -241,8 +239,8 @@ proptest! {
         let cfg = cfg.with_faults(Arc::new(plan.injector()));
         let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
         prop_assert_eq!(got.output, expect);
-        prop_assert!(got.recovery.tasks_retried >= 1);
-        prop_assert_eq!(got.recovery.maps_reexecuted_fetch_fail, 1);
+        prop_assert!(got.report.recovery.tasks_retried >= 1);
+        prop_assert_eq!(got.report.recovery.maps_reexecuted_fetch_fail, 1);
     }
 }
 
@@ -298,7 +296,7 @@ fn string_keys_bit_identical_with_payload_bytes() {
     // Payload accounting: replay the engine's chunking and map-side
     // grouping, then price each group once — key (4 + len), varint
     // value count, 4 per value. This is the on-the-wire framing of a
-    // sorted run, so SHUFFLE_BYTES must equal it exactly.
+    // sorted run, so `shuffled_bytes` must equal it exactly.
     let (num_maps, n) = (5usize, input.len());
     let (base, extra) = (n / num_maps, n % num_maps);
     let mut bytes = 0u64;
@@ -320,7 +318,7 @@ fn string_keys_bit_identical_with_payload_bytes() {
                 4 + k.len() as u64 + mrmc_mapreduce::wire::uvarint_len(count) as u64 + 4 * count;
         }
     }
-    assert_eq!(got.shuffled_bytes, bytes);
+    assert_eq!(got.report.shuffled_bytes, bytes);
 
     // A never-used combiner type to satisfy the oracle's generics.
     struct TakeTwoCombiner2;
@@ -358,7 +356,7 @@ fn bench_shape_bit_identical_with_and_without_combiner() {
     );
     let got = run_job(input.clone(), num_maps, &mapper, &CollectReducer, &cfg).unwrap();
     assert_eq!(got.output, expect);
-    assert_eq!(got.shuffle_runs, (num_maps * reducers) as u64);
+    assert_eq!(got.report.shuffle_runs, (num_maps * reducers) as u64);
 
     let expect = oracle_run(
         &input,
@@ -401,7 +399,7 @@ fn empty_input_and_single_key_edge_cases() {
         let got = run_job(input, 3, &mapper, &CollectReducer, &cfg).unwrap();
         assert_eq!(got.output, expect);
         if payloads.is_empty() {
-            assert_eq!(got.shuffle_runs, 0, "no pairs, no runs");
+            assert_eq!(got.report.shuffle_runs, 0, "no pairs, no runs");
         }
     }
 }

@@ -12,15 +12,15 @@
 //!   its critical path reproduces the untraced simulator's makespan
 //!   and attributes ≥ 95 % of it (the ISSUE acceptance bar; the
 //!   construction actually achieves ~100 %).
-//! * **Counters** — merge/snapshot semantics and cross-stage totals,
-//!   with the shuffle counter keys present uniformly on every stage.
+//! * **Counters** — merge/snapshot semantics and cross-stage totals;
+//!   a stage's counters hold only what its tasks counted.
 
 use std::sync::Arc;
 
 use mrmc_chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::engine::run_job;
 use mrmc_mapreduce::job::{Counters, JobConfig, Mapper, Reducer, ShuffleSized, TaskContext};
-use mrmc_mapreduce::pipeline::Pipeline;
+use mrmc_mapreduce::pipeline::{Pipeline, StageReport};
 use mrmc_mapreduce::simcluster::{ClusterSpec, JobCostModel, ShuffleVolume};
 use mrmc_mapreduce::{critical_path, RecoveryCounters, Tracer};
 
@@ -94,8 +94,8 @@ fn tracing_is_passive() {
     let traced_cfg = config.traced(tracer.clone());
     let traced = run_job(input(), 6, &Tokenize, &Sum, &traced_cfg).unwrap();
     assert_eq!(plain.output, traced.output);
-    assert_eq!(plain.counters.snapshot(), traced.counters.snapshot());
-    assert_eq!(plain.recovery, traced.recovery);
+    assert_eq!(plain.report.counters, traced.report.counters);
+    assert_eq!(plain.report.recovery, traced.report.recovery);
 
     let ledger = tracer.ledger();
     assert_eq!(ledger.jobs, vec!["wc".to_string()]);
@@ -296,7 +296,7 @@ impl Mapper for Passthrough {
 }
 
 #[test]
-fn counter_total_spans_stages_and_shuffle_keys_are_uniform() {
+fn counter_total_spans_stages() {
     let mut pipeline = Pipeline::new("totals");
     let stage1 = pipeline
         .run_stage(
@@ -315,21 +315,16 @@ fn counter_total_spans_stages_and_shuffle_keys_are_uniform() {
     // WORDS_SEEN is only written by stage 1; the totals must still see
     // it through the per-stage snapshots.
     assert_eq!(pipeline.counter_total("WORDS_SEEN"), words);
-    assert_eq!(
-        pipeline.counter_total("MAP_INPUT_RECORDS"),
-        48 + pipeline.stages()[1].counter("MAP_INPUT_RECORDS")
-    );
-    // Both stages expose the full shuffle key set — the map-only stage
-    // reports zeros rather than omitting the keys.
-    for stage in pipeline.stages() {
-        let keys: Vec<&str> = stage.counters.iter().map(|(k, _)| k.as_str()).collect();
-        for key in ["SHUFFLED_PAIRS", "SHUFFLE_BYTES", "SHUFFLE_RUNS"] {
-            assert!(keys.contains(&key), "stage {} lacks {key}", stage.name);
-        }
-        assert_eq!(
-            stage.shuffle_volume().records,
-            stage.counter("SHUFFLED_PAIRS")
-        );
-    }
-    assert_eq!(pipeline.stages()[1].shuffle_volume().records, 0);
+    // Each stage's counters are its tasks' own: the passthrough counts
+    // nothing, and record and shuffle accounting live in fields.
+    let [count, pass] = pipeline.stages() else {
+        panic!("two stages")
+    };
+    assert_eq!(count.counters, vec![("WORDS_SEEN".to_string(), words)]);
+    assert!(pass.counters.is_empty());
+    let records_in = |s: &StageReport| -> u64 { s.map_stats.iter().map(|t| t.records_in).sum() };
+    let reduced: u64 = count.reduce_stats.iter().map(|t| t.records_out).sum();
+    assert_eq!(records_in(count), 48);
+    assert_eq!(records_in(pass), reduced);
+    assert_eq!(pass.shuffle_volume(), ShuffleVolume::default());
 }

@@ -1,6 +1,6 @@
 //! Property tests for the compact wire layer: varint and id-run
 //! roundtrips over arbitrary inputs, band-key packing at every legal
-//! width, and the pricing contract — SHUFFLE_BYTES charged by the
+//! width, and the pricing contract — `shuffled_bytes` charged by the
 //! engine must equal the bytes the encoded runs actually occupy,
 //! computed from the wire format alone.
 
@@ -173,7 +173,7 @@ proptest! {
     /// Satellite contract: with the encoding ON (IdRun values + merge
     /// combiner) and OFF (raw u32 values), the reduce groups are
     /// identical — same keys, same id sets, same order — while the
-    /// encoded plane's priced SHUFFLE_BYTES equals the sum of its
+    /// encoded plane's priced `shuffled_bytes` equals the sum of its
     /// encoded run lengths, computed independently by replaying the
     /// engine's chunking and combine.
     #[test]
@@ -220,12 +220,12 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            enc.shuffled_bytes, expect_bytes,
+            enc.report.shuffled_bytes, expect_bytes,
             "priced bytes must equal the encoded run lengths"
         );
         // Each post-combine group is a single run, so pair traffic is
         // bounded by distinct (map, key) cells — never more than raw.
-        prop_assert!(enc.shuffled_pairs <= raw.shuffled_pairs);
+        prop_assert!(enc.report.shuffled_pairs <= raw.report.shuffled_pairs);
     }
 
     /// A custom `Mapper::partition` must route every key to the

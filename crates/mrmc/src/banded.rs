@@ -81,7 +81,7 @@ impl Mapper for VerifyMapper<'_> {
 
 /// Stage-1 mapper: read index → packed bucket key with a
 /// singleton [`IdRun`] payload. Key bytes are the packed width, value
-/// bytes the exact run encoding — so SHUFFLE_BYTES is the true
+/// bytes the exact run encoding — so `shuffled_bytes` is the true
 /// compact-wire volume.
 struct CompactBandMapper<'a> {
     scheme: BandingScheme,

@@ -152,8 +152,16 @@ impl MrMcConfig {
         if self.kmer == 0 || self.kmer > 31 {
             return Err(format!("kmer {} out of range 1..=31", self.kmer));
         }
-        if self.num_hashes == 0 {
-            return Err("num_hashes must be ≥ 1".to_string());
+        // The hash family draws one parameter pair per hash before it
+        // reads anything, so an unbounded count from a seed frame or a
+        // script is an allocation the process cannot survive. The dense
+        // stage's u16 agreement counts bound sketches at this width.
+        if self.num_hashes == 0 || self.num_hashes > usize::from(u16::MAX) {
+            return Err(format!(
+                "num_hashes {} out of range 1..={}",
+                self.num_hashes,
+                u16::MAX
+            ));
         }
         if !(0.0..=1.0).contains(&self.theta) {
             return Err(format!("theta {} outside [0, 1]", self.theta));
@@ -262,12 +270,13 @@ mod tests {
         }
         .validate()
         .is_err());
-        assert!(MrMcConfig {
-            num_hashes: 0,
-            ..Default::default()
+        for (num_hashes, ok) in [(0, false), (65_535, true), (65_536, false)] {
+            let cfg = MrMcConfig {
+                num_hashes,
+                ..Default::default()
+            };
+            assert_eq!(cfg.validate().is_ok(), ok, "num_hashes {num_hashes}");
         }
-        .validate()
-        .is_err());
         assert!(MrMcConfig {
             theta: 1.5,
             ..Default::default()

@@ -10,8 +10,8 @@
 //!   timestamps of its own, and two runs that record the same values
 //!   in any order produce byte-identical [`MetricsSnapshot::render_text`]
 //!   / JSON output. Engine metrics are exported from [`StageReport`]
-//!   counters *after* a run, so a fixed seed (and a fixed chaos plan)
-//!   pins the whole snapshot.
+//!   fields *after* a run, each fact under one key, so a fixed seed
+//!   (and a fixed chaos plan) pins the whole snapshot.
 //! * **Passive.** Recording is a single short mutex hold that allocates
 //!   only the first time a key is seen; the engine hot paths never
 //!   touch the registry — they keep their existing per-task local

@@ -463,7 +463,7 @@ impl BagCol {
         }
     }
 
-    /// Serialized width of bag `i` under the `SHUFFLE_BYTES` pricing
+    /// Serialized width of bag `i` under the `shuffled_bytes` pricing
     /// ([`Value::shuffle_size`] of the reconstructed value).
     fn value_shuffle_size(&self, i: usize) -> usize {
         if !valid_at(&self.validity, i) {
@@ -990,7 +990,7 @@ impl ColumnBatch {
         (0..self.rows).map(|i| self.row_value(i)).collect()
     }
 
-    /// Serialized width of row `i`'s tuple under `SHUFFLE_BYTES`
+    /// Serialized width of row `i`'s tuple under `shuffled_bytes`
     /// pricing — equals `self.row_value(i).shuffle_size()` without
     /// materializing the tuple. This is what the columnar GROUP's
     /// wire-size hook charges so index-shuffled rows price exactly

@@ -642,7 +642,7 @@ impl Mapper for BatchFilterMapper {
 
 /// The map side of `GROUP`: shuffles `(key, row index)` — 4-byte
 /// values instead of cloned row trees — while charging
-/// `SHUFFLE_BYTES` for the full row via the wire-size hook, so the
+/// `shuffled_bytes` for the full row via the wire-size hook, so the
 /// accounting is that of shuffling the rows themselves.
 struct BatchGroupMapper {
     batch: Arc<ColumnBatch>,
@@ -914,7 +914,7 @@ impl PigRunner {
         };
 
         // Shuffle row *indices*; the wire-size hook prices the full
-        // row, so SHUFFLE_BYTES is that of shuffling the rows.
+        // row, so `shuffled_bytes` is that of shuffling the rows.
         let input_rows: Vec<(usize, u32)> = (0..rel.len).map(|i| (i, i as u32)).collect();
         let mapper = BatchGroupMapper {
             batch: Arc::clone(&rel.batch),
@@ -1429,7 +1429,7 @@ mod tests {
         .unwrap();
         let report = runner(&dfs).run(&script).unwrap();
         let group = &report.pipeline.stages()[1];
-        // The index shuffle charges SHUFFLE_BYTES for the full rows
+        // The index shuffle charges `shuffled_bytes` for the full rows
         // (wire-size hook), not for the 4-byte indices it moves: ten
         // one-character tokens, no key repeated inside a map task's
         // chunk, so ten groups of key (6) + count (1) + row (11); and

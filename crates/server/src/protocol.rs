@@ -870,10 +870,14 @@ pub(crate) fn holds_whole_frame(buf: &[u8]) -> bool {
 /// a frame boundary (peer closed); EOF anywhere else is `Truncated`.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
     let mut first = [0u8; 1];
-    match r.read(&mut first) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) => return Err(e.into()),
+    loop {
+        match r.read(&mut first) {
+            Ok(0) => return Ok(None),
+            Ok(_) => break,
+            // A signal, not the peer: retry, as `read_exact` does.
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
     }
     // Decode the varint length, first byte included.
     let mut len = u64::from(first[0] & 0x7f);
@@ -907,6 +911,34 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// A reader whose first `read` is interrupted by a signal.
+    struct InterruptedOnce<R> {
+        inner: R,
+        interrupted: bool,
+    }
+
+    impl<R: Read> Read for InterruptedOnce<R> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if !self.interrupted {
+                self.interrupted = true;
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            self.inner.read(buf)
+        }
+    }
+
+    #[test]
+    fn interrupted_read_is_retried() {
+        let body = Request::ClusterStats.encode();
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &body).unwrap();
+        let mut reader = InterruptedOnce {
+            inner: Cursor::new(wire),
+            interrupted: false,
+        };
+        assert_eq!(read_frame(&mut reader).unwrap(), Some(body));
+    }
 
     #[test]
     fn frame_roundtrip() {

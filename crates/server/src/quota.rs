@@ -144,17 +144,24 @@ impl AdmissionLedger {
         self.queued_bytes = self.queued_bytes.saturating_sub(bytes);
     }
 
-    /// Publish the ledger's live admission state as gauges under
-    /// `prefix` (the additive admitted/rejected tallies are recorded
-    /// at event time by the daemon, so re-publishing here cannot
-    /// double-count — gauges are set, not added).
+    /// Publish the ledger as gauges under `prefix`: its queue
+    /// occupancy and its lifetime admission tallies. The ledger is the
+    /// one record of both, so re-publishing cannot double-count —
+    /// gauges are set, not added.
     pub fn export_gauges(&self, metrics: &mrmc_obs::MetricsRegistry, prefix: &str) {
-        metrics.gauge_set(&format!("{prefix}.queue_depth"), self.queue_depth as i64);
-        metrics.gauge_set(&format!("{prefix}.queued_bytes"), self.queued_bytes as i64);
-        metrics.gauge_set(
-            &format!("{prefix}.max_queue_depth"),
-            self.max_queue_depth_seen as i64,
-        );
+        for (name, value) in [
+            ("queue_depth", self.queue_depth as u64),
+            ("queued_bytes", self.queued_bytes as u64),
+            ("max_queue_depth", self.max_queue_depth_seen as u64),
+            ("batches_admitted", self.batches_admitted),
+            ("reads_admitted", self.reads_admitted),
+            ("bytes_admitted", self.bytes_admitted),
+            ("reads_rejected", self.reads_rejected),
+            ("busy_rejections", self.busy_rejections),
+            ("quota_rejections", self.quota_rejections),
+        ] {
+            metrics.gauge_set(&format!("{prefix}.{name}"), value as i64);
+        }
     }
 }
 

@@ -97,18 +97,14 @@ struct Tenant {
     keys: TenantKeys,
 }
 
-/// The tenant's `serve.tenant.<tenant>.*` request-path metric keys.
+/// The tenant's `serve.tenant.<tenant>.*` request-path histogram keys.
+/// Its admission tallies are not here: the session's ledger holds them
+/// and publishes them as gauges on each `ServerStats`.
 struct TenantKeys {
     queue_us: String,
     latency_us: String,
     seed_us: String,
     batch_reads: String,
-    batches_admitted: String,
-    reads_admitted: String,
-    bytes_admitted: String,
-    reads_rejected: String,
-    busy_rejections: String,
-    quota_rejections: String,
 }
 
 impl TenantKeys {
@@ -119,12 +115,6 @@ impl TenantKeys {
             latency_us: key("latency_us"),
             seed_us: key("seed_us"),
             batch_reads: key("batch_reads"),
-            batches_admitted: key("batches_admitted"),
-            reads_admitted: key("reads_admitted"),
-            bytes_admitted: key("bytes_admitted"),
-            reads_rejected: key("reads_rejected"),
-            busy_rejections: key("busy_rejections"),
-            quota_rejections: key("quota_rejections"),
         }
     }
 }
@@ -383,6 +373,7 @@ impl FrameReader {
                 match self.reader.fill_buf() {
                     Ok([]) => return None,
                     Ok(_) => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e)
                         if e.kind() == io::ErrorKind::WouldBlock
                             || e.kind() == io::ErrorKind::TimedOut =>
@@ -492,7 +483,6 @@ fn handle_submit(
     let records: Vec<SeqRecord> = reads.into_iter().map(SeqRecord::from).collect();
     let rx = {
         let mut s = lock(&tenant.session);
-        let keys = &tenant.keys;
         if let Some(m) = &shared.metrics {
             m.counter_add("serve.requests.submit", 1);
         }
@@ -510,10 +500,6 @@ fn handle_submit(
                         ("reads".into(), records.len().to_string()),
                     ],
                 );
-                if let Some(m) = &shared.metrics {
-                    m.counter_add(&keys.busy_rejections, 1);
-                    m.counter_add(&keys.reads_rejected, records.len() as u64);
-                }
                 return Response::Busy { queue_depth, limit };
             }
             Err(AdmissionReject::QuotaExceeded { would_use, quota }) => {
@@ -526,18 +512,11 @@ fn handle_submit(
                         ("reads".into(), records.len().to_string()),
                     ],
                 );
-                if let Some(m) = &shared.metrics {
-                    m.counter_add(&keys.quota_rejections, 1);
-                    m.counter_add(&keys.reads_rejected, records.len() as u64);
-                }
                 return Response::QuotaExceeded { would_use, quota };
             }
             Ok(()) => {
                 if let Some(m) = &shared.metrics {
-                    m.counter_add(&keys.batches_admitted, 1);
-                    m.counter_add(&keys.reads_admitted, records.len() as u64);
-                    m.counter_add(&keys.bytes_admitted, bytes as u64);
-                    m.observe(&keys.batch_reads, records.len() as u64);
+                    m.observe(&tenant.keys.batch_reads, records.len() as u64);
                 }
                 let (tx, rx) = mpsc::channel();
                 let item = WorkItem {

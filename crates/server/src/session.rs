@@ -156,9 +156,9 @@ impl Session {
 
     /// Refresh this session's live gauges in the daemon registry under
     /// `serve.tenant.<tenant>.*`: clustering state plus the admission
-    /// ledger's queue occupancy. Called on demand (each `ServerStats`
-    /// request), not per submission — histograms and additive counters
-    /// are recorded at event time by the daemon instead.
+    /// ledger's occupancy and tallies. Called on demand (each
+    /// `ServerStats` request), not per submission — histograms are
+    /// recorded at event time by the daemon instead.
     pub fn export_metrics(&self, metrics: &mrmc_obs::MetricsRegistry) {
         let prefix = format!("serve.tenant.{}", self.tenant);
         metrics.gauge_set(

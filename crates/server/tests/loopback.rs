@@ -145,23 +145,13 @@ fn concurrent_sessions_match_oracle_and_ledger_is_all_serve() {
         "assignment spans present"
     );
 
-    // The live metrics plane saw the same traffic: per-tenant
-    // admission counters match the session ledgers and the latency
+    // The live metrics plane saw the same traffic: the latency
     // histograms carry one sample per admitted batch with ordered
     // percentiles.
     let mut observer = Client::connect(addr, "alpha").expect("connect for metrics");
     let snap = observer.server_stats().expect("server stats");
     for tenant in ["alpha", "beta"] {
         let batches = 20usize.div_ceil(7) as u64;
-        assert_eq!(
-            snap.counter(&format!("serve.tenant.{tenant}.reads_admitted")),
-            Some(20),
-            "{tenant}: admitted-read counter"
-        );
-        assert_eq!(
-            snap.counter(&format!("serve.tenant.{tenant}.batches_admitted")),
-            Some(batches)
-        );
         let lat = snap
             .histogram(&format!("serve.tenant.{tenant}.latency_us"))
             .expect("latency histogram present");
@@ -264,17 +254,29 @@ fn byte_quota_refusals_are_permanent() {
 
 /// Metrics are passive: a daemon with the registry disabled answers
 /// `ServerStats` with an empty snapshot and assigns the exact same
-/// labels as a metrics-enabled daemon over the same traffic.
+/// labels as a metrics-enabled daemon over the same traffic. With the
+/// registry on, the tenant's admission tallies in the snapshot are the
+/// session ledger's, field for field.
 #[test]
 fn metrics_off_daemon_is_label_identical_and_snapshot_empty() {
-    let reads = corpus(30, 9);
-    let (batch, streamed) = reads.split_at(20);
+    let reads = corpus(31, 9);
+    let (batch, rest) = reads.split_at(20);
+    let (streamed, refused) = rest.split_at(10);
+    // The quota admits the streamed reads exactly, so the last one is
+    // refused and the rejection tallies are not all zero.
+    let quota = streamed
+        .iter()
+        .map(|r| WireRead::from(r).payload_bytes() as u64)
+        .sum();
     let mut labels = Vec::new();
     for metrics in [true, false] {
         let config = ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            limits: AdmissionLimits::default(),
+            limits: AdmissionLimits {
+                max_session_bytes: quota,
+                ..AdmissionLimits::default()
+            },
             metrics,
         };
         let handle = Server::spawn(&config, Arc::new(Tracer::new())).expect("bind");
@@ -284,12 +286,26 @@ fn metrics_off_daemon_is_label_identical_and_snapshot_empty() {
         for chunk in streamed.chunks(4) {
             got.extend(client.submit_labels(chunk).expect("submit"));
         }
+        assert!(matches!(
+            client.submit(refused).expect("submit"),
+            SubmitOutcome::QuotaExceeded { .. }
+        ));
         let snap = client.server_stats().expect("server stats");
         if metrics {
-            assert!(
-                snap.counter("serve.tenant.t.reads_admitted").is_some(),
-                "metrics-on daemon records admissions"
-            );
+            let stats = client.stats().expect("stats");
+            for (name, value) in [
+                ("batches_admitted", stats.batches_admitted),
+                ("reads_admitted", stats.reads_admitted),
+                ("bytes_admitted", stats.bytes_admitted),
+                ("reads_rejected", stats.reads_rejected),
+                ("busy_rejections", stats.busy_rejections),
+                ("quota_rejections", stats.quota_rejections),
+            ] {
+                let key = format!("serve.tenant.t.{name}");
+                assert_eq!(snap.gauge(&key), Some(value as i64), "{key}");
+                assert_eq!(snap.counter(&key), None, "{key} has one account");
+            }
+            assert_eq!(stats.quota_rejections, 1);
         } else {
             assert!(snap.is_empty(), "metrics-off snapshot is empty");
         }
@@ -357,6 +373,30 @@ fn session_lifecycle_errors_are_typed() {
         "sessions are shared across connections"
     );
 
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
+
+/// A seed frame asking for 2^40 hash functions is refused as a bad
+/// config before anything is allocated for them, and the same tenant
+/// then seeds and submits normally.
+#[test]
+fn oversized_num_hashes_is_refused_and_the_tenant_serves_on() {
+    let handle = spawn_server(AdmissionLimits::default());
+    let reads = corpus(12, 6);
+    let mut client = Client::connect(handle.addr(), "t").expect("connect");
+    let huge = SeedConfig {
+        num_hashes: 1 << 40,
+        ..seed_cfg()
+    };
+    match client.seed_from_batch(&huge, &reads[..8]) {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, ErrorCode::BadConfig),
+        other => panic!("expected BadConfig, got {other:?}"),
+    }
+    client
+        .seed_from_batch(&seed_cfg(), &reads[..8])
+        .expect("seed");
+    assert_eq!(client.submit_labels(&reads[8..]).expect("submit").len(), 4);
     client.shutdown().expect("shutdown");
     handle.join();
 }
