@@ -8,7 +8,7 @@
 //! identity filter simply get a conservative answer.
 
 use crate::global::{Alignment, AlignmentOp};
-use crate::scoring::Scoring;
+use crate::scoring::{substitution, GAP};
 
 const NEG: i32 = i32::MIN / 4;
 
@@ -18,7 +18,7 @@ const NEG: i32 = i32::MIN / 4;
 /// `|j - i - skew| <= band`, with `skew = m - n` applied at the end so
 /// the corner `(n, m)` is always inside the band. A `band` of at least
 /// `|n - m|` is enforced (otherwise the corner is unreachable).
-pub fn banded_global(a: &[u8], b: &[u8], scoring: &Scoring, band: usize) -> Alignment {
+pub fn banded_global(a: &[u8], b: &[u8], band: usize) -> Alignment {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
         // Degenerate: all gaps.
@@ -26,11 +26,10 @@ pub fn banded_global(a: &[u8], b: &[u8], scoring: &Scoring, band: usize) -> Alig
             .into_iter()
             .chain(vec![AlignmentOp::Insert; m])
             .collect::<Vec<_>>();
-        let score = -scoring.gap_extend * (n + m) as i32;
+        let score = -GAP * (n + m) as i32;
         return Alignment { score, ops };
     }
     let band = band.max(n.abs_diff(m)).max(1);
-    let gap = scoring.gap_extend;
     let bw = 2 * band + 1; // stored cells per row, centred on j = i
 
     // score[i][d] where d = j - i + band ∈ [0, bw).
@@ -43,7 +42,7 @@ pub fn banded_global(a: &[u8], b: &[u8], scoring: &Scoring, band: usize) -> Alig
 
     // Row 0: j ∈ [0, band].
     for j in 0..=band.min(m) {
-        score[idx(0, j + band)] = -gap * j as i32;
+        score[idx(0, j + band)] = -GAP * j as i32;
         tb[idx(0, j + band)] = TB_LEFT;
     }
 
@@ -57,21 +56,21 @@ pub fn banded_global(a: &[u8], b: &[u8], scoring: &Scoring, band: usize) -> Alig
         for j in j_lo..=j_hi {
             let d = j + band - i;
             if j == 0 {
-                score[idx(i, d)] = -gap * i as i32;
+                score[idx(i, d)] = -GAP * i as i32;
                 tb[idx(i, d)] = TB_UP;
                 continue;
             }
             // Diagonal (i-1, j-1) has the same d.
-            let diag = score[idx(i - 1, d)] + scoring.substitution(ai, b[j - 1]);
+            let diag = score[idx(i - 1, d)] + substitution(ai, b[j - 1]);
             // Up (i-1, j): d+1 in the previous row.
             let up = if d + 1 < bw {
-                score[idx(i - 1, d + 1)] - gap
+                score[idx(i - 1, d + 1)] - GAP
             } else {
                 NEG
             };
             // Left (i, j-1): d-1 in this row.
             let left = if d > 0 {
-                score[idx(i, d - 1)] - gap
+                score[idx(i, d - 1)] - GAP
             } else {
                 NEG
             };
@@ -127,10 +126,6 @@ mod tests {
     use super::*;
     use crate::global::global_align;
 
-    fn s() -> Scoring {
-        Scoring::dna_default()
-    }
-
     #[test]
     fn wide_band_matches_full_dp() {
         let cases: &[(&[u8], &[u8])] = &[
@@ -140,8 +135,8 @@ mod tests {
             (b"AAAACCCC", b"AAAACCCC"),
         ];
         for (a, b) in cases {
-            let full = global_align(a, b, &s());
-            let banded = banded_global(a, b, &s(), a.len().max(b.len()));
+            let full = global_align(a, b);
+            let banded = banded_global(a, b, a.len().max(b.len()));
             assert_eq!(banded.score, full.score);
         }
     }
@@ -150,8 +145,8 @@ mod tests {
     fn narrow_band_is_lower_bound() {
         let a = b"AAAATTTTCCCCGGGG";
         let b = b"TTTTCCCCGGGGAAAA"; // optimal path strays far off-diagonal
-        let full = global_align(a, b, &s()).score;
-        let banded = banded_global(a, b, &s(), 2).score;
+        let full = global_align(a, b).score;
+        let banded = banded_global(a, b, 2).score;
         assert!(banded <= full);
     }
 
@@ -160,7 +155,7 @@ mod tests {
         let a = b"ACGTACGTACGTACGTACGT";
         let mut bv = a.to_vec();
         bv[6] = b'T'; // one substitution (G -> T)
-        let aln = banded_global(a, &bv, &s(), 3);
+        let aln = banded_global(a, &bv, 3);
         assert_eq!(aln.matches(), a.len() - 1);
         assert!((aln.identity() - 0.95).abs() < 1e-9);
     }
@@ -171,7 +166,7 @@ mod tests {
         // constructor widens it automatically.
         let a = b"ACGTACGTACGT";
         let b = b"ACGT";
-        let aln = banded_global(a, b, &s(), 1);
+        let aln = banded_global(a, b, 1);
         let (ra, rb) = aln.render(a, b);
         assert_eq!(ra.replace('-', "").as_bytes(), a.as_slice());
         assert_eq!(rb.replace('-', "").as_bytes(), b.as_slice());
@@ -179,10 +174,10 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let aln = banded_global(b"", b"ACG", &s(), 4);
+        let aln = banded_global(b"", b"ACG", 4);
         assert_eq!(aln.len(), 3);
         assert_eq!(aln.score, -6);
-        let aln = banded_global(b"", b"", &s(), 4);
+        let aln = banded_global(b"", b"", 4);
         assert!(aln.is_empty());
     }
 }

@@ -1,11 +1,10 @@
-//! Needleman–Wunsch global alignment (linear and affine gaps).
+//! Needleman–Wunsch global alignment with linear gaps.
 //!
 //! The W.Sim evaluation metric needs the number of matched positions in
-//! an *optimal global alignment*, so these functions run a full DP with
-//! traceback. For score-only uses (the DOTUR-like distance matrix) a
-//! two-row score-only path avoids the O(n·m) traceback matrix.
+//! an *optimal global alignment*, so [`global_align`] runs a full DP
+//! with traceback.
 
-use crate::scoring::Scoring;
+use crate::scoring::{substitution, GAP};
 
 /// One column of an alignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +22,7 @@ pub enum AlignmentOp {
 /// Result of a pairwise alignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Alignment {
-    /// Optimal alignment score under the scoring scheme used.
+    /// Optimal alignment score under the fixed scheme of [`crate::scoring`].
     pub score: i32,
     /// Alignment operations from start to end.
     pub ops: Vec<AlignmentOp>,
@@ -92,16 +91,15 @@ const TB_DIAG: u8 = 0;
 const TB_UP: u8 = 1; // deletion: consume from `a`
 const TB_LEFT: u8 = 2; // insertion: consume from `b`
 
-/// Needleman–Wunsch with linear gap penalty (`scoring.gap_extend` per
-/// gapped position; `gap_open` ignored). Full traceback.
+/// Needleman–Wunsch with a linear gap penalty ([`GAP`] per gapped
+/// position). Full traceback.
 #[allow(clippy::needless_range_loop)] // DP row initialisation reads clearest indexed
-pub fn global_align(a: &[u8], b: &[u8], scoring: &Scoring) -> Alignment {
+pub fn global_align(a: &[u8], b: &[u8]) -> Alignment {
     let (n, m) = (a.len(), b.len());
-    let gap = scoring.gap_extend;
     let width = m + 1;
 
     // Score rows (rolling) + full traceback matrix.
-    let mut prev: Vec<i32> = (0..=m as i32).map(|j| -gap * j).collect();
+    let mut prev: Vec<i32> = (0..=m as i32).map(|j| -GAP * j).collect();
     let mut curr: Vec<i32> = vec![0; width];
     let mut tb: Vec<u8> = vec![0; (n + 1) * width];
     for j in 1..=m {
@@ -109,13 +107,13 @@ pub fn global_align(a: &[u8], b: &[u8], scoring: &Scoring) -> Alignment {
     }
 
     for i in 1..=n {
-        curr[0] = -gap * i as i32;
+        curr[0] = -GAP * i as i32;
         tb[i * width] = TB_UP;
         let ai = a[i - 1];
         for j in 1..=m {
-            let diag = prev[j - 1] + scoring.substitution(ai, b[j - 1]);
-            let up = prev[j] - gap;
-            let left = curr[j - 1] - gap;
+            let diag = prev[j - 1] + substitution(ai, b[j - 1]);
+            let up = prev[j] - GAP;
+            let left = curr[j - 1] - GAP;
             // Deterministic tie-break: diagonal preferred, then up.
             let (best, dir) = if diag >= up && diag >= left {
                 (diag, TB_DIAG)
@@ -163,153 +161,13 @@ fn traceback(a: &[u8], b: &[u8], tb: &[u8], width: usize) -> Vec<AlignmentOp> {
     ops
 }
 
-/// Score-only Needleman–Wunsch with linear gaps in O(min(n,m)) space.
-pub fn global_score(a: &[u8], b: &[u8], scoring: &Scoring) -> i32 {
-    // Keep the inner loop over the shorter sequence.
-    let (a, b) = if a.len() < b.len() { (b, a) } else { (a, b) };
-    let m = b.len();
-    let gap = scoring.gap_extend;
-    let mut prev: Vec<i32> = (0..=m as i32).map(|j| -gap * j).collect();
-    let mut curr: Vec<i32> = vec![0; m + 1];
-    for i in 1..=a.len() {
-        curr[0] = -gap * i as i32;
-        let ai = a[i - 1];
-        for j in 1..=m {
-            let diag = prev[j - 1] + scoring.substitution(ai, b[j - 1]);
-            let up = prev[j] - gap;
-            let left = curr[j - 1] - gap;
-            curr[j] = diag.max(up).max(left);
-        }
-        std::mem::swap(&mut prev, &mut curr);
-    }
-    prev[m]
-}
-
-/// Gotoh affine-gap global alignment with full traceback.
-///
-/// Three DP layers (M = match/mismatch, X = gap in `b`, Y = gap in `a`)
-/// with `gap_open + gap_extend` to open and `gap_extend` to extend.
-pub fn global_affine(a: &[u8], b: &[u8], scoring: &Scoring) -> Alignment {
-    const NEG: i32 = i32::MIN / 4;
-    let (n, m) = (a.len(), b.len());
-    let width = m + 1;
-    let open = scoring.gap_open + scoring.gap_extend;
-    let ext = scoring.gap_extend;
-
-    let mut m_prev = vec![NEG; width];
-    let mut x_prev = vec![NEG; width]; // gap in b (consume a)
-    let mut y_prev = vec![NEG; width]; // gap in a (consume b)
-    let mut m_curr = vec![NEG; width];
-    let mut x_curr = vec![NEG; width];
-    let mut y_curr = vec![NEG; width];
-
-    // tb layers: for each cell and layer, where did we come from.
-    // Encoded 2 bits per layer: origin layer (0=M, 1=X, 2=Y).
-    let sz = (n + 1) * width;
-    let mut tb_m = vec![0u8; sz];
-    let mut tb_x = vec![0u8; sz];
-    let mut tb_y = vec![0u8; sz];
-
-    m_prev[0] = 0;
-    for j in 1..=m {
-        y_prev[j] = -open - ext * (j as i32 - 1);
-        tb_y[j] = if j == 1 { 0 } else { 2 };
-    }
-
-    for i in 1..=n {
-        m_curr[0] = NEG;
-        y_curr[0] = NEG;
-        x_curr[0] = -open - ext * (i as i32 - 1);
-        tb_x[i * width] = if i == 1 { 0 } else { 1 };
-        let ai = a[i - 1];
-        for j in 1..=m {
-            let sub = scoring.substitution(ai, b[j - 1]);
-            // M: diagonal from any layer.
-            let (mb, ml) = max3(m_prev[j - 1], x_prev[j - 1], y_prev[j - 1]);
-            m_curr[j] = mb + sub;
-            tb_m[i * width + j] = ml;
-            // X: gap in b (move down). Open from M/Y or extend X.
-            let open_mx = m_prev[j] - open;
-            let open_yx = y_prev[j] - open;
-            let ext_x = x_prev[j] - ext;
-            let (xb, xl) = max3(open_mx, ext_x, open_yx);
-            x_curr[j] = xb;
-            tb_x[i * width + j] = xl;
-            // Y: gap in a (move right). Open from M/X or extend Y.
-            let open_my = m_curr[j - 1] - open;
-            let open_xy = x_curr[j - 1] - open;
-            let ext_y = y_curr[j - 1] - ext;
-            let (yb, yl) = max3(open_my, open_xy, ext_y);
-            y_curr[j] = yb;
-            tb_y[i * width + j] = yl;
-        }
-        std::mem::swap(&mut m_prev, &mut m_curr);
-        std::mem::swap(&mut x_prev, &mut x_curr);
-        std::mem::swap(&mut y_prev, &mut y_curr);
-    }
-
-    let (score, mut layer) = max3(m_prev[m], x_prev[m], y_prev[m]);
-
-    // Traceback through the three layers.
-    let (mut i, mut j) = (n, m);
-    let mut ops = Vec::with_capacity(n.max(m));
-    while i > 0 || j > 0 {
-        match layer {
-            0 => {
-                // M-layer cell: emitted a diagonal op; predecessor layer
-                // is stored in tb_m.
-                let from = tb_m[i * width + j];
-                ops.push(if a[i - 1].eq_ignore_ascii_case(&b[j - 1]) {
-                    AlignmentOp::Match
-                } else {
-                    AlignmentOp::Mismatch
-                });
-                i -= 1;
-                j -= 1;
-                layer = from;
-            }
-            1 => {
-                let from = tb_x[i * width + j];
-                ops.push(AlignmentOp::Delete);
-                i -= 1;
-                layer = from;
-            }
-            _ => {
-                let from = tb_y[i * width + j];
-                ops.push(AlignmentOp::Insert);
-                j -= 1;
-                layer = from;
-            }
-        }
-    }
-    ops.reverse();
-    Alignment { score, ops }
-}
-
-/// `(max value, argmax as layer code 0/1/2)` with deterministic
-/// preference M > X > Y on ties.
-#[inline]
-fn max3(m: i32, x: i32, y: i32) -> (i32, u8) {
-    if m >= x && m >= y {
-        (m, 0)
-    } else if x >= y {
-        (x, 1)
-    } else {
-        (y, 2)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn s() -> Scoring {
-        Scoring::dna_default()
-    }
-
     #[test]
     fn identical() {
-        let aln = global_align(b"ACGT", b"ACGT", &s());
+        let aln = global_align(b"ACGT", b"ACGT");
         assert_eq!(aln.score, 4);
         assert_eq!(aln.matches(), 4);
         assert!((aln.identity() - 1.0).abs() < 1e-12);
@@ -317,7 +175,7 @@ mod tests {
 
     #[test]
     fn single_substitution() {
-        let aln = global_align(b"ACGT", b"AGGT", &s());
+        let aln = global_align(b"ACGT", b"AGGT");
         assert_eq!(aln.score, 2); // 3 matches - 1 mismatch
         assert_eq!(aln.matches(), 3);
         assert_eq!(aln.len(), 4);
@@ -325,7 +183,7 @@ mod tests {
 
     #[test]
     fn single_deletion() {
-        let aln = global_align(b"ACGT", b"AGT", &s());
+        let aln = global_align(b"ACGT", b"AGT");
         assert_eq!(aln.score, 1); // 3 matches - 1 gap(2)
         assert_eq!(aln.len(), 4);
         assert_eq!(
@@ -339,42 +197,22 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let aln = global_align(b"", b"", &s());
+        let aln = global_align(b"", b"");
         assert_eq!(aln.score, 0);
         assert!(aln.is_empty());
         assert_eq!(aln.identity(), 1.0);
 
-        let aln = global_align(b"ACG", b"", &s());
+        let aln = global_align(b"ACG", b"");
         assert_eq!(aln.score, -6);
         assert_eq!(aln.len(), 3);
         assert_eq!(aln.identity(), 0.0);
     }
 
     #[test]
-    fn score_only_matches_traceback_score() {
-        let cases: &[(&[u8], &[u8])] = &[
-            (b"ACGTACGT", b"ACGAACGT"),
-            (b"AAAA", b"TTTT"),
-            (b"ACGT", b"ACGTACGT"),
-            (b"", b"ACGT"),
-            (b"GATTACA", b"GCATGCU"),
-        ];
-        for (a, b) in cases {
-            assert_eq!(
-                global_score(a, b, &s()),
-                global_align(a, b, &s()).score,
-                "{:?} vs {:?}",
-                std::str::from_utf8(a),
-                std::str::from_utf8(b)
-            );
-        }
-    }
-
-    #[test]
     fn render_round_trips_sequences() {
         let a = b"GATTACA";
         let b = b"GCATGCT";
-        let aln = global_align(a, b, &s());
+        let aln = global_align(a, b);
         let (ra, rb) = aln.render(a, b);
         assert_eq!(ra.replace('-', "").as_bytes(), a);
         assert_eq!(rb.replace('-', "").as_bytes(), b);
@@ -382,47 +220,8 @@ mod tests {
     }
 
     #[test]
-    fn affine_prefers_one_long_gap() {
-        // With affine gaps, a single 3-gap is cheaper than three 1-gaps.
-        let sc = Scoring::dna_affine();
-        let aln = global_affine(b"ACGTTTACGT", b"ACGTACGT", &sc);
-        // Count maximal gap runs in ops.
-        let mut runs = 0;
-        let mut in_gap = false;
-        for op in &aln.ops {
-            let is_gap = matches!(op, AlignmentOp::Delete | AlignmentOp::Insert);
-            if is_gap && !in_gap {
-                runs += 1;
-            }
-            in_gap = is_gap;
-        }
-        assert_eq!(runs, 1, "ops: {:?}", aln.ops);
-    }
-
-    #[test]
-    fn affine_identical_matches_linear() {
-        let sc = Scoring::dna_affine();
-        let aln = global_affine(b"ACGTACGT", b"ACGTACGT", &sc);
-        assert_eq!(aln.matches(), 8);
-        assert_eq!(aln.score, 8 * sc.match_score);
-    }
-
-    #[test]
-    fn affine_empty_inputs() {
-        let sc = Scoring::dna_affine();
-        let aln = global_affine(b"", b"", &sc);
-        assert_eq!(aln.score, 0);
-        let aln = global_affine(b"ACG", b"", &sc);
-        assert_eq!(aln.len(), 3);
-        assert_eq!(aln.score, -(sc.gap_open + 3 * sc.gap_extend));
-    }
-
-    #[test]
     fn alignment_is_symmetric_in_score() {
         let (a, b): (&[u8], &[u8]) = (b"ACGTTGCA", b"AGGTTGA");
-        assert_eq!(
-            global_align(a, b, &s()).score,
-            global_align(b, a, &s()).score
-        );
+        assert_eq!(global_align(a, b).score, global_align(b, a).score);
     }
 }

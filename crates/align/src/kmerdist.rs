@@ -29,16 +29,6 @@ impl KmerProfile {
         KmerProfile { k, counts, total }
     }
 
-    /// Total k-mers (with multiplicity).
-    pub fn total(&self) -> u32 {
-        self.total
-    }
-
-    /// Number of distinct k-mers.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
     /// Count of one k-mer.
     pub fn count(&self, kmer: u64) -> u32 {
         self.counts.get(&kmer).copied().unwrap_or(0)
@@ -58,12 +48,6 @@ impl KmerProfile {
             .iter()
             .map(|(km, &c)| c.min(large.count(*km)))
             .sum()
-    }
-
-    /// Frequency vector over the full 4^k alphabet is huge for large k;
-    /// expose the sparse counts for rank-based distances instead.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
-        self.counts.iter().map(|(&km, &c)| (km, c))
     }
 }
 

@@ -13,28 +13,24 @@
 //!   implemented here alongside for comparison.
 //!
 //! Provided algorithms: Needleman–Wunsch global alignment with linear
-//! gaps ([`global`]), Gotoh affine-gap global alignment, Smith–Waterman
-//! local alignment ([`local`]), a banded global variant for
-//! high-identity pairs ([`banded`]), and k-mer profile distances
-//! ([`kmerdist`]).
+//! gaps ([`global`]), a banded global variant for high-identity pairs
+//! ([`banded`]), both under the one fixed scheme of [`scoring`], and
+//! k-mer profile distances ([`kmerdist`]).
 
 pub mod banded;
 pub mod global;
 pub mod kmerdist;
-pub mod local;
 pub mod scoring;
 
 pub use banded::banded_global;
-pub use global::{global_affine, global_align, Alignment, AlignmentOp};
+pub use global::{global_align, Alignment, AlignmentOp};
 pub use kmerdist::{kmer_distance, KmerProfile};
-pub use local::local_align;
-pub use scoring::Scoring;
 
 /// Global-alignment identity between two sequences as a fraction in
 /// `[0, 1]`: matched positions divided by alignment length. This is the
 /// quantity averaged by the paper's W.Sim metric.
-pub fn global_identity(a: &[u8], b: &[u8], scoring: &Scoring) -> f64 {
-    global_align(a, b, scoring).identity()
+pub fn global_identity(a: &[u8], b: &[u8]) -> f64 {
+    global_align(a, b).identity()
 }
 
 #[cfg(test)]
@@ -43,14 +39,12 @@ mod tests {
 
     #[test]
     fn identical_sequences_have_identity_one() {
-        let s = Scoring::dna_default();
-        assert!((global_identity(b"ACGTACGT", b"ACGTACGT", &s) - 1.0).abs() < 1e-12);
+        assert!((global_identity(b"ACGTACGT", b"ACGTACGT") - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn disjoint_sequences_have_low_identity() {
-        let s = Scoring::dna_default();
-        let id = global_identity(b"AAAAAAAA", b"CCCCCCCC", &s);
+        let id = global_identity(b"AAAAAAAA", b"CCCCCCCC");
         assert!(id < 0.2, "identity {id}");
     }
 }

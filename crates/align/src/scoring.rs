@@ -1,71 +1,22 @@
-//! Alignment scoring schemes.
+//! The one alignment scoring scheme: +1 match, −1 mismatch, and a
+//! linear gap penalty of 2 per gapped position. These are the simple
+//! schemes of 16S OTU pipelines (DOTUR and kin), where distances are
+//! dominated by substitutions.
 
-/// Scoring parameters for DNA alignment.
-///
-/// Scores are `i32`; gaps are expressed as non-negative *penalties*
-/// (subtracted). `gap_open` is charged once per gap plus `gap_extend`
-/// per gapped position, so a length-1 gap costs `gap_open + gap_extend`.
-/// Linear-gap algorithms use only `gap_extend` with `gap_open == 0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scoring {
-    /// Score for two identical bases.
-    pub match_score: i32,
-    /// Score (typically negative) for two different bases.
-    pub mismatch_score: i32,
-    /// Penalty charged when a gap is opened (≥ 0).
-    pub gap_open: i32,
-    /// Penalty charged per gapped position (≥ 0).
-    pub gap_extend: i32,
-}
+/// Score for two identical bases.
+pub const MATCH: i32 = 1;
+/// Score for two different bases.
+pub const MISMATCH: i32 = -1;
+/// Penalty charged per gapped position (subtracted).
+pub const GAP: i32 = 2;
 
-impl Scoring {
-    /// Conventional DNA scoring: +1 match, −1 mismatch, linear gap −2.
-    /// Matches the simple schemes used by 16S OTU pipelines (DOTUR and
-    /// kin), where distances are dominated by substitutions.
-    pub fn dna_default() -> Scoring {
-        Scoring {
-            match_score: 1,
-            mismatch_score: -1,
-            gap_open: 0,
-            gap_extend: 2,
-        }
-    }
-
-    /// Affine scheme close to the EDNAFULL/needle defaults scaled down:
-    /// +5 match, −4 mismatch, gap open 10, gap extend 1.
-    pub fn dna_affine() -> Scoring {
-        Scoring {
-            match_score: 5,
-            mismatch_score: -4,
-            gap_open: 10,
-            gap_extend: 1,
-        }
-    }
-
-    /// Score of aligning bases `a` against `b` (case-insensitive).
-    #[inline]
-    pub fn substitution(&self, a: u8, b: u8) -> i32 {
-        if a.eq_ignore_ascii_case(&b) {
-            self.match_score
-        } else {
-            self.mismatch_score
-        }
-    }
-
-    /// Cost of a gap of length `len ≥ 1` under this scheme.
-    #[inline]
-    pub fn gap_cost(&self, len: usize) -> i32 {
-        if len == 0 {
-            0
-        } else {
-            self.gap_open + self.gap_extend * len as i32
-        }
-    }
-}
-
-impl Default for Scoring {
-    fn default() -> Self {
-        Scoring::dna_default()
+/// Score of aligning bases `a` against `b` (case-insensitive).
+#[inline]
+pub fn substitution(a: u8, b: u8) -> i32 {
+    if a.eq_ignore_ascii_case(&b) {
+        MATCH
+    } else {
+        MISMATCH
     }
 }
 
@@ -75,18 +26,7 @@ mod tests {
 
     #[test]
     fn substitution_case_insensitive() {
-        let s = Scoring::dna_default();
-        assert_eq!(s.substitution(b'A', b'a'), s.match_score);
-        assert_eq!(s.substitution(b'A', b'C'), s.mismatch_score);
-    }
-
-    #[test]
-    fn gap_cost_linear_and_affine() {
-        let lin = Scoring::dna_default();
-        assert_eq!(lin.gap_cost(0), 0);
-        assert_eq!(lin.gap_cost(3), 6);
-        let aff = Scoring::dna_affine();
-        assert_eq!(aff.gap_cost(1), 11);
-        assert_eq!(aff.gap_cost(4), 14);
+        assert_eq!(substitution(b'A', b'a'), MATCH);
+        assert_eq!(substitution(b'A', b'C'), MISMATCH);
     }
 }

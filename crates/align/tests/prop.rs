@@ -2,9 +2,8 @@
 
 use proptest::prelude::*;
 
-use mrmc_align::global::global_score;
 use mrmc_align::kmerdist::{kmer_distance, spearman_distance, KmerProfile};
-use mrmc_align::{banded_global, global_affine, global_align, local_align, Scoring};
+use mrmc_align::{banded_global, global_align};
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
@@ -17,22 +16,13 @@ proptest! {
     /// Score symmetry: aligning (a, b) and (b, a) give equal scores.
     #[test]
     fn global_score_symmetric(a in dna(40), b in dna(40)) {
-        let s = Scoring::dna_default();
-        prop_assert_eq!(global_align(&a, &b, &s).score, global_align(&b, &a, &s).score);
-    }
-
-    /// The O(min) -space score equals the traceback version's score.
-    #[test]
-    fn score_only_equals_full(a in dna(40), b in dna(40)) {
-        let s = Scoring::dna_default();
-        prop_assert_eq!(global_score(&a, &b, &s), global_align(&a, &b, &s).score);
+        prop_assert_eq!(global_align(&a, &b).score, global_align(&b, &a).score);
     }
 
     /// Identity is a fraction; self-alignment is perfect.
     #[test]
     fn identity_bounds_and_self(a in dna(60)) {
-        let s = Scoring::dna_default();
-        let aln = global_align(&a, &a, &s);
+        let aln = global_align(&a, &a);
         prop_assert!((aln.identity() - 1.0).abs() < 1e-12);
         prop_assert_eq!(aln.matches(), a.len());
     }
@@ -40,53 +30,26 @@ proptest! {
     /// A full-width band reproduces the unbanded optimum.
     #[test]
     fn full_band_equals_unbanded(a in dna(30), b in dna(30)) {
-        let s = Scoring::dna_default();
-        let full = global_align(&a, &b, &s).score;
-        let band = banded_global(&a, &b, &s, a.len().max(b.len()).max(1)).score;
+        let full = global_align(&a, &b).score;
+        let band = banded_global(&a, &b, a.len().max(b.len()).max(1)).score;
         prop_assert_eq!(band, full);
     }
 
     /// A narrow band never beats the unbanded optimum.
     #[test]
     fn narrow_band_is_lower_bound(a in dna(30), b in dna(30), w in 1usize..6) {
-        let s = Scoring::dna_default();
-        let full = global_align(&a, &b, &s).score;
-        let banded = banded_global(&a, &b, &s, w).score;
+        let full = global_align(&a, &b).score;
+        let banded = banded_global(&a, &b, w).score;
         prop_assert!(banded <= full);
     }
 
     /// Alignment ops replay to exactly the two inputs.
     #[test]
     fn render_reconstructs_inputs(a in dna(40), b in dna(40)) {
-        let s = Scoring::dna_default();
-        let aln = global_align(&a, &b, &s);
+        let aln = global_align(&a, &b);
         let (ra, rb) = aln.render(&a, &b);
         prop_assert_eq!(ra.replace('-', "").into_bytes(), a);
         prop_assert_eq!(rb.replace('-', "").into_bytes(), b);
-    }
-
-    /// Affine alignment also replays to its inputs and never exceeds
-    /// the all-match upper bound.
-    #[test]
-    fn affine_sane(a in dna(30), b in dna(30)) {
-        let s = Scoring::dna_affine();
-        let aln = global_affine(&a, &b, &s);
-        let (ra, rb) = aln.render(&a, &b);
-        prop_assert_eq!(ra.replace('-', "").into_bytes(), a.clone());
-        prop_assert_eq!(rb.replace('-', "").into_bytes(), b.clone());
-        let ub = (a.len().min(b.len()) as i32) * s.match_score;
-        prop_assert!(aln.score <= ub);
-    }
-
-    /// Local alignment score is non-negative and at least the global
-    /// score (it may ignore costly prefixes/suffixes).
-    #[test]
-    fn local_dominates_global(a in dna(30), b in dna(30)) {
-        let s = Scoring::dna_default();
-        let local = local_align(&a, &b, &s).alignment.score;
-        let global = global_align(&a, &b, &s).score;
-        prop_assert!(local >= 0);
-        prop_assert!(local >= global);
     }
 
     /// k-mer distance is a bounded, symmetric dissimilarity with

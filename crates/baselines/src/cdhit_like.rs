@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use mrmc_align::{banded_global, Scoring};
+use mrmc_align::banded_global;
 use mrmc_cluster::ClusterAssignment;
 use mrmc_seqio::encode::kmer_set;
 use mrmc_seqio::SeqRecord;
@@ -78,7 +78,6 @@ impl Clusterer for CdHitLike {
     }
 
     fn cluster(&self, reads: &[SeqRecord]) -> ClusterAssignment {
-        let scoring = Scoring::dna_default();
         // Longest-first processing order (CD-HIT's defining rule: the
         // longest sequence seeds each cluster).
         let mut order: Vec<usize> = (0..reads.len()).collect();
@@ -117,7 +116,7 @@ impl Clusterer for CdHitLike {
                 if shared_kmers(&kmers, &rep.kmers) < bound {
                     continue;
                 }
-                let aln = banded_global(&reads[rep.index].seq, &reads[i].seq, &scoring, self.band);
+                let aln = banded_global(&reads[rep.index].seq, &reads[i].seq, self.band);
                 if aln.identity() >= self.theta {
                     assigned = Some(r);
                     break;

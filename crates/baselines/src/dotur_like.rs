@@ -8,7 +8,7 @@
 //! furthest neighbour (complete linkage); Mothur's `cluster` command
 //! default is average neighbour. Everything else is shared.
 
-use mrmc_align::{global_align, Scoring};
+use mrmc_align::global_align;
 use mrmc_cluster::{agglomerative, ClusterAssignment, CondensedMatrix, Linkage};
 use mrmc_seqio::SeqRecord;
 
@@ -42,9 +42,8 @@ impl Default for MothurLike {
 
 /// The shared expensive part: all-pairs global alignment identity.
 fn alignment_matrix(reads: &[SeqRecord]) -> CondensedMatrix {
-    let scoring = Scoring::dna_default();
     CondensedMatrix::build_parallel(reads.len(), |i, j| {
-        global_align(&reads[i].seq, &reads[j].seq, &scoring).identity()
+        global_align(&reads[i].seq, &reads[j].seq).identity()
     })
 }
 
@@ -117,11 +116,10 @@ mod tests {
         let (reads, _) = three_species(6, 7);
         let theta = 0.8;
         let a = DoturLike { theta }.cluster(&reads);
-        let scoring = Scoring::dna_default();
         for i in 0..reads.len() {
             for j in (i + 1)..reads.len() {
                 if a.label(i) == a.label(j) {
-                    let id = global_align(&reads[i].seq, &reads[j].seq, &scoring).identity();
+                    let id = global_align(&reads[i].seq, &reads[j].seq).identity();
                     assert!(id >= theta - 1e-9, "pair ({i},{j}) identity {id}");
                 }
             }

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use mrmc_align::{banded_global, Scoring};
+use mrmc_align::banded_global;
 use mrmc_cluster::ClusterAssignment;
 use mrmc_seqio::encode::kmer_set;
 use mrmc_seqio::SeqRecord;
@@ -47,7 +47,6 @@ impl Clusterer for UclustLike {
     }
 
     fn cluster(&self, reads: &[SeqRecord]) -> ClusterAssignment {
-        let scoring = Scoring::dna_default();
         let mut labels = vec![0usize; reads.len()];
         let mut centroid_reads: Vec<usize> = Vec::new();
         let mut word_index: HashMap<u64, Vec<usize>> = HashMap::new();
@@ -68,12 +67,7 @@ impl Clusterer for UclustLike {
 
             let mut assigned = None;
             for (c, _) in cands {
-                let aln = banded_global(
-                    &reads[centroid_reads[c]].seq,
-                    &read.seq,
-                    &scoring,
-                    self.band,
-                );
+                let aln = banded_global(&reads[centroid_reads[c]].seq, &read.seq, self.band);
                 if aln.identity() >= self.theta {
                     assigned = Some(c);
                     break;

@@ -1,10 +1,8 @@
 //! Alignment kernels (the cost MrMC-MinH avoids): full Needleman–
-//! Wunsch vs banded vs affine vs score-only, at 16S tag (60 bp) and
-//! shotgun (1000 bp) lengths.
+//! Wunsch vs banded, at 16S tag (60 bp) and shotgun (1000 bp) lengths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrmc_align::global::global_score;
-use mrmc_align::{banded_global, global_affine, global_align, Scoring};
+use mrmc_align::{banded_global, global_align};
 
 fn synthetic_pair(len: usize) -> (Vec<u8>, Vec<u8>) {
     let a: Vec<u8> = (0..len).map(|i| b"ACGT"[(i * 7 + i / 5) % 4]).collect();
@@ -18,28 +16,13 @@ fn synthetic_pair(len: usize) -> (Vec<u8>, Vec<u8>) {
 
 fn bench_alignment(c: &mut Criterion) {
     let mut group = c.benchmark_group("alignment");
-    let scoring = Scoring::dna_default();
-    let affine = Scoring::dna_affine();
     for len in [60usize, 1000] {
         let (a, b) = synthetic_pair(len);
         group.bench_function(BenchmarkId::new("nw-full", len), |bch| {
-            bch.iter(|| global_align(std::hint::black_box(&a), std::hint::black_box(&b), &scoring))
-        });
-        group.bench_function(BenchmarkId::new("nw-score-only", len), |bch| {
-            bch.iter(|| global_score(std::hint::black_box(&a), std::hint::black_box(&b), &scoring))
+            bch.iter(|| global_align(std::hint::black_box(&a), std::hint::black_box(&b)))
         });
         group.bench_function(BenchmarkId::new("banded-8", len), |bch| {
-            bch.iter(|| {
-                banded_global(
-                    std::hint::black_box(&a),
-                    std::hint::black_box(&b),
-                    &scoring,
-                    8,
-                )
-            })
-        });
-        group.bench_function(BenchmarkId::new("gotoh-affine", len), |bch| {
-            bch.iter(|| global_affine(std::hint::black_box(&a), std::hint::black_box(&b), &affine))
+            bch.iter(|| banded_global(std::hint::black_box(&a), std::hint::black_box(&b), 8))
         });
     }
     group.finish();

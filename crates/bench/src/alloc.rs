@@ -4,7 +4,7 @@
 //! `realloc` with relaxed atomics, so benches can report *allocation
 //! counts* alongside wall-clock — the metric the allocation-free wire
 //! plane (DESIGN.md §3a.1) is gated on in CI. Counting is always on in
-//! `mrmc-bench` binaries (the two relaxed fetch-adds are noise next to
+//! `mrmc-bench` binaries (the one relaxed fetch-add is noise next to
 //! the allocator call itself) and deliberately not installed anywhere
 //! else in the workspace. Live bytes are tracked only while
 //! [`heap_peak_during`] asks for a heap peak.
@@ -15,14 +15,12 @@ use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering::Relaxed};
 // Statistics only: they publish no other data, so relaxed ordering
 // suffices.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static TRACK_HEAP: AtomicBool = AtomicBool::new(false);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 static PEAK_BYTES: AtomicI64 = AtomicI64::new(0);
 
 fn grew(bytes: usize) {
     ALLOCATIONS.fetch_add(1, Relaxed);
-    ALLOCATED_BYTES.fetch_add(bytes as u64, Relaxed);
     if TRACK_HEAP.load(Relaxed) {
         let live = LIVE_BYTES.fetch_add(bytes as i64, Relaxed) + bytes as i64;
         PEAK_BYTES.fetch_max(live, Relaxed);
@@ -70,12 +68,6 @@ pub fn allocations() -> u64 {
     ALLOCATIONS.load(Relaxed)
 }
 
-/// Total bytes requested since process start (grows included, frees
-/// not subtracted).
-pub fn allocated_bytes() -> u64 {
-    ALLOCATED_BYTES.load(Relaxed)
-}
-
 /// Run `f`, returning its result plus the allocations it performed.
 /// Single-threaded sections only — concurrent allocations elsewhere
 /// would be charged to `f`.
@@ -109,6 +101,5 @@ mod tests {
         let (v, n) = count_allocs(|| std::hint::black_box(vec![0u8; 4096]));
         assert_eq!(v.len(), 4096);
         assert!(n >= 1, "a fresh Vec must register at least one alloc");
-        assert!(allocated_bytes() >= 4096);
     }
 }

@@ -68,81 +68,6 @@ impl Dendrogram {
     pub fn heights(&self) -> Vec<f64> {
         self.merges.iter().map(|m| m.similarity).collect()
     }
-
-    /// Serialize to Newick format (the standard tree-exchange format
-    /// of phylogenetics tooling), with branch lengths derived from
-    /// merge distances (`1 − similarity`). `names[i]` labels leaf `i`;
-    /// pass fewer names than leaves and the rest fall back to their
-    /// index. Disconnected forests (possible only for dendrograms
-    /// built from partial merge lists) serialize each tree joined
-    /// under a zero-length root.
-    pub fn to_newick(&self, names: &[&str]) -> String {
-        // Rebuild the tree bottom-up with a union-find whose
-        // representative carries the current Newick fragment and the
-        // height (distance from leaves) of that subtree's root.
-        let mut parent: Vec<usize> = (0..self.n).collect();
-        let mut fragment: Vec<Option<(String, f64)>> = (0..self.n)
-            .map(|i| {
-                let label = names
-                    .get(i)
-                    .map(|s| s.to_string())
-                    .unwrap_or_else(|| format!("leaf{i}"));
-                Some((label, 0.0))
-            })
-            .collect();
-
-        fn find(parent: &mut [usize], mut x: usize) -> usize {
-            while parent[x] != x {
-                parent[x] = parent[parent[x]];
-                x = parent[x];
-            }
-            x
-        }
-
-        // Apply merges from most similar (lowest) to least similar so
-        // subtree heights grow monotonically.
-        let mut merges = self.merges.clone();
-        sort_bottom_up(&mut merges);
-        for m in &merges {
-            let (ra, rb) = (find(&mut parent, m.a), find(&mut parent, m.b));
-            if ra == rb {
-                continue;
-            }
-            let (fa, ha) = fragment[ra].take().expect("live root");
-            let (fb, hb) = fragment[rb].take().expect("live root");
-            let height = 1.0 - m.similarity;
-            // Branch lengths from the children's roots up to this node.
-            let node = format!(
-                "({}:{:.6},{}:{:.6})",
-                fa,
-                (height - ha).max(0.0),
-                fb,
-                (height - hb).max(0.0)
-            );
-            parent[rb] = ra;
-            fragment[ra] = Some((node, height));
-        }
-
-        // Collect remaining roots (1 for a full dendrogram).
-        let mut roots: Vec<(String, f64)> = Vec::new();
-        #[allow(clippy::needless_range_loop)] // i is both index and UF element
-        for i in 0..self.n {
-            if find(&mut parent, i) == i {
-                if let Some(frag) = fragment[i].take() {
-                    roots.push(frag);
-                }
-            }
-        }
-        match roots.len() {
-            0 => ";".to_string(),
-            1 => format!("{};", roots[0].0),
-            _ => {
-                let parts: Vec<String> =
-                    roots.into_iter().map(|(f, _)| format!("{f}:0.0")).collect();
-                format!("({});", parts.join(","))
-            }
-        }
-    }
 }
 
 /// Build the dendrogram for a *similarity* matrix under a linkage.
@@ -675,57 +600,6 @@ mod tests {
         let (a, d) = agglomerative(&m, Linkage::Complete, 0.5);
         assert_eq!(a.num_clusters(), 1);
         assert!(d.merges.is_empty());
-    }
-
-    #[test]
-    fn newick_structure() {
-        let (_, dendro) = agglomerative(two_blocks(), Linkage::Average, 0.5);
-        let newick = dendro.to_newick(&["a", "b", "c", "d", "e"]);
-        // Well-formed: ends with ';', balanced parens, all leaves named.
-        assert!(newick.ends_with(';'), "{newick}");
-        let opens = newick.matches('(').count();
-        let closes = newick.matches(')').count();
-        assert_eq!(opens, closes, "{newick}");
-        assert_eq!(opens, 4, "4 merges → 4 internal nodes: {newick}");
-        for leaf in ["a", "b", "c", "d", "e"] {
-            assert!(newick.contains(leaf), "{newick}");
-        }
-        // The two blocks merge internally (short branches ~0.1) before
-        // the cross merge (long branch ~0.9): the root join carries the
-        // bigger distance.
-        assert!(newick.contains("0.8"), "{newick}");
-    }
-
-    #[test]
-    fn newick_degenerate_sizes() {
-        let d = Dendrogram {
-            n: 0,
-            merges: Vec::new(),
-        };
-        assert_eq!(d.to_newick(&[]), ";");
-        let d = Dendrogram {
-            n: 1,
-            merges: Vec::new(),
-        };
-        assert_eq!(d.to_newick(&["only"]), "only;");
-        // Two disconnected leaves (no merges): forest under a root.
-        let d = Dendrogram {
-            n: 2,
-            merges: Vec::new(),
-        };
-        let s = d.to_newick(&[]);
-        assert!(s.contains("leaf0") && s.contains("leaf1"), "{s}");
-    }
-
-    #[test]
-    fn newick_default_names() {
-        let m = CondensedMatrix::build(3, |_, _| 0.9);
-        let d = build_dendrogram(&m, Linkage::Single);
-        let s = d.to_newick(&["x"]); // only one name given
-        assert!(
-            s.contains('x') && s.contains("leaf1") && s.contains("leaf2"),
-            "{s}"
-        );
     }
 
     #[test]

@@ -109,16 +109,6 @@ impl SparseSimGraph {
         self.neighbors.len() / 2
     }
 
-    /// Edge density relative to the full `n·(n−1)/2` pair set.
-    pub fn density(&self) -> f64 {
-        let pairs = self.n * self.n.saturating_sub(1) / 2;
-        if pairs == 0 {
-            0.0
-        } else {
-            self.num_edges() as f64 / pairs as f64
-        }
-    }
-
     /// Similarity of `(i, j)`: the stored edge value, 0.0 when absent,
     /// 1.0 on the diagonal. Panics out of bounds.
     #[inline]
@@ -599,7 +589,6 @@ mod tests {
         let g = SparseSimGraph::from_edges(0, vec![]);
         assert!(g.is_empty());
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.density(), 0.0);
         let g = SparseSimGraph::from_edges(1, vec![]);
         assert_eq!(g.len(), 1);
         assert_eq!(greedy_cluster_sparse(&g, 0.5).num_clusters(), 1);

@@ -260,11 +260,6 @@ impl<K, V> TaskContext<K, V> {
     pub fn into_parts(self) -> (Vec<(K, V)>, Counters) {
         (self.emitted, self.counters)
     }
-
-    /// Number of pairs emitted so far.
-    pub fn emitted_len(&self) -> usize {
-        self.emitted.len()
-    }
 }
 
 impl<K, V> Default for TaskContext<K, V> {
@@ -420,7 +415,6 @@ mod tests {
         ctx.emit("a".into(), 1);
         ctx.emit("b".into(), 2);
         ctx.count("records", 2);
-        assert_eq!(ctx.emitted_len(), 2);
         let (pairs, counters) = ctx.into_parts();
         assert_eq!(pairs.len(), 2);
         assert_eq!(counters.get("records"), 2);

@@ -290,11 +290,6 @@ impl Pipeline {
         &self.stages
     }
 
-    /// Total in-process wall-clock across stages.
-    pub fn total_wall(&self) -> Duration {
-        self.stages.iter().map(|s| s.wall).sum()
-    }
-
     /// Sum of a named counter across every stage.
     pub fn counter_total(&self, name: &str) -> u64 {
         self.stages.iter().map(|s| s.counter(name)).sum()
@@ -541,7 +536,7 @@ mod tests {
         hist.sort();
         assert_eq!(hist, vec![(1, 1), (2, 1), (3, 1)]);
         assert_eq!(p.stages().len(), 2);
-        assert!(p.total_wall() > Duration::ZERO);
+        assert!(p.stages().iter().map(|s| s.wall).sum::<Duration>() > Duration::ZERO);
         // Shuffle-byte accounting rides on the stage reports.
         let wc = &p.stages()[0];
         assert!(wc.shuffled_bytes > wc.shuffled_pairs, "bytes > records");

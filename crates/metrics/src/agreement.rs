@@ -1,9 +1,9 @@
-//! Supporting external agreement indices: purity, NMI, adjusted Rand.
+//! Supporting external agreement index: adjusted Rand.
 //!
 //! Not reported in the paper's tables, but standard for clustering
-//! evaluation; EXPERIMENTS.md uses them to sanity-check that W.Acc's
-//! known blind spot (over-clustering scores 100 %) is not driving the
-//! conclusions.
+//! evaluation. Unlike W.Acc, which scores over-clustering at 100 %, it
+//! penalises partitions that split a class; the end-to-end tests use it
+//! to measure how far MrMC-MinH agrees with the DOTUR-like baseline.
 
 use std::collections::HashMap;
 
@@ -29,63 +29,6 @@ fn contingency(assignment: &ClusterAssignment, truth: &[usize]) -> Contingency {
         *classes.entry(class).or_insert(0) += 1;
     }
     (joint, clusters, classes)
-}
-
-/// Purity ∈ [0, 1]: fraction of items in their cluster's majority
-/// class.
-pub fn purity(assignment: &ClusterAssignment, truth: &[usize]) -> f64 {
-    if truth.is_empty() {
-        return 1.0;
-    }
-    let (joint, clusters, _) = contingency(assignment, truth);
-    let mut correct = 0usize;
-    for (&cluster, _) in clusters.iter() {
-        let best = joint
-            .iter()
-            .filter(|((c, _), _)| *c == cluster)
-            .map(|(_, &n)| n)
-            .max()
-            .unwrap_or(0);
-        correct += best;
-    }
-    correct as f64 / truth.len() as f64
-}
-
-/// Normalized mutual information ∈ [0, 1] (arithmetic-mean
-/// normalization). 1 when the partitions coincide, 0 when independent.
-pub fn normalized_mutual_information(assignment: &ClusterAssignment, truth: &[usize]) -> f64 {
-    let n = truth.len();
-    if n == 0 {
-        return 1.0;
-    }
-    let (joint, clusters, classes) = contingency(assignment, truth);
-    let nf = n as f64;
-    let mut mi = 0.0;
-    for (&(cluster, class), &nij) in &joint {
-        let pij = nij as f64 / nf;
-        let pi = clusters[&cluster] as f64 / nf;
-        let pj = classes[&class] as f64 / nf;
-        mi += pij * (pij / (pi * pj)).ln();
-    }
-    let h = |counts: &HashMap<usize, usize>| -> f64 {
-        counts
-            .values()
-            .map(|&c| {
-                let p = c as f64 / nf;
-                -p * p.ln()
-            })
-            .sum()
-    };
-    let (hc, ht) = (h(&clusters), h(&classes));
-    if hc == 0.0 && ht == 0.0 {
-        return 1.0; // both partitions trivial and identical
-    }
-    let denom = (hc + ht) / 2.0;
-    if denom == 0.0 {
-        0.0
-    } else {
-        (mi / denom).clamp(0.0, 1.0)
-    }
 }
 
 /// Adjusted Rand index ∈ [−1, 1]; 1 for identical partitions, ~0 for
@@ -121,8 +64,6 @@ mod tests {
     fn identical_partitions_score_max() {
         let a = assign(&[0, 0, 1, 1, 2]);
         let t = [5, 5, 9, 9, 7];
-        assert!((purity(&a, &t) - 1.0).abs() < 1e-12);
-        assert!((normalized_mutual_information(&a, &t) - 1.0).abs() < 1e-9);
         assert!((adjusted_rand_index(&a, &t) - 1.0).abs() < 1e-9);
     }
 
@@ -130,33 +71,21 @@ mod tests {
     fn one_big_cluster_vs_two_classes() {
         let a = assign(&[0, 0, 0, 0]);
         let t = [0, 0, 1, 1];
-        assert!((purity(&a, &t) - 0.5).abs() < 1e-12);
-        assert!(normalized_mutual_information(&a, &t) < 1e-9);
         assert!(adjusted_rand_index(&a, &t).abs() < 1e-9);
     }
 
     #[test]
-    fn over_clustering_penalized_by_ari_not_purity() {
-        // All singletons: purity 1, ARI 0 (expected agreement).
+    fn over_clustering_penalized_by_ari() {
+        // All singletons: ARI near 0 (expected agreement).
         let a = assign(&[0, 1, 2, 3]);
         let t = [0, 0, 1, 1];
-        assert!((purity(&a, &t) - 1.0).abs() < 1e-12);
         assert!(adjusted_rand_index(&a, &t).abs() < 0.5);
-    }
-
-    #[test]
-    fn nmi_symmetric_in_partition_sizes() {
-        let a = assign(&[0, 0, 1, 1, 1, 2]);
-        let t = [1, 1, 0, 0, 0, 2];
-        let nmi = normalized_mutual_information(&a, &t);
-        assert!((nmi - 1.0).abs() < 1e-9, "relabelled partition, nmi={nmi}");
     }
 
     #[test]
     fn empty_and_tiny_inputs() {
         let a = assign(&[]);
-        assert_eq!(purity(&a, &[]), 1.0);
-        assert_eq!(normalized_mutual_information(&a, &[]), 1.0);
+        assert_eq!(adjusted_rand_index(&a, &[]), 1.0);
         let a = assign(&[0]);
         assert_eq!(adjusted_rand_index(&a, &[3]), 1.0);
     }

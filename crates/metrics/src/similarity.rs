@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-use mrmc_align::{global_identity, Scoring};
+use mrmc_align::global_identity;
 use mrmc_cluster::ClusterAssignment;
 use mrmc_seqio::SeqRecord;
 
@@ -20,8 +20,6 @@ pub struct SimilarityOptions {
     pub max_pairs_per_cluster: usize,
     /// Seed for pair sampling (determinism across runs).
     pub seed: u64,
-    /// Alignment scoring scheme.
-    pub scoring: Scoring,
 }
 
 impl Default for SimilarityOptions {
@@ -30,7 +28,6 @@ impl Default for SimilarityOptions {
             min_cluster_size: 2,
             max_pairs_per_cluster: 200,
             seed: 0x5eed,
-            scoring: Scoring::dna_default(),
         }
     }
 }
@@ -66,7 +63,7 @@ pub fn weighted_similarity(
             let pairs = sample_pairs(members, options.max_pairs_per_cluster, options.seed);
             let sum: f64 = pairs
                 .par_iter()
-                .map(|&(i, j)| global_identity(&reads[i].seq, &reads[j].seq, &options.scoring))
+                .map(|&(i, j)| global_identity(&reads[i].seq, &reads[j].seq))
                 .sum();
             (sum / pairs.len() as f64, members.len())
         })

@@ -33,7 +33,7 @@
 //! The clustering pipeline only ever bands under the tuned scheme for
 //! its own `(n, θ)` — a run's config cannot carry another — so the
 //! contract is unconditional there. Other layouts
-//! ([`BandingScheme::new`]) exist to study the S-curve off that point.
+//! ([`BandingScheme::new`]) serve the tests of the band signatures.
 //!
 //! `EMPTY_SLOT` positions hash like any other value, so two sketches
 //! that are both empty at a position still agree at the band level.
@@ -102,35 +102,6 @@ impl BandingScheme {
             bands,
             rows: n / bands,
         }
-    }
-
-    /// Sketch positions covered by the banding (`b × r ≤ n`).
-    pub fn covered(&self) -> usize {
-        self.bands * self.rows
-    }
-
-    /// The S-curve midpoint `(1/b)^(1/r)`: the similarity at which the
-    /// *per-position-agreement* model gives ≈ 63 % candidate
-    /// probability. Pairs well above it almost surely collide; the
-    /// hard guarantee is [`BandingScheme::exact_recall_threshold`].
-    pub fn threshold(&self) -> f64 {
-        (1.0 / self.bands as f64).powf(1.0 / self.rows as f64)
-    }
-
-    /// The S-curve itself: `1 − (1 − s^r)^b` for positional agreement
-    /// `s ∈ [0, 1]` under the independent-position model.
-    pub fn collision_probability(&self, s: f64) -> f64 {
-        let s = s.clamp(0.0, 1.0);
-        1.0 - (1.0 - s.powi(self.rows as i32)).powi(self.bands as i32)
-    }
-
-    /// Similarity at which collision becomes *certain* (pigeonhole):
-    /// any pair with positional similarity `≥ (n − b + 1)/n` has at
-    /// most `b − 1` disagreeing positions, so at least one of the `b`
-    /// bands is disagreement-free and byte-identical.
-    pub fn exact_recall_threshold(&self, num_hashes: usize) -> f64 {
-        let n = num_hashes.max(1) as f64;
-        ((n - self.bands as f64 + 1.0) / n).max(0.0)
     }
 
     /// Whether this scheme guarantees recall 1.0 for pairs with
@@ -243,24 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn s_curve_shape() {
-        let s = BandingScheme::new(4, 8);
-        assert_eq!(s.collision_probability(0.0), 0.0);
-        assert_eq!(s.collision_probability(1.0), 1.0);
-        // Monotone increasing.
-        let mut prev = 0.0;
-        for i in 0..=20 {
-            let p = s.collision_probability(i as f64 / 20.0);
-            assert!(p >= prev);
-            prev = p;
-        }
-        // The midpoint is where one band's match probability is 1/b.
-        let mid = s.threshold();
-        let per_band = mid.powi(8);
-        assert!((per_band - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     fn signatures_deterministic_and_band_distinct() {
         let sk = sketch((0..32).collect());
         let scheme = BandingScheme::new(4, 8);
@@ -335,8 +288,8 @@ mod tests {
     #[test]
     fn covered_and_truncation() {
         let s = BandingScheme::tune(50, 0.95);
-        assert_eq!(s.covered(), 48); // 2 tail positions unbanded
-        assert!(s.covered() <= 50);
+        // 2 tail positions unbanded.
+        assert_eq!(s.bands * s.rows, 48);
         // Signature of a band entirely in range works on exactly-n
         // value vectors.
         let sk = sketch((0..50).collect());

@@ -160,11 +160,6 @@ impl MinHasher {
         self
     }
 
-    /// Whether canonical k-mers are in use.
-    pub fn is_canonical(&self) -> bool {
-        self.canonical
-    }
-
     /// Wrap an existing family (its range must cover the `4^k`
     /// feature space — both the default and the paper-literal
     /// families qualify).

@@ -383,22 +383,15 @@ proptest! {
     }
 
     /// Tuned schemes are well-formed for any width and threshold:
-    /// `b·r ≤ n`, recall is guaranteed at the tuned θ, and the
-    /// advertised exact-recall threshold is the smallest *achievable*
-    /// similarity at or above θ (agreement counts are integers, so the
-    /// two differ only by ceil-to-1/n discretization).
+    /// `b·r ≤ n`, and recall is guaranteed at the tuned θ.
     #[test]
     fn tuned_scheme_well_formed(n in 1usize..257, theta in 0.0f64..=1.0) {
         let s = BandingScheme::tune(n, theta);
         prop_assert!(s.bands >= 1);
         prop_assert!(s.rows >= 1);
-        prop_assert!(s.covered() <= n);
+        prop_assert!(s.bands * s.rows <= n);
         if theta > 0.0 {
             prop_assert!(s.guarantees_recall(n, theta));
-            let exact = s.exact_recall_threshold(n);
-            prop_assert!(exact >= theta);
-            // At most one agreement step above θ.
-            prop_assert!(exact - theta < 1.0 / n as f64 + 1e-12);
         }
     }
 

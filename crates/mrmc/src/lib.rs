@@ -52,6 +52,6 @@ pub use banded::{banded_candidates, banded_graph_stage};
 pub use config::{CandidateGen, Mode, MrMcConfig};
 pub use incremental::{IncrementalClusterer, RepresentativeIndex};
 pub use pipeline::{MrMcMinH, MrMcResult};
-pub use scaling::{CostCalibration, ScalingPoint};
+pub use scaling::CostCalibration;
 pub use threshold::{otsu_threshold, suggest_theta};
 pub use udfs::{algorithm3_script, register_mrmc_udfs};

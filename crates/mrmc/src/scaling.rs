@@ -195,37 +195,6 @@ fn job_seconds(
         .total()
 }
 
-/// One point of the Figure 2 grid.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScalingPoint {
-    /// Cluster size.
-    pub nodes: usize,
-    /// Input reads.
-    pub reads: u64,
-    /// Simulated runtime in minutes.
-    pub minutes: f64,
-}
-
-/// Evaluate the full grid the paper plots.
-pub fn figure2_grid(
-    calibration: &CostCalibration,
-    nodes: &[usize],
-    read_counts: &[u64],
-    model: &JobCostModel,
-) -> Vec<ScalingPoint> {
-    let mut out = Vec::with_capacity(nodes.len() * read_counts.len());
-    for &reads in read_counts {
-        for &n in nodes {
-            out.push(ScalingPoint {
-                nodes: n,
-                reads,
-                minutes: calibration.simulate(reads, n, model) / 60.0,
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,14 +266,6 @@ mod tests {
         let banded_small = c.simulate_banded(1_000, 3, 1_000 * 50, 8, &model);
         let dense_small = c.simulate(1_000, 8, &model);
         assert!(banded_small > dense_small);
-    }
-
-    #[test]
-    fn grid_covers_all_points() {
-        let model = JobCostModel::default();
-        let pts = figure2_grid(&calib(), &[2, 4, 8], &[1_000, 100_000], &model);
-        assert_eq!(pts.len(), 6);
-        assert!(pts.iter().all(|p| p.minutes > 0.0));
     }
 
     #[test]

@@ -22,14 +22,13 @@
 //!   `percentile` walks the cumulative counts and returns the upper
 //!   bound of the bucket containing the requested rank, clamped to
 //!   the observed `[min, max]`. No interpolation, no floats in the
-//!   stored state — merging and percentile extraction are exact and
-//!   associative.
+//!   stored state — percentile extraction and snapshot deltas are
+//!   exact.
 //!
 //! [`StageReport`]: ../../mrmc_mapreduce/pipeline/struct.StageReport.html
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
-use std::time::Duration;
 
 use crate::json::Json;
 
@@ -101,19 +100,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Fold another histogram into this one (bucket-wise). Merging is
-    /// associative and commutative, so sharded recording reduces to
-    /// the same state as serial recording.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b = b.saturating_add(*o);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum = self.sum.saturating_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Recorded value count.
@@ -274,26 +260,9 @@ impl MetricsRegistry {
         update(&mut self.lock().gauges, name, |g| *g = v);
     }
 
-    /// Adjust a gauge by a signed delta (creating it at 0).
-    pub fn gauge_add(&self, name: &str, delta: i64) {
-        update(&mut self.lock().gauges, name, |g| {
-            *g = g.saturating_add(delta)
-        });
-    }
-
     /// Record one value into a histogram (creating it empty).
     pub fn observe(&self, name: &str, v: u64) {
         update(&mut self.lock().histograms, name, |h| h.record(v));
-    }
-
-    /// Record a duration into a histogram, in whole microseconds.
-    pub fn observe_duration(&self, name: &str, d: Duration) {
-        self.observe(name, d.as_micros().min(u64::MAX as u128) as u64);
-    }
-
-    /// Fold a pre-aggregated histogram into a named histogram.
-    pub fn merge_histogram(&self, name: &str, h: &Histogram) {
-        update(&mut self.lock().histograms, name, |m| m.merge(h));
     }
 
     /// A point-in-time copy of every metric, deterministically ordered
@@ -535,19 +504,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_serial_recording() {
-        let values = [0u64, 1, 5, 5, 900, 1 << 40, u64::MAX];
-        let mut serial = Histogram::new();
-        let (mut a, mut b) = (Histogram::new(), Histogram::new());
-        for (i, &v) in values.iter().enumerate() {
-            serial.record(v);
-            if i % 2 == 0 { &mut a } else { &mut b }.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a, serial);
-    }
-
-    #[test]
     fn overflow_saturates() {
         let mut h = Histogram::new();
         h.record(u64::MAX);
@@ -562,19 +518,11 @@ mod tests {
         let m = MetricsRegistry::new();
         m.counter_add("c", u64::MAX);
         m.counter_add("c", 1);
-        m.gauge_add("g", i64::MIN);
-        m.gauge_add("g", -1);
         m.gauge_set("s", 5);
         m.gauge_set("s", -5);
-        let mut h = Histogram::new();
-        h.record(3);
-        m.merge_histogram("h", &h);
-        m.merge_histogram("h", &h);
         let snap = m.snapshot();
         assert_eq!(snap.counter("c"), Some(u64::MAX));
-        assert_eq!(snap.gauge("g"), Some(i64::MIN));
         assert_eq!(snap.gauge("s"), Some(-5));
-        assert_eq!(snap.histogram("h").map(Histogram::count), Some(2));
     }
 
     #[test]

@@ -262,11 +262,6 @@ impl TraceLedger {
     pub fn makespan_ns(&self) -> u64 {
         self.horizon_ns().saturating_sub(self.origin_ns())
     }
-
-    /// Spans belonging to one job, in emission order.
-    pub fn job_spans(&self, job: u32) -> impl Iterator<Item = &Span> {
-        self.spans.iter().filter(move |s| s.job == job)
-    }
 }
 
 struct Inner {

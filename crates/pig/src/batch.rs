@@ -171,15 +171,6 @@ pub struct VarBytes {
 }
 
 impl VarBytes {
-    /// Construct from raw parts (`offsets.len() == rows + 1`,
-    /// monotone, last offset ≤ `data.len()`).
-    pub fn from_parts(offsets: Vec<u32>, data: Bytes) -> VarBytes {
-        debug_assert!(!offsets.is_empty());
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert!(*offsets.last().unwrap() as usize <= data.len());
-        VarBytes { offsets, data }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
@@ -887,17 +878,6 @@ impl ColumnBatch {
         }
     }
 
-    /// Assemble from columns plus explicit per-row widths.
-    pub fn from_cols_ragged(cols: Vec<Column>, rows: usize, widths: Vec<u32>) -> ColumnBatch {
-        debug_assert_eq!(widths.len(), rows);
-        debug_assert!(widths.iter().all(|&w| w as usize <= cols.len()));
-        ColumnBatch {
-            cols,
-            rows,
-            widths: Some(widths),
-        }
-    }
-
     /// Columnarize tuple rows. Returns `None` unless **every** row is
     /// a [`Value::Tuple`]: a bare value is not silently read as a
     /// 1-column tuple here (the executor's `LOAD` wraps one, on
@@ -1309,9 +1289,12 @@ mod tests {
     #[test]
     fn concat_honours_non_zero_base_offsets() {
         // String storage whose first offset is not 0 and a bag whose
-        // offsets start inside its child — `from_parts`/`BagCol::new`
+        // offsets start inside its child — `VarBytes`/`BagCol::new`
         // admit both.
-        let strs = VarBytes::from_parts(vec![2, 3, 5], Bytes::from_static(b"xxabcyy"));
+        let strs = VarBytes {
+            offsets: vec![2, 3, 5],
+            data: Bytes::from_static(b"xxabcyy"),
+        };
         let bags = BagCol::new(
             vec![1, 2, 4],
             ColumnBatch::single(Column::Long {

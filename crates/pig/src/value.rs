@@ -38,20 +38,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// Pig type name for diagnostics.
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Int(_) => "int",
-            Value::Long(_) => "long",
-            Value::Double(_) => "double",
-            Value::CharArray(_) => "chararray",
-            Value::ByteArray(_) => "bytearray",
-            Value::Tuple(_) => "tuple",
-            Value::Bag(_) => "bag",
-        }
-    }
-
     /// Build a tuple value.
     pub fn tuple(fields: impl Into<Vec<Value>>) -> Value {
         Value::Tuple(fields.into())
@@ -307,11 +293,5 @@ mod tests {
             Value::bag([Value::tuple([Value::Int(1)])]).to_string(),
             "{(1)}"
         );
-    }
-
-    #[test]
-    fn type_names() {
-        assert_eq!(Value::Long(1).type_name(), "long");
-        assert_eq!(Value::bag([]).type_name(), "bag");
     }
 }

@@ -6,8 +6,6 @@
 //! `u64` — the integer feature `x` fed to the universal hash functions
 //! of Eq. 5.
 
-use crate::error::SeqIoError;
-
 /// A single unambiguous DNA nucleotide.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
@@ -53,17 +51,6 @@ impl Base {
             Base::T => b'T',
         }
     }
-
-    /// Watson–Crick complement.
-    #[inline]
-    pub fn complement(self) -> Base {
-        match self {
-            Base::A => Base::T,
-            Base::C => Base::G,
-            Base::G => Base::C,
-            Base::T => Base::A,
-        }
-    }
 }
 
 /// Encode one ASCII nucleotide into its 2-bit code.
@@ -83,12 +70,6 @@ pub fn encode_base(c: u8) -> Option<u8> {
         b'T' | b't' | b'U' | b'u' => Some(3),
         _ => None,
     }
-}
-
-/// Whether `c` is an unambiguous nucleotide this crate encodes.
-#[inline]
-pub fn is_valid_base(c: u8) -> bool {
-    encode_base(c).is_some()
 }
 
 /// Complement of an ASCII nucleotide, preserving case. Ambiguous codes
@@ -111,18 +92,6 @@ pub fn complement(c: u8) -> u8 {
 /// Reverse-complement a DNA string into a fresh vector.
 pub fn reverse_complement(seq: &[u8]) -> Vec<u8> {
     seq.iter().rev().map(|&c| complement(c)).collect()
-}
-
-/// Validate that a sequence consists only of unambiguous nucleotides,
-/// reporting the first offending position.
-pub fn validate(seq: &[u8]) -> Result<(), SeqIoError> {
-    match seq.iter().position(|&c| !is_valid_base(c)) {
-        None => Ok(()),
-        Some(pos) => Err(SeqIoError::InvalidBase {
-            position: pos,
-            byte: seq[pos],
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -159,28 +128,8 @@ mod tests {
     }
 
     #[test]
-    fn base_complement_pairs() {
-        assert_eq!(Base::A.complement(), Base::T);
-        assert_eq!(Base::C.complement(), Base::G);
-        assert_eq!(Base::G.complement(), Base::C);
-        assert_eq!(Base::T.complement(), Base::A);
-    }
-
-    #[test]
     fn reverse_complement_known() {
         assert_eq!(reverse_complement(b"ACGGT"), b"ACCGT".to_vec());
         assert_eq!(reverse_complement(b""), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn validate_reports_position() {
-        assert!(validate(b"ACGT").is_ok());
-        match validate(b"ACNGT") {
-            Err(SeqIoError::InvalidBase { position, byte }) => {
-                assert_eq!(position, 2);
-                assert_eq!(byte, b'N');
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
     }
 }

@@ -1,4 +1,4 @@
-//! 2-bit packed sequence encodings and rolling k-mer extraction.
+//! 2-bit k-mer encodings and rolling k-mer extraction.
 //!
 //! A k-mer over `{A,C,G,T}` with `k ≤ 31` packs into a `u64` via the
 //! 2-bit code of [`crate::alphabet`]. This is the integer feature `x`
@@ -162,59 +162,6 @@ pub fn kmer_to_string(kmer: u64, k: usize) -> String {
     String::from_utf8(s).expect("bases are ASCII")
 }
 
-/// A whole sequence packed 2 bits per base, with positions of ambiguous
-/// bases recorded so the original length is preserved.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PackedSeq {
-    words: Vec<u64>,
-    len: usize,
-}
-
-impl PackedSeq {
-    /// Pack a sequence; ambiguous bases are stored as `A` (code 0).
-    /// Use [`crate::alphabet::validate`] first if that matters.
-    pub fn pack(seq: &[u8]) -> PackedSeq {
-        let len = seq.len();
-        let mut words = vec![0u64; len.div_ceil(32)];
-        for (i, &c) in seq.iter().enumerate() {
-            let code = u64::from(encode_base(c).unwrap_or(0));
-            words[i / 32] |= code << (2 * (i % 32));
-        }
-        PackedSeq { words, len }
-    }
-
-    /// Number of bases.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no bases are stored.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// 2-bit code of the base at `i` (panics when out of bounds).
-    #[inline]
-    pub fn code_at(&self, i: usize) -> u8 {
-        assert!(i < self.len, "index {i} out of bounds (len {})", self.len);
-        ((self.words[i / 32] >> (2 * (i % 32))) & 3) as u8
-    }
-
-    /// Unpack back to ASCII.
-    pub fn unpack(&self) -> Vec<u8> {
-        (0..self.len)
-            .map(|i| Base::from_code(self.code_at(i)).to_ascii())
-            .collect()
-    }
-
-    /// Heap memory used, in bytes (for the DFS block accounting).
-    pub fn heap_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,27 +210,6 @@ mod tests {
         // AAAA has 3 overlapping 2-mers, all AA.
         let set = kmer_set(b"AAAA", 2).unwrap();
         assert_eq!(set, vec![0]);
-    }
-
-    #[test]
-    fn packed_seq_round_trip() {
-        let seq = b"ACGTACGTACGTACGTACGTACGTACGTACGTACG"; // 35 bases, crosses word
-        let p = PackedSeq::pack(seq);
-        assert_eq!(p.len(), seq.len());
-        assert_eq!(p.unpack(), seq.to_vec());
-    }
-
-    #[test]
-    fn packed_seq_empty() {
-        let p = PackedSeq::pack(b"");
-        assert!(p.is_empty());
-        assert!(p.unpack().is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn packed_seq_out_of_bounds_panics() {
-        PackedSeq::pack(b"AC").code_at(2);
     }
 
     #[test]

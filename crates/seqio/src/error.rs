@@ -1,21 +1,13 @@
-//! Error type for sequence parsing and encoding.
+//! Error type for sequence parsing and k-mer encoding.
 
 use std::fmt;
 use std::io;
 
-/// Errors produced while reading, validating, or encoding sequences.
+/// Errors produced while reading sequences or encoding their k-mers.
 #[derive(Debug)]
 pub enum SeqIoError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// A record body contained a byte that is not an unambiguous
-    /// nucleotide and the caller requested strict validation.
-    InvalidBase {
-        /// 0-based offset within the sequence.
-        position: usize,
-        /// The offending byte.
-        byte: u8,
-    },
     /// FASTA structure violation (e.g. sequence data before any header).
     Format {
         /// 1-based line number where the problem was detected.
@@ -30,26 +22,18 @@ pub enum SeqIoError {
         /// Largest supported k.
         max: usize,
     },
-    /// A record id was empty or duplicated where uniqueness is required.
-    BadRecordId(String),
 }
 
 impl fmt::Display for SeqIoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SeqIoError::Io(e) => write!(f, "I/O error: {e}"),
-            SeqIoError::InvalidBase { position, byte } => write!(
-                f,
-                "invalid nucleotide {:?} at position {position}",
-                *byte as char
-            ),
             SeqIoError::Format { line, message } => {
                 write!(f, "FASTA format error at line {line}: {message}")
             }
             SeqIoError::BadKmerSize { k, max } => {
                 write!(f, "k-mer size {k} unsupported (must be 1..={max})")
             }
-            SeqIoError::BadRecordId(id) => write!(f, "bad record id: {id:?}"),
         }
     }
 }
@@ -75,12 +59,12 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let e = SeqIoError::InvalidBase {
-            position: 7,
-            byte: b'N',
+        let e = SeqIoError::Format {
+            line: 7,
+            message: "sequence data before the first header".into(),
         };
         let s = e.to_string();
-        assert!(s.contains('7') && s.contains('N'), "{s}");
+        assert!(s.contains('7') && s.contains("header"), "{s}");
 
         let e = SeqIoError::BadKmerSize { k: 40, max: 31 };
         assert!(e.to_string().contains("40"));

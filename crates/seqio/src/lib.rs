@@ -5,12 +5,12 @@
 //! (the `StringGenerator` UDF) and decomposes sequences into k-mers (the
 //! `TranslateToKmer` UDF). This crate provides those primitives:
 //!
-//! * [`alphabet`] — the DNA alphabet, 2-bit nucleotide codes, complements
-//!   and validation;
+//! * [`alphabet`] — the DNA alphabet, 2-bit nucleotide codes and
+//!   complements;
 //! * [`record`] — owned sequence records with ids and descriptions;
 //! * [`fasta`] — a streaming FASTA reader/writer tolerant of the
 //!   formatting found in real amplicon datasets;
-//! * [`encode`] — 2-bit packed encodings of whole sequences and k-mers;
+//! * [`encode`] — 2-bit k-mer encodings, rolling and canonical;
 //! * [`stats`] — per-sequence and per-sample summaries (GC content,
 //!   length distributions) used by the dataset registry.
 //!
@@ -25,10 +25,8 @@ pub mod fastq;
 pub mod record;
 pub mod stats;
 
-pub use alphabet::{complement, encode_base, is_valid_base, Base};
-pub use encode::{
-    canonical_kmer, kmer_to_string, revcomp_kmer, CanonicalKmerIter, KmerIter, PackedSeq,
-};
+pub use alphabet::{complement, encode_base, Base};
+pub use encode::{canonical_kmer, kmer_to_string, revcomp_kmer, CanonicalKmerIter, KmerIter};
 pub use error::SeqIoError;
 pub use fasta::{read_fasta_bytes, read_fasta_path, write_fasta, FastaReader};
 pub use fastq::{read_fastq_bytes, write_fastq, FastqReader, FastqRecord};

@@ -57,12 +57,6 @@ impl SeqRecord {
     pub fn gc(&self) -> f64 {
         gc_content(&self.seq)
     }
-
-    /// The sequence as a `&str`, assuming ASCII input (FASTA is).
-    pub fn seq_str(&self) -> &str {
-        // FASTA bodies are ASCII; fall back to lossless check.
-        std::str::from_utf8(&self.seq).expect("sequence is not UTF-8")
-    }
 }
 
 #[cfg(test)]
@@ -75,7 +69,7 @@ mod tests {
         assert_eq!(r.id, "read1");
         assert_eq!(r.len(), 4);
         assert!(!r.is_empty());
-        assert_eq!(r.seq_str(), "ACGT");
+        assert_eq!(r.seq, b"ACGT");
     }
 
     #[test]

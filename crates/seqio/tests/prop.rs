@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 
-use mrmc_seqio::encode::{kmer_set, kmer_to_string, KmerIter, PackedSeq};
+use mrmc_seqio::encode::{kmer_set, kmer_to_string, KmerIter};
 use mrmc_seqio::fasta::{read_fasta_bytes, write_fasta};
 use mrmc_seqio::stats::gc_content;
 use mrmc_seqio::SeqRecord;
@@ -63,13 +63,6 @@ proptest! {
         for km in &set {
             prop_assert!(all.contains(km));
         }
-    }
-
-    /// 2-bit packing round-trips clean DNA.
-    #[test]
-    fn packed_round_trip(seq in dna(200)) {
-        let packed = PackedSeq::pack(&seq);
-        prop_assert_eq!(packed.unpack(), seq);
     }
 
     /// GC content is a fraction.

@@ -2,12 +2,18 @@
 //!
 //! ```text
 //! mrmc-client --addr HOST:PORT [--tenant T] <command>
-//!   seed   --fasta F [--kmer K] [--num-hashes N] [--theta X] [--greedy] [--seed S]
+//!   seed   --fasta F [--kmer K] [--num-hashes N] [--theta X] [--seed S]
+//!          [--greedy | --hierarchical] [--canonical]
 //!   submit --fasta F
 //!   query  --id ID
 //!   stats  [--server] [--dashboard] [--width W]
 //!   shutdown
 //! ```
+//!
+//! `seed` clusters greedily unless `--hierarchical` asks for average
+//! linkage; `--canonical` sketches strand-independent k-mers. A flag
+//! whose value does not parse is refused (exit 2) before the client
+//! connects.
 //!
 //! `stats` alone prints the tenant session's counters; `--server`
 //! pulls the daemon-wide metrics snapshot (all tenants) and renders it
@@ -23,7 +29,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: mrmc-client --addr HOST:PORT [--tenant T] <command>\n\
          commands:\n\
-         \x20 seed   --fasta F [--kmer K] [--num-hashes N] [--theta X] [--greedy] [--seed S]\n\
+         \x20 seed   --fasta F [--kmer K] [--num-hashes N] [--theta X] [--seed S]\n\
+         \x20        [--greedy | --hierarchical] [--canonical]\n\
          \x20 submit --fasta F\n\
          \x20 query  --id ID\n\
          \x20 stats  [--server] [--dashboard] [--width W]\n\
@@ -36,6 +43,16 @@ fn need(v: Option<String>, flag: &str) -> String {
     v.unwrap_or_else(|| {
         eprintln!("mrmc-client: missing {flag}");
         usage();
+    })
+}
+
+/// The value of `flag`, parsed; exits 2 naming the flag when it is
+/// missing or does not parse.
+fn parse<T: std::str::FromStr>(v: Option<String>, flag: &str) -> T {
+    let v = need(v, flag);
+    v.parse().unwrap_or_else(|_| {
+        eprintln!("mrmc-client: bad value for {flag}: {v}");
+        std::process::exit(2);
     })
 }
 
@@ -64,15 +81,13 @@ fn main() -> ExitCode {
             "--tenant" => tenant = need(args.next(), "--tenant"),
             "--fasta" => fasta = args.next(),
             "--id" => id = args.next(),
-            "--kmer" => config.kmer = need(args.next(), "--kmer").parse().unwrap_or(5),
-            "--num-hashes" => {
-                config.num_hashes = need(args.next(), "--num-hashes").parse().unwrap_or(64)
-            }
-            "--theta" => config.theta = need(args.next(), "--theta").parse().unwrap_or(0.9),
-            "--seed" => config.seed = need(args.next(), "--seed").parse().unwrap_or(7),
+            "--kmer" => config.kmer = parse(args.next(), "--kmer"),
+            "--num-hashes" => config.num_hashes = parse(args.next(), "--num-hashes"),
+            "--theta" => config.theta = parse(args.next(), "--theta"),
+            "--seed" => config.seed = parse(args.next(), "--seed"),
             "--server" => server_wide = true,
             "--dashboard" => dashboard = true,
-            "--width" => width = need(args.next(), "--width").parse().unwrap_or(80),
+            "--width" => width = parse(args.next(), "--width"),
             "--greedy" => config.greedy = true,
             "--hierarchical" => config.greedy = false,
             "--canonical" => config.canonical = true,

@@ -57,12 +57,6 @@ impl ErrorModel {
             homopolymer: rate * 0.5,
         }
     }
-
-    /// Expected per-base error (excluding the conditional homopolymer
-    /// term).
-    pub fn base_rate(&self) -> f64 {
-        self.substitution + self.insertion + self.deletion
-    }
 }
 
 /// Draws reads from genomes.
@@ -92,11 +86,6 @@ impl ReadSimulator {
         };
         let end = (start + self.read_len).min(genome.len());
         self.apply_errors(&genome[start..end], rng)
-    }
-
-    /// Sample `count` reads.
-    pub fn reads_from(&self, genome: &[u8], count: usize, rng: &mut StdRng) -> Vec<Vec<u8>> {
-        (0..count).map(|_| self.read_from(genome, rng)).collect()
     }
 
     /// Corrupt a template according to the error model.
@@ -220,18 +209,9 @@ mod tests {
     }
 
     #[test]
-    fn reads_from_count() {
-        let mut r = rng(5);
-        let g = random_genome(1000, 0.5, &mut r);
-        let sim = ReadSimulator::new(60, ErrorModel::with_total_rate(0.03));
-        let reads = sim.reads_from(&g, 25, &mut r);
-        assert_eq!(reads.len(), 25);
-    }
-
-    #[test]
     fn with_total_rate_components() {
         let e = ErrorModel::with_total_rate(0.05);
-        assert!((e.base_rate() - 0.05).abs() < 1e-12);
+        assert!((e.substitution + e.insertion + e.deletion - 0.05).abs() < 1e-12);
         assert!(e.substitution > e.insertion);
     }
 
