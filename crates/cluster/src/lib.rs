@@ -15,6 +15,11 @@
 //!   Algorithm 2 on it in memory linear in its edges (the NN-chain on
 //!   adjacency lists reproduces the dense dendrogram bit for bit).
 //!
+//! Both forms of Algorithm 2 also run over groups of identical items
+//! ([`agglomerative_grouped`], [`agglomerative_sparse_grouped`]): each
+//! group is one vertex that starts as a cluster of its members, and the
+//! dendrogram over the items is rebuilt in O(n).
+//!
 //! All algorithms are generic over a similarity oracle so they work
 //! identically on minhash sketches, alignment identities, or k-mer
 //! distances (the baselines reuse them).
@@ -27,6 +32,10 @@ pub mod sparse;
 
 pub use assignment::ClusterAssignment;
 pub use greedy::greedy_cluster;
-pub use linkage::{agglomerative, cut_dendrogram, cut_levels, Dendrogram, Linkage, Merge};
+pub use linkage::{
+    agglomerative, agglomerative_grouped, cut_dendrogram, cut_levels, Dendrogram, Linkage, Merge,
+};
 pub use matrix::CondensedMatrix;
-pub use sparse::{agglomerative_sparse, greedy_cluster_sparse, SparseSimGraph};
+pub use sparse::{
+    agglomerative_sparse, agglomerative_sparse_grouped, greedy_cluster_sparse, SparseSimGraph,
+};

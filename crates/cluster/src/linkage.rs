@@ -80,6 +80,17 @@ pub fn build_dendrogram<'a>(
 ) -> Dendrogram {
     let matrix = matrix.into();
     let n = matrix.len();
+    weighted_dendrogram(matrix, vec![1; n], linkage)
+}
+
+/// The dendrogram of items that start as clusters of `size[i]`
+/// members each: only average linkage reads the sizes.
+fn weighted_dendrogram(
+    matrix: Cow<'_, CondensedMatrix>,
+    size: Vec<usize>,
+    linkage: Linkage,
+) -> Dendrogram {
+    let n = matrix.len();
     if n <= 1 {
         return Dendrogram {
             n,
@@ -92,7 +103,7 @@ pub fn build_dendrogram<'a>(
                 *slot = 1.0 - matrix.get(i, j);
             }
         }),
-        Linkage::Complete | Linkage::Average => nn_chain(matrix, linkage),
+        Linkage::Complete | Linkage::Average => nn_chain(matrix, size, linkage),
     };
     sort_bottom_up(&mut merges);
     Dendrogram { n, merges }
@@ -142,6 +153,108 @@ pub fn agglomerative<'a>(
     let dendro = build_dendrogram(matrix, linkage);
     let assignment = cut_dendrogram(&dendro, theta);
     (assignment, dendro)
+}
+
+/// Algorithm 2 over groups of identical items, one row of `matrix` per
+/// group: item `i` belongs to group `of[i]`, and groups are numbered in
+/// order of first occurrence. Each group is clustered once, as a
+/// vertex that starts with its member count. The dendrogram and θ-cut
+/// are over the items: each item after its group's first joins that
+/// first item at 1.0, and each group merge names the groups' first
+/// items.
+///
+/// This is [`agglomerative`] over the item matrix that gives each item
+/// its group's row and puts two members of a group at 1.0, up to which
+/// pairs the 1.0 merges name (and, for single linkage, which pairs
+/// SLINK's pointers name): the same heights, the same partition at
+/// every height, and for average and complete linkage the same merges
+/// below 1.0, pair for pair and in order. That needs every two groups
+/// at 1.0 to have equal rows, as sketch similarities do (1.0 means
+/// equal sketches): the 1.0 merges then leave every distance as it
+/// was, whichever order they run in. Panics unless `of` numbers
+/// exactly `matrix.len()` groups by first occurrence.
+pub fn agglomerative_grouped<'a>(
+    matrix: impl Into<Cow<'a, CondensedMatrix>>,
+    of: &[u32],
+    linkage: Linkage,
+    theta: f64,
+) -> (ClusterAssignment, Dendrogram) {
+    let matrix = matrix.into();
+    let groups = Groups::new(of, matrix.len());
+    let dendro = groups.expand(weighted_dendrogram(matrix, groups.sizes(), linkage));
+    let assignment = cut_dendrogram(&dendro, theta);
+    (assignment, dendro)
+}
+
+/// Items grouped by identity: `of[i]` is item `i`'s group, and groups
+/// are numbered in order of first occurrence, so the first items of
+/// the groups ascend with the group number.
+pub(crate) struct Groups<'a> {
+    of: &'a [u32],
+    /// First item of each group.
+    first: Vec<u32>,
+}
+
+impl<'a> Groups<'a> {
+    /// Panics unless `of` numbers exactly `count` groups by first
+    /// occurrence.
+    pub(crate) fn new(of: &'a [u32], count: usize) -> Groups<'a> {
+        let mut first: Vec<u32> = Vec::with_capacity(count);
+        for (i, &g) in of.iter().enumerate() {
+            let g = g as usize;
+            assert!(
+                g <= first.len(),
+                "item {i} opens group {g} before group {}",
+                first.len()
+            );
+            if g == first.len() {
+                first.push(u32::try_from(i).expect("items fit u32 indices"));
+            }
+        }
+        assert_eq!(first.len(), count, "one vertex per group");
+        Groups { of, first }
+    }
+
+    /// Members of each group: the vertices' initial cluster sizes.
+    pub(crate) fn sizes(&self) -> Vec<usize> {
+        let mut size = vec![0usize; self.first.len()];
+        for &g in self.of {
+            size[g as usize] += 1;
+        }
+        size
+    }
+
+    /// The dendrogram over the items from the one over the groups, in
+    /// O(n) merges: each item after its group's first joins that first
+    /// item at similarity 1.0 (`a` = the first item, `b` = the copy),
+    /// and each group merge names the groups' first items. Sorted
+    /// bottom-up, so the copies' 1.0 block comes first. A merge keeps
+    /// the smaller cluster id and ids are first items on both sides, so
+    /// every name is the one a run over the items would use.
+    pub(crate) fn expand(&self, grouped: Dendrogram) -> Dendrogram {
+        assert_eq!(grouped.n, self.first.len(), "one leaf per group");
+        let first = |g: usize| self.first[g] as usize;
+        let mut merges = Vec::with_capacity(self.of.len().saturating_sub(1));
+        for (i, &g) in self.of.iter().enumerate() {
+            if first(g as usize) != i {
+                merges.push(Merge {
+                    a: first(g as usize),
+                    b: i,
+                    similarity: 1.0,
+                });
+            }
+        }
+        merges.extend(grouped.merges.iter().map(|m| Merge {
+            a: first(m.a),
+            b: first(m.b),
+            similarity: m.similarity,
+        }));
+        sort_bottom_up(&mut merges);
+        Dendrogram {
+            n: self.of.len(),
+            merges,
+        }
+    }
 }
 
 /// SLINK: pointer-representation single-linkage in O(N²)/O(N).
@@ -202,7 +315,17 @@ pub(crate) fn slink(n: usize, mut fill_row: impl FnMut(usize, &mut [f64])) -> Ve
 /// Ties go to the smallest cluster id (strict `<` over ascending ids)
 /// except that the chain predecessor wins an equal distance, which is
 /// what makes the chain terminate.
-fn nn_chain(matrix: Cow<'_, CondensedMatrix>, linkage: Linkage) -> Vec<Merge> {
+///
+/// Item `i` starts as a cluster of `size[i]` members. Average linkage
+/// of two equal distances `x` is `(sk·x + sd·x)/(sk + sd) = x` exactly
+/// while the sizes stay below 2²⁹ (`x` is an `f32`, so each product and
+/// their sum are exact in `f64`): a vertex of size m is the cluster m
+/// identical items form at distance 0, to the bit.
+fn nn_chain(
+    matrix: Cow<'_, CondensedMatrix>,
+    mut size: Vec<usize>,
+    linkage: Linkage,
+) -> Vec<Merge> {
     let n = matrix.len();
     // Cell `(i, j)`, `i < j`, lives at `base[i] + j − 1`: the first
     // column of row `i` is `i + 1`.
@@ -220,7 +343,6 @@ fn nn_chain(matrix: Cow<'_, CondensedMatrix>, linkage: Linkage) -> Vec<Merge> {
     };
     let cell = |i: usize, j: usize| base[i.min(j)] + i.max(j) - 1;
     let mut live: Vec<usize> = (0..n).collect();
-    let mut size: Vec<usize> = vec![1; n];
     let mut merges = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
 
@@ -433,7 +555,7 @@ mod tests {
         let m = CondensedMatrix::build(10, |i, j| ((i * 31 + j * 17) % 89) as f64 / 89.0);
         let s = build_dendrogram(&m, Linkage::Single);
         let via_chain = {
-            let mut merges = nn_chain(Cow::Borrowed(&m), Linkage::Single);
+            let mut merges = nn_chain(Cow::Borrowed(&m), vec![1; m.len()], Linkage::Single);
             sort_bottom_up(&mut merges);
             merges
         };
@@ -544,7 +666,7 @@ mod tests {
             for input in [Cow::Borrowed(m), Cow::Owned(m.clone())] {
                 let owned = matches!(input, Cow::Owned(_));
                 assert_eq!(
-                    nn_chain(input, linkage),
+                    nn_chain(input, vec![1; m.len()], linkage),
                     expected,
                     "{what}, {linkage:?}, owned: {owned}"
                 );

@@ -18,13 +18,13 @@
 //! *is* distance 1.0, and reproduces, merge for merge, the dendrogram
 //! the dense [`agglomerative`](crate::linkage::agglomerative) builds
 //! on the zero-filled matrix — without ever allocating that matrix.
-//! [`SparseSimGraph::lift`] expands a graph over groups of identical
-//! items (`mrmc` bands each distinct read once) into the graph over
-//! the items.
+//! [`agglomerative_sparse_grouped`] runs it on a graph over groups of
+//! identical items (`mrmc` bands each distinct read once), each group a
+//! vertex weighted by its members.
 
 use crate::assignment::ClusterAssignment;
 use crate::greedy::greedy_cluster;
-use crate::linkage::{cut_dendrogram, slink, sort_bottom_up, Dendrogram, Linkage, Merge};
+use crate::linkage::{cut_dendrogram, slink, sort_bottom_up, Dendrogram, Groups, Linkage, Merge};
 
 /// An undirected similarity graph over `n` items, CSR layout, missing
 /// edges read as 0.0.
@@ -144,82 +144,6 @@ impl SparseSimGraph {
                 .map(move |(&j, &s)| (i as u32, j, s))
         })
     }
-
-    /// Expand a graph over groups into the graph over their members:
-    /// item `a` belongs to vertex `of[a]`. Two members of one group are
-    /// joined at 1.0, and each stored edge `(u, v, s)` joins every
-    /// member of `u` to every member of `v` at `s`. The result is the
-    /// graph [`SparseSimGraph::from_edges`] builds from that expanded
-    /// list, without materialising or sorting it: each vertex's row,
-    /// its own members included, is sorted once, and each member's row
-    /// is that row without the member. Panics if a vertex in `of` is
-    /// out of bounds or the items exceed the `u32` index space.
-    pub fn lift(&self, of: &[u32]) -> SparseSimGraph {
-        let n = of.len();
-        assert!(u32::try_from(n).is_ok(), "{n} items exceed u32 indices");
-        // Members of each vertex, ascending, in CSR layout.
-        let mut start = vec![0usize; self.n + 1];
-        for &v in of {
-            assert!(
-                (v as usize) < self.n,
-                "vertex {v} out of bounds for {} vertices",
-                self.n
-            );
-            start[v as usize + 1] += 1;
-        }
-        for v in 0..self.n {
-            start[v + 1] += start[v];
-        }
-        let mut members = vec![0u32; n];
-        let mut fill = start.clone();
-        for (a, &v) in of.iter().enumerate() {
-            members[fill[v as usize]] = a as u32;
-            fill[v as usize] += 1;
-        }
-        let members_of = |v: usize| &members[start[v]..start[v + 1]];
-
-        // One sorted row per vertex over the items: its own members at
-        // 1.0, each neighbour's members at the edge's similarity.
-        let mut row_start = Vec::with_capacity(self.n + 1);
-        row_start.push(0usize);
-        let mut rows: Vec<(u32, f32)> = Vec::new();
-        let mut directed = 0usize;
-        for u in 0..self.n {
-            let at = rows.len();
-            rows.extend(members_of(u).iter().map(|&a| (a, 1.0)));
-            for k in self.offsets[u]..self.offsets[u + 1] {
-                let s = self.sims[k];
-                rows.extend(
-                    members_of(self.neighbors[k] as usize)
-                        .iter()
-                        .map(|&b| (b, s)),
-                );
-            }
-            rows[at..].sort_unstable_by_key(|&(b, _)| b);
-            row_start.push(rows.len());
-            directed += members_of(u).len() * (rows.len() - at).saturating_sub(1);
-        }
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0usize);
-        let mut neighbors = Vec::with_capacity(directed);
-        let mut sims = Vec::with_capacity(directed);
-        for (a, &u) in of.iter().enumerate() {
-            for &(b, s) in &rows[row_start[u as usize]..row_start[u as usize + 1]] {
-                if b != a as u32 {
-                    neighbors.push(b);
-                    sims.push(s);
-                }
-            }
-            offsets.push(neighbors.len());
-        }
-        SparseSimGraph {
-            n,
-            offsets,
-            neighbors,
-            sims,
-        }
-    }
 }
 
 /// Algorithm 1 over a sparse graph: identical to the dense run
@@ -264,6 +188,36 @@ pub fn agglomerative_sparse(
     linkage: Linkage,
     theta: f64,
 ) -> (ClusterAssignment, Dendrogram) {
+    let dendro = weighted_dendrogram(graph, vec![1; graph.len()], linkage);
+    let assignment = cut_dendrogram(&dendro, theta);
+    (assignment, dendro)
+}
+
+/// [`agglomerative_sparse`] over groups of identical items, one vertex
+/// of `graph` per group: item `i` belongs to group `of[i]`, numbered in
+/// order of first occurrence, and each vertex starts as a cluster of
+/// its group's members. The dendrogram and θ-cut are over the items,
+/// under the contract of
+/// [`agglomerative_grouped`](crate::linkage::agglomerative_grouped):
+/// they are the run over the graph that joins each group's members at
+/// 1.0 and gives every member its group's edges, up to which pairs the
+/// 1.0 merges (and SLINK's pointers) name. Panics unless `of` numbers
+/// exactly `graph.len()` groups by first occurrence.
+pub fn agglomerative_sparse_grouped(
+    graph: &SparseSimGraph,
+    of: &[u32],
+    linkage: Linkage,
+    theta: f64,
+) -> (ClusterAssignment, Dendrogram) {
+    let groups = Groups::new(of, graph.len());
+    let dendro = groups.expand(weighted_dendrogram(graph, groups.sizes(), linkage));
+    let assignment = cut_dendrogram(&dendro, theta);
+    (assignment, dendro)
+}
+
+/// The dendrogram of vertices that start as clusters of `size[i]`
+/// members each: only average linkage reads the sizes.
+fn weighted_dendrogram(graph: &SparseSimGraph, size: Vec<usize>, linkage: Linkage) -> Dendrogram {
     let n = graph.len();
     let mut merges = match linkage {
         Linkage::Single => slink(n, |i, m| {
@@ -272,12 +226,10 @@ pub fn agglomerative_sparse(
                 m[j] = 1.0 - s;
             }
         }),
-        Linkage::Complete | Linkage::Average => nn_chain_sparse(graph, linkage),
+        Linkage::Complete | Linkage::Average => nn_chain_sparse(graph, size, linkage),
     };
     sort_bottom_up(&mut merges);
-    let dendro = Dendrogram { n, merges };
-    let assignment = cut_dendrogram(&dendro, theta);
-    (assignment, dendro)
+    Dendrogram { n, merges }
 }
 
 /// One live cluster's stored distances `(neighbour, d)`, ascending by
@@ -339,7 +291,10 @@ fn relink(row: &mut Row, keep: u32, drop: u32, d: f32) {
 /// * a merge drops the larger index, so cluster 0 never dies: it is
 ///   every chain restart and that smallest live index for everyone but
 ///   itself, for which a monotone cursor tracks the next one.
-fn nn_chain_sparse(graph: &SparseSimGraph, linkage: Linkage) -> Vec<Merge> {
+///
+/// Vertex `i` starts as a cluster of `size[i]` members, as in the
+/// dense chain; a merged-away cluster's size drops to 0.
+fn nn_chain_sparse(graph: &SparseSimGraph, mut size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
     let n = graph.len();
     let mut rows: Vec<Row> = (0..n)
         .map(|i| {
@@ -353,8 +308,6 @@ fn nn_chain_sparse(graph: &SparseSimGraph, linkage: Linkage) -> Vec<Merge> {
             row
         })
         .collect();
-    // Members per cluster; 0 once merged away.
-    let mut size: Vec<usize> = vec![1; n];
     // Smallest live index ≥ 1.
     let mut next_live = 1usize;
     let mut merges = Vec::with_capacity(n.saturating_sub(1));
@@ -476,65 +429,6 @@ mod tests {
         assert_eq!(edges, vec![(0, 1, 0.9), (1, 2, 0.8), (2, 3, 0.3)]);
         let rebuilt = SparseSimGraph::from_edges(4, edges);
         assert_eq!(rebuilt, g);
-    }
-
-    #[test]
-    fn lift_by_identity_is_the_same_graph() {
-        let g = diamond();
-        assert_eq!(g.lift(&[0, 1, 2, 3]), g);
-    }
-
-    #[test]
-    fn lift_of_one_group_is_the_complete_graph_at_one() {
-        let g = SparseSimGraph::from_edges(1, vec![]);
-        let lifted = g.lift(&[0; 4]);
-        assert_eq!(lifted.len(), 4);
-        assert_eq!(lifted.num_edges(), 6);
-        assert!(lifted.edges().all(|(_, _, s)| s == 1.0));
-    }
-
-    #[test]
-    fn lift_of_an_edgeless_graph_is_isolated_items() {
-        let g = SparseSimGraph::from_edges(3, vec![]);
-        let lifted = g.lift(&[2, 0, 1]);
-        assert_eq!(lifted.len(), 3);
-        assert_eq!(lifted.num_edges(), 0);
-        assert_eq!(g.lift(&[]).len(), 0);
-        assert!(SparseSimGraph::from_edges(0, vec![]).lift(&[]).is_empty());
-    }
-
-    #[test]
-    fn lift_equals_from_edges_over_the_expanded_list() {
-        // Items 0..7 of the diamond's vertices: 0 → {0, 4}, 1 → {5},
-        // 2 → {1, 3, 6}, 3 → {2}.
-        let of = [0, 2, 3, 2, 0, 1, 2];
-        let expanded = vec![
-            (0, 4, 1.0),
-            (1, 3, 1.0),
-            (1, 6, 1.0),
-            (3, 6, 1.0),
-            (0, 5, 0.9),
-            (4, 5, 0.9),
-            (5, 1, 0.8),
-            (5, 3, 0.8),
-            (5, 6, 0.8),
-            (1, 2, 0.3),
-            (3, 2, 0.3),
-            (6, 2, 0.3),
-        ];
-        let want = SparseSimGraph::from_edges(of.len(), expanded);
-        let lifted = diamond().lift(&of);
-        assert_eq!(lifted, want);
-        assert_eq!(
-            lifted.edges().collect::<Vec<_>>(),
-            want.edges().collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn lift_rejects_an_unknown_vertex() {
-        diamond().lift(&[0, 4]);
     }
 
     #[test]

@@ -2,7 +2,9 @@
 
 use std::time::{Duration, Instant};
 
-use mrmc_cluster::{agglomerative, agglomerative_sparse, ClusterAssignment, Dendrogram};
+use mrmc_cluster::{
+    agglomerative_grouped, agglomerative_sparse_grouped, ClusterAssignment, Dendrogram,
+};
 use mrmc_mapreduce::chaos::RecoveryCounters;
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
@@ -18,7 +20,15 @@ use crate::stages::{dereplicate, similarity_matrix_stage, sketch_distinct_stage}
 pub struct MrMcResult {
     /// Cluster labels, compacted to `0..num_clusters`.
     pub assignment: ClusterAssignment,
-    /// The dendrogram (hierarchical mode only).
+    /// The dendrogram over the reads (hierarchical mode only). The run
+    /// clusters each distinct sequence once, so the dendrogram opens
+    /// with a block of merges at similarity 1.0, one per copy of a
+    /// sequence: `(first occurrence, copy)`, in read order. The merges
+    /// after that block are the distinct sequences' merges, each naming
+    /// two first occurrences. Heights, every cut, and for average and
+    /// complete linkage the merges below 1.0 are those of the same
+    /// route over every read; which pairs the 1.0 merges name, and
+    /// which pairs single linkage's pointers name, can differ from it.
     pub dendrogram: Option<Dendrogram>,
     /// Map-Reduce stage reports (feeds the simulated-cluster model).
     pub pipeline: Pipeline,
@@ -110,11 +120,13 @@ impl MrMcMinH {
     /// with one serial pass through a [`RepresentativeIndex`], whatever
     /// `candidates` says, and a copy takes its first occurrence's
     /// label. A hierarchical run follows with the dense all-pairs
-    /// matrix stage over one sketch per read, or with the three banded
-    /// θ-graph stages over the distinct sketches, whose graph
-    /// [`SparseSimGraph::lift`](mrmc_cluster::SparseSimGraph::lift)
-    /// expands back to reads. Each lift is exact (DESIGN.md §5d): labels
-    /// and dendrogram are those of the same route over every read.
+    /// matrix stage or the three banded θ-graph stages over the
+    /// distinct sketches, and links the distinct sequences, each a
+    /// vertex that starts as a cluster of its copies
+    /// ([`agglomerative_grouped`], [`agglomerative_sparse_grouped`]).
+    /// The dendrogram over the reads is rebuilt from theirs in O(n).
+    /// Both are exact (DESIGN.md §5d): labels, heights and every cut are
+    /// those of the same route over every read.
     /// Attach a tracer ([`Pipeline::traced`]) to record a structured
     /// trace of every stage, and/or a fault injector
     /// ([`Pipeline::with_faults`]) to disrupt the substrate. Both are
@@ -147,14 +159,18 @@ impl MrMcMinH {
             }
             (Mode::Hierarchical, CandidateGen::Dense) => {
                 // Algorithm 2 — all-pairs matrix via row partitioning,
-                // then agglomerative clustering with θ cutoff. Stage 2
-                // stays per read: lifting a distinct matrix would hold
-                // two matrices at once. The linkage takes the matrix
+                // then agglomerative clustering with θ cutoff, over the
+                // distinct sequences. A copy's row would be its first
+                // occurrence's, at 1.0 to it, so a group is one vertex
+                // of its copies' weight. The linkage takes the matrix
                 // and turns it into distances in place.
-                let sketches = derep.lift(distinct);
-                let matrix = similarity_matrix_stage(sketches, &self.config, &mut pipeline)?;
-                let (assignment, dendro) =
-                    agglomerative(matrix, self.config.linkage, self.config.theta);
+                let matrix = similarity_matrix_stage(distinct, &self.config, &mut pipeline)?;
+                let (assignment, dendro) = agglomerative_grouped(
+                    matrix,
+                    derep.groups(),
+                    self.config.linkage,
+                    self.config.theta,
+                );
                 (assignment.compact(), Some(dendro))
             }
             (Mode::Hierarchical, CandidateGen::Banded) => {
@@ -162,12 +178,15 @@ impl MrMcMinH {
                 // as similarity 0): the θ-cut matches dense on corpora
                 // whose clusters are θ-separated; sub-θ merges follow
                 // single-linkage-at-θ semantics. Copies share every
-                // band and score 1.0, so the lifted graph is the one
-                // the same stages build over every read.
-                let graph = banded_graph_stage(&distinct, &self.config, &mut pipeline)?
-                    .lift(derep.groups());
-                let (assignment, dendro) =
-                    agglomerative_sparse(&graph, self.config.linkage, self.config.theta);
+                // band and score 1.0, so each group is one weighted
+                // vertex of the distinct graph, as in the dense arm.
+                let graph = banded_graph_stage(&distinct, &self.config, &mut pipeline)?;
+                let (assignment, dendro) = agglomerative_sparse_grouped(
+                    &graph,
+                    derep.groups(),
+                    self.config.linkage,
+                    self.config.theta,
+                );
                 (assignment.compact(), Some(dendro))
             }
         };

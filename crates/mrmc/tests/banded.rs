@@ -3,9 +3,12 @@
 //! oracle, dedup completeness, and fault recovery through the banding
 //! reducers.
 
+mod common;
+
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use common::same_hierarchy;
 use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
 use mrmc::stages::sketch_stage;
 use mrmc::{MrMcConfig, MrMcMinH};
@@ -100,8 +103,9 @@ fn builder_order_is_irrelevant() {
 }
 
 /// Banded + hierarchical clusters the θ-graph without densifying it,
-/// and still returns the dendrogram of the zero-filled dense run:
-/// every merge, height and their order, so any sub-θ cut agrees too.
+/// and still returns the hierarchy of the zero-filled dense run over
+/// every read: its heights, its cut at every height and at a sub-θ
+/// level, and (average and complete linkage) its merges below 1.0.
 #[test]
 fn banded_dendrogram_equals_zero_filled_dense_oracle() {
     let reads = corpus(280.0, 9);
@@ -117,7 +121,8 @@ fn banded_dendrogram_equals_zero_filled_dense_oracle() {
         let (assignment, dendrogram) = agglomerative(&zero_filled, linkage, cfg.theta);
 
         let banded = MrMcMinH::new(cfg).run(&reads).expect("banded run");
-        assert_eq!(banded.dendrogram.as_ref(), Some(&dendrogram), "{linkage:?}");
+        let run = banded.dendrogram.as_ref().expect("hierarchical run");
+        same_hierarchy(run, &dendrogram, linkage, &format!("{linkage:?}"));
         assert_eq!(banded.assignment, assignment.compact(), "{linkage:?}");
         let below = cfg.theta / 2.0;
         assert_eq!(

@@ -1,0 +1,164 @@
+//! Scale probe of banded hierarchical clustering
+//! (`MrMcConfig::sixteen_s().banded().hierarchical()`, seed 42): the
+//! Huse 3 % benchmark at 8k, 32k, 128k and its full 345k reads, and the
+//! FS396 environmental sample at its full 73 657 reads. One row per
+//! run: reads, distinct sequences, wall time of `MrMcMinH::run`, the
+//! process's `VmHWM` over the run (input generation included) and the
+//! cluster count.
+//!
+//! ```sh
+//! cargo run --release --example scale_probe                        # every run
+//! cargo run --release --example scale_probe -- --max-reads 128000  # skip 345k
+//! ```
+//!
+//! Exits non-zero when a cluster count differs from its pin, or when a
+//! run of at most 128k reads peaks above 150 MB. Wall time is only
+//! reported.
+
+use std::process::ExitCode;
+use std::time::Instant;
+
+use mrmc::stages::dereplicate;
+use mrmc::{MrMcConfig, MrMcMinH};
+use mrmc_minh_suite::seqio::SeqRecord;
+use mrmc_minh_suite::simulate::{environmental_samples, huse_16s};
+
+const SEED: u64 = 42;
+const HUSE_READS: usize = 345_000;
+/// `VmHWM` budget of every run of at most `BUDGETED_READS` reads.
+const RSS_BUDGET_MB: f64 = 150.0;
+const BUDGETED_READS: usize = 128_000;
+
+/// One run: the input, its read count and its pinned cluster count.
+struct Probe {
+    name: &'static str,
+    source: Source,
+    reads: usize,
+    clusters: usize,
+}
+
+enum Source {
+    /// `huse_16s` at 3 % error, scaled to `Probe::reads`.
+    Huse,
+    /// The FS396 environmental sample at full size.
+    Fs396,
+}
+
+const PROBES: [Probe; 5] = [
+    Probe {
+        name: "huse-8k",
+        source: Source::Huse,
+        reads: 8_000,
+        clusters: 3_686,
+    },
+    Probe {
+        name: "huse-32k",
+        source: Source::Huse,
+        reads: 32_000,
+        clusters: 13_299,
+    },
+    Probe {
+        name: "FS396",
+        source: Source::Fs396,
+        reads: 73_657,
+        clusters: 8_777,
+    },
+    Probe {
+        name: "huse-128k",
+        source: Source::Huse,
+        reads: 128_000,
+        clusters: 41_390,
+    },
+    Probe {
+        name: "huse-345k",
+        source: Source::Huse,
+        reads: HUSE_READS,
+        clusters: 86_926,
+    },
+];
+
+fn input(probe: &Probe) -> Vec<SeqRecord> {
+    match probe.source {
+        Source::Huse => huse_16s(0.03, probe.reads as f64 / HUSE_READS as f64, SEED).reads,
+        Source::Fs396 => {
+            environmental_samples()
+                .into_iter()
+                .find(|s| s.sid == "FS396")
+                .expect("the registry lists FS396")
+                .generate(1.0, SEED)
+                .reads
+        }
+    }
+}
+
+/// `VmHWM` of this process in MB.
+fn vm_hwm_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    let kb = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .expect("VmHWM in /proc/self/status");
+    kb / 1024.0
+}
+
+fn main() -> ExitCode {
+    let mut args = std::env::args().skip(1);
+    let mut max_reads = usize::MAX;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--max-reads" => {
+                max_reads = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .expect("--max-reads takes a read count");
+            }
+            other => panic!("unknown argument {other:?}; usage: scale_probe [--max-reads N]"),
+        }
+    }
+
+    let runner = MrMcMinH::new(MrMcConfig::sixteen_s().banded().hierarchical());
+    let mut failed = false;
+    println!(
+        "{:<10} {:>8} {:>9} {:>8} {:>10} {:>9}",
+        "input", "reads", "distinct", "wall_s", "vmhwm_mb", "clusters"
+    );
+    for probe in PROBES.iter().filter(|p| p.reads <= max_reads) {
+        // "5" restarts VmHWM from the current resident set, so each
+        // row is the peak of its own run.
+        let _ = std::fs::write("/proc/self/clear_refs", "5");
+        let reads = input(probe);
+        assert_eq!(reads.len(), probe.reads, "{}", probe.name);
+        let distinct = dereplicate(&reads).expect("ids fit").num_distinct();
+        let start = Instant::now();
+        let run = runner.run(&reads).expect("banded hierarchical run");
+        let wall = start.elapsed().as_secs_f64();
+        let hwm = vm_hwm_mb();
+        let clusters = run.num_clusters();
+        println!(
+            "{:<10} {:>8} {:>9} {:>8.3} {:>10.1} {:>9}",
+            probe.name,
+            reads.len(),
+            distinct,
+            wall,
+            hwm,
+            clusters
+        );
+        if clusters != probe.clusters {
+            eprintln!(
+                "{}: {clusters} clusters, pinned {}",
+                probe.name, probe.clusters
+            );
+            failed = true;
+        }
+        if probe.reads <= BUDGETED_READS && hwm > RSS_BUDGET_MB {
+            eprintln!("{}: VmHWM {hwm:.1} MB over {RSS_BUDGET_MB} MB", probe.name);
+            failed = true;
+        }
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
