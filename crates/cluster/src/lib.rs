@@ -6,7 +6,9 @@
 //!   pick an unassigned seed, sweep every remaining item into its
 //!   cluster when similarity ≥ θ, repeat;
 //! * [`matrix`] — condensed (upper-triangle) all-pairs similarity
-//!   matrices, built in parallel by row partitioning (paper Fig. 1);
+//!   matrices, built in parallel by row partitioning (paper Fig. 1),
+//!   and the store of Stage 2's agreement counts the native dense
+//!   route links instead ([`PairCounts`]);
 //! * [`linkage`] — dendrogram construction: SLINK for single linkage
 //!   (O(N²) time, O(N) memory) and the nearest-neighbour chain
 //!   algorithm with Lance–Williams updates for complete and average
@@ -33,9 +35,10 @@ pub mod sparse;
 pub use assignment::ClusterAssignment;
 pub use greedy::greedy_cluster;
 pub use linkage::{
-    agglomerative, agglomerative_grouped, cut_dendrogram, cut_levels, Dendrogram, Linkage, Merge,
+    agglomerative, agglomerative_grouped, cut_dendrogram, cut_levels, Dendrogram, DenseInput,
+    Linkage, Merge,
 };
-pub use matrix::CondensedMatrix;
+pub use matrix::{CondensedMatrix, CountStrips, PairCounts};
 pub use sparse::{
     agglomerative_sparse, agglomerative_sparse_grouped, greedy_cluster_sparse, SparseSimGraph,
 };

@@ -12,10 +12,8 @@
 //! agglomeration would (NN-chain requires reducible linkages, which
 //! all three are).
 
-use std::borrow::Cow;
-
 use crate::assignment::ClusterAssignment;
-use crate::matrix::CondensedMatrix;
+use crate::matrix::{CondensedMatrix, CountStrips, PairCounts, Triangles};
 
 /// Linkage policy (the Pig parameter `$LINK`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -70,43 +68,129 @@ impl Dendrogram {
     }
 }
 
-/// Build the dendrogram for a *similarity* matrix under a linkage.
-/// Pass the matrix by value to let complete and average linkage reuse
-/// its buffer for their distances; `&matrix` keeps it and costs one
-/// distance copy.
-pub fn build_dendrogram<'a>(
-    matrix: impl Into<Cow<'a, CondensedMatrix>>,
-    linkage: Linkage,
-) -> Dendrogram {
-    let matrix = matrix.into();
-    let n = matrix.len();
-    weighted_dendrogram(matrix, vec![1; n], linkage)
+/// An all-pairs input of the dense linkage: a [`CondensedMatrix`] of
+/// similarities or Stage 2's [`PairCounts`], owned or borrowed.
+pub trait DenseInput {
+    /// Number of items.
+    fn len(&self) -> usize;
+
+    /// True for the input of no items.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The merges of `linkage` over the items, item `i` starting as a
+    /// cluster of `size[i]` members, in production order. Panics unless
+    /// `size` has one entry per item.
+    fn merges(&self, size: Vec<usize>, linkage: Linkage) -> Vec<Merge>;
+}
+
+impl<T: DenseInput + ?Sized> DenseInput for &T {
+    fn len(&self) -> usize {
+        (**self).len()
+    }
+
+    fn merges(&self, size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
+        (**self).merges(size, linkage)
+    }
+}
+
+/// Read as similarities and turned into distances cell by cell. The
+/// matrix's own rows are the upper rows; the lower ones are a
+/// transposed copy beside them.
+impl DenseInput for CondensedMatrix {
+    fn len(&self) -> usize {
+        CondensedMatrix::len(self)
+    }
+
+    fn merges(&self, size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
+        let upper = (0..self.len()).map(|a| self.row(a)).collect();
+        link(
+            &Triangles::new(upper),
+            |s| s,
+            |s| (1.0 - f64::from(s)) as f32,
+            size,
+            linkage,
+        )
+    }
+}
+
+/// A count's similarity and distance come from `width + 1`-entry
+/// tables: `c / width` rounded to `f32`, then `1 − s` rounded to `f32`
+/// — the two roundings a similarity matrix and its distances take.
+impl DenseInput for PairCounts {
+    fn len(&self) -> usize {
+        PairCounts::len(self)
+    }
+
+    fn merges(&self, size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
+        fn over<L: Copy + Default + Into<usize>>(
+            strips: &[Vec<L>],
+            similarity: &[f32],
+            size: Vec<usize>,
+            linkage: Linkage,
+        ) -> Vec<Merge> {
+            let distance: Vec<f32> = similarity
+                .iter()
+                .map(|&s| (1.0 - f64::from(s)) as f32)
+                .collect();
+            let upper = strips.iter().map(Vec::as_slice).collect();
+            link(
+                &Triangles::new(upper),
+                |c: L| similarity[c.into()],
+                |c: L| distance[c.into()],
+                size,
+                linkage,
+            )
+        }
+        let similarity = self.similarities();
+        match self.strips() {
+            CountStrips::Narrow(s) => over(s, &similarity, size, linkage),
+            CountStrips::Wide(s) => over(s, &similarity, size, linkage),
+        }
+    }
+}
+
+/// Build the dendrogram of a dense input under a linkage.
+pub fn build_dendrogram(input: impl DenseInput, linkage: Linkage) -> Dendrogram {
+    let n = input.len();
+    weighted_dendrogram(&input, vec![1; n], linkage)
 }
 
 /// The dendrogram of items that start as clusters of `size[i]`
 /// members each: only average linkage reads the sizes.
-fn weighted_dendrogram(
-    matrix: Cow<'_, CondensedMatrix>,
+fn weighted_dendrogram(input: &impl DenseInput, size: Vec<usize>, linkage: Linkage) -> Dendrogram {
+    let mut merges = input.merges(size, linkage);
+    sort_bottom_up(&mut merges);
+    Dendrogram {
+        n: input.len(),
+        merges,
+    }
+}
+
+/// The merges of `linkage` over `cells`, whose cell `x` is the
+/// similarity `similarity(x)` and the distance `distance(x)`: SLINK
+/// reads each lower row as `1 − similarity` in `f64`, the NN-chain
+/// reads `f32` distances.
+fn link<T: Copy>(
+    cells: &Triangles<'_, T>,
+    similarity: impl Fn(T) -> f32,
+    distance: impl Fn(T) -> f32,
     size: Vec<usize>,
     linkage: Linkage,
-) -> Dendrogram {
-    let n = matrix.len();
-    if n <= 1 {
-        return Dendrogram {
-            n,
-            merges: Vec::new(),
-        };
+) -> Vec<Merge> {
+    assert_eq!(size.len(), cells.len(), "one size per item");
+    if cells.len() <= 1 {
+        return Vec::new();
     }
-    let mut merges = match linkage {
-        Linkage::Single => slink(n, |i, m| {
-            for (j, slot) in m.iter_mut().enumerate() {
-                *slot = 1.0 - matrix.get(i, j);
+    match linkage {
+        Linkage::Single => slink(cells.len(), |i, m| {
+            for (slot, &x) in m.iter_mut().zip(cells.lower(i)) {
+                *slot = 1.0 - f64::from(similarity(x));
             }
         }),
-        Linkage::Complete | Linkage::Average => nn_chain(matrix, size, linkage),
-    };
-    sort_bottom_up(&mut merges);
-    Dendrogram { n, merges }
+        Linkage::Complete | Linkage::Average => nn_chain(cells, distance, size, linkage),
+    }
 }
 
 /// Bottom-up order: most similar first, ties in production order
@@ -143,19 +227,18 @@ pub fn cut_levels(dendrogram: &Dendrogram, thetas: &[f64]) -> Vec<ClusterAssignm
         .collect()
 }
 
-/// Algorithm 2 in one call: build + cut. The matrix goes in owned or
-/// borrowed, as in [`build_dendrogram`].
-pub fn agglomerative<'a>(
-    matrix: impl Into<Cow<'a, CondensedMatrix>>,
+/// Algorithm 2 in one call: build + cut.
+pub fn agglomerative(
+    input: impl DenseInput,
     linkage: Linkage,
     theta: f64,
 ) -> (ClusterAssignment, Dendrogram) {
-    let dendro = build_dendrogram(matrix, linkage);
+    let dendro = build_dendrogram(input, linkage);
     let assignment = cut_dendrogram(&dendro, theta);
     (assignment, dendro)
 }
 
-/// Algorithm 2 over groups of identical items, one row of `matrix` per
+/// Algorithm 2 over groups of identical items, one row of `input` per
 /// group: item `i` belongs to group `of[i]`, and groups are numbered in
 /// order of first occurrence. Each group is clustered once, as a
 /// vertex that starts with its member count. The dendrogram and θ-cut
@@ -172,16 +255,15 @@ pub fn agglomerative<'a>(
 /// at 1.0 to have equal rows, as sketch similarities do (1.0 means
 /// equal sketches): the 1.0 merges then leave every distance as it
 /// was, whichever order they run in. Panics unless `of` numbers
-/// exactly `matrix.len()` groups by first occurrence.
-pub fn agglomerative_grouped<'a>(
-    matrix: impl Into<Cow<'a, CondensedMatrix>>,
+/// exactly `input.len()` groups by first occurrence.
+pub fn agglomerative_grouped(
+    input: impl DenseInput,
     of: &[u32],
     linkage: Linkage,
     theta: f64,
 ) -> (ClusterAssignment, Dendrogram) {
-    let matrix = matrix.into();
-    let groups = Groups::new(of, matrix.len());
-    let dendro = groups.expand(weighted_dendrogram(matrix, groups.sizes(), linkage));
+    let groups = Groups::new(of, input.len());
+    let dendro = groups.expand(weighted_dendrogram(&input, groups.sizes(), linkage));
     let assignment = cut_dendrogram(&dendro, theta);
     (assignment, dendro)
 }
@@ -301,47 +383,53 @@ pub(crate) fn slink(n: usize, mut fill_row: impl FnMut(usize, &mut [f64])) -> Ve
         .collect()
 }
 
-/// Nearest-neighbour chain with Lance–Williams updates, on a mutable
-/// flat *distance* buffer in the condensed layout: O(N²) time. An owned
-/// matrix becomes that buffer in place, so the extra space is O(N); a
-/// borrowed one is collected into a distance copy in one pass. A
-/// θ-graph goes through [`crate::sparse::agglomerative_sparse`], which
-/// emulates this function merge for merge on adjacency lists.
+/// Nearest-neighbour chain with Lance–Williams updates: O(N²) time.
+/// A θ-graph goes through [`crate::sparse::agglomerative_sparse`],
+/// which emulates this function merge for merge on adjacency lists.
 ///
-/// Only live clusters are visited: their ids are kept as an ascending
-/// list, so a scan of cluster `a`'s neighbours is a walk down column
-/// `a` (rows `c < a`) followed by a walk along row `a` (`c > a`), and
-/// every cell is reached from its row's offset, computed once per row.
-/// Ties go to the smallest cluster id (strict `<` over ascending ids)
-/// except that the chain predecessor wins an equal distance, which is
-/// what makes the chain terminate.
+/// A singleton cluster reads its distances off its two rows of
+/// `cells`, which nothing writes. A merged cluster owns one `f32` row
+/// of length n, indexed by cluster id and taken from a pool of rows
+/// that merged clusters gave back; it holds the distance to every
+/// cluster live beside it. A merge writes the new row of `keep`
+/// contiguously, sets the cell of `keep` in every other merged live
+/// row, and gives `drop`'s row back, so the distance between a
+/// singleton `a` and a merged `c` is `rows[c][a]` and every scan reads
+/// rows, never columns.
+///
+/// Only live clusters are visited, in ascending id order. Ties go to
+/// the smallest cluster id (strict `<`) except that the chain
+/// predecessor wins an equal distance, which is what makes the chain
+/// terminate.
 ///
 /// Item `i` starts as a cluster of `size[i]` members. Average linkage
 /// of two equal distances `x` is `(sk·x + sd·x)/(sk + sd) = x` exactly
 /// while the sizes stay below 2²⁹ (`x` is an `f32`, so each product and
 /// their sum are exact in `f64`): a vertex of size m is the cluster m
 /// identical items form at distance 0, to the bit.
-fn nn_chain(
-    matrix: Cow<'_, CondensedMatrix>,
+fn nn_chain<T: Copy>(
+    cells: &Triangles<'_, T>,
+    distance: impl Fn(T) -> f32,
     mut size: Vec<usize>,
     linkage: Linkage,
 ) -> Vec<Merge> {
-    let n = matrix.len();
-    // Cell `(i, j)`, `i < j`, lives at `base[i] + j − 1`: the first
-    // column of row `i` is `i + 1`.
-    let base: Vec<usize> = (0..n).map(|i| matrix.row_start(i) - i).collect();
-    let distance = |s: f32| (1.0 - f64::from(s)) as f32;
-    let mut dist: Vec<f32> = match matrix {
-        Cow::Owned(matrix) => {
-            let mut dist = matrix.into_condensed();
-            for d in &mut dist {
-                *d = distance(*d);
-            }
-            dist
-        }
-        Cow::Borrowed(matrix) => matrix.as_slice().iter().map(|&s| distance(s)).collect(),
+    let n = cells.len();
+    let mut merged = MergedRows {
+        slot: vec![SINGLETON; n],
+        rows: Vec::new(),
+        free: Vec::new(),
     };
-    let cell = |i: usize, j: usize| base[i.min(j)] + i.max(j) - 1;
+    // Distance from singleton `a` to live `c`: off `c`'s row once `c`
+    // has merged, else off one of `a`'s two rows.
+    let singleton = |merged: &MergedRows, a: usize, rows_of_a: (&[T], &[T]), c: usize| {
+        let (lower, upper) = rows_of_a;
+        match merged.row(c) {
+            Some(row) => row[a],
+            None if c < a => distance(lower[c]),
+            None => distance(upper[c - a - 1]),
+        }
+    };
+    let own = |a: usize| (cells.lower(a), cells.upper(a));
     let mut live: Vec<usize> = (0..n).collect();
     let mut merges = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
@@ -356,26 +444,50 @@ fn nn_chain(
             // Nearest live neighbour of a (smallest id on ties).
             let mut best = usize::MAX;
             let mut best_d = f32::INFINITY;
-            for &c in &live[..at] {
-                let d = dist[base[c] + a - 1];
-                if d < best_d {
-                    best_d = d;
-                    best = c;
+            if let Some(row) = merged.row(a) {
+                for &c in &live[..at] {
+                    if row[c] < best_d {
+                        best_d = row[c];
+                        best = c;
+                    }
                 }
-            }
-            let row = base[a];
-            for &c in &live[at + 1..] {
-                let d = dist[row + c - 1];
-                if d < best_d {
-                    best_d = d;
-                    best = c;
+                for &c in &live[at + 1..] {
+                    if row[c] < best_d {
+                        best_d = row[c];
+                        best = c;
+                    }
+                }
+            } else {
+                let (lower, upper) = own(a);
+                for &c in &live[..at] {
+                    let d = match merged.row(c) {
+                        Some(row) => row[a],
+                        None => distance(lower[c]),
+                    };
+                    if d < best_d {
+                        best_d = d;
+                        best = c;
+                    }
+                }
+                for &c in &live[at + 1..] {
+                    let d = match merged.row(c) {
+                        Some(row) => row[a],
+                        None => distance(upper[c - a - 1]),
+                    };
+                    if d < best_d {
+                        best_d = d;
+                        best = c;
+                    }
                 }
             }
             // Reciprocal pair check: prefer the chain predecessor on
             // equal distance (guarantees termination).
             if chain.len() >= 2 {
                 let prev = chain[chain.len() - 2];
-                let d_ab = dist[cell(a, prev)];
+                let d_ab = match merged.row(a) {
+                    Some(row) => row[prev],
+                    None => singleton(&merged, a, own(a), prev),
+                };
                 if best == prev || d_ab <= best_d {
                     // Merge a and prev.
                     chain.pop();
@@ -388,10 +500,8 @@ fn nn_chain(
                     });
                     live.remove(live.binary_search(&drop).expect("drop is live"));
                     // Lance–Williams update of keep = a ∪ prev against
-                    // every other live cluster c: the pair (c, keep)
-                    // and the pair (c, drop) sit in row c while
-                    // c < keep, in rows keep and c while c < drop, in
-                    // rows keep and drop after that.
+                    // every other live cluster c, into keep's row (in
+                    // place once keep has one) and into c's row.
                     let (sk, sd) = (size[keep] as f64, size[drop] as f64);
                     let update = |dk: f32, dd: f32| -> f32 {
                         let (dk, dd) = (f64::from(dk), f64::from(dd));
@@ -402,20 +512,35 @@ fn nn_chain(
                         };
                         updated as f32
                     };
-                    let kept = live.binary_search(&keep).expect("keep is live");
-                    let below = live.partition_point(|&c| c < drop);
-                    let (keep_row, drop_row) = (base[keep], base[drop]);
-                    for &c in &live[..kept] {
-                        let ck = base[c] + keep - 1;
-                        dist[ck] = update(dist[ck], dist[base[c] + drop - 1]);
+                    let keep_merged = merged.slot[keep] != SINGLETON;
+                    let keep_slot = merged.claim(keep, n);
+                    let drop_slot = merged.release(drop);
+                    // Out of the table while the loop reads the others.
+                    let mut new = std::mem::take(&mut merged.rows[keep_slot]);
+                    let drop_row = drop_slot.map(|s| std::mem::take(&mut merged.rows[s]));
+                    let (keep_cells, drop_cells) = (own(keep), own(drop));
+                    for &c in &live {
+                        if c == keep {
+                            continue;
+                        }
+                        let dk = if keep_merged {
+                            new[c]
+                        } else {
+                            singleton(&merged, keep, keep_cells, c)
+                        };
+                        let dd = match &drop_row {
+                            Some(row) => row[c],
+                            None => singleton(&merged, drop, drop_cells, c),
+                        };
+                        let d = update(dk, dd);
+                        new[c] = d;
+                        if let Some(row) = merged.row_mut(c) {
+                            row[keep] = d;
+                        }
                     }
-                    for &c in &live[kept + 1..below] {
-                        let ck = keep_row + c - 1;
-                        dist[ck] = update(dist[ck], dist[base[c] + drop - 1]);
-                    }
-                    for &c in &live[below..] {
-                        let ck = keep_row + c - 1;
-                        dist[ck] = update(dist[ck], dist[drop_row + c - 1]);
+                    merged.rows[keep_slot] = new;
+                    if let (Some(s), Some(row)) = (drop_slot, drop_row) {
+                        merged.rows[s] = row;
                     }
                     size[keep] += size[drop];
                     break;
@@ -425,6 +550,63 @@ fn nn_chain(
         }
     }
     merges
+}
+
+/// [`MergedRows::slot`] of a cluster that owns no row.
+const SINGLETON: u32 = u32::MAX;
+
+/// The `f32` distance rows of the NN-chain's merged clusters, indexed
+/// by cluster id, and the rows no cluster owns any more, kept for the
+/// next merge.
+struct MergedRows {
+    /// Row of each cluster in `rows`, or [`SINGLETON`].
+    slot: Vec<u32>,
+    rows: Vec<Vec<f32>>,
+    /// Rows no cluster owns; their cells are stale.
+    free: Vec<usize>,
+}
+
+impl MergedRows {
+    /// Cluster `c`'s row, if it owns one.
+    #[inline]
+    fn row(&self, c: usize) -> Option<&[f32]> {
+        match self.slot[c] {
+            SINGLETON => None,
+            s => Some(&self.rows[s as usize]),
+        }
+    }
+
+    #[inline]
+    fn row_mut(&mut self, c: usize) -> Option<&mut [f32]> {
+        match self.slot[c] {
+            SINGLETON => None,
+            s => Some(&mut self.rows[s as usize]),
+        }
+    }
+
+    /// The index of cluster `c`'s row, after giving it a free row — or
+    /// a new one of length `n` — if it owns none.
+    fn claim(&mut self, c: usize, n: usize) -> usize {
+        if self.slot[c] == SINGLETON {
+            let s = self.free.pop().unwrap_or_else(|| {
+                self.rows.push(vec![0.0; n]);
+                self.rows.len() - 1
+            });
+            self.slot[c] = u32::try_from(s).expect("fewer rows than clusters");
+        }
+        self.slot[c] as usize
+    }
+
+    /// Free cluster `c`'s row, returning its index if it owned one.
+    fn release(&mut self, c: usize) -> Option<usize> {
+        match std::mem::replace(&mut self.slot[c], SINGLETON) {
+            SINGLETON => None,
+            s => {
+                self.free.push(s as usize);
+                Some(s as usize)
+            }
+        }
+    }
 }
 
 /// Path-compressed, union-by-size union-find.
@@ -555,7 +737,7 @@ mod tests {
         let m = CondensedMatrix::build(10, |i, j| ((i * 31 + j * 17) % 89) as f64 / 89.0);
         let s = build_dendrogram(&m, Linkage::Single);
         let via_chain = {
-            let mut merges = nn_chain(Cow::Borrowed(&m), vec![1; m.len()], Linkage::Single);
+            let mut merges = chain_merges(&m, vec![1; m.len()], Linkage::Single);
             sort_bottom_up(&mut merges);
             merges
         };
@@ -579,16 +761,28 @@ mod tests {
         }
     }
 
-    /// The NN-chain this module ran before the flat-buffer one, kept
-    /// verbatim as the oracle: every distance through `get`/`set`, every
-    /// scan over `0..n` skipping dead clusters.
+    /// The NN-chain over a similarity matrix whatever the linkage, as
+    /// [`DenseInput::merges`] runs it for complete and average linkage.
+    fn chain_merges(m: &CondensedMatrix, size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
+        let upper = (0..m.len()).map(|a| m.row(a)).collect();
+        let distance = |s: f32| (1.0 - f64::from(s)) as f32;
+        nn_chain(&Triangles::new(upper), distance, size, linkage)
+    }
+
+    /// The NN-chain this module first ran, kept as the oracle: every
+    /// distance through `get`/`set`, every scan over `0..n` skipping
+    /// dead clusters; item `i` starts as a cluster of `size[i]`
+    /// members.
     #[allow(clippy::needless_range_loop)] // scans skip inactive clusters by index
-    fn reference_nn_chain(matrix: &CondensedMatrix, linkage: Linkage) -> Vec<Merge> {
+    fn reference_nn_chain(
+        matrix: &CondensedMatrix,
+        mut size: Vec<usize>,
+        linkage: Linkage,
+    ) -> Vec<Merge> {
         let n = matrix.len();
         // Distance copy.
         let mut dist = CondensedMatrix::build(n, |i, j| 1.0 - matrix.get(i, j));
         let mut active: Vec<bool> = vec![true; n];
-        let mut size: Vec<usize> = vec![1; n];
         // Representative item of each live cluster id (min item works for
         // reporting merges).
         let mut merges = Vec::with_capacity(n - 1);
@@ -658,24 +852,19 @@ mod tests {
     }
 
     /// The unsorted merge list — every pair, representative and height,
-    /// in production order — equals the oracle's, whether the chain
-    /// converts the matrix in place or collects a distance copy.
+    /// in production order — equals the oracle's.
     fn assert_replays_reference(m: &CondensedMatrix, what: &str) {
         for linkage in [Linkage::Complete, Linkage::Average, Linkage::Single] {
-            let expected = reference_nn_chain(m, linkage);
-            for input in [Cow::Borrowed(m), Cow::Owned(m.clone())] {
-                let owned = matches!(input, Cow::Owned(_));
-                assert_eq!(
-                    nn_chain(input, vec![1; m.len()], linkage),
-                    expected,
-                    "{what}, {linkage:?}, owned: {owned}"
-                );
-            }
+            assert_eq!(
+                chain_merges(m, vec![1; m.len()], linkage),
+                reference_nn_chain(m, vec![1; m.len()], linkage),
+                "{what}, {linkage:?}"
+            );
         }
     }
 
     #[test]
-    fn flat_nn_chain_replays_reference_on_tie_heavy_matrices() {
+    fn matrix_input_replays_reference_on_tie_heavy_matrices() {
         for n in [2usize, 3, 7, 40] {
             let all_equal = CondensedMatrix::build(n, |_, _| 0.35);
             assert_replays_reference(&all_equal, &format!("all-equal, n={n}"));
@@ -699,7 +888,7 @@ mod tests {
         /// similarities are multiples of `1/num_hashes` — so equal
         /// distances, and equal Lance–Williams results, are everywhere.
         #[test]
-        fn flat_nn_chain_replays_reference(n in 2usize..80, seed in proptest::prelude::any::<u64>()) {
+        fn matrix_input_replays_reference(n in 2usize..80, seed in proptest::prelude::any::<u64>()) {
             let m = CondensedMatrix::build(n, |i, j| {
                 let mut h = seed
                     ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15)
@@ -710,6 +899,92 @@ mod tests {
                 (h % 21) as f64 / 20.0
             });
             assert_replays_reference(&m, &format!("n={n}, seed={seed}"));
+        }
+    }
+
+    fn mix(seed: u64, i: usize, j: usize) -> u64 {
+        let mut h = seed
+            ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15)
+            ^ (j as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xFF51AFD7ED558CCD);
+        h ^ (h >> 33)
+    }
+
+    /// Counts of `n` items on nine levels `0, width/8, …` in the lane
+    /// `width` needs, so equal distances are everywhere.
+    fn tie_heavy_counts(n: usize, width: usize, seed: u64) -> PairCounts {
+        let count = |i: usize, j: usize| (mix(seed, i, j) % 9) as usize * (width / 8);
+        let strips = |i: usize| (i + 1..n).map(move |j| count(i, j));
+        let strips = if width <= usize::from(u8::MAX) {
+            CountStrips::Narrow(
+                (0..n)
+                    .map(|i| strips(i).map(|c| c as u8).collect())
+                    .collect(),
+            )
+        } else {
+            CountStrips::Wide(
+                (0..n)
+                    .map(|i| strips(i).map(|c| c as u16).collect())
+                    .collect(),
+            )
+        };
+        PairCounts::new(width, strips)
+    }
+
+    proptest::proptest! {
+        /// The count store, item `g` a group of 1–4 copies: the
+        /// unsorted merges equal the oracle's over the counts'
+        /// similarity matrix, pair for pair, and the public entry
+        /// expands them into the item dendrogram. Single linkage reads
+        /// the same lower rows as the matrix does.
+        #[test]
+        fn count_store_replays_reference(
+            n in 2usize..60,
+            wide in proptest::prelude::any::<bool>(),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let width = if wide { 300 } else { 50 };
+            let counts = tie_heavy_counts(n, width, seed);
+            let matrix = counts.to_matrix();
+            let size: Vec<usize> = (0..n).map(|g| 1 + (mix(seed, g, n) % 4) as usize).collect();
+            let of: Vec<u32> = size
+                .iter()
+                .enumerate()
+                .flat_map(|(g, &m)| std::iter::repeat_n(g as u32, m))
+                .collect();
+            let what = format!("n={n}, width={width}, seed={seed}");
+            for linkage in [Linkage::Average, Linkage::Complete] {
+                let mut expected = reference_nn_chain(&matrix, size.clone(), linkage);
+                assert_eq!(counts.merges(size.clone(), linkage), expected, "{what}, {linkage:?}");
+                sort_bottom_up(&mut expected);
+                let grouped = Groups::new(&of, n).expand(Dendrogram { n, merges: expected });
+                assert_eq!(
+                    agglomerative_grouped(&counts, &of, linkage, 0.5).1,
+                    grouped,
+                    "{what}, {linkage:?}, grouped"
+                );
+            }
+            assert_eq!(
+                build_dendrogram(&counts, Linkage::Single),
+                build_dendrogram(&matrix, Linkage::Single),
+                "{what}, single"
+            );
+        }
+    }
+
+    #[test]
+    fn lower_rows_transpose_the_upper_ones() {
+        // More than one tile each way, and a ragged last tile.
+        for n in [0usize, 1, 2, 65, 150] {
+            let m = CondensedMatrix::build(n, |i, j| (i * 1000 + j) as f64);
+            let cells = Triangles::new((0..n).map(|a| m.row(a)).collect());
+            for a in 0..n {
+                let lower: Vec<f64> = (0..a).map(|c| m.get(a, c)).collect();
+                let read: Vec<f64> = cells.lower(a).iter().map(|&s| f64::from(s)).collect();
+                assert_eq!(read, lower, "n={n}, row {a}");
+                assert_eq!(cells.upper(a), m.row(a));
+            }
         }
     }
 

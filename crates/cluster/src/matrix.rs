@@ -1,24 +1,30 @@
-//! Condensed all-pairs similarity matrices.
+//! All-pairs inputs of the dense linkage: condensed similarity
+//! matrices and Stage 2's agreement counts.
 //!
-//! Stores only the strict upper triangle (`n·(n−1)/2` entries, `f32`)
-//! — at 50 000 sequences that is ~10 GB as `f64` but ~5 GB as `f32`,
-//! and sketch-estimated similarities carry far less than 24 bits of
-//! signal anyway. Construction is parallelized by *row partitioning*,
-//! matching the paper's "calculation of all pairwise similarity is
-//! performed in parallel by performing a row-wise partition".
+//! [`CondensedMatrix`] stores only the strict upper triangle
+//! (`n·(n−1)/2` entries, `f32`) — at 50 000 sequences that is ~10 GB as
+//! `f64` but ~5 GB as `f32`, and sketch-estimated similarities carry far
+//! less than 24 bits of signal anyway. Construction is parallelized by
+//! *row partitioning*, matching the paper's "calculation of all
+//! pairwise similarity is performed in parallel by performing a
+//! row-wise partition". [`CondensedMatrix::get`] and
+//! [`CondensedMatrix::set`] are the random-access surface — Pig's `K`
+//! operator filling a matrix from pair tuples, tests.
 //!
-//! [`CondensedMatrix::get`] and [`CondensedMatrix::set`] are the
-//! random-access surface — Pig's `K` operator filling a matrix from
-//! pair tuples, SLINK reading one row at a time, tests. The bulk
-//! routes do not go through them: the all-pairs stage hands over the
-//! finished layout ([`CondensedMatrix::from_condensed`]), and the dense
-//! NN-chain, handed the matrix by value (the `Cow` conversions below),
-//! turns its buffer into distances in place; a borrowed matrix is
-//! collected into one distance copy. The dense route therefore peaks
-//! at 1.5 matrices while Stage 2 assembles its `u16` count strips into
-//! the matrix, and holds one from then on.
-
-use std::borrow::Cow;
+//! [`PairCounts`] is what the native dense route links instead: Stage
+//! 2's per-row agreement counts, kept as the strips its map tasks emit,
+//! in the narrowest lane that holds the sketch width (`u8` up to 255,
+//! else `u16`). Row `a`'s strip holds the counts of `(a, a+1..n)`, so
+//! at `u8` the store is a quarter of the bytes of an `f32` matrix.
+//!
+//! The linkage reads either input as `Triangles`: item `a`'s cells to
+//! every other item as two contiguous rows, the input's own upper row
+//! `(a, a+1..n)` and a lower row `(a, 0..a)` from one buffer that a
+//! cache-blocked transpose fills. A column walk of the condensed
+//! layout costs a cache and a TLB miss per step on a matrix of tens of
+//! MB; two row walks cost neither. Over counts the whole input is then
+//! `n·(n−1)` lane bytes: 2 B per unordered pair at `u8`, against the
+//! 6 B of an `f32` matrix assembled from `u16` strips.
 
 use rayon::prelude::*;
 
@@ -103,7 +109,7 @@ impl CondensedMatrix {
     /// row 0's `n − 1` entries `(0, 1..n)`, then row 1's `n − 2`, and
     /// so on — what [`CondensedMatrix::as_slice`] returns. Panics
     /// unless `data.len() == n·(n−1)/2`.
-    pub fn from_condensed(n: usize, data: Vec<f32>) -> CondensedMatrix {
+    pub(crate) fn from_condensed(n: usize, data: Vec<f32>) -> CondensedMatrix {
         assert_eq!(
             data.len(),
             n * n.saturating_sub(1) / 2,
@@ -158,22 +164,155 @@ impl CondensedMatrix {
         &self.data
     }
 
-    /// The condensed layout by value, the inverse of
-    /// [`CondensedMatrix::from_condensed`].
-    pub(crate) fn into_condensed(self) -> Vec<f32> {
-        self.data
+    /// Row `i`'s entries `(i, i+1..n)`: a contiguous slice of the
+    /// condensed layout.
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[f32] {
+        let start = self.row_start(i);
+        &self.data[start..start + self.n - 1 - i]
     }
 }
 
-impl<'a> From<&'a CondensedMatrix> for Cow<'a, CondensedMatrix> {
-    fn from(matrix: &'a CondensedMatrix) -> Self {
-        Cow::Borrowed(matrix)
+/// The strips of a [`PairCounts`], in the lane the sketch width needs.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CountStrips {
+    /// Counts of a width up to `u8::MAX`.
+    Narrow(Vec<Vec<u8>>),
+    /// Counts of a width up to `u16::MAX`.
+    Wide(Vec<Vec<u16>>),
+}
+
+/// Agreement counts of every pair of `n` sketches of one width, as
+/// Stage 2's map tasks emit them: strip `a` holds the counts of
+/// `(a, a+1..n)`. Count `c` stands for the similarity `c / width`, the
+/// value [`PairCounts::to_matrix`] writes. The linkage reads the
+/// strips where they are and never writes to them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PairCounts {
+    width: usize,
+    strips: CountStrips,
+}
+
+impl PairCounts {
+    /// Adopt `strips` as the counts of a sketch width of `width`.
+    /// Panics unless strip `a` of `n` holds `n − 1 − a` counts; a
+    /// count above `width` panics where it is read.
+    pub fn new(width: usize, strips: CountStrips) -> PairCounts {
+        fn check<L>(strips: &[Vec<L>]) {
+            let n = strips.len();
+            for (a, strip) in strips.iter().enumerate() {
+                assert_eq!(strip.len(), n - 1 - a, "strip of row {a} of {n}");
+            }
+        }
+        match &strips {
+            CountStrips::Narrow(s) => check(s),
+            CountStrips::Wide(s) => check(s),
+        }
+        PairCounts { width, strips }
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        match &self.strips {
+            CountStrips::Narrow(s) => s.len(),
+            CountStrips::Wide(s) => s.len(),
+        }
+    }
+
+    /// True for the counts of no items.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The strips, in their lane.
+    pub(crate) fn strips(&self) -> &CountStrips {
+        &self.strips
+    }
+
+    /// `similarity[c]`: count `c` over the width, `c / width` in `f64`
+    /// rounded to `f32` — the two operations
+    /// `SketchPlane::similarity(i, j) as f32` performs on the same
+    /// integer, so every value is bit-identical to a division per pair.
+    /// Zero-width sketches are identical, and their count is 0.
+    pub(crate) fn similarities(&self) -> Vec<f32> {
+        if self.width == 0 {
+            return vec![1.0];
+        }
+        (0..=self.width)
+            .map(|c| (c as f64 / self.width as f64) as f32)
+            .collect()
+    }
+
+    /// The similarity matrix of the counts, one table lookup per cell.
+    pub fn to_matrix(&self) -> CondensedMatrix {
+        fn fill<L: Copy + Into<usize>>(strips: &[Vec<L>], similarity: &[f32]) -> CondensedMatrix {
+            let n = strips.len();
+            let mut data = Vec::with_capacity(n * n.saturating_sub(1) / 2);
+            for strip in strips {
+                data.extend(strip.iter().map(|&c| similarity[c.into()]));
+            }
+            CondensedMatrix::from_condensed(n, data)
+        }
+        let similarity = self.similarities();
+        match &self.strips {
+            CountStrips::Narrow(s) => fill(s, &similarity),
+            CountStrips::Wide(s) => fill(s, &similarity),
+        }
     }
 }
 
-impl From<CondensedMatrix> for Cow<'_, CondensedMatrix> {
-    fn from(matrix: CondensedMatrix) -> Self {
-        Cow::Owned(matrix)
+/// Side of the square tiles [`Triangles::new`] transposes: 64 rows of
+/// 64 cells touch 64 lines of the upper rows and 64 of the lower ones.
+const TILE: usize = 64;
+
+/// Every item's cells to all others as two contiguous rows: row `a`'s
+/// upper cells `(a, a+1..n)` are the input's own, and its lower cells
+/// `(a, 0..a)` sit at `a·(a−1)/2` in one buffer.
+pub(crate) struct Triangles<'a, T> {
+    upper: Vec<&'a [T]>,
+    lower: Vec<T>,
+}
+
+impl<'a, T: Copy + Default> Triangles<'a, T> {
+    /// Borrow `upper` (row `a` holds `n − 1 − a` cells) and fill the
+    /// lower rows from it by one cache-blocked transpose: tile by tile,
+    /// each lower row's cells are written in order while the upper rows
+    /// they come from are read along their length.
+    pub(crate) fn new(upper: Vec<&'a [T]>) -> Triangles<'a, T> {
+        let n = upper.len();
+        let mut lower = vec![T::default(); n * n.saturating_sub(1) / 2];
+        for a0 in (1..n).step_by(TILE) {
+            let a1 = (a0 + TILE).min(n);
+            for c0 in (0..a1 - 1).step_by(TILE) {
+                for a in a0.max(c0 + 1)..a1 {
+                    let row = &mut lower[a * (a - 1) / 2..][..a];
+                    let c1 = (c0 + TILE).min(a);
+                    for (c, slot) in (c0..c1).zip(&mut row[c0..c1]) {
+                        *slot = upper[c][a - c - 1];
+                    }
+                }
+            }
+        }
+        Triangles { upper, lower }
+    }
+}
+
+impl<T> Triangles<'_, T> {
+    /// Number of items.
+    pub(crate) fn len(&self) -> usize {
+        self.upper.len()
+    }
+
+    /// Cells `(a, a+1..n)`.
+    #[inline]
+    pub(crate) fn upper(&self, a: usize) -> &[T] {
+        self.upper[a]
+    }
+
+    /// Cells `(a, 0..a)`.
+    #[inline]
+    pub(crate) fn lower(&self, a: usize) -> &[T] {
+        &self.lower[a * a.saturating_sub(1) / 2..][..a]
     }
 }
 
@@ -225,6 +364,24 @@ mod tests {
     #[should_panic(expected = "condensed layout of 5 items")]
     fn from_condensed_rejects_a_wrong_length() {
         CondensedMatrix::from_condensed(5, vec![0.0; 9]);
+    }
+
+    #[test]
+    fn pair_counts_map_through_the_width() {
+        let counts = PairCounts::new(3, CountStrips::Narrow(vec![vec![0, 3], vec![1], vec![]]));
+        assert_eq!(counts.len(), 3);
+        let m = counts.to_matrix();
+        assert_eq!(m.get(0, 1), 0.0);
+        assert_eq!(m.get(2, 0), 1.0);
+        assert_eq!(m.get(1, 2), f64::from((1.0f64 / 3.0) as f32));
+        let zero_width = PairCounts::new(0, CountStrips::Wide(vec![vec![0], vec![]]));
+        assert_eq!(zero_width.to_matrix().get(0, 1), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "strip of row 1 of 3")]
+    fn pair_counts_reject_a_wrong_strip_length() {
+        PairCounts::new(50, CountStrips::Narrow(vec![vec![0, 3], vec![], vec![]]));
     }
 
     #[test]

@@ -277,8 +277,8 @@ fn relink(row: &mut Row, keep: u32, drop: u32, d: f32) {
 /// The dense `nn_chain` of [`crate::linkage`], replayed on adjacency
 /// lists. What makes the replay exact:
 ///
-/// * a stored distance is `(1 − sim) as f32`, what the dense distance
-///   copy holds, and Lance–Williams is the same f64 expression with
+/// * a stored distance is `(1 − sim) as f32`, what the dense chain
+///   reads off a singleton's rows, and Lance–Williams is the same f64 expression with
 ///   the same `as f32` rounding, 1.0 standing in for an unstored
 ///   operand. Two unstored operands give exactly 1.0, so a merge only
 ///   touches the union of the two merged rows; correctly rounded

@@ -197,7 +197,7 @@ fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
             linkage,
             &format!("dense, {what}"),
         );
-        // The owned matrix is turned into distances in place.
+        // An owned matrix links as a borrowed one does.
         assert_eq!(
             agglomerative_grouped(matrix.clone(), &planted.of, linkage, theta),
             agglomerative_grouped(&matrix, &planted.of, linkage, theta),

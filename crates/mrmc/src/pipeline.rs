@@ -13,7 +13,7 @@ use mrmc_seqio::SeqRecord;
 use crate::banded::banded_graph_stage;
 use crate::config::{CandidateGen, Mode, MrMcConfig};
 use crate::incremental::RepresentativeIndex;
-use crate::stages::{dereplicate, similarity_matrix_stage, sketch_distinct_stage};
+use crate::stages::{dereplicate, pair_counts_stage, sketch_distinct_stage};
 
 /// Result of a MrMC-MinH run.
 #[derive(Debug)]
@@ -120,7 +120,7 @@ impl MrMcMinH {
     /// with one serial pass through a [`RepresentativeIndex`], whatever
     /// `candidates` says, and a copy takes its first occurrence's
     /// label. A hierarchical run follows with the dense all-pairs
-    /// matrix stage or the three banded θ-graph stages over the
+    /// count stage or the three banded θ-graph stages over the
     /// distinct sketches, and links the distinct sequences, each a
     /// vertex that starts as a cluster of its copies
     /// ([`agglomerative_grouped`], [`agglomerative_sparse_grouped`]).
@@ -158,15 +158,16 @@ impl MrMcMinH {
                 (ClusterAssignment::from_labels(derep.lift(labels)), None)
             }
             (Mode::Hierarchical, CandidateGen::Dense) => {
-                // Algorithm 2 — all-pairs matrix via row partitioning,
-                // then agglomerative clustering with θ cutoff, over the
-                // distinct sequences. A copy's row would be its first
-                // occurrence's, at 1.0 to it, so a group is one vertex
-                // of its copies' weight. The linkage takes the matrix
-                // and turns it into distances in place.
-                let matrix = similarity_matrix_stage(distinct, &self.config, &mut pipeline)?;
+                // Algorithm 2 — all-pairs agreement counts via row
+                // partitioning, then agglomerative clustering with θ
+                // cutoff, over the distinct sequences. A copy's row
+                // would be its first occurrence's, at 1.0 to it, so a
+                // group is one vertex of its copies' weight. The
+                // linkage reads the count strips where they are, beside
+                // their transpose; only merged clusters own f32 rows.
+                let counts = pair_counts_stage(distinct, &self.config, &mut pipeline)?;
                 let (assignment, dendro) = agglomerative_grouped(
-                    matrix,
+                    &counts,
                     derep.groups(),
                     self.config.linkage,
                     self.config.theta,

@@ -17,18 +17,21 @@
 //! Stage 2 (**all-pairs similarity**, map-only over *rows*): "the
 //! calculation of all pairwise similarity is performed in parallel by
 //! performing a row-wise partition" — each map task owns a strip of
-//! rows of the condensed matrix. The sketches are packed once into a
+//! rows of the upper triangle. The sketches are packed once into a
 //! [`SketchPlane`] (contiguous `u32` lanes for every family the
 //! pipeline builds at k ≤ 16) that all tasks read. A task emits each
-//! row's agreement counts as a `u16` strip, half the bytes of `f32`
-//! similarities, and divides nothing; the driver turns each count into
-//! its similarity through a `width + 1`-entry table while appending the
-//! strips into the matrix. At its peak the stage holds the matrix plus
-//! the strips: 1.5 matrices.
+//! row's agreement counts as a strip in the narrowest lane that holds
+//! the sketch width — `u8` up to 255, a quarter of the bytes of `f32`
+//! similarities, else `u16` — and divides nothing. The strips become a
+//! [`PairCounts`] as they arrive ([`pair_counts_stage`]), which the
+//! native route links as they are; [`similarity_matrix_stage`] turns
+//! them into the `f32` matrix through a `width + 1`-entry table.
 
 use std::collections::HashMap;
+use std::fmt::Debug;
+use std::marker::PhantomData;
 
-use mrmc_cluster::CondensedMatrix;
+use mrmc_cluster::{CondensedMatrix, CountStrips, PairCounts};
 use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
@@ -251,29 +254,35 @@ fn balanced_row_blocks(n: usize, tasks: usize) -> Vec<(usize, usize)> {
 }
 
 /// Stage-2 mapper: a contiguous block of matrix rows → one strip of
-/// [`SketchPlane::count`]s per row, read off the packed compare plane
-/// (borrowed — the engine runs mappers on scoped threads, so nothing is
-/// cloned into tasks). Every row streams the rows after it once; the
-/// whole plane of the largest dense workload is 1.6 MB, so there is no
-/// sub-block walk to keep operands in cache.
-struct RowBlockMapper<'a> {
+/// [`SketchPlane::count`]s per row, each count in lane `L`, read off the
+/// packed compare plane (borrowed — the engine runs mappers on scoped
+/// threads, so nothing is cloned into tasks). Every row streams the
+/// rows after it once; the whole plane of the largest dense workload is
+/// 1.6 MB, so there is no sub-block walk to keep operands in cache.
+struct RowBlockMapper<'a, L> {
     plane: &'a SketchPlane,
+    lane: PhantomData<L>,
 }
 
-impl Mapper for RowBlockMapper<'_> {
+impl<L> Mapper for RowBlockMapper<'_, L>
+where
+    L: TryFrom<usize> + Clone + Send + Sync,
+    L::Error: Debug,
+{
     type InKey = usize;
     type InValue = (usize, usize);
     type OutKey = usize;
-    type OutValue = Vec<u16>;
+    type OutValue = Vec<L>;
 
-    fn map(&self, _block: usize, (r0, r1): (usize, usize), ctx: &mut TaskContext<usize, Vec<u16>>) {
+    fn map(&self, _block: usize, (r0, r1): (usize, usize), ctx: &mut TaskContext<usize, Vec<L>>) {
         let n = self.plane.len();
         let mut pairs = 0u64;
         for row in r0..r1 {
-            // A count is at most the width, which the stage checked
-            // fits a `u16`.
-            let strip: Vec<u16> = (row + 1..n)
-                .map(|j| self.plane.count(row, j) as u16)
+            let strip: Vec<L> = (row + 1..n)
+                .map(|j| {
+                    L::try_from(self.plane.count(row, j))
+                        .expect("a count is at most the width, which the stage fit to the lane")
+                })
                 .collect();
             pairs += strip.len() as u64;
             ctx.emit(row, strip);
@@ -282,32 +291,22 @@ impl Mapper for RowBlockMapper<'_> {
     }
 }
 
-/// Run the all-pairs stage: one map task per pair-balanced row block,
-/// each emitting one count strip per row. Tasks get the Hadoop default
-/// attempt budget (4). Sketches of unequal length, or longer than
-/// `u16::MAX`, are a [`MrError::BadConfig`] before any task runs.
-///
-/// Row `r`'s strip — its counts against rows `r+1..n` — maps onto row
-/// `r`'s slice of the condensed layout, so the driver assembles the
-/// matrix by putting the strips in row order, checking each one's
-/// length, and appending each count's similarity.
-pub fn similarity_matrix_stage(
-    sketches: Vec<Sketch>,
+/// One map task per pair-balanced row block of `plane`, each emitting
+/// one count strip per row; the strips in row order.
+fn count_strips<L>(
+    plane: &SketchPlane,
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
-) -> Result<CondensedMatrix, MrError> {
-    let n = sketches.len();
-    let plane = SketchPlane::pack(&sketches)
-        .map_err(|ragged| MrError::BadConfig(format!("pairwise-similarity input: {ragged}")))?;
-    drop(sketches);
-    let width = plane.width();
-    if width > usize::from(u16::MAX) {
-        return Err(MrError::BadConfig(format!(
-            "pairwise-similarity input: sketch width {width} exceeds the u16 count of {}",
-            u16::MAX
-        )));
-    }
-    let mapper = RowBlockMapper { plane: &plane };
+) -> Result<Vec<Vec<L>>, MrError>
+where
+    L: TryFrom<usize> + Clone + Send + Sync,
+    L::Error: Debug,
+{
+    let n = plane.len();
+    let mapper = RowBlockMapper {
+        plane,
+        lane: PhantomData,
+    };
     let job = JobConfig::named("pairwise-similarity").attempts(4);
     // More, smaller tasks than the sketch stage, balanced by pair
     // count rather than row count.
@@ -316,32 +315,56 @@ pub fn similarity_matrix_stage(
     let input: Vec<(usize, (usize, usize))> = blocks.into_iter().enumerate().collect();
     let num_tasks = input.len().max(1);
     let mut rows = pipeline.run_map_stage(input, num_tasks, &mapper, &job)?;
-    // Free the plane before the matrix is allocated.
-    drop(plane);
-
-    // `similarity[c]` is `c / width` in `f64` rounded to `f32`: the two
-    // operations `plane.similarity(i, j) as f32` performs on the same
-    // integer, so every cell is bit-identical to a division per pair.
-    // Zero-width sketches are identical, and their count is 0.
-    let similarity: Vec<f32> = if width == 0 {
-        vec![1.0]
-    } else {
-        (0..=width)
-            .map(|c| (c as f64 / width as f64) as f32)
-            .collect()
-    };
     // The engine preserves task order and tasks emit ascending rows,
-    // so the sort finds its input sorted; it is here so that assembly
-    // does not depend on either.
+    // so the sort finds its input sorted; it is here so that the
+    // strips' order does not depend on either.
     rows.sort_unstable_by_key(|&(row, _)| row);
-    assert_eq!(rows.len(), n, "one strip per row");
-    let mut data = Vec::with_capacity(n * n.saturating_sub(1) / 2);
-    for (expected, (row, strip)) in rows.into_iter().enumerate() {
-        assert_eq!(row, expected, "one strip per row");
-        assert_eq!(strip.len(), n - 1 - row, "strip of row {row} of {n}");
-        data.extend(strip.iter().map(|&c| similarity[usize::from(c)]));
-    }
-    Ok(CondensedMatrix::from_condensed(n, data))
+    assert!(
+        rows.iter().map(|&(row, _)| row).eq(0..n),
+        "one strip per row"
+    );
+    Ok(rows.into_iter().map(|(_, strip)| strip).collect())
+}
+
+/// Run the all-pairs stage: one map task per pair-balanced row block,
+/// each emitting one count strip per row — row `r`'s counts against
+/// rows `r+1..n` — in the narrowest lane that holds the sketch width
+/// (`u8` up to 255, else `u16`). The strips become the
+/// [`PairCounts`] as they arrive. Tasks get the Hadoop default attempt
+/// budget (4). Sketches of unequal length, or longer than `u16::MAX`,
+/// are a [`MrError::BadConfig`] before any task runs.
+pub fn pair_counts_stage(
+    sketches: Vec<Sketch>,
+    config: &MrMcConfig,
+    pipeline: &mut Pipeline,
+) -> Result<PairCounts, MrError> {
+    let plane = SketchPlane::pack(&sketches)
+        .map_err(|ragged| MrError::BadConfig(format!("pairwise-similarity input: {ragged}")))?;
+    drop(sketches);
+    let width = plane.width();
+    let strips = if width <= usize::from(u8::MAX) {
+        CountStrips::Narrow(count_strips(&plane, config, pipeline)?)
+    } else if width <= usize::from(u16::MAX) {
+        CountStrips::Wide(count_strips(&plane, config, pipeline)?)
+    } else {
+        return Err(MrError::BadConfig(format!(
+            "pairwise-similarity input: sketch width {width} exceeds the u16 count of {}",
+            u16::MAX
+        )));
+    };
+    Ok(PairCounts::new(width, strips))
+}
+
+/// The all-pairs stage as a similarity matrix: [`pair_counts_stage`],
+/// each count turned into its similarity through a `width + 1`-entry
+/// table ([`PairCounts::to_matrix`]), bit-identical to a division per
+/// pair.
+pub fn similarity_matrix_stage(
+    sketches: Vec<Sketch>,
+    config: &MrMcConfig,
+    pipeline: &mut Pipeline,
+) -> Result<CondensedMatrix, MrError> {
+    Ok(pair_counts_stage(sketches, config, pipeline)?.to_matrix())
 }
 
 #[cfg(test)]
@@ -451,6 +474,46 @@ mod tests {
             };
             assert_eq!(bits(&via_mr), bits(&direct), "{} hashes", cfg.num_hashes);
             assert_eq!(via_mr.get(3, 17), 1.0, "two degenerate sketches");
+        }
+    }
+
+    #[test]
+    fn counts_take_the_narrowest_lane() {
+        let reads: Vec<SeqRecord> = (0..12)
+            .map(|i| {
+                let seq: Vec<u8> = (0..40).map(|j| b"ACGT"[(i * j + j / 3) % 4]).collect();
+                SeqRecord::new(format!("r{i}"), seq)
+            })
+            .collect();
+        for (num_hashes, wide) in [(255, false), (256, true)] {
+            let cfg = MrMcConfig {
+                num_hashes,
+                ..config()
+            };
+            let mut p = Pipeline::new("t");
+            let sketches = sketch_stage(&reads, &cfg, &mut p).unwrap();
+            let plane = SketchPlane::pack(&sketches).unwrap();
+            let n = plane.len();
+            let plane = &plane;
+            let strip = |i: usize| (i + 1..n).map(move |j| plane.count(i, j));
+            let expected = if wide {
+                CountStrips::Wide(
+                    (0..n)
+                        .map(|i| strip(i).map(|c| c as u16).collect())
+                        .collect(),
+                )
+            } else {
+                CountStrips::Narrow(
+                    (0..n)
+                        .map(|i| strip(i).map(|c| c as u8).collect())
+                        .collect(),
+                )
+            };
+            assert_eq!(
+                pair_counts_stage(sketches, &cfg, &mut p).unwrap(),
+                PairCounts::new(num_hashes, expected),
+                "{num_hashes} hashes"
+            );
         }
     }
 

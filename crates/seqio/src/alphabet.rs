@@ -61,16 +61,35 @@ impl Base {
 /// else — callers decide whether to skip, error, or split at ambiguous
 /// positions (the k-mer iterator restarts after them, mirroring how the
 /// paper's feature sets only contain exact k-mers).
+///
+/// One load from a 256-entry table: random bases would mispredict
+/// almost every branch of a `match`.
 #[inline]
 pub fn encode_base(c: u8) -> Option<u8> {
-    match c {
-        b'A' | b'a' => Some(0),
-        b'C' | b'c' => Some(1),
-        b'G' | b'g' => Some(2),
-        b'T' | b't' | b'U' | b'u' => Some(3),
-        _ => None,
+    match CODE[usize::from(c)] {
+        INVALID => None,
+        code => Some(code),
     }
 }
+
+/// [`CODE`]'s entry for a byte that is not a base.
+const INVALID: u8 = 4;
+
+/// The 2-bit code of every byte, [`INVALID`] for a non-base.
+const CODE: [u8; 256] = {
+    let mut code = [INVALID; 256];
+    code[b'A' as usize] = 0;
+    code[b'a' as usize] = 0;
+    code[b'C' as usize] = 1;
+    code[b'c' as usize] = 1;
+    code[b'G' as usize] = 2;
+    code[b'g' as usize] = 2;
+    code[b'T' as usize] = 3;
+    code[b't' as usize] = 3;
+    code[b'U' as usize] = 3;
+    code[b'u' as usize] = 3;
+    code
+};
 
 /// Complement of an ASCII nucleotide, preserving case. Ambiguous codes
 /// map to `N`.
@@ -117,6 +136,24 @@ mod tests {
     fn ambiguity_codes_rejected() {
         for c in [b'N', b'n', b'R', b'Y', b'-', b'*', b' '] {
             assert_eq!(encode_base(c), None, "{}", c as char);
+        }
+    }
+
+    /// The `match` the table replaced, kept as the oracle.
+    fn encode_base_by_match(c: u8) -> Option<u8> {
+        match c {
+            b'A' | b'a' => Some(0),
+            b'C' | b'c' => Some(1),
+            b'G' | b'g' => Some(2),
+            b'T' | b't' | b'U' | b'u' => Some(3),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn code_table_matches_the_match_on_every_byte() {
+        for c in 0..=u8::MAX {
+            assert_eq!(encode_base(c), encode_base_by_match(c), "byte {c}");
         }
     }
 

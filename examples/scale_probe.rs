@@ -1,10 +1,11 @@
-//! Scale probe of banded hierarchical clustering
-//! (`MrMcConfig::sixteen_s().banded().hierarchical()`, seed 42): the
-//! Huse 3 % benchmark at 8k, 32k, 128k and its full 345k reads, and the
-//! FS396 environmental sample at its full 73 657 reads. One row per
-//! run: reads, distinct sequences, wall time of `MrMcMinH::run`, the
-//! process's `VmHWM` over the run (input generation included) and the
-//! cluster count.
+//! Scale probe of hierarchical clustering (seed 42): the banded route
+//! (`MrMcConfig::sixteen_s().banded().hierarchical()`) on the Huse 3 %
+//! benchmark at 8k, 32k, 128k and its full 345k reads and on the FS396
+//! environmental sample at its full 73 657 reads, and the dense route
+//! (`MrMcConfig::sixteen_s().hierarchical()`, all pairs of FS396's
+//! 9 068 distinct reads) on FS396. One row per run: reads, distinct
+//! sequences, wall time of `MrMcMinH::run`, the process's `VmHWM` over
+//! the run (input generation included) and the cluster count.
 //!
 //! ```sh
 //! cargo run --release --example scale_probe                        # every run
@@ -19,7 +20,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use mrmc::stages::dereplicate;
-use mrmc::{MrMcConfig, MrMcMinH};
+use mrmc::{CandidateGen, MrMcConfig, MrMcMinH};
 use mrmc_minh_suite::seqio::SeqRecord;
 use mrmc_minh_suite::simulate::{environmental_samples, huse_16s};
 
@@ -29,11 +30,13 @@ const HUSE_READS: usize = 345_000;
 const RSS_BUDGET_MB: f64 = 150.0;
 const BUDGETED_READS: usize = 128_000;
 
-/// One run: the input, its read count and its pinned cluster count.
+/// One run: the input, its read count, the route and its pinned
+/// cluster count.
 struct Probe {
     name: &'static str,
     source: Source,
     reads: usize,
+    candidates: CandidateGen,
     clusters: usize,
 }
 
@@ -44,35 +47,47 @@ enum Source {
     Fs396,
 }
 
-const PROBES: [Probe; 5] = [
+const PROBES: [Probe; 6] = [
     Probe {
         name: "huse-8k",
         source: Source::Huse,
         reads: 8_000,
+        candidates: CandidateGen::Banded,
         clusters: 3_686,
     },
     Probe {
         name: "huse-32k",
         source: Source::Huse,
         reads: 32_000,
+        candidates: CandidateGen::Banded,
         clusters: 13_299,
     },
     Probe {
         name: "FS396",
         source: Source::Fs396,
         reads: 73_657,
+        candidates: CandidateGen::Banded,
         clusters: 8_777,
+    },
+    Probe {
+        name: "FS396-dense",
+        source: Source::Fs396,
+        reads: 73_657,
+        candidates: CandidateGen::Dense,
+        clusters: 8_770,
     },
     Probe {
         name: "huse-128k",
         source: Source::Huse,
         reads: 128_000,
+        candidates: CandidateGen::Banded,
         clusters: 41_390,
     },
     Probe {
         name: "huse-345k",
         source: Source::Huse,
         reads: HUSE_READS,
+        candidates: CandidateGen::Banded,
         clusters: 86_926,
     },
 ];
@@ -117,10 +132,9 @@ fn main() -> ExitCode {
         }
     }
 
-    let runner = MrMcMinH::new(MrMcConfig::sixteen_s().banded().hierarchical());
     let mut failed = false;
     println!(
-        "{:<10} {:>8} {:>9} {:>8} {:>10} {:>9}",
+        "{:<12} {:>8} {:>9} {:>8} {:>10} {:>9}",
         "input", "reads", "distinct", "wall_s", "vmhwm_mb", "clusters"
     );
     for probe in PROBES.iter().filter(|p| p.reads <= max_reads) {
@@ -130,13 +144,17 @@ fn main() -> ExitCode {
         let reads = input(probe);
         assert_eq!(reads.len(), probe.reads, "{}", probe.name);
         let distinct = dereplicate(&reads).expect("ids fit").num_distinct();
+        let config = MrMcConfig {
+            candidates: probe.candidates,
+            ..MrMcConfig::sixteen_s().hierarchical()
+        };
         let start = Instant::now();
-        let run = runner.run(&reads).expect("banded hierarchical run");
+        let run = MrMcMinH::new(config).run(&reads).expect("hierarchical run");
         let wall = start.elapsed().as_secs_f64();
         let hwm = vm_hwm_mb();
         let clusters = run.num_clusters();
         println!(
-            "{:<10} {:>8} {:>9} {:>8.3} {:>10.1} {:>9}",
+            "{:<12} {:>8} {:>9} {:>8.3} {:>10.1} {:>9}",
             probe.name,
             reads.len(),
             distinct,
