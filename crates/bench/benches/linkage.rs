@@ -1,6 +1,6 @@
-//! Hierarchical-clustering kernels: SLINK vs NN-chain, per linkage
-//! policy, on a dense matrix and on a sparse θ-graph, plus matrix
-//! construction (sequential vs row-parallel).
+//! Hierarchical-clustering kernels: the NN-chain per linkage policy, on
+//! a dense matrix and on a sparse θ-graph, plus matrix construction
+//! (sequential vs row-parallel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mrmc_cluster::{agglomerative, agglomerative_sparse, CondensedMatrix, Linkage, SparseSimGraph};

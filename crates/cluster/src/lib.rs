@@ -9,10 +9,9 @@
 //!   matrices, built in parallel by row partitioning (paper Fig. 1),
 //!   and the store of Stage 2's agreement counts the native dense
 //!   route links instead ([`PairCounts`]);
-//! * [`linkage`] — dendrogram construction: SLINK for single linkage
-//!   (O(N²) time, O(N) memory) and the nearest-neighbour chain
-//!   algorithm with Lance–Williams updates for complete and average
-//!   linkage; θ-cutoff extraction of flat clusters;
+//! * [`linkage`] — dendrogram construction: the nearest-neighbour
+//!   chain algorithm with Lance–Williams updates for single, complete
+//!   and average linkage; θ-cutoff extraction of flat clusters;
 //! * [`sparse`] — the CSR θ-graph of the banded pipeline, and
 //!   Algorithm 2 on it in memory linear in its edges (the NN-chain on
 //!   adjacency lists reproduces the dense dendrogram bit for bit).

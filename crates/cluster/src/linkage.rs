@@ -5,12 +5,10 @@
 //! cluster"; the similarity threshold θ decides the cutoff level
 //! (paper §III-B2). Linkage policies: single, average, complete.
 //!
-//! Algorithms: **SLINK** (Sibson 1973) for single linkage — O(N²)
-//! time, O(N) working memory — and the **nearest-neighbour chain**
-//! algorithm with Lance–Williams updates for complete and average
-//! linkage. Both produce the same dendrogram a naive O(N³)
-//! agglomeration would (NN-chain requires reducible linkages, which
-//! all three are).
+//! One algorithm serves all three: the **nearest-neighbour chain**
+//! with Lance–Williams updates, O(N²) time. It produces the same
+//! dendrogram a naive O(N³) agglomeration would, because all three
+//! linkages are reducible.
 
 use crate::assignment::ClusterAssignment;
 use crate::matrix::{CondensedMatrix, CountStrips, PairCounts, Triangles};
@@ -56,8 +54,7 @@ pub struct Merge {
 pub struct Dendrogram {
     /// Number of leaves.
     pub n: usize,
-    /// `n − 1` merges (fewer if the matrix had infinite distances —
-    /// never the case for similarity inputs in `[0, 1]`).
+    /// The merges: always `n − 1` for `n ≥ 1`.
     pub merges: Vec<Merge>,
 }
 
@@ -107,7 +104,6 @@ impl DenseInput for CondensedMatrix {
         let upper = (0..self.len()).map(|a| self.row(a)).collect();
         link(
             &Triangles::new(upper),
-            |s| s,
             |s| (1.0 - f64::from(s)) as f32,
             size,
             linkage,
@@ -115,9 +111,9 @@ impl DenseInput for CondensedMatrix {
     }
 }
 
-/// A count's similarity and distance come from `width + 1`-entry
-/// tables: `c / width` rounded to `f32`, then `1 − s` rounded to `f32`
-/// — the two roundings a similarity matrix and its distances take.
+/// A count's distance comes from a `width + 1`-entry table: `c / width`
+/// rounded to `f32`, then `1 − s` rounded to `f32` — the two roundings
+/// a similarity matrix and its distances take.
 impl DenseInput for PairCounts {
     fn len(&self) -> usize {
         PairCounts::len(self)
@@ -126,27 +122,26 @@ impl DenseInput for PairCounts {
     fn merges(&self, size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
         fn over<L: Copy + Default + Into<usize>>(
             strips: &[Vec<L>],
-            similarity: &[f32],
+            distance: &[f32],
             size: Vec<usize>,
             linkage: Linkage,
         ) -> Vec<Merge> {
-            let distance: Vec<f32> = similarity
-                .iter()
-                .map(|&s| (1.0 - f64::from(s)) as f32)
-                .collect();
             let upper = strips.iter().map(Vec::as_slice).collect();
             link(
                 &Triangles::new(upper),
-                |c: L| similarity[c.into()],
                 |c: L| distance[c.into()],
                 size,
                 linkage,
             )
         }
-        let similarity = self.similarities();
+        let distance: Vec<f32> = self
+            .similarities()
+            .iter()
+            .map(|&s| (1.0 - f64::from(s)) as f32)
+            .collect();
         match self.strips() {
-            CountStrips::Narrow(s) => over(s, &similarity, size, linkage),
-            CountStrips::Wide(s) => over(s, &similarity, size, linkage),
+            CountStrips::Narrow(s) => over(s, &distance, size, linkage),
+            CountStrips::Wide(s) => over(s, &distance, size, linkage),
         }
     }
 }
@@ -168,13 +163,10 @@ fn weighted_dendrogram(input: &impl DenseInput, size: Vec<usize>, linkage: Linka
     }
 }
 
-/// The merges of `linkage` over `cells`, whose cell `x` is the
-/// similarity `similarity(x)` and the distance `distance(x)`: SLINK
-/// reads each lower row as `1 − similarity` in `f64`, the NN-chain
-/// reads `f32` distances.
+/// The merges of `linkage` over `cells`, whose cell `x` is at the
+/// `f32` distance `distance(x)`.
 fn link<T: Copy>(
     cells: &Triangles<'_, T>,
-    similarity: impl Fn(T) -> f32,
     distance: impl Fn(T) -> f32,
     size: Vec<usize>,
     linkage: Linkage,
@@ -183,14 +175,7 @@ fn link<T: Copy>(
     if cells.len() <= 1 {
         return Vec::new();
     }
-    match linkage {
-        Linkage::Single => slink(cells.len(), |i, m| {
-            for (slot, &x) in m.iter_mut().zip(cells.lower(i)) {
-                *slot = 1.0 - f64::from(similarity(x));
-            }
-        }),
-        Linkage::Complete | Linkage::Average => nn_chain(cells, distance, size, linkage),
-    }
+    nn_chain(cells, distance, size, linkage)
 }
 
 /// Bottom-up order: most similar first, ties in production order
@@ -202,6 +187,8 @@ pub(crate) fn sort_bottom_up(merges: &mut [Merge]) {
 
 /// Cut a dendrogram at similarity threshold `theta`: apply every merge
 /// with `similarity ≥ theta`; remaining components are the clusters.
+/// The labels are compact: `0..k`, numbered in order of each cluster's
+/// first item.
 pub fn cut_dendrogram(dendrogram: &Dendrogram, theta: f64) -> ClusterAssignment {
     let mut uf = UnionFind::new(dendrogram.n);
     for m in &dendrogram.merges {
@@ -248,10 +235,9 @@ pub fn agglomerative(
 ///
 /// This is [`agglomerative`] over the item matrix that gives each item
 /// its group's row and puts two members of a group at 1.0, up to which
-/// pairs the 1.0 merges name (and, for single linkage, which pairs
-/// SLINK's pointers name): the same heights, the same partition at
-/// every height, and for average and complete linkage the same merges
-/// below 1.0, pair for pair and in order. That needs every two groups
+/// pairs the 1.0 merges name: the same heights, the same partition at
+/// every height, and the same merges below 1.0, pair for pair and in
+/// order. That needs every two groups
 /// at 1.0 to have equal rows, as sketch similarities do (1.0 means
 /// equal sketches): the 1.0 merges then leave every distance as it
 /// was, whichever order they run in. Panics unless `of` numbers
@@ -337,50 +323,6 @@ impl<'a> Groups<'a> {
             merges,
         }
     }
-}
-
-/// SLINK: pointer-representation single-linkage in O(N²)/O(N).
-/// `fill_row(i, m)` writes the distances (`1 − similarity`) from item
-/// `i` to items `0..i` into `m` (length `i`) — the only access to the
-/// input, so a matrix row and a sparse adjacency row serve alike.
-// Index-based loops mirror Sibson's published pseudocode; iterator
-// forms obscure the pointer-machine updates.
-#[allow(clippy::needless_range_loop)]
-pub(crate) fn slink(n: usize, mut fill_row: impl FnMut(usize, &mut [f64])) -> Vec<Merge> {
-    let mut pi = vec![0usize; n];
-    let mut lambda = vec![f64::INFINITY; n];
-    let mut m = vec![0f64; n];
-
-    for i in 0..n {
-        pi[i] = i;
-        lambda[i] = f64::INFINITY;
-        fill_row(i, &mut m[..i]);
-        for j in 0..i {
-            if lambda[j] >= m[j] {
-                let t = m[pi[j]];
-                m[pi[j]] = t.min(lambda[j]);
-                lambda[j] = m[j];
-                pi[j] = i;
-            } else {
-                let t = m[pi[j]];
-                m[pi[j]] = t.min(m[j]);
-            }
-        }
-        for j in 0..i {
-            if lambda[j] >= lambda[pi[j]] {
-                pi[j] = i;
-            }
-        }
-    }
-
-    (0..n)
-        .filter(|&j| pi[j] != j)
-        .map(|j| Merge {
-            a: j,
-            b: pi[j],
-            similarity: 1.0 - lambda[j],
-        })
-        .collect()
 }
 
 /// Nearest-neighbour chain with Lance–Williams updates: O(N²) time.
@@ -732,43 +674,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn slink_matches_nn_chain_single() {
-        let m = CondensedMatrix::build(10, |i, j| ((i * 31 + j * 17) % 89) as f64 / 89.0);
-        let s = build_dendrogram(&m, Linkage::Single);
-        let via_chain = {
-            let mut merges = chain_merges(&m, vec![1; m.len()], Linkage::Single);
-            sort_bottom_up(&mut merges);
-            merges
-        };
-        // Same merge heights (the trees may differ in representatives).
-        let hs: Vec<f64> = s.heights();
-        let hc: Vec<f64> = via_chain.iter().map(|m| m.similarity).collect();
-        for (a, b) in hs.iter().zip(&hc) {
-            assert!((a - b).abs() < 1e-9, "{hs:?} vs {hc:?}");
-        }
-        // And identical flat clusterings at several thresholds.
-        for theta in [0.2, 0.5, 0.8] {
-            let ca = cut_dendrogram(&s, theta);
-            let cb = cut_dendrogram(
-                &Dendrogram {
-                    n: m.len(),
-                    merges: via_chain.clone(),
-                },
-                theta,
-            );
-            assert_eq!(ca.num_clusters(), cb.num_clusters(), "θ={theta}");
-        }
-    }
-
-    /// The NN-chain over a similarity matrix whatever the linkage, as
-    /// [`DenseInput::merges`] runs it for complete and average linkage.
-    fn chain_merges(m: &CondensedMatrix, size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
-        let upper = (0..m.len()).map(|a| m.row(a)).collect();
-        let distance = |s: f32| (1.0 - f64::from(s)) as f32;
-        nn_chain(&Triangles::new(upper), distance, size, linkage)
-    }
-
     /// The NN-chain this module first ran, kept as the oracle: every
     /// distance through `get`/`set`, every scan over `0..n` skipping
     /// dead clusters; item `i` starts as a cluster of `size[i]`
@@ -856,7 +761,7 @@ mod tests {
     fn assert_replays_reference(m: &CondensedMatrix, what: &str) {
         for linkage in [Linkage::Complete, Linkage::Average, Linkage::Single] {
             assert_eq!(
-                chain_merges(m, vec![1; m.len()], linkage),
+                m.merges(vec![1; m.len()], linkage),
                 reference_nn_chain(m, vec![1; m.len()], linkage),
                 "{what}, {linkage:?}"
             );
@@ -936,8 +841,7 @@ mod tests {
         /// The count store, item `g` a group of 1–4 copies: the
         /// unsorted merges equal the oracle's over the counts'
         /// similarity matrix, pair for pair, and the public entry
-        /// expands them into the item dendrogram. Single linkage reads
-        /// the same lower rows as the matrix does.
+        /// expands them into the item dendrogram.
         #[test]
         fn count_store_replays_reference(
             n in 2usize..60,
@@ -954,7 +858,7 @@ mod tests {
                 .flat_map(|(g, &m)| std::iter::repeat_n(g as u32, m))
                 .collect();
             let what = format!("n={n}, width={width}, seed={seed}");
-            for linkage in [Linkage::Average, Linkage::Complete] {
+            for linkage in [Linkage::Single, Linkage::Average, Linkage::Complete] {
                 let mut expected = reference_nn_chain(&matrix, size.clone(), linkage);
                 assert_eq!(counts.merges(size.clone(), linkage), expected, "{what}, {linkage:?}");
                 sort_bottom_up(&mut expected);
@@ -965,11 +869,6 @@ mod tests {
                     "{what}, {linkage:?}, grouped"
                 );
             }
-            assert_eq!(
-                build_dendrogram(&counts, Linkage::Single),
-                build_dendrogram(&matrix, Linkage::Single),
-                "{what}, single"
-            );
         }
     }
 

@@ -395,9 +395,8 @@ mod tests {
         assert_eq!(m.get(0, 1), 0.25);
     }
 
-    // The diagonal check is a debug_assert (Pig's K fill and SLINK's
-    // row fill call get/set once per pair), so it only fires in debug
-    // builds.
+    // The diagonal check is a debug_assert (Pig's K fill calls
+    // get/set once per pair), so it only fires in debug builds.
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "diagonal")]

@@ -24,7 +24,7 @@
 
 use crate::assignment::ClusterAssignment;
 use crate::greedy::greedy_cluster;
-use crate::linkage::{cut_dendrogram, slink, sort_bottom_up, Dendrogram, Groups, Linkage, Merge};
+use crate::linkage::{cut_dendrogram, sort_bottom_up, Dendrogram, Groups, Linkage, Merge};
 
 /// An undirected similarity graph over `n` items, CSR layout, missing
 /// edges read as 0.0.
@@ -177,10 +177,10 @@ pub fn greedy_cluster_sparse(graph: &SparseSimGraph, theta: f64) -> ClusterAssig
 /// pruned pairs, so the sub-θ portion of the dendrogram follows
 /// single-linkage-at-θ semantics rather than the dense averages.
 ///
-/// Average and complete linkage run the nearest-neighbour chain on
-/// adjacency lists, each merge costing the summed degree of the two
-/// merged rows' neighbours; single linkage runs SLINK (O(n²) time,
-/// O(n) memory) with each row filled from the CSR row.
+/// Every linkage runs the nearest-neighbour chain on adjacency lists,
+/// each merge costing the summed degree of the two merged rows'
+/// neighbours. Under single linkage the θ-cut is the connected
+/// components of the edges at or above θ.
 ///
 /// [`agglomerative`]: crate::linkage::agglomerative
 pub fn agglomerative_sparse(
@@ -201,8 +201,8 @@ pub fn agglomerative_sparse(
 /// [`agglomerative_grouped`](crate::linkage::agglomerative_grouped):
 /// they are the run over the graph that joins each group's members at
 /// 1.0 and gives every member its group's edges, up to which pairs the
-/// 1.0 merges (and SLINK's pointers) name. Panics unless `of` numbers
-/// exactly `graph.len()` groups by first occurrence.
+/// 1.0 merges name. Panics unless `of` numbers exactly `graph.len()`
+/// groups by first occurrence.
 pub fn agglomerative_sparse_grouped(
     graph: &SparseSimGraph,
     of: &[u32],
@@ -218,18 +218,12 @@ pub fn agglomerative_sparse_grouped(
 /// The dendrogram of vertices that start as clusters of `size[i]`
 /// members each: only average linkage reads the sizes.
 fn weighted_dendrogram(graph: &SparseSimGraph, size: Vec<usize>, linkage: Linkage) -> Dendrogram {
-    let n = graph.len();
-    let mut merges = match linkage {
-        Linkage::Single => slink(n, |i, m| {
-            m.fill(1.0);
-            for (j, s) in graph.neighbors(i).take_while(|&(j, _)| j < i) {
-                m[j] = 1.0 - s;
-            }
-        }),
-        Linkage::Complete | Linkage::Average => nn_chain_sparse(graph, size, linkage),
-    };
+    let mut merges = nn_chain_sparse(graph, size, linkage);
     sort_bottom_up(&mut merges);
-    Dendrogram { n, merges }
+    Dendrogram {
+        n: graph.len(),
+        merges,
+    }
 }
 
 /// One live cluster's stored distances `(neighbour, d)`, ascending by

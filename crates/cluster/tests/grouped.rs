@@ -1,7 +1,9 @@
 //! A group of identical items clustered as one weighted vertex equals
 //! the items planted one by one: `agglomerative_grouped` and
 //! `agglomerative_sparse_grouped` against the unit-size run over the
-//! expanded input.
+//! expanded input. Single linkage, grouped or not, is also checked
+//! against an oracle that runs no linkage at all: connected components
+//! and a maximum spanning forest.
 
 use proptest::prelude::*;
 
@@ -142,13 +144,12 @@ impl Planted {
     }
 }
 
-/// The grouped run is the item run's hierarchy: the same θ-cut, the
-/// same heights, the same partition at every height and, for average
-/// and complete linkage, the same merges below 1.0.
+/// The grouped run is the item run's hierarchy, for every linkage:
+/// the same θ-cut, the same heights, the same partition at every
+/// height and the same merges below 1.0.
 fn assert_same_hierarchy(
     grouped: &(ClusterAssignment, Dendrogram),
     items: &(ClusterAssignment, Dendrogram),
-    linkage: Linkage,
     what: &str,
 ) {
     let ((ga, gd), (ia, id)) = (grouped, items);
@@ -170,16 +171,14 @@ fn assert_same_hierarchy(
             "{what}: cut at {h}"
         );
     }
-    if linkage != Linkage::Single {
-        let below = |d: &Dendrogram| {
-            d.merges
-                .iter()
-                .filter(|m| m.similarity < 1.0)
-                .copied()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(below(gd), below(id), "{what}: merges below 1.0");
-    }
+    let below = |d: &Dendrogram| {
+        d.merges
+            .iter()
+            .filter(|m| m.similarity < 1.0)
+            .copied()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(below(gd), below(id), "{what}: merges below 1.0");
 }
 
 fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
@@ -194,7 +193,6 @@ fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
         assert_same_hierarchy(
             &agglomerative_grouped(&matrix, &planted.of, linkage, theta),
             &agglomerative(&items, linkage, theta),
-            linkage,
             &format!("dense, {what}"),
         );
         // An owned matrix links as a borrowed one does.
@@ -206,7 +204,6 @@ fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
         assert_same_hierarchy(
             &agglomerative_sparse_grouped(&graph, &planted.of, linkage, theta),
             &agglomerative_sparse(&item_graph, linkage, theta),
-            linkage,
             &format!("sparse, {what}"),
         );
     }
@@ -260,5 +257,118 @@ proptest! {
         theta in proptest::sample::select(vec![0.0, 0.3, 0.5, 0.8, 1.0]),
     ) {
         assert_grouped_equals_planted(&Planted::new(bases, seed), theta);
+    }
+}
+
+/// Cuts between the points of [`Planted::sim`]'s grid, and at 1.0, so
+/// no height's `f32` rounding can cross one.
+const SINGLE_THETAS: [f64; 7] = [0.01, 0.27, 0.49, 0.51, 0.75, 0.99, 1.0];
+
+fn root(parent: &mut [usize], mut x: usize) -> usize {
+    while parent[x] != x {
+        parent[x] = parent[parent[x]];
+        x = parent[x];
+    }
+    x
+}
+
+/// Joins the trees of `a` and `b`; false if they were one already.
+fn join(parent: &mut [usize], a: usize, b: usize) -> bool {
+    let (ra, rb) = (root(parent, a), root(parent, b));
+    parent[ra.max(rb)] = ra.min(rb);
+    ra != rb
+}
+
+/// `run` is the single-linkage dendrogram of `n` items whose pairs
+/// `pairs` have the given similarities, every other pair 0.0: its cut
+/// at each θ is the connected components of the pairs at similarity
+/// ≥ θ, and its heights are the weights of a maximum spanning forest
+/// (Kruskal), each read through the route's `f32` distance, plus a 0.0
+/// merge for each extra component.
+fn assert_single_is_forest(
+    run: &Dendrogram,
+    n: usize,
+    mut pairs: Vec<(usize, usize, f64)>,
+    what: &str,
+) {
+    assert_eq!(run.n, n, "{what}: leaves");
+    for theta in SINGLE_THETAS {
+        let mut parent: Vec<usize> = (0..n).collect();
+        for &(i, j, s) in &pairs {
+            if s >= theta {
+                join(&mut parent, i, j);
+            }
+        }
+        let components = (0..n).map(|i| root(&mut parent, i)).collect();
+        assert_eq!(
+            cut_dendrogram(run, theta),
+            ClusterAssignment::from_labels(components).compact(),
+            "{what}: cut at {theta}"
+        );
+    }
+    pairs.sort_by(|x, y| y.2.total_cmp(&x.2));
+    let mut parent: Vec<usize> = (0..n).collect();
+    let mut forest: Vec<f64> = pairs
+        .into_iter()
+        .filter(|&(i, j, _)| join(&mut parent, i, j))
+        .map(|(_, _, s)| 1.0 - f64::from((1.0 - s) as f32))
+        .collect();
+    forest.resize(n.saturating_sub(1), 0.0);
+    forest.sort_by(f64::total_cmp);
+    let mut heights = run.heights();
+    heights.sort_by(f64::total_cmp);
+    assert_eq!(heights, forest, "{what}: heights");
+}
+
+fn matrix_pairs(m: &CondensedMatrix) -> Vec<(usize, usize, f64)> {
+    let n = m.len();
+    (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| (i, j, m.get(i, j))))
+        .collect()
+}
+
+fn graph_pairs(g: &SparseSimGraph) -> Vec<(usize, usize, f64)> {
+    g.edges()
+        .map(|(i, j, s)| (i as usize, j as usize, f64::from(s)))
+        .collect()
+}
+
+proptest! {
+    /// Single linkage on grid-valued dense matrices and on seeded
+    /// sparse graphs, over the groups and over their items.
+    #[test]
+    fn single_linkage_is_components_and_spanning_forest(
+        bases in 1usize..12,
+        seed in any::<u64>(),
+    ) {
+        let planted = Planted::new(bases, seed);
+        let (matrix, graph) = (planted.grouped_matrix(), planted.grouped_graph());
+        let (groups, items) = (planted.groups(), planted.of.len());
+        let what = format!("{items} items, {groups} groups, seed {seed}");
+        let single = Linkage::Single;
+        assert_single_is_forest(
+            &agglomerative(&matrix, single, 0.5).1,
+            groups,
+            matrix_pairs(&matrix),
+            &format!("dense, {what}"),
+        );
+        assert_single_is_forest(
+            &agglomerative_grouped(&matrix, &planted.of, single, 0.5).1,
+            items,
+            matrix_pairs(&planted.item_matrix()),
+            &format!("dense grouped, {what}"),
+        );
+        assert_single_is_forest(
+            &agglomerative_sparse(&graph, single, 0.5).1,
+            groups,
+            graph_pairs(&graph),
+            &format!("sparse, {what}"),
+        );
+        assert_single_is_forest(
+            &agglomerative_sparse_grouped(&graph, &planted.of, single, 0.5).1,
+            items,
+            graph_pairs(&planted.item_graph()),
+            &format!("sparse grouped, {what}"),
+        );
     }
 }

@@ -25,10 +25,9 @@ pub struct MrMcResult {
     /// with a block of merges at similarity 1.0, one per copy of a
     /// sequence: `(first occurrence, copy)`, in read order. The merges
     /// after that block are the distinct sequences' merges, each naming
-    /// two first occurrences. Heights, every cut, and for average and
-    /// complete linkage the merges below 1.0 are those of the same
-    /// route over every read; which pairs the 1.0 merges name, and
-    /// which pairs single linkage's pointers name, can differ from it.
+    /// two first occurrences. Heights, every cut, and the merges below
+    /// 1.0 are those of the same route over every read; which pairs the
+    /// 1.0 merges name can differ from it.
     pub dendrogram: Option<Dendrogram>,
     /// Map-Reduce stage reports (feeds the simulated-cluster model).
     pub pipeline: Pipeline,
@@ -57,7 +56,7 @@ impl MrMcResult {
     pub fn cut_at(&self, theta: f64) -> Option<ClusterAssignment> {
         self.dendrogram
             .as_ref()
-            .map(|d| mrmc_cluster::cut_dendrogram(d, theta).compact())
+            .map(|d| mrmc_cluster::cut_dendrogram(d, theta))
     }
 
     /// Multi-level taxonomy: one flat clustering per θ, finest first
@@ -172,7 +171,7 @@ impl MrMcMinH {
                     self.config.linkage,
                     self.config.theta,
                 );
-                (assignment.compact(), Some(dendro))
+                (assignment, Some(dendro))
             }
             (Mode::Hierarchical, CandidateGen::Banded) => {
                 // Algorithm 2 over the pruned graph (missing pairs read
@@ -188,7 +187,7 @@ impl MrMcMinH {
                     self.config.linkage,
                     self.config.theta,
                 );
-                (assignment.compact(), Some(dendro))
+                (assignment, Some(dendro))
             }
         };
         let cluster_time = cluster_start.elapsed();

@@ -105,7 +105,7 @@ fn builder_order_is_irrelevant() {
 /// Banded + hierarchical clusters the θ-graph without densifying it,
 /// and still returns the hierarchy of the zero-filled dense run over
 /// every read: its heights, its cut at every height and at a sub-θ
-/// level, and (average and complete linkage) its merges below 1.0.
+/// level, and its merges below 1.0, for every linkage.
 #[test]
 fn banded_dendrogram_equals_zero_filled_dense_oracle() {
     let reads = corpus(280.0, 9);
@@ -122,7 +122,7 @@ fn banded_dendrogram_equals_zero_filled_dense_oracle() {
 
         let banded = MrMcMinH::new(cfg).run(&reads).expect("banded run");
         let run = banded.dendrogram.as_ref().expect("hierarchical run");
-        same_hierarchy(run, &dendrogram, linkage, &format!("{linkage:?}"));
+        same_hierarchy(run, &dendrogram, &format!("{linkage:?}"));
         assert_eq!(banded.assignment, assignment.compact(), "{linkage:?}");
         let below = cfg.theta / 2.0;
         assert_eq!(

@@ -1,15 +1,15 @@
 //! The hierarchy check shared by the integration tests.
 
-use mrmc_cluster::{cut_dendrogram, Dendrogram, Linkage};
+use mrmc_cluster::{cut_dendrogram, Dendrogram};
 
 /// `run` is `oracle`'s hierarchy. A run links each distinct sequence
 /// once and rebuilds the dendrogram over the reads, so it may name
-/// other pairs in its 1.0 merges than a run over every read, and single
-/// linkage's pointer pairs may differ; nothing else may. Checked: the
-/// leaves and merge count, the heights as a sorted multiset, the
-/// partition cut at every distinct height and, for average and
-/// complete linkage, the merges below 1.0 pair for pair and in order.
-pub fn same_hierarchy(run: &Dendrogram, oracle: &Dendrogram, linkage: Linkage, what: &str) {
+/// other pairs in its 1.0 merges than a run over every read; nothing
+/// else may. Checked, for every linkage: the leaves and merge count,
+/// the heights as a sorted multiset, the partition cut at every
+/// distinct height, and the merges below 1.0 pair for pair and in
+/// order.
+pub fn same_hierarchy(run: &Dendrogram, oracle: &Dendrogram, what: &str) {
     assert_eq!(run.n, oracle.n, "{what}: leaves");
     assert_eq!(run.merges.len(), oracle.merges.len(), "{what}: merges");
     let sorted = |d: &Dendrogram| {
@@ -27,14 +27,12 @@ pub fn same_hierarchy(run: &Dendrogram, oracle: &Dendrogram, linkage: Linkage, w
             "{what}: cut at {h}"
         );
     }
-    if linkage != Linkage::Single {
-        let below = |d: &Dendrogram| {
-            d.merges
-                .iter()
-                .filter(|m| m.similarity < 1.0)
-                .copied()
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(below(run), below(oracle), "{what}: merges below 1.0");
-    }
+    let below = |d: &Dendrogram| {
+        d.merges
+            .iter()
+            .filter(|m| m.similarity < 1.0)
+            .copied()
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(below(run), below(oracle), "{what}: merges below 1.0");
 }

@@ -123,7 +123,7 @@ fn assert_invisible(reads: &[SeqRecord], base: MrMcConfig, what: &str) {
             );
             assert_eq!(run.assignment, assignment, "{arm}: assignment");
             match (&run.dendrogram, &dendrogram) {
-                (Some(run), Some(oracle)) => same_hierarchy(run, oracle, cfg.linkage, &arm),
+                (Some(run), Some(oracle)) => same_hierarchy(run, oracle, &arm),
                 (run, oracle) => assert_eq!(run, oracle, "{arm}: dendrogram"),
             }
         }

@@ -3,9 +3,12 @@
 //! benchmark at 8k, 32k, 128k and its full 345k reads and on the FS396
 //! environmental sample at its full 73 657 reads, and the dense route
 //! (`MrMcConfig::sixteen_s().hierarchical()`, all pairs of FS396's
-//! 9 068 distinct reads) on FS396. One row per run: reads, distinct
-//! sequences, wall time of `MrMcMinH::run`, the process's `VmHWM` over
-//! the run (input generation included) and the cluster count.
+//! 9 068 distinct reads) on FS396. Every run links with the preset's
+//! average linkage except the two `-single` rows, which repeat 128k
+//! banded and FS396 dense under single linkage. One row per run: reads,
+//! distinct sequences, wall time of `MrMcMinH::run`, the process's
+//! `VmHWM` over the run (input generation included) and the cluster
+//! count.
 //!
 //! ```sh
 //! cargo run --release --example scale_probe                        # every run
@@ -21,6 +24,7 @@ use std::time::Instant;
 
 use mrmc::stages::dereplicate;
 use mrmc::{CandidateGen, MrMcConfig, MrMcMinH};
+use mrmc_minh_suite::cluster::Linkage;
 use mrmc_minh_suite::seqio::SeqRecord;
 use mrmc_minh_suite::simulate::{environmental_samples, huse_16s};
 
@@ -30,13 +34,14 @@ const HUSE_READS: usize = 345_000;
 const RSS_BUDGET_MB: f64 = 150.0;
 const BUDGETED_READS: usize = 128_000;
 
-/// One run: the input, its read count, the route and its pinned
-/// cluster count.
+/// One run: the input, its read count, the route, the linkage and its
+/// pinned cluster count.
 struct Probe {
     name: &'static str,
     source: Source,
     reads: usize,
     candidates: CandidateGen,
+    linkage: Linkage,
     clusters: usize,
 }
 
@@ -47,12 +52,13 @@ enum Source {
     Fs396,
 }
 
-const PROBES: [Probe; 6] = [
+const PROBES: [Probe; 8] = [
     Probe {
         name: "huse-8k",
         source: Source::Huse,
         reads: 8_000,
         candidates: CandidateGen::Banded,
+        linkage: Linkage::Average,
         clusters: 3_686,
     },
     Probe {
@@ -60,6 +66,7 @@ const PROBES: [Probe; 6] = [
         source: Source::Huse,
         reads: 32_000,
         candidates: CandidateGen::Banded,
+        linkage: Linkage::Average,
         clusters: 13_299,
     },
     Probe {
@@ -67,6 +74,7 @@ const PROBES: [Probe; 6] = [
         source: Source::Fs396,
         reads: 73_657,
         candidates: CandidateGen::Banded,
+        linkage: Linkage::Average,
         clusters: 8_777,
     },
     Probe {
@@ -74,20 +82,39 @@ const PROBES: [Probe; 6] = [
         source: Source::Fs396,
         reads: 73_657,
         candidates: CandidateGen::Dense,
+        linkage: Linkage::Average,
         clusters: 8_770,
+    },
+    Probe {
+        name: "FS396-dense-single",
+        source: Source::Fs396,
+        reads: 73_657,
+        candidates: CandidateGen::Dense,
+        linkage: Linkage::Single,
+        clusters: 8_749,
     },
     Probe {
         name: "huse-128k",
         source: Source::Huse,
         reads: 128_000,
         candidates: CandidateGen::Banded,
+        linkage: Linkage::Average,
         clusters: 41_390,
+    },
+    Probe {
+        name: "huse-128k-single",
+        source: Source::Huse,
+        reads: 128_000,
+        candidates: CandidateGen::Banded,
+        linkage: Linkage::Single,
+        clusters: 40_963,
     },
     Probe {
         name: "huse-345k",
         source: Source::Huse,
         reads: HUSE_READS,
         candidates: CandidateGen::Banded,
+        linkage: Linkage::Average,
         clusters: 86_926,
     },
 ];
@@ -134,7 +161,7 @@ fn main() -> ExitCode {
 
     let mut failed = false;
     println!(
-        "{:<12} {:>8} {:>9} {:>8} {:>10} {:>9}",
+        "{:<18} {:>8} {:>9} {:>8} {:>10} {:>9}",
         "input", "reads", "distinct", "wall_s", "vmhwm_mb", "clusters"
     );
     for probe in PROBES.iter().filter(|p| p.reads <= max_reads) {
@@ -146,6 +173,7 @@ fn main() -> ExitCode {
         let distinct = dereplicate(&reads).expect("ids fit").num_distinct();
         let config = MrMcConfig {
             candidates: probe.candidates,
+            linkage: probe.linkage,
             ..MrMcConfig::sixteen_s().hierarchical()
         };
         let start = Instant::now();
@@ -154,7 +182,7 @@ fn main() -> ExitCode {
         let hwm = vm_hwm_mb();
         let clusters = run.num_clusters();
         println!(
-            "{:<12} {:>8} {:>9} {:>8.3} {:>10.1} {:>9}",
+            "{:<18} {:>8} {:>9} {:>8.3} {:>10.1} {:>9}",
             probe.name,
             reads.len(),
             distinct,
