@@ -1,10 +1,11 @@
 //! Map-Reduce substrate benchmarks: end-to-end job throughput,
 //! combiner on/off (the ablation DESIGN.md calls out), and worker
-//! scaling.
+//! scaling. Each iteration runs the job as the one stage of a fresh
+//! [`Pipeline`].
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
 use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
+use mrmc_mapreduce::pipeline::Pipeline;
 
 struct Tokenize;
 impl Mapper for Tokenize {
@@ -56,18 +57,24 @@ fn bench_shuffle(c: &mut Criterion) {
     let input = corpus(4000);
     let cfg = JobConfig::named("wc").reducers(8);
 
-    group.bench_function("no-combiner", |b| {
-        b.iter(|| run_job(input.clone(), 16, &Tokenize, &Sum, &cfg).unwrap())
-    });
+    let word_count = |cfg: &JobConfig| {
+        Pipeline::new("wc")
+            .run_stage(input.clone(), 16, &Tokenize, &Sum, cfg)
+            .unwrap()
+    };
+
+    group.bench_function("no-combiner", |b| b.iter(|| word_count(&cfg)));
     group.bench_function("with-combiner", |b| {
         b.iter(|| {
-            run_job_with_combiner(input.clone(), 16, &Tokenize, &SumCombiner, &Sum, &cfg).unwrap()
+            Pipeline::new("wc")
+                .run_stage_with_combiner(input.clone(), 16, &Tokenize, &SumCombiner, &Sum, &cfg)
+                .unwrap()
         })
     });
     for workers in [1usize, 4] {
         let cfg = JobConfig::named("wc").reducers(8).workers(workers);
         group.bench_function(BenchmarkId::new("workers", workers), |b| {
-            b.iter(|| run_job(input.clone(), 16, &Tokenize, &Sum, &cfg).unwrap())
+            b.iter(|| word_count(&cfg))
         });
     }
     group.finish();

@@ -51,7 +51,7 @@ fn main() {
         };
         let simulate = |nodes| {
             ClusterSpec::m1_large(nodes)
-                .simulate_job(&model, &costs, volume, &[], RecoveryCounters::new())
+                .simulate_job(&model, &costs, volume, &[], RecoveryCounters::new(), None)
                 .total()
         };
         let (t4, t12) = (simulate(4), simulate(12));

@@ -31,7 +31,7 @@ use mrmc_bench::json::Json;
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{ChaosProfile, FaultPlan, Phase};
 use mrmc_mapreduce::{
-    run_job, Dfs, DfsConfig, JobConfig, Mapper, Pipeline, RecoveryCounters, Reducer, ShuffleSized,
+    Dfs, DfsConfig, JobConfig, Mapper, Pipeline, RecoveryCounters, Reducer, ShuffleSized,
     TaskContext,
 };
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
@@ -286,31 +286,26 @@ fn wordcount_config() -> JobConfig {
 fn shuffle_cell(fault: &'static str, intensity: impl Into<String>, plan: FaultPlan) -> Cell {
     let input = wordcount_input();
     let t = Instant::now();
-    let clean =
-        run_job(input.clone(), 8, &Tokenize, &Sum, &wordcount_config()).expect("clean word count");
+    let mut expect = Pipeline::new("clean")
+        .run_stage(input.clone(), 8, &Tokenize, &Sum, &wordcount_config())
+        .expect("clean word count");
     let clean_secs = t.elapsed().as_secs_f64();
-    let mut expect = clean.output;
     expect.sort();
 
     let t = Instant::now();
-    let run = run_job(
-        input,
-        8,
-        &Tokenize,
-        &Sum,
-        &wordcount_config().with_faults(Arc::new(plan.injector())),
-    );
+    let mut chaotic = chaos_pipeline(plan);
+    let run = chaotic.run_stage(input, 8, &Tokenize, &Sum, &wordcount_config());
     let secs = t.elapsed().as_secs_f64();
     let (completed, identical, recovery, shuffle_bytes, shuffle_runs) = match run {
-        Ok(r) => {
-            let mut got = r.output;
+        Ok(mut got) => {
             got.sort();
+            let report = &chaotic.stages()[0];
             (
                 true,
                 got == expect,
-                r.report.recovery,
-                r.report.shuffled_bytes,
-                r.report.shuffle_runs,
+                report.recovery,
+                report.shuffled_bytes,
+                report.shuffle_runs,
             )
         }
         Err(_) => (false, false, RecoveryCounters::new(), 0, 0),

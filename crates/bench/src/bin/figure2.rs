@@ -296,7 +296,7 @@ fn chaos_section(nodes: &[usize], model: &JobCostModel, args: &HarnessArgs) -> J
         let tracer = Tracer::new();
         chaotic
             .pipeline
-            .simulate_on_traced(&ClusterSpec::m1_large(6), model, &tracer);
+            .simulate_on(&ClusterSpec::m1_large(6), model, Some(&tracer));
         std::fs::write(path, chrome_trace(&tracer.ledger()))
             .unwrap_or_else(|e| panic!("writing {path}: {e}"));
         eprintln!("wrote simulated 6-node Chrome trace of the straggler run to {path}");

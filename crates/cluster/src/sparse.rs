@@ -172,10 +172,12 @@ pub fn greedy_cluster_sparse(graph: &SparseSimGraph, theta: f64) -> ClusterAssig
 /// the dendrogram — merges, representatives, f32-rounded heights,
 /// order — is exactly the one [`agglomerative`] builds on the
 /// zero-filled matrix (missing pairs = 0.0 similarity), for edge
-/// similarities in `[0, 1]`. Cuts at or above θ match the dense run on
-/// corpora whose clusters are θ-separated; merges *below* θ use 0 for
-/// pruned pairs, so the sub-θ portion of the dendrogram follows
-/// single-linkage-at-θ semantics rather than the dense averages.
+/// similarities in `[0, 1]`. On a graph holding every pair at or above
+/// θ (the banded route's θ-graph), the θ-cut equals the dense run's
+/// under single and complete linkage, which read only those pairs.
+/// Under average linkage it does not: pruned pairs count as 0, which
+/// pulls cluster averages down, so the cut can split clusters the
+/// dense run merges at or above θ (DESIGN.md §5c).
 ///
 /// Every linkage runs the nearest-neighbour chain on adjacency lists,
 /// each merge costing the summed degree of the two merged rows'

@@ -24,10 +24,10 @@
 //!
 //! # Fault tolerance
 //!
-//! Every entry point consults the [`FaultInjector`] attached to its
-//! [`JobConfig`] (see [`JobConfig::with_faults`] and [`mrmc_chaos`]);
-//! a config without one runs with [`mrmc_chaos::NoFaults`]. The
-//! recovery mechanics are *real*, not accounting:
+//! A job consults the [`FaultInjector`] of the [`Pipeline`] that runs
+//! it (see [`Pipeline::with_faults`] and [`mrmc_chaos`]); a pipeline
+//! without one runs with [`mrmc_chaos::NoFaults`]. The recovery
+//! mechanics are *real*, not accounting:
 //!
 //! * a panicking task attempt (injected or genuine) is retried up to
 //!   [`crate::job::JobConfig::max_attempts`] times; exhausted budgets
@@ -46,8 +46,8 @@
 //!   the map output lost and re-executes that map task too.
 //!
 //! Everything the runtime did to survive is tallied in
-//! [`RecoveryCounters`] on the job's [`StageReport`], which the engine
-//! returns in [`JobResult::report`].
+//! [`RecoveryCounters`] on the job's [`StageReport`], which the
+//! pipeline keeps as the stage's record.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -61,7 +61,7 @@ use crate::error::MrError;
 use crate::job::{
     Combiner, Counters, JobConfig, JobResult, Mapper, Reducer, TaskContext, TaskStats,
 };
-use crate::pipeline::StageReport;
+use crate::pipeline::{Pipeline, StageReport};
 
 /// Shuffle fetches retried per (map, partition) before the map output
 /// is declared lost and the map task re-executed (Hadoop's
@@ -177,9 +177,11 @@ struct PhaseSpec<'a> {
 }
 
 impl<'a> PhaseSpec<'a> {
-    /// The spec `config` prescribes for one pass of `phase`.
+    /// The spec `config` prescribes for one pass of `phase` under
+    /// `injector`.
     fn of(
-        config: &'a JobConfig,
+        config: &JobConfig,
+        injector: &'a dyn FaultInjector,
         threads: usize,
         phase: Phase,
         attempt_offset: usize,
@@ -189,7 +191,7 @@ impl<'a> PhaseSpec<'a> {
             threads,
             attempts: config.max_attempts,
             attempt_offset,
-            injector: config.injector(),
+            injector,
         }
     }
 }
@@ -590,6 +592,7 @@ fn recover_node_deaths<T, F>(
     outputs: &mut [T],
     recovery: &mut RecoveryCounters,
     config: &JobConfig,
+    injector: &dyn FaultInjector,
     workers: usize,
     trace: &mut Option<TraceCtx<'_>>,
     f: F,
@@ -599,8 +602,7 @@ where
     F: Fn(usize) -> T + Sync,
 {
     let nodes = config.virtual_nodes.max(1);
-    let mut deaths: Vec<usize> = config
-        .injector()
+    let mut deaths: Vec<usize> = injector
         .node_deaths_after_map()
         .into_iter()
         .filter(|&d| d < nodes)
@@ -630,7 +632,7 @@ where
     // apart.
     let attempt_offset = config.max_attempts + 2;
     let redo = run_phase(
-        &PhaseSpec::of(config, workers, Phase::Map, attempt_offset),
+        &PhaseSpec::of(config, injector, workers, Phase::Map, attempt_offset),
         &lost,
         f,
     )?;
@@ -772,14 +774,16 @@ struct MapPhase<'a, M: Mapper, T> {
     workers: usize,
 }
 
-/// Announce the job to the injector, chunk `input`, run `task` over
-/// every chunk and re-execute what node deaths took. `reducers` is
-/// `None` for map-only jobs (it only labels the setup span).
+/// Announce the job to the pipeline's injector, chunk `input`, run
+/// `task` over every chunk and re-execute what node deaths took.
+/// `reducers` is `None` for map-only jobs (it only labels the setup
+/// span).
 fn run_map_phase<'a, M, T, F>(
     input: Vec<(M::InKey, M::InValue)>,
     num_map_tasks: usize,
     reducers: Option<usize>,
-    config: &'a JobConfig,
+    config: &JobConfig,
+    pipeline: &'a Pipeline,
     task: F,
 ) -> Result<MapPhase<'a, M, T>, MrError>
 where
@@ -789,13 +793,10 @@ where
     T: Send,
     F: Fn(usize, &[(M::InKey, M::InValue)]) -> T + Sync,
 {
-    let injector = config.injector();
+    let injector = pipeline.injector();
     injector.begin_job(&config.name);
     let workers = config.worker_threads.unwrap_or_else(default_workers);
-    let mut trace = config
-        .tracer
-        .as_deref()
-        .map(|t| TraceCtx::begin(t, &config.name));
+    let mut trace = pipeline.tracer().map(|t| TraceCtx::begin(t, &config.name));
     let setup_start = trace.as_ref().map(|ctx| ctx.tracer.now_ns());
     // Every attempt (retry, speculative backup, post-death
     // re-execution) borrows the same chunk instead of cloning it.
@@ -814,7 +815,7 @@ where
     let map_task = |i: usize| task(i, &chunks[i]);
     let ids: Vec<usize> = (0..chunks.len()).collect();
     let primary = run_phase(
-        &PhaseSpec::of(config, workers, Phase::Map, 0),
+        &PhaseSpec::of(config, injector, workers, Phase::Map, 0),
         &ids,
         map_task,
     )?;
@@ -827,6 +828,7 @@ where
         &mut outputs,
         &mut recovery,
         config,
+        injector,
         workers,
         &mut trace,
         map_task,
@@ -840,17 +842,18 @@ where
     })
 }
 
-/// Run the map phase only; returns the concatenated mapper output in
-/// task order (no shuffle, no reduce). Useful for `FOREACH`-style
-/// record-parallel transforms that Pig lowers to map-only jobs. Map
-/// outputs count as node-local until the job commits, so a node death
-/// at the end of the map phase re-executes that node's tasks even in a
-/// map-only job.
-pub fn run_map_only<M>(
+/// Run the map phase only, as a stage of `pipeline` (its tracer and
+/// injector); returns the concatenated mapper output in task order
+/// (no shuffle, no reduce). Useful for `FOREACH`-style record-parallel
+/// transforms that Pig lowers to map-only jobs. Map outputs count as
+/// node-local until the job commits, so a node death at the end of the
+/// map phase re-executes that node's tasks even in a map-only job.
+pub(crate) fn run_map_only<M>(
     input: Vec<(M::InKey, M::InValue)>,
     num_map_tasks: usize,
     mapper: &M,
     config: &JobConfig,
+    pipeline: &Pipeline,
 ) -> Result<JobResult<M::OutKey, M::OutValue>, MrError>
 where
     M: Mapper,
@@ -876,7 +879,7 @@ where
     };
     let MapPhase {
         outputs, recovery, ..
-    } = run_map_phase::<M, _, _>(input, num_map_tasks, None, config, map_task)?;
+    } = run_map_phase::<M, _, _>(input, num_map_tasks, None, config, pipeline, map_task)?;
 
     let mut counters = Counters::new();
     let mut all = Vec::new();
@@ -902,60 +905,9 @@ where
     })
 }
 
-/// Run a full map → shuffle → reduce job without a combiner.
-pub fn run_job<M, R>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    reducer: &R,
-    config: &JobConfig,
-) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    run_job_impl(
-        input,
-        num_map_tasks,
-        mapper,
-        None::<&NoCombiner<M::OutKey, M::OutValue>>,
-        reducer,
-        config,
-    )
-}
-
-/// Run a full job with a combiner applied to each map task's local
-/// output before the shuffle.
-pub fn run_job_with_combiner<M, C, R>(
-    input: Vec<(M::InKey, M::InValue)>,
-    num_map_tasks: usize,
-    mapper: &M,
-    combiner: &C,
-    reducer: &R,
-    config: &JobConfig,
-) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
-where
-    M: Mapper,
-    M::InKey: Clone + Sync,
-    M::InValue: Clone + Sync,
-    C: Combiner<Key = M::OutKey, Value = M::OutValue>,
-    R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
-{
-    run_job_impl(
-        input,
-        num_map_tasks,
-        mapper,
-        Some(combiner),
-        reducer,
-        config,
-    )
-}
-
 /// A never-instantiated combiner standing in for `None`. The
 /// `fn() -> _` phantom keeps it `Send + Sync` regardless of `K`/`V`.
-struct NoCombiner<K, V>(std::marker::PhantomData<fn() -> (K, V)>);
+pub(crate) struct NoCombiner<K, V>(std::marker::PhantomData<fn() -> (K, V)>);
 impl<K: crate::job::MrKey, V: crate::job::MrValue> Combiner for NoCombiner<K, V> {
     type Key = K;
     type Value = V;
@@ -1002,13 +954,17 @@ impl<K, V> SpillPool<K, V> {
     }
 }
 
-fn run_job_impl<M, C, R>(
+/// Run a full map → shuffle → reduce job as a stage of `pipeline` (its
+/// tracer and injector), with `combiner`, when given, applied to each
+/// map task's local output before the shuffle.
+pub(crate) fn run_job<M, C, R>(
     input: Vec<(M::InKey, M::InValue)>,
     num_map_tasks: usize,
     mapper: &M,
     combiner: Option<&C>,
     reducer: &R,
     config: &JobConfig,
+    pipeline: &Pipeline,
 ) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
 where
     M: Mapper,
@@ -1021,7 +977,7 @@ where
         return Err(MrError::BadConfig("num_reducers must be ≥ 1".into()));
     }
     let job_start = Instant::now();
-    let injector = config.injector();
+    let injector = pipeline.injector();
     let reducers = config.num_reducers;
 
     // ---- Map phase (incl. node deaths at the map→reduce barrier) ----
@@ -1104,7 +1060,14 @@ where
         mut recovery,
         mut trace,
         workers,
-    } = run_map_phase::<M, _, _>(input, num_map_tasks, Some(reducers), config, map_task)?;
+    } = run_map_phase::<M, _, _>(
+        input,
+        num_map_tasks,
+        Some(reducers),
+        config,
+        pipeline,
+        map_task,
+    )?;
 
     // ---- Shuffle fetch failures ----
     // Each (map, partition) fetch is retried; past the limit the map
@@ -1140,7 +1103,7 @@ where
     for m in lost_maps {
         let attempt_offset = config.max_attempts + 8;
         let redo = run_phase(
-            &PhaseSpec::of(config, workers, Phase::Map, attempt_offset),
+            &PhaseSpec::of(config, injector, workers, Phase::Map, attempt_offset),
             &[m],
             |i| map_task(i, &chunks[i]),
         )?;
@@ -1255,7 +1218,7 @@ where
 
     let reduce_ids: Vec<usize> = (0..reducers).collect();
     let reduce_phase = run_phase(
-        &PhaseSpec::of(config, workers, Phase::Reduce, 0),
+        &PhaseSpec::of(config, injector, workers, Phase::Reduce, 0),
         &reduce_ids,
         reduce_task,
     )?;
@@ -1292,7 +1255,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrmc_chaos::FaultPlan;
+    use mrmc_chaos::{FaultPlan, PlanInjector};
     use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
@@ -1345,6 +1308,41 @@ mod tests {
         v
     }
 
+    /// Run one full job as the only stage of `pipeline`: its output
+    /// and the report the pipeline kept.
+    fn stage<M, R>(
+        mut pipeline: Pipeline,
+        input: Vec<(M::InKey, M::InValue)>,
+        maps: usize,
+        mapper: &M,
+        reducer: &R,
+        cfg: &JobConfig,
+    ) -> Result<JobResult<R::OutKey, R::OutValue>, MrError>
+    where
+        M: Mapper,
+        M::InKey: Clone + Sync,
+        M::InValue: Clone + Sync,
+        R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
+    {
+        let output = pipeline.run_stage(input, maps, mapper, reducer, cfg)?;
+        let report = pipeline.stages()[0].clone();
+        Ok(JobResult { output, report })
+    }
+
+    /// Word count over [`wc_input`] as the only stage of `pipeline`.
+    fn wc(
+        pipeline: Pipeline,
+        maps: usize,
+        cfg: &JobConfig,
+    ) -> Result<JobResult<String, u64>, MrError> {
+        stage(pipeline, wc_input(), maps, &WcMapper, &SumReducer, cfg)
+    }
+
+    /// A pipeline whose stages run under `injector`.
+    fn chaos(injector: PlanInjector) -> Pipeline {
+        Pipeline::default().with_faults(Arc::new(injector))
+    }
+
     fn expected_wc() -> Vec<(String, u64)> {
         vec![
             ("brown".into(), 1),
@@ -1359,7 +1357,7 @@ mod tests {
     #[test]
     fn word_count_end_to_end() {
         let cfg = JobConfig::named("wc").reducers(3).workers(4);
-        let result = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
+        let result = wc(Pipeline::default(), 2, &cfg).unwrap();
         assert_eq!(sorted(result.output), expected_wc());
         let report = &result.report;
         assert_eq!(report.name, "wc");
@@ -1378,26 +1376,32 @@ mod tests {
     fn counters_hold_only_what_tasks_counted() {
         let cfg = JobConfig::named("wc").reducers(2).workers(2);
         let lines = vec![("lines".to_string(), 3)];
-        let full = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
+        let full = wc(Pipeline::default(), 2, &cfg).unwrap();
         assert_eq!(full.report.counters, lines);
         assert!(full.report.shuffled_pairs > 0);
-        let map_only = run_map_only(wc_input(), 2, &WcMapper, &cfg).unwrap();
-        assert_eq!(map_only.report.counters, lines);
-        assert_eq!(map_only.report.shuffle_volume(), Default::default());
+        let mut pipeline = Pipeline::default();
+        pipeline
+            .run_map_stage(wc_input(), 2, &WcMapper, &cfg)
+            .unwrap();
+        let map_only = &pipeline.stages()[0];
+        assert_eq!(map_only.counters, lines);
+        assert_eq!(map_only.shuffle_volume(), Default::default());
     }
 
     #[test]
     fn combiner_reduces_shuffle_volume_same_answer() {
         let cfg = JobConfig::named("wc").reducers(2).workers(2);
-        let plain = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
-        let combined =
-            run_job_with_combiner(wc_input(), 3, &WcMapper, &SumCombiner, &SumReducer, &cfg)
-                .unwrap();
-        assert_eq!(sorted(plain.output), sorted(combined.output));
+        let plain = wc(Pipeline::default(), 3, &cfg).unwrap();
+        let mut pipeline = Pipeline::default();
+        let combined = pipeline
+            .run_stage_with_combiner(wc_input(), 3, &WcMapper, &SumCombiner, &SumReducer, &cfg)
+            .unwrap();
+        assert_eq!(sorted(plain.output), sorted(combined));
+        let combined_pairs = pipeline.stages()[0].shuffled_pairs;
         assert!(
-            combined.report.shuffled_pairs <= plain.report.shuffled_pairs,
+            combined_pairs <= plain.report.shuffled_pairs,
             "combiner must not inflate shuffle: {} vs {}",
-            combined.report.shuffled_pairs,
+            combined_pairs,
             plain.report.shuffled_pairs
         );
     }
@@ -1408,11 +1412,7 @@ mod tests {
             .iter()
             .map(|&w| {
                 let cfg = JobConfig::named("wc").reducers(4).workers(w);
-                sorted(
-                    run_job(wc_input(), 4, &WcMapper, &SumReducer, &cfg)
-                        .unwrap()
-                        .output,
-                )
+                sorted(wc(Pipeline::default(), 4, &cfg).unwrap().output)
             })
             .collect();
         assert_eq!(outs[0], outs[1]);
@@ -1422,14 +1422,22 @@ mod tests {
     #[test]
     fn empty_input_empty_output() {
         let cfg = JobConfig::named("wc").reducers(2);
-        let result = run_job(Vec::new(), 4, &WcMapper, &SumReducer, &cfg).unwrap();
+        let result = stage(
+            Pipeline::default(),
+            Vec::new(),
+            4,
+            &WcMapper,
+            &SumReducer,
+            &cfg,
+        )
+        .unwrap();
         assert!(result.output.is_empty());
     }
 
     #[test]
     fn more_reducers_than_keys_is_fine() {
         let cfg = JobConfig::named("wc").reducers(64);
-        let result = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
+        let result = wc(Pipeline::default(), 2, &cfg).unwrap();
         assert_eq!(sorted(result.output), expected_wc());
     }
 
@@ -1437,7 +1445,7 @@ mod tests {
     fn zero_reducers_rejected() {
         let cfg = JobConfig::named("bad").reducers(0);
         assert!(matches!(
-            run_job(wc_input(), 1, &WcMapper, &SumReducer, &cfg),
+            wc(Pipeline::default(), 1, &cfg),
             Err(MrError::BadConfig(_))
         ));
     }
@@ -1456,10 +1464,11 @@ mod tests {
                 ctx.emit(k, v);
             }
         }
-        let result = run_map_only(input, 7, &Echo, &cfg).unwrap();
-        let keys: Vec<usize> = result.output.iter().map(|(k, _)| *k).collect();
+        let mut pipeline = Pipeline::default();
+        let output = pipeline.run_map_stage(input, 7, &Echo, &cfg).unwrap();
+        let keys: Vec<usize> = output.iter().map(|(k, _)| *k).collect();
         assert_eq!(keys, (0..100).collect::<Vec<_>>());
-        assert_eq!(result.report.map_stats.len(), 7);
+        assert_eq!(pipeline.stages()[0].map_stats.len(), 7);
     }
 
     #[test]
@@ -1477,7 +1486,7 @@ mod tests {
             }
         }
         let cfg = JobConfig::named("boom").reducers(1).workers(2);
-        match run_job(wc_input(), 3, &Bomb, &SumReducer, &cfg) {
+        match stage(Pipeline::default(), wc_input(), 3, &Bomb, &SumReducer, &cfg) {
             Err(MrError::TaskFailed {
                 phase,
                 message,
@@ -1508,7 +1517,14 @@ mod tests {
         }
         for workers in [1, 2, 8] {
             let cfg = JobConfig::named("boom").reducers(1).workers(workers);
-            match run_job(wc_input(), 3, &AllBomb, &SumReducer, &cfg) {
+            match stage(
+                Pipeline::default(),
+                wc_input(),
+                3,
+                &AllBomb,
+                &SumReducer,
+                &cfg,
+            ) {
                 Err(MrError::TaskFailed { task, .. }) => assert_eq!(task, 0, "workers={workers}"),
                 other => panic!("unexpected: {other:?}"),
             }
@@ -1550,7 +1566,15 @@ mod tests {
             failures_left: AtomicU32::new(2),
         };
         let cfg = JobConfig::named("flaky").reducers(2).workers(1);
-        assert!(run_job(wc_input(), 2, &flaky, &SumReducer, &cfg).is_err());
+        assert!(stage(
+            Pipeline::default(),
+            wc_input(),
+            2,
+            &flaky,
+            &SumReducer,
+            &cfg
+        )
+        .is_err());
 
         // With an attempt budget: the job recovers and the answer is
         // exactly the clean run's.
@@ -1558,7 +1582,15 @@ mod tests {
             failures_left: AtomicU32::new(2),
         };
         let cfg = JobConfig::named("flaky").reducers(2).workers(1).attempts(4);
-        let result = run_job(wc_input(), 2, &flaky, &SumReducer, &cfg).unwrap();
+        let result = stage(
+            Pipeline::default(),
+            wc_input(),
+            2,
+            &flaky,
+            &SumReducer,
+            &cfg,
+        )
+        .unwrap();
         assert_eq!(sorted(result.output), expected_wc());
         assert!(result.report.recovery.tasks_retried >= 1);
     }
@@ -1605,7 +1637,7 @@ mod tests {
     fn reduce_output_sorted_within_partition() {
         // With one reducer, all output keys arrive sorted.
         let cfg = JobConfig::named("sorted").reducers(1);
-        let result = run_job(wc_input(), 2, &WcMapper, &SumReducer, &cfg).unwrap();
+        let result = wc(Pipeline::default(), 2, &cfg).unwrap();
         let keys: Vec<&String> = result.output.iter().map(|(k, _)| k).collect();
         let mut expect = keys.clone();
         expect.sort();
@@ -1617,20 +1649,13 @@ mod tests {
     #[test]
     fn injected_panics_recovered_identically() {
         let cfg = JobConfig::named("wc").reducers(3).workers(4).attempts(4);
-        let clean = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
+        let clean = wc(Pipeline::default(), 3, &cfg).unwrap();
         let inj = FaultPlan::new()
             .task_panic(0, Phase::Map, 0, 2)
             .task_panic(0, Phase::Map, 2, 1)
             .task_panic(0, Phase::Reduce, 1, 1)
             .injector();
-        let chaotic = run_job(
-            wc_input(),
-            3,
-            &WcMapper,
-            &SumReducer,
-            &cfg.with_faults(Arc::new(inj)),
-        )
-        .unwrap();
+        let chaotic = wc(chaos(inj), 3, &cfg).unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.report.recovery.tasks_retried, 4);
     }
@@ -1641,13 +1666,7 @@ mod tests {
         let inj = FaultPlan::new()
             .task_panic(0, Phase::Map, 1, usize::MAX)
             .injector();
-        match run_job(
-            wc_input(),
-            3,
-            &WcMapper,
-            &SumReducer,
-            &cfg.with_faults(Arc::new(inj)),
-        ) {
+        match wc(chaos(inj), 3, &cfg) {
             Err(MrError::TaskFailed {
                 phase,
                 task,
@@ -1666,18 +1685,11 @@ mod tests {
     #[test]
     fn node_death_reexecutes_its_maps() {
         let cfg = JobConfig::named("wc").reducers(3).workers(4).nodes(3);
-        let clean = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
+        let clean = wc(Pipeline::default(), 3, &cfg).unwrap();
         // Node 1 held map task 1 (task % 3 nodes); killing it at the
         // barrier forces one re-execution.
         let inj = FaultPlan::new().node_death_after_map(0, 1).injector();
-        let chaotic = run_job(
-            wc_input(),
-            3,
-            &WcMapper,
-            &SumReducer,
-            &cfg.with_faults(Arc::new(inj)),
-        )
-        .unwrap();
+        let chaotic = wc(chaos(inj), 3, &cfg).unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.report.recovery.maps_reexecuted_node_loss, 1);
     }
@@ -1685,18 +1697,11 @@ mod tests {
     #[test]
     fn speculative_backup_wins_over_straggler() {
         let cfg = JobConfig::named("wc").reducers(2).workers(4);
-        let clean = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
+        let clean = wc(Pipeline::default(), 3, &cfg).unwrap();
         let inj = FaultPlan::new()
             .task_slowdown(0, Phase::Map, 1, 30)
             .injector();
-        let chaotic = run_job(
-            wc_input(),
-            3,
-            &WcMapper,
-            &SumReducer,
-            &cfg.with_faults(Arc::new(inj)),
-        )
-        .unwrap();
+        let chaotic = wc(chaos(inj), 3, &cfg).unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.report.recovery.speculative_wins, 1);
     }
@@ -1704,21 +1709,14 @@ mod tests {
     #[test]
     fn fetch_failures_retry_then_reexecute() {
         let cfg = JobConfig::named("wc").reducers(2).workers(2);
-        let clean = run_job(wc_input(), 3, &WcMapper, &SumReducer, &cfg).unwrap();
+        let clean = wc(Pipeline::default(), 3, &cfg).unwrap();
         // 2 failures: retried, output kept. 5 failures: output lost,
         // map 1 re-executed.
         let inj = FaultPlan::new()
             .shuffle_fetch_fail(0, 0, 1, 2)
             .shuffle_fetch_fail(0, 1, 0, 5)
             .injector();
-        let chaotic = run_job(
-            wc_input(),
-            3,
-            &WcMapper,
-            &SumReducer,
-            &cfg.with_faults(Arc::new(inj)),
-        )
-        .unwrap();
+        let chaotic = wc(chaos(inj), 3, &cfg).unwrap();
         assert_eq!(sorted(clean.output), sorted(chaotic.output));
         assert_eq!(chaotic.report.recovery.shuffle_fetch_retries, 2 + 3);
         assert_eq!(chaotic.report.recovery.maps_reexecuted_fetch_fail, 1);
@@ -1739,14 +1737,7 @@ mod tests {
                 .attempts(3)
                 .nodes(4);
             let inj = plan.clone().injector();
-            let result = run_job(
-                wc_input(),
-                4,
-                &WcMapper,
-                &SumReducer,
-                &cfg.with_faults(Arc::new(inj)),
-            )
-            .unwrap();
+            let result = wc(chaos(inj), 4, &cfg).unwrap();
             assert_eq!(sorted(result.output), expected_wc());
             ledgers.push(result.report.recovery);
         }

@@ -9,10 +9,7 @@
 
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use std::time::Duration;
-
-use mrmc_chaos::{FaultInjector, NoFaults};
 
 use crate::pipeline::StageReport;
 
@@ -268,7 +265,10 @@ impl<K, V> Default for TaskContext<K, V> {
     }
 }
 
-/// Job configuration.
+/// What a job is: its name, its reducer count, and how it runs on the
+/// worker pool and the virtual nodes. The trace sink and the fault
+/// injector are not a job's: they live on the [`crate::Pipeline`] that
+/// runs it.
 #[derive(Debug, Clone)]
 pub struct JobConfig {
     /// Human-readable job name (appears in reports).
@@ -287,15 +287,6 @@ pub struct JobConfig {
     /// for the fault model: a node death at the map→reduce barrier
     /// loses its tasks' uncommitted output.
     pub virtual_nodes: usize,
-    /// Optional structured trace sink. When set, the engine records
-    /// task attempt lifecycle, shuffle runs, combiner activity and
-    /// recovery actions into the shared ledger (our JobHistory
-    /// analogue — see `mrmc_obs`).
-    pub tracer: Option<Arc<mrmc_obs::Tracer>>,
-    /// Optional fault source the engine consults at every hook point
-    /// (task attempts, the map→reduce barrier, shuffle fetches).
-    /// Absent ≡ [`NoFaults`].
-    pub injector: Option<Arc<dyn FaultInjector>>,
 }
 
 impl JobConfig {
@@ -308,8 +299,6 @@ impl JobConfig {
             worker_threads: None,
             max_attempts: 1,
             virtual_nodes: 8,
-            tracer: None,
-            injector: None,
         }
     }
 
@@ -336,23 +325,6 @@ impl JobConfig {
         self.virtual_nodes = n.max(1);
         self
     }
-
-    /// Builder-style trace sink.
-    pub fn traced(mut self, tracer: Arc<mrmc_obs::Tracer>) -> JobConfig {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Builder-style fault injector.
-    pub fn with_faults(mut self, injector: Arc<dyn FaultInjector>) -> JobConfig {
-        self.injector = Some(injector);
-        self
-    }
-
-    /// The injector jobs under this config consult.
-    pub(crate) fn injector(&self) -> &dyn FaultInjector {
-        self.injector.as_deref().unwrap_or(&NoFaults)
-    }
 }
 
 /// Wall-clock statistics for one task.
@@ -371,7 +343,7 @@ pub struct TaskStats {
 /// The result of running a job: its output and the one record of how
 /// it ran, which a [`crate::Pipeline`] keeps as the stage's report.
 #[derive(Debug)]
-pub struct JobResult<K, V> {
+pub(crate) struct JobResult<K, V> {
     /// All reducer outputs, concatenated (ordered by partition, then by
     /// key within the partition — the engine's sort guarantees this).
     pub output: Vec<(K, V)>,

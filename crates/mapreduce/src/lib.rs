@@ -26,24 +26,25 @@
 //! simulated cluster adds the *accounting* layer that maps that work
 //! onto a virtual 2–12 node Hadoop deployment.
 //!
+//! A job runs one way: as a stage of a [`Pipeline`], which is also
+//! the one place its context is attached.
+//!
 //! Fault injection and recovery live in the [`mrmc_chaos`] crate
 //! (re-exported here as [`chaos`]): attach a [`FaultInjector`] via
-//! [`JobConfig::with_faults`](job::JobConfig::with_faults) or
 //! [`Pipeline::with_faults`](pipeline::Pipeline::with_faults) (absent
 //! ≡ [`NoFaults`]), and the engine and DFS implement the *real*
 //! recovery Hadoop would perform — task retries, speculative backups,
 //! lost-map-output re-execution after a node death, checksum fallback
 //! and re-replication — with the tally surfaced as
-//! [`RecoveryCounters`] on job results.
+//! [`RecoveryCounters`] on each stage's report.
 //!
 //! Structured tracing lives in the [`mrmc_obs`] crate (re-exported
 //! here as [`obs`]): attach a [`Tracer`] via
-//! [`JobConfig::traced`](job::JobConfig::traced) or
 //! [`Pipeline::traced`](pipeline::Pipeline::traced) and the engine
 //! records task attempt lifecycle, shuffle movement and every
 //! recovery action as a deterministic span ledger; the simulated
-//! cluster produces an equivalent simulated-time trace
-//! ([`ClusterSpec::simulate_job_traced`]).
+//! cluster produces an equivalent simulated-time trace when
+//! [`ClusterSpec::simulate_job`] is handed a tracer.
 
 pub mod dfs;
 pub mod engine;
@@ -57,11 +58,11 @@ pub use mrmc_chaos as chaos;
 pub use mrmc_obs as obs;
 
 pub use dfs::{Dfs, DfsConfig, FastaSplitReader, InputSplit};
-pub use engine::{chunk_ranges, run_job, run_job_with_combiner, run_map_only};
+pub use engine::chunk_ranges;
 pub use error::MrError;
 pub use job::{
-    Combiner, Counters, JobConfig, JobResult, Mapper, MrKey, MrValue, Reducer, ShuffleSized,
-    TaskContext, TaskStats,
+    Combiner, Counters, JobConfig, Mapper, MrKey, MrValue, Reducer, ShuffleSized, TaskContext,
+    TaskStats,
 };
 pub use mrmc_chaos::{
     ChaosProfile, FaultInjector, FaultPlan, NoFaults, Phase, PlanInjector, RecoveryCounters,

@@ -3,15 +3,17 @@
 //! Pig lowers one script to a *chain* of Map-Reduce jobs; a
 //! [`Pipeline`] runs such a chain, keeping per-stage task statistics so
 //! the whole pipeline can afterwards be re-scheduled on a simulated
-//! cluster ([`ClusterSpec`]) for the Figure 2 scaling study.
+//! cluster ([`ClusterSpec`]) for the Figure 2 scaling study. It is the
+//! one way to run a job, and the one place a trace sink or a fault
+//! injector is attached.
 
 use std::sync::Arc;
 use std::time::Duration;
 
-use mrmc_chaos::{FaultInjector, RecoveryCounters};
+use mrmc_chaos::{FaultInjector, NoFaults, RecoveryCounters};
 use mrmc_obs::{MetricsRegistry, Tracer};
 
-use crate::engine::{run_job, run_job_with_combiner, run_map_only};
+use crate::engine::{run_job, run_map_only, NoCombiner};
 use crate::error::MrError;
 use crate::job::{
     Combiner, JobConfig, JobResult, Mapper, MrKey, MrValue, Reducer, TaskContext, TaskStats,
@@ -19,10 +21,10 @@ use crate::job::{
 use crate::simcluster::{ClusterSpec, JobCostModel, ShuffleVolume, SimJobReport};
 
 /// Statistics for one executed stage, built by the engine as the job
-/// finishes ([`JobResult::report`]). Each fact has one field here:
-/// record counts live in the task stats, shuffle volume in the three
-/// `shuffle*` fields, recovery in `recovery`, and `counters` holds
-/// only what the tasks counted themselves.
+/// finishes. Each fact has one field here: record counts live in the
+/// task stats, shuffle volume in the three `shuffle*` fields, recovery
+/// in `recovery`, and `counters` holds only what the tasks counted
+/// themselves.
 #[derive(Debug, Clone)]
 pub struct StageReport {
     /// Stage (job) name.
@@ -170,18 +172,9 @@ impl Pipeline {
         self
     }
 
-    /// The stage's effective config: the pipeline's tracer and
-    /// injector are attached unless the caller already attached their
-    /// own to the stage.
-    fn stage_config(&self, config: &JobConfig) -> JobConfig {
-        let mut config = config.clone();
-        if config.tracer.is_none() {
-            config.tracer = self.tracer.clone();
-        }
-        if config.injector.is_none() {
-            config.injector = self.injector.clone();
-        }
-        config
+    /// The injector every stage consults (absent ≡ [`NoFaults`]).
+    pub(crate) fn injector(&self) -> &dyn FaultInjector {
+        self.injector.as_deref().unwrap_or(&NoFaults)
     }
 
     /// Keep a finished job's report as the next stage and hand its
@@ -211,8 +204,10 @@ impl Pipeline {
             input,
             num_map_tasks,
             mapper,
+            None::<&NoCombiner<M::OutKey, M::OutValue>>,
             reducer,
-            &self.stage_config(config),
+            config,
+            self,
         )?;
         Ok(self.record(result))
     }
@@ -235,13 +230,14 @@ impl Pipeline {
         C: Combiner<Key = M::OutKey, Value = M::OutValue>,
         R: Reducer<InKey = M::OutKey, InValue = M::OutValue>,
     {
-        let result = run_job_with_combiner(
+        let result = run_job(
             input,
             num_map_tasks,
             mapper,
-            combiner,
+            Some(combiner),
             reducer,
-            &self.stage_config(config),
+            config,
+            self,
         )?;
         Ok(self.record(result))
     }
@@ -281,7 +277,7 @@ impl Pipeline {
         M::InKey: Clone + Sync,
         M::InValue: Clone + Sync,
     {
-        let result = run_map_only(input, num_map_tasks, mapper, &self.stage_config(config))?;
+        let result = run_map_only(input, num_map_tasks, mapper, config, self)?;
         Ok(self.record(result))
     }
 
@@ -318,45 +314,26 @@ impl Pipeline {
     /// Re-schedule every stage's measured task costs onto a virtual
     /// cluster, returning per-stage simulated reports. The pipeline's
     /// simulated total is the sum (jobs run sequentially, as Pig does).
-    pub fn simulate_on(&self, cluster: &ClusterSpec, model: &JobCostModel) -> Vec<SimJobReport> {
-        self.stages
-            .iter()
-            .map(|s| {
-                cluster.simulate_job(
-                    model,
-                    &s.map_costs(),
-                    s.shuffle_volume(),
-                    &s.reduce_costs(),
-                    s.recovery,
-                )
-            })
-            .collect()
-    }
-
-    /// [`Pipeline::simulate_on`] that also writes a simulated-time
-    /// trace into `tracer`: one ledger job per stage, chained on the
-    /// simulated clock (stage N starts where stage N−1 ended, as Pig
-    /// runs jobs sequentially). Returns the same reports
-    /// `simulate_on` would.
-    pub fn simulate_on_traced(
+    /// Given a `tracer`, also writes a simulated-time trace into it:
+    /// one ledger job per stage, chained on the simulated clock (stage
+    /// N starts where stage N−1 ended).
+    pub fn simulate_on(
         &self,
         cluster: &ClusterSpec,
         model: &JobCostModel,
-        tracer: &Tracer,
+        tracer: Option<&Tracer>,
     ) -> Vec<SimJobReport> {
         let mut clock_s = 0.0f64;
         self.stages
             .iter()
             .map(|s| {
-                let report = cluster.simulate_job_traced(
+                let report = cluster.simulate_job(
                     model,
                     &s.map_costs(),
                     s.shuffle_volume(),
                     &s.reduce_costs(),
                     s.recovery,
-                    tracer,
-                    &s.name,
-                    clock_s,
+                    tracer.map(|t| (t, s.name.as_str(), clock_s)),
                 );
                 // Advance the clock with the same association the span
                 // emitter used, so the next stage's setup span starts
@@ -373,7 +350,7 @@ impl Pipeline {
 
     /// Simulated total seconds on a virtual cluster.
     pub fn simulated_total(&self, cluster: &ClusterSpec, model: &JobCostModel) -> f64 {
-        self.simulate_on(cluster, model)
+        self.simulate_on(cluster, model, None)
             .iter()
             .map(|r| r.total())
             .sum()
@@ -564,7 +541,7 @@ mod tests {
         .unwrap();
         let cluster = ClusterSpec::m1_large(4);
         let model = JobCostModel::default();
-        let reports = p.simulate_on(&cluster, &model);
+        let reports = p.simulate_on(&cluster, &model, None);
         assert_eq!(reports.len(), 1);
         let total = p.simulated_total(&cluster, &model);
         assert!((total - reports[0].total()).abs() < 1e-12);
@@ -659,8 +636,10 @@ mod tests {
         // The recovery ledger rides into the simulated reports.
         let cluster = ClusterSpec::m1_large(4);
         let model = JobCostModel::default();
-        let reports = chaotic.simulate_on(&cluster, &model);
+        let reports = chaotic.simulate_on(&cluster, &model, None);
         assert_eq!(reports[0].recovery, rec);
-        assert!(clean.simulate_on(&cluster, &model)[0].recovery.is_clean());
+        assert!(clean.simulate_on(&cluster, &model, None)[0]
+            .recovery
+            .is_clean());
     }
 }

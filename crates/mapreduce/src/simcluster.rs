@@ -218,6 +218,17 @@ impl ClusterSpec {
     /// the report. Synthetic callers pass
     /// `ShuffleVolume { records, ..Default::default() }` and a clean
     /// ledger.
+    ///
+    /// Given `trace = Some((tracer, job_name, start_s))`, the same
+    /// schedule is also written into `tracer` as a *simulated-time*
+    /// trace: per-job overhead as an explicit span, one launch-overhead
+    /// and one body span per scheduled task slot (recovery
+    /// re-executions categorized as recovery work), a shuffle span
+    /// depending on every map lane, and reduce lanes depending on the
+    /// shuffle. Timestamps are simulated seconds rendered as
+    /// nanoseconds since `start_s` — fully deterministic, and the spans
+    /// tile every loaded lane without gaps, so the critical path
+    /// reconstructs the report's makespan exactly.
     pub fn simulate_job(
         &self,
         model: &JobCostModel,
@@ -225,17 +236,131 @@ impl ClusterSpec {
         volume: ShuffleVolume,
         reduce_costs: &[f64],
         recovery: mrmc_chaos::RecoveryCounters,
+        trace: Option<(&mrmc_obs::Tracer, &str, f64)>,
     ) -> SimJobReport {
+        use mrmc_obs::{Category, SpanDraft, SpanId};
+
         let eff = self.effective_costs(model, map_costs, reduce_costs, recovery);
-        let map_time = lpt_makespan(&eff.map_costs, self.map_slots());
-        let reduce_time = lpt_makespan(&eff.reduce_costs, self.reduce_slots());
-        SimJobReport {
-            map_time,
+        let map_sched = lpt_schedule(&eff.map_costs, self.map_slots());
+        let reduce_sched = lpt_schedule(&eff.reduce_costs, self.reduce_slots());
+        let makespan = |sched: &[ScheduledTask]| sched.iter().fold(0.0f64, |acc, t| acc.max(t.end));
+        let report = SimJobReport {
+            map_time: makespan(&map_sched),
             shuffle_time: self.shuffle_seconds(model, volume),
-            reduce_time,
+            reduce_time: makespan(&reduce_sched),
             overhead: model.job_overhead,
             recovery,
-        }
+        };
+        let Some((tracer, job_name, start_s)) = trace else {
+            return report;
+        };
+
+        let ns = |s: f64| -> u64 { (s * 1e9).round() as u64 };
+        let job = tracer.begin_job(job_name);
+        let setup_end = start_s + model.job_overhead;
+        let setup = tracer.add_span(
+            SpanDraft::new(job, "job:setup", Category::Overhead)
+                .lane(0)
+                .at(ns(start_s), ns(setup_end).saturating_sub(ns(start_s)))
+                .meta("nodes", self.nodes),
+        );
+
+        // Emit one overhead + body span pair per scheduled task,
+        // chained along its lane so lane order becomes dependency
+        // order. Spans on a lane are contiguous (list scheduling
+        // stacks tasks from zero), so the longest lane's chain covers
+        // the whole phase makespan. Returns each lane's last span.
+        let emit_phase = |sched: &[ScheduledTask],
+                          base_s: f64,
+                          name: &str,
+                          recovery_from: usize,
+                          straggler: Option<usize>,
+                          entry_dep: SpanId|
+         -> Vec<SpanId> {
+            let mut order: Vec<&ScheduledTask> = sched.iter().collect();
+            order.sort_by(|a, b| {
+                (a.slot, a.start)
+                    .partial_cmp(&(b.slot, b.start))
+                    .expect("finite times")
+            });
+            let mut lane_last: Vec<(usize, SpanId)> = Vec::new();
+            for t in order {
+                let prev = lane_last
+                    .iter()
+                    .find(|(slot, _)| *slot == t.slot)
+                    .map(|&(_, id)| id)
+                    .unwrap_or(entry_dep);
+                let launch_end = (base_s + t.start + model.task_overhead).min(base_s + t.end);
+                let launch = tracer.add_span(
+                    SpanDraft::new(job, format!("{name}:launch"), Category::Overhead)
+                        .task_attempt(t.task, 0)
+                        .lane(t.slot)
+                        .at(
+                            ns(base_s + t.start),
+                            ns(launch_end).saturating_sub(ns(base_s + t.start)),
+                        )
+                        .dep(prev),
+                );
+                let category = if t.task >= recovery_from {
+                    Category::Recovery
+                } else {
+                    Category::Compute
+                };
+                let mut body = SpanDraft::new(job, name, category)
+                    .task_attempt(t.task, 0)
+                    .lane(t.slot)
+                    .at(
+                        ns(launch_end),
+                        ns(base_s + t.end).saturating_sub(ns(launch_end)),
+                    )
+                    .dep(launch);
+                if straggler == Some(t.task) {
+                    body = body.meta("straggler", "true");
+                }
+                let id = tracer.add_span(body);
+                match lane_last.iter_mut().find(|(slot, _)| *slot == t.slot) {
+                    Some(entry) => entry.1 = id,
+                    None => lane_last.push((t.slot, id)),
+                }
+            }
+            lane_last.sort_unstable();
+            lane_last.into_iter().map(|(_, id)| id).collect()
+        };
+
+        let map_frontier = emit_phase(
+            &map_sched,
+            setup_end,
+            "map",
+            eff.primary_maps,
+            eff.straggler,
+            setup,
+        );
+        let shuffle_start = setup_end + report.map_time;
+        let shuffle = tracer.add_span(
+            SpanDraft::new(job, "shuffle", Category::Shuffle)
+                .lane(0)
+                .at(
+                    ns(shuffle_start),
+                    ns(shuffle_start + report.shuffle_time).saturating_sub(ns(shuffle_start)),
+                )
+                .deps(if map_frontier.is_empty() {
+                    vec![setup]
+                } else {
+                    map_frontier
+                })
+                .meta("records", volume.records)
+                .meta("bytes", volume.bytes)
+                .meta("runs", volume.runs),
+        );
+        emit_phase(
+            &reduce_sched,
+            shuffle_start + report.shuffle_time,
+            "reduce",
+            usize::MAX,
+            None,
+            shuffle,
+        );
+        report
     }
 
     /// Shuffle transfer time under the three-axis cost model, charged
@@ -292,154 +417,6 @@ impl ClusterSpec {
             primary_maps,
             straggler,
             reduce_costs: with_task_overhead(reduce_costs),
-        }
-    }
-
-    /// [`ClusterSpec::simulate_job`] that also emits a
-    /// *simulated-time* trace into `tracer`: per-job overhead as an
-    /// explicit span, one launch-overhead + body span pair per
-    /// scheduled task slot (recovery re-executions categorized as
-    /// recovery work), a shuffle span depending on every map lane, and
-    /// reduce lanes depending on the shuffle. Timestamps are simulated
-    /// seconds rendered as nanoseconds since `start_s` — fully
-    /// deterministic, and the spans tile every loaded lane without
-    /// gaps, so the critical path reconstructs the report's makespan
-    /// exactly. Returns the same report `simulate_job` would.
-    #[allow(clippy::too_many_arguments)]
-    pub fn simulate_job_traced(
-        &self,
-        model: &JobCostModel,
-        map_costs: &[f64],
-        volume: ShuffleVolume,
-        reduce_costs: &[f64],
-        recovery: mrmc_chaos::RecoveryCounters,
-        tracer: &mrmc_obs::Tracer,
-        job_name: &str,
-        start_s: f64,
-    ) -> SimJobReport {
-        use mrmc_obs::{Category, SpanDraft, SpanId};
-
-        let ns = |s: f64| -> u64 { (s * 1e9).round() as u64 };
-        let eff = self.effective_costs(model, map_costs, reduce_costs, recovery);
-        let job = tracer.begin_job(job_name);
-
-        let setup_end = start_s + model.job_overhead;
-        let setup = tracer.add_span(
-            SpanDraft::new(job, "job:setup", Category::Overhead)
-                .lane(0)
-                .at(ns(start_s), ns(setup_end).saturating_sub(ns(start_s)))
-                .meta("nodes", self.nodes),
-        );
-
-        // Emit one overhead + body span pair per scheduled task,
-        // chained along its lane so lane order becomes dependency
-        // order. Spans on a lane are contiguous (list scheduling
-        // stacks tasks from zero), so the longest lane's chain covers
-        // the whole phase makespan.
-        let emit_phase = |sched: &[ScheduledTask],
-                          base_s: f64,
-                          name: &str,
-                          recovery_from: usize,
-                          straggler: Option<usize>,
-                          entry_dep: SpanId|
-         -> (Vec<SpanId>, f64) {
-            let mut order: Vec<&ScheduledTask> = sched.iter().collect();
-            order.sort_by(|a, b| {
-                (a.slot, a.start)
-                    .partial_cmp(&(b.slot, b.start))
-                    .expect("finite times")
-            });
-            let mut lane_last: Vec<(usize, SpanId)> = Vec::new();
-            let mut makespan = 0.0f64;
-            for t in order {
-                makespan = makespan.max(t.end);
-                let prev = lane_last
-                    .iter()
-                    .find(|(slot, _)| *slot == t.slot)
-                    .map(|&(_, id)| id)
-                    .unwrap_or(entry_dep);
-                let launch_end = (base_s + t.start + model.task_overhead).min(base_s + t.end);
-                let launch = tracer.add_span(
-                    SpanDraft::new(job, format!("{name}:launch"), Category::Overhead)
-                        .task_attempt(t.task, 0)
-                        .lane(t.slot)
-                        .at(
-                            ns(base_s + t.start),
-                            ns(launch_end).saturating_sub(ns(base_s + t.start)),
-                        )
-                        .dep(prev),
-                );
-                let category = if t.task >= recovery_from {
-                    Category::Recovery
-                } else {
-                    Category::Compute
-                };
-                let mut body = SpanDraft::new(job, name, category)
-                    .task_attempt(t.task, 0)
-                    .lane(t.slot)
-                    .at(
-                        ns(launch_end),
-                        ns(base_s + t.end).saturating_sub(ns(launch_end)),
-                    )
-                    .dep(launch);
-                if straggler == Some(t.task) {
-                    body = body.meta("straggler", "true");
-                }
-                let id = tracer.add_span(body);
-                match lane_last.iter_mut().find(|(slot, _)| *slot == t.slot) {
-                    Some(entry) => entry.1 = id,
-                    None => lane_last.push((t.slot, id)),
-                }
-            }
-            lane_last.sort_unstable();
-            (lane_last.into_iter().map(|(_, id)| id).collect(), makespan)
-        };
-
-        let map_sched = lpt_schedule(&eff.map_costs, self.map_slots());
-        let (map_frontier, map_time) = emit_phase(
-            &map_sched,
-            setup_end,
-            "map",
-            eff.primary_maps,
-            eff.straggler,
-            setup,
-        );
-
-        let shuffle_time = self.shuffle_seconds(model, volume);
-        let shuffle_start = setup_end + map_time;
-        let shuffle = tracer.add_span(
-            SpanDraft::new(job, "shuffle", Category::Shuffle)
-                .lane(0)
-                .at(
-                    ns(shuffle_start),
-                    ns(shuffle_start + shuffle_time).saturating_sub(ns(shuffle_start)),
-                )
-                .deps(if map_frontier.is_empty() {
-                    vec![setup]
-                } else {
-                    map_frontier
-                })
-                .meta("records", volume.records)
-                .meta("bytes", volume.bytes)
-                .meta("runs", volume.runs),
-        );
-
-        let reduce_sched = lpt_schedule(&eff.reduce_costs, self.reduce_slots());
-        let (_, reduce_time) = emit_phase(
-            &reduce_sched,
-            shuffle_start + shuffle_time,
-            "reduce",
-            usize::MAX,
-            None,
-            shuffle,
-        );
-
-        SimJobReport {
-            map_time,
-            shuffle_time,
-            reduce_time,
-            overhead: model.job_overhead,
-            recovery,
         }
     }
 }
@@ -506,6 +483,7 @@ mod tests {
                     records(1_000_000),
                     &reduce_costs,
                     RecoveryCounters::new(),
+                    None,
                 )
                 .total();
             assert!(t <= prev + 1e-9, "nodes={nodes}: {t} > {prev}");
@@ -525,6 +503,7 @@ mod tests {
                 records(100),
                 &[0.1],
                 RecoveryCounters::new(),
+                None,
             )
             .total();
         let t12 = ClusterSpec::m1_large(12)
@@ -534,6 +513,7 @@ mod tests {
                 records(100),
                 &[0.1],
                 RecoveryCounters::new(),
+                None,
             )
             .total();
         assert!((t2 - t12).abs() < 0.01, "t2={t2} t12={t12}");
@@ -548,6 +528,7 @@ mod tests {
             records(0),
             &[],
             RecoveryCounters::new(),
+            None,
         );
         assert!((r.total() - model.job_overhead).abs() < 1e-12);
     }
@@ -564,6 +545,7 @@ mod tests {
             records(10_000),
             &[],
             RecoveryCounters::new(),
+            None,
         );
         let r8 = ClusterSpec::m1_large(8).simulate_job(
             &model,
@@ -571,6 +553,7 @@ mod tests {
             records(10_000),
             &[],
             RecoveryCounters::new(),
+            None,
         );
         assert!((r4.shuffle_time / r8.shuffle_time - 2.0).abs() < 1e-9);
     }
@@ -589,7 +572,14 @@ mod tests {
         let costs = vec![5.0; 16];
         let cluster = ClusterSpec::m1_large(4);
         let clean = cluster
-            .simulate_job(&base, &costs, records(0), &[], RecoveryCounters::new())
+            .simulate_job(
+                &base,
+                &costs,
+                records(0),
+                &[],
+                RecoveryCounters::new(),
+                None,
+            )
             .total();
         let slow = cluster
             .simulate_job(
@@ -598,6 +588,7 @@ mod tests {
                 records(0),
                 &[],
                 RecoveryCounters::new(),
+                None,
             )
             .total();
         let rescued = cluster
@@ -607,6 +598,7 @@ mod tests {
                 records(0),
                 &[],
                 RecoveryCounters::new(),
+                None,
             )
             .total();
         assert!(
@@ -628,14 +620,22 @@ mod tests {
         let costs = vec![2.0, 3.0, 1.0];
         let c = ClusterSpec::m1_large(2);
         assert_eq!(
-            c.simulate_job(&base, &costs, records(10), &[], RecoveryCounters::new())
-                .total(),
+            c.simulate_job(
+                &base,
+                &costs,
+                records(10),
+                &[],
+                RecoveryCounters::new(),
+                None
+            )
+            .total(),
             c.simulate_job(
                 &with_spec,
                 &costs,
                 records(10),
                 &[],
-                RecoveryCounters::new()
+                RecoveryCounters::new(),
+                None
             )
             .total()
         );
@@ -646,13 +646,20 @@ mod tests {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(2);
         let costs = vec![2.0; 8];
-        let clean = cluster.simulate_job(&model, &costs, records(0), &[], RecoveryCounters::new());
+        let clean = cluster.simulate_job(
+            &model,
+            &costs,
+            records(0),
+            &[],
+            RecoveryCounters::new(),
+            None,
+        );
         let recovery = RecoveryCounters {
             tasks_retried: 2,
             maps_reexecuted_node_loss: 4,
             ..RecoveryCounters::new()
         };
-        let recovered = cluster.simulate_job(&model, &costs, records(0), &[], recovery);
+        let recovered = cluster.simulate_job(&model, &costs, records(0), &[], recovery, None);
         assert!(
             recovered.map_time > clean.map_time,
             "6 extra executions on 4 slots must lengthen the map phase"
@@ -674,11 +681,14 @@ mod tests {
             bytes,
             runs: 0,
         };
-        let narrow = cluster.simulate_job(&model, &[], vol(8_000), &[], RecoveryCounters::new());
-        let wide = cluster.simulate_job(&model, &[], vol(80_000), &[], RecoveryCounters::new());
+        let narrow =
+            cluster.simulate_job(&model, &[], vol(8_000), &[], RecoveryCounters::new(), None);
+        let wide =
+            cluster.simulate_job(&model, &[], vol(80_000), &[], RecoveryCounters::new(), None);
         assert!((wide.shuffle_time / narrow.shuffle_time - 10.0).abs() < 1e-9);
         // Zero bytes leaves only the (here free) record term.
-        let record_only = cluster.simulate_job(&model, &[], vol(0), &[], RecoveryCounters::new());
+        let record_only =
+            cluster.simulate_job(&model, &[], vol(0), &[], RecoveryCounters::new(), None);
         assert_eq!(record_only.shuffle_time, 0.0);
     }
 
@@ -696,8 +706,8 @@ mod tests {
             bytes: 8_000,
             runs,
         };
-        let few = cluster.simulate_job(&model, &[], vol(8), &[], RecoveryCounters::new());
-        let many = cluster.simulate_job(&model, &[], vol(80), &[], RecoveryCounters::new());
+        let few = cluster.simulate_job(&model, &[], vol(8), &[], RecoveryCounters::new(), None);
+        let many = cluster.simulate_job(&model, &[], vol(80), &[], RecoveryCounters::new(), None);
         assert!((many.shuffle_time / few.shuffle_time - 10.0).abs() < 1e-9);
         // The run term shares aggregate bandwidth: more nodes, faster copy.
         let wide = ClusterSpec::m1_large(8).simulate_job(
@@ -706,6 +716,7 @@ mod tests {
             vol(80),
             &[],
             RecoveryCounters::new(),
+            None,
         );
         assert!((many.shuffle_time / wide.shuffle_time - 2.0).abs() < 1e-9);
     }

@@ -1,9 +1,8 @@
 //! Where a job's fault injector comes from.
 //!
-//! * **Attachment rule** — an injector rides on the [`JobConfig`] or
-//!   the [`Pipeline`]; absent ≡ [`NoFaults`]; a pipeline's injector
-//!   reaches every stage in order; a stage's own beats the pipeline's
-//!   (the same rule the tracer follows).
+//! * **Attachment rule** — an injector rides on the [`Pipeline`], the
+//!   one place a job's context lives; absent ≡ [`NoFaults`]; a
+//!   pipeline's injector reaches every stage in job-ordinal order.
 //! * **No survivors** — a plan that kills every virtual node at the
 //!   map→reduce barrier fails the job with a typed error, after
 //!   recording each death on the trace.
@@ -11,7 +10,6 @@
 use std::sync::Arc;
 
 use mrmc_chaos::{FaultInjector, FaultPlan, NoFaults, Phase};
-use mrmc_mapreduce::engine::{run_job, run_map_only};
 use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::{MrError, Tracer};
@@ -68,41 +66,32 @@ fn input() -> Vec<(usize, String)> {
 
 type Injector = Arc<dyn FaultInjector>;
 
-/// One row of the attachment table: where injectors are attached for a
-/// two-stage chain (`run_map_stage` → `run_stage_with_combiner`) and
-/// how many task retries each stage must then report.
+/// One row of the attachment table: the injector attached to the
+/// pipeline of a two-stage chain (`run_map_stage` →
+/// `run_stage_with_combiner`) and how many task retries each stage must
+/// then report.
 struct Case {
     name: &'static str,
     on_pipeline: Option<Injector>,
-    on_stage: [Option<Injector>; 2],
     retried: [u64; 2],
 }
 
 #[test]
 fn injector_attachment_rule() {
     let plan = |p: FaultPlan| -> Option<Injector> { Some(Arc::new(p.injector())) };
-    let no_faults = || -> Option<Injector> { Some(Arc::new(NoFaults)) };
     let map_then_reduce_panics =
         FaultPlan::new()
             .task_panic(0, Phase::Map, 0, 1)
             .task_panic(1, Phase::Reduce, 0, 2);
     let cases = [
         Case {
-            name: "no injector anywhere",
+            name: "no injector",
             on_pipeline: None,
-            on_stage: [None, None],
-            retried: [0, 0],
-        },
-        Case {
-            name: "NoFaults on each JobConfig",
-            on_pipeline: None,
-            on_stage: [no_faults(), no_faults()],
             retried: [0, 0],
         },
         Case {
             name: "NoFaults on the Pipeline",
-            on_pipeline: no_faults(),
-            on_stage: [None, None],
+            on_pipeline: Some(Arc::new(NoFaults)),
             retried: [0, 0],
         },
         // One injector sees both stages, so its job ordinal advances:
@@ -110,17 +99,7 @@ fn injector_attachment_rule() {
         Case {
             name: "plan on the Pipeline reaches every stage in order",
             on_pipeline: plan(map_then_reduce_panics),
-            on_stage: [None, None],
             retried: [1, 2],
-        },
-        // Stage 0 runs under its own plan (3 retries); the pipeline's
-        // injector never hears of it, so it is still on job 0 when
-        // stage 1 inherits it and its job-0 map panic fires there.
-        Case {
-            name: "a stage's own injector beats the pipeline's",
-            on_pipeline: plan(FaultPlan::new().task_panic(0, Phase::Map, 0, 1)),
-            on_stage: [plan(FaultPlan::new().task_panic(0, Phase::Map, 1, 3)), None],
-            retried: [3, 1],
         },
     ];
 
@@ -130,26 +109,12 @@ fn injector_attachment_rule() {
         if let Some(injector) = case.on_pipeline {
             pipeline = pipeline.with_faults(injector);
         }
-        let [on_map, on_sum] = case.on_stage;
-        let stage = |name: &str, own: Option<Injector>| {
-            let config = JobConfig::named(name).reducers(3).attempts(4);
-            match own {
-                Some(injector) => config.with_faults(injector),
-                None => config,
-            }
-        };
+        let stage = |name: &str| JobConfig::named(name).reducers(3).attempts(4);
         let pairs = pipeline
-            .run_map_stage(input(), 4, &Tokenize, &stage("tokenize", on_map))
+            .run_map_stage(input(), 4, &Tokenize, &stage("tokenize"))
             .unwrap();
         let output = pipeline
-            .run_stage_with_combiner(
-                pairs,
-                4,
-                &Passthrough,
-                &SumCombiner,
-                &Sum,
-                &stage("sum", on_sum),
-            )
+            .run_stage_with_combiner(pairs, 4, &Passthrough, &SumCombiner, &Sum, &stage("sum"))
             .unwrap();
 
         let retried: Vec<u64> = pipeline
@@ -178,10 +143,9 @@ fn injector_attachment_rule() {
 fn killing_every_node_fails_the_job_and_leaves_the_deaths_on_the_trace() {
     const NODES: usize = 3;
     let plan = (0..NODES).fold(FaultPlan::new(), |p, node| p.node_death_after_map(0, node));
-    let config = |tracer: &Arc<Tracer>| {
-        JobConfig::named("doomed")
-            .reducers(2)
-            .nodes(NODES)
+    let config = JobConfig::named("doomed").reducers(2).nodes(NODES);
+    let pipeline = |tracer: &Arc<Tracer>| {
+        Pipeline::new("doomed")
             .traced(tracer.clone())
             .with_faults(Arc::new(plan.clone().injector()))
     };
@@ -203,10 +167,14 @@ fn killing_every_node_fails_the_job_and_leaves_the_deaths_on_the_trace() {
     };
 
     let tracer = Arc::new(Tracer::new());
-    let full = run_job(input(), 4, &Tokenize, &Sum, &config(&tracer)).map(drop);
-    assert_no_survivors(full, &tracer, "run_job");
+    let full = pipeline(&tracer)
+        .run_stage(input(), 4, &Tokenize, &Sum, &config)
+        .map(drop);
+    assert_no_survivors(full, &tracer, "run_stage");
 
     let tracer = Arc::new(Tracer::new());
-    let map_only = run_map_only(input(), 4, &Tokenize, &config(&tracer)).map(drop);
-    assert_no_survivors(map_only, &tracer, "run_map_only");
+    let map_only = pipeline(&tracer)
+        .run_map_stage(input(), 4, &Tokenize, &config)
+        .map(drop);
+    assert_no_survivors(map_only, &tracer, "run_map_stage");
 }

@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use bytes::Bytes;
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig, FastaSplitReader};
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
 use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
+use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::simcluster::{lpt_makespan, ClusterSpec, JobCostModel, ShuffleVolume};
 use mrmc_mapreduce::{RecoveryCounters, Tracer};
 use std::collections::HashMap;
@@ -78,16 +78,22 @@ proptest! {
         let input: Vec<(usize, String)> = lines.into_iter().enumerate().collect();
         let cfg = JobConfig::named("wc").reducers(reducers).workers(workers);
 
-        let plain = run_job(input.clone(), map_tasks, &WcMapper, &SumReducer, &cfg).unwrap();
-        let got: HashMap<String, u64> = plain.output.into_iter().collect();
+        let mut pipeline = Pipeline::new("wc");
+        let plain = pipeline
+            .run_stage(input.clone(), map_tasks, &WcMapper, &SumReducer, &cfg)
+            .unwrap();
+        let got: HashMap<String, u64> = plain.into_iter().collect();
         prop_assert_eq!(&got, &expected);
 
-        let combined =
-            run_job_with_combiner(input, map_tasks, &WcMapper, &SumCombiner, &SumReducer, &cfg)
-                .unwrap();
-        let got2: HashMap<String, u64> = combined.output.into_iter().collect();
+        let combined = pipeline
+            .run_stage_with_combiner(input, map_tasks, &WcMapper, &SumCombiner, &SumReducer, &cfg)
+            .unwrap();
+        let got2: HashMap<String, u64> = combined.into_iter().collect();
         prop_assert_eq!(&got2, &expected);
-        prop_assert!(combined.report.shuffled_pairs <= plain.report.shuffled_pairs);
+        let [plain, combined] = pipeline.stages() else {
+            panic!("two stages")
+        };
+        prop_assert!(combined.shuffled_pairs <= plain.shuffled_pairs);
     }
 
     /// DFS round-trips arbitrary content through any block size, and
@@ -171,7 +177,7 @@ proptest! {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(nodes);
         let report = cluster.simulate_job(
-            &model, &map_costs, records(shuffled), &reduce_costs, RecoveryCounters::new(),
+            &model, &map_costs, records(shuffled), &reduce_costs, RecoveryCounters::new(), None,
         );
 
         let max_map = map_costs.iter().cloned().fold(0.0, f64::max);
@@ -204,7 +210,7 @@ proptest! {
         for nodes in 1..=12 {
             let total = ClusterSpec::m1_large(nodes)
                 .simulate_job(
-                    &model, &map_costs, records(shuffled), &reduce_costs, RecoveryCounters::new(),
+                    &model, &map_costs, records(shuffled), &reduce_costs, RecoveryCounters::new(), None,
                 )
                 .total();
             prop_assert!(total <= prev + 1e-9, "{nodes} nodes: {total} > {prev}");
@@ -213,9 +219,7 @@ proptest! {
     }
 
     /// Nothing the cost model prices is free: adding recovery work,
-    /// shuffle bytes or shuffle runs to a job never makes it cheaper,
-    /// and the traced simulation reports exactly what the untraced one
-    /// does.
+    /// shuffle bytes or shuffle runs to a job never makes it cheaper.
     #[test]
     fn sim_job_monotone_in_recovery_bytes_and_runs(
         map_costs in proptest::collection::vec(0.01f64..20.0, 1..30),
@@ -228,26 +232,53 @@ proptest! {
         let model = JobCostModel::default();
         let cluster = ClusterSpec::m1_large(nodes);
         let base = cluster.simulate_job(
-            &model, &map_costs, records(1_000), &[], RecoveryCounters::new(),
+            &model, &map_costs, records(1_000), &[], RecoveryCounters::new(), None,
         );
         let ledger = RecoveryCounters {
             tasks_retried: retried,
             maps_reexecuted_node_loss: reexecuted,
             ..RecoveryCounters::new()
         };
-        let recovered = cluster.simulate_job(&model, &map_costs, records(1_000), &[], ledger);
+        let recovered = cluster.simulate_job(&model, &map_costs, records(1_000), &[], ledger, None);
         prop_assert!(recovered.total() >= base.total() - 1e-9);
 
         let wide = ShuffleVolume { bytes, ..records(1_000) };
-        let widened = cluster.simulate_job(&model, &map_costs, wide, &[], ledger);
+        let widened = cluster.simulate_job(&model, &map_costs, wide, &[], ledger, None);
         prop_assert!(widened.total() >= recovered.total() - 1e-9);
         let fetched = ShuffleVolume { runs, ..wide };
-        let full = cluster.simulate_job(&model, &map_costs, fetched, &[], ledger);
+        let full = cluster.simulate_job(&model, &map_costs, fetched, &[], ledger, None);
         prop_assert!(full.total() >= widened.total() - 1e-9);
+    }
 
-        let traced = cluster.simulate_job_traced(
-            &model, &map_costs, fetched, &[], ledger, &Tracer::new(), "prop", 0.0,
+    /// With a clean ledger and no straggler, each simulated phase lasts
+    /// exactly the LPT makespan of its task costs plus the per-task
+    /// launch overhead, traced or not — an oracle that does not share
+    /// the simulator's body.
+    #[test]
+    fn sim_job_phases_are_lpt_makespans(
+        map_costs in proptest::collection::vec(0.01f64..20.0, 0..30),
+        reduce_costs in proptest::collection::vec(0.01f64..20.0, 0..12),
+        nodes in 1usize..13,
+        traced in any::<bool>(),
+    ) {
+        let model = JobCostModel::default();
+        let cluster = ClusterSpec::m1_large(nodes);
+        let tracer = Tracer::new();
+        let report = cluster.simulate_job(
+            &model,
+            &map_costs,
+            records(1_000),
+            &reduce_costs,
+            RecoveryCounters::new(),
+            traced.then_some((&tracer, "prop", 0.0)),
         );
-        prop_assert_eq!(traced, full);
+        let launched =
+            |costs: &[f64]| -> Vec<f64> { costs.iter().map(|c| c + model.task_overhead).collect() };
+        prop_assert_eq!(report.map_time, lpt_makespan(&launched(&map_costs), cluster.map_slots()));
+        prop_assert_eq!(
+            report.reduce_time,
+            lpt_makespan(&launched(&reduce_costs), cluster.reduce_slots())
+        );
+        prop_assert_eq!(tracer.ledger().spans.is_empty(), !traced);
     }
 }

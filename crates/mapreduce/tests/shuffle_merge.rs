@@ -15,8 +15,8 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use mrmc_chaos::{FaultPlan, Phase};
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
 use mrmc_mapreduce::job::{partition_of, Combiner, JobConfig, Mapper, Reducer, TaskContext};
+use mrmc_mapreduce::pipeline::Pipeline;
 
 /// The pre-sort-merge data plane, run sequentially: chunk exactly like
 /// the engine, map in task order, combine on a stable key sort with
@@ -158,9 +158,10 @@ proptest! {
             &input, num_maps, &mapper, None::<&TakeTwoCombiner>, &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-random").reducers(reducers).workers(workers);
-        let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
-        prop_assert_eq!(got.output, expect);
-        prop_assert!(got.report.shuffle_runs <= (num_maps * reducers) as u64);
+        let mut pipeline = Pipeline::new("merge");
+        let got = pipeline.run_stage(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
+        prop_assert_eq!(got, expect);
+        prop_assert!(pipeline.stages()[0].shuffle_runs <= (num_maps * reducers) as u64);
     }
 
     /// Skewed keys (a 1–3 key universe) funnel nearly everything into
@@ -179,10 +180,11 @@ proptest! {
             &input, num_maps, &mapper, None::<&TakeTwoCombiner>, &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-skew").reducers(reducers).workers(4);
-        let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
-        prop_assert_eq!(got.output, expect);
+        let mut pipeline = Pipeline::new("merge");
+        let got = pipeline.run_stage(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
+        prop_assert_eq!(got, expect);
         // At most `key_space` partitions can be non-empty.
-        prop_assert!(got.report.shuffle_runs <= key_space as u64 * num_maps as u64);
+        prop_assert!(pipeline.stages()[0].shuffle_runs <= key_space as u64 * num_maps as u64);
     }
 
     /// The combiner path: map-side sort + slice-range grouping must
@@ -202,10 +204,11 @@ proptest! {
             &input, num_maps, &mapper, Some(&TakeTwoCombiner), &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-comb").reducers(reducers).workers(workers);
-        let got = run_job_with_combiner(
+        let mut pipeline = Pipeline::new("merge");
+        let got = pipeline.run_stage_with_combiner(
             input, num_maps, &mapper, &TakeTwoCombiner, &CollectReducer, &cfg,
         ).unwrap();
-        prop_assert_eq!(got.output, expect);
+        prop_assert_eq!(got, expect);
     }
 
     /// Chaos on the merge plane: retried maps, a node death at the
@@ -236,11 +239,11 @@ proptest! {
             .task_slowdown(0, Phase::Map, (panicking_map + 1) % num_maps, 20)
             .node_death_after_map(0, dead_node)
             .shuffle_fetch_fail(0, lost_map, 1, 5);
-        let cfg = cfg.with_faults(Arc::new(plan.injector()));
-        let got = run_job(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
-        prop_assert_eq!(got.output, expect);
-        prop_assert!(got.report.recovery.tasks_retried >= 1);
-        prop_assert_eq!(got.report.recovery.maps_reexecuted_fetch_fail, 1);
+        let mut pipeline = Pipeline::new("merge").with_faults(Arc::new(plan.injector()));
+        let got = pipeline.run_stage(input, num_maps, &mapper, &CollectReducer, &cfg).unwrap();
+        prop_assert_eq!(got, expect);
+        prop_assert!(pipeline.stages()[0].recovery.tasks_retried >= 1);
+        prop_assert_eq!(pipeline.stages()[0].recovery.maps_reexecuted_fetch_fail, 1);
     }
 }
 
@@ -290,8 +293,11 @@ fn string_keys_bit_identical_with_payload_bytes() {
         4,
     );
     let cfg = JobConfig::named("merge-str").reducers(4).workers(4);
-    let got = run_job(input.clone(), 5, &WordMapper, &JoinReducer, &cfg).unwrap();
-    assert_eq!(got.output, expect);
+    let mut pipeline = Pipeline::new("merge");
+    let got = pipeline
+        .run_stage(input.clone(), 5, &WordMapper, &JoinReducer, &cfg)
+        .unwrap();
+    assert_eq!(got, expect);
 
     // Payload accounting: replay the engine's chunking and map-side
     // grouping, then price each group once — key (4 + len), varint
@@ -318,7 +324,7 @@ fn string_keys_bit_identical_with_payload_bytes() {
                 4 + k.len() as u64 + mrmc_mapreduce::wire::uvarint_len(count) as u64 + 4 * count;
         }
     }
-    assert_eq!(got.report.shuffled_bytes, bytes);
+    assert_eq!(pipeline.stages()[0].shuffled_bytes, bytes);
 
     // A never-used combiner type to satisfy the oracle's generics.
     struct TakeTwoCombiner2;
@@ -354,9 +360,15 @@ fn bench_shape_bit_identical_with_and_without_combiner() {
         &CollectReducer,
         reducers,
     );
-    let got = run_job(input.clone(), num_maps, &mapper, &CollectReducer, &cfg).unwrap();
-    assert_eq!(got.output, expect);
-    assert_eq!(got.report.shuffle_runs, (num_maps * reducers) as u64);
+    let mut pipeline = Pipeline::new("merge");
+    let got = pipeline
+        .run_stage(input.clone(), num_maps, &mapper, &CollectReducer, &cfg)
+        .unwrap();
+    assert_eq!(got, expect);
+    assert_eq!(
+        pipeline.stages()[0].shuffle_runs,
+        (num_maps * reducers) as u64
+    );
 
     let expect = oracle_run(
         &input,
@@ -366,16 +378,18 @@ fn bench_shape_bit_identical_with_and_without_combiner() {
         &CollectReducer,
         reducers,
     );
-    let got = run_job_with_combiner(
-        input,
-        num_maps,
-        &mapper,
-        &TakeTwoCombiner,
-        &CollectReducer,
-        &cfg,
-    )
-    .unwrap();
-    assert_eq!(got.output, expect);
+    let mut pipeline = Pipeline::new("merge");
+    let got = pipeline
+        .run_stage_with_combiner(
+            input,
+            num_maps,
+            &mapper,
+            &TakeTwoCombiner,
+            &CollectReducer,
+            &cfg,
+        )
+        .unwrap();
+    assert_eq!(got, expect);
 }
 
 #[test]
@@ -396,10 +410,13 @@ fn empty_input_and_single_key_edge_cases() {
             reducers,
         );
         let cfg = JobConfig::named("merge-edge").reducers(reducers).workers(2);
-        let got = run_job(input, 3, &mapper, &CollectReducer, &cfg).unwrap();
-        assert_eq!(got.output, expect);
+        let mut pipeline = Pipeline::new("merge");
+        let got = pipeline
+            .run_stage(input, 3, &mapper, &CollectReducer, &cfg)
+            .unwrap();
+        assert_eq!(got, expect);
         if payloads.is_empty() {
-            assert_eq!(got.report.shuffle_runs, 0, "no pairs, no runs");
+            assert_eq!(pipeline.stages()[0].shuffle_runs, 0, "no pairs, no runs");
         }
     }
 }

@@ -8,17 +8,16 @@
 //!   sizes, including under injected panics, stragglers, node deaths
 //!   and fetch failures.
 //! * **Simulated-time fidelity** — the trace written by
-//!   [`ClusterSpec::simulate_job_traced`] tiles the schedule exactly:
-//!   its critical path reproduces the untraced simulator's makespan
-//!   and attributes ≥ 95 % of it (the ISSUE acceptance bar; the
-//!   construction actually achieves ~100 %).
+//!   [`ClusterSpec::simulate_job`] when handed a tracer tiles the
+//!   schedule exactly: its critical path reproduces the simulated
+//!   makespan and attributes ≥ 95 % of it (the construction actually
+//!   achieves ~100 %).
 //! * **Counters** — merge/snapshot semantics and cross-stage totals;
 //!   a stage's counters hold only what its tasks counted.
 
 use std::sync::Arc;
 
 use mrmc_chaos::{FaultPlan, Phase};
-use mrmc_mapreduce::engine::run_job;
 use mrmc_mapreduce::job::{Counters, JobConfig, Mapper, Reducer, ShuffleSized, TaskContext};
 use mrmc_mapreduce::pipeline::{Pipeline, StageReport};
 use mrmc_mapreduce::simcluster::{ClusterSpec, JobCostModel, ShuffleVolume};
@@ -86,16 +85,36 @@ fn hush_injected_panics() {
     }));
 }
 
+/// Run the word count as the only stage of `pipeline`: its output and
+/// the report the pipeline kept.
+fn word_count(
+    mut pipeline: Pipeline,
+    map_tasks: usize,
+    config: &JobConfig,
+) -> (Vec<(String, u64)>, StageReport) {
+    let output = pipeline
+        .run_stage(input(), map_tasks, &Tokenize, &Sum, config)
+        .unwrap();
+    (output, pipeline.stages()[0].clone())
+}
+
+/// A pipeline that traces into `tracer` under [`chaotic_plan`].
+fn chaotic_pipeline(tracer: &Arc<Tracer>) -> Pipeline {
+    Pipeline::new("chaos")
+        .traced(tracer.clone())
+        .with_faults(Arc::new(chaotic_plan().injector()))
+}
+
 #[test]
 fn tracing_is_passive() {
     let config = JobConfig::named("wc").reducers(4).nodes(6);
-    let plain = run_job(input(), 6, &Tokenize, &Sum, &config).unwrap();
+    let (plain, plain_report) = word_count(Pipeline::new("plain"), 6, &config);
     let tracer = Arc::new(Tracer::new());
-    let traced_cfg = config.traced(tracer.clone());
-    let traced = run_job(input(), 6, &Tokenize, &Sum, &traced_cfg).unwrap();
-    assert_eq!(plain.output, traced.output);
-    assert_eq!(plain.report.counters, traced.report.counters);
-    assert_eq!(plain.report.recovery, traced.report.recovery);
+    let (traced, traced_report) =
+        word_count(Pipeline::new("traced").traced(tracer.clone()), 6, &config);
+    assert_eq!(plain, traced);
+    assert_eq!(plain_report.counters, traced_report.counters);
+    assert_eq!(plain_report.recovery, traced_report.recovery);
 
     let ledger = tracer.ledger();
     assert_eq!(ledger.jobs, vec!["wc".to_string()]);
@@ -118,11 +137,8 @@ fn ledger_signature_stable_across_worker_counts_under_faults() {
             .reducers(4)
             .nodes(6)
             .attempts(4)
-            .workers(workers)
-            .traced(tracer.clone())
-            .with_faults(Arc::new(chaotic_plan().injector()));
-        let run = run_job(input(), 6, &Tokenize, &Sum, &config).unwrap();
-        let mut output = run.output;
+            .workers(workers);
+        let (mut output, _) = word_count(chaotic_pipeline(&tracer), 6, &config);
         output.sort();
         outputs.push(output);
         signatures.push(tracer.ledger().signature());
@@ -188,10 +204,8 @@ fn repeated_chaotic_runs_yield_identical_ledgers() {
         let config = JobConfig::named("wc-replay")
             .reducers(3)
             .nodes(6)
-            .attempts(4)
-            .traced(tracer.clone())
-            .with_faults(Arc::new(chaotic_plan().injector()));
-        run_job(input(), 5, &Tokenize, &Sum, &config).unwrap();
+            .attempts(4);
+        word_count(chaotic_pipeline(&tracer), 5, &config);
         tracer.ledger().signature()
     };
     assert_eq!(run(), run());
@@ -215,24 +229,20 @@ fn critical_path_matches_simulated_makespan_on_synthetic_schedules() {
 
     for nodes in [2, 4, 6, 12] {
         let cluster = ClusterSpec::m1_large(nodes);
-        let untraced = cluster.simulate_job(&model, &map_costs, volume, &reduce_costs, recovery);
         let tracer = Tracer::new();
-        let traced = cluster.simulate_job_traced(
+        let report = cluster.simulate_job(
             &model,
             &map_costs,
             volume,
             &reduce_costs,
             recovery,
-            &tracer,
-            "synthetic",
-            0.0,
+            Some((&tracer, "synthetic", 0.0)),
         );
-        assert_eq!(untraced, traced, "{nodes} nodes: reports diverge");
 
         let ledger = tracer.ledger();
         let cp = critical_path(&ledger);
         let makespan_s = cp.makespan_ns as f64 / 1e9;
-        let expected = untraced.total();
+        let expected = report.total();
         assert!(
             (makespan_s - expected).abs() < 1e-6,
             "{nodes} nodes: trace makespan {makespan_s} vs simulated total {expected}"

@@ -6,10 +6,10 @@
 
 use proptest::prelude::*;
 
-use mrmc_mapreduce::engine::{run_job, run_job_with_combiner};
 use mrmc_mapreduce::job::{
     partition_of, Combiner, JobConfig, Mapper, Reducer, ShuffleSized, TaskContext,
 };
+use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::wire::{get_uvarint, put_uvarint, uvarint_len};
 use mrmc_mapreduce::{BandKeyCodec, IdRun};
 
@@ -186,14 +186,18 @@ proptest! {
         let input: Vec<(u32, u32)> = ids.iter().map(|&x| (x, x)).collect();
         let cfg = JobConfig::named("wire-prop").reducers(reducers).workers(2);
 
-        let raw = run_job(
+        let mut pipeline = Pipeline::new("wire-prop");
+        let raw = pipeline.run_stage(
             input.clone(), num_maps, &RawMapper { key_space }, &SortReducer, &cfg,
         ).unwrap();
-        let enc = run_job_with_combiner(
+        let enc = pipeline.run_stage_with_combiner(
             input.clone(), num_maps, &RunMapper { key_space }, &MergeCombiner,
             &DecodeReducer, &cfg,
         ).unwrap();
-        prop_assert_eq!(&enc.output, &raw.output, "reduce groups must be identical");
+        prop_assert_eq!(&enc, &raw, "reduce groups must be identical");
+        let [raw, enc] = pipeline.stages() else {
+            panic!("two stages")
+        };
 
         // Price the encoded plane by hand: replay the engine's
         // contiguous chunking, merge each map-local key group into one
@@ -220,12 +224,12 @@ proptest! {
             }
         }
         prop_assert_eq!(
-            enc.report.shuffled_bytes, expect_bytes,
+            enc.shuffled_bytes, expect_bytes,
             "priced bytes must equal the encoded run lengths"
         );
         // Each post-combine group is a single run, so pair traffic is
         // bounded by distinct (map, key) cells — never more than raw.
-        prop_assert!(enc.report.shuffled_pairs <= raw.report.shuffled_pairs);
+        prop_assert!(enc.shuffled_pairs <= raw.shuffled_pairs);
     }
 
     /// A custom `Mapper::partition` must route every key to the
@@ -252,10 +256,12 @@ proptest! {
         }
         let input: Vec<(u32, u32)> = ids.iter().map(|&x| (x, x)).collect();
         let cfg = JobConfig::named("wire-route").reducers(reducers).workers(2);
-        let got = run_job(input, 4, &Routed { reducers }, &SortReducer, &cfg).unwrap();
+        let got = Pipeline::new("wire-route")
+            .run_stage(input, 4, &Routed { reducers }, &SortReducer, &cfg)
+            .unwrap();
         // Range partitioning + per-partition key sort ⇒ globally sorted
         // output, something `partition_of` hashing cannot promise.
-        let keys: Vec<u32> = got.output.iter().map(|(k, _)| *k).collect();
+        let keys: Vec<u32> = got.iter().map(|(k, _)| *k).collect();
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         prop_assert_eq!(keys, sorted);

@@ -22,8 +22,10 @@
 //! The scheme is always the tuned one ([`MrMcConfig::banding_scheme`],
 //! i.e. [`BandingScheme::tune`]): every pair at or above θ shares at
 //! least one literally-equal band, so the graph holds *exactly* the
-//! pairs a dense run would accept — pruning is lossless at the θ cut
-//! and clustering results match bit for bit.
+//! pairs a dense run would accept — pruning is lossless at the θ cut.
+//! Greedy clustering and single- and complete-linkage θ-cuts over it
+//! equal the dense ones; average linkage over it reads the pruned
+//! pairs as 0 and can return more clusters than dense (DESIGN.md §5c).
 //! Signature truncation can only merge buckets, never split them, so
 //! recall stays exactly 1.0; the spurious merges add candidates which
 //! the verify stage discards (DESIGN.md §3a "wire format").

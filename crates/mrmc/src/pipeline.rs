@@ -174,12 +174,14 @@ impl MrMcMinH {
                 (assignment, Some(dendro))
             }
             (Mode::Hierarchical, CandidateGen::Banded) => {
-                // Algorithm 2 over the pruned graph (missing pairs read
-                // as similarity 0): the θ-cut matches dense on corpora
-                // whose clusters are θ-separated; sub-θ merges follow
-                // single-linkage-at-θ semantics. Copies share every
-                // band and score 1.0, so each group is one weighted
-                // vertex of the distinct graph, as in the dense arm.
+                // Algorithm 2 over the zero-filled θ-graph (missing
+                // pairs read as similarity 0). Its θ-cut is exact for
+                // single and complete linkage, not for average linkage:
+                // a pruned pair pulls a cluster average down, so this
+                // arm can return more clusters than dense (DESIGN.md
+                // §5c). Copies share every band and score 1.0, so each
+                // group is one weighted vertex of the distinct graph,
+                // as in the dense arm.
                 let graph = banded_graph_stage(&distinct, &self.config, &mut pipeline)?;
                 let (assignment, dendro) = agglomerative_sparse_grouped(
                     &graph,
@@ -515,7 +517,7 @@ mod tests {
             for nodes in [2, 6, 12] {
                 let cluster = ClusterSpec::m1_large(nodes);
                 let sim = Tracer::new();
-                pipeline.simulate_on_traced(&cluster, &model, &sim);
+                pipeline.simulate_on(&cluster, &model, Some(&sim));
                 let cp = critical_path(&sim.ledger());
                 let total = pipeline.simulated_total(&cluster, &model);
                 let makespan = cp.makespan_ns as f64 / 1e9;

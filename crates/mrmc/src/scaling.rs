@@ -191,7 +191,7 @@ fn job_seconds(
         ..Default::default()
     };
     cluster
-        .simulate_job(model, map_costs, volume, &[], RecoveryCounters::new())
+        .simulate_job(model, map_costs, volume, &[], RecoveryCounters::new(), None)
         .total()
 }
 

@@ -6,20 +6,23 @@
 //! 9 068 distinct reads) on FS396. Every run links with the preset's
 //! average linkage except the two `-single` rows, which repeat 128k
 //! banded and FS396 dense under single linkage. One row per run: reads,
-//! distinct sequences, wall time of `MrMcMinH::run`, the process's
-//! `VmHWM` over the run (input generation included) and the cluster
-//! count.
+//! distinct sequences, wall time of `MrMcMinH::run`, the `VmHWM` of the
+//! process that ran it (input generation included) and the cluster
+//! count. Each row runs in its own child process (`--row NAME`), one at
+//! a time, so each peak is its own run's; the parent collects the rows
+//! and applies the pins.
 //!
 //! ```sh
 //! cargo run --release --example scale_probe                        # every run
 //! cargo run --release --example scale_probe -- --max-reads 128000  # skip 345k
+//! cargo run --release --example scale_probe -- --row FS396-dense   # one row
 //! ```
 //!
 //! Exits non-zero when a cluster count differs from its pin, or when a
 //! run of at most 128k reads peaks above 150 MB. Wall time is only
 //! reported.
 
-use std::process::ExitCode;
+use std::process::{Command, ExitCode, Stdio};
 use std::time::Instant;
 
 use mrmc::stages::dereplicate;
@@ -144,6 +147,30 @@ fn vm_hwm_mb() -> f64 {
     kb / 1024.0
 }
 
+/// Run one probe in this process and print its row.
+fn run_row(probe: &Probe) {
+    let reads = input(probe);
+    assert_eq!(reads.len(), probe.reads, "{}", probe.name);
+    let distinct = dereplicate(&reads).expect("ids fit").num_distinct();
+    let config = MrMcConfig {
+        candidates: probe.candidates,
+        linkage: probe.linkage,
+        ..MrMcConfig::sixteen_s().hierarchical()
+    };
+    let start = Instant::now();
+    let run = MrMcMinH::new(config).run(&reads).expect("hierarchical run");
+    let wall = start.elapsed().as_secs_f64();
+    println!(
+        "{:<18} {:>8} {:>9} {:>8.3} {:>10.1} {:>9}",
+        probe.name,
+        reads.len(),
+        distinct,
+        wall,
+        vm_hwm_mb(),
+        run.num_clusters()
+    );
+}
+
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     let mut max_reads = usize::MAX;
@@ -155,41 +182,43 @@ fn main() -> ExitCode {
                     .and_then(|v| v.parse().ok())
                     .expect("--max-reads takes a read count");
             }
-            other => panic!("unknown argument {other:?}; usage: scale_probe [--max-reads N]"),
+            "--row" => {
+                let name = args.next().expect("--row takes a probe name");
+                let probe = PROBES
+                    .iter()
+                    .find(|p| p.name == name)
+                    .unwrap_or_else(|| panic!("no probe named {name:?}"));
+                run_row(probe);
+                return ExitCode::SUCCESS;
+            }
+            other => panic!(
+                "unknown argument {other:?}; usage: scale_probe [--max-reads N | --row NAME]"
+            ),
         }
     }
 
+    let exe = std::env::current_exe().expect("path of this binary");
     let mut failed = false;
     println!(
         "{:<18} {:>8} {:>9} {:>8} {:>10} {:>9}",
         "input", "reads", "distinct", "wall_s", "vmhwm_mb", "clusters"
     );
     for probe in PROBES.iter().filter(|p| p.reads <= max_reads) {
-        // "5" restarts VmHWM from the current resident set, so each
-        // row is the peak of its own run.
-        let _ = std::fs::write("/proc/self/clear_refs", "5");
-        let reads = input(probe);
-        assert_eq!(reads.len(), probe.reads, "{}", probe.name);
-        let distinct = dereplicate(&reads).expect("ids fit").num_distinct();
-        let config = MrMcConfig {
-            candidates: probe.candidates,
-            linkage: probe.linkage,
-            ..MrMcConfig::sixteen_s().hierarchical()
-        };
-        let start = Instant::now();
-        let run = MrMcMinH::new(config).run(&reads).expect("hierarchical run");
-        let wall = start.elapsed().as_secs_f64();
-        let hwm = vm_hwm_mb();
-        let clusters = run.num_clusters();
-        println!(
-            "{:<18} {:>8} {:>9} {:>8.3} {:>10.1} {:>9}",
-            probe.name,
-            reads.len(),
-            distinct,
-            wall,
-            hwm,
-            clusters
-        );
+        let child = Command::new(&exe)
+            .args(["--row", probe.name])
+            .stderr(Stdio::inherit())
+            .output()
+            .expect("start a probe row");
+        if !child.status.success() {
+            eprintln!("{}: row exited with {}", probe.name, child.status);
+            failed = true;
+            continue;
+        }
+        let row = String::from_utf8(child.stdout).expect("utf-8 row");
+        print!("{row}");
+        let fields: Vec<&str> = row.split_whitespace().collect();
+        let hwm: f64 = fields[4].parse().expect("vmhwm_mb column");
+        let clusters: usize = fields[5].parse().expect("clusters column");
         if clusters != probe.clusters {
             eprintln!(
                 "{}: {clusters} clusters, pinned {}",
