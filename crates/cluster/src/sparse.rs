@@ -4,9 +4,13 @@
 //! verified similarity reaches θ — a near-linear edge set instead of
 //! the O(n²) condensed matrix. [`SparseSimGraph`] stores those edges
 //! in compressed sparse rows; every absent pair reads as similarity
-//! 0.0, which is exactly the single-linkage-at-θ semantics the banded
-//! pipeline promises: edges at or above θ are exact, everything below
-//! θ is indistinguishable from "no edge" for a θ-cut.
+//! 0.0, so the graph is the zero-filled θ-graph: edges at or above θ
+//! are exact, every pair below θ reads 0.0. Algorithm 2 over it cuts
+//! at θ exactly as the dense matrix does for single and complete
+//! linkage, which look only at whether pairs clear θ. Average linkage
+//! sums the sub-θ similarities the graph zeroes, so its θ-cut can
+//! differ from the dense one (Huse 8k: 3 686 clusters banded against
+//! 3 674 dense; FS396: 8 777 against 8 770).
 //!
 //! The clusterers work on the edges alone. [`greedy_cluster_sparse`]
 //! binary-searches rows (comparing the `f32`-stored edge with θ

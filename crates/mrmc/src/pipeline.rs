@@ -31,8 +31,6 @@ pub struct MrMcResult {
     pub dendrogram: Option<Dendrogram>,
     /// Map-Reduce stage reports (feeds the simulated-cluster model).
     pub pipeline: Pipeline,
-    /// Wall-clock of the clustering step proper (after sketching).
-    pub cluster_time: Duration,
     /// Total wall-clock of the run.
     pub total_time: Duration,
 }
@@ -143,7 +141,6 @@ impl MrMcMinH {
         let derep = dereplicate(reads)?;
         let distinct = sketch_distinct_stage(reads, &derep, &self.config, &mut pipeline)?;
 
-        let cluster_start = Instant::now();
         let (assignment, dendrogram) = match (self.config.mode, self.config.candidates) {
             (Mode::Greedy, _) => {
                 // Algorithm 1 — iterative, representative-based; runs
@@ -192,13 +189,11 @@ impl MrMcMinH {
                 (assignment, Some(dendro))
             }
         };
-        let cluster_time = cluster_start.elapsed();
 
         Ok(MrMcResult {
             assignment,
             dendrogram,
             pipeline,
-            cluster_time,
             total_time: start.elapsed(),
         })
     }

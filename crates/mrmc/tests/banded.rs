@@ -1,7 +1,8 @@
-//! Integration tests of the banded-LSH candidate pipeline: the
-//! exactness contract (banded == dense, bit for bit), the candidate
-//! oracle, dedup completeness, and fault recovery through the banding
-//! reducers.
+//! Integration tests of the banded-LSH candidate pipeline: the route
+//! against the zero-filled θ-graph oracle (equal to dense at the θ-cut
+//! for greedy, single and complete linkage; average linkage only where
+//! the corpus is θ-separated), the candidate oracle, dedup
+//! completeness, and fault recovery through the banding reducers.
 
 mod common;
 

@@ -39,7 +39,7 @@ pub enum Category {
     /// are excluded from signature-equality tests.
     Serve,
     /// One Pig operator executing in the script driver
-    /// (FOREACH/FILTER/GROUP/…). Operator spans *wrap* the engine
+    /// (LOAD/FOREACH/GROUP/STORE). Operator spans *wrap* the engine
     /// spans of the Map-Reduce jobs they lower to, so a scripted run's
     /// critical path can be attributed operator-by-operator (the span
     /// name carries the operator and alias, e.g. `pig:foreach:C`).

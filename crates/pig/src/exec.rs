@@ -29,8 +29,8 @@
 //! be re-scheduled onto a virtual N-node cluster. Attach a tracer
 //! ([`PigRunner::traced`]) and each operator additionally records a
 //! `Category::Pig` span wrapping its engine spans, which lets
-//! critical-path analysis attribute scripted-run time to
-//! FOREACH/FILTER/GROUP operators.
+//! critical-path analysis attribute scripted-run time to the
+//! LOAD/FOREACH/GROUP/STORE statements.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -38,13 +38,13 @@ use std::sync::Arc;
 
 use mrmc_mapreduce::dfs::Dfs;
 use mrmc_mapreduce::engine::chunk_ranges;
-use mrmc_mapreduce::job::{JobConfig, Mapper, Reducer, TaskContext};
+use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::obs::{Category, SpanDraft, SpanId, Tracer};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
 
 use crate::batch::{BagCol, Column, ColumnBatch};
-use crate::parser::{CmpOp, Cond, Expr, GenItem, GroupBy, Operator, Script, Statement};
+use crate::parser::{Expr, GenItem, GroupBy, Operator, Script, Statement};
 use crate::udf::{BatchArg, BatchOut, Udf, UdfError, UdfRegistry};
 use crate::value::Value;
 
@@ -106,20 +106,16 @@ impl From<UdfError> for PigError {
 }
 
 /// A materialized relation: a shared columnar batch plus field
-/// names. `len` is the logical row count, so `LIMIT` is a zero-copy
-/// prefix view over shared storage instead of a deep row copy.
+/// names.
 #[derive(Debug, Clone)]
 struct Relation {
     batch: Arc<ColumnBatch>,
-    len: usize,
     schema: Vec<String>,
 }
 
 impl Relation {
-    /// A relation over the whole of `batch`.
     fn new(batch: ColumnBatch, schema: Vec<String>) -> Relation {
         Relation {
-            len: batch.rows(),
             batch: Arc::new(batch),
             schema,
         }
@@ -181,68 +177,6 @@ fn expand_row(evaled: Vec<(bool, Value)>) -> Vec<Vec<Value>> {
         }
     }
     rows
-}
-
-/// Compare two values the way `FILTER` does: numeric comparisons
-/// coerce int/long/double; everything else falls back to the
-/// `Value` total order.
-fn filter_cmp(l: &Value, r: &Value) -> std::cmp::Ordering {
-    match (l.as_f64(), r.as_f64()) {
-        (Some(x), Some(y)) => x.partial_cmp(&y).unwrap_or(std::cmp::Ordering::Equal),
-        _ => l.cmp(r),
-    }
-}
-
-/// Apply a comparison operator to an ordering.
-fn cmp_matches(op: CmpOp, ord: std::cmp::Ordering) -> bool {
-    match op {
-        CmpOp::Eq => ord == std::cmp::Ordering::Equal,
-        CmpOp::Ne => ord != std::cmp::Ordering::Equal,
-        CmpOp::Lt => ord == std::cmp::Ordering::Less,
-        CmpOp::Le => ord != std::cmp::Ordering::Greater,
-        CmpOp::Gt => ord == std::cmp::Ordering::Greater,
-        CmpOp::Ge => ord != std::cmp::Ordering::Less,
-    }
-}
-
-/// Map side of `DISTINCT`: the whole row, boxed from its index,
-/// becomes the shuffle key.
-struct DistinctMapper {
-    batch: Arc<ColumnBatch>,
-}
-
-impl Mapper for DistinctMapper {
-    type InKey = usize;
-    type InValue = u32;
-    type OutKey = Value;
-    type OutValue = ();
-
-    fn map(&self, _key: usize, row: u32, ctx: &mut TaskContext<Value, ()>) {
-        ctx.emit(self.batch.row_value(row as usize), ());
-    }
-
-    fn key_wire_size(&self, key: &Value) -> usize {
-        use mrmc_mapreduce::ShuffleSized;
-        key.shuffle_size()
-    }
-
-    fn value_wire_size(&self, _value: &()) -> usize {
-        0
-    }
-}
-
-/// Reduce side of `DISTINCT`: one output per key group.
-struct DistinctReducer;
-
-impl Reducer for DistinctReducer {
-    type InKey = Value;
-    type InValue = ();
-    type OutKey = Value;
-    type OutValue = ();
-
-    fn reduce(&self, key: Value, _values: Vec<()>, ctx: &mut TaskContext<Value, ()>) {
-        ctx.emit(key, ());
-    }
 }
 
 // ------------------------------------------------------- columnar plane
@@ -592,54 +526,6 @@ impl Mapper for BatchForeachMapper {
     }
 }
 
-/// The map task for `FILTER`: selection vector + gather.
-struct BatchFilterMapper {
-    batch: Arc<ColumnBatch>,
-    lhs: BExpr,
-    op: CmpOp,
-    rhs: BExpr,
-}
-
-impl Mapper for BatchFilterMapper {
-    type InKey = usize;
-    type InValue = (u32, u32);
-    type OutKey = usize;
-    type OutValue = ColumnBatch;
-
-    fn map(&self, key: usize, (start, len): (u32, u32), ctx: &mut TaskContext<usize, ColumnBatch>) {
-        let (start, len) = (start as usize, len as usize);
-        if len == 0 {
-            ctx.emit(key, ColumnBatch::from_rows(&[]).expect("empty batch"));
-            return;
-        }
-        let run = || -> Result<(ColumnBatch, u64), UdfError> {
-            let l = eval_bexpr(&self.batch, start, len, &self.lhs)?;
-            let r = eval_bexpr(&self.batch, start, len, &self.rhs)?;
-            let mut keep: Vec<u32> = Vec::with_capacity(len);
-            let mut dropped = 0u64;
-            for i in 0..len {
-                let lv = l.value_at(start, i);
-                let rv = r.value_at(start, i);
-                if cmp_matches(self.op, filter_cmp(&lv, &rv)) {
-                    keep.push((start + i) as u32);
-                } else {
-                    dropped += 1;
-                }
-            }
-            Ok((self.batch.gather(&keep), dropped))
-        };
-        match run() {
-            Ok((out, dropped)) => {
-                if dropped > 0 {
-                    ctx.count("FILTERED_OUT", dropped);
-                }
-                ctx.emit(key, out);
-            }
-            Err(e) => panic!("{e}"),
-        }
-    }
-}
-
 /// The map side of `GROUP`: shuffles `(key, row index)` — 4-byte
 /// values instead of cloned row trees — while charging
 /// `shuffled_bytes` for the full row via the wire-size hook, so the
@@ -704,7 +590,7 @@ impl PigRunner {
     /// Attach a trace sink: every engine stage's spans accumulate in
     /// it, and each Pig operator records a wrapping `Category::Pig`
     /// span chained operator-to-operator, so critical-path analysis
-    /// can attribute scripted-run time to FOREACH/FILTER/GROUP.
+    /// can attribute scripted-run time to LOAD/FOREACH/GROUP/STORE.
     pub fn traced(mut self, tracer: Arc<Tracer>) -> PigRunner {
         self.tracer = Some(tracer);
         self
@@ -755,29 +641,9 @@ impl PigRunner {
                         Operator::Group { input, by } => {
                             self.exec_group(&env, &mut pipeline, alias, input, by)?
                         }
-                        Operator::Filter { input, cond } => {
-                            self.exec_filter(&env, &mut pipeline, alias, input, cond)?
-                        }
-                        Operator::Distinct { input } => {
-                            self.exec_distinct(&env, &mut pipeline, alias, input)?
-                        }
-                        Operator::OrderBy { input, field, desc } => {
-                            self.exec_order_by(&env, input, field, *desc)?
-                        }
-                        Operator::Limit { input, n } => {
-                            let rel = env
-                                .get(input)
-                                .ok_or_else(|| PigError::UnknownRelation(input.clone()))?;
-                            // Zero-copy prefix view: shares the Arc'd
-                            // batch, only the logical length drops.
-                            Relation {
-                                len: rel.len.min(*n),
-                                ..rel.clone()
-                            }
-                        }
                     };
                     let name = format!("{}:{alias}", op_kind(op));
-                    let rows_out = rel.len;
+                    let rows_out = rel.batch.rows();
                     env.insert(alias.clone(), rel);
                     (name, rows_out)
                 }
@@ -786,13 +652,13 @@ impl PigRunner {
                         .get(alias)
                         .ok_or_else(|| PigError::UnknownRelation(alias.clone()))?;
                     let mut text = String::new();
-                    for i in 0..rel.len {
+                    for i in 0..rel.batch.rows() {
                         text.push_str(&rel.batch.row_value(i).to_string());
                         text.push('\n');
                     }
                     self.dfs.put(path, text.into_bytes(), true)?;
                     stored.push(path.clone());
-                    (format!("store:{alias}"), rel.len)
+                    (format!("store:{alias}"), rel.batch.rows())
                 }
             };
             if let (Some(t), Some(job)) = (&self.tracer, pig_job) {
@@ -888,7 +754,7 @@ impl PigRunner {
             items: resolved,
         };
         let out = pipeline.run_map_stage(
-            self.chunk_windows(rel.len),
+            self.chunk_windows(rel.batch.rows()),
             self.num_map_tasks,
             &mapper,
             &self.job_config(&format!("foreach:{alias}")),
@@ -915,7 +781,7 @@ impl PigRunner {
 
         // Shuffle row *indices*; the wire-size hook prices the full
         // row, so `shuffled_bytes` is that of shuffling the rows.
-        let input_rows: Vec<(usize, u32)> = (0..rel.len).map(|i| (i, i as u32)).collect();
+        let input_rows: Vec<(usize, u32)> = (0..rel.batch.rows()).map(|i| (i, i as u32)).collect();
         let mapper = BatchGroupMapper {
             batch: Arc::clone(&rel.batch),
             key_field,
@@ -930,7 +796,7 @@ impl PigRunner {
         groups.sort_by(|a, b| a.0.cmp(&b.0));
         let mut offsets = Vec::with_capacity(groups.len() + 1);
         offsets.push(0u32);
-        let mut elem_idx: Vec<u32> = Vec::with_capacity(rel.len);
+        let mut elem_idx: Vec<u32> = Vec::with_capacity(rel.batch.rows());
         let mut keys: Vec<Value> = Vec::with_capacity(groups.len());
         for (key, rows) in groups {
             keys.push(key);
@@ -949,88 +815,6 @@ impl PigRunner {
             // Pig names the bag field after the grouped relation.
             vec!["group".to_string(), input.to_string()],
         ))
-    }
-
-    fn exec_filter(
-        &self,
-        env: &HashMap<String, Relation>,
-        pipeline: &mut Pipeline,
-        alias: &str,
-        input: &str,
-        cond: &Cond,
-    ) -> Result<Relation, PigError> {
-        let rel = env
-            .get(input)
-            .ok_or_else(|| PigError::UnknownRelation(input.to_string()))?;
-        let mapper = BatchFilterMapper {
-            batch: Arc::clone(&rel.batch),
-            lhs: self.resolve_batch(env, input, &rel.schema, &cond.lhs)?,
-            op: cond.op,
-            rhs: self.resolve_batch(env, input, &rel.schema, &cond.rhs)?,
-        };
-        let out = pipeline.run_map_stage(
-            self.chunk_windows(rel.len),
-            self.num_map_tasks,
-            &mapper,
-            &self.job_config(&format!("filter:{alias}")),
-        )?;
-        let merged = ColumnBatch::concat(out.into_iter().map(|(_, b)| b).collect());
-        Ok(Relation::new(merged, rel.schema.clone()))
-    }
-
-    fn exec_distinct(
-        &self,
-        env: &HashMap<String, Relation>,
-        pipeline: &mut Pipeline,
-        alias: &str,
-        input: &str,
-    ) -> Result<Relation, PigError> {
-        let rel = env
-            .get(input)
-            .ok_or_else(|| PigError::UnknownRelation(input.to_string()))?;
-        let input_rows: Vec<(usize, u32)> = (0..rel.len).map(|i| (i, i as u32)).collect();
-        let mapper = DistinctMapper {
-            batch: Arc::clone(&rel.batch),
-        };
-        let out = pipeline.run_stage(
-            input_rows,
-            self.num_map_tasks,
-            &mapper,
-            &DistinctReducer,
-            &self.job_config(&format!("distinct:{alias}")),
-        )?;
-        let mut rows: Vec<Value> = out.into_iter().map(|(k, ())| k).collect();
-        rows.sort();
-        Ok(Relation::from_rows(&rows, rel.schema.clone()))
-    }
-
-    /// `ORDER BY` runs on the driver: real Pig samples the key space
-    /// and uses a total-order partitioner across reducers; with
-    /// in-memory relations a direct sort is behaviourally identical.
-    fn exec_order_by(
-        &self,
-        env: &HashMap<String, Relation>,
-        input: &str,
-        field: &str,
-        desc: bool,
-    ) -> Result<Relation, PigError> {
-        let rel = env
-            .get(input)
-            .ok_or_else(|| PigError::UnknownRelation(input.to_string()))?;
-        let idx = field_index(&rel.schema, input, field)?;
-        // Stable argsort on the key column, then one gather — no row
-        // materialization, no per-comparison key clones.
-        let keys: Vec<Value> = (0..rel.len).map(|i| rel.batch.value_at(i, idx)).collect();
-        let mut order: Vec<u32> = (0..rel.len as u32).collect();
-        order.sort_by(|&a, &b| {
-            let ord = keys[a as usize].cmp(&keys[b as usize]);
-            if desc {
-                ord.reverse()
-            } else {
-                ord
-            }
-        });
-        Ok(Relation::new(rel.batch.gather(&order), rel.schema.clone()))
     }
 
     /// Resolve an expression of a statement over `relation` (whose
@@ -1075,10 +859,10 @@ impl PigRunner {
         let rel = env
             .get(relation)
             .ok_or_else(|| PigError::UnknownRelation(relation.to_string()))?;
-        if rel.len != 1 {
+        if rel.batch.rows() != 1 {
             return Err(PigError::NotScalar {
                 relation: relation.to_string(),
-                rows: rel.len,
+                rows: rel.batch.rows(),
             });
         }
         let idx = field_index(&rel.schema, relation, field)?;
@@ -1093,10 +877,6 @@ fn op_kind(op: &Operator) -> &'static str {
         Operator::Load { .. } => "load",
         Operator::Foreach { .. } => "foreach",
         Operator::Group { .. } => "group",
-        Operator::Filter { .. } => "filter",
-        Operator::Distinct { .. } => "distinct",
-        Operator::OrderBy { .. } => "order",
-        Operator::Limit { .. } => "limit",
     }
 }
 
@@ -1272,132 +1052,6 @@ mod tests {
             runner(&dfs).run(&script),
             Err(PigError::NotScalar { rows: 2, .. })
         ));
-    }
-
-    #[test]
-    fn filter_by_comparison() {
-        let dfs = dfs();
-        dfs.put("/n.txt", &b"1\n5\n3\n9\n2\n"[..], false).unwrap();
-        // Parse the line to a long via a custom UDF-free route: compare
-        // chararrays lexicographically ('5' > '3' etc. works for single
-        // digits).
-        let script = parse_script(
-            "A = LOAD '/n.txt' AS (v:chararray);\
-             B = FILTER A BY v >= '3';\
-             STORE B INTO '/big.txt';",
-            &Map::new(),
-        )
-        .unwrap();
-        runner(&dfs).run(&script).unwrap();
-        let out = String::from_utf8(dfs.read("/big.txt").unwrap().to_vec()).unwrap();
-        let mut rows: Vec<&str> = out.lines().collect();
-        rows.sort();
-        assert_eq!(rows, vec!["(3)", "(5)", "(9)"]);
-    }
-
-    #[test]
-    fn filter_numeric_comparison_via_udf() {
-        // COUNT produces longs; numeric comparison with an int literal.
-        let dfs = dfs();
-        dfs.put("/kv.txt", &b"a a a\nb\n"[..], false).unwrap();
-        let script = parse_script(
-            "A = LOAD '/kv.txt' AS (line:chararray);\
-             W = FOREACH A GENERATE FLATTEN(TOKENIZE(line)) AS (w:chararray);\
-             G = GROUP W BY w;\
-             C = FOREACH G GENERATE group, COUNT(W);\
-             F = FILTER C BY f1 >= 2;\
-             STORE F INTO '/freq.txt';",
-            &Map::new(),
-        )
-        .unwrap();
-        // Schema of C: [group, f1] (unnamed second item).
-        runner(&dfs).run(&script).unwrap();
-        let out = String::from_utf8(dfs.read("/freq.txt").unwrap().to_vec()).unwrap();
-        assert_eq!(out.trim(), "(a,3)");
-    }
-
-    #[test]
-    fn distinct_removes_duplicates() {
-        let dfs = dfs();
-        dfs.put("/d.txt", &b"x\ny\nx\nz\ny\nx\n"[..], false)
-            .unwrap();
-        let script = parse_script(
-            "A = LOAD '/d.txt' AS (v:chararray);\
-             D = DISTINCT A;\
-             STORE D INTO '/u.txt';",
-            &Map::new(),
-        )
-        .unwrap();
-        runner(&dfs).run(&script).unwrap();
-        let out = String::from_utf8(dfs.read("/u.txt").unwrap().to_vec()).unwrap();
-        assert_eq!(out.lines().count(), 3);
-    }
-
-    #[test]
-    fn order_by_and_limit() {
-        let dfs = dfs();
-        dfs.put("/s.txt", &b"pear\napple\nfig\nbanana\n"[..], false)
-            .unwrap();
-        let script = parse_script(
-            "A = LOAD '/s.txt' AS (v:chararray);\
-             O = ORDER A BY v DESC;\
-             L = LIMIT O 2;\
-             STORE L INTO '/top.txt';",
-            &Map::new(),
-        )
-        .unwrap();
-        runner(&dfs).run(&script).unwrap();
-        let out = String::from_utf8(dfs.read("/top.txt").unwrap().to_vec()).unwrap();
-        assert_eq!(out, "(pear)\n(fig)\n");
-    }
-
-    #[test]
-    fn order_by_ascending_default() {
-        let dfs = dfs();
-        dfs.put("/s.txt", &b"b\nc\na\n"[..], false).unwrap();
-        let script = parse_script(
-            "A = LOAD '/s.txt' AS (v:chararray);\
-             O = ORDER A BY v;\
-             STORE O INTO '/sorted.txt';",
-            &Map::new(),
-        )
-        .unwrap();
-        runner(&dfs).run(&script).unwrap();
-        let out = String::from_utf8(dfs.read("/sorted.txt").unwrap().to_vec()).unwrap();
-        assert_eq!(out, "(a)\n(b)\n(c)\n");
-    }
-
-    #[test]
-    fn limit_zero_and_oversized() {
-        let dfs = dfs();
-        dfs.put("/s.txt", &b"a\nb\n"[..], false).unwrap();
-        let script = parse_script(
-            "A = LOAD '/s.txt' AS (v:chararray);\
-             Z = LIMIT A 0;\
-             B = LIMIT A 100;\
-             STORE Z INTO '/zero.txt';\
-             STORE B INTO '/all.txt';",
-            &Map::new(),
-        )
-        .unwrap();
-        runner(&dfs).run(&script).unwrap();
-        assert_eq!(dfs.read("/zero.txt").unwrap().len(), 0);
-        assert_eq!(dfs.read("/all.txt").unwrap().as_ref(), b"(a)\n(b)\n");
-    }
-
-    #[test]
-    fn limit_shares_storage_instead_of_cloning() {
-        let dfs = dfs();
-        dfs.put("/s.txt", &b"a\nb\nc\n"[..], false).unwrap();
-        let script = parse_script(
-            "A = LOAD '/s.txt' AS (v:chararray);\
-             L = LIMIT A 2;\
-             STORE L INTO '/two.txt';",
-            &Map::new(),
-        )
-        .unwrap();
-        runner(&dfs).run(&script).unwrap();
-        assert_eq!(dfs.read("/two.txt").unwrap().as_ref(), b"(a)\n(b)\n");
     }
 
     #[test]

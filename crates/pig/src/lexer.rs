@@ -25,18 +25,6 @@ pub enum TokenKind {
     Float(f64),
     /// `=`
     Equals,
-    /// `==`
-    EqEq,
-    /// `!=`
-    NotEq,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
     /// `(`
     LParen,
     /// `)`
@@ -59,12 +47,6 @@ impl fmt::Display for TokenKind {
             TokenKind::Int(v) => write!(f, "{v}"),
             TokenKind::Float(v) => write!(f, "{v}"),
             TokenKind::Equals => write!(f, "="),
-            TokenKind::EqEq => write!(f, "=="),
-            TokenKind::NotEq => write!(f, "!="),
-            TokenKind::Lt => write!(f, "<"),
-            TokenKind::Le => write!(f, "<="),
-            TokenKind::Gt => write!(f, ">"),
-            TokenKind::Ge => write!(f, ">="),
             TokenKind::LParen => write!(f, "("),
             TokenKind::RParen => write!(f, ")"),
             TokenKind::Comma => write!(f, ","),
@@ -110,51 +92,16 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                     i += 1;
                 }
             }
-            b'=' if i + 1 < bytes.len() && bytes[i + 1] == b'=' => {
-                tokens.push(Token {
-                    kind: TokenKind::EqEq,
+            // The grammar compares nothing: `==` is no token, not two `=`.
+            b'=' if bytes.get(i + 1) == Some(&b'=') => {
+                return Err(LexError {
                     line,
+                    message: "unexpected \"==\"".into(),
                 });
-                i += 2;
             }
             b'=' => {
                 tokens.push(Token {
                     kind: TokenKind::Equals,
-                    line,
-                });
-                i += 1;
-            }
-            b'!' if i + 1 < bytes.len() && bytes[i + 1] == b'=' => {
-                tokens.push(Token {
-                    kind: TokenKind::NotEq,
-                    line,
-                });
-                i += 2;
-            }
-            b'<' if i + 1 < bytes.len() && bytes[i + 1] == b'=' => {
-                tokens.push(Token {
-                    kind: TokenKind::Le,
-                    line,
-                });
-                i += 2;
-            }
-            b'<' => {
-                tokens.push(Token {
-                    kind: TokenKind::Lt,
-                    line,
-                });
-                i += 1;
-            }
-            b'>' if i + 1 < bytes.len() && bytes[i + 1] == b'=' => {
-                tokens.push(Token {
-                    kind: TokenKind::Ge,
-                    line,
-                });
-                i += 2;
-            }
-            b'>' => {
-                tokens.push(Token {
-                    kind: TokenKind::Gt,
                     line,
                 });
                 i += 1;

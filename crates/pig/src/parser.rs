@@ -57,62 +57,6 @@ pub enum Operator {
         /// Grouping mode.
         by: GroupBy,
     },
-    /// `FILTER input BY lhs <op> rhs`
-    Filter {
-        /// Input relation alias.
-        input: String,
-        /// The predicate.
-        cond: Cond,
-    },
-    /// `DISTINCT input`
-    Distinct {
-        /// Input relation alias.
-        input: String,
-    },
-    /// `ORDER input BY field [ASC|DESC]`
-    OrderBy {
-        /// Input relation alias.
-        input: String,
-        /// Sort field.
-        field: String,
-        /// Descending order.
-        desc: bool,
-    },
-    /// `LIMIT input n`
-    Limit {
-        /// Input relation alias.
-        input: String,
-        /// Maximum rows.
-        n: usize,
-    },
-}
-
-/// Comparison operators in `FILTER ... BY`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOp {
-    /// `==`
-    Eq,
-    /// `!=`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-/// A `FILTER` predicate: `lhs <op> rhs`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Cond {
-    /// Left expression.
-    pub lhs: Expr,
-    /// Comparison.
-    pub op: CmpOp,
-    /// Right expression.
-    pub rhs: Expr,
 }
 
 /// Grouping mode.
@@ -321,29 +265,11 @@ impl Parser {
             self.foreach()?
         } else if self.peek_keyword("GROUP") {
             self.group()?
-        } else if self.peek_keyword("FILTER") {
-            self.filter()?
-        } else if self.peek_keyword("DISTINCT") {
-            self.keyword("DISTINCT")?;
-            Operator::Distinct {
-                input: self.ident()?,
-            }
-        } else if self.peek_keyword("ORDER") {
-            self.order_by()?
-        } else if self.peek_keyword("LIMIT") {
-            self.keyword("LIMIT")?;
-            let input = self.ident()?;
-            let n = match self.next() {
-                Some(TokenKind::Int(v)) if v >= 0 => v as usize,
-                other => {
-                    return Err(self.err(format!(
-                        "LIMIT needs a non-negative integer, found {other:?}"
-                    )))
-                }
-            };
-            Operator::Limit { input, n }
         } else {
-            return Err(self.err("expected LOAD, FOREACH, GROUP, FILTER, DISTINCT, ORDER or LIMIT"));
+            let found = self
+                .peek()
+                .map_or("end of input".into(), ToString::to_string);
+            return Err(self.err(format!("expected LOAD, FOREACH or GROUP, found {found}")));
         };
         self.expect(&TokenKind::Semi)?;
         Ok(Statement::Assign { alias, op })
@@ -352,29 +278,12 @@ impl Parser {
     fn load(&mut self) -> Result<Operator, ParseError> {
         self.keyword("LOAD")?;
         let path = self.string()?;
-        let mut loader = None;
-        if self.peek_keyword("USING") {
+        let loader = if self.peek_keyword("USING") {
             self.keyword("USING")?;
-            loader = Some(self.ident()?);
-            // Optional loader args `Loader('a', 'b')` — accepted and
-            // ignored (our loaders take no constructor args).
-            if matches!(self.peek(), Some(TokenKind::LParen)) {
-                let mut depth = 0usize;
-                loop {
-                    match self.next() {
-                        Some(TokenKind::LParen) => depth += 1,
-                        Some(TokenKind::RParen) => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        Some(_) => {}
-                        None => return Err(self.err("unterminated loader arguments")),
-                    }
-                }
-            }
-        }
+            Some(self.ident()?)
+        } else {
+            None
+        };
         let schema = if self.peek_keyword("AS") {
             self.keyword("AS")?;
             self.schema()?
@@ -422,46 +331,6 @@ impl Parser {
             flatten,
             schema,
         })
-    }
-
-    fn filter(&mut self) -> Result<Operator, ParseError> {
-        self.keyword("FILTER")?;
-        let input = self.ident()?;
-        self.keyword("BY")?;
-        let lhs = self.expr()?;
-        let op = match self.next() {
-            Some(TokenKind::EqEq) => CmpOp::Eq,
-            Some(TokenKind::NotEq) => CmpOp::Ne,
-            Some(TokenKind::Lt) => CmpOp::Lt,
-            Some(TokenKind::Le) => CmpOp::Le,
-            Some(TokenKind::Gt) => CmpOp::Gt,
-            Some(TokenKind::Ge) => CmpOp::Ge,
-            other => {
-                return Err(self.err(format!("expected a comparison operator, found {other:?}")))
-            }
-        };
-        let rhs = self.expr()?;
-        Ok(Operator::Filter {
-            input,
-            cond: Cond { lhs, op, rhs },
-        })
-    }
-
-    fn order_by(&mut self) -> Result<Operator, ParseError> {
-        self.keyword("ORDER")?;
-        let input = self.ident()?;
-        self.keyword("BY")?;
-        let field = self.ident()?;
-        let desc = if self.peek_keyword("DESC") {
-            self.keyword("DESC")?;
-            true
-        } else {
-            if self.peek_keyword("ASC") {
-                self.keyword("ASC")?;
-            }
-            false
-        };
-        Ok(Operator::OrderBy { input, field, desc })
     }
 
     fn group(&mut self) -> Result<Operator, ParseError> {
@@ -711,6 +580,32 @@ mod tests {
     #[test]
     fn missing_semicolon_is_error() {
         assert!(parse_script("A = LOAD 'x'", &HashMap::new()).is_err());
+    }
+
+    #[test]
+    fn statements_outside_algorithm3_are_positioned_errors() {
+        for stmt in [
+            "B = FILTER A BY keep;",
+            "B = DISTINCT A;",
+            "B = ORDER A BY f0 DESC;",
+            "B = LIMIT A 2;",
+        ] {
+            let src = format!("A = LOAD 'x';\n\n{stmt}\nSTORE B INTO 'y';\n");
+            let err = parse_script(&src, &HashMap::new()).unwrap_err();
+            assert_eq!(err.line, 3, "{stmt}: {err}");
+            assert!(
+                err.message
+                    .starts_with("expected LOAD, FOREACH or GROUP, found "),
+                "{stmt}: {err}"
+            );
+        }
+        for op in ["==", "!=", "<", ">="] {
+            let src = format!("A = LOAD 'x';\nB = FOREACH A GENERATE f0 {op} 1;\n");
+            let err = crate::lexer::lex(&src).unwrap_err();
+            assert_eq!(err.line, 2, "{op}: {err}");
+            assert!(err.message.contains(&op[..1]), "{op}: {err}");
+            assert_eq!(parse_script(&src, &HashMap::new()).unwrap_err().line, 2);
+        }
     }
 
     #[test]

@@ -200,12 +200,11 @@ proptest! {
 /// tuples, UDFs are called one row at a time through the scalar
 /// `Udf::exec`, nothing is chunked, shuffled or run as a job.
 mod reference {
-    use std::cmp::Ordering;
     use std::collections::{BTreeMap, HashMap};
 
     use mrmc_mapreduce::wire::uvarint_len;
     use mrmc_mapreduce::{chunk_ranges, ShuffleSized};
-    use mrmc_pig::parser::{CmpOp, Expr, GenItem, GroupBy, Operator};
+    use mrmc_pig::parser::{Expr, GenItem, GroupBy, Operator};
     use mrmc_pig::{Script, Statement, UdfRegistry, Value};
 
     struct Rel {
@@ -219,28 +218,23 @@ mod reference {
         /// `(path, text)` per `STORE`, in script order.
         pub stored: Vec<(String, String)>,
         /// `(shuffled_pairs, shuffled_bytes)` per job the executor
-        /// runs: FOREACH and FILTER are map-only (nothing shuffled),
-        /// GROUP and DISTINCT shuffle, the rest run on the driver.
+        /// runs: FOREACH is map-only (nothing shuffled), GROUP
+        /// shuffles, LOAD and STORE run on the driver.
         pub stages: Vec<(u64, u64)>,
     }
 
     /// What shuffling `rows` keyed by `key` costs, as `engine.rs`
     /// documents it: each of the `map_tasks` map tasks groups its own
     /// contiguous chunk, and a group is the key once, a varint value
-    /// count, then each value.
-    fn shuffle_bytes(
-        rows: &[Value],
-        map_tasks: usize,
-        key: impl Fn(&Value) -> Value,
-        value_size: impl Fn(&Value) -> usize,
-    ) -> u64 {
+    /// count, then each row.
+    fn shuffle_bytes(rows: &[Value], map_tasks: usize, key: impl Fn(&Value) -> Value) -> u64 {
         let mut bytes = 0;
         for task in chunk_ranges(rows.len(), map_tasks) {
             let mut groups: BTreeMap<Value, (u64, usize)> = BTreeMap::new();
             for row in &rows[task] {
                 let group = groups.entry(key(row)).or_default();
                 group.0 += 1;
-                group.1 += value_size(row);
+                group.1 += row.shuffle_size();
             }
             for (key, (count, values)) in groups {
                 bytes += (key.shuffle_size() + uvarint_len(count) + values) as u64;
@@ -324,15 +318,6 @@ mod reference {
         }
     }
 
-    /// `FILTER`'s comparison: numbers compare as doubles whatever
-    /// their width, anything else by the `Value` total order.
-    fn compare(l: &Value, r: &Value) -> Ordering {
-        match (l.as_f64(), r.as_f64()) {
-            (Some(a), Some(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
-            _ => l.cmp(r),
-        }
-    }
-
     /// Interpret `script`, every `LOAD` reading `input`.
     pub fn run(script: &Script, input: &[u8], registry: &UdfRegistry, map_tasks: usize) -> Outcome {
         let mut interp = Interp {
@@ -405,27 +390,6 @@ mod reference {
                     outcome.stages.push((0, 0));
                     Rel { rows, schema }
                 }
-                Operator::Filter { input, cond } => {
-                    let rel = interp.rel(input);
-                    let keep = |row: &&Value| {
-                        let l = interp.eval(&cond.lhs, row, &rel.schema);
-                        let r = interp.eval(&cond.rhs, row, &rel.schema);
-                        let ord = compare(&l, &r);
-                        match cond.op {
-                            CmpOp::Eq => ord.is_eq(),
-                            CmpOp::Ne => ord.is_ne(),
-                            CmpOp::Lt => ord.is_lt(),
-                            CmpOp::Le => ord.is_le(),
-                            CmpOp::Gt => ord.is_gt(),
-                            CmpOp::Ge => ord.is_ge(),
-                        }
-                    };
-                    outcome.stages.push((0, 0));
-                    Rel {
-                        rows: rel.rows.iter().filter(keep).cloned().collect(),
-                        schema: rel.schema.clone(),
-                    }
-                }
                 Operator::Group { input, by } => {
                     let rel = interp.rel(input);
                     let key = |row: &Value| match by {
@@ -438,7 +402,7 @@ mod reference {
                     }
                     outcome.stages.push((
                         rel.rows.len() as u64,
-                        shuffle_bytes(&rel.rows, map_tasks, key, Value::shuffle_size),
+                        shuffle_bytes(&rel.rows, map_tasks, key),
                     ));
                     Rel {
                         rows: groups
@@ -446,49 +410,6 @@ mod reference {
                             .map(|(k, bag)| Value::Tuple(vec![k, Value::Bag(bag)]))
                             .collect(),
                         schema: vec!["group".into(), input.clone()],
-                    }
-                }
-                Operator::Distinct { input } => {
-                    let rel = interp.rel(input);
-                    let mut rows = rel.rows.clone();
-                    rows.sort();
-                    rows.dedup();
-                    // The whole row is the key; the values are empty.
-                    outcome.stages.push((
-                        rel.rows.len() as u64,
-                        shuffle_bytes(&rel.rows, map_tasks, Value::clone, |_| 0),
-                    ));
-                    Rel {
-                        rows,
-                        schema: rel.schema.clone(),
-                    }
-                }
-                Operator::OrderBy {
-                    input,
-                    field: by,
-                    desc,
-                } => {
-                    let rel = interp.rel(input);
-                    let mut rows = rel.rows.clone();
-                    // Stable either way: ties keep their input order.
-                    rows.sort_by(|a, b| {
-                        let ord = field(a, &rel.schema, by).cmp(&field(b, &rel.schema, by));
-                        if *desc {
-                            ord.reverse()
-                        } else {
-                            ord
-                        }
-                    });
-                    Rel {
-                        rows,
-                        schema: rel.schema.clone(),
-                    }
-                }
-                Operator::Limit { input, n } => {
-                    let rel = interp.rel(input);
-                    Rel {
-                        rows: rel.rows.iter().take(*n).cloned().collect(),
-                        schema: rel.schema.clone(),
                     }
                 }
             };
@@ -598,17 +519,17 @@ fn test_registry() -> UdfRegistry {
     r
 }
 
-/// Build a random script from an op list. Every op keeps field `f0`
-/// addressable; ops that require a non-null chararray are remapped to
-/// a safe op once nulls may be present.
-fn build_script(ops: &[u8], limit: usize) -> String {
+/// Build a random script from an op list of shapes `0..10`. Every op
+/// keeps field `f0` addressable; ops that require a non-null chararray
+/// are remapped to a null-tolerant shape once nulls may be present.
+fn build_script(ops: &[u8]) -> String {
     let mut script = String::from("A = LOAD '/in.txt' AS (f0:chararray);\n");
     let mut cur = "A".to_string();
     let mut maybe_null = false;
     for (i, &op) in ops.iter().enumerate() {
         let next = format!("R{i}");
-        let op = if maybe_null && matches!(op, 0 | 1 | 2 | 3 | 8 | 13) {
-            4 // string UDFs would error on null; filter instead
+        let op = if maybe_null && matches!(op, 0 | 1 | 2 | 3 | 5 | 9) {
+            6 // string UDFs would error on null; regroup instead
         } else {
             op
         };
@@ -625,28 +546,20 @@ fn build_script(ops: &[u8], limit: usize) -> String {
             3 => script.push_str(&format!(
                 "{next} = FOREACH {cur} GENERATE FLATTEN(MixBag(f0)) AS (f0:chararray, f1:long);\n"
             )),
-            4 => script.push_str(&format!("{next} = FILTER {cur} BY f0 >= 'm';\n")),
-            5 => {
+            4 => {
                 script.push_str(&format!("G{i} = GROUP {cur} BY f0;\n"));
                 script.push_str(&format!(
                     "{next} = FOREACH G{i} GENERATE group AS (f0:chararray), COUNT({cur});\n"
                 ));
             }
-            6 => script.push_str(&format!("{next} = DISTINCT {cur};\n")),
-            7 => {
-                script.push_str(&format!("O{i} = ORDER {cur} BY f0 DESC;\n"));
-                script.push_str(&format!("{next} = LIMIT O{i} {limit};\n"));
-            }
-            8 => {
+            5 => {
                 script.push_str(&format!(
                     "{next} = FOREACH {cur} GENERATE Nullify(f0) AS (f0:chararray);\n"
                 ));
                 maybe_null = true;
             }
-            // LIMIT of whatever order the relation happens to have.
-            9 => script.push_str(&format!("{next} = LIMIT {cur} {limit};\n")),
             // One global bag, flattened back into its rows.
-            10 => {
+            6 => {
                 script.push_str(&format!("G{i} = GROUP {cur} ALL;\n"));
                 script.push_str(&format!(
                     "{next} = FOREACH G{i} GENERATE FLATTEN({cur}) AS (f0:chararray);\n"
@@ -654,14 +567,14 @@ fn build_script(ops: &[u8], limit: usize) -> String {
             }
             // Keyed bags flattened beside their key: rows come back
             // in key order, one trailing field wider.
-            11 => {
+            7 => {
                 script.push_str(&format!("G{i} = GROUP {cur} BY f0;\n"));
                 script.push_str(&format!(
                     "{next} = FOREACH G{i} GENERATE FLATTEN({cur}) AS (f0:chararray), group;\n"
                 ));
             }
             // Constants broadcast beside a field.
-            12 => script.push_str(&format!("{next} = FOREACH {cur} GENERATE f0, 'k', 7;\n")),
+            8 => script.push_str(&format!("{next} = FOREACH {cur} GENERATE f0, 'k', 7;\n")),
             // Two bags flattened in one GENERATE: a cross product
             // whose row order the odometer decides.
             _ => script.push_str(&format!(
@@ -734,10 +647,9 @@ proptest! {
     #[test]
     fn engines_bit_identical_on_random_scripts(
         lines in proptest::collection::vec("[a-o ]{0,6}", 0..10),
-        ops in proptest::collection::vec(0u8..14, 0..5),
-        limit in 0usize..7,
+        ops in proptest::collection::vec(0u8..10, 0..5),
     ) {
-        assert_matches_reference(&build_script(&ops, limit), &lines.join("\n"));
+        assert_matches_reference(&build_script(&ops), &lines.join("\n"));
     }
 }
 
@@ -818,18 +730,17 @@ fn flatten_constant_tuple_appends_fields() {
 }
 
 #[test]
-fn word_count_order_limit() {
+fn word_count() {
+    // GROUP BY hands its groups back in key order.
     let out = assert_matches_reference(
         "A = LOAD '/in.txt' AS (line:chararray);\n\
          W = FOREACH A GENERATE FLATTEN(TOKENIZE(line)) AS (word:chararray);\n\
          G = GROUP W BY word;\n\
          C = FOREACH G GENERATE group, COUNT(W);\n\
-         O = ORDER C BY group;\n\
-         L = LIMIT O 3;\n\
-         STORE L INTO '/out.txt';",
+         STORE C INTO '/out.txt';",
         "c a b\nb a\nz\n",
     );
-    assert_eq!(out, "(a,2)\n(b,2)\n(c,1)\n");
+    assert_eq!(out, "(a,2)\n(b,2)\n(c,1)\n(z,1)\n");
 }
 
 #[test]
@@ -842,10 +753,10 @@ fn bare_loader_values_load_as_one_column() {
          U = FOREACH A GENERATE UPPER(f0), f0;\n\
          G = GROUP A BY f0;\n\
          C = FOREACH G GENERATE group, COUNT(A);\n\
-         D = DISTINCT A;\n\
+         K = FOREACH G GENERATE group;\n\
          STORE U INTO '/upper.txt';\n\
          STORE C INTO '/counts.txt';\n\
-         STORE D INTO '/distinct.txt';\n\
+         STORE K INTO '/keys.txt';\n\
          STORE A INTO '/out.txt';",
         "b\na\nb\nc\n",
     );
