@@ -18,8 +18,8 @@
 //! sketch values) is kept as [`set_similarity`] for the
 //! `ablation_estimator` bin in `crates/bench`, which compares the two
 //! estimators' error. A stage that compares *every* pair packs its
-//! sketches into a [`SketchPlane`] first and reads the same estimator,
-//! bit for bit, off contiguous narrow lanes.
+//! sketches into a [`SketchPlane`] of per-column ranks first and reads
+//! the same estimator, bit for bit, off contiguous narrow lanes.
 
 pub mod banding;
 pub mod hash;

@@ -1,5 +1,7 @@
 //! Property-based tests for the minwise-hashing substrate.
 
+use std::collections::HashSet;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,6 +44,102 @@ fn hasher_for(k: usize, n: usize, seed: u64, literal: bool) -> MinHasher {
         MinHasher::with_family(k, family)
     } else {
         MinHasher::for_kmer_size(k, n, seed)
+    }
+}
+
+/// Bytes of the lane a plane of `sketches` must take: the narrowest of
+/// 1, 2 and 4 whose `MAX` holds the largest column's count of distinct
+/// real values plus the empty mark.
+fn narrowest_lane(sketches: &[Sketch]) -> usize {
+    let width = sketches.first().map_or(0, Sketch::len);
+    let cardinality = (0..width)
+        .map(|c| {
+            let column: HashSet<u64> = sketches
+                .iter()
+                .map(|s| s.values()[c])
+                .filter(|&v| v != EMPTY_SLOT)
+                .collect();
+            column.len()
+        })
+        .max()
+        .unwrap_or(0);
+    if cardinality < 1 << 8 {
+        1
+    } else if cardinality < 1 << 16 {
+        2
+    } else {
+        4
+    }
+}
+
+/// The plane of `sketches` against the textbook estimator on `pairs`:
+/// each `count` is the similarity times the width, each `similarity`
+/// the same bits, and where `strips(row)`, that row's `extend_counts`
+/// over the rows after it its pairs' counts; the lane is
+/// [`narrowest_lane`]. Returns the plane.
+fn assert_plane_matches(
+    sketches: &[Sketch],
+    pairs: impl Fn(usize) -> Vec<usize>,
+    strips: impl Fn(usize) -> bool,
+) -> SketchPlane {
+    let plane = SketchPlane::pack(sketches).unwrap();
+    let n = sketches.len();
+    assert_eq!(plane.len(), n);
+    assert_eq!(plane.lane_bytes(), narrowest_lane(sketches));
+    let width = plane.width();
+    for i in 0..n {
+        let mut strip = Vec::new();
+        if strips(i) {
+            plane.extend_counts(i, i + 1..n, &mut strip, |c| c);
+            assert_eq!(strip.len(), n - i - 1);
+        }
+        for j in pairs(i) {
+            let expect = reference::positional_similarity(&sketches[i], &sketches[j]);
+            let count = plane.count(i, j);
+            assert_eq!(
+                count as f64,
+                (expect * width as f64).round(),
+                "pair ({i}, {j})"
+            );
+            assert_eq!(
+                plane.similarity(i, j).to_bits(),
+                expect.to_bits(),
+                "pair ({i}, {j})"
+            );
+            if j > i && strips(i) {
+                assert_eq!(strip[j - i - 1], count, "pair ({i}, {j})");
+            }
+        }
+    }
+    plane
+}
+
+/// The last `u16` column and the first `u32` one: 65 535, then 65 536
+/// distinct values in column 0, beside a full copy of row 0, a row
+/// with a hole and a degenerate row. Every row meets row 0, the last
+/// distinct row and the three planted rows; the strips of row 0 and
+/// the last four rows are checked.
+#[test]
+fn plane_lane_crosses_u16_at_65536_distinct_values() {
+    for (distinct, bytes) in [(65_535u64, 2), (65_536, 4)] {
+        let mut sketches: Vec<Sketch> = (0..distinct)
+            .map(|i| Sketch::from_values(vec![(i << 33) | 1, i % 3]))
+            .collect();
+        let first = sketches[0].values().to_vec();
+        sketches.push(Sketch::from_values(first.clone()));
+        sketches.push(Sketch::from_values(vec![first[0], EMPTY_SLOT]));
+        sketches.push(Sketch::from_values(vec![EMPTY_SLOT; 2]));
+        let n = sketches.len();
+        let last = distinct as usize - 1;
+        let plane = assert_plane_matches(
+            &sketches,
+            |_| vec![0, last, n - 3, n - 2, n - 1],
+            |row| row == 0 || row >= last,
+        );
+        assert_eq!(plane.lane_bytes(), bytes, "{distinct} distinct values");
+        assert_eq!(plane.count(0, n - 3), 2);
+        assert_eq!(plane.count(n - 2, 0), 1);
+        assert_eq!(plane.count(n - 1, n - 1), 2);
     }
 }
 
@@ -240,7 +338,8 @@ proptest! {
     /// whichever of its two counts a pair takes. Each read contributes
     /// its sketch (degenerate when shorter than k), a near copy's, and
     /// a copy with positions knocked out, so full, partially empty and
-    /// fully empty rows all meet; `clash` plants a real `u32::MAX`.
+    /// fully empty rows all meet; `clash` plants a real `u32::MAX`,
+    /// which ranks like any other value.
     #[test]
     fn plane_matches_reference_similarity(
         reads in proptest::collection::vec(dna(0, 90), 0..6),
@@ -278,16 +377,9 @@ proptest! {
                 *s = Sketch::from_values(values);
             }
         }
-        let fits_narrow = sketches
-            .iter()
-            .flat_map(|s| s.values())
-            .all(|&v| v == EMPTY_SLOT || v < u64::from(u32::MAX));
         let plane = SketchPlane::pack(&sketches).unwrap();
         prop_assert_eq!(plane.len(), sketches.len());
-        prop_assert_eq!(plane.is_narrow(), fits_narrow, "k = {}", k);
-        if k == 5 && !clash {
-            prop_assert!(plane.is_narrow(), "both k = 5 families hash below 2^31");
-        }
+        prop_assert_eq!(plane.lane_bytes(), narrowest_lane(&sketches), "k = {}", k);
         for i in 0..sketches.len() {
             for j in 0..sketches.len() {
                 let expect = reference::positional_similarity(&sketches[i], &sketches[j]);
@@ -405,5 +497,54 @@ proptest! {
         let bv: Vec<u64> = b.iter().copied().collect();
         let uv: Vec<u64> = a.union(&b).copied().collect();
         prop_assert!(exact_jaccard(&av, &uv) >= exact_jaccard(&av, &bv) - 1e-12);
+    }
+
+    /// The lane follows column cardinality across the `u8`/`u16`
+    /// boundary. Column 0 of the first `distinct` rows holds `distinct`
+    /// values spread over the whole `u64` range; the other columns
+    /// repeat fewer. `extra` rows copy earlier rows, some with holes
+    /// punched and some degenerate, so every count path meets every
+    /// lane; all pairs are checked.
+    #[test]
+    fn plane_lane_follows_column_cardinality(
+        distinct in prop_oneof![1usize..=300, proptest::sample::select(vec![254usize, 255, 256])],
+        width in 1usize..5,
+        extra in 0usize..12,
+        base in 0u64..1 << 62,
+        stride in 1u64..1 << 40,
+        holes in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut sketches: Vec<Sketch> = (0..distinct)
+            .map(|r| {
+                let values = (0..width)
+                    .map(|c| {
+                        let rank = if c == 0 { r } else { rng.random_range(0..distinct.div_ceil(c + 1)) };
+                        if c > 0 && holes >> ((r * 7 + c) % 64) & 1 == 1 {
+                            EMPTY_SLOT
+                        } else {
+                            base + rank as u64 * stride
+                        }
+                    })
+                    .collect();
+                Sketch::from_values(values)
+            })
+            .collect();
+        for e in 0..extra {
+            let copy = sketches[rng.random_range(0..distinct)].values().to_vec();
+            let values = match e % 3 {
+                0 => copy,
+                1 => copy
+                    .iter()
+                    .enumerate()
+                    .map(|(c, &v)| if holes >> ((e + c) % 64) & 1 == 1 { EMPTY_SLOT } else { v })
+                    .collect(),
+                _ => vec![EMPTY_SLOT; width],
+            };
+            sketches.push(Sketch::from_values(values));
+        }
+        let n = sketches.len();
+        assert_plane_matches(&sketches, |_| (0..n).collect(), |_| true);
     }
 }

@@ -18,9 +18,12 @@
 //! calculation of all pairwise similarity is performed in parallel by
 //! performing a row-wise partition" — each map task owns a strip of
 //! rows of the upper triangle. The sketches are packed once into a
-//! [`SketchPlane`] (contiguous `u32` lanes for every family the
-//! pipeline builds at k ≤ 16) that all tasks read. A task emits each
-//! row's agreement counts as a strip in the narrowest lane that holds
+//! [`SketchPlane`] that all tasks read: each value becomes its rank
+//! within its column, in the narrowest lane that holds every column's
+//! ranks beside an empty mark — one byte per position for the dense
+//! workloads, whose columns hold a few dozen distinct minima. A task
+//! fills each row's strip of agreement counts through one
+//! [`SketchPlane::extend_counts`] call, in the narrowest lane that holds
 //! the sketch width — `u8` up to 255, a quarter of the bytes of `f32`
 //! similarities, else `u16` — and divides nothing. The strips become a
 //! [`PairCounts`] as they arrive ([`pair_counts_stage`]), which the
@@ -28,7 +31,6 @@
 //! them into the `f32` matrix through a `width + 1`-entry table.
 
 use std::collections::HashMap;
-use std::fmt::Debug;
 use std::marker::PhantomData;
 
 use mrmc_cluster::{CondensedMatrix, CountStrips, PairCounts};
@@ -254,21 +256,39 @@ fn balanced_row_blocks(n: usize, tasks: usize) -> Vec<(usize, usize)> {
 }
 
 /// Stage-2 mapper: a contiguous block of matrix rows → one strip of
-/// [`SketchPlane::count`]s per row, each count in lane `L`, read off the
-/// packed compare plane (borrowed — the engine runs mappers on scoped
-/// threads, so nothing is cloned into tasks). Every row streams the
-/// rows after it once; the whole plane of the largest dense workload is
-/// 1.6 MB, so there is no sub-block walk to keep operands in cache.
+/// [`SketchPlane::count`]s per row, each count in lane `L`, filled by
+/// [`SketchPlane::extend_counts`] off the packed compare plane (borrowed —
+/// the engine runs mappers on scoped threads, so nothing is cloned into
+/// tasks). Every row streams the rows after it once; the whole plane of
+/// the largest dense workload is ≈ 0.4 MB of byte ranks, so there is no
+/// sub-block walk to keep operands in cache.
 struct RowBlockMapper<'a, L> {
     plane: &'a SketchPlane,
     lane: PhantomData<L>,
 }
 
-impl<L> Mapper for RowBlockMapper<'_, L>
-where
-    L: TryFrom<usize> + Clone + Send + Sync,
-    L::Error: Debug,
-{
+/// The lane of Stage 2's counts: `u8` or `u16`. [`pair_counts_stage`]
+/// picks the one that holds the sketch width, and a count is at most
+/// the width, so narrowing keeps every bit.
+trait CountLane: Copy + Send + Sync {
+    fn narrow(count: usize) -> Self;
+}
+
+impl CountLane for u8 {
+    #[inline]
+    fn narrow(count: usize) -> u8 {
+        count as u8
+    }
+}
+
+impl CountLane for u16 {
+    #[inline]
+    fn narrow(count: usize) -> u16 {
+        count as u16
+    }
+}
+
+impl<L: CountLane> Mapper for RowBlockMapper<'_, L> {
     type InKey = usize;
     type InValue = (usize, usize);
     type OutKey = usize;
@@ -278,12 +298,9 @@ where
         let n = self.plane.len();
         let mut pairs = 0u64;
         for row in r0..r1 {
-            let strip: Vec<L> = (row + 1..n)
-                .map(|j| {
-                    L::try_from(self.plane.count(row, j))
-                        .expect("a count is at most the width, which the stage fit to the lane")
-                })
-                .collect();
+            let mut strip = Vec::with_capacity(n - row - 1);
+            self.plane
+                .extend_counts(row, row + 1..n, &mut strip, L::narrow);
             pairs += strip.len() as u64;
             ctx.emit(row, strip);
         }
@@ -293,15 +310,11 @@ where
 
 /// One map task per pair-balanced row block of `plane`, each emitting
 /// one count strip per row; the strips in row order.
-fn count_strips<L>(
+fn count_strips<L: CountLane>(
     plane: &SketchPlane,
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
-) -> Result<Vec<Vec<L>>, MrError>
-where
-    L: TryFrom<usize> + Clone + Send + Sync,
-    L::Error: Debug,
-{
+) -> Result<Vec<Vec<L>>, MrError> {
     let n = plane.len();
     let mapper = RowBlockMapper {
         plane,
@@ -443,28 +456,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn row_strips_match_direct_at_scale() {
-        // Enough rows for several multi-row blocks per task, and two
-        // reads shorter than k whose degenerate rows meet each other.
-        let mut reads: Vec<SeqRecord> = (0..40)
-            .map(|i| {
-                let seq: Vec<u8> = (0..60)
-                    .map(|j| b"ACGT"[(i * 7 + j * 3 + i * j) % 4])
-                    .collect();
-                SeqRecord::new(format!("r{i}"), seq)
-            })
-            .collect();
+    /// Stage 2's matrix against per-pair `positional_similarity`, bit
+    /// for bit, at each sketch width of `widths`. Reads 3 and 17 are
+    /// shorter than k, so their degenerate rows meet each other at 1.0.
+    /// Returns the rank lane of each width's plane.
+    fn assert_strips_match_direct(
+        mut reads: Vec<SeqRecord>,
+        base: MrMcConfig,
+        widths: [usize; 2],
+    ) -> Vec<usize> {
         reads.insert(3, SeqRecord::new("short1", b"ACG".to_vec()));
         reads.insert(17, SeqRecord::new("short2", b"TT".to_vec()));
-        // A width above 255 takes counts that need both bytes.
-        let wide = MrMcConfig {
-            num_hashes: 300,
-            ..config()
-        };
-        for cfg in [config(), wide] {
+        let mut lanes = Vec::new();
+        for num_hashes in widths {
+            let cfg = MrMcConfig { num_hashes, ..base };
             let mut p = Pipeline::new("t");
             let sketches = sketch_stage(&reads, &cfg, &mut p).unwrap();
+            lanes.push(SketchPlane::pack(&sketches).unwrap().lane_bytes());
             let direct = CondensedMatrix::build(reads.len(), |i, j| {
                 positional_similarity(&sketches[i], &sketches[j])
             });
@@ -472,9 +480,54 @@ mod tests {
             let bits = |m: &CondensedMatrix| -> Vec<u32> {
                 m.as_slice().iter().map(|s| s.to_bits()).collect()
             };
-            assert_eq!(bits(&via_mr), bits(&direct), "{} hashes", cfg.num_hashes);
+            assert_eq!(bits(&via_mr), bits(&direct), "{num_hashes} hashes");
             assert_eq!(via_mr.get(3, 17), 1.0, "two degenerate sketches");
         }
+        lanes
+    }
+
+    #[test]
+    fn row_strips_match_direct_at_scale() {
+        // Enough rows for several multi-row blocks per task; a width
+        // above 255 takes counts that need both bytes.
+        let reads: Vec<SeqRecord> = (0..40)
+            .map(|i| {
+                let seq: Vec<u8> = (0..60)
+                    .map(|j| b"ACGT"[(i * 7 + j * 3 + i * j) % 4])
+                    .collect();
+                SeqRecord::new(format!("r{i}"), seq)
+            })
+            .collect();
+        assert_eq!(
+            assert_strips_match_direct(reads, config(), [32, 300]),
+            [1, 1]
+        );
+    }
+
+    #[test]
+    fn row_strips_match_direct_on_two_byte_ranks() {
+        // 300 unrelated reads at k = 12: a column holds more than 255
+        // distinct minwise values, so the plane ranks in `u16` lanes,
+        // under both `u8` (100 hashes) and `u16` (300) counts.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let reads: Vec<SeqRecord> = (0..300)
+            .map(|i| {
+                let seq: Vec<u8> = (0..40)
+                    .map(|_| {
+                        state ^= state << 13;
+                        state ^= state >> 7;
+                        state ^= state << 17;
+                        b"ACGT"[(state >> 62) as usize]
+                    })
+                    .collect();
+                SeqRecord::new(format!("r{i}"), seq)
+            })
+            .collect();
+        let cfg = MrMcConfig {
+            kmer: 12,
+            ..config()
+        };
+        assert_eq!(assert_strips_match_direct(reads, cfg, [100, 300]), [2, 2]);
     }
 
     #[test]

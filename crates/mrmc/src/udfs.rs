@@ -447,17 +447,21 @@ fn check_widths(
 }
 
 /// `CalculatePairwiseSimilarity`'s kernel: row `me` of `plane` against
-/// each relation row `0..ids.len()` whose id is not `my_id`.
+/// each relation row `0..ids.len()` whose id is not `my_id`, through
+/// the plane's row kernel into `sims`, a buffer it overwrites.
 fn similarity_row<'p>(
-    plane: &'p SketchPlane,
+    plane: &SketchPlane,
     ids: &'p [&'p str],
     me: usize,
     my_id: &'p [u8],
+    sims: &'p mut Vec<f64>,
 ) -> impl Iterator<Item = (&'p str, f64)> + 'p {
+    sims.clear();
+    plane.extend_counts(me, 0..ids.len(), sims, |c| plane.similarity_of(c));
     ids.iter()
-        .enumerate()
-        .filter(move |(_, id)| id.as_bytes() != my_id)
-        .map(move |(j, &id)| (id, plane.similarity(me, j)))
+        .zip(sims.iter())
+        .filter(move |(id, _)| id.as_bytes() != my_id)
+        .map(|(&id, &sim)| (id, sim))
 }
 
 /// `CalculatePairwiseSimilarity(sketch, seqid, all_rows)` — one row of
@@ -478,7 +482,8 @@ impl Udf for CalculatePairwiseSimilarity {
         check_widths(self.name(), &ids, &sketches, me.len())?;
         sketches.push(me);
         let plane = SketchPlane::pack(&sketches).expect("widths checked");
-        let row = similarity_row(&plane, &ids, ids.len(), my_id.as_bytes())
+        let mut sims = Vec::with_capacity(ids.len());
+        let row = similarity_row(&plane, &ids, ids.len(), my_id.as_bytes(), &mut sims)
             .map(|(id, sim)| Value::tuple([Value::CharArray(id.to_string()), Value::Double(sim)]))
             .collect::<Vec<_>>();
         Ok(Value::tuple([
@@ -548,9 +553,10 @@ impl Udf for CalculatePairwiseSimilarity {
         offsets.push(0);
         let mut others = VarBytesBuilder::with_capacity(rows * ids.len());
         let mut sims: Vec<f64> = Vec::with_capacity(rows * ids.len());
+        let mut row_sims = Vec::with_capacity(ids.len());
         for i in 0..rows {
             let my_id = my_ids.get(i);
-            for (other, sim) in similarity_row(&plane, &ids, ids.len() + i, my_id) {
+            for (other, sim) in similarity_row(&plane, &ids, ids.len() + i, my_id, &mut row_sims) {
                 others.push(other.as_bytes());
                 sims.push(sim);
             }

@@ -212,9 +212,15 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                 });
             }
             _ => {
+                // Every arm consumes whole ASCII bytes or whole literals,
+                // so `i` starts a character: report all of its bytes.
+                let ch = source
+                    .get(i..)
+                    .and_then(|rest| rest.chars().next())
+                    .unwrap_or(char::REPLACEMENT_CHARACTER);
                 return Err(LexError {
                     line,
-                    message: format!("unexpected character {:?}", c as char),
+                    message: format!("unexpected character {ch:?}"),
                 });
             }
         }
@@ -295,5 +301,14 @@ mod tests {
     fn unexpected_char_is_error() {
         let err = lex("A @ B").unwrap_err();
         assert!(err.message.contains('@'));
+    }
+
+    #[test]
+    fn unexpected_multibyte_char_is_reported_whole() {
+        for (src, ch) in [("A = é;", 'é'), ("A = B;\nC = 𝄞;", '𝄞')] {
+            let err = lex(src).unwrap_err();
+            assert_eq!(err.message, format!("unexpected character {ch:?}"), "{src}");
+            assert_eq!(err.line, src.lines().count(), "{src}");
+        }
     }
 }

@@ -140,25 +140,80 @@ impl From<LexError> for ParseError {
     }
 }
 
-/// Substitute `$NAME` parameters (longest name first so `$IN` does not
-/// clobber `$INPUT`), then lex and parse.
+/// Substitute `$NAME` parameters, then lex and parse.
 pub fn parse_script(source: &str, params: &HashMap<String, String>) -> Result<Script, ParseError> {
-    let mut keys: Vec<&String> = params.keys().collect();
-    keys.sort_by_key(|k| std::cmp::Reverse(k.len()));
-    let mut text = source.to_string();
-    for k in keys {
-        text = text.replace(&format!("${k}"), &params[k]);
-    }
-    if let Some(pos) = text.find('$') {
-        let line = text[..pos].matches('\n').count() + 1;
-        let tail: String = text[pos..].chars().take(16).collect();
-        return Err(ParseError {
-            line,
-            message: format!("unbound parameter near {tail:?}"),
-        });
-    }
-    let tokens = lex(&text)?;
+    let tokens = lex(&substitute(source, params)?)?;
     Parser { tokens, pos: 0 }.script()
+}
+
+/// `source` with its parameters replaced, in one pass. `$` followed by
+/// a whole identifier (`[A-Za-z_][A-Za-z0-9_]*`) is a parameter, and an
+/// unbound one is an error at its line; `$` before any other character
+/// is literal text inside a quoted literal and an error at its line
+/// outside one. `--` comments outside a quoted literal are copied
+/// untouched, and a value is never rescanned. A value holding `'`
+/// may not land inside a quoted literal, whose end it would move.
+fn substitute(source: &str, params: &HashMap<String, String>) -> Result<String, ParseError> {
+    let bytes = source.as_bytes();
+    let mut out = String::with_capacity(source.len());
+    let mut copied = 0;
+    let mut line = 1;
+    let mut quoted = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        match bytes[i] {
+            b'\n' => {
+                // A literal ends at its line; the lexer reports it.
+                line += 1;
+                quoted = false;
+                i += 1;
+            }
+            b'-' if !quoted && bytes.get(i + 1) == Some(&b'-') => {
+                while i < bytes.len() && bytes[i] != b'\n' {
+                    i += 1;
+                }
+            }
+            b'\'' => {
+                quoted = !quoted;
+                i += 1;
+            }
+            b'$' if bytes
+                .get(i + 1)
+                .is_some_and(|&b| b.is_ascii_alphabetic() || b == b'_') =>
+            {
+                let end = bytes[i + 1..]
+                    .iter()
+                    .position(|&b| !(b.is_ascii_alphanumeric() || b == b'_'))
+                    .map_or(bytes.len(), |len| i + 1 + len);
+                let name = &source[i + 1..end];
+                let Some(value) = params.get(name) else {
+                    return Err(ParseError {
+                        line,
+                        message: format!("unbound parameter ${name}"),
+                    });
+                };
+                if quoted && value.contains('\'') {
+                    return Err(ParseError {
+                        line,
+                        message: format!("parameter ${name} puts a quote inside a quoted literal"),
+                    });
+                }
+                out.push_str(&source[copied..i]);
+                out.push_str(value);
+                copied = end;
+                i = end;
+            }
+            b'$' if !quoted => {
+                return Err(ParseError {
+                    line,
+                    message: "'$' outside a quoted literal must start a parameter name".into(),
+                });
+            }
+            _ => i += 1,
+        }
+    }
+    out.push_str(&source[copied..]);
+    Ok(out)
 }
 
 struct Parser {
@@ -569,6 +624,100 @@ mod tests {
     fn unbound_param_is_error() {
         let err = parse_script("A = LOAD '$NOPE';", &HashMap::new()).unwrap_err();
         assert!(err.message.contains("unbound parameter"), "{err}");
+    }
+
+    fn params(pairs: &[(&str, &str)]) -> HashMap<String, String> {
+        pairs
+            .iter()
+            .map(|&(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+
+    /// The path of each `LOAD` in `source`, parsed under `pairs`.
+    fn load_paths(source: &str, pairs: &[(&str, &str)]) -> Vec<String> {
+        parse_script(source, &params(pairs))
+            .unwrap()
+            .statements
+            .into_iter()
+            .filter_map(|s| match s {
+                Statement::Assign {
+                    op: Operator::Load { path, .. },
+                    ..
+                } => Some(path),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn param_in_comment_is_copied_untouched() {
+        let src = "-- costs $5; see $NOPE and 'don't'\nA = LOAD 'x'; -- $ALSO\n";
+        assert_eq!(load_paths(src, &[]), ["x"]);
+    }
+
+    #[test]
+    fn param_is_a_whole_identifier() {
+        let pairs = [("IN", "/a"), ("INPUT", "/b")];
+        let src = "A = LOAD '$INPUT'; B = LOAD '$IN'; C = LOAD '$IN.fa';";
+        assert_eq!(load_paths(src, &pairs), ["/b", "/a", "/a.fa"]);
+        let err = parse_script("A = LOAD '$INPUTX';", &params(&pairs)).unwrap_err();
+        assert_eq!(err.message, "unbound parameter $INPUTX");
+    }
+
+    #[test]
+    fn unbound_param_names_itself_at_its_line() {
+        let src = "A = LOAD 'x';\n\nB = FOREACH A GENERATE K(seq, $NOPE);\n";
+        let err = parse_script(src, &HashMap::new()).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (3, "unbound parameter $NOPE")
+        );
+        let err = parse_script("A = LOAD 'x';\nB = LOAD 'x$y';", &HashMap::new()).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, "unbound parameter $y")
+        );
+    }
+
+    #[test]
+    fn dollar_before_a_non_identifier_is_literal() {
+        assert_eq!(
+            load_paths("A = LOAD 'costs $5, $ and $';", &[]),
+            ["costs $5, $ and $"]
+        );
+    }
+
+    #[test]
+    fn dollar_before_a_non_identifier_outside_a_literal_is_error() {
+        for (src, line) in [
+            ("A = LOAD 'x';\nB = FOREACH A GENERATE $0;", 2),
+            ("A = LOAD 'x' AS ($);", 1),
+        ] {
+            let err = parse_script(src, &HashMap::new()).unwrap_err();
+            assert_eq!(err.line, line, "{src}");
+            assert!(err.message.contains("'$'"), "{err}");
+        }
+    }
+
+    #[test]
+    fn param_values_are_not_rescanned() {
+        let pairs = [("A", "$B"), ("B", "/b")];
+        assert_eq!(
+            load_paths("A = LOAD '$A'; B = LOAD '$B';", &pairs),
+            ["$B", "/b"]
+        );
+    }
+
+    #[test]
+    fn quote_in_value_inside_a_literal_is_error() {
+        let pairs = [("IN", "a'b")];
+        let err = parse_script("A = LOAD 'x';\nB = LOAD '$IN';", &params(&pairs)).unwrap_err();
+        assert_eq!(err.line, 2, "{err}");
+        assert!(err.message.contains("$IN"), "{err}");
+        assert!(!err.message.contains("unterminated"), "{err}");
+        // Outside a literal a value may bring its own quotes.
+        let pairs = [("P", "'/q'")];
+        assert_eq!(load_paths("A = LOAD $P;", &pairs), ["/q"]);
     }
 
     #[test]
