@@ -67,24 +67,6 @@ pub fn kmer_distance(a: &KmerProfile, b: &KmerProfile) -> f64 {
     1.0 - f64::from(a.shared(b)) / f64::from(denom)
 }
 
-/// Spearman rank-correlation distance between two k-mer profiles over a
-/// fixed small alphabet (MetaCluster uses k=4, 256 features).
-///
-/// Counts are ranked (average ranks for ties) and the distance is
-/// `1 - ρ` scaled to `[0, 1]`, where ρ is the Spearman correlation of
-/// the two rank vectors over all `4^k` features.
-pub fn spearman_distance(a: &KmerProfile, b: &KmerProfile) -> f64 {
-    assert_eq!(a.k, b.k, "profiles built with different k");
-    assert!(a.k <= 8, "spearman_distance is for small k (≤ 8)");
-    let n = 1usize << (2 * a.k);
-    let va: Vec<f64> = (0..n as u64).map(|km| f64::from(a.count(km))).collect();
-    let vb: Vec<f64> = (0..n as u64).map(|km| f64::from(b.count(km))).collect();
-    let ra = average_ranks(&va);
-    let rb = average_ranks(&vb);
-    let rho = pearson(&ra, &rb);
-    ((1.0 - rho) / 2.0).clamp(0.0, 1.0)
-}
-
 /// Precomputed, z-scored rank vector of a profile over the full
 /// `4^k` feature space. Spearman distance between two profiles is then
 /// a single dot product ([`spearman_from_ranks`]) — the representation
@@ -110,8 +92,8 @@ pub fn rank_vector(profile: &KmerProfile) -> Vec<f64> {
     ranks
 }
 
-/// Spearman distance from two precomputed [`rank_vector`]s; equals
-/// [`spearman_distance`] on the originating profiles.
+/// Spearman distance from two precomputed [`rank_vector`]s: `(1 − ρ) /
+/// 2` of the originating profiles' count ranks.
 pub fn spearman_from_ranks(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "rank vectors of different k");
     let n = a.len() as f64;
@@ -138,26 +120,6 @@ fn average_ranks(values: &[f64]) -> Vec<f64> {
         i = j + 1;
     }
     ranks
-}
-
-/// Pearson correlation; 0.0 when either vector is constant.
-fn pearson(a: &[f64], b: &[f64]) -> f64 {
-    let n = a.len() as f64;
-    let ma = a.iter().sum::<f64>() / n;
-    let mb = b.iter().sum::<f64>() / n;
-    let mut cov = 0.0;
-    let mut va = 0.0;
-    let mut vb = 0.0;
-    for (&x, &y) in a.iter().zip(b) {
-        cov += (x - ma) * (y - mb);
-        va += (x - ma) * (x - ma);
-        vb += (y - mb) * (y - mb);
-    }
-    if va == 0.0 || vb == 0.0 {
-        0.0
-    } else {
-        cov / (va.sqrt() * vb.sqrt())
-    }
 }
 
 #[cfg(test)]
@@ -207,43 +169,9 @@ mod tests {
     }
 
     #[test]
-    fn spearman_identical_is_zero() {
-        let p = profile(2, &[0, 1, 1, 2, 2, 2, 3]);
-        assert!(spearman_distance(&p, &p) < 1e-9);
-    }
-
-    #[test]
-    fn spearman_anticorrelated_near_one() {
-        // Ranks reversed: counts (3,2,1,0) vs (0,1,2,3) over k=1 (4 features).
-        let a = profile(1, &[0, 0, 0, 1, 1, 2]);
-        let b = profile(1, &[3, 3, 3, 2, 2, 1]);
-        let d = spearman_distance(&a, &b);
-        assert!(d > 0.9, "distance {d}");
-    }
-
-    #[test]
-    fn spearman_bounded() {
-        let a = profile(2, &[0, 5, 9]);
-        let b = profile(2, &[1, 6, 9, 9]);
-        let d = spearman_distance(&a, &b);
-        assert!((0.0..=1.0).contains(&d));
-    }
-
-    #[test]
     fn average_ranks_handle_ties() {
         let r = average_ranks(&[1.0, 1.0, 2.0]);
         assert_eq!(r, vec![1.5, 1.5, 3.0]);
-    }
-
-    #[test]
-    fn rank_vector_path_matches_direct_spearman() {
-        let a = profile(2, &[0, 5, 9, 9, 14]);
-        let b = profile(2, &[1, 5, 5, 9]);
-        let ra = rank_vector(&a);
-        let rb = rank_vector(&b);
-        let via_ranks = spearman_from_ranks(&ra, &rb);
-        let direct = spearman_distance(&a, &b);
-        assert!((via_ranks - direct).abs() < 1e-9, "{via_ranks} vs {direct}");
     }
 
     #[test]

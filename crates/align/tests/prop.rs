@@ -2,8 +2,9 @@
 
 use proptest::prelude::*;
 
-use mrmc_align::kmerdist::{kmer_distance, spearman_distance, KmerProfile};
+use mrmc_align::kmerdist::{kmer_distance, rank_vector, spearman_from_ranks, KmerProfile};
 use mrmc_align::{banded_global, global_align};
+use mrmc_testkit::kernels::spearman_distance;
 
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
@@ -76,4 +77,42 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&dab));
         prop_assert!((dab - dba).abs() < 1e-9);
     }
+}
+
+fn profile(k: usize, kmers: &[u64]) -> KmerProfile {
+    KmerProfile::from_kmers(k, kmers.iter().copied())
+}
+
+#[test]
+fn spearman_identical_is_zero() {
+    let p = profile(2, &[0, 1, 1, 2, 2, 2, 3]);
+    assert!(spearman_distance(&p, &p) < 1e-9);
+}
+
+#[test]
+fn spearman_anticorrelated_near_one() {
+    // Ranks reversed: counts (3,2,1,0) vs (0,1,2,3) over k=1 (4 features).
+    let a = profile(1, &[0, 0, 0, 1, 1, 2]);
+    let b = profile(1, &[3, 3, 3, 2, 2, 1]);
+    let d = spearman_distance(&a, &b);
+    assert!(d > 0.9, "distance {d}");
+}
+
+#[test]
+fn spearman_bounded() {
+    let a = profile(2, &[0, 5, 9]);
+    let b = profile(2, &[1, 6, 9, 9]);
+    let d = spearman_distance(&a, &b);
+    assert!((0.0..=1.0).contains(&d));
+}
+
+#[test]
+fn rank_vector_path_matches_direct_spearman() {
+    let a = profile(2, &[0, 5, 9, 9, 14]);
+    let b = profile(2, &[1, 5, 5, 9]);
+    let ra = rank_vector(&a);
+    let rb = rank_vector(&b);
+    let via_ranks = spearman_from_ranks(&ra, &rb);
+    let direct = spearman_distance(&a, &b);
+    assert!((via_ranks - direct).abs() < 1e-9, "{via_ranks} vs {direct}");
 }

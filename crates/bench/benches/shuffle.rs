@@ -40,7 +40,7 @@ impl Combiner for SumCombiner {
     }
 }
 
-fn corpus(lines: usize) -> Vec<(usize, String)> {
+fn text_lines(lines: usize) -> Vec<(usize, String)> {
     // Zipf-ish vocabulary so the combiner has duplicates to collapse.
     (0..lines)
         .map(|i| {
@@ -54,7 +54,7 @@ fn corpus(lines: usize) -> Vec<(usize, String)> {
 
 fn bench_shuffle(c: &mut Criterion) {
     let mut group = c.benchmark_group("mapreduce-wordcount");
-    let input = corpus(4000);
+    let input = text_lines(4000);
     let cfg = JobConfig::named("wc").reducers(8);
 
     let word_count = |cfg: &JobConfig| {

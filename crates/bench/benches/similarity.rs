@@ -6,10 +6,9 @@
 //! against the same sweep through the packed `SketchPlane`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mrmc_minhash::{
-    exact_jaccard, positional_similarity, reference, set_similarity, MinHasher, SketchPlane,
-};
+use mrmc_minhash::{exact_jaccard, positional_similarity, set_similarity, MinHasher, SketchPlane};
 use mrmc_seqio::encode::kmer_set;
+use mrmc_testkit::kernels as reference;
 
 fn synthetic_read(len: usize, salt: usize) -> Vec<u8> {
     (0..len)

@@ -15,9 +15,10 @@ use std::collections::HashSet;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use mrmc::MrMcConfig;
-use mrmc_minhash::{reference, MinHasher, Sketch};
+use mrmc_minhash::{MinHasher, Sketch};
 use mrmc_seqio::encode::{kmer_set, KmerIter};
 use mrmc_simulate::{huse_16s, random_genome};
+use mrmc_testkit::kernels as reference;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -190,8 +190,8 @@ fn pipeline_cell(
 /// stops after the sketch stage, so this is the only subject with a
 /// reduce-phase recovery surface). The run must match its own clean
 /// banded baseline; that the baseline equals dense where the exactness
-/// contract says so is `banded_clustering_identical_to_dense`'s job
-/// (`crates/mrmc/tests/banded.rs`), not this report's.
+/// contract says so is `routes_agree`'s job (`crates/testkit`), not
+/// this report's.
 fn banded_cell(
     fault: &'static str,
     intensity: impl Into<String>,

@@ -9,10 +9,10 @@
 use mrmc::stages::{dereplicate, sketch_distinct_stage};
 use mrmc::{banded_graph_stage, MrMcConfig, MrMcMinH};
 use mrmc_bench::alloc::count_allocs;
-use mrmc_cluster::SparseSimGraph;
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_minhash::Sketch;
 use mrmc_simulate::huse_16s;
+use mrmc_testkit::linkage::expand;
 
 #[test]
 fn dereplicated_counts_are_pinned() {
@@ -102,26 +102,4 @@ fn dereplicated_counts_are_pinned() {
     assert_eq!(expanded.num_edges(), oracle_graph.num_edges());
     assert_eq!(expanded.num_edges(), 12_248);
     assert_eq!(expanded, oracle_graph);
-}
-
-/// The θ-graph over the reads from the one over their groups: two
-/// reads of a group at 1.0, and each edge between every member of one
-/// group and every member of the other.
-fn expand(graph: &SparseSimGraph, of: &[u32]) -> SparseSimGraph {
-    let mut members = vec![Vec::new(); graph.len()];
-    for (read, &g) in of.iter().enumerate() {
-        members[g as usize].push(read as u32);
-    }
-    let mut edges = Vec::new();
-    for m in &members {
-        for (k, &a) in m.iter().enumerate() {
-            edges.extend(m[k + 1..].iter().map(|&b| (a, b, 1.0)));
-        }
-    }
-    for (u, v, s) in graph.edges() {
-        for &a in &members[u as usize] {
-            edges.extend(members[v as usize].iter().map(|&b| (a, b, s)));
-        }
-    }
-    SparseSimGraph::from_edges(of.len(), edges)
 }

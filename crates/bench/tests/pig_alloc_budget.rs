@@ -51,12 +51,12 @@ fn algorithm3_stays_inside_its_per_read_allocation_budget() {
 
     let (report, allocs) = count_allocs(|| runner.run(&script).expect("Algorithm 3 runs"));
     assert_eq!(report.stored.len(), 2);
-    // Measured: 189 allocations per read (columns, offsets and shuffle
+    // Measured: 159 allocations per read (columns, offsets and shuffle
     // runs, one sketch per broadcast row per `J` chunk, and `B`'s
-    // row-by-row `StringGenerator::exec`; nothing per k-mer). An
-    // executor that boxes every k-mer row
-    // measured 8 791 per read on this input, so twice the measurement
-    // leaves room for noise and none for boxing.
+    // row-by-row `StringGenerator::exec`; nothing per k-mer; 183 while
+    // each `J` chunk deep-copied the broadcast `I.E`). An executor that
+    // boxes every k-mer row measured 8 791 per read on this input, so
+    // twice the measurement leaves room for noise and none for boxing.
     let per_read = allocs / reads.len() as u64;
     assert!(
         per_read < 350,

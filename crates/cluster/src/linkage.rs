@@ -674,204 +674,6 @@ mod tests {
         }
     }
 
-    /// The NN-chain this module first ran, kept as the oracle: every
-    /// distance through `get`/`set`, every scan over `0..n` skipping
-    /// dead clusters; item `i` starts as a cluster of `size[i]`
-    /// members.
-    #[allow(clippy::needless_range_loop)] // scans skip inactive clusters by index
-    fn reference_nn_chain(
-        matrix: &CondensedMatrix,
-        mut size: Vec<usize>,
-        linkage: Linkage,
-    ) -> Vec<Merge> {
-        let n = matrix.len();
-        // Distance copy.
-        let mut dist = CondensedMatrix::build(n, |i, j| 1.0 - matrix.get(i, j));
-        let mut active: Vec<bool> = vec![true; n];
-        // Representative item of each live cluster id (min item works for
-        // reporting merges).
-        let mut merges = Vec::with_capacity(n - 1);
-        let mut chain: Vec<usize> = Vec::with_capacity(n);
-        let mut remaining = n;
-
-        while remaining > 1 {
-            if chain.is_empty() {
-                let start = (0..n).find(|&c| active[c]).expect("remaining > 1");
-                chain.push(start);
-            }
-            loop {
-                let a = *chain.last().expect("chain nonempty");
-                // Nearest active neighbour of a (smallest index on ties).
-                let mut best = usize::MAX;
-                let mut best_d = f64::INFINITY;
-                for c in 0..n {
-                    if c != a && active[c] {
-                        let d = dist.get(a, c);
-                        if d < best_d {
-                            best_d = d;
-                            best = c;
-                        }
-                    }
-                }
-                // Reciprocal pair check: prefer the chain predecessor on
-                // equal distance (guarantees termination).
-                if chain.len() >= 2 {
-                    let prev = chain[chain.len() - 2];
-                    if best == prev || dist.get(a, prev) <= best_d {
-                        // Merge a and prev.
-                        chain.pop();
-                        chain.pop();
-                        let d_ab = dist.get(a, prev);
-                        let (keep, drop) = (a.min(prev), a.max(prev));
-                        merges.push(Merge {
-                            a: keep,
-                            b: drop,
-                            similarity: 1.0 - d_ab,
-                        });
-                        // Lance–Williams update of keep = a ∪ prev.
-                        for c in 0..n {
-                            if c != keep && c != drop && active[c] {
-                                let dk = dist.get(c, keep);
-                                let dd = dist.get(c, drop);
-                                let updated = match linkage {
-                                    Linkage::Single => dk.min(dd),
-                                    Linkage::Complete => dk.max(dd),
-                                    Linkage::Average => {
-                                        let (sk, sd) = (size[keep] as f64, size[drop] as f64);
-                                        (sk * dk + sd * dd) / (sk + sd)
-                                    }
-                                };
-                                dist.set(c, keep, updated);
-                            }
-                        }
-                        size[keep] += size[drop];
-                        active[drop] = false;
-                        remaining -= 1;
-                        break;
-                    }
-                }
-                chain.push(best);
-            }
-        }
-        merges
-    }
-
-    /// The unsorted merge list — every pair, representative and height,
-    /// in production order — equals the oracle's.
-    fn assert_replays_reference(m: &CondensedMatrix, what: &str) {
-        for linkage in [Linkage::Complete, Linkage::Average, Linkage::Single] {
-            assert_eq!(
-                m.merges(vec![1; m.len()], linkage),
-                reference_nn_chain(m, vec![1; m.len()], linkage),
-                "{what}, {linkage:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn matrix_input_replays_reference_on_tie_heavy_matrices() {
-        for n in [2usize, 3, 7, 40] {
-            let all_equal = CondensedMatrix::build(n, |_, _| 0.35);
-            assert_replays_reference(&all_equal, &format!("all-equal, n={n}"));
-        }
-        // Items 3 and 11 have the same row: every neighbour of one is an
-        // equally near neighbour of the other.
-        let twin = |x: usize| if x == 11 { 3 } else { x };
-        let m = CondensedMatrix::build(16, |i, j| {
-            let (i, j) = (twin(i).min(twin(j)), twin(i).max(twin(j)));
-            if i == j {
-                1.0
-            } else {
-                ((i * 7 + j * 13) % 21) as f64 / 20.0
-            }
-        });
-        assert_replays_reference(&m, "duplicate row");
-    }
-
-    proptest::proptest! {
-        /// Similarities on the grid {0, 1/20, …, 1} — real sketch
-        /// similarities are multiples of `1/num_hashes` — so equal
-        /// distances, and equal Lance–Williams results, are everywhere.
-        #[test]
-        fn matrix_input_replays_reference(n in 2usize..80, seed in proptest::prelude::any::<u64>()) {
-            let m = CondensedMatrix::build(n, |i, j| {
-                let mut h = seed
-                    ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15)
-                    ^ (j as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
-                h ^= h >> 33;
-                h = h.wrapping_mul(0xFF51AFD7ED558CCD);
-                h ^= h >> 33;
-                (h % 21) as f64 / 20.0
-            });
-            assert_replays_reference(&m, &format!("n={n}, seed={seed}"));
-        }
-    }
-
-    fn mix(seed: u64, i: usize, j: usize) -> u64 {
-        let mut h = seed
-            ^ (i as u64).wrapping_mul(0x9E3779B97F4A7C15)
-            ^ (j as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51AFD7ED558CCD);
-        h ^ (h >> 33)
-    }
-
-    /// Counts of `n` items on nine levels `0, width/8, …` in the lane
-    /// `width` needs, so equal distances are everywhere.
-    fn tie_heavy_counts(n: usize, width: usize, seed: u64) -> PairCounts {
-        let count = |i: usize, j: usize| (mix(seed, i, j) % 9) as usize * (width / 8);
-        let strips = |i: usize| (i + 1..n).map(move |j| count(i, j));
-        let strips = if width <= usize::from(u8::MAX) {
-            CountStrips::Narrow(
-                (0..n)
-                    .map(|i| strips(i).map(|c| c as u8).collect())
-                    .collect(),
-            )
-        } else {
-            CountStrips::Wide(
-                (0..n)
-                    .map(|i| strips(i).map(|c| c as u16).collect())
-                    .collect(),
-            )
-        };
-        PairCounts::new(width, strips)
-    }
-
-    proptest::proptest! {
-        /// The count store, item `g` a group of 1–4 copies: the
-        /// unsorted merges equal the oracle's over the counts'
-        /// similarity matrix, pair for pair, and the public entry
-        /// expands them into the item dendrogram.
-        #[test]
-        fn count_store_replays_reference(
-            n in 2usize..60,
-            wide in proptest::prelude::any::<bool>(),
-            seed in proptest::prelude::any::<u64>(),
-        ) {
-            let width = if wide { 300 } else { 50 };
-            let counts = tie_heavy_counts(n, width, seed);
-            let matrix = counts.to_matrix();
-            let size: Vec<usize> = (0..n).map(|g| 1 + (mix(seed, g, n) % 4) as usize).collect();
-            let of: Vec<u32> = size
-                .iter()
-                .enumerate()
-                .flat_map(|(g, &m)| std::iter::repeat_n(g as u32, m))
-                .collect();
-            let what = format!("n={n}, width={width}, seed={seed}");
-            for linkage in [Linkage::Single, Linkage::Average, Linkage::Complete] {
-                let mut expected = reference_nn_chain(&matrix, size.clone(), linkage);
-                assert_eq!(counts.merges(size.clone(), linkage), expected, "{what}, {linkage:?}");
-                sort_bottom_up(&mut expected);
-                let grouped = Groups::new(&of, n).expand(Dendrogram { n, merges: expected });
-                assert_eq!(
-                    agglomerative_grouped(&counts, &of, linkage, 0.5).1,
-                    grouped,
-                    "{what}, {linkage:?}, grouped"
-                );
-            }
-        }
-    }
-
     #[test]
     fn lower_rows_transpose_the_upper_ones() {
         // More than one tile each way, and a ragged last tile.

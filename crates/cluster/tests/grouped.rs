@@ -3,13 +3,22 @@
 //! `agglomerative_sparse_grouped` against the unit-size run over the
 //! expanded input. Single linkage, grouped or not, is also checked
 //! against an oracle that runs no linkage at all: connected components
-//! and a maximum spanning forest.
+//! and a maximum spanning forest. And the NN-chain replays the one it
+//! replaced (`reference_nn_chain`: every distance through `get`/`set`,
+//! every scan over all clusters) on a matrix and on the count store, at
+//! unit and grouped sizes: the oracle's merges, pair for pair, stably
+//! sorted by height.
 
 use proptest::prelude::*;
 
+use mrmc_cluster::linkage::build_dendrogram;
 use mrmc_cluster::{
     agglomerative, agglomerative_grouped, agglomerative_sparse, agglomerative_sparse_grouped,
-    cut_dendrogram, ClusterAssignment, CondensedMatrix, Dendrogram, Linkage, SparseSimGraph,
+    cut_dendrogram, CondensedMatrix, CountStrips, Dendrogram, Linkage, Merge, PairCounts,
+    SparseSimGraph,
+};
+use mrmc_testkit::linkage::{
+    components, expand, reference_nn_chain, same_hierarchy, spanning_forest_heights,
 };
 
 const LINKAGES: [Linkage; 3] = [Linkage::Single, Linkage::Average, Linkage::Complete];
@@ -125,60 +134,8 @@ impl Planted {
     /// The group edges expanded over the items, with every two copies
     /// of a group joined at 1.0.
     fn item_graph(&self) -> SparseSimGraph {
-        let mut members = vec![Vec::new(); self.groups()];
-        for (i, &g) in self.of.iter().enumerate() {
-            members[g as usize].push(i as u32);
-        }
-        let mut edges = Vec::new();
-        for m in &members {
-            for (k, &a) in m.iter().enumerate() {
-                edges.extend(m[k + 1..].iter().map(|&b| (a, b, 1.0)));
-            }
-        }
-        for (g, h, s) in self.edges() {
-            for &a in &members[g as usize] {
-                edges.extend(members[h as usize].iter().map(|&b| (a, b, s)));
-            }
-        }
-        SparseSimGraph::from_edges(self.of.len(), edges)
+        expand(&self.grouped_graph(), &self.of)
     }
-}
-
-/// The grouped run is the item run's hierarchy, for every linkage:
-/// the same θ-cut, the same heights, the same partition at every
-/// height and the same merges below 1.0.
-fn assert_same_hierarchy(
-    grouped: &(ClusterAssignment, Dendrogram),
-    items: &(ClusterAssignment, Dendrogram),
-    what: &str,
-) {
-    let ((ga, gd), (ia, id)) = (grouped, items);
-    assert_eq!(ga, ia, "{what}: labels at θ");
-    assert_eq!(gd.n, id.n, "{what}: leaves");
-    assert_eq!(gd.merges.len(), id.merges.len(), "{what}: merge count");
-    let sorted = |d: &Dendrogram| {
-        let mut h = d.heights();
-        h.sort_by(f64::total_cmp);
-        h
-    };
-    assert_eq!(sorted(gd), sorted(id), "{what}: heights");
-    let mut heights = sorted(id);
-    heights.dedup();
-    for h in heights {
-        assert_eq!(
-            cut_dendrogram(gd, h),
-            cut_dendrogram(id, h),
-            "{what}: cut at {h}"
-        );
-    }
-    let below = |d: &Dendrogram| {
-        d.merges
-            .iter()
-            .filter(|m| m.similarity < 1.0)
-            .copied()
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(below(gd), below(id), "{what}: merges below 1.0");
 }
 
 fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
@@ -190,22 +147,22 @@ fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
             planted.of.len(),
             planted.groups()
         );
-        assert_same_hierarchy(
-            &agglomerative_grouped(&matrix, &planted.of, linkage, theta),
-            &agglomerative(&items, linkage, theta),
-            &format!("dense, {what}"),
-        );
+        // The grouped run is the item run's hierarchy: the same θ-cut
+        // and `same_hierarchy`.
+        let (labels, run) = agglomerative_grouped(&matrix, &planted.of, linkage, theta);
+        let (expect, oracle) = agglomerative(&items, linkage, theta);
+        assert_eq!(labels, expect, "dense, {what}: labels at θ");
+        same_hierarchy(&run, &oracle, &format!("dense, {what}"));
         // An owned matrix links as a borrowed one does.
         assert_eq!(
             agglomerative_grouped(matrix.clone(), &planted.of, linkage, theta),
             agglomerative_grouped(&matrix, &planted.of, linkage, theta),
             "dense owned, {what}"
         );
-        assert_same_hierarchy(
-            &agglomerative_sparse_grouped(&graph, &planted.of, linkage, theta),
-            &agglomerative_sparse(&item_graph, linkage, theta),
-            &format!("sparse, {what}"),
-        );
+        let (labels, run) = agglomerative_sparse_grouped(&graph, &planted.of, linkage, theta);
+        let (expect, oracle) = agglomerative_sparse(&item_graph, linkage, theta);
+        assert_eq!(labels, expect, "sparse, {what}: labels at θ");
+        same_hierarchy(&run, &oracle, &format!("sparse, {what}"));
     }
 }
 
@@ -264,21 +221,6 @@ proptest! {
 /// no height's `f32` rounding can cross one.
 const SINGLE_THETAS: [f64; 7] = [0.01, 0.27, 0.49, 0.51, 0.75, 0.99, 1.0];
 
-fn root(parent: &mut [usize], mut x: usize) -> usize {
-    while parent[x] != x {
-        parent[x] = parent[parent[x]];
-        x = parent[x];
-    }
-    x
-}
-
-/// Joins the trees of `a` and `b`; false if they were one already.
-fn join(parent: &mut [usize], a: usize, b: usize) -> bool {
-    let (ra, rb) = (root(parent, a), root(parent, b));
-    parent[ra.max(rb)] = ra.min(rb);
-    ra != rb
-}
-
 /// `run` is the single-linkage dendrogram of `n` items whose pairs
 /// `pairs` have the given similarities, every other pair 0.0: its cut
 /// at each θ is the connected components of the pairs at similarity
@@ -288,36 +230,24 @@ fn join(parent: &mut [usize], a: usize, b: usize) -> bool {
 fn assert_single_is_forest(
     run: &Dendrogram,
     n: usize,
-    mut pairs: Vec<(usize, usize, f64)>,
+    pairs: Vec<(usize, usize, f64)>,
     what: &str,
 ) {
     assert_eq!(run.n, n, "{what}: leaves");
     for theta in SINGLE_THETAS {
-        let mut parent: Vec<usize> = (0..n).collect();
-        for &(i, j, s) in &pairs {
-            if s >= theta {
-                join(&mut parent, i, j);
-            }
-        }
-        let components = (0..n).map(|i| root(&mut parent, i)).collect();
         assert_eq!(
             cut_dendrogram(run, theta),
-            ClusterAssignment::from_labels(components).compact(),
+            components(n, &pairs, theta),
             "{what}: cut at {theta}"
         );
     }
-    pairs.sort_by(|x, y| y.2.total_cmp(&x.2));
-    let mut parent: Vec<usize> = (0..n).collect();
-    let mut forest: Vec<f64> = pairs
-        .into_iter()
-        .filter(|&(i, j, _)| join(&mut parent, i, j))
-        .map(|(_, _, s)| 1.0 - f64::from((1.0 - s) as f32))
-        .collect();
-    forest.resize(n.saturating_sub(1), 0.0);
-    forest.sort_by(f64::total_cmp);
     let mut heights = run.heights();
     heights.sort_by(f64::total_cmp);
-    assert_eq!(heights, forest, "{what}: heights");
+    assert_eq!(
+        heights,
+        spanning_forest_heights(n, pairs),
+        "{what}: heights"
+    );
 }
 
 fn matrix_pairs(m: &CondensedMatrix) -> Vec<(usize, usize, f64)> {
@@ -370,5 +300,124 @@ proptest! {
             graph_pairs(&planted.item_graph()),
             &format!("sparse grouped, {what}"),
         );
+    }
+}
+
+fn assert_replays_reference(m: &CondensedMatrix, what: &str) {
+    for linkage in LINKAGES {
+        assert_eq!(
+            build_dendrogram(m, linkage),
+            reference_nn_chain(m, vec![1; m.len()], linkage),
+            "{what}, {linkage:?}"
+        );
+    }
+}
+
+#[test]
+fn matrix_input_replays_reference_on_tie_heavy_matrices() {
+    for n in [2usize, 3, 7, 40] {
+        let all_equal = CondensedMatrix::build(n, |_, _| 0.35);
+        assert_replays_reference(&all_equal, &format!("all-equal, n={n}"));
+    }
+    // Items 3 and 11 have the same row: every neighbour of one is an
+    // equally near neighbour of the other.
+    let twin = |x: usize| if x == 11 { 3 } else { x };
+    let m = CondensedMatrix::build(16, |i, j| {
+        let (i, j) = (twin(i).min(twin(j)), twin(i).max(twin(j)));
+        if i == j {
+            1.0
+        } else {
+            ((i * 7 + j * 13) % 21) as f64 / 20.0
+        }
+    });
+    assert_replays_reference(&m, "duplicate row");
+}
+
+proptest! {
+    /// Similarities on the grid {0, 1/20, …, 1} — real sketch
+    /// similarities are multiples of `1/num_hashes` — so equal
+    /// distances, and equal Lance–Williams results, are everywhere.
+    #[test]
+    fn matrix_input_replays_reference(n in 2usize..80, seed in any::<u64>()) {
+        let m = CondensedMatrix::build(n, |i, j| (mix(seed, i as u64, j as u64) % 21) as f64 / 20.0);
+        assert_replays_reference(&m, &format!("n={n}, seed={seed}"));
+    }
+}
+
+/// Counts of `n` items on nine levels `0, width/8, …` in the lane
+/// `width` needs, so equal distances are everywhere.
+fn tie_heavy_counts(n: usize, width: usize, seed: u64) -> PairCounts {
+    let count = |i: usize, j: usize| (mix(seed, i as u64, j as u64) % 9) as usize * (width / 8);
+    let strips = |i: usize| (i + 1..n).map(move |j| count(i, j));
+    let strips = if width <= usize::from(u8::MAX) {
+        CountStrips::Narrow(
+            (0..n)
+                .map(|i| strips(i).map(|c| c as u8).collect())
+                .collect(),
+        )
+    } else {
+        CountStrips::Wide(
+            (0..n)
+                .map(|i| strips(i).map(|c| c as u16).collect())
+                .collect(),
+        )
+    };
+    PairCounts::new(width, strips)
+}
+
+proptest! {
+    /// The count store, item `g` a group of 1–4 copies: at unit sizes
+    /// the oracle's dendrogram over the counts' similarity matrix; at
+    /// grouped sizes the oracle's weighted merges, each naming its
+    /// groups' first items, after each copy's 1.0 merge into its
+    /// group's first item.
+    #[test]
+    fn count_store_replays_reference(
+        n in 2usize..60,
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let width = if wide { 300 } else { 50 };
+        let counts = tie_heavy_counts(n, width, seed);
+        let matrix = counts.to_matrix();
+        let size: Vec<usize> = (0..n).map(|g| 1 + (mix(seed, g as u64, n as u64) % 4) as usize).collect();
+        let of: Vec<u32> = size
+            .iter()
+            .enumerate()
+            .flat_map(|(g, &m)| std::iter::repeat_n(g as u32, m))
+            .collect();
+        let first: Vec<usize> = size
+            .iter()
+            .scan(0, |at, &m| {
+                *at += m;
+                Some(*at - m)
+            })
+            .collect();
+        let what = format!("n={n}, width={width}, seed={seed}");
+        for linkage in LINKAGES {
+            assert_eq!(
+                build_dendrogram(&counts, linkage),
+                reference_nn_chain(&matrix, vec![1; n], linkage),
+                "{what}, {linkage:?}"
+            );
+            let weighted = reference_nn_chain(&matrix, size.clone(), linkage);
+            let mut merges: Vec<Merge> = of
+                .iter()
+                .enumerate()
+                .filter(|&(i, &g)| first[g as usize] != i)
+                .map(|(i, &g)| Merge { a: first[g as usize], b: i, similarity: 1.0 })
+                .collect();
+            merges.extend(weighted.merges.iter().map(|m| Merge {
+                a: first[m.a],
+                b: first[m.b],
+                similarity: m.similarity,
+            }));
+            merges.sort_by(|x, y| y.similarity.total_cmp(&x.similarity));
+            assert_eq!(
+                agglomerative_grouped(&counts, &of, linkage, 0.5).1,
+                Dendrogram { n: of.len(), merges },
+                "{what}, {linkage:?}, grouped"
+            );
+        }
     }
 }

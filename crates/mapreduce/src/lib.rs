@@ -71,7 +71,6 @@ pub use mrmc_chaos::{
 pub use mrmc_obs::{chrome_trace, critical_path, CriticalPath, TraceLedger, Tracer};
 pub use pipeline::{Gather, Pipeline};
 pub use simcluster::{
-    lpt_makespan, lpt_schedule, ClusterSpec, JobCostModel, ScheduledTask, ShuffleVolume,
-    SimJobReport,
+    lpt_schedule, ClusterSpec, JobCostModel, ScheduledTask, ShuffleVolume, SimJobReport,
 };
 pub use wire::{BandKeyCodec, IdRun, IdRunCursor, WireError};

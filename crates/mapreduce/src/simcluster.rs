@@ -196,15 +196,6 @@ pub fn lpt_schedule(costs: &[f64], slots: usize) -> Vec<ScheduledTask> {
     placed
 }
 
-/// Makespan of the LPT list schedule — the classic (4/3 − 1/3m)-
-/// approximation, a faithful stand-in for Hadoop's greedy slot
-/// scheduler.
-pub fn lpt_makespan(costs: &[f64], slots: usize) -> f64 {
-    lpt_schedule(costs, slots)
-        .into_iter()
-        .fold(0.0, |acc, t| acc.max(t.end))
-}
-
 impl ClusterSpec {
     /// Simulate one job: map task costs, shuffle volume, reduce task
     /// costs → phase times and total on this cluster. The shuffle is
@@ -442,30 +433,6 @@ mod tests {
         ShuffleVolume {
             records: n,
             ..Default::default()
-        }
-    }
-
-    #[test]
-    fn lpt_basics() {
-        assert_eq!(lpt_makespan(&[], 4), 0.0);
-        assert_eq!(lpt_makespan(&[5.0], 4), 5.0);
-        // 4 unit tasks on 2 slots → 2.0
-        assert!((lpt_makespan(&[1.0; 4], 2) - 2.0).abs() < 1e-12);
-        // LPT on {3,3,2,2,2} with 2 slots: loads (3,2,2)=7 and (3,2)=5
-        // — the classic instance where LPT (7) misses the optimum (6).
-        assert!((lpt_makespan(&[3.0, 3.0, 2.0, 2.0, 2.0], 2) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn makespan_never_below_bounds() {
-        let costs = [4.0, 3.0, 2.5, 2.0, 1.0, 0.5];
-        for slots in 1..6 {
-            let mk = lpt_makespan(&costs, slots);
-            let total: f64 = costs.iter().sum();
-            let max = 4.0f64;
-            assert!(mk >= total / slots as f64 - 1e-12);
-            assert!(mk >= max);
-            assert!(mk <= total);
         }
     }
 

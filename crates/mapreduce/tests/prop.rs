@@ -6,8 +6,9 @@ use bytes::Bytes;
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig, FastaSplitReader};
 use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, Reducer, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
-use mrmc_mapreduce::simcluster::{lpt_makespan, ClusterSpec, JobCostModel, ShuffleVolume};
+use mrmc_mapreduce::simcluster::{ClusterSpec, JobCostModel, ShuffleVolume};
 use mrmc_mapreduce::{RecoveryCounters, Tracer};
+use mrmc_testkit::kernels::lpt_makespan;
 use std::collections::HashMap;
 
 /// A shuffle of `n` records priced on the record axis only.
@@ -280,5 +281,29 @@ proptest! {
             lpt_makespan(&launched(&reduce_costs), cluster.reduce_slots())
         );
         prop_assert_eq!(tracer.ledger().spans.is_empty(), !traced);
+    }
+}
+
+#[test]
+fn lpt_basics() {
+    assert_eq!(lpt_makespan(&[], 4), 0.0);
+    assert_eq!(lpt_makespan(&[5.0], 4), 5.0);
+    // 4 unit tasks on 2 slots → 2.0
+    assert!((lpt_makespan(&[1.0; 4], 2) - 2.0).abs() < 1e-12);
+    // LPT on {3,3,2,2,2} with 2 slots: loads (3,2,2)=7 and (3,2)=5
+    // — the classic instance where LPT (7) misses the optimum (6).
+    assert!((lpt_makespan(&[3.0, 3.0, 2.0, 2.0, 2.0], 2) - 7.0).abs() < 1e-12);
+}
+
+#[test]
+fn makespan_never_below_bounds() {
+    let costs = [4.0, 3.0, 2.5, 2.0, 1.0, 0.5];
+    for slots in 1..6 {
+        let mk = lpt_makespan(&costs, slots);
+        let total: f64 = costs.iter().sum();
+        let max = 4.0f64;
+        assert!(mk >= total / slots as f64 - 1e-12);
+        assert!(mk >= max);
+        assert!(mk <= total);
     }
 }

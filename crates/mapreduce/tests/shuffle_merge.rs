@@ -22,7 +22,7 @@ use mrmc_mapreduce::pipeline::Pipeline;
 /// the engine, map in task order, combine on a stable key sort with
 /// `vec![first]` grouping, append each map's pairs to flat partitions
 /// in map order, stable-sort each partition, group, reduce.
-fn oracle_run<M, C, R>(
+fn concat_sort_run<M, C, R>(
     input: &[(M::InKey, M::InValue)],
     num_maps: usize,
     mapper: &M,
@@ -154,7 +154,7 @@ proptest! {
     ) {
         let mapper = TagMapper { key_space };
         let input = tagged(&payloads);
-        let expect = oracle_run(
+        let expect = concat_sort_run(
             &input, num_maps, &mapper, None::<&TakeTwoCombiner>, &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-random").reducers(reducers).workers(workers);
@@ -176,7 +176,7 @@ proptest! {
     ) {
         let mapper = TagMapper { key_space };
         let input = tagged(&payloads);
-        let expect = oracle_run(
+        let expect = concat_sort_run(
             &input, num_maps, &mapper, None::<&TakeTwoCombiner>, &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-skew").reducers(reducers).workers(4);
@@ -200,7 +200,7 @@ proptest! {
     ) {
         let mapper = TagMapper { key_space };
         let input = tagged(&payloads);
-        let expect = oracle_run(
+        let expect = concat_sort_run(
             &input, num_maps, &mapper, Some(&TakeTwoCombiner), &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-comb").reducers(reducers).workers(workers);
@@ -226,7 +226,7 @@ proptest! {
         let mapper = TagMapper { key_space };
         let input = tagged(&payloads);
         let (num_maps, reducers) = (4, 3);
-        let expect = oracle_run(
+        let expect = concat_sort_run(
             &input, num_maps, &mapper, None::<&TakeTwoCombiner>, &CollectReducer, reducers,
         );
         let cfg = JobConfig::named("merge-chaos")
@@ -284,7 +284,7 @@ fn string_keys_bit_identical_with_payload_bytes() {
     let input: Vec<(u32, u32)> = (0..64u32)
         .map(|i| (i, i.wrapping_mul(2654435761)))
         .collect();
-    let expect = oracle_run(
+    let expect = concat_sort_run(
         &input,
         5,
         &WordMapper,
@@ -352,7 +352,7 @@ fn bench_shape_bit_identical_with_and_without_combiner() {
         .reducers(reducers)
         .workers(2);
 
-    let expect = oracle_run(
+    let expect = concat_sort_run(
         &input,
         num_maps,
         &mapper,
@@ -370,7 +370,7 @@ fn bench_shape_bit_identical_with_and_without_combiner() {
         (num_maps * reducers) as u64
     );
 
-    let expect = oracle_run(
+    let expect = concat_sort_run(
         &input,
         num_maps,
         &mapper,
@@ -401,7 +401,7 @@ fn empty_input_and_single_key_edge_cases() {
         (vec![0, 1, 2], 1),
     ] {
         let input = tagged(&payloads);
-        let expect = oracle_run(
+        let expect = concat_sort_run(
             &input,
             3,
             &mapper,

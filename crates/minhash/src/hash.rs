@@ -28,7 +28,7 @@ pub struct HashParams {
 /// a word-sized reduction for every `x` whose `a·x + b` fits a `u64`
 /// whatever the parameter draw, the 127-bit form
 /// above that. The result is bit-identical to the textbook double-`%`
-/// form (the `reference` module keeps that form as an oracle).
+/// form (`mrmc_testkit::kernels::hash` keeps that form as an oracle).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UniversalHashFamily {
     params: Vec<HashParams>,
@@ -301,64 +301,5 @@ mod tests {
     #[should_panic(expected = "at least one hash")]
     fn zero_hashes_rejected() {
         UniversalHashFamily::new(0, 16, 0);
-    }
-
-    #[test]
-    fn barrett_bit_identical_to_division() {
-        // Mixed operating points: tiny paper-literal ranges, the Pig
-        // script's `$DIV`, the 2^31 floor, a non-power-of-two m, the
-        // first range whose prime leaves a word for some k-mers (2^32)
-        // and the k = 31 ceiling (2^62).
-        for m in [
-            16u64,
-            1 << 10,
-            1_048_583,
-            1 << 31,
-            (1 << 31) + 12345,
-            1 << 32,
-            1 << 62,
-        ] {
-            let f = UniversalHashFamily::new(4, m, m ^ 0xA5A5);
-            let mut x = 0x9E37_79B9_7F4A_7C15u64;
-            for _ in 0..2_000 {
-                x = x
-                    .wrapping_mul(6_364_136_223_846_793_005)
-                    .wrapping_add(1_442_695_040_888_963_407);
-                for i in 0..f.len() {
-                    assert_eq!(
-                        f.hash(i, x),
-                        crate::reference::hash(&f, i, x),
-                        "m = {m}, i = {i}, x = {x}"
-                    );
-                }
-            }
-            // Both sides of the word-sized reduction's bound, where
-            // `a·x + b` first can leave a u64.
-            let edge = f.word_max;
-            assert!((f.p - 1) as u128 * (edge as u128 + 1) <= u64::MAX as u128);
-            assert!((f.p - 1) as u128 * (edge as u128 + 2) > u64::MAX as u128);
-            for x in [0, 1, m - 1, m, m + 1, edge - 1, edge, edge + 1, u64::MAX] {
-                for i in 0..f.len() {
-                    assert_eq!(
-                        f.hash(i, x),
-                        crate::reference::hash(&f, i, x),
-                        "m = {m}, i = {i}, x = {x}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn oversized_prime_falls_back_to_division() {
-        // p > 2^63 disables the Barrett constant; the fallback path
-        // must still match the oracle exactly.
-        let f = UniversalHashFamily::new(2, 1u64 << 63, 7);
-        assert!(f.p > 1u64 << 63);
-        for x in [0u64, 1, 12_345, (1 << 63) - 1, u64::MAX] {
-            for i in 0..f.len() {
-                assert_eq!(f.hash(i, x), crate::reference::hash(&f, i, x));
-            }
-        }
     }
 }

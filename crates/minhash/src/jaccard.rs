@@ -150,27 +150,6 @@ mod tests {
     }
 
     #[test]
-    fn positional_matches_reference_implementation() {
-        let h = MinHasher::for_kmer_size(5, 64, 13);
-        let pairs = [
-            (
-                &b"ACGTACGTAAGGTTCCAGTCAGTC"[..],
-                &b"ACGTACCTAAGGATCCAGTCTGTC"[..],
-            ),
-            (&b"ACGTACGTAAGGTTCC"[..], &b"ACG"[..]), // mixed degenerate
-            (&b"AC"[..], &b"GT"[..]),                // both degenerate
-        ];
-        for (sa, sb) in pairs {
-            let a = h.sketch_sequence(sa).unwrap();
-            let b = h.sketch_sequence(sb).unwrap();
-            assert_eq!(
-                positional_similarity(&a, &b),
-                crate::reference::positional_similarity(&a, &b)
-            );
-        }
-    }
-
-    #[test]
     fn mixed_degenerate_pair_is_zero_both_directions() {
         let h = MinHasher::for_kmer_size(6, 16, 0);
         let degen = h.sketch_sequence(b"ACG").unwrap();

@@ -26,7 +26,6 @@ pub mod hash;
 pub mod jaccard;
 pub mod plane;
 pub mod prime;
-pub mod reference;
 pub mod sketch;
 
 pub use banding::BandingScheme;

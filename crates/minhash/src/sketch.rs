@@ -226,7 +226,8 @@ impl MinHasher {
     ///   running minima live in a small stack array, instead of
     ///   re-touching all `n` sketch slots per k-mer.
     ///
-    /// Both are bit-identical to [`crate::reference::sketch_kmers`]
+    /// Both are bit-identical to the textbook per-(k-mer, hash) loop
+    /// (`mrmc_testkit::kernels::sketch_kmers`)
     /// (min is order-independent and idempotent, so reordering and
     /// deduplication cannot change it). Features here are arbitrary
     /// `u64`s, so the rolling kernel of [`Self::sketch_sequence`],
@@ -332,8 +333,7 @@ impl MinHasher {
     /// evaluation at all. Every other hasher — canonical, `k ≤ 7`,
     /// `k ≥ 16`, other families — feeds the k-mer stream to
     /// [`Self::sketch_kmers`]. All are bit-identical to
-    /// [`crate::reference::sketch_kmers`] over [`KmerIter`] (or
-    /// [`CanonicalKmerIter`]).
+    /// the textbook loop over [`KmerIter`] (or [`CanonicalKmerIter`]).
     pub fn sketch_sequence(&self, seq: &[u8]) -> Result<Sketch, SeqIoError> {
         if self.canonical {
             let iter = CanonicalKmerIter::new(seq, self.k)?;
@@ -688,38 +688,13 @@ mod tests {
     }
 
     #[test]
-    fn blocked_sketch_bit_identical_to_reference() {
-        // Sketch lengths around the block size: partial final block,
-        // exact multiple, single block, and sub-block.
-        for n in [1usize, 7, 8, 9, 64, 100] {
-            let h = MinHasher::for_kmer_size(5, n, 33);
-            let kmers: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(0x9E37) % 1024).collect();
-            let fast = h.sketch_kmers(kmers.iter().copied());
-            let slow = crate::reference::sketch_kmers(&h, kmers.iter().copied());
-            assert_eq!(fast, slow, "n = {n}");
-            assert_eq!(fast.values(), slow.values(), "n = {n}");
-        }
-    }
-
-    #[test]
-    fn duplicated_stream_bit_identical_to_reference() {
-        // Heavy repetition (each k-mer ~25×, unsorted order): the
-        // dedup'd blocked kernel must still match the per-occurrence
-        // reference loop exactly.
-        let h = MinHasher::for_kmer_size(5, 40, 17);
-        let kmers: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(0x9E37) % 20).collect();
-        let fast = h.sketch_kmers(kmers.iter().copied());
-        let slow = crate::reference::sketch_kmers(&h, kmers.iter().copied());
-        assert_eq!(fast.values(), slow.values());
-        let unique = h.sketch_kmers((0..20u64).map(|i| i.wrapping_mul(0x9E37) % 20));
-        assert_eq!(fast.values(), unique.values());
-    }
-
-    #[test]
     fn cached_metadata_consistent() {
         let h = hasher();
         let s = h.sketch_sequence(b"ACGTACGTTTGGCCAA").unwrap();
-        assert_eq!(s.is_degenerate(), crate::reference::is_degenerate(&s));
+        assert_eq!(
+            s.is_degenerate(),
+            s.values().iter().all(|&v| v == EMPTY_SLOT)
+        );
         assert_eq!(
             s.non_empty(),
             s.values().iter().filter(|&&v| v != EMPTY_SLOT).count()
@@ -756,8 +731,9 @@ mod tests {
             (a.join().unwrap(), b.join().unwrap())
         });
         assert_eq!(a.values(), b.values());
-        let expect = crate::reference::sketch_kmers(&hasher, (0..1024).step_by(3));
-        assert_eq!(a.values(), expect.values());
+        // A table built apart from those two threads gives the same sketch.
+        let apart = MinHasher::for_kmer_size(5, 100, 3).sketch_kmers((0..1024).step_by(3));
+        assert_eq!(a.values(), apart.values());
         assert!(table(&hasher).is_some());
         assert_eq!(table(&hasher), table(&clone));
         // Above the cap there is no table to build.
@@ -795,10 +771,9 @@ mod tests {
         assert_eq!(constants(&clone), constants(&sixteen_s));
         assert_eq!(constants(&canonical), constants(&sixteen_s));
         let read = b"GATTACAGGCTTACCGATNNCATGCAAGTCCGATTAGGCTAC";
-        let expect =
-            crate::reference::sketch_kmers(&canonical, CanonicalKmerIter::new(read, 15).unwrap());
+        let expect = canonical.sketch_kmers(CanonicalKmerIter::new(read, 15).unwrap());
         assert_eq!(canonical.sketch_sequence(read).unwrap(), expect);
-        let forward = crate::reference::sketch_kmers(&clone, KmerIter::new(read, 15).unwrap());
+        let forward = clone.sketch_kmers(KmerIter::new(read, 15).unwrap());
         assert_eq!(clone.sketch_sequence(read).unwrap(), forward);
         assert_ne!(expect, forward);
     }
@@ -837,7 +812,7 @@ mod tests {
 
     #[test]
     fn canonical_sketch_reverse_complement_invariant() {
-        use mrmc_seqio::alphabet::reverse_complement;
+        use mrmc_testkit::kernels::reverse_complement;
         let h = MinHasher::for_kmer_size(6, 48, 17).canonical();
         let seq = b"ACGTACGTTTGGCCAATCGATCGGATCCGTA";
         let fwd = h.sketch_sequence(seq).unwrap();

@@ -8,10 +8,11 @@ use rand::{Rng, SeedableRng};
 
 use mrmc_minhash::sketch::EMPTY_SLOT;
 use mrmc_minhash::{
-    exact_jaccard, is_prime, next_prime, positional_similarity, reference, set_similarity,
-    BandingScheme, MinHasher, Sketch, SketchPlane, UniversalHashFamily,
+    exact_jaccard, is_prime, next_prime, positional_similarity, set_similarity, BandingScheme,
+    MinHasher, Sketch, SketchPlane, UniversalHashFamily,
 };
 use mrmc_seqio::encode::{CanonicalKmerIter, KmerIter};
+use mrmc_testkit::kernels as reference;
 
 fn dna(min_len: usize, max_len: usize) -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(
@@ -546,5 +547,113 @@ proptest! {
         }
         let n = sketches.len();
         assert_plane_matches(&sketches, |_| (0..n).collect(), |_| true);
+    }
+}
+
+#[test]
+fn barrett_bit_identical_to_division() {
+    // Mixed operating points: tiny paper-literal ranges, the Pig
+    // script's `$DIV`, the 2^31 floor, a non-power-of-two m, the
+    // first range whose prime leaves a word for some k-mers (2^32)
+    // and the k = 31 ceiling (2^62).
+    for m in [
+        16u64,
+        1 << 10,
+        1_048_583,
+        1 << 31,
+        (1 << 31) + 12345,
+        1 << 32,
+        1 << 62,
+    ] {
+        let f = UniversalHashFamily::new(4, m, m ^ 0xA5A5);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2_000 {
+            x = x
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            for i in 0..f.len() {
+                assert_eq!(
+                    f.hash(i, x),
+                    reference::hash(&f, i, x),
+                    "m = {m}, i = {i}, x = {x}"
+                );
+            }
+        }
+        // Both sides of the word-sized reduction's bound, the largest
+        // x for which `a·x + b` stays in a u64.
+        let edge = (u64::MAX - (f.p - 1)) / (f.p - 1);
+        assert!((f.p - 1) as u128 * (edge as u128 + 1) <= u64::MAX as u128);
+        assert!((f.p - 1) as u128 * (edge as u128 + 2) > u64::MAX as u128);
+        for x in [0, 1, m - 1, m, m + 1, edge - 1, edge, edge + 1, u64::MAX] {
+            for i in 0..f.len() {
+                assert_eq!(
+                    f.hash(i, x),
+                    reference::hash(&f, i, x),
+                    "m = {m}, i = {i}, x = {x}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn oversized_prime_falls_back_to_division() {
+    // p > 2^63 disables the Barrett constant; the fallback path
+    // must still match the oracle exactly.
+    let f = UniversalHashFamily::new(2, 1u64 << 63, 7);
+    assert!(f.p > 1u64 << 63);
+    for x in [0u64, 1, 12_345, (1 << 63) - 1, u64::MAX] {
+        for i in 0..f.len() {
+            assert_eq!(f.hash(i, x), reference::hash(&f, i, x));
+        }
+    }
+}
+
+#[test]
+fn blocked_sketch_bit_identical_to_reference() {
+    // Sketch lengths around the block size: partial final block,
+    // exact multiple, single block, and sub-block.
+    for n in [1usize, 7, 8, 9, 64, 100] {
+        let h = MinHasher::for_kmer_size(5, n, 33);
+        let kmers: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(0x9E37) % 1024).collect();
+        let fast = h.sketch_kmers(kmers.iter().copied());
+        let slow = reference::sketch_kmers(&h, kmers.iter().copied());
+        assert_eq!(fast, slow, "n = {n}");
+        assert_eq!(fast.values(), slow.values(), "n = {n}");
+    }
+}
+
+#[test]
+fn duplicated_stream_bit_identical_to_reference() {
+    // Heavy repetition (each k-mer ~25×, unsorted order): the
+    // dedup'd blocked kernel must still match the per-occurrence
+    // reference loop exactly.
+    let h = MinHasher::for_kmer_size(5, 40, 17);
+    let kmers: Vec<u64> = (0..500u64).map(|i| i.wrapping_mul(0x9E37) % 20).collect();
+    let fast = h.sketch_kmers(kmers.iter().copied());
+    let slow = reference::sketch_kmers(&h, kmers.iter().copied());
+    assert_eq!(fast.values(), slow.values());
+    let unique = h.sketch_kmers((0..20u64).map(|i| i.wrapping_mul(0x9E37) % 20));
+    assert_eq!(fast.values(), unique.values());
+}
+
+#[test]
+fn positional_matches_reference_implementation() {
+    let h = MinHasher::for_kmer_size(5, 64, 13);
+    let pairs = [
+        (
+            &b"ACGTACGTAAGGTTCCAGTCAGTC"[..],
+            &b"ACGTACCTAAGGATCCAGTCTGTC"[..],
+        ),
+        (&b"ACGTACGTAAGGTTCC"[..], &b"ACG"[..]), // mixed degenerate
+        (&b"AC"[..], &b"GT"[..]),                // both degenerate
+    ];
+    for (sa, sb) in pairs {
+        let a = h.sketch_sequence(sa).unwrap();
+        let b = h.sketch_sequence(sb).unwrap();
+        assert_eq!(
+            positional_similarity(&a, &b),
+            reference::positional_similarity(&a, &b)
+        );
     }
 }

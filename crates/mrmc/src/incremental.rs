@@ -259,7 +259,7 @@ mod tests {
     use crate::stages::sketch_stage;
     use mrmc_cluster::greedy_cluster;
     use mrmc_mapreduce::pipeline::Pipeline;
-    use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
+    use mrmc_testkit::community::two_species;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -445,28 +445,6 @@ mod tests {
         }
     }
 
-    fn two_species(n: usize, seed: u64) -> (Vec<SeqRecord>, Vec<usize>) {
-        let spec = CommunitySpec {
-            species: vec![
-                SpeciesSpec {
-                    name: "a".into(),
-                    gc: 0.40,
-                    abundance: 1.0,
-                },
-                SpeciesSpec {
-                    name: "b".into(),
-                    gc: 0.60,
-                    abundance: 1.0,
-                },
-            ],
-            rank: TaxRank::Phylum,
-            genome_len: 50_000,
-        };
-        let sim = ReadSimulator::new(800, ErrorModel::with_total_rate(0.002));
-        let d = spec.generate("t", n, &sim, seed);
-        (d.reads.clone(), d.labels.unwrap())
-    }
-
     fn config(theta: f64) -> MrMcConfig {
         MrMcConfig {
             kmer: 5,
@@ -478,7 +456,7 @@ mod tests {
 
     #[test]
     fn streaming_recovers_two_species() {
-        let (reads, truth) = two_species(60, 1);
+        let (reads, truth) = two_species(60, 800, 50_000, 1);
         let theta = crate::threshold::suggest_theta(&reads, &config(0.5), 50);
         let mut inc = IncrementalClusterer::new(config(theta));
         for r in &reads {
@@ -494,7 +472,7 @@ mod tests {
         // Pushing reads one at a time is *exactly* Algorithm 1's
         // iteration order, so results coincide with the batch greedy
         // run at the same θ.
-        let (reads, _) = two_species(40, 2);
+        let (reads, _) = two_species(40, 800, 50_000, 2);
         let theta = 0.5;
         let batch = MrMcMinH::new(config(theta).greedy()).run(&reads).unwrap();
         let mut inc = IncrementalClusterer::new(config(theta));
@@ -506,7 +484,7 @@ mod tests {
 
     #[test]
     fn seeding_from_batch_extends_clusters() {
-        let (reads, _) = two_species(40, 3);
+        let (reads, _) = two_species(40, 800, 50_000, 3);
         let theta = crate::threshold::suggest_theta(&reads, &config(0.5), 40);
         let cfg = MrMcConfig {
             mode: Mode::Hierarchical,
@@ -519,7 +497,7 @@ mod tests {
         assert_eq!(inc.num_clusters(), k);
         // New reads from the same genomes mostly land in seeded
         // clusters rather than founding new ones.
-        let (new_reads, _) = two_species(20, 3); // same seed → same genomes
+        let (new_reads, _) = two_species(20, 800, 50_000, 3); // same seed → same genomes
         for r in &new_reads {
             inc.push(r).unwrap();
         }
@@ -532,7 +510,7 @@ mod tests {
 
     #[test]
     fn push_batch_matches_repeated_push() {
-        let (mut reads, _) = two_species(50, 4);
+        let (mut reads, _) = two_species(50, 800, 50_000, 4);
         let theta = 0.5;
         // Copies land inside one batch of the schedule below (reads
         // 12..15, batch 11..31) and across batches (reads 0, 3 and 9
@@ -572,7 +550,7 @@ mod tests {
 
     #[test]
     fn copies_take_the_first_label_without_evaluations() {
-        let (reads, _) = two_species(30, 5);
+        let (reads, _) = two_species(30, 800, 50_000, 5);
         let mut inc = IncrementalClusterer::new(config(0.5));
         let first = inc.push_batch(&reads).unwrap();
         let evaluations = inc.index.evaluations();
@@ -600,7 +578,7 @@ mod tests {
         // A hierarchical seed labels its reads by linkage, not by
         // Algorithm 1, so a streamed copy of a seed read must take the
         // index's answer (the linear scan's), whatever its seed label.
-        let (reads, _) = two_species(40, 7);
+        let (reads, _) = two_species(40, 800, 50_000, 7);
         let (batch, stream) = reads.split_at(30);
         let cfg = MrMcConfig {
             mode: Mode::Hierarchical,
@@ -634,8 +612,8 @@ mod tests {
 
     #[test]
     fn canonical_session_streams_canonical_sketches() {
-        use mrmc_seqio::alphabet::reverse_complement;
-        let (reads, _) = two_species(20, 6);
+        use mrmc_testkit::kernels::reverse_complement;
+        let (reads, _) = two_species(20, 800, 50_000, 6);
         for canonical in [true, false] {
             let cfg = MrMcConfig {
                 canonical,

@@ -203,29 +203,7 @@ impl MrMcMinH {
 mod tests {
     use super::*;
     use mrmc_cluster::Linkage;
-    use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
-
-    fn two_species(n: usize, seed: u64) -> (Vec<SeqRecord>, Vec<usize>) {
-        let spec = CommunitySpec {
-            species: vec![
-                SpeciesSpec {
-                    name: "a".into(),
-                    gc: 0.40,
-                    abundance: 1.0,
-                },
-                SpeciesSpec {
-                    name: "b".into(),
-                    gc: 0.60,
-                    abundance: 1.0,
-                },
-            ],
-            rank: TaxRank::Phylum,
-            genome_len: 50_000,
-        };
-        let sim = ReadSimulator::new(800, ErrorModel::with_total_rate(0.002));
-        let d = spec.generate("t", n, &sim, seed);
-        (d.reads.clone(), d.labels.unwrap())
-    }
+    use mrmc_testkit::community::two_species;
 
     fn config(mode: Mode, theta: f64) -> MrMcConfig {
         MrMcConfig {
@@ -242,7 +220,7 @@ mod tests {
     fn hierarchical_recovers_two_species_compositionally() {
         // k = 5 sketches on 800 bp reads act as composition signatures
         // (the whole-metagenome regime of Table III).
-        let (reads, truth) = two_species(60, 1);
+        let (reads, truth) = two_species(60, 800, 50_000, 1);
         let result = MrMcMinH::new(config(Mode::Hierarchical, 0.55))
             .run(&reads)
             .unwrap();
@@ -255,7 +233,7 @@ mod tests {
 
     #[test]
     fn greedy_runs_and_is_faster_shape() {
-        let (reads, truth) = two_species(60, 2);
+        let (reads, truth) = two_species(60, 800, 50_000, 2);
         let dense = config(Mode::Greedy, 0.55);
         for cfg in [dense, dense.banded()] {
             let result = MrMcMinH::new(cfg).run(&reads).unwrap();
@@ -289,7 +267,7 @@ mod tests {
 
     #[test]
     fn hierarchical_linkage_choices_all_work() {
-        let (reads, _) = two_species(20, 3);
+        let (reads, _) = two_species(20, 800, 50_000, 3);
         for linkage in [Linkage::Single, Linkage::Average, Linkage::Complete] {
             let cfg = MrMcConfig {
                 linkage,
@@ -319,7 +297,7 @@ mod tests {
 
     #[test]
     fn taxonomy_levels_refine() {
-        let (reads, _) = two_species(40, 6);
+        let (reads, _) = two_species(40, 800, 50_000, 6);
         let result = MrMcMinH::new(config(Mode::Hierarchical, 0.5))
             .run(&reads)
             .unwrap();
@@ -343,7 +321,7 @@ mod tests {
 
     #[test]
     fn representatives_one_per_cluster() {
-        let (reads, _) = two_species(30, 7);
+        let (reads, _) = two_species(30, 800, 50_000, 7);
         let result = MrMcMinH::new(config(Mode::Hierarchical, 0.5))
             .run(&reads)
             .unwrap();
@@ -358,8 +336,8 @@ mod tests {
 
     #[test]
     fn canonical_mode_is_strand_invariant() {
-        use mrmc_seqio::alphabet::reverse_complement;
-        let (reads, truth) = two_species(40, 9);
+        use mrmc_testkit::kernels::reverse_complement;
+        let (reads, truth) = two_species(40, 800, 50_000, 9);
         // Flip half the reads to the opposite strand — real shotgun
         // data arrives like this.
         let mixed: Vec<SeqRecord> = reads
@@ -405,7 +383,7 @@ mod tests {
         use mrmc_mapreduce::chaos::{FaultPlan, Phase};
         use std::sync::Arc;
 
-        let (reads, _) = two_species(40, 8);
+        let (reads, _) = two_species(40, 800, 50_000, 8);
         let runner = MrMcMinH::new(config(Mode::Hierarchical, 0.55));
         let clean = runner.run(&reads).unwrap();
         // Job 0 = sketch, job 1 = similarity: panics in both stages, a
@@ -435,7 +413,7 @@ mod tests {
         use mrmc_mapreduce::{critical_path, ClusterSpec, JobCostModel, Tracer};
         use std::sync::Arc;
 
-        let (reads, _) = two_species(40, 8);
+        let (reads, _) = two_species(40, 800, 50_000, 8);
         let runner = MrMcMinH::new(config(Mode::Hierarchical, 0.55));
         let plain = runner.run(&reads).unwrap();
 
@@ -527,7 +505,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let (reads, _) = two_species(30, 5);
+        let (reads, _) = two_species(30, 800, 50_000, 5);
         let r1 = MrMcMinH::new(config(Mode::Hierarchical, 0.6))
             .run(&reads)
             .unwrap();

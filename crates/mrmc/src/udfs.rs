@@ -1297,12 +1297,13 @@ mod tests {
         assert_eq!(out.value_at(0, 1), Value::bag([]));
         // An empty relation: every row's bag is empty.
         check_pairwise(&dup, &[], 0..3, true, "empty relation");
-        // Values past `u32::MAX` (k > 16 families): `u64` plane lanes.
+        // Values past `u32::MAX` (k > 16 families), ranked into byte
+        // lanes like any others.
         let wide = vec![
             sketch_row(&[1 << 40, 2, 3], "w1"),
             sketch_row(&[1 << 40, 2, -1], "w2"),
         ];
-        let out = check_pairwise(&wide, &wide, 0..2, true, "u64 lanes").unwrap();
+        let out = check_pairwise(&wide, &wide, 0..2, true, "values past u32::MAX").unwrap();
         assert_eq!(
             out.value_at(1, 1),
             Value::bag([Value::tuple([

@@ -1,83 +1,25 @@
-//! Integration tests of the banded-LSH candidate pipeline: the route
-//! against the zero-filled θ-graph oracle (equal to dense at the θ-cut
-//! for greedy, single and complete linkage; average linkage only where
-//! the corpus is θ-separated), the candidate oracle, dedup
-//! completeness, and fault recovery through the banding reducers.
-
-mod common;
+//! Integration tests of the banded-LSH candidate pipeline's layers:
+//! builder order, the candidate oracle, the θ-edges, dedup
+//! completeness, the shuffle floors, the read-id guard and fault
+//! recovery through the banding reducers. The route against dense and
+//! against the zero-filled θ-graph oracle is `routes_agree`'s P2
+//! (`crates/testkit`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use common::same_hierarchy;
 use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
 use mrmc::stages::sketch_stage;
 use mrmc::{MrMcConfig, MrMcMinH};
-use mrmc_cluster::{
-    agglomerative, cut_dendrogram, greedy_cluster, ClusterAssignment, CondensedMatrix, Linkage,
-};
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_minhash::{positional_similarity, Sketch};
-use mrmc_simulate::huse_16s;
-
-const LINKAGES: [Linkage; 3] = [Linkage::Single, Linkage::Average, Linkage::Complete];
-
-fn corpus(reads: f64, seed: u64) -> Vec<mrmc_seqio::SeqRecord> {
-    huse_16s(0.03, reads / 345_000.0, seed).reads
-}
+use mrmc_testkit::community::huse;
+use mrmc_testkit::routes::{greedy_scan, oracle_sketches};
 
 fn sketches_of(reads: &[mrmc_seqio::SeqRecord], cfg: &MrMcConfig) -> Vec<Sketch> {
     let mut p = Pipeline::new("test-sketch");
     sketch_stage(reads, cfg, &mut p).expect("sketch stage")
-}
-
-/// Algorithm 1 as the `greedy_cluster` scan over `sketch_stage`'s
-/// output — the oracle of the greedy route, which runs the same code
-/// under either `candidates` value and so cannot be its own reference.
-fn greedy_scan(reads: &[mrmc_seqio::SeqRecord], cfg: &MrMcConfig) -> ClusterAssignment {
-    let sketches = sketches_of(reads, cfg);
-    greedy_cluster(sketches.len(), cfg.theta, |i, j| {
-        positional_similarity(&sketches[i], &sketches[j])
-    })
-    .compact()
-}
-
-/// The exactness contract: on the seed 16S corpus, `.banded()` gives
-/// *bit-identical* cluster assignments to the dense oracle in both
-/// clustering modes, at θ whose `f32` image rounds down (0.95, 0.90)
-/// and up (0.85, 0.80), with θ·n integral at 0.90 and 0.80 so pairs
-/// sit exactly on the cut. Greedy is held to the linear scan under
-/// both `candidates` values; single and complete linkage depend only
-/// on the pairs at or above θ and hold at every θ; average linkage
-/// reads the pruned sub-θ pairs as 0, so it is held where the corpus is
-/// θ-separated (0.95) and not below (DESIGN.md §5c).
-#[test]
-fn banded_clustering_identical_to_dense() {
-    let reads = corpus(280.0, 9);
-    for theta in [0.95, 0.90, 0.85, 0.80] {
-        let greedy = MrMcConfig::sixteen_s().greedy().with_theta(theta);
-        let scan = greedy_scan(&reads, &greedy);
-        for cfg in [greedy, greedy.banded()] {
-            let run = MrMcMinH::new(cfg).run(&reads).expect("greedy run");
-            assert_eq!(run.assignment, scan, "θ = {theta}, {:?}", cfg.candidates);
-        }
-        for linkage in LINKAGES {
-            if linkage == Linkage::Average && theta != 0.95 {
-                continue;
-            }
-            let cfg = MrMcConfig {
-                linkage,
-                ..MrMcConfig::sixteen_s().hierarchical().with_theta(theta)
-            };
-            let dense = MrMcMinH::new(cfg).run(&reads).expect("dense run");
-            let banded = MrMcMinH::new(cfg.banded()).run(&reads).expect("banded run");
-            assert_eq!(
-                banded.assignment, dense.assignment,
-                "θ = {theta}, {linkage:?}: banded assignments must match dense"
-            );
-        }
-    }
 }
 
 /// θ set before or after `.banded()` is the same run, and both are
@@ -88,10 +30,11 @@ fn banded_clustering_identical_to_dense() {
 /// corpus).
 #[test]
 fn builder_order_is_irrelevant() {
-    let reads = corpus(2000.0, 9);
+    let reads = huse(2000, 9);
     let base = MrMcConfig::sixteen_s().greedy();
+    let sketches = oracle_sketches(&reads, &base);
     for theta in [0.95, 0.90, 0.85, 0.80] {
-        let scan = greedy_scan(&reads, &base.with_theta(theta));
+        let scan = greedy_scan(&sketches, theta);
         for cfg in [
             base.with_theta(theta),
             base.banded().with_theta(theta),
@@ -103,44 +46,13 @@ fn builder_order_is_irrelevant() {
     }
 }
 
-/// Banded + hierarchical clusters the θ-graph without densifying it,
-/// and still returns the hierarchy of the zero-filled dense run over
-/// every read: its heights, its cut at every height and at a sub-θ
-/// level, and its merges below 1.0, for every linkage.
-#[test]
-fn banded_dendrogram_equals_zero_filled_dense_oracle() {
-    let reads = corpus(280.0, 9);
-    for linkage in LINKAGES {
-        let cfg = MrMcConfig {
-            linkage,
-            ..MrMcConfig::sixteen_s().hierarchical().banded()
-        };
-        let mut p = Pipeline::new("test-oracle");
-        let graph =
-            banded_graph_stage(&sketches_of(&reads, &cfg), &cfg, &mut p).expect("banded stages");
-        let zero_filled = CondensedMatrix::build(graph.len(), |i, j| graph.sim(i, j));
-        let (assignment, dendrogram) = agglomerative(&zero_filled, linkage, cfg.theta);
-
-        let banded = MrMcMinH::new(cfg).run(&reads).expect("banded run");
-        let run = banded.dendrogram.as_ref().expect("hierarchical run");
-        same_hierarchy(run, &dendrogram, &format!("{linkage:?}"));
-        assert_eq!(banded.assignment, assignment.compact(), "{linkage:?}");
-        let below = cfg.theta / 2.0;
-        assert_eq!(
-            banded.cut_at(below),
-            Some(cut_dendrogram(&dendrogram, below).compact()),
-            "{linkage:?}: sub-θ cut"
-        );
-    }
-}
-
 /// Stages 1–2 emit exactly the pairs the collision oracle accepts:
 /// no false drops (the superset property survives the shuffle) and no
 /// duplicates (the dedup stage emits each pair once).
 #[test]
 fn candidates_match_collision_oracle_and_are_unique() {
     let cfg = MrMcConfig::sixteen_s().banded();
-    let reads = corpus(200.0, 11);
+    let reads = huse(200, 11);
     let sketches = sketches_of(&reads, &cfg);
 
     let mut p = Pipeline::new("test-candidates");
@@ -169,7 +81,7 @@ fn candidates_match_collision_oracle_and_are_unique() {
 #[test]
 fn sparse_graph_equals_dense_truth() {
     let cfg = MrMcConfig::sixteen_s().banded();
-    let reads = corpus(200.0, 13);
+    let reads = huse(200, 13);
     let sketches = sketches_of(&reads, &cfg);
 
     let mut p = Pipeline::new("test-graph");
@@ -201,7 +113,7 @@ fn sparse_graph_equals_dense_truth() {
 #[test]
 fn reducer_faults_recover_bit_identical() {
     let cfg = MrMcConfig::sixteen_s().banded();
-    let reads = corpus(150.0, 17);
+    let reads = huse(150, 17);
     let sketches = sketches_of(&reads, &cfg);
 
     let mut clean_p = Pipeline::new("test-clean");
@@ -237,7 +149,7 @@ fn reducer_faults_recover_bit_identical() {
 #[test]
 fn banding_stages_undercut_fixed_width_floor() {
     let cfg = MrMcConfig::sixteen_s().banded();
-    let sketches = sketches_of(&corpus(220.0, 21), &cfg);
+    let sketches = sketches_of(&huse(220, 21), &cfg);
     let mut p = Pipeline::new("test-wire-bytes");
     banded_candidates(&sketches, &cfg, &mut p).expect("banded stages");
 
@@ -273,7 +185,7 @@ fn banding_stages_undercut_fixed_width_floor() {
 #[test]
 fn fetch_failures_recover_bit_identical() {
     let cfg = MrMcConfig::sixteen_s().banded();
-    let reads = corpus(150.0, 23);
+    let reads = huse(150, 23);
     let sketches = sketches_of(&reads, &cfg);
 
     let mut clean_p = Pipeline::new("test-clean-fetch");
@@ -319,7 +231,7 @@ fn read_id_guard() {
 fn degenerate_inputs() {
     let cfg = MrMcConfig::sixteen_s().banded();
     for n in [0usize, 1] {
-        let reads = corpus(200.0, 3);
+        let reads = huse(200, 3);
         let sketches = sketches_of(&reads[..n.min(reads.len())], &cfg);
         let mut p = Pipeline::new("test-degenerate");
         let candidates = banded_candidates(&sketches, &cfg, &mut p).expect("candidates");

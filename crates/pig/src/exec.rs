@@ -32,6 +32,7 @@
 //! critical-path analysis attribute scripted-run time to the
 //! LOAD/FOREACH/GROUP/STORE statements.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -204,8 +205,8 @@ enum ItemCol<'a> {
     Owned(Column),
     /// Chunk-local tuple-per-row output (`len` rows).
     Tup(ColumnBatch),
-    /// One value broadcast to every row.
-    Scalar(Value),
+    /// One value broadcast to every row; a constant stays borrowed.
+    Scalar(Cow<'a, Value>),
 }
 
 impl ItemCol<'_> {
@@ -215,7 +216,7 @@ impl ItemCol<'_> {
             ItemCol::Ref(c) => c.value_at(start + i),
             ItemCol::Owned(c) => c.value_at(i),
             ItemCol::Tup(b) => b.row_value(i),
-            ItemCol::Scalar(v) => v.clone(),
+            ItemCol::Scalar(v) => v.as_ref().clone(),
         }
     }
 }
@@ -225,17 +226,12 @@ fn eval_bexpr<'a>(
     batch: &'a ColumnBatch,
     start: usize,
     len: usize,
-    expr: &BExpr,
+    expr: &'a BExpr,
 ) -> Result<ItemCol<'a>, UdfError> {
     Ok(match expr {
-        BExpr::Field(i) => {
-            if *i < batch.num_cols() {
-                ItemCol::Ref(batch.col(*i))
-            } else {
-                ItemCol::Scalar(Value::Null)
-            }
-        }
-        BExpr::Const(v) => ItemCol::Scalar(v.clone()),
+        BExpr::Field(i) if *i < batch.num_cols() => ItemCol::Ref(batch.col(*i)),
+        BExpr::Field(_) => ItemCol::Scalar(Cow::Owned(Value::Null)),
+        BExpr::Const(v) => ItemCol::Scalar(Cow::Borrowed(v)),
         BExpr::Udf { udf, args } => {
             let children: Vec<ItemCol<'a>> = args
                 .iter()
@@ -350,11 +346,11 @@ fn foreach_chunk_fast(
                 }
                 plans.push(ItemPlan::FlatTup { col_idx: idx });
             }
-            ItemCol::Scalar(Value::Tuple(fields)) => {
-                plans.push(ItemPlan::FlatConstTuple(fields.clone()))
-            }
-            ItemCol::Scalar(Value::Bag(_)) => return None,
-            ItemCol::Scalar(v) => plans.push(ItemPlan::Plain(ItemCol::Scalar(v.clone()))),
+            ItemCol::Scalar(v) => match v.as_ref() {
+                Value::Tuple(fields) => plans.push(ItemPlan::FlatConstTuple(fields.clone())),
+                Value::Bag(_) => return None,
+                _ => plans.push(ItemPlan::Plain(copy_item_ref(col))),
+            },
         }
     }
 
@@ -429,7 +425,7 @@ fn foreach_chunk_fast(
             ItemPlan::Plain(ItemCol::Ref(c)) => out_cols.push(c.gather(&take_global)),
             ItemPlan::Plain(ItemCol::Owned(c)) => out_cols.push(c.gather(&take_in)),
             ItemPlan::Plain(ItemCol::Scalar(v)) => {
-                out_cols.push(Column::from_values(vec![v.clone(); out_rows]))
+                out_cols.push(Column::from_values(vec![v.as_ref().clone(); out_rows]))
             }
             ItemPlan::Plain(ItemCol::Tup(_)) => unreachable!("rejected above"),
             ItemPlan::FlatBag { .. } | ItemPlan::FlatBagOwned { .. } => {
@@ -460,8 +456,8 @@ fn foreach_chunk_fast(
     Some(ColumnBatch::from_cols(out_cols, out_rows))
 }
 
-/// Re-borrow an evaluated item for plan storage (cheap: `Ref` stays
-/// borrowed, `Owned`/`Scalar` values are plan-local anyway).
+/// Re-borrow an evaluated item for plan storage (cheap: `Ref` and a
+/// constant `Scalar` stay borrowed, `Owned` values are plan-local anyway).
 fn copy_item_ref<'a>(col: &ItemCol<'a>) -> ItemCol<'a> {
     match col {
         ItemCol::Ref(c) => ItemCol::Ref(c),

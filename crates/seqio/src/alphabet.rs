@@ -91,28 +91,6 @@ const CODE: [u8; 256] = {
     code
 };
 
-/// Complement of an ASCII nucleotide, preserving case. Ambiguous codes
-/// map to `N`.
-#[inline]
-pub fn complement(c: u8) -> u8 {
-    match c {
-        b'A' => b'T',
-        b'a' => b't',
-        b'C' => b'G',
-        b'c' => b'g',
-        b'G' => b'C',
-        b'g' => b'c',
-        b'T' | b'U' => b'A',
-        b't' | b'u' => b'a',
-        _ => b'N',
-    }
-}
-
-/// Reverse-complement a DNA string into a fresh vector.
-pub fn reverse_complement(seq: &[u8]) -> Vec<u8> {
-    seq.iter().rev().map(|&c| complement(c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,18 +133,5 @@ mod tests {
         for c in 0..=u8::MAX {
             assert_eq!(encode_base(c), encode_base_by_match(c), "byte {c}");
         }
-    }
-
-    #[test]
-    fn complement_is_involution_on_acgt() {
-        for &c in b"ACGTacgt" {
-            assert_eq!(complement(complement(c)), c);
-        }
-    }
-
-    #[test]
-    fn reverse_complement_known() {
-        assert_eq!(reverse_complement(b"ACGGT"), b"ACCGT".to_vec());
-        assert_eq!(reverse_complement(b""), Vec::<u8>::new());
     }
 }

@@ -6,7 +6,7 @@
 //! maximum feature-set cardinality is `4^k`, matching the paper's
 //! "maximum value of n = 4^k".
 
-use crate::alphabet::{encode_base, Base};
+use crate::alphabet::encode_base;
 use crate::error::SeqIoError;
 
 /// Largest supported k-mer size (2 bits × 31 = 62 bits < 64, leaving
@@ -150,18 +150,6 @@ impl Iterator for CanonicalKmerIter<'_> {
     }
 }
 
-/// Decode a packed k-mer back into its ASCII string (for debugging and
-/// round-trip tests).
-pub fn kmer_to_string(kmer: u64, k: usize) -> String {
-    let mut s = vec![0u8; k];
-    let mut v = kmer;
-    for i in (0..k).rev() {
-        s[i] = Base::from_code((v & 3) as u8).to_ascii();
-        v >>= 2;
-    }
-    String::from_utf8(s).expect("bases are ASCII")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,18 +182,6 @@ mod tests {
     }
 
     #[test]
-    fn kmer_round_trip_strings() {
-        let seq = b"ACGTTGCAACGT";
-        for k in [1usize, 3, 5, 8] {
-            let kmers: Vec<u64> = KmerIter::new(seq, k).unwrap().collect();
-            for (i, km) in kmers.iter().enumerate() {
-                let expect = std::str::from_utf8(&seq[i..i + k]).unwrap();
-                assert_eq!(kmer_to_string(*km, k), expect);
-            }
-        }
-    }
-
-    #[test]
     fn kmer_set_dedups() {
         // AAAA has 3 overlapping 2-mers, all AA.
         let set = kmer_set(b"AAAA", 2).unwrap();
@@ -214,19 +190,14 @@ mod tests {
 
     #[test]
     fn revcomp_kmer_matches_string_revcomp() {
-        use crate::alphabet::reverse_complement;
+        use mrmc_testkit::kernels::reverse_complement;
         let seq = b"ACGTTGCAGGATCCTA";
         for k in [1usize, 2, 3, 5, 8, 16] {
             let kmers: Vec<u64> = KmerIter::new(seq, k).unwrap().collect();
             for (i, &km) in kmers.iter().enumerate() {
                 let rc_str = reverse_complement(&seq[i..i + k]);
                 let expect: u64 = KmerIter::new(&rc_str, k).unwrap().next().unwrap();
-                assert_eq!(
-                    revcomp_kmer(km, k),
-                    expect,
-                    "k={k} kmer {}",
-                    kmer_to_string(km, k)
-                );
+                assert_eq!(revcomp_kmer(km, k), expect, "k={k} kmer {km:#b}");
             }
         }
     }
@@ -243,7 +214,7 @@ mod tests {
 
     #[test]
     fn canonical_invariant_under_strand() {
-        use crate::alphabet::reverse_complement;
+        use mrmc_testkit::kernels::reverse_complement;
         let seq = b"ACGTTGCAGGATCCTAGGTTACAC";
         let rc = reverse_complement(seq);
         for k in [3usize, 5, 8] {

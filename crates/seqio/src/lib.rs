@@ -25,8 +25,8 @@ pub mod fastq;
 pub mod record;
 pub mod stats;
 
-pub use alphabet::{complement, encode_base, Base};
-pub use encode::{canonical_kmer, kmer_to_string, revcomp_kmer, CanonicalKmerIter, KmerIter};
+pub use alphabet::{encode_base, Base};
+pub use encode::{canonical_kmer, revcomp_kmer, CanonicalKmerIter, KmerIter};
 pub use error::SeqIoError;
 pub use fasta::{read_fasta_bytes, read_fasta_path, write_fasta, FastaReader};
 pub use fastq::{read_fastq_bytes, write_fastq, FastqReader, FastqRecord};

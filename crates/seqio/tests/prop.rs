@@ -2,10 +2,11 @@
 
 use proptest::prelude::*;
 
-use mrmc_seqio::encode::{kmer_set, kmer_to_string, KmerIter};
+use mrmc_seqio::encode::{kmer_set, KmerIter};
 use mrmc_seqio::fasta::{read_fasta_bytes, write_fasta};
 use mrmc_seqio::stats::gc_content;
 use mrmc_seqio::SeqRecord;
+use mrmc_testkit::kernels::{kmer_to_string, reverse_complement};
 
 /// Strategy: clean DNA sequences.
 fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -78,4 +79,29 @@ proptest! {
     fn parser_total_on_arbitrary_input(bytes in proptest::collection::vec(any::<u8>(), 0..400)) {
         let _ = read_fasta_bytes(&bytes);
     }
+}
+
+#[test]
+fn kmer_round_trip_strings() {
+    let seq = b"ACGTTGCAACGT";
+    for k in [1usize, 3, 5, 8] {
+        let kmers: Vec<u64> = KmerIter::new(seq, k).unwrap().collect();
+        for (i, km) in kmers.iter().enumerate() {
+            let expect = std::str::from_utf8(&seq[i..i + k]).unwrap();
+            assert_eq!(kmer_to_string(*km, k), expect);
+        }
+    }
+}
+
+#[test]
+fn complement_is_involution_on_acgt() {
+    for c in b"ACGTacgt".chunks(1) {
+        assert_eq!(reverse_complement(&reverse_complement(c)), c);
+    }
+}
+
+#[test]
+fn reverse_complement_known() {
+    assert_eq!(reverse_complement(b"ACGGT"), b"ACCGT".to_vec());
+    assert_eq!(reverse_complement(b""), Vec::<u8>::new());
 }

@@ -21,30 +21,7 @@ use mrmc_server::{
     AdmissionLimits, Client, ClientError, ErrorCode, Request, Response, SeedConfig, Server,
     ServerConfig, ServerHandle, SubmitOutcome, WireRead, PROTOCOL_VERSION,
 };
-use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
-
-/// Deterministic two-species corpus (same generator as the
-/// incremental-clusterer tests).
-fn corpus(n: usize, seed: u64) -> Vec<SeqRecord> {
-    let spec = CommunitySpec {
-        species: vec![
-            SpeciesSpec {
-                name: "a".into(),
-                gc: 0.40,
-                abundance: 1.0,
-            },
-            SpeciesSpec {
-                name: "b".into(),
-                gc: 0.60,
-                abundance: 1.0,
-            },
-        ],
-        rank: TaxRank::Phylum,
-        genome_len: 20_000,
-    };
-    let sim = ReadSimulator::new(400, ErrorModel::with_total_rate(0.002));
-    spec.generate(&format!("s{seed}"), n, &sim, seed).reads
-}
+use mrmc_testkit::community::two_species;
 
 fn seed_cfg() -> SeedConfig {
     SeedConfig {
@@ -90,7 +67,7 @@ fn concurrent_sessions_match_oracle_and_ledger_is_all_serve() {
         .into_iter()
         .map(|(tenant, seed)| {
             thread::spawn(move || {
-                let reads = corpus(60, seed);
+                let reads = two_species(60, 400, 20_000, seed).0;
                 let (batch, streamed) = reads.split_at(40);
                 let expected = oracle(&seed_cfg(), batch, streamed);
 
@@ -206,7 +183,7 @@ fn zero_depth_queue_answers_busy() {
         max_queue_depth: 0,
         ..AdmissionLimits::default()
     });
-    let reads = corpus(20, 3);
+    let reads = two_species(20, 400, 20_000, 3).0;
     let mut client = Client::connect(handle.addr(), "t").expect("connect");
     client
         .seed_from_batch(&seed_cfg(), &reads[..10])
@@ -231,7 +208,7 @@ fn byte_quota_refusals_are_permanent() {
         max_session_bytes: 64,
         ..AdmissionLimits::default()
     });
-    let reads = corpus(20, 4); // 400-base reads: any batch blows a 64-byte quota
+    let reads = two_species(20, 400, 20_000, 4).0; // 400-base reads: any batch blows a 64-byte quota
     let mut client = Client::connect(handle.addr(), "t").expect("connect");
     client
         .seed_from_batch(&seed_cfg(), &reads[..10])
@@ -259,7 +236,7 @@ fn byte_quota_refusals_are_permanent() {
 /// session ledger's, field for field.
 #[test]
 fn metrics_off_daemon_is_label_identical_and_snapshot_empty() {
-    let reads = corpus(31, 9);
+    let reads = two_species(31, 400, 20_000, 9).0;
     let (batch, rest) = reads.split_at(20);
     let (streamed, refused) = rest.split_at(10);
     // The quota admits the streamed reads exactly, so the last one is
@@ -342,7 +319,7 @@ fn version_mismatch_is_refused_at_handshake() {
 #[test]
 fn session_lifecycle_errors_are_typed() {
     let handle = spawn_server(AdmissionLimits::default());
-    let reads = corpus(12, 5);
+    let reads = two_species(12, 400, 20_000, 5).0;
     let mut client = Client::connect(handle.addr(), "t").expect("connect");
 
     // Submitting before seeding is a typed NotSeeded error, and the
@@ -383,7 +360,7 @@ fn session_lifecycle_errors_are_typed() {
 #[test]
 fn oversized_num_hashes_is_refused_and_the_tenant_serves_on() {
     let handle = spawn_server(AdmissionLimits::default());
-    let reads = corpus(12, 6);
+    let reads = two_species(12, 400, 20_000, 6).0;
     let mut client = Client::connect(handle.addr(), "t").expect("connect");
     let huge = SeedConfig {
         num_hashes: 1 << 40,
@@ -479,7 +456,7 @@ fn requests_in_one_write_are_answered_in_order() {
 #[test]
 fn hangup_mid_frame_leaves_the_tenant_serving() {
     let handle = spawn_server(AdmissionLimits::default());
-    let reads = corpus(20, 8);
+    let reads = two_species(20, 400, 20_000, 8).0;
     let mut client = Client::connect(handle.addr(), "t").expect("connect");
     client
         .seed_from_batch(&seed_cfg(), &reads[..10])

@@ -1,19 +1,14 @@
 //! Cross-crate integration tests: the full MrMC-MinH system from
-//! simulated FASTA to evaluated clusterings, through both the native
-//! API and the Pig script path.
+//! simulated FASTA to evaluated clusterings. That the Pig script path
+//! labels reads as the native API does is `routes_agree`'s P3 and P4
+//! (`crates/testkit`).
 
-use std::collections::HashMap;
-use std::sync::Arc;
-
-use mrmc::{algorithm3_script, register_mrmc_udfs, Mode, MrMcConfig, MrMcMinH};
+use mrmc::{Mode, MrMcConfig, MrMcMinH};
 use mrmc_minh_suite::baselines::{CdHitLike, Clusterer, DoturLike, McLsh};
-use mrmc_minh_suite::cluster::{ClusterAssignment, Linkage};
-use mrmc_minh_suite::mapreduce::dfs::{Dfs, DfsConfig};
+use mrmc_minh_suite::cluster::Linkage;
 use mrmc_minh_suite::metrics::{
     adjusted_rand_index, weighted_accuracy, weighted_similarity, SimilarityOptions,
 };
-use mrmc_minh_suite::pig::{parse_script, PigRunner, UdfRegistry};
-use mrmc_minh_suite::seqio::{write_fasta, SeqRecord};
 use mrmc_minh_suite::simulate::{
     environmental_samples, huse_16s, whole_metagenome_samples, ErrorModel,
 };
@@ -139,112 +134,6 @@ fn huse_cluster_counts() {
     let truth = dataset.labels.as_ref().expect("labeled");
     let acc = weighted_accuracy(&mrmc_h, truth, 2).expect("clusters exist");
     assert!(acc > 95.0, "accuracy {acc}");
-}
-
-/// Run Algorithm 3 over `reads` and return both STORE outputs as
-/// assignments over `reads` (hierarchical, greedy).
-fn pig_labels(
-    reads: &[SeqRecord],
-    config: &MrMcConfig,
-    link: &str,
-) -> (ClusterAssignment, ClusterAssignment) {
-    let mut fasta = Vec::new();
-    write_fasta(&mut fasta, reads, 0).expect("serialize");
-    let dfs = Arc::new(
-        Dfs::new(DfsConfig {
-            block_size: 16 * 1024,
-            replication: 1,
-            nodes: 2,
-        })
-        .expect("config"),
-    );
-    dfs.put("/in.fa", fasta, false).expect("stage");
-    let params: HashMap<String, String> = [
-        ("INPUT", "/in.fa".to_string()),
-        ("KMER", config.kmer.to_string()),
-        ("NUMHASH", config.num_hashes.to_string()),
-        ("DIV", config.seed.to_string()),
-        ("LINK", link.to_string()),
-        ("CUTOFF", config.theta.to_string()),
-        ("OUTPUT1", "/out/h".to_string()),
-        ("OUTPUT2", "/out/g".to_string()),
-    ]
-    .into_iter()
-    .map(|(k, v)| (k.to_string(), v))
-    .collect();
-    let script = parse_script(algorithm3_script(), &params).expect("parse");
-    let mut registry = UdfRegistry::with_builtins();
-    register_mrmc_udfs(&mut registry);
-    let report = PigRunner::new(Arc::clone(&dfs), registry)
-        .run(&script)
-        .expect("run");
-    assert_eq!(report.stored, ["/out/h", "/out/g"]);
-
-    let parse = |path: &str| {
-        let text = String::from_utf8(dfs.read(path).expect("read").to_vec()).unwrap();
-        assert_eq!(text.lines().count(), reads.len(), "{path}");
-        let by_id: HashMap<&str, usize> = text
-            .lines()
-            .map(|line| {
-                let row = line.strip_prefix('(').and_then(|l| l.strip_suffix(')'));
-                let (id, label) = row.and_then(|r| r.rsplit_once(',')).expect("two fields");
-                (id, label.parse().expect("int label"))
-            })
-            .collect();
-        ClusterAssignment::from_labels(reads.iter().map(|r| by_id[r.id.as_str()]).collect())
-    };
-    (parse("/out/h"), parse("/out/g"))
-}
-
-/// Algorithm 3 is the native pipeline spelled in Pig: at equal
-/// `(k, n, seed = $DIV, θ, linkage)` both STORE outputs label every
-/// read as `MrMcMinH::run` over the reads in id order does (the order
-/// `GROUP C BY seqid2` hands them to `CalculateMinwiseHash`), up to
-/// label numbering. The native route sketches k = 5 through the rank
-/// table, k = 15 by rolling residues and k = 16 by the blocked walk
-/// past `p > 2^32`; k = 20's values need `u64` plane lanes.
-#[test]
-fn pig_script_labels_equal_native_run() {
-    let mut reads = huse_16s(0.03, 90.0 / 345_000.0, 11).reads;
-    reads.sort_by(|a, b| a.id.cmp(&b.id));
-    let links = [
-        (Linkage::Single, "single"),
-        (Linkage::Average, "average"),
-        (Linkage::Complete, "complete"),
-    ];
-    for kmer in [5, 15, 16, 20] {
-        let base = MrMcConfig {
-            kmer,
-            num_hashes: 50,
-            seed: 1_048_583,
-            ..MrMcConfig::default()
-        };
-        let theta = mrmc::suggest_theta(&reads, &base, 60);
-        let greedy = MrMcMinH::new(MrMcConfig { theta, ..base }.greedy())
-            .run(&reads)
-            .expect("run")
-            .assignment;
-        let clusters = greedy.num_clusters();
-        assert!(
-            1 < clusters && clusters < reads.len(),
-            "k = {kmer}: {clusters}"
-        );
-        for (linkage, link) in links {
-            let config = MrMcConfig {
-                theta,
-                linkage,
-                ..base
-            };
-            let native = MrMcMinH::new(config).run(&reads).expect("run").assignment;
-            let (pig_hier, pig_greedy) = pig_labels(&reads, &config, link);
-            assert_eq!(
-                pig_hier.compact(),
-                native,
-                "k = {kmer}, {link}, θ = {theta}"
-            );
-            assert_eq!(pig_greedy.compact(), greedy, "k = {kmer}, θ = {theta}");
-        }
-    }
 }
 
 /// Complete-linkage invariant on real pipeline output: every
