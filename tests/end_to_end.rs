@@ -1,17 +1,22 @@
 //! Cross-crate integration tests: the full MrMC-MinH system from
-//! simulated FASTA to evaluated clusterings. That the Pig script path
-//! labels reads as the native API does is `routes_agree`'s P3 and P4
-//! (`crates/testkit`).
+//! simulated FASTA to evaluated clusterings, through both the native
+//! API and the Pig script path. `routes_agree` (`crates/testkit`) holds
+//! the Pig path to the native one on drawn communities (P3, P4); the
+//! test here pins one fixed corpus.
+
+use std::sync::Arc;
 
 use mrmc::{Mode, MrMcConfig, MrMcMinH};
 use mrmc_minh_suite::baselines::{CdHitLike, Clusterer, DoturLike, McLsh};
 use mrmc_minh_suite::cluster::Linkage;
+use mrmc_minh_suite::mapreduce::dfs::{Dfs, DfsConfig};
 use mrmc_minh_suite::metrics::{
     adjusted_rand_index, weighted_accuracy, weighted_similarity, SimilarityOptions,
 };
 use mrmc_minh_suite::simulate::{
     environmental_samples, huse_16s, whole_metagenome_samples, ErrorModel,
 };
+use mrmc_testkit::routes::{oracle_sketches, pig_labels};
 
 /// The headline Table III comparison at miniature scale: hierarchical
 /// and greedy must both recover an order-level 2-species sample well,
@@ -136,6 +141,46 @@ fn huse_cluster_counts() {
     assert!(acc > 95.0, "accuracy {acc}");
 }
 
+/// Algorithm 3 is the native pipeline spelled in Pig: at equal
+/// `(k, n, seed = $DIV, θ, linkage)` both STORE outputs label every
+/// read as `MrMcMinH::run` over the reads in id order does, up to label
+/// numbering. k = 5 sketches through the rank table, k = 15 by rolling
+/// residues, k = 16 by the blocked walk past `p > 2^32`, and k = 20's
+/// values pass `u32::MAX` and are ranked into byte lanes.
+#[test]
+fn pig_script_labels_equal_native_run() {
+    let mut reads = huse_16s(0.03, 90.0 / 345_000.0, 11).reads;
+    reads.sort_by(|a, b| a.id.cmp(&b.id));
+    let dfs = DfsConfig {
+        block_size: 16 * 1024,
+        replication: 1,
+        nodes: 2,
+    };
+    for kmer in [5, 15, 16, 20] {
+        let base = MrMcConfig {
+            kmer,
+            num_hashes: 50,
+            seed: 1_048_583,
+            ..MrMcConfig::default()
+        };
+        let theta = mrmc::suggest_theta(&reads, &base, 60);
+        let config = MrMcConfig { theta, ..base };
+        let greedy = MrMcMinH::new(config.greedy()).run(&reads).expect("run");
+        let clusters = greedy.assignment.num_clusters();
+        assert!(1 < clusters && clusters < reads.len(), "k = {kmer}");
+        for linkage in [Linkage::Single, Linkage::Average, Linkage::Complete] {
+            let config = MrMcConfig { linkage, ..config };
+            let native = MrMcMinH::new(config).run(&reads).expect("run");
+            let dfs = Arc::new(Dfs::new(dfs).expect("config"));
+            // Every read holds a k-mer, so `pig_labels` labels them all.
+            let (hier, greedy_pig) = pig_labels(&reads, &config, &dfs);
+            let what = format!("k = {kmer}, {linkage:?}, θ = {theta}");
+            assert_eq!(hier.compact(), native.assignment, "{what}");
+            assert_eq!(greedy_pig.compact(), greedy.assignment, "{what}");
+        }
+    }
+}
+
 /// Complete-linkage invariant on real pipeline output: every
 /// within-cluster sketch pair clears θ.
 #[test]
@@ -156,16 +201,7 @@ fn complete_linkage_invariant_via_pipeline() {
     let result = MrMcMinH::new(config).run(&dataset.reads).expect("run");
 
     // Recompute sketches independently and verify the guarantee.
-    let hasher = mrmc_minh_suite::minhash::MinHasher::for_kmer_size(
-        config.kmer,
-        config.num_hashes,
-        config.seed,
-    );
-    let sketches: Vec<_> = dataset
-        .reads
-        .iter()
-        .map(|r| hasher.sketch_sequence(&r.seq).expect("sketch"))
-        .collect();
+    let sketches = oracle_sketches(&dataset.reads, &config);
     for i in 0..sketches.len() {
         for j in (i + 1)..sketches.len() {
             if result.assignment.label(i) == result.assignment.label(j) {

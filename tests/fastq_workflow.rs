@@ -5,7 +5,7 @@
 use mrmc::{MrMcConfig, MrMcMinH};
 use mrmc_minh_suite::metrics::weighted_accuracy;
 use mrmc_minh_suite::seqio::{read_fastq_bytes, write_fastq, FastqRecord, SeqRecord};
-use mrmc_minh_suite::simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
+use mrmc_testkit::community::two_species;
 
 /// Wrap simulated reads as FASTQ with high-quality bodies and a
 /// low-quality 3' tail of `tail` bases.
@@ -27,40 +27,22 @@ fn to_fastq(reads: &[SeqRecord], tail: usize) -> Vec<FastqRecord> {
 
 #[test]
 fn fastq_round_trip_trim_and_cluster() {
-    let spec = CommunitySpec {
-        species: vec![
-            SpeciesSpec {
-                name: "a".into(),
-                gc: 0.40,
-                abundance: 1.0,
-            },
-            SpeciesSpec {
-                name: "b".into(),
-                gc: 0.60,
-                abundance: 1.0,
-            },
-        ],
-        rank: TaxRank::Phylum,
-        genome_len: 50_000,
-    };
-    let sim = ReadSimulator::new(820, ErrorModel::with_total_rate(0.002));
-    let dataset = spec.generate("fq", 60, &sim, 17);
-    let truth = dataset.labels.as_ref().expect("labeled");
+    let (reads, truth) = two_species(60, 820, 50_000, 17);
 
     // Serialize as FASTQ with 20 junk bases of Q0 tail, round-trip,
     // then trim the tails back off.
-    let fastq = to_fastq(&dataset.reads, 20);
+    let fastq = to_fastq(&reads, 20);
     let mut bytes = Vec::new();
     write_fastq(&mut bytes, &fastq).expect("serialize");
     let parsed = read_fastq_bytes(&bytes).expect("parse");
-    assert_eq!(parsed.len(), dataset.len());
+    assert_eq!(parsed.len(), reads.len());
 
     let trimmed: Vec<SeqRecord> = parsed
         .iter()
         .map(|r| r.quality_trim(10, 20.0).record)
         .collect();
     // Tails are gone, bodies intact.
-    for (t, orig) in trimmed.iter().zip(&dataset.reads) {
+    for (t, orig) in trimmed.iter().zip(&reads) {
         assert!(
             t.len() >= orig.len() - 30,
             "over-trimmed: {} vs {}",
@@ -85,7 +67,7 @@ fn fastq_round_trip_trim_and_cluster() {
     })
     .run(&trimmed)
     .expect("run");
-    let acc = weighted_accuracy(&result.assignment, truth, 2).expect("clusters");
+    let acc = weighted_accuracy(&result.assignment, &truth, 2).expect("clusters");
     assert!(acc > 90.0, "accuracy {acc}");
 }
 
