@@ -302,4 +302,24 @@ mod tests {
     fn zero_hashes_rejected() {
         UniversalHashFamily::new(0, 16, 0);
     }
+
+    #[test]
+    fn word_max_is_the_largest_x_kept_in_a_word() {
+        // `a·x + b` with a, b ≤ p − 1 fits a u64 at x = word_max and
+        // can leave it one past.
+        for m in [
+            16u64,
+            1 << 10,
+            1_048_583,
+            1 << 31,
+            (1 << 31) + 12345,
+            1 << 32,
+            1 << 62,
+        ] {
+            let f = UniversalHashFamily::new(4, m, m ^ 0xA5A5);
+            let top = |x: u64| (f.p - 1) as u128 * (x as u128 + 1);
+            assert!(top(f.word_max) <= u64::MAX as u128, "m = {m}");
+            assert!(top(f.word_max + 1) > u64::MAX as u128, "m = {m}");
+        }
+    }
 }

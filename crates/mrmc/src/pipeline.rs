@@ -202,7 +202,6 @@ impl MrMcMinH {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrmc_cluster::Linkage;
     use mrmc_testkit::community::two_species;
 
     fn config(mode: Mode, theta: f64) -> MrMcConfig {
@@ -263,27 +262,6 @@ mod tests {
             let result = MrMcMinH::new(config(mode, 1.0)).run(&reads).unwrap();
             assert_eq!(result.num_clusters(), 2, "{mode:?}");
         }
-    }
-
-    #[test]
-    fn hierarchical_linkage_choices_all_work() {
-        let (reads, _) = two_species(20, 800, 50_000, 3);
-        for linkage in [Linkage::Single, Linkage::Average, Linkage::Complete] {
-            let cfg = MrMcConfig {
-                linkage,
-                ..config(Mode::Hierarchical, 0.5)
-            };
-            let result = MrMcMinH::new(cfg).run(&reads).unwrap();
-            assert!(result.num_clusters() >= 1);
-        }
-    }
-
-    #[test]
-    fn empty_input_ok() {
-        let result = MrMcMinH::new(config(Mode::Hierarchical, 0.9))
-            .run(&[])
-            .unwrap();
-        assert_eq!(result.num_clusters(), 0);
     }
 
     #[test]
@@ -376,34 +354,6 @@ mod tests {
             .sketch_sequence(&reverse_complement(&reads[0].seq))
             .unwrap();
         assert_eq!(fwd, rev);
-    }
-
-    #[test]
-    fn chaos_run_bit_identical_to_clean_run() {
-        use mrmc_mapreduce::chaos::{FaultPlan, Phase};
-        use std::sync::Arc;
-
-        let (reads, _) = two_species(40, 800, 50_000, 8);
-        let runner = MrMcMinH::new(config(Mode::Hierarchical, 0.55));
-        let clean = runner.run(&reads).unwrap();
-        // Job 0 = sketch, job 1 = similarity: panics in both stages, a
-        // straggler, a node death, all at once.
-        let inj = FaultPlan::new()
-            .task_panic(0, Phase::Map, 1, 2)
-            .task_panic(1, Phase::Map, 3, 1)
-            .task_slowdown(1, Phase::Map, 0, 15)
-            .node_death_after_map(0, 2)
-            .injector();
-        let chaotic = runner
-            .run_on(&reads, Pipeline::new("chaos").with_faults(Arc::new(inj)))
-            .unwrap();
-        assert_eq!(chaotic.assignment, clean.assignment);
-        assert_eq!(chaotic.dendrogram, clean.dendrogram);
-        let rec = chaotic.recovery();
-        assert_eq!(rec.tasks_retried, 3);
-        assert_eq!(rec.speculative_wins, 1);
-        assert!(rec.maps_reexecuted_node_loss >= 1);
-        assert!(clean.recovery().is_clean());
     }
 
     #[test]
@@ -501,17 +451,5 @@ mod tests {
                 assert!(cp.coverage() >= 0.95, "{nodes} nodes: {}", cp.coverage());
             }
         }
-    }
-
-    #[test]
-    fn deterministic_given_seed() {
-        let (reads, _) = two_species(30, 800, 50_000, 5);
-        let r1 = MrMcMinH::new(config(Mode::Hierarchical, 0.6))
-            .run(&reads)
-            .unwrap();
-        let r2 = MrMcMinH::new(config(Mode::Hierarchical, 0.6))
-            .run(&reads)
-            .unwrap();
-        assert_eq!(r1.assignment, r2.assignment);
     }
 }

@@ -1,25 +1,52 @@
-//! Integration tests of the banded-LSH candidate pipeline's layers:
-//! builder order, the candidate oracle, the θ-edges, dedup
-//! completeness, the shuffle floors, the read-id guard and fault
-//! recovery through the banding reducers. The route against dense and
-//! against the zero-filled θ-graph oracle is `routes_agree`'s P2
-//! (`crates/testkit`).
+//! Integration tests of the banded-LSH candidate pipeline: banded
+//! against dense on a fixed corpus, builder order, the candidate
+//! oracle, the θ-edges, dedup completeness, the shuffle floors, the
+//! read-id guard and fault recovery through the banding reducers. The
+//! route against dense and against the zero-filled θ-graph oracle on
+//! drawn communities is `routes_agree`'s P2 (`crates/testkit`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
-use mrmc::stages::sketch_stage;
-use mrmc::{MrMcConfig, MrMcMinH};
+use mrmc::{Mode, MrMcConfig, MrMcMinH};
+use mrmc_cluster::Linkage;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
-use mrmc_minhash::{positional_similarity, Sketch};
+use mrmc_minhash::positional_similarity;
 use mrmc_testkit::community::huse;
 use mrmc_testkit::routes::{greedy_scan, oracle_sketches};
 
-fn sketches_of(reads: &[mrmc_seqio::SeqRecord], cfg: &MrMcConfig) -> Vec<Sketch> {
-    let mut p = Pipeline::new("test-sketch");
-    sketch_stage(reads, cfg, &mut p).expect("sketch stage")
+/// Banded equals dense on 280 Huse reads, at θ whose `f32` image rounds
+/// down (0.95, 0.90) and up (0.85, 0.80), θ·n integral at 0.90 and 0.80
+/// so pairs sit on the cut: greedy (and both are the scan), complete
+/// linkage at every θ (no tie in [θ, 1) reorders a merge here) and
+/// average linkage at 0.95, where the corpus is θ-separated (DESIGN.md
+/// §5c). `routes_agree`'s P2 holds the rest on drawn communities.
+#[test]
+fn banded_clustering_identical_to_dense() {
+    let reads = huse(280, 9);
+    let sketches = oracle_sketches(&reads, &MrMcConfig::sixteen_s());
+    for theta in [0.95, 0.90, 0.85, 0.80] {
+        let base = MrMcConfig::sixteen_s().with_theta(theta);
+        let mut arms = vec![base.greedy()];
+        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+            arms.push(MrMcConfig {
+                linkage,
+                ..base.hierarchical()
+            });
+        }
+        arms.truncate(if theta == 0.95 { 4 } else { 3 });
+        for cfg in arms {
+            let dense = MrMcMinH::new(cfg).run(&reads).expect("dense run");
+            let banded = MrMcMinH::new(cfg.banded()).run(&reads).expect("banded run");
+            let what = format!("θ = {theta}, {:?} {:?}", cfg.mode, cfg.linkage);
+            assert_eq!(banded.assignment, dense.assignment, "{what}");
+            if cfg.mode == Mode::Greedy {
+                assert_eq!(dense.assignment, greedy_scan(&sketches, theta), "{what}");
+            }
+        }
+    }
 }
 
 /// θ set before or after `.banded()` is the same run, and both are
@@ -53,7 +80,7 @@ fn builder_order_is_irrelevant() {
 fn candidates_match_collision_oracle_and_are_unique() {
     let cfg = MrMcConfig::sixteen_s().banded();
     let reads = huse(200, 11);
-    let sketches = sketches_of(&reads, &cfg);
+    let sketches = oracle_sketches(&reads, &cfg);
 
     let mut p = Pipeline::new("test-candidates");
     let candidates = banded_candidates(&sketches, &cfg, &mut p).expect("banded stages");
@@ -82,7 +109,7 @@ fn candidates_match_collision_oracle_and_are_unique() {
 fn sparse_graph_equals_dense_truth() {
     let cfg = MrMcConfig::sixteen_s().banded();
     let reads = huse(200, 13);
-    let sketches = sketches_of(&reads, &cfg);
+    let sketches = oracle_sketches(&reads, &cfg);
 
     let mut p = Pipeline::new("test-graph");
     let graph = banded_graph_stage(&sketches, &cfg, &mut p).expect("banded stages");
@@ -114,7 +141,7 @@ fn sparse_graph_equals_dense_truth() {
 fn reducer_faults_recover_bit_identical() {
     let cfg = MrMcConfig::sixteen_s().banded();
     let reads = huse(150, 17);
-    let sketches = sketches_of(&reads, &cfg);
+    let sketches = oracle_sketches(&reads, &cfg);
 
     let mut clean_p = Pipeline::new("test-clean");
     let clean = banded_graph_stage(&sketches, &cfg, &mut clean_p).expect("clean run");
@@ -149,7 +176,7 @@ fn reducer_faults_recover_bit_identical() {
 #[test]
 fn banding_stages_undercut_fixed_width_floor() {
     let cfg = MrMcConfig::sixteen_s().banded();
-    let sketches = sketches_of(&huse(220, 21), &cfg);
+    let sketches = oracle_sketches(&huse(220, 21), &cfg);
     let mut p = Pipeline::new("test-wire-bytes");
     banded_candidates(&sketches, &cfg, &mut p).expect("banded stages");
 
@@ -186,7 +213,7 @@ fn banding_stages_undercut_fixed_width_floor() {
 fn fetch_failures_recover_bit_identical() {
     let cfg = MrMcConfig::sixteen_s().banded();
     let reads = huse(150, 23);
-    let sketches = sketches_of(&reads, &cfg);
+    let sketches = oracle_sketches(&reads, &cfg);
 
     let mut clean_p = Pipeline::new("test-clean-fetch");
     let clean = banded_graph_stage(&sketches, &cfg, &mut clean_p).expect("clean run");
@@ -232,7 +259,7 @@ fn degenerate_inputs() {
     let cfg = MrMcConfig::sixteen_s().banded();
     for n in [0usize, 1] {
         let reads = huse(200, 3);
-        let sketches = sketches_of(&reads[..n.min(reads.len())], &cfg);
+        let sketches = oracle_sketches(&reads[..n.min(reads.len())], &cfg);
         let mut p = Pipeline::new("test-degenerate");
         let candidates = banded_candidates(&sketches, &cfg, &mut p).expect("candidates");
         assert!(candidates.is_empty());

@@ -1,28 +1,14 @@
 //! Dereplication groups reads by exact sequence bytes and numbers the
 //! groups by first occurrence (DESIGN.md §5d). That it is invisible on
-//! every route is `routes_agree`'s P1 (`crates/testkit`).
+//! every route is `routes_agree`'s P1, on fixed edge reads its
+//! `edge_cases` (`crates/testkit`).
 
 use mrmc::stages::dereplicate;
-use mrmc_seqio::SeqRecord;
+use mrmc_testkit::community::edge_reads;
 
 #[test]
 fn groups_number_reads_by_first_occurrence() {
-    let read = |id: &str, seq: &[u8]| SeqRecord::new(id, seq.to_vec());
-    let long = b"ACGTTGCAAGGCTTACCGATGGCATTACGGATCCATGACTGACCGTA";
-    let with_n = b"ACGTTGCAAGGCTTANCGATGGCATTACGGATCCATGACTGACCGTA";
-    // Shorter than k = 15: two different byte strings, both degenerate.
-    let mixed = vec![
-        read("short1", b"ACGTAC"),
-        read("long1", long),
-        read("n1", with_n),
-        read("short2", b"ACGTAC"),
-        read("tiny", b"GG"),
-        read("n2", with_n),
-        read("long2", long),
-        read("short3", b"ACGTAC"),
-        read("tiny2", b"GG"),
-    ];
-    let derep = dereplicate(&mixed).expect("ids fit");
+    let derep = dereplicate(&edge_reads()).expect("ids fit");
     assert_eq!(derep.groups(), &[0, 1, 2, 0, 3, 2, 1, 0, 3]);
     assert_eq!(derep.num_distinct(), 4);
 }

@@ -6,15 +6,8 @@ use mrmc_seqio::encode::{kmer_set, KmerIter};
 use mrmc_seqio::fasta::{read_fasta_bytes, write_fasta};
 use mrmc_seqio::stats::gc_content;
 use mrmc_seqio::SeqRecord;
+use mrmc_testkit::community::dna;
 use mrmc_testkit::kernels::{kmer_to_string, reverse_complement};
-
-/// Strategy: clean DNA sequences.
-fn dna(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(
-        proptest::sample::select(vec![b'A', b'C', b'G', b'T']),
-        0..max_len,
-    )
-}
 
 /// Strategy: record ids (no whitespace, non-empty).
 fn record_id() -> impl Strategy<Value = String> {
@@ -27,7 +20,7 @@ proptest! {
     #[test]
     fn fasta_round_trip(
         ids in proptest::collection::vec(record_id(), 1..8),
-        seqs in proptest::collection::vec(dna(200), 1..8),
+        seqs in proptest::collection::vec(dna(0..200), 1..8),
         width in 0usize..80,
     ) {
         let n = ids.len().min(seqs.len());
@@ -44,7 +37,7 @@ proptest! {
     /// Clean sequences produce exactly len−k+1 k-mers, each decoding
     /// to the corresponding substring.
     #[test]
-    fn kmer_count_and_decode(seq in dna(120), k in 1usize..12) {
+    fn kmer_count_and_decode(seq in dna(0..120), k in 1usize..12) {
         let kmers: Vec<u64> = KmerIter::new(&seq, k).unwrap().collect();
         let expected = seq.len().saturating_sub(k).checked_add(1).unwrap_or(0);
         let expected = if seq.len() < k { 0 } else { expected };
@@ -57,7 +50,7 @@ proptest! {
 
     /// kmer_set is sorted, deduplicated, and a subset of the stream.
     #[test]
-    fn kmer_set_invariants(seq in dna(150), k in 1usize..10) {
+    fn kmer_set_invariants(seq in dna(0..150), k in 1usize..10) {
         let set = kmer_set(&seq, k).unwrap();
         prop_assert!(set.windows(2).all(|w| w[0] < w[1]));
         let all: Vec<u64> = KmerIter::new(&seq, k).unwrap().collect();
@@ -68,7 +61,7 @@ proptest! {
 
     /// GC content is a fraction.
     #[test]
-    fn gc_bounded(seq in dna(300)) {
+    fn gc_bounded(seq in dna(0..300)) {
         let gc = gc_content(&seq);
         prop_assert!((0.0..=1.0).contains(&gc));
     }

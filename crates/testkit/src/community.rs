@@ -1,8 +1,12 @@
 //! Seeded read sets: `mrmc-simulate`'s two-species and Huse
-//! communities, planted copies, and the community `routes_agree` draws.
+//! communities, planted copies, the community `routes_agree` draws, a
+//! fixed set of edge reads, and a strategy for bare sequences.
+
+use std::ops::Range;
 
 use mrmc_seqio::SeqRecord;
 use mrmc_simulate::{huse_16s, CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
+use proptest::strategy::Strategy;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Two phylum-level species (GC 0.40 and 0.60, equal abundance) on
@@ -86,4 +90,21 @@ pub fn community(n: usize, k: usize, seed: u64) -> Vec<SeqRecord> {
         read.id = format!("r{i:03}");
     }
     reads
+}
+
+/// Nine reads of four distinct sequences: three copies of one shorter
+/// than k = 15, two of a long read, two of the long read with an `N`,
+/// and two of a 2-base read; a short copy comes first.
+pub fn edge_reads() -> Vec<SeqRecord> {
+    let long = "ACGTTGCAAGGCTTACCGATGGCATTACGGATCCATGACTGACCGTA";
+    let with_n = "ACGTTGCAAGGCTTANCGATGGCATTACGGATCCATGACTGACCGTA";
+    let (short, tiny) = ("ACGTAC", "GG");
+    let seqs = [short, long, with_n, short, tiny, with_n, long, short, tiny];
+    let read = |(i, seq): (usize, &str)| SeqRecord::new(format!("e{i}"), seq.as_bytes().to_vec());
+    seqs.into_iter().enumerate().map(read).collect()
+}
+
+/// Strategy: sequences over `ACGT` whose length lies in `len`.
+pub fn dna(len: Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+    proptest::collection::vec(proptest::sample::select(b"ACGT".to_vec()), len)
 }

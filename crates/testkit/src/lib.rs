@@ -3,10 +3,13 @@
 //! crates, plus the `routes_agree` identity harness
 //! (`tests/routes_agree.rs`).
 //!
-//! A dev-dependency only (`publish = false`). Tests that use it live in
-//! a crate's `tests/`: a crate's own `#[cfg(test)]` unit tests would see
-//! a second build of that crate, whose types differ from the ones these
-//! helpers name.
+//! A dev-dependency only (`publish = false`), so `cargo test -p` of any
+//! crate builds the workspace. A crate's own `#[cfg(test)]` unit tests
+//! see a second build of that crate, whose types differ from the ones
+//! these helpers name: they may call a helper whose signature names
+//! none of that crate's types (`kernels::reverse_complement` anywhere,
+//! `community::two_species` outside `mrmc-seqio`); every other use lives
+//! in the crate's `tests/`.
 //!
 //! * [`kernels`] — textbook forms of the sketch, hash and estimator
 //!   kernels, the k-mer decoder, the Spearman distance and the LPT
@@ -15,7 +18,7 @@
 //!   per-read θ-graph of a grouped one, single linkage as components and
 //!   a spanning forest.
 //! * [`mod@community`] — two-species and Huse read sets, planted copies,
-//!   the harness's community draw.
+//!   the harness's community draw, fixed edge reads, a DNA strategy.
 //! * [`routes`] — the ungrouped native route, Algorithm 1's scan and
 //!   Algorithm 3 through the Pig runner.
 

@@ -35,7 +35,7 @@ use mrmc_mapreduce::obs::Tracer;
 use mrmc_mapreduce::pipeline::{Pipeline, StageReport};
 use mrmc_seqio::SeqRecord;
 use mrmc_server::{AdmissionLimits, Client, SeedConfig, Server, ServerConfig, ServerHandle};
-use mrmc_testkit::community::community;
+use mrmc_testkit::community::{community, edge_reads};
 use mrmc_testkit::linkage::{expand, same_hierarchy};
 use mrmc_testkit::routes::{greedy_scan, pig_labels, with_kmer, Ungrouped};
 
@@ -305,6 +305,7 @@ fn faults_are_invisible(
     };
     let what = format!("P5 {:?} {:?} under {plan:?}", cfg.mode, cfg.candidates);
     let (first, second) = (run(), run());
+    assert!(clean.recovery().is_clean(), "{what}: the clean run");
     assert_eq!(first.assignment, clean.assignment, "{what}: assignment");
     assert_eq!(first.dendrogram, clean.dendrogram, "{what}: dendrogram");
     let counters = first.recovery();
@@ -356,5 +357,29 @@ proptest! {
         }
         let at = arm(mode, linkage, banded);
         faults_are_invisible(&reads, arm_config(base, at), &runs[at], &mut rng);
+    }
+}
+
+/// P1 and P2 on the inputs the draw reaches only by chance: reads
+/// shorter than k, with `N`, and their copies mixed; all copies of one
+/// read; all copies of a short read; one read; no read.
+#[test]
+fn edge_cases() {
+    let mixed = edge_reads();
+    let cases = [
+        ("mixed", mixed.clone()),
+        ("all copies", vec![mixed[1].clone(); 5]),
+        ("all short copies", vec![mixed[0].clone(); 4]),
+        ("one read", mixed[1..2].to_vec()),
+        ("empty", Vec::new()),
+    ];
+    for (what, reads) in cases {
+        for theta in [0.8, 0.95, 1.0] {
+            println!("{what}, θ = {theta}");
+            let base = MrMcConfig::sixteen_s().with_theta(theta);
+            let oracle = Ungrouped::new(&reads, &base);
+            let runs = dereplication_is_invisible(&reads, base, &oracle);
+            banded_as_promised(theta, &runs, &oracle);
+        }
     }
 }
