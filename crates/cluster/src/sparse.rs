@@ -6,8 +6,10 @@
 //! in compressed sparse rows; every absent pair reads as similarity
 //! 0.0, so the graph is the zero-filled θ-graph: edges at or above θ
 //! are exact, every pair below θ reads 0.0. Algorithm 2 over it cuts
-//! at θ exactly as the dense matrix does for single and complete
-//! linkage, which look only at whether pairs clear θ. Average linkage
+//! at θ exactly as the dense matrix does for single linkage, which
+//! looks only at whether pairs clear θ, and for complete linkage while
+//! no two merges in [θ, 1) tie (a tie's order reads the pruned sub-θ
+//! values). Average linkage
 //! sums the sub-θ similarities the graph zeroes, so its θ-cut can
 //! differ from the dense one (Huse 8k: 3 686 clusters banded against
 //! 3 674 dense; FS396: 8 777 against 8 770).

@@ -173,10 +173,11 @@ impl MrMcMinH {
             (Mode::Hierarchical, CandidateGen::Banded) => {
                 // Algorithm 2 over the zero-filled θ-graph (missing
                 // pairs read as similarity 0). Its θ-cut is exact for
-                // single and complete linkage, not for average linkage:
-                // a pruned pair pulls a cluster average down, so this
-                // arm can return more clusters than dense (DESIGN.md
-                // §5c). Copies share every band and score 1.0, so each
+                // single linkage, and for complete linkage while no two
+                // merges in [θ, 1) tie (a tie's order follows sub-θ
+                // values the graph prunes); not for average linkage: a
+                // pruned pair pulls a cluster average down, so this arm
+                // can return more clusters than dense (DESIGN.md §5c). Copies share every band and score 1.0, so each
                 // group is one weighted vertex of the distinct graph,
                 // as in the dense arm.
                 let graph = banded_graph_stage(&distinct, &self.config, &mut pipeline)?;

@@ -1,17 +1,25 @@
-//! Seeded mutation fuzzing of the text the library parses: the
-//! Algorithm 3 script through `parse_script`, and FASTA and FASTQ
-//! records through `read_fasta_bytes` and `read_fastq_bytes`. Each
+//! Seeded mutation fuzzing of what the library parses and evaluates:
+//! the Algorithm 3 script through `parse_script`, FASTA and FASTQ
+//! records through `read_fasta_bytes` and `read_fastq_bytes`, and the
+//! argument windows of the four columnar Algorithm 3 UDFs. A text
 //! mutant is the valid text with a few random byte-level insertions,
-//! deletions and replacements, or a truncation. A parser must answer
-//! every mutant with `Ok` or its typed error; a panic fails the test.
-//! These are guards: they hold the parsers to that contract, they do
-//! not exercise any fixed fault.
+//! deletions and replacements, or a truncation; a parser must answer
+//! every mutant with `Ok` or its typed error. An argument mutant is a
+//! valid call with values nulled, retyped, emptied or cut short, an
+//! argument moved between column and scalar, or arguments dropped; a
+//! UDF must answer with `Ok` or a `UdfError` naming it. A panic fails
+//! the test. These are guards: they hold the parsers and kernels to
+//! that contract, they do not exercise any fixed fault.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use mrmc::algorithm3_script;
-use mrmc_pig::parse_script;
+use mrmc::udfs::{
+    AgglomerativeHierarchicalClustering, CalculateMinwiseHash, CalculatePairwiseSimilarity,
+    TranslateToKmer,
+};
+use mrmc_pig::{parse_script, BatchArg, BatchOut, Column, Udf, Value};
 use mrmc_seqio::{read_fasta_bytes, read_fastq_bytes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,4 +119,189 @@ fn fasta_and_fastq_mutants_read_or_error() {
     fuzz(45, &bytes(fastq), 4_000, |mutant| {
         let _ = read_fastq_bytes(mutant);
     });
+}
+
+/// `v` with one random fault deep inside it: nulled, an `Int`, `Long`
+/// or `Double` swapped for another, a chararray made a long, a bag
+/// emptied or cut short, a tuple cut short (ragged) — or unchanged.
+fn mutate_value(rng: &mut StdRng, v: &Value) -> Value {
+    match (rng.random_range(0..8), v) {
+        (0, _) => Value::Null,
+        (1, Value::Long(x)) => Value::Int(*x as i32),
+        (1, Value::Int(x)) => Value::Double(f64::from(*x)),
+        (1, Value::Double(x)) => Value::Long(*x as i64),
+        (1, Value::CharArray(_)) => Value::Long(7),
+        (2, Value::Bag(b)) => Value::Bag(b[..rng.random_range(0..=b.len())].to_vec()),
+        (3, Value::Tuple(t)) if !t.is_empty() => Value::Tuple(t[..t.len() - 1].to_vec()),
+        (4..=6, Value::Bag(vs) | Value::Tuple(vs)) if !vs.is_empty() => {
+            let mut vs = vs.clone();
+            let at = rng.random_range(0..vs.len());
+            vs[at] = mutate_value(rng, &vs[at]);
+            match v {
+                Value::Bag(_) => Value::Bag(vs),
+                _ => Value::Tuple(vs),
+            }
+        }
+        _ => v.clone(),
+    }
+}
+
+/// One argument of a call: a column of values (`Column::from_values`,
+/// so a mixed one is `Dyn`), or a broadcast value.
+enum Arg {
+    Column(Vec<Value>),
+    Scalar(Value),
+}
+
+/// Draw a hostile call of `udf` from the valid `protos` (a column arg
+/// is a pool of rows): `len` rows at window start `start`, each value
+/// faulted one time in four, each argument moved between column and
+/// scalar one time in eight, one call in eight missing its trailing
+/// arguments. The call must return `Ok` with `len` rows, or a
+/// `UdfError` that names `udf`; returns whether it was `Ok`.
+fn hostile_call(rng: &mut StdRng, udf: &dyn Udf, protos: &[Arg]) -> bool {
+    let (start, len): (usize, usize) = (rng.random_range(0..3), rng.random_range(1..5));
+    let draw = |rng: &mut StdRng, pool: &[Value]| {
+        let v = &pool[rng.random_range(0..pool.len())];
+        match rng.random_range(0..4) {
+            0 => mutate_value(rng, v),
+            _ => v.clone(),
+        }
+    };
+    let mut args: Vec<Arg> = protos
+        .iter()
+        .map(|proto| match (proto, rng.random_range(0..8)) {
+            (Arg::Column(pool), 0) => Arg::Scalar(draw(rng, pool)),
+            (Arg::Column(pool), _) => {
+                let rows = start + len + rng.random_range(0..2usize);
+                Arg::Column((0..rows).map(|_| draw(rng, pool)).collect())
+            }
+            (Arg::Scalar(v), 0) => Arg::Column(vec![v.clone(); start + len]),
+            (Arg::Scalar(v), _) => Arg::Scalar(draw(rng, std::slice::from_ref(v))),
+        })
+        .collect();
+    args.truncate(match rng.random_range(0..8) {
+        0 => rng.random_range(0..protos.len()),
+        _ => protos.len(),
+    });
+    let cols: Vec<Column> = args
+        .iter()
+        .filter_map(|arg| match arg {
+            Arg::Column(vals) => Some(Column::from_values(vals.clone())),
+            Arg::Scalar(_) => None,
+        })
+        .collect();
+    let mut cols = cols.iter();
+    let call: Vec<BatchArg<'_>> = args
+        .iter()
+        .map(|arg| match arg {
+            Arg::Column(_) => BatchArg::Column {
+                col: cols.next().expect("one column per column arg"),
+                start,
+                len,
+            },
+            Arg::Scalar(value) => BatchArg::Scalar { value, len },
+        })
+        .collect();
+    let what = format!("{} over {len} rows at {start}", udf.name());
+    let got = match catch_unwind(AssertUnwindSafe(|| udf.eval_batch(&call, len))) {
+        Err(_) => panic!("{what} panicked"),
+        Ok(Err(e)) => {
+            assert_eq!(e.udf, udf.name(), "{what}: {e}");
+            return false;
+        }
+        Ok(Ok(BatchOut::Col(c))) => c.len(),
+        Ok(Ok(BatchOut::Tup(b))) => b.rows(),
+        Ok(Ok(BatchOut::Rows(v))) => v.len(),
+    };
+    assert_eq!(got, len, "{what}: row count");
+    true
+}
+
+fn chars(s: &str) -> Value {
+    Value::CharArray(s.into())
+}
+
+/// A bag of the tuples `rows`.
+fn bag(rows: Vec<Vec<Value>>) -> Value {
+    Value::bag(rows.into_iter().map(Value::tuple).collect::<Vec<_>>())
+}
+
+/// `E`'s and `J`'s sketch: a bag of longs.
+fn sketch(vals: &[i64]) -> Value {
+    Value::bag(vals.iter().map(|&v| Value::Long(v)).collect::<Vec<_>>())
+}
+
+#[test]
+fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
+    let kmers = |id, kms: &[i64]| {
+        bag(kms
+            .iter()
+            .map(|&k| vec![Value::Long(k), chars(id)])
+            .collect())
+    };
+    let sims = |row: &[(&str, f64)]| {
+        bag(row
+            .iter()
+            .map(|&(id, sim)| vec![chars(id), Value::Double(sim)])
+            .collect())
+    };
+    use Arg::{Column as Col, Scalar};
+    let kernels: [(&dyn Udf, Vec<Arg>); 4] = [
+        (
+            &TranslateToKmer,
+            vec![
+                Col(vec![chars("ACGTACGGT"), chars("GGNNACGT"), chars("AC")]),
+                Col(vec![chars("a"), chars("b")]),
+                Scalar(Value::Long(3)),
+            ],
+        ),
+        (
+            &CalculateMinwiseHash,
+            vec![
+                Col(vec![
+                    kmers("a", &[5, 9, 60]),
+                    kmers("b", &[7]),
+                    kmers("c", &[1, 1]),
+                ]),
+                Scalar(Value::Long(3)),
+                Scalar(Value::Long(8)),
+                Scalar(Value::Long(1_048_583)),
+            ],
+        ),
+        (
+            &CalculatePairwiseSimilarity,
+            vec![
+                Col(vec![sketch(&[1, 2, -1, 4]), sketch(&[1 << 40, 2, 3, 4])]),
+                Col(vec![chars("a"), chars("b"), chars("z")]),
+                Scalar(bag(vec![
+                    vec![sketch(&[1, 2, -1, 4]), chars("a")],
+                    vec![sketch(&[1, 5, 3, 4]), chars("b")],
+                    vec![sketch(&[-1, -1, -1, -1]), chars("c")],
+                ])),
+            ],
+        ),
+        (
+            &AgglomerativeHierarchicalClustering,
+            vec![
+                Col(vec![bag(vec![
+                    vec![chars("a"), sims(&[("b", 0.75), ("c", 0.0)])],
+                    vec![chars("b"), sims(&[("a", 0.75), ("c", 0.25)])],
+                    vec![chars("c"), sims(&[("a", 0.0), ("b", 0.25)])],
+                ])]),
+                Scalar(chars("average")),
+                Scalar(Value::Long(4)),
+                Scalar(Value::Double(0.6)),
+            ],
+        ),
+    ];
+    let mut rng = StdRng::seed_from_u64(46);
+    for (udf, protos) in &kernels {
+        let ok = (0..1_500)
+            .filter(|_| hostile_call(&mut rng, *udf, protos))
+            .count();
+        // Both answers are reached: the draw is neither all faults nor
+        // all valid calls.
+        assert!(0 < ok && ok < 1_500, "{}: {ok} of 1500 Ok", udf.name());
+    }
 }

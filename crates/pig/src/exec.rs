@@ -689,8 +689,10 @@ impl PigRunner {
             .ok_or_else(|| PigError::UnknownUdf(loader_name.to_string()))?;
         // The DFS hands back shared bytes; the loader sees a zero-copy
         // window, not a per-load heap copy.
-        let bytes = self.dfs.read(path)?;
-        let out = udf.exec(&[Value::ByteArray(bytes)])?;
+        let bytes = Value::ByteArray(self.dfs.read(path)?);
+        let one_row = |value| BatchArg::Scalar { value, len: 1 };
+        let out = udf.eval_batch(&[one_row(&bytes)], 1)?.into_row(0);
+        let out = out.ok_or_else(|| UdfError::new(loader_name, "returned no row"))?;
         let mut rows = match out {
             Value::Bag(rows) => rows,
             other => vec![other],

@@ -2,12 +2,11 @@
 //!
 //! Pig UDFs in the paper are Java classes (`FastaStorage`,
 //! `CalculateMinwiseHash`, …); here a UDF is any `Send + Sync` type
-//! implementing [`Udf`]. The executor hands each UDF whole column
-//! windows through [`Udf::eval_batch`], whose provided body calls
-//! [`Udf::exec`] once per row; returning a [`Value::Bag`] combined
-//! with `FLATTEN(...)` yields multiple output rows, exactly like Pig.
-//! A UDF overrides `eval_batch` with a columnar kernel only where a
-//! measured workload shows the kernel paying.
+//! implementing [`Udf`], whose one evaluation method,
+//! [`Udf::eval_batch`], takes whole column windows. A columnar kernel
+//! is written against the windows; a row-at-a-time body is lifted
+//! through [`scalar_rows`]. Returning a [`Value::Bag`] combined with
+//! `FLATTEN(...)` yields multiple output rows, exactly like Pig.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -47,17 +46,11 @@ pub trait Udf: Send + Sync {
     /// Registered (and script-visible) name.
     fn name(&self) -> &str;
 
-    /// Evaluate on already-evaluated arguments.
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError>;
-
     /// Evaluate `rows` rows in one call; every argument has exactly
-    /// `rows` rows. The result holds one value per row, each
-    /// bit-identical to [`Udf::exec`] on that row's arguments. The
-    /// provided body is [`scalar_rows`]; override it with a columnar
-    /// kernel only where a workload measures the kernel faster.
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(self, args, rows)
-    }
+    /// `rows` rows, and the result holds one value per row. A one-row
+    /// call passes `BatchArg::Scalar { len: 1 }` arguments and reads
+    /// [`BatchOut::into_row`]`(0)`.
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError>;
 }
 
 // ---------------------------------------------------------- batch ABI
@@ -109,27 +102,35 @@ impl BatchArg<'_> {
 pub enum BatchOut {
     /// One value per row, already columnar.
     Col(Column),
-    /// One value per row, boxed (the executor columnarizes; the
-    /// provided `eval_batch` and irregular outputs use this).
+    /// One value per row, boxed (the executor columnarizes;
+    /// [`scalar_rows`] and irregular outputs use this).
     Rows(Vec<Value>),
     /// One *tuple* per row, kept columnar — `FLATTEN` of this output
     /// appends the batch's columns without materializing tuples.
     Tup(ColumnBatch),
 }
 
-/// [`Udf::exec`] row by row over batch arguments, with one reused
-/// argument buffer — the provided [`Udf::eval_batch`], and the
-/// fallback an override takes for an argument layout it does not
-/// vectorize. Scalar argument slots (literals, `GROUP ALL`
-/// aggregates) are filled **once** per batch instead of cloned per
-/// row — for Algorithm 3 that alone removes a per-row deep copy of
-/// the full minwise-sketch bag.
-pub fn scalar_rows<U: Udf + ?Sized>(
-    udf: &U,
+impl BatchOut {
+    /// Row `row`'s value, boxed; `None` past the last row.
+    pub fn into_row(self, row: usize) -> Option<Value> {
+        match self {
+            BatchOut::Col(c) => (row < c.len()).then(|| c.value_at(row)),
+            BatchOut::Rows(v) => v.into_iter().nth(row),
+            BatchOut::Tup(b) => (row < b.rows()).then(|| b.row_value(row)),
+        }
+    }
+}
+
+/// A row-at-a-time body lifted over batch arguments: `body` sees each
+/// row's argument values in one reused buffer. Scalar argument slots
+/// (literals, `GROUP ALL` aggregates) are filled **once** per batch
+/// instead of cloned per row — for Algorithm 3 that alone removes a
+/// per-row deep copy of the full minwise-sketch bag.
+pub fn scalar_rows(
     args: &[BatchArg<'_>],
     rows: usize,
+    mut body: impl FnMut(&[Value]) -> Result<Value, UdfError>,
 ) -> Result<BatchOut, UdfError> {
-    // Scalar slots are cloned once here and reused for every row.
     let mut buf: Vec<Value> = args
         .iter()
         .map(|a| a.as_scalar().cloned().unwrap_or(Value::Null))
@@ -141,7 +142,7 @@ pub fn scalar_rows<U: Udf + ?Sized>(
                 *slot = col.value_at(start + i);
             }
         }
-        out.push(udf.exec(&buf)?);
+        out.push(body(&buf)?);
     }
     Ok(BatchOut::Rows(out))
 }
@@ -170,8 +171,7 @@ impl UdfRegistry {
         r
     }
 
-    /// Register (or replace) a UDF under its own name; a replacement
-    /// brings its own `exec` and `eval_batch`.
+    /// Register (or replace) a UDF under its own name.
     pub fn register(&mut self, udf: Arc<dyn Udf>) {
         self.map.insert(udf.name().to_ascii_lowercase(), udf);
     }
@@ -205,16 +205,18 @@ impl Udf for Tokenize {
     fn name(&self) -> &str {
         "TOKENIZE"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let s = args
-            .first()
-            .and_then(Value::as_str)
-            .ok_or_else(|| UdfError::new("TOKENIZE", "expected one chararray"))?;
-        Ok(Value::bag(
-            s.split_whitespace()
-                .map(|w| Value::tuple([Value::CharArray(w.to_string())]))
-                .collect::<Vec<_>>(),
-        ))
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            let s = args
+                .first()
+                .and_then(Value::as_str)
+                .ok_or_else(|| UdfError::new("TOKENIZE", "expected one chararray"))?;
+            Ok(Value::bag(
+                s.split_whitespace()
+                    .map(|w| Value::tuple([Value::CharArray(w.to_string())]))
+                    .collect::<Vec<_>>(),
+            ))
+        })
     }
 }
 
@@ -224,12 +226,14 @@ impl Udf for Count {
     fn name(&self) -> &str {
         "COUNT"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let b = args
-            .first()
-            .and_then(Value::as_bag)
-            .ok_or_else(|| UdfError::new("COUNT", "expected one bag"))?;
-        Ok(Value::Long(b.len() as i64))
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            let b = args
+                .first()
+                .and_then(Value::as_bag)
+                .ok_or_else(|| UdfError::new("COUNT", "expected one bag"))?;
+            Ok(Value::Long(b.len() as i64))
+        })
     }
 }
 
@@ -239,12 +243,14 @@ impl Udf for Upper {
     fn name(&self) -> &str {
         "UPPER"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let s = args
-            .first()
-            .and_then(Value::as_str)
-            .ok_or_else(|| UdfError::new("UPPER", "expected one chararray"))?;
-        Ok(Value::CharArray(s.to_ascii_uppercase()))
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            let s = args
+                .first()
+                .and_then(Value::as_str)
+                .ok_or_else(|| UdfError::new("UPPER", "expected one chararray"))?;
+            Ok(Value::CharArray(s.to_ascii_uppercase()))
+        })
     }
 }
 
@@ -254,17 +260,19 @@ impl Udf for Concat {
     fn name(&self) -> &str {
         "CONCAT"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        if args.len() != 2 {
-            return Err(UdfError::new("CONCAT", "expected two arguments"));
-        }
-        let a = args[0]
-            .as_str()
-            .ok_or_else(|| UdfError::new("CONCAT", "arg 1 must be chararray"))?;
-        let b = args[1]
-            .as_str()
-            .ok_or_else(|| UdfError::new("CONCAT", "arg 2 must be chararray"))?;
-        Ok(Value::CharArray(format!("{a}{b}")))
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            if args.len() != 2 {
+                return Err(UdfError::new("CONCAT", "expected two arguments"));
+            }
+            let a = args[0]
+                .as_str()
+                .ok_or_else(|| UdfError::new("CONCAT", "arg 1 must be chararray"))?;
+            let b = args[1]
+                .as_str()
+                .ok_or_else(|| UdfError::new("CONCAT", "arg 2 must be chararray"))?;
+            Ok(Value::CharArray(format!("{a}{b}")))
+        })
     }
 }
 
@@ -274,23 +282,34 @@ impl Udf for TextLoader {
     fn name(&self) -> &str {
         "TextLoader"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let bytes = args
-            .first()
-            .and_then(Value::as_bytes)
-            .ok_or_else(|| UdfError::new("TextLoader", "expected file bytes"))?;
-        let text = String::from_utf8_lossy(bytes);
-        Ok(Value::bag(
-            text.lines()
-                .map(|l| Value::tuple([Value::CharArray(l.to_string())]))
-                .collect::<Vec<_>>(),
-        ))
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            let bytes = args
+                .first()
+                .and_then(Value::as_bytes)
+                .ok_or_else(|| UdfError::new("TextLoader", "expected file bytes"))?;
+            let text = String::from_utf8_lossy(bytes);
+            Ok(Value::bag(
+                text.lines()
+                    .map(|l| Value::tuple([Value::CharArray(l.to_string())]))
+                    .collect::<Vec<_>>(),
+            ))
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `udf` on one row of `args`, each a one-row broadcast.
+    fn one_row(udf: &dyn Udf, args: &[Value]) -> Result<Value, UdfError> {
+        let args: Vec<BatchArg<'_>> = args
+            .iter()
+            .map(|value| BatchArg::Scalar { value, len: 1 })
+            .collect();
+        Ok(udf.eval_batch(&args, 1)?.into_row(0).expect("one row"))
+    }
 
     #[test]
     fn registry_case_insensitive() {
@@ -304,11 +323,11 @@ mod tests {
     #[test]
     fn tokenize_splits_words() {
         let r = UdfRegistry::with_builtins();
-        let out = r
-            .get("TOKENIZE")
-            .unwrap()
-            .exec(&[Value::CharArray("a b  c".into())])
-            .unwrap();
+        let out = one_row(
+            &*r.get("TOKENIZE").unwrap(),
+            &[Value::CharArray("a b  c".into())],
+        )
+        .unwrap();
         let bag = out.as_bag().unwrap();
         assert_eq!(bag.len(), 3);
         assert_eq!(bag[0], Value::tuple([Value::CharArray("a".into())]));
@@ -317,39 +336,35 @@ mod tests {
     #[test]
     fn count_counts() {
         let r = UdfRegistry::with_builtins();
-        let out = r
-            .get("COUNT")
-            .unwrap()
-            .exec(&[Value::bag([Value::Int(1), Value::Int(2)])])
-            .unwrap();
+        let out = one_row(
+            &*r.get("COUNT").unwrap(),
+            &[Value::bag([Value::Int(1), Value::Int(2)])],
+        )
+        .unwrap();
         assert_eq!(out, Value::Long(2));
     }
 
     #[test]
     fn wrong_arg_types_error() {
         let r = UdfRegistry::with_builtins();
-        assert!(r.get("COUNT").unwrap().exec(&[Value::Int(1)]).is_err());
-        assert!(r.get("TOKENIZE").unwrap().exec(&[]).is_err());
-        assert!(r
-            .get("CONCAT")
-            .unwrap()
-            .exec(&[Value::CharArray("x".into())])
-            .is_err());
+        let call = |name: &str, args: &[Value]| one_row(&*r.get(name).unwrap(), args);
+        assert!(call("COUNT", &[Value::Int(1)]).is_err());
+        assert!(call("TOKENIZE", &[]).is_err());
+        assert!(call("CONCAT", &[Value::CharArray("x".into())]).is_err());
     }
 
     #[test]
     fn text_loader_lines() {
-        let out = TextLoader
-            .exec(&[Value::ByteArray(bytes::Bytes::from_static(b"one\ntwo\n"))])
-            .unwrap();
+        let bytes = Value::ByteArray(bytes::Bytes::from_static(b"one\ntwo\n"));
+        let out = one_row(&TextLoader, &[bytes]).unwrap();
         assert_eq!(out.as_bag().unwrap().len(), 2);
     }
 
     #[test]
-    fn provided_eval_batch_lifts_exec() {
+    fn scalar_rows_lifts_a_row_body() {
         let r = UdfRegistry::with_builtins();
-        // CONCAT keeps the provided `eval_batch`: one `exec` per row,
-        // the scalar argument broadcast without per-row clones.
+        // CONCAT's body runs once per row, the scalar argument
+        // broadcast without per-row clones.
         let concat = r.get("CONCAT").unwrap();
         let col = Column::from_values(vec![
             Value::CharArray("a".into()),
@@ -388,18 +403,19 @@ mod tests {
             fn name(&self) -> &str {
                 "COUNT"
             }
-            fn exec(&self, _args: &[Value]) -> Result<Value, UdfError> {
-                Ok(Value::Long(-1))
+            fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+                scalar_rows(args, rows, |_| Ok(Value::Long(-1)))
             }
         }
         let mut r = UdfRegistry::with_builtins();
         r.register(Arc::new(Custom));
-        // `exec` and `eval_batch` are replaced together.
         let count = r.get("count").unwrap();
-        assert_eq!(count.exec(&[]).unwrap(), Value::Long(-1));
+        assert_eq!(one_row(&*count, &[]).unwrap(), Value::Long(-1));
         let BatchOut::Rows(rows) = count.eval_batch(&[], 2).unwrap() else {
             panic!("the lift returns rows")
         };
         assert_eq!(rows, vec![Value::Long(-1); 2]);
+        // Past the last row there is no value.
+        assert_eq!(count.eval_batch(&[], 2).unwrap().into_row(2), None);
     }
 }

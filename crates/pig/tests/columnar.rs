@@ -14,8 +14,8 @@
 //!    FLATTEN corners (empty bags, bare non-tuple bag elements, mixed
 //!    bag/scalar expression outputs, nulls, ragged tuples). The
 //!    reference runs no job and shares no code with `exec.rs`: boxed
-//!    `Vec<Value>` rows over the parser's public AST, scalar
-//!    `Udf::exec`, and the shuffle pricing `engine.rs` documents.
+//!    `Vec<Value>` rows over the parser's public AST, one-row UDF
+//!    calls, and the shuffle pricing `engine.rs` documents.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig};
 use mrmc_mapreduce::ShuffleSized;
-use mrmc_pig::udf::{BatchArg, BatchOut, Udf, UdfError};
+use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, Udf, UdfError};
 use mrmc_pig::{parse_script, ColumnBatch, PigRunner, UdfRegistry, Value};
 
 // ----------------------------------------------------- value round-trips
@@ -197,15 +197,15 @@ proptest! {
 
 /// An engine-free interpreter of the supported Pig subset: the oracle
 /// the executor is compared against. Relations are `Vec<Value>` of
-/// tuples, UDFs are called one row at a time through the scalar
-/// `Udf::exec`, nothing is chunked, shuffled or run as a job.
+/// tuples, UDFs are called one row at a time ([`reference::call`]),
+/// nothing is chunked, shuffled or run as a job.
 mod reference {
     use std::collections::{BTreeMap, HashMap};
 
     use mrmc_mapreduce::wire::uvarint_len;
     use mrmc_mapreduce::{chunk_ranges, ShuffleSized};
     use mrmc_pig::parser::{Expr, GenItem, GroupBy, Operator};
-    use mrmc_pig::{Script, Statement, UdfRegistry, Value};
+    use mrmc_pig::{BatchArg, Script, Statement, Udf, UdfRegistry, Value};
 
     struct Rel {
         rows: Vec<Value>,
@@ -241,6 +241,16 @@ mod reference {
             }
         }
         bytes
+    }
+
+    /// `udf` on one row: every argument a one-row broadcast.
+    pub fn call(udf: &dyn Udf, args: &[Value]) -> Value {
+        let args: Vec<BatchArg<'_>> = args
+            .iter()
+            .map(|value| BatchArg::Scalar { value, len: 1 })
+            .collect();
+        let out = udf.eval_batch(&args, 1).unwrap_or_else(|e| panic!("{e}"));
+        out.into_row(0).expect("one row")
     }
 
     fn fields(row: &Value) -> &[Value] {
@@ -280,8 +290,7 @@ mod reference {
                 }
                 Expr::Udf { name, args } => {
                     let args: Vec<Value> = args.iter().map(|a| self.eval(a, row, schema)).collect();
-                    let udf = self.registry.get(name).expect("registered UDF");
-                    udf.exec(&args).unwrap_or_else(|e| panic!("{e}"))
+                    call(&*self.registry.get(name).expect("registered UDF"), &args)
                 }
             }
         }
@@ -346,9 +355,7 @@ mod reference {
                 Operator::Load { loader, schema, .. } => {
                     let loader = loader.as_deref().unwrap_or("TextLoader");
                     let udf = registry.get(loader).expect("registered loader");
-                    let loaded = udf
-                        .exec(&[Value::ByteArray(input.to_vec().into())])
-                        .unwrap_or_else(|e| panic!("{e}"));
+                    let loaded = call(&*udf, &[Value::ByteArray(input.to_vec().into())]);
                     // A relation is a bag of tuples: a bare value is
                     // a tuple of one field.
                     let rows: Vec<Value> = match loaded {
@@ -428,15 +435,17 @@ impl Udf for Nullify {
     fn name(&self) -> &str {
         "Nullify"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let s = args
-            .first()
-            .and_then(Value::as_str)
-            .ok_or_else(|| UdfError::new("Nullify", "expected one chararray"))?;
-        Ok(if s.len() % 2 == 0 {
-            Value::Null
-        } else {
-            Value::CharArray(s.to_string())
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            let s = args
+                .first()
+                .and_then(Value::as_str)
+                .ok_or_else(|| UdfError::new("Nullify", "expected one chararray"))?;
+            Ok(if s.len() % 2 == 0 {
+                Value::Null
+            } else {
+                Value::CharArray(s.to_string())
+            })
         })
     }
 }
@@ -448,16 +457,18 @@ impl Udf for Chars {
     fn name(&self) -> &str {
         "Chars"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let s = args
-            .first()
-            .and_then(Value::as_str)
-            .ok_or_else(|| UdfError::new("Chars", "expected one chararray"))?;
-        Ok(Value::bag(
-            s.chars()
-                .map(|c| Value::CharArray(c.to_string()))
-                .collect::<Vec<_>>(),
-        ))
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            let s = args
+                .first()
+                .and_then(Value::as_str)
+                .ok_or_else(|| UdfError::new("Chars", "expected one chararray"))?;
+            Ok(Value::bag(
+                s.chars()
+                    .map(|c| Value::CharArray(c.to_string()))
+                    .collect::<Vec<_>>(),
+            ))
+        })
     }
 }
 
@@ -470,21 +481,23 @@ impl Udf for MixBag {
     fn name(&self) -> &str {
         "MixBag"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let s = args
-            .first()
-            .and_then(Value::as_str)
-            .ok_or_else(|| UdfError::new("MixBag", "expected one chararray"))?;
-        Ok(match s.bytes().next() {
-            Some(c) if c <= b'm' => Value::bag(
-                s.chars()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        Value::tuple([Value::CharArray(c.to_string()), Value::Long(i as i64)])
-                    })
-                    .collect::<Vec<_>>(),
-            ),
-            _ => Value::CharArray(s.to_string()),
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            let s = args
+                .first()
+                .and_then(Value::as_str)
+                .ok_or_else(|| UdfError::new("MixBag", "expected one chararray"))?;
+            Ok(match s.bytes().next() {
+                Some(c) if c <= b'm' => Value::bag(
+                    s.chars()
+                        .enumerate()
+                        .map(|(i, c)| {
+                            Value::tuple([Value::CharArray(c.to_string()), Value::Long(i as i64)])
+                        })
+                        .collect::<Vec<_>>(),
+                ),
+                _ => Value::CharArray(s.to_string()),
+            })
         })
     }
 }
@@ -496,17 +509,19 @@ impl Udf for BareLines {
     fn name(&self) -> &str {
         "BareLines"
     }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        let bytes = args
-            .first()
-            .and_then(Value::as_bytes)
-            .ok_or_else(|| UdfError::new("BareLines", "expected file bytes"))?;
-        Ok(Value::bag(
-            String::from_utf8_lossy(bytes)
-                .lines()
-                .map(|l| Value::CharArray(l.to_string()))
-                .collect::<Vec<_>>(),
-        ))
+    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        scalar_rows(args, rows, |args| {
+            let bytes = args
+                .first()
+                .and_then(Value::as_bytes)
+                .ok_or_else(|| UdfError::new("BareLines", "expected file bytes"))?;
+            Ok(Value::bag(
+                String::from_utf8_lossy(bytes)
+                    .lines()
+                    .map(|l| Value::CharArray(l.to_string()))
+                    .collect::<Vec<_>>(),
+            ))
+        })
     }
 }
 
@@ -771,15 +786,12 @@ fn bare_loader_values_load_as_one_column() {
 
 // ------------------------------------------------- batch result contract
 
-/// `OneRow(s)` → `s`, but its `eval_batch` override returns one row
-/// whatever the chunk's length: a broken override.
+/// `OneRow(s)` returns one row whatever the chunk's length: a broken
+/// UDF.
 struct OneRow;
 impl Udf for OneRow {
     fn name(&self) -> &str {
         "OneRow"
-    }
-    fn exec(&self, args: &[Value]) -> Result<Value, UdfError> {
-        Ok(args.first().cloned().unwrap_or(Value::Null))
     }
     fn eval_batch(&self, _args: &[BatchArg<'_>], _rows: usize) -> Result<BatchOut, UdfError> {
         Ok(BatchOut::Rows(vec![Value::Null]))

@@ -1,7 +1,6 @@
 //! Test support for the MrMC-MinH workspace: every oracle and read
 //! generator the tests share, kept once and outside the production
-//! crates, plus the `routes_agree` identity harness
-//! (`tests/routes_agree.rs`).
+//! crates, plus the `routes_agree` identity harness ([`agree`]).
 //!
 //! A dev-dependency only (`publish = false`), so `cargo test -p` of any
 //! crate builds the workspace. A crate's own `#[cfg(test)]` unit tests
@@ -11,6 +10,9 @@
 //! `community::two_species` outside `mrmc-seqio`); every other use lives
 //! in the crate's `tests/`.
 //!
+//! * [`agree`] — P1–P5 on one drawn case, the body of the
+//!   `routes_agree` property (`tests/routes_agree.rs`) and of the root
+//!   package's fixed-draw smoke test.
 //! * [`kernels`] — textbook forms of the sketch, hash and estimator
 //!   kernels, the k-mer decoder, the Spearman distance and the LPT
 //!   makespan.
@@ -22,6 +24,7 @@
 //! * [`routes`] — the ungrouped native route, Algorithm 1's scan and
 //!   Algorithm 3 through the Pig runner.
 
+pub mod agree;
 pub mod community;
 pub mod kernels;
 pub mod linkage;
