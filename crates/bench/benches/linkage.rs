@@ -1,15 +1,31 @@
 //! Hierarchical-clustering kernels: the NN-chain per linkage policy, on
-//! a dense matrix and on a sparse θ-graph, plus matrix construction
-//! (sequential vs row-parallel).
+//! a dense matrix, on Stage 2's agreement counts and on a sparse
+//! θ-graph, plus matrix construction (sequential vs row-parallel).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use mrmc_cluster::{agglomerative, agglomerative_sparse, CondensedMatrix, Linkage, SparseSimGraph};
+use mrmc_cluster::{
+    agglomerative, agglomerative_sparse, CondensedMatrix, CountStrips, Linkage, PairCounts,
+    SparseSimGraph,
+};
 
 fn synthetic_matrix(n: usize) -> CondensedMatrix {
     CondensedMatrix::build(n, |i, j| {
         let x = ((i * 2654435761 + j * 40503) % 1000) as f64 / 1000.0;
         0.2 + 0.6 * x
     })
+}
+
+/// Agreement counts of `n` sketches of `width` in the `u8` lane, what
+/// the dense route's `run_on` links.
+fn synthetic_counts(n: usize, width: usize) -> PairCounts {
+    let strips = (0..n)
+        .map(|i| {
+            ((i + 1)..n)
+                .map(|j| ((i * 2654435761 + j * 40503) % (width + 1)) as u8)
+                .collect()
+        })
+        .collect();
+    PairCounts::new(width, CountStrips::Narrow(strips))
 }
 
 /// A θ-graph shaped like the banded route's: disjoint cliques of 50
@@ -41,6 +57,12 @@ fn bench_linkage(c: &mut Criterion) {
     let m = synthetic_matrix(2000);
     group.bench_function(BenchmarkId::new("Average", 2000), |b| {
         b.iter(|| agglomerative(std::hint::black_box(&m), Linkage::Average, 0.6))
+    });
+    // The input the dense route links: `u8` counts at the ledger's
+    // size.
+    let counts = synthetic_counts(4000, 100);
+    group.bench_function(BenchmarkId::new("Average-u8-counts", 4000), |b| {
+        b.iter(|| agglomerative(std::hint::black_box(&counts), Linkage::Average, 0.6))
     });
     group.finish();
 

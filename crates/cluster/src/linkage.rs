@@ -92,9 +92,9 @@ impl<T: DenseInput + ?Sized> DenseInput for &T {
     }
 }
 
-/// Read as similarities and turned into distances cell by cell. The
-/// matrix's own rows are the upper rows; the lower ones are a
-/// transposed copy beside them.
+/// Read as similarities and turned into distances cell by cell, a NaN
+/// similarity as distance +∞. The matrix's own rows are the upper
+/// rows; the lower ones are a transposed copy beside them.
 impl DenseInput for CondensedMatrix {
     fn len(&self) -> usize {
         CondensedMatrix::len(self)
@@ -104,44 +104,54 @@ impl DenseInput for CondensedMatrix {
         let upper = (0..self.len()).map(|a| self.row(a)).collect();
         link(
             &Triangles::new(upper),
-            |s| (1.0 - f64::from(s)) as f32,
+            |s| nan_as_inf((1.0 - f64::from(s)) as f32),
             size,
             linkage,
         )
     }
 }
 
-/// A count's distance comes from a `width + 1`-entry table: `c / width`
-/// rounded to `f32`, then `1 − s` rounded to `f32` — the two roundings
-/// a similarity matrix and its distances take.
+/// A count's distance comes from a table of `c / width` rounded to
+/// `f32`, then `1 − s` rounded to `f32` — the two roundings a
+/// similarity matrix and its distances take. The table spans the lane
+/// (256 entries for `u8`, 65 536 for `u16`), so a count indexes it
+/// without a bounds check.
 impl DenseInput for PairCounts {
     fn len(&self) -> usize {
         PairCounts::len(self)
     }
 
     fn merges(&self, size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
-        fn over<L: Copy + Default + Into<usize>>(
+        fn over<L: Copy + Default>(
             strips: &[Vec<L>],
-            distance: &[f32],
+            distance: impl Fn(L) -> f32,
             size: Vec<usize>,
             linkage: Linkage,
         ) -> Vec<Merge> {
             let upper = strips.iter().map(Vec::as_slice).collect();
-            link(
-                &Triangles::new(upper),
-                |c: L| distance[c.into()],
-                size,
-                linkage,
-            )
+            link(&Triangles::new(upper), distance, size, linkage)
         }
-        let distance: Vec<f32> = self
-            .similarities()
-            .iter()
-            .map(|&s| (1.0 - f64::from(s)) as f32)
-            .collect();
+        let similarities = self.similarities();
+        // Counts above the width are rejected by `PairCounts::new`.
+        let fill = |table: &mut [f32]| {
+            for (d, &s) in table.iter_mut().zip(&similarities) {
+                *d = (1.0 - f64::from(s)) as f32;
+            }
+        };
         match self.strips() {
-            CountStrips::Narrow(s) => over(s, &distance, size, linkage),
-            CountStrips::Wide(s) => over(s, &distance, size, linkage),
+            CountStrips::Narrow(s) => {
+                let mut table = [f32::INFINITY; 1 << 8];
+                fill(&mut table);
+                over(s, |c: u8| table[usize::from(c)], size, linkage)
+            }
+            CountStrips::Wide(s) => {
+                let mut table: Box<[f32; 1 << 16]> = vec![f32::INFINITY; 1 << 16]
+                    .into_boxed_slice()
+                    .try_into()
+                    .expect("a table of 65 536");
+                fill(&mut table[..]);
+                over(s, |c: u16| table[usize::from(c)], size, linkage)
+            }
         }
     }
 }
@@ -329,26 +339,33 @@ impl<'a> Groups<'a> {
 /// A θ-graph goes through [`crate::sparse::agglomerative_sparse`],
 /// which emulates this function merge for merge on adjacency lists.
 ///
-/// A singleton cluster reads its distances off its two rows of
-/// `cells`, which nothing writes. A merged cluster owns one `f32` row
-/// of length n, indexed by cluster id and taken from a pool of rows
-/// that merged clusters gave back; it holds the distance to every
-/// cluster live beside it. A merge writes the new row of `keep`
-/// contiguously, sets the cell of `keep` in every other merged live
-/// row, and gives `drop`'s row back, so the distance between a
-/// singleton `a` and a merged `c` is `rows[c][a]` and every scan reads
-/// rows, never columns.
+/// Every search, and every update of keep's row, is a contiguous,
+/// branch-free pass over rows of n `f32` distances indexed by cluster
+/// id. A search reads one row that holds +∞ wherever the id is not a
+/// live neighbour (dead ids and the row's own; see [`MergedRows`]) and
+/// takes its [`argmin`]: the first id at the least distance under
+/// strict `<`, except that the chain predecessor wins an equal
+/// distance, which is what makes the chain terminate. A search that
+/// finds nothing below +∞ takes the smallest other live id, so n items
+/// always give n − 1 merges.
 ///
-/// Only live clusters are visited, in ascending id order. Ties go to
-/// the smallest cluster id (strict `<`) except that the chain
-/// predecessor wins an equal distance, which is what makes the chain
-/// terminate.
+/// A merged cluster searches its own row. A singleton `a` searches one
+/// reused buffer, filled from its two rows of `cells` (which nothing
+/// writes) through `distance`, masked to +∞ off live singletons, with
+/// `rows[c][a]` written in for each live merged `c`. A merge takes
+/// keep's and drop's rows (their own, the searched buffer, or filled
+/// from their cells), computes keep's new row in one pass over the two
+/// with the result masked to +∞ off live singletons, then each merged
+/// neighbour's distance to the union from that neighbour's row, where
+/// drop's cell turns +∞.
 ///
-/// Item `i` starts as a cluster of `size[i]` members. Average linkage
-/// of two equal distances `x` is `(sk·x + sd·x)/(sk + sd) = x` exactly
-/// while the sizes stay below 2²⁹ (`x` is an `f32`, so each product and
-/// their sum are exact in `f64`): a vertex of size m is the cluster m
-/// identical items form at distance 0, to the bit.
+/// `distance` never returns NaN, and an update's NaN (the average of
+/// +∞ and −∞) reads as +∞. Item `i` starts as a cluster of `size[i]`
+/// members. Average linkage of two equal distances `x` is
+/// `(sk·x + sd·x)/(sk + sd) = x` exactly while the sizes stay below
+/// 2²⁹ (`x` is an `f32`, so each product and their sum are exact in
+/// `f64`): a vertex of size m is the cluster m identical items form at
+/// distance 0, to the bit.
 fn nn_chain<T: Copy>(
     cells: &Triangles<'_, T>,
     distance: impl Fn(T) -> f32,
@@ -356,197 +373,266 @@ fn nn_chain<T: Copy>(
     linkage: Linkage,
 ) -> Vec<Merge> {
     let n = cells.len();
-    let mut merged = MergedRows {
-        slot: vec![SINGLETON; n],
-        rows: Vec::new(),
-        free: Vec::new(),
-    };
-    // Distance from singleton `a` to live `c`: off `c`'s row once `c`
-    // has merged, else off one of `a`'s two rows.
-    let singleton = |merged: &MergedRows, a: usize, rows_of_a: (&[T], &[T]), c: usize| {
-        let (lower, upper) = rows_of_a;
-        match merged.row(c) {
-            Some(row) => row[a],
-            None if c < a => distance(lower[c]),
-            None => distance(upper[c - a - 1]),
+    // Singleton `a`'s distances to every id, +∞ at `a`, unmasked.
+    let gather = |a: usize, out: &mut [f32]| {
+        let (below, rest) = out.split_at_mut(a);
+        let (own, above) = rest.split_first_mut().expect("a is an id");
+        for (d, &x) in below.iter_mut().zip(cells.lower(a)) {
+            *d = distance(x);
+        }
+        *own = f32::INFINITY;
+        for (d, &x) in above.iter_mut().zip(cells.upper(a)) {
+            *d = distance(x);
         }
     };
-    let own = |a: usize| (cells.lower(a), cells.upper(a));
-    let mut live: Vec<usize> = (0..n).collect();
+    let mut merged = MergedRows::new(n);
+    // The row of the singleton searched last.
+    let mut scratch = vec![f32::INFINITY; n];
     let mut merges = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
-
-    while live.len() > 1 {
+    while merges.len() + 1 < n {
         if chain.is_empty() {
-            chain.push(live[0]);
+            // Item 0 is live throughout: a merge keeps the smaller id.
+            chain.push(0);
         }
         loop {
             let a = *chain.last().expect("chain nonempty");
-            let at = live.binary_search(&a).expect("chain holds live clusters");
-            // Nearest live neighbour of a (smallest id on ties).
-            let mut best = usize::MAX;
-            let mut best_d = f32::INFINITY;
-            if let Some(row) = merged.row(a) {
-                for &c in &live[..at] {
-                    if row[c] < best_d {
-                        best_d = row[c];
-                        best = c;
-                    }
+            let row = match merged.row(a) {
+                Some(row) => row,
+                None => {
+                    merged.singleton_row(a, &mut scratch, &gather);
+                    &scratch
                 }
-                for &c in &live[at + 1..] {
-                    if row[c] < best_d {
-                        best_d = row[c];
-                        best = c;
-                    }
-                }
-            } else {
-                let (lower, upper) = own(a);
-                for &c in &live[..at] {
-                    let d = match merged.row(c) {
-                        Some(row) => row[a],
-                        None => distance(lower[c]),
-                    };
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-                for &c in &live[at + 1..] {
-                    let d = match merged.row(c) {
-                        Some(row) => row[a],
-                        None => distance(upper[c - a - 1]),
-                    };
-                    if d < best_d {
-                        best_d = d;
-                        best = c;
-                    }
-                }
-            }
-            // Reciprocal pair check: prefer the chain predecessor on
-            // equal distance (guarantees termination).
-            if chain.len() >= 2 {
-                let prev = chain[chain.len() - 2];
-                let d_ab = match merged.row(a) {
-                    Some(row) => row[prev],
-                    None => singleton(&merged, a, own(a), prev),
-                };
-                if best == prev || d_ab <= best_d {
-                    // Merge a and prev.
-                    chain.pop();
-                    chain.pop();
+            };
+            let best = argmin(row).unwrap_or_else(|| merged.first_live_besides(a));
+            let best_d = row[best];
+            let prev = chain
+                .len()
+                .checked_sub(2)
+                .map(|i| (chain[i], row[chain[i]]));
+            match prev {
+                Some((prev, d_ab)) if best == prev || d_ab <= best_d => {
+                    chain.truncate(chain.len() - 2);
                     let (keep, drop) = (a.min(prev), a.max(prev));
                     merges.push(Merge {
                         a: keep,
                         b: drop,
                         similarity: 1.0 - f64::from(d_ab),
                     });
-                    live.remove(live.binary_search(&drop).expect("drop is live"));
-                    // Lance–Williams update of keep = a ∪ prev against
-                    // every other live cluster c, into keep's row (in
-                    // place once keep has one) and into c's row.
                     let (sk, sd) = (size[keep] as f64, size[drop] as f64);
-                    let update = |dk: f32, dd: f32| -> f32 {
-                        let (dk, dd) = (f64::from(dk), f64::from(dd));
-                        let updated = match linkage {
-                            Linkage::Single => dk.min(dd),
-                            Linkage::Complete => dk.max(dd),
-                            Linkage::Average => (sk * dk + sd * dd) / (sk + sd),
-                        };
-                        updated as f32
-                    };
-                    let keep_merged = merged.slot[keep] != SINGLETON;
-                    let keep_slot = merged.claim(keep, n);
-                    let drop_slot = merged.release(drop);
-                    // Out of the table while the loop reads the others.
-                    let mut new = std::mem::take(&mut merged.rows[keep_slot]);
-                    let drop_row = drop_slot.map(|s| std::mem::take(&mut merged.rows[s]));
-                    let (keep_cells, drop_cells) = (own(keep), own(drop));
-                    for &c in &live {
-                        if c == keep {
-                            continue;
+                    let scratch = &mut scratch;
+                    match linkage {
+                        Linkage::Single => merged.merge(keep, drop, a, scratch, &gather, f64::min),
+                        Linkage::Complete => {
+                            merged.merge(keep, drop, a, scratch, &gather, f64::max)
                         }
-                        let dk = if keep_merged {
-                            new[c]
-                        } else {
-                            singleton(&merged, keep, keep_cells, c)
-                        };
-                        let dd = match &drop_row {
-                            Some(row) => row[c],
-                            None => singleton(&merged, drop, drop_cells, c),
-                        };
-                        let d = update(dk, dd);
-                        new[c] = d;
-                        if let Some(row) = merged.row_mut(c) {
-                            row[keep] = d;
+                        Linkage::Average => {
+                            merged.merge(keep, drop, a, scratch, &gather, |dk, dd| {
+                                (sk * dk + sd * dd) / (sk + sd)
+                            })
                         }
-                    }
-                    merged.rows[keep_slot] = new;
-                    if let (Some(s), Some(row)) = (drop_slot, drop_row) {
-                        merged.rows[s] = row;
                     }
                     size[keep] += size[drop];
                     break;
                 }
+                _ => chain.push(best),
             }
-            chain.push(best);
         }
     }
     merges
 }
 
-/// [`MergedRows::slot`] of a cluster that owns no row.
-const SINGLETON: u32 = u32::MAX;
+/// `d`, or +∞ for NaN: how the NN-chain reads a distance.
+#[inline]
+fn nan_as_inf(d: f32) -> f32 {
+    if d.is_nan() {
+        f32::INFINITY
+    } else {
+        d
+    }
+}
 
-/// The `f32` distance rows of the NN-chain's merged clusters, indexed
-/// by cluster id, and the rows no cluster owns any more, kept for the
-/// next merge.
+/// Width of the chunks [`argmin`] scans: four 128-bit vectors of
+/// `f32`, so the lane-wise min carries no compare chain from one
+/// element to the next.
+const LANES: usize = 16;
+
+/// The first index of the least value of `row` under strict `<`, or
+/// `None` when none is below +∞. Two passes: a lane-wise min over
+/// chunks of [`LANES`], then the first chunk holding an element equal
+/// to that min.
+fn argmin(row: &[f32]) -> Option<usize> {
+    let chunks = row.chunks_exact(LANES);
+    let tail = chunks.remainder();
+    let mut lanes = [f32::INFINITY; LANES];
+    for chunk in chunks {
+        let chunk: &[f32; LANES] = chunk.try_into().expect("chunks of LANES");
+        for (m, &x) in lanes.iter_mut().zip(chunk) {
+            *m = if x < *m { x } else { *m };
+        }
+    }
+    let min = lanes
+        .iter()
+        .chain(tail)
+        .fold(f32::INFINITY, |m, &x| if x < m { x } else { m });
+    if min == f32::INFINITY {
+        return None;
+    }
+    let full = row.len() - tail.len();
+    let start = row[..full]
+        .chunks_exact(LANES)
+        .position(|chunk| {
+            let chunk: &[f32; LANES] = chunk.try_into().expect("chunks of LANES");
+            chunk.iter().fold(false, |hit, &x| hit | (x == min))
+        })
+        .map_or(full, |k| k * LANES);
+    row[start..]
+        .iter()
+        .position(|&x| x == min)
+        .map(|i| start + i)
+}
+
+/// [`MergedRows::state`] of an id: a cluster merged away.
+const DEAD: u8 = 0;
+/// [`MergedRows::state`] of a live cluster that owns no row.
+const SINGLETON: u8 = 1;
+/// [`MergedRows::state`] of a live cluster that owns a row.
+const MERGED: u8 = 2;
+
+/// The NN-chain's clusters: one state byte per id, a short ascending
+/// list of the live merged clusters, and their `f32` distance rows,
+/// indexed by cluster id and taken from a pool of rows that merged
+/// clusters gave back. A merged row holds the distance to every live
+/// cluster beside it and +∞ at every dead id and at its own, so a pass
+/// over it needs no liveness test.
 struct MergedRows {
-    /// Row of each cluster in `rows`, or [`SINGLETON`].
+    /// [`DEAD`], [`SINGLETON`] or [`MERGED`], per id.
+    state: Vec<u8>,
+    /// Row of each merged cluster in `rows`.
     slot: Vec<u32>,
+    /// The live merged clusters, ascending.
+    live: Vec<usize>,
     rows: Vec<Vec<f32>>,
     /// Rows no cluster owns; their cells are stale.
     free: Vec<usize>,
 }
 
 impl MergedRows {
+    /// `n` singletons.
+    fn new(n: usize) -> MergedRows {
+        MergedRows {
+            state: vec![SINGLETON; n],
+            slot: vec![0; n],
+            // A merged cluster holds two items or more.
+            live: Vec::with_capacity(n / 2),
+            rows: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+
     /// Cluster `c`'s row, if it owns one.
     #[inline]
     fn row(&self, c: usize) -> Option<&[f32]> {
-        match self.slot[c] {
-            SINGLETON => None,
-            s => Some(&self.rows[s as usize]),
+        (self.state[c] == MERGED).then(|| self.rows[self.slot[c] as usize].as_slice())
+    }
+
+    /// The smallest live id other than `a`.
+    fn first_live_besides(&self, a: usize) -> usize {
+        (0..self.state.len())
+            .find(|&c| c != a && self.state[c] != DEAD)
+            .expect("two live clusters")
+    }
+
+    /// Singleton `a`'s row into `out`: gathered off its cells, masked
+    /// to +∞ off live singletons, with `rows[c][a]` at each live
+    /// merged `c`.
+    fn singleton_row(&self, a: usize, out: &mut [f32], gather: &impl Fn(usize, &mut [f32])) {
+        gather(a, out);
+        // A pass of its own: folded into the gather, the select
+        // compiles to a branch around the table load, which
+        // mispredicts on interleaved states.
+        for (d, &s) in out.iter_mut().zip(&self.state) {
+            *d = if s == SINGLETON { *d } else { f32::INFINITY };
+        }
+        for &c in &self.live {
+            out[c] = self.rows[self.slot[c] as usize][a];
         }
     }
 
-    #[inline]
-    fn row_mut(&mut self, c: usize) -> Option<&mut [f32]> {
-        match self.slot[c] {
-            SINGLETON => None,
-            s => Some(&mut self.rows[s as usize]),
-        }
-    }
-
-    /// The index of cluster `c`'s row, after giving it a free row — or
-    /// a new one of length `n` — if it owns none.
-    fn claim(&mut self, c: usize, n: usize) -> usize {
-        if self.slot[c] == SINGLETON {
+    /// Merge `drop` into `keep` (`keep < drop`). `top` is the one of
+    /// the two searched last, so `scratch` holds its row if it is a
+    /// singleton. `update` gives the Lance–Williams distance of the
+    /// union from keep's and drop's.
+    fn merge(
+        &mut self,
+        keep: usize,
+        drop: usize,
+        top: usize,
+        scratch: &mut Vec<f32>,
+        gather: &impl Fn(usize, &mut [f32]),
+        update: impl Fn(f64, f64) -> f64,
+    ) {
+        let update = |dk: f32, dd: f32| nan_as_inf(update(f64::from(dk), f64::from(dd)) as f32);
+        // Keep's row, out of the table while the merged rows are
+        // written: its own, or a pool row that takes the searched
+        // buffer or is gathered.
+        let keep_slot = if self.state[keep] == MERGED {
+            self.slot[keep] as usize
+        } else {
             let s = self.free.pop().unwrap_or_else(|| {
-                self.rows.push(vec![0.0; n]);
+                self.rows.push(vec![0.0; self.state.len()]);
                 self.rows.len() - 1
             });
-            self.slot[c] = u32::try_from(s).expect("fewer rows than clusters");
-        }
-        self.slot[c] as usize
-    }
-
-    /// Free cluster `c`'s row, returning its index if it owned one.
-    fn release(&mut self, c: usize) -> Option<usize> {
-        match std::mem::replace(&mut self.slot[c], SINGLETON) {
-            SINGLETON => None,
-            s => {
-                self.free.push(s as usize);
-                Some(s as usize)
+            if keep == top {
+                std::mem::swap(&mut self.rows[s], scratch);
+            } else {
+                gather(keep, &mut self.rows[s]);
             }
+            self.slot[keep] = u32::try_from(s).expect("fewer rows than clusters");
+            self.live
+                .insert(self.live.binary_search(&keep).unwrap_err(), keep);
+            s
+        };
+        let mut new = std::mem::take(&mut self.rows[keep_slot]);
+        // Drop's row: its own, or `scratch` as searched or gathered.
+        let drop_slot = (self.state[drop] == MERGED).then(|| {
+            self.live
+                .remove(self.live.binary_search(&drop).expect("drop is live"));
+            self.slot[drop] as usize
+        });
+        let drop_row = match drop_slot {
+            Some(s) => std::mem::take(&mut self.rows[s]),
+            None => {
+                if drop != top {
+                    gather(drop, scratch);
+                }
+                std::mem::take(scratch)
+            }
+        };
+        self.state[keep] = MERGED;
+        self.state[drop] = DEAD;
+        // Live singletons: one pass over keep's and drop's rows.
+        for ((k, &d), &s) in new.iter_mut().zip(&drop_row).zip(&self.state) {
+            let x = update(*k, d);
+            *k = if s == SINGLETON { x } else { f32::INFINITY };
+        }
+        // Live merged neighbours: off their own rows.
+        for &c in &self.live {
+            if c != keep {
+                let row = &mut self.rows[self.slot[c] as usize];
+                let x = update(row[keep], row[drop]);
+                row[keep] = x;
+                row[drop] = f32::INFINITY;
+                new[c] = x;
+            }
+        }
+        self.rows[keep_slot] = new;
+        match drop_slot {
+            Some(s) => {
+                self.rows[s] = drop_row;
+                self.free.push(s);
+            }
+            None => *scratch = drop_row,
         }
     }
 }
@@ -698,6 +784,41 @@ mod tests {
         let (a, d) = agglomerative(&m, Linkage::Complete, 0.5);
         assert_eq!(a.num_clusters(), 1);
         assert!(d.merges.is_empty());
+    }
+
+    /// A search that finds no neighbour below +∞ takes the smallest
+    /// other live id: NaN reads as +∞, and so does similarity −∞.
+    #[test]
+    fn searches_without_a_finite_neighbour_still_merge() {
+        let merge = |a, b, similarity| Merge { a, b, similarity };
+        let all_nan = CondensedMatrix::build(3, |_, _| f64::NAN);
+        // Item 1 sits at −∞ to both others.
+        let apart = CondensedMatrix::build(3, |i, j| {
+            if i == 1 || j == 1 {
+                f64::NEG_INFINITY
+            } else {
+                0.5
+            }
+        });
+        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+            let (labels, dendro) = agglomerative(&all_nan, linkage, 0.5);
+            assert_eq!(
+                dendro.merges,
+                [
+                    merge(0, 1, f64::NEG_INFINITY),
+                    merge(0, 2, f64::NEG_INFINITY)
+                ],
+                "{linkage:?}"
+            );
+            assert_eq!(labels.num_clusters(), 3, "{linkage:?}");
+            let (labels, dendro) = agglomerative(&apart, linkage, 0.5);
+            assert_eq!(
+                dendro.merges,
+                [merge(0, 2, 0.5), merge(0, 1, f64::NEG_INFINITY)],
+                "{linkage:?}"
+            );
+            assert_eq!(labels.num_clusters(), 2, "{linkage:?}");
+        }
     }
 
     #[test]

@@ -195,18 +195,24 @@ pub struct PairCounts {
 
 impl PairCounts {
     /// Adopt `strips` as the counts of a sketch width of `width`.
-    /// Panics unless strip `a` of `n` holds `n − 1 − a` counts; a
-    /// count above `width` panics where it is read.
+    /// Panics unless strip `a` of `n` holds `n − 1 − a` counts, none
+    /// above `width`.
     pub fn new(width: usize, strips: CountStrips) -> PairCounts {
-        fn check<L>(strips: &[Vec<L>]) {
+        fn check<L: Copy + Ord + Default + Into<usize>>(strips: &[Vec<L>], width: usize) {
             let n = strips.len();
             for (a, strip) in strips.iter().enumerate() {
                 assert_eq!(strip.len(), n - 1 - a, "strip of row {a} of {n}");
+                let top = strip.iter().fold(L::default(), |m, &c| m.max(c));
+                assert!(
+                    top.into() <= width,
+                    "count {} above width {width}",
+                    top.into()
+                );
             }
         }
         match &strips {
-            CountStrips::Narrow(s) => check(s),
-            CountStrips::Wide(s) => check(s),
+            CountStrips::Narrow(s) => check(s, width),
+            CountStrips::Wide(s) => check(s, width),
         }
         PairCounts { width, strips }
     }
@@ -382,6 +388,12 @@ mod tests {
     #[should_panic(expected = "strip of row 1 of 3")]
     fn pair_counts_reject_a_wrong_strip_length() {
         PairCounts::new(50, CountStrips::Narrow(vec![vec![0, 3], vec![], vec![]]));
+    }
+
+    #[test]
+    #[should_panic(expected = "count 4 above width 3")]
+    fn pair_counts_reject_a_count_above_the_width() {
+        PairCounts::new(3, CountStrips::Wide(vec![vec![0, 4], vec![1], vec![]]));
     }
 
     #[test]

@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use mrmc_cluster::linkage::build_dendrogram;
 use mrmc_cluster::{
     agglomerative, agglomerative_grouped, agglomerative_sparse, agglomerative_sparse_grouped,
-    cut_dendrogram, CondensedMatrix, CountStrips, Dendrogram, Linkage, Merge, PairCounts,
-    SparseSimGraph,
+    cut_dendrogram, CondensedMatrix, CountStrips, Dendrogram, DenseInput, Linkage, Merge,
+    PairCounts, SparseSimGraph,
 };
 use mrmc_testkit::linkage::{
     components, expand, reference_nn_chain, same_hierarchy, spanning_forest_heights,
@@ -365,12 +365,69 @@ fn tie_heavy_counts(n: usize, width: usize, seed: u64) -> PairCounts {
     PairCounts::new(width, strips)
 }
 
+/// `input` replays the oracle over `matrix`, its similarity matrix,
+/// at unit sizes and with item `g` a group of 1–4 copies: at unit
+/// sizes the oracle's dendrogram; at grouped sizes the oracle's
+/// weighted merges, each naming its groups' first items, after each
+/// copy's 1.0 merge into its group's first item.
+fn assert_replays_at_unit_and_grouped_sizes(
+    input: impl DenseInput + Copy,
+    matrix: &CondensedMatrix,
+    seed: u64,
+    what: &str,
+) {
+    let n = matrix.len();
+    let size: Vec<usize> = (0..n)
+        .map(|g| 1 + (mix(seed, g as u64, n as u64) % 4) as usize)
+        .collect();
+    let of: Vec<u32> = size
+        .iter()
+        .enumerate()
+        .flat_map(|(g, &m)| std::iter::repeat_n(g as u32, m))
+        .collect();
+    let first: Vec<usize> = size
+        .iter()
+        .scan(0, |at, &m| {
+            *at += m;
+            Some(*at - m)
+        })
+        .collect();
+    for linkage in LINKAGES {
+        assert_eq!(
+            build_dendrogram(input, linkage),
+            reference_nn_chain(matrix, vec![1; n], linkage),
+            "{what}, {linkage:?}"
+        );
+        let weighted = reference_nn_chain(matrix, size.clone(), linkage);
+        let mut merges: Vec<Merge> = of
+            .iter()
+            .enumerate()
+            .filter(|&(i, &g)| first[g as usize] != i)
+            .map(|(i, &g)| Merge {
+                a: first[g as usize],
+                b: i,
+                similarity: 1.0,
+            })
+            .collect();
+        merges.extend(weighted.merges.iter().map(|m| Merge {
+            a: first[m.a],
+            b: first[m.b],
+            similarity: m.similarity,
+        }));
+        merges.sort_by(|x, y| y.similarity.total_cmp(&x.similarity));
+        assert_eq!(
+            agglomerative_grouped(input, &of, linkage, 0.5).1,
+            Dendrogram {
+                n: of.len(),
+                merges
+            },
+            "{what}, {linkage:?}, grouped"
+        );
+    }
+}
+
 proptest! {
-    /// The count store, item `g` a group of 1–4 copies: at unit sizes
-    /// the oracle's dendrogram over the counts' similarity matrix; at
-    /// grouped sizes the oracle's weighted merges, each naming its
-    /// groups' first items, after each copy's 1.0 merge into its
-    /// group's first item.
+    /// The count store replays the oracle at unit and grouped sizes.
     #[test]
     fn count_store_replays_reference(
         n in 2usize..60,
@@ -379,45 +436,24 @@ proptest! {
     ) {
         let width = if wide { 300 } else { 50 };
         let counts = tie_heavy_counts(n, width, seed);
-        let matrix = counts.to_matrix();
-        let size: Vec<usize> = (0..n).map(|g| 1 + (mix(seed, g as u64, n as u64) % 4) as usize).collect();
-        let of: Vec<u32> = size
-            .iter()
-            .enumerate()
-            .flat_map(|(g, &m)| std::iter::repeat_n(g as u32, m))
-            .collect();
-        let first: Vec<usize> = size
-            .iter()
-            .scan(0, |at, &m| {
-                *at += m;
-                Some(*at - m)
-            })
-            .collect();
         let what = format!("n={n}, width={width}, seed={seed}");
-        for linkage in LINKAGES {
-            assert_eq!(
-                build_dendrogram(&counts, linkage),
-                reference_nn_chain(&matrix, vec![1; n], linkage),
-                "{what}, {linkage:?}"
-            );
-            let weighted = reference_nn_chain(&matrix, size.clone(), linkage);
-            let mut merges: Vec<Merge> = of
-                .iter()
-                .enumerate()
-                .filter(|&(i, &g)| first[g as usize] != i)
-                .map(|(i, &g)| Merge { a: first[g as usize], b: i, similarity: 1.0 })
-                .collect();
-            merges.extend(weighted.merges.iter().map(|m| Merge {
-                a: first[m.a],
-                b: first[m.b],
-                similarity: m.similarity,
-            }));
-            merges.sort_by(|x, y| y.similarity.total_cmp(&x.similarity));
-            assert_eq!(
-                agglomerative_grouped(&counts, &of, linkage, 0.5).1,
-                Dendrogram { n: of.len(), merges },
-                "{what}, {linkage:?}, grouped"
-            );
+        assert_replays_at_unit_and_grouped_sizes(&counts, &counts.to_matrix(), seed, &what);
+    }
+}
+
+/// Rows that end just short of, on, and just past the search's chunk
+/// widths, and several chunks long: tie-heavy counts in both lanes and
+/// an all-equal matrix, at unit and grouped sizes.
+#[test]
+fn rows_across_chunk_widths_replay_reference() {
+    for n in [63usize, 64, 65, 127, 129, 300] {
+        for width in [50, 300] {
+            let counts = tie_heavy_counts(n, width, n as u64);
+            let what = format!("n={n}, width={width}");
+            assert_replays_at_unit_and_grouped_sizes(&counts, &counts.to_matrix(), 7, &what);
         }
+        let all_equal = CondensedMatrix::build(n, |_, _| 0.35);
+        let what = format!("all-equal, n={n}");
+        assert_replays_at_unit_and_grouped_sizes(&all_equal, &all_equal, 7, &what);
     }
 }
