@@ -7,14 +7,13 @@
 //! bitmaps for nulls; nested bags are an offsets array over a child
 //! batch ([`BagCol`]); anything that does not fit a single type
 //! degrades honestly to a boxed [`Column::Dyn`] column rather than
-//! coercing. Ragged tuples (rows of differing arity — legal in
-//! Pig's data model, where a tuple is a plain `Vec<Value>`) are
-//! captured by an optional per-row width vector.
+//! coercing. A batch is rectangular: every row has one field per
+//! column, so rows of unequal width do not columnarize.
 //!
 //! The invariant every constructor and kernel preserves:
 //! `ColumnBatch::from_rows(rows).to_rows() == rows` bit-for-bit —
 //! including the exact `Value` variant of every field, null
-//! positions, bag element order and tuple arity. The executor leans
+//! positions and bag element order. The executor leans
 //! on this to stay identical to the boxed-row reference interpreter
 //! it is tested against (see `tests/columnar.rs`).
 
@@ -148,8 +147,8 @@ fn concat_offsets<'a>(parts: impl Iterator<Item = &'a [u32]> + Clone) -> Vec<u32
 }
 
 /// Drop zero-row parts before a concat — an empty chunk sniffs as an
-/// all-null `Int` column (or a zero-column batch) and would make the
-/// merge look mixed or ragged — keeping one when every part is empty.
+/// all-null `Int` column and would make the merge look mixed —
+/// keeping one when every part is empty.
 fn drop_empty<T>(parts: &mut Vec<T>, rows: impl Fn(&T) -> usize) {
     if parts.iter().any(|p| rows(p) > 0) {
         parts.retain(|p| rows(p) > 0);
@@ -537,6 +536,19 @@ impl Column {
         }
     }
 
+    /// True when row `i` is [`Value::Null`].
+    pub(crate) fn is_null(&self, i: usize) -> bool {
+        match self {
+            Column::Int { validity, .. }
+            | Column::Long { validity, .. }
+            | Column::Double { validity, .. }
+            | Column::Str { validity, .. }
+            | Column::Bin { validity, .. }
+            | Column::Bag(BagCol { validity, .. }) => !valid_at(validity, i),
+            Column::Dyn(v) => matches!(v[i], Value::Null),
+        }
+    }
+
     /// Serialized width of row `i` (equals
     /// [`Value::shuffle_size`] of [`Column::value_at`], computed
     /// without materializing the value).
@@ -732,8 +744,8 @@ impl Column {
 
     /// Concatenate columns end to end. Same variants append their
     /// buffers (offsets rebased, validity merged, bag children
-    /// concatenated recursively); mixed variants degrade to
-    /// [`Column::Dyn`].
+    /// concatenated recursively); mixed variants, and bags whose
+    /// elements differ in shape, degrade to [`Column::Dyn`].
     pub fn concat(mut parts: Vec<Column>) -> Column {
         /// Append the fixed-width parts of one variant.
         macro_rules! concat_fixed {
@@ -772,7 +784,9 @@ impl Column {
             return parts.pop().unwrap_or_else(|| Column::nulls(0));
         }
         let uniform = parts.iter().all(|p| match (&parts[0], p) {
-            (Column::Bag(a), Column::Bag(b)) => a.tuple_elems == b.tuple_elems,
+            (Column::Bag(a), Column::Bag(b)) => {
+                a.tuple_elems == b.tuple_elems && a.elems.num_cols() == b.elems.num_cols()
+            }
             (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
         });
         if !uniform {
@@ -846,15 +860,12 @@ fn bag_col_from_values(vals: &[Value], validity: Option<Bitmap>) -> Option<BagCo
 
 // ---------------------------------------------------------------- batch
 
-/// A batch of tuples stored column-wise. `widths` captures ragged
-/// tuples: `None` means every row spans all columns; `Some(w)` means
-/// row `i` has `w[i]` fields (trailing columns hold padding nulls
-/// that [`ColumnBatch::row_value`] drops).
+/// A batch of tuples stored column-wise: every row has one field per
+/// column.
 #[derive(Debug, Clone, Default)]
 pub struct ColumnBatch {
     cols: Vec<Column>,
     rows: usize,
-    widths: Option<Vec<u32>>,
 }
 
 impl ColumnBatch {
@@ -864,44 +875,38 @@ impl ColumnBatch {
         ColumnBatch {
             cols: vec![col],
             rows,
-            widths: None,
         }
+    }
+
+    /// A batch of no rows and `width` columns.
+    pub(crate) fn empty(width: usize) -> ColumnBatch {
+        ColumnBatch::from_cols(vec![Column::nulls(0); width], 0)
     }
 
     /// Assemble from equal-length columns.
     pub fn from_cols(cols: Vec<Column>, rows: usize) -> ColumnBatch {
         debug_assert!(cols.iter().all(|c| c.len() == rows));
-        ColumnBatch {
-            cols,
-            rows,
-            widths: None,
-        }
+        ColumnBatch { cols, rows }
     }
 
     /// Columnarize tuple rows. Returns `None` unless **every** row is
-    /// a [`Value::Tuple`]: a bare value is not silently read as a
-    /// 1-column tuple here (the executor's `LOAD` wraps one, on
-    /// purpose, before it gets this far).
+    /// a [`Value::Tuple`] of the first row's width: a bare value is
+    /// not silently read as a 1-column tuple here (the executor's
+    /// `LOAD` wraps one, on purpose, before it gets this far), nor a
+    /// short row padded with nulls.
     pub fn from_rows(rows: &[Value]) -> Option<ColumnBatch> {
         let tuples: Vec<&[Value]> = rows
             .iter()
             .map(|r| r.as_tuple())
             .collect::<Option<Vec<_>>>()?;
-        let width = tuples.iter().map(|t| t.len()).max().unwrap_or(0);
-        let ragged = tuples.iter().any(|t| t.len() != width);
-        let mut cols = Vec::with_capacity(width);
-        for j in 0..width {
-            let vals: Vec<Value> = tuples
-                .iter()
-                .map(|t| t.get(j).cloned().unwrap_or(Value::Null))
-                .collect();
-            cols.push(Column::from_values(vals));
+        let width = tuples.first().map_or(0, |t| t.len());
+        if tuples.iter().any(|t| t.len() != width) {
+            return None;
         }
-        Some(ColumnBatch {
-            cols,
-            rows: rows.len(),
-            widths: ragged.then(|| tuples.iter().map(|t| t.len() as u32).collect()),
-        })
+        let cols = (0..width)
+            .map(|j| Column::from_values(tuples.iter().map(|t| t[j].clone()).collect()))
+            .collect();
+        Some(ColumnBatch::from_cols(cols, rows.len()))
     }
 
     /// Number of rows.
@@ -909,7 +914,7 @@ impl ColumnBatch {
         self.rows
     }
 
-    /// Number of columns (the widest row's field count).
+    /// Number of columns (every row's field count).
     pub fn num_cols(&self) -> usize {
         self.cols.len()
     }
@@ -930,39 +935,14 @@ impl ColumnBatch {
         self.cols
     }
 
-    /// Field count of row `i`.
-    pub fn width_of(&self, i: usize) -> usize {
-        match &self.widths {
-            Some(w) => w[i] as usize,
-            None => self.cols.len(),
-        }
-    }
-
-    /// Per-row widths when the batch is ragged.
-    pub fn widths(&self) -> Option<&[u32]> {
-        self.widths.as_deref()
-    }
-
-    /// Field `(row, col)` as a [`Value`] (`Null` past the row's
-    /// width — the out-of-range semantics of a boxed row's
-    /// `row.get(i)` lookup).
+    /// Field `(row, col)` as a [`Value`].
     pub fn value_at(&self, row: usize, col: usize) -> Value {
-        if col >= self.cols.len() {
-            return Value::Null;
-        }
         self.cols[col].value_at(row)
     }
 
     /// Row `i` reconstructed as the original tuple value.
     pub fn row_value(&self, i: usize) -> Value {
-        Value::Tuple(self.row_fields(i))
-    }
-
-    /// Row `i`'s fields (exactly `width_of(i)` of them).
-    pub fn row_fields(&self, i: usize) -> Vec<Value> {
-        (0..self.width_of(i))
-            .map(|j| self.cols[j].value_at(i))
-            .collect()
+        Value::Tuple(self.cols.iter().map(|c| c.value_at(i)).collect())
     }
 
     /// All rows, reconstructed.
@@ -977,8 +957,10 @@ impl ColumnBatch {
     /// like value-shuffled ones.
     pub fn row_shuffle_size(&self, i: usize) -> usize {
         1 + 4
-            + (0..self.width_of(i))
-                .map(|j| self.cols[j].value_shuffle_size(i))
+            + self
+                .cols
+                .iter()
+                .map(|c| c.value_shuffle_size(i))
                 .sum::<usize>()
     }
 
@@ -987,10 +969,6 @@ impl ColumnBatch {
         ColumnBatch {
             cols: self.cols.iter().map(|c| c.gather(idx)).collect(),
             rows: idx.len(),
-            widths: self
-                .widths
-                .as_ref()
-                .map(|w| idx.iter().map(|&i| w[i as usize]).collect()),
         }
     }
 
@@ -999,46 +977,29 @@ impl ColumnBatch {
         ColumnBatch {
             cols: self.cols.iter().map(|c| c.slice(start, len)).collect(),
             rows: len,
-            widths: self.widths.as_ref().map(|w| w[start..start + len].to_vec()),
         }
     }
 
     /// Concatenate batches vertically, consuming the parts (their
-    /// buffers are appended or moved, never cloned first). Parts may
-    /// differ in column count (ragged chunks from a fallback path);
-    /// narrower parts' missing columns become padding nulls tracked
-    /// by widths.
+    /// buffers are appended or moved, never cloned first). Every part
+    /// that has rows has the same column count.
     pub fn concat(mut parts: Vec<ColumnBatch>) -> ColumnBatch {
         drop_empty(&mut parts, ColumnBatch::rows);
         if parts.len() <= 1 {
             return parts.pop().unwrap_or_default();
         }
         let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let width = parts.iter().map(|p| p.cols.len()).max().unwrap_or(0);
-        let ragged = parts
-            .iter()
-            .any(|p| p.widths.is_some() || p.cols.len() < width);
-        let widths = ragged.then(|| {
-            parts
-                .iter()
-                .flat_map(|p| (0..p.rows).map(|i| p.width_of(i) as u32))
-                .collect()
-        });
-        let mut part_cols: Vec<(usize, std::vec::IntoIter<Column>)> = parts
-            .into_iter()
-            .map(|p| (p.rows, p.cols.into_iter()))
-            .collect();
+        let width = parts[0].cols.len();
+        assert!(
+            parts.iter().all(|p| p.cols.len() == width),
+            "concat parts differ in width"
+        );
+        let mut part_cols: Vec<std::vec::IntoIter<Column>> =
+            parts.into_iter().map(|p| p.cols.into_iter()).collect();
         let cols = (0..width)
-            .map(|_| {
-                Column::concat(
-                    part_cols
-                        .iter_mut()
-                        .map(|(rows, cols)| cols.next().unwrap_or_else(|| Column::nulls(*rows)))
-                        .collect(),
-                )
-            })
+            .map(|_| Column::concat(part_cols.iter_mut().flat_map(Iterator::next).collect()))
             .collect();
-        ColumnBatch { cols, rows, widths }
+        ColumnBatch { cols, rows }
     }
 }
 
@@ -1081,12 +1042,6 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_requires_tuples() {
-        assert!(ColumnBatch::from_rows(&[Value::Int(1)]).is_none());
-        assert!(ColumnBatch::from_rows(&[t([Value::Int(1)]), Value::Long(2)]).is_none());
-    }
-
-    #[test]
     fn typed_columns_roundtrip() {
         let rows = vec![
             t([
@@ -1105,23 +1060,19 @@ mod tests {
 
     #[test]
     fn mixed_column_degrades_to_dyn() {
-        let rows = vec![t([Value::Int(1)]), t([Value::Long(2)])];
+        // Two variants in a column, or tuples mixed with bare values
+        // among bag elements.
+        let rows = vec![
+            t([
+                Value::Int(1),
+                Value::bag([t([Value::Int(1)]), Value::Long(2)]),
+            ]),
+            t([Value::Long(2), Value::bag([])]),
+        ];
         let b = ColumnBatch::from_rows(&rows).unwrap();
         assert!(matches!(b.col(0), Column::Dyn(_)));
+        assert!(matches!(b.col(1), Column::Dyn(_)));
         assert_eq!(b.to_rows(), rows);
-    }
-
-    #[test]
-    fn ragged_rows_keep_exact_arity() {
-        let rows = vec![t([Value::Int(1), Value::Int(2)]), t([Value::Int(3)]), t([])];
-        let b = ColumnBatch::from_rows(&rows).unwrap();
-        assert_eq!(b.width_of(0), 2);
-        assert_eq!(b.width_of(2), 0);
-        // Past-width access is Null, matching `row.get(i)`.
-        assert_eq!(b.value_at(1, 1), Value::Null);
-        assert_eq!(b.to_rows(), rows);
-        let g = b.gather(&[2, 0]);
-        assert_eq!(g.to_rows(), vec![t([]), rows[0].clone()]);
     }
 
     #[test]
@@ -1154,70 +1105,6 @@ mod tests {
         };
         assert!(!bag.tuple_elems);
         assert_eq!(b.to_rows(), rows);
-    }
-
-    #[test]
-    fn mixed_bag_elements_degrade_to_dyn() {
-        let rows = vec![t([Value::bag([t([Value::Int(1)]), Value::Long(2)])])];
-        let b = ColumnBatch::from_rows(&rows).unwrap();
-        assert!(matches!(b.col(0), Column::Dyn(_)));
-        assert_eq!(b.to_rows(), rows);
-    }
-
-    #[test]
-    fn row_shuffle_size_matches_value_pricing() {
-        let rows = vec![
-            t([
-                Value::Int(1),
-                Value::CharArray("abc".into()),
-                Value::bag([t([Value::Long(1)]), t([Value::Long(2)])]),
-            ]),
-            t([
-                Value::Null,
-                Value::ByteArray(b"xyzw"[..].into()),
-                Value::Null,
-            ]),
-            t([Value::Int(9)]),
-        ];
-        let b = ColumnBatch::from_rows(&rows).unwrap();
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(b.row_shuffle_size(i), row.shuffle_size(), "row {i}");
-        }
-    }
-
-    #[test]
-    fn gather_and_slice_preserve_nested_bags() {
-        let rows: Vec<Value> = (0..6)
-            .map(|i| {
-                t([
-                    Value::Long(i),
-                    Value::bag(
-                        (0..i as usize)
-                            .map(|e| t([Value::Long(e as i64)]))
-                            .collect::<Vec<_>>(),
-                    ),
-                ])
-            })
-            .collect();
-        let b = ColumnBatch::from_rows(&rows).unwrap();
-        let s = b.slice(2, 3);
-        assert_eq!(s.to_rows(), rows[2..5].to_vec());
-        let g = b.gather(&[5, 0, 3]);
-        assert_eq!(
-            g.to_rows(),
-            vec![rows[5].clone(), rows[0].clone(), rows[3].clone()]
-        );
-    }
-
-    #[test]
-    fn concat_mixed_width_pads_with_widths() {
-        let a = ColumnBatch::from_rows(&[t([Value::Int(1), Value::Int(2)])]).unwrap();
-        let b = ColumnBatch::from_rows(&[t([Value::Int(3)])]).unwrap();
-        let c = ColumnBatch::concat(vec![a, b]);
-        assert_eq!(
-            c.to_rows(),
-            vec![t([Value::Int(1), Value::Int(2)]), t([Value::Int(3)])]
-        );
     }
 
     fn has_dyn(b: &ColumnBatch) -> bool {
@@ -1260,8 +1147,8 @@ mod tests {
             })
             .collect();
         let b = ColumnBatch::from_rows(&rows).unwrap();
-        // An empty chunk (zero columns) in the middle must not make
-        // the result ragged or mixed.
+        // A zero-row part in the middle (here of no column at all) is
+        // dropped, so it makes the result neither mixed nor narrower.
         let empty = ColumnBatch::from_rows(&[]).unwrap();
         let c = ColumnBatch::concat(vec![b.slice(1, 3), empty, b.slice(4, 2), b.clone()]);
         assert!(matches!(
@@ -1279,7 +1166,7 @@ mod tests {
             }
         ));
         assert!(matches!(c.col(2), Column::Bag(bag) if bag.validity.is_some()));
-        assert!(!has_dyn(&c) && c.widths().is_none());
+        assert!(!has_dyn(&c));
         assert_eq!(c.to_rows(), [&rows[1..4], &rows[4..6], &rows[..]].concat());
         for (i, row) in c.to_rows().iter().enumerate() {
             assert_eq!(c.row_shuffle_size(i), row.shuffle_size(), "row {i}");
@@ -1337,5 +1224,18 @@ mod tests {
             c.to_rows(),
             vec![t([Value::Int(1)]), t([Value::CharArray("s".into())])]
         );
+        // Bags of tuples of two widths: each part's child batch is
+        // rectangular, their concatenation could not be.
+        let rows = [
+            t([Value::bag([t([Value::Int(1)])])]),
+            t([Value::bag([t([Value::Int(2), Value::Int(3)])])]),
+        ];
+        let parts = rows
+            .iter()
+            .map(|r| ColumnBatch::from_rows(std::slice::from_ref(r)).unwrap())
+            .collect();
+        let c = ColumnBatch::concat(parts);
+        assert!(matches!(c.col(0), Column::Dyn(_)));
+        assert_eq!(c.to_rows(), rows);
     }
 }

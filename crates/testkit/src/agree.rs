@@ -201,8 +201,9 @@ fn one_algorithm_1(
 
 /// P3's Pig `L` and P4's Pig `K` from one run, on a DFS whose input
 /// blocks in `corrupt` each lose one replica (P5's Pig half). `runs`
-/// are the native side when every read holds a k-mer.
-fn pig_equals_native(
+/// are the native side when every read holds a k-mer; a read set with
+/// none stores two empty outputs.
+pub fn pig_equals_native(
     reads: &[SeqRecord],
     cfg: MrMcConfig,
     runs: &[MrMcResult],
@@ -374,15 +375,11 @@ impl Case {
         let corrupt: BTreeSet<usize> = (0..rng.random_range(0..=3))
             .map(|_| rng.random_range(0..6))
             .collect();
-        // Algorithm 3 refuses a read set with no k-mer: its `I.E` is a
-        // scalar, and `GROUP ... ALL` of no rows leaves it no row.
-        if !with_kmer(&reads, self.kmer).is_empty() {
-            let cfg = MrMcConfig {
-                linkage: self.linkage,
-                ..base
-            };
-            pig_equals_native(&reads, cfg, &runs, &corrupt);
-        }
+        let cfg = MrMcConfig {
+            linkage: self.linkage,
+            ..base
+        };
+        pig_equals_native(&reads, cfg, &runs, &corrupt);
         let at = arm(self.mode, self.linkage, self.banded);
         faults_are_invisible(&reads, arm_config(base, at), &runs[at], &mut rng);
     }

@@ -5,10 +5,15 @@
 //! proptest is deterministic per test name and does not shrink.
 //! `PROPTEST_CASES=256` sweeps deeper.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 
 use mrmc::{Mode, MrMcConfig};
-use mrmc_testkit::agree::{banded_as_promised, dereplication_is_invisible, Case, LINKAGES};
+use mrmc_seqio::SeqRecord;
+use mrmc_testkit::agree::{
+    banded_as_promised, dereplication_is_invisible, pig_equals_native, Case, LINKAGES,
+};
 use mrmc_testkit::community::edge_reads;
 use mrmc_testkit::routes::Ungrouped;
 
@@ -29,16 +34,23 @@ proptest! {
     }
 }
 
-/// P1 and P2 on the inputs the draw reaches only by chance: reads
+/// P1–P4 on the inputs the draw reaches only by chance: reads
 /// shorter than k, with `N`, and their copies mixed; all copies of one
-/// read; all copies of a short read; one read; no read.
+/// read; all copies of a short read; one read; no read. The short
+/// copies and the empty set hold no k-mer, so Pig stores two empty
+/// outputs for them.
 #[test]
 fn edge_cases() {
     let mixed = edge_reads();
+    // Copies under ids of their own, as Pig's `GROUP C BY seqid2` needs.
+    let copies = |read: &SeqRecord, n: usize| -> Vec<SeqRecord> {
+        let copy = |i| SeqRecord::new(format!("{}.{i}", read.id), read.seq.clone());
+        (0..n).map(copy).collect()
+    };
     let cases = [
         ("mixed", mixed.clone()),
-        ("all copies", vec![mixed[1].clone(); 5]),
-        ("all short copies", vec![mixed[0].clone(); 4]),
+        ("all copies", copies(&mixed[1], 5)),
+        ("all short copies", copies(&mixed[0], 4)),
         ("one read", mixed[1..2].to_vec()),
         ("empty", Vec::new()),
     ];
@@ -49,6 +61,7 @@ fn edge_cases() {
             let oracle = Ungrouped::new(&reads, &base);
             let runs = dereplication_is_invisible(&reads, base, &oracle);
             banded_as_promised(theta, &runs, &oracle);
+            pig_equals_native(&reads, base, &runs, &BTreeSet::new());
         }
     }
 }
