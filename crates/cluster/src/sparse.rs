@@ -180,10 +180,12 @@ pub fn greedy_cluster_sparse(graph: &SparseSimGraph, theta: f64) -> ClusterAssig
 /// zero-filled matrix (missing pairs = 0.0 similarity), for edge
 /// similarities in `[0, 1]`. On a graph holding every pair at or above
 /// θ (the banded route's θ-graph), the θ-cut equals the dense run's
-/// under single and complete linkage, which read only those pairs.
-/// Under average linkage it does not: pruned pairs count as 0, which
-/// pulls cluster averages down, so the cut can split clusters the
-/// dense run merges at or above θ (DESIGN.md §5c).
+/// under single linkage, which asks only whether pairs clear θ, and
+/// under complete linkage while no two merges in [θ, 1) tie: a tie's
+/// order follows the NN-chain's path, which reads the sub-θ values the
+/// graph prunes. Under average linkage it does not: pruned pairs count
+/// as 0, which pulls cluster averages down, so the cut can split
+/// clusters the dense run merges at or above θ (DESIGN.md §5c).
 ///
 /// Every linkage runs the nearest-neighbour chain on adjacency lists,
 /// each merge costing the summed degree of the two merged rows'

@@ -21,12 +21,13 @@
 //! [`MrMcConfig::hasher`] of `MrMcConfig { kmer: $KMER, num_hashes:
 //! $NUMHASH, seed: $DIV, .. }` (`$DIV` seeds the parameter draw; the
 //! range follows k, DESIGN.md §3b), `CalculatePairwiseSimilarity`
-//! reads a [`SketchPlane`], `AgglomerativeHierarchicalClustering` runs
-//! [`agglomerative`] and `GreedyClustering` places reads through a
-//! [`RepresentativeIndex`]. So at equal `(k, n, seed, θ, linkage)` both
-//! STORE outputs label the reads as a dense `MrMcMinH::run` over the
-//! reads in id order (the order `GROUP C BY seqid2` hands them on)
-//! does, up to label numbering.
+//! emits a [`SketchPlane`]'s agreement counts,
+//! `AgglomerativeHierarchicalClustering` links them as [`PairCounts`]
+//! through [`agglomerative_grouped`] and `GreedyClustering` places
+//! reads through a [`RepresentativeIndex`]. So at equal
+//! `(k, n, seed, θ, linkage)` both STORE outputs label the reads as a
+//! dense `MrMcMinH::run` over the reads in id order (the order
+//! `GROUP C BY seqid2` hands them on) does, up to label numbering.
 //!
 //! One documented deviation from the paper's listing: Algorithm 3
 //! computes minwise hashes with a bare `FOREACH` over *individual
@@ -37,10 +38,9 @@
 //! grouped bag, which is the semantically equivalent, side-effect-free
 //! formulation.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use mrmc_cluster::{agglomerative, CondensedMatrix, Linkage};
+use mrmc_cluster::{agglomerative_grouped, CountStrips, Linkage, PairCounts};
 use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
 use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
 use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, UdfError};
@@ -144,16 +144,6 @@ fn arg_str<'a>(
 ) -> Result<&'a str, UdfError> {
     let v = args.arg(idx).and_then(Value::as_str);
     v.ok_or_else(|| bad_arg(udf, idx, &format!("{what} (chararray)")))
-}
-
-fn arg_bag<'a>(
-    udf: &str,
-    args: &'a [Value],
-    idx: usize,
-    what: &str,
-) -> Result<&'a [Value], UdfError> {
-    let v = args.get(idx).and_then(Value::as_bag);
-    v.ok_or_else(|| bad_arg(udf, idx, &format!("{what} (bag)")))
 }
 
 /// `FastaStorage` — the loader: file bytes → bag of
@@ -286,6 +276,18 @@ fn script_hasher(args: &[BatchArg<'_>]) -> Result<MinHasher, UdfError> {
     Ok(config.hasher())
 }
 
+/// `K`'s and `L`'s knobs `$NUMHASH, $CUTOFF` at `args[idx..]`, validated
+/// as [`crate::MrMcMinH`] validates its config.
+fn knobs(udf: &str, args: &(impl Args + ?Sized), idx: usize) -> Result<MrMcConfig, UdfError> {
+    let config = MrMcConfig {
+        num_hashes: arg_count(udf, args, idx, "$NUMHASH")?,
+        theta: arg_f64(udf, args, idx + 1, "$CUTOFF")?,
+        ..MrMcConfig::default()
+    };
+    config.validate().map_err(|e| UdfError::new(udf, e))?;
+    Ok(config)
+}
+
 /// `CalculateMinwiseHash(kmer_bag, $KMER, $NUMHASH, $DIV)` — the
 /// grouped bag of `(kmer, seqid)` rows for one sequence →
 /// `(sketch:bag(long), seqid)`; the empty slot `u64::MAX` is `-1`.
@@ -366,22 +368,21 @@ fn sketch_of(udf: &str, v: &Value) -> Result<Sketch, UdfError> {
 }
 
 /// Decode `(sketch:bag(long), seqid)` rows — the `E` relation — into
-/// ids and sketches, in row order.
-fn sketch_rows<'a>(udf: &str, rows: &'a [Value]) -> Result<(Vec<&'a str>, Vec<Sketch>), UdfError> {
-    let mut ids = Vec::with_capacity(rows.len());
-    let mut sketches = Vec::with_capacity(rows.len());
+/// `(id, sketch)` pairs, in row order.
+fn sketch_rows<'a>(udf: &str, rows: &'a [Value]) -> Result<Vec<(&'a str, Sketch)>, UdfError> {
+    let mut out = Vec::with_capacity(rows.len());
     for row in rows {
         let t = row
             .as_tuple()
             .ok_or_else(|| UdfError::new(udf, "sketch rows must be tuples"))?;
-        sketches.push(sketch_of(udf, t.first().unwrap_or(&Value::Null))?);
+        let sketch = sketch_of(udf, t.first().unwrap_or(&Value::Null))?;
         let id = t
             .get(1)
             .and_then(Value::as_str)
             .ok_or_else(|| UdfError::new(udf, "missing seqid"))?;
-        ids.push(id);
+        out.push((id, sketch));
     }
-    Ok((ids, sketches))
+    Ok(out)
 }
 
 /// Every `(id, sketch)` must be `width` long; the error names the
@@ -405,23 +406,21 @@ fn check_widths<'a>(
 }
 
 /// `CalculatePairwiseSimilarity(sketch, seqid, all_rows)` — one row of
-/// the similarity matrix: `(seqid, bag of (other_seqid, sim))`. The
-/// `all_rows` argument is the scalar `I.E` reference — the row-wise
-/// partition of Fig. 1: every invocation sees the whole relation but
-/// computes only its own row. Sketches of unequal width are an error.
+/// the agreement counts: `(seqid, bag of int)`, the [`SketchPlane::count`]
+/// against each row of `all_rows` (the scalar `I.E`, Fig. 1's row-wise
+/// partition) in seqid order, its own included. A seqid twice in the
+/// relation or sketches of unequal width are an error.
 pub struct CalculatePairwiseSimilarity;
 impl Udf for CalculatePairwiseSimilarity {
     fn name(&self) -> &str {
         "CalculatePairwiseSimilarity"
     }
 
-    /// Decodes the broadcast relation once per chunk and packs it, with
-    /// the chunk's own sketches (read straight out of the sketch bag
-    /// column's packed `long` child) behind it, into one
-    /// [`SketchPlane`]; each row is the plane's row kernel against the
-    /// relation, skipping the relation rows that carry the row's own
-    /// id. Emits the `(seqid, bag of (other, sim))` rows as columns, so
-    /// the n² relation is never boxed.
+    /// Decodes the broadcast relation once per chunk, orders it by
+    /// seqid and packs it, with the chunk's own sketches (read straight
+    /// out of the sketch bag's `long` child) behind it, into one
+    /// [`SketchPlane`], whose row kernel writes each row's counts into
+    /// one `int` column: the n² relation is never boxed.
     fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         let udf = self.name();
         let what = "the sketch (bag of long)";
@@ -435,7 +434,14 @@ impl Udf for CalculatePairwiseSimilarity {
         };
         let slots = long_window(slots, lo as usize, (hi - lo) as usize);
         let slots = slots.ok_or_else(|| bad_arg(udf, 0, what))?;
-        let (ids, mut sketches) = sketch_rows(udf, all)?;
+        let mut relation = sketch_rows(udf, all)?;
+        relation.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        if let Some(pair) = relation.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            let fault = format!("seqid {} is twice in the relation", pair[0].0);
+            return Err(UdfError::new(udf, fault));
+        }
+        let (ids, mut sketches): (Vec<&str>, Vec<Sketch>) = relation.into_iter().unzip();
+        let n = ids.len();
         sketches.extend((start..start + rows).map(|r| {
             let slots = &slots[bag.offsets[r] as usize..bag.offsets[r + 1] as usize];
             Sketch::from_values(slots.iter().map(|&v| v as u64).collect())
@@ -449,40 +455,19 @@ impl Udf for CalculatePairwiseSimilarity {
         let mut out_ids = VarBytesBuilder::with_capacity(rows);
         let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
         offsets.push(0);
-        let mut others = VarBytesBuilder::with_capacity(rows * ids.len());
-        let mut sims: Vec<f64> = Vec::with_capacity(rows * ids.len());
-        let mut row_sims = Vec::with_capacity(ids.len());
+        let mut counts: Vec<i32> = Vec::with_capacity(rows * n);
         for i in 0..rows {
-            let my_id = my_ids.get(i);
-            row_sims.clear();
-            let me = ids.len() + i;
-            plane.extend_counts(me, 0..ids.len(), &mut row_sims, |c| plane.similarity_of(c));
-            for (other, &sim) in ids.iter().zip(&row_sims) {
-                if other.as_bytes() != my_id {
-                    others.push(other.as_bytes());
-                    sims.push(sim);
-                }
-            }
-            offsets.push(sims.len() as u32);
-            out_ids.push(my_id);
+            plane.extend_counts(n + i, 0..n, &mut counts, |c| c as i32);
+            offsets.push(counts.len() as u32);
+            out_ids.push(my_ids.get(i));
         }
-        let entries = sims.len();
         let row_col = Column::Bag(BagCol::new(
             offsets,
-            ColumnBatch::from_cols(
-                vec![
-                    Column::Str {
-                        data: others.finish(),
-                        validity: None,
-                    },
-                    Column::Double {
-                        data: sims,
-                        validity: None,
-                    },
-                ],
-                entries,
-            ),
-            true,
+            ColumnBatch::single(Column::Int {
+                data: counts,
+                validity: None,
+            }),
+            false,
             None,
         ));
         Ok(BatchOut::Tup(ColumnBatch::from_cols(
@@ -498,94 +483,99 @@ impl Udf for CalculatePairwiseSimilarity {
     }
 }
 
-/// Fill the dense matrix over `ids` (index order) from
-/// `(row, other id, similarity)` entries.
-/// Duplicate ids resolve to their first row, entries naming an unknown
-/// id or the row itself are skipped, and a later entry for a pair
-/// overwrites an earlier one.
-fn fill_matrix<Id: Copy + Eq + std::hash::Hash>(
-    ids: &[Id],
-    entries: impl IntoIterator<Item = (usize, Id, f64)>,
-) -> CondensedMatrix {
-    let mut index_of: HashMap<Id, usize> = HashMap::with_capacity(ids.len());
-    for (i, &id) in ids.iter().enumerate() {
-        index_of.entry(id).or_insert(i);
-    }
-    let mut matrix = CondensedMatrix::build(ids.len(), |_, _| 0.0);
-    for (i, other, sim) in entries {
-        if let Some(&j) = index_of.get(&other) {
-            if i != j {
-                matrix.set(i, j, sim);
-            }
-        }
-    }
-    matrix
-}
-
 /// `AgglomerativeHierarchicalClustering(rows, $LINK, $NUMHASH, $CUTOFF)`
-/// — bag of `(seqid, clusterlabel)`. `$NUMHASH` is accepted and
-/// unused: the similarity rows already carry the estimates.
+/// — bag of `(seqid, clusterlabel)` in seqid order. Count `j` of the
+/// `i`-th seqid's row is their agreement, similarity `count / $NUMHASH`.
 pub struct AgglomerativeHierarchicalClustering;
 impl Udf for AgglomerativeHierarchicalClustering {
     fn name(&self) -> &str {
         "AgglomerativeHierarchicalClustering"
     }
 
-    /// Fills the condensed matrix straight from the grouped similarity
-    /// relation's nested `bag(seqid, bag(other, sim))` column and emits
-    /// the `(seqid, label)` bag as columns.
+    /// Reads `II`'s nested `bag(seqid, bag(int))` column in place, joins
+    /// each row to the first earlier row it matches at `$NUMHASH` (equal
+    /// sketches), and links the groups' [`PairCounts`] through
+    /// [`agglomerative_grouped`], as the native dense route does. A row
+    /// not one count per seqid, a count outside `0..=$NUMHASH`, a
+    /// diagonal other than `$NUMHASH` and a seqid twice are errors.
     fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         let udf = self.name();
-        let what = "the similarity rows (seqid:chararray, bag of (seqid:chararray, sim:double))";
+        let what = "the similarity rows (seqid:chararray, simrow: bag of int)";
         let (outer, start) = bag_arg(udf, args, 0, rows, what)?;
         let linkage: Linkage = arg_str(udf, args, 1, "$LINK")?
             .parse()
             .map_err(|e: String| UdfError::new(udf, e))?;
-        arg_i64(udf, args, 2, "$NUMHASH")?;
-        let cutoff = arg_f64(udf, args, 3, "$CUTOFF")?;
+        let config = knobs(udf, args, 2)?;
+        let (width, cutoff) = (config.num_hashes, config.theta);
         // Relation rows `(seqid, simrow)` of the window's bags, then the
-        // entries `(other, sim)` of those rows' similarity bags.
-        let (row_lo, row_hi) = (outer.offsets[start], outer.offsets[start + rows]);
-        let (row_lo, row_len) = (row_lo as usize, (row_hi - row_lo) as usize);
+        // counts of those rows' bags.
+        let row_lo = outer.offsets[start] as usize;
+        let row_len = outer.offsets[start + rows] as usize - row_lo;
         let (true, [ids, Column::Bag(inner), ..]) = (outer.tuple_elems, outer.elems.cols()) else {
             return Err(bad_arg(udf, 0, what));
         };
-        let (Some(ids), true, true) = (
+        let (Some(ids), true, false, [Column::Int { data, validity }]) = (
             str_window(ids, row_lo, row_len),
             window_valid(&inner.validity, row_lo, row_len),
             inner.tuple_elems,
+            inner.elems.cols(),
         ) else {
             return Err(bad_arg(udf, 0, what));
         };
-        let (entry_lo, entry_hi) = (inner.offsets[row_lo], inner.offsets[row_lo + row_len]);
-        let (entry_lo, entry_len) = (entry_lo as usize, (entry_hi - entry_lo) as usize);
-        let [others, Column::Double {
-            data: sims,
-            validity,
-        }, ..] = inner.elems.cols()
-        else {
+        let counts = inner.offsets[row_lo] as usize..inner.offsets[row_lo + row_len] as usize;
+        if !window_valid(validity, counts.start, counts.len()) {
             return Err(bad_arg(udf, 0, what));
-        };
-        let (Some(others), true) = (
-            str_window(others, entry_lo, entry_len),
-            window_valid(validity, entry_lo, entry_len),
-        ) else {
-            return Err(bad_arg(udf, 0, what));
-        };
+        }
+        if let Some(c) = data[counts].iter().find(|&&c| c < 0 || c as usize > width) {
+            let fault = format!("count {c} is outside 0..={width} ($NUMHASH)");
+            return Err(UdfError::new(udf, fault));
+        }
         let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
         offsets.push(0);
         let mut out_ids = VarBytesBuilder::with_capacity(row_len);
         let mut labels: Vec<i32> = Vec::with_capacity(row_len);
         for r in start..start + rows {
-            let members = outer.offsets[r] as usize..outer.offsets[r + 1] as usize;
-            let row_ids: Vec<&[u8]> = members.clone().map(|m| ids.get(m)).collect();
-            let entries = members.enumerate().flat_map(|(i, m)| {
-                (inner.offsets[m] as usize..inner.offsets[m + 1] as usize)
-                    .map(move |e| (i, others.get(e), sims[e]))
-            });
-            let (assignment, _) = agglomerative(fill_matrix(&row_ids, entries), linkage, cutoff);
-            for (i, id) in row_ids.iter().enumerate() {
-                out_ids.push(id);
+            let mut members: Vec<usize> = (outer.offsets[r]..outer.offsets[r + 1])
+                .map(|m| m as usize)
+                .collect();
+            members.sort_unstable_by_key(|&m| ids.get(m));
+            let fault = |m: usize, what: String| {
+                let id = String::from_utf8_lossy(ids.get(m));
+                Err(UdfError::new(udf, format!("seqid {id} {what}")))
+            };
+            let n = members.len();
+            let mut simrows: Vec<&[i32]> = Vec::with_capacity(n);
+            let mut of: Vec<u32> = Vec::with_capacity(n);
+            let mut firsts: Vec<usize> = Vec::new();
+            for (i, &m) in members.iter().enumerate() {
+                let row = &data[inner.offsets[m] as usize..inner.offsets[m + 1] as usize];
+                if i > 0 && ids.get(members[i - 1]) == ids.get(m) {
+                    return fault(m, "is twice in the relation".into());
+                }
+                if row.len() != n {
+                    return fault(m, format!("holds {} counts, expected {n}", row.len()));
+                }
+                if row[i] as usize != width {
+                    return fault(m, format!("has diagonal {}, expected {width}", row[i]));
+                }
+                match row[..i].iter().position(|&c| c as usize == width) {
+                    Some(j) => of.push(of[j]),
+                    None => {
+                        of.push(firsts.len() as u32);
+                        firsts.push(i);
+                    }
+                }
+                simrows.push(row);
+            }
+            let counts = if width <= usize::from(u8::MAX) {
+                CountStrips::Narrow(strips(&simrows, &firsts, |c| c as u8))
+            } else {
+                CountStrips::Wide(strips(&simrows, &firsts, |c| c as u16))
+            };
+            let counts = PairCounts::new(width, counts);
+            let (assignment, _) = agglomerative_grouped(&counts, &of, linkage, cutoff);
+            for (i, &m) in members.iter().enumerate() {
+                out_ids.push(ids.get(m));
                 labels.push(assignment.label(i) as i32);
             }
             offsets.push(labels.len() as u32);
@@ -612,6 +602,16 @@ impl Udf for AgglomerativeHierarchicalClustering {
     }
 }
 
+/// The [`PairCounts`] strips of the rows `firsts` of `simrows`: strip
+/// `a` holds row `firsts[a]`'s counts at the later `firsts`, narrowed.
+fn strips<L>(simrows: &[&[i32]], firsts: &[usize], narrow: impl Fn(i32) -> L) -> Vec<Vec<L>> {
+    let strip = |(a, &row): (usize, &usize)| {
+        let row = simrows[row];
+        firsts[a + 1..].iter().map(|&b| narrow(row[b])).collect()
+    };
+    firsts.iter().enumerate().map(strip).collect()
+}
+
 /// `GreedyClustering(sketch_rows, $NUMHASH, $CUTOFF)` — Algorithm 1 on
 /// the grouped sketch relation, placed through the
 /// [`RepresentativeIndex`] a greedy [`crate::MrMcMinH`] run uses, its
@@ -625,14 +625,11 @@ impl Udf for GreedyClustering {
     fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         let udf = self.name();
         scalar_rows(args, rows, |args| {
-            let rows = arg_bag(udf, args, 0, "the sketch rows")?;
-            let config = MrMcConfig {
-                num_hashes: arg_count(udf, args, 1, "$NUMHASH")?,
-                theta: arg_f64(udf, args, 2, "$CUTOFF")?,
-                ..MrMcConfig::default()
-            };
-            config.validate().map_err(|e| UdfError::new(udf, e))?;
-            let (ids, sketches) = sketch_rows(udf, rows)?;
+            let rows = args.first().and_then(Value::as_bag);
+            let rows = rows.ok_or_else(|| bad_arg(udf, 0, "the sketch rows (bag)"))?;
+            let config = knobs(udf, args, 1)?;
+            let (ids, sketches): (Vec<&str>, Vec<Sketch>) =
+                sketch_rows(udf, rows)?.into_iter().unzip();
             let names = ids.iter().map(|id| id.as_bytes());
             check_widths(udf, names.zip(&sketches), config.num_hashes)?;
             let labels = RepresentativeIndex::new(&config).place_all(sketches);
@@ -1012,7 +1009,7 @@ mod tests {
             .filter(|s| s.shuffled_pairs > 0)
             .map(|s| (s.shuffled_pairs, s.shuffled_bytes, s.shuffle_runs))
             .collect();
-        assert_eq!(shuffles, [(80, 1776, 12), (5, 1570, 5), (5, 550, 5)]);
+        assert_eq!(shuffles, [(80, 1776, 12), (5, 1570, 5), (5, 255, 5)]);
     }
 
     /// A relation row `(sketch, seqid)` as `CalculateMinwiseHash` emits it.
@@ -1047,9 +1044,14 @@ mod tests {
         CalculatePairwiseSimilarity.eval_batch(&args, len)
     }
 
-    /// [`pairwise`] through the kernel, each row held to
-    /// `positional_similarity` against every relation row whose id is
-    /// not its own, in relation order.
+    /// A bag of agreement counts, as `J` emits a `simrow`.
+    fn counts(cs: &[i32]) -> Value {
+        Value::bag(cs.iter().map(|&c| Value::Int(c)).collect::<Vec<_>>())
+    }
+
+    /// [`pairwise`] through the kernel, each row held to the agreement
+    /// count `positional_similarity × width` against every relation row,
+    /// its own included, in ascending seqid order.
     fn check_pairwise(
         rows: &[Value],
         all: &[Value],
@@ -1065,28 +1067,27 @@ mod tests {
             let t = row.as_tuple().unwrap();
             (t[1].clone(), sketch_of("test", &t[0]).unwrap())
         };
+        let mut all: Vec<_> = all.iter().map(decode).collect();
+        all.sort_by(|a, b| a.0.cmp(&b.0));
         for (i, row) in rows[span].iter().enumerate() {
             let (id, me) = decode(row);
-            let want: Vec<Value> = all
+            let want: Vec<i32> = all
                 .iter()
-                .map(decode)
-                .filter(|(other, _)| *other != id)
-                .map(|(other, s)| {
-                    Value::tuple([other, Value::Double(positional_similarity(&me, &s))])
-                })
+                .map(|(_, s)| (positional_similarity(&me, s) * me.len() as f64).round() as i32)
                 .collect();
             assert_eq!(out.value_at(i, 0), id, "{what}");
-            assert_eq!(out.value_at(i, 1), Value::bag(want), "{what}, row {i}");
+            assert_eq!(out.value_at(i, 1), counts(&want), "{what}, row {i}");
         }
         out
     }
 
-    /// `J` is `positional_similarity` on the Algorithm-3 shape and its
-    /// corners: a window that is not the column's start, duplicate ids
-    /// (skipped by id, not by position), one read, an empty relation
-    /// and values past `u32::MAX`.
+    /// `J` is the agreement count behind `positional_similarity` on the
+    /// Algorithm-3 shape and its corners: a window that is not the
+    /// column's start, a relation not in seqid order, one read, an
+    /// empty relation and values past `u32::MAX`. A seqid twice in the
+    /// relation is an error.
     #[test]
-    fn pairwise_similarity_kernel_is_positional_similarity() {
+    fn pairwise_similarity_kernel_counts_agreements() {
         // -1 is the `u64::MAX` empty-slot sentinel: agreeing on it
         // must not count as agreement.
         let e = vec![
@@ -1096,41 +1097,33 @@ mod tests {
             sketch_row(&[-1, -1, -1, -1], "r4"),
         ];
         let out = check_pairwise(&e, &e, 0..4, "algorithm-3 shape");
-        assert_eq!(
-            out.value_at(0, 1),
-            Value::bag([
-                Value::tuple([Value::CharArray("r2".into()), Value::Double(0.5)]),
-                Value::tuple([Value::CharArray("r3".into()), Value::Double(0.5)]),
-                Value::tuple([Value::CharArray("r4".into()), Value::Double(0.0)]),
-            ])
-        );
+        assert_eq!(out.value_at(0, 1), counts(&[3, 2, 2, 0]));
         check_pairwise(&e, &e, 1..3, "mid-column window");
-        let dup = vec![
-            sketch_row(&[1, 2], "a"),
-            sketch_row(&[1, 3], "b"),
-            sketch_row(&[1, 2], "a"),
-        ];
-        let out = check_pairwise(&dup, &dup, 0..3, "duplicate ids");
-        assert_eq!(
-            out.value_at(0, 1),
-            Value::bag([Value::tuple([
-                Value::CharArray("b".into()),
-                Value::Double(0.5)
-            ])])
-        );
+        let reversed: Vec<Value> = e.iter().rev().cloned().collect();
+        check_pairwise(&e, &reversed, 0..4, "relation in reverse seqid order");
         let one = vec![sketch_row(&[5, 6], "only")];
         let out = check_pairwise(&one, &one, 0..1, "one read");
-        assert_eq!(out.value_at(0, 1), Value::bag([]));
-        check_pairwise(&dup, &[], 0..3, "empty relation");
+        assert_eq!(out.value_at(0, 1), counts(&[2]));
+        check_pairwise(&e, &[], 0..3, "empty relation");
         let wide = vec![
             sketch_row(&[1 << 40, 2, 3], "w1"),
             sketch_row(&[1 << 40, 2, -1], "w2"),
         ];
         check_pairwise(&wide, &wide, 0..2, "values past u32::MAX");
+        let dup = vec![
+            sketch_row(&[1, 2], "b"),
+            sketch_row(&[1, 3], "a"),
+            sketch_row(&[1, 2], "b"),
+        ];
+        let err = pairwise(&dup[..1], &dup, 0..1).unwrap_err();
+        assert!(
+            err.message.contains("seqid b is twice in the relation"),
+            "{err}"
+        );
     }
 
     /// Two reads with no k-mer have identical (all-empty) sketches:
-    /// similarity 1.0, `positional_similarity`'s rule; against a real
+    /// count = width, `positional_similarity`'s 1.0; against a real
     /// sketch they share nothing.
     #[test]
     fn degenerate_sketches_are_identical() {
@@ -1140,15 +1133,8 @@ mod tests {
             sketch_row(&[4, 5, 6], "long"),
         ];
         let out = check_pairwise(&e, &e, 0..3, "degenerate pair");
-        let sim = |row: &Value| -> Vec<f64> {
-            row.as_bag()
-                .unwrap()
-                .iter()
-                .map(|t| t.as_tuple().unwrap()[1].as_f64().unwrap())
-                .collect()
-        };
-        assert_eq!(sim(&out.value_at(0, 1)), [1.0, 0.0]);
-        assert_eq!(sim(&out.value_at(1, 1)), [1.0, 0.0]);
+        assert_eq!(out.value_at(0, 1), counts(&[0, 3, 3]));
+        assert_eq!(out.value_at(1, 1), counts(&[0, 3, 3]));
     }
 
     /// Sketches of unequal width cannot be compared: `J` refuses them
@@ -1189,137 +1175,186 @@ mod tests {
         assert!(err.message.contains("sketch of b"), "{err}");
     }
 
-    /// The id index keeps what the linear `position` scan it replaced
-    /// did: first row wins among duplicate ids, unknown ids and the
-    /// diagonal are skipped, a later entry overwrites an earlier one.
-    #[test]
-    fn fill_matrix_resolves_ids_to_their_first_row() {
-        let ids = ["a", "b", "a", "c"];
-        let entries = [
-            (0, "b", 0.75),
-            (1, "a", 0.25),    // same pair again: overwrites 0.75
-            (3, "a", 0.5),     // "a" is row 0, never row 2
-            (2, "c", 0.125),   // entries *of* the duplicate row keep its index
-            (0, "ghost", 1.0), // unknown id
-            (1, "b", 1.0),     // the row itself
-        ];
-        let m = fill_matrix(&ids, entries);
-        let want = [
-            ((0, 1), 0.25),
-            ((0, 2), 0.0),
-            ((0, 3), 0.5),
-            ((1, 2), 0.0),
-            ((1, 3), 0.0),
-            ((2, 3), 0.125),
-        ];
-        for ((i, j), sim) in want {
-            assert_eq!(m.get(i, j), sim, "({i}, {j})");
-        }
+    /// `II = GROUP J ALL` over `J`'s rows taken in `order`: one row
+    /// whose bag is the whole count relation.
+    fn grouped(j: &ColumnBatch, order: &[u32]) -> Column {
+        let rows = j.gather(order);
+        Column::Bag(BagCol::new(vec![0, order.len() as u32], rows, true, None))
     }
 
-    /// `K` over a column of grouped similarity relations (one bag of
-    /// `(seqid, simrow)` per row), each row held to `agglomerative`
-    /// over the `CondensedMatrix` its entries fill.
-    fn check_hierarchical(relations: Column, link: &str, what: &str) -> ColumnBatch {
+    /// `K(relations, link, width, θ)`'s label bag of each row.
+    fn hierarchical(relations: &Column, link: &str, width: usize, theta: f64) -> ColumnBatch {
         let rows = relations.len();
         let (link_arg, numhash, cutoff) = (
             Value::CharArray(link.into()),
-            Value::Long(4),
-            Value::Double(0.6),
+            Value::Long(width as i64),
+            Value::Double(theta),
         );
         let args = [
-            column(&relations),
+            column(relations),
             scalar(&link_arg, rows),
             scalar(&numhash, rows),
             scalar(&cutoff, rows),
         ];
-        let out = kernel_out(&AgglomerativeHierarchicalClustering, &args, rows, what);
-        for r in 0..rows {
-            let relation = relations.value_at(r);
-            let members = relation.as_bag().unwrap();
-            let ids: Vec<&str> = members
-                .iter()
-                .map(|m| m.as_tuple().unwrap()[0].as_str().unwrap())
-                .collect();
-            let entries = members.iter().enumerate().flat_map(|(i, m)| {
-                let sims = m.as_tuple().unwrap()[1].as_bag().unwrap();
-                sims.iter().map(move |e| {
-                    let e = e.as_tuple().unwrap();
-                    (i, e[0].as_str().unwrap(), e[1].as_f64().unwrap())
-                })
-            });
-            let linkage: Linkage = link.parse().unwrap();
-            let (assignment, _) = agglomerative(fill_matrix(&ids, entries), linkage, 0.6);
-            let want: Vec<Value> = ids
-                .iter()
-                .enumerate()
-                .map(|(i, id)| {
-                    let label = Value::Int(assignment.label(i) as i32);
-                    Value::tuple([Value::CharArray(id.to_string()), label])
-                })
-                .collect();
-            assert_eq!(out.value_at(r, 0), Value::bag(want), "{what}, row {r}");
-        }
-        out
+        kernel_out(&AgglomerativeHierarchicalClustering, &args, rows, "K")
     }
 
-    /// `K` is `agglomerative` on what `J` emits and on hand-made
-    /// relations with odd entries, for every linkage.
-    #[test]
-    fn hierarchical_kernel_is_agglomerative() {
-        // `II = GROUP J ALL` over the J kernel's own output: one row
-        // whose bag is the whole similarity relation.
-        let grouped = |e: &[Value]| {
-            let j = check_pairwise(e, e, 0..e.len(), "J for K");
-            Column::Bag(BagCol::new(vec![0, e.len() as u32], j, true, None))
-        };
-        let e = vec![
-            sketch_row(&[1, 2, 3, 4], "r1"),
-            sketch_row(&[1, 2, 3, 9], "r2"),
-            sketch_row(&[7, 7, 7, 7], "r3"),
-            sketch_row(&[1, 2, 3, 4], "r1"),
-        ];
-        let out = check_hierarchical(grouped(&e), "average", "J kernel output");
-        let Value::Bag(labels) = out.value_at(0, 0) else {
-            panic!("expected a label bag")
-        };
-        let label = |i: usize| labels[i].as_tuple().unwrap()[1].clone();
-        assert_eq!(label(0), label(1), "r1 and r2 agree on 3 of 4 slots");
-        assert_ne!(label(0), label(2));
-        check_hierarchical(
-            grouped(&[sketch_row(&[5, 6], "only")]),
-            "single",
-            "one read",
-        );
-
-        // Hand-made relations: an entry naming an unknown id, a row
-        // naming itself, a duplicate id (resolves to its first row)
-        // and a pair set twice (the later entry wins) — two relations
-        // in one window.
-        let entry =
-            |id: &str, sim: f64| Value::tuple([Value::CharArray(id.into()), Value::Double(sim)]);
-        let row = |id: &str, entries: Vec<Value>| {
-            Value::tuple([Value::CharArray(id.into()), Value::bag(entries)])
-        };
-        let odd = Value::bag([
-            row(
-                "a",
-                vec![entry("b", 0.9), entry("ghost", 1.0), entry("a", 1.0)],
-            ),
-            row("b", vec![entry("a", 0.1), entry("c", 0.7)]),
-            row("c", vec![entry("b", 0.7), entry("a", 0.2)]),
-            row("a", vec![entry("c", 0.8)]),
-        ]);
-        let plain = Value::bag([
-            row("x", vec![entry("y", 1.0)]),
-            row("y", vec![entry("x", 1.0)]),
-        ]);
-        for link in ["single", "average", "complete"] {
-            check_hierarchical(
-                Column::from_values(vec![odd.clone(), plain.clone()]),
-                link,
-                "odd entries",
-            );
+    /// `n` reads over `ACGT`: three random ones of 30 to 40 bases, then
+    /// exact copies (one in four) and variants of one to three
+    /// substitutions of earlier reads, ids `r000..` in read order.
+    fn planted_reads(seed: u64, n: usize) -> Vec<mrmc_seqio::SeqRecord> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut seqs: Vec<Vec<u8>> = Vec::with_capacity(n);
+        for i in 0..n {
+            let mut seq: Vec<u8> = if i < 3 {
+                let len = rng.random_range(30..40);
+                (0..len)
+                    .map(|_| b"ACGT"[rng.random_range(0..4usize)])
+                    .collect()
+            } else {
+                seqs[rng.random_range(0..i)].clone()
+            };
+            if i >= 3 && rng.random_range(0..4) > 0 {
+                for _ in 0..rng.random_range(1..=3) {
+                    let at = rng.random_range(0..seq.len());
+                    seq[at] = b"ACGT"[rng.random_range(0..4usize)];
+                }
+            }
+            seqs.push(seq);
         }
+        seqs.into_iter()
+            .enumerate()
+            .map(|(i, seq)| mrmc_seqio::SeqRecord::new(format!("r{i:03}"), seq))
+            .collect()
+    }
+
+    /// `K` over `J`'s relation is the native dense route: the reads
+    /// dereplicated, their distinct sketches counted by
+    /// `pair_counts_stage` and linked by `agglomerative_grouped` — the
+    /// same labels for single, average and complete linkage, at θ on
+    /// and between count steps.
+    #[test]
+    fn hierarchical_kernel_is_the_native_dense_route() {
+        use crate::stages::{dereplicate, pair_counts_stage, sketch_distinct_stage};
+        use mrmc_mapreduce::pipeline::Pipeline;
+        let (k, width) = (5, 16);
+        for seed in [1, 2, 3] {
+            let reads = planted_reads(seed, 40);
+            let config = MrMcConfig {
+                kmer: k,
+                num_hashes: width,
+                seed: 1_048_583,
+                map_tasks: 3,
+                ..MrMcConfig::default()
+            };
+            let hasher = config.hasher();
+            let e: Vec<Value> = reads
+                .iter()
+                .map(|r| {
+                    let sketch = hasher.sketch_sequence(&r.seq).unwrap();
+                    let vals: Vec<i64> = sketch.values().iter().map(|&v| v as i64).collect();
+                    sketch_row(&vals, &r.id)
+                })
+                .collect();
+            let j = check_pairwise(&e, &e, 0..e.len(), "J for K");
+            let order: Vec<u32> = (0..e.len() as u32).collect();
+            let relation = grouped(&j, &order);
+            let mut pipeline = Pipeline::new("t");
+            let derep = dereplicate(&reads).unwrap();
+            let distinct = sketch_distinct_stage(&reads, &derep, &config, &mut pipeline).unwrap();
+            let native = pair_counts_stage(distinct, &config, &mut pipeline).unwrap();
+            for link in ["single", "average", "complete"] {
+                for theta in [0.5, 0.6, 0.75] {
+                    let linkage: Linkage = link.parse().unwrap();
+                    let (want, _) = agglomerative_grouped(&native, derep.groups(), linkage, theta);
+                    let out = hierarchical(&relation, link, width, theta);
+                    let want: Vec<Value> = reads
+                        .iter()
+                        .zip(want.labels())
+                        .map(|(r, &label)| {
+                            Value::tuple([Value::CharArray(r.id.clone()), Value::Int(label as i32)])
+                        })
+                        .collect();
+                    let what = format!("seed {seed}, {link}, θ = {theta}");
+                    assert_eq!(out.value_at(0, 0), Value::bag(want), "{what}");
+                }
+            }
+        }
+    }
+
+    /// `J`'s rows and `K`'s labels depend on the read set by id, not on
+    /// the engine's row order: the same under a shuffled `I.E` and a
+    /// shuffled `II`, and the same stored bytes at 1 and 3 map tasks.
+    #[test]
+    fn pairwise_rows_and_labels_ignore_row_order() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        fn shuffle<T>(rng: &mut impl Rng, items: &mut [T]) {
+            for i in (1..items.len()).rev() {
+                items.swap(i, rng.random_range(0..=i));
+            }
+        }
+        let reads = planted_reads(4, 30);
+        let hasher = MrMcConfig {
+            kmer: 5,
+            num_hashes: 16,
+            ..MrMcConfig::default()
+        }
+        .hasher();
+        let e: Vec<Value> = reads
+            .iter()
+            .map(|r| {
+                let sketch = hasher.sketch_sequence(&r.seq).unwrap();
+                let vals: Vec<i64> = sketch.values().iter().map(|&v| v as i64).collect();
+                sketch_row(&vals, &r.id)
+            })
+            .collect();
+        let j = check_pairwise(&e, &e, 0..e.len(), "J");
+        let mut order: Vec<u32> = (0..e.len() as u32).collect();
+        let labels = hierarchical(&grouped(&j, &order), "average", 16, 0.6).to_rows();
+        for _ in 0..4 {
+            let mut shuffled = e.clone();
+            shuffle(&mut rng, &mut shuffled);
+            let rows = check_pairwise(&e, &shuffled, 0..e.len(), "J, shuffled I.E");
+            assert_eq!(rows.to_rows(), j.to_rows(), "J, shuffled I.E");
+            shuffle(&mut rng, &mut order);
+            let shuffled = hierarchical(&grouped(&j, &order), "average", 16, 0.6);
+            assert_eq!(shuffled.to_rows(), labels, "K, shuffled II");
+        }
+
+        let dfs = std::sync::Arc::new(
+            Dfs::new(DfsConfig {
+                block_size: 4096,
+                replication: 1,
+                nodes: 2,
+            })
+            .unwrap(),
+        );
+        let mut fasta = Vec::new();
+        mrmc_seqio::fasta::write_fasta(&mut fasta, &reads, 0).unwrap();
+        dfs.put("/in.fa", Bytes::from(fasta), false).unwrap();
+        let params: HashMap<String, String> = [
+            ("INPUT", "/in.fa"),
+            ("KMER", "5"),
+            ("NUMHASH", "16"),
+            ("DIV", "1048583"),
+            ("LINK", "average"),
+            ("CUTOFF", "0.6"),
+            ("OUTPUT1", "/out/hier"),
+            ("OUTPUT2", "/out/greedy"),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect();
+        let text = format!("{}STORE J INTO '/out/j';\n", algorithm3_script());
+        let script = parse_script(&text, &params).unwrap();
+        let stored = |tasks: usize| {
+            let mut runner = PigRunner::new(std::sync::Arc::clone(&dfs), registry());
+            runner.num_map_tasks = tasks;
+            runner.run(&script).unwrap();
+            ["/out/j", "/out/hier"].map(|path| dfs.read(path).unwrap())
+        };
+        assert_eq!(stored(1), stored(3));
     }
 }

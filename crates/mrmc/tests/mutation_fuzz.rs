@@ -1,7 +1,8 @@
 //! Seeded mutation fuzzing of what the library parses and evaluates:
 //! the Algorithm 3 script through `parse_script`, FASTA and FASTQ
 //! records through `read_fasta_bytes` and `read_fastq_bytes`, and the
-//! argument windows of the four columnar Algorithm 3 UDFs. A text
+//! argument windows of the four columnar Algorithm 3 UDFs, beside
+//! directed faults of the count relation `J` hands `K`. A text
 //! mutant is the valid text with a few random byte-level insertions,
 //! deletions and replacements, or a truncation; a parser must answer
 //! every mutant with `Ok` or its typed error. An argument mutant is a
@@ -227,6 +228,29 @@ fn bag(rows: Vec<Vec<Value>>) -> Value {
     Value::bag(rows.into_iter().map(Value::tuple).collect::<Vec<_>>())
 }
 
+/// A bag of ints: `J`'s `simrow` of agreement counts.
+fn ints(vals: &[i32]) -> Value {
+    Value::bag(vals.iter().map(|&v| Value::Int(v)).collect::<Vec<_>>())
+}
+
+/// `(seqid, simrow)` rows of a count relation.
+type Rows = &'static [(&'static str, &'static [i32])];
+
+/// `II`'s one row: the `(seqid, simrow)` relation `J` emits, each
+/// simrow one count per seqid in ascending seqid order at width 4.
+fn relation(rows: Rows) -> Value {
+    bag(rows
+        .iter()
+        .map(|&(id, counts)| vec![chars(id), ints(counts)])
+        .collect())
+}
+
+/// Three reads, no two alike.
+const TRIANGLE: Rows = &[("a", &[4, 3, 0]), ("b", &[3, 4, 1]), ("c", &[0, 1, 4])];
+
+/// Two equal sketches and a third, rows not in seqid order.
+const GROUPED: Rows = &[("z", &[2, 2, 4]), ("x", &[4, 4, 2]), ("y", &[4, 4, 2])];
+
 /// `E`'s and `J`'s sketch: a bag of longs.
 fn sketch(vals: &[i64]) -> Value {
     Value::bag(vals.iter().map(|&v| Value::Long(v)).collect::<Vec<_>>())
@@ -238,12 +262,6 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
         bag(kms
             .iter()
             .map(|&k| vec![Value::Long(k), chars(id)])
-            .collect())
-    };
-    let sims = |row: &[(&str, f64)]| {
-        bag(row
-            .iter()
-            .map(|&(id, sim)| vec![chars(id), Value::Double(sim)])
             .collect())
     };
     use Arg::{Column as Col, Scalar};
@@ -284,11 +302,7 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
         (
             &AgglomerativeHierarchicalClustering,
             vec![
-                Col(vec![bag(vec![
-                    vec![chars("a"), sims(&[("b", 0.75), ("c", 0.0)])],
-                    vec![chars("b"), sims(&[("a", 0.75), ("c", 0.25)])],
-                    vec![chars("c"), sims(&[("a", 0.0), ("b", 0.25)])],
-                ])]),
+                Col(vec![relation(TRIANGLE), relation(GROUPED)]),
                 Scalar(chars("average")),
                 Scalar(Value::Long(4)),
                 Scalar(Value::Double(0.6)),
@@ -304,4 +318,110 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
         // all valid calls.
         assert!(0 < ok && ok < 1_500, "{}: {ok} of 1500 Ok", udf.name());
     }
+}
+
+/// `udf` over the one-row `col` and the broadcast `scalars` answers
+/// with a `UdfError` that names it, never a panic or `Ok`.
+fn refused(udf: &dyn Udf, cols: &[Value], scalars: &[Value], what: &str) -> String {
+    let cols: Vec<Column> = cols
+        .iter()
+        .map(|v| Column::from_values(vec![v.clone()]))
+        .collect();
+    let call: Vec<BatchArg<'_>> = cols
+        .iter()
+        .map(|col| BatchArg::Column {
+            col,
+            start: 0,
+            len: 1,
+        })
+        .chain(
+            scalars
+                .iter()
+                .map(|value| BatchArg::Scalar { value, len: 1 }),
+        )
+        .collect();
+    match catch_unwind(AssertUnwindSafe(|| udf.eval_batch(&call, 1))) {
+        Err(_) => panic!("{what}: {} panicked", udf.name()),
+        Ok(Ok(_)) => panic!("{what}: {} answered Ok", udf.name()),
+        Ok(Err(e)) => {
+            assert_eq!(e.udf, udf.name(), "{what}: {e}");
+            e.message
+        }
+    }
+}
+
+/// A count relation that `J` cannot have emitted is refused by `K`
+/// before `PairCounts::new` asserts on it, and a relation with a seqid
+/// twice is refused by `J`.
+#[test]
+fn count_relation_faults_are_udf_errors() {
+    let knobs = |numhash: i64| [chars("average"), Value::Long(numhash), Value::Double(0.6)];
+    let k = |rows: Rows, numhash: i64, what: &str| {
+        let relation = relation(rows);
+        refused(
+            &AgglomerativeHierarchicalClustering,
+            &[relation],
+            &knobs(numhash),
+            what,
+        )
+    };
+    let faults: [(Rows, &str, &str); 7] = [
+        (
+            &[("a", &[4, 5, 0]), ("b", &[5, 4, 1]), ("c", &[0, 1, 4])],
+            "count above $NUMHASH",
+            "count 5 is outside 0..=4",
+        ),
+        (
+            &[("a", &[4, -1, 0]), ("b", &[-1, 4, 1]), ("c", &[0, 1, 4])],
+            "negative count",
+            "count -1 is outside 0..=4",
+        ),
+        (
+            &[("a", &[4, 3]), ("b", &[3, 4, 1]), ("c", &[0, 1, 4])],
+            "simrow one short",
+            "seqid a holds 2 counts, expected 3",
+        ),
+        (
+            &[("a", &[4, 3, 0]), ("b", &[3, 4, 1, 0]), ("c", &[0, 1, 4])],
+            "simrow one long",
+            "seqid b holds 4 counts, expected 3",
+        ),
+        (
+            &[("a", &[4, 3, 0]), ("c", &[3, 4, 1]), ("c", &[0, 1, 4])],
+            "duplicate seqid",
+            "seqid c is twice in the relation",
+        ),
+        (
+            &[("a", &[4, 3, 0]), ("b", &[3, 2, 1]), ("c", &[0, 1, 4])],
+            "diagonal below $NUMHASH",
+            "seqid b has diagonal 2, expected 4",
+        ),
+        (
+            &[("b", &[3, 4, 1]), ("c", &[0, 1, 4]), ("a", &[3, 3, 0])],
+            "diagonal below $NUMHASH, rows out of order",
+            "seqid a has diagonal 3, expected 4",
+        ),
+    ];
+    for (rows, what, want) in faults {
+        let message = k(rows, 4, what);
+        assert!(message.contains(want), "{what}: {message}");
+    }
+    let message = k(TRIANGLE, 70_000, "$NUMHASH past the u16 count");
+    assert!(
+        message.contains("num_hashes 70000 out of range"),
+        "{message}"
+    );
+
+    let e = bag(vec![
+        vec![sketch(&[1, 2, 3, 4]), chars("a")],
+        vec![sketch(&[1, 5, 3, 4]), chars("b")],
+        vec![sketch(&[1, 2, 3, 9]), chars("a")],
+    ]);
+    let message = refused(
+        &CalculatePairwiseSimilarity,
+        &[sketch(&[1, 2, 3, 4]), chars("a")],
+        &[e],
+        "I.E with a seqid twice",
+    );
+    assert!(message.contains("seqid a is twice"), "{message}");
 }
