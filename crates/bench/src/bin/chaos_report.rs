@@ -27,13 +27,13 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mrmc::{Mode, MrMcConfig, MrMcMinH};
-use mrmc_bench::json::Json;
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{ChaosProfile, FaultPlan, Phase};
 use mrmc_mapreduce::{
     Dfs, DfsConfig, JobConfig, Mapper, Pipeline, RecoveryCounters, Reducer, ShuffleSized,
     TaskContext,
 };
+use mrmc_obs::json::Json;
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
 /// A pipeline whose every stage runs under `plan`'s faults.
@@ -577,7 +577,7 @@ fn main() {
     ]);
     println!("{}", doc.pretty());
     if let Some(path) = &args.json {
-        mrmc_bench::json::write_file(path, &doc);
+        mrmc_obs::json::write_file(path, &doc);
         eprintln!("wrote recovery matrix to {path}");
     }
 

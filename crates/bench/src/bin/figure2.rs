@@ -24,10 +24,10 @@ use std::sync::Arc;
 
 use mrmc::stages::dereplicate;
 use mrmc::{CostCalibration, Mode, MrMcConfig, MrMcMinH};
-use mrmc_bench::json::{write_file, Json};
 use mrmc_bench::HarnessArgs;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::{chrome_trace, ClusterSpec, JobCostModel, Pipeline, Tracer};
+use mrmc_obs::json::{write_file, Json};
 use mrmc_simulate::{CommunitySpec, ErrorModel, ReadSimulator, SpeciesSpec, TaxRank};
 
 fn main() {

@@ -8,7 +8,6 @@
 //! `cargo run -p mrmc-bench --release --bin tableN`.
 
 pub mod alloc;
-pub mod json;
 
 use std::time::Instant;
 
@@ -17,13 +16,13 @@ use std::time::Instant;
 #[global_allocator]
 static GLOBAL_ALLOC: alloc::CountingAllocator = alloc::CountingAllocator;
 
-use json::Json;
 use mrmc::{Mode, MrMcConfig, MrMcMinH};
 use mrmc_baselines::{
     CdHitLike, Clusterer, DoturLike, EspritLike, McLsh, MetaClusterLike, MothurLike, UclustLike,
 };
 use mrmc_cluster::ClusterAssignment;
 use mrmc_metrics::{weighted_accuracy, weighted_similarity, SimilarityOptions};
+use mrmc_obs::json::Json;
 use mrmc_seqio::SeqRecord;
 use mrmc_simulate::Dataset;
 

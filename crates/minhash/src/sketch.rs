@@ -2,18 +2,18 @@
 //!
 //! [`MinHasher`] sketches k-mer streams ([`MinHasher::sketch_kmers`])
 //! and sequences ([`MinHasher::sketch_sequence`]) with one of three
-//! exact kernels, read off `k`, the family and the strand convention
-//! (DESIGN.md §5a). A batch of sequences
-//! ([`MinHasher::sketch_sequences`]) is one more entry, not a fourth
-//! kernel: a hasher that rolls visits the batch in byte order and
-//! resumes each sequence from the state its predecessor left at their
-//! common prefix, which the rolling kernel's left fold makes exact, so
-//! amplicon reads that share a primer-delimited start roll it once.
+//! exact kernels, read off `k` and the family (DESIGN.md §5a). A batch
+//! of sequences ([`MinHasher::sketch_sequences`]) is one more entry,
+//! not a fourth kernel: a hasher that rolls visits the batch in byte
+//! order and resumes each sequence from the state its predecessor left
+//! at their common prefix, which the rolling kernel's left fold makes
+//! exact, so amplicon reads that share a primer-delimited start roll
+//! it once.
 
 use std::sync::{Arc, OnceLock};
 
 use mrmc_seqio::alphabet::encode_base;
-use mrmc_seqio::encode::{CanonicalKmerIter, KmerIter};
+use mrmc_seqio::encode::KmerIter;
 use mrmc_seqio::SeqIoError;
 
 use crate::hash::{HashParams, UniversalHashFamily};
@@ -129,7 +129,6 @@ impl Presence {
 pub struct MinHasher {
     family: UniversalHashFamily,
     k: usize,
-    canonical: bool,
     /// The rank table, for `4^k ≤ RANK_TABLE_MAX_SPACE` only: per hash
     /// function, all `4^k` k-mers ordered by `(h_i(x), x)`. Built by
     /// the first read dense enough to use it; clones (one per stage,
@@ -147,17 +146,6 @@ impl MinHasher {
     /// uniformly at random once per run).
     pub fn for_kmer_size(k: usize, n: usize, seed: u64) -> MinHasher {
         MinHasher::with_family(k, UniversalHashFamily::for_kmer_size(k, n, seed))
-    }
-
-    /// Switch to canonical (strand-independent) k-mers: each k-mer is
-    /// replaced by the minimum of itself and its reverse complement
-    /// before hashing, so a read and its reverse complement produce
-    /// identical sketches. The paper's pipeline is strand-sensitive;
-    /// this is the Mash-style extension for randomly-oriented shotgun
-    /// reads.
-    pub fn canonical(mut self) -> MinHasher {
-        self.canonical = true;
-        self
     }
 
     /// Wrap an existing family (its range must cover the `4^k`
@@ -178,7 +166,6 @@ impl MinHasher {
         MinHasher {
             family,
             k,
-            canonical: false,
             ranks: small.then(Arc::default),
             rolling,
         }
@@ -325,20 +312,15 @@ impl MinHasher {
     /// Sketch a DNA sequence directly (k-mer extraction + hashing in
     /// one pass — what the `CalculateMinwiseHash` UDF does per record).
     ///
-    /// A strand-sensitive hasher whose family allows it (`k ≥ 8`, `m`
-    /// a power of two with `5(p − m) < m`, `p < 2^32`: both k-mer
-    /// families at k = 8..=15) runs the **rolling kernel**: each base
-    /// steps every residue `(a_i·x + b_i) mod p` from the previous
-    /// k-mer's, with no k-mer buffer, sort or dedup and no Eq. 5
-    /// evaluation at all. Every other hasher — canonical, `k ≤ 7`,
-    /// `k ≥ 16`, other families — feeds the k-mer stream to
-    /// [`Self::sketch_kmers`]. All are bit-identical to
-    /// the textbook loop over [`KmerIter`] (or [`CanonicalKmerIter`]).
+    /// A hasher whose family allows it (`k ≥ 8`, `m` a power of two
+    /// with `5(p − m) < m`, `p < 2^32`: both k-mer families at
+    /// k = 8..=15) runs the **rolling kernel**: each base steps every
+    /// residue `(a_i·x + b_i) mod p` from the previous k-mer's, with no
+    /// k-mer buffer, sort or dedup and no Eq. 5 evaluation at all.
+    /// Every other hasher — `k ≤ 7`, `k ≥ 16`, other families — feeds
+    /// the k-mer stream to [`Self::sketch_kmers`]. All are
+    /// bit-identical to the textbook loop over [`KmerIter`].
     pub fn sketch_sequence(&self, seq: &[u8]) -> Result<Sketch, SeqIoError> {
-        if self.canonical {
-            let iter = CanonicalKmerIter::new(seq, self.k)?;
-            return Ok(self.sketch_kmers(iter));
-        }
         match &self.rolling {
             Some(steps) => {
                 let mut state = Rolling::new(&self.family);
@@ -380,13 +362,10 @@ impl MinHasher {
         &self,
         seqs: &[&[u8]],
     ) -> Result<(Vec<Sketch>, u64), SeqIoError> {
-        let steps = match &self.rolling {
-            Some(steps) if !self.canonical => steps,
-            _ => {
-                let sketches = seqs.iter().map(|s| self.sketch_sequence(s));
-                let bases = seqs.iter().map(|s| s.len() as u64).sum();
-                return Ok((sketches.collect::<Result<_, _>>()?, bases));
-            }
+        let Some(steps) = &self.rolling else {
+            let sketches = seqs.iter().map(|s| self.sketch_sequence(s));
+            let bases = seqs.iter().map(|s| s.len() as u64).sum();
+            return Ok((sketches.collect::<Result<_, _>>()?, bases));
         };
         let mut order: Vec<usize> = (0..seqs.len()).collect();
         order.sort_unstable_by_key(|&i| seqs[i]);
@@ -719,7 +698,7 @@ mod tests {
         assert_eq!(table(&hasher), None);
         // Two threads make first use of one hasher and a clone of it
         // at the same moment: one table, the same sketch.
-        let clone = hasher.clone().canonical();
+        let clone = hasher.clone();
         let start = std::sync::Barrier::new(2);
         let dense = |h: &MinHasher| {
             start.wait();
@@ -741,8 +720,7 @@ mod tests {
     }
 
     #[test]
-    fn rolling_constants_follow_k_family_and_strand() {
-        use mrmc_seqio::encode::CanonicalKmerIter;
+    fn rolling_constants_follow_k_and_family() {
         let literal = |k| {
             MinHasher::with_family(k, UniversalHashFamily::for_kmer_size_paper_literal(k, 9, 3))
         };
@@ -763,19 +741,13 @@ mod tests {
             );
             assert!(literal(k).rolling.is_none(), "literal k = {k}");
         }
-        // Clones share one copy; a canonical clone keeps it but takes
-        // the k-mer path (a rolled forward-strand sketch would differ).
+        // Clones share one copy and roll to the k-mer path's sketch.
         let clone = sixteen_s.clone();
-        let canonical = sixteen_s.clone().canonical();
         let constants = |h: &MinHasher| h.rolling.as_ref().map(|s| s.as_ptr());
         assert_eq!(constants(&clone), constants(&sixteen_s));
-        assert_eq!(constants(&canonical), constants(&sixteen_s));
         let read = b"GATTACAGGCTTACCGATNNCATGCAAGTCCGATTAGGCTAC";
-        let expect = canonical.sketch_kmers(CanonicalKmerIter::new(read, 15).unwrap());
-        assert_eq!(canonical.sketch_sequence(read).unwrap(), expect);
         let forward = clone.sketch_kmers(KmerIter::new(read, 15).unwrap());
         assert_eq!(clone.sketch_sequence(read).unwrap(), forward);
-        assert_ne!(expect, forward);
     }
 
     #[test]
@@ -800,7 +772,10 @@ mod tests {
         assert_eq!(h.sketch_sequences(&seqs).unwrap(), batch);
         // A hasher that does not roll steps every base.
         let every: u64 = seqs.iter().map(|s| s.len() as u64).sum();
-        for other in [MinHasher::for_kmer_size(5, 16, 5), h.clone().canonical()] {
+        for other in [
+            MinHasher::for_kmer_size(5, 16, 5),
+            MinHasher::for_kmer_size(16, 16, 5),
+        ] {
             let (batch, stepped) = other.sketch_sequences_counted(&seqs).unwrap();
             assert_eq!(stepped, every);
             for (seq, got) in seqs.iter().zip(&batch) {
@@ -808,20 +783,5 @@ mod tests {
             }
         }
         assert_eq!(h.sketch_sequences(&[]).unwrap(), Vec::new());
-    }
-
-    #[test]
-    fn canonical_sketch_reverse_complement_invariant() {
-        use mrmc_testkit::kernels::reverse_complement;
-        let h = MinHasher::for_kmer_size(6, 48, 17).canonical();
-        let seq = b"ACGTACGTTTGGCCAATCGATCGGATCCGTA";
-        let fwd = h.sketch_sequence(seq).unwrap();
-        let rev = h.sketch_sequence(&reverse_complement(seq)).unwrap();
-        assert_eq!(fwd, rev);
-        // Strand-sensitive mode distinguishes the two strands.
-        let hs = MinHasher::for_kmer_size(6, 48, 17);
-        let f2 = hs.sketch_sequence(seq).unwrap();
-        let r2 = hs.sketch_sequence(&reverse_complement(seq)).unwrap();
-        assert_ne!(f2, r2);
     }
 }

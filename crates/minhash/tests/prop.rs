@@ -11,7 +11,7 @@ use mrmc_minhash::{
     exact_jaccard, is_prime, next_prime, positional_similarity, set_similarity, BandingScheme,
     MinHasher, Sketch, SketchPlane, UniversalHashFamily,
 };
-use mrmc_seqio::encode::{CanonicalKmerIter, KmerIter};
+use mrmc_seqio::encode::KmerIter;
 use mrmc_testkit::community::dna;
 use mrmc_testkit::kernels as reference;
 
@@ -265,14 +265,13 @@ proptest! {
     /// rolling residues, word-sized or 127-bit Eq. 5 — `sketch_sequence`
     /// and `sketch_kmers` equal the textbook loop: random mixed-case
     /// reads with ambiguous bases and low-complexity ones, both
-    /// strands' conventions, both families, sketch widths around the
-    /// block size and the 16S setting's.
+    /// families, sketch widths around the block size and the 16S
+    /// setting's.
     #[test]
     fn sketch_kernels_match_reference(
         bases in proptest::collection::vec(proptest::sample::select(bases_with_ambiguity()), 0..1500),
         period in proptest::sample::select(vec![0usize, 0, 3, 11]),
         n in proptest::sample::select(vec![1usize, 7, 8, 9, 50, 100]),
-        canonical in any::<bool>(),
         literal in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -283,13 +282,8 @@ proptest! {
             _ => (0..bases.len()).map(|i| bases[i % period]).collect(),
         };
         for k in KS {
-            let mut hasher = hasher_for(k, n, seed, literal);
-            let kmers: Vec<u64> = if canonical {
-                hasher = hasher.canonical();
-                CanonicalKmerIter::new(&read, k).unwrap().collect()
-            } else {
-                KmerIter::new(&read, k).unwrap().collect()
-            };
+            let hasher = hasher_for(k, n, seed, literal);
+            let kmers: Vec<u64> = KmerIter::new(&read, k).unwrap().collect();
             let expect = assert_matches_reference(&hasher, &kmers, &format!("k = {k}"));
             let got = hasher.sketch_sequence(&read).unwrap();
             prop_assert_eq!(got.values(), expect.values(), "k = {}", k);
@@ -301,12 +295,11 @@ proptest! {
     /// per-sequence sketch of every member: near copies of one to four
     /// templates (mixed case, ambiguous bases, point mutations), cut
     /// short of k or to nothing, exact copies, in random order, at
-    /// every k of `KS`, both strands' conventions and both families.
+    /// every k of `KS` and both families.
     #[test]
     fn sketch_sequences_equal_per_read(
         batch_seed in any::<u64>(),
         n in proptest::sample::select(vec![1usize, 8, 50]),
-        canonical in any::<bool>(),
         literal in any::<bool>(),
         seed in any::<u64>(),
     ) {
@@ -314,10 +307,7 @@ proptest! {
         let seqs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
         let bases: u64 = seqs.iter().map(|s| s.len() as u64).sum();
         for k in KS {
-            let mut hasher = hasher_for(k, n, seed, literal);
-            if canonical {
-                hasher = hasher.canonical();
-            }
+            let hasher = hasher_for(k, n, seed, literal);
             let (got, stepped) = hasher.sketch_sequences_counted(&seqs).unwrap();
             prop_assert_eq!(got.len(), seqs.len());
             prop_assert!(stepped <= bases, "k = {}", k);

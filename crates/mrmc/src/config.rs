@@ -51,10 +51,6 @@ pub struct MrMcConfig {
     pub linkage: Linkage,
     /// Seed for the universal hash parameter draws.
     pub seed: u64,
-    /// Use canonical (strand-independent) k-mers — the Mash-style
-    /// extension for randomly-oriented shotgun reads; the paper's
-    /// pipeline is strand-sensitive (false).
-    pub canonical: bool,
     /// Map tasks for the sketching stage.
     pub map_tasks: usize,
     /// Candidate generation of the hierarchical route: dense all-pairs
@@ -71,7 +67,6 @@ impl Default for MrMcConfig {
             mode: Mode::Hierarchical,
             linkage: Linkage::Average,
             seed: 0x6d72_6d63, // "mrmc"
-            canonical: false,
             map_tasks: 16,
             candidates: CandidateGen::Dense,
         }
@@ -135,16 +130,12 @@ impl MrMcConfig {
         BandingScheme::tune(self.num_hashes, self.theta)
     }
 
-    /// The sketcher this config implies — the one place the `canonical`
-    /// knob is applied, so the batch stages, θ suggestion and streaming
-    /// sessions all hash the same k-mers.
+    /// The sketcher this config implies, built in this one place so the
+    /// batch stages, θ suggestion and streaming sessions all hash the
+    /// same k-mers: the forward k-mers of each read, as the paper's
+    /// `TranslateToKmer` emits them.
     pub fn hasher(&self) -> MinHasher {
-        let hasher = MinHasher::for_kmer_size(self.kmer, self.num_hashes, self.seed);
-        if self.canonical {
-            hasher.canonical()
-        } else {
-            hasher
-        }
+        MinHasher::for_kmer_size(self.kmer, self.num_hashes, self.seed)
     }
 
     /// Validate the knob ranges.
@@ -233,11 +224,11 @@ mod tests {
         assert_eq!(wide.banding_scheme(), BandingScheme::tune(100, 0.95));
     }
 
-    /// Knob-shape pin: both patterns are exhaustive, so a tenth field
+    /// Knob-shape pin: both patterns are exhaustive, so a ninth field
     /// or a payload on `Banded` cannot land without editing the test
-    /// that counts them (9 independently settable values).
+    /// that counts them (8 independently settable values).
     #[test]
-    fn knob_shape_is_nine_fields_and_a_bare_tag() {
+    fn knob_shape_is_eight_fields_and_a_bare_tag() {
         let MrMcConfig {
             kmer: _,
             num_hashes: _,
@@ -245,7 +236,6 @@ mod tests {
             mode: _,
             linkage: _,
             seed: _,
-            canonical: _,
             map_tasks: _,
             candidates,
         } = MrMcConfig::default();

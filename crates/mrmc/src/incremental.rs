@@ -611,36 +611,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_session_streams_canonical_sketches() {
-        use mrmc_testkit::kernels::reverse_complement;
-        let (reads, _) = two_species(20, 800, 50_000, 6);
-        for canonical in [true, false] {
-            let cfg = MrMcConfig {
-                canonical,
-                ..config(0.9).greedy()
-            };
-            let result = MrMcMinH::new(cfg).run(&reads).unwrap();
-            let mut inc = IncrementalClusterer::from_run(cfg, &reads, &result).unwrap();
-            let seeded = inc.num_clusters();
-            // Greedy representatives are pairwise below θ, so a copy of
-            // the last one can only land in that one's cluster.
-            let rep = *result.representatives().last().unwrap();
-            let flipped = SeqRecord::new("rc", reverse_complement(&reads[rep].seq));
-            let label = inc.push_batch(&[flipped]).unwrap()[0];
-            if canonical {
-                assert_eq!(
-                    label,
-                    seeded - 1,
-                    "opposite strand joins its read's cluster"
-                );
-                assert_eq!(inc.num_clusters(), seeded);
-            } else {
-                assert_eq!(label, seeded, "strand-sensitive: a new cluster");
-            }
-        }
-    }
-
-    #[test]
     fn empty_and_degenerate_reads() {
         let mut inc = IncrementalClusterer::new(config(0.9));
         assert_eq!(inc.num_clusters(), 0);

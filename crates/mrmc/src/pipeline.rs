@@ -314,50 +314,6 @@ mod tests {
     }
 
     #[test]
-    fn canonical_mode_is_strand_invariant() {
-        use mrmc_testkit::kernels::reverse_complement;
-        let (reads, truth) = two_species(40, 800, 50_000, 9);
-        // Flip half the reads to the opposite strand — real shotgun
-        // data arrives like this.
-        let mixed: Vec<SeqRecord> = reads
-            .iter()
-            .enumerate()
-            .map(|(i, r)| {
-                if i % 2 == 0 {
-                    r.clone()
-                } else {
-                    SeqRecord::new(r.id.clone(), reverse_complement(&r.seq))
-                }
-            })
-            .collect();
-
-        let run = |canonical: bool, reads: &[SeqRecord]| {
-            let cfg = MrMcConfig {
-                canonical,
-                ..config(Mode::Hierarchical, 0.5)
-            };
-            let theta = crate::threshold::suggest_theta(reads, &cfg, 40);
-            MrMcMinH::new(MrMcConfig { theta, ..cfg })
-                .run(reads)
-                .unwrap()
-        };
-
-        // Canonical mode: accuracy survives the strand mixing.
-        let canon = run(true, &mixed);
-        let acc_canon = mrmc_metrics::weighted_accuracy(&canon.assignment, &truth, 2).unwrap();
-        assert!(acc_canon > 90.0, "canonical accuracy {acc_canon}");
-
-        // And a read plus its own reverse complement always share a
-        // cluster under canonical sketches (identical by construction).
-        let hasher = mrmc_minhash::MinHasher::for_kmer_size(5, 64, 1).canonical();
-        let fwd = hasher.sketch_sequence(&reads[0].seq).unwrap();
-        let rev = hasher
-            .sketch_sequence(&reverse_complement(&reads[0].seq))
-            .unwrap();
-        assert_eq!(fwd, rev);
-    }
-
-    #[test]
     fn traced_run_bit_identical_with_deterministic_ledger() {
         use mrmc_mapreduce::chaos::{FaultPlan, Phase};
         use mrmc_mapreduce::obs::trace::Category;

@@ -51,7 +51,7 @@ use crate::udf::{BatchArg, BatchOut, Udf, UdfError, UdfRegistry};
 use crate::value::Value;
 
 /// Executor failure.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum PigError {
     /// Referenced relation was never defined.
     UnknownRelation(String),
@@ -439,7 +439,8 @@ fn foreach_chunk(
     Ok(ColumnBatch::from_cols(out_cols, out_rows))
 }
 
-/// The map task for `FOREACH`: one chunk of rows per call.
+/// The map task for `FOREACH`: one chunk of rows per call. A chunk
+/// that fails is emitted as its error, so the runner returns it typed.
 struct BatchForeachMapper {
     batch: Arc<ColumnBatch>,
     items: Vec<BGenItem>,
@@ -450,14 +451,12 @@ impl Mapper for BatchForeachMapper {
     type InKey = usize;
     type InValue = (u32, u32);
     type OutKey = usize;
-    type OutValue = ColumnBatch;
+    type OutValue = Result<ColumnBatch, PigError>;
 
-    fn map(&self, key: usize, (start, len): (u32, u32), ctx: &mut TaskContext<usize, ColumnBatch>) {
-        let (start, len) = (start as usize, len as usize);
-        match foreach_chunk(&self.batch, start, len, &self.items, &self.relation) {
-            Ok(out) => ctx.emit(key, out),
-            Err(e) => panic!("{e}"),
-        }
+    fn map(&self, key: usize, window: (u32, u32), ctx: &mut TaskContext<usize, Self::OutValue>) {
+        let (start, len) = (window.0 as usize, window.1 as usize);
+        let chunk = foreach_chunk(&self.batch, start, len, &self.items, &self.relation);
+        ctx.emit(key, chunk);
     }
 }
 
@@ -715,7 +714,9 @@ impl PigRunner {
             &mapper,
             &self.job_config(&format!("foreach:{alias}")),
         )?;
-        let chunks = out.into_iter().map(|(_, chunk)| chunk).collect();
+        // Chunks come back in task order, so the error returned is the
+        // first chunk's that failed.
+        let chunks = out.into_iter().map(|(_, c)| c).collect::<Result<_, _>>()?;
         Ok(Relation::new(ColumnBatch::concat(chunks), schema))
     }
 

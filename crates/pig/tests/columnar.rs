@@ -29,6 +29,7 @@ use proptest::prelude::*;
 
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig};
 use mrmc_mapreduce::ShuffleSized;
+use mrmc_pig::exec::{ItemFault, PigError};
 use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, Udf, UdfError};
 use mrmc_pig::{parse_script, ColumnBatch, PigRunner, UdfRegistry, Value};
 
@@ -1040,4 +1041,35 @@ fn short_batch_result_is_an_error_naming_the_udf() {
         err.contains("UDF OneRow failed: eval_batch returned 1 rows for 3 input rows"),
         "{err}"
     );
+}
+
+#[test]
+fn foreach_failures_come_back_typed() {
+    let run = |script: &str, input: &str, registry: UdfRegistry| {
+        let script = parse_script(script, &HashMap::new()).unwrap();
+        let mut runner = PigRunner::new(dfs_with(input), registry);
+        runner.num_map_tasks = 2;
+        runner.workers = Some(2);
+        runner.run(&script).unwrap_err()
+    };
+    // 'xy' yields one field where AS names two.
+    let script = foreach_a("FLATTEN(MixBag(f0)) AS (f0:chararray, f1:long)");
+    match run(&script, "ab\nxy\n", test_registry()) {
+        PigError::Item {
+            relation,
+            item: 0,
+            fault:
+                ItemFault::Width {
+                    yielded: 1,
+                    named: 2,
+                },
+        } => assert_eq!(relation, "B"),
+        other => panic!("expected a width fault, got {other:?}"),
+    }
+    let mut registry = test_registry();
+    registry.register(Arc::new(OneRow));
+    match run(&foreach_a("OneRow(f0)"), "a\nb\nc\nd\n", registry) {
+        PigError::Udf(e) => assert_eq!(e.udf, "OneRow"),
+        other => panic!("expected a UDF failure, got {other:?}"),
+    }
 }

@@ -50,11 +50,6 @@ impl<'a> KmerIter<'a> {
             pos: 0,
         })
     }
-
-    /// The k this iterator extracts.
-    pub fn k(&self) -> usize {
-        self.k
-    }
 }
 
 impl Iterator for KmerIter<'_> {
@@ -97,59 +92,6 @@ pub fn kmer_set(seq: &[u8], k: usize) -> Result<Vec<u64>, SeqIoError> {
     Ok(v)
 }
 
-/// Reverse complement of a packed k-mer.
-///
-/// With the 2-bit code `A=0, C=1, G=2, T=3`, a base's complement is its
-/// bitwise NOT (`A↔T` is `00↔11`, `C↔G` is `01↔10`), so the reverse
-/// complement is: complement every 2-bit pair, then reverse pair order.
-#[inline]
-pub fn revcomp_kmer(kmer: u64, k: usize) -> u64 {
-    debug_assert!((1..=MAX_K).contains(&k));
-    let mut x = !kmer; // complement every base (junk in high bits, shifted out below)
-                       // Reverse the 2-bit groups: swap adjacent pairs, nibbles, bytes, …
-    x = ((x & 0x3333_3333_3333_3333) << 2) | ((x >> 2) & 0x3333_3333_3333_3333);
-    x = ((x & 0x0F0F_0F0F_0F0F_0F0F) << 4) | ((x >> 4) & 0x0F0F_0F0F_0F0F_0F0F);
-    x = x.swap_bytes();
-    // The k-mer now occupies the top 2k bits; shift it down.
-    x >> (64 - 2 * k)
-}
-
-/// The canonical form of a packed k-mer: the lexicographic minimum of
-/// the k-mer and its reverse complement. Canonical k-mers make sketches
-/// strand-independent — essential for shotgun reads, whose orientation
-/// is random (the convention of Mash and modern minhash tools; the
-/// paper's pipeline is strand-sensitive).
-#[inline]
-pub fn canonical_kmer(kmer: u64, k: usize) -> u64 {
-    kmer.min(revcomp_kmer(kmer, k))
-}
-
-/// Iterator over canonical k-mers (see [`canonical_kmer`]).
-pub struct CanonicalKmerIter<'a> {
-    inner: KmerIter<'a>,
-}
-
-impl<'a> CanonicalKmerIter<'a> {
-    /// Create a canonical k-mer iterator; same k bounds as [`KmerIter`].
-    pub fn new(seq: &'a [u8], k: usize) -> Result<Self, SeqIoError> {
-        Ok(CanonicalKmerIter {
-            inner: KmerIter::new(seq, k)?,
-        })
-    }
-}
-
-impl Iterator for CanonicalKmerIter<'_> {
-    type Item = u64;
-    fn next(&mut self) -> Option<u64> {
-        let k = self.inner.k();
-        self.inner.next().map(|km| canonical_kmer(km, k))
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,59 +131,10 @@ mod tests {
     }
 
     #[test]
-    fn revcomp_kmer_matches_string_revcomp() {
-        use mrmc_testkit::kernels::reverse_complement;
-        let seq = b"ACGTTGCAGGATCCTA";
-        for k in [1usize, 2, 3, 5, 8, 16] {
-            let kmers: Vec<u64> = KmerIter::new(seq, k).unwrap().collect();
-            for (i, &km) in kmers.iter().enumerate() {
-                let rc_str = reverse_complement(&seq[i..i + k]);
-                let expect: u64 = KmerIter::new(&rc_str, k).unwrap().next().unwrap();
-                assert_eq!(revcomp_kmer(km, k), expect, "k={k} kmer {km:#b}");
-            }
-        }
-    }
-
-    #[test]
-    fn revcomp_is_involution() {
-        for k in [1usize, 4, 7, 15, 31] {
-            for kmer in [0u64, 1, 0b1101, (1 << (2 * k)) - 1] {
-                let kmer = kmer & ((1u64 << (2 * k.min(31))) - 1).max(1);
-                assert_eq!(revcomp_kmer(revcomp_kmer(kmer, k), k), kmer, "k={k}");
-            }
-        }
-    }
-
-    #[test]
-    fn canonical_invariant_under_strand() {
-        use mrmc_testkit::kernels::reverse_complement;
-        let seq = b"ACGTTGCAGGATCCTAGGTTACAC";
-        let rc = reverse_complement(seq);
-        for k in [3usize, 5, 8] {
-            let mut a: Vec<u64> = CanonicalKmerIter::new(seq, k).unwrap().collect();
-            let mut b: Vec<u64> = CanonicalKmerIter::new(&rc, k).unwrap().collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "k={k}: canonical sets must be strand-invariant");
-        }
-    }
-
-    #[test]
-    fn canonical_palindrome_fixed_point() {
-        // ACGT's revcomp is itself (restriction-site palindrome).
-        let kmers: Vec<u64> = KmerIter::new(b"ACGT", 4).unwrap().collect();
-        assert_eq!(canonical_kmer(kmers[0], 4), kmers[0]);
-    }
-
-    #[test]
     fn size_hint_upper_bound_holds() {
         let mut it = KmerIter::new(b"ACGTACGT", 3).unwrap();
         let (_, upper) = it.size_hint();
         let count = it.by_ref().count();
         assert!(count <= upper.unwrap());
-        // The canonical iterator forwards the same bound.
-        let canonical = CanonicalKmerIter::new(b"ACGTNACGT", 3).unwrap();
-        assert_eq!(canonical.size_hint(), (0, Some(9)));
-        assert_eq!(canonical.count(), 4);
     }
 }

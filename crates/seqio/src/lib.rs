@@ -5,12 +5,11 @@
 //! (the `StringGenerator` UDF) and decomposes sequences into k-mers (the
 //! `TranslateToKmer` UDF). This crate provides those primitives:
 //!
-//! * [`alphabet`] — the DNA alphabet, 2-bit nucleotide codes and
-//!   complements;
+//! * [`alphabet`] — the DNA alphabet and its 2-bit nucleotide codes;
 //! * [`record`] — owned sequence records with ids and descriptions;
 //! * [`fasta`] — a streaming FASTA reader/writer tolerant of the
 //!   formatting found in real amplicon datasets;
-//! * [`encode`] — 2-bit k-mer encodings, rolling and canonical;
+//! * [`encode`] — 2-bit packed k-mers, extracted by a rolling window;
 //! * [`stats`] — per-sequence and per-sample summaries (GC content,
 //!   length distributions) used by the dataset registry.
 //!
@@ -26,7 +25,7 @@ pub mod record;
 pub mod stats;
 
 pub use alphabet::{encode_base, Base};
-pub use encode::{canonical_kmer, revcomp_kmer, CanonicalKmerIter, KmerIter};
+pub use encode::KmerIter;
 pub use error::SeqIoError;
 pub use fasta::{read_fasta_bytes, read_fasta_path, write_fasta, FastaReader};
 pub use fastq::{read_fastq_bytes, write_fastq, FastqReader, FastqRecord};

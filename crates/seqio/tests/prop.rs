@@ -7,7 +7,7 @@ use mrmc_seqio::fasta::{read_fasta_bytes, write_fasta};
 use mrmc_seqio::stats::gc_content;
 use mrmc_seqio::SeqRecord;
 use mrmc_testkit::community::dna;
-use mrmc_testkit::kernels::{kmer_to_string, reverse_complement};
+use mrmc_testkit::kernels::kmer_to_string;
 
 /// Strategy: record ids (no whitespace, non-empty).
 fn record_id() -> impl Strategy<Value = String> {
@@ -84,17 +84,4 @@ fn kmer_round_trip_strings() {
             assert_eq!(kmer_to_string(*km, k), expect);
         }
     }
-}
-
-#[test]
-fn complement_is_involution_on_acgt() {
-    for c in b"ACGTacgt".chunks(1) {
-        assert_eq!(reverse_complement(&reverse_complement(c)), c);
-    }
-}
-
-#[test]
-fn reverse_complement_known() {
-    assert_eq!(reverse_complement(b"ACGGT"), b"ACCGT".to_vec());
-    assert_eq!(reverse_complement(b""), Vec::<u8>::new());
 }

@@ -3,7 +3,7 @@
 //! ```text
 //! mrmc-client --addr HOST:PORT [--tenant T] <command>
 //!   seed   --fasta F [--kmer K] [--num-hashes N] [--theta X] [--seed S]
-//!          [--greedy | --hierarchical] [--canonical]
+//!          [--greedy | --hierarchical]
 //!   submit --fasta F
 //!   query  --id ID
 //!   stats  [--server] [--dashboard] [--width W]
@@ -11,9 +11,8 @@
 //! ```
 //!
 //! `seed` clusters greedily unless `--hierarchical` asks for average
-//! linkage; `--canonical` sketches strand-independent k-mers. A flag
-//! whose value does not parse is refused (exit 2) before the client
-//! connects.
+//! linkage. An unknown flag, or a flag whose value does not parse, is
+//! refused (exit 2) before the client connects.
 //!
 //! `stats` alone prints the tenant session's counters; `--server`
 //! pulls the daemon-wide metrics snapshot (all tenants) and renders it
@@ -30,7 +29,7 @@ fn usage() -> ! {
         "usage: mrmc-client --addr HOST:PORT [--tenant T] <command>\n\
          commands:\n\
          \x20 seed   --fasta F [--kmer K] [--num-hashes N] [--theta X] [--seed S]\n\
-         \x20        [--greedy | --hierarchical] [--canonical]\n\
+         \x20        [--greedy | --hierarchical]\n\
          \x20 submit --fasta F\n\
          \x20 query  --id ID\n\
          \x20 stats  [--server] [--dashboard] [--width W]\n\
@@ -71,7 +70,6 @@ fn main() -> ExitCode {
         theta: 0.9,
         greedy: true,
         seed: 7,
-        canonical: false,
     };
 
     let mut args = std::env::args().skip(1);
@@ -90,7 +88,6 @@ fn main() -> ExitCode {
             "--width" => width = parse(args.next(), "--width"),
             "--greedy" => config.greedy = true,
             "--hierarchical" => config.greedy = false,
-            "--canonical" => config.canonical = true,
             "--help" | "-h" => usage(),
             cmd if command.is_none() && !cmd.starts_with('-') => command = Some(cmd.to_string()),
             other => {

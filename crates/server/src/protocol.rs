@@ -26,8 +26,10 @@ use mrmc_seqio::SeqRecord;
 
 /// Protocol version spoken by this build. The handshake (`Hello` /
 /// `HelloAck`) carries it; a mismatch is refused with
-/// [`ErrorCode::VersionMismatch`] before any other traffic.
-pub const PROTOCOL_VERSION: u32 = 1;
+/// [`ErrorCode::VersionMismatch`] before any other traffic. Version 2
+/// dropped the seed frame's strand byte, so a version 1 seed frame
+/// would misparse.
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Hard cap on one frame's body length. Larger declared lengths are
 /// refused *before* allocation, so a hostile length prefix cannot
@@ -208,8 +210,8 @@ impl From<WireRead> for SeqRecord {
 /// The clustering knobs a client pins when seeding a session. The
 /// remaining [`MrMcConfig`] fields take their defaults server-side;
 /// everything that decides *labels* (k, sketch length, θ, mode, hash
-/// seed, strand handling) is explicit so a local oracle run with the
-/// same `SeedConfig` reproduces the daemon bit-for-bit.
+/// seed) is explicit so a local oracle run with the same `SeedConfig`
+/// reproduces the daemon bit-for-bit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeedConfig {
     /// k-mer size.
@@ -222,8 +224,6 @@ pub struct SeedConfig {
     pub greedy: bool,
     /// Seed for the universal hash draws.
     pub seed: u64,
-    /// Canonical (strand-independent) k-mers.
-    pub canonical: bool,
 }
 
 impl SeedConfig {
@@ -239,7 +239,6 @@ impl SeedConfig {
                 Mode::Hierarchical
             },
             seed: self.seed,
-            canonical: self.canonical,
             ..MrMcConfig::default()
         }
     }
@@ -254,7 +253,6 @@ impl Default for SeedConfig {
             theta: c.theta,
             greedy: false,
             seed: c.seed,
-            canonical: false,
         }
     }
 }
@@ -516,7 +514,6 @@ fn put_config(buf: &mut Vec<u8>, c: &SeedConfig) {
     put_f64(buf, c.theta);
     buf.push(u8::from(c.greedy));
     put_uvarint(buf, c.seed);
-    buf.push(u8::from(c.canonical));
 }
 
 fn get_config(r: &mut Reader<'_>) -> Result<SeedConfig, ProtocolError> {
@@ -528,14 +525,12 @@ fn get_config(r: &mut Reader<'_>) -> Result<SeedConfig, ProtocolError> {
     }
     let greedy = r.bool()?;
     let seed = r.u64()?;
-    let canonical = r.bool()?;
     Ok(SeedConfig {
         kmer,
         num_hashes,
         theta,
         greedy,
         seed,
-        canonical,
     })
 }
 

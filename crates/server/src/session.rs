@@ -217,7 +217,6 @@ mod tests {
             theta: 0.9,
             greedy: true,
             seed: 7,
-            canonical: false,
         }
     }
 

@@ -30,7 +30,6 @@ fn seed_cfg() -> SeedConfig {
         theta: 0.55,
         greedy: true,
         seed: 7,
-        canonical: false,
     }
 }
 
@@ -296,21 +295,26 @@ fn metrics_off_daemon_is_label_identical_and_snapshot_empty() {
 #[test]
 fn version_mismatch_is_refused_at_handshake() {
     let handle = spawn_server(AdmissionLimits::default());
-    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("timeout");
-    let hello = Request::Hello {
-        version: PROTOCOL_VERSION + 999,
-        tenant: "t".to_string(),
-    };
-    write_frame(&mut stream, &hello.encode()).expect("write");
-    let body = read_frame(&mut stream).expect("read").expect("frame");
-    match Response::decode(&body).expect("decode") {
-        Response::Error { code, .. } => assert_eq!(code, ErrorCode::VersionMismatch),
-        other => panic!("expected version-mismatch error, got {other:?}"),
+    // Version 1 carried a strand byte in the seed frame; a client that
+    // still speaks it is refused rather than misparsed.
+    for version in [1, PROTOCOL_VERSION + 999] {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("timeout");
+        let hello = Request::Hello {
+            version,
+            tenant: "t".to_string(),
+        };
+        write_frame(&mut stream, &hello.encode()).expect("write");
+        let body = read_frame(&mut stream).expect("read").expect("frame");
+        match Response::decode(&body).expect("decode") {
+            Response::Error { code, .. } => {
+                assert_eq!(code, ErrorCode::VersionMismatch, "version {version}")
+            }
+            other => panic!("expected version-mismatch error for {version}, got {other:?}"),
+        }
     }
-    drop(stream);
     let mut closer = Client::connect(handle.addr(), "t").expect("connect");
     closer.shutdown().expect("shutdown");
     handle.join();

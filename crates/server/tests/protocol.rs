@@ -42,7 +42,6 @@ impl Strategy for SeedConfigStrategy {
             theta: (0.0f64..=1.0).generate(rng),
             greedy: any::<bool>().generate(rng),
             seed: any::<u64>().generate(rng),
-            canonical: any::<bool>().generate(rng),
         }
     }
 }

@@ -163,7 +163,6 @@ fn served_labels(reads: &[SeqRecord], cfg: &MrMcConfig, split: usize, chunk: usi
         theta: cfg.theta,
         greedy: true,
         seed: cfg.seed,
-        canonical: false,
     };
     let (batch, streamed) = reads.split_at(split);
     client.seed_from_batch(&seed, batch).expect("seed");

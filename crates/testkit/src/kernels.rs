@@ -1,9 +1,8 @@
 //! Textbook forms of the production kernels. The optimized kernels in
 //! `mrmc-minhash` must match [`hash`], [`sketch_kmers`] and
 //! [`positional_similarity`] bit for bit; the others are the
-//! definitions a production shortcut is held to (the packed reverse
-//! complement and canonical k-mers to [`reverse_complement`], the
-//! encoder to [`kmer_to_string`]).
+//! definitions a production shortcut is held to (the encoder to
+//! [`kmer_to_string`]).
 
 use mrmc_align::kmerdist::KmerProfile;
 use mrmc_mapreduce::simcluster::lpt_schedule;
@@ -48,23 +47,6 @@ pub fn positional_similarity(a: &Sketch, b: &Sketch) -> f64 {
         .filter(|(&x, &y)| x == y && x != EMPTY_SLOT)
         .count();
     agree as f64 / a.len() as f64
-}
-
-/// Reverse complement of an ASCII DNA string, case preserved, `U` read
-/// as `T`, any other code to `N`.
-pub fn reverse_complement(seq: &[u8]) -> Vec<u8> {
-    let complement = |c: u8| match c {
-        b'A' => b'T',
-        b'a' => b't',
-        b'C' => b'G',
-        b'c' => b'g',
-        b'G' => b'C',
-        b'g' => b'c',
-        b'T' | b'U' => b'A',
-        b't' | b'u' => b'a',
-        _ => b'N',
-    };
-    seq.iter().rev().map(|&c| complement(c)).collect()
 }
 
 /// Decode a packed k-mer back into its ASCII string.

@@ -6,9 +6,8 @@
 //! crate builds the workspace. A crate's own `#[cfg(test)]` unit tests
 //! see a second build of that crate, whose types differ from the ones
 //! these helpers name: they may call a helper whose signature names
-//! none of that crate's types (`kernels::reverse_complement` anywhere,
-//! `community::two_species` outside `mrmc-seqio`); every other use lives
-//! in the crate's `tests/`.
+//! none of that crate's types (`community::two_species` outside
+//! `mrmc-seqio`); every other use lives in the crate's `tests/`.
 //!
 //! * [`agree`] — P1–P5 on one drawn case, the body of the
 //!   `routes_agree` property (`tests/routes_agree.rs`) and of the root
