@@ -122,7 +122,7 @@ impl DenseInput for PairCounts {
     }
 
     fn merges(&self, size: Vec<usize>, linkage: Linkage) -> Vec<Merge> {
-        fn over<L: Copy + Default>(
+        fn over<L: Copy + Default + Send + Sync>(
             strips: &[Vec<L>],
             distance: impl Fn(L) -> f32,
             size: Vec<usize>,
@@ -339,25 +339,30 @@ impl<'a> Groups<'a> {
 /// A θ-graph goes through [`crate::sparse::agglomerative_sparse`],
 /// which emulates this function merge for merge on adjacency lists.
 ///
-/// Every search, and every update of keep's row, is a contiguous,
-/// branch-free pass over rows of n `f32` distances indexed by cluster
-/// id. A search reads one row that holds +∞ wherever the id is not a
-/// live neighbour (dead ids and the row's own; see [`MergedRows`]) and
-/// takes its [`argmin`]: the first id at the least distance under
-/// strict `<`, except that the chain predecessor wins an equal
-/// distance, which is what makes the chain terminate. A search that
-/// finds nothing below +∞ takes the smallest other live id, so n items
-/// always give n − 1 merges.
+/// The chain works on positions: the live clusters, and the dead ones
+/// not yet dropped, in ascending id order (see [`MergedRows`]). Every
+/// search, and every update of keep's row, is a contiguous,
+/// branch-free pass over rows of `f32` distances indexed by position.
+/// A search reads one row that holds +∞ wherever the position is not a
+/// live neighbour (dead positions and the row's own) and takes its
+/// [`argmin`]: the first position at the least distance under strict
+/// `<`, except that the chain predecessor wins an equal distance,
+/// which is what makes the chain terminate. A search that finds
+/// nothing below +∞ takes the first other live position, so n items
+/// always give n − 1 merges. Positions ascend with ids and only +∞
+/// cells are ever dropped, so each of these rules picks the cluster it
+/// would pick over all n ids.
 ///
 /// A merged cluster searches its own row. A singleton `a` searches one
-/// reused buffer, filled from its two rows of `cells` (which nothing
-/// writes) through `distance`, masked to +∞ off live singletons, with
-/// `rows[c][a]` written in for each live merged `c`. A merge takes
-/// keep's and drop's rows (their own, the searched buffer, or filled
-/// from their cells), computes keep's new row in one pass over the two
-/// with the result masked to +∞ off live singletons, then each merged
-/// neighbour's distance to the union from that neighbour's row, where
-/// drop's cell turns +∞.
+/// reused buffer, filled from its item's two rows of `cells` (which
+/// nothing writes) through `distance`, masked to +∞ off live
+/// singletons, with `rows[c][a]` written in for each live merged `c`.
+/// A merge takes keep's and drop's rows (their own, the searched
+/// buffer, or filled from their cells), computes keep's new row in one
+/// pass over the two with the result masked to +∞ off live
+/// singletons, then each merged neighbour's distance to the union from
+/// that neighbour's row, where drop's cell turns +∞. Once at most
+/// [`COMPACT_AT`] of the positions are live, the dead ones are dropped.
 ///
 /// `distance` never returns NaN, and an update's NaN (the average of
 /// +∞ and −∞) reads as +∞. Item `i` starts as a cluster of `size[i]`
@@ -369,30 +374,45 @@ impl<'a> Groups<'a> {
 fn nn_chain<T: Copy>(
     cells: &Triangles<'_, T>,
     distance: impl Fn(T) -> f32,
-    mut size: Vec<usize>,
+    size: Vec<usize>,
     linkage: Linkage,
 ) -> Vec<Merge> {
     let n = cells.len();
-    // Singleton `a`'s distances to every id, +∞ at `a`, unmasked.
-    let gather = |a: usize, out: &mut [f32]| {
+    // The distances of the item at position `a` to the items at every
+    // position, +∞ at `a`, unmasked. Until the first compaction the
+    // positions are the ids, and its two rows of cells are read in
+    // order; after it, at the positions' ids.
+    let gather = |ids: &[u32], a: usize, out: &mut [f32]| {
         let (below, rest) = out.split_at_mut(a);
-        let (own, above) = rest.split_first_mut().expect("a is an id");
-        for (d, &x) in below.iter_mut().zip(cells.lower(a)) {
-            *d = distance(x);
-        }
+        let (own, above) = rest.split_first_mut().expect("a is a position");
         *own = f32::INFINITY;
-        for (d, &x) in above.iter_mut().zip(cells.upper(a)) {
-            *d = distance(x);
+        if ids.len() == n {
+            for (d, &x) in below.iter_mut().zip(cells.lower(a)) {
+                *d = distance(x);
+            }
+            for (d, &x) in above.iter_mut().zip(cells.upper(a)) {
+                *d = distance(x);
+            }
+        } else {
+            let i = ids[a] as usize;
+            let (lower, upper) = (cells.lower(i), cells.upper(i));
+            for (d, &c) in below.iter_mut().zip(&ids[..a]) {
+                *d = distance(lower[c as usize]);
+            }
+            for (d, &c) in above.iter_mut().zip(&ids[a + 1..]) {
+                *d = distance(upper[c as usize - i - 1]);
+            }
         }
     };
-    let mut merged = MergedRows::new(n);
+    let mut merged = MergedRows::new(size);
     // The row of the singleton searched last.
     let mut scratch = vec![f32::INFINITY; n];
     let mut merges = Vec::with_capacity(n - 1);
     let mut chain: Vec<usize> = Vec::with_capacity(n);
     while merges.len() + 1 < n {
         if chain.is_empty() {
-            // Item 0 is live throughout: a merge keeps the smaller id.
+            // Position 0 holds item 0, live throughout: a merge keeps
+            // the smaller id.
             chain.push(0);
         }
         loop {
@@ -415,11 +435,11 @@ fn nn_chain<T: Copy>(
                     chain.truncate(chain.len() - 2);
                     let (keep, drop) = (a.min(prev), a.max(prev));
                     merges.push(Merge {
-                        a: keep,
-                        b: drop,
+                        a: merged.ids[keep] as usize,
+                        b: merged.ids[drop] as usize,
                         similarity: 1.0 - f64::from(d_ab),
                     });
-                    let (sk, sd) = (size[keep] as f64, size[drop] as f64);
+                    let (sk, sd) = (merged.size[keep] as f64, merged.size[drop] as f64);
                     let scratch = &mut scratch;
                     match linkage {
                         Linkage::Single => merged.merge(keep, drop, a, scratch, &gather, f64::min),
@@ -432,7 +452,7 @@ fn nn_chain<T: Copy>(
                             })
                         }
                     }
-                    size[keep] += size[drop];
+                    merged.compact(n - merges.len(), scratch, &mut chain);
                     break;
                 }
                 _ => chain.push(best),
@@ -492,25 +512,39 @@ fn argmin(row: &[f32]) -> Option<usize> {
         .map(|i| start + i)
 }
 
-/// [`MergedRows::state`] of an id: a cluster merged away.
+/// [`MergedRows::state`] of a position: a cluster merged away.
 const DEAD: u8 = 0;
 /// [`MergedRows::state`] of a live cluster that owns no row.
 const SINGLETON: u8 = 1;
 /// [`MergedRows::state`] of a live cluster that owns a row.
 const MERGED: u8 = 2;
 
-/// The NN-chain's clusters: one state byte per id, a short ascending
-/// list of the live merged clusters, and their `f32` distance rows,
-/// indexed by cluster id and taken from a pool of rows that merged
-/// clusters gave back. A merged row holds the distance to every live
-/// cluster beside it and +∞ at every dead id and at its own, so a pass
-/// over it needs no liveness test.
+/// The share of live positions (3 in 4) at or below which
+/// [`MergedRows::compact`] drops the dead ones. Over 3 998 distinct
+/// S12 sketches (`shotgun_dense_hier`, seed 42, 2 vCPUs; medians of
+/// ≈ 30 runs, two batches) the chain took 53–56 ms never compacting,
+/// 45–51 ms compacting at 1/2 and 39–41 ms at 3/4, compaction's own
+/// 3 ms included (EXPERIMENTS.md "Live-only NN-chain").
+const COMPACT_AT: (usize, usize) = (3, 4);
+
+/// The NN-chain's clusters by position. Position `p` holds cluster
+/// `ids[p]`, ascending; a cluster keeps the id of its smallest item.
+/// Per position: one state byte, a slot and a size. Beside them, a
+/// short ascending list of the positions of the live merged clusters,
+/// and their `f32` distance rows, indexed by position and taken from a
+/// pool of rows that merged clusters gave back. A merged row holds the
+/// distance to every live cluster beside it and +∞ at every dead
+/// position and at its own, so a pass over it needs no liveness test.
 struct MergedRows {
-    /// [`DEAD`], [`SINGLETON`] or [`MERGED`], per id.
+    /// Item of each position, ascending.
+    ids: Vec<u32>,
+    /// [`DEAD`], [`SINGLETON`] or [`MERGED`], per position.
     state: Vec<u8>,
     /// Row of each merged cluster in `rows`.
     slot: Vec<u32>,
-    /// The live merged clusters, ascending.
+    /// Members of each cluster.
+    size: Vec<usize>,
+    /// The positions of the live merged clusters, ascending.
     live: Vec<usize>,
     rows: Vec<Vec<f32>>,
     /// Rows no cluster owns; their cells are stale.
@@ -518,11 +552,14 @@ struct MergedRows {
 }
 
 impl MergedRows {
-    /// `n` singletons.
-    fn new(n: usize) -> MergedRows {
+    /// One singleton per item, item `i` of `size[i]` members.
+    fn new(size: Vec<usize>) -> MergedRows {
+        let n = size.len();
         MergedRows {
+            ids: (0..u32::try_from(n).expect("items fit u32 ids")).collect(),
             state: vec![SINGLETON; n],
             slot: vec![0; n],
+            size,
             // A merged cluster holds two items or more.
             live: Vec::with_capacity(n / 2),
             rows: Vec::new(),
@@ -536,7 +573,7 @@ impl MergedRows {
         (self.state[c] == MERGED).then(|| self.rows[self.slot[c] as usize].as_slice())
     }
 
-    /// The smallest live id other than `a`.
+    /// The first live position other than `a`.
     fn first_live_besides(&self, a: usize) -> usize {
         (0..self.state.len())
             .find(|&c| c != a && self.state[c] != DEAD)
@@ -546,8 +583,13 @@ impl MergedRows {
     /// Singleton `a`'s row into `out`: gathered off its cells, masked
     /// to +∞ off live singletons, with `rows[c][a]` at each live
     /// merged `c`.
-    fn singleton_row(&self, a: usize, out: &mut [f32], gather: &impl Fn(usize, &mut [f32])) {
-        gather(a, out);
+    fn singleton_row(
+        &self,
+        a: usize,
+        out: &mut [f32],
+        gather: &impl Fn(&[u32], usize, &mut [f32]),
+    ) {
+        gather(&self.ids, a, out);
         // A pass of its own: folded into the gather, the select
         // compiles to a branch around the table load, which
         // mispredicts on interleaved states.
@@ -569,7 +611,7 @@ impl MergedRows {
         drop: usize,
         top: usize,
         scratch: &mut Vec<f32>,
-        gather: &impl Fn(usize, &mut [f32]),
+        gather: &impl Fn(&[u32], usize, &mut [f32]),
         update: impl Fn(f64, f64) -> f64,
     ) {
         let update = |dk: f32, dd: f32| nan_as_inf(update(f64::from(dk), f64::from(dd)) as f32);
@@ -586,7 +628,7 @@ impl MergedRows {
             if keep == top {
                 std::mem::swap(&mut self.rows[s], scratch);
             } else {
-                gather(keep, &mut self.rows[s]);
+                gather(&self.ids, keep, &mut self.rows[s]);
             }
             self.slot[keep] = u32::try_from(s).expect("fewer rows than clusters");
             self.live
@@ -604,13 +646,14 @@ impl MergedRows {
             Some(s) => std::mem::take(&mut self.rows[s]),
             None => {
                 if drop != top {
-                    gather(drop, scratch);
+                    gather(&self.ids, drop, scratch);
                 }
                 std::mem::take(scratch)
             }
         };
         self.state[keep] = MERGED;
         self.state[drop] = DEAD;
+        self.size[keep] += self.size[drop];
         // Live singletons: one pass over keep's and drop's rows.
         for ((k, &d), &s) in new.iter_mut().zip(&drop_row).zip(&self.state) {
             let x = update(*k, d);
@@ -635,6 +678,44 @@ impl MergedRows {
             None => *scratch = drop_row,
         }
     }
+
+    /// With `live` clusters left, drop the dead positions once at most
+    /// [`COMPACT_AT`] of them are live: from the per-position arrays,
+    /// from each live merged row, and from `scratch` and the pool rows
+    /// (whose cells are stale, so they are cut to the new width). The
+    /// positions in `chain` and in the live list move with their
+    /// clusters. Every buffer shrinks in place: no allocation.
+    fn compact(&mut self, live: usize, scratch: &mut Vec<f32>, chain: &mut [usize]) {
+        let width = self.state.len();
+        if live * COMPACT_AT.1 > width * COMPACT_AT.0 {
+            return;
+        }
+        let state = &self.state;
+        for &c in &self.live {
+            drop_dead(&mut self.rows[self.slot[c] as usize], state);
+        }
+        for &s in &self.free {
+            self.rows[s].truncate(live);
+        }
+        scratch.truncate(live);
+        // Positions to ids and back: the ids keep their order.
+        for p in chain.iter_mut().chain(&mut self.live) {
+            *p = self.ids[*p] as usize;
+        }
+        drop_dead(&mut self.ids, state);
+        drop_dead(&mut self.slot, state);
+        drop_dead(&mut self.size, state);
+        self.state.retain(|&s| s != DEAD);
+        for p in chain.iter_mut().chain(&mut self.live) {
+            *p = self.ids.binary_search(&(*p as u32)).expect("a live id");
+        }
+    }
+}
+
+/// Keep the entries of `v` whose position is not [`DEAD`] in `state`.
+fn drop_dead<T: Copy>(v: &mut Vec<T>, state: &[u8]) {
+    let mut states = state.iter();
+    v.retain(|_| states.next() != Some(&DEAD));
 }
 
 /// Path-compressed, union-by-size union-find.
@@ -760,17 +841,54 @@ mod tests {
         }
     }
 
+    /// Every lower cell of `cells` is the upper one it mirrors, for an
+    /// input whose cell `(i, j)`, `i < j`, is `cell(i, j)`.
+    fn assert_transposed<T: Copy + PartialEq + std::fmt::Debug>(
+        cells: &Triangles<'_, T>,
+        cell: impl Fn(usize, usize) -> T,
+        what: &str,
+    ) {
+        for a in 0..cells.len() {
+            assert_eq!(cells.lower(a).len(), a, "{what}, row {a}");
+            for (c, &x) in cells.lower(a).iter().enumerate() {
+                assert_eq!(x, cell(c, a), "{what}, cell ({a}, {c})");
+            }
+        }
+    }
+
     #[test]
     fn lower_rows_transpose_the_upper_ones() {
-        // More than one tile each way, and a ragged last tile.
-        for n in [0usize, 1, 2, 65, 150] {
-            let m = CondensedMatrix::build(n, |i, j| (i * 1000 + j) as f64);
+        // More than one tile each way, a ragged last tile, and sizes
+        // below, at and past the one the transpose splits from.
+        let split = crate::matrix::SPLIT_ITEMS;
+        for n in [0usize, 1, 2, 65, 150, split - 1, split, split + 1] {
+            let m = CondensedMatrix::build(n, |i, j| (i * 4096 + j) as f64);
             let cells = Triangles::new((0..n).map(|a| m.row(a)).collect());
+            assert_transposed(&cells, |i, j| m.get(i, j) as f32, &format!("f32, n={n}"));
             for a in 0..n {
-                let lower: Vec<f64> = (0..a).map(|c| m.get(a, c)).collect();
-                let read: Vec<f64> = cells.lower(a).iter().map(|&s| f64::from(s)).collect();
-                assert_eq!(read, lower, "n={n}, row {a}");
                 assert_eq!(cells.upper(a), m.row(a));
+            }
+            let narrow: Vec<Vec<u8>> = (0..n)
+                .map(|i| (i + 1..n).map(|j| (i * 31 + j * 7) as u8).collect())
+                .collect();
+            let cells = Triangles::new(narrow.iter().map(Vec::as_slice).collect());
+            assert_transposed(&cells, |i, j| (i * 31 + j * 7) as u8, &format!("u8, n={n}"));
+            let wide: Vec<Vec<u16>> = (0..n)
+                .map(|i| (i + 1..n).map(|j| (i * 1000 + j) as u16).collect())
+                .collect();
+            let cells = Triangles::new(wide.iter().map(Vec::as_slice).collect());
+            assert_transposed(&cells, |i, j| (i * 1000 + j) as u16, &format!("u16, n={n}"));
+        }
+        // Every range count, whatever the cores: more ranges than rows,
+        // and ranges that end inside a tile.
+        for n in [0usize, 1, 2, 5, 150, 301] {
+            let wide: Vec<Vec<u16>> = (0..n)
+                .map(|i| (i + 1..n).map(|j| (i * 1000 + j) as u16).collect())
+                .collect();
+            for parts in 1..=7 {
+                let cells = Triangles::split(wide.iter().map(Vec::as_slice).collect(), parts);
+                let what = format!("u16, n={n}, {parts} ranges");
+                assert_transposed(&cells, |i, j| (i * 1000 + j) as u16, &what);
             }
         }
     }
@@ -787,37 +905,31 @@ mod tests {
     }
 
     /// A search that finds no neighbour below +∞ takes the smallest
-    /// other live id: NaN reads as +∞, and so does similarity −∞.
+    /// other live id: NaN reads as +∞, and so does similarity −∞. Over
+    /// five items the last merge's search runs after two compactions
+    /// (to three positions, then two), so it answers through the
+    /// positions' ids.
     #[test]
     fn searches_without_a_finite_neighbour_still_merge() {
         let merge = |a, b, similarity| Merge { a, b, similarity };
-        let all_nan = CondensedMatrix::build(3, |_, _| f64::NAN);
-        // Item 1 sits at −∞ to both others.
-        let apart = CondensedMatrix::build(3, |i, j| {
-            if i == 1 || j == 1 {
-                f64::NEG_INFINITY
-            } else {
-                0.5
+        let minus_inf = f64::NEG_INFINITY;
+        for n in [3usize, 5] {
+            let all_nan = CondensedMatrix::build(n, |_, _| f64::NAN);
+            // Item 1 sits at −∞ to all others.
+            let apart =
+                CondensedMatrix::build(n, |i, j| if i == 1 || j == 1 { minus_inf } else { 0.5 });
+            for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
+                let what = format!("n={n}, {linkage:?}");
+                let (labels, dendro) = agglomerative(&all_nan, linkage, 0.5);
+                let expected: Vec<Merge> = (1..n).map(|b| merge(0, b, minus_inf)).collect();
+                assert_eq!(dendro.merges, expected, "{what}");
+                assert_eq!(labels.num_clusters(), n, "{what}");
+                let (labels, dendro) = agglomerative(&apart, linkage, 0.5);
+                let mut expected: Vec<Merge> = (2..n).map(|b| merge(0, b, 0.5)).collect();
+                expected.push(merge(0, 1, minus_inf));
+                assert_eq!(dendro.merges, expected, "{what}");
+                assert_eq!(labels.num_clusters(), 2, "{what}");
             }
-        });
-        for linkage in [Linkage::Single, Linkage::Complete, Linkage::Average] {
-            let (labels, dendro) = agglomerative(&all_nan, linkage, 0.5);
-            assert_eq!(
-                dendro.merges,
-                [
-                    merge(0, 1, f64::NEG_INFINITY),
-                    merge(0, 2, f64::NEG_INFINITY)
-                ],
-                "{linkage:?}"
-            );
-            assert_eq!(labels.num_clusters(), 3, "{linkage:?}");
-            let (labels, dendro) = agglomerative(&apart, linkage, 0.5);
-            assert_eq!(
-                dendro.merges,
-                [merge(0, 2, 0.5), merge(0, 1, f64::NEG_INFINITY)],
-                "{linkage:?}"
-            );
-            assert_eq!(labels.num_clusters(), 2, "{linkage:?}");
         }
     }
 

@@ -457,3 +457,24 @@ fn rows_across_chunk_widths_replay_reference() {
         assert_replays_at_unit_and_grouped_sizes(&all_equal, &all_equal, 7, &what);
     }
 }
+
+/// The chain drops its dead positions each time a quarter of its width
+/// has died, about 17 times over 300 items, so most searches and merges
+/// run on compacted rows, and singletons read their cells through the
+/// positions' ids: tie-heavy counts in both lanes and a tie-heavy
+/// matrix, at unit and grouped sizes.
+#[test]
+fn compacting_chain_replays_reference() {
+    let n = 300;
+    for seed in [3u64, 42] {
+        for width in [50, 300] {
+            let counts = tie_heavy_counts(n, width, seed);
+            let what = format!("n={n}, width={width}, seed={seed}");
+            assert_replays_at_unit_and_grouped_sizes(&counts, &counts.to_matrix(), seed, &what);
+        }
+        let m =
+            CondensedMatrix::build(n, |i, j| (mix(seed, i as u64, j as u64) % 21) as f64 / 20.0);
+        let what = format!("matrix, n={n}, seed={seed}");
+        assert_replays_at_unit_and_grouped_sizes(&m, &m, seed, &what);
+    }
+}
