@@ -6,7 +6,9 @@
 //! against the same sweep through the packed `SketchPlane`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use mrmc_minhash::{exact_jaccard, positional_similarity, set_similarity, MinHasher, SketchPlane};
+use mrmc_minhash::{
+    agreements, exact_jaccard, positional_similarity, set_similarity, MinHasher, SketchPlane,
+};
 use mrmc_seqio::encode::kmer_set;
 use mrmc_testkit::kernels as reference;
 
@@ -77,8 +79,8 @@ fn bench_reference_vs_optimized(c: &mut Criterion) {
 /// Before/after for the all-pairs stage's inner loop: every pair of
 /// 512 sketches (130 816 pairs) through `positional_similarity` on the
 /// sketch list, and through the packed plane's row kernel, as Stage 2
-/// runs it (packing included). Asserted bit-equal on the benched set
-/// before timing.
+/// runs it (packing included). The plane's counts are asserted equal
+/// to `agreements` on the benched set before timing.
 fn bench_all_pairs(c: &mut Criterion) {
     const N: usize = 512;
     let mut group = c.benchmark_group("similarity-all-pairs");
@@ -95,8 +97,8 @@ fn bench_all_pairs(c: &mut Criterion) {
     for i in 0..N {
         for j in (i + 1)..N {
             assert_eq!(
-                plane.similarity(i, j).to_bits(),
-                positional_similarity(&sketches[i], &sketches[j]).to_bits(),
+                plane.count(i, j),
+                agreements(&sketches[i], &sketches[j]),
                 "plane diverged at ({i}, {j})"
             );
         }

@@ -17,18 +17,18 @@
 //!
 //! Probabilistic recall is not good enough here: the banded pipeline
 //! must reproduce the dense path bit-identically. The guarantee is
-//! combinatorial, not statistical. A pair with positional similarity
-//! `≥ θ` over `n` positions agrees (literally, value-for-value) in at
-//! least `⌈θ·n⌉` positions, so it *disagrees* in at most
-//! `d = n − ⌈θ·n⌉` positions. Split the sketch into `d + 1` bands: by
+//! combinatorial, not statistical. A pair clears θ over `n` positions
+//! when it agrees (literally, value-for-value) in at least
+//! `t = `[`min_agreeing`]`(n, θ)` positions, so it *disagrees* in at
+//! most `d = n − t` positions. Split the sketch into `d + 1` bands: by
 //! pigeonhole some band contains no disagreeing position, its two
 //! slices are byte-identical, and the pair collides with certainty.
 //! [`BandingScheme::tune`] picks exactly `b = d + 1` bands (and
 //! `r = ⌊n / b⌋` rows), so every pair at or above θ is a candidate —
 //! recall 1.0 by construction, checked by
 //! [`BandingScheme::guarantees_recall`]. Bucket collisions below θ are
-//! false positives only; the verify stage filters them with the exact
-//! similarity kernel.
+//! false positives only; the verify stage filters them with the same
+//! count test, `agreements ≥ t`.
 //!
 //! The clustering pipeline only ever bands under the tuned scheme for
 //! its own `(n, θ)` — a run's config cannot carry another — so the
@@ -62,18 +62,20 @@ fn mix64(mut h: u64) -> u64 {
     h ^ (h >> 31)
 }
 
-/// Smallest agreement count `a` with `a / n ≥ θ` under the *same* f64
-/// comparison the positional estimator performs. `⌈θ·n⌉` is almost
-/// right, but θ·n carries rounding error (0.9 × 50 ≠ 45 exactly in
-/// binary), and an off-by-one here would silently break the exact
-/// recall contract — so the candidate is corrected against the real
-/// division.
-fn min_agreeing(n: usize, theta: f64) -> usize {
+/// θ as an agreement count `t`: the smallest `a ≤ n` with
+/// `a as f64 / n as f64 ≥ θ`, or `n + 1` if none, so `a ≥ t` decides
+/// every count of `n ≥ 1` positions as the estimator does. `⌈θ·n⌉` is
+/// not enough: θ·n carries rounding error (0.56 × 50 is
+/// 28.000000000000004, so the ceiling is 29 while 28/50 ≥ 0.56), and an
+/// off-by-one would break the exact recall contract — so the candidate
+/// is corrected against the real division.
+pub fn min_agreeing(n: usize, theta: f64) -> usize {
+    let clears = |a: usize| a as f64 / n as f64 >= theta;
     let mut a = ((theta * n as f64).ceil() as usize).min(n);
-    while a > 0 && (a - 1) as f64 / n as f64 >= theta {
+    while a > 0 && clears(a - 1) {
         a -= 1;
     }
-    while a < n && (a as f64 / n as f64) < theta {
+    while a <= n && !clears(a) {
         a += 1;
     }
     a
@@ -87,16 +89,16 @@ impl BandingScheme {
         BandingScheme { bands, rows }
     }
 
-    /// The exact-recall tuning rule: `b = n − ⌈θ·n⌉ + 1` bands (the
-    /// pigeonhole count for pairs at θ), `r = ⌊n / b⌋` rows. For any
-    /// `θ > 0` the resulting scheme satisfies
+    /// The exact-recall tuning rule: `b = n − t + 1` bands (the
+    /// pigeonhole count for pairs at θ, `t = `[`min_agreeing`]`(n, θ)`),
+    /// `r = ⌊n / b⌋` rows. For any `θ > 0` the resulting scheme satisfies
     /// [`BandingScheme::guarantees_recall`]; at θ close to 1 it
     /// degenerates to one band over the whole sketch (only identical
     /// sketches collide), at low θ to many narrow bands.
     pub fn tune(num_hashes: usize, theta: f64) -> BandingScheme {
         let n = num_hashes.max(1);
         let theta = theta.clamp(0.0, 1.0);
-        let max_disagree = n - min_agreeing(n, theta);
+        let max_disagree = n.saturating_sub(min_agreeing(n, theta));
         let bands = (max_disagree + 1).min(n);
         BandingScheme {
             bands,
@@ -106,12 +108,11 @@ impl BandingScheme {
 
     /// Whether this scheme guarantees recall 1.0 for pairs with
     /// positional similarity ≥ θ over `num_hashes`-position sketches.
-    /// A pair passing `agree/n ≥ θ` disagrees in at most
-    /// `n − min_agree` positions; the pigeonhole needs strictly more
-    /// bands than that.
+    /// A pair with `agreements ≥ t` disagrees in at most `n − t`
+    /// positions; the pigeonhole needs strictly more bands than that.
     pub fn guarantees_recall(&self, num_hashes: usize, theta: f64) -> bool {
         let n = num_hashes.max(1);
-        n - min_agreeing(n, theta.clamp(0.0, 1.0)) < self.bands
+        n.saturating_sub(min_agreeing(n, theta.clamp(0.0, 1.0))) < self.bands
     }
 
     /// Signature of band `band` over raw sketch values: the `rows`

@@ -1,4 +1,8 @@
 //! Jaccard similarity: exact on feature sets, estimated on sketches.
+//!
+//! On sketches every route tests θ on one integer, [`agreements`],
+//! against [`crate::min_agreeing`]; [`positional_similarity`] is that
+//! count over the width, and only reports.
 
 use crate::sketch::{Sketch, EMPTY_SLOT};
 
@@ -30,29 +34,33 @@ pub fn exact_jaccard(a: &[u64], b: &[u64]) -> f64 {
     inter as f64 / union as f64
 }
 
-/// Positional sketch similarity: the fraction of sketch positions where
-/// the two minwise values agree (the collision probability of Eq. 3).
-/// This is the unbiased MinHash estimator of the Jaccard similarity.
-///
-/// Positions where *both* sketches are empty ([`EMPTY_SLOT`]) count as
-/// agreement only if all positions are empty in both (two too-short
-/// sequences are treated as identical); a mixed empty/non-empty
-/// position is a disagreement.
-pub fn positional_similarity(a: &Sketch, b: &Sketch) -> f64 {
+/// Agreement count: the sketch positions where both sketches hold the
+/// same real minwise value. An [`EMPTY_SLOT`] never agrees, but two
+/// degenerate sketches (no real value, e.g. two too-short sequences)
+/// are identical and count the full width.
+pub fn agreements(a: &Sketch, b: &Sketch) -> usize {
     assert_eq!(a.len(), b.len(), "sketches of different length");
-    if a.is_empty() {
-        return 1.0;
-    }
     if a.is_degenerate() && b.is_degenerate() {
-        return 1.0;
+        return a.len();
     }
-    let agree: usize = a
-        .values()
+    a.values()
         .iter()
         .zip(b.values())
         .map(|(&x, &y)| usize::from(x == y && x != EMPTY_SLOT))
-        .sum();
-    agree as f64 / a.len() as f64
+        .sum()
+}
+
+/// Positional sketch similarity: the fraction of sketch positions where
+/// the two minwise values agree (the collision probability of Eq. 3),
+/// [`agreements`] over the width, and 1.0 at width 0. This is the
+/// unbiased MinHash estimator of the Jaccard similarity.
+pub fn positional_similarity(a: &Sketch, b: &Sketch) -> f64 {
+    let agree = agreements(a, b);
+    if a.is_empty() {
+        1.0
+    } else {
+        agree as f64 / a.len() as f64
+    }
 }
 
 /// Set-based sketch similarity, as written in Algorithm 1 line 9:
@@ -62,7 +70,7 @@ pub fn positional_similarity(a: &Sketch, b: &Sketch) -> f64 {
 /// This variant is *biased* relative to positional agreement (values
 /// from different hash functions can collide). It is kept for the
 /// `ablation_estimator` comparison only — the pipeline clusters on
-/// [`positional_similarity`] — so it filters, sorts and dedups per call.
+/// [`agreements`] — so it filters, sorts and dedups per call.
 pub fn set_similarity(a: &Sketch, b: &Sketch) -> f64 {
     assert_eq!(a.len(), b.len(), "sketches of different length");
     let set = |s: &Sketch| {
@@ -116,7 +124,9 @@ mod tests {
         let empty1 = h.sketch_sequence(b"ACG").unwrap();
         let empty2 = h.sketch_sequence(b"TTT").unwrap();
         let full = h.sketch_sequence(b"ACGTACGTACGT").unwrap();
+        assert_eq!(agreements(&empty1, &empty2), 16);
         assert_eq!(positional_similarity(&empty1, &empty2), 1.0);
+        assert_eq!(agreements(&empty1, &full), 0);
         assert_eq!(positional_similarity(&empty1, &full), 0.0);
         assert_eq!(set_similarity(&empty1, &empty2), 1.0);
         assert_eq!(set_similarity(&empty1, &full), 0.0);
@@ -166,9 +176,11 @@ mod tests {
         // the shared sentinel must contribute nothing.
         let a = Sketch::from_values(vec![EMPTY_SLOT, 5, EMPTY_SLOT, 9]);
         let b = Sketch::from_values(vec![EMPTY_SLOT, 6, EMPTY_SLOT, 8]);
+        assert_eq!(agreements(&a, &b), 0);
         assert_eq!(positional_similarity(&a, &b), 0.0);
         // One real agreement out of four positions.
         let c = Sketch::from_values(vec![EMPTY_SLOT, 5, EMPTY_SLOT, 8]);
+        assert_eq!(agreements(&a, &c), 1);
         assert_eq!(positional_similarity(&a, &c), 0.25);
     }
 

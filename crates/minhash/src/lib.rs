@@ -12,14 +12,17 @@
 //!   fraction of agreeing sketch positions estimates the Jaccard
 //!   similarity of the underlying k-mer sets.
 //!
-//! That *positional* estimator ([`positional_similarity`]) is the one
-//! similarity the pipeline clusters on. The *set-based* form the
+//! That *positional* estimator is the one similarity the pipeline
+//! clusters on, and every route tests θ on its numerator: the
+//! [`agreements`] of two sketches against the count
+//! `t = `[`min_agreeing`]`(n, θ)`, which decides every pair as the
+//! fraction [`positional_similarity`] against θ does. The *set-based* form the
 //! paper's Algorithm 1 line 9 writes (`|s̄_a ∩ s̄_b| / |s̄_a ∪ s̄_b|` on
 //! sketch values) is kept as [`set_similarity`] for the
 //! `ablation_estimator` bin in `crates/bench`, which compares the two
 //! estimators' error. A stage that compares *every* pair packs its
 //! sketches into a [`SketchPlane`] of per-column ranks first and reads
-//! the same estimator, bit for bit, off contiguous narrow lanes.
+//! the same counts off contiguous narrow lanes.
 
 pub mod banding;
 pub mod hash;
@@ -28,9 +31,9 @@ pub mod plane;
 pub mod prime;
 pub mod sketch;
 
-pub use banding::BandingScheme;
+pub use banding::{min_agreeing, BandingScheme};
 pub use hash::{HashParams, UniversalHashFamily};
-pub use jaccard::{exact_jaccard, positional_similarity, set_similarity};
+pub use jaccard::{agreements, exact_jaccard, positional_similarity, set_similarity};
 pub use plane::{RaggedSketches, SketchPlane};
 pub use prime::{is_prime, next_prime};
 pub use sketch::{MinHasher, Sketch};

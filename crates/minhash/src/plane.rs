@@ -29,11 +29,11 @@
 //! once per row against the broadcast relation; [`SketchPlane::count`]
 //! is the call over one row.
 //!
-//! [`SketchPlane::similarity`] is bit-identical to
-//! [`positional_similarity`](crate::positional_similarity) on the
-//! packed sketches: [`SketchPlane::count`] is the same integer, divided
-//! by the same width in `f64`. A stage that ships the count and divides
-//! later, as the all-pairs stage does, reproduces the same bits.
+//! [`SketchPlane::count`] is [`agreements`](crate::agreements) on the
+//! packed sketches, the same integer: a stage that ships the count
+//! tests θ on it, and divides by the width only where it reports a
+//! similarity, as the all-pairs stage's matrix does, to the same bits
+//! as [`positional_similarity`](crate::positional_similarity).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -237,40 +237,19 @@ impl SketchPlane {
         }
     }
 
-    /// Sketch length: the denominator of [`SketchPlane::similarity`].
+    /// Sketch length: the number of positions a count is out of.
     pub fn width(&self) -> usize {
         self.width
     }
 
-    /// The numerator of [`SketchPlane::similarity`]: the number of
-    /// positions at which sketches `i` and `j` hold the same real
-    /// minwise value, or [`width`](SketchPlane::width) when both are
-    /// degenerate (two sketches without a real value are identical).
-    /// At most `width`.
+    /// [`agreements`](crate::agreements) of sketches `i` and `j`: the
+    /// positions where both hold the same real value, or the
+    /// [`width`](SketchPlane::width) when both are degenerate.
     #[inline]
     pub fn count(&self, i: usize, j: usize) -> usize {
         let mut count = Last(0);
         self.extend_counts(i, j..j + 1, &mut count, |c| c);
         count.0
-    }
-
-    /// [`positional_similarity`](crate::positional_similarity) of
-    /// sketches `i` and `j`, bit for bit: zero-width sketches are
-    /// identical (1.0), otherwise [`count`](SketchPlane::count) over
-    /// the width.
-    #[inline]
-    pub fn similarity(&self, i: usize, j: usize) -> f64 {
-        self.similarity_of(self.count(i, j))
-    }
-
-    /// The similarity a [`count`](SketchPlane::count) stands for: the
-    /// count over the width, or 1.0 at width 0.
-    #[inline]
-    pub fn similarity_of(&self, count: usize) -> f64 {
-        if self.width == 0 {
-            return 1.0;
-        }
-        count as f64 / self.width as f64
     }
 
     /// Extend `out` with `narrow` of the [`count`](SketchPlane::count)
@@ -343,9 +322,9 @@ impl Extend<usize> for Last {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::positional_similarity;
+    use crate::agreements;
 
-    /// Every pair's similarity against the oracle, and each row's
+    /// Every pair's count against the oracle, and each row's
     /// `extend_counts` over every row against its pairs' counts.
     fn assert_matches_oracle(sketches: &[Sketch]) -> SketchPlane {
         let plane = SketchPlane::pack(sketches).unwrap();
@@ -354,8 +333,8 @@ mod tests {
         for i in 0..n {
             for j in 0..n {
                 assert_eq!(
-                    plane.similarity(i, j).to_bits(),
-                    positional_similarity(&sketches[i], &sketches[j]).to_bits(),
+                    plane.count(i, j),
+                    agreements(&sketches[i], &sketches[j]),
                     "pair ({i}, {j})"
                 );
                 assert!(plane.count(i, j) <= plane.width(), "pair ({i}, {j})");
@@ -415,7 +394,7 @@ mod tests {
         let zero = [Sketch::from_values(vec![]), Sketch::from_values(vec![])];
         let plane = assert_matches_oracle(&zero);
         assert_eq!(plane.len(), 2);
-        assert_eq!(plane.similarity(0, 1), 1.0);
+        assert_eq!(plane.count(0, 1), 0);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use rand::{Rng, SeedableRng};
 
 use mrmc_minhash::sketch::EMPTY_SLOT;
 use mrmc_minhash::{
-    exact_jaccard, is_prime, next_prime, positional_similarity, set_similarity, BandingScheme,
-    MinHasher, Sketch, SketchPlane, UniversalHashFamily,
+    agreements, exact_jaccard, is_prime, min_agreeing, next_prime, positional_similarity,
+    set_similarity, BandingScheme, MinHasher, Sketch, SketchPlane, UniversalHashFamily,
 };
 use mrmc_seqio::encode::KmerIter;
 use mrmc_testkit::community::dna;
@@ -92,12 +92,12 @@ fn assert_plane_matches(
             let expect = reference::positional_similarity(&sketches[i], &sketches[j]);
             let count = plane.count(i, j);
             assert_eq!(
-                count as f64,
-                (expect * width as f64).round(),
+                count,
+                agreements(&sketches[i], &sketches[j]),
                 "pair ({i}, {j})"
             );
             assert_eq!(
-                plane.similarity(i, j).to_bits(),
+                (count as f64 / width as f64).to_bits(),
                 expect.to_bits(),
                 "pair ({i}, {j})"
             );
@@ -318,9 +318,10 @@ proptest! {
         }
     }
 
-    /// The packed plane is the textbook positional estimator, bit for
-    /// bit, on every pair — whichever lane the values select and
-    /// whichever of its two counts a pair takes. Each read contributes
+    /// The packed plane counts [`agreements`] on every pair, and the
+    /// count over the width is the textbook positional estimator, bit
+    /// for bit — whichever lane the values select and whichever of its
+    /// two counts a pair takes. Each read contributes
     /// its sketch (degenerate when shorter than k), a near copy's, and
     /// a copy with positions knocked out, so full, partially empty and
     /// fully empty rows all meet; `clash` plants a real `u32::MAX`,
@@ -367,13 +368,15 @@ proptest! {
         prop_assert_eq!(plane.lane_bytes(), narrowest_lane(&sketches), "k = {}", k);
         for i in 0..sketches.len() {
             for j in 0..sketches.len() {
-                let expect = reference::positional_similarity(&sketches[i], &sketches[j]);
-                prop_assert_eq!(
-                    plane.similarity(i, j).to_bits(),
-                    expect.to_bits(),
-                    "pair ({}, {}), k = {}, n = {}", i, j, k, n
-                );
-                prop_assert!(plane.count(i, j) <= plane.width());
+                let (a, b) = (&sketches[i], &sketches[j]);
+                let count = agreements(a, b);
+                prop_assert_eq!(plane.count(i, j), count, "pair ({}, {}), k = {}, n = {}", i, j, k, n);
+                prop_assert!(count <= n);
+                // The count over the width is the estimator, bit for
+                // bit: why testing θ on the count moves no label.
+                let sim = positional_similarity(a, b);
+                prop_assert_eq!((count as f64 / n as f64).to_bits(), sim.to_bits());
+                prop_assert_eq!(sim.to_bits(), reference::positional_similarity(a, b).to_bits());
             }
         }
     }
@@ -638,5 +641,57 @@ fn positional_matches_reference_implementation() {
             positional_similarity(&a, &b),
             reference::positional_similarity(&a, &b)
         );
+        assert_eq!(
+            (agreements(&a, &b) as f64 / a.len() as f64).to_bits(),
+            positional_similarity(&a, &b).to_bits()
+        );
+    }
+}
+
+/// `q`'s neighbours and itself, for a finite `q ≥ 0`: `f64::next_down`
+/// and `f64::next_up`, which are newer than this workspace's MSRV.
+fn with_neighbours(q: f64) -> [f64; 3] {
+    let down = if q == 0.0 {
+        -f64::from_bits(1)
+    } else {
+        f64::from_bits(q.to_bits() - 1)
+    };
+    [down, q, f64::from_bits(q.to_bits() + 1)]
+}
+
+/// `min_agreeing` is the estimator's cut as a count: for every width
+/// `n` in 1..=300 and the widest sketch, at θ on each grid point `a/n`
+/// and one ulp either side, the threshold `t` clears θ under the `f64`
+/// division and `t − 1` does not. `a/n` is monotone in `a`, so then
+/// `a ≥ t ⟺ a/n ≥ θ` for every count, and testing θ on the count
+/// moves no label.
+#[test]
+fn min_agreeing_is_the_estimators_cut() {
+    for n in (1..=300).chain([65_535]) {
+        for a in 0..=n {
+            for theta in with_neighbours(a as f64 / n as f64) {
+                let t = min_agreeing(n, theta);
+                assert!(t <= n + 1, "n = {n}, θ = {theta}: t = {t}");
+                for count in [t.wrapping_sub(1), t].into_iter().filter(|&c| c <= n) {
+                    assert_eq!(
+                        count >= t,
+                        count as f64 / n as f64 >= theta,
+                        "n = {n}, θ = {theta}, t = {t}, count {count}"
+                    );
+                }
+            }
+        }
+    }
+    // θ·n rounds up past the integer, so `⌈θ·n⌉` is one too high.
+    for (n, theta, t) in [(50, 0.56, 28), (100, 0.55, 55)] {
+        assert!(theta * n as f64 > t as f64);
+        assert_eq!(min_agreeing(n, theta), t);
+    }
+    // No count clears θ above 1 or NaN; every count clears θ ≤ 0.
+    for theta in [1.5, f64::INFINITY, f64::NAN] {
+        assert_eq!(min_agreeing(64, theta), 65);
+    }
+    for theta in [0.0, -0.5, f64::NEG_INFINITY] {
+        assert_eq!(min_agreeing(64, theta), 0);
     }
 }

@@ -37,7 +37,7 @@ use mrmc_mapreduce::job::{Combiner, JobConfig, Mapper, MrKey, Reducer, TaskConte
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::wire::{uvarint_len, BandKeyCodec, IdRun};
 use mrmc_mapreduce::MrError;
-use mrmc_minhash::{positional_similarity, BandingScheme, Sketch};
+use mrmc_minhash::{agreements, BandingScheme, Sketch};
 
 use crate::config::MrMcConfig;
 
@@ -58,11 +58,12 @@ pub fn ensure_read_ids_fit(num_reads: usize) -> Result<(), MrError> {
 /// per same-band pair stays at 2⁻²².
 const SIG_BITS: u32 = 22;
 
-/// Stage-3 mapper: verify one candidate with the exact sketch
-/// estimator, emitting the edge only when it clears θ.
+/// Stage-3 mapper: verify one candidate by its agreement count, and
+/// emit the edge, weighted count / width, only when it clears θ.
 struct VerifyMapper<'a> {
     sketches: &'a [Sketch],
-    theta: f64,
+    /// θ as an agreement count ([`MrMcConfig::min_agreeing`]).
+    min_agree: usize,
 }
 
 impl Mapper for VerifyMapper<'_> {
@@ -72,10 +73,11 @@ impl Mapper for VerifyMapper<'_> {
     type OutValue = f32;
 
     fn map(&self, _k: usize, (i, j): (u32, u32), ctx: &mut TaskContext<(u32, u32), f32>) {
-        let sim = positional_similarity(&self.sketches[i as usize], &self.sketches[j as usize]);
+        let (a, b) = (&self.sketches[i as usize], &self.sketches[j as usize]);
+        let agree = agreements(a, b);
         ctx.count("PAIRS_COMPUTED", 1);
-        if sim >= self.theta {
-            ctx.emit((i, j), sim as f32);
+        if agree >= self.min_agree {
+            ctx.emit((i, j), (agree as f64 / a.len() as f64) as f32);
             ctx.count("EDGES_EMITTED", 1);
         }
     }
@@ -299,7 +301,7 @@ pub fn banded_graph_stage(
     let candidates = banded_candidates(sketches, config, pipeline)?;
     let mapper = VerifyMapper {
         sketches,
-        theta: config.theta,
+        min_agree: config.min_agreeing(),
     };
     let input: Vec<(usize, (u32, u32))> = candidates.into_iter().enumerate().collect();
     // More, smaller tasks than the banding stages — verification is

@@ -1,7 +1,7 @@
 //! Configuration of a MrMC-MinH run.
 
 use mrmc_cluster::Linkage;
-use mrmc_minhash::{BandingScheme, MinHasher};
+use mrmc_minhash::{min_agreeing, BandingScheme, MinHasher};
 
 /// Which clustering algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -136,6 +136,12 @@ impl MrMcConfig {
     /// `TranslateToKmer` emits them.
     pub fn hasher(&self) -> MinHasher {
         MinHasher::for_kmer_size(self.kmer, self.num_hashes, self.seed)
+    }
+
+    /// θ as an agreement count ([`min_agreeing`]): a pair clears θ when
+    /// its [`agreements`](mrmc_minhash::agreements) reach it.
+    pub fn min_agreeing(&self) -> usize {
+        min_agreeing(self.num_hashes, self.theta)
     }
 
     /// Validate the knob ranges.

@@ -23,12 +23,12 @@
 //! contract"; two degenerate sketches meet too, since all-`EMPTY_SLOT`
 //! bands hash alike). So founders are filed under their `b` band
 //! signatures, and a read verifies only the labels in its own `≤ b`
-//! buckets — same similarity test — and takes the lowest that passes:
-//! the scan's label ([`mrmc_cluster::greedy_cluster`], the oracle in
-//! tests), for every input. Where the guarantee does not hold
-//! (θ = 0: a pair agreeing nowhere still clears it) every sketch is
-//! filed under one constant signature, so the same lookup walks all
-//! labels in order.
+//! buckets — [`agreements`] against [`MrMcConfig::min_agreeing`] —
+//! and takes the lowest that passes: the scan's label
+//! ([`mrmc_cluster::greedy_cluster`], the oracle in tests), for every
+//! input. Where the guarantee does not hold (θ = 0, a threshold of 0
+//! agreements) every sketch is filed under one constant signature, so
+//! the same lookup walks all labels in order.
 //!
 //! # Copies
 //!
@@ -45,7 +45,7 @@
 use std::collections::{HashMap, HashSet};
 
 use mrmc_cluster::ClusterAssignment;
-use mrmc_minhash::{positional_similarity, BandingScheme, MinHasher, Sketch};
+use mrmc_minhash::{agreements, BandingScheme, MinHasher, Sketch};
 use mrmc_seqio::{SeqIoError, SeqRecord};
 
 use crate::config::MrMcConfig;
@@ -55,9 +55,10 @@ use crate::pipeline::MrMcResult;
 /// their band signatures (see the module docs).
 #[derive(Debug, Clone)]
 pub struct RepresentativeIndex {
-    theta: f64,
-    /// The exact-recall banding for `(num_hashes, θ)`, or `None` when
-    /// no banding is exact for this config (see the module docs).
+    /// θ as an agreement count ([`MrMcConfig::min_agreeing`]).
+    min_agree: usize,
+    /// The exact-recall banding for `(num_hashes, θ)`, or `None` at
+    /// `min_agree` 0 (see the module docs).
     scheme: Option<BandingScheme>,
     /// Representative sketch per cluster, indexed by label.
     representatives: Vec<Sketch>,
@@ -76,11 +77,10 @@ pub struct RepresentativeIndex {
 impl RepresentativeIndex {
     /// Empty index for `config`'s `num_hashes` and θ.
     pub fn new(config: &MrMcConfig) -> RepresentativeIndex {
-        let scheme = config.banding_scheme();
-        let exact = scheme.guarantees_recall(config.num_hashes, config.theta);
+        let min_agree = config.min_agreeing();
         RepresentativeIndex {
-            theta: config.theta,
-            scheme: exact.then_some(scheme),
+            min_agree,
+            scheme: (min_agree > 0).then(|| config.banding_scheme()),
             representatives: Vec::new(),
             buckets: HashMap::new(),
             sigs: vec![0],
@@ -128,7 +128,7 @@ impl RepresentativeIndex {
             let labels = bucket.iter().map(|&label| label as usize);
             let hit = labels.take_while(|&label| label < best).find(|&label| {
                 self.evaluations += 1;
-                positional_similarity(sketch, &self.representatives[label]) >= self.theta
+                agreements(sketch, &self.representatives[label]) >= self.min_agree
             });
             best = hit.unwrap_or(best);
         }
@@ -259,6 +259,7 @@ mod tests {
     use crate::stages::sketch_stage;
     use mrmc_cluster::greedy_cluster;
     use mrmc_mapreduce::pipeline::Pipeline;
+    use mrmc_minhash::positional_similarity;
     use mrmc_testkit::community::two_species;
     use proptest::prelude::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -608,6 +609,26 @@ mod tests {
             (0..batch.len()).any(|i| labels[i] != result.assignment.label(i)),
             "some seed read streams to a label other than its seed label"
         );
+    }
+
+    /// At θ = 0 the threshold is 0 agreements: no banding is exact, so
+    /// the index files every sketch under one signature and each read,
+    /// however unrelated or degenerate, joins label 0.
+    #[test]
+    fn theta_zero_puts_every_read_in_label_zero() {
+        let cfg = config(0.0);
+        assert_eq!(cfg.min_agreeing(), 0);
+        let mut index = RepresentativeIndex::new(&cfg);
+        assert!(index.scheme.is_none());
+        let disjoint = |from: u64| Sketch::from_values((from..from + 64).collect());
+        let degenerate = Sketch::from_values(vec![mrmc_minhash::sketch::EMPTY_SLOT; 64]);
+        let sketches = vec![disjoint(0), disjoint(100), degenerate, disjoint(200)];
+        assert_eq!(index.place_all(sketches), vec![0; 4]);
+        // One agreement clears the smallest θ above 0, so banding is
+        // exact again.
+        let cfg = config(f64::MIN_POSITIVE);
+        assert_eq!(cfg.min_agreeing(), 1);
+        assert!(RepresentativeIndex::new(&cfg).scheme.is_some());
     }
 
     #[test]

@@ -732,7 +732,7 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use mrmc_mapreduce::dfs::{Dfs, DfsConfig};
-    use mrmc_minhash::positional_similarity;
+    use mrmc_minhash::agreements;
     use mrmc_pig::{parse_script, PigRunner};
     use std::collections::HashMap;
 
@@ -1049,8 +1049,8 @@ mod tests {
         Value::bag(cs.iter().map(|&c| Value::Int(c)).collect::<Vec<_>>())
     }
 
-    /// [`pairwise`] through the kernel, each row held to the agreement
-    /// count `positional_similarity × width` against every relation row,
+    /// [`pairwise`] through the kernel, each row held to the
+    /// [`agreements`] of its sketch with every relation row,
     /// its own included, in ascending seqid order.
     fn check_pairwise(
         rows: &[Value],
@@ -1071,17 +1071,14 @@ mod tests {
         all.sort_by(|a, b| a.0.cmp(&b.0));
         for (i, row) in rows[span].iter().enumerate() {
             let (id, me) = decode(row);
-            let want: Vec<i32> = all
-                .iter()
-                .map(|(_, s)| (positional_similarity(&me, s) * me.len() as f64).round() as i32)
-                .collect();
+            let want: Vec<i32> = all.iter().map(|(_, s)| agreements(&me, s) as i32).collect();
             assert_eq!(out.value_at(i, 0), id, "{what}");
             assert_eq!(out.value_at(i, 1), counts(&want), "{what}, row {i}");
         }
         out
     }
 
-    /// `J` is the agreement count behind `positional_similarity` on the
+    /// `J` is the [`agreements`] count of each pair on the
     /// Algorithm-3 shape and its corners: a window that is not the
     /// column's start, a relation not in seqid order, one read, an
     /// empty relation and values past `u32::MAX`. A seqid twice in the
@@ -1123,7 +1120,7 @@ mod tests {
     }
 
     /// Two reads with no k-mer have identical (all-empty) sketches:
-    /// count = width, `positional_similarity`'s 1.0; against a real
+    /// count = width, as [`agreements`] counts them; against a real
     /// sketch they share nothing.
     #[test]
     fn degenerate_sketches_are_identical() {

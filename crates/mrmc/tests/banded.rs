@@ -9,11 +9,11 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use mrmc::banded::{banded_candidates, banded_graph_stage, ensure_read_ids_fit};
-use mrmc::{Mode, MrMcConfig, MrMcMinH};
+use mrmc::{Mode, MrMcConfig, MrMcMinH, RepresentativeIndex};
 use mrmc_cluster::Linkage;
 use mrmc_mapreduce::chaos::{FaultPlan, Phase};
 use mrmc_mapreduce::pipeline::Pipeline;
-use mrmc_minhash::positional_similarity;
+use mrmc_minhash::{positional_similarity, Sketch};
 use mrmc_testkit::community::huse;
 use mrmc_testkit::routes::{greedy_scan, oracle_sketches};
 
@@ -104,7 +104,8 @@ fn candidates_match_collision_oracle_and_are_unique() {
 
 /// The sparse graph holds exactly the θ-edges of the dense truth scan:
 /// recall 1.0 (pigeonhole guarantee) and precision 1.0 (the verify
-/// stage applies the same `sim ≥ θ` test), with identical weights.
+/// stage's count test decides every pair as `sim ≥ θ`), with identical
+/// weights.
 #[test]
 fn sparse_graph_equals_dense_truth() {
     let cfg = MrMcConfig::sixteen_s().banded();
@@ -131,6 +132,47 @@ fn sparse_graph_equals_dense_truth() {
         }
     }
     assert_eq!(graph.num_edges(), truth, "recall and precision 1.0");
+}
+
+/// The θ test at its rounding boundary, through both routes that run
+/// it. At θ = 0.56 over 50 positions (θ·n = 28.000000000000004) and
+/// θ = 0.55 over 100 (55.00000000000001) a naive `⌈θ·n⌉` is one too
+/// high. A pair agreeing in exactly `t = min_agreeing(n, θ)` positions
+/// is an edge of the banded θ-graph, carrying `t/n`, and one cluster
+/// in the greedy representative index; a pair at `t − 1` is neither.
+#[test]
+fn theta_boundary_pair_through_both_routes() {
+    for (n, theta, t) in [(50, 0.56, 28), (100, 0.55, 55)] {
+        let cfg = MrMcConfig {
+            num_hashes: n,
+            theta,
+            ..MrMcConfig::sixteen_s()
+        }
+        .banded();
+        assert_eq!(cfg.min_agreeing(), t, "n = {n}, θ = {theta}");
+        let base: Vec<u64> = (0..n as u64).map(|p| p * 7919 + 1).collect();
+        for (agree, clears) in [(t, true), (t - 1, false)] {
+            let other = base
+                .iter()
+                .enumerate()
+                .map(|(p, &v)| if p < agree { v } else { v + 1 })
+                .collect();
+            let pair = vec![
+                Sketch::from_values(base.clone()),
+                Sketch::from_values(other),
+            ];
+            let what = format!("n = {n}, θ = {theta}, {agree} agreements");
+            let mut p = Pipeline::new("test-boundary");
+            let graph = banded_graph_stage(&pair, &cfg, &mut p).expect("banded stages");
+            assert_eq!(graph.num_edges(), usize::from(clears), "{what}");
+            if clears {
+                let sim = (agree as f64 / n as f64) as f32;
+                assert_eq!(graph.sim(0, 1), f64::from(sim), "{what}");
+            }
+            let labels = RepresentativeIndex::new(&cfg).place_all(pair);
+            assert_eq!(labels, [0, usize::from(!clears)], "{what}");
+        }
+    }
 }
 
 /// Task panics in the banding *reducers* (bucket collection and pair
