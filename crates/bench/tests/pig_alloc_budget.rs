@@ -51,11 +51,12 @@ fn algorithm3_stays_inside_its_per_read_allocation_budget() {
 
     let (report, allocs) = count_allocs(|| runner.run(&script).expect("Algorithm 3 runs"));
     assert_eq!(report.stored.len(), 2);
-    // Measured: 152 allocations per read (columns, offsets and shuffle
-    // runs, one sketch per broadcast row per `J` chunk, one count strip
+    // Measured: 145 allocations per read (columns, offsets and shuffle
+    // runs, one sketch per `I.E` row when `J` is bound, one count strip
     // per distinct sketch in `K`, and `B`'s `StringGenerator` row body;
-    // nothing per k-mer or per pair; 45 655 in all, 45 743 while `J`
-    // emitted `(seqid, similarity)` tuples for `K` to index; 159 while `B`'s
+    // nothing per k-mer or per pair; 43 572 in all, 45 655 while each
+    // `J` chunk decoded `I.E` again, 45 743 while `J` emitted
+    // `(seqid, similarity)` tuples for `K` to index; 159 while `B`'s
     // tuple rows were expanded row by row, 183 while each `J` chunk
     // deep-copied the broadcast `I.E`). An executor that
     // boxes every k-mer row measured 8 791 per read on this input, so

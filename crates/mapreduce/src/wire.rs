@@ -288,18 +288,8 @@ impl IdRun {
         Ok(())
     }
 
-    /// Number of ids in the run (the wire count prefix).
-    ///
-    /// Returns the sentinel `0` when the count prefix itself is
-    /// corrupt (truncated or overflowing) — indistinguishable from a
-    /// genuinely empty run. Use [`IdRun::try_count`] where that
-    /// distinction matters.
-    pub fn count(&self) -> u64 {
-        self.try_count().unwrap_or(0)
-    }
-
-    /// Number of ids in the run, or the decode error for a corrupt
-    /// count prefix.
+    /// Number of ids in the run (the wire count prefix), or the decode
+    /// error for a corrupt count prefix.
     pub fn try_count(&self) -> Result<u64, WireError> {
         get_uvarint(self.bytes()).map(|(c, _)| c)
     }
@@ -698,7 +688,6 @@ mod tests {
         ] {
             let run = IdRun::from_sorted(&ids).unwrap();
             assert_eq!(run.decode().unwrap(), ids);
-            assert_eq!(run.count(), ids.len() as u64);
             assert_eq!(run.try_count().unwrap(), ids.len() as u64);
             assert_eq!(run.wire_len(), run.as_bytes().len());
             assert_eq!(run.shuffle_size(), run.wire_len());
@@ -768,14 +757,12 @@ mod tests {
     }
 
     #[test]
-    fn count_sentinel_and_try_count_on_corrupt_prefix() {
-        // Truncated count varint: `count` keeps its documented
-        // sentinel 0, `try_count` surfaces the error.
+    fn try_count_on_corrupt_prefix() {
+        // A truncated or overflowing count varint is an error, not a
+        // count of 0.
         let corrupt = IdRun::from_encoded_unchecked(vec![0x80]);
-        assert_eq!(corrupt.count(), 0);
         assert_eq!(corrupt.try_count().unwrap_err(), WireError::Truncated);
         let overflowing = IdRun::from_encoded_unchecked(vec![0xff; 11]);
-        assert_eq!(overflowing.count(), 0);
         assert_eq!(overflowing.try_count().unwrap_err(), WireError::Overflow);
     }
 

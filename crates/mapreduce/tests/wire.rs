@@ -38,7 +38,7 @@ proptest! {
         expect.sort_unstable();
         expect.dedup();
         prop_assert_eq!(run.decode().expect("roundtrip"), expect.clone());
-        prop_assert_eq!(run.count(), expect.len() as u64);
+        prop_assert_eq!(run.try_count(), Ok(expect.len() as u64));
         prop_assert_eq!(run.wire_len(), run.as_bytes().len());
         // A second hop through from_sorted is the identity.
         let again = IdRun::from_sorted(&expect).expect("sorted input");
@@ -393,10 +393,12 @@ proptest! {
         // `validate` agrees on the error too.
         prop_assert_eq!(run.validate().err(), run.decode().err());
         // `try_count` errors exactly when the count prefix is the
-        // culprit, and `count` falls back to the documented sentinel.
-        match run.try_count() {
-            Ok(c) => prop_assert_eq!(run.count(), c),
-            Err(_) => prop_assert_eq!(run.count(), 0),
+        // culprit, with the error `decode` stops at; a run that decodes
+        // holds as many ids as its prefix counts.
+        match (run.try_count(), run.decode()) {
+            (Err(e), decoded) => prop_assert_eq!(decoded, Err(e)),
+            (Ok(count), Ok(ids)) => prop_assert_eq!(ids.len() as u64, count),
+            (Ok(_), Err(_)) => {}
         }
     }
 }

@@ -35,6 +35,7 @@
 //! similarity, as the all-pairs stage's matrix does, to the same bits
 //! as [`positional_similarity`](crate::positional_similarity).
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
@@ -142,13 +143,13 @@ impl Hasher for MulHasher {
 /// column is ranked on its own, in order of first appearance, through
 /// one table that holds only that column's values and so stays in
 /// cache.
-fn ranked<L: Lane>(sketches: &[Sketch], width: usize) -> Option<Vec<L>> {
+fn ranked<L: Lane>(sketches: &[impl Borrow<Sketch>], width: usize) -> Option<Vec<L>> {
     let mut lanes = vec![L::EMPTY; sketches.len() * width];
     let mut ranks: HashMap<u64, u32, BuildHasherDefault<MulHasher>> = HashMap::default();
     for column in 0..width {
         ranks.clear();
         for (lane, sketch) in lanes[column..].iter_mut().step_by(width).zip(sketches) {
-            let v = sketch.values()[column];
+            let v = sketch.borrow().values()[column];
             if v != EMPTY_SLOT {
                 let next = ranks.len() as u32;
                 *lane = L::of_rank(*ranks.entry(v).or_insert(next))?;
@@ -180,13 +181,15 @@ impl SketchPlane {
     /// Pack `sketches`, which must all have one length: rank each
     /// column's values, then store the ranks in the narrowest lane
     /// that holds the largest column's cardinality beside its empty
-    /// mark.
-    pub fn pack(sketches: &[Sketch]) -> Result<SketchPlane, RaggedSketches> {
-        let width = sketches.first().map_or(0, Sketch::len);
-        if let Some((index, s)) = sketches.iter().enumerate().find(|(_, s)| s.len() != width) {
+    /// mark. The sketches may be owned or borrowed, so a caller can
+    /// pack sketches it keeps elsewhere beside its own without a copy.
+    pub fn pack<S: Borrow<Sketch>>(sketches: &[S]) -> Result<SketchPlane, RaggedSketches> {
+        let width = sketches.first().map_or(0, |s| s.borrow().len());
+        let lens = sketches.iter().map(|s| s.borrow().len());
+        if let Some((index, len)) = lens.enumerate().find(|&(_, len)| len != width) {
             return Err(RaggedSketches {
                 index,
-                len: s.len(),
+                len,
                 expected: width,
             });
         }
@@ -212,7 +215,7 @@ impl SketchPlane {
         };
         Ok(SketchPlane {
             width,
-            non_empty: sketches.iter().map(Sketch::non_empty).collect(),
+            non_empty: sketches.iter().map(|s| s.borrow().non_empty()).collect(),
             lanes,
         })
     }
@@ -389,7 +392,7 @@ mod tests {
 
     #[test]
     fn empty_and_zero_width() {
-        let plane = SketchPlane::pack(&[]).unwrap();
+        let plane = SketchPlane::pack::<Sketch>(&[]).unwrap();
         assert!(plane.is_empty());
         let zero = [Sketch::from_values(vec![]), Sketch::from_values(vec![])];
         let plane = assert_matches_oracle(&zero);

@@ -7,13 +7,14 @@
 //! `GreedyClustering`), so [`algorithm3_script`] runs end-to-end on
 //! the mini-Pig engine.
 //!
-//! Each UDF is one type with one body, its [`Udf::eval_batch`].
-//! `TranslateToKmer`, `CalculateMinwiseHash`,
-//! `CalculatePairwiseSimilarity` and
-//! `AgglomerativeHierarchicalClustering` are columnar kernels over
-//! Algorithm 3's typed columns, and refuse any other layout with a
-//! [`UdfError`] naming the argument; the loader, `StringGenerator` and
-//! `GreedyClustering` lift a row body through [`scalar_rows`].
+//! Each UDF binds its constants once per call site, when the executor
+//! plans the statement, and refuses a bad one there, before any job
+//! runs. `C`, `E`, `J` and `K` are one type each, whose fields are the
+//! bound constants and whose [`Udf::eval`] is a columnar kernel over
+//! Algorithm 3's typed column windows that refuses any other layout
+//! with a [`UdfError`] naming the argument. The loader,
+//! `StringGenerator` and `GreedyClustering` are row bodies bound
+//! through [`bind_rows`].
 //!
 //! Algorithm 3 is the native pipeline spelled in Pig: its UDFs sketch,
 //! compare and place through the kernels [`crate::MrMcMinH::run`]
@@ -43,7 +44,7 @@ use std::sync::Arc;
 use mrmc_cluster::{agglomerative_grouped, CountStrips, Linkage, PairCounts};
 use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
 use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
-use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, UdfError};
+use mrmc_pig::udf::{bind_rows, BatchOut, UdfError, Window};
 use mrmc_pig::{Udf, UdfRegistry, Value};
 use mrmc_seqio::encode::KmerIter;
 use mrmc_seqio::fasta::read_fasta_bytes;
@@ -53,13 +54,19 @@ use crate::incremental::RepresentativeIndex;
 
 /// Register every Algorithm 3 UDF.
 pub fn register_mrmc_udfs(registry: &mut UdfRegistry) {
-    registry.register(Arc::new(FastaStorage));
-    registry.register(Arc::new(StringGenerator));
-    registry.register(Arc::new(TranslateToKmer));
-    registry.register(Arc::new(CalculateMinwiseHash));
-    registry.register(Arc::new(CalculatePairwiseSimilarity));
-    registry.register(Arc::new(AgglomerativeHierarchicalClustering));
-    registry.register(Arc::new(GreedyClustering));
+    registry.register_rows("FastaStorage", fasta_storage);
+    registry.register_rows("StringGenerator", string_generator);
+    registry.register("TranslateToKmer", TranslateToKmer::bind);
+    registry.register("CalculateMinwiseHash", CalculateMinwiseHash::bind);
+    registry.register(
+        "CalculatePairwiseSimilarity",
+        CalculatePairwiseSimilarity::bind,
+    );
+    registry.register(
+        "AgglomerativeHierarchicalClustering",
+        AgglomerativeHierarchicalClustering::bind,
+    );
+    registry.register("GreedyClustering", bind_greedy);
 }
 
 /// Our canonical version of the paper's Algorithm 3 script.
@@ -82,101 +89,86 @@ STORE L INTO '$OUTPUT2';
 "#
 }
 
-/// Where a UDF reads its scalar arguments: one row's values, or the
-/// broadcast arguments of a batch call (a column reads as missing).
-trait Args {
-    fn arg(&self, idx: usize) -> Option<&Value>;
-}
-
-impl Args for [Value] {
-    fn arg(&self, idx: usize) -> Option<&Value> {
-        self.get(idx)
-    }
-}
-
-impl Args for [BatchArg<'_>] {
-    fn arg(&self, idx: usize) -> Option<&Value> {
-        self.get(idx).and_then(BatchArg::as_scalar)
-    }
-}
-
 /// Argument `idx` is not `what`.
 fn bad_arg(udf: &str, idx: usize, what: &str) -> UdfError {
     UdfError::new(udf, format!("argument {idx} must be {what}"))
 }
 
-fn arg_i64(
+/// Refuse a call site of `udf` that does not pass `n` arguments, the
+/// first `cols` of them columns; each constant is read where it is
+/// bound.
+fn check_call(udf: &str, args: &[Option<&Value>], cols: usize, n: usize) -> Result<(), UdfError> {
+    if let Some(idx) = (0..cols).find(|&i| args.get(i).is_none_or(Option::is_some)) {
+        return Err(bad_arg(udf, idx, "a column"));
+    }
+    match args.len() == n {
+        true => Ok(()),
+        false => Err(UdfError::new(
+            udf,
+            format!("takes {n} arguments, got {}", args.len()),
+        )),
+    }
+}
+
+/// Constant argument `idx` as `read` takes it, or the error naming it
+/// as `what`.
+fn constant<'a, T>(
     udf: &str,
-    args: &(impl Args + ?Sized),
+    args: &[Option<&'a Value>],
     idx: usize,
     what: &str,
-) -> Result<i64, UdfError> {
-    let v = args.arg(idx).and_then(Value::as_i64);
-    v.ok_or_else(|| bad_arg(udf, idx, &format!("{what} (integer)")))
+    read: impl Fn(&'a Value) -> Option<T>,
+) -> Result<T, UdfError> {
+    let v = args.get(idx).copied().flatten().and_then(read);
+    v.ok_or_else(|| bad_arg(udf, idx, what))
 }
 
 /// A count argument (`$KMER`, `$NUMHASH`): a non-negative integer.
 fn arg_count(
     udf: &str,
-    args: &(impl Args + ?Sized),
+    args: &[Option<&Value>],
     idx: usize,
     what: &str,
 ) -> Result<usize, UdfError> {
-    let v = arg_i64(udf, args, idx, what)?;
+    let v = constant(udf, args, idx, &format!("{what} (integer)"), Value::as_i64)?;
     usize::try_from(v).map_err(|_| UdfError::new(udf, format!("{what} is {v}, below 0")))
 }
 
-fn arg_f64(
-    udf: &str,
-    args: &(impl Args + ?Sized),
-    idx: usize,
-    what: &str,
-) -> Result<f64, UdfError> {
-    let v = args.arg(idx).and_then(Value::as_f64);
-    v.ok_or_else(|| bad_arg(udf, idx, &format!("{what} (number)")))
-}
-
-fn arg_str<'a>(
-    udf: &str,
-    args: &'a (impl Args + ?Sized),
-    idx: usize,
-    what: &str,
-) -> Result<&'a str, UdfError> {
-    let v = args.arg(idx).and_then(Value::as_str);
-    v.ok_or_else(|| bad_arg(udf, idx, &format!("{what} (chararray)")))
+/// `K`'s and `L`'s knobs `$NUMHASH, $CUTOFF` at `args[idx..]`,
+/// validated as [`crate::MrMcMinH`] validates its config.
+fn knobs(udf: &str, args: &[Option<&Value>], idx: usize) -> Result<MrMcConfig, UdfError> {
+    let config = MrMcConfig {
+        num_hashes: arg_count(udf, args, idx, "$NUMHASH")?,
+        theta: constant(udf, args, idx + 1, "$CUTOFF (number)", Value::as_f64)?,
+        ..MrMcConfig::default()
+    };
+    config.validate().map_err(|e| UdfError::new(udf, e))?;
+    Ok(config)
 }
 
 /// `FastaStorage` — the loader: file bytes → bag of
 /// `(readid, d, seq, header)` tuples (d is the paper's direction
 /// field; always 0 here).
-pub struct FastaStorage;
-impl Udf for FastaStorage {
-    fn name(&self) -> &str {
-        "FastaStorage"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            let bytes = args
-                .first()
-                .and_then(Value::as_bytes)
-                .ok_or_else(|| UdfError::new("FastaStorage", "expected file bytes"))?;
-            let records = read_fasta_bytes(bytes)
-                .map_err(|e| UdfError::new("FastaStorage", e.to_string()))?;
-            Ok(Value::bag(
-                records
-                    .into_iter()
-                    .map(|r| {
-                        Value::tuple([
-                            Value::CharArray(r.id),
-                            Value::Int(0),
-                            Value::ByteArray(r.seq.into()),
-                            Value::CharArray(r.description),
-                        ])
-                    })
-                    .collect::<Vec<_>>(),
-            ))
-        })
-    }
+fn fasta_storage(args: &[Value]) -> Result<Value, UdfError> {
+    let bytes = args
+        .first()
+        .and_then(Value::as_bytes)
+        .ok_or_else(|| UdfError::new("FastaStorage", "expected file bytes"))?;
+    let records =
+        read_fasta_bytes(bytes).map_err(|e| UdfError::new("FastaStorage", e.to_string()))?;
+    Ok(Value::bag(
+        records
+            .into_iter()
+            .map(|r| {
+                Value::tuple([
+                    Value::CharArray(r.id),
+                    Value::Int(0),
+                    Value::ByteArray(r.seq.into()),
+                    Value::CharArray(r.description),
+                ])
+            })
+            .collect::<Vec<_>>(),
+    ))
 }
 
 /// `StringGenerator(seq, readid)` — normalizes the DNA alphabet
@@ -184,35 +176,43 @@ impl Udf for FastaStorage {
 /// encoding itself happens inside `TranslateToKmer`, which packs each
 /// k-mer into a long. The k-mer encoder reads either case and `U` as
 /// `T` anyway, so the normalization changes no sketch.
-pub struct StringGenerator;
-impl Udf for StringGenerator {
-    fn name(&self) -> &str {
-        "StringGenerator"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            let seq = args.first().and_then(Value::as_bytes).ok_or_else(|| {
-                UdfError::new("StringGenerator", "argument 0 must be the sequence")
-            })?;
-            let id = arg_str("StringGenerator", args, 1, "the read id")?;
-            let norm: Vec<u8> = seq
-                .iter()
-                .map(|&c| match c.to_ascii_uppercase() {
-                    b'U' => b'T',
-                    up => up,
-                })
-                .collect();
-            Ok(Value::tuple([
-                Value::CharArray(String::from_utf8_lossy(&norm).into_owned()),
-                Value::CharArray(id.to_string()),
-            ]))
+fn string_generator(args: &[Value]) -> Result<Value, UdfError> {
+    let udf = "StringGenerator";
+    let seq = args.first().and_then(Value::as_bytes);
+    let seq = seq.ok_or_else(|| bad_arg(udf, 0, "the sequence"))?;
+    let id = args.get(1).and_then(Value::as_str);
+    let id = id.ok_or_else(|| bad_arg(udf, 1, "the read id (chararray)"))?;
+    let norm: Vec<u8> = seq
+        .iter()
+        .map(|&c| match c.to_ascii_uppercase() {
+            b'U' => b'T',
+            up => up,
         })
-    }
+        .collect();
+    Ok(Value::tuple([
+        Value::CharArray(String::from_utf8_lossy(&norm).into_owned()),
+        Value::CharArray(id.to_string()),
+    ]))
 }
 
 /// `TranslateToKmer(seq, seqid, $KMER)` — bag of `(kmer:long, seqid)`,
 /// each k-mer packed into the long the Pig data model carries it in.
-pub struct TranslateToKmer;
+struct TranslateToKmer {
+    /// `$KMER`.
+    k: usize,
+}
+
+impl TranslateToKmer {
+    /// Bind a call site: `$KMER` must be a k-mer size `KmerIter` takes.
+    fn bind(args: &[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> {
+        let udf = "TranslateToKmer";
+        check_call(udf, args, 2, 3)?;
+        let k = arg_count(udf, args, 2, "$KMER")?;
+        KmerIter::new(&[], k).map_err(|e| UdfError::new(udf, e.to_string()))?;
+        Ok(Arc::new(TranslateToKmer { k }))
+    }
+}
+
 impl Udf for TranslateToKmer {
     fn name(&self) -> &str {
         "TranslateToKmer"
@@ -221,19 +221,18 @@ impl Udf for TranslateToKmer {
     /// Writes every row's k-mers straight into one packed `long`
     /// column and builds the `(kmer, seqid)` bag column over it — no
     /// per-k-mer tuple or bag allocation.
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+    fn eval(&self, cols: &[Window<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         let udf = self.name();
-        let seq = str_arg(udf, args, 0, rows, "the sequence")?;
-        let ids = str_arg(udf, args, 1, rows, "the read id")?;
-        let k = arg_count(udf, args, 2, "$KMER")?;
+        let seq = str_arg(udf, cols, 0, rows, "the sequence")?;
+        let ids = str_arg(udf, cols, 1, rows, "the read id")?;
         let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
         offsets.push(0);
         let mut all: Vec<i64> = Vec::new();
         let mut out_ids = VarBytesBuilder::with_capacity(rows * 8);
         for i in 0..rows {
-            let id = ids.get(i);
+            let id = ids(i);
             let kmers =
-                KmerIter::new(seq.get(i), k).map_err(|e| UdfError::new(udf, e.to_string()))?;
+                KmerIter::new(seq(i), self.k).map_err(|e| UdfError::new(udf, e.to_string()))?;
             for km in kmers {
                 all.push(km as i64);
                 out_ids.push(id);
@@ -260,52 +259,45 @@ impl Udf for TranslateToKmer {
     }
 }
 
-/// The sketcher of `CalculateMinwiseHash(_, $KMER, $NUMHASH, $DIV)`:
-/// the [`MrMcConfig::hasher`] of the config those broadcast arguments
-/// spell, `$DIV` seeding the hash parameter draw, validated as
-/// [`crate::MrMcMinH`] validates its config.
-fn script_hasher(args: &[BatchArg<'_>]) -> Result<MinHasher, UdfError> {
-    let udf = "CalculateMinwiseHash";
-    let config = MrMcConfig {
-        kmer: arg_count(udf, args, 1, "$KMER")?,
-        num_hashes: arg_count(udf, args, 2, "$NUMHASH")?,
-        seed: arg_i64(udf, args, 3, "$DIV")? as u64,
-        ..MrMcConfig::default()
-    };
-    config.validate().map_err(|e| UdfError::new(udf, e))?;
-    Ok(config.hasher())
-}
-
-/// `K`'s and `L`'s knobs `$NUMHASH, $CUTOFF` at `args[idx..]`, validated
-/// as [`crate::MrMcMinH`] validates its config.
-fn knobs(udf: &str, args: &(impl Args + ?Sized), idx: usize) -> Result<MrMcConfig, UdfError> {
-    let config = MrMcConfig {
-        num_hashes: arg_count(udf, args, idx, "$NUMHASH")?,
-        theta: arg_f64(udf, args, idx + 1, "$CUTOFF")?,
-        ..MrMcConfig::default()
-    };
-    config.validate().map_err(|e| UdfError::new(udf, e))?;
-    Ok(config)
-}
-
 /// `CalculateMinwiseHash(kmer_bag, $KMER, $NUMHASH, $DIV)` — the
 /// grouped bag of `(kmer, seqid)` rows for one sequence →
 /// `(sketch:bag(long), seqid)`; the empty slot `u64::MAX` is `-1`.
-pub struct CalculateMinwiseHash;
+struct CalculateMinwiseHash {
+    hasher: MinHasher,
+}
+
+impl CalculateMinwiseHash {
+    /// Bind a call site: the sketcher is the [`MrMcConfig::hasher`] of
+    /// the config the constants spell (`$DIV` seeds the draw), validated
+    /// as [`crate::MrMcMinH`] validates its config.
+    fn bind(args: &[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> {
+        let udf = "CalculateMinwiseHash";
+        check_call(udf, args, 1, 4)?;
+        let config = MrMcConfig {
+            kmer: arg_count(udf, args, 1, "$KMER")?,
+            num_hashes: arg_count(udf, args, 2, "$NUMHASH")?,
+            seed: constant(udf, args, 3, "$DIV (integer)", Value::as_i64)? as u64,
+            ..MrMcConfig::default()
+        };
+        config.validate().map_err(|e| UdfError::new(udf, e))?;
+        let hasher = config.hasher();
+        Ok(Arc::new(CalculateMinwiseHash { hasher }))
+    }
+}
+
 impl Udf for CalculateMinwiseHash {
     fn name(&self) -> &str {
         "CalculateMinwiseHash"
     }
 
-    /// Builds the sketcher once per chunk, reads each group's k-mers
-    /// straight out of the grouped bag column's packed `long` child (no
-    /// `Value` materialization of the k-mer rows at all) and emits the
-    /// sketches as one packed bag column.
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+    /// Reads each group's k-mers straight out of the grouped bag
+    /// column's packed `long` child (no `Value` materialization of the
+    /// k-mer rows at all) and emits the sketches as one packed bag
+    /// column.
+    fn eval(&self, cols: &[Window<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         let udf = self.name();
         let what = "the grouped (kmer:long, seqid:chararray) rows";
-        let (bag, start) = bag_arg(udf, args, 0, rows, what)?;
-        let hasher = script_hasher(args)?;
+        let (bag, start) = bag_arg(udf, cols, 0, rows, what)?;
         let (lo, hi) = (bag.offsets[start], bag.offsets[start + rows]);
         let (lo, len) = (lo as usize, (hi - lo) as usize);
         let (true, [kmers, ids, ..]) = (bag.tuple_elems, bag.elems.cols()) else {
@@ -318,6 +310,7 @@ impl Udf for CalculateMinwiseHash {
         if (0..rows).any(|i| bag.bag_len(start + i) == 0) {
             return Err(UdfError::new(udf, "empty k-mer group"));
         }
+        let hasher = &self.hasher;
         let mut sketches: Vec<i64> = Vec::with_capacity(rows * hasher.num_hashes());
         let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
         offsets.push(0);
@@ -385,24 +378,11 @@ fn sketch_rows<'a>(udf: &str, rows: &'a [Value]) -> Result<Vec<(&'a str, Sketch)
     Ok(out)
 }
 
-/// Every `(id, sketch)` must be `width` long; the error names the
-/// first that is not.
-fn check_widths<'a>(
-    udf: &str,
-    rows: impl IntoIterator<Item = (&'a [u8], &'a Sketch)>,
-    width: usize,
-) -> Result<(), UdfError> {
-    match rows.into_iter().find(|(_, s)| s.len() != width) {
-        Some((id, s)) => Err(UdfError::new(
-            udf,
-            format!(
-                "sketch of {} has {} positions, expected {width}",
-                String::from_utf8_lossy(id),
-                s.len()
-            ),
-        )),
-        None => Ok(()),
-    }
+/// The sketch of `id` is `len` positions wide where `expected` belong.
+fn width_fault(udf: &str, id: &[u8], len: usize, expected: usize) -> UdfError {
+    let id = String::from_utf8_lossy(id);
+    let fault = format!("sketch of {id} has {len} positions, expected {expected}");
+    UdfError::new(udf, fault)
 }
 
 /// `CalculatePairwiseSimilarity(sketch, seqid, all_rows)` — one row of
@@ -410,48 +390,76 @@ fn check_widths<'a>(
 /// against each row of `all_rows` (the scalar `I.E`, Fig. 1's row-wise
 /// partition) in seqid order, its own included. A seqid twice in the
 /// relation or sketches of unequal width are an error.
-pub struct CalculatePairwiseSimilarity;
-impl Udf for CalculatePairwiseSimilarity {
-    fn name(&self) -> &str {
-        "CalculatePairwiseSimilarity"
-    }
+struct CalculatePairwiseSimilarity {
+    /// `I.E`'s seqids, ascending.
+    ids: VarBytes,
+    /// Their sketches, in the same order.
+    sketches: Vec<Sketch>,
+}
 
-    /// Decodes the broadcast relation once per chunk, orders it by
-    /// seqid and packs it, with the chunk's own sketches (read straight
-    /// out of the sketch bag's `long` child) behind it, into one
-    /// [`SketchPlane`], whose row kernel writes each row's counts into
-    /// one `int` column: the n² relation is never boxed.
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        let udf = self.name();
-        let what = "the sketch (bag of long)";
-        let (bag, start) = bag_arg(udf, args, 0, rows, what)?;
-        let my_ids = str_arg(udf, args, 1, rows, "the seqid")?;
-        let all = args.arg(2).and_then(Value::as_bag);
-        let all = all.ok_or_else(|| bad_arg(udf, 2, "the full relation (bag)"))?;
-        let (lo, hi) = (bag.offsets[start], bag.offsets[start + rows]);
-        let (false, [slots]) = (bag.tuple_elems, bag.elems.cols()) else {
-            return Err(bad_arg(udf, 0, what));
-        };
-        let slots = long_window(slots, lo as usize, (hi - lo) as usize);
-        let slots = slots.ok_or_else(|| bad_arg(udf, 0, what))?;
+impl CalculatePairwiseSimilarity {
+    /// Bind a call site: `I.E` decoded once, ordered by seqid and
+    /// checked for a seqid twice and for unequal widths. A scalar
+    /// reference to a relation of no row is null, the empty relation.
+    fn bind(args: &[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> {
+        let udf = "CalculatePairwiseSimilarity";
+        check_call(udf, args, 2, 3)?;
+        let all = constant(udf, args, 2, "the full relation (bag)", |v| match v {
+            Value::Null => Some(&[][..]),
+            v => v.as_bag(),
+        })?;
         let mut relation = sketch_rows(udf, all)?;
         relation.sort_unstable_by(|a, b| a.0.cmp(b.0));
         if let Some(pair) = relation.windows(2).find(|pair| pair[0].0 == pair[1].0) {
             let fault = format!("seqid {} is twice in the relation", pair[0].0);
             return Err(UdfError::new(udf, fault));
         }
-        let (ids, mut sketches): (Vec<&str>, Vec<Sketch>) = relation.into_iter().unzip();
-        let n = ids.len();
-        sketches.extend((start..start + rows).map(|r| {
-            let slots = &slots[bag.offsets[r] as usize..bag.offsets[r + 1] as usize];
-            Sketch::from_values(slots.iter().map(|&v| v as u64).collect())
-        }));
-        let names = ids.iter().map(|id| id.as_bytes());
-        let names = names.chain((0..rows).map(|i| my_ids.get(i)));
-        let width = sketches.first().map_or(0, Sketch::len);
-        check_widths(udf, names.zip(&sketches), width)?;
-        let plane = SketchPlane::pack(&sketches).expect("widths checked");
-        drop(sketches);
+        let (ids, sketches): (Vec<&str>, Vec<Sketch>) = relation.into_iter().unzip();
+        let mut names = VarBytesBuilder::with_capacity(ids.len());
+        ids.iter().for_each(|id| names.push(id.as_bytes()));
+        let ids = names.finish();
+        SketchPlane::pack(&sketches)
+            .map_err(|e| width_fault(udf, ids.get(e.index), e.len, e.expected))?;
+        Ok(Arc::new(CalculatePairwiseSimilarity { ids, sketches }))
+    }
+}
+
+impl Udf for CalculatePairwiseSimilarity {
+    fn name(&self) -> &str {
+        "CalculatePairwiseSimilarity"
+    }
+
+    /// Packs the bound relation, with the chunk's own sketches (read
+    /// straight out of the sketch bag's `long` child) behind it, into
+    /// one [`SketchPlane`], whose row kernel writes each row's counts
+    /// into one `int` column: the n² relation is never boxed.
+    fn eval(&self, cols: &[Window<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        let udf = self.name();
+        let what = "the sketch (bag of long)";
+        let (bag, start) = bag_arg(udf, cols, 0, rows, what)?;
+        let my_ids = str_arg(udf, cols, 1, rows, "the seqid")?;
+        let (lo, hi) = (bag.offsets[start], bag.offsets[start + rows]);
+        let (false, [slots]) = (bag.tuple_elems, bag.elems.cols()) else {
+            return Err(bad_arg(udf, 0, what));
+        };
+        let slots = long_window(slots, lo as usize, (hi - lo) as usize);
+        let slots = slots.ok_or_else(|| bad_arg(udf, 0, what))?;
+        let mine: Vec<Sketch> = (start..start + rows)
+            .map(|r| {
+                let slots = &slots[bag.offsets[r] as usize..bag.offsets[r + 1] as usize];
+                Sketch::from_values(slots.iter().map(|&v| v as u64).collect())
+            })
+            .collect();
+        let n = self.sketches.len();
+        let all: Vec<&Sketch> = self.sketches.iter().chain(&mine).collect();
+        let plane = SketchPlane::pack(&all).map_err(|e| {
+            let id = match e.index.checked_sub(n) {
+                None => self.ids.get(e.index),
+                Some(row) => my_ids(row),
+            };
+            width_fault(udf, id, e.len, e.expected)
+        })?;
+        drop(mine);
         let mut out_ids = VarBytesBuilder::with_capacity(rows);
         let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
         offsets.push(0);
@@ -459,7 +467,7 @@ impl Udf for CalculatePairwiseSimilarity {
         for i in 0..rows {
             plane.extend_counts(n + i, 0..n, &mut counts, |c| c as i32);
             offsets.push(counts.len() as u32);
-            out_ids.push(my_ids.get(i));
+            out_ids.push(my_ids(i));
         }
         let row_col = Column::Bag(BagCol::new(
             offsets,
@@ -486,7 +494,28 @@ impl Udf for CalculatePairwiseSimilarity {
 /// `AgglomerativeHierarchicalClustering(rows, $LINK, $NUMHASH, $CUTOFF)`
 /// — bag of `(seqid, clusterlabel)` in seqid order. Count `j` of the
 /// `i`-th seqid's row is their agreement, similarity `count / $NUMHASH`.
-pub struct AgglomerativeHierarchicalClustering;
+struct AgglomerativeHierarchicalClustering {
+    linkage: Linkage,
+    /// `$NUMHASH` (the width every count is out of) and `$CUTOFF`.
+    config: MrMcConfig,
+}
+
+impl AgglomerativeHierarchicalClustering {
+    /// Bind a call site: `$LINK` parsed, `$NUMHASH` and `$CUTOFF`
+    /// validated as [`crate::MrMcMinH`] validates its config.
+    fn bind(args: &[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> {
+        let udf = "AgglomerativeHierarchicalClustering";
+        check_call(udf, args, 1, 4)?;
+        let linkage = constant(udf, args, 1, "$LINK (chararray)", Value::as_str)?;
+        let linkage: Linkage = linkage.parse().map_err(|e: String| UdfError::new(udf, e))?;
+        let config = knobs(udf, args, 2)?;
+        Ok(Arc::new(AgglomerativeHierarchicalClustering {
+            linkage,
+            config,
+        }))
+    }
+}
+
 impl Udf for AgglomerativeHierarchicalClustering {
     fn name(&self) -> &str {
         "AgglomerativeHierarchicalClustering"
@@ -498,15 +527,11 @@ impl Udf for AgglomerativeHierarchicalClustering {
     /// [`agglomerative_grouped`], as the native dense route does. A row
     /// not one count per seqid, a count outside `0..=$NUMHASH`, a
     /// diagonal other than `$NUMHASH` and a seqid twice are errors.
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+    fn eval(&self, cols: &[Window<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         let udf = self.name();
         let what = "the similarity rows (seqid:chararray, simrow: bag of int)";
-        let (outer, start) = bag_arg(udf, args, 0, rows, what)?;
-        let linkage: Linkage = arg_str(udf, args, 1, "$LINK")?
-            .parse()
-            .map_err(|e: String| UdfError::new(udf, e))?;
-        let config = knobs(udf, args, 2)?;
-        let (width, cutoff) = (config.num_hashes, config.theta);
+        let (outer, start) = bag_arg(udf, cols, 0, rows, what)?;
+        let (width, cutoff) = (self.config.num_hashes, self.config.theta);
         // Relation rows `(seqid, simrow)` of the window's bags, then the
         // counts of those rows' bags.
         let row_lo = outer.offsets[start] as usize;
@@ -573,7 +598,7 @@ impl Udf for AgglomerativeHierarchicalClustering {
                 CountStrips::Wide(strips(&simrows, &firsts, |c| c as u16))
             };
             let counts = PairCounts::new(width, counts);
-            let (assignment, _) = agglomerative_grouped(&counts, &of, linkage, cutoff);
+            let (assignment, _) = agglomerative_grouped(&counts, &of, self.linkage, cutoff);
             for (i, &m) in members.iter().enumerate() {
                 out_ids.push(ids.get(m));
                 labels.push(assignment.label(i) as i32);
@@ -612,36 +637,39 @@ fn strips<L>(simrows: &[&[i32]], firsts: &[usize], narrow: impl Fn(i32) -> L) ->
     firsts.iter().enumerate().map(strip).collect()
 }
 
-/// `GreedyClustering(sketch_rows, $NUMHASH, $CUTOFF)` — Algorithm 1 on
-/// the grouped sketch relation, placed through the
+/// Bind `GreedyClustering(sketch_rows, $NUMHASH, $CUTOFF)` — Algorithm 1
+/// on the grouped sketch relation, placed through the
 /// [`RepresentativeIndex`] a greedy [`crate::MrMcMinH`] run uses, its
 /// banding tuned for `$NUMHASH` and `$CUTOFF`; bag of
-/// `(seqid, clusterlabel)`. A sketch not `$NUMHASH` long is an error.
-pub struct GreedyClustering;
-impl Udf for GreedyClustering {
-    fn name(&self) -> &str {
-        "GreedyClustering"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        let udf = self.name();
-        scalar_rows(args, rows, |args| {
-            let rows = args.first().and_then(Value::as_bag);
-            let rows = rows.ok_or_else(|| bad_arg(udf, 0, "the sketch rows (bag)"))?;
-            let config = knobs(udf, args, 1)?;
-            let (ids, sketches): (Vec<&str>, Vec<Sketch>) =
-                sketch_rows(udf, rows)?.into_iter().unzip();
-            let names = ids.iter().map(|id| id.as_bytes());
-            check_widths(udf, names.zip(&sketches), config.num_hashes)?;
-            let labels = RepresentativeIndex::new(&config).place_all(sketches);
-            Ok(Value::bag(
-                ids.into_iter()
-                    .zip(labels)
-                    .map(|(id, label)| {
-                        Value::tuple([Value::CharArray(id.to_string()), Value::Int(label as i32)])
-                    })
-                    .collect::<Vec<_>>(),
-            ))
-        })
+/// `(seqid, clusterlabel)`. The knobs are validated here, once; a
+/// sketch not `$NUMHASH` long is an error of the row.
+fn bind_greedy(args: &[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> {
+    let udf = "GreedyClustering";
+    check_call(udf, args, 1, 3)?;
+    let config = knobs(udf, args, 1)?;
+    Ok(bind_rows(udf, &args[..1], move |args| {
+        let rows = args.first().and_then(Value::as_bag);
+        let rows = rows.ok_or_else(|| bad_arg(udf, 0, "the sketch rows (bag)"))?;
+        let (ids, sketches): (Vec<&str>, Vec<Sketch>) = sketch_rows(udf, rows)?.into_iter().unzip();
+        check_widths(udf, &ids, &sketches, config.num_hashes)?;
+        let labels = RepresentativeIndex::new(&config).place_all(sketches);
+        Ok(Value::bag(
+            ids.into_iter()
+                .zip(labels)
+                .map(|(id, label)| {
+                    Value::tuple([Value::CharArray(id.to_string()), Value::Int(label as i32)])
+                })
+                .collect::<Vec<_>>(),
+        ))
+    }))
+}
+
+/// Every sketch must be `n` long; the error names the first seqid of
+/// `ids` whose sketch is not.
+fn check_widths(udf: &str, ids: &[&str], sketches: &[Sketch], n: usize) -> Result<(), UdfError> {
+    match ids.iter().zip(sketches).find(|(_, s)| s.len() != n) {
+        Some((id, s)) => Err(width_fault(udf, id.as_bytes(), s.len(), n)),
+        None => Ok(()),
     }
 }
 
@@ -670,17 +698,17 @@ fn long_window(col: &Column, start: usize, len: usize) -> Option<&[i64]> {
     }
 }
 
-/// Argument `idx`, a bag column with no null bag in its window, and
-/// the window's first row.
+/// Column argument `idx` of `cols`, a bag column with no null bag in
+/// its window, and the window's first row.
 fn bag_arg<'a>(
     udf: &str,
-    args: &[BatchArg<'a>],
+    cols: &[Window<'a>],
     idx: usize,
     rows: usize,
     what: &str,
 ) -> Result<(&'a BagCol, usize), UdfError> {
-    match args.get(idx) {
-        Some(&BatchArg::Column {
+    match cols.get(idx) {
+        Some(&Window {
             col: Column::Bag(bag),
             start,
             ..
@@ -693,38 +721,21 @@ fn bag_arg<'a>(
     }
 }
 
-/// A chararray argument read byte-wise: row `i`'s bytes.
-enum StrArg<'a> {
-    Col { data: &'a VarBytes, start: usize },
-    Broadcast(&'a str),
-}
-
-impl StrArg<'_> {
-    fn get(&self, i: usize) -> &[u8] {
-        match self {
-            StrArg::Col { data, start } => data.get(start + i),
-            StrArg::Broadcast(s) => s.as_bytes(),
-        }
-    }
-}
-
-/// Argument `idx` as chararrays: a column with no null in its window,
-/// or a broadcast string.
+/// Column argument `idx` of `cols` as chararrays with no null in its
+/// window: row `i`'s bytes.
 fn str_arg<'a>(
     udf: &str,
-    args: &[BatchArg<'a>],
+    cols: &[Window<'a>],
     idx: usize,
     rows: usize,
     what: &str,
-) -> Result<StrArg<'a>, UdfError> {
-    let arg = match args.get(idx) {
-        Some(&BatchArg::Column { col, start, .. }) => {
-            str_window(col, start, rows).map(|data| StrArg::Col { data, start })
-        }
-        Some(&BatchArg::Scalar { value, .. }) => value.as_str().map(StrArg::Broadcast),
-        None => None,
-    };
-    arg.ok_or_else(|| bad_arg(udf, idx, &format!("{what} (chararray, no null)")))
+) -> Result<impl Fn(usize) -> &'a [u8], UdfError> {
+    let data = cols
+        .get(idx)
+        .and_then(|w| Some((str_window(w.col, w.start, rows)?, w.start)));
+    let (data, start) =
+        data.ok_or_else(|| bad_arg(udf, idx, &format!("{what} (chararray, no null)")))?;
+    Ok(move |i| data.get(start + i))
 }
 
 #[cfg(test)]
@@ -732,7 +743,9 @@ mod tests {
     use super::*;
     use bytes::Bytes;
     use mrmc_mapreduce::dfs::{Dfs, DfsConfig};
+    use mrmc_mapreduce::obs::Tracer;
     use mrmc_minhash::agreements;
+    use mrmc_pig::exec::PigError;
     use mrmc_pig::{parse_script, PigRunner};
     use std::collections::HashMap;
 
@@ -742,20 +755,28 @@ mod tests {
         r
     }
 
-    /// One row through `udf`: each of `cols` a one-row column, then each
-    /// of `scalars` broadcast (every Algorithm 3 UDF takes its columns
-    /// first).
-    fn one_row(udf: &dyn Udf, cols: &[Value], scalars: &[Value]) -> Result<Value, UdfError> {
+    /// `name` bound, as the executor binds it, at a call site whose
+    /// arguments are `args` (`None` a column).
+    fn bind(name: &str, args: &[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> {
+        registry().get(name).expect("registered")(args)
+    }
+
+    /// One row through `name`: each of `cols` a one-row column, then
+    /// each of `consts` a constant (every Algorithm 3 UDF takes its
+    /// columns first).
+    fn one_row(name: &str, cols: &[Value], consts: &[Value]) -> Result<Value, UdfError> {
+        let args: Vec<Option<&Value>> = cols
+            .iter()
+            .map(|_| None)
+            .chain(consts.iter().map(Some))
+            .collect();
+        let udf = bind(name, &args)?;
         let cols: Vec<Column> = cols
             .iter()
             .map(|v| Column::from_values(vec![v.clone()]))
             .collect();
-        let args: Vec<BatchArg<'_>> = cols
-            .iter()
-            .map(column)
-            .chain(scalars.iter().map(|value| scalar(value, 1)))
-            .collect();
-        Ok(udf.eval_batch(&args, 1)?.into_row(0).expect("one row"))
+        let windows: Vec<Window<'_>> = cols.iter().map(column).collect();
+        Ok(udf.eval(&windows, 1)?.into_row(0).expect("one row"))
     }
 
     fn has_dyn(b: &ColumnBatch) -> bool {
@@ -766,10 +787,10 @@ mod tests {
         })
     }
 
-    /// `udf`'s kernel over `args`: typed columns out, one row per input
+    /// `udf`'s kernel over `cols`: typed columns out, one row per input
     /// row, no `Dyn` column anywhere.
-    fn kernel_out(udf: &dyn Udf, args: &[BatchArg<'_>], rows: usize, what: &str) -> ColumnBatch {
-        let batch = match udf.eval_batch(args, rows) {
+    fn kernel_out(udf: &dyn Udf, cols: &[Window<'_>], rows: usize, what: &str) -> ColumnBatch {
+        let batch = match udf.eval(cols, rows) {
             Ok(BatchOut::Tup(b)) => b,
             Ok(BatchOut::Col(c)) => ColumnBatch::single(c),
             other => panic!("{what}: {other:?}"),
@@ -779,16 +800,12 @@ mod tests {
         batch
     }
 
-    fn window(col: &Column, start: usize, len: usize) -> BatchArg<'_> {
-        BatchArg::Column { col, start, len }
+    fn window(col: &Column, start: usize, len: usize) -> Window<'_> {
+        Window { col, start, len }
     }
 
-    fn column(col: &Column) -> BatchArg<'_> {
+    fn column(col: &Column) -> Window<'_> {
         window(col, 0, col.len())
-    }
-
-    fn scalar(value: &Value, len: usize) -> BatchArg<'_> {
-        BatchArg::Scalar { value, len }
     }
 
     fn chararrays(strs: &[&str]) -> Column {
@@ -802,7 +819,7 @@ mod tests {
     #[test]
     fn fasta_storage_loads_records() {
         let file = Value::ByteArray(Bytes::from_static(b">r1 desc\nACGT\n>r2\nTT\n"));
-        let out = one_row(&FastaStorage, &[], &[file]).unwrap();
+        let out = one_row("FastaStorage", &[file], &[]).unwrap();
         let bag = out.as_bag().unwrap();
         assert_eq!(bag.len(), 2);
         let t = bag[0].as_tuple().unwrap();
@@ -817,7 +834,7 @@ mod tests {
             Value::ByteArray(Bytes::from_static(b"acgu")),
             Value::CharArray("r1".into()),
         ];
-        let out = one_row(&StringGenerator, &args, &[]).unwrap();
+        let out = one_row("StringGenerator", &args, &[]).unwrap();
         let t = out.as_tuple().unwrap();
         assert_eq!(t[0].as_str(), Some("ACGT"));
     }
@@ -837,13 +854,10 @@ mod tests {
         let (seqs, ids) = (chararrays(&reads), chararrays(&["a", "b", "c", "d"]));
         for k in [1, 3, 5, 15] {
             let k_arg = Value::Long(k as i64);
+            let c = bind("TranslateToKmer", &[None, None, Some(&k_arg)]).unwrap();
             for (start, len) in [(0, 4), (1, 3)] {
-                let args = [
-                    window(&seqs, start, len),
-                    window(&ids, start, len),
-                    scalar(&k_arg, len),
-                ];
-                let out = kernel_out(&TranslateToKmer, &args, len, "TranslateToKmer");
+                let cols = [window(&seqs, start, len), window(&ids, start, len)];
+                let out = kernel_out(&*c, &cols, len, "TranslateToKmer");
                 for (row, read) in reads[start..start + len].iter().enumerate() {
                     let id = ids.value_at(start + row);
                     let want: Vec<Value> = KmerIter::new(read.as_bytes(), k)
@@ -878,15 +892,11 @@ mod tests {
         let div = Value::Long(1_048_583);
         for (k, n) in [(5, 64), (15, 50), (16, 32)] {
             let (k_arg, n_arg) = (Value::Long(k as i64), Value::Long(n as i64));
-            let c_args = [column(&seqs), column(&ids), scalar(&k_arg, 3)];
-            let c = kernel_out(&TranslateToKmer, &c_args, 3, "C");
-            let e_args = [
-                column(c.col(0)),
-                scalar(&k_arg, 3),
-                scalar(&n_arg, 3),
-                scalar(&div, 3),
-            ];
-            let e = kernel_out(&CalculateMinwiseHash, &e_args, 3, "E");
+            let c = bind("TranslateToKmer", &[None, None, Some(&k_arg)]).unwrap();
+            let c = kernel_out(&*c, &[column(&seqs), column(&ids)], 3, "C");
+            let e_args = [None, Some(&k_arg), Some(&n_arg), Some(&div)];
+            let e = bind("CalculateMinwiseHash", &e_args).unwrap();
+            let e = kernel_out(&*e, &[column(c.col(0))], 3, "E");
             let hasher = MrMcConfig {
                 kmer: k,
                 num_hashes: n,
@@ -903,16 +913,22 @@ mod tests {
         }
     }
 
+    /// A call site's constants are checked when it is bound; a value
+    /// fault in a column window when the kernel meets it.
     #[test]
     fn udf_arg_errors_are_informative() {
         let knobs = |k: i64, n: i64| [Value::Long(k), Value::Long(n), Value::Long(11)];
-        let err = one_row(&CalculateMinwiseHash, &[Value::Int(1)], &knobs(5, 8)).unwrap_err();
+        let err = one_row("CalculateMinwiseHash", &[Value::Int(1)], &knobs(5, 8)).unwrap_err();
         assert!(err.message.contains("argument 0"), "{err}");
         assert!(err.message.contains("bag"), "{err}");
-        let err = TranslateToKmer.eval_batch(&[], 1).unwrap_err();
-        assert!(err.message.contains("argument 0"), "{err}");
+        let refusal = |name: &str, args: &[Option<&Value>]| {
+            let err = bind(name, args).err().expect("the call site is refused");
+            assert_eq!(err.udf, name);
+            err.message
+        };
+        let message = refusal("TranslateToKmer", &[]);
+        assert!(message.contains("argument 0"), "{message}");
         // The sketcher's knobs are validated as `MrMcConfig` validates them.
-        let rows = Value::bag([Value::tuple([Value::Long(1), Value::CharArray("r".into())])]);
         for (k, n, want) in [
             (0, 8, "kmer 0"),
             (40, 8, "kmer 40"),
@@ -920,31 +936,152 @@ mod tests {
             (5, -3, "$NUMHASH is -3, below 0"),
             (-1, 8, "$KMER is -1, below 0"),
         ] {
-            let rows = std::slice::from_ref(&rows);
-            let err = one_row(&CalculateMinwiseHash, rows, &knobs(k, n)).unwrap_err();
-            assert!(err.message.contains(want), "{err}");
+            let [k, n, div] = knobs(k, n);
+            let message = refusal(
+                "CalculateMinwiseHash",
+                &[None, Some(&k), Some(&n), Some(&div)],
+            );
+            assert!(message.contains(want), "{message}");
         }
-        // `C` reads `$KMER` as `E` does.
-        let read = [
-            Value::CharArray("ACGT".into()),
-            Value::CharArray("r".into()),
-        ];
-        let err = one_row(&TranslateToKmer, &read, &[Value::Long(-1)]).unwrap_err();
-        assert!(err.message.contains("$KMER is -1, below 0"), "{err}");
-        let err = one_row(&TranslateToKmer, &read, &[Value::Long(40)]).unwrap_err();
-        assert!(err.message.contains("40"), "{err}");
+        // `C` takes the k-mer sizes `KmerIter` takes.
+        for (k, want) in [
+            (-1, "$KMER is -1, below 0"),
+            (40, "k-mer size 40 unsupported"),
+        ] {
+            let message = refusal("TranslateToKmer", &[None, None, Some(&Value::Long(k))]);
+            assert!(message.contains(want), "{message}");
+        }
         // `K` refuses a linkage it does not know.
-        let relation = Value::bag([Value::tuple([Value::CharArray("x".into()), Value::bag([])])]);
-        let knobs = [
+        let (link, numhash, cutoff) = (
             Value::CharArray("centroid".into()),
             Value::Long(4),
             Value::Double(0.6),
-        ];
-        let err = one_row(&AgglomerativeHierarchicalClustering, &[relation], &knobs).unwrap_err();
-        assert!(
-            err.message.contains("unknown linkage \"centroid\""),
-            "{err}"
         );
+        let message = refusal(
+            "AgglomerativeHierarchicalClustering",
+            &[None, Some(&link), Some(&numhash), Some(&cutoff)],
+        );
+        assert!(
+            message.contains("unknown linkage \"centroid\""),
+            "{message}"
+        );
+        // An argument moved between column and constant, or one too
+        // many, is refused naming it.
+        let seqid = Value::CharArray("r".into());
+        let message = refusal("TranslateToKmer", &[None, None, None]);
+        assert!(
+            message.contains("argument 2 must be $KMER (integer)"),
+            "{message}"
+        );
+        let message = refusal("CalculatePairwiseSimilarity", &[None, Some(&seqid), None]);
+        assert!(message.contains("argument 1 must be a column"), "{message}");
+        let message = refusal(
+            "GreedyClustering",
+            &[None, Some(&numhash), Some(&cutoff), None],
+        );
+        assert!(message.contains("takes 3 arguments, got 4"), "{message}");
+    }
+
+    /// The Algorithm 3 script's parameters, `$KMER`, `$NUMHASH` and
+    /// `$CUTOFF` as given.
+    fn script_params(kmer: &str, numhash: &str, cutoff: &str) -> HashMap<String, String> {
+        [
+            ("INPUT", "/in.fa"),
+            ("KMER", kmer),
+            ("NUMHASH", numhash),
+            ("DIV", "1048583"),
+            ("LINK", "average"),
+            ("CUTOFF", cutoff),
+            ("OUTPUT1", "/out/hier"),
+            ("OUTPUT2", "/out/greedy"),
+        ]
+        .into_iter()
+        .map(|(k, v)| (k.to_string(), v.to_string()))
+        .collect()
+    }
+
+    /// A bad constant is refused when its statement is planned, before
+    /// the statement's job runs, and also when the statement has no
+    /// rows (reads shorter than `$KMER` leave `E` and `K` none): the
+    /// run returns `PigError::Udf` naming the UDF and the argument, and
+    /// the tracer holds the jobs of the statements before it but none
+    /// of its own.
+    #[test]
+    fn bad_constants_are_refused_when_the_statement_is_planned() {
+        let dfs = std::sync::Arc::new(
+            Dfs::new(DfsConfig {
+                block_size: 4096,
+                replication: 1,
+                nodes: 2,
+            })
+            .unwrap(),
+        );
+        let fasta = b">a1\nACGTACGTACGTACGTACGT\n>b1\nGGTTCCAAGGTTCCAAGGTT\n";
+        let short = b">s1\nACG\n>s2\nGGT\n";
+        let base = algorithm3_script();
+        let c_line = "TranslateToKmer(seq, seqid, $KMER)";
+        let cases = [
+            (
+                script_params("40", "32", "0.9"),
+                base.to_string(),
+                "C",
+                "TranslateToKmer",
+                "k-mer size 40 unsupported",
+            ),
+            (
+                script_params("5", "70000", "0.9"),
+                base.to_string(),
+                "E",
+                "CalculateMinwiseHash",
+                "num_hashes 70000",
+            ),
+            (
+                script_params("5", "32", "0.9"),
+                base.replace("'$LINK'", "'centroid'"),
+                "K",
+                "AgglomerativeHierarchicalClustering",
+                "unknown linkage \"centroid\"",
+            ),
+            (
+                script_params("5", "32", "0.9"),
+                base.replace(c_line, "TranslateToKmer(seq, seqid, seqid)"),
+                "C",
+                "TranslateToKmer",
+                "argument 2 must be $KMER (integer)",
+            ),
+        ];
+        for ((params, text, refusing, udf, want), input) in cases
+            .into_iter()
+            .flat_map(|case| [(case.clone(), &fasta[..]), (case, &short[..])])
+        {
+            dfs.put("/in.fa", input.to_vec(), true).unwrap();
+            let script = parse_script(&text, &params).unwrap();
+            let tracer = std::sync::Arc::new(Tracer::new());
+            let runner = PigRunner::new(std::sync::Arc::clone(&dfs), registry())
+                .traced(std::sync::Arc::clone(&tracer));
+            match runner.run(&script) {
+                Err(PigError::Udf(e)) => {
+                    assert_eq!(e.udf, udf, "{refusing}: {e}");
+                    assert!(e.message.contains(want), "{refusing}: {e}");
+                }
+                other => panic!("{refusing}: expected a UDF refusal, got {other:?}"),
+            }
+            let jobs = tracer.ledger().jobs;
+            let refused = format!("foreach:{refusing}");
+            assert!(!jobs.contains(&refused), "{refused} ran: {jobs:?}");
+            // Every statement before the refusing one ran its job.
+            let before = match refusing {
+                "C" => &["foreach:B"][..],
+                "E" => &["foreach:C", "group:G"],
+                _ => &["foreach:E", "group:I", "foreach:J", "group:II"],
+            };
+            for job in before {
+                assert!(
+                    jobs.iter().any(|j| j == job),
+                    "{refusing}: no {job} in {jobs:?}"
+                );
+            }
+        }
     }
 
     /// End-to-end: the Algorithm 3 script on a small FASTA with three
@@ -965,19 +1102,7 @@ mod tests {
                       >c1\nTTTTAAAACCCCGGGGTTTT\n";
         dfs.put("/in.fa", Bytes::from_static(fasta), false).unwrap();
 
-        let mut params = HashMap::new();
-        for (k, v) in [
-            ("INPUT", "/in.fa"),
-            ("KMER", "5"),
-            ("NUMHASH", "32"),
-            ("DIV", "1048583"),
-            ("LINK", "average"),
-            ("CUTOFF", "0.9"),
-            ("OUTPUT1", "/out/hier"),
-            ("OUTPUT2", "/out/greedy"),
-        ] {
-            params.insert(k.to_string(), v.to_string());
-        }
+        let params = script_params("5", "32", "0.9");
         let script = parse_script(algorithm3_script(), &params).unwrap();
         let runner = PigRunner::new(std::sync::Arc::clone(&dfs), registry());
         let report = runner.run(&script).unwrap();
@@ -1021,10 +1146,19 @@ mod tests {
     }
 
     /// `J` over relation `E`: every row of `rows[span]` against the
-    /// broadcast `all`.
+    /// relation `all`, bound as the constant `I.E`.
     fn pairwise(
         rows: &[Value],
         all: &[Value],
+        span: std::ops::Range<usize>,
+    ) -> Result<BatchOut, UdfError> {
+        pairwise_with(rows, &Value::bag(all.to_vec()), span)
+    }
+
+    /// [`pairwise`] against the constant `all`.
+    fn pairwise_with(
+        rows: &[Value],
+        all: &Value,
         span: std::ops::Range<usize>,
     ) -> Result<BatchOut, UdfError> {
         let field = |j: usize| {
@@ -1034,14 +1168,13 @@ mod tests {
                     .collect(),
             )
         };
-        let (sketches, ids, all) = (field(0), field(1), Value::bag(all.to_vec()));
+        let (sketches, ids) = (field(0), field(1));
         let (start, len) = (span.start, span.len());
-        let args = [
-            window(&sketches, start, len),
-            window(&ids, start, len),
-            scalar(&all, len),
-        ];
-        CalculatePairwiseSimilarity.eval_batch(&args, len)
+        let j = bind("CalculatePairwiseSimilarity", &[None, None, Some(all)])?;
+        j.eval(
+            &[window(&sketches, start, len), window(&ids, start, len)],
+            len,
+        )
     }
 
     /// A bag of agreement counts, as `J` emits a `simrow`.
@@ -1081,8 +1214,9 @@ mod tests {
     /// `J` is the [`agreements`] count of each pair on the
     /// Algorithm-3 shape and its corners: a window that is not the
     /// column's start, a relation not in seqid order, one read, an
-    /// empty relation and values past `u32::MAX`. A seqid twice in the
-    /// relation is an error.
+    /// empty relation (also bound as null, the scalar reference to a
+    /// relation of no row) and values past `u32::MAX`. A seqid twice
+    /// in the relation is an error.
     #[test]
     fn pairwise_similarity_kernel_counts_agreements() {
         // -1 is the `u64::MAX` empty-slot sentinel: agreeing on it
@@ -1101,7 +1235,11 @@ mod tests {
         let one = vec![sketch_row(&[5, 6], "only")];
         let out = check_pairwise(&one, &one, 0..1, "one read");
         assert_eq!(out.value_at(0, 1), counts(&[2]));
-        check_pairwise(&e, &[], 0..3, "empty relation");
+        let empty = check_pairwise(&e, &[], 0..3, "empty relation");
+        let BatchOut::Tup(null) = pairwise_with(&e, &Value::Null, 0..3).unwrap() else {
+            panic!("J returns tuples")
+        };
+        assert_eq!(null.to_rows(), empty.to_rows(), "null relation");
         let wide = vec![
             sketch_row(&[1 << 40, 2, 3], "w1"),
             sketch_row(&[1 << 40, 2, -1], "w2"),
@@ -1159,7 +1297,7 @@ mod tests {
 
         let greedy = |rows: Vec<Value>, numhash: i64| {
             let knobs = [Value::Long(numhash), Value::Double(0.9)];
-            one_row(&GreedyClustering, &[Value::bag(rows)], &knobs)
+            one_row("GreedyClustering", &[Value::bag(rows)], &knobs)
         };
         let err = greedy(vec![e[0].clone(), e[2].clone()], 4).unwrap_err();
         assert!(
@@ -1187,13 +1325,9 @@ mod tests {
             Value::Long(width as i64),
             Value::Double(theta),
         );
-        let args = [
-            column(relations),
-            scalar(&link_arg, rows),
-            scalar(&numhash, rows),
-            scalar(&cutoff, rows),
-        ];
-        kernel_out(&AgglomerativeHierarchicalClustering, &args, rows, "K")
+        let args = [None, Some(&link_arg), Some(&numhash), Some(&cutoff)];
+        let k = bind("AgglomerativeHierarchicalClustering", &args).unwrap();
+        kernel_out(&*k, &[column(relations)], rows, "K")
     }
 
     /// `n` reads over `ACGT`: three random ones of 30 to 40 bases, then
@@ -1331,19 +1465,7 @@ mod tests {
         let mut fasta = Vec::new();
         mrmc_seqio::fasta::write_fasta(&mut fasta, &reads, 0).unwrap();
         dfs.put("/in.fa", Bytes::from(fasta), false).unwrap();
-        let params: HashMap<String, String> = [
-            ("INPUT", "/in.fa"),
-            ("KMER", "5"),
-            ("NUMHASH", "16"),
-            ("DIV", "1048583"),
-            ("LINK", "average"),
-            ("CUTOFF", "0.6"),
-            ("OUTPUT1", "/out/hier"),
-            ("OUTPUT2", "/out/greedy"),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect();
+        let params = script_params("5", "16", "0.6");
         let text = format!("{}STORE J INTO '/out/j';\n", algorithm3_script());
         let script = parse_script(&text, &params).unwrap();
         let stored = |tasks: usize| {

@@ -1,26 +1,26 @@
 //! Seeded mutation fuzzing of what the library parses and evaluates:
 //! the Algorithm 3 script through `parse_script`, FASTA and FASTQ
 //! records through `read_fasta_bytes` and `read_fastq_bytes`, and the
-//! argument windows of the four columnar Algorithm 3 UDFs, beside
-//! directed faults of the count relation `J` hands `K`. A text
-//! mutant is the valid text with a few random byte-level insertions,
-//! deletions and replacements, or a truncation; a parser must answer
-//! every mutant with `Ok` or its typed error. An argument mutant is a
-//! valid call with values nulled, retyped, emptied or cut short, an
-//! argument moved between column and scalar, or arguments dropped; a
-//! UDF must answer with `Ok` or a `UdfError` naming it. A panic fails
-//! the test. These are guards: they hold the parsers and kernels to
-//! that contract, they do not exercise any fixed fault.
+//! call sites and argument windows of the four columnar Algorithm 3
+//! UDFs, beside directed faults of the count relation `J` hands `K`.
+//! A text mutant is the valid text with a few random byte-level
+//! insertions, deletions and replacements, or a truncation; a parser
+//! must answer every mutant with `Ok` or its typed error. An argument
+//! mutant is a valid call with values nulled, retyped, emptied or cut
+//! short, an argument moved between column and constant, or arguments
+//! dropped. Each is bound through the registry's binder, as the
+//! executor binds it, then evaluated: the bind must return the kernel
+//! or a `UdfError` naming the UDF, and the kernel `Ok` or such an
+//! error. A panic fails the test. These are guards: they hold the
+//! parsers and kernels to that contract, they do not exercise any
+//! fixed fault.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use mrmc::algorithm3_script;
-use mrmc::udfs::{
-    AgglomerativeHierarchicalClustering, CalculateMinwiseHash, CalculatePairwiseSimilarity,
-    TranslateToKmer,
-};
-use mrmc_pig::{parse_script, BatchArg, BatchOut, Column, Udf, Value};
+use mrmc::{algorithm3_script, register_mrmc_udfs};
+use mrmc_pig::udf::UdfError;
+use mrmc_pig::{parse_script, BatchOut, Column, UdfRegistry, Value, Window};
 use mrmc_seqio::{read_fasta_bytes, read_fastq_bytes};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -148,19 +148,62 @@ fn mutate_value(rng: &mut StdRng, v: &Value) -> Value {
 }
 
 /// One argument of a call: a column of values (`Column::from_values`,
-/// so a mixed one is `Dyn`), or a broadcast value.
+/// so a mixed one is `Dyn`), or a constant.
 enum Arg {
     Column(Vec<Value>),
     Scalar(Value),
 }
 
+/// The Algorithm 3 registry.
+fn registry() -> UdfRegistry {
+    let mut registry = UdfRegistry::with_builtins();
+    register_mrmc_udfs(&mut registry);
+    registry
+}
+
+/// UDF `name` bound at a call site of `args`, then evaluated over the
+/// windows `start..start + len` of its column arguments, in order: a
+/// panic in either step is reported as a panic of `what`.
+fn bind_and_eval(
+    name: &str,
+    args: &[Arg],
+    start: usize,
+    len: usize,
+    what: &str,
+) -> Result<BatchOut, UdfError> {
+    let registry = registry();
+    let bind = registry.get(name).expect("registered");
+    let consts: Vec<Option<&Value>> = args
+        .iter()
+        .map(|arg| match arg {
+            Arg::Column(_) => None,
+            Arg::Scalar(value) => Some(value),
+        })
+        .collect();
+    let cols: Vec<Column> = args
+        .iter()
+        .filter_map(|arg| match arg {
+            Arg::Column(vals) => Some(Column::from_values(vals.clone())),
+            Arg::Scalar(_) => None,
+        })
+        .collect();
+    let windows: Vec<Window<'_>> = cols.iter().map(|col| Window { col, start, len }).collect();
+    let call = || -> Result<BatchOut, UdfError> { bind(&consts)?.eval(&windows, len) };
+    let got = catch_unwind(AssertUnwindSafe(call)).unwrap_or_else(|_| panic!("{what} panicked"));
+    if let Err(e) = &got {
+        assert_eq!(e.udf, name, "{what}: {e}");
+    }
+    got
+}
+
 /// Draw a hostile call of `udf` from the valid `protos` (a column arg
 /// is a pool of rows): `len` rows at window start `start`, each value
 /// faulted one time in four, each argument moved between column and
-/// scalar one time in eight, one call in eight missing its trailing
-/// arguments. The call must return `Ok` with `len` rows, or a
-/// `UdfError` that names `udf`; returns whether it was `Ok`.
-fn hostile_call(rng: &mut StdRng, udf: &dyn Udf, protos: &[Arg]) -> bool {
+/// constant one time in eight, one call in eight missing its trailing
+/// arguments. The bind must return the kernel and the kernel `Ok` with
+/// `len` rows, or either a `UdfError` that names `udf`; returns
+/// whether it was `Ok`.
+fn hostile_call(rng: &mut StdRng, udf: &str, protos: &[Arg]) -> bool {
     let (start, len): (usize, usize) = (rng.random_range(0..3), rng.random_range(1..5));
     let draw = |rng: &mut StdRng, pool: &[Value]| {
         let v = &pool[rng.random_range(0..pool.len())];
@@ -185,35 +228,12 @@ fn hostile_call(rng: &mut StdRng, udf: &dyn Udf, protos: &[Arg]) -> bool {
         0 => rng.random_range(0..protos.len()),
         _ => protos.len(),
     });
-    let cols: Vec<Column> = args
-        .iter()
-        .filter_map(|arg| match arg {
-            Arg::Column(vals) => Some(Column::from_values(vals.clone())),
-            Arg::Scalar(_) => None,
-        })
-        .collect();
-    let mut cols = cols.iter();
-    let call: Vec<BatchArg<'_>> = args
-        .iter()
-        .map(|arg| match arg {
-            Arg::Column(_) => BatchArg::Column {
-                col: cols.next().expect("one column per column arg"),
-                start,
-                len,
-            },
-            Arg::Scalar(value) => BatchArg::Scalar { value, len },
-        })
-        .collect();
-    let what = format!("{} over {len} rows at {start}", udf.name());
-    let got = match catch_unwind(AssertUnwindSafe(|| udf.eval_batch(&call, len))) {
-        Err(_) => panic!("{what} panicked"),
-        Ok(Err(e)) => {
-            assert_eq!(e.udf, udf.name(), "{what}: {e}");
-            return false;
-        }
-        Ok(Ok(BatchOut::Col(c))) => c.len(),
-        Ok(Ok(BatchOut::Tup(b))) => b.rows(),
-        Ok(Ok(BatchOut::Rows(v))) => v.len(),
+    let what = format!("{udf} over {len} rows at {start}");
+    let got = match bind_and_eval(udf, &args, start, len, &what) {
+        Err(_) => return false,
+        Ok(BatchOut::Col(c)) => c.len(),
+        Ok(BatchOut::Tup(b)) => b.rows(),
+        Ok(BatchOut::Rows(v)) => v.len(),
     };
     assert_eq!(got, len, "{what}: row count");
     true
@@ -265,9 +285,9 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
             .collect())
     };
     use Arg::{Column as Col, Scalar};
-    let kernels: [(&dyn Udf, Vec<Arg>); 4] = [
+    let kernels: [(&str, Vec<Arg>); 4] = [
         (
-            &TranslateToKmer,
+            "TranslateToKmer",
             vec![
                 Col(vec![chars("ACGTACGGT"), chars("GGNNACGT"), chars("AC")]),
                 Col(vec![chars("a"), chars("b")]),
@@ -275,7 +295,7 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
             ],
         ),
         (
-            &CalculateMinwiseHash,
+            "CalculateMinwiseHash",
             vec![
                 Col(vec![
                     kmers("a", &[5, 9, 60]),
@@ -288,7 +308,7 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
             ],
         ),
         (
-            &CalculatePairwiseSimilarity,
+            "CalculatePairwiseSimilarity",
             vec![
                 Col(vec![sketch(&[1, 2, -1, 4]), sketch(&[1 << 40, 2, 3, 4])]),
                 Col(vec![chars("a"), chars("b"), chars("z")]),
@@ -300,7 +320,7 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
             ],
         ),
         (
-            &AgglomerativeHierarchicalClustering,
+            "AgglomerativeHierarchicalClustering",
             vec![
                 Col(vec![relation(TRIANGLE), relation(GROUPED)]),
                 Scalar(chars("average")),
@@ -312,41 +332,26 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
     let mut rng = StdRng::seed_from_u64(46);
     for (udf, protos) in &kernels {
         let ok = (0..1_500)
-            .filter(|_| hostile_call(&mut rng, *udf, protos))
+            .filter(|_| hostile_call(&mut rng, udf, protos))
             .count();
         // Both answers are reached: the draw is neither all faults nor
         // all valid calls.
-        assert!(0 < ok && ok < 1_500, "{}: {ok} of 1500 Ok", udf.name());
+        assert!(0 < ok && ok < 1_500, "{udf}: {ok} of 1500 Ok");
     }
 }
 
-/// `udf` over the one-row `col` and the broadcast `scalars` answers
-/// with a `UdfError` that names it, never a panic or `Ok`.
-fn refused(udf: &dyn Udf, cols: &[Value], scalars: &[Value], what: &str) -> String {
-    let cols: Vec<Column> = cols
+/// `udf` bound at a call site of the one-row columns `cols` and the
+/// constants `consts`, then evaluated, answers with a `UdfError` that
+/// names it, never a panic or `Ok`.
+fn refused(udf: &str, cols: &[Value], consts: &[Value], what: &str) -> String {
+    let args: Vec<Arg> = cols
         .iter()
-        .map(|v| Column::from_values(vec![v.clone()]))
+        .map(|v| Arg::Column(vec![v.clone()]))
+        .chain(consts.iter().cloned().map(Arg::Scalar))
         .collect();
-    let call: Vec<BatchArg<'_>> = cols
-        .iter()
-        .map(|col| BatchArg::Column {
-            col,
-            start: 0,
-            len: 1,
-        })
-        .chain(
-            scalars
-                .iter()
-                .map(|value| BatchArg::Scalar { value, len: 1 }),
-        )
-        .collect();
-    match catch_unwind(AssertUnwindSafe(|| udf.eval_batch(&call, 1))) {
-        Err(_) => panic!("{what}: {} panicked", udf.name()),
-        Ok(Ok(_)) => panic!("{what}: {} answered Ok", udf.name()),
-        Ok(Err(e)) => {
-            assert_eq!(e.udf, udf.name(), "{what}: {e}");
-            e.message
-        }
+    match bind_and_eval(udf, &args, 0, 1, what) {
+        Ok(_) => panic!("{what}: {udf} answered Ok"),
+        Err(e) => e.message,
     }
 }
 
@@ -359,7 +364,7 @@ fn count_relation_faults_are_udf_errors() {
     let k = |rows: Rows, numhash: i64, what: &str| {
         let relation = relation(rows);
         refused(
-            &AgglomerativeHierarchicalClustering,
+            "AgglomerativeHierarchicalClustering",
             &[relation],
             &knobs(numhash),
             what,
@@ -418,7 +423,7 @@ fn count_relation_faults_are_udf_errors() {
         vec![sketch(&[1, 2, 3, 9]), chars("a")],
     ]);
     let message = refused(
-        &CalculatePairwiseSimilarity,
+        "CalculatePairwiseSimilarity",
         &[sketch(&[1, 2, 3, 4]), chars("a")],
         &[e],
         "I.E with a seqid twice",

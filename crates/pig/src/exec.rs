@@ -10,9 +10,10 @@
 //! * `STORE` serializes a relation back to the DFS.
 //!
 //! There is one execution plane. A relation is a rectangular
-//! [`ColumnBatch`] whose schema names its columns one to one;
-//! operators evaluate on column windows through
-//! [`crate::udf::Udf::eval_batch`], `FLATTEN` expands with gather vectors,
+//! [`ColumnBatch`] whose schema names its columns one to one. A UDF
+//! call is bound when its statement is planned, so a bad constant is
+//! refused before the job runs, and the map tasks call the bound
+//! [`crate::udf::Udf::eval`] on column windows. `FLATTEN` expands with gather vectors,
 //! and `GROUP` shuffles 4-byte **row indices** instead of cloned row
 //! trees — the grouped runs come back through
 //! [`Pipeline::run_group_stage`] and one columnar gather builds the
@@ -47,7 +48,7 @@ use mrmc_mapreduce::MrError;
 
 use crate::batch::{BagCol, Column, ColumnBatch};
 use crate::parser::{Expr, GenItem, GroupBy, Operator, Script, Statement};
-use crate::udf::{BatchArg, BatchOut, Udf, UdfError, UdfRegistry};
+use crate::udf::{BatchOut, Udf, UdfError, UdfRegistry, Window};
 use crate::value::Value;
 
 /// Executor failure.
@@ -64,7 +65,7 @@ pub enum PigError {
     },
     /// UDF not registered.
     UnknownUdf(String),
-    /// UDF evaluation failed.
+    /// A UDF refused its call site, or failed on a chunk.
     Udf(UdfError),
     /// An item broke the contract that it yields exactly the fields
     /// its schema names: a `FOREACH` item its `AS` clause (one field
@@ -179,12 +180,22 @@ pub struct RunReport {
 
 // ------------------------------------------------------- columnar plane
 
-/// Expression resolved against the batch ABI.
+/// Expression resolved against the batch ABI. A UDF call holds its
+/// bound kernel and its column arguments; its constants are bound.
 #[derive(Clone)]
 enum BExpr {
     Field(usize),
     Const(Value),
-    Udf { udf: Arc<dyn Udf>, args: Vec<BExpr> },
+    Udf { udf: Arc<dyn Udf>, cols: Vec<BExpr> },
+}
+
+impl BExpr {
+    fn as_const(&self) -> Option<&Value> {
+        match self {
+            BExpr::Const(v) => Some(v),
+            _ => None,
+        }
+    }
 }
 
 /// Resolved generate item.
@@ -218,21 +229,20 @@ fn eval_bexpr<'a>(
     Ok(match expr {
         BExpr::Field(i) => ItemCol::Ref(batch.col(*i)),
         BExpr::Const(v) => ItemCol::Scalar(Cow::Borrowed(v)),
-        BExpr::Udf { udf, args } => {
-            let children: Vec<ItemCol<'a>> = args
+        BExpr::Udf { udf, cols } => {
+            let children: Vec<ItemCol<'a>> = cols
                 .iter()
                 .map(|a| eval_bexpr(batch, start, len, a).map(box_tuples))
                 .collect::<Result<_, UdfError>>()?;
-            let call_args: Vec<BatchArg<'_>> = children
+            let windows: Vec<Window<'_>> = children
                 .iter()
                 .map(|c| match c {
-                    ItemCol::Ref(col) => BatchArg::Column { col, start, len },
-                    ItemCol::Owned(col) => BatchArg::Column { col, start: 0, len },
-                    ItemCol::Scalar(v) => BatchArg::Scalar { value: v, len },
-                    ItemCol::Tup(_) => unreachable!("boxed above"),
+                    ItemCol::Ref(col) => Window { col, start, len },
+                    ItemCol::Owned(col) => Window { col, start: 0, len },
+                    _ => unreachable!("constants are bound, tuples boxed above"),
                 })
                 .collect();
-            let (got, out) = match udf.eval_batch(&call_args, len)? {
+            let (got, out) = match udf.eval(&windows, len)? {
                 BatchOut::Col(c) => (c.len(), ItemCol::Owned(c)),
                 BatchOut::Rows(v) => (v.len(), ItemCol::Owned(Column::from_values(v))),
                 BatchOut::Tup(b) => (b.rows(), ItemCol::Tup(b)),
@@ -242,7 +252,7 @@ fn eval_bexpr<'a>(
             if got != len {
                 return Err(UdfError::new(
                     udf.name(),
-                    format!("eval_batch returned {got} rows for {len} input rows"),
+                    format!("returned {got} rows for {len} input rows"),
                 ));
             }
             out
@@ -623,15 +633,20 @@ impl PigRunner {
         schema: &[crate::parser::FieldDecl],
     ) -> Result<Relation, PigError> {
         let loader_name = loader.unwrap_or("TextLoader");
-        let udf = self
+        let bind = self
             .registry
             .get(loader_name)
             .ok_or_else(|| PigError::UnknownUdf(loader_name.to_string()))?;
-        // The DFS hands back shared bytes; the loader sees a zero-copy
-        // window, not a per-load heap copy.
-        let bytes = Value::ByteArray(self.dfs.read(path)?);
-        let one_row = |value| BatchArg::Scalar { value, len: 1 };
-        let out = udf.eval_batch(&[one_row(&bytes)], 1)?.into_row(0);
+        let udf = bind(&[None])?;
+        // The DFS hands back shared bytes; the loader sees them as a
+        // one-row column, not a per-load heap copy.
+        let bytes = Column::Dyn(vec![Value::ByteArray(self.dfs.read(path)?)]);
+        let file = Window {
+            col: &bytes,
+            start: 0,
+            len: 1,
+        };
+        let out = udf.eval(&[file], 1)?.into_row(0);
         let out = out.ok_or_else(|| UdfError::new(loader_name, "returned no row"))?;
         let mut rows = match out {
             Value::Bag(rows) => rows,
@@ -792,15 +807,18 @@ impl PigRunner {
                 BExpr::Const(self.resolve_scalar_ref(env, relation, field)?)
             }
             Expr::Udf { name, args } => {
-                let udf = self
+                let bind = self
                     .registry
                     .get(name)
                     .ok_or_else(|| PigError::UnknownUdf(name.clone()))?;
-                let args = args
+                let mut cols: Vec<BExpr> = args
                     .iter()
                     .map(|a| self.resolve_batch(env, relation, schema, a))
                     .collect::<Result<_, PigError>>()?;
-                BExpr::Udf { udf, args }
+                // Bound once per call site, before the statement's job runs.
+                let udf = bind(&cols.iter().map(BExpr::as_const).collect::<Vec<_>>())?;
+                cols.retain(|a| a.as_const().is_none());
+                BExpr::Udf { udf, cols }
             }
         })
     }

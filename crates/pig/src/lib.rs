@@ -23,7 +23,8 @@
 //!   can serve as shuffle keys;
 //! * [`lexer`] / [`parser`] — tokenizer and recursive-descent parser
 //!   with `$PARAM` substitution;
-//! * [`udf`] — the `Udf` trait and registry; domain UDFs
+//! * [`udf`] — the registry of binders, each binding a call site's
+//!   constants once at plan time into a `Udf` kernel; domain UDFs
 //!   (`FastaStorage`, `CalculateMinwiseHash`, …) are registered by the
 //!   `mrmc` crate, generic builtins (`TOKENIZE`, `COUNT`) live here;
 //! * [`exec`] — the executor: `FOREACH` becomes a map-only job over
@@ -42,5 +43,5 @@ pub mod value;
 pub use batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
 pub use exec::{PigRunner, RunReport};
 pub use parser::{parse_script, ParseError, Script, Statement};
-pub use udf::{BatchArg, BatchOut, Udf, UdfRegistry};
+pub use udf::{BatchOut, Binder, Udf, UdfRegistry, Window};
 pub use value::Value;

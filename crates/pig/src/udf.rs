@@ -1,12 +1,12 @@
 //! User-defined functions and their registry.
 //!
-//! Pig UDFs in the paper are Java classes (`FastaStorage`,
-//! `CalculateMinwiseHash`, …); here a UDF is any `Send + Sync` type
-//! implementing [`Udf`], whose one evaluation method,
-//! [`Udf::eval_batch`], takes whole column windows. A columnar kernel
-//! is written against the windows; a row-at-a-time body is lifted
-//! through [`scalar_rows`]. Returning a [`Value::Bag`] combined with
-//! `FLATTEN(...)` yields multiple output rows, exactly like Pig.
+//! Pig UDFs in the paper are Java classes (`FastaStorage`, …). Here a
+//! UDF's [`Binder`] runs once per call site, when the executor plans
+//! the statement: it sees each argument as its constant (a literal, or
+//! a scalar reference such as `I.E`) or as `None`, a column, and
+//! returns the bound [`Udf`] whose [`Udf::eval`] the map tasks run on
+//! the column windows alone. A row body binds through [`bind_rows`].
+//! A [`Value::Bag`] under `FLATTEN(...)` yields many rows, as in Pig.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -41,60 +41,31 @@ impl fmt::Display for UdfError {
 }
 impl std::error::Error for UdfError {}
 
-/// A user-defined function.
+/// A UDF bound at one call site: the kernel the map tasks run.
 pub trait Udf: Send + Sync {
     /// Registered (and script-visible) name.
     fn name(&self) -> &str;
 
-    /// Evaluate `rows` rows in one call; every argument has exactly
-    /// `rows` rows, and the result holds one value per row. A one-row
-    /// call passes `BatchArg::Scalar { len: 1 }` arguments and reads
-    /// [`BatchOut::into_row`]`(0)`.
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError>;
+    /// Evaluate `rows` rows in one call. `cols` holds the window of
+    /// each column argument, in argument order, each `rows` long; the
+    /// constants were bound already. The result holds one value per
+    /// row.
+    fn eval(&self, cols: &[Window<'_>], rows: usize) -> Result<BatchOut, UdfError>;
 }
 
-// ---------------------------------------------------------- batch ABI
+/// A UDF's plan-time step: it takes each argument as its constant, or
+/// `None` for a column, and returns the bound kernel or the refusal.
+pub type Binder = dyn Fn(&[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> + Send + Sync;
 
-/// One argument of a batch-at-a-time UDF call: either a window into
-/// a column (one value per row) or a scalar broadcast to every row
-/// (literals and `I.F` scalar references — shared, never cloned per
-/// row).
+/// One column argument of a call: rows `start..start + len` of `col`.
 #[derive(Debug, Clone, Copy)]
-pub enum BatchArg<'a> {
-    /// Rows `start..start + len` of `col`.
-    Column {
-        /// Backing column.
-        col: &'a Column,
-        /// First row of the window.
-        start: usize,
-        /// Window length.
-        len: usize,
-    },
-    /// The same value for every row.
-    Scalar {
-        /// Broadcast value.
-        value: &'a Value,
-        /// Broadcast length.
-        len: usize,
-    },
-}
-
-impl BatchArg<'_> {
-    /// The backing column window, when this is a column argument.
-    pub fn as_column(&self) -> Option<(&Column, usize, usize)> {
-        match self {
-            BatchArg::Column { col, start, len } => Some((col, *start, *len)),
-            BatchArg::Scalar { .. } => None,
-        }
-    }
-
-    /// The broadcast value, when this is a scalar argument.
-    pub fn as_scalar(&self) -> Option<&Value> {
-        match self {
-            BatchArg::Scalar { value, .. } => Some(value),
-            BatchArg::Column { .. } => None,
-        }
-    }
+pub struct Window<'a> {
+    /// Backing column.
+    pub col: &'a Column,
+    /// First row of the window.
+    pub start: usize,
+    /// Window length.
+    pub len: usize,
 }
 
 /// Result of a batch UDF call over `rows` input rows.
@@ -102,8 +73,8 @@ impl BatchArg<'_> {
 pub enum BatchOut {
     /// One value per row, already columnar.
     Col(Column),
-    /// One value per row, boxed (the executor columnarizes;
-    /// [`scalar_rows`] and irregular outputs use this).
+    /// One value per row, boxed (the executor columnarizes; row
+    /// bodies and irregular outputs use this).
     Rows(Vec<Value>),
     /// One *tuple* per row, kept columnar — `FLATTEN` of this output
     /// appends the batch's columns without materializing tuples.
@@ -121,36 +92,58 @@ impl BatchOut {
     }
 }
 
-/// A row-at-a-time body lifted over batch arguments: `body` sees each
-/// row's argument values in one reused buffer. Scalar argument slots
-/// (literals, `GROUP ALL` aggregates) are filled **once** per batch
-/// instead of cloned per row — for Algorithm 3 that alone removes a
-/// per-row deep copy of the full minwise-sketch bag.
-pub fn scalar_rows(
-    args: &[BatchArg<'_>],
-    rows: usize,
-    mut body: impl FnMut(&[Value]) -> Result<Value, UdfError>,
-) -> Result<BatchOut, UdfError> {
-    let mut buf: Vec<Value> = args
-        .iter()
-        .map(|a| a.as_scalar().cloned().unwrap_or(Value::Null))
-        .collect();
-    let mut out = Vec::with_capacity(rows);
-    for i in 0..rows {
-        for (slot, arg) in buf.iter_mut().zip(args) {
-            if let Some((col, start, _)) = arg.as_column() {
-                *slot = col.value_at(start + i);
-            }
-        }
-        out.push(body(&buf)?);
-    }
-    Ok(BatchOut::Rows(out))
+/// A row body bound at one call site: `slots` holds each argument's
+/// constant, and `Null` where a column fills the slot row by row.
+struct RowKernel<F> {
+    name: &'static str,
+    slots: Vec<Value>,
+    columns: Vec<usize>,
+    body: F,
 }
 
-/// Case-insensitive UDF name → implementation map.
+impl<F: Fn(&[Value]) -> Result<Value, UdfError> + Send + Sync> Udf for RowKernel<F> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn eval(&self, cols: &[Window<'_>], rows: usize) -> Result<BatchOut, UdfError> {
+        let mut buf = self.slots.clone();
+        let mut out = Vec::with_capacity(rows);
+        for i in 0..rows {
+            for (&slot, w) in self.columns.iter().zip(cols) {
+                buf[slot] = w.col.value_at(w.start + i);
+            }
+            out.push((self.body)(&buf)?);
+        }
+        Ok(BatchOut::Rows(out))
+    }
+}
+
+/// Bind the row body `body` of UDF `name` at a call site whose
+/// arguments are `args`: each constant takes its slot of the row
+/// buffer here, once; a chunk copies the buffer once, never per row,
+/// and each row of the column windows fills the other slots before
+/// `body` sees it.
+pub fn bind_rows(
+    name: &'static str,
+    args: &[Option<&Value>],
+    body: impl Fn(&[Value]) -> Result<Value, UdfError> + Send + Sync + 'static,
+) -> Arc<dyn Udf> {
+    Arc::new(RowKernel {
+        name,
+        slots: args
+            .iter()
+            .map(|a| a.cloned().unwrap_or(Value::Null))
+            .collect(),
+        columns: (0..args.len()).filter(|&i| args[i].is_none()).collect(),
+        body,
+    })
+}
+
+/// Case-insensitive UDF name → binder map.
 #[derive(Clone, Default)]
 pub struct UdfRegistry {
-    map: HashMap<String, Arc<dyn Udf>>,
+    map: HashMap<String, Arc<Binder>>,
 }
 
 impl UdfRegistry {
@@ -163,22 +156,36 @@ impl UdfRegistry {
     /// (`TOKENIZE`, `COUNT`, `UPPER`, `CONCAT`, `TextLoader`).
     pub fn with_builtins() -> UdfRegistry {
         let mut r = UdfRegistry::new();
-        r.register(Arc::new(Tokenize));
-        r.register(Arc::new(Count));
-        r.register(Arc::new(Upper));
-        r.register(Arc::new(Concat));
-        r.register(Arc::new(TextLoader));
+        r.register_rows("TOKENIZE", tokenize);
+        r.register_rows("COUNT", count);
+        r.register_rows("UPPER", upper);
+        r.register_rows("CONCAT", concat);
+        r.register_rows("TextLoader", text_loader);
         r
     }
 
-    /// Register (or replace) a UDF under its own name.
-    pub fn register(&mut self, udf: Arc<dyn Udf>) {
-        self.map.insert(udf.name().to_ascii_lowercase(), udf);
+    /// Register (or replace) the binder of UDF `name`.
+    pub fn register(
+        &mut self,
+        name: &str,
+        bind: impl Fn(&[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> + Send + Sync + 'static,
+    ) {
+        self.map.insert(name.to_ascii_lowercase(), Arc::new(bind));
     }
 
-    /// Look up by name, case-insensitively.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn Udf>> {
-        self.map.get(&name.to_ascii_lowercase()).cloned()
+    /// Register (or replace) UDF `name` as a row body, bound through
+    /// [`bind_rows`].
+    pub fn register_rows(
+        &mut self,
+        name: &'static str,
+        body: impl Fn(&[Value]) -> Result<Value, UdfError> + Clone + Send + Sync + 'static,
+    ) {
+        self.register(name, move |args| Ok(bind_rows(name, args, body.clone())));
+    }
+
+    /// The binder of UDF `name`, looked up case-insensitively.
+    pub fn get(&self, name: &str) -> Option<&Binder> {
+        self.map.get(&name.to_ascii_lowercase()).map(|b| &**b)
     }
 
     /// Registered names, sorted (for error messages).
@@ -200,115 +207,85 @@ impl fmt::Debug for UdfRegistry {
 // ---------------------------------------------------------------- builtins
 
 /// `TOKENIZE(chararray)` → bag of single-field word tuples.
-struct Tokenize;
-impl Udf for Tokenize {
-    fn name(&self) -> &str {
-        "TOKENIZE"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            let s = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| UdfError::new("TOKENIZE", "expected one chararray"))?;
-            Ok(Value::bag(
-                s.split_whitespace()
-                    .map(|w| Value::tuple([Value::CharArray(w.to_string())]))
-                    .collect::<Vec<_>>(),
-            ))
-        })
-    }
+fn tokenize(args: &[Value]) -> Result<Value, UdfError> {
+    let s = args
+        .first()
+        .and_then(Value::as_str)
+        .ok_or_else(|| UdfError::new("TOKENIZE", "expected one chararray"))?;
+    Ok(Value::bag(
+        s.split_whitespace()
+            .map(|w| Value::tuple([Value::CharArray(w.to_string())]))
+            .collect::<Vec<_>>(),
+    ))
 }
 
 /// `COUNT(bag)` → long.
-struct Count;
-impl Udf for Count {
-    fn name(&self) -> &str {
-        "COUNT"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            let b = args
-                .first()
-                .and_then(Value::as_bag)
-                .ok_or_else(|| UdfError::new("COUNT", "expected one bag"))?;
-            Ok(Value::Long(b.len() as i64))
-        })
-    }
+fn count(args: &[Value]) -> Result<Value, UdfError> {
+    let b = args
+        .first()
+        .and_then(Value::as_bag)
+        .ok_or_else(|| UdfError::new("COUNT", "expected one bag"))?;
+    Ok(Value::Long(b.len() as i64))
 }
 
 /// `UPPER(chararray)` → chararray.
-struct Upper;
-impl Udf for Upper {
-    fn name(&self) -> &str {
-        "UPPER"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            let s = args
-                .first()
-                .and_then(Value::as_str)
-                .ok_or_else(|| UdfError::new("UPPER", "expected one chararray"))?;
-            Ok(Value::CharArray(s.to_ascii_uppercase()))
-        })
-    }
+fn upper(args: &[Value]) -> Result<Value, UdfError> {
+    let s = args
+        .first()
+        .and_then(Value::as_str)
+        .ok_or_else(|| UdfError::new("UPPER", "expected one chararray"))?;
+    Ok(Value::CharArray(s.to_ascii_uppercase()))
 }
 
 /// `CONCAT(a, b)` → chararray.
-struct Concat;
-impl Udf for Concat {
-    fn name(&self) -> &str {
-        "CONCAT"
+fn concat(args: &[Value]) -> Result<Value, UdfError> {
+    if args.len() != 2 {
+        return Err(UdfError::new("CONCAT", "expected two arguments"));
     }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            if args.len() != 2 {
-                return Err(UdfError::new("CONCAT", "expected two arguments"));
-            }
-            let a = args[0]
-                .as_str()
-                .ok_or_else(|| UdfError::new("CONCAT", "arg 1 must be chararray"))?;
-            let b = args[1]
-                .as_str()
-                .ok_or_else(|| UdfError::new("CONCAT", "arg 2 must be chararray"))?;
-            Ok(Value::CharArray(format!("{a}{b}")))
-        })
-    }
+    let a = args[0]
+        .as_str()
+        .ok_or_else(|| UdfError::new("CONCAT", "arg 1 must be chararray"))?;
+    let b = args[1]
+        .as_str()
+        .ok_or_else(|| UdfError::new("CONCAT", "arg 2 must be chararray"))?;
+    Ok(Value::CharArray(format!("{a}{b}")))
 }
 
-/// Default loader: one tuple `(line:chararray)` per input line.
-pub struct TextLoader;
-impl Udf for TextLoader {
-    fn name(&self) -> &str {
-        "TextLoader"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            let bytes = args
-                .first()
-                .and_then(Value::as_bytes)
-                .ok_or_else(|| UdfError::new("TextLoader", "expected file bytes"))?;
-            let text = String::from_utf8_lossy(bytes);
-            Ok(Value::bag(
-                text.lines()
-                    .map(|l| Value::tuple([Value::CharArray(l.to_string())]))
-                    .collect::<Vec<_>>(),
-            ))
-        })
-    }
+/// The default loader: one tuple `(line:chararray)` per input line.
+fn text_loader(args: &[Value]) -> Result<Value, UdfError> {
+    let bytes = args
+        .first()
+        .and_then(Value::as_bytes)
+        .ok_or_else(|| UdfError::new("TextLoader", "expected file bytes"))?;
+    let text = String::from_utf8_lossy(bytes);
+    Ok(Value::bag(
+        text.lines()
+            .map(|l| Value::tuple([Value::CharArray(l.to_string())]))
+            .collect::<Vec<_>>(),
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `udf` on one row of `args`, each a one-row broadcast.
-    fn one_row(udf: &dyn Udf, args: &[Value]) -> Result<Value, UdfError> {
-        let args: Vec<BatchArg<'_>> = args
+    /// `name` bound with every argument a column, over one row of
+    /// `args`.
+    fn one_row(r: &UdfRegistry, name: &str, args: &[Value]) -> Result<Value, UdfError> {
+        let udf = r.get(name).expect("registered")(&vec![None; args.len()])?;
+        let cols: Vec<Column> = args
             .iter()
-            .map(|value| BatchArg::Scalar { value, len: 1 })
+            .map(|v| Column::from_values(vec![v.clone()]))
             .collect();
-        Ok(udf.eval_batch(&args, 1)?.into_row(0).expect("one row"))
+        let windows: Vec<Window<'_>> = cols
+            .iter()
+            .map(|col| Window {
+                col,
+                start: 0,
+                len: 1,
+            })
+            .collect();
+        Ok(udf.eval(&windows, 1)?.into_row(0).expect("one row"))
     }
 
     #[test]
@@ -323,11 +300,7 @@ mod tests {
     #[test]
     fn tokenize_splits_words() {
         let r = UdfRegistry::with_builtins();
-        let out = one_row(
-            &*r.get("TOKENIZE").unwrap(),
-            &[Value::CharArray("a b  c".into())],
-        )
-        .unwrap();
+        let out = one_row(&r, "TOKENIZE", &[Value::CharArray("a b  c".into())]).unwrap();
         let bag = out.as_bag().unwrap();
         assert_eq!(bag.len(), 3);
         assert_eq!(bag[0], Value::tuple([Value::CharArray("a".into())]));
@@ -336,86 +309,67 @@ mod tests {
     #[test]
     fn count_counts() {
         let r = UdfRegistry::with_builtins();
-        let out = one_row(
-            &*r.get("COUNT").unwrap(),
-            &[Value::bag([Value::Int(1), Value::Int(2)])],
-        )
-        .unwrap();
+        let out = one_row(&r, "COUNT", &[Value::bag([Value::Int(1), Value::Int(2)])]).unwrap();
         assert_eq!(out, Value::Long(2));
     }
 
     #[test]
     fn wrong_arg_types_error() {
         let r = UdfRegistry::with_builtins();
-        let call = |name: &str, args: &[Value]| one_row(&*r.get(name).unwrap(), args);
-        assert!(call("COUNT", &[Value::Int(1)]).is_err());
-        assert!(call("TOKENIZE", &[]).is_err());
-        assert!(call("CONCAT", &[Value::CharArray("x".into())]).is_err());
+        assert!(one_row(&r, "COUNT", &[Value::Int(1)]).is_err());
+        assert!(one_row(&r, "TOKENIZE", &[]).is_err());
+        assert!(one_row(&r, "CONCAT", &[Value::CharArray("x".into())]).is_err());
     }
 
     #[test]
     fn text_loader_lines() {
+        let r = UdfRegistry::with_builtins();
         let bytes = Value::ByteArray(bytes::Bytes::from_static(b"one\ntwo\n"));
-        let out = one_row(&TextLoader, &[bytes]).unwrap();
+        let out = one_row(&r, "TextLoader", &[bytes]).unwrap();
         assert_eq!(out.as_bag().unwrap().len(), 2);
     }
 
     #[test]
-    fn scalar_rows_lifts_a_row_body() {
+    fn bind_rows_fills_constant_slots_at_the_call_site() {
         let r = UdfRegistry::with_builtins();
-        // CONCAT's body runs once per row, the scalar argument
-        // broadcast without per-row clones.
-        let concat = r.get("CONCAT").unwrap();
+        // CONCAT's body runs once per row; the constant is bound once,
+        // and the call sees only the column window.
+        let suffix = Value::CharArray("!".into());
+        let concat = r.get("CONCAT").unwrap()(&[None, Some(&suffix)]).unwrap();
         let col = Column::from_values(vec![
             Value::CharArray("a".into()),
             Value::CharArray("b".into()),
+            Value::CharArray("c".into()),
         ]);
-        let suffix = Value::CharArray("!".into());
         let out = concat
-            .eval_batch(
-                &[
-                    BatchArg::Column {
-                        col: &col,
-                        start: 0,
-                        len: 2,
-                    },
-                    BatchArg::Scalar {
-                        value: &suffix,
-                        len: 2,
-                    },
-                ],
+            .eval(
+                &[Window {
+                    col: &col,
+                    start: 1,
+                    len: 2,
+                }],
                 2,
             )
             .unwrap();
         let BatchOut::Rows(rows) = out else {
-            panic!("the lift returns rows")
+            panic!("a row body returns rows")
         };
         assert_eq!(
             rows,
-            vec![Value::CharArray("a!".into()), Value::CharArray("b!".into())]
+            vec![Value::CharArray("b!".into()), Value::CharArray("c!".into())]
         );
     }
 
     #[test]
     fn register_replaces() {
-        struct Custom;
-        impl Udf for Custom {
-            fn name(&self) -> &str {
-                "COUNT"
-            }
-            fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-                scalar_rows(args, rows, |_| Ok(Value::Long(-1)))
-            }
-        }
         let mut r = UdfRegistry::with_builtins();
-        r.register(Arc::new(Custom));
-        let count = r.get("count").unwrap();
-        assert_eq!(one_row(&*count, &[]).unwrap(), Value::Long(-1));
-        let BatchOut::Rows(rows) = count.eval_batch(&[], 2).unwrap() else {
-            panic!("the lift returns rows")
+        r.register_rows("COUNT", |_| Ok(Value::Long(-1)));
+        let count = r.get("count").unwrap()(&[]).unwrap();
+        let BatchOut::Rows(rows) = count.eval(&[], 2).unwrap() else {
+            panic!("a row body returns rows")
         };
         assert_eq!(rows, vec![Value::Long(-1); 2]);
         // Past the last row there is no value.
-        assert_eq!(count.eval_batch(&[], 2).unwrap().into_row(2), None);
+        assert_eq!(count.eval(&[], 2).unwrap().into_row(2), None);
     }
 }

@@ -18,7 +18,8 @@
 //!    fields than an item yields), at any map-task count. The
 //!    reference runs no job and shares no code with `exec.rs`: boxed
 //!    `Vec<Value>` rows over the parser's public AST, one-row UDF
-//!    calls, and the shuffle pricing `engine.rs` documents, the only
+//!    calls bound through the registry's binder as the executor binds
+//!    them, and the shuffle pricing `engine.rs` documents, the only
 //!    thing it chunks.
 
 use std::collections::HashMap;
@@ -30,7 +31,7 @@ use proptest::prelude::*;
 use mrmc_mapreduce::dfs::{Dfs, DfsConfig};
 use mrmc_mapreduce::ShuffleSized;
 use mrmc_pig::exec::{ItemFault, PigError};
-use mrmc_pig::udf::{scalar_rows, BatchArg, BatchOut, Udf, UdfError};
+use mrmc_pig::udf::{BatchOut, Udf, UdfError, Window};
 use mrmc_pig::{parse_script, ColumnBatch, PigRunner, UdfRegistry, Value};
 
 // ----------------------------------------------------- value round-trips
@@ -224,7 +225,8 @@ proptest! {
 
 /// An engine-free interpreter of the supported Pig subset: the oracle
 /// the executor is compared against. Relations are `Vec<Value>` of
-/// tuples, UDFs are called one row at a time ([`reference::call`]),
+/// tuples, UDFs are bound and called one row at a time
+/// ([`reference::call`]),
 /// nothing is chunked, shuffled or run as a job.
 mod reference {
     use std::collections::{BTreeMap, HashMap};
@@ -232,7 +234,7 @@ mod reference {
     use mrmc_mapreduce::wire::uvarint_len;
     use mrmc_mapreduce::{chunk_ranges, ShuffleSized};
     use mrmc_pig::parser::{Expr, GenItem, GroupBy, Operator};
-    use mrmc_pig::{BatchArg, Script, Statement, Udf, UdfRegistry, Value};
+    use mrmc_pig::{Column, Script, Statement, UdfRegistry, Value, Window};
 
     struct Rel {
         rows: Vec<Value>,
@@ -270,13 +272,42 @@ mod reference {
         bytes
     }
 
-    /// `udf` on one row: every argument a one-row broadcast.
-    pub fn call(udf: &dyn Udf, args: &[Value]) -> Value {
-        let args: Vec<BatchArg<'_>> = args
+    /// One argument of a one-row call: a constant, or the row's value
+    /// of a column.
+    pub enum Arg {
+        Const(Value),
+        Column(Value),
+    }
+
+    /// UDF `name` of `registry` on one row: bound at a call site whose
+    /// constants are `args`' constants, then evaluated over one-row
+    /// columns of the rest.
+    pub fn call(registry: &UdfRegistry, name: &str, args: &[Arg]) -> Value {
+        let consts: Vec<Option<&Value>> = args
             .iter()
-            .map(|value| BatchArg::Scalar { value, len: 1 })
+            .map(|arg| match arg {
+                Arg::Const(v) => Some(v),
+                Arg::Column(_) => None,
+            })
             .collect();
-        let out = udf.eval_batch(&args, 1).unwrap_or_else(|e| panic!("{e}"));
+        let udf = registry.get(name).expect("registered UDF")(&consts);
+        let udf = udf.unwrap_or_else(|e| panic!("{e}"));
+        let cols: Vec<Column> = args
+            .iter()
+            .filter_map(|arg| match arg {
+                Arg::Column(v) => Some(Column::Dyn(vec![v.clone()])),
+                Arg::Const(_) => None,
+            })
+            .collect();
+        let windows: Vec<Window<'_>> = cols
+            .iter()
+            .map(|col| Window {
+                col,
+                start: 0,
+                len: 1,
+            })
+            .collect();
+        let out = udf.eval(&windows, 1).unwrap_or_else(|e| panic!("{e}"));
         out.into_row(0).expect("one row")
     }
 
@@ -344,21 +375,25 @@ mod reference {
                 .unwrap_or_else(|| panic!("unknown relation {alias}"))
         }
 
-        fn eval(&self, expr: &Expr, row: &Value, schema: &[String]) -> Value {
+        /// `expr` on `row`: a constant (a literal, or a scalar
+        /// reference), or the row's value of a column.
+        fn eval(&self, expr: &Expr, row: &Value, schema: &[String]) -> Arg {
             match expr {
-                Expr::LitLong(v) => Value::Long(*v),
-                Expr::LitDouble(v) => Value::Double(*v),
-                Expr::LitString(s) => Value::CharArray(s.clone()),
-                Expr::Field(name) => field(row, schema, name),
+                Expr::LitLong(v) => Arg::Const(Value::Long(*v)),
+                Expr::LitDouble(v) => Arg::Const(Value::Double(*v)),
+                Expr::LitString(s) => Arg::Const(Value::CharArray(s.clone())),
+                Expr::Field(name) => Arg::Column(field(row, schema, name)),
                 // A relation of no row is a null scalar, as in Pig.
-                Expr::Dotted { relation, field: f } => match &self.rel(relation).rows[..] {
-                    [] => Value::Null,
-                    [one] => field(one, &self.rel(relation).schema, f),
-                    _ => panic!("{relation} is not a scalar"),
-                },
+                Expr::Dotted { relation, field: f } => {
+                    Arg::Const(match &self.rel(relation).rows[..] {
+                        [] => Value::Null,
+                        [one] => field(one, &self.rel(relation).schema, f),
+                        _ => panic!("{relation} is not a scalar"),
+                    })
+                }
                 Expr::Udf { name, args } => {
-                    let args: Vec<Value> = args.iter().map(|a| self.eval(a, row, schema)).collect();
-                    call(&*self.registry.get(name).expect("registered UDF"), &args)
+                    let args: Vec<Arg> = args.iter().map(|a| self.eval(a, row, schema)).collect();
+                    Arg::Column(call(self.registry, name, &args))
                 }
             }
         }
@@ -369,7 +404,9 @@ mod reference {
             for row in &rel.rows {
                 let values = items
                     .iter()
-                    .map(|item| self.eval(&item.expr, row, &rel.schema))
+                    .map(|item| match self.eval(&item.expr, row, &rel.schema) {
+                        Arg::Const(v) | Arg::Column(v) => v,
+                    })
                     .collect();
                 rows.extend(generate(items, values)?);
             }
@@ -410,8 +447,8 @@ mod reference {
             let rel = match op {
                 Operator::Load { loader, schema, .. } => {
                     let loader = loader.as_deref().unwrap_or("TextLoader");
-                    let udf = registry.get(loader).expect("registered loader");
-                    let loaded = call(&*udf, &[Value::ByteArray(input.to_vec().into())]);
+                    let file = Value::ByteArray(input.to_vec().into());
+                    let loaded = call(registry, loader, &[Arg::Column(file)]);
                     // A relation is a bag of tuples: a bare value is
                     // a tuple of one field.
                     let rows: Vec<Value> = match loaded {
@@ -484,42 +521,29 @@ mod reference {
 
 // ------------------------------------------------- script bit-identity
 
-/// A test UDF of one chararray argument: its name and row body.
-struct StrUdf(&'static str, fn(&str) -> Value);
-impl Udf for StrUdf {
-    fn name(&self) -> &str {
-        self.0
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            let s = args.first().and_then(Value::as_str);
-            s.map(self.1)
-                .ok_or_else(|| UdfError::new(self.0, "expected one chararray"))
-        })
-    }
+/// Register the test UDF `name` of one chararray argument, whose row
+/// body is `body`.
+fn register_str(r: &mut UdfRegistry, name: &'static str, body: fn(&str) -> Value) {
+    r.register_rows(name, move |args| {
+        let s = args.first().and_then(Value::as_str);
+        s.map(body)
+            .ok_or_else(|| UdfError::new(name, "expected one chararray"))
+    });
 }
 
 /// `BareLines` → a loader that returns a bag of *bare* chararrays,
 /// one per line, instead of 1-field tuples.
-struct BareLines;
-impl Udf for BareLines {
-    fn name(&self) -> &str {
-        "BareLines"
-    }
-    fn eval_batch(&self, args: &[BatchArg<'_>], rows: usize) -> Result<BatchOut, UdfError> {
-        scalar_rows(args, rows, |args| {
-            let bytes = args
-                .first()
-                .and_then(Value::as_bytes)
-                .ok_or_else(|| UdfError::new("BareLines", "expected file bytes"))?;
-            Ok(Value::bag(
-                String::from_utf8_lossy(bytes)
-                    .lines()
-                    .map(|l| Value::CharArray(l.to_string()))
-                    .collect::<Vec<_>>(),
-            ))
-        })
-    }
+fn bare_lines(args: &[Value]) -> Result<Value, UdfError> {
+    let bytes = args
+        .first()
+        .and_then(Value::as_bytes)
+        .ok_or_else(|| UdfError::new("BareLines", "expected file bytes"))?;
+    Ok(Value::bag(
+        String::from_utf8_lossy(bytes)
+            .lines()
+            .map(|l| Value::CharArray(l.to_string()))
+            .collect::<Vec<_>>(),
+    ))
 }
 
 /// The bag of `s`'s characters as bare chararrays.
@@ -531,27 +555,25 @@ fn test_registry() -> UdfRegistry {
     let mut r = UdfRegistry::with_builtins();
     // `Nullify(s)` → the string back, or `Null` when its length is
     // even (injects nulls into downstream columns).
-    r.register(Arc::new(StrUdf("Nullify", |s| match s.len() % 2 {
+    register_str(&mut r, "Nullify", |s| match s.len() % 2 {
         0 => Value::Null,
         _ => Value::CharArray(s.into()),
-    })));
+    });
     // `Chars(s)` → bag of *bare* one-char chararrays (bag elements
     // that are not tuples — FLATTEN appends the value itself).
-    r.register(Arc::new(StrUdf("Chars", chars)));
+    register_str(&mut r, "Chars", chars);
     // `CharsOrWord(s)` → `Chars(s)` for strings starting a–m, else the
     // string itself: rows of two shapes that flatten to one field.
-    r.register(Arc::new(StrUdf("CharsOrWord", |s| {
-        match s.bytes().next() {
-            Some(c) if c <= b'm' => chars(s),
-            _ => Value::CharArray(s.into()),
-        }
-    })));
+    register_str(&mut r, "CharsOrWord", |s| match s.bytes().next() {
+        Some(c) if c <= b'm' => chars(s),
+        _ => Value::CharArray(s.into()),
+    });
     // `MixBag(s)` → either a bag of `(char, position)` tuples (strings
     // starting a–m) or the bare string itself (n–z, empty): a
     // mixed-type expression output that defeats typed
     // columnarization, and whose plain rows yield one field where
     // its `AS` clause names two.
-    r.register(Arc::new(StrUdf("MixBag", |s| match s.bytes().next() {
+    register_str(&mut r, "MixBag", |s| match s.bytes().next() {
         Some(c) if c <= b'm' => Value::Bag(
             s.chars()
                 .enumerate()
@@ -559,12 +581,12 @@ fn test_registry() -> UdfRegistry {
                 .collect(),
         ),
         _ => Value::CharArray(s.into()),
-    })));
+    });
     // `Pair(s)` → the tuple `(s, length of s)`.
-    r.register(Arc::new(StrUdf("Pair", |s| {
+    register_str(&mut r, "Pair", |s| {
         Value::tuple([Value::CharArray(s.into()), Value::Long(s.len() as i64)])
-    })));
-    r.register(Arc::new(BareLines));
+    });
+    r.register_rows("BareLines", bare_lines);
     r
 }
 
@@ -1015,9 +1037,16 @@ impl Udf for OneRow {
     fn name(&self) -> &str {
         "OneRow"
     }
-    fn eval_batch(&self, _args: &[BatchArg<'_>], _rows: usize) -> Result<BatchOut, UdfError> {
+    fn eval(&self, _cols: &[Window<'_>], _rows: usize) -> Result<BatchOut, UdfError> {
         Ok(BatchOut::Rows(vec![Value::Null]))
     }
+}
+
+/// The test registry with `OneRow` bound to every call site.
+fn one_row_registry() -> UdfRegistry {
+    let mut registry = test_registry();
+    registry.register("OneRow", |_| Ok(Arc::new(OneRow)));
+    registry
 }
 
 #[test]
@@ -1030,15 +1059,13 @@ fn short_batch_result_is_an_error_naming_the_udf() {
         &HashMap::new(),
     )
     .unwrap();
-    let mut registry = test_registry();
-    registry.register(Arc::new(OneRow));
-    let mut runner = PigRunner::new(dfs, registry);
+    let mut runner = PigRunner::new(dfs, one_row_registry());
     // One chunk of three rows.
     runner.num_map_tasks = 1;
     runner.workers = Some(1);
     let err = runner.run(&script).unwrap_err().to_string();
     assert!(
-        err.contains("UDF OneRow failed: eval_batch returned 1 rows for 3 input rows"),
+        err.contains("UDF OneRow failed: returned 1 rows for 3 input rows"),
         "{err}"
     );
 }
@@ -1066,9 +1093,7 @@ fn foreach_failures_come_back_typed() {
         } => assert_eq!(relation, "B"),
         other => panic!("expected a width fault, got {other:?}"),
     }
-    let mut registry = test_registry();
-    registry.register(Arc::new(OneRow));
-    match run(&foreach_a("OneRow(f0)"), "a\nb\nc\nd\n", registry) {
+    match run(&foreach_a("OneRow(f0)"), "a\nb\nc\nd\n", one_row_registry()) {
         PigError::Udf(e) => assert_eq!(e.udf, "OneRow"),
         other => panic!("expected a UDF failure, got {other:?}"),
     }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Panic sites per library crate: every `.unwrap()`, `.expect(` and
-# `panic!(` under crates/<crate>/src, inline tests included, by plain
-# grep. `bench` (bins whose CLI errors are panics by design, and the
+# `panic!(` in library code under crates/<crate>/src, by plain grep.
+# A `#[cfg(test)]` item (the attribute, then the item through the brace
+# that closes it, or through its `;`) is test code and is not counted.
+# `bench` (bins whose CLI errors are panics by design, and the
 # allocation gates) and `testkit` (test oracles) are not libraries and
 # are left out. Run from the repository root.
 #
@@ -13,13 +15,31 @@
 # regenerates the file, so the audit only ratchets down.
 set -euo pipefail
 
+# The lines of the Rust files named, `#[cfg(test)]` items left out.
+library_lines() {
+    awk '
+        FNR == 1 { skip = 0 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; opened = 0; next }
+        skip {
+            line = $0
+            opens = gsub(/\{/, "", line)
+            depth += opens - gsub(/\}/, "", line)
+            if (opens) opened = 1
+            if ((opened && depth <= 0) || (!opened && $0 ~ /;[[:space:]]*$/)) skip = 0
+            next
+        }
+        { print }
+    ' "$@"
+}
+
 counts() {
     for dir in crates/*/src; do
         crate=${dir#crates/}
         crate=${crate%/src}
         case $crate in bench | testkit) continue ;; esac
+        mapfile -t files < <(find "$dir" -name '*.rs' | sort)
         printf '%s %s\n' "$crate" \
-            "$(grep -rEo '\.unwrap\(\)|\.expect\(|panic!\(' "$dir" | wc -l)"
+            "$(library_lines "${files[@]}" | grep -Eo '\.unwrap\(\)|\.expect\(|panic!\(' | wc -l)"
     done
 }
 
