@@ -122,7 +122,7 @@ fn banded_section(
     let bands = config.banding_scheme().bands;
     let reads = mrmc_simulate::huse_16s(0.03, 2_000.0 / 345_000.0, seed).reads;
     let run = MrMcMinH::new(config).run(&reads).expect("banded run");
-    let distinct = dereplicate(&reads).expect("ids fit").num_distinct();
+    let distinct = dereplicate(&reads).expect("ids fit").num_groups();
     let candidates = run.pipeline.counter_total("CANDIDATES_EMITTED");
     let cand_per_read = candidates as f64 / reads.len() as f64;
     eprintln!(

@@ -29,7 +29,7 @@ fn dereplicated_counts_are_pinned() {
         "{allocs} allocations grouping {} reads",
         reads.len()
     );
-    assert_eq!(derep.num_distinct(), 1_041);
+    assert_eq!(derep.num_groups(), 1_041);
 
     // `run` sketches the distinct sequences in one record per block of
     // their byte order, one block per map task. One batch of all of
@@ -43,13 +43,11 @@ fn dereplicated_counts_are_pinned() {
     assert_eq!(records, config.map_tasks as u64);
     assert_eq!(sketch.counter("SKETCH_BASES"), 104_221);
     assert_eq!(sketch.counter("SKETCH_BASES_ROLLED"), 63_209);
-    let mut first: Vec<&[u8]> = Vec::new();
-    let mut seen = vec![false; derep.num_distinct()];
-    for (read, &g) in reads.iter().zip(derep.groups()) {
-        if !std::mem::replace(&mut seen[g as usize], true) {
-            first.push(&read.seq);
-        }
-    }
+    let first: Vec<&[u8]> = derep
+        .first()
+        .iter()
+        .map(|&r| reads[r as usize].seq.as_slice())
+        .collect();
     let bases: usize = first.iter().map(|s| s.len()).sum();
     assert_eq!(sketch.counter("SKETCH_BASES"), bases as u64);
     let (_, rolled) = config
@@ -66,11 +64,11 @@ fn dereplicated_counts_are_pinned() {
     let (_, allocs) = count_allocs(|| {
         sketch_distinct_stage(&reads, &derep, &config, &mut p).expect("sketch stage")
     });
-    let per_sequence = allocs as f64 / derep.num_distinct() as f64;
+    let per_sequence = allocs as f64 / derep.num_groups() as f64;
     assert!(
         per_sequence <= 2.1,
         "{allocs} allocations sketching {} distinct sequences",
-        derep.num_distinct()
+        derep.num_groups()
     );
 
     // The ungrouped oracle bands and verifies every read: 13 410
@@ -97,7 +95,7 @@ fn dereplicated_counts_are_pinned() {
     let mut p = Pipeline::new("distinct");
     let distinct = sketch_distinct_stage(&reads, &derep, &config, &mut p).expect("sketch stage");
     let graph = banded_graph_stage(&distinct, &config, &mut p).expect("banded stages");
-    let expanded = expand(&graph, derep.groups());
+    let expanded = expand(&graph, &derep);
     assert_eq!(graph.num_edges(), 33);
     assert_eq!(expanded.num_edges(), oracle_graph.num_edges());
     assert_eq!(expanded.num_edges(), 12_248);

@@ -17,9 +17,9 @@
 //!   adjacency lists reproduces the dense dendrogram bit for bit).
 //!
 //! Both forms of Algorithm 2 also run over groups of identical items
-//! ([`agglomerative_grouped`], [`agglomerative_sparse_grouped`]): each
-//! group is one vertex that starts as a cluster of its members, and the
-//! dendrogram over the items is rebuilt in O(n).
+//! ([`Groups`], linked by [`agglomerative_grouped`] and its sparse
+//! twin): each group is one vertex that starts as a cluster of its
+//! members, and the dendrogram over the items is rebuilt in O(n).
 //!
 //! All algorithms are generic over a similarity oracle so they work
 //! identically on minhash sketches, alignment identities, or k-mer
@@ -35,7 +35,7 @@ pub use assignment::ClusterAssignment;
 pub use greedy::greedy_cluster;
 pub use linkage::{
     agglomerative, agglomerative_grouped, cut_dendrogram, cut_levels, Dendrogram, DenseInput,
-    Linkage, Merge,
+    Groups, Linkage, Merge, TooManyItems,
 };
 pub use matrix::{CondensedMatrix, CountStrips, PairCounts};
 pub use sparse::{

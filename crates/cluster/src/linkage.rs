@@ -10,6 +10,10 @@
 //! dendrogram a naive O(N³) agglomeration would, because all three
 //! linkages are reducible.
 
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::Hash;
+
 use crate::assignment::ClusterAssignment;
 use crate::matrix::{CondensedMatrix, CountStrips, PairCounts, Triangles};
 
@@ -236,12 +240,10 @@ pub fn agglomerative(
 }
 
 /// Algorithm 2 over groups of identical items, one row of `input` per
-/// group: item `i` belongs to group `of[i]`, and groups are numbered in
-/// order of first occurrence. Each group is clustered once, as a
-/// vertex that starts with its member count. The dendrogram and θ-cut
-/// are over the items: each item after its group's first joins that
-/// first item at 1.0, and each group merge names the groups' first
-/// items.
+/// group. Each group is clustered once, as a vertex that starts with
+/// its member count. The dendrogram and θ-cut are over the items: each
+/// item after its group's first joins that first item at 1.0, and each
+/// group merge names the groups' first items.
 ///
 /// This is [`agglomerative`] over the item matrix that gives each item
 /// its group's row and puts two members of a group at 1.0, up to which
@@ -250,56 +252,119 @@ pub fn agglomerative(
 /// order. That needs every two groups
 /// at 1.0 to have equal rows, as sketch similarities do (1.0 means
 /// equal sketches): the 1.0 merges then leave every distance as it
-/// was, whichever order they run in. Panics unless `of` numbers
-/// exactly `input.len()` groups by first occurrence.
+/// was, whichever order they run in. Panics unless `groups` has
+/// exactly `input.len()` groups.
 pub fn agglomerative_grouped(
     input: impl DenseInput,
-    of: &[u32],
+    groups: &Groups,
     linkage: Linkage,
     theta: f64,
 ) -> (ClusterAssignment, Dendrogram) {
-    let groups = Groups::new(of, input.len());
-    let dendro = groups.expand(weighted_dendrogram(&input, groups.sizes(), linkage));
+    let size = groups.weights(input.len());
+    let dendro = groups.expand(weighted_dendrogram(&input, size, linkage));
     let assignment = cut_dendrogram(&dendro, theta);
     (assignment, dendro)
 }
 
-/// Items grouped by identity: `of[i]` is item `i`'s group, and groups
-/// are numbered in order of first occurrence, so the first items of
-/// the groups ascend with the group number.
-pub(crate) struct Groups<'a> {
-    of: &'a [u32],
+/// Items grouped by identity, the groups numbered in order of first
+/// occurrence, so the first items of the groups ascend with the group
+/// number. Built only by [`Groups::by_key`], so no other numbering can
+/// be represented.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Groups {
+    /// Group of each item.
+    of: Vec<u32>,
     /// First item of each group.
     first: Vec<u32>,
+    /// Items in each group.
+    size: Vec<u32>,
 }
 
-impl<'a> Groups<'a> {
-    /// Panics unless `of` numbers exactly `count` groups by first
-    /// occurrence.
-    pub(crate) fn new(of: &'a [u32], count: usize) -> Groups<'a> {
-        let mut first: Vec<u32> = Vec::with_capacity(count);
-        for (i, &g) in of.iter().enumerate() {
-            let g = g as usize;
-            assert!(
-                g <= first.len(),
-                "item {i} opens group {g} before group {}",
-                first.len()
-            );
-            if g == first.len() {
-                first.push(u32::try_from(i).expect("items fit u32 indices"));
-            }
+/// More items than [`Groups`] numbers: at most `u32::MAX`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyItems;
+
+impl fmt::Display for TooManyItems {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "more than {} items to group", u32::MAX)
+    }
+}
+
+impl std::error::Error for TooManyItems {}
+
+impl Groups {
+    /// Group items by key: item `i` joins the group of the first
+    /// earlier item with an equal key, else opens the next group. The
+    /// map holds one entry per group, so keys that borrow (a read's
+    /// bytes) allocate nothing per item.
+    pub fn by_key<K: Hash + Eq>(keys: impl IntoIterator<Item = K>) -> Result<Groups, TooManyItems> {
+        const MAX_ITEMS: usize = u32::MAX as usize;
+        let keys = keys.into_iter();
+        let items = keys.size_hint().0;
+        if items > MAX_ITEMS {
+            return Err(TooManyItems);
         }
-        assert_eq!(first.len(), count, "one vertex per group");
-        Groups { of, first }
+        let mut group: HashMap<K, u32> = HashMap::with_capacity(items);
+        let mut of = Vec::with_capacity(items);
+        let (mut first, mut size) = (Vec::new(), Vec::new());
+        for (i, key) in keys.enumerate() {
+            if i >= MAX_ITEMS {
+                return Err(TooManyItems);
+            }
+            let next = first.len() as u32;
+            let g = *group.entry(key).or_insert(next);
+            if g == next {
+                first.push(i as u32);
+                size.push(0);
+            }
+            size[g as usize] += 1;
+            of.push(g);
+        }
+        Ok(Groups { of, first, size })
     }
 
-    /// Members of each group: the vertices' initial cluster sizes.
-    pub(crate) fn sizes(&self) -> Vec<usize> {
-        let mut size = vec![0usize; self.first.len()];
-        for &g in self.of {
-            size[g as usize] += 1;
+    /// Group of each item, in item order.
+    pub fn of(&self) -> &[u32] {
+        &self.of
+    }
+
+    /// First item of each group, ascending.
+    pub fn first(&self) -> &[u32] {
+        &self.first
+    }
+
+    /// Items in each group.
+    pub fn sizes(&self) -> &[u32] {
+        &self.size
+    }
+
+    /// Number of groups.
+    pub fn num_groups(&self) -> usize {
+        self.first.len()
+    }
+
+    /// One value per item from one value per group: each first item
+    /// takes its group's value by move, and only a copy clones it (from
+    /// the first item, which comes earlier). Panics unless `distinct`
+    /// holds one value per group.
+    pub fn lift<T: Clone>(&self, distinct: Vec<T>) -> Vec<T> {
+        assert_eq!(distinct.len(), self.first.len(), "one value per group");
+        let mut distinct = distinct.into_iter();
+        let mut out: Vec<T> = Vec::with_capacity(self.of.len());
+        for (item, &g) in self.of.iter().enumerate() {
+            match self.first[g as usize] as usize {
+                first if first != item => out.push(out[first].clone()),
+                _ => out.extend(distinct.next()),
+            }
         }
-        size
+        out
+    }
+
+    /// The vertices' initial cluster sizes. Panics unless there is one
+    /// vertex per group.
+    pub(crate) fn weights(&self, vertices: usize) -> Vec<usize> {
+        assert_eq!(vertices, self.first.len(), "one vertex per group");
+        self.size.iter().map(|&m| m as usize).collect()
     }
 
     /// The dendrogram over the items from the one over the groups, in
@@ -310,7 +375,6 @@ impl<'a> Groups<'a> {
     /// the smaller cluster id and ids are first items on both sides, so
     /// every name is the one a run over the items would use.
     pub(crate) fn expand(&self, grouped: Dendrogram) -> Dendrogram {
-        assert_eq!(grouped.n, self.first.len(), "one leaf per group");
         let first = |g: usize| self.first[g] as usize;
         let mut merges = Vec::with_capacity(self.of.len().saturating_sub(1));
         for (i, &g) in self.of.iter().enumerate() {

@@ -204,23 +204,22 @@ pub fn agglomerative_sparse(
 }
 
 /// [`agglomerative_sparse`] over groups of identical items, one vertex
-/// of `graph` per group: item `i` belongs to group `of[i]`, numbered in
-/// order of first occurrence, and each vertex starts as a cluster of
-/// its group's members. The dendrogram and θ-cut are over the items,
+/// of `graph` per group, each vertex starting as a cluster of its
+/// group's members. The dendrogram and θ-cut are over the items,
 /// under the contract of
 /// [`agglomerative_grouped`](crate::linkage::agglomerative_grouped):
 /// they are the run over the graph that joins each group's members at
 /// 1.0 and gives every member its group's edges, up to which pairs the
-/// 1.0 merges name. Panics unless `of` numbers exactly `graph.len()`
-/// groups by first occurrence.
+/// 1.0 merges name. Panics unless `groups` has exactly `graph.len()`
+/// groups.
 pub fn agglomerative_sparse_grouped(
     graph: &SparseSimGraph,
-    of: &[u32],
+    groups: &Groups,
     linkage: Linkage,
     theta: f64,
 ) -> (ClusterAssignment, Dendrogram) {
-    let groups = Groups::new(of, graph.len());
-    let dendro = groups.expand(weighted_dendrogram(graph, groups.sizes(), linkage));
+    let size = groups.weights(graph.len());
+    let dendro = groups.expand(weighted_dendrogram(graph, size, linkage));
     let assignment = cut_dendrogram(&dendro, theta);
     (assignment, dendro)
 }

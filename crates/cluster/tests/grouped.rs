@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use mrmc_cluster::linkage::build_dendrogram;
 use mrmc_cluster::{
     agglomerative, agglomerative_grouped, agglomerative_sparse, agglomerative_sparse_grouped,
-    cut_dendrogram, CondensedMatrix, CountStrips, Dendrogram, DenseInput, Linkage, Merge,
-    PairCounts, SparseSimGraph,
+    cut_dendrogram, CondensedMatrix, CountStrips, Dendrogram, DenseInput, Groups, Linkage, Merge,
+    PairCounts, SparseSimGraph, TooManyItems,
 };
 use mrmc_testkit::linkage::{
     components, expand, reference_nn_chain, same_hierarchy, spanning_forest_heights,
@@ -32,8 +32,7 @@ fn mix(seed: u64, a: u64, b: u64) -> u64 {
 
 /// Items planted as copies of groups, and groups as twins of bases.
 struct Planted {
-    /// Group of each item, numbered by first occurrence.
-    of: Vec<u32>,
+    groups: Groups,
     /// Base of each group: two groups of one base are distinct items
     /// with equal rows, at similarity 1.0 to each other.
     base: Vec<usize>,
@@ -60,22 +59,23 @@ impl Planted {
             let j = (mix(seed, 3, i as u64) % (i as u64 + 1)) as usize;
             items.swap(i, j);
         }
-        // Number the groups by first occurrence.
-        let mut group_of_vertex = vec![u32::MAX; vertices.len()];
-        let mut base = Vec::new();
-        let mut of = Vec::with_capacity(items.len());
-        for v in items {
-            if group_of_vertex[v] == u32::MAX {
-                group_of_vertex[v] = base.len() as u32;
-                base.push(vertices[v]);
-            }
-            of.push(group_of_vertex[v]);
-        }
-        Planted { of, base, seed }
+        let groups = Groups::by_key(&items).expect("items fit");
+        let base = groups
+            .first()
+            .iter()
+            .map(|&i| vertices[items[i as usize]])
+            .collect();
+        Planted { groups, base, seed }
+    }
+
+    /// Items `of` planted with groups keyed as numbered.
+    fn numbered(of: Vec<u32>, base: Vec<usize>, seed: u64) -> Planted {
+        let groups = Groups::by_key(of).expect("items fit");
+        Planted { groups, base, seed }
     }
 
     fn groups(&self) -> usize {
-        self.base.len()
+        self.groups.num_groups()
     }
 
     /// Similarity of two groups: 1.0 within a base, else j/50 for
@@ -116,7 +116,7 @@ impl Planted {
     }
 
     fn item_matrix(&self) -> CondensedMatrix {
-        let of = &self.of;
+        let of = self.groups.of();
         CondensedMatrix::build(of.len(), |i, j| {
             let (g, h) = (of[i] as usize, of[j] as usize);
             if g == h {
@@ -134,7 +134,7 @@ impl Planted {
     /// The group edges expanded over the items, with every two copies
     /// of a group joined at 1.0.
     fn item_graph(&self) -> SparseSimGraph {
-        expand(&self.grouped_graph(), &self.of)
+        expand(&self.grouped_graph(), &self.groups)
     }
 }
 
@@ -144,22 +144,22 @@ fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
     for linkage in LINKAGES {
         let what = format!(
             "{} items, {} groups, {linkage:?}, θ = {theta}",
-            planted.of.len(),
+            planted.groups.of().len(),
             planted.groups()
         );
         // The grouped run is the item run's hierarchy: the same θ-cut
         // and `same_hierarchy`.
-        let (labels, run) = agglomerative_grouped(&matrix, &planted.of, linkage, theta);
+        let (labels, run) = agglomerative_grouped(&matrix, &planted.groups, linkage, theta);
         let (expect, oracle) = agglomerative(&items, linkage, theta);
         assert_eq!(labels, expect, "dense, {what}: labels at θ");
         same_hierarchy(&run, &oracle, &format!("dense, {what}"));
         // An owned matrix links as a borrowed one does.
         assert_eq!(
-            agglomerative_grouped(matrix.clone(), &planted.of, linkage, theta),
-            agglomerative_grouped(&matrix, &planted.of, linkage, theta),
+            agglomerative_grouped(matrix.clone(), &planted.groups, linkage, theta),
+            agglomerative_grouped(&matrix, &planted.groups, linkage, theta),
             "dense owned, {what}"
         );
-        let (labels, run) = agglomerative_sparse_grouped(&graph, &planted.of, linkage, theta);
+        let (labels, run) = agglomerative_sparse_grouped(&graph, &planted.groups, linkage, theta);
         let (expect, oracle) = agglomerative_sparse(&item_graph, linkage, theta);
         assert_eq!(labels, expect, "sparse, {what}: labels at θ");
         same_hierarchy(&run, &oracle, &format!("sparse, {what}"));
@@ -170,40 +170,33 @@ fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
 fn grouped_directed_cases() {
     // No items, one item, one group of copies, no copies at all.
     for (of, bases) in [(vec![], vec![]), (vec![0], vec![0]), (vec![0; 5], vec![0])] {
-        let planted = Planted {
-            of,
-            base: bases,
-            seed: 7,
-        };
-        assert_grouped_equals_planted(&planted, 0.5);
+        assert_grouped_equals_planted(&Planted::numbered(of, bases, 7), 0.5);
     }
-    let planted = Planted {
-        of: (0..9).collect(),
-        base: (0..9).collect(),
-        seed: 11,
-    };
+    let planted = Planted::numbered((0..9).collect(), (0..9).collect(), 11);
     assert_grouped_equals_planted(&planted, 0.5);
     // Twins and copies side by side: groups 0 and 2 share base 0.
-    let planted = Planted {
-        of: vec![0, 1, 0, 2, 3, 2, 1, 0],
-        base: vec![0, 1, 0, 2],
-        seed: 3,
-    };
+    let planted = Planted::numbered(vec![0, 1, 0, 2, 3, 2, 1, 0], vec![0, 1, 0, 2], 3);
     assert_grouped_equals_planted(&planted, 0.4);
 }
 
 #[test]
-#[should_panic(expected = "opens group 2 before group 1")]
-fn groups_must_be_numbered_by_first_occurrence() {
-    let matrix = CondensedMatrix::build(3, |_, _| 0.5);
-    agglomerative_grouped(&matrix, &[0, 2, 1], Linkage::Average, 0.5);
+fn groups_number_keys_by_first_occurrence() {
+    let groups = Groups::by_key(["b", "a", "b", "c", "a"]).expect("items fit");
+    assert_eq!(groups.of(), [0, 1, 0, 2, 1]);
+    assert_eq!(groups.first(), [0, 1, 3]);
+    assert_eq!(groups.sizes(), [2, 2, 1]);
+    assert_eq!(groups.lift(vec!['B', 'A', 'C']), ['B', 'A', 'B', 'C', 'A']);
+    // Refused from the size hint, before a key is read.
+    let past = std::iter::repeat_n(0u8, u32::MAX as usize + 1);
+    assert_eq!(Groups::by_key(past), Err(TooManyItems));
 }
 
 #[test]
 #[should_panic(expected = "one vertex per group")]
 fn every_vertex_is_a_group() {
     let graph = SparseSimGraph::from_edges(3, vec![]);
-    agglomerative_sparse_grouped(&graph, &[0, 1, 0], Linkage::Complete, 0.5);
+    let groups = Groups::by_key([0, 1, 0]).expect("items fit");
+    agglomerative_sparse_grouped(&graph, &groups, Linkage::Complete, 0.5);
 }
 
 proptest! {
@@ -273,7 +266,7 @@ proptest! {
     ) {
         let planted = Planted::new(bases, seed);
         let (matrix, graph) = (planted.grouped_matrix(), planted.grouped_graph());
-        let (groups, items) = (planted.groups(), planted.of.len());
+        let (groups, items) = (planted.groups(), planted.groups.of().len());
         let what = format!("{items} items, {groups} groups, seed {seed}");
         let single = Linkage::Single;
         assert_single_is_forest(
@@ -283,7 +276,7 @@ proptest! {
             &format!("dense, {what}"),
         );
         assert_single_is_forest(
-            &agglomerative_grouped(&matrix, &planted.of, single, 0.5).1,
+            &agglomerative_grouped(&matrix, &planted.groups, single, 0.5).1,
             items,
             matrix_pairs(&planted.item_matrix()),
             &format!("dense grouped, {what}"),
@@ -295,7 +288,7 @@ proptest! {
             &format!("sparse, {what}"),
         );
         assert_single_is_forest(
-            &agglomerative_sparse_grouped(&graph, &planted.of, single, 0.5).1,
+            &agglomerative_sparse_grouped(&graph, &planted.groups, single, 0.5).1,
             items,
             graph_pairs(&planted.item_graph()),
             &format!("sparse grouped, {what}"),
@@ -380,18 +373,12 @@ fn assert_replays_at_unit_and_grouped_sizes(
     let size: Vec<usize> = (0..n)
         .map(|g| 1 + (mix(seed, g as u64, n as u64) % 4) as usize)
         .collect();
-    let of: Vec<u32> = size
+    let keys = size
         .iter()
         .enumerate()
-        .flat_map(|(g, &m)| std::iter::repeat_n(g as u32, m))
-        .collect();
-    let first: Vec<usize> = size
-        .iter()
-        .scan(0, |at, &m| {
-            *at += m;
-            Some(*at - m)
-        })
-        .collect();
+        .flat_map(|(g, &m)| std::iter::repeat_n(g, m));
+    let groups = Groups::by_key(keys).expect("items fit");
+    let first = |g: usize| groups.first()[g] as usize;
     for linkage in LINKAGES {
         assert_eq!(
             build_dendrogram(input, linkage),
@@ -399,26 +386,24 @@ fn assert_replays_at_unit_and_grouped_sizes(
             "{what}, {linkage:?}"
         );
         let weighted = reference_nn_chain(matrix, size.clone(), linkage);
-        let mut merges: Vec<Merge> = of
-            .iter()
-            .enumerate()
-            .filter(|&(i, &g)| first[g as usize] != i)
+        let mut merges: Vec<Merge> = (groups.of().iter().enumerate())
+            .filter(|&(i, &g)| first(g as usize) != i)
             .map(|(i, &g)| Merge {
-                a: first[g as usize],
+                a: first(g as usize),
                 b: i,
                 similarity: 1.0,
             })
             .collect();
         merges.extend(weighted.merges.iter().map(|m| Merge {
-            a: first[m.a],
-            b: first[m.b],
+            a: first(m.a),
+            b: first(m.b),
             similarity: m.similarity,
         }));
         merges.sort_by(|x, y| y.similarity.total_cmp(&x.similarity));
         assert_eq!(
-            agglomerative_grouped(input, &of, linkage, 0.5).1,
+            agglomerative_grouped(input, &groups, linkage, 0.5).1,
             Dendrogram {
-                n: of.len(),
+                n: groups.of().len(),
                 merges
             },
             "{what}, {linkage:?}, grouped"

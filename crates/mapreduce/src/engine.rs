@@ -96,15 +96,11 @@ struct TaskCell<T> {
     backup_launched: bool,
     /// The launched backup failed (the original's result stands).
     backup_failed: bool,
-    /// The original finished while its backup was still outstanding.
-    original_succeeded: bool,
     /// Regular (non-speculative) executions consumed from the attempt
     /// budget.
     regular_execs: usize,
     /// Next attempt ordinal to hand out (retries and backups alike).
     next_attempt: usize,
-    /// Executions currently queued or running.
-    outstanding: usize,
     last_error: Option<String>,
 }
 
@@ -240,10 +236,8 @@ where
                 won_by_backup: false,
                 backup_launched: false,
                 backup_failed: false,
-                original_succeeded: false,
                 regular_execs: 1,
                 next_attempt: 1,
-                outstanding: 1,
                 last_error: None,
             })
             .collect(),
@@ -291,7 +285,6 @@ where
                             let cell = &mut g.cells[item.slot];
                             if !cell.backup_launched && !cell.done {
                                 cell.backup_launched = true;
-                                cell.outstanding += 1;
                                 launch = Some(Item {
                                     slot: item.slot,
                                     attempt: cell.next_attempt,
@@ -344,7 +337,6 @@ where
                 let mut retry = None;
                 {
                     let cell = &mut g.cells[item.slot];
-                    cell.outstanding -= 1;
                     match exec {
                         None => {}
                         Some(Ok(v)) => {
@@ -366,8 +358,6 @@ where
                                 // the winner.
                                 if !cell.backup_launched || cell.backup_failed {
                                     cell.done = true;
-                                } else {
-                                    cell.original_succeeded = true;
                                 }
                             }
                         }
@@ -376,9 +366,10 @@ where
                             if item.backup {
                                 // Failed backups are abandoned (they
                                 // were a bonus); a finished original
-                                // now stands.
+                                // now stands. A task launches one
+                                // backup, so a result is an original's.
                                 cell.backup_failed = true;
-                                if cell.original_succeeded {
+                                if cell.result.is_some() {
                                     cell.done = true;
                                 }
                             }
@@ -386,7 +377,6 @@ where
                             // budget remains.
                             if !item.backup && !cell.done && cell.regular_execs < attempts {
                                 cell.regular_execs += 1;
-                                cell.outstanding += 1;
                                 retry = Some(Item {
                                     slot: item.slot,
                                     attempt: cell.next_attempt,

@@ -140,6 +140,7 @@ impl MrMcMinH {
         // Stage 1: minwise sketches of the distinct sequences (map-only).
         let derep = dereplicate(reads)?;
         let distinct = sketch_distinct_stage(reads, &derep, &self.config, &mut pipeline)?;
+        let (linkage, theta) = (self.config.linkage, self.config.theta);
 
         let (assignment, dendrogram) = match (self.config.mode, self.config.candidates) {
             (Mode::Greedy, _) => {
@@ -162,12 +163,7 @@ impl MrMcMinH {
                 // linkage reads the count strips where they are, beside
                 // their transpose; only merged clusters own f32 rows.
                 let counts = pair_counts_stage(distinct, &self.config, &mut pipeline)?;
-                let (assignment, dendro) = agglomerative_grouped(
-                    &counts,
-                    derep.groups(),
-                    self.config.linkage,
-                    self.config.theta,
-                );
+                let (assignment, dendro) = agglomerative_grouped(&counts, &derep, linkage, theta);
                 (assignment, Some(dendro))
             }
             (Mode::Hierarchical, CandidateGen::Banded) => {
@@ -181,12 +177,8 @@ impl MrMcMinH {
                 // group is one weighted vertex of the distinct graph,
                 // as in the dense arm.
                 let graph = banded_graph_stage(&distinct, &self.config, &mut pipeline)?;
-                let (assignment, dendro) = agglomerative_sparse_grouped(
-                    &graph,
-                    derep.groups(),
-                    self.config.linkage,
-                    self.config.theta,
-                );
+                let (assignment, dendro) =
+                    agglomerative_sparse_grouped(&graph, &derep, linkage, theta);
                 (assignment, Some(dendro))
             }
         };

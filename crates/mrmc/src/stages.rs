@@ -30,10 +30,9 @@
 //! native route links as they are; [`similarity_matrix_stage`] turns
 //! them into the `f32` matrix through a `width + 1`-entry table.
 
-use std::collections::HashMap;
 use std::marker::PhantomData;
 
-use mrmc_cluster::{CondensedMatrix, CountStrips, PairCounts};
+use mrmc_cluster::{CondensedMatrix, CountStrips, Groups, PairCounts};
 use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
@@ -44,69 +43,15 @@ use mrmc_seqio::SeqRecord;
 use crate::banded::ensure_read_ids_fit;
 use crate::config::MrMcConfig;
 
-/// Reads grouped by exact sequence bytes. Groups are numbered in order
-/// of first occurrence, so the first occurrences ascend.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Dereplicated {
-    /// Group of each read.
-    of: Vec<u32>,
-    /// First read of each group.
-    first: Vec<u32>,
-    /// Reads in each group.
-    size: Vec<u32>,
-}
-
-impl Dereplicated {
-    /// Group of each read, in read order.
-    pub fn groups(&self) -> &[u32] {
-        &self.of
-    }
-
-    /// Number of distinct sequences.
-    pub fn num_distinct(&self) -> usize {
-        self.first.len()
-    }
-
-    /// One value per read from one value per group: each first
-    /// occurrence takes its group's value by move, and only a copy
-    /// clones it (from the first occurrence, which comes earlier).
-    pub fn lift<T: Clone>(&self, distinct: Vec<T>) -> Vec<T> {
-        assert_eq!(distinct.len(), self.first.len(), "one value per group");
-        let mut distinct = distinct.into_iter();
-        let mut out: Vec<T> = Vec::with_capacity(self.of.len());
-        for (read, &g) in self.of.iter().enumerate() {
-            let first = self.first[g as usize] as usize;
-            let value = if first == read {
-                distinct.next().expect("one value per group")
-            } else {
-                out[first].clone()
-            };
-            out.push(value);
-        }
-        out
-    }
-}
-
 /// Group `reads` by exact sequence bytes on the driver (DESIGN.md
-/// §5d). The map's keys borrow the reads' bytes, so the pass allocates
-/// its three index vectors and the map's table, never per read. More
-/// than `u32::MAX` reads is a [`MrError::BadConfig`].
-pub fn dereplicate(reads: &[SeqRecord]) -> Result<Dereplicated, MrError> {
+/// §5d), numbered by first occurrence. The keys borrow the reads'
+/// bytes, so the pass allocates its three index vectors and the map's
+/// table, never per read. More than `u32::MAX` reads is a
+/// [`MrError::BadConfig`].
+pub fn dereplicate(reads: &[SeqRecord]) -> Result<Groups, MrError> {
     ensure_read_ids_fit(reads.len())?;
-    let mut group: HashMap<&[u8], u32> = HashMap::with_capacity(reads.len());
-    let mut of = Vec::with_capacity(reads.len());
-    let (mut first, mut size) = (Vec::new(), Vec::new());
-    for (i, read) in reads.iter().enumerate() {
-        let next = first.len() as u32;
-        let g = *group.entry(read.seq.as_slice()).or_insert(next);
-        if g == next {
-            first.push(i as u32);
-            size.push(0);
-        }
-        size[g as usize] += 1;
-        of.push(g);
-    }
-    Ok(Dereplicated { of, first, size })
+    Groups::by_key(reads.iter().map(|r| r.seq.as_slice()))
+        .map_err(|e| MrError::BadConfig(e.to_string()))
 }
 
 /// Stage-1 mapper: a block of the distinct sequences in byte order →
@@ -119,14 +64,14 @@ pub fn dereplicate(reads: &[SeqRecord]) -> Result<Dereplicated, MrError> {
 struct SketchBlockMapper<'a> {
     hasher: MinHasher,
     reads: &'a [SeqRecord],
-    derep: &'a Dereplicated,
+    derep: &'a Groups,
     /// Groups in the byte order of their sequences.
     order: &'a [u32],
 }
 
 impl SketchBlockMapper<'_> {
     fn seq(&self, group: u32) -> &[u8] {
-        &self.reads[self.derep.first[group as usize] as usize].seq
+        &self.reads[self.derep.first()[group as usize] as usize].seq
     }
 }
 
@@ -148,10 +93,8 @@ impl Mapper for SketchBlockMapper<'_> {
         ctx.count("SKETCH_BASES_ROLLED", rolled);
         for (&g, sketch) in groups.iter().zip(sketches) {
             if sketch.is_degenerate() {
-                ctx.count(
-                    "DEGENERATE_SKETCHES",
-                    u64::from(self.derep.size[g as usize]),
-                );
+                let copies = self.derep.sizes()[g as usize];
+                ctx.count("DEGENERATE_SKETCHES", u64::from(copies));
             }
             ctx.emit(g as usize, sketch);
         }
@@ -172,12 +115,12 @@ impl Mapper for SketchBlockMapper<'_> {
 /// are survivable.
 pub fn sketch_distinct_stage(
     reads: &[SeqRecord],
-    derep: &Dereplicated,
+    derep: &Groups,
     config: &MrMcConfig,
     pipeline: &mut Pipeline,
 ) -> Result<Vec<Sketch>, MrError> {
-    let seq = |g: u32| reads[derep.first[g as usize] as usize].seq.as_slice();
-    let mut order: Vec<u32> = (0..derep.num_distinct() as u32).collect();
+    let seq = |g: u32| reads[derep.first()[g as usize] as usize].seq.as_slice();
+    let mut order: Vec<u32> = (0..derep.num_groups() as u32).collect();
     // Distinct sequences: no ties, so the order is the bytes' alone.
     order.sort_unstable_by(|&a, &b| seq(a).cmp(seq(b)));
     // A sequence weighs the bases the kernel rolls for it when it can
@@ -210,7 +153,7 @@ pub fn sketch_distinct_stage(
 }
 
 /// One sketch per read, in read order: [`dereplicate`], then
-/// [`sketch_distinct_stage`], then [`Dereplicated::lift`] — a copy's
+/// [`sketch_distinct_stage`], then [`Groups::lift`] — a copy's
 /// sketch is a clone of its first occurrence's, bit for bit the sketch
 /// its own bytes give.
 pub fn sketch_stage(
@@ -617,10 +560,10 @@ mod tests {
     #[test]
     fn lift_moves_first_occurrences_and_clones_copies() {
         let derep = dereplicate(&reads()).unwrap();
-        assert_eq!(derep.groups(), &[0, 0, 1]);
-        assert_eq!(derep.first, [0, 2]);
-        assert_eq!(derep.size, [2, 1]);
-        assert_eq!(derep.num_distinct(), 2);
+        assert_eq!(derep.of(), [0, 0, 1]);
+        assert_eq!(derep.first(), [0, 2]);
+        assert_eq!(derep.sizes(), [2, 1]);
+        assert_eq!(derep.num_groups(), 2);
         assert_eq!(derep.lift(vec!["a", "c"]), ["a", "a", "c"]);
     }
 

@@ -41,7 +41,7 @@
 
 use std::sync::Arc;
 
-use mrmc_cluster::{agglomerative_grouped, CountStrips, Linkage, PairCounts};
+use mrmc_cluster::{agglomerative_grouped, CountStrips, Groups, Linkage, PairCounts};
 use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
 use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
 use mrmc_pig::udf::{bind_rows, BatchOut, UdfError, Window};
@@ -570,8 +570,9 @@ impl Udf for AgglomerativeHierarchicalClustering {
             };
             let n = members.len();
             let mut simrows: Vec<&[i32]> = Vec::with_capacity(n);
-            let mut of: Vec<u32> = Vec::with_capacity(n);
-            let mut firsts: Vec<usize> = Vec::new();
+            // A row's key: its index, or the key of the first earlier
+            // row it meets at `$NUMHASH`.
+            let mut keys: Vec<usize> = Vec::with_capacity(n);
             for (i, &m) in members.iter().enumerate() {
                 let row = &data[inner.offsets[m] as usize..inner.offsets[m + 1] as usize];
                 if i > 0 && ids.get(members[i - 1]) == ids.get(m) {
@@ -583,22 +584,18 @@ impl Udf for AgglomerativeHierarchicalClustering {
                 if row[i] as usize != width {
                     return fault(m, format!("has diagonal {}, expected {width}", row[i]));
                 }
-                match row[..i].iter().position(|&c| c as usize == width) {
-                    Some(j) => of.push(of[j]),
-                    None => {
-                        of.push(firsts.len() as u32);
-                        firsts.push(i);
-                    }
-                }
+                let twin = row[..i].iter().position(|&c| c as usize == width);
+                keys.push(twin.map_or(i, |j| keys[j]));
                 simrows.push(row);
             }
+            let groups = Groups::by_key(keys).map_err(|e| UdfError::new(udf, e.to_string()))?;
             let counts = if width <= usize::from(u8::MAX) {
-                CountStrips::Narrow(strips(&simrows, &firsts, |c| c as u8))
+                CountStrips::Narrow(strips(&simrows, groups.first(), |c| c as u8))
             } else {
-                CountStrips::Wide(strips(&simrows, &firsts, |c| c as u16))
+                CountStrips::Wide(strips(&simrows, groups.first(), |c| c as u16))
             };
             let counts = PairCounts::new(width, counts);
-            let (assignment, _) = agglomerative_grouped(&counts, &of, self.linkage, cutoff);
+            let (assignment, _) = agglomerative_grouped(&counts, &groups, self.linkage, cutoff);
             for (i, &m) in members.iter().enumerate() {
                 out_ids.push(ids.get(m));
                 labels.push(assignment.label(i) as i32);
@@ -629,10 +626,13 @@ impl Udf for AgglomerativeHierarchicalClustering {
 
 /// The [`PairCounts`] strips of the rows `firsts` of `simrows`: strip
 /// `a` holds row `firsts[a]`'s counts at the later `firsts`, narrowed.
-fn strips<L>(simrows: &[&[i32]], firsts: &[usize], narrow: impl Fn(i32) -> L) -> Vec<Vec<L>> {
-    let strip = |(a, &row): (usize, &usize)| {
-        let row = simrows[row];
-        firsts[a + 1..].iter().map(|&b| narrow(row[b])).collect()
+fn strips<L>(simrows: &[&[i32]], firsts: &[u32], narrow: impl Fn(i32) -> L) -> Vec<Vec<L>> {
+    let strip = |(a, &row): (usize, &u32)| {
+        let row = simrows[row as usize];
+        firsts[a + 1..]
+            .iter()
+            .map(|&b| narrow(row[b as usize]))
+            .collect()
     };
     firsts.iter().enumerate().map(strip).collect()
 }
@@ -1398,7 +1398,7 @@ mod tests {
             for link in ["single", "average", "complete"] {
                 for theta in [0.5, 0.6, 0.75] {
                     let linkage: Linkage = link.parse().unwrap();
-                    let (want, _) = agglomerative_grouped(&native, derep.groups(), linkage, theta);
+                    let (want, _) = agglomerative_grouped(&native, &derep, linkage, theta);
                     let out = hierarchical(&relation, link, width, theta);
                     let want: Vec<Value> = reads
                         .iter()

@@ -9,6 +9,7 @@ use mrmc_testkit::community::edge_reads;
 #[test]
 fn groups_number_reads_by_first_occurrence() {
     let derep = dereplicate(&edge_reads()).expect("ids fit");
-    assert_eq!(derep.groups(), &[0, 1, 2, 0, 3, 2, 1, 0, 3]);
-    assert_eq!(derep.num_distinct(), 4);
+    assert_eq!(derep.of(), [0, 1, 2, 0, 3, 2, 1, 0, 3]);
+    assert_eq!(derep.first(), [0, 1, 2, 4]);
+    assert_eq!(derep.sizes(), [3, 2, 2, 2]);
 }

@@ -7,9 +7,8 @@
 //! with [`Json::pretty`] — the output matches the
 //! `serde_json::to_string_pretty` style (two-space indent) the early
 //! harness produced. The module lives here (rather than in
-//! `mrmc-bench`, its original home, which now re-exports it) so
-//! [`crate::metrics`] snapshots can render JSON without a dependency
-//! cycle.
+//! `mrmc-bench`, its original home) so [`crate::metrics`] snapshots can
+//! render JSON without a dependency cycle.
 
 use std::fmt::Write as _;
 

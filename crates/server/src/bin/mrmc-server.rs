@@ -3,7 +3,7 @@
 //! ```text
 //! mrmc-server [--addr 127.0.0.1:0] [--workers N]
 //!             [--max-queue-depth D] [--max-queued-bytes B]
-//!             [--max-session-bytes Q] [--no-metrics]
+//!             [--max-session-bytes Q]
 //! ```
 //!
 //! Prints `mrmc-server listening on <addr>` once bound (scripts parse
@@ -19,7 +19,7 @@ use mrmc_server::{AdmissionLimits, Server, ServerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: mrmc-server [--addr A] [--workers N] [--max-queue-depth D] \
-         [--max-queued-bytes B] [--max-session-bytes Q] [--no-metrics]"
+         [--max-queued-bytes B] [--max-session-bytes Q]"
     );
     std::process::exit(2);
 }
@@ -48,7 +48,6 @@ fn main() -> ExitCode {
             "--max-session-bytes" => {
                 limits.max_session_bytes = parse(&mut args, "--max-session-bytes")
             }
-            "--no-metrics" => config.metrics = false,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("mrmc-server: unknown flag {other}");

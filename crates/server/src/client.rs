@@ -183,8 +183,7 @@ impl Client {
     }
 
     /// The daemon-wide metrics snapshot (all tenants): counters,
-    /// gauges and latency/size histograms. Empty when the daemon runs
-    /// with metrics disabled.
+    /// gauges and latency/size histograms.
     pub fn server_stats(&mut self) -> Result<MetricsSnapshot, ClientError> {
         let resp = self.call(&Request::ServerStats)?;
         match resp {

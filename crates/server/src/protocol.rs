@@ -351,8 +351,7 @@ pub enum Response {
     /// Answer to `ClusterStats`.
     Stats(SessionStats),
     /// Answer to `ServerStats`: a point-in-time copy of the daemon's
-    /// metrics registry. Empty when the daemon runs with metrics
-    /// disabled.
+    /// metrics registry.
     ServerStats(MetricsSnapshot),
     /// Admission refused: the session's bounded queue is full. Retry
     /// after in-flight work drains; nothing was recorded.

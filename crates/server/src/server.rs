@@ -48,7 +48,7 @@ use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use mrmc_obs::{Category, MetricsRegistry, MetricsSnapshot, SpanDraft, Tracer};
+use mrmc_obs::{Category, MetricsRegistry, SpanDraft, Tracer};
 use mrmc_seqio::SeqRecord;
 
 use crate::protocol::{
@@ -67,11 +67,6 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Admission limits applied to every session.
     pub limits: AdmissionLimits,
-    /// Record into the live metrics registry (`ServerStats` answers an
-    /// empty snapshot when off). On by default; the registry is
-    /// passive enough that turning it off is a benchmarking control,
-    /// not an operational one.
-    pub metrics: bool,
 }
 
 impl Default for ServerConfig {
@@ -80,7 +75,6 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             limits: AdmissionLimits::default(),
-            metrics: true,
         }
     }
 }
@@ -136,10 +130,8 @@ struct QueueState {
 
 struct Shared {
     tracer: Arc<Tracer>,
-    /// Live metrics registry; `None` when the daemon runs with
-    /// metrics disabled (`--no-metrics`; labels are identical either
-    /// way).
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// Live metrics registry.
+    metrics: Arc<MetricsRegistry>,
     limits: AdmissionLimits,
     addr: Mutex<Option<SocketAddr>>,
     sessions: Mutex<HashMap<String, Arc<Tenant>>>,
@@ -162,19 +154,17 @@ impl Shared {
             keys: TenantKeys::new(tenant),
         });
         sessions.insert(tenant.to_string(), Arc::clone(&s));
-        if let Some(m) = &self.metrics {
-            m.gauge_set("serve.sessions", sessions.len() as i64);
-        }
+        self.metrics
+            .gauge_set("serve.sessions", sessions.len() as i64);
         s
     }
 
     /// Refresh the daemon-wide queue gauges from the queue state
     /// (callers hold the queue lock, so the values are consistent).
     fn queue_gauges(&self, q: &QueueState) {
-        if let Some(m) = &self.metrics {
-            m.gauge_set("serve.queue_depth", q.items.len() as i64);
-            m.gauge_set("serve.in_flight", q.in_flight as i64);
-        }
+        let m = &self.metrics;
+        m.gauge_set("serve.queue_depth", q.items.len() as i64);
+        m.gauge_set("serve.in_flight", q.in_flight as i64);
     }
 
     /// Enqueue an admitted batch unless the drain already began.
@@ -288,17 +278,15 @@ fn serve_item(
                     },
                 ),
         );
-        if let Some(m) = &shared.metrics {
-            let keys = &item.tenant.keys;
-            m.observe(
-                &keys.queue_us,
-                dequeued_ns.saturating_sub(item.enqueued_ns) / 1_000,
-            );
-            m.observe(
-                &keys.latency_us,
-                done_ns.saturating_sub(item.enqueued_ns) / 1_000,
-            );
-        }
+        let keys = &item.tenant.keys;
+        shared.metrics.observe(
+            &keys.queue_us,
+            dequeued_ns.saturating_sub(item.enqueued_ns) / 1_000,
+        );
+        shared.metrics.observe(
+            &keys.latency_us,
+            done_ns.saturating_sub(item.enqueued_ns) / 1_000,
+        );
         result
     };
     let _ = item.reply.send(result);
@@ -430,9 +418,7 @@ fn handshake(
                 None
             } else {
                 let session = shared.tenant(&tenant);
-                if let Some(m) = &shared.metrics {
-                    m.counter_add("serve.requests.hello", 1);
-                }
+                shared.metrics.counter_add("serve.requests.hello", 1);
                 if send(
                     stream,
                     &Response::HelloAck {
@@ -483,9 +469,7 @@ fn handle_submit(
     let records: Vec<SeqRecord> = reads.into_iter().map(SeqRecord::from).collect();
     let rx = {
         let mut s = lock(&tenant.session);
-        if let Some(m) = &shared.metrics {
-            m.counter_add("serve.requests.submit", 1);
-        }
+        shared.metrics.counter_add("serve.requests.submit", 1);
         if !s.is_seeded() {
             return error_response(&SessionError::NotSeeded);
         }
@@ -515,9 +499,9 @@ fn handle_submit(
                 return Response::QuotaExceeded { would_use, quota };
             }
             Ok(()) => {
-                if let Some(m) = &shared.metrics {
-                    m.observe(&tenant.keys.batch_reads, records.len() as u64);
-                }
+                shared
+                    .metrics
+                    .observe(&tenant.keys.batch_reads, records.len() as u64);
                 let (tx, rx) = mpsc::channel();
                 let item = WorkItem {
                     tenant: Arc::clone(tenant),
@@ -593,9 +577,7 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                     let records: Vec<SeqRecord> = reads.into_iter().map(SeqRecord::from).collect();
                     let start_ns = shared.tracer.now_ns();
                     let mut s = lock(&tenant.session);
-                    if let Some(m) = &shared.metrics {
-                        m.counter_add("serve.requests.seed", 1);
-                    }
+                    shared.metrics.counter_add("serve.requests.seed", 1);
                     match s.seed_from_batch(&config, &records) {
                         Ok(clusters) => {
                             let done_ns = shared.tracer.now_ns();
@@ -605,12 +587,10 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                                     .meta("reads", records.len())
                                     .meta("clusters", clusters),
                             );
-                            if let Some(m) = &shared.metrics {
-                                m.observe(
-                                    &tenant.keys.seed_us,
-                                    done_ns.saturating_sub(start_ns) / 1_000,
-                                );
-                            }
+                            shared.metrics.observe(
+                                &tenant.keys.seed_us,
+                                done_ns.saturating_sub(start_ns) / 1_000,
+                            );
                             Response::Seeded { clusters }
                         }
                         Err(e) => error_response(&e),
@@ -619,38 +599,33 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
             }
             Ok(Request::SubmitReads { reads }) => handle_submit(&shared, &tenant, reads),
             Ok(Request::Query { id }) => {
-                if let Some(m) = &shared.metrics {
-                    m.counter_add("serve.requests.query", 1);
-                }
+                shared.metrics.counter_add("serve.requests.query", 1);
                 let s = lock(&tenant.session);
                 Response::QueryResult {
                     label: s.query(&id),
                 }
             }
             Ok(Request::ClusterStats) => {
-                if let Some(m) = &shared.metrics {
-                    m.counter_add("serve.requests.cluster_stats", 1);
-                }
+                shared
+                    .metrics
+                    .counter_add("serve.requests.cluster_stats", 1);
                 let s = lock(&tenant.session);
                 Response::Stats(s.stats())
             }
-            Ok(Request::ServerStats) => match &shared.metrics {
-                Some(m) => {
-                    m.counter_add("serve.requests.server_stats", 1);
-                    // Refresh every session's live gauges so the
-                    // snapshot reflects the daemon *now*, not as of
-                    // the last submission. Lock order matches the
-                    // handshake path: sessions map, then one session
-                    // at a time.
-                    let sessions = lock(&shared.sessions);
-                    for t in sessions.values() {
-                        lock(&t.session).export_metrics(m);
-                    }
-                    drop(sessions);
-                    Response::ServerStats(m.snapshot())
+            Ok(Request::ServerStats) => {
+                let m = &shared.metrics;
+                m.counter_add("serve.requests.server_stats", 1);
+                // Refresh every session's live gauges so the snapshot
+                // reflects the daemon *now*, not as of the last
+                // submission. Lock order matches the handshake path:
+                // sessions map, then one session at a time.
+                let sessions = lock(&shared.sessions);
+                for t in sessions.values() {
+                    lock(&t.session).export_metrics(m);
                 }
-                None => Response::ServerStats(MetricsSnapshot::default()),
-            },
+                drop(sessions);
+                Response::ServerStats(m.snapshot())
+            }
             Ok(Request::Shutdown) => {
                 let drained = shared.drain();
                 let resp = Response::ShutdownAck { drained };
@@ -691,7 +666,7 @@ impl Server {
         );
         let shared = Arc::new(Shared {
             tracer,
-            metrics: config.metrics.then(|| Arc::new(MetricsRegistry::new())),
+            metrics: Arc::new(MetricsRegistry::new()),
             limits: config.limits,
             addr: Mutex::new(Some(addr)),
             sessions: Mutex::new(HashMap::new()),
@@ -728,14 +703,16 @@ impl Server {
         Arc::clone(&self.shared.tracer)
     }
 
-    /// The live metrics registry (`None` when disabled by config).
-    pub fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        self.shared.metrics.as_ref().map(Arc::clone)
+    /// The live metrics registry.
+    pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.shared.metrics)
     }
 
     /// Serve until a client's `Shutdown` drains the daemon. Joins the
-    /// worker pool and every connection thread before returning, so
-    /// when this returns every admitted batch has been answered.
+    /// worker pool and every live connection thread before returning,
+    /// so when this returns every admitted batch has been answered.
+    /// Each accept first drops the handles of connections that have
+    /// closed, so their threads' stacks are not held until shutdown.
     pub fn run(self) {
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         for stream in self.listener.incoming() {
@@ -748,6 +725,7 @@ impl Server {
                     .name("mrmc-conn".to_string())
                     .spawn(move || handle_conn(shared, stream))
                 {
+                    reap_finished(&mut conns);
                     conns.push(h);
                 }
             }
@@ -780,11 +758,18 @@ impl Server {
     }
 }
 
+/// Drop the handles of threads that have exited, keeping the live
+/// ones to join. A finished thread has nothing left to wait for, and
+/// dropping its handle releases its stack.
+fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
+    handles.retain(|h| !h.is_finished());
+}
+
 /// Handle to a daemon running on a background thread.
 pub struct ServerHandle {
     addr: SocketAddr,
     tracer: Arc<Tracer>,
-    metrics: Option<Arc<MetricsRegistry>>,
+    metrics: Arc<MetricsRegistry>,
     join: JoinHandle<()>,
 }
 
@@ -799,9 +784,9 @@ impl ServerHandle {
         Arc::clone(&self.tracer)
     }
 
-    /// The daemon's live metrics registry (`None` when disabled).
-    pub fn metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        self.metrics.as_ref().map(Arc::clone)
+    /// The daemon's live metrics registry.
+    pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.metrics)
     }
 
     /// Wait for the daemon to drain and exit.
@@ -815,6 +800,28 @@ mod tests {
     use super::*;
     use crate::client::Client;
     use crate::protocol::SeedConfig;
+
+    /// Exited threads' handles go; a live thread's handle stays until
+    /// it can be joined.
+    #[test]
+    fn reaping_keeps_only_live_connection_threads() {
+        let (release, wait) = mpsc::channel::<()>();
+        let mut handles = vec![thread::spawn(move || {
+            let _ = wait.recv();
+        })];
+        for _ in 0..3 {
+            handles.push(thread::spawn(|| ()));
+        }
+        while !handles[1..].iter().all(JoinHandle::is_finished) {
+            thread::yield_now();
+        }
+        reap_finished(&mut handles);
+        assert_eq!(handles.len(), 1, "only the blocked thread is live");
+        release.send(()).unwrap();
+        for h in handles {
+            h.join().unwrap();
+        }
+    }
 
     /// A thread that panics holding a tenant's session poisons its
     /// mutex; the tenant keeps answering queries, stats and submits.

@@ -38,7 +38,6 @@ fn spawn_server(limits: AdmissionLimits) -> ServerHandle {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         limits,
-        metrics: true,
     };
     Server::spawn(&config, Arc::new(Tracer::new())).expect("bind loopback")
 }
@@ -228,68 +227,51 @@ fn byte_quota_refusals_are_permanent() {
     handle.join();
 }
 
-/// Metrics are passive: a daemon with the registry disabled answers
-/// `ServerStats` with an empty snapshot and assigns the exact same
-/// labels as a metrics-enabled daemon over the same traffic. With the
-/// registry on, the tenant's admission tallies in the snapshot are the
-/// session ledger's, field for field.
+/// The tenant's admission tallies in the `ServerStats` snapshot are the
+/// session ledger's, field for field, and each has one account: a
+/// gauge, never also a counter. A quota refusal makes the rejection
+/// tallies not all zero.
 #[test]
-fn metrics_off_daemon_is_label_identical_and_snapshot_empty() {
+fn snapshot_admission_gauges_equal_the_session_ledger() {
     let reads = two_species(31, 400, 20_000, 9).0;
     let (batch, rest) = reads.split_at(20);
     let (streamed, refused) = rest.split_at(10);
     // The quota admits the streamed reads exactly, so the last one is
-    // refused and the rejection tallies are not all zero.
+    // refused.
     let quota = streamed
         .iter()
         .map(|r| WireRead::from(r).payload_bytes() as u64)
         .sum();
-    let mut labels = Vec::new();
-    for metrics in [true, false] {
-        let config = ServerConfig {
-            addr: "127.0.0.1:0".to_string(),
-            workers: 2,
-            limits: AdmissionLimits {
-                max_session_bytes: quota,
-                ..AdmissionLimits::default()
-            },
-            metrics,
-        };
-        let handle = Server::spawn(&config, Arc::new(Tracer::new())).expect("bind");
-        let mut client = Client::connect(handle.addr(), "t").expect("connect");
-        client.seed_from_batch(&seed_cfg(), batch).expect("seed");
-        let mut got = Vec::new();
-        for chunk in streamed.chunks(4) {
-            got.extend(client.submit_labels(chunk).expect("submit"));
-        }
-        assert!(matches!(
-            client.submit(refused).expect("submit"),
-            SubmitOutcome::QuotaExceeded { .. }
-        ));
-        let snap = client.server_stats().expect("server stats");
-        if metrics {
-            let stats = client.stats().expect("stats");
-            for (name, value) in [
-                ("batches_admitted", stats.batches_admitted),
-                ("reads_admitted", stats.reads_admitted),
-                ("bytes_admitted", stats.bytes_admitted),
-                ("reads_rejected", stats.reads_rejected),
-                ("busy_rejections", stats.busy_rejections),
-                ("quota_rejections", stats.quota_rejections),
-            ] {
-                let key = format!("serve.tenant.t.{name}");
-                assert_eq!(snap.gauge(&key), Some(value as i64), "{key}");
-                assert_eq!(snap.counter(&key), None, "{key} has one account");
-            }
-            assert_eq!(stats.quota_rejections, 1);
-        } else {
-            assert!(snap.is_empty(), "metrics-off snapshot is empty");
-        }
-        labels.push(got);
-        client.shutdown().expect("shutdown");
-        handle.join();
+    let handle = spawn_server(AdmissionLimits {
+        max_session_bytes: quota,
+        ..AdmissionLimits::default()
+    });
+    let mut client = Client::connect(handle.addr(), "t").expect("connect");
+    client.seed_from_batch(&seed_cfg(), batch).expect("seed");
+    for chunk in streamed.chunks(4) {
+        client.submit_labels(chunk).expect("submit");
     }
-    assert_eq!(labels[0], labels[1], "labels identical with metrics on/off");
+    assert!(matches!(
+        client.submit(refused).expect("submit"),
+        SubmitOutcome::QuotaExceeded { .. }
+    ));
+    let snap = client.server_stats().expect("server stats");
+    let stats = client.stats().expect("stats");
+    for (name, value) in [
+        ("batches_admitted", stats.batches_admitted),
+        ("reads_admitted", stats.reads_admitted),
+        ("bytes_admitted", stats.bytes_admitted),
+        ("reads_rejected", stats.reads_rejected),
+        ("busy_rejections", stats.busy_rejections),
+        ("quota_rejections", stats.quota_rejections),
+    ] {
+        let key = format!("serve.tenant.t.{name}");
+        assert_eq!(snap.gauge(&key), Some(value as i64), "{key}");
+        assert_eq!(snap.counter(&key), None, "{key} has one account");
+    }
+    assert_eq!(stats.quota_rejections, 1);
+    client.shutdown().expect("shutdown");
+    handle.join();
 }
 
 #[test]

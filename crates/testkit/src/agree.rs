@@ -85,7 +85,7 @@ pub fn dereplication_is_invisible(
     let mut p = Pipeline::new("distinct");
     let distinct = sketch_distinct_stage(reads, &derep, &base, &mut p).expect("sketch stage");
     let graph = banded_graph_stage(&distinct, &base.banded(), &mut p).expect("banded stages");
-    let expanded = expand(&graph, derep.groups());
+    let expanded = expand(&graph, &derep);
     assert_eq!(expanded, oracle.graph, "P1 expanded θ-graph");
     (0..8)
         .map(|i| {
@@ -151,7 +151,6 @@ fn served_labels(reads: &[SeqRecord], cfg: &MrMcConfig, split: usize, chunk: usi
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             limits: AdmissionLimits::default(),
-            metrics: false,
         };
         Server::spawn(&config, Arc::new(Tracer::new())).expect("bind loopback")
     });

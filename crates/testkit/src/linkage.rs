@@ -4,7 +4,8 @@
 //! linkage (connected components and a maximum spanning forest).
 
 use mrmc_cluster::{
-    cut_dendrogram, ClusterAssignment, CondensedMatrix, Dendrogram, Linkage, Merge, SparseSimGraph,
+    cut_dendrogram, ClusterAssignment, CondensedMatrix, Dendrogram, Groups, Linkage, Merge,
+    SparseSimGraph,
 };
 
 /// The NN-chain the linkage module first ran: every distance through
@@ -113,12 +114,12 @@ pub fn same_hierarchy(run: &Dendrogram, oracle: &Dendrogram, what: &str) {
     assert_eq!(below(run), below(oracle), "{what}: merges below 1.0");
 }
 
-/// The θ-graph over the items from the one over their groups (`of[i]`
-/// is item `i`'s group): two items of a group at 1.0, and each edge
-/// between every member of one group and every member of the other.
-pub fn expand(graph: &SparseSimGraph, of: &[u32]) -> SparseSimGraph {
+/// The θ-graph over the items from the one over their groups: two
+/// items of a group at 1.0, and each edge between every member of one
+/// group and every member of the other.
+pub fn expand(graph: &SparseSimGraph, groups: &Groups) -> SparseSimGraph {
     let mut members = vec![Vec::new(); graph.len()];
-    for (item, &g) in of.iter().enumerate() {
+    for (item, &g) in groups.of().iter().enumerate() {
         members[g as usize].push(item as u32);
     }
     let mut edges = Vec::new();
@@ -132,7 +133,7 @@ pub fn expand(graph: &SparseSimGraph, of: &[u32]) -> SparseSimGraph {
             edges.extend(members[v as usize].iter().map(|&b| (a, b, s)));
         }
     }
-    SparseSimGraph::from_edges(of.len(), edges)
+    SparseSimGraph::from_edges(groups.of().len(), edges)
 }
 
 fn root(parent: &mut [usize], mut x: usize) -> usize {

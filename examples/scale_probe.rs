@@ -151,7 +151,7 @@ fn vm_hwm_mb() -> f64 {
 fn run_row(probe: &Probe) {
     let reads = input(probe);
     assert_eq!(reads.len(), probe.reads, "{}", probe.name);
-    let distinct = dereplicate(&reads).expect("ids fit").num_distinct();
+    let distinct = dereplicate(&reads).expect("ids fit").num_groups();
     let config = MrMcConfig {
         candidates: probe.candidates,
         linkage: probe.linkage,
