@@ -6,8 +6,8 @@
 //! rule, and a sweep over sketch sizes, plus the before/after
 //! comparison against the naive `reference` oracle (per-(k-mer, i)
 //! double-`%` loop) the optimized kernels replaced and, at k = 15,
-//! against the blocked walk over the k-mer stream that the rolling
-//! kernel replaced for sequences. A batch arm times Stage 1's input,
+//! against the same rolling step over the read's k-mer stream, as
+//! Pig's `CalculateMinwiseHash` feeds it. A batch arm times Stage 1's input,
 //! the distinct reads of a 16S draw, per read and through
 //! `sketch_sequences`.
 
@@ -97,8 +97,8 @@ fn bench_sketching(c: &mut Criterion) {
 /// Before/after: the optimized kernels (rank table, blocked family
 /// walk over Barrett-reduced Eq. 5, or rolling residues) against the
 /// naive oracle they replaced, and above the rank table's range
-/// (k ≥ 8, where `sketch_sequence` rolls) against the blocked walk
-/// over the same read's k-mer stream. All must be bit-identical —
+/// (k ≥ 8, where both entries roll) against `sketch_kmers` over the
+/// same read's k-mer stream. All must be bit-identical —
 /// asserted here on the benched inputs before timing — so the only
 /// difference measured is speed.
 fn bench_reference_vs_optimized(c: &mut Criterion) {
@@ -118,9 +118,9 @@ fn bench_reference_vs_optimized(c: &mut Criterion) {
             })
         });
         if k >= 8 {
-            let blocked = hasher.sketch_kmers(KmerIter::new(&read, k).unwrap());
-            assert_eq!(optimized, blocked, "blocked walk diverged at {label}");
-            group.bench_function(BenchmarkId::new("blocked-walk", label), |b| {
+            let stream = hasher.sketch_kmers(KmerIter::new(&read, k).unwrap());
+            assert_eq!(optimized, stream, "k-mer stream diverged at {label}");
+            group.bench_function(BenchmarkId::new("kmer-stream", label), |b| {
                 b.iter(|| {
                     let kmers = KmerIter::new(std::hint::black_box(&read[..]), k).unwrap();
                     hasher.sketch_kmers(kmers)

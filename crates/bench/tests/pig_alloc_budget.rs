@@ -51,10 +51,12 @@ fn algorithm3_stays_inside_its_per_read_allocation_budget() {
 
     let (report, allocs) = count_allocs(|| runner.run(&script).expect("Algorithm 3 runs"));
     assert_eq!(report.stored.len(), 2);
-    // Measured: 145 allocations per read (columns, offsets and shuffle
+    // Measured: 143 allocations per read (columns, offsets and shuffle
     // runs, one sketch per `I.E` row when `J` is bound, one count strip
     // per distinct sketch in `K`, and `B`'s `StringGenerator` row body;
-    // nothing per k-mer or per pair; 43 572 in all, 45 655 while each
+    // nothing per k-mer or per pair; 43 198 in all, 43 582 while each
+    // `J` chunk ranked `I.E` again and `GROUP … ALL` gathered a copy of
+    // its input, 45 655 while each
     // `J` chunk decoded `I.E` again, 45 743 while `J` emitted
     // `(seqid, similarity)` tuples for `K` to index; 159 while `B`'s
     // tuple rows were expanded row by row, 183 while each `J` chunk

@@ -35,7 +35,7 @@ pub use assignment::ClusterAssignment;
 pub use greedy::greedy_cluster;
 pub use linkage::{
     agglomerative, agglomerative_grouped, cut_dendrogram, cut_levels, Dendrogram, DenseInput,
-    Groups, Linkage, Merge, TooManyItems,
+    GroupMismatch, Groups, Linkage, Merge, TooManyItems,
 };
 pub use matrix::{CondensedMatrix, CountStrips, PairCounts};
 pub use sparse::{

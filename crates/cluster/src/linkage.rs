@@ -252,18 +252,18 @@ pub fn agglomerative(
 /// order. That needs every two groups
 /// at 1.0 to have equal rows, as sketch similarities do (1.0 means
 /// equal sketches): the 1.0 merges then leave every distance as it
-/// was, whichever order they run in. Panics unless `groups` has
-/// exactly `input.len()` groups.
+/// was, whichever order they run in. A `groups` without exactly
+/// `input.len()` groups is refused.
 pub fn agglomerative_grouped(
     input: impl DenseInput,
     groups: &Groups,
     linkage: Linkage,
     theta: f64,
-) -> (ClusterAssignment, Dendrogram) {
-    let size = groups.weights(input.len());
+) -> Result<(ClusterAssignment, Dendrogram), GroupMismatch> {
+    let size = groups.weights(input.len())?;
     let dendro = groups.expand(weighted_dendrogram(&input, size, linkage));
     let assignment = cut_dendrogram(&dendro, theta);
-    (assignment, dendro)
+    Ok((assignment, dendro))
 }
 
 /// Items grouped by identity, the groups numbered in order of first
@@ -291,6 +291,30 @@ impl fmt::Display for TooManyItems {
 }
 
 impl std::error::Error for TooManyItems {}
+
+/// Values or vertices that are not one per group: what
+/// [`Groups::lift`], [`agglomerative_grouped`] and
+/// [`agglomerative_sparse_grouped`](crate::agglomerative_sparse_grouped)
+/// refuse.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GroupMismatch {
+    /// Number of groups.
+    pub groups: usize,
+    /// Values or vertices given.
+    pub given: usize,
+}
+
+impl fmt::Display for GroupMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} values or vertices for {} groups, expected one per group",
+            self.given, self.groups
+        )
+    }
+}
+
+impl std::error::Error for GroupMismatch {}
 
 impl Groups {
     /// Group items by key: item `i` joins the group of the first
@@ -345,10 +369,10 @@ impl Groups {
 
     /// One value per item from one value per group: each first item
     /// takes its group's value by move, and only a copy clones it (from
-    /// the first item, which comes earlier). Panics unless `distinct`
-    /// holds one value per group.
-    pub fn lift<T: Clone>(&self, distinct: Vec<T>) -> Vec<T> {
-        assert_eq!(distinct.len(), self.first.len(), "one value per group");
+    /// the first item, which comes earlier). A `distinct` that does not
+    /// hold one value per group is refused.
+    pub fn lift<T: Clone>(&self, distinct: Vec<T>) -> Result<Vec<T>, GroupMismatch> {
+        self.one_per_group(distinct.len())?;
         let mut distinct = distinct.into_iter();
         let mut out: Vec<T> = Vec::with_capacity(self.of.len());
         for (item, &g) in self.of.iter().enumerate() {
@@ -357,14 +381,25 @@ impl Groups {
                 _ => out.extend(distinct.next()),
             }
         }
-        out
+        Ok(out)
     }
 
-    /// The vertices' initial cluster sizes. Panics unless there is one
-    /// vertex per group.
-    pub(crate) fn weights(&self, vertices: usize) -> Vec<usize> {
-        assert_eq!(vertices, self.first.len(), "one vertex per group");
-        self.size.iter().map(|&m| m as usize).collect()
+    /// `Ok` when `given` values or vertices are one per group.
+    fn one_per_group(&self, given: usize) -> Result<(), GroupMismatch> {
+        match given == self.first.len() {
+            true => Ok(()),
+            false => Err(GroupMismatch {
+                groups: self.first.len(),
+                given,
+            }),
+        }
+    }
+
+    /// The vertices' initial cluster sizes, when there is one vertex
+    /// per group.
+    pub(crate) fn weights(&self, vertices: usize) -> Result<Vec<usize>, GroupMismatch> {
+        self.one_per_group(vertices)?;
+        Ok(self.size.iter().map(|&m| m as usize).collect())
     }
 
     /// The dendrogram over the items from the one over the groups, in

@@ -30,7 +30,9 @@
 
 use crate::assignment::ClusterAssignment;
 use crate::greedy::greedy_cluster;
-use crate::linkage::{cut_dendrogram, sort_bottom_up, Dendrogram, Groups, Linkage, Merge};
+use crate::linkage::{
+    cut_dendrogram, sort_bottom_up, Dendrogram, GroupMismatch, Groups, Linkage, Merge,
+};
 
 /// An undirected similarity graph over `n` items, CSR layout, missing
 /// edges read as 0.0.
@@ -210,18 +212,18 @@ pub fn agglomerative_sparse(
 /// [`agglomerative_grouped`](crate::linkage::agglomerative_grouped):
 /// they are the run over the graph that joins each group's members at
 /// 1.0 and gives every member its group's edges, up to which pairs the
-/// 1.0 merges name. Panics unless `groups` has exactly `graph.len()`
-/// groups.
+/// 1.0 merges name. A `groups` without exactly `graph.len()` groups is
+/// refused.
 pub fn agglomerative_sparse_grouped(
     graph: &SparseSimGraph,
     groups: &Groups,
     linkage: Linkage,
     theta: f64,
-) -> (ClusterAssignment, Dendrogram) {
-    let size = groups.weights(graph.len());
+) -> Result<(ClusterAssignment, Dendrogram), GroupMismatch> {
+    let size = groups.weights(graph.len())?;
     let dendro = groups.expand(weighted_dendrogram(graph, size, linkage));
     let assignment = cut_dendrogram(&dendro, theta);
-    (assignment, dendro)
+    Ok((assignment, dendro))
 }
 
 /// The dendrogram of vertices that start as clusters of `size[i]`

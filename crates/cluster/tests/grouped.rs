@@ -14,8 +14,8 @@ use proptest::prelude::*;
 use mrmc_cluster::linkage::build_dendrogram;
 use mrmc_cluster::{
     agglomerative, agglomerative_grouped, agglomerative_sparse, agglomerative_sparse_grouped,
-    cut_dendrogram, CondensedMatrix, CountStrips, Dendrogram, DenseInput, Groups, Linkage, Merge,
-    PairCounts, SparseSimGraph, TooManyItems,
+    cut_dendrogram, CondensedMatrix, CountStrips, Dendrogram, DenseInput, GroupMismatch, Groups,
+    Linkage, Merge, PairCounts, SparseSimGraph, TooManyItems,
 };
 use mrmc_testkit::linkage::{
     components, expand, reference_nn_chain, same_hierarchy, spanning_forest_heights,
@@ -149,7 +149,8 @@ fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
         );
         // The grouped run is the item run's hierarchy: the same θ-cut
         // and `same_hierarchy`.
-        let (labels, run) = agglomerative_grouped(&matrix, &planted.groups, linkage, theta);
+        let (labels, run) =
+            agglomerative_grouped(&matrix, &planted.groups, linkage, theta).expect("one per group");
         let (expect, oracle) = agglomerative(&items, linkage, theta);
         assert_eq!(labels, expect, "dense, {what}: labels at θ");
         same_hierarchy(&run, &oracle, &format!("dense, {what}"));
@@ -159,7 +160,8 @@ fn assert_grouped_equals_planted(planted: &Planted, theta: f64) {
             agglomerative_grouped(&matrix, &planted.groups, linkage, theta),
             "dense owned, {what}"
         );
-        let (labels, run) = agglomerative_sparse_grouped(&graph, &planted.groups, linkage, theta);
+        let (labels, run) = agglomerative_sparse_grouped(&graph, &planted.groups, linkage, theta)
+            .expect("one per group");
         let (expect, oracle) = agglomerative_sparse(&item_graph, linkage, theta);
         assert_eq!(labels, expect, "sparse, {what}: labels at θ");
         same_hierarchy(&run, &oracle, &format!("sparse, {what}"));
@@ -185,18 +187,36 @@ fn groups_number_keys_by_first_occurrence() {
     assert_eq!(groups.of(), [0, 1, 0, 2, 1]);
     assert_eq!(groups.first(), [0, 1, 3]);
     assert_eq!(groups.sizes(), [2, 2, 1]);
-    assert_eq!(groups.lift(vec!['B', 'A', 'C']), ['B', 'A', 'B', 'C', 'A']);
+    let lifted = groups
+        .lift(vec!['B', 'A', 'C'])
+        .expect("one value per group");
+    assert_eq!(lifted, ['B', 'A', 'B', 'C', 'A']);
     // Refused from the size hint, before a key is read.
     let past = std::iter::repeat_n(0u8, u32::MAX as usize + 1);
     assert_eq!(Groups::by_key(past), Err(TooManyItems));
 }
 
+/// Two groups meet three vertices, three values or one value: each
+/// grouped entry point refuses them with the counts, and none panics.
 #[test]
-#[should_panic(expected = "one vertex per group")]
 fn every_vertex_is_a_group() {
-    let graph = SparseSimGraph::from_edges(3, vec![]);
     let groups = Groups::by_key([0, 1, 0]).expect("items fit");
-    agglomerative_sparse_grouped(&graph, &groups, Linkage::Complete, 0.5);
+    let refused = |given| GroupMismatch { groups: 2, given };
+    let graph = SparseSimGraph::from_edges(3, vec![]);
+    let sparse = agglomerative_sparse_grouped(&graph, &groups, Linkage::Complete, 0.5);
+    assert_eq!(sparse.err(), Some(refused(3)));
+    let matrix = CondensedMatrix::build(3, |_, _| 0.5);
+    let dense = agglomerative_grouped(&matrix, &groups, Linkage::Average, 0.5);
+    assert_eq!(dense.err(), Some(refused(3)));
+    assert_eq!(groups.lift(vec!['a', 'b', 'c']), Err(refused(3)));
+    assert_eq!(groups.lift(vec!['a']), Err(refused(1)));
+    assert_eq!(
+        refused(3).to_string(),
+        "3 values or vertices for 2 groups, expected one per group"
+    );
+    // One per group links.
+    let two = SparseSimGraph::from_edges(2, vec![]);
+    assert!(agglomerative_sparse_grouped(&two, &groups, Linkage::Complete, 0.5).is_ok());
 }
 
 proptest! {
@@ -276,7 +296,9 @@ proptest! {
             &format!("dense, {what}"),
         );
         assert_single_is_forest(
-            &agglomerative_grouped(&matrix, &planted.groups, single, 0.5).1,
+            &agglomerative_grouped(&matrix, &planted.groups, single, 0.5)
+                .expect("one per group")
+                .1,
             items,
             matrix_pairs(&planted.item_matrix()),
             &format!("dense grouped, {what}"),
@@ -288,7 +310,9 @@ proptest! {
             &format!("sparse, {what}"),
         );
         assert_single_is_forest(
-            &agglomerative_sparse_grouped(&graph, &planted.groups, single, 0.5).1,
+            &agglomerative_sparse_grouped(&graph, &planted.groups, single, 0.5)
+                .expect("one per group")
+                .1,
             items,
             graph_pairs(&planted.item_graph()),
             &format!("sparse grouped, {what}"),
@@ -401,7 +425,9 @@ fn assert_replays_at_unit_and_grouped_sizes(
         }));
         merges.sort_by(|x, y| y.similarity.total_cmp(&x.similarity));
         assert_eq!(
-            agglomerative_grouped(input, &groups, linkage, 0.5).1,
+            agglomerative_grouped(input, &groups, linkage, 0.5)
+                .expect("one per group")
+                .1,
             Dendrogram {
                 n: groups.of().len(),
                 merges

@@ -180,9 +180,9 @@ impl UniversalHashFamily {
     /// Evaluate one parameter pair on `x`. Callers iterating the whole
     /// family (the blocked walk of [`crate::MinHasher::sketch_kmers`],
     /// the rank table's build) stream [`Self::params`] directly and
-    /// skip the per-call index lookup. The rolling kernel of
-    /// [`crate::MinHasher::sketch_sequence`] does not call it: it steps
-    /// each residue from the previous k-mer's instead.
+    /// skip the per-call index lookup. The rolling kernel does not call
+    /// it for a k-mer: it steps each residue from the previous k-mer's
+    /// instead.
     #[inline]
     pub fn eval(&self, hp: HashParams, x: u64) -> u64 {
         if x <= self.word_max {
@@ -202,8 +202,16 @@ impl UniversalHashFamily {
     /// calls this directly.
     #[inline]
     pub(crate) fn eval_word(&self, hp: HashParams, x: u64) -> u64 {
+        self.fold_m(self.residue_word(hp, x))
+    }
+
+    /// `(a·x + b) mod p` for `x ≤ word_max`: Eq. 5 before its `mod m`,
+    /// the residue the rolling kernel steps. The rolling k-mer fold
+    /// takes it fresh for a k-mer that does not overlap the one before.
+    #[inline]
+    pub(crate) fn residue_word(&self, hp: HashParams, x: u64) -> u64 {
         debug_assert!(x <= self.word_max);
-        self.fold_m(barrett_mod_word(hp.a * x + hp.b, self.p, self.mu64))
+        barrett_mod_word(hp.a * x + hp.b, self.p, self.mu64)
     }
 
     /// `v mod m` for `v < p`: `p < 2m`, so one conditional subtract.

@@ -34,7 +34,7 @@ pub mod sketch;
 pub use banding::{min_agreeing, BandingScheme};
 pub use hash::{HashParams, UniversalHashFamily};
 pub use jaccard::{agreements, exact_jaccard, positional_similarity, set_similarity};
-pub use plane::{RaggedSketches, SketchPlane};
+pub use plane::{RaggedSketches, RankedRelation, SketchPlane};
 pub use prime::{is_prime, next_prime};
 pub use sketch::{MinHasher, Sketch};
 

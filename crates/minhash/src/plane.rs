@@ -25,9 +25,11 @@
 //! `Vec` (or any `Extend`). It picks the lane and the row's case
 //! (full, partly empty, degenerate) once per call, so the loop over
 //! pairs folds lane equalities and does nothing else. The all-pairs
-//! stage calls it once per row, Pig's `CalculatePairwiseSimilarity`
-//! once per row against the broadcast relation; [`SketchPlane::count`]
-//! is the call over one row.
+//! stage calls it once per row; [`SketchPlane::count`] is the call over
+//! one row. A [`RankedRelation`] keeps a plane's per-column rank tables
+//! beside it, so rows from outside it (Pig's
+//! `CalculatePairwiseSimilarity`, a chunk against the broadcast
+//! relation) are ranked alone and counted by the same body.
 //!
 //! [`SketchPlane::count`] is [`agreements`](crate::agreements) on the
 //! packed sketches, the same integer: a stage that ships the count
@@ -43,10 +45,12 @@ use std::ops::Range;
 use crate::sketch::{Sketch, EMPTY_SLOT};
 
 /// A sketch list whose members disagree on length: what
-/// [`SketchPlane::pack`] refuses.
+/// [`SketchPlane::pack`] and [`RankedRelation::pack`] refuse, and what
+/// [`RankedRelation::extend_counts`] answers for a row of another width.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RaggedSketches {
-    /// Index of the first sketch whose length differs from sketch 0's.
+    /// Index of the first sketch whose length differs from sketch 0's
+    /// (for [`RankedRelation::extend_counts`], the row's index).
     pub index: usize,
     /// That sketch's length.
     pub len: usize,
@@ -138,14 +142,25 @@ impl Hasher for MulHasher {
     }
 }
 
+/// One column's values and their ranks.
+type RankTable = HashMap<u64, u32, BuildHasherDefault<MulHasher>>;
+
 /// The ranks of `sketches`, `width` lanes per row, row-major, in lane
 /// `L`, or `None` at the first rank that reaches `L`'s empty mark. Each
 /// column is ranked on its own, in order of first appearance, through
 /// one table that holds only that column's values and so stays in
-/// cache.
-fn ranked<L: Lane>(sketches: &[impl Borrow<Sketch>], width: usize) -> Option<Vec<L>> {
+/// cache; `keep`, when given, is cleared and then receives a copy of
+/// each column's table.
+fn ranked<L: Lane>(
+    sketches: &[impl Borrow<Sketch>],
+    width: usize,
+    mut keep: Option<&mut Vec<RankTable>>,
+) -> Option<Vec<L>> {
     let mut lanes = vec![L::EMPTY; sketches.len() * width];
-    let mut ranks: HashMap<u64, u32, BuildHasherDefault<MulHasher>> = HashMap::default();
+    let mut ranks = RankTable::default();
+    if let Some(tables) = keep.as_deref_mut() {
+        tables.clear();
+    }
     for column in 0..width {
         ranks.clear();
         for (lane, sketch) in lanes[column..].iter_mut().step_by(width).zip(sketches) {
@@ -155,8 +170,69 @@ fn ranked<L: Lane>(sketches: &[impl Borrow<Sketch>], width: usize) -> Option<Vec
                 *lane = L::of_rank(*ranks.entry(v).or_insert(next))?;
             }
         }
+        if let Some(tables) = keep.as_deref_mut() {
+            tables.push(ranks.clone());
+        }
     }
     Some(lanes)
+}
+
+/// Which count a row takes against the others: its real values decide
+/// it once per row.
+#[derive(Clone, Copy)]
+enum RowCase {
+    /// No real value: the width against a degenerate row, else 0.
+    Degenerate,
+    /// No lane holds the empty mark, so plain lane equality is exact.
+    Full,
+    /// Some lane holds the empty mark, which agrees with nothing.
+    Partial,
+}
+
+impl RowCase {
+    /// The case of a row with `real` real values, `marked` of its
+    /// `width` lanes holding the empty mark.
+    #[inline]
+    fn of(real: usize, marked: usize) -> RowCase {
+        match (real, marked) {
+            (0, _) => RowCase::Degenerate,
+            (_, 0) => RowCase::Full,
+            _ => RowCase::Partial,
+        }
+    }
+}
+
+/// The one comparison body: extend `out` with `narrow` of the count of
+/// row `a` (of case `case`) against each `width`-lane row of `others`,
+/// whose real-value counts are `others_real`. Only a row with a real
+/// value walks the others' lanes, so the width is not zero there.
+#[inline]
+fn extend_row_counts<L: Lane, T>(
+    a: &[L],
+    case: RowCase,
+    others: &[L],
+    others_real: &[usize],
+    out: &mut impl Extend<T>,
+    narrow: impl Fn(usize) -> T,
+) {
+    let width = a.len();
+    match case {
+        RowCase::Degenerate => out.extend(
+            others_real
+                .iter()
+                .map(|&k| narrow(if k == 0 { width } else { 0 })),
+        ),
+        RowCase::Full => out.extend(
+            others
+                .chunks_exact(width)
+                .map(|b| narrow(equal_lanes(a, b) as usize)),
+        ),
+        RowCase::Partial => out.extend(
+            others
+                .chunks_exact(width)
+                .map(|b| narrow(equal_real_lanes(a, b) as usize)),
+        ),
+    }
 }
 
 /// Positions where `a` and `b` hold the same lane. A `u32` sum keeps
@@ -184,6 +260,15 @@ impl SketchPlane {
     /// mark. The sketches may be owned or borrowed, so a caller can
     /// pack sketches it keeps elsewhere beside its own without a copy.
     pub fn pack<S: Borrow<Sketch>>(sketches: &[S]) -> Result<SketchPlane, RaggedSketches> {
+        SketchPlane::pack_keeping(sketches, None)
+    }
+
+    /// [`Self::pack`], handing `keep` each column's rank table when
+    /// given.
+    fn pack_keeping<S: Borrow<Sketch>>(
+        sketches: &[S],
+        mut keep: Option<&mut Vec<RankTable>>,
+    ) -> Result<SketchPlane, RaggedSketches> {
         let width = sketches.first().map_or(0, |s| s.borrow().len());
         let lens = sketches.iter().map(|s| s.borrow().len());
         if let Some((index, len)) = lens.enumerate().find(|&(_, len)| len != width) {
@@ -206,12 +291,13 @@ impl SketchPlane {
         );
         // The first lane in which every rank stays below the empty mark
         // is the narrowest that holds the largest column cardinality.
-        let lanes = if let Some(lanes) = ranked(sketches, width) {
+        let lanes = if let Some(lanes) = ranked(sketches, width, keep.as_deref_mut()) {
             Lanes::U8(lanes)
-        } else if let Some(lanes) = ranked(sketches, width) {
+        } else if let Some(lanes) = ranked(sketches, width, keep.as_deref_mut()) {
             Lanes::U16(lanes)
         } else {
-            Lanes::U32(ranked(sketches, width).expect("ranks stay below the row count"))
+            let lanes = ranked(sketches, width, keep);
+            Lanes::U32(lanes.expect("ranks stay below the row count"))
         };
         Ok(SketchPlane {
             width,
@@ -290,25 +376,112 @@ impl SketchPlane {
         let width = self.width;
         let a = &lanes[row * width..(row + 1) * width];
         let others = &lanes[rows.start * width..rows.end * width];
-        // Only a row with a real value walks the others' lanes, so the
-        // width is not zero.
-        match self.non_empty[row] {
-            0 => out.extend(
-                self.non_empty[rows]
-                    .iter()
-                    .map(|&k| narrow(if k == 0 { width } else { 0 })),
-            ),
-            k if k == width => out.extend(
-                others
-                    .chunks_exact(width)
-                    .map(|b| narrow(equal_lanes(a, b) as usize)),
-            ),
-            _ => out.extend(
-                others
-                    .chunks_exact(width)
-                    .map(|b| narrow(equal_real_lanes(a, b) as usize)),
-            ),
+        let real = self.non_empty[row];
+        let case = RowCase::of(real, width - real);
+        extend_row_counts(a, case, others, &self.non_empty[rows], out, narrow);
+    }
+}
+
+/// A relation of sketches packed once as a [`SketchPlane`], with each
+/// column's value→rank table kept beside it, so that rows from outside
+/// the relation are counted against every relation row by ranking only
+/// themselves: Pig's `CalculatePairwiseSimilarity` binds its broadcast
+/// relation `I.E` so, once per call site, and ranks each chunk's own
+/// rows per map task.
+///
+/// A value that a column of the relation lacks can agree with no
+/// relation row there, so it takes the empty mark, as an empty slot
+/// does; the row's case (degenerate, full, partly empty) is read off
+/// its real values and its marks, so every count stays the
+/// [`agreements`](crate::agreements) of the two sketches. The lane is
+/// the one [`SketchPlane::pack`] picks for the relation.
+#[derive(Debug)]
+pub struct RankedRelation {
+    plane: SketchPlane,
+    /// Per column, each value of the relation and its rank.
+    tables: Vec<RankTable>,
+}
+
+impl RankedRelation {
+    /// Pack `sketches`, which must all have one length, as
+    /// [`SketchPlane::pack`] does, keeping each column's rank table.
+    pub fn pack<S: Borrow<Sketch>>(sketches: &[S]) -> Result<RankedRelation, RaggedSketches> {
+        let mut tables = Vec::new();
+        let plane = SketchPlane::pack_keeping(sketches, Some(&mut tables))?;
+        Ok(RankedRelation { plane, tables })
+    }
+
+    /// Number of relation rows.
+    pub fn len(&self) -> usize {
+        self.plane.len()
+    }
+
+    /// True for the relation of no row.
+    pub fn is_empty(&self) -> bool {
+        self.plane.is_empty()
+    }
+
+    /// Extend `out` with `narrow` of the count of each of `rows` (one
+    /// sketch's values each, in position order) against every relation
+    /// row, in order: row after row, [`len`](Self::len) counts each.
+    ///
+    /// Every row must be as wide as the relation's sketches; against a
+    /// relation of no row, as wide as the first row. The first that is
+    /// not is refused, with its index in `rows`, after the counts of
+    /// the rows before it.
+    pub fn extend_counts<T, R: IntoIterator<Item = u64>>(
+        &self,
+        rows: impl IntoIterator<Item = R>,
+        out: &mut impl Extend<T>,
+        narrow: impl Fn(usize) -> T,
+    ) -> Result<(), RaggedSketches> {
+        match &self.plane.lanes {
+            Lanes::U8(lanes) => self.extend_counts_in(lanes, rows, out, narrow),
+            Lanes::U16(lanes) => self.extend_counts_in(lanes, rows, out, narrow),
+            Lanes::U32(lanes) => self.extend_counts_in(lanes, rows, out, narrow),
         }
+    }
+
+    /// `extend_counts` over lanes `L`: each row is ranked into one
+    /// reused buffer, then counted by the plane's comparison body.
+    fn extend_counts_in<L: Lane, T, R: IntoIterator<Item = u64>>(
+        &self,
+        lanes: &[L],
+        rows: impl IntoIterator<Item = R>,
+        out: &mut impl Extend<T>,
+        narrow: impl Fn(usize) -> T,
+    ) -> Result<(), RaggedSketches> {
+        let mut width = (!self.is_empty()).then_some(self.plane.width);
+        let mut mine: Vec<L> = Vec::with_capacity(self.plane.width);
+        for (index, row) in rows.into_iter().enumerate() {
+            mine.clear();
+            let mut real = 0;
+            let mut tables = self.tables.iter();
+            for v in row {
+                let table = tables.next();
+                let lane = match v {
+                    EMPTY_SLOT => None,
+                    v => {
+                        real += 1;
+                        let rank = table.and_then(|table| table.get(&v));
+                        rank.and_then(|&rank| L::try_from(rank).ok())
+                    }
+                };
+                mine.push(lane.unwrap_or(L::EMPTY));
+            }
+            let expected = *width.get_or_insert(mine.len());
+            if mine.len() != expected {
+                return Err(RaggedSketches {
+                    index,
+                    len: mine.len(),
+                    expected,
+                });
+            }
+            let marked = mine.iter().filter(|&&lane| lane == L::EMPTY).count();
+            let case = RowCase::of(real, marked);
+            extend_row_counts(&mine, case, lanes, &self.plane.non_empty, out, &narrow);
+        }
+        Ok(())
     }
 }
 
@@ -398,6 +571,60 @@ mod tests {
         let plane = assert_matches_oracle(&zero);
         assert_eq!(plane.len(), 2);
         assert_eq!(plane.count(0, 1), 0);
+    }
+
+    #[test]
+    fn ranked_relation_counts_outside_rows_as_agreements() {
+        let relation = [
+            Sketch::from_values(vec![1, 2, 3]),
+            Sketch::from_values(vec![1, EMPTY_SLOT, 3]),
+            Sketch::from_values(vec![EMPTY_SLOT; 3]),
+            Sketch::from_values(vec![4, 2, 5]),
+        ];
+        let ranked = RankedRelation::pack(&relation).unwrap();
+        assert_eq!(ranked.len(), 4);
+        // Rows of the relation, values no relation row holds (a full
+        // row of them among them), holes, and a degenerate row.
+        let rows = [
+            vec![1, 2, 3],
+            vec![4, 9, 3],
+            vec![7, 8, 9],
+            vec![1, EMPTY_SLOT, 9],
+            vec![EMPTY_SLOT, EMPTY_SLOT, 8],
+            vec![EMPTY_SLOT; 3],
+        ];
+        let mut counts = Vec::new();
+        ranked
+            .extend_counts(rows.iter().map(|r| r.iter().copied()), &mut counts, |c| c)
+            .unwrap();
+        let expect = rows.iter().flat_map(|row| {
+            let row = Sketch::from_values(row.clone());
+            relation.iter().map(move |s| agreements(&row, s))
+        });
+        assert!(counts.iter().copied().eq(expect));
+        // A row of another width is refused by its index, after the
+        // counts of the rows before it.
+        let ragged = [vec![1, 2, 3], vec![1, 2]];
+        let mut counts = Vec::new();
+        let err = ranked
+            .extend_counts(ragged.iter().map(|r| r.iter().copied()), &mut counts, |c| c)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            RaggedSketches {
+                index: 1,
+                len: 2,
+                expected: 3
+            }
+        );
+        assert_eq!(counts, [3, 2, 0, 1]);
+        // Against no relation row, the first row sets the width.
+        let none = RankedRelation::pack::<Sketch>(&[]).unwrap();
+        let rows = [vec![1, 2], vec![3, 4], vec![5]];
+        let err = none
+            .extend_counts(rows.iter().map(|r| r.iter().copied()), &mut counts, |c| c)
+            .unwrap_err();
+        assert_eq!((err.index, err.len, err.expected), (2, 1, 2));
     }
 
     #[test]

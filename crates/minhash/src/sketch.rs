@@ -192,12 +192,18 @@ impl MinHasher {
     /// harmless (min is idempotent), so callers may feed raw k-mer
     /// streams without deduplicating.
     ///
-    /// A sketch depends only on the *set* of k-mers, and reads repeat
-    /// k-mers freely (low-complexity stretches; any k well below
-    /// log₄(len)), so the stream is first reduced to its `d` distinct
-    /// features, then one of two exact kernels runs, chosen from `k`
-    /// and `d` alone:
+    /// One of three exact kernels runs, chosen from `k`, the family and,
+    /// at small k, the number `d` of distinct features:
     ///
+    /// * **Rolling residues** (a family that rolls: both k-mer families
+    ///   at k = 8..=15). The stream is folded as it arrives, with no
+    ///   buffer, sort or dedup. A k-mer that overlaps the one before it
+    ///   by `k − 1` bases — every window of a read after its first —
+    ///   steps each residue `(a_i·x + b_i) mod p` from the previous
+    ///   k-mer's with the step of [`Self::sketch_sequence`]; any other
+    ///   k-mer takes its residues fresh through the word Barrett, and a
+    ///   feature outside the `4^k` k-mer space is evaluated as Eq. 5
+    ///   writes it.
     /// * **Rank table** (`k ≤ 7` and `d² ≥ 4^k`). The stream sets
     ///   bits in a `4^k`-bit presence set — no buffer, sort or
     ///   dedup — and slot `i` is `h_i` of the first
@@ -208,19 +214,22 @@ impl MinHasher {
     ///   `d ≈ 2^k/2`; the rule waits for `d = 2^k`, where the table is
     ///   twice as fast, because the first read across it also pays
     ///   for the build.
-    /// * **Blocked family walk** (every other read). The sorted
-    ///   distinct features stream past the hash family in blocks whose
-    ///   running minima live in a small stack array, instead of
-    ///   re-touching all `n` sketch slots per k-mer.
+    /// * **Blocked family walk** (every other stream). The stream is
+    ///   first reduced to its sorted distinct features, which then pass
+    ///   the hash family in blocks whose running minima live in a small
+    ///   stack array, instead of re-touching all `n` sketch slots per
+    ///   k-mer.
     ///
-    /// Both are bit-identical to the textbook per-(k-mer, hash) loop
-    /// (`mrmc_testkit::kernels::sketch_kmers`)
-    /// (min is order-independent and idempotent, so reordering and
-    /// deduplication cannot change it). Features here are arbitrary
-    /// `u64`s, so the rolling kernel of [`Self::sketch_sequence`],
-    /// which needs consecutive k-mers of one sequence, never runs here.
+    /// All are bit-identical to the textbook per-(k-mer, hash) loop
+    /// (`mrmc_testkit::kernels::sketch_kmers`): min is
+    /// order-independent and idempotent, so reordering, deduplication
+    /// and the order in which the rolling kernel meets its k-mers
+    /// cannot change it.
     pub fn sketch_kmers(&self, kmers: impl IntoIterator<Item = u64>) -> Sketch {
         let mut kmers = kmers.into_iter();
+        if let Some(steps) = &self.rolling {
+            return self.roll_kmers(steps, kmers);
+        }
         let mut values = vec![EMPTY_SLOT; self.family.len()];
         let buf = match &self.ranks {
             Some(ranks) => {
@@ -277,6 +286,46 @@ impl MinHasher {
             });
         }
         Sketch::from_values(values)
+    }
+
+    /// The rolling kernel over a k-mer stream: residues carried from
+    /// k-mer to k-mer while each overlaps the one before it, taken fresh
+    /// at any other k-mer; a feature outside the k-mer space is
+    /// evaluated and leaves the residues as they were.
+    fn roll_kmers(&self, steps: &[u64], kmers: impl Iterator<Item = u64>) -> Sketch {
+        let family = &self.family;
+        let (n, p, m, k) = (family.len(), family.p, family.m, self.k);
+        let shift = m.trailing_zeros();
+        let top_shift = 2 * (k - 1);
+        let space = 1u64 << (2 * k);
+        let suffix = (space >> 2) - 1;
+        let mut residues = vec![0; n];
+        let mut minima = vec![m; n];
+        // The k-mer `residues` hold, once one has been met.
+        let mut last: Option<u64> = None;
+        for x in kmers {
+            if x >= space {
+                for (lo, &hp) in minima.iter_mut().zip(family.params()) {
+                    *lo = lower(*lo, family.eval(hp, x));
+                }
+                continue;
+            }
+            match last {
+                Some(prev) if x >> 2 == prev & suffix => {
+                    let row = &steps[(4 * (prev >> top_shift) + (x & 3)) as usize * n..][..n];
+                    step::<true>(&mut residues, &mut minima, row, p, m, shift);
+                }
+                _ => {
+                    let fresh = residues.iter_mut().zip(&mut minima).zip(family.params());
+                    for ((r, lo), &hp) in fresh {
+                        *r = family.residue_word(hp, x);
+                        *lo = lower(*lo, *r & (m - 1));
+                    }
+                }
+            }
+            last = Some(x);
+        }
+        finish(minima, m)
     }
 
     /// For each hash function, the ids of all `4^k` k-mers in
@@ -477,14 +526,9 @@ impl Rolling {
             x = (x << 2 | c) & window;
             filled += 1;
             if filled < k {
-                for (r, &d) in residues.iter_mut().zip(row) {
-                    *r = roll(*r, d, p, shift);
-                }
+                step::<false>(residues, minima, row, p, m, shift);
             } else {
-                for ((r, &d), lo) in residues.iter_mut().zip(row).zip(minima.iter_mut()) {
-                    *r = roll(*r, d, p, shift);
-                    *lo = lower(*lo, *r & (m - 1));
-                }
+                step::<true>(residues, minima, row, p, m, shift);
             }
         }
         (self.x, self.filled) = (x, filled);
@@ -532,6 +576,32 @@ fn rolling_steps(k: usize, family: &UniversalHashFamily) -> Arc<[u64]> {
             (a * c - 3 * b - a * top * span).rem_euclid(p) as u64
         })
         .collect()
+}
+
+/// One rolling step: each residue moves to the next k-mer's by its
+/// constant in `row` (a row of [`rolling_steps`]), and with `FOLD` each
+/// minimum is lowered to the new residue's hash. The one step body of
+/// both the sequence kernel ([`Rolling::advance`]) and the k-mer stream
+/// kernel (`MinHasher::roll_kmers`).
+#[inline(always)]
+fn step<const FOLD: bool>(
+    residues: &mut [u64],
+    minima: &mut [u64],
+    row: &[u64],
+    p: u64,
+    m: u64,
+    shift: u32,
+) {
+    if FOLD {
+        for ((r, &d), lo) in residues.iter_mut().zip(row).zip(minima.iter_mut()) {
+            *r = roll(*r, d, p, shift);
+            *lo = lower(*lo, *r & (m - 1));
+        }
+    } else {
+        for (r, &d) in residues.iter_mut().zip(row) {
+            *r = roll(*r, d, p, shift);
+        }
+    }
 }
 
 /// `(4r + d) mod p` for `r, d < p`, compare-free. `s = 4r + d < 5p`;

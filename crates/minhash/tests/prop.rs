@@ -9,7 +9,8 @@ use rand::{Rng, SeedableRng};
 use mrmc_minhash::sketch::EMPTY_SLOT;
 use mrmc_minhash::{
     agreements, exact_jaccard, is_prime, min_agreeing, next_prime, positional_similarity,
-    set_similarity, BandingScheme, MinHasher, Sketch, SketchPlane, UniversalHashFamily,
+    set_similarity, BandingScheme, MinHasher, RankedRelation, Sketch, SketchPlane,
+    UniversalHashFamily,
 };
 use mrmc_seqio::encode::KmerIter;
 use mrmc_testkit::community::dna;
@@ -179,6 +180,44 @@ fn sketch_kernel_edges_match_reference() {
     }
 }
 
+/// Features outside the `4^k` k-mer space at `k`: its first, one past
+/// `word_max` for every family that rolls (2^40), and the largest.
+fn strays(k: usize) -> [u64; 3] {
+    let space = 1u64 << (2 * k);
+    [space, (1 << 40).max(space + 1), u64::MAX]
+}
+
+/// `read`'s k-mer stream at `k` in one of seven shapes: the in-order
+/// windows (reset at each ambiguous base), the same with the
+/// [`strays`] planted among them, shuffled, cut and its tail moved
+/// before its head (a jump back to the start midway), each window
+/// twice, reversed, or nothing.
+fn kmer_stream(read: &[u8], k: usize, shape: u8, seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut kmers: Vec<u64> = KmerIter::new(read, k).unwrap().collect();
+    match shape {
+        0 => {}
+        1 => {
+            for stray in strays(k) {
+                kmers.insert(rng.random_range(0..=kmers.len()), stray);
+            }
+        }
+        2 => {
+            for i in (1..kmers.len()).rev() {
+                kmers.swap(i, rng.random_range(0..=i));
+            }
+        }
+        3 => {
+            let cut = rng.random_range(0..=kmers.len());
+            kmers.rotate_left(cut);
+        }
+        4 => kmers = kmers.iter().flat_map(|&x| [x, x]).collect(),
+        5 => kmers.reverse(),
+        _ => kmers.clear(),
+    }
+    kmers
+}
+
 /// Up to 24 reads drawn from one to four templates of mixed-case bases
 /// with ambiguous ones among them: point-mutated copies (which share
 /// prefixes), exact copies, and copies cut to under 40 bases (below
@@ -290,6 +329,27 @@ proptest! {
         }
     }
 
+    /// `sketch_kmers` equals the textbook loop on every shape of k-mer
+    /// stream ([`kmer_stream`]) at every k of `KS` under both
+    /// families: the rolling kernel's overlap steps, fresh residues at
+    /// resets and jumps, and Eq. 5 on features outside the k-mer space
+    /// and past `word_max`, as well as the rank table and the blocked
+    /// walk.
+    #[test]
+    fn sketch_kmers_matches_reference_on_every_stream(
+        bases in proptest::collection::vec(proptest::sample::select(bases_with_ambiguity()), 0..400),
+        shape in 0u8..7,
+        n in proptest::sample::select(vec![1usize, 8, 9, 50]),
+        literal in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        for k in KS {
+            let hasher = hasher_for(k, n, seed, literal);
+            let kmers = kmer_stream(&bases, k, shape, seed);
+            assert_matches_reference(&hasher, &kmers, &format!("k = {k}, shape {shape}"));
+        }
+    }
+
     /// A batch sketched in byte order, each sequence resuming from the
     /// state its predecessor left at their common prefix, is the
     /// per-sequence sketch of every member: near copies of one to four
@@ -379,6 +439,49 @@ proptest! {
                 prop_assert_eq!(sim.to_bits(), reference::positional_similarity(a, b).to_bits());
             }
         }
+    }
+
+    /// A relation ranked once counts rows from outside it as
+    /// [`agreements`]: the relation is every `split`-th sketch of near
+    /// copies, knocked-out copies and degenerate ones (as in the plane
+    /// property), the rows are all of them, so some rows are relation
+    /// rows, some share a column's values and some hold values no
+    /// relation row holds.
+    #[test]
+    fn ranked_relation_counts_agreements(
+        reads in proptest::collection::vec(dna(0..90), 0..6),
+        k in proptest::sample::select(vec![5usize, 15, 17]),
+        n in proptest::sample::select(vec![1usize, 8, 50]),
+        seed in any::<u64>(),
+        holes in any::<u64>(),
+        split in 1usize..4,
+    ) {
+        let hasher = hasher_for(k, n, seed, false);
+        let mut sketches = Vec::new();
+        for (r, read) in reads.iter().enumerate() {
+            let full = hasher.sketch_sequence(read).unwrap();
+            let mut near = read.clone();
+            near.truncate(read.len() * 2 / 3);
+            let punched = full
+                .values()
+                .iter()
+                .enumerate()
+                .map(|(p, &v)| if holes >> ((r * 7 + p) % 64) & 1 == 1 { EMPTY_SLOT } else { v })
+                .collect();
+            sketches.push(hasher.sketch_sequence(&near).unwrap());
+            sketches.push(Sketch::from_values(punched));
+            sketches.push(full);
+        }
+        let relation: Vec<&Sketch> = sketches.iter().step_by(split).collect();
+        let ranked = RankedRelation::pack(&relation).unwrap();
+        prop_assert_eq!(ranked.len(), relation.len());
+        let mut counts = Vec::new();
+        let rows = sketches.iter().map(|s| s.values().iter().copied());
+        prop_assert!(ranked.extend_counts(rows, &mut counts, |c| c).is_ok());
+        let expect = sketches
+            .iter()
+            .flat_map(|row| relation.iter().map(move |s| agreements(row, s)));
+        prop_assert!(counts.into_iter().eq(expect));
     }
 
     /// Sketches are permutation- and multiplicity-invariant over the

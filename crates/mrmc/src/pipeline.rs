@@ -13,7 +13,7 @@ use mrmc_seqio::SeqRecord;
 use crate::banded::banded_graph_stage;
 use crate::config::{CandidateGen, Mode, MrMcConfig};
 use crate::incremental::RepresentativeIndex;
-use crate::stages::{dereplicate, pair_counts_stage, sketch_distinct_stage};
+use crate::stages::{dereplicate, grouping, pair_counts_stage, sketch_distinct_stage};
 
 /// Result of a MrMC-MinH run.
 #[derive(Debug)]
@@ -152,7 +152,8 @@ impl MrMcMinH {
                 // A copy would fail every representative below its
                 // first occurrence's label and clear that one at 1.0.
                 let labels = RepresentativeIndex::new(&self.config).place_all(distinct);
-                (ClusterAssignment::from_labels(derep.lift(labels)), None)
+                let labels = derep.lift(labels).map_err(grouping)?;
+                (ClusterAssignment::from_labels(labels), None)
             }
             (Mode::Hierarchical, CandidateGen::Dense) => {
                 // Algorithm 2 — all-pairs agreement counts via row
@@ -163,7 +164,8 @@ impl MrMcMinH {
                 // linkage reads the count strips where they are, beside
                 // their transpose; only merged clusters own f32 rows.
                 let counts = pair_counts_stage(distinct, &self.config, &mut pipeline)?;
-                let (assignment, dendro) = agglomerative_grouped(&counts, &derep, linkage, theta);
+                let (assignment, dendro) =
+                    agglomerative_grouped(&counts, &derep, linkage, theta).map_err(grouping)?;
                 (assignment, Some(dendro))
             }
             (Mode::Hierarchical, CandidateGen::Banded) => {
@@ -178,7 +180,8 @@ impl MrMcMinH {
                 // as in the dense arm.
                 let graph = banded_graph_stage(&distinct, &self.config, &mut pipeline)?;
                 let (assignment, dendro) =
-                    agglomerative_sparse_grouped(&graph, &derep, linkage, theta);
+                    agglomerative_sparse_grouped(&graph, &derep, linkage, theta)
+                        .map_err(grouping)?;
                 (assignment, Some(dendro))
             }
         };

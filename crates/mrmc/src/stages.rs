@@ -32,7 +32,7 @@
 
 use std::marker::PhantomData;
 
-use mrmc_cluster::{CondensedMatrix, CountStrips, Groups, PairCounts};
+use mrmc_cluster::{CondensedMatrix, CountStrips, GroupMismatch, Groups, PairCounts};
 use mrmc_mapreduce::job::{JobConfig, Mapper, TaskContext};
 use mrmc_mapreduce::pipeline::Pipeline;
 use mrmc_mapreduce::MrError;
@@ -52,6 +52,12 @@ pub fn dereplicate(reads: &[SeqRecord]) -> Result<Groups, MrError> {
     ensure_read_ids_fit(reads.len())?;
     Groups::by_key(reads.iter().map(|r| r.seq.as_slice()))
         .map_err(|e| MrError::BadConfig(e.to_string()))
+}
+
+/// A [`Groups`] that does not fit the values or vertices it meets, as
+/// a run's error: [`MrError::BadConfig`].
+pub(crate) fn grouping(mismatch: GroupMismatch) -> MrError {
+    MrError::BadConfig(mismatch.to_string())
 }
 
 /// Stage-1 mapper: a block of the distinct sequences in byte order →
@@ -163,7 +169,7 @@ pub fn sketch_stage(
 ) -> Result<Vec<Sketch>, MrError> {
     let derep = dereplicate(reads)?;
     let distinct = sketch_distinct_stage(reads, &derep, config, pipeline)?;
-    Ok(derep.lift(distinct))
+    derep.lift(distinct).map_err(grouping)
 }
 
 /// Partition items `0..weights.len()` into at most `tasks` contiguous
@@ -564,7 +570,7 @@ mod tests {
         assert_eq!(derep.first(), [0, 2]);
         assert_eq!(derep.sizes(), [2, 1]);
         assert_eq!(derep.num_groups(), 2);
-        assert_eq!(derep.lift(vec!["a", "c"]), ["a", "a", "c"]);
+        assert_eq!(derep.lift(vec!["a", "c"]), Ok(vec!["a", "a", "c"]));
     }
 
     #[test]

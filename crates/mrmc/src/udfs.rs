@@ -22,7 +22,8 @@
 //! [`MrMcConfig::hasher`] of `MrMcConfig { kmer: $KMER, num_hashes:
 //! $NUMHASH, seed: $DIV, .. }` (`$DIV` seeds the parameter draw; the
 //! range follows k, DESIGN.md §3b), `CalculatePairwiseSimilarity`
-//! emits a [`SketchPlane`]'s agreement counts,
+//! emits the agreement counts of the plane's comparison kernel
+//! against a [`RankedRelation`],
 //! `AgglomerativeHierarchicalClustering` links them as [`PairCounts`]
 //! through [`agglomerative_grouped`] and `GreedyClustering` places
 //! reads through a [`RepresentativeIndex`]. So at equal
@@ -42,7 +43,7 @@
 use std::sync::Arc;
 
 use mrmc_cluster::{agglomerative_grouped, CountStrips, Groups, Linkage, PairCounts};
-use mrmc_minhash::{MinHasher, Sketch, SketchPlane};
+use mrmc_minhash::{MinHasher, RankedRelation, Sketch};
 use mrmc_pig::batch::{BagCol, Bitmap, Column, ColumnBatch, VarBytes, VarBytesBuilder};
 use mrmc_pig::udf::{bind_rows, BatchOut, UdfError, Window};
 use mrmc_pig::{Udf, UdfRegistry, Value};
@@ -386,20 +387,19 @@ fn width_fault(udf: &str, id: &[u8], len: usize, expected: usize) -> UdfError {
 }
 
 /// `CalculatePairwiseSimilarity(sketch, seqid, all_rows)` — one row of
-/// the agreement counts: `(seqid, bag of int)`, the [`SketchPlane::count`]
-/// against each row of `all_rows` (the scalar `I.E`, Fig. 1's row-wise
-/// partition) in seqid order, its own included. A seqid twice in the
-/// relation or sketches of unequal width are an error.
+/// the agreement counts: `(seqid, bag of int)`, the
+/// [`agreements`](mrmc_minhash::agreements) against each row of
+/// `all_rows` (the scalar `I.E`, Fig. 1's row-wise partition) in seqid
+/// order, its own included. A seqid twice in the relation or sketches
+/// of unequal width are an error.
 struct CalculatePairwiseSimilarity {
-    /// `I.E`'s seqids, ascending.
-    ids: VarBytes,
-    /// Their sketches, in the same order.
-    sketches: Vec<Sketch>,
+    /// `I.E`'s sketches in seqid order, ranked once.
+    relation: RankedRelation,
 }
 
 impl CalculatePairwiseSimilarity {
-    /// Bind a call site: `I.E` decoded once, ordered by seqid and
-    /// checked for a seqid twice and for unequal widths. A scalar
+    /// Bind a call site: `I.E` decoded once, ordered by seqid, checked
+    /// for a seqid twice and for unequal widths, and ranked. A scalar
     /// reference to a relation of no row is null, the empty relation.
     fn bind(args: &[Option<&Value>]) -> Result<Arc<dyn Udf>, UdfError> {
         let udf = "CalculatePairwiseSimilarity";
@@ -414,13 +414,10 @@ impl CalculatePairwiseSimilarity {
             let fault = format!("seqid {} is twice in the relation", pair[0].0);
             return Err(UdfError::new(udf, fault));
         }
-        let (ids, sketches): (Vec<&str>, Vec<Sketch>) = relation.into_iter().unzip();
-        let mut names = VarBytesBuilder::with_capacity(ids.len());
-        ids.iter().for_each(|id| names.push(id.as_bytes()));
-        let ids = names.finish();
-        SketchPlane::pack(&sketches)
-            .map_err(|e| width_fault(udf, ids.get(e.index), e.len, e.expected))?;
-        Ok(Arc::new(CalculatePairwiseSimilarity { ids, sketches }))
+        let sketches: Vec<&Sketch> = relation.iter().map(|(_, sketch)| sketch).collect();
+        let relation = RankedRelation::pack(&sketches)
+            .map_err(|e| width_fault(udf, relation[e.index].0.as_bytes(), e.len, e.expected))?;
+        Ok(Arc::new(CalculatePairwiseSimilarity { relation }))
     }
 }
 
@@ -429,10 +426,10 @@ impl Udf for CalculatePairwiseSimilarity {
         "CalculatePairwiseSimilarity"
     }
 
-    /// Packs the bound relation, with the chunk's own sketches (read
-    /// straight out of the sketch bag's `long` child) behind it, into
-    /// one [`SketchPlane`], whose row kernel writes each row's counts
-    /// into one `int` column: the n² relation is never boxed.
+    /// Ranks the chunk's own sketches (read straight out of the sketch
+    /// bag's `long` child) against the bound relation's columns and
+    /// writes each row's counts into one `int` column: the n² relation
+    /// is never boxed, and the relation is never ranked again.
     fn eval(&self, cols: &[Window<'_>], rows: usize) -> Result<BatchOut, UdfError> {
         let udf = self.name();
         let what = "the sketch (bag of long)";
@@ -444,31 +441,18 @@ impl Udf for CalculatePairwiseSimilarity {
         };
         let slots = long_window(slots, lo as usize, (hi - lo) as usize);
         let slots = slots.ok_or_else(|| bad_arg(udf, 0, what))?;
-        let mine: Vec<Sketch> = (start..start + rows)
-            .map(|r| {
-                let slots = &slots[bag.offsets[r] as usize..bag.offsets[r + 1] as usize];
-                Sketch::from_values(slots.iter().map(|&v| v as u64).collect())
-            })
-            .collect();
-        let n = self.sketches.len();
-        let all: Vec<&Sketch> = self.sketches.iter().chain(&mine).collect();
-        let plane = SketchPlane::pack(&all).map_err(|e| {
-            let id = match e.index.checked_sub(n) {
-                None => self.ids.get(e.index),
-                Some(row) => my_ids(row),
-            };
-            width_fault(udf, id, e.len, e.expected)
-        })?;
-        drop(mine);
-        let mut out_ids = VarBytesBuilder::with_capacity(rows);
-        let mut offsets: Vec<u32> = Vec::with_capacity(rows + 1);
-        offsets.push(0);
+        let mine = (start..start + rows).map(|r| {
+            let slots = &slots[bag.offsets[r] as usize..bag.offsets[r + 1] as usize];
+            slots.iter().map(|&v| v as u64)
+        });
+        let n = self.relation.len();
         let mut counts: Vec<i32> = Vec::with_capacity(rows * n);
-        for i in 0..rows {
-            plane.extend_counts(n + i, 0..n, &mut counts, |c| c as i32);
-            offsets.push(counts.len() as u32);
-            out_ids.push(my_ids(i));
-        }
+        self.relation
+            .extend_counts(mine, &mut counts, |c| c as i32)
+            .map_err(|e| width_fault(udf, my_ids(e.index), e.len, e.expected))?;
+        let mut out_ids = VarBytesBuilder::with_capacity(rows);
+        (0..rows).for_each(|i| out_ids.push(my_ids(i)));
+        let offsets = (0..=rows).map(|i| (i * n) as u32).collect();
         let row_col = Column::Bag(BagCol::new(
             offsets,
             ColumnBatch::single(Column::Int {
@@ -595,7 +579,8 @@ impl Udf for AgglomerativeHierarchicalClustering {
                 CountStrips::Wide(strips(&simrows, groups.first(), |c| c as u16))
             };
             let counts = PairCounts::new(width, counts);
-            let (assignment, _) = agglomerative_grouped(&counts, &groups, self.linkage, cutoff);
+            let (assignment, _) = agglomerative_grouped(&counts, &groups, self.linkage, cutoff)
+                .map_err(|e| UdfError::new(udf, e.to_string()))?;
             for (i, &m) in members.iter().enumerate() {
                 out_ids.push(ids.get(m));
                 labels.push(assignment.label(i) as i32);
@@ -1257,6 +1242,63 @@ mod tests {
         );
     }
 
+    /// `J` binds `I.E` ranked once and ranks only each chunk's own
+    /// rows: a twin of a relation row that is not in it, a row of values
+    /// no relation row holds, new values beside holes, a mostly empty
+    /// and a degenerate row each count as [`agreements`] against every
+    /// relation row, and one bound kernel answers the same rows over one
+    /// map task's window as over three. A chunk row of another width is
+    /// refused naming it.
+    #[test]
+    fn pairwise_ranks_chunk_rows_against_the_bound_relation() {
+        let relation = vec![
+            sketch_row(&[1, 2, 3, 4], "a"),
+            sketch_row(&[1, -1, 3, 5], "b"),
+            sketch_row(&[-1, -1, -1, -1], "c"),
+            sketch_row(&[6, 2, 7, 4], "d"),
+        ];
+        let chunk = vec![
+            relation[1].clone(),
+            sketch_row(&[1, 2, 3, 4], "twin of a"),
+            sketch_row(&[8, 9, 10, 11], "no value of I.E"),
+            sketch_row(&[8, 2, -1, 4], "new values beside a hole"),
+            sketch_row(&[-1, 2, -1, -1], "mostly empty"),
+            sketch_row(&[-1, -1, -1, -1], "degenerate"),
+            sketch_row(&[1 << 40, 2, 3, 5], "past u32::MAX"),
+        ];
+        let n = chunk.len();
+        let out = check_pairwise(&chunk, &relation, 0..n, "one window");
+        assert_eq!(out.value_at(2, 1), counts(&[0, 0, 0, 0]));
+        assert_eq!(out.value_at(5, 1), counts(&[0, 0, 4, 0]));
+        let field = |j: usize| {
+            let values = chunk.iter().map(|r| r.as_tuple().unwrap()[j].clone());
+            Column::from_values(values.collect())
+        };
+        let (sketches, ids) = (field(0), field(1));
+        let all = Value::bag(relation.clone());
+        let j = bind("CalculatePairwiseSimilarity", &[None, None, Some(&all)]).unwrap();
+        // The rows of one bound kernel over the windows between `cuts`.
+        let rows_of = |cuts: &[usize]| -> Vec<Value> {
+            let windows = cuts.windows(2).map(|cut| {
+                let (start, len) = (cut[0], cut[1] - cut[0]);
+                let cols = [window(&sketches, start, len), window(&ids, start, len)];
+                match j.eval(&cols, len) {
+                    Ok(BatchOut::Tup(b)) => b.to_rows(),
+                    other => panic!("{cut:?}: {other:?}"),
+                }
+            });
+            windows.flatten().collect()
+        };
+        assert_eq!(rows_of(&[0, n]), out.to_rows());
+        assert_eq!(rows_of(&[0, 3, 5, n]), out.to_rows());
+        for (row, width) in [(&[1, 2, 3][..], 3), (&[1, 2, 3, 4, 5][..], 5)] {
+            let ragged = vec![chunk[0].clone(), sketch_row(row, "odd")];
+            let err = pairwise(&ragged, &relation, 0..2).unwrap_err();
+            let want = format!("sketch of odd has {width} positions, expected 4");
+            assert!(err.message.contains(&want), "{err}");
+        }
+    }
+
     /// Two reads with no k-mer have identical (all-empty) sketches:
     /// count = width, as [`agreements`] counts them; against a real
     /// sketch they share nothing.
@@ -1398,7 +1440,7 @@ mod tests {
             for link in ["single", "average", "complete"] {
                 for theta in [0.5, 0.6, 0.75] {
                     let linkage: Linkage = link.parse().unwrap();
-                    let (want, _) = agglomerative_grouped(&native, &derep, linkage, theta);
+                    let (want, _) = agglomerative_grouped(&native, &derep, linkage, theta).unwrap();
                     let out = hierarchical(&relation, link, width, theta);
                     let want: Vec<Value> = reads
                         .iter()

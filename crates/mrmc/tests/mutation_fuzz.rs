@@ -310,7 +310,13 @@ fn columnar_udf_argument_mutants_answer_or_error_naming_the_udf() {
         (
             "CalculatePairwiseSimilarity",
             vec![
-                Col(vec![sketch(&[1, 2, -1, 4]), sketch(&[1 << 40, 2, 3, 4])]),
+                Col(vec![
+                    sketch(&[1, 2, -1, 4]),
+                    sketch(&[1 << 40, 2, 3, 4]),
+                    sketch(&[8, 9, 10, 11]),
+                    sketch(&[8, -1, -1, 4]),
+                    sketch(&[-1, -1, -1, -1]),
+                ]),
                 Col(vec![chars("a"), chars("b"), chars("z")]),
                 Scalar(bag(vec![
                     vec![sketch(&[1, 2, -1, 4]), chars("a")],
@@ -357,7 +363,7 @@ fn refused(udf: &str, cols: &[Value], consts: &[Value], what: &str) -> String {
 
 /// A count relation that `J` cannot have emitted is refused by `K`
 /// before `PairCounts::new` asserts on it, and a relation with a seqid
-/// twice is refused by `J`.
+/// twice or a chunk row narrower than the relation is refused by `J`.
 #[test]
 fn count_relation_faults_are_udf_errors() {
     let knobs = |numhash: i64| [chars("average"), Value::Long(numhash), Value::Double(0.6)];
@@ -429,4 +435,18 @@ fn count_relation_faults_are_udf_errors() {
         "I.E with a seqid twice",
     );
     assert!(message.contains("seqid a is twice"), "{message}");
+    let ie = bag(vec![
+        vec![sketch(&[1, 2, 3, 4]), chars("a")],
+        vec![sketch(&[1, 5, 3, 4]), chars("b")],
+    ]);
+    let message = refused(
+        "CalculatePairwiseSimilarity",
+        &[sketch(&[1, 2, 3]), chars("q")],
+        &[ie],
+        "a chunk row narrower than I.E",
+    );
+    assert!(
+        message.contains("sketch of q has 3 positions, expected 4"),
+        "{message}"
+    );
 }

@@ -17,6 +17,8 @@
 //! on this to stay identical to the boxed-row reference interpreter
 //! it is tested against (see `tests/columnar.rs`).
 
+use std::sync::Arc;
+
 use bytes::Bytes;
 use mrmc_mapreduce::ShuffleSized;
 
@@ -329,8 +331,9 @@ pub enum Column {
 pub struct BagCol {
     /// Row boundaries into the child batch (`rows + 1` entries).
     pub offsets: Vec<u32>,
-    /// Element storage.
-    pub elems: Box<ColumnBatch>,
+    /// Element storage, shared: a `GROUP` whose bags hold every input
+    /// row in row order points at the input batch itself.
+    pub elems: Arc<ColumnBatch>,
     /// Elements are tuples of the child's fields vs bare values.
     pub tuple_elems: bool,
     /// Null positions (a null slot is `Value::Null`, not an empty bag).
@@ -338,20 +341,22 @@ pub struct BagCol {
 }
 
 impl BagCol {
-    /// Construct from parts, asserting the offsets cover the child.
+    /// Construct from parts, asserting the offsets cover the child,
+    /// which is owned or shared.
     pub fn new(
         offsets: Vec<u32>,
-        elems: ColumnBatch,
+        elems: impl Into<Arc<ColumnBatch>>,
         tuple_elems: bool,
         validity: Option<Bitmap>,
     ) -> BagCol {
+        let elems = elems.into();
         debug_assert!(!offsets.is_empty());
         debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
         debug_assert_eq!(*offsets.last().unwrap() as usize, elems.rows());
         debug_assert!(tuple_elems || elems.num_cols() <= 1);
         BagCol {
             offsets,
-            elems: Box::new(elems),
+            elems,
             tuple_elems,
             validity,
         }
@@ -404,7 +409,7 @@ impl BagCol {
         }
         BagCol {
             offsets,
-            elems: Box::new(self.elems.gather(&elem_idx)),
+            elems: Arc::new(self.elems.gather(&elem_idx)),
             tuple_elems: self.tuple_elems,
             validity: normalize(self.validity.as_ref().map(|b| b.gather(idx))),
         }
@@ -421,7 +426,7 @@ impl BagCol {
             .slice(base as usize, (self.offsets[start + len] - base) as usize);
         BagCol {
             offsets,
-            elems: Box::new(elems),
+            elems: Arc::new(elems),
             tuple_elems: self.tuple_elems,
             validity: normalize(self.validity.as_ref().map(|b| b.slice(start, len))),
         }
@@ -430,7 +435,8 @@ impl BagCol {
     /// Bags of every part end to end (all parts share `tuple_elems`):
     /// offsets rebased onto the concatenated child batch. A part whose
     /// offsets do not span its whole child contributes only the
-    /// elements they cover.
+    /// elements they cover; a child no other column shares is moved,
+    /// not copied.
     fn concat(parts: Vec<BagCol>) -> BagCol {
         let tuple_elems = parts[0].tuple_elems;
         let offsets = concat_offsets(parts.iter().map(|p| &p.offsets[..]));
@@ -440,27 +446,41 @@ impl BagCol {
             let (lo, hi) = (p.offsets[0], p.offsets[p.len()]);
             valid.push((p.validity, p.offsets.len() - 1));
             children.push(if lo == 0 && hi as usize == p.elems.rows() {
-                *p.elems
+                Arc::unwrap_or_clone(p.elems)
             } else {
                 p.elems.slice(lo as usize, (hi - lo) as usize)
             });
         }
         BagCol {
             offsets,
-            elems: Box::new(ColumnBatch::concat(children)),
+            elems: Arc::new(ColumnBatch::concat(children)),
             tuple_elems,
             validity: concat_validity(&valid),
         }
     }
 
     /// Serialized width of bag `i` under the `shuffled_bytes` pricing
-    /// ([`Value::shuffle_size`] of the reconstructed value).
+    /// ([`Value::shuffle_size`] of the reconstructed value). A bag of
+    /// bare `int`, `long` or `double` values with no null is priced in
+    /// O(1): every element has the width of its type.
     fn value_shuffle_size(&self, i: usize) -> usize {
         if !valid_at(&self.validity, i) {
             return 1;
         }
         let lo = self.offsets[i] as usize;
         let hi = self.offsets[i + 1] as usize;
+        if !self.tuple_elems {
+            let width = match self.elems.cols.first() {
+                Some(Column::Int { validity: None, .. }) => Some(5),
+                Some(
+                    Column::Long { validity: None, .. } | Column::Double { validity: None, .. },
+                ) => Some(9),
+                _ => None,
+            };
+            if let Some(width) = width {
+                return 1 + 4 + (hi - lo) * width;
+            }
+        }
         let elems: usize = (lo..hi)
             .map(|e| {
                 if self.tuple_elems {

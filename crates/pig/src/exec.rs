@@ -573,19 +573,7 @@ impl PigRunner {
             let t0 = self.tracer.as_ref().map(|t| t.now_ns()).unwrap_or(0);
             let (span_name, rows_out) = match stmt {
                 Statement::Assign { alias, op } => {
-                    let rel = match op {
-                        Operator::Load {
-                            path,
-                            loader,
-                            schema,
-                        } => self.exec_load(alias, path, loader.as_deref(), schema)?,
-                        Operator::Foreach { input, items } => {
-                            self.exec_foreach(&env, &mut pipeline, alias, input, items)?
-                        }
-                        Operator::Group { input, by } => {
-                            self.exec_group(&env, &mut pipeline, alias, input, by)?
-                        }
-                    };
+                    let rel = self.exec_op(&env, &mut pipeline, alias, op)?;
                     let name = format!("{}:{alias}", op_kind(op));
                     let rows_out = rel.batch.rows();
                     env.insert(alias.clone(), rel);
@@ -618,6 +606,27 @@ impl PigRunner {
             }
         }
         Ok(RunReport { stored, pipeline })
+    }
+
+    /// The relation `alias = op` assigns.
+    fn exec_op(
+        &self,
+        env: &HashMap<String, Relation>,
+        pipeline: &mut Pipeline,
+        alias: &str,
+        op: &Operator,
+    ) -> Result<Relation, PigError> {
+        match op {
+            Operator::Load {
+                path,
+                loader,
+                schema,
+            } => self.exec_load(alias, path, loader.as_deref(), schema),
+            Operator::Foreach { input, items } => {
+                self.exec_foreach(env, pipeline, alias, input, items)
+            }
+            Operator::Group { input, by } => self.exec_group(env, pipeline, alias, input, by),
+        }
     }
 
     /// `LOAD`: run the loader UDF over the file's bytes. Pig's data
@@ -777,8 +786,15 @@ impl PigRunner {
         }
         // One gather materializes every group's member rows into
         // the bag column's child batch — the grouped runs were
-        // moved, not cloned, all the way from the reducers.
-        let child = rel.batch.gather(&elem_idx);
+        // moved, not cloned, all the way from the reducers. When the
+        // groups hold every input row in row order (`GROUP … ALL` as
+        // the engine returns it), that gather would copy the input
+        // whole, so the bag shares the input batch instead.
+        let child = if elem_idx.iter().copied().eq(0..rel.batch.rows() as u32) {
+            Arc::clone(&rel.batch)
+        } else {
+            Arc::new(rel.batch.gather(&elem_idx))
+        };
         let rows = keys.len();
         let key_col = Column::from_values(keys);
         let bag_col = Column::Bag(BagCol::new(offsets, child, true, None));
@@ -974,6 +990,51 @@ mod tests {
             (10, 180, 6)
         );
         assert!(!group.reduce_stats.is_empty());
+    }
+
+    /// `GROUP … ALL` over a relation hands its one bag the input batch
+    /// itself, a `GROUP … BY` that reorders the rows gathers them, and
+    /// the shared child stores and prices as a gathered copy of it does.
+    #[test]
+    fn group_all_shares_its_input_and_stores_as_a_gather() {
+        let dfs = dfs();
+        dfs.put("/kv.txt", &b"a 1\nb 2\na 3\nc 9\nb 4\n"[..], false)
+            .unwrap();
+        let script = parse_script(
+            "A = LOAD '/kv.txt' AS (line:chararray);\
+             B = FOREACH A GENERATE FLATTEN(TOKENIZE(line)) AS (tok:chararray), line;\
+             GA = GROUP B ALL;\
+             GB = GROUP B BY tok;",
+            &Map::new(),
+        )
+        .unwrap();
+        let runner = runner(&dfs);
+        let mut env = HashMap::new();
+        let mut pipeline = Pipeline::new("t");
+        for stmt in &script.statements {
+            if let Statement::Assign { alias, op } = stmt {
+                let rel = runner.exec_op(&env, &mut pipeline, alias, op).unwrap();
+                env.insert(alias.clone(), rel);
+            }
+        }
+        let input = &env["B"].batch;
+        let bag = |alias: &str| match env[alias].batch.col(1) {
+            Column::Bag(bag) => bag.clone(),
+            other => panic!("{alias}: {other:?}"),
+        };
+        let (all, by) = (bag("GA"), bag("GB"));
+        assert!(Arc::ptr_eq(&all.elems, input));
+        assert!(!Arc::ptr_eq(&by.elems, input));
+        assert_eq!(by.elems.rows(), input.rows());
+        let rows: Vec<u32> = (0..input.rows() as u32).collect();
+        let gathered = BagCol::new(all.offsets.clone(), input.gather(&rows), true, None);
+        let stored = |bag: BagCol| {
+            let col = Column::Bag(bag);
+            (col.value_at(0).to_string(), col.value_shuffle_size(0))
+        };
+        let (text, bytes) = stored(all);
+        assert_eq!((text.clone(), bytes), stored(gathered));
+        assert!(text.starts_with("{(a,a 1),(1,a 1),(b,b 2)"), "{text}");
     }
 
     #[test]
