@@ -25,8 +25,10 @@
 //!   (compute / shuffle / overhead / recovery).
 //!
 //! The crate is dependency-free and sits *below* `mrmc-mapreduce` in
-//! the workspace graph: the engine, the simulated cluster, the daemon
-//! and the bench binaries all emit into the same ledger types.
+//! the workspace graph: the engine, the simulated cluster and the
+//! bench binaries emit spans into the same ledger types; the serving
+//! daemon records only its lifecycle events there and answers for its
+//! requests in the metrics registry.
 
 //! A second, live-serving observability surface sits alongside the
 //! ledger: [`metrics`] is a deterministic registry of counters, gauges

@@ -32,12 +32,6 @@ pub enum Category {
     /// Work that exists only because something failed: retries,
     /// speculative backups, re-executed maps, fetch retries.
     Recovery,
-    /// Request-path work in the serving layer (`mrmc-server`):
-    /// micro-batch admission waits and incremental assignment. Serve
-    /// spans are emitted from concurrent connection/worker threads, so
-    /// unlike engine spans they carry no determinism contract — they
-    /// are excluded from signature-equality tests.
-    Serve,
     /// One Pig operator executing in the script driver
     /// (LOAD/FOREACH/GROUP/STORE). Operator spans *wrap* the engine
     /// spans of the Map-Reduce jobs they lower to, so a scripted run's
@@ -47,12 +41,11 @@ pub enum Category {
 }
 
 /// All categories, in attribution-report order.
-pub const CATEGORIES: [Category; 6] = [
+pub const CATEGORIES: [Category; 5] = [
     Category::Compute,
     Category::Shuffle,
     Category::Overhead,
     Category::Recovery,
-    Category::Serve,
     Category::Pig,
 ];
 
@@ -64,7 +57,6 @@ impl Category {
             Category::Shuffle => "shuffle",
             Category::Overhead => "overhead",
             Category::Recovery => "recovery",
-            Category::Serve => "serve",
             Category::Pig => "pig",
         }
     }
@@ -444,7 +436,7 @@ mod tests {
         let names: Vec<&str> = CATEGORIES.iter().map(|c| c.name()).collect();
         assert_eq!(
             names,
-            vec!["compute", "shuffle", "overhead", "recovery", "serve", "pig"]
+            vec!["compute", "shuffle", "overhead", "recovery", "pig"]
         );
     }
 }

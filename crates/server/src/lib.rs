@@ -18,11 +18,12 @@
 //! * [`session`] — per-tenant state: seeded clusterer, read→label
 //!   index, admission ledger.
 //! * [`server`] — the daemon: accept loop, worker pool, concurrent
-//!   multi-session scheduling, graceful drain, `serve`-category spans
-//!   into an [`mrmc_obs::Tracer`], and live `serve.*` metrics
-//!   (per-tenant latency/batch-size histograms, admission counters,
-//!   queue gauges) into an [`mrmc_obs::MetricsRegistry`] a client
-//!   snapshots with `Request::ServerStats`.
+//!   multi-session scheduling, graceful drain, and live `serve.*`
+//!   metrics (per-tenant latency/batch-size histograms, admission
+//!   gauges, queue gauges) into an [`mrmc_obs::MetricsRegistry`] a
+//!   client snapshots with `Request::ServerStats`. Its
+//!   [`mrmc_obs::Tracer`] records only the daemon's lifecycle (a job
+//!   and its `listening` and `drain` events), never a request.
 //! * [`client`] — the thin blocking client the `mrmc-client` binary
 //!   and the tests drive.
 //!

@@ -46,9 +46,9 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use mrmc_obs::{Category, MetricsRegistry, SpanDraft, Tracer};
+use mrmc_obs::{MetricsRegistry, Tracer};
 use mrmc_seqio::SeqRecord;
 
 use crate::protocol::{
@@ -119,7 +119,7 @@ struct WorkItem {
     reads: Vec<SeqRecord>,
     bytes: usize,
     reply: mpsc::Sender<Result<Vec<u64>, SessionError>>,
-    enqueued_ns: u64,
+    enqueued: Instant,
 }
 
 #[derive(Default)]
@@ -129,9 +129,11 @@ struct QueueState {
 }
 
 struct Shared {
+    /// The daemon's lifecycle ledger: the `mrmc-server` job, its
+    /// `listening` event and its `drain` event, nothing per request.
     tracer: Arc<Tracer>,
-    /// Live metrics registry.
-    metrics: Arc<MetricsRegistry>,
+    /// Live metrics registry: the request path's one account.
+    metrics: MetricsRegistry,
     limits: AdmissionLimits,
     addr: Mutex<Option<SocketAddr>>,
     sessions: Mutex<HashMap<String, Arc<Tenant>>>,
@@ -148,9 +150,8 @@ impl Shared {
         if let Some(t) = sessions.get(tenant) {
             return Arc::clone(t);
         }
-        let job = self.tracer.begin_job(&format!("session:{tenant}"));
         let s = Arc::new(Tenant {
-            session: Mutex::new(Session::new(tenant, self.limits, job)),
+            session: Mutex::new(Session::new(tenant, self.limits)),
             keys: TenantKeys::new(tenant),
         });
         sessions.insert(tenant.to_string(), Arc::clone(&s));
@@ -248,7 +249,7 @@ fn serve_item(
     item: WorkItem,
     assign: impl FnOnce(&mut Session, &[SeqRecord]) -> Result<Vec<u64>, SessionError>,
 ) {
-    let dequeued_ns = shared.tracer.now_ns();
+    let dequeued = Instant::now();
     let result = {
         let mut s = lock(&item.tenant.session);
         // The guard lives outside the closure, so a panic does not
@@ -256,39 +257,15 @@ fn serve_item(
         let result = panic::catch_unwind(AssertUnwindSafe(|| assign(&mut s, &item.reads)))
             .unwrap_or_else(|payload| Err(panicked(payload.as_ref())));
         s.complete(item.bytes);
-        let done_ns = shared.tracer.now_ns();
-        shared.tracer.add_span(
-            SpanDraft::new(s.job, "serve:queue", Category::Serve)
-                .at(
-                    item.enqueued_ns,
-                    dequeued_ns.saturating_sub(item.enqueued_ns),
-                )
-                .meta("reads", item.reads.len()),
-        );
-        shared.tracer.add_span(
-            SpanDraft::new(s.job, "serve:assign", Category::Serve)
-                .at(dequeued_ns, done_ns.saturating_sub(dequeued_ns))
-                .meta("reads", item.reads.len())
-                .meta("queue_depth", s.queue_depth())
-                .meta(
-                    "ok",
-                    match &result {
-                        Ok(labels) => labels.len().to_string(),
-                        Err(e) => format!("error:{e}"),
-                    },
-                ),
-        );
-        let keys = &item.tenant.keys;
-        shared.metrics.observe(
-            &keys.queue_us,
-            dequeued_ns.saturating_sub(item.enqueued_ns) / 1_000,
-        );
-        shared.metrics.observe(
-            &keys.latency_us,
-            done_ns.saturating_sub(item.enqueued_ns) / 1_000,
-        );
         result
     };
+    // Recorded before the reply, so a client that has its labels sees
+    // its batch in the next `ServerStats`.
+    let keys = &item.tenant.keys;
+    let queued_us = dequeued.duration_since(item.enqueued).as_micros() as u64;
+    let latency_us = item.enqueued.elapsed().as_micros() as u64;
+    shared.metrics.observe(&keys.queue_us, queued_us);
+    shared.metrics.observe(&keys.latency_us, latency_us);
     let _ = item.reply.send(result);
     let mut q = lock(&shared.queue);
     q.in_flight -= 1;
@@ -475,27 +452,9 @@ fn handle_submit(
         }
         match s.try_admit(records.len(), bytes) {
             Err(AdmissionReject::Busy { queue_depth, limit }) => {
-                shared.tracer.add_event(
-                    s.job,
-                    "admission_reject",
-                    shared.tracer.now_ns(),
-                    vec![
-                        ("kind".into(), "busy".into()),
-                        ("reads".into(), records.len().to_string()),
-                    ],
-                );
                 return Response::Busy { queue_depth, limit };
             }
             Err(AdmissionReject::QuotaExceeded { would_use, quota }) => {
-                shared.tracer.add_event(
-                    s.job,
-                    "admission_reject",
-                    shared.tracer.now_ns(),
-                    vec![
-                        ("kind".into(), "quota".into()),
-                        ("reads".into(), records.len().to_string()),
-                    ],
-                );
                 return Response::QuotaExceeded { would_use, quota };
             }
             Ok(()) => {
@@ -508,7 +467,7 @@ fn handle_submit(
                     reads: records,
                     bytes,
                     reply: tx,
-                    enqueued_ns: shared.tracer.now_ns(),
+                    enqueued: Instant::now(),
                 };
                 // Admission and enqueue both happen before the session
                 // lock drops, so queue_depth never overshoots its bound.
@@ -575,22 +534,14 @@ fn handle_conn(shared: Arc<Shared>, mut stream: TcpStream) {
                     }
                 } else {
                     let records: Vec<SeqRecord> = reads.into_iter().map(SeqRecord::from).collect();
-                    let start_ns = shared.tracer.now_ns();
+                    let start = Instant::now();
                     let mut s = lock(&tenant.session);
                     shared.metrics.counter_add("serve.requests.seed", 1);
                     match s.seed_from_batch(&config, &records) {
                         Ok(clusters) => {
-                            let done_ns = shared.tracer.now_ns();
-                            shared.tracer.add_span(
-                                SpanDraft::new(s.job, "serve:seed", Category::Serve)
-                                    .at(start_ns, done_ns.saturating_sub(start_ns))
-                                    .meta("reads", records.len())
-                                    .meta("clusters", clusters),
-                            );
-                            shared.metrics.observe(
-                                &tenant.keys.seed_us,
-                                done_ns.saturating_sub(start_ns) / 1_000,
-                            );
+                            shared
+                                .metrics
+                                .observe(&tenant.keys.seed_us, start.elapsed().as_micros() as u64);
                             Response::Seeded { clusters }
                         }
                         Err(e) => error_response(&e),
@@ -666,7 +617,7 @@ impl Server {
         );
         let shared = Arc::new(Shared {
             tracer,
-            metrics: Arc::new(MetricsRegistry::new()),
+            metrics: MetricsRegistry::new(),
             limits: config.limits,
             addr: Mutex::new(Some(addr)),
             sessions: Mutex::new(HashMap::new()),
@@ -676,15 +627,25 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             server_job,
         });
-        let workers = (0..config.workers.max(1))
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                thread::Builder::new()
-                    .name(format!("mrmc-worker-{i}"))
-                    .spawn(move || worker_loop(shared))
-                    .expect("spawn worker")
-            })
-            .collect();
+        let mut workers = Vec::with_capacity(config.workers.max(1));
+        for i in 0..config.workers.max(1) {
+            let worker = Arc::clone(&shared);
+            let spawned = thread::Builder::new()
+                .name(format!("mrmc-worker-{i}"))
+                .spawn(move || worker_loop(worker));
+            match spawned {
+                Ok(handle) => workers.push(handle),
+                Err(e) => {
+                    // The queue is empty, so the drain only stops the
+                    // workers already started.
+                    shared.drain();
+                    for w in workers {
+                        let _ = w.join();
+                    }
+                    return Err(e);
+                }
+            }
+        }
         Ok(Server {
             listener,
             addr,
@@ -696,16 +657,6 @@ impl Server {
     /// The bound address (resolves `:0` to the ephemeral port).
     pub fn local_addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The tracer the request path emits `serve` spans into.
-    pub fn tracer(&self) -> Arc<Tracer> {
-        Arc::clone(&self.shared.tracer)
-    }
-
-    /// The live metrics registry.
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.shared.metrics)
     }
 
     /// Serve until a client's `Shutdown` drains the daemon. Joins the
@@ -739,22 +690,15 @@ impl Server {
     }
 
     /// Bind and serve on a background thread; the returned handle
-    /// exposes the bound address and tracer and joins on drop-site
-    /// demand via [`ServerHandle::join`].
+    /// exposes the bound address and joins on demand via
+    /// [`ServerHandle::join`].
     pub fn spawn(config: &ServerConfig, tracer: Arc<Tracer>) -> io::Result<ServerHandle> {
         let server = Server::bind(config, tracer)?;
         let addr = server.local_addr();
-        let tracer = server.tracer();
-        let metrics = server.metrics();
         let join = thread::Builder::new()
             .name("mrmc-server".to_string())
             .spawn(move || server.run())?;
-        Ok(ServerHandle {
-            addr,
-            tracer,
-            metrics,
-            join,
-        })
+        Ok(ServerHandle { addr, join })
     }
 }
 
@@ -768,8 +712,6 @@ fn reap_finished(handles: &mut Vec<JoinHandle<()>>) {
 /// Handle to a daemon running on a background thread.
 pub struct ServerHandle {
     addr: SocketAddr,
-    tracer: Arc<Tracer>,
-    metrics: Arc<MetricsRegistry>,
     join: JoinHandle<()>,
 }
 
@@ -777,16 +719,6 @@ impl ServerHandle {
     /// The daemon's bound address.
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// The daemon's tracer (shared; snapshot with `ledger()`).
-    pub fn tracer(&self) -> Arc<Tracer> {
-        Arc::clone(&self.tracer)
-    }
-
-    /// The daemon's live metrics registry.
-    pub fn metrics(&self) -> Arc<MetricsRegistry> {
-        Arc::clone(&self.metrics)
     }
 
     /// Wait for the daemon to drain and exit.
@@ -877,7 +809,7 @@ mod tests {
             reads,
             bytes: 8,
             reply,
-            enqueued_ns: shared.tracer.now_ns(),
+            enqueued: Instant::now(),
         };
         serve_item(&shared, item, |_, _| panic!("assignment blew up"));
 
@@ -887,7 +819,7 @@ mod tests {
         }
         assert_eq!(lock(&shared.queue).in_flight, 0);
         assert!(!tenant.session.is_poisoned());
-        assert_eq!(lock(&tenant.session).queue_depth(), 0);
+        assert_eq!(lock(&tenant.session).stats().queue_depth, 0);
         assert_eq!(shared.drain(), 0);
         for worker in server.workers {
             worker.join().unwrap();

@@ -63,21 +63,17 @@ pub struct Session {
     labels_by_id: HashMap<String, u64>,
     seeded_clusters: u64,
     ledger: AdmissionLedger,
-    /// Tracer job ordinal for this session's serve spans.
-    pub job: u32,
 }
 
 impl Session {
-    /// Fresh unseeded session for `tenant` under `limits`; `job` is
-    /// the tracer job its spans attribute to.
-    pub fn new(tenant: impl Into<String>, limits: AdmissionLimits, job: u32) -> Session {
+    /// Fresh unseeded session for `tenant` under `limits`.
+    pub fn new(tenant: impl Into<String>, limits: AdmissionLimits) -> Session {
         Session {
             tenant: tenant.into(),
             clusterer: None,
             labels_by_id: HashMap::new(),
             seeded_clusters: 0,
             ledger: AdmissionLedger::new(limits),
-            job,
         }
     }
 
@@ -88,10 +84,9 @@ impl Session {
 
     /// Run the batch pipeline over `reads` and seed the incremental
     /// clusterer from the finished run. Returns the seeded cluster
-    /// count. The batch runs *untraced*: the request path after
-    /// seeding must add no Map-Reduce job spans to the daemon's
-    /// ledger, and keeping the seed run out as well makes that
-    /// property trivially checkable (every daemon span is `serve`).
+    /// count. The batch runs *untraced*, like every request: the
+    /// daemon's tracer holds only its own lifecycle, so an empty span
+    /// list shows that no request re-ran a Map-Reduce job.
     pub fn seed_from_batch(
         &mut self,
         config: &SeedConfig,
@@ -142,11 +137,6 @@ impl Session {
     /// Release an admitted batch's queue accounting.
     pub fn complete(&mut self, bytes: usize) {
         self.ledger.complete(bytes)
-    }
-
-    /// Micro-batches currently queued or in flight.
-    pub fn queue_depth(&self) -> usize {
-        self.ledger.queue_depth
     }
 
     /// The tenant this session serves (metric key component).
@@ -222,7 +212,7 @@ mod tests {
 
     #[test]
     fn lifecycle_not_seeded_then_seeded() {
-        let mut s = Session::new("t", AdmissionLimits::default(), 0);
+        let mut s = Session::new("t", AdmissionLimits::default());
         assert_eq!(s.assign(&reads()).unwrap_err(), SessionError::NotSeeded);
         let k = s.seed_from_batch(&seed_cfg(), &reads()).unwrap();
         assert_eq!(k, 2);
@@ -240,7 +230,7 @@ mod tests {
 
     #[test]
     fn assign_extends_query_index() {
-        let mut s = Session::new("t", AdmissionLimits::default(), 0);
+        let mut s = Session::new("t", AdmissionLimits::default());
         s.seed_from_batch(&seed_cfg(), &reads()).unwrap();
         let newcomer = SeqRecord::new("a3", b"ACGTACGTACGTACGTTTTTACGTACGT".to_vec());
         let labels = s.assign(std::slice::from_ref(&newcomer)).unwrap();
@@ -255,7 +245,7 @@ mod tests {
 
     #[test]
     fn bad_config_refused() {
-        let mut s = Session::new("t", AdmissionLimits::default(), 0);
+        let mut s = Session::new("t", AdmissionLimits::default());
         let bad = SeedConfig {
             kmer: 0,
             ..seed_cfg()

@@ -4,8 +4,8 @@
 //! The acceptance property: two concurrent tenant sessions seeded via
 //! `SeedFromBatch` produce assignments identical to the oracle, and
 //! every read submitted after seeding is answered on the serving path
-//! — the daemon's ledger contains *only* `serve`-category spans, no
-//! Map-Reduce job spans.
+//! — the daemon's ledger holds its own lifecycle and nothing else: no
+//! Map-Reduce job, and no record per request.
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -14,7 +14,7 @@ use std::thread;
 use std::time::Duration;
 
 use mrmc::{IncrementalClusterer, MrMcMinH};
-use mrmc_obs::{Category, Tracer};
+use mrmc_obs::Tracer;
 use mrmc_seqio::SeqRecord;
 use mrmc_server::protocol::{read_frame, write_frame};
 use mrmc_server::{
@@ -33,13 +33,16 @@ fn seed_cfg() -> SeedConfig {
     }
 }
 
-fn spawn_server(limits: AdmissionLimits) -> ServerHandle {
-    let config = ServerConfig {
+fn config(limits: AdmissionLimits) -> ServerConfig {
+    ServerConfig {
         addr: "127.0.0.1:0".to_string(),
         workers: 2,
         limits,
-    };
-    Server::spawn(&config, Arc::new(Tracer::new())).expect("bind loopback")
+    }
+}
+
+fn spawn_server(limits: AdmissionLimits) -> ServerHandle {
+    Server::spawn(&config(limits), Arc::new(Tracer::new())).expect("bind loopback")
 }
 
 /// What the daemon must agree with: seed the incremental clusterer
@@ -55,10 +58,11 @@ fn oracle(cfg: &SeedConfig, batch: &[SeqRecord], streamed: &[SeqRecord]) -> Vec<
 }
 
 #[test]
-fn concurrent_sessions_match_oracle_and_ledger_is_all_serve() {
-    let handle = spawn_server(AdmissionLimits::default());
+fn concurrent_sessions_match_oracle_and_ledger_holds_only_the_lifecycle() {
+    let tracer = Arc::new(Tracer::new());
+    let handle =
+        Server::spawn(&config(AdmissionLimits::default()), Arc::clone(&tracer)).expect("bind");
     let addr = handle.addr();
-    let tracer = handle.tracer();
 
     // Two tenants with different corpora, driven concurrently.
     let tenants: Vec<thread::JoinHandle<()>> = [("alpha", 11u64), ("beta", 22u64)]
@@ -103,22 +107,11 @@ fn concurrent_sessions_match_oracle_and_ledger_is_all_serve() {
     }
 
     // The acceptance assertion: the request path never re-ran the
-    // batch pipeline. Seeding runs untraced, so the daemon's ledger
-    // must contain serve spans only — zero Map-Reduce job spans.
+    // batch pipeline. Requests and seeds run untraced, so the daemon's
+    // ledger holds its own job and no span at all.
     let ledger = tracer.ledger();
-    assert!(!ledger.spans.is_empty(), "serve spans were emitted");
-    for span in &ledger.spans {
-        assert_eq!(
-            span.category,
-            Category::Serve,
-            "non-serve span {} leaked into the daemon ledger",
-            span.name
-        );
-    }
-    assert!(
-        ledger.spans.iter().any(|s| s.name == "serve:assign"),
-        "assignment spans present"
-    );
+    assert_eq!(ledger.jobs, ["mrmc-server"]);
+    assert!(ledger.spans.is_empty(), "{} spans", ledger.spans.len());
 
     // The live metrics plane saw the same traffic: the latency
     // histograms carry one sample per admitted batch with ordered
@@ -173,6 +166,42 @@ fn concurrent_sessions_match_oracle_and_ledger_is_all_serve() {
         Client::connect(addr, "late").is_err(),
         "daemon still answering after drain"
     );
+}
+
+/// A long stream of batches leaves the daemon's ledger as the seed
+/// left it: the request path's account is the metrics plane, so the
+/// tracer does not grow with the batches a daemon answers.
+#[test]
+fn batch_stream_leaves_the_ledger_as_seeded() {
+    let tracer = Arc::new(Tracer::new());
+    let handle =
+        Server::spawn(&config(AdmissionLimits::default()), Arc::clone(&tracer)).expect("bind");
+    let reads = two_species(310, 400, 20_000, 12).0;
+    let (batch, streamed) = reads.split_at(10);
+    let mut client = Client::connect(handle.addr(), "t").expect("connect");
+    client.seed_from_batch(&seed_cfg(), batch).expect("seed");
+    let seeded = tracer.ledger();
+
+    for read in streamed {
+        client
+            .submit_labels(std::slice::from_ref(read))
+            .expect("submit");
+    }
+    let streamed_ledger = tracer.ledger();
+    assert!(
+        streamed_ledger.spans.is_empty(),
+        "{} spans after {} batches",
+        streamed_ledger.spans.len(),
+        streamed.len()
+    );
+    assert_eq!(streamed_ledger.jobs, ["mrmc-server"]);
+    assert_eq!(streamed_ledger.events, seeded.events);
+    assert_eq!(
+        client.stats().expect("stats").batches_admitted,
+        streamed.len() as u64
+    );
+    client.shutdown().expect("shutdown");
+    handle.join();
 }
 
 #[test]
